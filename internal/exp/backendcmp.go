@@ -1,10 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"runtime"
 	"time"
 
@@ -41,35 +38,6 @@ type BackendCell struct {
 	CompileWallMS float64 `json:"compile_wall_ms"`
 }
 
-// BackendReport is the JSON document emitted by impala-bench -exp
-// backendcmp -json — the committed BENCH_backend.json baseline.
-type BackendReport struct {
-	Scale      float64       `json:"scale"`
-	Seed       int64         `json:"seed"`
-	InputKB    int           `json:"input_kb"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Cells      []BackendCell `json:"cells"`
-}
-
-// ReadBackendReport parses a stored backendcmp baseline.
-func ReadBackendReport(r io.Reader) (*BackendReport, error) {
-	var rep BackendReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("exp: bad backend report: %w", err)
-	}
-	if len(rep.Cells) == 0 {
-		return nil, fmt.Errorf("exp: backend report has no cells")
-	}
-	return &rep, nil
-}
-
-// WriteJSON writes the report, indented, to w.
-func (r *BackendReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // backendCmpBenches spans the workload families without the ring suite
 // (whose rotational components exist to stress the tier planner, not the
 // match-array model).
@@ -92,13 +60,13 @@ var backendCmpPoints = []struct {
 // backends' compiled automata must produce identical reports on the same
 // input — the backend changes the hardware model, never the match
 // semantics.
-func BackendCmpReport(o Options) (*BackendReport, error) {
+func BackendCmpReport(o Options) (*Report[BackendCell], error) {
 	o = o.withDefaults()
 	names := o.Benchmarks
 	if len(names) == 0 {
 		names = backendCmpBenches
 	}
-	rep := &BackendReport{
+	rep := &Report[BackendCell]{
 		Scale:      o.Scale,
 		Seed:       o.Seed,
 		InputKB:    o.InputKB,
@@ -178,17 +146,8 @@ func BackendCmpReport(o Options) (*BackendReport, error) {
 	return rep, nil
 }
 
-// BackendCmp is the registry runner: it renders BackendCmpReport as a table.
-func BackendCmp(o Options) ([]*Table, error) {
-	rep, err := BackendCmpReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{rep.Table()}, nil
-}
-
-// Table renders the report in the harness's text-table format.
-func (r *BackendReport) Table() *Table {
+// backendTable renders the report in the harness's text-table format.
+func backendTable(r *Report[BackendCell]) *Table {
 	t := &Table{
 		Title: "Compile backends: Impala capsule subarrays vs CAM ternary rows at 16 bits/cycle",
 		Header: []string{"benchmark", "backend", "states", "rows", "groups", "units",
@@ -206,47 +165,19 @@ func (r *BackendReport) Table() *Table {
 	return t
 }
 
-// CompareBackendReports checks a fresh backendcmp report against a stored
-// baseline (the BENCH_backend.json third of impala-bench -check). When both
-// reports ran the same scale and seed, every deterministic column — the
-// compiled shape, the placement grouping and the analytical model — must
-// match the baseline exactly (floats to 1e-9 relative, absorbing only JSON
-// round-trip formatting); any drift is a backend model change, not noise.
-// The measured MB/s column is never gated. Cells missing from the fresh
-// report are flagged; extra cells are fine.
-func CompareBackendReports(base, cur *BackendReport, opt CheckOptions) []string {
-	key := func(c BackendCell) string { return c.Benchmark + "/" + c.Backend }
-	got := make(map[string]BackendCell, len(cur.Cells))
-	for _, c := range cur.Cells {
-		got[key(c)] = c
-	}
-	sameRun := base.Scale == cur.Scale && base.Seed == cur.Seed
-
-	var bad []string
-	flag := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	closeEnough := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-	}
-	for _, b := range base.Cells {
-		c, ok := got[key(b)]
-		if !ok {
-			flag("%s: cell missing from report", key(b))
-			continue
-		}
-		if !sameRun {
-			continue
-		}
-		if c.States != b.States || c.Rows != b.Rows || c.Groups != b.Groups || c.Units != b.Units {
-			flag("%s: shape changed: %d states/%d rows/%d groups/%d units; baseline %d/%d/%d/%d",
-				key(b), c.States, c.Rows, c.Groups, c.Units, b.States, b.Rows, b.Groups, b.Units)
-		}
-		if !closeEnough(c.FreqGHz, b.FreqGHz) || !closeEnough(c.ThroughputGbps, b.ThroughputGbps) ||
-			!closeEnough(c.TotalMM2, b.TotalMM2) || !closeEnough(c.ThroughputPerMM2, b.ThroughputPerMM2) ||
-			!closeEnough(c.PJPerByte, b.PJPerByte) {
-			flag("%s: model changed: %.4f GHz/%.2f Gbps/%.4f mm2/%.4f Gbps-mm2/%.4f pJ-B; baseline %.4f/%.2f/%.4f/%.4f/%.4f",
-				key(b), c.FreqGHz, c.ThroughputGbps, c.TotalMM2, c.ThroughputPerMM2, c.PJPerByte,
-				b.FreqGHz, b.ThroughputGbps, b.TotalMM2, b.ThroughputPerMM2, b.PJPerByte)
+// backendRows projects one row per (benchmark, backend): the compiled
+// shape, the placement grouping and the analytical model are all pure
+// functions of the workload, so every column is exact and any drift is a
+// backend model change. The measured MB/s column is never gated.
+func backendRows(r *Report[BackendCell]) []Row {
+	rows := make([]Row, len(r.Cells))
+	for i, c := range r.Cells {
+		rows[i] = Row{
+			Key: c.Benchmark + "/" + c.Backend,
+			Exact: []Col{{"states", c.States}, {"rows", c.Rows}, {"groups", c.Groups}, {"units", c.Units},
+				{"freq_ghz", c.FreqGHz}, {"throughput_gbps", c.ThroughputGbps}, {"total_mm2", c.TotalMM2},
+				{"throughput_per_mm2", c.ThroughputPerMM2}, {"pj_per_byte", c.PJPerByte}},
 		}
 	}
-	return bad
+	return rows
 }

@@ -46,106 +46,22 @@ func TestBackendCmpReportSmall(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	rep.Table().Render(&buf)
+	backendTable(rep).Render(&buf)
 	if !strings.Contains(buf.String(), "cam") || !strings.Contains(buf.String(), "impala") {
 		t.Fatalf("table missing a backend row:\n%s", buf.String())
 	}
 
 	// JSON round trip: the baseline file format.
 	buf.Reset()
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := rep.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBackendReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readBack[BackendCell](t, &buf, "backendcmp")
 	if len(got.Cells) != len(rep.Cells) || got.Cells[0] != rep.Cells[0] {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", got.Cells, rep.Cells)
 	}
 	// A fresh identical run must pass its own baseline.
-	if bad := CompareBackendReports(got, rep, CheckOptions{}); len(bad) != 0 {
+	if bad, _ := gateByID(t, "backendcmp").Compare(got, rep, CheckOptions{}); len(bad) != 0 {
 		t.Fatalf("self-check flagged: %v", bad)
-	}
-}
-
-func TestReadBackendReportRejectsEmpty(t *testing.T) {
-	if _, err := ReadBackendReport(strings.NewReader(`{"cells":[]}`)); err == nil {
-		t.Fatal("empty report accepted")
-	}
-	if _, err := ReadBackendReport(strings.NewReader(`not json`)); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-}
-
-func backendCheckReport() *BackendReport {
-	return &BackendReport{
-		Scale: 0.02, Seed: 1, InputKB: 64, GOMAXPROCS: 4,
-		Cells: []BackendCell{
-			{Benchmark: "Snort", Backend: "impala", Design: "Impala 4-bit stride-4",
-				States: 2449, Rows: 2449, Groups: 40, Units: 1,
-				FreqGHz: 5, ThroughputGbps: 80, TotalMM2: 0.5, ThroughputPerMM2: 160,
-				PJPerByte: 2.0, MeasuredMBs: 900, CompileWallMS: 50},
-			{Benchmark: "Snort", Backend: "cam", Design: "CAM 8-bit stride-2",
-				States: 2500, Rows: 2600, Groups: 11, Units: 1,
-				FreqGHz: 1.7, ThroughputGbps: 27.2, TotalMM2: 0.09, ThroughputPerMM2: 300,
-				PJPerByte: 5.8, MeasuredMBs: 800, CompileWallMS: 30},
-		},
-	}
-}
-
-func TestCompareBackendReportsIdenticalPasses(t *testing.T) {
-	if bad := CompareBackendReports(backendCheckReport(), backendCheckReport(), CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("identical reports flagged: %v", bad)
-	}
-}
-
-func TestCompareBackendReportsFlagsDrift(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(r *BackendReport)
-		want   string
-	}{
-		{"state drift", func(r *BackendReport) { r.Cells[0].States++ }, "shape changed"},
-		{"row drift", func(r *BackendReport) { r.Cells[1].Rows-- }, "shape changed"},
-		{"bank drift", func(r *BackendReport) { r.Cells[1].Groups = 12 }, "shape changed"},
-		{"energy drift", func(r *BackendReport) { r.Cells[1].PJPerByte *= 1.01 }, "model changed"},
-		{"area drift", func(r *BackendReport) { r.Cells[0].TotalMM2 += 0.001 }, "model changed"},
-		{"missing cell", func(r *BackendReport) { r.Cells = r.Cells[:1] }, "missing from report"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cur := backendCheckReport()
-			tc.mutate(cur)
-			bad := CompareBackendReports(backendCheckReport(), cur, CheckOptions{})
-			if len(bad) == 0 {
-				t.Fatal("drift not flagged")
-			}
-			if !strings.Contains(strings.Join(bad, "\n"), tc.want) {
-				t.Fatalf("want %q in %v", tc.want, bad)
-			}
-		})
-	}
-}
-
-// The measured-throughput column is wall-clock noise and must never gate.
-func TestCompareBackendReportsIgnoresMeasuredMBs(t *testing.T) {
-	cur := backendCheckReport()
-	cur.Cells[0].MeasuredMBs = 1
-	cur.Cells[1].MeasuredMBs = 1e6
-	if bad := CompareBackendReports(backendCheckReport(), cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("measured throughput gated: %v", bad)
-	}
-}
-
-// Shape and model are only compared between same-scale/seed runs; a
-// rescaled run checks cell presence only.
-func TestCompareBackendReportsShapeIgnoredAcrossScales(t *testing.T) {
-	cur := backendCheckReport()
-	cur.Scale = 0.05
-	cur.Cells[0].States = 99999
-	cur.Cells[1].PJPerByte = 40
-	if bad := CompareBackendReports(backendCheckReport(), cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("cross-scale shape flagged: %v", bad)
 	}
 }

@@ -72,37 +72,6 @@ type ClusterCell struct {
 	MBPerSec float64 `json:"mb_per_sec"`
 }
 
-// ClusterReport is the JSON document emitted by impala-bench -exp
-// clustersweep -json — the committed BENCH_cluster.json baseline.
-type ClusterReport struct {
-	Design     string        `json:"design"`
-	Scale      float64       `json:"scale"`
-	Seed       int64         `json:"seed"`
-	InputKB    int           `json:"input_kb"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Cells      []ClusterCell `json:"cells"`
-	Metrics    *obs.Snapshot `json:"metrics,omitempty"`
-}
-
-// WriteJSON writes the report, indented, to w.
-func (r *ClusterReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadClusterReport parses a stored clustersweep baseline.
-func ReadClusterReport(r io.Reader) (*ClusterReport, error) {
-	var rep ClusterReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("exp: bad cluster report: %w", err)
-	}
-	if len(rep.Cells) == 0 {
-		return nil, fmt.Errorf("exp: cluster report has no cells")
-	}
-	return &rep, nil
-}
-
 // ClusterSweepReport runs the cluster-dispatch sweep: for every workload
 // family and K in {2,4}, compile a K-shard machine, place the shard plan
 // onto each topology, seal plan + placement into a v4 artifact, round-trip
@@ -113,13 +82,13 @@ func ReadClusterReport(r io.Reader) (*ClusterReport, error) {
 // shard, checks both against the canonical in-process match set, and runs
 // the NDJSON stream path through the same fan-out. A divergence fails the
 // run, so a report only exists for a correct cluster.
-func ClusterSweepReport(o Options) (*ClusterReport, error) {
+func ClusterSweepReport(o Options) (*Report[ClusterCell], error) {
 	o = o.withDefaults()
 	names := o.Benchmarks
 	if len(names) == 0 {
 		names = clusterBenches
 	}
-	rep := &ClusterReport{
+	rep := &Report[ClusterCell]{
 		Design:     "Impala 4-bit stride-4 (16 bits/cycle)",
 		Scale:      o.Scale,
 		Seed:       o.Seed,
@@ -198,10 +167,7 @@ func ClusterSweepReport(o Options) (*ClusterReport, error) {
 		return nil, err
 	}
 	rep.Cells = cells
-	if o.Metrics != nil {
-		snap := o.Metrics.Snapshot()
-		rep.Metrics = &snap
-	}
+	rep.Metrics = o.snapshot()
 	return rep, nil
 }
 
@@ -445,59 +411,27 @@ func streamCheck(client *http.Client, url string, input []byte, ref []matchRow) 
 	return nil
 }
 
-// CompareClusterReports checks a fresh clustersweep report against a stored
-// baseline (the BENCH_cluster.json part of impala-bench -check). Every
-// gated column is deterministic for a fixed scale/seed — the placement is
-// byte-identical across worker counts, the match set is defined by the
-// automaton — so the gate is exact and fully hermetic: no wall-clock
-// comparison, no tolerance, no host-speed sensitivity. Throughput (MBPerSec)
-// is never gated. The in-run cross-checks (frontend vs single process vs
-// in-process engine) already ran when the report was produced; this gate
-// catches behavior drift between runs.
-func CompareClusterReports(base, cur *ClusterReport, _ CheckOptions) []string {
-	type key struct {
-		bench, topo string
-		shards      int
-	}
-	got := make(map[key]ClusterCell, len(cur.Cells))
-	for _, c := range cur.Cells {
-		got[key{c.Benchmark, c.Topology, c.Shards}] = c
-	}
-	sameRun := base.Scale == cur.Scale && base.Seed == cur.Seed && base.InputKB == cur.InputKB
-
-	var bad []string
-	flag := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	for _, b := range base.Cells {
-		c, ok := got[key{b.Benchmark, b.Topology, b.Shards}]
-		if !ok {
-			flag("%s K=%d %s: cell missing from report", b.Benchmark, b.Shards, b.Topology)
-			continue
-		}
-		if !sameRun {
-			continue // different scale/seed/input: nothing exact to compare
-		}
-		if c.States != b.States || c.Domains != b.Domains {
-			flag("%s K=%d %s: shape changed: %d states/%d domains, baseline %d/%d",
-				b.Benchmark, b.Shards, b.Topology, c.States, c.Domains, b.States, b.Domains)
-		}
-		if !slices.Equal(c.ShardDomain, b.ShardDomain) || !slices.Equal(c.DomainStates, b.DomainStates) {
-			flag("%s K=%d %s: placement changed: shards %v states %v, baseline %v %v",
-				b.Benchmark, b.Shards, b.Topology, c.ShardDomain, c.DomainStates, b.ShardDomain, b.DomainStates)
-		}
-		if c.CutCost != b.CutCost {
-			flag("%s K=%d %s: cut cost %.1f, baseline %.1f",
-				b.Benchmark, b.Shards, b.Topology, c.CutCost, b.CutCost)
-		}
-		if c.Matches != b.Matches || c.Bytes != b.Bytes {
-			flag("%s K=%d %s: served %d matches/%d bytes, baseline %d/%d",
-				b.Benchmark, b.Shards, b.Topology, c.Matches, c.Bytes, b.Matches, b.Bytes)
+// clusterRows projects one row per (benchmark, K, topology) cell with every
+// column exact: the placement is byte-identical across worker counts and the
+// match set is defined by the automaton, so the gate has no wall-clock term
+// and holds on any host. Throughput (MBPerSec) is never gated. The in-run
+// cross-checks (frontend vs single process vs in-process engine) already ran
+// when the report was produced; this catches behavior drift between runs.
+func clusterRows(r *Report[ClusterCell]) []Row {
+	rows := make([]Row, len(r.Cells))
+	for i, c := range r.Cells {
+		rows[i] = Row{
+			Key: fmt.Sprintf("%s K=%d %s", c.Benchmark, c.Shards, c.Topology),
+			Exact: []Col{{"states", c.States}, {"domains", c.Domains},
+				{"shard_domain", c.ShardDomain}, {"domain_states", c.DomainStates},
+				{"cut_cost", c.CutCost}, {"matches", c.Matches}, {"bytes", c.Bytes}},
 		}
 	}
-	return bad
+	return rows
 }
 
-// Table renders the report in the harness's text-table format.
-func (r *ClusterReport) Table() *Table {
+// clusterTable renders the report in the harness's text-table format.
+func clusterTable(r *Report[ClusterCell]) *Table {
 	t := &Table{
 		Title: "Cluster dispatch: topology placement, per-domain workers, frontend merge",
 		Header: []string{"benchmark", "family", "topology", "K", "domains",
@@ -524,14 +458,4 @@ func intsCompact(v []int) string {
 		fmt.Fprint(&b, x)
 	}
 	return b.String()
-}
-
-// ClusterSweep is the registry runner: it renders ClusterSweepReport as a
-// table.
-func ClusterSweep(o Options) ([]*Table, error) {
-	rep, err := ClusterSweepReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{rep.Table()}, nil
 }

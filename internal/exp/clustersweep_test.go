@@ -55,25 +55,26 @@ func TestClusterSweepReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bad := CompareClusterReports(rep, rep2, CheckOptions{}); len(bad) != 0 {
+	g := gateByID(t, "clustersweep")
+	if bad, _ := g.Compare(rep, rep2, CheckOptions{}); len(bad) != 0 {
 		t.Fatalf("repeated sweep drifts: %v", bad)
 	}
 
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := rep.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadClusterReport(&buf)
+	back, err := g.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bad := CompareClusterReports(rep, back, CheckOptions{}); len(bad) != 0 {
+	if bad, _ := g.Compare(rep, back, CheckOptions{}); len(bad) != 0 {
 		t.Fatalf("JSON round trip diverges: %v", bad)
 	}
 }
 
 func TestClusterSweepRunner(t *testing.T) {
-	tables, err := ClusterSweep(clusterTiny())
+	tables, err := Registry()["clustersweep"](clusterTiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,91 +92,5 @@ func TestClusterSweepUnknownBenchmark(t *testing.T) {
 	o.Benchmarks = []string{"NoSuchBenchmark"}
 	if _, err := ClusterSweepReport(o); err == nil {
 		t.Fatal("unknown benchmark accepted")
-	}
-}
-
-func TestReadClusterReportRejects(t *testing.T) {
-	if _, err := ReadClusterReport(strings.NewReader("{not json")); err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-	if _, err := ReadClusterReport(strings.NewReader(`{"cells":[]}`)); err == nil {
-		t.Fatal("empty report accepted")
-	}
-}
-
-// clusterBaseline builds a synthetic baseline: two benchmarks × one K × one
-// topology, all-deterministic columns filled in.
-func clusterBaseline() *ClusterReport {
-	mk := func(name string) ClusterCell {
-		return ClusterCell{
-			Benchmark: name, Family: "Regex", Topology: "uniform2",
-			Shards: 2, Domains: 2, States: 100,
-			ShardDomain: []int{0, 1}, DomainStates: []int{60, 40},
-			CutCost: 3, Matches: 17, Bytes: 4096, MBPerSec: 12.5,
-		}
-	}
-	return &ClusterReport{
-		Scale: 0.02, Seed: 1, InputKB: 4, GOMAXPROCS: 4,
-		Cells: []ClusterCell{mk("A"), mk("B")},
-	}
-}
-
-func TestCompareClusterReportsIdenticalPasses(t *testing.T) {
-	base := clusterBaseline()
-	cur := clusterBaseline()
-	// Throughput is informational: wildly different wall-clock must not gate.
-	cur.Cells[0].MBPerSec = 0.001
-	cur.GOMAXPROCS = 1
-	if bad := CompareClusterReports(base, cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("identical reports flagged: %v", bad)
-	}
-}
-
-func TestCompareClusterReportsFlagsDrift(t *testing.T) {
-	base := clusterBaseline()
-
-	cur := clusterBaseline()
-	cur.Cells = cur.Cells[:1]
-	if bad := CompareClusterReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "cell missing") {
-		t.Fatalf("missing cell not flagged: %v", bad)
-	}
-
-	cur = clusterBaseline()
-	cur.Cells[0].States += 5
-	if bad := CompareClusterReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "shape changed") {
-		t.Fatalf("state drift not flagged: %v", bad)
-	}
-
-	cur = clusterBaseline()
-	cur.Cells[0].ShardDomain = []int{1, 0}
-	if bad := CompareClusterReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "placement changed") {
-		t.Fatalf("placement drift not flagged: %v", bad)
-	}
-
-	cur = clusterBaseline()
-	cur.Cells[0].CutCost++
-	if bad := CompareClusterReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "cut cost") {
-		t.Fatalf("cut-cost drift not flagged: %v", bad)
-	}
-
-	cur = clusterBaseline()
-	cur.Cells[1].Matches++
-	if bad := CompareClusterReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "matches") {
-		t.Fatalf("match drift not flagged: %v", bad)
-	}
-
-	// A different scale is a different workload: the exact comparisons are
-	// disarmed, only cell presence is checked.
-	cur = clusterBaseline()
-	cur.Scale = 0.05
-	cur.Cells[0].Matches++
-	cur.Cells[0].ShardDomain = []int{1, 0}
-	if bad := CompareClusterReports(base, cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("cross-scale exact compare fired: %v", bad)
 	}
 }

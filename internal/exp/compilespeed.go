@@ -1,14 +1,11 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
 	"impala/internal/core"
-	"impala/internal/obs"
 	"impala/internal/workload"
 )
 
@@ -43,53 +40,19 @@ type CompileCell struct {
 	SpeedupVsUncached float64 `json:"speedup_vs_uncached"`
 }
 
-// CompileReport is the JSON document emitted by impala-bench -exp
-// compilespeed -json.
-type CompileReport struct {
-	Design     string        `json:"design"`
-	Scale      float64       `json:"scale"`
-	Seed       int64         `json:"seed"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Cells      []CompileCell `json:"cells"`
-	// Metrics snapshots the process's live instruments at the end of an
-	// instrumented run (Options.Metrics non-nil): worker-pool utilization
-	// counters and the final compile's cover-cache gauges. Absent otherwise.
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-}
-
-// ReadCompileReport parses a report previously written by WriteJSON — the
-// baseline side of impala-bench -check.
-func ReadCompileReport(r io.Reader) (*CompileReport, error) {
-	var rep CompileReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("exp: bad compile report: %w", err)
-	}
-	if len(rep.Cells) == 0 {
-		return nil, fmt.Errorf("exp: compile report has no cells")
-	}
-	return &rep, nil
-}
-
-// WriteJSON writes the report, indented, to w.
-func (r *CompileReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // CompileSpeedReport measures V-TeSS compile throughput at the Impala
 // 4-stride design point across a worker sweep, each run with a fresh cover
 // cache, plus a serial uncached baseline per benchmark. Every row of a
 // benchmark must report the same States/Transitions — the compiled automaton
 // is byte-identical regardless of worker count or cache state; only the
 // timings move.
-func CompileSpeedReport(o Options) (*CompileReport, error) {
+func CompileSpeedReport(o Options) (*Report[CompileCell], error) {
 	o = o.withDefaults()
 	names := o.Benchmarks
 	if len(names) == 0 {
 		names = []string{"Snort", "Bro217", "Dotstar06", "Ranges05"}
 	}
-	rep := &CompileReport{
+	rep := &Report[CompileCell]{
 		Design:     "Impala 4-bit stride-4 (16 bits/cycle)",
 		Scale:      o.Scale,
 		Seed:       o.Seed,
@@ -179,26 +142,12 @@ func CompileSpeedReport(o Options) (*CompileReport, error) {
 	for _, rows := range cells {
 		rep.Cells = append(rep.Cells, rows...)
 	}
-	if o.Metrics != nil {
-		snap := o.Metrics.Snapshot()
-		rep.Metrics = &snap
-	}
+	rep.Metrics = o.snapshot()
 	return rep, nil
 }
 
-// CompileSpeed is the registry runner: it renders CompileSpeedReport as a
-// table.
-func CompileSpeed(o Options) ([]*Table, error) {
-	rep, err := CompileSpeedReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{rep.Table()}, nil
-}
-
-// Table renders the report in the harness's text-table format, so one
-// measurement run can serve both the stdout table and the JSON file.
-func (r *CompileReport) Table() *Table {
+// compileTable renders the report in the harness's text-table format.
+func compileTable(r *Report[CompileCell]) *Table {
 	t := &Table{
 		Title: "Compile throughput: worker sweep with memoized Espresso cover cache",
 		Header: []string{"benchmark", "workers", "states", "wall (ms)", "cpu (ms)",
@@ -216,4 +165,42 @@ func (r *CompileReport) Table() *Table {
 	t.AddNote("GOMAXPROCS=%d; states/transitions identical across all rows of a benchmark (determinism invariant)", r.GOMAXPROCS)
 	t.AddNote("cpu (ms) = Σ per-work-item time across workers; wall shrinks with workers, cpu stays ≈ total work")
 	return t
+}
+
+// compileRows projects one row per (benchmark, workers) cell carrying the
+// compiled shape — byte-identical across worker counts and cache states by
+// definition, so any drift is a compiler behavior change. The workers=1 row
+// also carries the cover-cache counters: it compiles serially, so they are
+// deterministic there, whereas concurrent workers race to the first miss on
+// a key and their counts wobble from run to run. Each benchmark adds a
+// synthetic "best" row for the cache's wall-clock payoff: its best
+// speedup_vs_uncached across the worker sweep, guarded by the uncached
+// compile's wall. Best-of-sweep rather than per-cell keeps one noisy cell
+// from tripping the gate while another still realizes the win.
+func compileRows(r *Report[CompileCell]) []Row {
+	var rows []Row
+	best := map[string]*Ratio{}
+	for _, c := range r.Cells {
+		row := Row{
+			Key:   fmt.Sprintf("%s workers=%d", c.Benchmark, c.Workers),
+			Exact: []Col{{"states", c.States}, {"transitions", c.Transitions}},
+		}
+		if c.Workers == 1 {
+			row.Exact = append(row.Exact, Col{"cache_hits", c.CacheHits}, Col{"cache_misses", c.CacheMisses})
+		}
+		rows = append(rows, row)
+
+		b := best[c.Benchmark]
+		if b == nil {
+			b = &Ratio{Name: "best speedup_vs_uncached"}
+			best[c.Benchmark] = b
+			rows = append(rows, Row{Key: c.Benchmark + " best", Ratio: b})
+		}
+		if c.Workers == 0 {
+			b.WallMS = c.WallMS
+		} else if c.SpeedupVsUncached > b.V {
+			b.V = c.SpeedupVsUncached
+		}
+	}
+	return rows
 }

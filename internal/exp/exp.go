@@ -14,8 +14,11 @@ import (
 	"strings"
 
 	"impala/internal/automata"
+	"impala/internal/dfa"
 	"impala/internal/obs"
 	"impala/internal/par"
+	"impala/internal/score"
+	"impala/internal/shard"
 	"impala/internal/workload"
 )
 
@@ -43,10 +46,20 @@ type Options struct {
 	// measurements faithful; raise it to sweep the suite faster.
 	Parallel int
 	// Metrics, when non-nil, instruments the run: compiles bind their cover
-	// cache into the registry and the experiments that embed observability
-	// (compilespeed) snapshot it into their JSON report. Measurements are
-	// unchanged; only the report gains a metrics section.
+	// cache into the registry and the gated experiments snapshot it into
+	// their JSON report. Measurements are unchanged; only the report gains a
+	// metrics section.
 	Metrics *obs.Registry
+}
+
+// snapshot captures the run's instruments for a report's metrics section
+// (nil when the run is not instrumented).
+func (o Options) snapshot() *obs.Snapshot {
+	if o.Metrics == nil {
+		return nil
+	}
+	snap := o.Metrics.Snapshot()
+	return &snap
 }
 
 func (o Options) withDefaults() Options {
@@ -231,42 +244,78 @@ func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 // Runner executes one experiment and returns its rendered table(s).
 type Runner func(o Options) ([]*Table, error)
 
+// experiment is one impala-bench -exp ID.
+type experiment struct {
+	id   string
+	run  Runner
+	gate Gate // non-nil when the experiment can write and check a JSON report
+}
+
+func gated[C any](g *gate[C]) experiment { return experiment{g.id, g.tables, g} }
+
+// experiments is the one ordered list of everything impala-bench can run;
+// Registry, IDs and Gates are views of it.
+var experiments = []experiment{
+	{id: "fig2", run: Figure2},
+	{id: "table1", run: Table1CompileTime},
+	{id: "table4", run: Table4VTeSS},
+	{id: "table5", run: Table5Pipeline},
+	{id: "fig13", run: Figure13Throughput},
+	{id: "fig14", run: Figure14Area},
+	{id: "fig11", run: Figure11ThroughputPerArea},
+	{id: "fig12", run: Figure12EnergyPower},
+	{id: "table6", run: Table6FPGA},
+	{id: "fig8", run: Figure8Utilization},
+	{id: "fig9", run: Figure9Heatmap},
+	{id: "fig10", run: Figure10G4},
+	{id: "casestudy", run: CaseStudyEntityResolution},
+	{id: "system", run: SystemIntegration},
+	{id: "ablate", run: Ablation},
+	{id: "rounds", run: Reconfiguration},
+	{id: "squash", run: SquashWidth},
+	{id: "software", run: SoftwareBaseline},
+	{id: "simspeed", run: SimulatorSpeed},
+	gated(&gate[CompileCell]{id: "compilespeed", metrics: par.EnableMetrics,
+		run: CompileSpeedReport, rows: compileRows, table: compileTable}),
+	gated(&gate[ServeCell]{id: "servespeed",
+		run: ServeSpeedReport, rows: serveRows, table: serveTable}),
+	gated(&gate[TierCell]{id: "tierspeed", metrics: dfa.EnableMetrics,
+		run: TierSpeedReport, rows: tierRows, table: tierTable}),
+	gated(&gate[ShardCell]{id: "shardspeed", metrics: shard.EnableMetrics,
+		run: ShardSpeedReport, rows: shardRows, table: shardTable, headline: shardHeadline}),
+	gated(&gate[ClusterCell]{id: "clustersweep",
+		run: ClusterSweepReport, rows: clusterRows, table: clusterTable}),
+	gated(&gate[BackendCell]{id: "backendcmp",
+		run: BackendCmpReport, rows: backendRows, table: backendTable}),
+	gated(&gate[ScoreCell]{id: "scorespeed", metrics: score.EnableMetrics,
+		run: ScoreSpeedReport, rows: scoreRows, table: scoreTable}),
+}
+
 // Registry maps experiment IDs (as used by impala-bench -exp) to runners.
 func Registry() map[string]Runner {
-	return map[string]Runner{
-		"fig2":         Figure2,
-		"table1":       Table1CompileTime,
-		"table4":       Table4VTeSS,
-		"table5":       Table5Pipeline,
-		"fig13":        Figure13Throughput,
-		"fig14":        Figure14Area,
-		"fig11":        Figure11ThroughputPerArea,
-		"fig12":        Figure12EnergyPower,
-		"table6":       Table6FPGA,
-		"fig8":         Figure8Utilization,
-		"fig9":         Figure9Heatmap,
-		"fig10":        Figure10G4,
-		"casestudy":    CaseStudyEntityResolution,
-		"system":       SystemIntegration,
-		"ablate":       Ablation,
-		"rounds":       Reconfiguration,
-		"squash":       SquashWidth,
-		"software":     SoftwareBaseline,
-		"simspeed":     SimulatorSpeed,
-		"compilespeed": CompileSpeed,
-		"servespeed":   ServeSpeed,
-		"tierspeed":    TierSpeed,
-		"shardspeed":   ShardSpeed,
-		"clustersweep": ClusterSweep,
-		"backendcmp":   BackendCmp,
-		"scorespeed":   ScoreSpeed,
+	reg := make(map[string]Runner, len(experiments))
+	for _, e := range experiments {
+		reg[e.id] = e.run
 	}
+	return reg
 }
 
 // IDs returns the registered experiment IDs in a stable presentation order.
 func IDs() []string {
-	return []string{
-		"fig2", "table1", "table4", "table5", "fig13", "fig14",
-		"fig11", "fig12", "table6", "fig8", "fig9", "fig10", "casestudy", "system", "ablate", "rounds", "squash", "software", "simspeed", "compilespeed", "servespeed", "tierspeed", "shardspeed", "clustersweep", "backendcmp", "scorespeed",
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
+	return ids
+}
+
+// Gates returns the gated experiments in presentation order.
+func Gates() []Gate {
+	var gates []Gate
+	for _, e := range experiments {
+		if e.gate != nil {
+			gates = append(gates, e.gate)
+		}
+	}
+	return gates
 }

@@ -383,13 +383,13 @@ func TestCompileSpeed(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := rep.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"cache_hit_rate"`) {
 		t.Fatalf("json missing fields:\n%s", buf.String())
 	}
-	out := render(t, []*Table{rep.Table()})
+	out := render(t, []*Table{compileTable(rep)})
 	if !strings.Contains(out, "uncached") || !strings.Contains(out, "vs serial") {
 		t.Fatalf("bad table:\n%s", out)
 	}

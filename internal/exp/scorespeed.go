@@ -1,15 +1,12 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"time"
 
 	"impala/internal/automata"
-	"impala/internal/obs"
 	"impala/internal/score"
 	"impala/internal/sim"
 	"impala/internal/workload"
@@ -78,37 +75,6 @@ type ScoreCell struct {
 	BinaryWallMS   float64 `json:"binary_wall_ms"`
 	ScoredWallMS   float64 `json:"scored_wall_ms"`
 	RelThroughput  float64 `json:"rel_throughput"`
-}
-
-// ScoreReport is the JSON document emitted by impala-bench -exp scorespeed
-// -json — the committed BENCH_score.json baseline.
-type ScoreReport struct {
-	Design     string        `json:"design"`
-	Scale      float64       `json:"scale"`
-	Seed       int64         `json:"seed"`
-	InputKB    int           `json:"input_kb"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Cells      []ScoreCell   `json:"cells"`
-	Metrics    *obs.Snapshot `json:"metrics,omitempty"`
-}
-
-// ReadScoreReport parses a stored scorespeed baseline.
-func ReadScoreReport(r io.Reader) (*ScoreReport, error) {
-	var rep ScoreReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("exp: bad score report: %w", err)
-	}
-	if len(rep.Cells) == 0 {
-		return nil, fmt.Errorf("exp: score report has no cells")
-	}
-	return &rep, nil
-}
-
-// WriteJSON writes the report, indented, to w.
-func (r *ScoreReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // scorePatternCount sizes a universe's pattern set off the scale knob the
@@ -182,9 +148,9 @@ func buildUniverse(u scoreUniverse, scale float64, seed int64) (*automata.NFA, *
 // threshold-cleared report must be one of the binary reports. Timing is
 // interleaved best-of-three so a slow system phase degrades one round of
 // both engines instead of one engine's whole measurement.
-func ScoreSpeedReport(o Options) (*ScoreReport, error) {
+func ScoreSpeedReport(o Options) (*Report[ScoreCell], error) {
 	o = o.withDefaults()
-	rep := &ScoreReport{
+	rep := &Report[ScoreCell]{
 		Design:     "scored max-plus engine vs binary compiled (8-bit stride-1)",
 		Scale:      o.Scale,
 		Seed:       o.Seed,
@@ -277,10 +243,7 @@ func ScoreSpeedReport(o Options) (*ScoreReport, error) {
 		return nil, err
 	}
 	rep.Cells = cells
-	if o.Metrics != nil {
-		snap := o.Metrics.Snapshot()
-		rep.Metrics = &snap
-	}
+	rep.Metrics = o.snapshot()
 	return rep, nil
 }
 
@@ -293,17 +256,8 @@ func stripScores(rs []score.Report) []sim.Report {
 	return out
 }
 
-// ScoreSpeed is the registry runner: it renders ScoreSpeedReport as a table.
-func ScoreSpeed(o Options) ([]*Table, error) {
-	rep, err := ScoreSpeedReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{rep.Table()}, nil
-}
-
-// Table renders the report in the harness's text-table format.
-func (r *ScoreReport) Table() *Table {
+// scoreTable renders the report in the harness's text-table format.
+func scoreTable(r *Report[ScoreCell]) *Table {
 	t := &Table{
 		Title: "Scored execution: max-plus scoring vs binary matching",
 		Header: []string{"universe", "mesh", "patterns", "states", "w-edges", "scalar",
@@ -320,60 +274,21 @@ func (r *ScoreReport) Table() *Table {
 	return t
 }
 
-// CompareScoreReports checks a fresh scorespeed report against a stored
-// baseline (the BENCH_score.json part of impala-bench -check). Two drift
-// classes are flagged:
-//
-//   - Shape and filtering: when both reports ran the same scale and seed,
-//     a cell's pattern count, mesh shape, weighted-edge count,
-//     scalar-state count, threshold and both report counts must match the
-//     baseline exactly — generation, compilation and threshold filtering
-//     are all deterministic, so any difference is a behavior change, not
-//     noise.
-//   - Scoring overhead: a cell's retained throughput (scored over binary,
-//     measured in the same process on the same input) may not drop more
-//     than SpeedupTolerance (fractional) below baseline — but only where
-//     the baseline's binary scan took at least MinWallMS. Both engines run
-//     serially, so no GOMAXPROCS guard applies.
-func CompareScoreReports(base, cur *ScoreReport, opt CheckOptions) []string {
-	opt = opt.withDefaults()
-	got := make(map[string]ScoreCell, len(cur.Cells))
-	for _, c := range cur.Cells {
-		got[c.Universe] = c
-	}
-	sameRun := base.Scale == cur.Scale && base.Seed == cur.Seed
-
-	var bad []string
-	flag := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	if base.InputKB != cur.InputKB {
-		flag("input size %d KB does not match baseline's %d KB; rerun with -input-kb %d",
-			cur.InputKB, base.InputKB, base.InputKB)
-	}
-	for _, b := range base.Cells {
-		c, ok := got[b.Universe]
-		if !ok {
-			flag("%s: cell missing from report", b.Universe)
-			continue
-		}
-		if sameRun {
-			if c.Patterns != b.Patterns || c.States != b.States || c.WeightedEdges != b.WeightedEdges ||
-				c.ScalarStates != b.ScalarStates || c.Threshold != b.Threshold {
-				flag("%s: workload shape changed: %d patterns, %d states, %d edges, %d scalar, threshold %g; baseline %d, %d, %d, %d, %g",
-					b.Universe, c.Patterns, c.States, c.WeightedEdges, c.ScalarStates, c.Threshold,
-					b.Patterns, b.States, b.WeightedEdges, b.ScalarStates, b.Threshold)
-			}
-			if c.BinaryReports != b.BinaryReports || c.ScoredReports != b.ScoredReports {
-				flag("%s: report counts changed: %d binary / %d scored; baseline %d / %d",
-					b.Universe, c.BinaryReports, c.ScoredReports, b.BinaryReports, b.ScoredReports)
-			}
-		}
-		if b.BinaryWallMS < opt.MinWallMS {
-			continue // binary scan too quick to time; the ratio is noise
-		}
-		if floor := b.RelThroughput * (1 - opt.SpeedupTolerance); c.RelThroughput < floor {
-			flag("%s: retained throughput %.0f%% below baseline %.0f%% (floor %.0f%% at %.0f%% tolerance)",
-				b.Universe, c.RelThroughput*100, b.RelThroughput*100, floor*100, opt.SpeedupTolerance*100)
+// scoreRows projects one row per universe: the workload's shape, threshold
+// and both report counts exactly — generation, compilation and threshold
+// filtering are all deterministic — and the scored engine's retained
+// throughput (scored over binary, same process, same input), guarded by the
+// binary scan's wall. Both engines run serially, so the ratio needs no cores.
+func scoreRows(r *Report[ScoreCell]) []Row {
+	rows := make([]Row, len(r.Cells))
+	for i, c := range r.Cells {
+		rows[i] = Row{
+			Key: c.Universe,
+			Exact: []Col{{"patterns", c.Patterns}, {"states", c.States}, {"weighted_edges", c.WeightedEdges},
+				{"scalar_states", c.ScalarStates}, {"threshold", c.Threshold},
+				{"binary_reports", c.BinaryReports}, {"scored_reports", c.ScoredReports}},
+			Ratio: &Ratio{Name: "rel_throughput", V: c.RelThroughput, WallMS: c.BinaryWallMS},
 		}
 	}
-	return bad
+	return rows
 }

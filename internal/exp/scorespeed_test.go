@@ -48,20 +48,17 @@ func TestScoreSpeedReport(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := rep.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadScoreReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readBack[ScoreCell](t, &buf, "scorespeed")
 	if len(back.Cells) != len(rep.Cells) || back.Cells[0].Universe != rep.Cells[0].Universe {
 		t.Fatalf("JSON round trip diverges: %+v", back)
 	}
 }
 
 func TestScoreSpeedRunner(t *testing.T) {
-	tables, err := ScoreSpeed(scoreTiny())
+	tables, err := Registry()["scorespeed"](scoreTiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,97 +68,5 @@ func TestScoreSpeedRunner(t *testing.T) {
 	}
 	if !strings.Contains(out, "DNA-align") || !strings.Contains(out, "Entity-fuzzy") {
 		t.Fatalf("missing universe rows:\n%s", out)
-	}
-}
-
-func TestReadScoreReportRejects(t *testing.T) {
-	if _, err := ReadScoreReport(strings.NewReader("{not json")); err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-	if _, err := ReadScoreReport(strings.NewReader(`{"cells":[]}`)); err == nil {
-		t.Fatal("empty report accepted")
-	}
-}
-
-// scoreBaseline builds a synthetic timed baseline: both universes clearing
-// MinWallMS with 80% retained throughput.
-func scoreBaseline() *ScoreReport {
-	mk := func(name, mesh string, scalar int) ScoreCell {
-		return ScoreCell{
-			Universe: name, Mesh: mesh, Patterns: 8, States: 200, WeightedEdges: 600,
-			ScalarStates: scalar, Threshold: 9, BinaryReports: 100, ScoredReports: 60,
-			BinaryMBPerSec: 50, ScoredMBPerSec: 40, BinaryWallMS: 100, ScoredWallMS: 125,
-			RelThroughput: 0.8,
-		}
-	}
-	return &ScoreReport{
-		Scale: 0.02, Seed: 1, InputKB: 1024, GOMAXPROCS: 4,
-		Cells: []ScoreCell{mk("DNA-align", "levenshtein", 24), mk("Entity-fuzzy", "hamming", 0)},
-	}
-}
-
-func TestCompareScoreReportsIdenticalPasses(t *testing.T) {
-	base := scoreBaseline()
-	if bad := CompareScoreReports(base, scoreBaseline(), CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("identical reports flagged: %v", bad)
-	}
-}
-
-func TestCompareScoreReportsFlagsDrift(t *testing.T) {
-	base := scoreBaseline()
-
-	cur := scoreBaseline()
-	cur.InputKB = 64
-	if bad := CompareScoreReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "input size") {
-		t.Fatalf("input-size mismatch not flagged: %v", bad)
-	}
-
-	cur = scoreBaseline()
-	cur.Cells = cur.Cells[:1]
-	if bad := CompareScoreReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "cell missing") {
-		t.Fatalf("missing cell not flagged: %v", bad)
-	}
-
-	cur = scoreBaseline()
-	cur.Cells[0].WeightedEdges++
-	if bad := CompareScoreReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "workload shape changed") {
-		t.Fatalf("shape drift not flagged: %v", bad)
-	}
-
-	cur = scoreBaseline()
-	cur.Cells[0].ScoredReports--
-	if bad := CompareScoreReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "report counts changed") {
-		t.Fatalf("report-count drift not flagged: %v", bad)
-	}
-
-	// A different scale is a different workload: shape comparisons must not
-	// fire, only the ratio gate remains armed.
-	cur = scoreBaseline()
-	cur.Scale = 0.05
-	cur.Cells[0].WeightedEdges++
-	cur.Cells[0].ScoredReports--
-	if bad := CompareScoreReports(base, cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("cross-scale shape compared: %v", bad)
-	}
-
-	cur = scoreBaseline()
-	cur.Cells[0].RelThroughput = 0.3
-	if bad := CompareScoreReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "retained throughput") {
-		t.Fatalf("overhead regression not flagged: %v", bad)
-	}
-
-	// An untimed baseline cell (binary scan below MinWallMS) never arms the
-	// ratio gate.
-	base2 := scoreBaseline()
-	base2.Cells[0].BinaryWallMS = 1
-	cur = scoreBaseline()
-	cur.Cells[0].RelThroughput = 0.1
-	if bad := CompareScoreReports(base2, cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("untimed cell gated on wall clock: %v", bad)
 	}
 }

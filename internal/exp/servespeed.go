@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"impala"
-	"impala/internal/obs"
 	"impala/internal/server"
 	"impala/internal/workload"
 )
@@ -41,106 +40,13 @@ type ServeCell struct {
 	SpeedupVs1 float64 `json:"speedup_vs_1"`
 }
 
-// ServeReport is the JSON document emitted by impala-bench -exp servespeed
-// -json.
-type ServeReport struct {
-	Design     string      `json:"design"`
-	Benchmark  string      `json:"benchmark"`
-	Scale      float64     `json:"scale"`
-	Seed       int64       `json:"seed"`
-	States     int         `json:"states"`
-	InputBytes int         `json:"input_bytes"`
-	GOMAXPROCS int         `json:"gomaxprocs"`
-	Cells      []ServeCell `json:"cells"`
-	// Metrics snapshots the serving instruments at the end of an
-	// instrumented run (Options.Metrics non-nil). Absent otherwise.
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-}
-
-// WriteJSON writes the report, indented, to w.
-func (r *ServeReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadServeReport parses a stored servespeed baseline.
-func ReadServeReport(r io.Reader) (*ServeReport, error) {
-	var rep ServeReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("exp: bad serve report: %w", err)
-	}
-	if len(rep.Cells) == 0 {
-		return nil, fmt.Errorf("exp: serve report has no cells")
-	}
-	return &rep, nil
-}
-
-// CompareServeReports checks a fresh servespeed report against a stored
-// baseline (the BENCH_serve.json part of impala-bench -check). Two drift
-// classes are flagged:
-//
-//   - Serving correctness shape: when both reports ran the same scale and
-//     seed, each concurrency row's request count and total match count
-//     must equal the baseline's exactly — the workload is deterministic,
-//     so a drift means the served results changed, not the clock.
-//   - Concurrency scaling: a row's speedup over the single-client row may
-//     not drop more than SpeedupTolerance (fractional) below baseline —
-//     but only where the baseline single-client sweep took at least
-//     MinWallMS, the same guard every wall-clock gate in this package
-//     uses, only when the baseline itself ran on parallel hardware
-//     (GOMAXPROCS > 1 — a single-core baseline has no mechanism for
-//     concurrency speedup, so its ratios hover around 1.0 by noise
-//     alone and make no claim), only when the checker has at least the
-//     baseline's GOMAXPROCS, and only on baseline rows that claim a win
-//     (speedup >= 1) — a row where concurrency lost ground is a
-//     negative control whose exact depth is noise.
-//
-// Rows missing from the fresh report are flagged; extra rows are fine.
-func CompareServeReports(base, cur *ServeReport, opt CheckOptions) []string {
-	opt = opt.withDefaults()
-	got := make(map[int]ServeCell, len(cur.Cells))
-	for _, c := range cur.Cells {
-		got[c.Clients] = c
-	}
-	sameRun := base.Scale == cur.Scale && base.Seed == cur.Seed &&
-		base.Benchmark == cur.Benchmark
-
-	var bad []string
-	flag := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	if sameRun && (cur.States != base.States || cur.InputBytes != base.InputBytes) {
-		flag("workload shape changed: %d states/%d input bytes, baseline %d/%d",
-			cur.States, cur.InputBytes, base.States, base.InputBytes)
-	}
-	timed := len(base.Cells) > 0 && base.Cells[0].WallMS >= opt.MinWallMS
-	for _, b := range base.Cells {
-		c, ok := got[b.Clients]
-		if !ok {
-			flag("%d clients: row missing from report", b.Clients)
-			continue
-		}
-		if sameRun && (c.Requests != b.Requests || c.Matches != b.Matches) {
-			flag("%d clients: served %d requests/%d matches, baseline %d/%d",
-				b.Clients, c.Requests, c.Matches, b.Requests, b.Matches)
-		}
-		if !timed || base.GOMAXPROCS <= 1 || cur.GOMAXPROCS < base.GOMAXPROCS || b.SpeedupVs1 < 1 {
-			continue // too quick to time, no parallel baseline, fewer cores than baseline, or a negative-control row; ratios are noise
-		}
-		if floor := b.SpeedupVs1 * (1 - opt.SpeedupTolerance); c.SpeedupVs1 < floor {
-			flag("%d clients: speedup vs 1 client %.2fx below baseline %.2fx (floor %.2fx at %.0f%% tolerance)",
-				b.Clients, c.SpeedupVs1, b.SpeedupVs1, floor, opt.SpeedupTolerance*100)
-		}
-	}
-	return bad
-}
-
 // ServeSpeedReport measures impala-serve's one-shot match path end to end —
 // HTTP request in, JSON matches out — at 1, 8 and 64 concurrent clients
 // against a loopback listener hosting one tenant. The tenant machine is
 // compiled once and served through the same Server/Registry/pool stack the
 // daemon uses, so the numbers include admission, pooling and encode costs,
 // not just the engine.
-func ServeSpeedReport(o Options) (*ServeReport, error) {
+func ServeSpeedReport(o Options) (*Report[ServeCell], error) {
 	o = o.withDefaults()
 	name := "Bro217"
 	if len(o.Benchmarks) > 0 {
@@ -174,7 +80,7 @@ func ServeSpeedReport(o Options) (*ServeReport, error) {
 	defer httpSrv.Close()
 	url := fmt.Sprintf("http://%s/v1/bench/match", ln.Addr())
 
-	rep := &ServeReport{
+	rep := &Report[ServeCell]{
 		Design:     "Impala 4-bit stride-4 (16 bits/cycle)",
 		Benchmark:  name,
 		Scale:      o.Scale,
@@ -199,10 +105,7 @@ func ServeSpeedReport(o Options) (*ServeReport, error) {
 		}
 		rep.Cells = append(rep.Cells, cell)
 	}
-	if o.Metrics != nil {
-		snap := o.Metrics.Snapshot()
-		rep.Metrics = &snap
-	}
+	rep.Metrics = o.snapshot()
 	return rep, nil
 }
 
@@ -280,8 +183,8 @@ func postOnce(client *http.Client, url string, input []byte, wantMatches int) er
 	return nil
 }
 
-// Table renders the report for terminal output.
-func (r *ServeReport) Table() *Table {
+// serveTable renders the report for terminal output.
+func serveTable(r *Report[ServeCell]) *Table {
 	t := &Table{
 		Title: fmt.Sprintf("HTTP match serving throughput (%s, %d states, %d KB requests)",
 			r.Benchmark, r.States, r.InputBytes/1024),
@@ -297,11 +200,24 @@ func (r *ServeReport) Table() *Table {
 	return t
 }
 
-// ServeSpeed is the registry runner: it renders ServeSpeedReport as a table.
-func ServeSpeed(o Options) ([]*Table, error) {
-	rep, err := ServeSpeedReport(o)
-	if err != nil {
-		return nil, err
+// serveRows projects a "workload" row for the served automaton and input
+// (exact) and one row per concurrency level: its request and match counts
+// exactly — the workload is deterministic, so a drift means the served
+// results changed, not the clock — and its speedup over the single-client
+// row, guarded by that row's wall. A single-core run projects no ratio: it
+// has no mechanism for concurrency speedup, so its ratios hover around 1.0
+// by noise alone and make no claim.
+func serveRows(r *Report[ServeCell]) []Row {
+	rows := []Row{{Key: "workload", Exact: []Col{{"states", r.States}, {"input_bytes", r.InputBytes}}}}
+	for _, c := range r.Cells {
+		row := Row{
+			Key:   fmt.Sprintf("%d clients", c.Clients),
+			Exact: []Col{{"requests", c.Requests}, {"matches", c.Matches}},
+		}
+		if r.GOMAXPROCS > 1 {
+			row.Ratio = &Ratio{Name: "speedup_vs_1", V: c.SpeedupVs1, WallMS: r.Cells[0].WallMS, Cores: true}
+		}
+		rows = append(rows, row)
 	}
-	return []*Table{rep.Table()}, nil
+	return rows
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -58,20 +57,17 @@ func TestServeSpeedReport(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := rep.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var back ServeReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
+	back := readBack[ServeCell](t, &buf, "servespeed")
 	if len(back.Cells) != len(rep.Cells) || back.Benchmark != rep.Benchmark {
 		t.Fatalf("JSON round trip diverges: %+v", back)
 	}
 }
 
 func TestServeSpeedRunner(t *testing.T) {
-	tables, err := ServeSpeed(serveTiny())
+	tables, err := Registry()["servespeed"](serveTiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,106 +87,5 @@ func TestServeSpeedUnknownBenchmark(t *testing.T) {
 	o.Benchmarks = []string{"NoSuchBenchmark"}
 	if _, err := ServeSpeedReport(o); err == nil {
 		t.Fatal("unknown benchmark accepted")
-	}
-}
-
-func TestReadServeReportRejects(t *testing.T) {
-	if _, err := ReadServeReport(strings.NewReader("{not json")); err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-	if _, err := ReadServeReport(strings.NewReader(`{"cells":[]}`)); err == nil {
-		t.Fatal("empty report accepted")
-	}
-	rep := &ServeReport{Benchmark: "Bro217", Cells: []ServeCell{{Clients: 1, Requests: 4}}}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadServeReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Benchmark != rep.Benchmark || len(back.Cells) != 1 {
-		t.Fatalf("round trip diverges: %+v", back)
-	}
-}
-
-// serveBaseline is a synthetic timed baseline: three concurrency rows on 4
-// cores, all clearing MinWallMS.
-func serveBaseline() *ServeReport {
-	rep := &ServeReport{
-		Benchmark: "Bro217", Scale: 0.02, Seed: 1,
-		States: 50, InputBytes: 65536, GOMAXPROCS: 4,
-	}
-	for i, clients := range []int{1, 8, 64} {
-		rep.Cells = append(rep.Cells, ServeCell{
-			Clients: clients, Requests: 32, Matches: 96,
-			WallMS: 100, MBPerSec: 10 * float64(i+1), SpeedupVs1: float64(i + 1),
-		})
-	}
-	return rep
-}
-
-func TestCompareServeReports(t *testing.T) {
-	base := serveBaseline()
-	if bad := CompareServeReports(base, serveBaseline(), CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("identical reports flagged: %v", bad)
-	}
-
-	cur := serveBaseline()
-	cur.InputBytes++
-	if bad := CompareServeReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "workload shape changed") {
-		t.Fatalf("shape drift not flagged: %v", bad)
-	}
-
-	cur = serveBaseline()
-	cur.Cells = cur.Cells[:2]
-	if bad := CompareServeReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "row missing") {
-		t.Fatalf("missing row not flagged: %v", bad)
-	}
-
-	cur = serveBaseline()
-	cur.Cells[1].Matches--
-	if bad := CompareServeReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "served") {
-		t.Fatalf("match-count drift not flagged: %v", bad)
-	}
-
-	cur = serveBaseline()
-	cur.Cells[2].SpeedupVs1 = 0.5
-	if bad := CompareServeReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "below baseline") {
-		t.Fatalf("concurrency regression not flagged: %v", bad)
-	}
-
-	// A single-core checker is exempt from the concurrency ratios.
-	cur.GOMAXPROCS = 1
-	if bad := CompareServeReports(base, cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("single-core checker held to multi-core ratios: %v", bad)
-	}
-
-	// A single-core baseline has no concurrency-speedup mechanism: its
-	// ratios are noise around 1.0 and must not arm the floor either.
-	base1 := serveBaseline()
-	base1.GOMAXPROCS = 1
-	cur = serveBaseline()
-	for i := range cur.Cells {
-		cur.Cells[i].SpeedupVs1 = 0.3
-	}
-	cur.Cells[0].SpeedupVs1 = 1
-	if bad := CompareServeReports(base1, cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("single-core baseline armed concurrency ratios: %v", bad)
-	}
-
-	// A baseline row where concurrency lost ground is a negative control:
-	// its slowdown depth must not arm the floor.
-	base2 := serveBaseline()
-	base2.Cells[2].SpeedupVs1 = 0.8
-	cur = serveBaseline()
-	cur.Cells[2].SpeedupVs1 = 0.3
-	if bad := CompareServeReports(base2, cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("negative-control row gated: %v", bad)
 	}
 }

@@ -50,20 +50,17 @@ func TestShardSpeedReport(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := rep.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadShardReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readBack[ShardCell](t, &buf, "shardspeed")
 	if len(back.Cells) != 1 || back.Cells[0].Benchmark != c.Benchmark || len(back.Cells[0].Ks) != len(c.Ks) {
 		t.Fatalf("JSON round trip diverges: %+v", back)
 	}
 }
 
 func TestShardSpeedRunner(t *testing.T) {
-	tables, err := ShardSpeed(shardTiny())
+	tables, err := Registry()["shardspeed"](shardTiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,141 +78,5 @@ func TestShardSpeedUnknownBenchmark(t *testing.T) {
 	o.Benchmarks = []string{"NoSuchBenchmark"}
 	if _, err := ShardSpeedReport(o); err == nil {
 		t.Fatal("unknown benchmark accepted")
-	}
-}
-
-func TestReadShardReportRejects(t *testing.T) {
-	if _, err := ReadShardReport(strings.NewReader("{not json")); err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-	if _, err := ReadShardReport(strings.NewReader(`{"cells":[]}`)); err == nil {
-		t.Fatal("empty report accepted")
-	}
-}
-
-// shardBaseline builds a synthetic timed baseline: two benchmarks, both
-// clearing MinWallMS, both doubling at K=8, measured on 4 cores.
-func shardBaseline() *ShardReport {
-	mk := func(name string) ShardCell {
-		c := ShardCell{Benchmark: name, Family: "Regex", States: 100, CCs: 10, Budget: 400}
-		for _, k := range []int{1, 2, 4, 8} {
-			c.Ks = append(c.Ks, ShardKCell{
-				Shards:         k,
-				MaxShardStates: 100 / k,
-				MinShardStates: 100 / k,
-				TieredShards:   k,
-				DFAStates:      50 * k,
-				NFATierStates:  100 - 10*k,
-				MBPerSec:       10 * float64(k),
-				WallMS:         100 / float64(k),
-				SpeedupVs1:     float64(k),
-			})
-		}
-		return c
-	}
-	return &ShardReport{
-		Scale: 0.02, Seed: 1, InputKB: 1024, GOMAXPROCS: 4,
-		Cells: []ShardCell{mk("A"), mk("B")},
-	}
-}
-
-func TestCompareShardReportsIdenticalPasses(t *testing.T) {
-	base := shardBaseline()
-	if bad := CompareShardReports(base, shardBaseline(), CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("identical reports flagged: %v", bad)
-	}
-}
-
-func TestCompareShardReportsFlagsDrift(t *testing.T) {
-	base := shardBaseline()
-
-	cur := shardBaseline()
-	cur.InputKB = 64
-	if bad := CompareShardReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "input size") {
-		t.Fatalf("input-size mismatch not flagged: %v", bad)
-	}
-
-	cur = shardBaseline()
-	cur.Cells = cur.Cells[:1]
-	if bad := CompareShardReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "cell missing") {
-		t.Fatalf("missing cell not flagged: %v", bad)
-	}
-
-	cur = shardBaseline()
-	cur.Cells[0].Budget++
-	if bad := CompareShardReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "workload shape changed") {
-		t.Fatalf("budget drift not flagged: %v", bad)
-	}
-
-	cur = shardBaseline()
-	cur.Cells[0].Ks = cur.Cells[0].Ks[:3]
-	if bad := CompareShardReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "sweep point missing") {
-		t.Fatalf("missing sweep point not flagged: %v", bad)
-	}
-
-	cur = shardBaseline()
-	cur.Cells[0].Ks[3].DFAStates--
-	if bad := CompareShardReports(base, cur, CheckOptions{}); len(bad) == 0 ||
-		!strings.Contains(strings.Join(bad, "\n"), "partition shape changed") {
-		t.Fatalf("partition drift not flagged: %v", bad)
-	}
-
-	// A different scale is a different workload: shape comparisons must not
-	// fire, only the ratio gates remain armed.
-	cur = shardBaseline()
-	cur.Scale = 0.05
-	cur.Cells[0].Ks[3].DFAStates--
-	if bad := CompareShardReports(base, cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("cross-scale shape compared: %v", bad)
-	}
-
-	cur = shardBaseline()
-	cur.Cells[0].Ks[3].SpeedupVs1 = 1.0
-	cur.Cells[0].Ks[3].MBPerSec = 10
-	bad := CompareShardReports(base, cur, CheckOptions{})
-	if joined := strings.Join(bad, "\n"); !strings.Contains(joined, "below baseline") {
-		t.Fatalf("speedup regression not flagged: %v", bad)
-	}
-
-	// A baseline row where sharding lost ground is a negative control: its
-	// slowdown depth is noise and must not arm the floor.
-	base2 := shardBaseline()
-	base2.Cells[0].Ks[1].SpeedupVs1 = 0.9
-	cur = shardBaseline()
-	cur.Cells[0].Ks[1].SpeedupVs1 = 0.4
-	if bad := CompareShardReports(base2, cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("negative-control row gated: %v", bad)
-	}
-}
-
-func TestCompareShardReportsTwoXGate(t *testing.T) {
-	base := shardBaseline()
-	cur := shardBaseline()
-	for i := range cur.Cells {
-		cur.Cells[i].Ks[3].SpeedupVs1 = 1.9
-	}
-	bad := CompareShardReports(base, cur, CheckOptions{SpeedupTolerance: 0.9})
-	if joined := strings.Join(bad, "\n"); !strings.Contains(joined, "2x at 8 shards") {
-		t.Fatalf("2x headline gate not enforced: %v", bad)
-	}
-}
-
-// A single-core checker is exempt from every wall-clock gate: fan-out
-// ratios and the 2x headline need parallel hardware.
-func TestCompareShardReportsSingleCoreSkipsSpeedups(t *testing.T) {
-	base := shardBaseline()
-	cur := shardBaseline()
-	cur.GOMAXPROCS = 1
-	for i := range cur.Cells {
-		for j := range cur.Cells[i].Ks {
-			cur.Cells[i].Ks[j].SpeedupVs1 = 0.5
-		}
-	}
-	if bad := CompareShardReports(base, cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("single-core checker held to multi-core ratios: %v", bad)
 	}
 }

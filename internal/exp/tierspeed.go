@@ -1,15 +1,12 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
 	"impala/internal/core"
 	"impala/internal/dfa"
-	"impala/internal/obs"
 	"impala/internal/sim"
 	"impala/internal/workload"
 )
@@ -42,39 +39,6 @@ type TierCell struct {
 	SpeedupVsCompiled float64 `json:"speedup_vs_compiled"`
 }
 
-// TierReport is the JSON document emitted by impala-bench -exp tierspeed
-// -json — the committed BENCH_sim.json baseline.
-type TierReport struct {
-	Design     string     `json:"design"`
-	Scale      float64    `json:"scale"`
-	Seed       int64      `json:"seed"`
-	InputKB    int        `json:"input_kb"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	Cells      []TierCell `json:"cells"`
-	// Metrics snapshots the tier counters (bytes per tier, reports,
-	// fallbacks) at the end of an instrumented run. Absent otherwise.
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-}
-
-// ReadTierReport parses a stored tierspeed baseline.
-func ReadTierReport(r io.Reader) (*TierReport, error) {
-	var rep TierReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("exp: bad tier report: %w", err)
-	}
-	if len(rep.Cells) == 0 {
-		return nil, fmt.Errorf("exp: tier report has no cells")
-	}
-	return &rep, nil
-}
-
-// WriteJSON writes the report, indented, to w.
-func (r *TierReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // tierSpeedBenches spans the four workload families: keyword/regex rule
 // sets (low ambiguity, the DFA tier's home turf), a mesh automaton (dense
 // fan-out), a widget workload, and the synthetic ring suite whose
@@ -87,7 +51,7 @@ var tierSpeedBenches = []string{"ExactMatch", "Snort", "Hamming", "RandomForest"
 // cross-checks correctness: the tiered engine (serial and parallel) must
 // reproduce the compiled engine's reports byte-for-byte, and the compiled
 // engine the scalar reference's.
-func TierSpeedReport(o Options) (*TierReport, error) {
+func TierSpeedReport(o Options) (*Report[TierCell], error) {
 	o = o.withDefaults()
 	names := o.Benchmarks
 	if len(names) == 0 {
@@ -100,7 +64,7 @@ func TierSpeedReport(o Options) (*TierReport, error) {
 	if parWorkers < 2 {
 		parWorkers = 2
 	}
-	rep := &TierReport{
+	rep := &Report[TierCell]{
 		Design:     "Impala 4-bit stride-4 (16 bits/cycle)",
 		Scale:      o.Scale,
 		Seed:       o.Seed,
@@ -193,24 +157,12 @@ func TierSpeedReport(o Options) (*TierReport, error) {
 		return nil, err
 	}
 	rep.Cells = cells
-	if o.Metrics != nil {
-		snap := o.Metrics.Snapshot()
-		rep.Metrics = &snap
-	}
+	rep.Metrics = o.snapshot()
 	return rep, nil
 }
 
-// TierSpeed is the registry runner: it renders TierSpeedReport as a table.
-func TierSpeed(o Options) ([]*Table, error) {
-	rep, err := TierSpeedReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{rep.Table()}, nil
-}
-
-// Table renders the report in the harness's text-table format.
-func (r *TierReport) Table() *Table {
+// tierTable renders the report in the harness's text-table format.
+func tierTable(r *Report[TierCell]) *Table {
 	t := &Table{
 		Title: "Tiered execution: DFA fast path vs compiled NFA vs scalar reference",
 		Header: []string{"benchmark", "family", "states", "DFA CCs", "DFA states",
@@ -228,59 +180,26 @@ func (r *TierReport) Table() *Table {
 	return t
 }
 
-func parWorkersOf(r *TierReport) int {
+func parWorkersOf(r *Report[TierCell]) int {
 	if len(r.Cells) > 0 {
 		return r.Cells[0].ParWorkers
 	}
 	return 0
 }
 
-// CompareTierReports checks a fresh tierspeed report against a stored
-// baseline (the BENCH_sim.json half of impala-bench -check). Two drift
-// classes are flagged:
-//
-//   - Tier-selection shape: when both reports ran the same scale and seed,
-//     a cell's component count, per-tier state counts and table size must
-//     match the baseline exactly — the plan is deterministic, so any
-//     difference is a planner behavior change, not noise.
-//   - Tier speed: a benchmark's tiered-over-compiled speedup may not drop
-//     more than SpeedupTolerance (fractional) below baseline — but only
-//     where the baseline compiled pass took at least MinWallMS, for the
-//     same reason compilespeed gates on its uncached wall.
-//
-// Cells missing from the fresh report are flagged; extra cells are fine.
-func CompareTierReports(base, cur *TierReport, opt CheckOptions) []string {
-	opt = opt.withDefaults()
-	got := make(map[string]TierCell, len(cur.Cells))
-	for _, c := range cur.Cells {
-		got[c.Benchmark] = c
-	}
-	sameRun := base.Scale == cur.Scale && base.Seed == cur.Seed
-
-	var bad []string
-	flag := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	for _, b := range base.Cells {
-		c, ok := got[b.Benchmark]
-		if !ok {
-			flag("%s: cell missing from report", b.Benchmark)
-			continue
-		}
-		if sameRun {
-			if c.States != b.States || c.CCs != b.CCs || c.DFACCs != b.DFACCs ||
-				c.DFAStates != b.DFAStates || c.DFANFAStates != b.DFANFAStates ||
-				c.NFATierStates != b.NFATierStates || c.TableBytes != b.TableBytes {
-				flag("%s: tier plan shape changed: %d/%d DFA CCs, %d DFA states (%d NFA states, %d B tables); baseline %d/%d, %d (%d, %d B)",
-					b.Benchmark, c.DFACCs, c.CCs, c.DFAStates, c.NFATierStates, c.TableBytes,
-					b.DFACCs, b.CCs, b.DFAStates, b.NFATierStates, b.TableBytes)
-			}
-		}
-		if b.CompiledWallMS < opt.MinWallMS {
-			continue // too little work to time; noise, not signal
-		}
-		if floor := b.SpeedupVsCompiled * (1 - opt.SpeedupTolerance); c.SpeedupVsCompiled < floor {
-			flag("%s: tiered speedup vs compiled %.2fx below baseline %.2fx (floor %.2fx at %.0f%% tolerance)",
-				b.Benchmark, c.SpeedupVsCompiled, b.SpeedupVsCompiled, floor, opt.SpeedupTolerance*100)
+// tierRows projects one row per benchmark: the tier plan's shape exactly
+// (the planner is deterministic) and the tiered-over-compiled speedup,
+// guarded by the compiled pass's wall.
+func tierRows(r *Report[TierCell]) []Row {
+	rows := make([]Row, len(r.Cells))
+	for i, c := range r.Cells {
+		rows[i] = Row{
+			Key: c.Benchmark,
+			Exact: []Col{{"states", c.States}, {"ccs", c.CCs}, {"dfa_ccs", c.DFACCs},
+				{"dfa_states", c.DFAStates}, {"dfa_nfa_states", c.DFANFAStates},
+				{"nfa_tier_states", c.NFATierStates}, {"table_bytes", c.TableBytes}},
+			Ratio: &Ratio{Name: "speedup_vs_compiled", V: c.SpeedupVsCompiled, WallMS: c.CompiledWallMS},
 		}
 	}
-	return bad
+	return rows
 }

@@ -40,112 +40,22 @@ func TestTierSpeedReportSmall(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	rep.Table().Render(&buf)
+	tierTable(rep).Render(&buf)
 	if !strings.Contains(buf.String(), "ExactMatch") {
 		t.Fatalf("table missing benchmark row:\n%s", buf.String())
 	}
 
 	// JSON round trip: the baseline file format.
 	buf.Reset()
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := rep.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTierReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readBack[TierCell](t, &buf, "tierspeed")
 	if len(got.Cells) != len(rep.Cells) || got.Cells[0] != rep.Cells[0] {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", got.Cells, rep.Cells)
 	}
 	// A fresh identical-shape run must pass its own baseline.
-	if bad := CompareTierReports(got, rep, CheckOptions{}); len(bad) != 0 {
+	if bad, _ := gateByID(t, "tierspeed").Compare(got, rep, CheckOptions{}); len(bad) != 0 {
 		t.Fatalf("self-check flagged: %v", bad)
-	}
-}
-
-func TestReadTierReportRejectsEmpty(t *testing.T) {
-	if _, err := ReadTierReport(strings.NewReader(`{"cells":[]}`)); err == nil {
-		t.Fatal("empty report accepted")
-	}
-	if _, err := ReadTierReport(strings.NewReader(`not json`)); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-}
-
-func tierCheckReport() *TierReport {
-	return &TierReport{
-		Design: "Impala 4-bit stride-4 (16 bits/cycle)",
-		Scale:  0.02, Seed: 1, GOMAXPROCS: 4, InputKB: 256,
-		Cells: []TierCell{
-			{Benchmark: "Snort", States: 2449, CCs: 112, DFACCs: 82,
-				DFAStates: 64117, DFANFAStates: 1800, NFATierStates: 649,
-				TableBytes: 4 << 20, CompiledWallMS: 50, SpeedupVsCompiled: 1.3},
-			{Benchmark: "ExactMatch", States: 269, CCs: 8, DFACCs: 8,
-				DFAStates: 1099, DFANFAStates: 269, TableBytes: 70000,
-				CompiledWallMS: 8, SpeedupVsCompiled: 2.7},
-		},
-	}
-}
-
-func TestCompareTierReportsIdenticalPasses(t *testing.T) {
-	if bad := CompareTierReports(tierCheckReport(), tierCheckReport(), CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("identical reports flagged: %v", bad)
-	}
-}
-
-func TestCompareTierReportsFlagsRegressions(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(r *TierReport)
-		want   string
-	}{
-		{"plan shape drift", func(r *TierReport) { r.Cells[0].DFACCs = 81 }, "tier plan shape changed"},
-		{"dfa state drift", func(r *TierReport) { r.Cells[0].DFAStates++ }, "tier plan shape changed"},
-		{"table size drift", func(r *TierReport) { r.Cells[1].TableBytes = 1 }, "tier plan shape changed"},
-		{"speedup collapse", func(r *TierReport) { r.Cells[0].SpeedupVsCompiled = 0.5 }, "below baseline"},
-		{"missing cell", func(r *TierReport) { r.Cells = r.Cells[:1] }, "missing from report"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cur := tierCheckReport()
-			tc.mutate(cur)
-			bad := CompareTierReports(tierCheckReport(), cur, CheckOptions{})
-			if len(bad) == 0 {
-				t.Fatal("regression not flagged")
-			}
-			if !strings.Contains(strings.Join(bad, "\n"), tc.want) {
-				t.Fatalf("want %q in %v", tc.want, bad)
-			}
-		})
-	}
-}
-
-func TestCompareTierReportsSpeedupWithinTolerancePasses(t *testing.T) {
-	cur := tierCheckReport()
-	cur.Cells[0].SpeedupVsCompiled = 1.1 // ~15% drop, under 25% tolerance
-	if bad := CompareTierReports(tierCheckReport(), cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("in-tolerance noise flagged: %v", bad)
-	}
-}
-
-// ExactMatch's baseline compiled wall (8ms) is under the 20ms noise gate:
-// even a large speedup drop there must not flag.
-func TestCompareTierReportsTinyWallSkipsSpeedupGate(t *testing.T) {
-	cur := tierCheckReport()
-	cur.Cells[1].SpeedupVsCompiled = 0.4
-	if bad := CompareTierReports(tierCheckReport(), cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("sub-MinWallMS speedup gated: %v", bad)
-	}
-}
-
-// Shape is only compared exactly between same-scale/seed runs; a rescaled
-// run checks speed only.
-func TestCompareTierReportsShapeIgnoredAcrossScales(t *testing.T) {
-	cur := tierCheckReport()
-	cur.Scale = 0.05
-	cur.Cells[0].DFAStates = 99999
-	cur.Cells[1].CCs = 3
-	if bad := CompareTierReports(tierCheckReport(), cur, CheckOptions{}); len(bad) != 0 {
-		t.Fatalf("cross-scale shape flagged: %v", bad)
 	}
 }
