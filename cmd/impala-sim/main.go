@@ -13,6 +13,7 @@
 //	impala-sim -patterns needle -in payload.bin -chunk 1460 -ops :8080   # + live /metrics
 //	impala-sim -patterns needle -in payload.bin -tier         # hybrid DFA fast-path tier
 //	impala-sim -load machine.impala -in payload.bin -tier     # use the artifact's sealed plan
+//	impala-sim -load sharded.impala -in payload.bin           # a sealed shard plan always executes
 package main
 
 import (
@@ -141,23 +142,34 @@ func main() {
 		return
 	}
 
-	nfa, sealed, weights, err := loadAutomaton(*loadFile, *nfaFile, *patterns, *stride, *caMode)
+	a, err := loadAutomaton(*loadFile, *nfaFile, *patterns, *stride, *caMode)
 	if err != nil {
 		fatal(err)
 	}
+	nfa := a.NFA
 	// A scored artifact (SCOR section) runs on the weighted engine: reports
 	// print with their accumulated score, threshold rejects are summarized.
-	if weights != nil {
+	if a.Score != nil {
 		if *tier || *workers > 1 || *trace || *engine != "compiled" {
 			fatal(fmt.Errorf("scored artifacts run on the scored engine only (no -tier, -workers, -trace, -engine)"))
 		}
-		runScored(nfa, weights, input, *chunk, *quiet)
+		runScored(nfa, a.Score, input, *chunk, *quiet)
 		return
 	}
+	// A sharded artifact (SHRD section) always executes its sealed partition,
+	// per-shard DFA tables included; -tier has nothing to add to it.
+	var sharded *shard.Sharded
 	var tiered *dfa.Tiered
-	if *tier {
-		if sealed != nil {
-			tiered, err = dfa.Unseal(nfa, sealed)
+	switch {
+	case a.Shards != nil:
+		if sharded, err = shard.Unseal(nfa, a.Shards); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "shard plan: %d shards, %d carrying a DFA fast path (%d DFA states)\n",
+			sharded.Shards(), sharded.TieredShards(), sharded.DFAStates())
+	case *tier:
+		if a.Tier != nil {
+			tiered, err = dfa.Unseal(nfa, a.Tier)
 		} else {
 			tiered, err = dfa.BuildTiered(nfa, dfa.TierOptions{})
 		}
@@ -169,7 +181,10 @@ func main() {
 			p.DFACCs(), len(p.CCs), p.DFAStates)
 	}
 	makeCore := func() sim.Core {
-		if tiered != nil {
+		switch {
+		case sharded != nil:
+			return sharded.NewCore()
+		case tiered != nil:
 			return tiered.NewCore()
 		}
 		switch *engine {
@@ -193,17 +208,7 @@ func main() {
 	// Batch and streaming share the session core; -chunk only changes how
 	// the input reaches Feed.
 	runOnce := func(tracer sim.Tracer) ([]sim.Report, sim.Stats) {
-		var reports []sim.Report
-		s := sim.NewSession(makeCore(), func(r sim.Report) { reports = append(reports, r) })
-		s.SetTracer(tracer)
-		if *chunk > 0 {
-			feedChunks(s.Feed, input, *chunk)
-		} else {
-			s.Feed(input)
-		}
-		s.Flush()
-		sim.SortReports(reports)
-		return reports, s.Stats()
+		return sim.RunBatch(makeCore(), input, *chunk, tracer)
 	}
 	if *trace {
 		reports, stats := runOnce(&cycleTracer{})
@@ -213,9 +218,12 @@ func main() {
 	if *workers > 1 {
 		var reports []sim.Report
 		var err error
-		if tiered != nil {
+		switch {
+		case sharded != nil: // the shards are the parallel units
+			reports, _ = sharded.Run(input)
+		case tiered != nil:
 			reports, err = tiered.RunParallel(input, *workers)
-		} else {
+		default:
 			reports, err = sim.RunParallel(nfa, input, *workers, *overlap)
 		}
 		if err != nil {
@@ -339,36 +347,36 @@ func printArtifactInfo(path string) error {
 	return nil
 }
 
-// loadAutomaton resolves the automaton source; artifacts additionally
-// surface their sealed tier plan and weight table (nil when the artifact
-// carries none).
-func loadAutomaton(loadFile, nfaFile, patterns string, stride int, caMode bool) (*automata.NFA, *dfa.Sealed, *automata.Weights, error) {
+// loadAutomaton resolves the automaton source as an artifact: a loaded one
+// carries whatever plans it was sealed with (tier, shards, weights), the
+// other sources only the automaton.
+func loadAutomaton(loadFile, nfaFile, patterns string, stride int, caMode bool) (*artifact.Artifact, error) {
 	if loadFile != "" {
 		a, err := artifact.LoadFile(loadFile)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		// The simulator executes the Impala engines; artifacts sealed for
 		// another backend would run under the wrong hardware model.
 		if got := a.Meta.BackendName(); got != backend.DefaultName {
-			return nil, nil, nil, fmt.Errorf("artifact %s was sealed for backend %q, this simulator runs %q: %w",
+			return nil, fmt.Errorf("artifact %s was sealed for backend %q, this simulator runs %q: %w",
 				loadFile, got, backend.DefaultName, backend.ErrMismatch)
 		}
-		return a.NFA, a.Tier, a.Score, nil
+		return a, nil
 	}
 	if nfaFile != "" {
 		data, err := os.ReadFile(nfaFile)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		var n automata.NFA
 		if err := json.Unmarshal(data, &n); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		return &n, nil, nil, nil
+		return &artifact.Artifact{NFA: &n}, nil
 	}
 	if patterns == "" {
-		return nil, nil, nil, fmt.Errorf("one of -nfa, -patterns is required")
+		return nil, fmt.Errorf("one of -nfa, -patterns is required")
 	}
 	var rules []regexc.Rule
 	for i, p := range strings.Split(patterns, ",") {
@@ -376,7 +384,7 @@ func loadAutomaton(loadFile, nfaFile, patterns string, stride int, caMode bool) 
 	}
 	n, err := regexc.Compile(rules)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	bits := 4
 	if caMode {
@@ -384,9 +392,9 @@ func loadAutomaton(loadFile, nfaFile, patterns string, stride int, caMode bool) 
 	}
 	res, err := core.Compile(n, core.Config{TargetBits: bits, StrideDims: stride})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return res.NFA, nil, nil, nil
+	return &artifact.Artifact{NFA: res.NFA}, nil
 }
 
 func fatal(err error) {

@@ -88,9 +88,6 @@ func main() {
 	var weights *automata.Weights
 	var nfa *automata.NFA
 	if *scoreMode != "" {
-		if *tier || *shards > 1 || *topoSpec != "" {
-			fatal(fmt.Errorf("-score is mutually exclusive with -tier, -shards and -topo (the scored engine is single-tier)"))
-		}
 		if *nfaFile != "" || *anmlFile != "" || *compare {
 			fatal(fmt.Errorf("-score builds its own automaton; use -patterns or -rules with literal strings"))
 		}

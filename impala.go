@@ -72,8 +72,8 @@ type Config struct {
 	// the scored execution paths (MatchScored, NewScoredStream) with
 	// max-plus accumulation and threshold reporting. The transformed table
 	// travels inside the artifact as the SCOR section, so loaded machines
-	// keep it. Mutually exclusive with Tier and Shards — the scored engine
-	// is single-tier.
+	// keep it. Not combinable with Tier or Shards (core.Compile rejects the
+	// combination): scored execution runs on the one bit-parallel kernel.
 	Score *automata.Weights
 }
 
@@ -121,7 +121,9 @@ type Machine struct {
 	transformed *automata.NFA
 	placement   *place.Placement
 	machine     *arch.Machine
-	simc        *sim.Compiled
+	// simc is the bit-parallel binary kernel; on a scored machine it is the
+	// kernel the scored form runs on, not a second copy.
+	simc *sim.Compiled
 	// tiered is the hybrid DFA/NFA execution form (nil unless Config.Tier
 	// was set or the loaded artifact carried a sealed plan).
 	tiered *dfa.Tiered
@@ -176,9 +178,6 @@ func CompileANML(r io.Reader, cfg Config) (*Machine, error) {
 // stride-1 automaton (for workloads not expressed as regex). Report codes
 // of the automaton become Match.Pattern values.
 func CompileAutomaton(nfa *automata.NFA, cfg Config) (*Machine, error) {
-	if cfg.Score != nil && (cfg.Tier || cfg.Shards > 1) {
-		return nil, fmt.Errorf("impala: Score is mutually exclusive with Tier and Shards (the scored engine is single-tier)")
-	}
 	res, err := core.Compile(nfa, cfg.coreConfig())
 	if err != nil {
 		return nil, err
@@ -194,7 +193,7 @@ func CompileAutomaton(nfa *automata.NFA, cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	simc, err := sim.Compile(res.NFA)
+	simc, scored, err := compileEngines(res.NFA, res.Weights)
 	if err != nil {
 		return nil, err
 	}
@@ -206,15 +205,10 @@ func CompileAutomaton(nfa *automata.NFA, cfg Config) (*Machine, error) {
 		simc:            simc,
 		tiered:          res.Tiers,
 		sharded:         res.Shards,
+		scored:          scored,
+		weights:         res.Weights,
 		origStates:      nfa.NumStates(),
 		origTransitions: nfa.NumTransitions(),
-	}
-	if res.Weights != nil {
-		mach.scored, err = score.Compile(res.NFA, res.Weights)
-		if err != nil {
-			return nil, err
-		}
-		mach.weights = res.Weights
 	}
 	for _, s := range res.Stages {
 		mach.stages = append(mach.stages, artifact.Stage{
@@ -223,6 +217,21 @@ func CompileAutomaton(nfa *automata.NFA, cfg Config) (*Machine, error) {
 		})
 	}
 	return mach, nil
+}
+
+// compileEngines builds the bit-parallel forms of a transformed automaton:
+// the binary kernel and, given a weight table, the scored form — which runs
+// on that same kernel, so the automaton is compiled once either way.
+func compileEngines(n *automata.NFA, w *automata.Weights) (*sim.Compiled, *score.Compiled, error) {
+	if w == nil {
+		simc, err := sim.Compile(n)
+		return simc, nil, err
+	}
+	scored, err := score.Compile(n, w)
+	if err != nil {
+		return nil, nil, err
+	}
+	return scored.Kernel(), scored, nil
 }
 
 // Artifact packages the machine into its versioned on-disk form: the
@@ -333,9 +342,9 @@ func machineFromArtifact(a *artifact.Artifact, keep []int) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("impala: artifact placement does not build: %w", err)
 	}
-	simc, err := sim.Compile(a.NFA)
+	simc, scored, err := compileEngines(a.NFA, a.Score)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("impala: artifact automaton does not compile: %w", err)
 	}
 	var tiered *dfa.Tiered
 	if a.Tier != nil {
@@ -356,13 +365,6 @@ func machineFromArtifact(a *artifact.Artifact, keep []int) (*Machine, error) {
 				shardsTiered = true
 				break
 			}
-		}
-	}
-	var scored *score.Compiled
-	if a.Score != nil {
-		scored, err = score.Compile(a.NFA, a.Score)
-		if err != nil {
-			return nil, fmt.Errorf("impala: artifact weight table does not compile: %w", err)
 		}
 	}
 	return &Machine{
@@ -591,100 +593,7 @@ func (m *Machine) ScoreInfo() *ScoreInfo {
 // steady state. Many streams may run concurrently over one Machine — the
 // compiled form is immutable and shared; each stream owns only its state
 // vectors. A Stream is not safe for concurrent use by itself.
-type Stream struct {
-	sess         *sim.Session
-	onMatch      func(Match)
-	bitsPerCycle int
-	// Per-window match dedup: several split states can report the same
-	// (End, Pattern) in nearby cycles; entries older than the collision
-	// window are retired as the stream advances.
-	curCycle int
-	seen     []streamSeen
-}
-
-type streamSeen struct {
-	m   Match
-	cyc int
-}
-
-// NewStream opens an incremental stream over the machine. onMatch is
-// invoked once per distinct match as it completes (nil to count only).
-func (m *Machine) NewStream(onMatch func(Match)) *Stream {
-	s := &Stream{
-		onMatch:      onMatch,
-		bitsPerCycle: m.transformed.BitsPerCycle(),
-		curCycle:     -1,
-	}
-	switch {
-	case m.sharded != nil:
-		s.sess = m.sharded.NewSession(s.report)
-	case m.tiered != nil:
-		s.sess = m.tiered.NewSession(s.report)
-	default:
-		s.sess = m.simc.NewSession(s.report)
-	}
-	return s
-}
-
-func (s *Stream) report(r sim.Report) {
-	// Reports arrive in cycle order; two reports can denote the same match
-	// (same end byte and pattern) only if their bit positions lie in the
-	// same byte, which bounds their cycle distance by 8/bitsPerCycle < 8.
-	cyc := (r.BitPos - 1) / s.bitsPerCycle
-	if cyc > s.curCycle {
-		s.curCycle = cyc
-		keep := s.seen[:0]
-		for _, e := range s.seen {
-			if e.cyc >= cyc-8 {
-				keep = append(keep, e)
-			}
-		}
-		s.seen = keep
-	}
-	mt := Match{End: r.BitPos / 8, Pattern: r.Code}
-	for _, e := range s.seen {
-		if e.m == mt {
-			return
-		}
-	}
-	s.seen = append(s.seen, streamSeen{m: mt, cyc: cyc})
-	if s.onMatch != nil {
-		s.onMatch(mt)
-	}
-}
-
-// Feed consumes the next chunk of the stream; matches that complete inside
-// it (or that straddle earlier chunk boundaries) fire the callback. Match
-// end offsets are absolute within the stream.
-func (s *Stream) Feed(chunk []byte) { s.sess.Feed(chunk) }
-
-// Write implements io.Writer, so a Stream can terminate any byte pipeline.
-func (s *Stream) Write(p []byte) (int, error) {
-	s.sess.Feed(p)
-	return len(p), nil
-}
-
-// Flush ends the stream, completing any final partial cycle. Feed after
-// Flush panics; Reset starts a new stream. Flush also retires the
-// per-window match-dedup state: the next stream run on this Stream starts
-// with an empty collision window, so a legitimate repeat of an earlier
-// match (same end offset and pattern in a fresh stream) is never
-// suppressed by stale entries.
-func (s *Stream) Flush() {
-	s.sess.Flush()
-	s.curCycle = -1
-	s.seen = s.seen[:0]
-}
-
-// Reset returns the stream to the start-of-stream state for reuse.
-func (s *Stream) Reset() {
-	s.sess.Reset()
-	s.curCycle = -1
-	s.seen = s.seen[:0]
-}
-
-// Stats returns the functional activity statistics of the stream so far.
-func (s *Stream) Stats() sim.Stats { return s.sess.Stats() }
+type Stream struct{ window }
 
 // ScoredStream is the weighted counterpart of Stream: bytes arrive in
 // arbitrary chunks and the callback fires once per distinct
@@ -694,19 +603,59 @@ func (s *Stream) Stats() sim.Stats { return s.sess.Stats() }
 // fires only once every report that could still raise its score has
 // arrived (at most 8 cycles later), then carries the max. Flush drains the
 // window. Not safe for concurrent use by itself.
-type ScoredStream struct {
-	sess         *score.Session
-	onMatch      func(ScoredMatch)
+type ScoredStream struct{ window }
+
+// window is what the two stream types share: the engine session and the
+// collision window over its reports. Several split states can report the
+// same (End, Pattern) match in nearby cycles; reports arrive in cycle order,
+// and two can denote the same match only if their bit positions lie in the
+// same byte, which bounds their cycle distance by 8/bitsPerCycle < 8. So a
+// match is tracked for 8 cycles after its first report and then retired.
+// The window has two policies: a binary stream emits a match at its first
+// report and drops the duplicates; a scored stream (deferred) max-merges
+// the duplicates' scores and emits the match when it retires.
+type window struct {
+	sess interface {
+		Feed([]byte)
+		Flush()
+		Reset()
+		Stats() sim.Stats
+	}
+	emit         func(ScoredMatch) // nil to count only
+	deferred     bool
 	bitsPerCycle int
 	curCycle     int
-	// pending holds matches still inside the collision window, max-merged
-	// in place, in first-report order (the emission order).
-	pending []scoredPending
+	// seen holds the matches still inside the window, in first-report order
+	// (the emission order of either policy).
+	seen []windowEntry
 }
 
-type scoredPending struct {
+type windowEntry struct {
 	m   ScoredMatch
 	cyc int
+}
+
+func (m *Machine) newWindow(deferred bool, emit func(ScoredMatch)) window {
+	return window{emit: emit, deferred: deferred, bitsPerCycle: m.transformed.BitsPerCycle(), curCycle: -1}
+}
+
+// NewStream opens an incremental stream over the machine. onMatch is
+// invoked once per distinct match as it completes (nil to count only).
+func (m *Machine) NewStream(onMatch func(Match)) *Stream {
+	s := &Stream{m.newWindow(false, nil)}
+	if onMatch != nil {
+		s.emit = func(sm ScoredMatch) { onMatch(sm.Match) }
+	}
+	sink := func(r sim.Report) { s.report(r, 0) }
+	switch {
+	case m.sharded != nil:
+		s.sess = m.sharded.NewSession(sink)
+	case m.tiered != nil:
+		s.sess = m.tiered.NewSession(sink)
+	default:
+		s.sess = m.simc.NewSession(sink)
+	}
+	return s
 }
 
 // NewScoredStream opens an incremental scored stream over the machine.
@@ -718,81 +667,81 @@ func (m *Machine) NewScoredStream(onMatch func(ScoredMatch)) (*ScoredStream, err
 	if m.scored == nil {
 		return nil, fmt.Errorf("impala: machine carries no weight table (compile with Config.Score or load a scored artifact)")
 	}
-	s := &ScoredStream{
-		onMatch:      onMatch,
-		bitsPerCycle: m.transformed.BitsPerCycle(),
-		curCycle:     -1,
-	}
-	s.sess = m.scored.NewSession(s.report)
+	s := &ScoredStream{m.newWindow(true, onMatch)}
+	s.sess = m.scored.NewSession(func(r score.Report) { s.report(r.Report, r.Score) })
 	return s, nil
 }
 
-func (s *ScoredStream) report(r score.Report) {
-	// Reports arrive in cycle order; duplicates of one match lie within the
-	// same byte, bounding their cycle distance by 8/bitsPerCycle < 8 — the
-	// same window the binary Stream dedups over, but here entries leaving
-	// the window are emitted rather than merely retired.
-	cyc := (r.BitPos - 1) / s.bitsPerCycle
-	if cyc > s.curCycle {
-		s.curCycle = cyc
-		s.emitBefore(cyc - 8)
+func (w *window) report(r sim.Report, score float64) {
+	cyc := (r.BitPos - 1) / w.bitsPerCycle
+	if cyc > w.curCycle {
+		w.curCycle = cyc
+		w.retire(cyc - 8)
 	}
 	mt := Match{End: r.BitPos / 8, Pattern: r.Code}
-	for i := range s.pending {
-		if s.pending[i].m.Match == mt {
-			if r.Score > s.pending[i].m.Score {
-				s.pending[i].m.Score = r.Score
+	for i := range w.seen {
+		if e := &w.seen[i]; e.m.Match == mt {
+			if score > e.m.Score {
+				e.m.Score = score
 			}
 			return
 		}
 	}
-	s.pending = append(s.pending, scoredPending{m: ScoredMatch{Match: mt, Score: r.Score}, cyc: cyc})
+	e := windowEntry{m: ScoredMatch{Match: mt, Score: score}, cyc: cyc}
+	w.seen = append(w.seen, e)
+	if !w.deferred && w.emit != nil {
+		w.emit(e.m)
+	}
 }
 
-// emitBefore fires every pending match whose window closed before cyc.
-func (s *ScoredStream) emitBefore(cyc int) {
-	keep := s.pending[:0]
-	for _, e := range s.pending {
-		if e.cyc < cyc {
-			if s.onMatch != nil {
-				s.onMatch(e.m)
-			}
-		} else {
+// retire drops every entry first reported before cyc, emitting it when the
+// policy defers emission to this point.
+func (w *window) retire(cyc int) {
+	keep := w.seen[:0]
+	for _, e := range w.seen {
+		if e.cyc >= cyc {
 			keep = append(keep, e)
+		} else if w.deferred && w.emit != nil {
+			w.emit(e.m)
 		}
 	}
-	s.pending = keep
+	w.seen = keep
 }
 
-// Feed consumes the next chunk of the stream; matches whose collision
-// window closes inside it fire the callback with their final score.
-func (s *ScoredStream) Feed(chunk []byte) { s.sess.Feed(chunk) }
+// Feed consumes the next chunk of the stream; matches that complete inside
+// it (or that straddle earlier chunk boundaries) fire the callback — on a
+// scored stream, those whose collision window closes inside it, with their
+// final score. Match end offsets are absolute within the stream.
+func (w *window) Feed(chunk []byte) { w.sess.Feed(chunk) }
 
-// Write implements io.Writer.
-func (s *ScoredStream) Write(p []byte) (int, error) {
-	s.sess.Feed(p)
+// Write implements io.Writer, so a stream can terminate any byte pipeline.
+func (w *window) Write(p []byte) (int, error) {
+	w.sess.Feed(p)
 	return len(p), nil
 }
 
-// Flush ends the stream: the final partial cycle completes and every match
-// still inside the collision window fires. Feed after Flush panics; Reset
-// starts a new stream.
-func (s *ScoredStream) Flush() {
-	s.sess.Flush()
-	s.curCycle = -1
-	s.emitBefore(int(^uint(0) >> 1))
+// Flush ends the stream, completing any final partial cycle; on a scored
+// stream every match still inside the collision window then fires. Feed
+// after Flush panics; Reset starts a new stream. Flush also empties the
+// collision window: the next stream run on this value starts clean, so a
+// legitimate repeat of an earlier match (same end offset and pattern in a
+// fresh stream) is never suppressed by stale entries.
+func (w *window) Flush() {
+	w.sess.Flush()
+	w.curCycle = -1
+	w.retire(int(^uint(0) >> 1))
 }
 
-// Reset returns the scored stream to the start-of-stream state for reuse;
-// matches still pending are dropped, not emitted.
-func (s *ScoredStream) Reset() {
-	s.sess.Reset()
-	s.curCycle = -1
-	s.pending = s.pending[:0]
+// Reset returns the stream to the start-of-stream state for reuse; matches
+// a scored stream still holds in its window are dropped, not emitted.
+func (w *window) Reset() {
+	w.sess.Reset()
+	w.curCycle = -1
+	w.seen = w.seen[:0]
 }
 
 // Stats returns the functional activity statistics of the stream so far.
-func (s *ScoredStream) Stats() sim.Stats { return s.sess.Stats() }
+func (w *window) Stats() sim.Stats { return w.sess.Stats() }
 
 func toMatches(reports []sim.Report) []Match {
 	seen := make(map[Match]bool, len(reports))

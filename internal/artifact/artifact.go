@@ -33,18 +33,17 @@
 // "SHRD" section sealing the shard-plan stage: the component-to-shard
 // partition plus each shard's tier seal (plan and DFA tables as nested
 // blobs), so a loaded machine executes sharded — per-shard fast paths
-// included — without re-planning; SHRD and TIER are mutually exclusive
-// (a sharded artifact tiers per shard). Version 4 adds the optional
+// included — without re-planning. Version 4 adds the optional
 // "TOPO" section sealing the cluster placement stage: the normalized
 // topology (domains with capacities and bandwidths, the cross-domain cost
 // matrix) and the shard-to-domain assignment, so a worker process can
-// self-select the shard subset its domain was assigned; TOPO requires
-// SHRD. Version 5 adds the optional "SCOR" section sealing the scored
-// execution layer: the per-transition weight table and report threshold
+// self-select the shard subset its domain was assigned. Version 5 adds the
+// optional "SCOR" section sealing the scored execution layer: the
+// per-transition weight table and report threshold
 // (internal/automata.Weights), so a loaded machine scores matches without
-// recompiling; SCOR is mutually exclusive with TIER and SHRD (the scored
-// engine is single-tier). Artifacts sealed for a non-default compile target additionally
-// carry the backend name as a trailing META field and the backend-owned
+// recompiling. Which optional sections may ride together is stated once, in
+// checkSections. Artifacts sealed for a non-default compile target
+// additionally carry the backend name as a trailing META field and the backend-owned
 // payload in an optional "BKND" section (internal/backend revalidates it
 // on load); default-target artifacts carry neither, staying byte-identical
 // with the pre-backend layout. Save output is deterministic: a Load/Save
@@ -171,17 +170,14 @@ type Artifact struct {
 	Tier *dfa.Sealed
 	// Shards is the sealed shard partition (nil when the artifact was
 	// built without the shard-plan stage). Set it with SetShards so the
-	// Meta summary stays consistent. Mutually exclusive with Tier: a
-	// sharded artifact carries its tier plans per shard.
+	// Meta summary stays consistent.
 	Shards *shard.Sealed
 	// Topo is the sealed cluster placement (nil when the artifact was
-	// built without a topology stage). Set it with SetTopo; it requires
-	// Shards, whose plan it assigns to topology domains.
+	// built without a topology stage). Set it with SetTopo.
 	Topo *topo.Sealed
 	// Score is the sealed per-transition weight table and report threshold
 	// (nil when the artifact was built without scoring). Set it with
-	// SetScore so the Meta summary stays consistent. Mutually exclusive
-	// with Tier and Shards: the scored engine is single-tier.
+	// SetScore so the Meta summary stays consistent.
 	Score *automata.Weights
 	// BackendPayload is the backend-owned "BKND" section (nil when the
 	// backend seals nothing — the default Impala target always does). Set it
@@ -289,16 +285,10 @@ func (a *Artifact) Save(w io.Writer) error {
 	if len(a.BackendPayload) > 0 && a.Meta.Backend == "" {
 		return fmt.Errorf("%w: backend payload without a backend tag (use SetBackend)", ErrCorrupt)
 	}
-	if a.Tier != nil && a.Shards != nil {
-		return fmt.Errorf("%w: TIER and SHRD are mutually exclusive (a sharded artifact tiers per shard)", ErrCorrupt)
-	}
-	if a.Topo != nil && a.Shards == nil {
-		return fmt.Errorf("%w: TOPO without SHRD (a placement assigns shards to domains)", ErrCorrupt)
+	if err := a.checkSections(); err != nil {
+		return err
 	}
 	if a.Score != nil {
-		if a.Tier != nil || a.Shards != nil {
-			return fmt.Errorf("%w: SCOR is mutually exclusive with TIER and SHRD (the scored engine is single-tier)", ErrCorrupt)
-		}
 		if err := a.Score.Validate(a.NFA); err != nil {
 			return fmt.Errorf("artifact: refusing to save invalid weight table: %w", err)
 		}
@@ -494,10 +484,31 @@ func StatFile(path string) (*Info, error) {
 	return Stat(f)
 }
 
+// checkSections is the artifact layer's one statement of which optional
+// sections may ride together (core.Compile states the same rule for
+// configurations); Save and Load both go through it. A sharded artifact
+// tiers per shard, inside SHRD, so it carries no TIER of its own; TOPO
+// assigns SHRD's shards to domains; SCOR runs on the one bit-parallel
+// kernel, which neither a tier plan nor a shard plan can split yet.
+func (a *Artifact) checkSections() error {
+	switch {
+	case a.Tier != nil && a.Shards != nil:
+		return fmt.Errorf("%w: TIER and SHRD are mutually exclusive (a sharded artifact tiers per shard)", ErrCorrupt)
+	case a.Topo != nil && a.Shards == nil:
+		return fmt.Errorf("%w: TOPO without SHRD (a placement assigns shards to domains)", ErrCorrupt)
+	case a.Score != nil && (a.Tier != nil || a.Shards != nil):
+		return fmt.Errorf("%w: SCOR is mutually exclusive with TIER and SHRD (the scored engine is single-tier)", ErrCorrupt)
+	}
+	return nil
+}
+
 // validate cross-checks the decoded sections against each other and the
 // Meta shape counts.
 func (a *Artifact) validate() error {
 	n, pl := a.NFA, a.Placement
+	if err := a.checkSections(); err != nil {
+		return err
+	}
 	if a.Meta.Bits != n.Bits || a.Meta.Stride != n.Stride {
 		return fmt.Errorf("%w: META geometry (%d,%d) != automaton (%d,%d)",
 			ErrCorrupt, a.Meta.Bits, a.Meta.Stride, n.Bits, n.Stride)
@@ -541,9 +552,6 @@ func (a *Artifact) validate() error {
 		if err := bk.OpenSection(a.BackendPayload, n, pl); err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-	}
-	if a.Tier != nil && a.Shards != nil {
-		return fmt.Errorf("%w: TIER and SHRD sections are mutually exclusive", ErrCorrupt)
 	}
 	if a.Tier == nil {
 		if a.Meta.TierCCs != 0 || a.Meta.TierDFACCs != 0 || a.Meta.TierDFAStates != 0 {
@@ -590,7 +598,7 @@ func (a *Artifact) validate() error {
 
 // validateScore cross-checks the SCOR section against the automaton's
 // out-edge lists (a weight-count lie fails shape validation) and the Meta
-// score summary, and enforces the single-tier restriction.
+// score summary.
 func (a *Artifact) validateScore() error {
 	if a.Score == nil {
 		if a.Meta.ScoredEdges != 0 || a.Meta.ScoreThreshold != 0 {
@@ -598,9 +606,6 @@ func (a *Artifact) validateScore() error {
 				ErrCorrupt, a.Meta.ScoredEdges, a.Meta.ScoreThreshold)
 		}
 		return nil
-	}
-	if a.Tier != nil || a.Shards != nil {
-		return fmt.Errorf("%w: SCOR is mutually exclusive with TIER and SHRD", ErrCorrupt)
 	}
 	if err := a.Score.Validate(a.NFA); err != nil {
 		return fmt.Errorf("%w: SCOR: %v", ErrCorrupt, err)
@@ -612,14 +617,11 @@ func (a *Artifact) validateScore() error {
 	return nil
 }
 
-// validateTopo cross-checks the TOPO section: it requires SHRD, and the
-// sealed placement must cover the plan's shards with in-range domains.
+// validateTopo cross-checks the TOPO section: the sealed placement must
+// cover the plan's shards with in-range domains.
 func (a *Artifact) validateTopo() error {
 	if a.Topo == nil {
 		return nil
-	}
-	if a.Shards == nil {
-		return fmt.Errorf("%w: TOPO section without SHRD", ErrCorrupt)
 	}
 	if err := a.Topo.Validate(a.Shards.Plan.Shards); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)

@@ -264,6 +264,25 @@ func (n *NFA) ConnectedComponents() [][]StateID {
 	return out
 }
 
+// Induced returns the sub-automaton induced by ids, which must be closed
+// under edges — true for any union of weakly connected components. State i
+// of the result is state ids[i] of n; match sets are aliased, not copied.
+func (n *NFA) Induced(ids []StateID) *NFA {
+	sub := New(n.Bits, n.Stride)
+	remap := make(map[StateID]StateID, len(ids))
+	for _, id := range ids {
+		s := n.States[id]
+		s.Out = nil
+		remap[id] = sub.AddState(s)
+	}
+	for _, id := range ids {
+		for _, t := range n.States[id].Out {
+			sub.AddEdge(remap[id], remap[t])
+		}
+	}
+	return sub
+}
+
 // BFSOrder returns states of one component in BFS order starting from its
 // start states (or the smallest-ID state if the component has none).
 func (n *NFA) BFSOrder(component []StateID) []StateID {

@@ -140,6 +140,61 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
+// Induced keeps the listed states in list order, every edge among them
+// (self-loops and back edges included) and nothing else, shares the match
+// sets with the source, and leaves the source untouched.
+func TestInduced(t *testing.T) {
+	n := New(8, 1)
+	n.AddLiteral("abc", StartAllInput, 1) // states 0-2
+	ring := n.AddRing([]byte("xyz"), 2)   // states 3-5, 5 -> 3
+	n.AddEdge(ring[1], ring[1])           // a self-loop
+	n.AddLiteral("q", StartOfData, 3)     // state 6
+	before := n.Clone()
+
+	// The ring and "q", listed out of ID order: result IDs follow the list.
+	ids := []StateID{6, ring[2], ring[0], ring[1]}
+	sub := n.Induced(ids)
+	if err := sub.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if sub.Bits != n.Bits || sub.Stride != n.Stride || sub.NumStates() != len(ids) {
+		t.Fatalf("sub is %d/%d with %d states", sub.Bits, sub.Stride, sub.NumStates())
+	}
+	for i, id := range ids {
+		got, want := sub.States[i], n.States[id]
+		if got.Start != want.Start || got.Report != want.Report || got.ReportCode != want.ReportCode ||
+			got.ReportOffset != want.ReportOffset {
+			t.Fatalf("state %d (orig %d) metadata differs: %+v vs %+v", i, id, got, want)
+		}
+		if &got.Match[0][0] != &want.Match[0][0] {
+			t.Fatalf("state %d (orig %d): match set copied, want aliased", i, id)
+		}
+	}
+	// Edges, in the source's out-edge order: orig 3->4, 4->5, 4->4, 5->3
+	// become 2->3, 3->1, 3->3, 1->2.
+	wantOut := [][]StateID{{}, {2}, {3}, {1, 3}}
+	for i, want := range wantOut {
+		got := sub.States[i].Out
+		if len(got) != len(want) {
+			t.Fatalf("state %d out-edges %v, want %v", i, got, want)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("state %d out-edges %v, want %v", i, got, want)
+			}
+		}
+	}
+	if sub.NumTransitions() != 4 {
+		t.Fatalf("sub has %d transitions, want 4", sub.NumTransitions())
+	}
+	if n.NumTransitions() != before.NumTransitions() || n.NumStates() != before.NumStates() {
+		t.Fatal("Induced modified its source")
+	}
+	if empty := n.Induced(nil); empty.NumStates() != 0 || empty.Bits != 8 {
+		t.Fatalf("Induced(nil) = %d states, %d bits", empty.NumStates(), empty.Bits)
+	}
+}
+
 func TestBFSOrder(t *testing.T) {
 	n := buildFig1(t)
 	ccs := n.ConnectedComponents()

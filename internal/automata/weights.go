@@ -1,6 +1,7 @@
 package automata
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -79,16 +80,18 @@ func (w *Weights) NumEdges() int {
 }
 
 // checkWeight rejects NaN, infinities and out-of-range magnitudes — the
-// values that would break max-plus ordering or float exactness.
-func checkWeight(v float64, what string) error {
+// values that would break max-plus ordering or float exactness. The error
+// is the predicate only; the caller names the weight, and only on failure
+// (Validate walks every edge of every scored load).
+func checkWeight(v float64) error {
 	if math.IsNaN(v) {
-		return fmt.Errorf("automata: %s is NaN", what)
+		return errors.New("is NaN")
 	}
 	if math.IsInf(v, 0) {
-		return fmt.Errorf("automata: %s is infinite", what)
+		return errors.New("is infinite")
 	}
 	if math.Abs(v) > WeightLimit {
-		return fmt.Errorf("automata: %s magnitude %g exceeds the weight limit %d", what, v, int64(WeightLimit))
+		return fmt.Errorf("magnitude %g exceeds the weight limit %d", v, int64(WeightLimit))
 	}
 	return nil
 }
@@ -107,12 +110,12 @@ func (w *Weights) Validate(n *NFA) error {
 				i, len(w.Edge[i]), len(n.States[i].Out))
 		}
 		for j, v := range w.Edge[i] {
-			if err := checkWeight(v, fmt.Sprintf("state %d edge %d weight", i, j)); err != nil {
-				return err
+			if err := checkWeight(v); err != nil {
+				return fmt.Errorf("automata: state %d edge %d weight %v", i, j, err)
 			}
 		}
-		if err := checkWeight(w.Start[i], fmt.Sprintf("state %d start weight", i)); err != nil {
-			return err
+		if err := checkWeight(w.Start[i]); err != nil {
+			return fmt.Errorf("automata: state %d start weight %v", i, err)
 		}
 	}
 	if math.IsNaN(w.Threshold) || math.IsInf(w.Threshold, 0) || math.Abs(w.Threshold) > ScoreLimit {

@@ -536,11 +536,7 @@ func (c *Core) StepCycle(chunk []byte, t int, limitBits int, sink sim.ReportSink
 // position, deduplicated exactly as the frontier is (a state is either in
 // the frontier or not — never twice).
 func (d *DFA) Run(input []byte) []sim.Report {
-	var out []sim.Report
-	s := sim.NewSession(d.NewCore(), func(r sim.Report) { out = append(out, r) })
-	s.Feed(input)
-	s.Flush()
-	sim.SortReports(out)
+	out, _ := sim.RunBatch(d.NewCore(), input, 0, nil)
 	return out
 }
 

@@ -340,17 +340,9 @@ func (t *Tiered) RunParallel(input []byte, workers int) ([]sim.Report, error) {
 		out = append(out, reps...)
 	}
 	sim.SortReports(out)
-	if m := tierMetricsPtr.Load(); m != nil {
-		if t.dfa != nil {
-			m.dfaBytes.Add(int64(len(input)))
-		}
-		if t.nfac != nil {
-			m.nfaBytes.Add(int64(len(input)))
-		}
-		m.reports.Add(int64(len(out)))
-		if serialNFA {
-			m.fallbacks.Inc()
-		}
+	t.countRun(len(input), len(out))
+	if m := tierMetricsPtr.Load(); m != nil && serialNFA {
+		m.fallbacks.Inc()
 	}
 	return out, nil
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -108,11 +107,10 @@ func (p *Plan) DFACCs() int {
 }
 
 // Tiered is the two-engine execution form of a tier plan: at most one
-// union DFA and one compiled bit-parallel NFA, stepped in lockstep per
-// cycle so the pair behaves as a single sim.Core. Reports carry original
-// automaton state IDs; merged output is byte-identical to the scalar
-// simulator's. A Tiered value is immutable after construction and safe to
-// share across goroutines.
+// union DFA and one compiled bit-parallel NFA, the (at most two) lanes of
+// one sim.Lockstep. Reports carry original automaton state IDs; merged
+// output is byte-identical to the scalar simulator's. A Tiered value is
+// immutable after construction and safe to share across goroutines.
 type Tiered struct {
 	nfa  *automata.NFA
 	plan Plan
@@ -123,27 +121,30 @@ type Tiered struct {
 	nfac    *sim.Compiled
 	nfaOrig []automata.StateID
 
-	planCPU time.Duration
-	pool    sync.Pool
+	lockstep *sim.Lockstep
+	planCPU  time.Duration
 }
 
-// extract builds the sub-automaton induced by ids (which must be closed
-// under edges — true for any union of weakly connected components). State
-// order follows ids; match sets are aliased, not copied.
-func extract(n *automata.NFA, ids []automata.StateID) *automata.NFA {
-	sub := automata.New(n.Bits, n.Stride)
-	remap := make(map[automata.StateID]automata.StateID, len(ids))
-	for _, id := range ids {
-		s := n.States[id]
-		s.Out = nil
-		remap[id] = sub.AddState(s)
+// setTiers installs the execution side of a plan: d over the states dfaIDs
+// (nil when no DFA tier was selected), a freshly compiled bit-parallel form
+// over nfaIDs (none when empty), and the lockstep form over the two. Both ID
+// lists are ascending and each is a union of components.
+func (t *Tiered) setTiers(d *DFA, dfaIDs, nfaIDs []automata.StateID) error {
+	var lanes []sim.Lane
+	if d != nil {
+		t.dfa, t.dfaOrig = d, dfaIDs
+		lanes = append(lanes, sim.Lane{New: func() sim.Core { return d.NewCore() }, Orig: dfaIDs})
 	}
-	for _, id := range ids {
-		for _, t := range n.States[id].Out {
-			sub.AddEdge(remap[id], remap[t])
+	if len(nfaIDs) > 0 {
+		c, err := sim.Compile(t.nfa.Induced(nfaIDs))
+		if err != nil {
+			return err
 		}
+		t.nfac, t.nfaOrig = c, nfaIDs
+		lanes = append(lanes, sim.Lane{New: func() sim.Core { return c.NewEngine() }, Orig: nfaIDs})
 	}
-	return sub
+	t.lockstep = sim.NewLockstep(t.nfa.Bits, t.nfa.Stride, lanes)
+	return nil
 }
 
 // BuildTiered plans and constructs the hybrid execution form:
@@ -186,7 +187,7 @@ func BuildTiered(n *automata.NFA, opts TierOptions) (*Tiered, error) {
 	trialErrs := make([]error, len(ccs))
 	par.TraceFor(opts.Trace, "tier/trial", workers, len(ccs), func(i int) {
 		t0 := time.Now()
-		sub := extract(n, ccs[i])
+		sub := n.Induced(ccs[i])
 		d, err := Build(sub, Options{MaxStates: ccBudget, Workers: 1})
 		cpuNS.Add(int64(time.Since(t0)))
 		pc := &plan.CCs[i]
@@ -238,7 +239,7 @@ func BuildTiered(n *automata.NFA, opts TierOptions) (*Tiered, error) {
 		}
 		ids := unionIDs(k)
 		t0 := time.Now()
-		d, err := Build(extract(n, ids), Options{MaxStates: unionBudget, Workers: workers, Trace: opts.Trace})
+		d, err := Build(n.Induced(ids), Options{MaxStates: unionBudget, Workers: workers, Trace: opts.Trace})
 		cpuNS.Add(int64(time.Since(t0)))
 		if err != nil {
 			if errors.Is(err, ErrStateBlowup) {
@@ -293,7 +294,6 @@ func BuildTiered(n *automata.NFA, opts TierOptions) (*Tiered, error) {
 		}
 	}
 
-	t.dfa, t.dfaOrig = unionDFA, unionSub
 	if unionDFA != nil {
 		plan.DFAStates = unionDFA.NumStates()
 		plan.DFATableBytes = unionDFA.TableBytes()
@@ -307,17 +307,12 @@ func BuildTiered(n *automata.NFA, opts TierOptions) (*Tiered, error) {
 		}
 	}
 	sort.Slice(nfaIDs, func(a, b int) bool { return nfaIDs[a] < nfaIDs[b] })
-	if len(nfaIDs) > 0 {
-		c, err := sim.Compile(extract(n, nfaIDs))
-		if err != nil {
-			return nil, err
-		}
-		t.nfac, t.nfaOrig = c, nfaIDs
+	if err := t.setTiers(unionDFA, unionSub, nfaIDs); err != nil {
+		return nil, err
 	}
 	plan.NFAStates = len(nfaIDs)
 	t.plan = plan
 	t.planCPU = time.Duration(cpuNS.Load())
-	t.pool.New = func() any { return t.newCore() }
 
 	if m := tierMetricsPtr.Load(); m != nil {
 		demoted := 0
@@ -348,102 +343,39 @@ func (t *Tiered) NFA() *automata.NFA { return t.nfa }
 // determinizations (the tier-select stage's CPU statistic).
 func (t *Tiered) PlanCPU() time.Duration { return t.planCPU }
 
-// tieredCore steps both tiers in lockstep as one sim.Core. Report sinks
-// are stable closures that remap sub-automaton state IDs to original IDs,
-// so steady-state stepping allocates nothing.
-type tieredCore struct {
-	t     *Tiered
-	dc    *Core
-	ne    *sim.CompiledEngine
-	sink  sim.ReportSink
-	dSink sim.ReportSink
-	nSink sim.ReportSink
-}
-
-func (t *Tiered) newCore() *tieredCore {
-	c := &tieredCore{t: t}
-	if t.dfa != nil {
-		c.dc = t.dfa.NewCore()
-		c.dSink = func(r sim.Report) {
-			r.State = t.dfaOrig[r.State]
-			c.sink(r)
-		}
-	}
-	if t.nfac != nil {
-		c.ne = t.nfac.NewEngine()
-		c.nSink = func(r sim.Report) {
-			r.State = t.nfaOrig[r.State]
-			c.sink(r)
-		}
-	}
-	return c
-}
+// Lanes returns the tiers as lockstep lanes (DFA first), for composing this
+// form into a larger lockstep form.
+func (t *Tiered) Lanes() []sim.Lane { return t.lockstep.Lanes() }
 
 // NewCore returns a fresh per-stream core over the tiered form; it
 // implements sim.Core.
-func (t *Tiered) NewCore() sim.Core { return t.newCore() }
+func (t *Tiered) NewCore() sim.Core { return t.lockstep.NewCore() }
 
 // NewSession returns a streaming session over the tiered form. Many
 // sessions may run concurrently over one Tiered; each owns its cores.
-func (t *Tiered) NewSession(sink sim.ReportSink) *sim.Session {
-	return sim.NewSession(t.newCore(), sink)
-}
-
-// Geometry implements sim.Core.
-func (c *tieredCore) Geometry() (bits, stride int) { return c.t.nfa.Bits, c.t.nfa.Stride }
-
-// ResetState implements sim.Core.
-func (c *tieredCore) ResetState() {
-	if c.dc != nil {
-		c.dc.ResetState()
-	}
-	if c.ne != nil {
-		c.ne.ResetState()
-	}
-}
-
-// StepCycle implements sim.Core: both tiers consume the same chunk; counts
-// sum to exactly the whole automaton's enabled/active counts because the
-// tiers partition its components.
-func (c *tieredCore) StepCycle(chunk []byte, t int, limitBits int, sink sim.ReportSink, tracer sim.Tracer) (int, int) {
-	c.sink = sink
-	var ne, na int
-	if c.dc != nil {
-		e, a := c.dc.StepCycle(chunk, t, limitBits, c.dSink, nil)
-		ne += e
-		na += a
-	}
-	if c.ne != nil {
-		e, a := c.ne.StepCycle(chunk, t, limitBits, c.nSink, nil)
-		ne += e
-		na += a
-	}
-	return ne, na
-}
+func (t *Tiered) NewSession(sink sim.ReportSink) *sim.Session { return t.lockstep.NewSession(sink) }
 
 // Run executes the tiered form over input on a pooled core and returns the
 // sorted reports and stats, byte-identical (reports and statistics both)
 // to the scalar simulator over the original automaton. It is safe for
 // concurrent use.
 func (t *Tiered) Run(input []byte) ([]sim.Report, sim.Stats) {
-	core := t.pool.Get().(*tieredCore)
-	var out []sim.Report
-	s := sim.NewSession(core, func(r sim.Report) { out = append(out, r) })
-	s.Feed(input)
-	s.Flush()
-	sim.SortReports(out)
-	st := s.Stats()
-	t.pool.Put(core)
+	out, st := t.lockstep.Run(input)
+	t.countRun(len(input), len(out))
+	return out, st
+}
+
+// countRun publishes one scan of input bytes through every live tier.
+func (t *Tiered) countRun(inputBytes, reports int) {
 	if m := tierMetricsPtr.Load(); m != nil {
 		if t.dfa != nil {
-			m.dfaBytes.Add(int64(len(input)))
+			m.dfaBytes.Add(int64(inputBytes))
 		}
 		if t.nfac != nil {
-			m.nfaBytes.Add(int64(len(input)))
+			m.nfaBytes.Add(int64(inputBytes))
 		}
-		m.reports.Add(int64(len(out)))
+		m.reports.Add(int64(reports))
 	}
-	return out, st
 }
 
 // Sealed is the serialization form of a tier selection: the plan plus the
@@ -495,9 +427,10 @@ func Unseal(n *automata.NFA, s *Sealed) (*Tiered, error) {
 	if (s.DFA == nil) != (len(dfaIDs) == 0) {
 		return nil, fmt.Errorf("dfa: sealed DFA tables inconsistent with plan")
 	}
+	var d *DFA
 	if s.DFA != nil {
-		d, err := FromRaw(s.DFA)
-		if err != nil {
+		var err error
+		if d, err = FromRaw(s.DFA); err != nil {
 			return nil, err
 		}
 		if d.bits != n.Bits || d.stride != n.Stride {
@@ -510,15 +443,9 @@ func Unseal(n *automata.NFA, s *Sealed) (*Tiered, error) {
 				}
 			}
 		}
-		t.dfa, t.dfaOrig = d, dfaIDs
 	}
-	if len(nfaIDs) > 0 {
-		c, err := sim.Compile(extract(n, nfaIDs))
-		if err != nil {
-			return nil, err
-		}
-		t.nfac, t.nfaOrig = c, nfaIDs
+	if err := t.setTiers(d, dfaIDs, nfaIDs); err != nil {
+		return nil, err
 	}
-	t.pool.New = func() any { return t.newCore() }
 	return t, nil
 }

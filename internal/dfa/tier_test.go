@@ -9,6 +9,7 @@ import (
 	"impala/internal/automata"
 	"impala/internal/core"
 	"impala/internal/dfa"
+	"impala/internal/obs"
 	"impala/internal/regexc"
 	"impala/internal/sim"
 )
@@ -284,5 +285,18 @@ func TestTieredSessionChunked(t *testing.T) {
 	sim.SortReports(got)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("chunked session != batch\nbatch=%v\nchunked=%v", want, got)
+	}
+
+	// Steady-state Feed through the lockstep core allocates nothing, with
+	// the stream metrics off and live.
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		sim.EnableMetrics(reg)
+		s := tiered.NewSession(func(sim.Report) {})
+		s.Feed(input) // warm the sub-symbol scratch buffer
+		avg := testing.AllocsPerRun(50, func() { s.Feed(input) })
+		sim.EnableMetrics(nil)
+		if avg != 0 {
+			t.Errorf("metrics live=%t: steady-state tiered Feed allocates %.1f objects/op, want 0", reg != nil, avg)
+		}
 	}
 }

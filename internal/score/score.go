@@ -1,10 +1,12 @@
-// Package score executes weighted automata: the bit-parallel datapath of
-// internal/sim extended with a score vector that rides alongside the
-// active-state words. Each transition carries a max-plus weight
-// (automata.Weights); the score of a state at cycle t is the best
-// accumulated weight over all enabling paths, and a report fires only when
-// its state's score meets the table's threshold — edit-distance and
-// alignment scoring instead of binary accept.
+// Package score executes weighted automata as a lane beside the bit-parallel
+// kernel of internal/sim: the kernel's enable and state-match phases decide
+// which states are active, exactly as for a binary automaton, and this
+// package adds the score vector that rides alongside the active-state
+// words. Each transition carries a max-plus weight (automata.Weights); the
+// score of a state at cycle t is the best accumulated weight over all
+// enabling paths, and a report fires only when its state's score meets the
+// table's threshold — edit-distance and alignment scoring instead of binary
+// accept.
 //
 // Accumulation is max-plus and saturating (scores clamp to
 // ±automata.ScoreLimit, far below float64's integer-exactness boundary, so
@@ -48,30 +50,18 @@ type inEdge struct {
 	w    float64
 }
 
-// Compiled is the immutable bit-parallel form of a weighted automaton. It
-// mirrors sim.Compiled — identical mask tables, successor matrix and
-// start/report masks, so the binary behavior is byte-identical — plus the
-// scoring configuration: a predecessor matrix for the uniform fast path,
-// per-state entry weights, scalar in-edge lists for heterogeneous states,
-// start weights and the report threshold. Safe to share across goroutines;
-// per-stream state lives in Engine.
+// Compiled is the immutable scored form of a weighted automaton: the binary
+// kernel (a sim.Compiled, which owns every table the enable, match and
+// report phases read) plus only what scoring adds — a predecessor matrix for
+// the uniform fast path, per-state entry weights, scalar in-edge lists for
+// heterogeneous states, start weights and the report threshold. Safe to
+// share across goroutines; per-stream state lives in Engine.
 type Compiled struct {
-	nfa *automata.NFA
+	kernel *sim.Compiled
 
-	// masks[p][v]: states accepting sub-symbol v at stride position p.
-	masks [][]bitvec.Words
-	// residual lists non-position-decomposable states (scalar match path).
-	residual []automata.StateID
-
-	// succ row i: enable mask of state i's successors. pred row i: mask of
-	// state i's predecessors (the transpose), driving the scoring fast path.
-	succ, pred *bitvec.Matrix
-
-	always, startOfData, even bitvec.Words
-	anyStartOfData, anyEven   bool
-
-	reportingMask bitvec.Words
-	anyReports    bool
+	// pred row i: mask of state i's predecessors (the transpose of the
+	// kernel's successor matrix), driving the scoring fast path.
+	pred *bitvec.Matrix
 
 	// uniform[i] is true when every in-edge of state i carries uniformW[i]
 	// (including states with no in-edges); heterogeneous states carry their
@@ -86,77 +76,38 @@ type Compiled struct {
 	pool sync.Pool
 }
 
-// Compile builds the scored bit-parallel form. The weight table must
-// validate against n; neither may be mutated while the compiled form is in
-// use.
+// Compile builds the scored form: the binary kernel of n and the scoring
+// tables of w beside it. The weight table must validate against n; neither
+// may be mutated while the compiled form is in use.
 func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
 	if w == nil {
 		return nil, fmt.Errorf("score: Compile requires a weight table (use sim.Compile for binary execution)")
 	}
 	if err := w.Validate(n); err != nil {
 		return nil, err
 	}
-	ns := n.NumStates()
-	S := n.Stride
-	dom := automata.DomainSize(n.Bits)
-
-	c := &Compiled{
-		nfa:           n,
-		succ:          bitvec.NewMatrix(ns, ns),
-		pred:          bitvec.NewMatrix(ns, ns),
-		always:        bitvec.NewWords(ns),
-		startOfData:   bitvec.NewWords(ns),
-		even:          bitvec.NewWords(ns),
-		reportingMask: bitvec.NewWords(ns),
-		uniform:       make([]bool, ns),
-		uniformW:      make([]float64, ns),
-		hetIn:         make([][]inEdge, ns),
-		startW:        append([]float64(nil), w.Start...),
-		threshold:     w.Threshold,
+	kernel, err := sim.Compile(n)
+	if err != nil {
+		return nil, err
 	}
-	c.masks = make([][]bitvec.Words, S)
-	for p := range c.masks {
-		c.masks[p] = make([]bitvec.Words, dom)
-		for v := range c.masks[p] {
-			c.masks[p][v] = bitvec.NewWords(ns)
-		}
+	ns := n.NumStates()
+	c := &Compiled{
+		kernel:    kernel,
+		pred:      bitvec.NewMatrix(ns, ns),
+		uniform:   make([]bool, ns),
+		uniformW:  make([]float64, ns),
+		hetIn:     make([][]inEdge, ns),
+		startW:    append([]float64(nil), w.Start...),
+		threshold: w.Threshold,
 	}
 
 	// In-edge weight classification: collect per-target in-edges, then mark
 	// targets whose weights are all equal as uniform (fast path).
 	in := make([][]inEdge, ns)
 	for i := range n.States {
-		s := &n.States[i]
-		for j, t := range s.Out {
-			c.succ.Set(i, int(t))
+		for j, t := range n.States[i].Out {
 			c.pred.Set(int(t), i)
 			in[t] = append(in[t], inEdge{from: int32(i), w: w.Edge[i][j]})
-		}
-		switch s.Start {
-		case automata.StartAllInput:
-			c.always.Set(i)
-		case automata.StartOfData:
-			c.startOfData.Set(i)
-			c.anyStartOfData = true
-		case automata.StartEven:
-			c.even.Set(i)
-			c.anyEven = true
-		}
-		if s.Report {
-			c.reportingMask.Set(i)
-			c.anyReports = true
-		}
-		if dims, ok := sim.Decompose(s.Match, S); ok {
-			for p := 0; p < S; p++ {
-				for _, v := range dims[p].Values() {
-					c.masks[p][v].Set(i)
-				}
-			}
-		} else {
-			c.residual = append(c.residual, automata.StateID(i))
 		}
 	}
 	for i := range in {
@@ -175,22 +126,25 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 			c.hetIn[i] = in[i]
 		}
 	}
-	// Warm the row-extent caches while still single-threaded (the compiled
+	// Warm the row-extent cache while still single-threaded (the compiled
 	// form is shared read-only afterwards).
-	c.succ.OrRowsInto(nil, nil)
 	c.pred.OrRowsInto(nil, nil)
 	c.pool.New = func() any { return c.NewEngine() }
 	return c, nil
 }
 
+// Kernel returns the binary compiled form the scored form runs on: the same
+// automaton with the weights ignored.
+func (c *Compiled) Kernel() *sim.Compiled { return c.kernel }
+
 // NFA returns the automaton this form was compiled from.
-func (c *Compiled) NFA() *automata.NFA { return c.nfa }
+func (c *Compiled) NFA() *automata.NFA { return c.kernel.NFA() }
 
 // Threshold returns the report threshold baked into the compiled form.
 func (c *Compiled) Threshold() float64 { return c.threshold }
 
 // ResidualStates returns the number of states on the scalar match path.
-func (c *Compiled) ResidualStates() int { return len(c.residual) }
+func (c *Compiled) ResidualStates() int { return c.kernel.ResidualStates() }
 
 // ScalarScoredStates returns the number of states whose in-edge weights are
 // heterogeneous — the ones scored on the scalar fallback each cycle.
@@ -204,21 +158,24 @@ func (c *Compiled) ScalarScoredStates() int {
 	return k
 }
 
-// Engine executes a shared Compiled form over one stream. It implements
-// sim.Core, so sim.Session drives it with identical chunking/flush
-// semantics; the scored sink receives every report that clears the
-// threshold, while the binary sink passed by the session sees the same
-// reports (for statistics and binary consumers). Not safe for concurrent
-// use; engines are cheap — all heavy tables live on the Compiled.
+// Engine executes a shared Compiled form over one stream: a kernel engine
+// plus the score vectors. It implements sim.Core, so sim.Session drives it
+// with identical chunking/flush semantics; the scored sink receives every
+// report that clears the threshold, while the binary sink passed by the
+// session sees the same reports (for statistics and binary consumers). Not
+// safe for concurrent use; engines are cheap — all heavy tables live on the
+// Compiled.
 type Engine struct {
-	c                           *Compiled
-	enabled, active, prevActive bitvec.Words
-	startEn                     bitvec.Words
-	score, prevScore            []float64
+	c                *Compiled
+	kernel           *sim.CompiledEngine
+	score, prevScore []float64
 
 	// onScore, when non-nil, receives each threshold-clearing report with
 	// its score.
 	onScore Sink
+	// gate is the threshold comparator the kernel's report phase emits into,
+	// built once; sink is where it forwards the cycle in progress's passes.
+	gate, sink sim.ReportSink
 
 	// rejects counts threshold-suppressed reports since the last drain;
 	// scored counts emitted scored reports. Plain ints — the obs boundary
@@ -229,26 +186,37 @@ type Engine struct {
 
 // NewEngine allocates per-stream state for the compiled scored automaton.
 func (c *Compiled) NewEngine() *Engine {
-	ns := c.nfa.NumStates()
-	return &Engine{
-		c:          c,
-		enabled:    bitvec.NewWords(ns),
-		active:     bitvec.NewWords(ns),
-		prevActive: bitvec.NewWords(ns),
-		startEn:    bitvec.NewWords(ns),
-		score:      make([]float64, ns),
-		prevScore:  make([]float64, ns),
+	ns := c.kernel.NFA().NumStates()
+	e := &Engine{
+		c:         c,
+		kernel:    c.kernel.NewEngine(),
+		score:     make([]float64, ns),
+		prevScore: make([]float64, ns),
 	}
+	e.kernel.SetLane(e.propagate)
+	e.gate = func(r sim.Report) {
+		sc := e.score[r.State]
+		if sc < c.threshold {
+			e.rejects++
+			return
+		}
+		e.sink(r)
+		e.scored++
+		if e.onScore != nil {
+			e.onScore(Report{Report: r, Score: sc})
+		}
+	}
+	return e
 }
 
 // SetSink attaches the scored report sink (may be nil to drop scores).
 func (e *Engine) SetSink(s Sink) { e.onScore = s }
 
 // Geometry implements sim.Core.
-func (e *Engine) Geometry() (int, int) { return e.c.nfa.Bits, e.c.nfa.Stride }
+func (e *Engine) Geometry() (int, int) { return e.kernel.Geometry() }
 
 // ResetState implements sim.Core.
-func (e *Engine) ResetState() { e.prevActive.ClearAll() }
+func (e *Engine) ResetState() { e.kernel.ResetState() }
 
 // satAdd is the saturating max-plus addition: sums clamp to ±ScoreLimit.
 func satAdd(a, b float64) float64 {
@@ -262,57 +230,34 @@ func satAdd(a, b float64) float64 {
 	return s
 }
 
-// StepCycle implements sim.Core: one cycle of the bit-parallel datapath
-// plus the score propagation pass. Stale score slots are never read — a
-// previous-cycle score is consulted only under the prevActive mask, and a
-// current score only for states in the active set.
+// StepCycle implements sim.Core: one kernel cycle with the score lane riding
+// it — the kernel runs its enable and match phases, calls propagate over the
+// states they left active, then reports through the threshold gate. Stale
+// score slots are never read — a previous-cycle score is consulted only
+// under the previous-active mask, and a current score only for states in
+// the active set.
 func (e *Engine) StepCycle(chunk []byte, t int, limitBits int, sink sim.ReportSink, tracer sim.Tracer) (int, int) {
-	c := e.c
-	n := c.nfa
-	enabled, active, prev := e.enabled, e.active, e.prevActive
+	e.sink = sink
+	ne, na := e.kernel.StepCycle(chunk, t, limitBits, e.gate, tracer)
+	e.prevScore, e.score = e.score, e.prevScore
+	return ne, na
+}
 
-	// Start-enable sources are remembered separately: a state enabled as a
-	// start candidate scores startW even when no predecessor reaches it.
-	startEn := e.startEn
-	startEn.CopyFrom(c.always)
-	if t == 0 && c.anyStartOfData {
-		c.startOfData.OrInto(startEn)
-	}
-	if t%2 == 0 && c.anyEven {
-		c.even.OrInto(startEn)
-	}
-	enabled.CopyFrom(startEn)
-	c.succ.OrRowsInto(prev, enabled)
-
-	// State-match phase — identical to sim.CompiledEngine.
-	m0 := c.masks[0][chunk[0]][:len(active)]
-	en := enabled[:len(active)]
-	for w := range active {
-		active[w] = en[w] & m0[w]
-	}
-	for p := 1; p < n.Stride; p++ {
-		mp := c.masks[p][chunk[p]][:len(active)]
-		for w := range active {
-			active[w] &= mp[w]
-		}
-	}
-	for _, id := range c.residual {
-		if enabled.Get(int(id)) && n.States[id].Match.Has(chunk) {
-			active.Set(int(id))
-		}
-	}
-
-	// Score propagation: for every active state, the best of its start
-	// score (if start-enabled this cycle) and max over active predecessors
-	// of (predecessor score + entry weight).
-	score, prevScore := e.score, e.prevScore
-	pw := prevScore
-	for w, word := range active {
+// propagate is the lane the kernel calls (sim.CompiledEngine.SetLane) once
+// the cycle's active set is known. It scores every active state: the best
+// of its start weight (if it is a start candidate this cycle, whether or not
+// a predecessor also reaches it) and the max over active predecessors of
+// (predecessor score + entry weight).
+func (e *Engine) propagate(t int) {
+	c, k := e.c, e.kernel
+	prev := k.PrevActive()
+	score, pw := e.score, e.prevScore
+	for w, word := range k.Active() {
 		for word != 0 {
 			i := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
 			best := math.Inf(-1)
-			if startEn.Get(i) {
+			if k.StartEnabled(i, t) {
 				best = c.startW[i]
 			}
 			if c.uniform[i] {
@@ -348,41 +293,6 @@ func (e *Engine) StepCycle(chunk []byte, t int, limitBits int, sink sim.ReportSi
 			score[i] = best
 		}
 	}
-
-	// Reporting: binary-identical gate, then the threshold comparator.
-	if c.anyReports {
-		base := t * n.Stride
-		for w, word := range active {
-			word &= c.reportingMask[w]
-			for word != 0 {
-				i := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				s := &n.States[i]
-				bitPos := (base + s.ReportOffset) * n.Bits
-				if limitBits >= 0 && bitPos > limitBits {
-					continue
-				}
-				if sc := score[i]; sc >= c.threshold {
-					r := sim.Report{BitPos: bitPos, Code: s.ReportCode, State: automata.StateID(i)}
-					sink(r)
-					e.scored++
-					if e.onScore != nil {
-						e.onScore(Report{Report: r, Score: sc})
-					}
-				} else {
-					e.rejects++
-				}
-			}
-		}
-	}
-
-	na, ne := active.Count(), enabled.Count()
-	if tracer != nil {
-		tracer.OnCycle(t, enabled, active)
-	}
-	e.prevActive, e.active = active, prev
-	e.prevScore, e.score = score, prevScore
-	return ne, na
 }
 
 // SortReports orders scored reports by (BitPos, Code, State) — the binary

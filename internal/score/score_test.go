@@ -266,8 +266,12 @@ func TestZeroWeightDifferentialPin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			binReports, _ := bc.Run(input)
-			scored, _ := cc.Run(input)
+			binReports, binStats := bc.Run(input)
+			scored, scoredStats := cc.Run(input)
+			if scoredStats != binStats {
+				t.Fatalf("trial %d cfg %d/%d: scored lane stats %+v != kernel's %+v",
+					trial, cfg.TargetBits, cfg.StrideDims, scoredStats, binStats)
+			}
 			var gotBin []sim.Report
 			for _, sr := range scored {
 				if sr.Score != 0 {
@@ -309,6 +313,24 @@ func TestScoredSessionMatchesRun(t *testing.T) {
 		SortReports(got)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: streaming diverged\n got: %v\nwant: %v", trial, got, want)
+		}
+
+		// Steady-state Feed through the scored lane allocates nothing, with
+		// the stream and score metrics off and live.
+		if trial > 0 {
+			continue
+		}
+		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+			sim.EnableMetrics(reg)
+			EnableMetrics(reg)
+			s := c.NewSession(func(Report) {})
+			s.Feed(input) // warm the sub-symbol scratch buffer
+			avg := testing.AllocsPerRun(50, func() { s.Feed(input) })
+			sim.EnableMetrics(nil)
+			EnableMetrics(nil)
+			if avg != 0 {
+				t.Errorf("metrics live=%t: steady-state scored Feed allocates %.1f objects/op, want 0", reg != nil, avg)
+			}
 		}
 	}
 }

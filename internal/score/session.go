@@ -11,7 +11,7 @@ func (c *Compiled) acquireEngine() *Engine {
 }
 
 func (c *Compiled) releaseEngine(e *Engine) {
-	e.onScore = nil
+	e.onScore, e.sink = nil, nil
 	e.rejects, e.scored = 0, 0
 	c.pool.Put(e)
 }

@@ -17,7 +17,6 @@ package shard
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -162,28 +161,33 @@ type Sharded struct {
 	nfa      *automata.NFA
 	plan     Plan
 	shards   []shardEngine
+	lockstep *sim.Lockstep // every live shard's lanes, flattened
 	workers  int
 	buildCPU time.Duration
-	pool     sync.Pool // of *shardedCore, for one-shot Run merging
 }
 
-// extract builds the sub-automaton induced by ids (closed under edges —
-// true for any union of weakly connected components). State order follows
-// ids; match sets are aliased, not copied.
-func extract(n *automata.NFA, ids []automata.StateID) *automata.NFA {
-	sub := automata.New(n.Bits, n.Stride)
-	remap := make(map[automata.StateID]automata.StateID, len(ids))
-	for _, id := range ids {
-		s := n.States[id]
-		s.Out = nil
-		remap[id] = sub.AddState(s)
-	}
-	for _, id := range ids {
-		for _, t := range n.States[id].Out {
-			sub.AddEdge(remap[id], remap[t])
+// setShards installs the shard engines and the lockstep form over them. The
+// form is flat: a tiered shard contributes its tiers' lanes with their ID
+// tables composed through the shard's own, an untiered shard its compiled
+// form, so a report is remapped once whatever the nesting.
+func (s *Sharded) setShards(engines []shardEngine) {
+	var lanes []sim.Lane
+	for i := range engines {
+		e := &engines[i]
+		if e.tiered != nil {
+			for _, l := range e.tiered.Lanes() {
+				orig := make([]automata.StateID, len(l.Orig))
+				for j, id := range l.Orig {
+					orig[j] = e.orig[id]
+				}
+				lanes = append(lanes, sim.Lane{New: l.New, Orig: orig})
+			}
+		} else if c := e.comp; c != nil {
+			lanes = append(lanes, sim.Lane{New: func() sim.Core { return c.NewEngine() }, Orig: e.orig})
 		}
 	}
-	return sub
+	s.shards = engines
+	s.lockstep = sim.NewLockstep(s.nfa.Bits, s.nfa.Stride, lanes)
 }
 
 // shardIDs collects each shard's state IDs, sorted ascending, from a plan.
@@ -212,12 +216,12 @@ func Build(n *automata.NFA, opts Options) (*Sharded, error) {
 	ccs := n.ConnectedComponents()
 	plan := planShards(n, ccs, opts.Shards)
 	s := &Sharded{nfa: n, plan: plan, workers: par.Workers(opts.Workers)}
-	var err error
-	s.shards, s.buildCPU, err = buildEngines(n, shardIDs(ccs, plan), opts)
+	engines, cpu, err := buildEngines(n, shardIDs(ccs, plan), opts)
 	if err != nil {
 		return nil, err
 	}
-	s.pool.New = func() any { return s.newCore() }
+	s.setShards(engines)
+	s.buildCPU = cpu
 	if m := shardMetricsPtr.Load(); m != nil {
 		m.builds.Add(1)
 	}
@@ -237,7 +241,7 @@ func buildEngines(n *automata.NFA, ids [][]automata.StateID, opts Options) ([]sh
 		}
 		t0 := time.Now()
 		defer func() { cpuNS.Add(int64(time.Since(t0))) }()
-		sub := extract(n, ids[k])
+		sub := n.Induced(ids[k])
 		engines[k].orig = ids[k]
 		if opts.Tier != nil {
 			topt := *opts.Tier
@@ -342,7 +346,9 @@ func (s *Sharded) nonEmpty() []int {
 func (s *Sharded) Run(input []byte) ([]sim.Report, sim.Stats) {
 	live := s.nonEmpty()
 	if len(live) <= 1 || s.workers <= 1 {
-		return s.runLockstep(input)
+		reports, st := s.lockstep.Run(input)
+		s.countRun(len(input), len(live), len(reports))
+		return reports, st
 	}
 
 	type shardOut struct {
@@ -386,21 +392,6 @@ func (s *Sharded) Run(input []byte) ([]sim.Report, sim.Stats) {
 	return reports, st
 }
 
-// runLockstep is Run on a pooled lockstep core: exact statistics, no
-// fan-out overhead.
-func (s *Sharded) runLockstep(input []byte) ([]sim.Report, sim.Stats) {
-	core := s.pool.Get().(*shardedCore)
-	var reports []sim.Report
-	sess := sim.NewSession(core, func(r sim.Report) { reports = append(reports, r) })
-	sess.Feed(input)
-	sess.Flush()
-	sim.SortReports(reports)
-	st := sess.Stats()
-	s.pool.Put(core)
-	s.countRun(len(input), len(s.nonEmpty()), len(reports))
-	return reports, st
-}
-
 func (s *Sharded) countRun(inputBytes, liveShards, reports int) {
 	if m := shardMetricsPtr.Load(); m != nil {
 		m.scans.Add(1)
@@ -409,72 +400,17 @@ func (s *Sharded) countRun(inputBytes, liveShards, reports int) {
 	}
 }
 
-// shardedCore steps every shard engine in lockstep as one sim.Core: the
-// N-way generalization of the tiered core's two-engine dispatch. Report
-// sinks are stable closures that remap shard-local state IDs, so
-// steady-state stepping allocates nothing. Enabled/active counts sum to
-// exactly the whole automaton's because the shards partition its states.
-type shardedCore struct {
-	s     *Sharded
-	cores []sim.Core
-	sinks []sim.ReportSink
-	sink  sim.ReportSink
-}
-
-func (s *Sharded) newCore() *shardedCore {
-	c := &shardedCore{s: s}
-	for i := range s.shards {
-		e := &s.shards[i]
-		if e.empty() {
-			continue
-		}
-		var core sim.Core
-		if e.tiered != nil {
-			core = e.tiered.NewCore()
-		} else {
-			core = e.comp.NewEngine()
-		}
-		orig := e.orig
-		c.cores = append(c.cores, core)
-		c.sinks = append(c.sinks, func(r sim.Report) {
-			r.State = orig[r.State]
-			c.sink(r)
-		})
-	}
-	return c
-}
+// Lanes returns the flattened lockstep lanes of all live shards, in shard
+// order (a tiered shard's DFA lane before its NFA lane).
+func (s *Sharded) Lanes() []sim.Lane { return s.lockstep.Lanes() }
 
 // NewCore returns a fresh per-stream lockstep core over all shards; it
 // implements sim.Core.
-func (s *Sharded) NewCore() sim.Core { return s.newCore() }
+func (s *Sharded) NewCore() sim.Core { return s.lockstep.NewCore() }
 
 // NewSession returns a streaming session over the sharded form. Many
 // sessions may run concurrently over one Sharded; each owns its cores.
-func (s *Sharded) NewSession(sink sim.ReportSink) *sim.Session {
-	return sim.NewSession(s.newCore(), sink)
-}
-
-// Geometry implements sim.Core.
-func (c *shardedCore) Geometry() (bits, stride int) { return c.s.nfa.Bits, c.s.nfa.Stride }
-
-// ResetState implements sim.Core.
-func (c *shardedCore) ResetState() {
-	for _, core := range c.cores {
-		core.ResetState()
-	}
-}
-
-// StepCycle implements sim.Core: every shard consumes the same chunk.
-func (c *shardedCore) StepCycle(chunk []byte, t int, limitBits int, sink sim.ReportSink, tracer sim.Tracer) (int, int) {
-	c.sink = sink
-	var ne, na int
-	for i, core := range c.cores {
-		e, a := core.StepCycle(chunk, t, limitBits, c.sinks[i], nil)
-		ne += e
-		na += a
-	}
-	return ne, na
-}
+func (s *Sharded) NewSession(sink sim.ReportSink) *sim.Session { return s.lockstep.NewSession(sink) }
 
 // Sealed is the serialization form of a shard partition: the plan plus
 // each shard's sealed tier selection (nil entries for untiered or empty
@@ -556,7 +492,7 @@ func UnsealShards(n *automata.NFA, s *Sealed, keep []int) (*Sharded, error) {
 
 	out := &Sharded{nfa: n, plan: s.Plan, workers: par.Workers(0)}
 	ids := shardIDs(ccs, s.Plan)
-	out.shards = make([]shardEngine, k)
+	engines := make([]shardEngine, k)
 	for i := 0; i < k; i++ {
 		var tier *dfa.Sealed
 		if len(s.Tiers) != 0 {
@@ -571,22 +507,22 @@ func UnsealShards(n *automata.NFA, s *Sealed, keep []int) (*Sharded, error) {
 		if !kept[i] {
 			continue // hosted by another worker; its engine is never built
 		}
-		sub := extract(n, ids[i])
-		out.shards[i].orig = ids[i]
+		sub := n.Induced(ids[i])
+		engines[i].orig = ids[i]
 		if tier != nil {
 			t, err := dfa.Unseal(sub, tier)
 			if err != nil {
 				return nil, fmt.Errorf("shard: shard %d tier does not unseal: %w", i, err)
 			}
-			out.shards[i].tiered = t
+			engines[i].tiered = t
 			continue
 		}
 		c, err := sim.Compile(sub)
 		if err != nil {
 			return nil, err
 		}
-		out.shards[i].comp = c
+		engines[i].comp = c
 	}
-	out.pool.New = func() any { return out.newCore() }
+	out.setShards(engines)
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 	"impala/internal/automata"
 	"impala/internal/core"
 	"impala/internal/dfa"
+	"impala/internal/obs"
 	"impala/internal/regexc"
 	"impala/internal/shard"
 	"impala/internal/sim"
@@ -161,6 +162,69 @@ func TestShardedLockstepStatsExact(t *testing.T) {
 			t.Fatalf("shards=%d: lockstep stats %+v != unsharded %+v", k, gs.Stats(), ws.Stats())
 		}
 	}
+
+	// K × tier on the four workload families: the lockstep core is flat —
+	// one child per tier of every live shard, not a core per shard holding a
+	// core per tier — and a session over it still reproduces the unsharded
+	// engine's reports and statistics exactly. Each family's split budget
+	// falls between its components' trial DFA sizes, so its shards hold a
+	// DFA lane and an NFA lane side by side.
+	for name, split := range map[string]int{"ExactMatch": 150, "Hamming": 1700, "RandomForest": 47, "CoreRings": 10} {
+		b, _ := workload.Get(name)
+		n8, err := b.Generate(0.01, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Compile(n8, core.Config{TargetBits: 4, StrideDims: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := sim.Compile(res.NFA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		input := workload.Input(n8, 4*1024, 4)
+		want, wantStats := c.Run(input)
+		twoLaneShards := false
+		for _, k := range []int{1, 2, 3, 8} {
+			for _, topt := range []*dfa.TierOptions{nil, {MinStateShare: -1}, {MinStateShare: -1, CCMaxStates: split}} {
+				s, err := shard.Build(res.NFA, shard.Options{Shards: k, Tier: topt})
+				if err != nil {
+					t.Fatal(err)
+				}
+				id := fmt.Sprintf("%s shards=%d tier=%+v", name, k, topt)
+				lanes := 0
+				for i, states := range s.Plan().ShardStates() {
+					switch tier := s.Seal().Tiers[i]; {
+					case states == 0:
+					case tier == nil:
+						lanes++
+					default:
+						if tier.DFA != nil {
+							lanes++
+						}
+						if tier.Plan.NFAStates > 0 {
+							lanes++
+						}
+						twoLaneShards = twoLaneShards || (tier.DFA != nil && tier.Plan.NFAStates > 0)
+					}
+				}
+				if got := len(s.Lanes()); got != lanes {
+					t.Fatalf("%s: flattened core has %d children, shards hold %d lanes", id, got, lanes)
+				}
+				got, gotStats := sim.RunBatch(s.NewCore(), input, 0, nil)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s: lockstep reports diverge (%d vs %d)", id, len(got), len(want))
+				}
+				if gotStats != wantStats {
+					t.Fatalf("%s: lockstep stats %+v != unsharded %+v", id, gotStats, wantStats)
+				}
+			}
+		}
+		if !twoLaneShards {
+			t.Fatalf("%s: no shard held both a DFA and an NFA lane at budget %d; the flattening went unexercised", name, split)
+		}
+	}
 }
 
 // Chunked streaming over a sharded session equals the batch run for any
@@ -186,6 +250,19 @@ func TestShardedSessionChunked(t *testing.T) {
 	sim.SortReports(got)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("chunked session != batch\nbatch=%v\nchunked=%v", want, got)
+	}
+
+	// Steady-state Feed through the flattened lockstep core allocates
+	// nothing, with the stream metrics off and live.
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		sim.EnableMetrics(reg)
+		sess := s.NewSession(func(sim.Report) {})
+		sess.Feed(input) // warm the sub-symbol scratch buffer
+		avg := testing.AllocsPerRun(50, func() { sess.Feed(input) })
+		sim.EnableMetrics(nil)
+		if avg != 0 {
+			t.Errorf("metrics live=%t: steady-state sharded Feed allocates %.1f objects/op, want 0", reg != nil, avg)
+		}
 	}
 }
 

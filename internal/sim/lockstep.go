@@ -1,0 +1,120 @@
+package sim
+
+import (
+	"sync"
+
+	"impala/internal/automata"
+)
+
+// Lane is one block of a lockstep execution form: a child engine over a
+// sub-automaton closed under edges (a union of connected components), and
+// the table that maps the child's state IDs to the IDs its reports carry.
+type Lane struct {
+	// New returns a fresh per-stream core over the block.
+	New func() Core
+	// Orig[i] is the reported ID of the child's state i.
+	Orig []automata.StateID
+}
+
+// Lockstep is the block-diagonal execution form: lanes whose blocks
+// partition one automaton's states, all stepped on the same chunk every
+// cycle — the software rendering of independent switch blocks sharing one
+// broadcast input symbol. Because the blocks partition the states, the
+// lanes' enabled/active counts sum to exactly the whole automaton's and
+// their report sets are disjoint, so a session over a lockstep core is
+// byte-identical, reports and statistics both, to one over the whole
+// automaton. The tiered form (a DFA lane beside an NFA lane) and the
+// sharded form (every shard's lanes, flattened) are both built from it. A
+// Lockstep is immutable and safe to share across goroutines; per-stream
+// state lives in the cores it hands out.
+type Lockstep struct {
+	bits, stride int
+	lanes        []Lane
+	pool         sync.Pool // of *lockstepCore, for Run
+}
+
+// NewLockstep returns the lockstep form of lanes over an automaton of the
+// given geometry. No lanes is valid: the core then steps nothing.
+func NewLockstep(bits, stride int, lanes []Lane) *Lockstep {
+	l := &Lockstep{bits: bits, stride: stride, lanes: lanes}
+	l.pool.New = func() any { return l.newCore() }
+	return l
+}
+
+// Lanes returns the form's lanes (read-only), for composing it into a
+// larger lockstep form.
+func (l *Lockstep) Lanes() []Lane { return l.lanes }
+
+// lockstepCore steps one child core per lane as a single Core. The child
+// sinks are closures built once, so steady-state stepping allocates nothing.
+type lockstepCore struct {
+	l     *Lockstep
+	cores []Core
+	sinks []ReportSink
+	sink  ReportSink // the sink of the cycle in progress
+}
+
+func (l *Lockstep) newCore() *lockstepCore {
+	c := &lockstepCore{
+		l:     l,
+		cores: make([]Core, len(l.lanes)),
+		sinks: make([]ReportSink, len(l.lanes)),
+	}
+	for i, lane := range l.lanes {
+		orig := lane.Orig
+		c.cores[i] = lane.New()
+		c.sinks[i] = func(r Report) {
+			r.State = orig[r.State]
+			c.sink(r)
+		}
+	}
+	return c
+}
+
+// NewCore returns a fresh per-stream core over all lanes.
+func (l *Lockstep) NewCore() Core { return l.newCore() }
+
+// NewSession returns a streaming session over a fresh core. Many sessions
+// may run concurrently over one Lockstep.
+func (l *Lockstep) NewSession(sink ReportSink) *Session {
+	return NewSession(l.newCore(), sink)
+}
+
+// Run executes the form over input on a pooled core and returns the sorted
+// reports and statistics. It is safe for concurrent use.
+func (l *Lockstep) Run(input []byte) ([]Report, Stats) {
+	c := l.pool.Get().(*lockstepCore)
+	r, st := RunBatch(c, input, 0, nil)
+	l.release(c)
+	return r, st
+}
+
+// release returns a core to the pool. An idle pooled core must not keep the
+// finished run's session (and through it the report slice) reachable.
+func (l *Lockstep) release(c *lockstepCore) {
+	c.sink = nil
+	l.pool.Put(c)
+}
+
+// Geometry implements Core.
+func (c *lockstepCore) Geometry() (bits, stride int) { return c.l.bits, c.l.stride }
+
+// ResetState implements Core.
+func (c *lockstepCore) ResetState() {
+	for _, core := range c.cores {
+		core.ResetState()
+	}
+}
+
+// StepCycle implements Core: every lane consumes the same chunk. The tracer
+// is not passed down — no lane has the whole automaton's state vector.
+func (c *lockstepCore) StepCycle(chunk []byte, t int, limitBits int, sink ReportSink, _ Tracer) (int, int) {
+	c.sink = sink
+	var ne, na int
+	for i, core := range c.cores {
+		e, a := core.StepCycle(chunk, t, limitBits, c.sinks[i], nil)
+		ne += e
+		na += a
+	}
+	return ne, na
+}

@@ -15,8 +15,8 @@
 // 4-bit automaton) into the next Feed; Flush runs the final zero-padded
 // partial cycle, filtering reports whose consumed position would exceed the
 // true stream length, exactly as the batch engines pad and filter their
-// last cycle. The batch Run methods of Engine, CompiledEngine and
-// arch.Machine are thin Feed+Flush wrappers over this type.
+// last cycle. The batch Run of every engine that returns ([]Report, Stats)
+// is RunBatch over this type.
 package sim
 
 import (
@@ -32,9 +32,10 @@ type ReportSink func(Report)
 
 // Core is one per-cycle step of an execution engine: the immutable
 // configuration plus the enable/active working sets it carries between
-// cycles. Engine (scalar), CompiledEngine (bit-parallel) and the
-// capsule-level arch.Machine session all implement it; Session drives any
-// of them incrementally.
+// cycles. Engine (scalar), CompiledEngine (bit-parallel), the lockstep
+// combinator over child cores, the scored lane (score.Engine), dfa.Core and
+// the capsule-level arch.Machine session all implement it; Session drives
+// any of them incrementally.
 type Core interface {
 	// Geometry returns the automaton's (bits, stride).
 	Geometry() (bits, stride int)
@@ -222,6 +223,27 @@ func (s *Session) stepCycle(chunk []byte, limitBits int) {
 		s.peakActive = na
 	}
 	s.cycle++
+}
+
+// RunBatch runs core over input as one whole stream — a fresh session, Feed,
+// Flush — and returns the reports in canonical order (SortReports) with the
+// stream's statistics. chunk > 0 feeds the input in pieces of that many
+// bytes instead of all at once; the result is the same. tracer may be nil.
+func RunBatch(core Core, input []byte, chunk int, tracer Tracer) ([]Report, Stats) {
+	var reports []Report
+	s := NewSession(core, func(r Report) { reports = append(reports, r) })
+	s.SetTracer(tracer)
+	if chunk <= 0 {
+		chunk = len(input)
+	}
+	for len(input) > chunk {
+		s.Feed(input[:chunk])
+		input = input[chunk:]
+	}
+	s.Feed(input)
+	s.Flush()
+	SortReports(reports)
+	return reports, s.Stats()
 }
 
 // AppendSubSymbols appends the sub-symbol expansion of input to dst and

@@ -79,9 +79,8 @@ type Tracer interface {
 // state-by-state. It is the straightforward rendering of the execution
 // semantics and serves as the reference oracle for the bit-parallel
 // CompiledEngine (the default behind Run/RunParallel). It implements the
-// Core step interface, so it can be driven incrementally by a Session; the
-// batch Run method is a Feed+Flush wrapper. It is reusable across runs but
-// not safe for concurrent use.
+// Core step interface, so it can be driven incrementally by a Session. It
+// is reusable across runs but not safe for concurrent use.
 type Engine struct {
 	nfa *automata.NFA
 	// enable working sets
@@ -192,16 +191,9 @@ func (e *Engine) StepCycle(chunk []byte, t int, limitBits int, sink ReportSink, 
 }
 
 // Run executes the automaton over input (a byte stream) and returns all
-// reports sorted by (BitPos, Code). tracer may be nil. It is a batch
-// Feed+Flush wrapper over the streaming session.
+// reports sorted by (BitPos, Code). tracer may be nil.
 func (e *Engine) Run(input []byte, tracer Tracer) ([]Report, Stats) {
-	var reports []Report
-	s := NewSession(e, func(r Report) { reports = append(reports, r) })
-	s.SetTracer(tracer)
-	s.Feed(input)
-	s.Flush()
-	SortReports(reports)
-	return reports, s.Stats()
+	return RunBatch(e, input, 0, tracer)
 }
 
 // SortReports sorts reports by (BitPos, Code, State) — the canonical batch

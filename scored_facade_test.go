@@ -54,6 +54,9 @@ func sortScored(ms []ScoredMatch) {
 // describe the sealed table.
 func TestMatchScored(t *testing.T) {
 	m, input := scoredFixture(t, DefaultConfig())
+	if m.scored.Kernel() != m.simc {
+		t.Fatal("scored machine holds two binary compiled forms: the scored form's kernel is not the machine's simc")
+	}
 	scored, err := m.MatchScored(input)
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +135,9 @@ func TestScoredArtifactRoundTrip(t *testing.T) {
 	}
 	if loaded.ScoreInfo() == nil {
 		t.Fatal("weight table lost in artifact round trip")
+	}
+	if loaded.scored.Kernel() != loaded.simc {
+		t.Fatal("loaded scored machine compiled its automaton twice")
 	}
 	want, err := m.MatchScored(input)
 	if err != nil {

@@ -22,6 +22,17 @@ echo "== compile + save artifact =="
 "$workdir/impalac" -patterns 'GET /,needle' -o "$workdir/web.impala"
 "$workdir/impala-sim" -load "$workdir/web.impala" -v
 
+echo "== sharded artifact replays on its sealed shard plan =="
+# impala-sim -load must execute a SHRD section (it announces the plan on
+# stderr) and report exactly what the unsharded artifact reports.
+printf 'xx needle GET / needle yy' > "$workdir/replay.bin"
+"$workdir/impalac" -patterns 'GET /,needle' -shards 2 -tier -o "$workdir/web-sharded.impala" >/dev/null
+want="$("$workdir/impala-sim" -load "$workdir/web.impala" -in "$workdir/replay.bin" -q | grep '^reports:')"
+got="$("$workdir/impala-sim" -load "$workdir/web-sharded.impala" -in "$workdir/replay.bin" -q 2>"$workdir/replay.log" | grep '^reports:')"
+echo "unsharded $want / sharded $got"
+grep -q '^shard plan: 2 shards' "$workdir/replay.log" || { cat "$workdir/replay.log"; echo "sharded artifact did not run on its shard plan"; exit 1; }
+[ -n "$want" ] && [ "$want" = "$got" ] || { echo "sharded replay diverges from unsharded"; exit 1; }
+
 echo "== serve =="
 addr="127.0.0.1:18613"
 "$workdir/impala-serve" -load web="$workdir/web.impala" -listen "$addr" 2>"$workdir/serve.log" &
