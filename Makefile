@@ -6,7 +6,7 @@ GO ?= go
 # at ~82% — raise the floor as coverage grows, never lower it.
 COVER_MIN ?= 80.0
 
-.PHONY: all check build vet fmt-check test test-short test-race bench-build bench bench-check cover cover-check examples experiments artifact serve smoke-serve smoke-cluster smoke-align clean
+.PHONY: all check build vet fmt-check test test-short test-race bench-build bench-smoke bench bench-check cover cover-check examples experiments artifact serve smoke-serve smoke-cluster smoke-align clean
 
 all: check
 
@@ -22,7 +22,7 @@ all: check
 # and the sharded engine (concurrent shard construction and fan-out scan),
 # and the topology placer (deterministic placement under GA worker pools),
 # and the scored engine (pooled scoring engines shared across Run callers).
-check: fmt-check build vet test bench-build test-race
+check: fmt-check build vet test bench-build bench-smoke test-race
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,12 @@ test-short:
 bench-build:
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .
+
+# The Go benchmarks the kernel is tuned against (the low/high/sparse engine
+# and session cases, the CSR transition primitive, the facade's) run only when
+# someone asks for them; one iteration each keeps them compiling and running.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/bitvec .
 
 test-race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/espresso/... ./internal/place/... ./internal/arch/... ./internal/obs/... ./internal/par/... ./internal/server/... ./internal/artifact/... ./internal/dfa/... ./internal/backend/... ./internal/shard/... ./internal/topo/... ./internal/score/... ./internal/workload/...

@@ -707,7 +707,7 @@ func readBody(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: file version %d, this build reads %d", ErrVersion, v, Version)
 	}
 	want := binary.LittleEndian.Uint32(pre[12:])
-	body, err := io.ReadAll(r)
+	body, err := readRest(r)
 	if err != nil {
 		return nil, err
 	}
@@ -715,6 +715,35 @@ func readBody(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: crc32c %08x, header says %08x", ErrChecksum, got, want)
 	}
 	return body, nil
+}
+
+// readRest reads r to its end. The preamble carries no length, so a reader
+// that can say what remains — an in-memory reader (what the daemons and
+// LoadMachine callers pass) or a regular file — is read into one allocation
+// of that size; io.ReadAll's doubling buffer, which allocates about five
+// times the body on the way, is left for the rest.
+func readRest(r io.Reader) ([]byte, error) {
+	remaining := -1
+	switch src := r.(type) {
+	case interface{ Len() int }:
+		remaining = src.Len()
+	case *os.File:
+		if fi, err := src.Stat(); err == nil && fi.Mode().IsRegular() {
+			if pos, err := src.Seek(0, io.SeekCurrent); err == nil && fi.Size() >= pos {
+				remaining = int(fi.Size() - pos)
+			}
+		}
+	}
+	if remaining < 0 {
+		return io.ReadAll(r)
+	}
+	body := make([]byte, remaining)
+	n, err := io.ReadFull(r, body)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		// Shorter than announced: as with ReadAll, the checksum decides.
+		return body[:n], nil
+	}
+	return body, err
 }
 
 // walkSections iterates the body's (fourcc, payload) sections.

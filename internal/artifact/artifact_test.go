@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -191,6 +192,14 @@ func restamp(raw []byte) []byte {
 	return out
 }
 
+// misstated is a reader whose Len is off by a fixed amount.
+type misstated struct {
+	*bytes.Reader
+	by int
+}
+
+func (m misstated) Len() int { return max(0, m.Reader.Len()+m.by) }
+
 func TestLoadErrorPaths(t *testing.T) {
 	a, _ := buildArtifact(t, "Bro217", 1)
 	raw := saveBytes(t, a)
@@ -233,11 +242,35 @@ func TestLoadErrorPaths(t *testing.T) {
 			return restamp(raw[:16+12+int(metaLen)])
 		}, ErrCorrupt},
 	}
+	cases = append(cases, struct {
+		name string
+		mut  func() []byte
+		want error
+	}{"intact", func() []byte { return raw }, nil})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Load(bytes.NewReader(tc.mut()))
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
+			}
+			// The verdict must not depend on how the container is read: in
+			// one allocation when the reader says what remains (above), by
+			// ReadAll when it cannot, and a reader whose Len overstates
+			// what it holds is read for what it holds.
+			for how, r := range map[string]io.Reader{
+				"opaque":     struct{ io.Reader }{bytes.NewReader(tc.mut())},
+				"overstated": misstated{bytes.NewReader(tc.mut()), +100},
+			} {
+				if _, err := Load(r); !errors.Is(err, tc.want) {
+					t.Fatalf("%s reader: got %v, want %v", how, err, tc.want)
+				}
+			}
+			if tc.want == nil {
+				// Understating cuts the body short: the checksum catches it.
+				if _, err := Load(misstated{bytes.NewReader(raw), -9}); !errors.Is(err, ErrChecksum) {
+					t.Fatalf("understated reader: got %v, want %v", err, ErrChecksum)
+				}
+				return
 			}
 			// Stat must reject everything Load rejects at the container
 			// layer (it CRC-checks the whole file).

@@ -12,9 +12,6 @@ type Matrix struct {
 	rows, cols int
 	wordsPerRw int // words per row
 	data       []uint64
-	// rowLo/rowHi cache per-row nonzero word extents for OrRowsInto;
-	// invalidated by any mutation.
-	rowLo, rowHi []int32
 }
 
 // NewMatrix returns an all-zero rows×cols matrix.
@@ -36,14 +33,12 @@ func (m *Matrix) Cols() int { return m.cols }
 func (m *Matrix) Set(r, c int) {
 	m.check(r, c)
 	m.data[r*m.wordsPerRw+c/64] |= 1 << (uint(c) & 63)
-	m.rowLo, m.rowHi = nil, nil
 }
 
 // Clear sets cell (r, c) to 0.
 func (m *Matrix) Clear(r, c int) {
 	m.check(r, c)
 	m.data[r*m.wordsPerRw+c/64] &^= 1 << (uint(c) & 63)
-	m.rowLo, m.rowHi = nil, nil
 }
 
 // Get reports whether cell (r, c) is 1.
@@ -73,7 +68,6 @@ func (m *Matrix) MutableRow(r int) []uint64 {
 	if r < 0 || r >= m.rows {
 		panic("bitvec: matrix row out of range")
 	}
-	m.rowLo, m.rowHi = nil, nil
 	return m.data[r*m.wordsPerRw : (r+1)*m.wordsPerRw]
 }
 
@@ -88,65 +82,6 @@ func (m *Matrix) OrRowInto(r int, acc []uint64) {
 
 // WordsPerRow returns the number of 64-bit words in each packed row.
 func (m *Matrix) WordsPerRow() int { return m.wordsPerRw }
-
-// OrRowsInto ORs the row of every set bit in rows into acc: the whole-array
-// wired-OR of one transition cycle in a single fused pass (equivalent to
-// calling OrRowInto per set bit, without per-row call and slice overhead).
-// Rows are ORed only across their nonzero word extent, so sparse rows (the
-// common case for automata whose successors are nearby in state order) cost
-// one or two word ORs instead of a full row. acc must have at least
-// WordsPerRow words.
-func (m *Matrix) OrRowsInto(rows Words, acc Words) {
-	wpr := m.wordsPerRw
-	if wpr == 0 {
-		return
-	}
-	lo, hi := m.extents()
-	data := m.data
-	for w, word := range rows {
-		base := w << 6
-		for word != 0 {
-			r := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			rl, rh := int(lo[r]), int(hi[r])
-			if rh-rl == 1 {
-				// Single-word row — the common case when successors are
-				// near the state in ID order (chains, meshes).
-				acc[rl] |= data[r*wpr+rl]
-				continue
-			}
-			row := data[r*wpr+rl : r*wpr+rh]
-			dst := acc[rl:rh]
-			for i, rw := range row {
-				dst[i] |= rw
-			}
-		}
-	}
-}
-
-// extents returns per-row [lo, hi) nonzero word ranges, computing and
-// caching them on first use. Mutating the matrix (Set/Clear) invalidates
-// the cache.
-func (m *Matrix) extents() ([]int32, []int32) {
-	if m.rowLo == nil {
-		lo := make([]int32, m.rows)
-		hi := make([]int32, m.rows)
-		wpr := m.wordsPerRw
-		for r := 0; r < m.rows; r++ {
-			row := m.data[r*wpr : (r+1)*wpr]
-			a, b := 0, wpr
-			for a < b && row[a] == 0 {
-				a++
-			}
-			for b > a && row[b-1] == 0 {
-				b--
-			}
-			lo[r], hi[r] = int32(a), int32(b)
-		}
-		m.rowLo, m.rowHi = lo, hi
-	}
-	return m.rowLo, m.rowHi
-}
 
 // PopCount returns the number of set cells (configured switch points).
 func (m *Matrix) PopCount() int {

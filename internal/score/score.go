@@ -126,9 +126,6 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 			c.hetIn[i] = in[i]
 		}
 	}
-	// Warm the row-extent cache while still single-threaded (the compiled
-	// form is shared read-only afterwards).
-	c.pred.OrRowsInto(nil, nil)
 	c.pool.New = func() any { return c.NewEngine() }
 	return c, nil
 }

@@ -72,11 +72,60 @@ func highActivityNFA() *automata.NFA {
 	return n
 }
 
+// sparseActivityNFA is Snort-shaped, at the paper's design point (4-bit
+// sub-symbols, stride 4): 150 sixteen-state rule chains = 2,400 states = 38
+// words, with every all-input head numbered first so the starts cluster in
+// three words, and a head accepting 1 chunk in 128 so that about two states
+// are active per cycle. Every tenth chain fans its second state out to the
+// third state of thirty other chains — the hub rows, spanning most of the
+// vector, that a .* gives the real rule set.
+func sparseActivityNFA() *automata.NFA {
+	const chains, depth = 150, 16
+	r := rand.New(rand.NewSource(9))
+	n := automata.New(4, 4)
+	dom := automata.Domain(4)
+	nibbles := func(k int) bitvec.ByteSet {
+		var set bitvec.ByteSet
+		for _, v := range r.Perm(16)[:k] {
+			set = set.Add(byte(v))
+		}
+		return set
+	}
+	state := func(match automata.Rect, start automata.StartKind, report bool, code int) automata.StateID {
+		return n.AddState(automata.State{
+			Match: automata.MatchSet{match}, Start: start,
+			Report: report, ReportCode: code, ReportOffset: 4,
+		})
+	}
+	for k := 0; k < chains; k++ {
+		state(automata.Rect{nibbles(2), nibbles(1), dom, dom}, automata.StartAllInput, false, 0)
+	}
+	at := func(k, d int) automata.StateID { // state d >= 1 of chain k
+		return automata.StateID(chains + k*(depth-1) + d - 1)
+	}
+	for k := 0; k < chains; k++ {
+		prev := automata.StateID(k)
+		for d := 1; d < depth; d++ {
+			id := state(automata.Rect{nibbles(8), nibbles(8), dom, dom}, automata.StartNone, d == depth-1, k)
+			n.AddEdge(prev, id)
+			prev = id
+		}
+	}
+	for k := 0; k < chains; k += 10 {
+		for _, to := range r.Perm(chains)[:30] {
+			n.AddEdge(at(k, 1), at(to, 2))
+		}
+	}
+	n.DedupEdges()
+	return n
+}
+
 func benchWorkloads(b *testing.B) map[string]*automata.NFA {
 	b.Helper()
 	return map[string]*automata.NFA{
-		"low":  lowActivityNFA(),
-		"high": highActivityNFA(),
+		"low":    lowActivityNFA(),
+		"high":   highActivityNFA(),
+		"sparse": sparseActivityNFA(),
 	}
 }
 
@@ -97,6 +146,25 @@ func BenchmarkEngineScalar(b *testing.B) {
 	}
 }
 
+// liveWords is a Tracer counting the non-zero words of the enable vector:
+// what a cycle of the word-sparse kernel pays for.
+type liveWords struct{ words, cycles int }
+
+func (l *liveWords) OnCycle(_ int, enabled, _ bitvec.Words) {
+	for _, x := range enabled {
+		if x != 0 {
+			l.words++
+		}
+	}
+	l.cycles++
+}
+
+// perCycle runs input once, untimed, and returns the live words per cycle.
+func (l *liveWords) perCycle(e *CompiledEngine, input []byte) float64 {
+	e.Run(input, l)
+	return float64(l.words) / float64(l.cycles)
+}
+
 func BenchmarkEngineCompiled(b *testing.B) {
 	input := benchInput(64 * 1024)
 	for name, n := range benchWorkloads(b) {
@@ -106,11 +174,13 @@ func BenchmarkEngineCompiled(b *testing.B) {
 				b.Fatal(err)
 			}
 			e := c.NewEngine()
+			live := new(liveWords).perCycle(e, input)
 			b.SetBytes(int64(len(input)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.Run(input, nil)
 			}
+			b.ReportMetric(live, "live-words/cycle")
 		})
 	}
 }
@@ -128,6 +198,7 @@ func BenchmarkSessionFeed(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				live := new(liveWords).perCycle(c.NewEngine(), input)
 				matches := 0
 				s := c.NewSession(func(Report) { matches++ })
 				s.Feed(input[:chunkSize]) // warm scratch buffers
@@ -143,6 +214,7 @@ func BenchmarkSessionFeed(b *testing.B) {
 						s.Feed(input[off:end])
 					}
 				}
+				b.ReportMetric(live, "live-words/cycle")
 			})
 		}
 	}

@@ -12,15 +12,24 @@ import (
 // rendering of the paper's two-phase in-memory datapath. Where the scalar
 // Engine dispatches per enabled state, Compiled precomputes:
 //
-//   - per-position symbol mask tables: masks[p][v] is the bit-vector of
-//     states whose match rule accepts sub-symbol v at stride position p.
-//     The state-match phase is then S word-wise ANDs over the whole state
-//     vector — exactly the hardware's one-column-read-per-dimension
-//     followed by the capsule AND gate, evaluated for every state at once.
-//   - a dense successor matrix (one row per state): the state-transition
-//     phase ORs the row of each active state into the enable vector via
-//     bitvec.Matrix.OrRowInto — the wired-OR of successor rows on the
-//     interconnect bit-lines.
+//   - per-position symbol mask tables: for stride position p and sub-symbol
+//     v, the bit-vector of states whose match rule accepts v at p. The
+//     state-match phase is then S word-wise ANDs — exactly the hardware's
+//     one-column-read-per-dimension followed by the capsule AND gate,
+//     evaluated for 64 states at once.
+//   - successor rows in CSR form (per state, the non-zero words of its
+//     enable mask): the state-transition phase ORs the row of each active
+//     state into the enable vector via bitvec.CSR.OrRowsInto — the wired-OR
+//     of successor rows on the interconnect bit-lines, at a cost and a
+//     footprint proportional to the configured switch points.
+//   - the three start-enable vectors a cycle can need (first cycle of an
+//     anchored stream, even cycles, odd cycles), each with the summary of
+//     its non-zero words and its size.
+//
+// Everything a cycle touches is indexed by word, and the engine visits only
+// the words a summary names (see CompiledEngine), so a cycle costs its live
+// words, not the automaton's size — as only the blocks of the switch
+// hierarchy that hold an active state drive their rows.
 //
 // States whose MatchSet is not position-decomposable (a union of rects that
 // is not itself a cartesian product) cannot be expressed as one column per
@@ -32,35 +41,37 @@ import (
 type Compiled struct {
 	nfa *automata.NFA
 
-	// masks[p][v]: states accepting sub-symbol v at stride position p.
-	// Residual states have zero bits in every mask.
-	masks [][]bitvec.Words
-	// residual lists non-decomposable states, ascending; residualEnable is
-	// their membership mask.
+	// masks is the flat symbol-mask table: masks[(p*words+w)*dom+v] holds,
+	// for the 64 states of word w, which accept sub-symbol v at stride
+	// position p — the dom entries a live word can need at one position sit
+	// side by side. Residual states have zero bits in every mask.
+	masks      []uint64
+	dom, words int
+	// residual lists non-decomposable states, ascending.
 	residual []automata.StateID
 
 	// succ row i holds the enable mask of state i's successors.
-	succ *bitvec.Matrix
+	succ *bitvec.CSR
 
-	// Enable-source masks and fast-path flags (skip the OR when a class of
-	// start states does not exist at all).
-	always, startOfData, even bitvec.Words
-	anyStartOfData, anyEven   bool
+	// Start-enable vectors by cycle class: odd cycles enable the all-input
+	// starts, even cycles add the even starts, and cycle 0 of an anchored
+	// stream adds the start-of-data states. A class that adds nothing
+	// aliases the one below it.
+	startOdd, startEven, startFirst *startVector
 
-	// reportingMask gates the report loop: cycles where
-	// active ∧ reportingMask = 0 skip report handling entirely.
-	reportingMask bitvec.Words
-	anyReports    bool
+	// reporting gates the report loop: cycles where active ∧ reporting = 0
+	// skip report handling entirely.
+	reporting bitvec.Words
 
 	// pool recycles engines (per-stream buffers) across RunParallel
 	// segments and other short-lived executions of this compiled form.
 	pool sync.Pool
 }
 
-// Compile precompiles the automaton into its bit-parallel form. The
-// automaton must validate; it must not be mutated while the compiled form
-// is in use (the compiled form aliases it for residual matching and report
-// metadata).
+// Compile precompiles the automaton into its bit-parallel form, in time and
+// space O(states + edges + stride·alphabet·states/64). The automaton must
+// validate; it must not be mutated while the compiled form is in use (the
+// compiled form aliases it for residual matching and report metadata).
 func Compile(n *automata.NFA) (*Compiled, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -68,58 +79,78 @@ func Compile(n *automata.NFA) (*Compiled, error) {
 	ns := n.NumStates()
 	S := n.Stride
 	dom := automata.DomainSize(n.Bits)
+	nw := (ns + 63) / 64
 
 	c := &Compiled{
-		nfa:           n,
-		succ:          bitvec.NewMatrix(ns, ns),
-		always:        bitvec.NewWords(ns),
-		startOfData:   bitvec.NewWords(ns),
-		even:          bitvec.NewWords(ns),
-		reportingMask: bitvec.NewWords(ns),
+		nfa:       n,
+		masks:     make([]uint64, S*dom*nw),
+		dom:       dom,
+		words:     nw,
+		startOdd:  &startVector{Frontier: bitvec.NewFrontier(ns)},
+		reporting: bitvec.NewWords(ns),
 	}
-	c.masks = make([][]bitvec.Words, S)
-	for p := range c.masks {
-		c.masks[p] = make([]bitvec.Words, dom)
-		for v := range c.masks[p] {
-			c.masks[p][v] = bitvec.NewWords(ns)
-		}
-	}
-
+	succ := bitvec.NewCSRBuilder(ns, ns)
+	var even, anchored []int
 	for i := range n.States {
 		s := &n.States[i]
 		for _, t := range s.Out {
-			c.succ.Set(i, int(t))
+			succ.Set(int(t))
 		}
+		succ.EndRow()
 		switch s.Start {
 		case automata.StartAllInput:
-			c.always.Set(i)
+			c.startOdd.add(i)
 		case automata.StartOfData:
-			c.startOfData.Set(i)
-			c.anyStartOfData = true
+			anchored = append(anchored, i)
 		case automata.StartEven:
-			c.even.Set(i)
-			c.anyEven = true
+			even = append(even, i)
 		}
 		if s.Report {
-			c.reportingMask.Set(i)
-			c.anyReports = true
+			c.reporting.Set(i)
 		}
 		if dims, ok := decompose(s.Match, S); ok {
+			w, bit := i>>6, uint64(1)<<(uint(i)&63)
 			for p := 0; p < S; p++ {
 				for _, v := range dims[p].Values() {
-					c.masks[p][v].Set(i)
+					c.masks[(p*nw+w)*dom+int(v)] |= bit
 				}
 			}
 		} else {
 			c.residual = append(c.residual, automata.StateID(i))
 		}
 	}
-	// Warm the successor matrix's row-extent cache now, while compilation is
-	// still single-threaded: the Compiled form is shared across RunParallel
-	// workers, which must only read it.
-	c.succ.OrRowsInto(nil, nil)
+	c.succ = succ.Build()
+	c.startEven = c.startOdd.with(ns, even)
+	c.startFirst = c.startEven.with(ns, anchored)
 	c.pool.New = func() any { return c.NewEngine() }
 	return c, nil
+}
+
+// startVector is the set of states enabled on a class of cycles whatever
+// the previous cycle left active, with its size.
+type startVector struct {
+	bitvec.Frontier
+	count int
+}
+
+func (v *startVector) add(i int) {
+	v.Set(i)
+	v.count++
+}
+
+// with returns v with the given states added — v itself when there are none
+// to add.
+func (v *startVector) with(ns int, states []int) *startVector {
+	if len(states) == 0 {
+		return v
+	}
+	g := &startVector{Frontier: bitvec.NewFrontier(ns), count: v.count}
+	copy(g.Bits, v.Bits)
+	copy(g.Sum, v.Sum)
+	for _, i := range states {
+		g.add(i)
+	}
+	return g
 }
 
 // acquireEngine returns a pooled (or fresh) engine for a short-lived
@@ -175,9 +206,26 @@ func (c *Compiled) ResidualStates() int { return len(c.residual) }
 // owns only per-stream buffers, so creating one per goroutine is cheap; it
 // implements the Core step interface and is reusable across runs but not
 // safe for concurrent use.
+//
+// The state vectors are bitvec.Frontiers: each stays a valid dense
+// bit-vector (every word its summary does not name is zero), which is all a
+// lane or a Tracer may rely on, while the kernel itself reads and writes
+// only summary-named words.
 type CompiledEngine struct {
-	c                           *Compiled
-	enabled, active, prevActive bitvec.Words
+	c *Compiled
+	// enabled is the enable vector; act holds the active vectors of the
+	// cycle in progress, act[cur], and of the one before it.
+	enabled bitvec.Frontier
+	act     [2]bitvec.Frontier
+	cur     int
+	// prevCount is the number of states the previous cycle left active.
+	prevCount int
+	// Between cycles enabled holds the start vector seeded, plus whatever
+	// successor rows ORed into the words touched names — so the next cycle
+	// restores those few words instead of rebuilding the vector. touched
+	// shares enabled's bits and has a summary of its own.
+	seeded  *startVector
+	touched bitvec.Frontier
 	// anchors=false demotes start-of-data states to plain states by
 	// skipping their enable OR on cycle 0 — used by RunParallel for
 	// segments that do not begin at the true start of the stream,
@@ -188,16 +236,16 @@ type CompiledEngine struct {
 }
 
 // NewEngine allocates per-stream state for executing the compiled
-// automaton.
+// automaton: the vectors and their summaries share one allocation.
 func (c *Compiled) NewEngine() *CompiledEngine {
 	ns := c.nfa.NumStates()
-	return &CompiledEngine{
-		c:          c,
-		enabled:    bitvec.NewWords(ns),
-		active:     bitvec.NewWords(ns),
-		prevActive: bitvec.NewWords(ns),
-		anchors:    true,
-	}
+	e := &CompiledEngine{c: c, anchors: true}
+	buf := make([]uint64, 3*bitvec.FrontierWords(ns)+len(c.startOdd.Sum))
+	e.enabled, buf = bitvec.CarveFrontier(buf, ns)
+	e.act[0], buf = bitvec.CarveFrontier(buf, ns)
+	e.act[1], buf = bitvec.CarveFrontier(buf, ns)
+	e.touched = bitvec.Frontier{Bits: e.enabled.Bits, Sum: buf}
+	return e
 }
 
 // NewSession returns a streaming session over the compiled form. Many
@@ -220,8 +268,17 @@ func (c *Compiled) Run(input []byte) ([]Report, Stats) {
 // Geometry implements Core.
 func (e *CompiledEngine) Geometry() (bits, stride int) { return e.c.nfa.Bits, e.c.nfa.Stride }
 
-// ResetState implements Core: it clears the inter-cycle active set.
-func (e *CompiledEngine) ResetState() { e.prevActive.ClearAll() }
+// ResetState implements Core: it clears the inter-cycle active set. The
+// other two vectors are cleared with it, so an engine that stopped
+// mid-stream holds nothing of that stream.
+func (e *CompiledEngine) ResetState() {
+	e.enabled.Clear()
+	e.act[0].Clear()
+	e.act[1].Clear()
+	e.touched.Sum.ClearAll()
+	e.seeded = nil
+	e.prevCount = 0
+}
 
 // SetLane attaches a lane beside the kernel: every cycle, between the
 // state-match phase and the report gate, StepCycle calls lane(t), which may
@@ -230,43 +287,86 @@ func (e *CompiledEngine) ResetState() { e.prevActive.ClearAll() }
 // here). nil detaches it.
 func (e *CompiledEngine) SetLane(lane func(t int)) { e.lane = lane }
 
+// startFor returns the start-enable vector of cycle t.
+func (e *CompiledEngine) startFor(t int) *startVector {
+	switch {
+	case t&1 != 0:
+		return e.c.startOdd
+	case t == 0 && e.anchors:
+		return e.c.startFirst
+	}
+	return e.c.startEven
+}
+
 // StepCycle implements Core: one cycle of the bit-parallel datapath over
-// exactly Stride sub-symbols. The phases stay in one function body: split
-// into a method per phase the same loops measured 8–10% slower per byte on
-// the Snort automaton.
+// exactly Stride sub-symbols, visiting only the words a summary names. The
+// phases stay in one function body: split into a method per phase the same
+// loops measured 8–10% slower per byte on the Snort automaton.
 func (e *CompiledEngine) StepCycle(chunk []byte, t int, limitBits int, sink ReportSink, tracer Tracer) (int, int) {
 	c := e.c
-	n := c.nfa
-	enabled, active, prev := e.enabled, e.active, e.prevActive
+	active, prevActive := &e.act[e.cur&1], &e.act[e.cur&1^1]
+	start := e.startFor(t)
 
 	// State-transition phase (from previous cycle): the enable vector is
-	// the OR of the start-enable masks due this cycle and the successor
-	// rows of every previously active state.
-	enabled.CopyFrom(c.always)
-	if e.anchors && t == 0 && c.anyStartOfData {
-		c.startOfData.OrInto(enabled)
+	// the start-enable vector of this cycle ORed with the successor rows of
+	// every previously active state. Only the words the last cycle's rows
+	// touched need restoring, unless the start vector itself changed.
+	en, enSum := e.enabled.Bits, e.enabled.Sum
+	touched := e.touched.Sum
+	if start != e.seeded {
+		for sw := range touched {
+			touched[sw] = enSum[sw] | start.Sum[sw]
+		}
+		e.seeded = start
 	}
-	if t%2 == 0 && c.anyEven {
-		c.even.OrInto(enabled)
+	for sw, s := range touched {
+		for ; s != 0; s &= s - 1 {
+			w := sw<<6 | bits.TrailingZeros64(s)
+			en[w] = start.Bits[w]
+		}
+		touched[sw] = 0
+		enSum[sw] = start.Sum[sw]
 	}
-	c.succ.OrRowsInto(prev, enabled)
-
-	// State-match phase: active = enabled ∧ mask[0][chunk[0]] ∧ … ∧
-	// mask[S-1][chunk[S-1]] — S word-wise ANDs across all states.
-	m0 := c.masks[0][chunk[0]][:len(active)]
-	en := enabled[:len(active)]
-	for w := range active {
-		active[w] = en[w] & m0[w]
-	}
-	for p := 1; p < n.Stride; p++ {
-		mp := c.masks[p][chunk[p]][:len(active)]
-		for w := range active {
-			active[w] &= mp[w]
+	ne := start.count
+	if e.prevCount != 0 {
+		c.succ.OrRowsInto(prevActive, &e.touched)
+		for sw, s := range touched {
+			enSum[sw] |= s
+			for ; s != 0; s &= s - 1 {
+				w := sw<<6 | bits.TrailingZeros64(s)
+				ne += bits.OnesCount64(en[w] &^ start.Bits[w])
+			}
 		}
 	}
+
+	// State-match phase, one fused pass per live word: active = enabled ∧
+	// mask[0][chunk[0]] ∧ … ∧ mask[S-1][chunk[S-1]]. A word the active
+	// vector held two cycles ago and this cycle does not rewrite is zeroed.
+	act, actSum := active.Bits, active.Sum
+	masks, dom, posStep := c.masks, c.dom, c.dom*c.words
+	for sw, s := range enSum {
+		for stale := actSum[sw] &^ s; stale != 0; stale &= stale - 1 {
+			act[sw<<6|bits.TrailingZeros64(stale)] = 0
+		}
+		var live uint64
+		for ; s != 0; s &= s - 1 {
+			b := bits.TrailingZeros64(s)
+			w := sw<<6 | b
+			at := w * dom
+			x := en[w] & masks[at+int(chunk[0])]
+			for _, v := range chunk[1:] {
+				at += posStep
+				x &= masks[at+int(v)]
+			}
+			act[w] = x
+			live |= (x | -x) >> 63 << (uint(b) & 63)
+		}
+		actSum[sw] = live
+	}
+	n := c.nfa
 	// Residual scalar path: non-decomposable match sets.
 	for _, id := range c.residual {
-		if enabled.Get(int(id)) && n.States[id].Match.Has(chunk) {
+		if en.Get(int(id)) && n.States[id].Match.Has(chunk) {
 			active.Set(int(id))
 		}
 	}
@@ -275,45 +375,44 @@ func (e *CompiledEngine) StepCycle(chunk []byte, t int, limitBits int, sink Repo
 		e.lane(t)
 	}
 
-	// Reporting: word-level gate, then per-bit only on reporter words.
-	if c.anyReports {
-		base := t * n.Stride
-		for w, word := range active {
-			word &= c.reportingMask[w]
-			for word != 0 {
-				i := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				s := &n.States[i]
-				bitPos := (base + s.ReportOffset) * n.Bits
+	// Reporting, on the active words only: count, gate on the reporting
+	// mask, then per bit.
+	na := 0
+	base := t * n.Stride
+	for sw, s := range actSum {
+		for ; s != 0; s &= s - 1 {
+			w := sw<<6 | bits.TrailingZeros64(s)
+			word := act[w]
+			na += bits.OnesCount64(word)
+			word &= c.reporting[w]
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				st := &n.States[i]
+				bitPos := (base + st.ReportOffset) * n.Bits
 				if limitBits < 0 || bitPos <= limitBits {
-					sink(Report{BitPos: bitPos, Code: s.ReportCode, State: automata.StateID(i)})
+					sink(Report{BitPos: bitPos, Code: st.ReportCode, State: automata.StateID(i)})
 				}
 			}
 		}
 	}
 
-	na, ne := active.Count(), enabled.Count()
 	if tracer != nil {
-		tracer.OnCycle(t, enabled, active)
+		tracer.OnCycle(t, en, act)
 	}
-	e.prevActive, e.active = active, prev
+	e.cur ^= 1
+	e.prevCount = na
 	return ne, na
 }
 
 // Active returns the active set of the cycle in progress and PrevActive the
 // previous cycle's, for a lane (valid only inside the SetLane callback);
 // both alias the engine's buffers and must not be retained or written.
-func (e *CompiledEngine) Active() bitvec.Words     { return e.active }
-func (e *CompiledEngine) PrevActive() bitvec.Words { return e.prevActive }
+func (e *CompiledEngine) Active() bitvec.Words     { return e.act[e.cur&1].Bits }
+func (e *CompiledEngine) PrevActive() bitvec.Words { return e.act[e.cur&1^1].Bits }
 
 // StartEnabled reports whether state i is enabled as a start candidate at
 // cycle t, independent of any predecessor.
-func (e *CompiledEngine) StartEnabled(i, t int) bool {
-	c := e.c
-	return c.always.Get(i) ||
-		(t == 0 && e.anchors && c.startOfData.Get(i)) ||
-		(t%2 == 0 && c.even.Get(i))
-}
+func (e *CompiledEngine) StartEnabled(i, t int) bool { return e.startFor(t).Bits.Get(i) }
 
 // Run executes the compiled automaton over input and returns all reports
 // sorted by (BitPos, Code, State) plus activity statistics. tracer may be

@@ -2,22 +2,34 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"impala/internal/automata"
 	"impala/internal/bitvec"
+	"impala/internal/workload"
 )
 
 // randomNFAAllGeometries draws automata across every supported (Bits,
 // Stride) geometry, every start kind, and a mix of single-rect,
 // decomposable-union and non-decomposable-union match sets — the latter to
 // exercise the compiled engine's residual scalar path.
-func randomNFAAllGeometries(r *rand.Rand) *automata.NFA {
+func randomNFAAllGeometries(r *rand.Rand) *automata.NFA { return randomNFASized(r, 0) }
+
+// randomNFASized is randomNFAAllGeometries with the state count given (0
+// draws the usual 3–14, one word): past 4,096 states the summaries of the
+// compiled engine span more than one word and random edges cross them. A
+// large automaton keeps its start states in its first sixteenth, so most
+// words are live only while a successor row reaches them.
+func randomNFASized(r *rand.Rand, states int) *automata.NFA {
 	bits := []int{2, 4, 8}[r.Intn(3)]
 	stride := []int{1, 2, 4, 8}[r.Intn(4)]
 	n := automata.New(bits, stride)
 	dom := automata.DomainSize(bits)
-	states := 3 + r.Intn(12)
+	if states == 0 {
+		states = 3 + r.Intn(12)
+	}
 	for i := 0; i < states; i++ {
 		ms := automata.MatchSet{}
 		for k := 0; k < 1+r.Intn(3); k++ {
@@ -45,6 +57,8 @@ func randomNFAAllGeometries(r *rand.Rand) *automata.NFA {
 		}
 		if i == 0 {
 			kind = automata.StartAllInput
+		} else if states > 64 && i > states/16 {
+			kind = automata.StartNone
 		}
 		n.AddState(automata.State{
 			Match:        ms,
@@ -61,18 +75,94 @@ func randomNFAAllGeometries(r *rand.Rand) *automata.NFA {
 	return n
 }
 
+// frontierCheck is a Tracer pinning what the word-sparse kernel promises
+// after every cycle: each vector is dense-valid under its summary (a word the
+// summary does not name is zero), the vectors the tracer is handed are the
+// engine's own, and outside the words successor rows touched the enable
+// vector is exactly the cycle's start vector.
+type frontierCheck struct {
+	t *testing.T
+	e *CompiledEngine
+}
+
+func (f frontierCheck) OnCycle(cycle int, enabled, active bitvec.Words) {
+	f.t.Helper()
+	e := f.e
+	if &enabled[0] != &e.enabled.Bits[0] || &active[0] != &e.Active()[0] {
+		f.t.Fatalf("cycle %d: tracer was not handed the engine's vectors", cycle)
+	}
+	f.consistent(cycle)
+	start := e.startFor(cycle)
+	for w, x := range enabled {
+		if !named(e.touched.Sum, w) && x != start.Bits[w] {
+			f.t.Fatalf("cycle %d: untouched enable word %d = %#x, start vector %#x", cycle, w, x, start.Bits[w])
+		}
+	}
+}
+
+// consistent fails the test if a vector of the engine holds a non-zero word
+// its summary does not name.
+func (f frontierCheck) consistent(cycle int) {
+	f.t.Helper()
+	for name, v := range map[string]bitvec.Frontier{
+		"enabled": f.e.enabled, "active": f.e.act[f.e.cur&1], "previous active": f.e.act[f.e.cur&1^1],
+	} {
+		for w, x := range v.Bits {
+			if x != 0 && !named(v.Sum, w) {
+				f.t.Fatalf("cycle %d: %s word %d = %#x lies outside its summary", cycle, name, w, x)
+			}
+		}
+	}
+}
+
+// named reports whether the summary names word w.
+func named(sum bitvec.Words, w int) bool { return sum[w>>6]>>(uint(w)&63)&1 != 0 }
+
+// demoteAnchors returns a copy of n whose start-of-data states never start:
+// what a compiled engine with anchors off executes.
+func demoteAnchors(n *automata.NFA) *automata.NFA {
+	d := n.Clone()
+	for i := range d.States {
+		if d.States[i].Start == automata.StartOfData {
+			d.States[i].Start = automata.StartNone
+		}
+	}
+	return d
+}
+
+func sameRun(t *testing.T, what string, gotR, wantR []Report, gotS, wantS Stats) {
+	t.Helper()
+	if len(gotR) != len(wantR) {
+		t.Fatalf("%s: compiled %d reports, scalar %d", what, len(gotR), len(wantR))
+	}
+	for i := range gotR {
+		if gotR[i] != wantR[i] {
+			t.Fatalf("%s report %d: compiled %+v, scalar %+v", what, i, gotR[i], wantR[i])
+		}
+	}
+	if gotS != wantS {
+		t.Fatalf("%s: compiled stats %+v, scalar stats %+v", what, gotS, wantS)
+	}
+}
+
 // Property: CompiledEngine and the scalar Engine produce identical report
 // lists (field-by-field, not just keys) and identical activity statistics
-// on random automata of every geometry.
+// on random automata of every geometry — one word of states or several
+// summary words of them, anchors on or off, a lane attached or not — with
+// the kernel's frontier invariant checked after every cycle.
 func TestCompiledMatchesScalarFuzz(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	trials := 120
 	if testing.Short() {
 		trials = 30
 	}
-	sawResidual := false
-	for trial := 0; trial < trials; trial++ {
-		n := randomNFAAllGeometries(r)
+	sawResidual, sawWideSummary := false, false
+	for trial := 0; trial < trials+2; trial++ {
+		states := 0
+		if trial >= trials { // the last two are past one summary word
+			states = 4200 + r.Intn(400)
+		}
+		n := randomNFASized(r, states)
 		if err := n.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -87,29 +177,46 @@ func TestCompiledMatchesScalarFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		unanchored, err := NewEngine(demoteAnchors(n))
+		if err != nil {
+			t.Fatal(err)
+		}
 		compiled := c.NewEngine()
+		sawWideSummary = sawWideSummary || len(compiled.enabled.Sum) > 1
+		check := frontierCheck{t, compiled}
 		for k := 0; k < 4; k++ {
 			input := make([]byte, r.Intn(50))
 			for i := range input {
 				input[i] = byte(r.Intn(256))
 			}
 			wantR, wantS := scalar.Run(input, nil)
-			gotR, gotS := compiled.Run(input, nil)
-			if len(gotR) != len(wantR) {
-				t.Fatalf("trial %d: compiled %d reports, scalar %d", trial, len(gotR), len(wantR))
-			}
-			for i := range gotR {
-				if gotR[i] != wantR[i] {
-					t.Fatalf("trial %d report %d: compiled %+v, scalar %+v", trial, i, gotR[i], wantR[i])
+			gotR, gotS := compiled.Run(input, check)
+			sameRun(t, "plain", gotR, wantR, gotS, wantS)
+
+			// A lane sees this cycle's active set and the previous one's.
+			var last bitvec.Words
+			compiled.SetLane(func(cycle int) {
+				if prev := compiled.PrevActive(); cycle > 0 && !slices.Equal(prev, last) {
+					t.Fatalf("trial %d cycle %d: lane's PrevActive is not the last cycle's Active", trial, cycle)
 				}
-			}
-			if gotS != wantS {
-				t.Fatalf("trial %d: compiled stats %+v, scalar stats %+v", trial, gotS, wantS)
-			}
+				last = append(last[:0], compiled.Active()...)
+			})
+			gotR, gotS = compiled.Run(input, check)
+			compiled.SetLane(nil)
+			sameRun(t, "with a lane", gotR, wantR, gotS, wantS)
+
+			wantR, wantS = unanchored.Run(input, nil)
+			compiled.anchors = false
+			gotR, gotS = compiled.Run(input, check)
+			compiled.anchors = true
+			sameRun(t, "anchors off", gotR, wantR, gotS, wantS)
 		}
 	}
 	if !sawResidual {
 		t.Fatal("fuzz corpus never exercised the residual scalar path")
+	}
+	if !sawWideSummary {
+		t.Fatal("fuzz corpus never spanned more than one summary word")
 	}
 }
 
@@ -237,6 +344,137 @@ func TestCompiledParallelAnchored(t *testing.T) {
 		}
 		if !SameReports(got, want) {
 			t.Fatalf("workers=%d: parallel %v, serial %v", workers, got, want)
+		}
+	}
+}
+
+func snortNFA(t *testing.T, scale float64) *automata.NFA {
+	t.Helper()
+	b, ok := workload.Get("Snort")
+	if !ok {
+		t.Fatal("no Snort generator in the workload suite")
+	}
+	n, err := b.Generate(scale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// The kernel counts enabled and active states from its live words only; the
+// counts — and with them every field of Stats — must still equal the scalar
+// engine's on the automata the kernel is tuned against: starts in every word
+// (low, high), starts clustered in three of 38 words with hub rows (sparse),
+// and the Snort rule set the serving benchmark runs.
+func TestCompiledStatsMatchScalar(t *testing.T) {
+	snort := snortNFA(t, 0.02)
+	for _, tc := range []struct {
+		name  string
+		n     *automata.NFA
+		input []byte
+	}{
+		{"low", lowActivityNFA(), benchInput(8 << 10)},
+		{"high", highActivityNFA(), benchInput(8 << 10)},
+		{"sparse", sparseActivityNFA(), benchInput(8 << 10)},
+		{"snort", snort, workload.Input(snort, 8<<10, 7)},
+	} {
+		scalar, err := NewEngine(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := c.NewEngine()
+		wantR, wantS := scalar.Run(tc.input, nil)
+		gotR, gotS := e.Run(tc.input, frontierCheck{t, e})
+		sameRun(t, tc.name, gotR, wantR, gotS, wantS)
+		if wantS.TotalActive == 0 || wantS.TotalEnabled == 0 {
+			t.Fatalf("%s: nothing was ever active (%+v); the row pins nothing", tc.name, wantS)
+		}
+	}
+}
+
+// Paper scale: the 100,520-state Snort source automaton. The compiled form
+// is linear in states and edges — the dense successor matrix it replaced
+// needed 1.27 GB and seven seconds for this call — and still agrees with the
+// scalar engine.
+func TestCompiledPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a 100,520-state automaton")
+	}
+	n := snortNFA(t, 1.0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := Compile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if live := int64(after.HeapAlloc) - int64(before.HeapAlloc); live > 32<<20 {
+		t.Fatalf("Compile of %d states keeps %d MB live, want < 32", n.NumStates(), live>>20)
+	}
+	scalar, err := NewEngine(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := workload.Input(n, 4<<10, 3)
+	wantR, wantS := scalar.Run(input, nil)
+	gotR, gotS := c.Run(input)
+	sameRun(t, "snort at scale 1.0", gotR, wantR, gotS, wantS)
+}
+
+// A pooled engine that stopped mid-stream — a session abandoned without
+// Flush, a segment run with anchors off — must start its next run exactly as
+// a fresh engine would, and be consistent whenever it is idle.
+func TestPooledEngineAbortedRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 40; trial++ {
+		states := 0
+		if trial%8 == 7 {
+			states = 300 + r.Intn(200) // several words, starts in the first
+		}
+		n := randomNFASized(r, states)
+		c, err := Compile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		input := make([]byte, 20+r.Intn(100))
+		for i := range input {
+			input[i] = byte(r.Intn(256))
+		}
+		wantR, wantS := c.NewEngine().Run(input, nil)
+		wantSegR, wantSegS := c.NewEngine().runSegment(input, false)
+
+		e := c.acquireEngine()
+		check := frontierCheck{t, e}
+		for round := 0; round < 3; round++ {
+			// Abandon a stream part-way, mid-cycle where the geometry allows.
+			s := NewSession(e, nil)
+			s.Feed(input[:1+r.Intn(len(input)-1)])
+			check.consistent(-1)
+
+			gotR, gotS := e.Run(input, check)
+			sameRun(t, "after an abandoned stream", gotR, wantR, gotS, wantS)
+
+			gotR, gotS = e.runSegment(input, false)
+			sameRun(t, "anchors off", gotR, wantSegR, gotS, wantSegS)
+
+			c.releaseEngine(e)
+			e = c.acquireEngine()
+			check.e = e
+			check.consistent(-1)
+			gotR, gotS = e.Run(input, check)
+			sameRun(t, "after release", gotR, wantR, gotS, wantS)
+		}
+		e.ResetState()
+		for _, v := range []bitvec.Frontier{e.enabled, e.act[0], e.act[1], e.touched} {
+			if v.Bits.Any() || v.Sum.Any() {
+				t.Fatalf("trial %d: ResetState left a vector or a summary non-empty", trial)
+			}
 		}
 	}
 }

@@ -55,7 +55,7 @@ func (c *Compiled) RunParallel(input []byte, workers, overlapBytes int) ([]Repor
 		chunkBytes = 1
 	}
 	alignBytes := chunkBytes
-	if c.anyEven && n.BitsPerCycle() >= 8 {
+	if c.startEven != c.startOdd && n.BitsPerCycle() >= 8 {
 		alignBytes *= 2
 	}
 	if overlapBytes < 0 {

@@ -65,7 +65,8 @@ type Session struct {
 
 	// pending carries 0..stride-1 sub-symbols whose cycle cannot run until
 	// more data (or Flush) arrives — the odd-nibble parity of chunk
-	// boundaries. subBuf is the reusable sub-symbol expansion scratch.
+	// boundaries. subBuf is the reusable sub-symbol expansion scratch: it
+	// holds pending plus one feedBlock of input at a time.
 	pending []byte
 	subBuf  []byte
 
@@ -106,6 +107,12 @@ func NewSession(core Core, sink ReportSink) *Session {
 // SetTracer attaches a per-cycle activity tracer (may be nil).
 func (s *Session) SetTracer(t Tracer) { s.tracer = t }
 
+// feedBlock is how many input bytes Feed unpacks into sub-symbols at a time:
+// the scratch stays a few KiB (and in cache) however long the chunk, where
+// unpacking a whole 64 KiB body first grew a 128 KiB buffer from nothing on
+// every one-shot request.
+const feedBlock = 2048
+
 // Feed consumes the next chunk of the stream, executing every cycle whose
 // sub-symbols are complete and carrying the remainder. Chunks may be of any
 // size, including empty. Steady-state calls perform no allocation.
@@ -120,17 +127,23 @@ func (s *Session) Feed(chunk []byte) {
 		t0 = time.Now()
 		cycles0, reports0 = s.cycle, s.reports
 	}
-	buf := append(s.subBuf[:0], s.pending...)
-	buf = AppendSubSymbols(buf, s.bits, chunk)
-	added := int64(len(buf) - len(s.pending))
+	added := int64(len(chunk)) * int64(8/s.bits)
 	s.subsFed += added
 	S := s.stride
-	full := len(buf) / S * S
-	for i := 0; i < full; i += S {
-		s.stepCycle(buf[i:i+S], -1)
+	for block := chunk; len(block) > 0; {
+		part := block[:min(len(block), feedBlock)]
+		block = block[len(part):]
+		if need := len(s.pending) + len(part)*(8/s.bits); cap(s.subBuf) < need {
+			s.subBuf = make([]byte, 0, max(need, 2*cap(s.subBuf)))
+		}
+		buf := append(s.subBuf[:0], s.pending...)
+		buf = AppendSubSymbols(buf, s.bits, part)
+		full := len(buf) / S * S
+		for i := 0; i < full; i += S {
+			s.stepCycle(buf[i:i+S], -1)
+		}
+		s.pending = append(s.pending[:0], buf[full:]...)
 	}
-	s.pending = append(s.pending[:0], buf[full:]...)
-	s.subBuf = buf[:0]
 	if m != nil {
 		m.feeds.Inc()
 		m.bytes.Add(int64(len(chunk)))

@@ -56,19 +56,36 @@ func TestSessionChunkedMatchesBatchFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		input := make([]byte, r.Intn(120))
+		size := r.Intn(120)
+		if trial%10 == 9 {
+			// Long enough that one Feed unpacks several blocks, with the
+			// sub-symbol carry crossing from block to block.
+			size = 2*feedBlock + r.Intn(120)
+		}
+		input := make([]byte, size)
 		for i := range input {
 			input[i] = byte(r.Intn(256))
 		}
 		wantR, wantS := scalar.Run(input, nil)
 
+		compiled := c.NewEngine()
 		for name, core := range map[string]Core{
 			"scalar":   scalar,
-			"compiled": c.NewEngine(),
+			"compiled": compiled,
 		} {
 			var gotR []Report
 			s := NewSession(core, func(r Report) { gotR = append(gotR, r) })
-			for _, chunk := range randomPartition(r, input) {
+			if core == Core(compiled) {
+				s.SetTracer(frontierCheck{t, compiled})
+			}
+			chunks := randomPartition(r, input)
+			if size > feedBlock {
+				// An odd prefix, so that every block of the rest starts
+				// mid-cycle on the strided geometries.
+				cut := 1 + r.Intn(7)
+				chunks = [][]byte{input[:cut], input[cut:]}
+			}
+			for _, chunk := range chunks {
 				s.Feed(chunk)
 			}
 			s.Flush()
