@@ -6,7 +6,7 @@ GO ?= go
 # at ~82% — raise the floor as coverage grows, never lower it.
 COVER_MIN ?= 80.0
 
-.PHONY: all check build vet fmt-check test test-short test-race bench-build bench-smoke bench bench-check cover cover-check examples experiments artifact serve smoke-serve smoke-cluster smoke-align clean
+.PHONY: all check build vet fmt-check test test-short test-race bench-build bench-smoke fuzz-smoke bench bench-check cover cover-check examples experiments artifact serve smoke-serve smoke-cluster smoke-align clean
 
 all: check
 
@@ -19,10 +19,10 @@ all: check
 # serving stack (multi-tenant registry hot-swaps under concurrent streams,
 # bounded match pool, artifact codec), the tiered engine (pooled cores
 # shared across Run callers, parallel simultaneous-DFA build and scan),
-# and the sharded engine (concurrent shard construction and fan-out scan),
+# and the sharded engine (concurrent shard construction, pooled lockstep cores),
 # and the topology placer (deterministic placement under GA worker pools),
 # and the scored engine (pooled scoring engines shared across Run callers).
-check: fmt-check build vet test bench-build bench-smoke test-race
+check: fmt-check build vet test bench-build bench-smoke fuzz-smoke test-race
 
 build:
 	$(GO) build ./...
@@ -47,11 +47,30 @@ bench-build:
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .
 
-# The Go benchmarks the kernel is tuned against (the low/high/sparse engine
-# and session cases, the CSR transition primitive, the facade's) run only when
-# someone asks for them; one iteration each keeps them compiling and running.
+# The Go benchmarks the hot loops are tuned against (the kernel's low/high/
+# sparse engine and session cases, the CSR transition primitive, the scoring
+# pass on the DNA mesh, the sharded form's Run, the facade's)
+# run only when someone asks for them; one iteration each keeps them compiling
+# and running.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/bitvec .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/bitvec ./internal/score ./internal/shard .
+
+# Ten seconds of native fuzzing per target: the artifact boundary (Load never
+# panics, stays inside its allocation budget, and saves back what it accepts)
+# and the text parsers. A failure leaves its input under the package's
+# testdata/fuzz, where plain `go test` replays it from then on.
+define FUZZ
+./internal/artifact FuzzLoad
+./internal/regexc   FuzzCompile
+./internal/anml     FuzzParse
+./internal/anml     FuzzParseSymbolSet
+./internal/espresso FuzzParsePLA
+endef
+export FUZZ
+
+fuzz-smoke:
+	@echo "$$FUZZ" | while read pkg target; do \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 1s || exit 1; done
 
 test-race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/espresso/... ./internal/place/... ./internal/arch/... ./internal/obs/... ./internal/par/... ./internal/server/... ./internal/artifact/... ./internal/dfa/... ./internal/backend/... ./internal/shard/... ./internal/topo/... ./internal/score/... ./internal/workload/...

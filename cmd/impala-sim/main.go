@@ -156,18 +156,28 @@ func main() {
 		runScored(nfa, a.Score, input, *chunk, *quiet)
 		return
 	}
-	// A sharded artifact (SHRD section) always executes its sealed partition,
-	// per-shard DFA tables included; -tier has nothing to add to it.
-	var sharded *shard.Sharded
-	var tiered *dfa.Tiered
+	// The execution form is picked once: a sharded artifact (SHRD section)
+	// always executes its sealed partition, per-shard DFA tables included
+	// (-tier has nothing to add to it); -tier runs the hybrid plan; otherwise
+	// the -engine flag names the graph simulator. newCore opens a stream on
+	// the form, runParallel is its -workers entry.
+	var newCore func() sim.Core
+	var runParallel func() ([]sim.Report, error)
 	switch {
 	case a.Shards != nil:
-		if sharded, err = shard.Unseal(nfa, a.Shards); err != nil {
+		sharded, err := shard.Unseal(nfa, a.Shards)
+		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "shard plan: %d shards, %d carrying a DFA fast path (%d DFA states)\n",
 			sharded.Shards(), sharded.TieredShards(), sharded.DFAStates())
+		newCore = sharded.NewCore
+		runParallel = func() ([]sim.Report, error) { // a shard plan runs in lockstep; -workers is advisory
+			reports, _ := sharded.Run(input)
+			return reports, nil
+		}
 	case *tier:
+		var tiered *dfa.Tiered
 		if a.Tier != nil {
 			tiered, err = dfa.Unseal(nfa, a.Tier)
 		} else {
@@ -179,36 +189,35 @@ func main() {
 		p := tiered.Plan()
 		fmt.Fprintf(os.Stderr, "tier plan: %d/%d components on the DFA fast path (%d DFA states)\n",
 			p.DFACCs(), len(p.CCs), p.DFAStates)
-	}
-	makeCore := func() sim.Core {
-		switch {
-		case sharded != nil:
-			return sharded.NewCore()
-		case tiered != nil:
-			return tiered.NewCore()
-		}
+		newCore = tiered.NewCore
+		runParallel = func() ([]sim.Report, error) { return tiered.RunParallel(input, *workers) }
+	default:
+		runParallel = func() ([]sim.Report, error) { return sim.RunParallel(nfa, input, *workers, *overlap) }
 		switch *engine {
 		case "scalar":
-			e, err := sim.NewEngine(nfa)
-			if err != nil {
-				fatal(err)
+			newCore = func() sim.Core {
+				e, err := sim.NewEngine(nfa)
+				if err != nil {
+					fatal(err)
+				}
+				return e
 			}
-			return e
 		case "compiled":
-			c, err := sim.Compile(nfa)
-			if err != nil {
-				fatal(err)
+			newCore = func() sim.Core {
+				c, err := sim.Compile(nfa)
+				if err != nil {
+					fatal(err)
+				}
+				return c.NewEngine()
 			}
-			return c.NewEngine()
 		default:
 			fatal(fmt.Errorf("unknown -engine %q (want compiled or scalar)", *engine))
-			return nil
 		}
 	}
 	// Batch and streaming share the session core; -chunk only changes how
 	// the input reaches Feed.
 	runOnce := func(tracer sim.Tracer) ([]sim.Report, sim.Stats) {
-		return sim.RunBatch(makeCore(), input, *chunk, tracer)
+		return sim.RunBatch(newCore(), input, *chunk, tracer)
 	}
 	if *trace {
 		reports, stats := runOnce(&cycleTracer{})
@@ -216,16 +225,7 @@ func main() {
 		return
 	}
 	if *workers > 1 {
-		var reports []sim.Report
-		var err error
-		switch {
-		case sharded != nil: // the shards are the parallel units
-			reports, _ = sharded.Run(input)
-		case tiered != nil:
-			reports, err = tiered.RunParallel(input, *workers)
-		default:
-			reports, err = sim.RunParallel(nfa, input, *workers, *overlap)
-		}
+		reports, err := runParallel()
 		if err != nil {
 			fatal(err)
 		}
@@ -277,7 +277,7 @@ func runScored(nfa *automata.NFA, w *automata.Weights, input []byte, chunk int, 
 		}
 	}
 	fmt.Printf("input: %d bytes, %d cycles (%d bits/cycle, scored)\n", len(input), stats.Cycles, nfa.BitsPerCycle())
-	fmt.Printf("reports: %d cleared threshold %g   scalar-scored states: %d\n",
+	fmt.Printf("reports: %d cleared threshold %g   states with mixed in-edge weights: %d\n",
 		len(reports), c.Threshold(), c.ScalarScoredStates())
 }
 

@@ -156,7 +156,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("score table     : %d weighted edges, threshold %g (%d state(s) on the scalar scoring fallback)\n",
+		fmt.Printf("score table     : %d weighted edges, threshold %g (%d state(s) with mixed in-edge weights)\n",
 			res.Weights.NumEdges(), res.Weights.Threshold, sc.ScalarScoredStates())
 	}
 

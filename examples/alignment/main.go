@@ -38,7 +38,7 @@ func main() {
 	si := m.ScoreInfo()
 	fmt.Printf("alignment engine: reference %s, edit distance <= %d, threshold %g\n",
 		reference, editDistance, si.Threshold)
-	fmt.Printf("  %d states, %d weighted edges, %d on the scalar scoring fallback\n\n",
+	fmt.Printf("  %d states, %d weighted edges, %d with mixed in-edge weights\n\n",
 		m.Model().States, si.Edges, si.ScalarStates)
 
 	// Sequenced reads at known edit distances from the reference.

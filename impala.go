@@ -51,7 +51,7 @@ type Config struct {
 	// Tier enables the hybrid execution plan: connected components of the
 	// compiled automaton whose subset construction stays within budget run
 	// on a dense DFA fast path, the rest on the bit-parallel NFA engine.
-	// Match, NewStream and RunParallel then prefer the tiered engine; the
+	// Match, NewStream and RunParallel then run on the tiered engine; the
 	// plan travels inside the artifact, so loaded machines keep it.
 	Tier bool
 	// TierBudget caps each component's trial determinization in DFA states
@@ -62,9 +62,10 @@ type Config struct {
 	// into that many independent shard engines (size-balanced, whole
 	// components). Match, NewStream and RunParallel then execute all shards
 	// and merge reports — identical output, but with Tier set the DFA
-	// budgets apply per shard (more states on the fast path), and on a
-	// multi-core host one-shot scans fan out across shards. The partition
-	// travels inside the artifact, so loaded machines keep it.
+	// budgets apply per shard (more states on the fast path). The shards
+	// step in lockstep on the calling goroutine, one core's work like
+	// every other form; concurrency across requests is the caller's. The
+	// partition travels inside the artifact, so loaded machines keep it.
 	Shards int
 	// Score attaches a per-transition weight table to the automaton passed
 	// to CompileAutomaton (it must validate against that automaton): the
@@ -128,9 +129,15 @@ type Machine struct {
 	// was set or the loaded artifact carried a sealed plan).
 	tiered *dfa.Tiered
 	// sharded is the K-shard execution form (nil unless Config.Shards > 1
-	// or the loaded artifact carried a sealed partition). When set, the
-	// serving paths prefer it over tiered/simc.
+	// or the loaded artifact carried a sealed partition).
 	sharded *shard.Sharded
+	// serving is the one binary form Match and NewStream run on, picked when
+	// the machine is assembled: sharded over tiered over the plain kernel.
+	// All three share this method set.
+	serving interface {
+		Run(input []byte) ([]sim.Report, sim.Stats)
+		NewSession(sink sim.ReportSink) *sim.Session
+	}
 	// scored is the weighted execution form and weights its transformed
 	// weight table (nil unless Config.Score was set or the loaded artifact
 	// carried a SCOR section). The binary paths ignore it: Match on a
@@ -189,27 +196,12 @@ func CompileAutomaton(nfa *automata.NFA, cfg Config) (*Machine, error) {
 	if !pl.Valid() {
 		return nil, fmt.Errorf("impala: placement left %d transitions unrouted", pl.TotalUncovered)
 	}
-	m, err := arch.Build(res.NFA, pl)
+	mach, err := newMachine(cfg, res.NFA, pl, res.Weights, res.Tiers, res.Shards)
 	if err != nil {
 		return nil, err
 	}
-	simc, scored, err := compileEngines(res.NFA, res.Weights)
-	if err != nil {
-		return nil, err
-	}
-	mach := &Machine{
-		cfg:             cfg,
-		transformed:     res.NFA,
-		placement:       pl,
-		machine:         m,
-		simc:            simc,
-		tiered:          res.Tiers,
-		sharded:         res.Shards,
-		scored:          scored,
-		weights:         res.Weights,
-		origStates:      nfa.NumStates(),
-		origTransitions: nfa.NumTransitions(),
-	}
+	mach.origStates = nfa.NumStates()
+	mach.origTransitions = nfa.NumTransitions()
 	for _, s := range res.Stages {
 		mach.stages = append(mach.stages, artifact.Stage{
 			Name: s.Name, States: s.States, Transitions: s.Transitions,
@@ -219,19 +211,37 @@ func CompileAutomaton(nfa *automata.NFA, cfg Config) (*Machine, error) {
 	return mach, nil
 }
 
-// compileEngines builds the bit-parallel forms of a transformed automaton:
-// the binary kernel and, given a weight table, the scored form — which runs
-// on that same kernel, so the automaton is compiled once either way.
-func compileEngines(n *automata.NFA, w *automata.Weights) (*sim.Compiled, *score.Compiled, error) {
-	if w == nil {
-		simc, err := sim.Compile(n)
-		return simc, nil, err
-	}
-	scored, err := score.Compile(n, w)
+// newMachine is the one place a Machine is assembled, whether the plans come
+// out of the compile pipeline or out of an artifact: it builds the capsule
+// machine and the bit-parallel engines of the transformed automaton — with a
+// weight table the scored form, whose kernel is also the binary kernel, so
+// the automaton is compiled once either way — and picks the serving form.
+func newMachine(cfg Config, n *automata.NFA, pl *place.Placement, w *automata.Weights, tiered *dfa.Tiered, sharded *shard.Sharded) (*Machine, error) {
+	am, err := arch.Build(n, pl)
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("impala: placement does not build: %w", err)
 	}
-	return scored.Kernel(), scored, nil
+	m := &Machine{
+		cfg: cfg, transformed: n, placement: pl, machine: am,
+		tiered: tiered, sharded: sharded, weights: w,
+	}
+	if w == nil {
+		m.simc, err = sim.Compile(n)
+	} else if m.scored, err = score.Compile(n, w); err == nil {
+		m.simc = m.scored.Kernel()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("impala: automaton does not compile: %w", err)
+	}
+	switch {
+	case sharded != nil:
+		m.serving = sharded
+	case tiered != nil:
+		m.serving = tiered
+	default:
+		m.serving = m.simc
+	}
+	return m, nil
 }
 
 // Artifact packages the machine into its versioned on-disk form: the
@@ -338,14 +348,7 @@ func machineFromArtifact(a *artifact.Artifact, keep []int) (*Machine, error) {
 	if keep != nil && a.Shards == nil {
 		return nil, fmt.Errorf("impala: shard subset requested but artifact has no shard plan")
 	}
-	am, err := arch.Build(a.NFA, a.Placement)
-	if err != nil {
-		return nil, fmt.Errorf("impala: artifact placement does not build: %w", err)
-	}
-	simc, scored, err := compileEngines(a.NFA, a.Score)
-	if err != nil {
-		return nil, fmt.Errorf("impala: artifact automaton does not compile: %w", err)
-	}
+	var err error
 	var tiered *dfa.Tiered
 	if a.Tier != nil {
 		tiered, err = dfa.Unseal(a.NFA, a.Tier)
@@ -367,27 +370,22 @@ func machineFromArtifact(a *artifact.Artifact, keep []int) (*Machine, error) {
 			}
 		}
 	}
-	return &Machine{
-		cfg: Config{
-			StrideDims: a.Meta.Stride,
-			CAMode:     a.Meta.CAMode,
-			Seed:       a.Meta.Seed,
-			Tier:       tiered != nil || shardsTiered,
-			Shards:     a.Meta.Shards,
-			Score:      a.Score,
-		},
-		transformed:     a.NFA,
-		placement:       a.Placement,
-		machine:         am,
-		simc:            simc,
-		tiered:          tiered,
-		sharded:         sharded,
-		scored:          scored,
-		weights:         a.Score,
-		origStates:      a.Meta.OriginalStates,
-		origTransitions: a.Meta.OriginalTransitions,
-		stages:          a.Stages,
-	}, nil
+	cfg := Config{
+		StrideDims: a.Meta.Stride,
+		CAMode:     a.Meta.CAMode,
+		Seed:       a.Meta.Seed,
+		Tier:       tiered != nil || shardsTiered,
+		Shards:     a.Meta.Shards,
+		Score:      a.Score,
+	}
+	m, err := newMachine(cfg, a.NFA, a.Placement, a.Score, tiered, sharded)
+	if err != nil {
+		return nil, err
+	}
+	m.origStates = a.Meta.OriginalStates
+	m.origTransitions = a.Meta.OriginalTransitions
+	m.stages = a.Stages
+	return m, nil
 }
 
 // Config returns the design point this machine was compiled at. For a
@@ -417,9 +415,10 @@ func (m *Machine) Run(input []byte) []Match {
 // On a tiered machine the DFA tier scans rescan-free (no overlap at all,
 // and no unbounded-span refusal: the NFA tier degrades to a serial scan
 // where spans are unbounded); overlapBytes then applies only to the NFA
-// tier's overlap-rescan path. On a sharded machine the shards themselves
-// are the parallel units: the scan fans out one shard per worker
-// (workers and overlapBytes are then advisory) and merges the streams.
+// tier's overlap-rescan path. A sharded machine has no parallel entry: it
+// steps its shards in lockstep as Match does (workers and overlapBytes are
+// then advisory) — a goroutine per shard lost to lockstep on every measured
+// workload (DESIGN.md, "Sharded execution").
 func (m *Machine) RunParallel(input []byte, workers, overlapBytes int) ([]Match, error) {
 	if m.sharded != nil {
 		reports, _ := m.sharded.Run(input)
@@ -451,18 +450,13 @@ func (m *Machine) Simulate(input []byte) ([]Match, error) {
 // Match is the serving-path one-shot: it matches input on a pooled
 // engine, so concurrent callers share the compiled form and steady-state
 // requests allocate no per-request engine. On a tiered machine the DFA
-// fast path handles its components with one table walk per sub-symbol.
-// Reports are identical to Run and Simulate.
+// fast path handles its components with one table walk per sub-symbol; on
+// a sharded machine the shards step in lockstep. Whatever the form, a call
+// is one core's work on the calling goroutine — RunParallel is the entry
+// that spends idle cores on one input (kernel and tiered forms). Reports
+// are identical to Run and Simulate.
 func (m *Machine) Match(input []byte) []Match {
-	if m.sharded != nil {
-		reports, _ := m.sharded.Run(input)
-		return toMatches(reports)
-	}
-	if m.tiered != nil {
-		reports, _ := m.tiered.Run(input)
-		return toMatches(reports)
-	}
-	reports, _ := m.simc.Run(input)
+	reports, _ := m.serving.Run(input)
 	return toMatches(reports)
 }
 
@@ -570,8 +564,8 @@ type ScoreInfo struct {
 	Threshold float64
 	// Edges is the number of weighted transitions in the sealed table.
 	Edges int
-	// ScalarStates counts states whose in-edge weights are heterogeneous —
-	// scored on the scalar fallback instead of the bit-parallel fast path.
+	// ScalarStates counts states whose in-edge weights are heterogeneous (a
+	// property of the weight table; every state is scored by the same pass).
 	ScalarStates int
 }
 
@@ -646,15 +640,7 @@ func (m *Machine) NewStream(onMatch func(Match)) *Stream {
 	if onMatch != nil {
 		s.emit = func(sm ScoredMatch) { onMatch(sm.Match) }
 	}
-	sink := func(r sim.Report) { s.report(r, 0) }
-	switch {
-	case m.sharded != nil:
-		s.sess = m.sharded.NewSession(sink)
-	case m.tiered != nil:
-		s.sess = m.tiered.NewSession(sink)
-	default:
-		s.sess = m.simc.NewSession(sink)
-	}
+	s.sess = m.serving.NewSession(func(r sim.Report) { s.report(r, 0) })
 	return s
 }
 

@@ -46,8 +46,10 @@
 // additionally carry the backend name as a trailing META field and the backend-owned
 // payload in an optional "BKND" section (internal/backend revalidates it
 // on load); default-target artifacts carry neither, staying byte-identical
-// with the pre-backend layout. Save output is deterministic: a Load/Save
-// round trip is byte-identical, which the property tests pin.
+// with the pre-backend layout. The encoding is canonical: Save output is
+// deterministic, and Load accepts only what Save writes — sections in Save's
+// order, reserved and padding bytes zero, flags 0 or 1 — so whatever loads
+// saves back byte-identically, which the property tests and FuzzLoad pin.
 //
 // Every Load validates the magic, version, CRC and all structural bounds
 // before returning; Stat decodes only META and STAG (still CRC-checking
@@ -64,6 +66,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"impala/internal/automata"
@@ -98,6 +101,10 @@ var (
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// sectionOrder is the order Save writes sections in, and so the only order
+// Load accepts.
+var sectionOrder = []string{"META", "STAG", "AUTM", "PLAC", "BKND", "TIER", "DFAT", "SHRD", "TOPO", "SCOR"}
 
 // Meta is the artifact's design-point and shape header.
 type Meta struct {
@@ -183,6 +190,12 @@ type Artifact struct {
 	// backend seals nothing — the default Impala target always does). Set it
 	// with SetBackend so the Meta tag stays consistent.
 	BackendPayload []byte
+
+	// size and sections describe the container Load decoded (total bytes,
+	// payload bytes per fourcc), for Info; zero on an artifact assembled in
+	// memory.
+	size     int64
+	sections map[string]int64
 }
 
 // SetScore attaches (or, with nil, detaches) a scored-execution weight
@@ -245,7 +258,7 @@ func (a *Artifact) SetTopo(s *topo.Sealed) {
 	}
 }
 
-// Info is the cheap header view returned by Stat.
+// Info is the cheap header view returned by Stat and Artifact.Info.
 type Info struct {
 	Version   int
 	SizeBytes int64
@@ -253,6 +266,15 @@ type Info struct {
 	Stages    []Stage
 	// Sections maps fourcc → payload bytes, for size breakdowns.
 	Sections map[string]int64
+}
+
+// Info returns the header view of a loaded artifact: what Stat reports for
+// the bytes Load read, so a caller that wants both the machine and the
+// header reads and checksums the file once. It describes those bytes, not
+// later edits; SizeBytes and Sections are zero on an artifact assembled in
+// memory.
+func (a *Artifact) Info() *Info {
+	return &Info{Version: Version, SizeBytes: a.size, Meta: a.Meta, Stages: a.Stages, Sections: a.sections}
 }
 
 // New assembles an artifact from compile outputs, filling the Meta shape
@@ -356,15 +378,12 @@ func Load(r io.Reader) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Artifact{}
-	seen := map[string]bool{}
+	seen := map[string]int64{}
+	a := &Artifact{size: int64(len(body)) + 16, sections: seen}
 	var tierPlan *dfa.Plan
 	var tierDFA *dfa.Raw
 	if err := walkSections(body, func(id string, payload []byte) error {
-		if seen[id] {
-			return fmt.Errorf("%w: duplicate section %q", ErrCorrupt, id)
-		}
-		seen[id] = true
+		seen[id] = int64(len(payload))
 		switch id {
 		case "META":
 			return a.decodeMeta(payload)
@@ -401,6 +420,9 @@ func Load(r io.Reader) (*Artifact, error) {
 			a.Score, err = decodeScore(payload)
 			return err
 		case "BKND":
+			if len(payload) == 0 {
+				return fmt.Errorf("%w: empty BKND section", ErrCorrupt)
+			}
 			a.BackendPayload = append([]byte(nil), payload...)
 			return nil
 		default:
@@ -410,7 +432,7 @@ func Load(r io.Reader) (*Artifact, error) {
 		return nil, err
 	}
 	for _, id := range []string{"META", "STAG", "AUTM", "PLAC"} {
-		if !seen[id] {
+		if _, ok := seen[id]; !ok {
 			return nil, fmt.Errorf("%w: missing section %q", ErrCorrupt, id)
 		}
 	}
@@ -574,10 +596,7 @@ func (a *Artifact) validate() error {
 				a.Meta.TierCCs, a.Meta.TierDFACCs, a.Meta.TierDFAStates, len(p.CCs), dfaCCs, p.DFAStates)
 		}
 		if a.Tier.DFA != nil {
-			r := a.Tier.DFA
-			if _, err := dfa.FromRaw(r); err != nil {
-				return fmt.Errorf("%w: DFAT: %v", ErrCorrupt, err)
-			}
+			r := a.Tier.DFA // its own bounds were checked when it was decoded
 			if len(r.Phase) != p.DFAStates {
 				return fmt.Errorf("%w: DFAT has %d states, plan says %d", ErrCorrupt, len(r.Phase), p.DFAStates)
 			}
@@ -706,6 +725,9 @@ func readBody(r io.Reader) ([]byte, error) {
 	if v := binary.LittleEndian.Uint16(pre[6:]); v != Version {
 		return nil, fmt.Errorf("%w: file version %d, this build reads %d", ErrVersion, v, Version)
 	}
+	if flags := binary.LittleEndian.Uint32(pre[8:]); flags != 0 {
+		return nil, fmt.Errorf("%w: reserved preamble flags %#x", ErrCorrupt, flags)
+	}
 	want := binary.LittleEndian.Uint32(pre[12:])
 	body, err := readRest(r)
 	if err != nil {
@@ -746,8 +768,10 @@ func readRest(r io.Reader) ([]byte, error) {
 	return body, err
 }
 
-// walkSections iterates the body's (fourcc, payload) sections.
+// walkSections iterates the body's (fourcc, payload) sections, which must
+// come in sectionOrder, each at most once.
 func walkSections(body []byte, fn func(id string, payload []byte) error) error {
+	last := -1 // sectionOrder index of the latest known section
 	for off := 0; off < len(body); {
 		if len(body)-off < 12 {
 			return fmt.Errorf("%w: section header at offset %d", ErrTruncated, off)
@@ -757,6 +781,12 @@ func walkSections(body []byte, fn func(id string, payload []byte) error) error {
 		off += 12
 		if length > uint64(len(body)-off) {
 			return fmt.Errorf("%w: section %q claims %d bytes, %d remain", ErrTruncated, id, length, len(body)-off)
+		}
+		if i := slices.Index(sectionOrder, id); i >= 0 {
+			if i <= last {
+				return fmt.Errorf("%w: section %q repeated or out of order", ErrCorrupt, id)
+			}
+			last = i
 		}
 		if err := fn(id, body[off:off+int(length)]); err != nil {
 			return err
@@ -839,6 +869,24 @@ func (d *dec) u64() uint64 {
 	return binary.LittleEndian.Uint64(p)
 }
 func (d *dec) i64() int64 { return int64(d.u64()) }
+
+// flag reads a boolean byte; pad skips n reserved bytes. The encoding is
+// canonical, so a flag other than 0 or 1 and a non-zero pad byte are
+// corruption.
+func (d *dec) flag() bool {
+	v := d.u8()
+	if v > 1 && d.err == nil {
+		d.err = fmt.Errorf("%w: flag byte %d", ErrCorrupt, v)
+	}
+	return v == 1
+}
+func (d *dec) pad(n int) {
+	for _, b := range d.take(n) {
+		if b != 0 {
+			d.err = fmt.Errorf("%w: non-zero padding", ErrCorrupt)
+		}
+	}
+}
 func (d *dec) str() string {
 	n := int(d.u16())
 	p := d.take(n)
@@ -899,9 +947,9 @@ func (a *Artifact) decodeMeta(payload []byte) error {
 	m := Meta{
 		Bits:   int(d.u8()),
 		Stride: int(d.u8()),
-		CAMode: d.u8() != 0,
+		CAMode: d.flag(),
 	}
-	d.u8() // pad
+	d.pad(1)
 	m.Seed = d.i64()
 	m.OriginalStates = int(d.u32())
 	m.OriginalTransitions = int(d.u32())
@@ -1005,7 +1053,7 @@ func decodeNFA(payload []byte) (*automata.NFA, error) {
 	d := &dec{b: payload}
 	bits := int(d.u8())
 	stride := int(d.u8())
-	d.u16() // pad
+	d.pad(2)
 	if d.err == nil && (bits != 2 && bits != 4 && bits != 8) {
 		return nil, fmt.Errorf("%w: automaton bits %d", ErrCorrupt, bits)
 	}
@@ -1013,8 +1061,9 @@ func decodeNFA(payload []byte) (*automata.NFA, error) {
 		return nil, fmt.Errorf("%w: automaton stride %d", ErrCorrupt, stride)
 	}
 	ns := int(d.u32())
-	if d.err == nil && uint64(ns) > uint64(len(payload)) {
-		// Each state costs ≥1 byte; a larger count is a lie, not a big file.
+	if d.err == nil && uint64(ns)*16 > uint64(len(payload)-d.off) {
+		// Each state costs at least its 16 fixed bytes; a larger count is a
+		// lie, not a big file.
 		return nil, fmt.Errorf("%w: %d states in %d-byte section", ErrCorrupt, ns, len(payload))
 	}
 	n := &automata.NFA{Bits: bits, Stride: stride}
@@ -1025,12 +1074,15 @@ func decodeNFA(payload []byte) (*automata.NFA, error) {
 		if d.err == nil && s.Start > automata.StartEven {
 			return nil, fmt.Errorf("%w: state %d start kind %d", ErrCorrupt, i, s.Start)
 		}
-		s.Report = d.u8() != 0
+		s.Report = d.flag()
 		s.ReportOffset = int(d.u8())
-		d.u8() // pad
+		d.pad(1)
 		s.ReportCode = int(int32(d.u32()))
 		nr := int(d.u16())
-		d.u16() // pad
+		if d.err == nil && uint64(nr)*uint64(stride)*32 > uint64(len(payload)-d.off) {
+			return nil, fmt.Errorf("%w: state %d claims %d match rects", ErrCorrupt, i, nr)
+		}
+		d.pad(2)
 		s.Match = make(automata.MatchSet, 0, nr)
 		for ri := 0; ri < nr && d.err == nil; ri++ {
 			r := make(automata.Rect, stride)
@@ -1099,8 +1151,8 @@ func decodeTierPlan(payload []byte) (*dfa.Plan, error) {
 		if d.err == nil && cc.Kind > dfa.TierDFA {
 			return nil, fmt.Errorf("%w: tier component %d has kind %d", ErrCorrupt, i, cc.Kind)
 		}
-		cc.Evicted = d.u8() != 0
-		d.u16() // pad
+		cc.Evicted = d.flag()
+		d.pad(2)
 		cc.States = int(d.u32())
 		cc.DFAStates = int(d.u32())
 		p.CCs = append(p.CCs, cc)
@@ -1157,8 +1209,8 @@ func decodeDFATable(payload []byte) (*dfa.Raw, error) {
 		Bits:   int(d.u8()),
 		Stride: int(d.u8()),
 	}
-	r.AnyEven = d.u8() != 0
-	d.u8() // pad
+	r.AnyEven = d.flag()
+	d.pad(1)
 	r.Start = int32(d.u32())
 	if d.err == nil && (r.Bits != 2 && r.Bits != 4 && r.Bits != 8) {
 		return nil, fmt.Errorf("%w: DFAT bits %d", ErrCorrupt, r.Bits)
@@ -1281,7 +1333,7 @@ func decodeShardPlan(payload []byte) (*shard.Sealed, error) {
 		return nil, fmt.Errorf("%w: SHRD has %d tier entries for %d shards", ErrCorrupt, ntiers, s.Plan.Shards)
 	}
 	for k := 0; k < ntiers && d.err == nil; k++ {
-		if d.u8() == 0 {
+		if !d.flag() {
 			s.Tiers = append(s.Tiers, nil)
 			continue
 		}
@@ -1293,7 +1345,7 @@ func decodeShardPlan(payload []byte) (*shard.Sealed, error) {
 			return nil, fmt.Errorf("shard %d: %w", k, err)
 		}
 		var table *dfa.Raw
-		hasDFA := d.u8() != 0
+		hasDFA := d.flag()
 		if hasDFA {
 			table, err = decodeDFATable(d.blob())
 			if d.err != nil {
@@ -1381,6 +1433,12 @@ func decodeTopo(payload []byte) (*topo.Sealed, error) {
 	}
 	if err := d.done("TOPO"); err != nil {
 		return nil, err
+	}
+	for _, dom := range s.Topology.Domains {
+		if dom.Bandwidth == 0 {
+			// Sealed topologies are normalized: the default is written out.
+			return nil, fmt.Errorf("%w: TOPO domain %q has no explicit bandwidth", ErrCorrupt, dom.Name)
+		}
 	}
 	if err := s.Topology.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -1501,15 +1559,16 @@ func decodePlacement(payload []byte) (*place.Placement, error) {
 		TotalUncovered: int(d.u32()),
 		GAInvocations:  int(d.u32()),
 	}
-	if d.err == nil && uint64(ng) > uint64(len(payload)) {
+	if d.err == nil && uint64(ng)*20 > uint64(len(payload)-d.off) {
+		// Each group costs at least its 20 fixed bytes (and decodes into a
+		// dense slot table), so a larger count is a lie, not a big file.
 		return nil, fmt.Errorf("%w: %d groups in %d-byte section", ErrCorrupt, ng, len(payload))
 	}
 	for gi := 0; gi < ng && d.err == nil; gi++ {
 		g := &place.G4Placement{
-			Hierarchical: d.u8() != 0,
+			Hierarchical: d.flag(),
 		}
-		d.u8()
-		d.u16() // pad
+		d.pad(3)
 		g.States = int(d.u32())
 		g.Edges = int(d.u32())
 		g.Uncovered = int(d.u32())
@@ -1526,18 +1585,23 @@ func decodePlacement(payload []byte) (*place.Placement, error) {
 		if d.err == nil && uint64(occupied)*8 > uint64(len(payload)-d.off) {
 			return nil, fmt.Errorf("%w: group %d claims %d occupied slots", ErrCorrupt, gi, occupied)
 		}
+		last := -1 // occupied slots are sealed in ascending order
 		for i := 0; i < occupied && d.err == nil; i++ {
 			slot := int(d.u32())
 			id := automata.StateID(int32(d.u32()))
+			if d.err != nil {
+				break
+			}
 			if slot >= slots {
 				return nil, fmt.Errorf("%w: group %d slot %d out of %d", ErrCorrupt, gi, slot, slots)
 			}
 			if id < 0 {
 				return nil, fmt.Errorf("%w: group %d slot %d holds negative state", ErrCorrupt, gi, slot)
 			}
-			if g.Slots[slot] >= 0 {
-				return nil, fmt.Errorf("%w: group %d slot %d assigned twice", ErrCorrupt, gi, slot)
+			if slot <= last {
+				return nil, fmt.Errorf("%w: group %d slot %d repeats or precedes slot %d", ErrCorrupt, gi, slot, last)
 			}
+			last = slot
 			if _, dup := g.SlotOf[id]; dup {
 				return nil, fmt.Errorf("%w: group %d state %d placed twice", ErrCorrupt, gi, id)
 			}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ import (
 // buildArtifact compiles a benchmark at the given stride and wraps the
 // result as an artifact, returning the artifact alongside the original
 // (untransformed) automaton for differential checks.
-func buildArtifact(t *testing.T, bench string, stride int) (*Artifact, *automata.NFA) {
+func buildArtifact(t testing.TB, bench string, stride int) (*Artifact, *automata.NFA) {
 	t.Helper()
 	b, ok := workload.Get(bench)
 	if !ok {
@@ -51,7 +52,7 @@ func buildArtifact(t *testing.T, bench string, stride int) (*Artifact, *automata
 	return a, n
 }
 
-func saveBytes(t *testing.T, a *Artifact) []byte {
+func saveBytes(t testing.TB, a *Artifact) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := a.Save(&buf); err != nil {
@@ -158,6 +159,10 @@ func TestWriteFileLoadFileStat(t *testing.T) {
 			t.Fatalf("stat section %s missing or empty: %v", id, info.Sections)
 		}
 	}
+	// The loaded artifact's own header view is what Stat reads off the file.
+	if !reflect.DeepEqual(got.Info(), info) {
+		t.Fatalf("Load's Info %+v != Stat's %+v", got.Info(), info)
+	}
 }
 
 func TestWriteFileAtomic(t *testing.T) {
@@ -200,15 +205,18 @@ type misstated struct {
 
 func (m misstated) Len() int { return max(0, m.Reader.Len()+m.by) }
 
-func TestLoadErrorPaths(t *testing.T) {
-	a, _ := buildArtifact(t, "Bro217", 1)
-	raw := saveBytes(t, a)
+// loadCase is one row of the container-level corruption matrix: a mutation
+// of a saved artifact and the error class Load must answer with.
+type loadCase struct {
+	name string
+	mut  func() []byte
+	want error
+}
 
-	cases := []struct {
-		name string
-		mut  func() []byte
-		want error
-	}{
+// containerCases is the container-level corruption matrix over raw, shared
+// by TestLoadErrorPaths and FuzzLoad's seed corpus.
+func containerCases(t testing.TB, raw []byte) []loadCase {
+	return []loadCase{
 		{"empty", func() []byte { return nil }, ErrTruncated},
 		{"short preamble", func() []byte { return raw[:10] }, ErrTruncated},
 		{"bad magic", func() []byte {
@@ -241,13 +249,36 @@ func TestLoadErrorPaths(t *testing.T) {
 			metaLen := binary.LittleEndian.Uint64(raw[20:])
 			return restamp(raw[:16+12+int(metaLen)])
 		}, ErrCorrupt},
+		// The encoding is canonical: reserved bits, flag values, padding and
+		// section order have one accepted form.
+		{"reserved flags set", func() []byte {
+			out := append([]byte(nil), raw...)
+			out[8] = 1
+			return out
+		}, ErrCorrupt},
+		{"flag byte out of range", func() []byte {
+			out := append([]byte(nil), raw...)
+			out[16+12+2] = 2 // META's CAMode
+			return restamp(out)
+		}, ErrCorrupt},
+		{"non-zero padding", func() []byte {
+			out := append([]byte(nil), raw...)
+			out[16+12+3] = 1 // the pad byte after it
+			return restamp(out)
+		}, ErrCorrupt},
+		{"sections out of order", func() []byte {
+			_, chunks := sections(t, raw)
+			chunks[1], chunks[2] = chunks[2], chunks[1]
+			return rebuild(raw, chunks)
+		}, ErrCorrupt},
+		{"intact", func() []byte { return raw }, nil},
 	}
-	cases = append(cases, struct {
-		name string
-		mut  func() []byte
-		want error
-	}{"intact", func() []byte { return raw }, nil})
-	for _, tc := range cases {
+}
+
+func TestLoadErrorPaths(t *testing.T) {
+	a, _ := buildArtifact(t, "Bro217", 1)
+	raw := saveBytes(t, a)
+	for _, tc := range containerCases(t, raw) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Load(bytes.NewReader(tc.mut()))
 			if !errors.Is(err, tc.want) {

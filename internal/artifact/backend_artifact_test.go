@@ -14,7 +14,7 @@ import (
 
 // buildCamArtifact compiles a benchmark for the CAM target and seals it
 // with the backend tag and section.
-func buildCamArtifact(t *testing.T, bench string) (*Artifact, *automata.NFA) {
+func buildCamArtifact(t testing.TB, bench string) (*Artifact, *automata.NFA) {
 	t.Helper()
 	b, ok := workload.Get(bench)
 	if !ok {

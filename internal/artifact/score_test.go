@@ -18,7 +18,7 @@ import (
 // buildScoredArtifact compiles a scored Levenshtein mesh at (4,2) and seals
 // the output weight table, returning the artifact and the match input used
 // by the functional round-trip check.
-func buildScoredArtifact(t *testing.T) (*Artifact, []byte) {
+func buildScoredArtifact(t testing.TB) (*Artifact, []byte) {
 	t.Helper()
 	pats := [][]byte{[]byte("ACGTACGT"), []byte("TTGACCAT")}
 	n, w, err := workload.ScoredLevenshtein(pats, 2, workload.DefaultAlignCosts, -6)

@@ -19,7 +19,7 @@ import (
 // buildShardedArtifact compiles a multi-component rule set sharded four
 // ways — tier-planned per shard when tiered is set — and seals the
 // partition into the artifact.
-func buildShardedArtifact(t *testing.T, tiered bool) (*Artifact, *automata.NFA) {
+func buildShardedArtifact(t testing.TB, tiered bool) (*Artifact, *automata.NFA) {
 	t.Helper()
 	n := regexc.MustCompile([]regexc.Rule{
 		{Pattern: "a.{12}b", Code: 1},

@@ -18,7 +18,7 @@ import (
 // buildTieredArtifact compiles a rule set whose tier plan is mixed (one
 // component blows the CC budget, the literals determinize) and seals the
 // plan into the artifact.
-func buildTieredArtifact(t *testing.T) (*Artifact, *automata.NFA) {
+func buildTieredArtifact(t testing.TB) (*Artifact, *automata.NFA) {
 	t.Helper()
 	n := regexc.MustCompile([]regexc.Rule{
 		{Pattern: "a.{12}b", Code: 1},
@@ -102,7 +102,7 @@ func TestTierRoundTrip(t *testing.T) {
 }
 
 // sections splits a saved body into ordered (id, full-section-bytes) pairs.
-func sections(t *testing.T, raw []byte) (ids []string, chunks [][]byte) {
+func sections(t testing.TB, raw []byte) (ids []string, chunks [][]byte) {
 	t.Helper()
 	body := raw[16:]
 	for off := 0; off < len(body); {

@@ -12,7 +12,7 @@ import (
 )
 
 // buildTopoArtifact seals a 4-shard artifact with a 2-domain placement.
-func buildTopoArtifact(t *testing.T) *Artifact {
+func buildTopoArtifact(t testing.TB) *Artifact {
 	t.Helper()
 	a, _ := buildShardedArtifact(t, false)
 	tp := topo.Topology{Domains: []topo.Domain{

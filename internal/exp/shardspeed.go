@@ -207,9 +207,10 @@ func shardTable(r *Report[ShardCell]) *Table {
 // shardRows projects one row per benchmark for the workload's shape and one
 // per benchmark x K sweep point: the partition's shape exactly (the planner
 // is deterministic) and the point's speedup over its own K=1 row, guarded by
-// that row's wall. The speedup needs cores — the fan-out scans shards
-// concurrently — so rows where sharding lost ground are the sweep's negative
-// controls and a single-core checker is not held to a multi-core baseline.
+// that row's wall. The timed entry is Sharded.Run, the lockstep core, so the
+// speedup is what per-shard DFA budgets buy on one core. The Cores mark is
+// there for its negative-control half: rows where sharding lost ground are
+// not gated on how far.
 func shardRows(r *Report[ShardCell]) []Row {
 	var rows []Row
 	for _, c := range r.Cells {
@@ -231,8 +232,7 @@ func shardRows(r *Report[ShardCell]) []Row {
 
 // shardHeadline is the sweep's headline claim: among benchmarks whose
 // baseline K=1 scan clears MinWallMS, at least two reach a 2x speedup at
-// K=8. Both shard levers feed that ratio — per-shard budgets shrink the NFA
-// residual, and the fan-out scans shards concurrently. A regression gate
+// K=8, per-shard budgets having shrunk the NFA residual. A regression gate
 // cannot fail on a claim its baseline never met, so the claim is enforced
 // only when the baseline's own rows meet it and the checker has at least the
 // baseline's cores; otherwise the count is reported as a note.

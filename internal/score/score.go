@@ -10,14 +10,11 @@
 //
 // Accumulation is max-plus and saturating (scores clamp to
 // ±automata.ScoreLimit, far below float64's integer-exactness boundary, so
-// integer-valued costs never round). The per-cycle scoring pass is
-// bit-parallel where the automaton allows it: states whose in-edges all
-// carry one weight take the fast path — predecessor-row AND over the
-// previous active words, one max-reduce, one add — and only states with
-// heterogeneous in-edge weights fall back to a scalar per-edge walk. The
-// V-TeSS pipeline emits automata whose strided states each have a single
-// entry weight, so compiled scored machines run almost entirely on the
-// fast path.
+// integer-valued costs never round). The per-cycle scoring pass is one loop:
+// for every state the kernel left active, walk its in-edges and keep the best
+// (predecessor score + edge weight) over the predecessors that were active
+// the cycle before. Its cost tracks the in-edges of the active states — a
+// handful per cycle on the meshes this lane serves — not the state count.
 package score
 
 import (
@@ -28,7 +25,6 @@ import (
 	"sync"
 
 	"impala/internal/automata"
-	"impala/internal/bitvec"
 	"impala/internal/sim"
 )
 
@@ -44,34 +40,26 @@ type Report struct {
 // unsorted within a cycle).
 type Sink func(Report)
 
-// inEdge is one scalar-path predecessor: source state and edge weight.
-type inEdge struct {
-	from int32
-	w    float64
-}
-
 // Compiled is the immutable scored form of a weighted automaton: the binary
 // kernel (a sim.Compiled, which owns every table the enable, match and
-// report phases read) plus only what scoring adds — a predecessor matrix for
-// the uniform fast path, per-state entry weights, scalar in-edge lists for
-// heterogeneous states, start weights and the report threshold. Safe to
+// report phases read) plus only what scoring adds — the flat in-edge table,
+// start weights and the report threshold, O(states + edges) in all. Safe to
 // share across goroutines; per-stream state lives in Engine.
 type Compiled struct {
 	kernel *sim.Compiled
 
-	// pred row i: mask of state i's predecessors (the transpose of the
-	// kernel's successor matrix), driving the scoring fast path.
-	pred *bitvec.Matrix
-
-	// uniform[i] is true when every in-edge of state i carries uniformW[i]
-	// (including states with no in-edges); heterogeneous states carry their
-	// in-edges on hetIn[i] for the scalar fallback.
-	uniform  []bool
-	uniformW []float64
-	hetIn    [][]inEdge
+	// State i's in-edges are inFrom/inW[inOff[i]:inOff[i+1]]: source state
+	// and edge weight, the weighted transpose of the automaton's out-edge
+	// lists.
+	inOff  []int32
+	inFrom []int32
+	inW    []float64
 
 	startW    []float64
 	threshold float64
+	// mixedStates counts states whose in-edges carry more than one distinct
+	// weight (ScalarScoredStates).
+	mixedStates int
 
 	pool sync.Pool
 }
@@ -93,37 +81,38 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 	ns := n.NumStates()
 	c := &Compiled{
 		kernel:    kernel,
-		pred:      bitvec.NewMatrix(ns, ns),
-		uniform:   make([]bool, ns),
-		uniformW:  make([]float64, ns),
-		hetIn:     make([][]inEdge, ns),
+		inOff:     make([]int32, ns+1),
 		startW:    append([]float64(nil), w.Start...),
 		threshold: w.Threshold,
 	}
 
-	// In-edge weight classification: collect per-target in-edges, then mark
-	// targets whose weights are all equal as uniform (fast path).
-	in := make([][]inEdge, ns)
+	// Transpose by counting sort: in-degrees, prefix sums, then one pass
+	// over the out-edges dropping each into its target's next free slot.
 	for i := range n.States {
-		for j, t := range n.States[i].Out {
-			c.pred.Set(int(t), i)
-			in[t] = append(in[t], inEdge{from: int32(i), w: w.Edge[i][j]})
+		for _, t := range n.States[i].Out {
+			c.inOff[t+1]++
 		}
 	}
-	for i := range in {
-		c.uniform[i] = true
-		for _, e := range in[i] {
-			if e.w != in[i][0].w {
-				c.uniform[i] = false
+	for i := 0; i < ns; i++ {
+		c.inOff[i+1] += c.inOff[i]
+	}
+	c.inFrom = make([]int32, c.inOff[ns])
+	c.inW = make([]float64, c.inOff[ns])
+	next := append([]int32(nil), c.inOff[:ns]...)
+	for i := range n.States {
+		for j, t := range n.States[i].Out {
+			c.inFrom[next[t]] = int32(i)
+			c.inW[next[t]] = w.Edge[i][j]
+			next[t]++
+		}
+	}
+	for i := 0; i < ns; i++ {
+		in := c.inW[c.inOff[i]:c.inOff[i+1]]
+		for _, x := range in {
+			if x != in[0] {
+				c.mixedStates++
 				break
 			}
-		}
-		if c.uniform[i] {
-			if len(in[i]) > 0 {
-				c.uniformW[i] = in[i][0].w
-			}
-		} else {
-			c.hetIn[i] = in[i]
 		}
 	}
 	c.pool.New = func() any { return c.NewEngine() }
@@ -143,17 +132,11 @@ func (c *Compiled) Threshold() float64 { return c.threshold }
 // ResidualStates returns the number of states on the scalar match path.
 func (c *Compiled) ResidualStates() int { return c.kernel.ResidualStates() }
 
-// ScalarScoredStates returns the number of states whose in-edge weights are
-// heterogeneous — the ones scored on the scalar fallback each cycle.
-func (c *Compiled) ScalarScoredStates() int {
-	k := 0
-	for _, u := range c.uniform {
-		if !u {
-			k++
-		}
-	}
-	return k
-}
+// ScalarScoredStates returns the number of states whose in-edges carry
+// heterogeneous weights: a property of the weight table, counted once at
+// Compile. Execution does not depend on it — every state is scored by the
+// same pass.
+func (c *Compiled) ScalarScoredStates() int { return c.mixedStates }
 
 // Engine executes a shared Compiled form over one stream: a kernel engine
 // plus the score vectors. It implements sim.Core, so sim.Session drives it
@@ -244,7 +227,7 @@ func (e *Engine) StepCycle(chunk []byte, t int, limitBits int, sink sim.ReportSi
 // the cycle's active set is known. It scores every active state: the best
 // of its start weight (if it is a start candidate this cycle, whether or not
 // a predecessor also reaches it) and the max over active predecessors of
-// (predecessor score + entry weight).
+// (predecessor score + edge weight).
 func (e *Engine) propagate(t int) {
 	c, k := e.c, e.kernel
 	prev := k.PrevActive()
@@ -257,33 +240,11 @@ func (e *Engine) propagate(t int) {
 			if k.StartEnabled(i, t) {
 				best = c.startW[i]
 			}
-			if c.uniform[i] {
-				// Fast path: one row AND against the previous active words,
-				// max-reduce the surviving predecessors, one add.
-				row := c.pred.Row(i)
-				maxPrev := math.Inf(-1)
-				for rw, rword := range row {
-					rword &= prev[rw]
-					for rword != 0 {
-						u := rw<<6 + bits.TrailingZeros64(rword)
-						rword &= rword - 1
-						if pw[u] > maxPrev {
-							maxPrev = pw[u]
-						}
-					}
-				}
-				if !math.IsInf(maxPrev, -1) {
-					if v := satAdd(maxPrev, c.uniformW[i]); v > best {
+			for p, end := c.inOff[i], c.inOff[i+1]; p < end; p++ {
+				u := c.inFrom[p]
+				if prev.Get(int(u)) {
+					if v := satAdd(pw[u], c.inW[p]); v > best {
 						best = v
-					}
-				}
-			} else {
-				// Scalar fallback: heterogeneous in-edge weights.
-				for _, ie := range c.hetIn[i] {
-					if prev.Get(int(ie.from)) {
-						if v := satAdd(pw[ie.from], ie.w); v > best {
-							best = v
-						}
 					}
 				}
 			}

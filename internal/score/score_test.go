@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"impala/internal/automata"
@@ -11,11 +12,13 @@ import (
 	"impala/internal/core"
 	"impala/internal/obs"
 	"impala/internal/sim"
+	"impala/internal/workload"
 )
 
 // naiveScoredRun is an independent, deliberately simple reference for the
-// scored semantics (maps, per-state scalar max-plus, no bitsets): the
-// redundancy that keeps the optimized engine honest.
+// scored semantics (every state visited every cycle, per-state scalar
+// max-plus, no bitsets): the redundancy that keeps the optimized engine
+// honest.
 func naiveScoredRun(n *automata.NFA, w *automata.Weights, input []byte) []Report {
 	syms := sim.SubSymbols(n.Bits, input)
 	S := n.Stride
@@ -33,7 +36,9 @@ func naiveScoredRun(n *automata.NFA, w *automata.Weights, input []byte) []Report
 		}
 	}
 
-	active := map[automata.StateID]float64{}
+	// on[q] says state q was active last cycle, score[q] with what score.
+	on, score := make([]bool, len(n.States)), make([]float64, len(n.States))
+	nextOn, nextScore := make([]bool, len(n.States)), make([]float64, len(n.States))
 	var reports []Report
 	for t := 0; t < cycles; t++ {
 		chunk := make([]byte, S)
@@ -42,9 +47,12 @@ func naiveScoredRun(n *automata.NFA, w *automata.Weights, input []byte) []Report
 				chunk[i] = syms[p]
 			}
 		}
-		next := map[automata.StateID]float64{}
+		clear(nextOn)
 		for i := range n.States {
 			s := &n.States[i]
+			if !s.Match.Has(chunk) {
+				continue
+			}
 			enabled := false
 			best := math.Inf(-1)
 			switch s.Start {
@@ -63,17 +71,17 @@ func naiveScoredRun(n *automata.NFA, w *automata.Weights, input []byte) []Report
 				}
 			}
 			for _, e := range in[i] {
-				if sc, ok := active[e.from]; ok {
+				if on[e.from] {
 					enabled = true
-					if v := satAdd(sc, e.w); v > best {
+					if v := satAdd(score[e.from], e.w); v > best {
 						best = v
 					}
 				}
 			}
-			if !enabled || !s.Match.Has(chunk) {
+			if !enabled {
 				continue
 			}
-			next[automata.StateID(i)] = best
+			nextOn[i], nextScore[i] = true, best
 			if s.Report {
 				bitPos := (t*S + s.ReportOffset) * n.Bits
 				if bitPos <= totalBits && best >= w.Threshold {
@@ -84,7 +92,8 @@ func naiveScoredRun(n *automata.NFA, w *automata.Weights, input []byte) []Report
 				}
 			}
 		}
-		active = next
+		on, nextOn = nextOn, on
+		score, nextScore = nextScore, score
 	}
 	SortReports(reports)
 	return reports
@@ -150,9 +159,103 @@ func randInput(r *rand.Rand, length int) []byte {
 	return in
 }
 
+// scoredCase is one hand-built weighted automaton with an input that drives
+// it.
+type scoredCase struct {
+	name  string
+	n     *automata.NFA
+	w     *automata.Weights
+	input []byte
+	// wantTail, when set, is the scores the last reports must carry.
+	wantTail []float64
+}
+
+// handBuiltCases are the shapes random generation does not reach: a target
+// whose predecessors span two words of the active vector (70 of them, once
+// with one weight on every in-edge and once with mixed weights), a state
+// that is a start candidate and reached from a predecessor in the same cycle
+// (either side can win the max), and accumulation that saturates at
+// +ScoreLimit and at -ScoreLimit through an in-edge.
+func handBuiltCases() []scoredCase {
+	r := rand.New(rand.NewSource(5))
+	byteOf := func(b byte, start automata.StartKind, report bool) automata.State {
+		return automata.ByteMatchState(bitvec.ByteOf(b), start, report)
+	}
+
+	fan := automata.New(8, 1)
+	const sources = 70
+	for i := 0; i < sources; i++ {
+		fan.AddState(byteOf(byte(i%8), automata.StartAllInput, false))
+	}
+	anyByte := automata.ByteMatchState(bitvec.ByteRange(0, 7), automata.StartNone, true)
+	uniform, mixed := fan.AddState(anyByte), fan.AddState(anyByte)
+	fan.States[uniform].ReportCode, fan.States[mixed].ReportCode = 1, 2
+	for i := 0; i < sources; i++ {
+		fan.AddEdge(automata.StateID(i), uniform)
+		fan.AddEdge(automata.StateID(i), mixed)
+	}
+	fanW := automata.NewWeights(fan)
+	for i := 0; i < sources; i++ {
+		fanW.Start[i] = float64((i*37)%sources - sources/2)
+		fanW.Edge[i][0] = 3
+		fanW.Edge[i][1] = float64(i%5 - 2)
+	}
+	fanW.Threshold = -automata.ScoreLimit
+
+	both := automata.New(8, 1)
+	gain := both.AddState(byteOf(0, automata.StartAllInput, true))
+	loss := both.AddState(byteOf(1, automata.StartAllInput, true))
+	both.States[gain].ReportCode, both.States[loss].ReportCode = 1, 2
+	both.AddEdge(gain, gain)
+	both.AddEdge(loss, loss)
+	bothW := automata.NewWeights(both)
+	bothW.Start[gain], bothW.Edge[gain][0] = 1, 2  // the predecessor wins
+	bothW.Start[loss], bothW.Edge[loss][0] = 0, -5 // the start weight wins
+	bothW.Threshold = -automata.ScoreLimit
+
+	sat := automata.New(8, 1)
+	head := sat.AddState(byteOf(0, automata.StartOfData, false))
+	up := sat.AddState(byteOf(0, automata.StartNone, true))
+	down := sat.AddState(byteOf(0, automata.StartNone, true))
+	sat.States[up].ReportCode, sat.States[down].ReportCode = 1, 2
+	sat.AddEdge(head, up)
+	sat.AddEdge(head, down)
+	sat.AddEdge(up, up)
+	sat.AddEdge(down, down)
+	satW := automata.NewWeights(sat)
+	satW.Edge[head][0], satW.Edge[up][0] = automata.WeightLimit, automata.WeightLimit
+	satW.Edge[head][1], satW.Edge[down][0] = -automata.WeightLimit, -automata.WeightLimit
+	satW.Threshold = -automata.ScoreLimit
+
+	return []scoredCase{
+		{name: "fan-in across two words", n: fan, w: fanW, input: randInput(r, 200)},
+		{name: "start-enabled and reached", n: both, w: bothW, input: []byte{0, 0, 0, 1, 1, 1, 0, 1, 0, 0}},
+		{name: "saturation through an in-edge", n: sat, w: satW,
+			input:    make([]byte, automata.ScoreLimit/automata.WeightLimit+64),
+			wantTail: []float64{automata.ScoreLimit, -automata.ScoreLimit}},
+	}
+}
+
 // The compiled scored engine must agree exactly with the scalar reference
-// on random automata with heterogeneous random weights — scores included.
+// on random automata with heterogeneous random weights — scores included —
+// and on the hand-built shapes.
 func TestScoredMatchesNaive(t *testing.T) {
+	for _, tc := range handBuiltCases() {
+		c, err := Compile(tc.n, tc.w)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, _ := c.Run(tc.input)
+		want := naiveScoredRun(tc.n, tc.w, tc.input)
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: scored engine diverged from reference (%d vs %d reports)", tc.name, len(got), len(want))
+		}
+		for i, want := range tc.wantTail {
+			if r := got[len(got)-len(tc.wantTail)+i]; r.Score != want {
+				t.Fatalf("%s: report %+v scores %g, want %g", tc.name, r.Report, r.Score, want)
+			}
+		}
+	}
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
 		n := randNFA8(r, 2+r.Intn(7))
@@ -433,4 +536,49 @@ func TestScoreSaturation(t *testing.T) {
 	if last.Score != automata.ScoreLimit {
 		t.Fatalf("saturated score = %g, want %d", last.Score, int64(automata.ScoreLimit))
 	}
+}
+
+// Paper scale: a weighted edit-distance mesh of more than 50,000 states. The
+// scored form is linear in states and edges — a dense predecessor matrix
+// over these states would take states²/8 bytes, more than 300 MB — and
+// still agrees with the scalar reference.
+func TestScoredPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a 50,000-state weighted mesh")
+	}
+	const alphabet = "ACGT"
+	r := rand.New(rand.NewSource(11))
+	pats := workload.RandomPatterns(r, 700, 12, alphabet)
+	n, w, err := workload.ScoredLevenshtein(pats, 2, workload.DefaultAlignCosts, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.NumStates() < 50000 {
+		t.Fatalf("mesh has %d states, want >= 50,000", n.NumStates())
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := Compile(n, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if live := int64(after.HeapAlloc) - int64(before.HeapAlloc); live > 64<<20 {
+		t.Fatalf("Compile of %d states keeps %d MB live, want < 64", n.NumStates(), live>>20)
+	}
+	input := make([]byte, 4<<10)
+	for i := range input {
+		input[i] = alphabet[r.Intn(len(alphabet))]
+	}
+	for off := 0; off+12 <= len(input); off += 40 {
+		copy(input[off:], pats[r.Intn(len(pats))])
+	}
+	got, _ := c.Run(input)
+	want := naiveScoredRun(n, w, input)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("scored engine diverged from reference at scale (%d vs %d reports)", len(got), len(want))
+	}
+	runtime.KeepAlive(c)
 }

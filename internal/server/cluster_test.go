@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -146,6 +147,35 @@ func TestClusterMergeMatchesSingleProcess(t *testing.T) {
 	}
 	if got := snap.Counters["cluster_reports_total"]; got != int64(len(want)) {
 		t.Fatalf("reports counter %d, want %d", got, len(want))
+	}
+}
+
+// The facade's one-call domain loader builds the same worker-side machines
+// the registry does: per-domain match sets that partition the full machine's.
+func TestFacadeDomainLoader(t *testing.T) {
+	f := newClusterFixture(t)
+	var got []impala.Match
+	for _, dom := range f.domains {
+		m, err := impala.LoadMachineFileDomain(f.path, dom)
+		if err != nil {
+			t.Fatalf("domain %s: %v", dom, err)
+		}
+		got = append(got, m.Match(clusterInput)...)
+	}
+	want := f.machine.Match(clusterInput)
+	for _, ms := range [][]impala.Match{got, want} {
+		sort.Slice(ms, func(i, j int) bool {
+			if ms[i].End != ms[j].End {
+				return ms[i].End < ms[j].End
+			}
+			return ms[i].Pattern < ms[j].Pattern
+		})
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("per-domain matches do not partition the full machine's:\n%v\n%v", got, want)
+	}
+	if _, err := impala.LoadMachineFileDomain(f.path, "nowhere"); err == nil {
+		t.Fatal("unknown domain accepted")
 	}
 }
 

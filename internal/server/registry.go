@@ -41,6 +41,9 @@ type Tenant struct {
 	Generation int
 	// LoadedAt is the install time.
 	LoadedAt time.Time
+	// scored is whether the machine carries a weight table — whether the
+	// tenant serves scored or binary rows — decided once, at install.
+	scored bool
 }
 
 // Registry is the tenant table. Readers (the request path) take an atomic
@@ -97,6 +100,7 @@ func (r *Registry) Tenants() []*Tenant {
 // publish installs tenant t (replacing any previous generation) under a
 // held writer lock.
 func (r *Registry) publish(t *Tenant) {
+	t.scored = t.Machine.ScoreInfo() != nil
 	old := r.snapshot()
 	next := make(map[string]*Tenant, len(old)+1)
 	for k, v := range old {
@@ -133,23 +137,23 @@ func (r *Registry) LoadFile(name, path string) (*Tenant, error) {
 // the named domain (the worker side of cluster dispatch). An empty domain
 // loads the full machine.
 func (r *Registry) LoadFileDomain(name, path, domain string) (*Tenant, error) {
-	var m *impala.Machine
-	var err error
-	if domain == "" {
-		m, err = impala.LoadMachineFile(path)
-	} else {
-		m, err = impala.LoadMachineFileDomain(path, domain)
-	}
+	// One read of the file yields both the machine and the header.
+	a, err := artifact.LoadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("server: tenant %q: %w", name, err)
 	}
-	info, err := artifact.StatFile(path)
+	var m *impala.Machine
+	if domain == "" {
+		m, err = impala.MachineFromArtifact(a)
+	} else {
+		m, err = impala.MachineFromArtifactDomain(a, domain)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("server: tenant %q: %w", name, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t := &Tenant{Name: name, Machine: m, Path: path, Domain: domain, Info: info, LoadedAt: time.Now()}
+	t := &Tenant{Name: name, Machine: m, Path: path, Domain: domain, Info: a.Info(), LoadedAt: time.Now()}
 	r.publish(t)
 	return t, nil
 }

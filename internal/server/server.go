@@ -234,11 +234,10 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	// A tenant whose artifact sealed a weight table serves threshold-filtered
 	// scored rows; binary tenants keep the exact pre-scoring response bytes.
-	scoredTenant := t.Machine.ScoreInfo() != nil
 	var matches []impala.Match
 	var scored []impala.ScoredMatch
 	err := s.pool.Do(ctx, func() {
-		if scoredTenant {
+		if t.scored {
 			scored, _ = t.Machine.MatchScored(body)
 		} else {
 			matches = t.Machine.Match(body)
@@ -262,12 +261,16 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 
 	rp := rowsPool.Get().(*matchRows)
 	rp.rows = rp.rows[:0]
-	for _, mt := range matches {
-		rp.rows = append(rp.rows, matchJSON{End: mt.End, Pattern: mt.Pattern})
-	}
-	for _, sm := range scored {
-		sc := sm.Score
-		rp.rows = append(rp.rows, matchJSON{End: sm.End, Pattern: sm.Pattern, Score: &sc})
+	if t.scored {
+		// Score points into the result slice: no float boxed per row.
+		for i := range scored {
+			sm := &scored[i]
+			rp.rows = append(rp.rows, matchJSON{End: sm.End, Pattern: sm.Pattern, Score: &sm.Score})
+		}
+	} else {
+		for _, mt := range matches {
+			rp.rows = append(rp.rows, matchJSON{End: mt.End, Pattern: mt.Pattern})
+		}
 	}
 	sortRows(rp.rows)
 	resp := matchResponse{
@@ -279,6 +282,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
+	clear(rp.rows) // an idle pooled buffer must not pin the request's scores
 	rowsPool.Put(rp)
 }
 
@@ -346,11 +350,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		Feed([]byte)
 		Flush()
 	}
-	if t.Machine.ScoreInfo() != nil {
+	if t.scored {
+		var sc float64 // one slot per stream, overwritten per row
 		stream, _ = t.Machine.NewScoredStream(func(sm impala.ScoredMatch) {
 			nmatches++
 			if encErr == nil {
-				sc := sm.Score
+				sc = sm.Score
 				encErr = enc.Encode(matchJSON{End: sm.End, Pattern: sm.Pattern, Score: &sc})
 			}
 		})

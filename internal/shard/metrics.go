@@ -28,7 +28,7 @@ var shardMetricsPtr atomic.Pointer[shardMetrics]
 //	shard_builds_total   shard partitions planned and constructed
 //	shard_scans_total    sharded one-shot runs
 //	shard_bytes_total    input bytes scanned, counted once per live shard
-//	                     (the total engine work the fan-out dispatched)
+//	                     (the total engine work of the scans)
 //	shard_reports_total  reports emitted by sharded runs
 //
 // EnableMetrics(nil) disables publication again (the default).

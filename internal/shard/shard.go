@@ -10,8 +10,9 @@
 // DFA fast-path budget applies per shard: rulesets whose union DFA blows
 // the budget as one automaton determinize shard by shard, moving states
 // from the bit-parallel NFA fallback onto dense table walks even on one
-// core. And shards are independent engines, so a multi-core host scans
-// them concurrently on a bounded worker pool.
+// core. Shards are stepped in lockstep on one core, like the paper's
+// independent blocks on one broadcast symbol; concurrency across requests
+// belongs to the caller.
 package shard
 
 import (
@@ -36,9 +37,8 @@ type Options struct {
 	// caps model per-engine capacity, so K shards carry K times the
 	// fast-path budget of the unsharded automaton.
 	Tier *dfa.TierOptions
-	// Workers bounds the shard-construction pool and the default Run
-	// fan-out (<= 0 selects GOMAXPROCS). Plans and engines are identical
-	// for any value.
+	// Workers bounds the shard-construction pool (<= 0 selects
+	// GOMAXPROCS). Plans and engines are identical for any value.
 	Workers int
 	// Trace, when non-nil, records per-shard construction spans.
 	Trace *obs.Trace
@@ -155,14 +155,12 @@ func (e *shardEngine) empty() bool { return len(e.orig) == 0 }
 
 // Sharded is the K-shard execution form. It is immutable after
 // construction and safe to share across goroutines; per-stream state lives
-// in the cores handed out by NewCore/NewSession and in the pooled
-// fan-out buffers of Run.
+// in the cores handed out by NewCore/NewSession and pooled by Run.
 type Sharded struct {
 	nfa      *automata.NFA
 	plan     Plan
 	shards   []shardEngine
 	lockstep *sim.Lockstep // every live shard's lanes, flattened
-	workers  int
 	buildCPU time.Duration
 }
 
@@ -215,7 +213,7 @@ func Build(n *automata.NFA, opts Options) (*Sharded, error) {
 	}
 	ccs := n.ConnectedComponents()
 	plan := planShards(n, ccs, opts.Shards)
-	s := &Sharded{nfa: n, plan: plan, workers: par.Workers(opts.Workers)}
+	s := &Sharded{nfa: n, plan: plan}
 	engines, cpu, err := buildEngines(n, shardIDs(ccs, plan), opts)
 	if err != nil {
 		return nil, err
@@ -323,79 +321,30 @@ func (s *Sharded) NFATierStates() int {
 	return total
 }
 
-// nonEmpty returns the indices of shards that hold states.
-func (s *Sharded) nonEmpty() []int {
-	var out []int
-	for i := range s.shards {
-		if !s.shards[i].empty() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Run executes every shard over the input and merges their reports into
-// one sorted stream, identical to the unsharded engine's (components
-// partition the state space, so per-shard report sets are disjoint and
-// SortReports produces the same total order). Shards run concurrently on
-// at most Options.Workers goroutines; with one usable shard (or one
-// worker's worth of work) the lockstep core runs instead, so statistics
-// degrade gracefully: the fan-out path sums per-shard activity and takes
-// the conservative sum of per-shard peaks, while the lockstep path is
-// cycle-exact. It is safe for concurrent use.
+// Run executes every live shard over the input in lockstep on one pooled
+// core and returns the merged, sorted reports — identical to the unsharded
+// engine's (components partition the state space, so per-shard report sets
+// are disjoint) — with cycle-exact statistics. Like every other form's Run
+// it is one core's worth of work on the calling goroutine: request
+// concurrency belongs to the caller (the server's match pool). A goroutine
+// per shard was measured and lost on every committed workload (DESIGN.md,
+// "Sharded execution"). Safe for concurrent use.
 func (s *Sharded) Run(input []byte) ([]sim.Report, sim.Stats) {
-	live := s.nonEmpty()
-	if len(live) <= 1 || s.workers <= 1 {
-		reports, st := s.lockstep.Run(input)
-		s.countRun(len(input), len(live), len(reports))
-		return reports, st
-	}
-
-	type shardOut struct {
-		reports []sim.Report
-		stats   sim.Stats
-	}
-	outs := make([]shardOut, len(live))
-	par.For(s.workers, len(live), func(i int) {
-		e := &s.shards[live[i]]
-		var r []sim.Report
-		var st sim.Stats
-		if e.tiered != nil {
-			r, st = e.tiered.Run(input)
-		} else {
-			r, st = e.comp.Run(input)
-		}
-		for j := range r {
-			r[j].State = e.orig[r[j].State]
-		}
-		outs[i] = shardOut{reports: r, stats: st}
-	})
-
-	var reports []sim.Report
-	var st sim.Stats
-	for i := range outs {
-		reports = append(reports, outs[i].reports...)
-		o := &outs[i].stats
-		if o.Cycles > st.Cycles {
-			st.Cycles = o.Cycles
-		}
-		st.TotalActive += o.TotalActive
-		st.TotalEnabled += o.TotalEnabled
-		st.PeakActive += o.PeakActive
-		st.Reports += o.Reports
-	}
-	if st.Cycles > 0 {
-		st.ActivePerCycleAvg = float64(st.TotalActive) / float64(st.Cycles)
-	}
-	sim.SortReports(reports)
-	s.countRun(len(input), len(live), len(reports))
+	reports, st := s.lockstep.Run(input)
+	s.countRun(len(input), len(reports))
 	return reports, st
 }
 
-func (s *Sharded) countRun(inputBytes, liveShards, reports int) {
+func (s *Sharded) countRun(inputBytes, reports int) {
 	if m := shardMetricsPtr.Load(); m != nil {
+		live := 0
+		for i := range s.shards {
+			if !s.shards[i].empty() {
+				live++
+			}
+		}
 		m.scans.Add(1)
-		m.bytes.Add(int64(inputBytes) * int64(liveShards))
+		m.bytes.Add(int64(inputBytes) * int64(live))
 		m.reports.Add(int64(reports))
 	}
 }
@@ -490,7 +439,7 @@ func UnsealShards(n *automata.NFA, s *Sealed, keep []int) (*Sharded, error) {
 		}
 	}
 
-	out := &Sharded{nfa: n, plan: s.Plan, workers: par.Workers(0)}
+	out := &Sharded{nfa: n, plan: s.Plan}
 	ids := shardIDs(ccs, s.Plan)
 	engines := make([]shardEngine, k)
 	for i := 0; i < k; i++ {

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"impala/internal/automata"
@@ -131,8 +132,10 @@ func multiCC(t *testing.T) *automata.NFA {
 
 // The lockstep core partitions the per-cycle counts exactly: a sharded
 // session reproduces the unsharded compiled engine's reports and
-// statistics field for field.
+// statistics field for field — and so does Run, whatever the host's core
+// count (GOMAXPROCS is raised so a Run that fanned out by itself would show).
 func TestShardedLockstepStatsExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	n := multiCC(t)
 	c, err := sim.Compile(n)
 	if err != nil {
@@ -145,21 +148,40 @@ func TestShardedLockstepStatsExact(t *testing.T) {
 	ws.Flush()
 	sim.SortReports(want)
 
+	scalar, err := sim.NewEngine(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, scalarStats := sim.RunBatch(scalar, input, 0, nil)
+	if scalarStats != ws.Stats() {
+		t.Fatalf("compiled stats %+v != scalar %+v", ws.Stats(), scalarStats)
+	}
+
 	for _, k := range []int{1, 2, 3, 8} {
-		s, err := shard.Build(n, shard.Options{Shards: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []sim.Report
-		gs := s.NewSession(func(r sim.Report) { got = append(got, r) })
-		gs.Feed(input)
-		gs.Flush()
-		sim.SortReports(got)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("shards=%d: lockstep reports diverge\nwant=%v\n got=%v", k, want, got)
-		}
-		if ws.Stats() != gs.Stats() {
-			t.Fatalf("shards=%d: lockstep stats %+v != unsharded %+v", k, gs.Stats(), ws.Stats())
+		for _, topt := range []*dfa.TierOptions{nil, {MinStateShare: -1}} {
+			s, err := shard.Build(n, shard.Options{Shards: k, Tier: topt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := fmt.Sprintf("shards=%d tier=%v", k, topt != nil)
+			var got []sim.Report
+			gs := s.NewSession(func(r sim.Report) { got = append(got, r) })
+			gs.Feed(input)
+			gs.Flush()
+			sim.SortReports(got)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: lockstep reports diverge\nwant=%v\n got=%v", id, want, got)
+			}
+			if ws.Stats() != gs.Stats() {
+				t.Fatalf("%s: lockstep stats %+v != unsharded %+v", id, gs.Stats(), ws.Stats())
+			}
+			runReports, runStats := s.Run(input)
+			if !reflect.DeepEqual(want, runReports) {
+				t.Fatalf("%s: Run reports diverge\nwant=%v\n got=%v", id, want, runReports)
+			}
+			if runStats != scalarStats {
+				t.Fatalf("%s: Run stats %+v != scalar engine's %+v", id, runStats, scalarStats)
+			}
 		}
 	}
 

@@ -110,8 +110,8 @@ func ScoredHamming(pats [][]byte, d int, c Costs, threshold float64) (*automata.
 // c.Match, substitutions c.Mismatch, insertions c.Gap, and a deletion —
 // which skips one pattern character and lands on an exact consume — scores
 // c.Gap+c.Match. The error states are entered by both substitution and
-// insertion edges, so with c.Mismatch != c.Gap the mesh exercises the
-// scored engine's heterogeneous scalar fallback.
+// insertion edges, so with c.Mismatch != c.Gap those states' in-edges carry
+// mixed weights.
 func ScoredLevenshtein(pats [][]byte, d int, c Costs, threshold float64) (*automata.NFA, *automata.Weights, error) {
 	m := newScoredMesh()
 	for k, p := range pats {

@@ -253,80 +253,87 @@ func diffBest(t *testing.T, name string, got, want map[[2]int]float64) {
 }
 
 // The Hamming mesh's scores must equal the window-scan oracle at every
-// geometry, and its uniform in-edge weights must keep the scored engine
-// entirely on the bit-parallel fast path.
+// geometry, and every state's in-edges carry one weight. The second pattern
+// set is large enough that a state's predecessors sit in other words of the
+// active vector than the state itself.
 func TestScoredHammingOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	const alphabet = "ACGT"
 	c := Costs{Match: 1, Mismatch: -1, Gap: -2}
-	pats := RandomPatterns(r, 2, 12, alphabet)
-	n, w, err := ScoredHamming(pats, 2, c, -1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := score.Compile(n, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.ScalarScoredStates() != 0 {
-		t.Fatalf("Hamming mesh put %d states on the scalar fallback; want uniform fast path", direct.ScalarScoredStates())
-	}
-	input := plantInput(r, pats, 400, alphabet, func(r *rand.Rand, read []byte) []byte {
-		for j := r.Intn(3); j > 0; j-- {
-			read[r.Intn(len(read))] = alphabet[r.Intn(4)]
+	for _, count := range []int{2, 7} {
+		pats := RandomPatterns(r, count, 12, alphabet)
+		n, w, err := ScoredHamming(pats, 2, c, -1000)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return read
-	})
-	want := oracleHamming(input, pats, 2, c)
-	if len(want) == 0 {
-		t.Fatal("oracle found no reports — test input is inert")
-	}
-	for name, m := range compileAll(t, n, w) {
-		reports, _ := m.Run(input)
-		diffBest(t, name, bestOf(reports), want)
+		direct, err := score.Compile(n, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct.ScalarScoredStates() != 0 {
+			t.Fatalf("Hamming mesh has %d states with mixed in-edge weights; want none", direct.ScalarScoredStates())
+		}
+		input := plantInput(r, pats, 400, alphabet, func(r *rand.Rand, read []byte) []byte {
+			for j := r.Intn(3); j > 0; j-- {
+				read[r.Intn(len(read))] = alphabet[r.Intn(4)]
+			}
+			return read
+		})
+		want := oracleHamming(input, pats, 2, c)
+		if len(want) == 0 {
+			t.Fatal("oracle found no reports — test input is inert")
+		}
+		for name, m := range compileAll(t, n, w) {
+			reports, _ := m.Run(input)
+			diffBest(t, fmt.Sprintf("%d patterns %s", count, name), bestOf(reports), want)
+		}
 	}
 }
 
 // Acceptance criterion: the brute-force edit-distance oracle agrees with
 // the reported scores on the Levenshtein workload — reads mutated by up to
-// d=2 edits, across strides {1, 2, 4} — and the mesh's mixed
-// substitution/insertion in-edges exercise the scalar fallback.
+// d=2 edits, across strides {1, 2, 4} — and the mesh's substitution and
+// insertion edges land on the same states with different weights. The second
+// pattern set spreads a state's predecessors over several words of the
+// active vector.
 func TestScoredLevenshteinOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	const alphabet = "ACGT"
 	c := Costs{Match: 1, Mismatch: -1, Gap: -2}
-	pats := RandomPatterns(r, 2, 8, alphabet)
 	const d = 2
-	n, w, err := ScoredLevenshtein(pats, d, c, -1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := score.Compile(n, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.ScalarScoredStates() == 0 {
-		t.Fatal("Levenshtein mesh has no heterogeneous states; scalar fallback not exercised")
-	}
-	input := plantInput(r, pats, 240, alphabet, func(r *rand.Rand, read []byte) []byte {
-		for j := r.Intn(d + 1); j > 0; j-- {
-			switch pos := 1 + r.Intn(len(read)-2); r.Intn(3) {
-			case 0: // substitution
-				read[pos] = alphabet[r.Intn(4)]
-			case 1: // insertion
-				read = append(read[:pos], append([]byte{alphabet[r.Intn(4)]}, read[pos:]...)...)
-			default: // deletion
-				read = append(read[:pos], read[pos+1:]...)
-			}
+	for _, count := range []int{2, 7} {
+		pats := RandomPatterns(r, count, 8, alphabet)
+		n, w, err := ScoredLevenshtein(pats, d, c, -1000)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return read
-	})
-	want := oracleLevenshtein(input, pats, d, c)
-	if len(want) == 0 {
-		t.Fatal("oracle found no reports — test input is inert")
-	}
-	for name, m := range compileAll(t, n, w) {
-		reports, _ := m.Run(input)
-		diffBest(t, name, bestOf(reports), want)
+		direct, err := score.Compile(n, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct.ScalarScoredStates() == 0 {
+			t.Fatal("Levenshtein mesh has no state with mixed in-edge weights")
+		}
+		input := plantInput(r, pats, 240, alphabet, func(r *rand.Rand, read []byte) []byte {
+			for j := r.Intn(d + 1); j > 0; j-- {
+				switch pos := 1 + r.Intn(len(read)-2); r.Intn(3) {
+				case 0: // substitution
+					read[pos] = alphabet[r.Intn(4)]
+				case 1: // insertion
+					read = append(read[:pos], append([]byte{alphabet[r.Intn(4)]}, read[pos:]...)...)
+				default: // deletion
+					read = append(read[:pos], read[pos+1:]...)
+				}
+			}
+			return read
+		})
+		want := oracleLevenshtein(input, pats, d, c)
+		if len(want) == 0 {
+			t.Fatal("oracle found no reports — test input is inert")
+		}
+		for name, m := range compileAll(t, n, w) {
+			reports, _ := m.Run(input)
+			diffBest(t, fmt.Sprintf("%d patterns %s", count, name), bestOf(reports), want)
+		}
 	}
 }
