@@ -14,7 +14,7 @@ all: check
 # tests, and a race-detector pass over the concurrent packages: the
 # simulator (compiled form shared across RunParallel workers), the parallel
 # compile pipeline (worker pools sharing the Espresso cover cache, GA
-# fitness evaluation), the capsule-level machine (instrumented StepCycle),
+# fitness evaluation), the capsule-level machine (instrumented StepBlock),
 # the observability layer itself (lock-free counters/histograms), and the
 # serving stack (multi-tenant registry hot-swaps under concurrent streams,
 # bounded match pool, artifact codec), the tiered engine (pooled cores
@@ -48,12 +48,14 @@ bench-build:
 	$(GO) -C benchmark test .
 
 # The Go benchmarks the hot loops are tuned against (the kernel's low/high/
-# sparse engine and session cases, the CSR transition primitive, the scoring
-# pass on the DNA mesh, the sharded form's Run, the facade's)
+# sparse engine and session cases, the kernel on the three automata the
+# serving benchmark's NFA workloads run — BenchmarkServedKernels, in
+# internal/core beside the compile benchmarks — the CSR transition primitive,
+# the scoring pass on the DNA mesh, the sharded form's Run, the facade's)
 # run only when someone asks for them; one iteration each keeps them compiling
 # and running.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/bitvec ./internal/score ./internal/shard .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/core ./internal/bitvec ./internal/score ./internal/shard .
 
 # Ten seconds of native fuzzing per target: the artifact boundary (Load never
 # panics, stays inside its allocation budget, and saves back what it accepts)

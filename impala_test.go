@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -224,6 +225,40 @@ func TestStreamMatchesRun(t *testing.T) {
 				}
 			}
 			s.Reset()
+		}
+	}
+
+	// Sessions step their engines 2 KiB of input at a time. The block edge
+	// must not show in the stream: with a "needle" ending on the last cycle
+	// of the first block (so its collision window straddles the edge) every
+	// match is emitted exactly once and in the batch order, on every serving
+	// form, however the stream is cut around the edge.
+	const block = 2048
+	long := []byte(strings.Repeat(string(corpus[:32]), 2*block/32+3))
+	edge := Match{End: block - 1, Pattern: 2}
+	for _, cfg := range []Config{
+		{StrideDims: 4}, {StrideDims: 1}, {StrideDims: 4, Tier: true},
+		{StrideDims: 4, Shards: 3}, {StrideDims: 4, Shards: 3, Tier: true},
+	} {
+		m, err := CompileRegex([]string{"GET /", "POST /", "needle"}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := m.Match(long)
+		if !slices.Contains(want, edge) {
+			t.Fatalf("%+v: no match %+v on the block edge; the fixture pins nothing", cfg, edge)
+		}
+		for _, cut := range []int{1, 3, block - 3, block - 1, block, block + 1, block + 3, len(long)} {
+			var got []Match
+			s := m.NewStream(func(mt Match) { got = append(got, mt) })
+			s.Feed(long[:1])
+			for rest := long[1:]; len(rest) > 0; rest = rest[min(cut, len(rest)):] {
+				s.Feed(rest[:min(cut, len(rest))])
+			}
+			s.Flush()
+			if !slices.Equal(got, want) {
+				t.Fatalf("%+v, %d-byte chunks: stream emitted %d matches, batch %d (or another order)", cfg, cut, len(got), len(want))
+			}
 		}
 	}
 }

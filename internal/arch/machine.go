@@ -182,78 +182,81 @@ func (c *machineCore) ResetState() {
 	c.activity = ActivityStats{}
 }
 
-// StepCycle implements sim.Core: one cycle of the hardware pipeline —
-// interconnect propagation, row reads + capsule AND per group, reporting.
-func (c *machineCore) StepCycle(chunk []byte, t int, limitBits int, sink sim.ReportSink, _ sim.Tracer) (int, int) {
+// StepBlock implements sim.Core: per cycle of the block, one pass of the
+// hardware pipeline — interconnect propagation, row reads + capsule AND per
+// group, reporting.
+func (c *machineCore) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink, _ sim.Tracer) (enabled, active int64, peak int) {
 	m := c.m
 	S := m.Stride
-	enabled, active := 0, 0
 	am := archMetricsPtr.Load()
-	var a0 ActivityStats
-	if am != nil {
-		a0 = c.activity
-	}
-	for gi, u := range m.Groups {
-		st := &c.gs[gi]
-		// --- interconnect phase: propagate previous active states ---
-		u.Switches.Propagate(st.prev, st.enable)
-		lb, gr, cs := u.Switches.Activity(st.prev)
-		c.activity.LocalSwitchActivations += int64(lb)
-		c.activity.GlobalSwitchActivations += int64(gr)
-		c.activity.CrossBlockSignals += int64(cs)
-		// Start kinds.
-		for w := range st.enable {
-			st.enable[w] |= u.always[w]
-			if t == 0 {
-				st.enable[w] |= u.anchored[w]
-			}
-			if t%2 == 0 {
-				st.enable[w] |= u.even[w]
-			}
-		}
-
-		// --- state-match phase: row reads + capsule AND ---
-		for w := range st.matchVec {
-			st.matchVec[w] = ^uint64(0)
-		}
-		for b := range u.Match {
-			base := b * interconnect.LocalSwitchSize / 64
-			for d := 0; d < S; d++ {
-				row := u.Match[b][d].Row(int(chunk[d]))
-				for w, word := range row {
-					st.matchVec[base+w] &= word
+	a0 := c.activity
+	for t := t0; len(subs) >= S; t, subs = t+1, subs[S:] {
+		chunk := subs[:S]
+		na := 0
+		for gi, u := range m.Groups {
+			st := &c.gs[gi]
+			// --- interconnect phase: propagate previous active states ---
+			u.Switches.Propagate(st.prev, st.enable)
+			lb, gr, cs := u.Switches.Activity(st.prev)
+			c.activity.LocalSwitchActivations += int64(lb)
+			c.activity.GlobalSwitchActivations += int64(gr)
+			c.activity.CrossBlockSignals += int64(cs)
+			// Start kinds.
+			for w := range st.enable {
+				st.enable[w] |= u.always[w]
+				if t == 0 {
+					st.enable[w] |= u.anchored[w]
+				}
+				if t%2 == 0 {
+					st.enable[w] |= u.even[w]
 				}
 			}
-		}
-		// active = enable ∧ match ∧ occupied.
-		for w := range st.active {
-			st.active[w] = st.enable[w] & st.matchVec[w] & u.occupied[w]
-		}
 
-		// --- reporting ---
-		st.active.ForEach(func(slot int) {
-			r := u.reports[slot]
-			if !r.report {
-				return
+			// --- state-match phase: row reads + capsule AND ---
+			for w := range st.matchVec {
+				st.matchVec[w] = ^uint64(0)
 			}
-			bitPos := (t*S + r.offset) * m.Bits
-			if limitBits < 0 || bitPos <= limitBits {
-				sink(sim.Report{BitPos: bitPos, Code: r.code, State: u.states[slot]})
+			for b := range u.Match {
+				base := b * interconnect.LocalSwitchSize / 64
+				for d := 0; d < S; d++ {
+					row := u.Match[b][d].Row(int(chunk[d]))
+					for w, word := range row {
+						st.matchVec[base+w] &= word
+					}
+				}
 			}
-		})
+			// active = enable ∧ match ∧ occupied.
+			for w := range st.active {
+				st.active[w] = st.enable[w] & st.matchVec[w] & u.occupied[w]
+			}
 
-		enabled += st.enable.Count()
-		active += st.active.Count()
-		st.prev, st.active = st.active, st.prev
+			// --- reporting ---
+			st.active.ForEach(func(slot int) {
+				r := u.reports[slot]
+				if !r.report {
+					return
+				}
+				bitPos := (t*S + r.offset) * m.Bits
+				if limitBits < 0 || bitPos <= limitBits {
+					sink(sim.Report{BitPos: bitPos, Code: r.code, State: u.states[slot]})
+				}
+			})
+
+			enabled += int64(st.enable.Count())
+			na += st.active.Count()
+			st.prev, st.active = st.active, st.prev
+		}
+		active += int64(na)
+		peak = max(peak, na)
+		c.activity.Cycles++
 	}
-	c.activity.Cycles++
 	if am != nil {
-		am.cycles.Inc()
+		am.cycles.Add(c.activity.Cycles - a0.Cycles)
 		am.local.Add(c.activity.LocalSwitchActivations - a0.LocalSwitchActivations)
 		am.global.Add(c.activity.GlobalSwitchActivations - a0.GlobalSwitchActivations)
 		am.cross.Add(c.activity.CrossBlockSignals - a0.CrossBlockSignals)
 	}
-	return enabled, active
+	return enabled, active, peak
 }
 
 // Session is one incremental input stream over the configured machine: the

@@ -11,6 +11,7 @@ import (
 	"impala/internal/core"
 	"impala/internal/place"
 	"impala/internal/sim"
+	"impala/internal/sim/simtest"
 )
 
 func compileAndBuild(t *testing.T, n *automata.NFA, cfg core.Config) (*arch.Machine, *automata.NFA) {
@@ -254,7 +255,7 @@ func TestMachineSessionStreaming(t *testing.T) {
 		{TargetBits: 4, StrideDims: 4},
 		{TargetBits: 8, StrideDims: 1},
 	} {
-		m, _ := compileAndBuild(t, n, cfg)
+		m, transformed := compileAndBuild(t, n, cfg)
 		r := rand.New(rand.NewSource(11))
 		input := make([]byte, 64)
 		for i := range input {
@@ -290,5 +291,20 @@ func TestMachineSessionStreaming(t *testing.T) {
 			}
 			s.Reset()
 		}
+
+		// Stepped in blocks, the machine does not show where they end: cut
+		// around a block edge, a long stream gives the scalar engine's
+		// reports on the transformed automaton in the whole-stream order.
+		long := make([]byte, 2*simtest.FeedBlock()+101)
+		for i := range long {
+			long[i] = "abc"[r.Intn(3)]
+		}
+		scalar, err := sim.NewEngine(transformed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats := scalar.Run(long, nil)
+		open := func(sink sim.ReportSink) simtest.Stream { return m.NewSession(sink) }
+		simtest.BlockEdges(t, fmt.Sprintf("machine %+v", cfg), transformed.BitsPerCycle(), open, long, want, wantStats)
 	}
 }

@@ -505,28 +505,35 @@ func (c *Core) ResetState() { c.cur = c.d.start }
 // segment composition).
 func (c *Core) State() int32 { return c.cur }
 
-// StepCycle implements sim.Core: Stride table lookups, then the entered
-// cycle-boundary state's report entries. The returned counts are the exact
+// StepBlock implements sim.Core: per cycle, Stride table lookups, then the
+// entered cycle-boundary state's report entries; the current state rides in
+// a register across the block. The returned counts are the exact
 // enabled/active counts of the NFA frontiers the DFA states encode, so
 // Session statistics match the functional simulator's.
-func (c *Core) StepCycle(chunk []byte, t int, limitBits int, sink sim.ReportSink, _ sim.Tracer) (int, int) {
+func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink, _ sim.Tracer) (enabled, active int64, peak int) {
 	d := c.d
-	from := c.cur
-	s := from
-	for p := 0; p < d.stride; p++ {
-		s = d.next[int(s)*d.alphabet+int(chunk[p])]
-	}
-	c.cur = s
-	if entries := d.reports[s]; len(entries) > 0 {
-		base := t * d.stride
-		for _, e := range entries {
-			bitPos := (base + e.Offset) * d.bits
-			if limitBits < 0 || bitPos <= limitBits {
-				sink(sim.Report{BitPos: bitPos, Code: e.Code, State: e.State})
+	next, A, S := d.next, d.alphabet, d.stride
+	s := c.cur
+	for t := t0; len(subs) >= S; t, subs = t+1, subs[S:] {
+		enabled += int64(d.enabled[s])
+		for _, v := range subs[:S] {
+			s = next[int(s)*A+int(v)]
+		}
+		if entries := d.reports[s]; len(entries) > 0 {
+			base := t * S
+			for _, e := range entries {
+				bitPos := (base + e.Offset) * d.bits
+				if limitBits < 0 || bitPos <= limitBits {
+					sink(sim.Report{BitPos: bitPos, Code: e.Code, State: e.State})
+				}
 			}
 		}
+		na := int(d.active[s])
+		active += int64(na)
+		peak = max(peak, na)
 	}
-	return int(d.enabled[from]), int(d.active[s])
+	c.cur = s
+	return enabled, active, peak
 }
 
 // Run matches input through the streaming session (sink-based reporting —

@@ -1,7 +1,9 @@
 package dfa_test
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"impala/internal/obs"
 	"impala/internal/regexc"
 	"impala/internal/sim"
+	"impala/internal/sim/simtest"
 )
 
 // Determinism pin (acceptance criterion): dfa.Build produces byte-identical
@@ -105,6 +108,29 @@ func TestTieredDifferentialFuzz(t *testing.T) {
 			if wantStats != gotStats {
 				t.Fatalf("%s trial %d: tiered stats %+v != scalar %+v", name, trial, gotStats, wantStats)
 			}
+		}
+		// Across block edges the fully tiered form is one DFA lane handed
+		// whole blocks, and with a budget that keeps x[yz]+w off the DFA tier
+		// a DFA lane and an NFA lane stepped cycle by cycle.
+		split, err := dfa.BuildTiered(n, dfa.TierOptions{MinStateShare: -1, CCMaxStates: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if name == "8/1" && (split.DFA() == nil || split.NFACompiled() == nil) {
+			t.Fatalf("%s: the split budget leaves DFA tier %t, NFA tier %t; want both", name, split.DFA() != nil, split.NFACompiled() != nil)
+		}
+		long := make([]byte, 2*simtest.FeedBlock()+101)
+		for i := range long {
+			long[i] = "abcdxyzwheadgol "[r.Intn(16)]
+		}
+		scalar, err := sim.NewEngine(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats := scalar.Run(long, nil)
+		for form, tf := range map[string]*dfa.Tiered{"tiered": tiered, "tiered, both tiers": split} {
+			open := func(sink sim.ReportSink) simtest.Stream { return tf.NewSession(sink) }
+			simtest.BlockEdges(t, name+" "+form, n.BitsPerCycle(), open, long, want, wantStats)
 		}
 	}
 }
@@ -298,5 +324,21 @@ func TestTieredSessionChunked(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("metrics live=%t: steady-state tiered Feed allocates %.1f objects/op, want 0", reg != nil, avg)
 		}
+	}
+
+	// Run drives a session kept with its pooled core: on a pooled core, an
+	// input that reports nothing costs no allocation at all. (The fewest of
+	// several runs: under the race detector a sync.Pool drops a quarter of
+	// what it is given, and a fresh core is not what is pinned here.)
+	quiet := bytes.Repeat([]byte("no match here. "), 300)
+	if r, _ := tiered.Run(quiet); len(r) != 0 {
+		t.Fatalf("the quiet input reports %d times", len(r))
+	}
+	fewest := math.Inf(1)
+	for i := 0; i < 20; i++ {
+		fewest = min(fewest, testing.AllocsPerRun(1, func() { tiered.Run(quiet) }))
+	}
+	if fewest != 0 {
+		t.Errorf("a tiered Run that reports nothing allocates %.0f objects on a pooled core, want 0", fewest)
 	}
 }

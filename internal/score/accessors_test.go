@@ -44,9 +44,12 @@ func TestCompiledAccessors(t *testing.T) {
 	var got []Report
 	e.SetSink(func(rep Report) { got = append(got, rep) })
 	drop := func(sim.Report) {}
-	for i := 0; i < len(input); i++ {
-		e.StepCycle(input[i:i+1], i, -1, drop, nil)
+	// One-cycle blocks up to the middle, then the rest as one block.
+	half := len(input) / 2
+	for i := 0; i < half; i++ {
+		e.StepBlock(input[i:i+1], i, -1, drop, nil)
 	}
+	e.StepBlock(input[half:], half, -1, drop, nil)
 	SortReports(got)
 	if len(got) != len(want) {
 		t.Fatalf("sink saw %d reports, Run produced %d", len(got), len(want))
@@ -54,7 +57,5 @@ func TestCompiledAccessors(t *testing.T) {
 	e2 := c.NewEngine()
 	e2.SetSink(nil)
 	e2.ResetState()
-	for i := 0; i < len(input); i++ {
-		e2.StepCycle(input[i:i+1], i, -1, drop, nil)
-	}
+	e2.StepBlock(input, 0, -1, drop, nil)
 }

@@ -154,8 +154,11 @@ type Engine struct {
 	// its score.
 	onScore Sink
 	// gate is the threshold comparator the kernel's report phase emits into,
-	// built once; sink is where it forwards the cycle in progress's passes.
+	// built once; sink is where it forwards the block in progress's passes.
 	gate, sink sim.ReportSink
+	// batch is the session Run drives, built at a pooled engine's first Run
+	// and kept.
+	batch *sim.Session
 
 	// rejects counts threshold-suppressed reports since the last drain;
 	// scored counts emitted scored reports. Plain ints — the obs boundary
@@ -210,27 +213,27 @@ func satAdd(a, b float64) float64 {
 	return s
 }
 
-// StepCycle implements sim.Core: one kernel cycle with the score lane riding
-// it — the kernel runs its enable and match phases, calls propagate over the
-// states they left active, then reports through the threshold gate. Stale
-// score slots are never read — a previous-cycle score is consulted only
-// under the previous-active mask, and a current score only for states in
-// the active set.
-func (e *Engine) StepCycle(chunk []byte, t int, limitBits int, sink sim.ReportSink, tracer sim.Tracer) (int, int) {
+// StepBlock implements sim.Core: one kernel block with the score lane riding
+// it — every cycle the kernel runs its enable and match phases, calls
+// propagate over the states they left active, then reports through the
+// threshold gate. Stale score slots are never read — a previous-cycle score
+// is consulted only under the previous-active mask, and a current score only
+// for states in the active set.
+func (e *Engine) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink, tracer sim.Tracer) (enabled, active int64, peak int) {
 	e.sink = sink
-	ne, na := e.kernel.StepCycle(chunk, t, limitBits, e.gate, tracer)
-	e.prevScore, e.score = e.score, e.prevScore
-	return ne, na
+	return e.kernel.StepBlock(subs, t0, limitBits, e.gate, tracer)
 }
 
 // propagate is the lane the kernel calls (sim.CompiledEngine.SetLane) once
 // the cycle's active set is known. It scores every active state: the best
 // of its start weight (if it is a start candidate this cycle, whether or not
 // a predecessor also reaches it) and the max over active predecessors of
-// (predecessor score + edge weight).
+// (predecessor score + edge weight). The scores it wrote last cycle become
+// the previous scores first, so a whole block is one kernel call.
 func (e *Engine) propagate(t int) {
 	c, k := e.c, e.kernel
 	prev := k.PrevActive()
+	e.prevScore, e.score = e.score, e.prevScore
 	score, pw := e.score, e.prevScore
 	for w, word := range k.Active() {
 		for word != 0 {

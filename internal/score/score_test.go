@@ -1,6 +1,7 @@
 package score
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"impala/internal/core"
 	"impala/internal/obs"
 	"impala/internal/sim"
+	"impala/internal/sim/simtest"
 	"impala/internal/workload"
 )
 
@@ -386,6 +388,23 @@ func TestZeroWeightDifferentialPin(t *testing.T) {
 				t.Fatalf("trial %d cfg %d/%d: zero-weight scored reports diverged\n got: %v\nwant: %v",
 					trial, cfg.TargetBits, cfg.StrideDims, gotBin, binReports)
 			}
+			if trial > 0 {
+				continue
+			}
+			// The lane rides whole blocks: however a long stream is cut around
+			// a block edge, the scored session makes the scalar engine's
+			// reports in the order of its own whole-stream run.
+			scalar, err := sim.NewEngine(bin.NFA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			long := randInput(r, 2*simtest.FeedBlock()+101)
+			want, wantStats := scalar.Run(long, nil)
+			open := func(sink sim.ReportSink) simtest.Stream {
+				return cc.NewSession(func(rep Report) { sink(rep.Report) })
+			}
+			form := fmt.Sprintf("%d-bit x %d kernel + zero-weight lane", cfg.TargetBits, cfg.StrideDims)
+			simtest.BlockEdges(t, form, bin.NFA.BitsPerCycle(), open, long, want, wantStats)
 		}
 	}
 }

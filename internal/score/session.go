@@ -23,7 +23,11 @@ func (c *Compiled) Run(input []byte) ([]Report, sim.Stats) {
 	e := c.acquireEngine()
 	var reports []Report
 	e.onScore = func(r Report) { reports = append(reports, r) }
-	s := sim.NewSession(e, nil)
+	if e.batch == nil {
+		e.batch = sim.NewSession(e, nil)
+	}
+	s := e.batch
+	s.Reset()
 	s.Feed(input)
 	s.Flush()
 	st := s.Stats()

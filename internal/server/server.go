@@ -383,7 +383,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
-				// Client went away mid-stream; nothing sensible to write.
+				// Client went away mid-stream; nothing sensible to write. The
+				// session still ends — it holds sim_active_streams until it
+				// is flushed — with the rows its flush completes dropped.
+				encErr = err
+				stream.Flush()
 				return
 			}
 			break

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 
 	"impala"
 	"impala/internal/obs"
+	"impala/internal/sim"
 )
 
 func compileMachine(t *testing.T, patterns []string) *impala.Machine {
@@ -537,5 +540,54 @@ func TestMatchHandlerAllocs(t *testing.T) {
 	const limit = 100
 	if allocs > limit {
 		t.Errorf("/match allocates %.1f objects per request, want <= %d", allocs, limit)
+	}
+}
+
+// A client that disconnects mid-body must not leave its session open: the
+// handler ends it (sim_active_streams is opened minus flushed, so an
+// abandoned session would hold the gauge up for good) and returns, on binary
+// and scored tenants alike.
+func TestStreamAbortEndsSession(t *testing.T) {
+	reg := obs.NewRegistry()
+	sim.EnableMetrics(reg)
+	t.Cleanup(func() { sim.EnableMetrics(nil) })
+	live := func() int64 { return reg.Snapshot().Gauges["sim_active_streams"] }
+	settle := func(t *testing.T, what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d live streams, %d goroutines", what, live(), runtime.NumGoroutine())
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		m    *impala.Machine
+		body string
+	}{
+		{"binary", compileMachine(t, []string{"needle"}), "hay needle hay"},
+		// The exact read is still inside the collision window at the abort.
+		{"scored", compileScoredMachine(t), "GGGGACGTACGT"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			s.Tenants().Install("t", tc.m)
+			if _, _, err := streamClient(ts, "t", []byte(tc.body), 4); err != nil {
+				t.Fatal(err)
+			}
+			before, goroutines := live(), runtime.NumGoroutine()
+			for i := 0; i < 8; i++ {
+				conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				// One chunk of a chunked body, and never the terminating one.
+				fmt.Fprintf(conn, "POST /v1/t/stream HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n", len(tc.body), tc.body)
+				settle(t, "stream never opened", func() bool { return live() == before+1 })
+				conn.Close()
+				settle(t, "aborted stream still open", func() bool { return live() == before })
+			}
+			settle(t, "handlers still running", func() bool { return runtime.NumGoroutine() <= goroutines+2 })
+		})
 	}
 }

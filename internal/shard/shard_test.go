@@ -1,7 +1,9 @@
 package shard_test
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"impala/internal/regexc"
 	"impala/internal/shard"
 	"impala/internal/sim"
+	"impala/internal/sim/simtest"
 	"impala/internal/workload"
 )
 
@@ -157,6 +160,10 @@ func TestShardedLockstepStatsExact(t *testing.T) {
 		t.Fatalf("compiled stats %+v != scalar %+v", ws.Stats(), scalarStats)
 	}
 
+	long := bytes.Repeat(input, 2*simtest.FeedBlock()/len(input)+2)
+	long = long[:len(long)-len(long)%2-1]
+	longWant, longStats := sim.RunBatch(scalar, long, 0, nil)
+
 	for _, k := range []int{1, 2, 3, 8} {
 		for _, topt := range []*dfa.TierOptions{nil, {MinStateShare: -1}} {
 			s, err := shard.Build(n, shard.Options{Shards: k, Tier: topt})
@@ -182,6 +189,11 @@ func TestShardedLockstepStatsExact(t *testing.T) {
 			if runStats != scalarStats {
 				t.Fatalf("%s: Run stats %+v != scalar engine's %+v", id, runStats, scalarStats)
 			}
+			// Stepped in blocks, the lanes stay interleaved cycle by cycle:
+			// however a long stream is cut around a block edge, the sink
+			// sees the sequence of the whole-stream run.
+			open := func(sink sim.ReportSink) simtest.Stream { return s.NewSession(sink) }
+			simtest.BlockEdges(t, id, n.BitsPerCycle(), open, long, longWant, longStats)
 		}
 	}
 
@@ -285,6 +297,22 @@ func TestShardedSessionChunked(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("metrics live=%t: steady-state sharded Feed allocates %.1f objects/op, want 0", reg != nil, avg)
 		}
+	}
+
+	// Run drives a session kept with its pooled core: on a pooled core, an
+	// input that reports nothing costs no allocation at all. (The fewest of
+	// several runs: under the race detector a sync.Pool drops a quarter of
+	// what it is given, and a fresh core is not what is pinned here.)
+	quiet := bytes.Repeat([]byte("no match here. "), 300)
+	if r, _ := s.Run(quiet); len(r) != 0 {
+		t.Fatalf("the quiet input reports %d times", len(r))
+	}
+	fewest := math.Inf(1)
+	for i := 0; i < 20; i++ {
+		fewest = min(fewest, testing.AllocsPerRun(1, func() { s.Run(quiet) }))
+	}
+	if fewest != 0 {
+		t.Errorf("a sharded Run that reports nothing allocates %.0f objects on a pooled core, want 0", fewest)
 	}
 }
 

@@ -220,10 +220,10 @@ type CompiledEngine struct {
 	cur     int
 	// prevCount is the number of states the previous cycle left active.
 	prevCount int
-	// Between cycles enabled holds the start vector seeded, plus whatever
-	// successor rows ORed into the words touched names — so the next cycle
-	// restores those few words instead of rebuilding the vector. touched
-	// shares enabled's bits and has a summary of its own.
+	// Between cycles enabled holds exactly the start vector seeded. Within a
+	// cycle touched names the words successor rows ORed into, and the cycle
+	// ends by putting those few words back — so no cycle rebuilds the vector.
+	// touched shares enabled's bits and has a summary of its own.
 	seeded  *startVector
 	touched bitvec.Frontier
 	// anchors=false demotes start-of-data states to plain states by
@@ -233,6 +233,9 @@ type CompiledEngine struct {
 	anchors bool
 	// lane, when non-nil, runs between the match phase and the report gate.
 	lane func(t int)
+	// batch is the session Run drives, built at the first Run and kept: a
+	// pooled engine's one-shot runs allocate no session of their own.
+	batch *Session
 }
 
 // NewEngine allocates per-stream state for executing the compiled
@@ -281,9 +284,9 @@ func (e *CompiledEngine) ResetState() {
 }
 
 // SetLane attaches a lane beside the kernel: every cycle, between the
-// state-match phase and the report gate, StepCycle calls lane(t), which may
+// state-match phase and the report gate, StepBlock calls lane(t), which may
 // read Active, PrevActive and StartEnabled and decide what the sink it
-// passed to StepCycle lets through (internal/score's max-plus pass rides
+// passed to StepBlock lets through (internal/score's max-plus pass rides
 // here). nil detaches it.
 func (e *CompiledEngine) SetLane(lane func(t int)) { e.lane = lane }
 
@@ -298,110 +301,172 @@ func (e *CompiledEngine) startFor(t int) *startVector {
 	return e.c.startEven
 }
 
-// StepCycle implements Core: one cycle of the bit-parallel datapath over
-// exactly Stride sub-symbols, visiting only the words a summary names. The
-// phases stay in one function body: split into a method per phase the same
-// loops measured 8–10% slower per byte on the Snort automaton.
-func (e *CompiledEngine) StepCycle(chunk []byte, t int, limitBits int, sink ReportSink, tracer Tracer) (int, int) {
+// StepBlock implements Core: the bit-parallel datapath over the whole cycles
+// of subs, visiting only the words a summary names. The cycle loop is this
+// function, so what one cycle hands the next — which vector is active, how
+// many states the last cycle left active, the seeded start vector with its
+// words, summary and popcount — rides in locals and goes back to the engine
+// once per block (which flip is current also on the cycles a lane or a tracer
+// looks). The phases stay in one body — split into a method per phase the same
+// loops measured 8–10% slower per byte on the Snort automaton — and every
+// stride, summary length, lane, residual list and tracer takes this one body.
+func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink ReportSink, tracer Tracer) (enabled, active int64, peak int) {
 	c := e.c
-	active, prevActive := &e.act[e.cur&1], &e.act[e.cur&1^1]
-	start := e.startFor(t)
-
-	// State-transition phase (from previous cycle): the enable vector is
-	// the start-enable vector of this cycle ORed with the successor rows of
-	// every previously active state. Only the words the last cycle's rows
-	// touched need restoring, unless the start vector itself changed.
+	n := c.nfa
+	S := n.Stride
+	masks, dom, posStep := c.masks, c.dom, c.dom*c.words
+	reporting := c.reporting
 	en, enSum := e.enabled.Bits, e.enabled.Sum
 	touched := e.touched.Sum
-	if start != e.seeded {
-		for sw := range touched {
-			touched[sw] = enSum[sw] | start.Sum[sw]
-		}
-		e.seeded = start
+	cur, prevCount := e.cur&1, e.prevCount
+	act, actSum := e.act[cur].Bits, e.act[cur].Sum
+	seeded := e.seeded
+	var sBits, sSum bitvec.Words
+	var sCount int
+	if seeded != nil {
+		sBits, sSum, sCount = seeded.Bits, seeded.Sum, seeded.count
 	}
-	for sw, s := range touched {
-		for ; s != 0; s &= s - 1 {
-			w := sw<<6 | bits.TrailingZeros64(s)
-			en[w] = start.Bits[w]
-		}
-		touched[sw] = 0
-		enSum[sw] = start.Sum[sw]
-	}
-	ne := start.count
-	if e.prevCount != 0 {
-		c.succ.OrRowsInto(prevActive, &e.touched)
-		for sw, s := range touched {
-			enSum[sw] |= s
-			for ; s != 0; s &= s - 1 {
-				w := sw<<6 | bits.TrailingZeros64(s)
-				ne += bits.OnesCount64(en[w] &^ start.Bits[w])
+
+	extras := len(c.residual) != 0 || e.lane != nil || tracer != nil
+
+	for t := t0; len(subs) >= S; t, subs = t+1, subs[S:] {
+		chunk := subs[:S]
+		start := c.startOdd
+		if t&1 == 0 {
+			start = c.startEven
+			if t == 0 && e.anchors {
+				start = c.startFirst
 			}
 		}
-	}
 
-	// State-match phase, one fused pass per live word: active = enabled ∧
-	// mask[0][chunk[0]] ∧ … ∧ mask[S-1][chunk[S-1]]. A word the active
-	// vector held two cycles ago and this cycle does not rewrite is zeroed.
-	act, actSum := active.Bits, active.Sum
-	masks, dom, posStep := c.masks, c.dom, c.dom*c.words
-	for sw, s := range enSum {
-		for stale := actSum[sw] &^ s; stale != 0; stale &= stale - 1 {
-			act[sw<<6|bits.TrailingZeros64(stale)] = 0
-		}
-		var live uint64
-		for ; s != 0; s &= s - 1 {
-			b := bits.TrailingZeros64(s)
-			w := sw<<6 | b
-			at := w * dom
-			x := en[w] & masks[at+int(chunk[0])]
-			for _, v := range chunk[1:] {
-				at += posStep
-				x &= masks[at+int(v)]
-			}
-			act[w] = x
-			live |= (x | -x) >> 63 << (uint(b) & 63)
-		}
-		actSum[sw] = live
-	}
-	n := c.nfa
-	// Residual scalar path: non-decomposable match sets.
-	for _, id := range c.residual {
-		if en.Get(int(id)) && n.States[id].Match.Has(chunk) {
-			active.Set(int(id))
-		}
-	}
-
-	if e.lane != nil {
-		e.lane(t)
-	}
-
-	// Reporting, on the active words only: count, gate on the reporting
-	// mask, then per bit.
-	na := 0
-	base := t * n.Stride
-	for sw, s := range actSum {
-		for ; s != 0; s &= s - 1 {
-			w := sw<<6 | bits.TrailingZeros64(s)
-			word := act[w]
-			na += bits.OnesCount64(word)
-			word &= c.reporting[w]
-			for ; word != 0; word &= word - 1 {
-				i := w<<6 | bits.TrailingZeros64(word)
-				st := &n.States[i]
-				bitPos := (base + st.ReportOffset) * n.Bits
-				if limitBits < 0 || bitPos <= limitBits {
-					sink(Report{BitPos: bitPos, Code: st.ReportCode, State: automata.StateID(i)})
+		// State-transition phase (from previous cycle): the enable vector is
+		// the start-enable vector of this cycle ORed with the successor rows of
+		// every previously active state. Between cycles the vector holds the
+		// seeded start vector exactly, so there is nothing to rebuild unless
+		// the start vector itself changes.
+		if start != seeded {
+			for sw, s := range start.Sum {
+				for s |= enSum[sw]; s != 0; s &= s - 1 {
+					w := sw<<6 | bits.TrailingZeros64(s)
+					en[w] = start.Bits[w]
 				}
 			}
+			seeded = start
+			sBits, sSum, sCount = start.Bits, start.Sum, start.count
 		}
-	}
+		if prevCount != 0 {
+			c.succ.OrRowsInto(&e.act[cur^1], &e.touched)
+		}
 
-	if tracer != nil {
-		tracer.OnCycle(t, en, act)
+		// State-match phase, one pass per summary word over the live words
+		// (start ∪ touched): active = enabled ∧ mask[0][chunk[0]] ∧ … ∧
+		// mask[S-1][chunk[S-1]] and its summary, then over the words that came
+		// out non-zero — few of the live ones — their popcount and whether a
+		// reporting state is in them. The words the active vector still names
+		// from two cycles ago are walked as well: off the live set the enable
+		// vector is zero, so they come out zero here instead of in a sweep of
+		// their own.
+		na := 0
+		var hits uint64
+		o0 := int(chunk[0])
+		var o1, o2, o3 int
+		if S == 4 {
+			o1, o2, o3 = posStep+int(chunk[1]), 2*posStep+int(chunk[2]), 3*posStep+int(chunk[3])
+		}
+		for sw, rowed := range touched {
+			s := sSum[sw] | rowed
+			enSum[sw] = s
+			s |= actSum[sw]
+			var live uint64
+			for ; s != 0; s &= s - 1 {
+				b := bits.TrailingZeros64(s)
+				w := sw<<6 | b
+				x := en[w]
+				at := w * dom
+				if S == 4 {
+					x &= masks[at+o0] & masks[at+o1] & masks[at+o2] & masks[at+o3]
+				} else {
+					x &= masks[at+o0]
+					for _, v := range chunk[1:] {
+						at += posStep
+						x &= masks[at+int(v)]
+					}
+				}
+				act[w] = x
+				live |= (x | -x) >> 63 << (uint(b) & 63)
+			}
+			actSum[sw] = live
+			for ; live != 0; live &= live - 1 {
+				w := sw<<6 | bits.TrailingZeros64(live)
+				na += bits.OnesCount64(act[w])
+				hits |= act[w] & reporting[w]
+			}
+		}
+		// Everything else a cycle can hold happens on few cycles or on few
+		// engines, so the common cycle passes it all on one branch.
+		if hits != 0 || extras {
+			e.cur = cur // what Active and PrevActive read
+
+			// Residual scalar path: non-decomposable match sets (no mask
+			// names them, so none is active yet).
+			for _, id := range c.residual {
+				if en.Get(int(id)) && n.States[id].Match.Has(chunk) {
+					e.act[cur].Set(int(id))
+					na++
+					hits |= reporting[id>>6] & (1 << (uint(id) & 63))
+				}
+			}
+
+			if e.lane != nil {
+				e.lane(t)
+			}
+
+			// Reporting, on the cycles that have a reporting state active:
+			// gate the active words on the reporting mask, then per bit.
+			if hits != 0 {
+				base := t * S
+				for sw, s := range actSum {
+					for ; s != 0; s &= s - 1 {
+						w := sw<<6 | bits.TrailingZeros64(s)
+						for word := act[w] & reporting[w]; word != 0; word &= word - 1 {
+							i := w<<6 | bits.TrailingZeros64(word)
+							st := &n.States[i]
+							bitPos := (base + st.ReportOffset) * n.Bits
+							if limitBits < 0 || bitPos <= limitBits {
+								sink(Report{BitPos: bitPos, Code: st.ReportCode, State: automata.StateID(i)})
+							}
+						}
+					}
+				}
+			}
+
+			if tracer != nil {
+				tracer.OnCycle(t, en, act)
+			}
+		}
+
+		// Commit: the words the rows touched go back to the start vector, and
+		// the bits the rows had added to them are what the cycle enabled
+		// beyond it (enabled = start popcount + added bits: Stats stays exact
+		// without a popcount of the vector).
+		ne := sCount
+		for sw, s := range touched {
+			for ; s != 0; s &= s - 1 {
+				w := sw<<6 | bits.TrailingZeros64(s)
+				ne += bits.OnesCount64(en[w] &^ sBits[w])
+				en[w] = sBits[w]
+			}
+			touched[sw] = 0
+		}
+		enabled += int64(ne)
+		active += int64(na)
+		peak = max(peak, na)
+		cur ^= 1
+		act, actSum = e.act[cur].Bits, e.act[cur].Sum
+		prevCount = na
 	}
-	e.cur ^= 1
-	e.prevCount = na
-	return ne, na
+	e.cur, e.prevCount, e.seeded = cur, prevCount, seeded
+	return enabled, active, peak
 }
 
 // Active returns the active set of the cycle in progress and PrevActive the
@@ -418,7 +483,10 @@ func (e *CompiledEngine) StartEnabled(i, t int) bool { return e.startFor(t).Bits
 // sorted by (BitPos, Code, State) plus activity statistics. tracer may be
 // nil. Reports and statistics are identical to the scalar Engine's.
 func (e *CompiledEngine) Run(input []byte, tracer Tracer) ([]Report, Stats) {
-	return RunBatch(e, input, 0, tracer)
+	if e.batch == nil {
+		e.batch = NewSession(e, nil)
+	}
+	return e.batch.runBatch(input, 0, tracer)
 }
 
 // runSegment is Run with the anchored-start behaviour of a mid-stream

@@ -115,6 +115,23 @@ func (f frontierCheck) consistent(cycle int) {
 	}
 }
 
+// inOrder is a frontierCheck that also pins the tracer's contract under block
+// stepping: every cycle of the stream exactly once, in order, whatever blocks
+// the stream was stepped in.
+type inOrder struct {
+	frontierCheck
+	next int
+}
+
+func (o *inOrder) OnCycle(cycle int, enabled, active bitvec.Words) {
+	o.t.Helper()
+	if cycle != o.next {
+		o.t.Fatalf("tracer shown cycle %d, want cycle %d", cycle, o.next)
+	}
+	o.next++
+	o.frontierCheck.OnCycle(cycle, enabled, active)
+}
+
 // named reports whether the summary names word w.
 func named(sum bitvec.Words, w int) bool { return sum[w>>6]>>(uint(w)&63)&1 != 0 }
 
@@ -210,6 +227,30 @@ func TestCompiledMatchesScalarFuzz(t *testing.T) {
 			gotR, gotS = compiled.Run(input, check)
 			compiled.anchors = true
 			sameRun(t, "anchors off", gotR, wantR, gotS, wantS)
+		}
+		if states == 0 && trial%16 != 0 {
+			continue
+		}
+		// Across block edges, several summary words included: an odd prefix,
+		// then a chunk long enough to be stepped as three blocks, every one
+		// starting mid-cycle on the strided geometries. The tracer sees each
+		// cycle once, in order.
+		input := make([]byte, 3+2*feedBlock+r.Intn(100))
+		for i := range input {
+			input[i] = byte(r.Intn(256))
+		}
+		wantR, wantS := scalar.Run(input, nil)
+		var gotR []Report
+		s := NewSession(compiled, func(r Report) { gotR = append(gotR, r) })
+		order := &inOrder{frontierCheck: check}
+		s.SetTracer(order)
+		s.Feed(input[:3])
+		s.Feed(input[3:])
+		s.Flush()
+		SortReports(gotR)
+		sameRun(t, "across block edges", gotR, wantR, s.Stats(), wantS)
+		if order.next != wantS.Cycles {
+			t.Fatalf("trial %d: tracer shown %d cycles of %d", trial, order.next, wantS.Cycles)
 		}
 	}
 	if !sawResidual {

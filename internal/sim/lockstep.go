@@ -37,7 +37,11 @@ type Lockstep struct {
 // given geometry. No lanes is valid: the core then steps nothing.
 func NewLockstep(bits, stride int, lanes []Lane) *Lockstep {
 	l := &Lockstep{bits: bits, stride: stride, lanes: lanes}
-	l.pool.New = func() any { return l.newCore() }
+	l.pool.New = func() any {
+		c := l.newCore()
+		c.batch = NewSession(c, nil)
+		return c
+	}
 	return l
 }
 
@@ -51,7 +55,8 @@ type lockstepCore struct {
 	l     *Lockstep
 	cores []Core
 	sinks []ReportSink
-	sink  ReportSink // the sink of the cycle in progress
+	sink  ReportSink // the sink of the block in progress
+	batch *Session   // over this core, kept by a pooled core for Run
 }
 
 func (l *Lockstep) newCore() *lockstepCore {
@@ -84,13 +89,14 @@ func (l *Lockstep) NewSession(sink ReportSink) *Session {
 // reports and statistics. It is safe for concurrent use.
 func (l *Lockstep) Run(input []byte) ([]Report, Stats) {
 	c := l.pool.Get().(*lockstepCore)
-	r, st := RunBatch(c, input, 0, nil)
+	r, st := c.batch.runBatch(input, 0, nil)
 	l.release(c)
 	return r, st
 }
 
-// release returns a core to the pool. An idle pooled core must not keep the
-// finished run's session (and through it the report slice) reachable.
+// release returns a core to the pool. An idle pooled core keeps its session
+// for the next run, but nothing of the finished one: runBatch has let go of
+// the report slice, and the sink goes here.
 func (l *Lockstep) release(c *lockstepCore) {
 	c.sink = nil
 	l.pool.Put(c)
@@ -106,15 +112,30 @@ func (c *lockstepCore) ResetState() {
 	}
 }
 
-// StepCycle implements Core: every lane consumes the same chunk. The tracer
-// is not passed down — no lane has the whole automaton's state vector.
-func (c *lockstepCore) StepCycle(chunk []byte, t int, limitBits int, sink ReportSink, _ Tracer) (int, int) {
+// StepBlock implements Core: every lane consumes the same sub-symbols. A
+// single lane takes the block whole. Several lanes stay cycle-interleaved —
+// each is handed the block one cycle at a time — because their reports must
+// reach the sink in cycle order (the facade's collision window retires on
+// it), because the per-cycle sum of the lanes' active counts is what
+// PeakActive is the maximum of, and because it is faster: two DFA lanes each
+// walking a whole block on their own lost 20% on snort_shard_cluster to the
+// interleaved walk, whose table misses overlap. The tracer is not passed down
+// — no lane has the whole automaton's state vector.
+func (c *lockstepCore) StepBlock(subs []byte, t0 int, limitBits int, sink ReportSink, _ Tracer) (enabled, active int64, peak int) {
 	c.sink = sink
-	var ne, na int
-	for i, core := range c.cores {
-		e, a := core.StepCycle(chunk, t, limitBits, c.sinks[i], nil)
-		ne += e
-		na += a
+	if len(c.cores) == 1 {
+		return c.cores[0].StepBlock(subs, t0, limitBits, c.sinks[0], nil)
 	}
-	return ne, na
+	S := c.l.stride
+	for t := t0; len(subs) >= S; t, subs = t+1, subs[S:] {
+		var na int64
+		for i, core := range c.cores {
+			e, a, _ := core.StepBlock(subs[:S], t, limitBits, c.sinks[i], nil)
+			enabled += e
+			na += a
+		}
+		active += na
+		peak = max(peak, int(na))
+	}
+	return enabled, active, peak
 }

@@ -41,7 +41,9 @@ var streamMetricsPtr atomic.Pointer[streamMetrics]
 //	sim_cycles_total          automaton cycles executed
 //	sim_reports_total         reports emitted (the paper's match count)
 //	sim_flushes_total         streams ended
-//	sim_sessions_opened_total sessions created
+//	sim_sessions_opened_total streams opened: sessions created, and
+//	                          flushed sessions Reset for another stream (a
+//	                          pooled core's kept session, once per Run)
 //	sim_active_streams        gauge: opened minus flushed streams
 //	sim_feed_chunk_bytes      histogram of Feed chunk sizes
 //	sim_report_latency_ns     histogram: Feed-entry→return latency of feeds

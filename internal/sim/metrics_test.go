@@ -67,10 +67,14 @@ func TestSessionMetricsCounters(t *testing.T) {
 		t.Errorf("chunk size observations = %d, want 2", got)
 	}
 
-	// Reset of a flushed session re-opens the stream.
+	// Reset of a flushed session re-opens the stream — how a pooled core's
+	// kept session counts each one-shot run.
 	s.Reset()
 	if got := reg.Snapshot().Gauges["sim_active_streams"]; got != 1 {
 		t.Errorf("active streams after reset = %d, want 1", got)
+	}
+	if got := reg.Snapshot().Counters["sim_sessions_opened_total"]; got != 2 {
+		t.Errorf("sessions opened after reset = %d, want 2", got)
 	}
 	s.Flush()
 	if got := reg.Snapshot().Gauges["sim_active_streams"]; got != 0 {

@@ -16,7 +16,14 @@
 // partial cycle, filtering reports whose consumed position would exceed the
 // true stream length, exactly as the batch engines pad and filter their
 // last cycle. The batch Run of every engine that returns ([]Report, Stats)
-// is RunBatch over this type.
+// is RunBatch over this type: on a fresh session for a one-off core, on a
+// session kept with the core for the pooled one-shot entry points.
+//
+// The session talks to its core in blocks, not cycles: Feed unpacks at most
+// feedBlock bytes into sub-symbols and hands every whole cycle of them to the
+// core in one StepBlock call, so the dispatch, the sink and the statistics
+// cost one call per 2 KiB of input and the core's cycle loop keeps its
+// bookkeeping in registers from one cycle to the next.
 package sim
 
 import (
@@ -30,7 +37,7 @@ import (
 // A nil sink discards reports but still counts them in Stats.
 type ReportSink func(Report)
 
-// Core is one per-cycle step of an execution engine: the immutable
+// Core is the stepping half of an execution engine: the immutable
 // configuration plus the enable/active working sets it carries between
 // cycles. Engine (scalar), CompiledEngine (bit-parallel), the lockstep
 // combinator over child cores, the scored lane (score.Engine), dfa.Core and
@@ -42,14 +49,18 @@ type Core interface {
 	// ResetState clears all inter-cycle state (the previous-active set),
 	// returning the core to the start-of-stream condition.
 	ResetState()
-	// StepCycle executes global cycle t over exactly stride sub-symbols,
-	// emitting reports into sink. limitBits >= 0 suppresses reports whose
-	// BitPos exceeds it (the zero-padded final cycle); limitBits < 0 means
-	// no limit (a complete cycle: offsets in [1,Stride] cannot overrun).
-	// It returns the enabled- and active-state counts for Stats. tracer
-	// may be nil; cores without a whole-automaton state vector (the
-	// capsule-level machine) may ignore it.
-	StepCycle(chunk []byte, t int, limitBits int, sink ReportSink, tracer Tracer) (enabled, active int)
+	// StepBlock executes the len(subs)/stride consecutive cycles t0, t0+1, …
+	// over subs — whole cycles only, stride sub-symbols each — emitting
+	// reports into sink in cycle order. limitBits >= 0 suppresses reports
+	// whose BitPos exceeds it (the zero-padded final cycle, a block of one);
+	// limitBits < 0 means no limit (a complete cycle: offsets in [1,Stride]
+	// cannot overrun). It returns what Stats needs of the block — the
+	// enabled- and active-state counts summed over its cycles and the
+	// largest active count of any one cycle — rather than filling a
+	// per-cycle buffer the caller would have to own. tracer may be nil;
+	// cores without a whole-automaton state vector (the capsule-level
+	// machine, the lockstep combinator) ignore it. Nothing is allocated.
+	StepBlock(subs []byte, t0 int, limitBits int, sink ReportSink, tracer Tracer) (enabled, active int64, peak int)
 }
 
 // Session drives a Core incrementally over a chunked input stream. It is
@@ -60,6 +71,10 @@ type Session struct {
 	sink   ReportSink
 	tracer Tracer
 	emit   ReportSink // counting wrapper around sink, built once
+	// batch collects the reports of a runBatch in progress; between runs it
+	// is nil, so a session kept with a pooled core pins no finished run's
+	// reports.
+	batch []Report
 
 	bits, stride int
 
@@ -107,10 +122,10 @@ func NewSession(core Core, sink ReportSink) *Session {
 // SetTracer attaches a per-cycle activity tracer (may be nil).
 func (s *Session) SetTracer(t Tracer) { s.tracer = t }
 
-// feedBlock is how many input bytes Feed unpacks into sub-symbols at a time:
-// the scratch stays a few KiB (and in cache) however long the chunk, where
-// unpacking a whole 64 KiB body first grew a 128 KiB buffer from nothing on
-// every one-shot request.
+// feedBlock is how many input bytes Feed unpacks into sub-symbols and hands
+// to the core at a time: the scratch stays a few KiB (and in cache) however
+// long the chunk, where unpacking a whole 64 KiB body first grew a 128 KiB
+// buffer from nothing on every one-shot request.
 const feedBlock = 2048
 
 // Feed consumes the next chunk of the stream, executing every cycle whose
@@ -139,9 +154,7 @@ func (s *Session) Feed(chunk []byte) {
 		buf := append(s.subBuf[:0], s.pending...)
 		buf = AppendSubSymbols(buf, s.bits, part)
 		full := len(buf) / S * S
-		for i := 0; i < full; i += S {
-			s.stepCycle(buf[i:i+S], -1)
-		}
+		s.stepBlock(buf[:full], -1)
 		s.pending = append(s.pending[:0], buf[full:]...)
 	}
 	if m != nil {
@@ -174,7 +187,7 @@ func (s *Session) Flush() {
 		for len(pad) < s.stride {
 			pad = append(pad, 0)
 		}
-		s.stepCycle(pad, int(s.subsFed)*s.bits)
+		s.stepBlock(pad, int(s.subsFed)*s.bits)
 		s.pending = s.pending[:0]
 	}
 	s.flushed = true
@@ -195,6 +208,7 @@ func (s *Session) Reset() {
 	if s.flushed {
 		// A flushed session restarting is a new live stream.
 		if m := streamMetricsPtr.Load(); m != nil {
+			m.sessions.Inc()
 			m.active.Inc()
 		}
 	}
@@ -228,14 +242,16 @@ func (s *Session) Stats() Stats {
 	return st
 }
 
-func (s *Session) stepCycle(chunk []byte, limitBits int) {
-	ne, na := s.core.StepCycle(chunk, s.cycle, limitBits, s.emit, s.tracer)
-	s.totalEnabled += int64(ne)
-	s.totalActive += int64(na)
-	if na > s.peakActive {
-		s.peakActive = na
+// stepBlock runs the whole cycles of subs on the core and books them.
+func (s *Session) stepBlock(subs []byte, limitBits int) {
+	if len(subs) == 0 {
+		return
 	}
-	s.cycle++
+	ne, na, peak := s.core.StepBlock(subs, s.cycle, limitBits, s.emit, s.tracer)
+	s.totalEnabled += ne
+	s.totalActive += na
+	s.peakActive = max(s.peakActive, peak)
+	s.cycle += len(subs) / s.stride
 }
 
 // RunBatch runs core over input as one whole stream — a fresh session, Feed,
@@ -243,9 +259,18 @@ func (s *Session) stepCycle(chunk []byte, limitBits int) {
 // stream's statistics. chunk > 0 feeds the input in pieces of that many
 // bytes instead of all at once; the result is the same. tracer may be nil.
 func RunBatch(core Core, input []byte, chunk int, tracer Tracer) ([]Report, Stats) {
-	var reports []Report
-	s := NewSession(core, func(r Report) { reports = append(reports, r) })
-	s.SetTracer(tracer)
+	return NewSession(core, nil).runBatch(input, chunk, tracer)
+}
+
+// runBatch is RunBatch on a session made with no sink of its own, whatever
+// it ran before: the pooled one-shot entry points keep one with each pooled
+// core, and an input that reports nothing then allocates nothing.
+func (s *Session) runBatch(input []byte, chunk int, tracer Tracer) ([]Report, Stats) {
+	if s.sink == nil {
+		s.sink = func(r Report) { s.batch = append(s.batch, r) }
+	}
+	s.tracer = tracer
+	s.Reset()
 	if chunk <= 0 {
 		chunk = len(input)
 	}
@@ -255,6 +280,8 @@ func RunBatch(core Core, input []byte, chunk int, tracer Tracer) ([]Report, Stat
 	}
 	s.Feed(input)
 	s.Flush()
+	reports := s.batch
+	s.batch, s.tracer = nil, nil
 	SortReports(reports)
 	return reports, s.Stats()
 }

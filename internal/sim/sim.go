@@ -138,56 +138,62 @@ func (e *Engine) Geometry() (bits, stride int) { return e.nfa.Bits, e.nfa.Stride
 // ResetState implements Core: it clears the inter-cycle active set.
 func (e *Engine) ResetState() { e.prevActive.ClearAll() }
 
-// StepCycle implements Core: one cycle of the two-phase execution model
-// over exactly Stride sub-symbols.
-func (e *Engine) StepCycle(chunk []byte, t int, limitBits int, sink ReportSink, tracer Tracer) (int, int) {
+// StepBlock implements Core: the two-phase execution model, one cycle per
+// Stride sub-symbols of subs.
+func (e *Engine) StepBlock(subs []byte, t0 int, limitBits int, sink ReportSink, tracer Tracer) (enabled, active int64, peak int) {
 	n := e.nfa
+	for t := t0; len(subs) >= n.Stride; t, subs = t+1, subs[n.Stride:] {
+		chunk := subs[:n.Stride]
 
-	// State-transition phase (from previous cycle): enable successors.
-	e.enabled.CopyFrom(e.always)
-	if t == 0 {
-		for i, w := range e.startOfData {
-			e.enabled[i] |= w
+		// State-transition phase (from previous cycle): enable successors.
+		e.enabled.CopyFrom(e.always)
+		if t == 0 {
+			for i, w := range e.startOfData {
+				e.enabled[i] |= w
+			}
 		}
+		if t%2 == 0 {
+			for i, w := range e.even {
+				e.enabled[i] |= w
+			}
+		}
+		e.prevActive.ForEach(func(i int) {
+			for _, succ := range n.States[i].Out {
+				e.enabled.Set(int(succ))
+			}
+		})
+
+		// State-match phase: active = enabled ∧ match(chunk).
+		e.active.ClearAll()
+		e.enabled.ForEach(func(i int) {
+			if n.States[i].Match.Has(chunk) {
+				e.active.Set(i)
+			}
+		})
+
+		// Reporting.
+		base := t * n.Stride
+		e.active.ForEach(func(i int) {
+			s := &n.States[i]
+			if !s.Report {
+				return
+			}
+			bitPos := (base + s.ReportOffset) * n.Bits
+			if limitBits < 0 || bitPos <= limitBits {
+				sink(Report{BitPos: bitPos, Code: s.ReportCode, State: automata.StateID(i)})
+			}
+		})
+
+		na := e.active.Count()
+		enabled += int64(e.enabled.Count())
+		active += int64(na)
+		peak = max(peak, na)
+		if tracer != nil {
+			tracer.OnCycle(t, e.enabled, e.active)
+		}
+		e.prevActive, e.active = e.active, e.prevActive
 	}
-	if t%2 == 0 {
-		for i, w := range e.even {
-			e.enabled[i] |= w
-		}
-	}
-	e.prevActive.ForEach(func(i int) {
-		for _, succ := range n.States[i].Out {
-			e.enabled.Set(int(succ))
-		}
-	})
-
-	// State-match phase: active = enabled ∧ match(chunk).
-	e.active.ClearAll()
-	e.enabled.ForEach(func(i int) {
-		if n.States[i].Match.Has(chunk) {
-			e.active.Set(i)
-		}
-	})
-
-	// Reporting.
-	base := t * n.Stride
-	e.active.ForEach(func(i int) {
-		s := &n.States[i]
-		if !s.Report {
-			return
-		}
-		bitPos := (base + s.ReportOffset) * n.Bits
-		if limitBits < 0 || bitPos <= limitBits {
-			sink(Report{BitPos: bitPos, Code: s.ReportCode, State: automata.StateID(i)})
-		}
-	})
-
-	na, ne := e.active.Count(), e.enabled.Count()
-	if tracer != nil {
-		tracer.OnCycle(t, e.enabled, e.active)
-	}
-	e.prevActive, e.active = e.active, e.prevActive
-	return ne, na
+	return enabled, active, peak
 }
 
 // Run executes the automaton over input (a byte stream) and returns all

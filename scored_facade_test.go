@@ -119,6 +119,41 @@ func TestScoredStreamMatchesOneShot(t *testing.T) {
 			t.Fatalf("chunk %d: stream %v, one-shot %v", chunk, got, want)
 		}
 	}
+
+	// Sessions step their engines 2 KiB of input at a time, and a scored
+	// stream defers each match by its collision window. A match whose window
+	// straddles the block edge is still emitted once, with the one-shot
+	// path's max-merged score, however the stream is cut around the edge.
+	const block = 2048
+	long := bytes.Repeat(input, 2*block/len(input)+2)
+	want, err = m.MatchScored(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortScored(want)
+	straddles := false
+	for _, sm := range want {
+		straddles = straddles || (sm.End > block-16 && sm.End <= block)
+	}
+	if !straddles {
+		t.Fatal("no match ends inside the last 8 cycles of the first block; the fixture pins nothing")
+	}
+	for _, cut := range []int{1, block - 3, block - 1, block, block + 1, block + 3, len(long)} {
+		var got []ScoredMatch
+		s, err := m.NewScoredStream(func(sm ScoredMatch) { got = append(got, sm) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Feed(long[:1])
+		for rest := long[1:]; len(rest) > 0; rest = rest[min(cut, len(rest)):] {
+			s.Feed(rest[:min(cut, len(rest))])
+		}
+		s.Flush()
+		sortScored(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d-byte chunks across block edges: stream emitted %d matches, one-shot %d (or other scores)", cut, len(got), len(want))
+		}
+	}
 }
 
 // TestScoredArtifactRoundTrip: the weight table rides the artifact, and the
