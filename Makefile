@@ -51,22 +51,28 @@ bench-build:
 # sparse engine and session cases, the kernel on the three automata the
 # serving benchmark's NFA workloads run — BenchmarkServedKernels, in
 # internal/core beside the compile benchmarks — the CSR transition primitive,
-# the scoring pass on the DNA mesh, the sharded form's Run, the facade's)
-# run only when someone asks for them; one iteration each keeps them compiling
-# and running.
+# the scoring pass on the DNA mesh, the sharded form's Run, the /match and
+# /stream handlers through a null ResponseWriter — BenchmarkMatchHandler and
+# BenchmarkStreamHandler, ns/row and allocs/op — the facade's) run only when
+# someone asks for them; one iteration each keeps them compiling and running.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/core ./internal/bitvec ./internal/score ./internal/shard .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/core ./internal/bitvec ./internal/score ./internal/shard ./internal/server .
 
 # Ten seconds of native fuzzing per target: the artifact boundary (Load never
-# panics, stays inside its allocation budget, and saves back what it accepts)
-# and the text parsers. A failure leaves its input under the package's
-# testdata/fuzz, where plain `go test` replays it from then on.
+# panics, stays inside its allocation budget, and saves back what it accepts),
+# the text parsers, and the serving wire codec (the encoders write what
+# encoding/json writes; the parsers a frontend reads worker replies with never
+# panic, stay inside their allocation budget, and accept only what an encoder
+# writes). A failure leaves its input under the package's testdata/fuzz,
+# where plain `go test` replays it from then on.
 define FUZZ
 ./internal/artifact FuzzLoad
 ./internal/regexc   FuzzCompile
 ./internal/anml     FuzzParse
 ./internal/anml     FuzzParseSymbolSet
 ./internal/espresso FuzzParsePLA
+./internal/server   FuzzWireEncode
+./internal/server   FuzzWireParse
 endef
 export FUZZ
 

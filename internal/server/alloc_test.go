@@ -1,0 +1,118 @@
+package server
+
+import (
+	"bytes"
+	"math"
+	"net/http"
+	"testing"
+)
+
+// nullWriter is a ResponseWriter that costs nothing itself, so AllocsPerRun
+// over a handler reads the handler's own allocations (and the mux's).
+type nullWriter struct {
+	h      http.Header
+	code   int
+	writes int
+	n      int
+}
+
+func (w *nullWriter) Header() http.Header         { return w.h }
+func (w *nullWriter) WriteHeader(code int)        { w.code = code }
+func (w *nullWriter) Flush()                      {}
+func (w *nullWriter) Write(b []byte) (int, error) { w.writes++; w.n += len(b); return len(b), nil }
+
+// replayBody is a request body that can be rewound, so one request value
+// serves every run of an allocation measurement.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// handlerAllocs returns the allocations of one steady-state POST of body to
+// path, and the null writer's view of the last response. A non-empty reqID
+// rides in as X-Request-Id.
+func handlerAllocs(t *testing.T, h http.Handler, path string, body []byte, reqID string) (float64, *nullWriter) {
+	t.Helper()
+	rb := &replayBody{}
+	req, err := http.NewRequest("POST", path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Body = rb
+	if reqID != "" {
+		req.Header.Set(requestIDHeader, reqID)
+	}
+	w := &nullWriter{h: http.Header{}}
+	run := func() {
+		rb.Reset(body)
+		clear(w.h)
+		*w = nullWriter{h: w.h}
+		h.ServeHTTP(w, req)
+	}
+	run() // warm the pools and the engine cache
+	if w.code != 0 && w.code != http.StatusOK {
+		t.Fatalf("%s: status %d", path, w.code)
+	}
+	return fewestAllocs(run), w
+}
+
+// fewestAllocs is the steady-state allocation count of run: the fewest of
+// many single runs, as the engine packages' pins take it — a sync.Pool may
+// drop what it was handed (under the race detector it does so at random), and
+// a run that had to refill one says nothing about the code under test.
+func fewestAllocs(run func()) float64 {
+	fewest := math.Inf(1)
+	for i := 0; i < 40; i++ {
+		fewest = min(fewest, testing.AllocsPerRun(1, run))
+	}
+	return fewest
+}
+
+// TestMatchHandlerZeroRowAllocs pins what a /match request costs when there
+// is nothing to report: the deadline context (5 objects), the pool task (2),
+// the mux's path match (1) and the Content-Length header (1). Everything the
+// handler itself needs — body, engine task, response — is in the pooled
+// scratch. A request that arrives without an identifier pays two more for
+// the minted one (the string and its header slice).
+func TestMatchHandlerZeroRowAllocs(t *testing.T) {
+	s := New(Config{Workers: 1})
+	t.Cleanup(s.Drain)
+	s.Tenants().Install("alloc", compileMachine(t, []string{"GET /", "needle"}))
+	body := bytes.Repeat([]byte("x"), 1024)
+
+	named, w := handlerAllocs(t, s.Handler(), "/v1/alloc/match", body, "client-7")
+	if w.writes != 1 || w.h.Get("Content-Length") == "" || w.h.Get(requestIDHeader) != "client-7" {
+		t.Fatalf("response: %d writes, headers %v", w.writes, w.h)
+	}
+	minted, _ := handlerAllocs(t, s.Handler(), "/v1/alloc/match", body, "")
+	t.Logf("zero-row /match: %.0f objects with an inbound request ID, %.0f minting one", named, minted)
+	if named > 9 {
+		t.Errorf("zero-row /match allocates %.0f objects, want <= 9", named)
+	}
+	if minted-named > 2 {
+		t.Errorf("minting a request ID costs %.0f objects, want <= 2", minted-named)
+	}
+}
+
+// TestStreamHandlerAllocs: what a /stream costs does not depend on how many
+// rows it reports — rows are appended to a pooled buffer, not boxed and
+// encoded one by one.
+func TestStreamHandlerAllocs(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(s.Drain)
+	s.Tenants().Install("alloc", compileMachine(t, []string{"needle"}))
+	quiet := bytes.Repeat([]byte("x"), 64<<10)
+	dense := bytes.Repeat([]byte("xxxxxxxxxxneedle"), 4096)
+
+	none, w := handlerAllocs(t, s.Handler(), "/v1/alloc/stream", quiet, "")
+	if w.n != len(`{"done":true,"bytes":65536,"matches":0}`+"\n") {
+		t.Fatalf("quiet stream wrote %d bytes", w.n)
+	}
+	many, w := handlerAllocs(t, s.Handler(), "/v1/alloc/stream", dense, "")
+	if w.n < 4096*len(`{"end":0,"pattern":0}`+"\n") {
+		t.Fatalf("dense stream wrote %d bytes: not 4,096 rows", w.n)
+	}
+	t.Logf("/stream: %.0f objects with no rows, %.0f with 4,096", none, many)
+	if many-none > 2 {
+		t.Errorf("4,096 rows cost %.0f objects more than none, want <= 2", many-none)
+	}
+}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -95,7 +94,11 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 // workerState is the registry entry for one worker: the spec plus the
 // health checker's latest verdict.
 type workerState struct {
-	spec      WorkerSpec
+	spec WorkerSpec
+	// base is spec.URL parsed once; every leg derives its URL from it by
+	// value. nameJSON is spec.Name as a quoted JSON string.
+	base      url.URL
+	nameJSON  []byte
 	healthy   atomic.Bool
 	lastErr   atomic.Pointer[string]
 	checkedAt atomic.Int64 // unix nanos, 0 = never
@@ -112,7 +115,7 @@ type Frontend struct {
 	cfg     ClusterConfig
 	workers []*workerState
 	client  *http.Client
-	mux     *http.ServeMux
+	handler http.Handler
 	m       *clusterMetrics
 
 	stop      chan struct{}
@@ -143,7 +146,11 @@ func NewFrontend(cfg ClusterConfig) (*Frontend, error) {
 			return nil, fmt.Errorf("server: duplicate worker name %q", spec.Name)
 		}
 		seen[spec.Name] = true
-		f.workers = append(f.workers, &workerState{spec: spec})
+		base, err := url.Parse(strings.TrimRight(spec.URL, "/"))
+		if err != nil {
+			return nil, fmt.Errorf("server: bad worker URL %q: %w", spec.URL, err)
+		}
+		f.workers = append(f.workers, &workerState{spec: spec, base: *base, nameJSON: appendJSONString(nil, spec.Name)})
 	}
 	f.m = bindClusterMetrics(cfg.Metrics, f)
 	mux := http.NewServeMux()
@@ -152,7 +159,7 @@ func NewFrontend(cfg ClusterConfig) (*Frontend, error) {
 	mux.HandleFunc("POST /v1/{tenant}/reload", f.handleReload)
 	mux.HandleFunc("GET /v1/workers", f.handleWorkers)
 	mux.HandleFunc("GET /healthz", f.handleHealth)
-	f.mux = mux
+	f.handler = newRequestIDs().wrap(mux)
 	if cfg.HealthInterval > 0 {
 		go f.healthLoop()
 	} else {
@@ -162,7 +169,7 @@ func NewFrontend(cfg ClusterConfig) (*Frontend, error) {
 }
 
 // Handler returns the HTTP handler (mount on any listener).
-func (f *Frontend) Handler() http.Handler { return f.mux }
+func (f *Frontend) Handler() http.Handler { return f.handler }
 
 // Drain stops the health loop and new admissions, then waits for in-flight
 // streams. Pair with http.Server.Shutdown for a clean SIGTERM exit.
@@ -275,57 +282,91 @@ func (f *Frontend) httpError(w http.ResponseWriter, code int, format string, arg
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// workerMatch is one worker's leg of a fanned one-shot match.
-type workerMatch struct {
-	generation int
-	rows       []matchJSON
-	status     int // worker HTTP status (0 on transport error)
-	err        error
+// post builds a body-less POST to the tenant's endpoint ("/match", …) on
+// the worker, carrying the request's identifier. The URL is the worker's
+// base, parsed once in NewFrontend, copied and extended — nothing is
+// re-parsed per leg.
+func (w *workerState) post(ctx context.Context, tenant, endpoint string, reqID []string) *http.Request {
+	u := w.base
+	u.Path += "/v1/" + tenant + endpoint
+	if esc := url.PathEscape(tenant); esc != tenant || u.RawPath != "" {
+		u.RawPath = w.base.EscapedPath() + "/v1/" + esc + endpoint
+	}
+	req := &http.Request{Method: http.MethodPost, URL: &u, Host: u.Host, Header: make(http.Header, 2)}
+	if reqID != nil {
+		req.Header[requestIDHeader] = reqID
+	}
+	return req.WithContext(ctx)
 }
 
-func (f *Frontend) postMatch(ctx context.Context, w *workerState, tenant string, body []byte) workerMatch {
+var contentOctets = []string{"application/octet-stream"}
+
+// workerMatch is one worker's leg of a fanned one-shot match. The reply and
+// its parsed rows live in the leg's own scratch, which the request's scratch
+// releases with itself.
+type workerMatch struct {
+	sc     *scratch
+	doc    matchDoc
+	status int // worker HTTP status (0 on transport error)
+	err    error
+}
+
+// postMatch runs one leg into leg: the worker's reply is read into the
+// leg's scratch and must be exactly what a worker's handleMatch encodes for
+// this tenant and this body; anything else is a bad response.
+func (f *Frontend) postMatch(ctx context.Context, w *workerState, tenant string, tenantJSON, body []byte, reqID []string, leg *workerMatch) {
 	f.m.workerRequests.Inc()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		w.spec.URL+"/v1/"+url.PathEscape(tenant)+"/match", bytes.NewReader(body))
-	if err != nil {
-		return workerMatch{err: err}
+	req := w.post(ctx, tenant, "/match", reqID)
+	req.Header["Content-Type"] = contentOctets
+	if len(body) > 0 {
+		// GetBody lets the transport replay the leg on a keep-alive
+		// connection the worker closed under it.
+		req.ContentLength = int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+		req.Body, _ = req.GetBody()
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := f.client.Do(req)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			f.m.workerTimeouts.Inc()
 		}
 		f.m.workerErrors.Inc()
-		return workerMatch{err: err}
+		leg.err = err
+		return
 	}
 	defer resp.Body.Close()
+	leg.status = resp.StatusCode
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		f.m.workerErrors.Inc()
-		return workerMatch{status: resp.StatusCode,
-			err: fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))}
+		leg.err = fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
+		return
 	}
-	var mr struct {
-		Generation int         `json:"generation"`
-		Matches    []matchJSON `json:"matches"`
+	sc := leg.sc
+	sc.body.Reset()
+	if _, err = sc.body.ReadFrom(resp.Body); err == nil {
+		if leg.doc, err = parseMatchDoc(sc.body.Bytes(), tenantJSON, sc.rows); err == nil && leg.doc.bytes != len(body) {
+			err = fmt.Errorf("counted %d bytes of %d", leg.doc.bytes, len(body))
+		}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
+	if err != nil {
 		f.m.workerErrors.Inc()
-		return workerMatch{status: resp.StatusCode, err: fmt.Errorf("bad response: %w", err)}
+		leg.err = fmt.Errorf("bad response: %w", err)
+		return
 	}
-	return workerMatch{generation: mr.Generation, rows: mr.Matches, status: resp.StatusCode}
+	sc.rows = leg.doc.rows
 }
 
-// partialResponse is the degraded-result document: the merged matches from
+// partialDoc is the degraded-result document: the merged matches from
 // the workers that answered, plus the ones that did not. Clients must
 // treat the match list as incomplete.
-type partialResponse struct {
-	Error         string      `json:"error"`
-	Tenant        string      `json:"tenant"`
-	FailedWorkers []string    `json:"failed_workers"`
-	Bytes         int         `json:"bytes"`
-	Matches       []matchJSON `json:"matches"`
+type partialDoc struct {
+	Error         string   `json:"error"`
+	Tenant        string   `json:"tenant"`
+	FailedWorkers []string `json:"failed_workers"`
+	Bytes         int      `json:"bytes"`
+	// Matches is the merged row array, already encoded by the codec.
+	Matches json.RawMessage `json:"matches"`
 }
 
 // handleMatch fans the one-shot request to every worker and merges the
@@ -338,16 +379,11 @@ func (f *Frontend) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := r.PathValue("tenant")
-	bb := bodyPool.Get().(*bytes.Buffer)
-	bb.Reset()
-	defer bodyPool.Put(bb)
-	if _, err := bb.ReadFrom(io.LimitReader(r.Body, f.cfg.MaxBodyBytes+1)); err != nil {
-		f.httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	body := bb.Bytes()
-	if int64(len(body)) > f.cfg.MaxBodyBytes {
-		f.httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", f.cfg.MaxBodyBytes)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	body, code, err := sc.readBody(r, f.cfg.MaxBodyBytes)
+	if err != nil {
+		f.httpError(w, code, "%v", err)
 		return
 	}
 	f.m.matchRequests.Inc()
@@ -355,24 +391,32 @@ func (f *Frontend) handleMatch(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.WorkerTimeout)
 	defer cancel()
+	// The quoted tenant name opens the response, and is what every worker's
+	// reply must open with.
+	sc.name = appendJSONString(sc.name[:0], tenant)
+	reqID := requestID(w)
 	t0 := time.Now()
-	results := make([]workerMatch, len(f.workers))
+	// One leg per worker, each with a scratch of its own that stays out of
+	// the pool until sc is released: the merge reads the legs' rows.
+	for range f.workers {
+		sc.legs = append(sc.legs, workerMatch{sc: scratchPool.Get().(*scratch)})
+	}
 	var wg sync.WaitGroup
 	for i, wk := range f.workers {
 		wg.Add(1)
-		go func(i int, wk *workerState) {
+		go func(wk *workerState, leg *workerMatch) {
 			defer wg.Done()
-			results[i] = f.postMatch(ctx, wk, tenant, body)
-		}(i, wk)
+			f.postMatch(ctx, wk, tenant, sc.name, body, reqID, leg)
+		}(wk, &sc.legs[i])
 	}
 	wg.Wait()
 	elapsed := time.Since(t0)
 	f.m.fanoutLatency.Observe(elapsed.Nanoseconds())
 
-	var rows []matchJSON
+	runs := sc.runs[:0]
 	var failed []string
 	generation, all404 := 0, true
-	for i, res := range results {
+	for i, res := range sc.legs {
 		if res.err != nil {
 			failed = append(failed, f.workers[i].spec.Name)
 			if res.status != http.StatusNotFound {
@@ -381,69 +425,39 @@ func (f *Frontend) handleMatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		all404 = false
-		rows = append(rows, res.rows...)
-		if res.generation > generation {
-			generation = res.generation
-		}
+		runs = append(runs, res.doc.rowRun)
+		generation = max(generation, res.doc.generation)
 	}
-	mergeRows(&rows)
-	f.m.reports.Add(int64(len(rows)))
-
-	switch {
-	case all404:
+	sc.runs = runs
+	if all404 {
 		// Every worker rejected the tenant: surface the 404, not a partial.
 		f.httpError(w, http.StatusNotFound, "unknown tenant %q on all %d workers", tenant, len(f.workers))
-	case len(failed) > 0:
+		return
+	}
+	// The workers' runs are each sorted already: one k-way merge writes the
+	// rows straight into the response.
+	if len(failed) > 0 {
+		out, n := appendMergedRows(append(sc.out[:0], '['), runs)
+		sc.out = append(out, ']')
+		f.m.reports.Add(int64(n))
 		f.m.partials.Inc()
 		f.m.errors.Inc()
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = contentJSON
 		w.WriteHeader(http.StatusBadGateway)
-		_ = json.NewEncoder(w).Encode(partialResponse{
+		_ = json.NewEncoder(w).Encode(partialDoc{
 			Error: fmt.Sprintf("partial result: %d of %d workers failed (%s)",
 				len(failed), len(f.workers), strings.Join(failed, ", ")),
 			Tenant:        tenant,
 			FailedWorkers: failed,
 			Bytes:         len(body),
-			Matches:       rows,
+			Matches:       sc.out,
 		})
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(matchResponse{
-			Tenant:     tenant,
-			Generation: generation,
-			Bytes:      len(body),
-			Matches:    rows,
-			ElapsedUS:  elapsed.Microseconds(),
-		})
+		return
 	}
-}
-
-// mergeRows sorts the concatenated worker rows into the canonical order
-// and drops duplicates. Shard subsets are disjoint, so duplicates only
-// appear when the same (end, pattern) fires on patterns split across
-// workers' report dedup windows — exactly what the single-process dedup
-// collapses, so the merge collapses them too.
-func mergeRows(rows *[]matchJSON) {
-	sortRows(*rows)
-	out := (*rows)[:0]
-	for i, row := range *rows {
-		if i > 0 && row == (*rows)[i-1] {
-			continue
-		}
-		out = append(out, row)
-	}
-	*rows = out
-}
-
-// clusterStreamDone is the frontend's final NDJSON stream line. On the
-// healthy path it carries exactly the single-process fields; a degraded
-// stream adds the failed workers and the partial flag.
-type clusterStreamDone struct {
-	Done          bool     `json:"done"`
-	Bytes         int64    `json:"bytes"`
-	Matches       int64    `json:"matches"`
-	Partial       bool     `json:"partial,omitempty"`
-	FailedWorkers []string `json:"failed_workers,omitempty"`
+	out, n := appendMergedRows(appendMatchHead(sc.out[:0], sc.name, generation, len(body)), runs)
+	sc.out = appendMatchTail(out, elapsed.Microseconds())
+	f.m.reports.Add(int64(n))
+	writeJSON(w, sc.out)
 }
 
 // workerStream is one worker's leg of a fanned stream: the frontend tees
@@ -476,18 +490,19 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
 
 	_ = http.NewResponseController(w).EnableFullDuplex()
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = contentNDJSON
 	flusher, _ := w.(http.Flusher)
 
 	var mu sync.Mutex // serializes relayed lines and the final write
-	relay := func(line []byte) {
+	relay := func(lines []byte) {
 		mu.Lock()
 		defer mu.Unlock()
-		_, _ = w.Write(line)
+		_, _ = w.Write(lines)
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
+	reqID := requestID(w)
 
 	legs := make([]*workerStream, len(f.workers))
 	for i, wk := range f.workers {
@@ -497,7 +512,7 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 		go func(wk *workerState, leg *workerStream, pr *io.PipeReader) {
 			defer close(leg.done)
 			f.m.workerRequests.Inc()
-			leg.err = f.relayWorkerStream(r.Context(), wk, tenant, pr, leg, relay)
+			leg.err = f.relayWorkerStream(r.Context(), wk, tenant, reqID, pr, leg, relay)
 			if leg.err != nil {
 				f.m.workerErrors.Inc()
 				leg.dead.Store(true)
@@ -536,12 +551,12 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var matches int64
-	var failed []string
+	var failed [][]byte
 	for i, leg := range legs {
 		leg.pw.Close()
 		<-leg.done
 		if leg.err != nil {
-			failed = append(failed, f.workers[i].spec.Name)
+			failed = append(failed, f.workers[i].nameJSON)
 			continue
 		}
 		matches += leg.matches
@@ -550,27 +565,20 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 	if len(failed) > 0 {
 		f.m.partials.Inc()
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(clusterStreamDone{
-		Done: true, Bytes: total, Matches: matches,
-		Partial: len(failed) > 0, FailedWorkers: failed,
-	})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	// On the healthy path the done line carries exactly the single-process
+	// fields; a degraded stream adds the partial flag and the failed workers.
+	var line [96]byte
+	relay(appendClusterDone(line[:0], total, matches, failed))
 }
 
-// relayWorkerStream runs one worker leg: POST the teed body, relay match
-// lines, stop at the worker's done line (recording its match count).
-func (f *Frontend) relayWorkerStream(ctx context.Context, wk *workerState, tenant string, body io.Reader, leg *workerStream, relay func([]byte)) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		wk.spec.URL+"/v1/"+url.PathEscape(tenant)+"/stream", body)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+// relayWorkerStream runs one worker leg: POST the teed body and relay the
+// worker's report lines — all the complete lines of a read in one relay call
+// — up to its done line, whose match count the leg records. Every line must
+// be the codec's; a worker that sends anything else has failed.
+func (f *Frontend) relayWorkerStream(ctx context.Context, wk *workerState, tenant string, reqID []string, body io.ReadCloser, leg *workerStream, relay func([]byte)) error {
+	req := wk.post(ctx, tenant, "/stream", reqID)
+	req.Header["Content-Type"] = contentOctets
+	req.Body = body
 	resp, err := f.client.Do(req)
 	if err != nil {
 		return err
@@ -580,34 +588,32 @@ func (f *Frontend) relayWorkerStream(ctx context.Context, wk *workerState, tenan
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	sawDone := false
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var probe struct {
-			Done    *bool `json:"done"`
-			Matches int64 `json:"matches"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
+	bufp := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(bufp)
+	buf, held := *bufp, 0 // buf[:held] is an incomplete line
+	var p streamParser
+	for !p.done {
+		n, rerr := resp.Body.Read(buf[held:])
+		held += n
+		rows, used, err := p.feed(buf[:held])
+		if err != nil {
 			return fmt.Errorf("bad stream line: %w", err)
 		}
-		if probe.Done != nil {
-			leg.matches = probe.Matches
-			sawDone = true
-			break
+		if rows > 0 {
+			relay(buf[:rows])
 		}
-		relay(append(line, '\n'))
+		held = copy(buf, buf[used:held])
+		switch {
+		case p.done:
+		case errors.Is(rerr, io.EOF):
+			return fmt.Errorf("stream ended without a done line")
+		case rerr != nil:
+			return rerr
+		case held == len(buf):
+			return fmt.Errorf("bad stream line: %d bytes without a newline", held)
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if !sawDone {
-		return fmt.Errorf("stream ended without a done line")
-	}
+	leg.matches = p.matches
 	return nil
 }
 
@@ -623,12 +629,13 @@ func (f *Frontend) handleReload(w http.ResponseWriter, r *http.Request) {
 	outcomes := make([]outcome, len(f.workers))
 	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.WorkerTimeout)
 	defer cancel()
+	reqID := requestID(w)
 	var wg sync.WaitGroup
 	for i, wk := range f.workers {
 		wg.Add(1)
 		go func(i int, wk *workerState) {
 			defer wg.Done()
-			gen, err := f.postReload(ctx, wk, tenant)
+			gen, err := f.postReload(ctx, wk, tenant, reqID)
 			if err != nil {
 				outcomes[i] = outcome{Error: err.Error()}
 				return
@@ -657,14 +664,9 @@ func (f *Frontend) handleReload(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(map[string]any{"tenant": tenant, "workers": byWorker})
 }
 
-func (f *Frontend) postReload(ctx context.Context, wk *workerState, tenant string) (int, error) {
+func (f *Frontend) postReload(ctx context.Context, wk *workerState, tenant string, reqID []string) (int, error) {
 	f.m.workerRequests.Inc()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		wk.spec.URL+"/v1/"+url.PathEscape(tenant)+"/reload", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := f.client.Do(req)
+	resp, err := f.client.Do(wk.post(ctx, tenant, "/reload", reqID))
 	if err != nil {
 		f.m.workerErrors.Inc()
 		return 0, err

@@ -9,8 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,9 +38,14 @@ type clusterFixture struct {
 
 func newClusterFixture(t *testing.T) *clusterFixture {
 	t.Helper()
+	return newClusterFixtureOf(t, []string{"GET /", "needle", "ab+a", "zz.?zz"})
+}
+
+func newClusterFixtureOf(t *testing.T, patterns []string) *clusterFixture {
+	t.Helper()
 	cfg := impala.DefaultConfig()
 	cfg.Shards = 2
-	m, err := impala.CompileRegex([]string{"GET /", "needle", "ab+a", "zz.?zz"}, cfg)
+	m, err := impala.CompileRegex(patterns, cfg)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -541,4 +548,218 @@ func TestNewFrontendErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("duplicate worker names accepted")
 	}
+}
+
+// elapsedField cuts the one field of a /match document that is a clock
+// reading out of it.
+func elapsedField(t *testing.T, doc []byte) []byte {
+	t.Helper()
+	i := bytes.LastIndex(doc, []byte(`,"elapsed_us":`))
+	if i < 0 || !bytes.HasSuffix(doc, []byte("}\n")) {
+		t.Fatalf("not a /match document: %.120q", doc)
+	}
+	return append(append([]byte(nil), doc[:i]...), "}\n"...)
+}
+
+func postRaw(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
+}
+
+// TestClusterBodiesMatchSingleProcess is the identity row of the wire codec:
+// on a body of over a thousand rows, some of which both workers report (an
+// alternation's branches land on different shards and end on the same byte),
+// the frontend's /match body is the single process's byte for byte — head,
+// merged rows with the duplicates dropped, tail; only the clock reading
+// differs. A /stream relays each worker's lines as they come, so there the
+// identity is of the line sets: sorted, with the cross-worker duplicates a
+// relay cannot drop collapsed, the frontend's lines are the single
+// process's, and its done line counts what it relayed.
+func TestClusterBodiesMatchSingleProcess(t *testing.T) {
+	f := newClusterFixtureOf(t, []string{"GET /", "needle|dle", "ab+a|a", "zz.?zz"})
+	input := []byte(strings.Repeat("GET /idx abba zzAzz needle abbbba GET needle / ", 150))
+
+	var legRows int
+	for _, w := range f.workers {
+		_, mr := postMatch(t, w, "web", input)
+		legRows += len(mr.Matches)
+	}
+	sresp, single := postRaw(t, f.single.URL+"/v1/web/match", input)
+	fresp, merged := postRaw(t, f.feTS.URL+"/v1/web/match", input)
+	var doc matchResponse
+	if err := json.Unmarshal(single, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Matches) < 1000 || legRows <= len(doc.Matches) {
+		t.Fatalf("fixture is vacuous: %d rows, %d across the workers", len(doc.Matches), legRows)
+	}
+	if !bytes.Equal(elapsedField(t, merged), elapsedField(t, single)) {
+		t.Fatalf("frontend /match body diverges from the single process's:\n%.300q\n%.300q", merged, single)
+	}
+	for _, resp := range []*http.Response{sresp, fresp} {
+		if resp.ContentLength <= 0 || resp.Header.Get("Content-Type") != "application/json" || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("/match response not sized: length %d, %v", resp.ContentLength, resp.Header)
+		}
+	}
+
+	lines := func(url string) (rows [][]byte, done []byte) {
+		_, raw := postRaw(t, url, input)
+		all := bytes.SplitAfter(raw, []byte("\n"))
+		if len(all) < 2 || len(all[len(all)-1]) != 0 {
+			t.Fatalf("stream does not end in a newline: %.120q", raw)
+		}
+		rows, done = all[:len(all)-2], all[len(all)-2]
+		slices.SortFunc(rows, func(a, b []byte) int {
+			var ra, rb matchJSON
+			if json.Unmarshal(a, &ra) != nil || json.Unmarshal(b, &rb) != nil {
+				t.Fatalf("bad stream lines %q, %q", a, b)
+			}
+			if ra.End != rb.End {
+				return ra.End - rb.End
+			}
+			return ra.Pattern - rb.Pattern
+		})
+		return rows, done
+	}
+	srows, sdone := lines(f.single.URL + "/v1/web/stream")
+	frows, fdone := lines(f.feTS.URL + "/v1/web/stream")
+	if want := appendStreamDone(nil, int64(len(input)), int64(len(srows))); !bytes.Equal(sdone, want) {
+		t.Fatalf("single-process done line %q, want %q", sdone, want)
+	}
+	if want := appendStreamDone(nil, int64(len(input)), int64(len(frows))); !bytes.Equal(fdone, want) || len(frows) != legRows {
+		t.Fatalf("frontend done line %q over %d lines, want %q over %d", fdone, len(frows), want, legRows)
+	}
+	frows = slices.CompactFunc(frows, bytes.Equal)
+	if !slices.EqualFunc(frows, srows, bytes.Equal) {
+		t.Fatalf("frontend stream lines diverge from the single process's: %d against %d", len(frows), len(srows))
+	}
+
+	// No rows at all is an empty array on both, never a null.
+	_, single = postRaw(t, f.single.URL+"/v1/web/match", []byte("nothing to report"))
+	_, merged = postRaw(t, f.feTS.URL+"/v1/web/match", []byte("nothing to report"))
+	if !bytes.Equal(elapsedField(t, merged), elapsedField(t, single)) || !bytes.Contains(merged, []byte(`"matches":[],`)) {
+		t.Fatalf("zero-row bodies diverge:\n%q\n%q", merged, single)
+	}
+
+	// The degraded document is still what encoding/json writes for its type,
+	// with the surviving worker's rows merged by the codec.
+	f.workers[1].Close()
+	resp, partial := postRaw(t, f.feTS.URL+"/v1/web/match", input)
+	var pr partialResponse
+	if err := json.Unmarshal(partial, &pr); err != nil || resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("status %d, %v: %.200q", resp.StatusCode, err, partial)
+	}
+	if want := jsonLine(t, pr); !bytes.Equal(partial, want) || len(pr.Matches) == 0 {
+		t.Fatalf("502 body is not encoding/json's:\n%.300q\n%.300q", partial, want)
+	}
+}
+
+// TestRequestID follows one identifier across the hops: a standalone server
+// echoes a well-formed inbound one and replaces a malformed one with its
+// own, on errors too; a frontend forwards the one it settled on to both
+// workers on /match and /stream legs and echoes it to the client.
+func TestRequestID(t *testing.T) {
+	do := func(t *testing.T, method, url, id string) string {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader("GET /idx needle"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != "" {
+			req.Header.Set(requestIDHeader, id)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		got := resp.Header.Get(requestIDHeader)
+		if !validRequestID(got) {
+			t.Fatalf("%s %s: response carries request ID %q", method, url, got)
+		}
+		return got
+	}
+
+	t.Run("standalone", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{})
+		s.Tenants().Install("t", compileMachine(t, []string{"needle"}))
+		for _, path := range []string{"/v1/t/match", "/v1/t/stream", "/v1/nosuch/match", "/healthz", "/no/such/route"} {
+			if got := do(t, "POST", ts.URL+path, "abc.DEF_1-2"); got != "abc.DEF_1-2" {
+				t.Errorf("%s: inbound ID came back as %q", path, got)
+			}
+		}
+		first, second := do(t, "POST", ts.URL+"/v1/t/match", ""), do(t, "POST", ts.URL+"/v1/t/match", "")
+		if first == second {
+			t.Errorf("two requests were both minted %q", first)
+		}
+	})
+
+	t.Run("malformed inbound replaced", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{})
+		s.Tenants().Install("t", compileMachine(t, []string{"needle"}))
+		for _, bad := range []string{"has space", "semi;colon", "new\tline", strings.Repeat("x", 65), "caf\u00e9"} {
+			if got := do(t, "POST", ts.URL+"/v1/t/match", bad); got == bad {
+				t.Errorf("malformed ID %q was echoed", bad)
+			}
+		}
+		if got := do(t, "POST", ts.URL+"/v1/t/match", strings.Repeat("x", 64)); got != strings.Repeat("x", 64) {
+			t.Errorf("a 64-byte ID was replaced by %q", got)
+		}
+	})
+
+	t.Run("frontend to 2 workers", func(t *testing.T) {
+		// Each worker sits behind a recorder of the IDs it was handed.
+		var mu sync.Mutex
+		seen := map[string][]string{}
+		var specs []WorkerSpec
+		for _, name := range []string{"n0", "n1"} {
+			ws := New(Config{})
+			ws.Tenants().Install("web", compileMachine(t, []string{"needle"}))
+			h := ws.Handler()
+			wts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				seen[r.URL.Path] = append(seen[r.URL.Path], r.Header.Get(requestIDHeader))
+				mu.Unlock()
+				h.ServeHTTP(w, r)
+			}))
+			t.Cleanup(func() { wts.Close(); ws.Drain() })
+			specs = append(specs, WorkerSpec{Name: name, URL: wts.URL})
+		}
+		fe, err := NewFrontend(ClusterConfig{Workers: specs, HealthInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fts := httptest.NewServer(fe.Handler())
+		t.Cleanup(func() { fts.Close(); fe.Drain() })
+
+		for _, endpoint := range []string{"/v1/web/match", "/v1/web/stream"} {
+			for _, inbound := range []string{"trace-42", "", "not valid"} {
+				mu.Lock()
+				clear(seen)
+				mu.Unlock()
+				got := do(t, "POST", fts.URL+endpoint, inbound)
+				if inbound == "trace-42" && got != inbound {
+					t.Errorf("%s: frontend replaced a well-formed ID with %q", endpoint, got)
+				}
+				if inbound == "not valid" && got == inbound {
+					t.Errorf("%s: frontend echoed a malformed ID", endpoint)
+				}
+				mu.Lock()
+				if ids := seen[endpoint]; len(ids) != 2 || ids[0] != got || ids[1] != got {
+					t.Errorf("%s: client saw %q, workers were handed %q", endpoint, got, ids)
+				}
+				mu.Unlock()
+			}
+		}
+	})
 }

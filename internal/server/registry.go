@@ -44,6 +44,9 @@ type Tenant struct {
 	// scored is whether the machine carries a weight table — whether the
 	// tenant serves scored or binary rows — decided once, at install.
 	scored bool
+	// nameJSON is Name as a quoted JSON string, escaped once, at install:
+	// what every /match document of the tenant opens with.
+	nameJSON []byte
 }
 
 // Registry is the tenant table. Readers (the request path) take an atomic
@@ -101,6 +104,7 @@ func (r *Registry) Tenants() []*Tenant {
 // held writer lock.
 func (r *Registry) publish(t *Tenant) {
 	t.scored = t.Machine.ScoreInfo() != nil
+	t.nameJSON = appendJSONString(nil, t.Name)
 	old := r.snapshot()
 	next := make(map[string]*Tenant, len(old)+1)
 	for k, v := range old {

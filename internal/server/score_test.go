@@ -14,7 +14,7 @@ import (
 
 // compileScoredMachine seals a scored Levenshtein machine (threshold 5:
 // perfect and single-edit reads clear it, two-edit reads do not).
-func compileScoredMachine(t *testing.T) *impala.Machine {
+func compileScoredMachine(t testing.TB) *impala.Machine {
 	t.Helper()
 	n, w, err := workload.ScoredLevenshtein(
 		[][]byte{[]byte("ACGTACGT")}, 2, workload.DefaultAlignCosts, 5)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -18,18 +19,84 @@ import (
 )
 
 // Per-request buffers are recycled across requests, mirroring the engine
-// pools in sim/compiled.go: bodyPool holds /match request bodies, rowsPool
-// the response match rows, and chunkPool the /stream read buffers. Under
-// steady-state traffic the handlers then allocate only what the engine and
-// the JSON encoder need (pinned by TestMatchHandlerAllocs).
+// pools in sim/compiled.go: scratchPool holds a /match request's working set
+// and chunkPool the 32 KiB buffers a /stream reads its body into and builds
+// its response lines in. Under steady-state traffic the handlers then
+// allocate only what the engine and net/http need (pinned by
+// TestMatchHandlerAllocs and TestStreamHandlerAllocs).
 var (
-	bodyPool  = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	rowsPool  = sync.Pool{New: func() any { return &matchRows{rows: make([]matchJSON, 0, 64)} }}
+	scratchPool = sync.Pool{New: func() any {
+		sc := new(scratch)
+		sc.match = sc.runMatch
+		return sc
+	}}
 	chunkPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
 )
 
-// matchRows boxes the pooled row slice so Put never allocates.
-type matchRows struct{ rows []matchJSON }
+// scratch is the pooled working set of one /match request, or of one worker
+// leg of a fanned one: the bytes read (the request body; on a leg, the
+// worker's reply), the engine's rows or the rows a frontend parses and
+// merges, and the encoded response.
+type scratch struct {
+	body  bytes.Buffer
+	limit io.LimitedReader // readBody's cap on the request body
+
+	// The one-shot task. match is runMatch bound once, when the scratch is
+	// made, so handing it to the pool allocates nothing; it runs tenant's
+	// machine over body and leaves the engine's rows in matches or scored.
+	tenant  *Tenant
+	match   func()
+	matches []impala.Match
+	scored  []impala.ScoredMatch
+
+	name []byte        // frontend: the tenant name, quoted
+	legs []workerMatch // frontend: one leg per worker, each with its scratch
+	runs []rowRun      // frontend: the legs' rows, as the merge consumes them
+	rows []wireRow     // leg: the reply's rows
+	out  []byte
+}
+
+func (sc *scratch) runMatch() {
+	// A tenant whose artifact sealed a weight table serves threshold-filtered
+	// scored rows; binary tenants keep the exact pre-scoring response bytes.
+	if sc.tenant.scored {
+		sc.scored, _ = sc.tenant.Machine.MatchScored(sc.body.Bytes())
+	} else {
+		sc.matches = sc.tenant.Machine.Match(sc.body.Bytes())
+	}
+}
+
+// release returns the scratch to the pool holding buffers only: an idle
+// scratch must not pin a tenant's machine or a request's rows.
+func (sc *scratch) release() {
+	sc.limit.R, sc.tenant, sc.matches, sc.scored = nil, nil, nil, nil
+	for i := range sc.legs {
+		sc.legs[i].sc.release()
+	}
+	clear(sc.legs)
+	sc.legs = sc.legs[:0]
+	scratchPool.Put(sc)
+}
+
+// readBody reads a /match payload of at most limit bytes into sc.body; on
+// failure code is the status to refuse the request with.
+func (sc *scratch) readBody(r *http.Request, limit int64) (body []byte, code int, err error) {
+	sc.body.Reset()
+	sc.limit = io.LimitedReader{R: r.Body, N: limit + 1}
+	if _, err := sc.body.ReadFrom(&sc.limit); err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("reading body: %v", err)
+	}
+	if int64(sc.body.Len()) > limit {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	return sc.body.Bytes(), 0, nil
+}
+
+// Header values every response shares; net/http only reads them.
+var (
+	contentJSON   = []string{"application/json"}
+	contentNDJSON = []string{"application/x-ndjson"}
+)
 
 // Config tunes the daemon.
 type Config struct {
@@ -75,7 +142,7 @@ type Server struct {
 	tenants *Registry
 	pool    *par.Pool
 	m       *metrics
-	mux     *http.ServeMux
+	handler http.Handler
 
 	streamSem chan struct{}
 	draining  chan struct{}
@@ -102,7 +169,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("DELETE /v1/{tenant}", s.handleEvict)
 	mux.HandleFunc("GET /v1/tenants", s.handleTenants)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux = mux
+	s.handler = newRequestIDs().wrap(mux)
 	return s
 }
 
@@ -111,7 +178,7 @@ func New(cfg Config) *Server {
 func (s *Server) Tenants() *Registry { return s.tenants }
 
 // Handler returns the HTTP handler (mount on any listener).
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // Drain stops admitting work and waits for in-flight requests: match tasks
 // finish on the pool, streaming connections run to completion. Call after
@@ -167,38 +234,6 @@ func (s *Server) tenant(w http.ResponseWriter, r *http.Request) (*Tenant, bool) 
 	return t, true
 }
 
-// matchResponse is the one-shot result document.
-type matchResponse struct {
-	Tenant     string      `json:"tenant"`
-	Generation int         `json:"generation"`
-	Bytes      int         `json:"bytes"`
-	Matches    []matchJSON `json:"matches"`
-	ElapsedUS  int64       `json:"elapsed_us"`
-}
-
-type matchJSON struct {
-	End     int `json:"end"`
-	Pattern int `json:"pattern"`
-	// Score carries the accumulated max-plus score on scored tenants
-	// (machines whose artifact sealed a SCOR weight table); it is absent on
-	// binary tenants, so their response bytes are unchanged.
-	Score *float64 `json:"score,omitempty"`
-}
-
-// sortRows puts match rows in the serving-boundary canonical order:
-// (end, pattern), ascending. Both the single-process /match handler and
-// the cluster frontend's merge emit this order, so a client cannot tell a
-// frontend fanning out to workers from one process hosting every shard —
-// the byte-identity the clustersweep gate pins.
-func sortRows(rows []matchJSON) {
-	slices.SortFunc(rows, func(a, b matchJSON) int {
-		if a.End != b.End {
-			return a.End - b.End
-		}
-		return a.Pattern - b.Pattern
-	})
-}
-
 // handleMatch is the one-shot batched endpoint: the request body is the
 // input stream, the response lists every distinct match. Work runs on the
 // bounded pool — a full queue is a 503, an expired per-request timeout a
@@ -213,16 +248,11 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	bb := bodyPool.Get().(*bytes.Buffer)
-	bb.Reset()
-	defer bodyPool.Put(bb)
-	if _, err := bb.ReadFrom(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1)); err != nil {
-		s.httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	body := bb.Bytes()
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		s.httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.cfg.MaxBodyBytes)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	body, code, err := sc.readBody(r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		s.httpError(w, code, "%v", err)
 		return
 	}
 	s.m.matchRequests.Inc()
@@ -232,17 +262,8 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	t0 := time.Now()
-	// A tenant whose artifact sealed a weight table serves threshold-filtered
-	// scored rows; binary tenants keep the exact pre-scoring response bytes.
-	var matches []impala.Match
-	var scored []impala.ScoredMatch
-	err := s.pool.Do(ctx, func() {
-		if t.scored {
-			scored, _ = t.Machine.MatchScored(body)
-		} else {
-			matches = t.Machine.Match(body)
-		}
-	})
+	sc.tenant = t
+	err = s.pool.Do(ctx, sc.match)
 	switch {
 	case errors.Is(err, par.ErrQueueFull), errors.Is(err, par.ErrPoolClosed):
 		s.m.rejected.Inc()
@@ -257,41 +278,48 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	elapsed := time.Since(t0)
 	s.m.matchLatency.Observe(elapsed.Nanoseconds())
+	matches, scored := sc.matches, sc.scored
 	s.m.reports.Add(int64(len(matches) + len(scored)))
 
-	rp := rowsPool.Get().(*matchRows)
-	rp.rows = rp.rows[:0]
+	// The engine's own slice is sorted into the canonical order and encoded
+	// from where it lies: no row is copied or boxed on the way out.
+	out := appendMatchHead(sc.out[:0], t.nameJSON, t.Generation, len(body))
 	if t.scored {
-		// Score points into the result slice: no float boxed per row.
+		slices.SortFunc(scored, func(a, b impala.ScoredMatch) int { return cmpMatch(a.Match, b.Match) })
 		for i := range scored {
-			sm := &scored[i]
-			rp.rows = append(rp.rows, matchJSON{End: sm.End, Pattern: sm.Pattern, Score: &sm.Score})
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = appendScoredRow(out, scored[i].End, scored[i].Pattern, scored[i].Score)
 		}
 	} else {
-		for _, mt := range matches {
-			rp.rows = append(rp.rows, matchJSON{End: mt.End, Pattern: mt.Pattern})
+		slices.SortFunc(matches, cmpMatch)
+		for i, mt := range matches {
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = appendMatchRow(out, mt.End, mt.Pattern)
 		}
 	}
-	sortRows(rp.rows)
-	resp := matchResponse{
-		Tenant:     t.Name,
-		Generation: t.Generation,
-		Bytes:      len(body),
-		Matches:    rp.rows,
-		ElapsedUS:  elapsed.Microseconds(),
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
-	clear(rp.rows) // an idle pooled buffer must not pin the request's scores
-	rowsPool.Put(rp)
+	sc.out = appendMatchTail(out, elapsed.Microseconds())
+	writeJSON(w, sc.out)
 }
 
-// streamDone is the final NDJSON line of a /stream response; match lines
-// reuse matchJSON. Clients tell them apart by the "done" key.
-type streamDone struct {
-	Done    bool  `json:"done"`
-	Bytes   int64 `json:"bytes"`
-	Matches int64 `json:"matches"`
+// cmpMatch orders matches by (end, pattern): the canonical row order of the
+// serving boundary (see rowLess).
+func cmpMatch(a, b impala.Match) int {
+	if a.End != b.End {
+		return a.End - b.End
+	}
+	return a.Pattern - b.Pattern
+}
+
+// writeJSON sends a complete, already encoded JSON response in one Write.
+func writeJSON(w http.ResponseWriter, doc []byte) {
+	h := w.Header()
+	h["Content-Type"] = contentJSON
+	h.Set("Content-Length", strconv.Itoa(len(doc)))
+	_, _ = w.Write(doc) // the client is gone; there is no one to tell
 }
 
 // handleStream is the incremental endpoint: the chunked request body is
@@ -334,15 +362,30 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Matches are written back while the request body is still being read:
 	// without full-duplex mode the HTTP/1 server closes the request body at
 	// the first response write, killing the stream mid-flow.
-	_ = http.NewResponseController(w).EnableFullDuplex()
+	rc := http.NewResponseController(w)
+	_ = rc.EnableFullDuplex()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Tenant-Generation", fmt.Sprint(t.Generation))
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	w.Header()["Content-Type"] = contentNDJSON
+	w.Header().Set("X-Tenant-Generation", strconv.Itoa(t.Generation))
 
+	// Rows are appended to one pooled buffer and leave in one Write per fed
+	// chunk, just before its Flush. The buffer never grows: a chunk dense
+	// enough to fill it is written through early, so a stream holds 64 KiB
+	// whatever its hit rate. The first failed write ends the stream — gone
+	// is set, the sinks drop what the engine still reports, and the handler
+	// flushes the session and returns instead of scanning to EOF for no one.
+	inp, outp := chunkPool.Get().(*[]byte), chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(inp)
+	defer chunkPool.Put(outp)
+	buf, out := *inp, (*outp)[:0]
+	gone := false
+	write := func() {
+		if _, err := w.Write(out); err != nil {
+			gone = true
+		}
+		out = out[:0]
+	}
 	var total, nmatches int64
-	var encErr error
 	// Scored tenants stream scored rows; the window-deferred emission means
 	// a row appears once its score can no longer change (at most a few
 	// cycles after the match), with the remainder drained at Flush.
@@ -350,57 +393,62 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		Feed([]byte)
 		Flush()
 	}
-	if t.scored {
-		var sc float64 // one slot per stream, overwritten per row
-		stream, _ = t.Machine.NewScoredStream(func(sm impala.ScoredMatch) {
-			nmatches++
-			if encErr == nil {
-				sc = sm.Score
-				encErr = enc.Encode(matchJSON{End: sm.End, Pattern: sm.Pattern, Score: &sc})
-			}
-		})
-	} else {
-		stream = t.Machine.NewStream(func(mt impala.Match) {
-			nmatches++
-			if encErr == nil {
-				encErr = enc.Encode(matchJSON{End: mt.End, Pattern: mt.Pattern})
-			}
-		})
+	row := func(sm impala.ScoredMatch) {
+		if gone {
+			return
+		}
+		nmatches++
+		if t.scored {
+			out = appendScoredRow(out, sm.End, sm.Pattern, sm.Score)
+		} else {
+			out = appendMatchRow(out, sm.End, sm.Pattern)
+		}
+		if out = append(out, '\n'); len(out) > cap(out)-wireRowMax {
+			write()
+		}
 	}
-	bufp := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(bufp)
-	buf := *bufp
-	for {
+	if t.scored {
+		stream, _ = t.Machine.NewScoredStream(row)
+	} else {
+		stream = t.Machine.NewStream(func(mt impala.Match) { row(impala.ScoredMatch{Match: mt}) })
+	}
+	// emit sends what the last chunk produced; false once the client is gone.
+	emit := func() bool {
+		if len(out) > 0 && !gone {
+			write()
+		}
+		if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			gone = true
+		}
+		return !gone
+	}
+	for eof := false; !eof; {
 		n, err := r.Body.Read(buf)
 		if n > 0 {
 			total += int64(n)
 			s.m.bytesIn.Add(int64(n))
 			s.m.streamChunk.Observe(int64(n))
 			stream.Feed(buf[:n])
-			if flusher != nil {
-				flusher.Flush()
-			}
 		}
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				// Client went away mid-stream; nothing sensible to write. The
-				// session still ends — it holds sim_active_streams until it
-				// is flushed — with the rows its flush completes dropped.
-				encErr = err
-				stream.Flush()
-				return
-			}
-			break
+		eof = errors.Is(err, io.EOF)
+		broken := err != nil && !eof
+		if !broken && n > 0 {
+			broken = !emit()
+		}
+		if broken {
+			// The client went away mid-stream — its upload broke, or it stopped
+			// reading — and there is nothing sensible to write. The session
+			// still ends: it holds sim_active_streams until it is flushed, with
+			// the rows its flush completes dropped.
+			gone = true
+			stream.Flush()
+			return
 		}
 	}
 	stream.Flush()
 	s.m.reports.Add(nmatches)
-	if encErr == nil {
-		_ = enc.Encode(streamDone{Done: true, Bytes: total, Matches: nmatches})
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
+	out = appendStreamDone(out, total, nmatches)
+	emit()
 }
 
 // tenantJSON is one row of the GET /v1/tenants listing.
