@@ -51,12 +51,14 @@ bench-build:
 # sparse engine and session cases, the kernel on the three automata the
 # serving benchmark's NFA workloads run — BenchmarkServedKernels, in
 # internal/core beside the compile benchmarks — the CSR transition primitive,
-# the scoring pass on the DNA mesh, the sharded form's Run, the /match and
+# the scoring pass on the DNA mesh, the DFA walker over K = 1, 2, 4 Snort
+# shards — BenchmarkDFAWalk, ns/B and table KB — the sharded form's Run tiered
+# and untiered at K = 1, 2, 4 — BenchmarkShardedRun — the /match and
 # /stream handlers through a null ResponseWriter — BenchmarkMatchHandler and
 # BenchmarkStreamHandler, ns/row and allocs/op — the facade's) run only when
 # someone asks for them; one iteration each keeps them compiling and running.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/core ./internal/bitvec ./internal/score ./internal/shard ./internal/server .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/core ./internal/bitvec ./internal/score ./internal/dfa ./internal/shard ./internal/server .
 
 # Ten seconds of native fuzzing per target: the artifact boundary (Load never
 # panics, stays inside its allocation budget, and saves back what it accepts),

@@ -539,18 +539,21 @@ func (m *Machine) MatchScored(input []byte) ([]ScoredMatch, error) {
 	return toScoredMatches(reports), nil
 }
 
+// toScoredMatches folds reports, sorted by BitPos, into one row per (End,
+// Pattern) in first-report order, keeping the best score. Every duplicate of
+// a row lies inside the short run of reports sharing its End, which is the
+// tail of out, so the fold looks no further back than that.
 func toScoredMatches(reports []score.Report) []ScoredMatch {
-	idx := make(map[Match]int, len(reports))
 	out := make([]ScoredMatch, 0, len(reports))
+next:
 	for _, r := range reports {
 		mt := Match{End: r.BitPos / 8, Pattern: r.Code}
-		if i, ok := idx[mt]; ok {
-			if r.Score > out[i].Score {
-				out[i].Score = r.Score
+		for i := len(out) - 1; i >= 0 && out[i].End == mt.End; i-- {
+			if out[i].Pattern == mt.Pattern {
+				out[i].Score = max(out[i].Score, r.Score)
+				continue next
 			}
-			continue
 		}
-		idx[mt] = len(out)
 		out = append(out, ScoredMatch{Match: mt, Score: r.Score})
 	}
 	return out
@@ -729,15 +732,19 @@ func (w *window) Reset() {
 // Stats returns the functional activity statistics of the stream so far.
 func (w *window) Stats() sim.Stats { return w.sess.Stats() }
 
+// toMatches is toScoredMatches without the scores: one Match per (End,
+// Pattern) of reports sorted by BitPos, in first-report order.
 func toMatches(reports []sim.Report) []Match {
-	seen := make(map[Match]bool, len(reports))
 	out := make([]Match, 0, len(reports))
+next:
 	for _, r := range reports {
 		mt := Match{End: r.BitPos / 8, Pattern: r.Code}
-		if !seen[mt] {
-			seen[mt] = true
-			out = append(out, mt)
+		for i := len(out) - 1; i >= 0 && out[i].End == mt.End; i-- {
+			if out[i] == mt {
+				continue next
+			}
 		}
+		out = append(out, mt)
 	}
 	return out
 }

@@ -14,7 +14,7 @@
 //
 //	preamble (16 bytes)
 //	  magic   "IMPALA"          [6]byte
-//	  version uint16            (currently 2)
+//	  version uint16            (Version)
 //	  flags   uint32            (reserved, zero)
 //	  crc32c  uint32            Castagnoli CRC of every byte after the preamble
 //	body: sections, each
@@ -41,8 +41,12 @@
 // optional "SCOR" section sealing the scored execution layer: the
 // per-transition weight table and report threshold
 // (internal/automata.Weights), so a loaded machine scores matches without
-// recompiling. Which optional sections may ride together is stated once, in
-// checkSections. Artifacts sealed for a non-default compile target
+// recompiling. Version 6 adds nothing and changes DFAT (and the DFAT blobs
+// nested in SHRD): the tables are sealed in the form they execute in — one
+// uint16 table per stride phase, one record per cycle-boundary state, one
+// flat report-entry array (see encodeDFATable). Which optional sections may
+// ride together is stated once, in checkSections. Artifacts sealed for a
+// non-default compile target
 // additionally carry the backend name as a trailing META field and the backend-owned
 // payload in an optional "BKND" section (internal/backend revalidates it
 // on load); default-target artifacts carry neither, staying byte-identical
@@ -85,8 +89,8 @@ import (
 // optional TIER/DFAT tier-plan sections; version 3 the optional SHRD
 // shard-plan section and the Meta shard summary; version 4 the optional
 // TOPO cluster-placement section; version 5 the optional SCOR scored-weight
-// section and the Meta score summary.
-const Version = 5
+// section and the Meta score summary; version 6 the phase-split DFAT layout.
+const Version = 6
 
 var magic = [6]byte{'I', 'M', 'P', 'A', 'L', 'A'}
 
@@ -597,8 +601,8 @@ func (a *Artifact) validate() error {
 		}
 		if a.Tier.DFA != nil {
 			r := a.Tier.DFA // its own bounds were checked when it was decoded
-			if len(r.Phase) != p.DFAStates {
-				return fmt.Errorf("%w: DFAT has %d states, plan says %d", ErrCorrupt, len(r.Phase), p.DFAStates)
+			if r.NumStates() != p.DFAStates {
+				return fmt.Errorf("%w: DFAT has %d states, plan says %d", ErrCorrupt, r.NumStates(), p.DFAStates)
 			}
 			if r.Bits != n.Bits || r.Stride != n.Stride {
 				return fmt.Errorf("%w: DFAT geometry (%d,%d) != automaton (%d,%d)",
@@ -1169,6 +1173,17 @@ func decodeTierPlan(payload []byte) (*dfa.Plan, error) {
 	return p, nil
 }
 
+// DFAT layout: geometry and start state; the state count of every stride
+// phase and the report-entry count — with which the section's length is
+// fixed, and checked before anything is allocated —; then the phase tables
+// (uint16 successors, an index within the next phase), one 16-byte record
+// per cycle-boundary state, and the flat report entries. The tables are the
+// resident form byte for byte.
+const (
+	dfatCycleBytes = 16 // enabled, active, rep (4 each), nrep (2), parity, pad
+	dfatEntryBytes = 12 // state, code, offset
+)
+
 func encodeDFATable(r *dfa.Raw) []byte {
 	var e enc
 	e.u8(uint8(r.Bits))
@@ -1179,26 +1194,30 @@ func encodeDFATable(r *dfa.Raw) []byte {
 		e.u8(0)
 	}
 	e.u8(0) // pad
-	e.u32(uint32(r.Start))
-	e.u32(uint32(len(r.Phase)))
-	for _, v := range r.Next {
-		e.u32(uint32(v))
+	e.u16(r.Start)
+	e.u16(0) // pad
+	for _, t := range r.Tab {
+		e.u32(uint32(len(t) >> r.Bits))
 	}
-	e.b = append(e.b, r.Phase...)
-	e.b = append(e.b, r.Parity...)
-	for _, v := range r.Active {
-		e.u32(uint32(v))
-	}
-	for _, v := range r.Enabled {
-		e.u32(uint32(v))
-	}
-	for _, entries := range r.Reports {
-		e.u32(uint32(len(entries)))
-		for _, en := range entries {
-			e.u32(uint32(int32(en.State)))
-			e.u32(uint32(int32(en.Code)))
-			e.u32(uint32(en.Offset))
+	e.u32(uint32(len(r.Entries)))
+	e.b = slices.Grow(e.b, 2*r.NumStates()<<r.Bits+dfatCycleBytes*len(r.Cycles)+dfatEntryBytes*len(r.Entries))
+	for _, t := range r.Tab {
+		for _, v := range t {
+			e.u16(v)
 		}
+	}
+	for _, c := range r.Cycles {
+		e.u32(uint32(c.Enabled))
+		e.u32(uint32(c.Active))
+		e.u32(c.Rep)
+		e.u16(c.NRep)
+		e.u8(c.Parity)
+		e.u8(0) // pad
+	}
+	for _, en := range r.Entries {
+		e.u32(uint32(int32(en.State)))
+		e.u32(uint32(int32(en.Code)))
+		e.u32(uint32(en.Offset))
 	}
 	return e.b
 }
@@ -1211,44 +1230,53 @@ func decodeDFATable(payload []byte) (*dfa.Raw, error) {
 	}
 	r.AnyEven = d.flag()
 	d.pad(1)
-	r.Start = int32(d.u32())
+	r.Start = d.u16()
+	d.pad(2)
 	if d.err == nil && (r.Bits != 2 && r.Bits != 4 && r.Bits != 8) {
 		return nil, fmt.Errorf("%w: DFAT bits %d", ErrCorrupt, r.Bits)
 	}
 	if d.err == nil && (r.Stride < 1 || r.Stride > 64) {
 		return nil, fmt.Errorf("%w: DFAT stride %d", ErrCorrupt, r.Stride)
 	}
-	ns := int(d.u32())
-	alphabet := 1 << r.Bits
-	if d.err == nil && uint64(ns)*uint64(alphabet)*4 > uint64(len(payload)-d.off) {
-		return nil, fmt.Errorf("%w: DFAT claims %d states in %d-byte section", ErrCorrupt, ns, len(payload))
-	}
-	r.Next = make([]int32, ns*alphabet)
-	for i := range r.Next {
-		r.Next[i] = int32(d.u32())
-	}
-	r.Phase = append([]uint8(nil), d.take(ns)...)
-	r.Parity = append([]uint8(nil), d.take(ns)...)
-	r.Active = make([]int32, ns)
-	for i := range r.Active {
-		r.Active[i] = int32(d.u32())
-	}
-	r.Enabled = make([]int32, ns)
-	for i := range r.Enabled {
-		r.Enabled[i] = int32(d.u32())
-	}
-	r.Reports = make([][]dfa.ReportEntry, ns)
-	for i := 0; i < ns && d.err == nil; i++ {
-		ne := int(d.u32())
-		if d.err == nil && uint64(ne)*12 > uint64(len(payload)-d.off) {
-			return nil, fmt.Errorf("%w: DFAT state %d claims %d report entries", ErrCorrupt, i, ne)
+	counts := make([]int, r.Stride)
+	states := uint64(0)
+	for p := range counts {
+		counts[p] = int(d.u32())
+		if d.err == nil && counts[p] > dfa.MaxPhaseStates {
+			return nil, fmt.Errorf("%w: DFAT phase %d claims %d states", ErrCorrupt, p, counts[p])
 		}
-		for j := 0; j < ne && d.err == nil; j++ {
-			r.Reports[i] = append(r.Reports[i], dfa.ReportEntry{
-				State:  automata.StateID(int32(d.u32())),
-				Code:   int(int32(d.u32())),
-				Offset: int(d.u32()),
-			})
+		states += uint64(counts[p])
+	}
+	ne := int(d.u32())
+	if d.err != nil {
+		return nil, d.done("DFAT")
+	}
+	if want := states<<r.Bits*2 + uint64(counts[0])*dfatCycleBytes + uint64(ne)*dfatEntryBytes; want != uint64(len(payload)-d.off) {
+		return nil, fmt.Errorf("%w: DFAT counts (%d states, %d entries) need %d bytes, section has %d left",
+			ErrCorrupt, states, ne, want, len(payload)-d.off)
+	}
+	all := make([]uint16, states<<r.Bits)
+	for i, b := 0, d.take(2*len(all)); i < len(all); i++ {
+		all[i] = binary.LittleEndian.Uint16(b[2*i:])
+	}
+	r.Tab = make([][]uint16, r.Stride)
+	for p, c := range counts {
+		r.Tab[p], all = all[:c<<r.Bits:c<<r.Bits], all[c<<r.Bits:]
+	}
+	r.Cycles = make([]dfa.CycleState, counts[0])
+	for i := range r.Cycles {
+		r.Cycles[i] = dfa.CycleState{
+			Enabled: int32(d.u32()), Active: int32(d.u32()),
+			Rep: d.u32(), NRep: d.u16(), Parity: d.u8(),
+		}
+		d.pad(1)
+	}
+	r.Entries = make([]dfa.ReportEntry, ne)
+	for i := range r.Entries {
+		r.Entries[i] = dfa.ReportEntry{
+			State:  automata.StateID(int32(d.u32())),
+			Code:   int(int32(d.u32())),
+			Offset: int(d.u32()),
 		}
 	}
 	if err := d.done("DFAT"); err != nil {

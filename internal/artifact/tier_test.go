@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"impala/internal/automata"
@@ -174,16 +175,66 @@ func TestTierCorruptionPaths(t *testing.T) {
 			t.Fatalf("lying tier summary accepted: %v", err)
 		}
 	})
-	t.Run("DFAT successor out of range", func(t *testing.T) {
-		i := find("DFAT")
-		mut := append([][]byte(nil), chunks...)
-		sec := append([]byte(nil), chunks[i]...)
-		// First transition-table entry sits after the 12-byte section
-		// header and the 12-byte DFAT header.
-		binary.LittleEndian.PutUint32(sec[12+12:], 1<<30)
-		mut[i] = sec
-		if _, err := Load(bytes.NewReader(rebuild(raw, mut))); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("out-of-range successor accepted: %v", err)
-		}
-	})
+
+	// The DFAT section: 8 bytes of geometry and start state, one u32 state
+	// count per stride phase, the u32 report-entry count, then the phase
+	// tables (u16), the 16-byte cycle-boundary records and the 12-byte
+	// entries. Every lie must be refused as corrupt before it sizes an
+	// allocation: inside FuzzLoad's budget, and never by a panic.
+	r := a.Tier.DFA
+	stride, rows0, rows1 := r.Stride, len(r.Tab[0])>>r.Bits, len(r.Tab[1])>>r.Bits
+	if stride != 2 || len(r.Entries) == 0 {
+		t.Fatalf("fixture changed: stride %d, %d report entries", stride, len(r.Entries))
+	}
+	const hdr = 8
+	tables := hdr + 4*stride + 4
+	cycles := tables + 2*r.NumStates()<<r.Bits
+	reporting := slices.IndexFunc(r.Cycles, func(c dfa.CycleState) bool { return c.NRep > 0 })
+	for name, edit := range map[string]func(p []byte){
+		// A successor equal to its target phase's count.
+		"DFAT successor out of range": func(p []byte) {
+			binary.LittleEndian.PutUint16(p[tables:], uint16(rows1))
+		},
+		"DFAT last-phase successor past the cycle-boundary states": func(p []byte) {
+			binary.LittleEndian.PutUint16(p[tables+2*len(r.Tab[0]):], uint16(rows0))
+		},
+		"DFAT phase count above 65,536": func(p []byte) {
+			binary.LittleEndian.PutUint32(p[hdr:], dfa.MaxPhaseStates+1)
+		},
+		"DFAT phase count that outgrows the section": func(p []byte) {
+			binary.LittleEndian.PutUint32(p[hdr+4:], uint32(rows1+1))
+		},
+		"DFAT entry count that leaves bytes over": func(p []byte) {
+			binary.LittleEndian.PutUint32(p[hdr+4*stride:], uint32(len(r.Entries)-1))
+		},
+		"DFAT entry count in the billions": func(p []byte) {
+			binary.LittleEndian.PutUint32(p[hdr+4*stride:], 1<<31-1)
+		},
+		"DFAT report range that starts past the entries": func(p []byte) {
+			binary.LittleEndian.PutUint32(p[cycles+16*reporting+8:], uint32(len(r.Entries)))
+		},
+		"DFAT report range that runs past the entries": func(p []byte) {
+			binary.LittleEndian.PutUint16(p[cycles+16*reporting+12:], uint16(len(r.Entries)+1))
+		},
+		"DFAT start state past phase 0": func(p []byte) {
+			binary.LittleEndian.PutUint16(p[4:], uint16(rows0))
+		},
+		"DFAT parity of 2":         func(p []byte) { p[cycles+14] = 2 },
+		"DFAT non-zero record pad": func(p []byte) { p[cycles+15] = 1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			i := find("DFAT")
+			mut := append([][]byte(nil), chunks...)
+			mut[i] = append([]byte(nil), chunks[i]...)
+			edit(mut[i][12:])
+			data := rebuild(raw, mut)
+			_, got, err := loadAlloc(data)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("accepted: %v", err)
+			}
+			if budget := uint64(loadAllocFactor*len(data) + loadAllocSlack + loadAllocGroup*placementGroups(data)); got > budget {
+				t.Fatalf("allocated %d bytes refusing %d, budget %d", got, len(data), budget)
+			}
+		})
+	}
 }

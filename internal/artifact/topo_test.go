@@ -220,10 +220,22 @@ func TestTopoCorruptionPaths(t *testing.T) {
 	})
 }
 
-// TestVersionIsFive: the format version moved to 5 with the SCOR section;
-// loaders reject anything else by design, so pin it.
-func TestVersionIsFive(t *testing.T) {
-	if Version != 5 {
-		t.Fatalf("artifact version = %d, want 5", Version)
+// TestVersionIsSix: the format version moved to 6 with the phase-split DFAT
+// tables; loaders reject anything else by design, so pin it.
+func TestVersionIsSix(t *testing.T) {
+	if Version != 6 {
+		t.Fatalf("artifact version = %d, want 6", Version)
+	}
+}
+
+// A file the version-5 build sealed (tiered, so it carries the int32 DFAT
+// layout version 6 replaced) is refused by its version, before any section
+// is looked at.
+func TestLoadRefusesVersion5File(t *testing.T) {
+	if _, err := LoadFile("testdata/v5.impala"); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-5 artifact: %v, want ErrVersion", err)
+	}
+	if _, err := StatFile("testdata/v5.impala"); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-5 artifact stat: %v, want ErrVersion", err)
 	}
 }

@@ -32,6 +32,8 @@ package dfa
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"impala/internal/automata"
 	"impala/internal/bitvec"
@@ -66,36 +68,55 @@ type ReportEntry struct {
 	Offset int
 }
 
+// MaxPhaseStates is the most states one stride phase can hold: a table entry
+// is a uint16 index within the next phase. A construction that outgrows it
+// is ErrStateBlowup whatever Options.MaxStates says.
+const MaxPhaseStates = 1 << 16
+
+// CycleState is what a cycle-boundary state carries beyond its transition
+// row: the exact enabled/active counts of the NFA frontier it encodes, its
+// report entries (Entries[Rep : Rep+NRep] of the DFA's flat entry array) and
+// the parity of the next cycle consumed from it (meaningful only for
+// StartEven automata). Mid-cycle states carry none of this and have no record.
+type CycleState struct {
+	Enabled, Active int32
+	Rep             uint32
+	NRep            uint16
+	Parity          uint8
+}
+
 // DFA is a dense table-driven matcher over sub-symbols. One transition is
 // taken per sub-symbol (Stride transitions per cycle); states reached at
 // cycle boundaries carry the report entries and the exact enabled/active
 // counts of the NFA frontier they encode, so a DFA run reproduces the
 // functional simulator's reports and statistics byte for byte.
+//
+// States are numbered per stride phase (the sub-symbol position within the
+// cycle, 0 = cycle boundary) and each phase has its own table: the walk reads
+// one short column per stride dimension a cycle, as the capsule reads one
+// column per dimension, and a successor only has to name a state of the next
+// phase — 16 bits.
 type DFA struct {
-	bits     int
-	stride   int
-	alphabet int // 1 << bits
-	anyEven  bool
+	bits    int // sub-symbol width: a row holds 1<<bits entries
+	stride  int
+	anyEven bool
 
-	// next[s*alphabet+v] is the successor of state s on sub-symbol v.
-	next []int32
-	// start is the initial state (anchored states enabled for cycle 0).
-	start int32
+	// tab[p][i<<bits|v] is the successor of phase p's state i on sub-symbol
+	// v: an index within phase (p+1) mod stride.
+	tab [][]uint16
+	// start is the initial state, of phase 0 (anchored states enabled for
+	// cycle 0).
+	start uint16
 
-	// Per-state metadata. phase is the sub-symbol position within the
-	// stride cycle (0 = cycle boundary); parity is the parity of the next
-	// cycle consumed from this state (meaningful only when anyEven);
-	// reports/active/enabled are populated for phase-0 states only.
-	phase   []uint8
-	parity  []uint8
-	reports [][]ReportEntry
-	active  []int32
-	enabled []int32
+	// cyc[i] is the record of cycle-boundary state i; its report entries lie
+	// in entries.
+	cyc     []CycleState
+	entries []ReportEntry
 }
 
 // NumStates returns the number of DFA states (including mid-cycle phase
 // states on strided automata).
-func (d *DFA) NumStates() int { return len(d.phase) }
+func (d *DFA) NumStates() int { return d.Raw().NumStates() }
 
 // Bits returns the sub-symbol width.
 func (d *DFA) Bits() int { return d.bits }
@@ -106,7 +127,13 @@ func (d *DFA) Stride() int { return d.stride }
 // TableBytes returns the transition-table footprint — the quantity that
 // blows caches and makes DFA matching memory-bound (the paper's opening
 // observation).
-func (d *DFA) TableBytes() int { return len(d.next) * 4 }
+func (d *DFA) TableBytes() int {
+	n := 0
+	for _, t := range d.tab {
+		n += len(t) * 2
+	}
+	return n
+}
 
 // maxBatch bounds one level-synchronous expansion round so the transient
 // per-item row buffers stay modest even when a BFS level is huge.
@@ -135,14 +162,20 @@ type builder struct {
 	// Interned subset states. byFP maps a Rabin-style fingerprint to the
 	// candidate ids bearing it; equality is always confirmed on the full
 	// key, so fingerprint collisions cost a compare, never correctness.
-	keys    []stateKey
-	byFP    map[uint64][]int32
-	next    []int32
-	phase   []uint8
-	parity  []uint8
-	reports [][]ReportEntry
-	active  []int32
-	enabled []int32
+	keys []stateKey
+	byFP map[uint64][]int32
+	// next is the working table over construction ids: next[id*A+v]. seal
+	// renumbers it into the per-phase tables.
+	next []int32
+	// idx[id] is the state's index within its phase, counts[p] the states
+	// interned in phase p so far; cyc and entries grow with phase 0.
+	idx     []uint16
+	counts  []int
+	cyc     []CycleState
+	entries []ReportEntry
+	// wide records a cycle-boundary state with more report entries than a
+	// CycleState can count.
+	wide bool
 }
 
 // stateKey identifies a subset state: the bit vector is an NFA frontier for
@@ -216,19 +249,28 @@ func Build(n *automata.NFA, opts Options) (*DFA, error) {
 	if err := b.run(workers, opts.Trace); err != nil {
 		return nil, err
 	}
-	return &DFA{
-		bits:     n.Bits,
-		stride:   n.Stride,
-		alphabet: b.A,
-		anyEven:  b.anyEven,
-		next:     b.next,
-		start:    0,
-		phase:    b.phase,
-		parity:   b.parity,
-		reports:  b.reports,
-		active:   b.active,
-		enabled:  b.enabled,
-	}, nil
+	return b.seal(), nil
+}
+
+// seal renumbers the working table into the DFA's form: one uint16 table per
+// phase, carved from a single allocation, successors as indices within the
+// next phase. The start state was interned first, so it is phase 0's state 0.
+func (b *builder) seal() *DFA {
+	d := &DFA{
+		bits: b.n.Bits, stride: b.S, anyEven: b.anyEven,
+		tab: make([][]uint16, b.S), cyc: b.cyc, entries: b.entries,
+	}
+	all := make([]uint16, len(b.next))
+	for p, c := range b.counts {
+		d.tab[p], all = all[:c*b.A:c*b.A], all[c*b.A:]
+	}
+	for id, k := range b.keys {
+		row := d.tab[k.phase][int(b.idx[id])*b.A:][:b.A]
+		for v, t := range b.next[id*b.A:][:b.A] {
+			row[v] = b.idx[t]
+		}
+	}
+	return d
 }
 
 func newBuilder(n *automata.NFA, maxStates int) *builder {
@@ -243,6 +285,7 @@ func newBuilder(n *automata.NFA, maxStates int) *builder {
 		anchored:  bitvec.NewWords(N),
 		even:      bitvec.NewWords(N),
 		byFP:      make(map[uint64][]int32),
+		counts:    make([]int, n.Stride),
 	}
 	for i := range n.States {
 		switch n.States[i].Start {
@@ -294,7 +337,8 @@ func newBuilder(n *automata.NFA, maxStates int) *builder {
 
 // intern returns the id of the subset key, creating it if new. New keys
 // must already own their bit-vector storage. Creation also derives the
-// phase-0 runtime metadata (report entries and the active count).
+// cycle-boundary record (report entries and the active count; computeRow
+// fills in the enabled count).
 func (b *builder) intern(k stateKey, fp uint64) (int32, bool) {
 	for _, id := range b.byFP[fp] {
 		if b.keyEqual(b.keys[id], k) {
@@ -304,22 +348,19 @@ func (b *builder) intern(k stateKey, fp uint64) (int32, bool) {
 	id := int32(len(b.keys))
 	b.keys = append(b.keys, k)
 	b.byFP[fp] = append(b.byFP[fp], id)
-	b.phase = append(b.phase, k.phase)
-	b.parity = append(b.parity, k.parity)
-	b.enabled = append(b.enabled, 0)
+	b.idx = append(b.idx, uint16(b.counts[k.phase]))
+	b.counts[k.phase]++
 	if k.phase == 0 {
-		b.active = append(b.active, int32(k.w.Count()))
-		var entries []ReportEntry
+		rep := len(b.entries)
 		k.w.ForEach(func(i int) {
 			s := &b.n.States[i]
 			if s.Report {
-				entries = append(entries, ReportEntry{State: automata.StateID(i), Code: s.ReportCode, Offset: s.ReportOffset})
+				b.entries = append(b.entries, ReportEntry{State: automata.StateID(i), Code: s.ReportCode, Offset: s.ReportOffset})
 			}
 		})
-		b.reports = append(b.reports, entries)
-	} else {
-		b.active = append(b.active, 0)
-		b.reports = append(b.reports, nil)
+		nrep := len(b.entries) - rep
+		b.wide = b.wide || nrep > math.MaxUint16
+		b.cyc = append(b.cyc, CycleState{Active: int32(k.w.Count()), Rep: uint32(rep), NRep: uint16(nrep), Parity: k.parity})
 	}
 	return id, true
 }
@@ -366,7 +407,7 @@ func (b *builder) computeRow(id int32, sc *rowScratch) rowResult {
 				sc.enabledBuf.Set(int(t))
 			}
 		})
-		b.enabled[id] = int32(sc.enabledBuf.Count())
+		b.cyc[b.idx[id]].Enabled = int32(sc.enabledBuf.Count())
 		sc.initTracks.ClearAll()
 		sc.enabledBuf.ForEach(func(i int) {
 			for t := b.trackStart[i]; t < b.trackStart[i+1]; t++ {
@@ -469,8 +510,15 @@ func (b *builder) run(workers int, tr *obs.Trace) error {
 				li := res.sym[v]
 				if ids[li] < 0 {
 					id, fresh := b.intern(res.distinct[li], res.fps[li])
-					if fresh && len(b.keys) > b.maxStates {
-						return fmt.Errorf("%w (cap %d)", ErrStateBlowup, b.maxStates)
+					if fresh {
+						switch p := res.distinct[li].phase; {
+						case len(b.keys) > b.maxStates:
+							return fmt.Errorf("%w (cap %d)", ErrStateBlowup, b.maxStates)
+						case b.counts[p] > MaxPhaseStates:
+							return fmt.Errorf("%w (phase %d outgrows %d states)", ErrStateBlowup, p, MaxPhaseStates)
+						case b.wide:
+							return fmt.Errorf("%w (a state reports more than %d times)", ErrStateBlowup, math.MaxUint16)
+						}
 					}
 					ids[li] = id
 				}
@@ -482,57 +530,194 @@ func (b *builder) run(workers int, tr *obs.Trace) error {
 	return nil
 }
 
-// Core adapts a DFA to the sim.Core step interface so DFA tiers stream
-// through the same Session machinery (chunked Feed, sub-symbol carry,
-// padded Flush) as every other engine. It carries only the current state,
-// so cores are cheap to create per stream; a Core is not safe for
-// concurrent use, but any number may share one immutable DFA.
-type Core struct {
-	d   *DFA
-	cur int32
+// step walks chunk (at most one cycle's sub-symbols, beginning at a cycle
+// boundary) from cycle-boundary state s.
+func (d *DFA) step(s uint16, chunk []byte) uint16 {
+	for p, v := range chunk {
+		s = d.tab[p][int(s)<<d.bits|int(v)]
+	}
+	return s
 }
 
+// pad finishes a cycle on zero sub-symbols from phase p on — the zero-padded
+// final partial cycle.
+func (d *DFA) pad(s uint16, p int) uint16 {
+	for ; p < d.stride; p++ {
+		s = d.tab[p][int(s)<<d.bits]
+	}
+	return s
+}
+
+// emit sends the report entries of r, the state entered at the end of cycle
+// t, into sink with base added to their state IDs; limitBits >= 0 suppresses
+// those past it.
+func (d *DFA) emit(r *CycleState, t int, base automata.StateID, limitBits int, sink sim.ReportSink) {
+	for _, e := range d.entries[r.Rep:][:r.NRep] {
+		bitPos := (t*d.stride + e.Offset) * d.bits
+		if limitBits < 0 || bitPos <= limitBits {
+			sink(sim.Report{BitPos: bitPos, Code: e.Code, State: e.State + base})
+		}
+	}
+}
+
+// Core walks one or more DFAs over the same sub-symbol stream as one
+// sim.Core — the DFA side of a lockstep is one lane however many tables it
+// holds — so DFA tiers stream through the same Session machinery (chunked
+// Feed, sub-symbol carry, padded Flush) as every other engine. Between blocks
+// it carries only the current state of each DFA (the rest is scratch, 64
+// bytes a DFA), so cores are cheap to create per stream; a Core is not safe
+// for concurrent use, but any number may share immutable DFAs.
+type Core struct {
+	ds   []*DFA
+	tabs [][]uint16         // ds[k].tab[p] at k*stride+p: one load from a lookup's table
+	base []automata.StateID // added to the state IDs of DFA k's reports
+	cur  []uint16
+	// hist[k*span+i] is the state DFA k entered at the end of cycle i of the
+	// span in progress, act[i] the cycle's active count summed over the DFAs.
+	hist []uint16
+	act  [span]int32
+}
+
+// span is how many cycles the walker takes a pair of DFAs through before it
+// turns to the next pair: long enough to spread a pair's set-up thin, short
+// enough for a uint32 of reporting cycles and a session-sized Core.
+const span = 32
+
 // NewCore returns a fresh per-stream core over the DFA.
-func (d *DFA) NewCore() *Core { return &Core{d: d, cur: d.start} }
+func (d *DFA) NewCore() *Core { return newCore([]*DFA{d}, []automata.StateID{0}) }
+
+func newCore(ds []*DFA, base []automata.StateID) *Core {
+	c := &Core{ds: ds, base: base, cur: make([]uint16, len(ds)), hist: make([]uint16, len(ds)*span)}
+	for _, d := range ds {
+		c.tabs = append(c.tabs, d.tab...)
+	}
+	c.ResetState()
+	return c
+}
+
+// Lane returns the lockstep lane that walks every DFA of ds, which must be
+// non-empty and of one geometry; origs[k] maps the state IDs of DFA k's
+// reports to the IDs the lane's reports carry.
+func Lane(ds []*DFA, origs [][]automata.StateID) sim.Lane {
+	base := make([]automata.StateID, len(ds))
+	var orig []automata.StateID
+	for k, o := range origs {
+		base[k] = automata.StateID(len(orig))
+		orig = append(orig, o...)
+	}
+	return sim.Lane{New: func() sim.Core { return newCore(ds, base) }, Orig: orig}
+}
 
 // Geometry implements sim.Core.
-func (c *Core) Geometry() (bits, stride int) { return c.d.bits, c.d.stride }
+func (c *Core) Geometry() (bits, stride int) { return c.ds[0].bits, c.ds[0].stride }
 
 // ResetState implements sim.Core.
-func (c *Core) ResetState() { c.cur = c.d.start }
+func (c *Core) ResetState() {
+	for k, d := range c.ds {
+		c.cur[k] = d.start
+	}
+}
 
-// State returns the current DFA state (the stitch point for parallel
-// segment composition).
-func (c *Core) State() int32 { return c.cur }
-
-// StepBlock implements sim.Core: per cycle, Stride table lookups, then the
-// entered cycle-boundary state's report entries; the current state rides in
-// a register across the block. The returned counts are the exact
-// enabled/active counts of the NFA frontiers the DFA states encode, so
-// Session statistics match the functional simulator's.
+// StepBlock implements sim.Core. One DFA is walked here, cycle by cycle with
+// its state in a register across the block: it is the lane a tiered form
+// steps one cycle at a time beside its kernel, where any set-up costs more
+// than the cycle. Several go to stepSpans. The returned counts are the exact
+// enabled/active counts of the NFA frontiers the DFA states encode, summed
+// over the DFAs, so Session statistics match the functional simulator's.
 func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink, _ sim.Tracer) (enabled, active int64, peak int) {
-	d := c.d
-	next, A, S := d.next, d.alphabet, d.stride
-	s := c.cur
+	if len(c.ds) > 1 {
+		return c.stepSpans(subs, t0, limitBits, sink)
+	}
+	d := c.ds[0]
+	tab, cyc, S, sh := c.tabs, d.cyc, d.stride, uint(d.bits)&15
+	s := c.cur[0]
 	for t := t0; len(subs) >= S; t, subs = t+1, subs[S:] {
-		enabled += int64(d.enabled[s])
-		for _, v := range subs[:S] {
-			s = next[int(s)*A+int(v)]
+		enabled += int64(cyc[s].Enabled)
+		for p, v := range subs[:S] {
+			s = tab[p][int(s)<<sh|int(v)]
 		}
-		if entries := d.reports[s]; len(entries) > 0 {
-			base := t * S
-			for _, e := range entries {
-				bitPos := (base + e.Offset) * d.bits
-				if limitBits < 0 || bitPos <= limitBits {
-					sink(sim.Report{BitPos: bitPos, Code: e.Code, State: e.State})
+		r := &cyc[s]
+		if r.NRep != 0 {
+			d.emit(r, t, c.base[0], limitBits, sink)
+		}
+		active += int64(r.Active)
+		peak = max(peak, int(r.Active))
+	}
+	c.cur[0] = s
+	return enabled, active, peak
+}
+
+// stepSpans is StepBlock over two or more DFAs. The block is walked a span
+// of cycles at a time and, within a span, the DFAs two at a time — both
+// states in registers from cycle to cycle and through the Stride lookups, so
+// the two walks' table misses overlap and no lookup waits on a store — with
+// the last of an odd count alone. What the cycles of a span need across DFAs
+// — the per-cycle active count the peak is the maximum of, reports in
+// (cycle, DFA) order — is settled at the end of the span from the entered
+// states kept in c.hist.
+func (c *Core) stepSpans(subs []byte, t0 int, limitBits int, sink sim.ReportSink) (enabled, active int64, peak int) {
+	ds, cur, tabs := c.ds, c.cur, c.tabs
+	S, sh := ds[0].stride, uint(ds[0].bits)&15
+	for t := t0; len(subs) >= S; {
+		n := span
+		if len(subs) < span*S {
+			n = len(subs) / S
+		}
+		act := c.act[:n]
+		clear(act)
+		ne, reporting := 0, uint32(0)
+		k := 0
+		for ; k+1 < len(ds); k += 2 {
+			ca, cb := ds[k].cyc, ds[k+1].cyc
+			ta, tb := tabs[k*S:][:S], tabs[k*S+S:][:S]
+			ha, hb := c.hist[k*span:][:n], c.hist[k*span+span:][:n]
+			a, b := cur[k], cur[k+1]
+			for i := range act {
+				ne += int(ca[a].Enabled) + int(cb[b].Enabled)
+				for p, v := range subs[i*S:][:S] {
+					a = ta[p][int(a)<<sh|int(v)]
+					b = tb[p][int(b)<<sh|int(v)]
+				}
+				ha[i], hb[i] = a, b
+				ra, rb := &ca[a], &cb[b]
+				act[i] += ra.Active + rb.Active
+				if ra.NRep|rb.NRep != 0 {
+					reporting |= 1 << uint(i)
+				}
+			}
+			cur[k], cur[k+1] = a, b
+		}
+		if k < len(ds) {
+			cl, tl, hl, l := ds[k].cyc, tabs[k*S:][:S], c.hist[k*span:][:n], cur[k]
+			for i := range act {
+				ne += int(cl[l].Enabled)
+				for p, v := range subs[i*S:][:S] {
+					l = tl[p][int(l)<<sh|int(v)]
+				}
+				hl[i] = l
+				r := &cl[l]
+				act[i] += r.Active
+				if r.NRep != 0 {
+					reporting |= 1 << uint(i)
+				}
+			}
+			cur[k] = l
+		}
+		enabled += int64(ne)
+		for _, na := range act {
+			active += int64(na)
+			peak = max(peak, int(na))
+		}
+		for ; reporting != 0; reporting &= reporting - 1 {
+			i := bits.TrailingZeros32(reporting)
+			for k, d := range ds {
+				if r := &d.cyc[c.hist[k*span+i]]; r.NRep != 0 {
+					d.emit(r, t+i, c.base[k], limitBits, sink)
 				}
 			}
 		}
-		na := int(d.active[s])
-		active += int64(na)
-		peak = max(peak, na)
+		t, subs = t+n, subs[n*S:]
 	}
-	c.cur = s
 	return enabled, active, peak
 }
 
@@ -553,44 +738,22 @@ func (d *DFA) Run(input []byte) []sim.Report {
 func (d *DFA) Scan(input []byte) int {
 	count := 0
 	s := d.start
-	next := d.next
-	reports := d.reports
-	A := d.alphabet
-	// Mid-cycle states carry no report entries, so counting after every
-	// sub-symbol only ever adds at cycle boundaries.
-	switch d.bits {
-	case 8:
-		for _, c := range input {
-			s = next[int(s)*A+int(c)]
-			count += len(reports[s])
-		}
-	case 4:
-		for _, c := range input {
-			s = next[int(s)*A+int(c>>4)]
-			count += len(reports[s])
-			s = next[int(s)*A+int(c&0x0F)]
-			count += len(reports[s])
-		}
-	case 2:
-		for _, c := range input {
-			s = next[int(s)*A+int(c>>6)]
-			count += len(reports[s])
-			s = next[int(s)*A+int((c>>4)&3)]
-			count += len(reports[s])
-			s = next[int(s)*A+int((c>>2)&3)]
-			count += len(reports[s])
-			s = next[int(s)*A+int(c&3)]
-			count += len(reports[s])
+	sh, mask := uint(d.bits), byte(1<<d.bits-1)
+	p := 0
+	for _, c := range input {
+		for lo := 8 - d.bits; lo >= 0; lo -= d.bits {
+			s = d.tab[p][int(s)<<sh|int(c>>uint(lo)&mask)]
+			if p++; p == d.stride {
+				p = 0
+				count += int(d.cyc[s].NRep)
+			}
 		}
 	}
 	// Zero-padded final partial cycle, with reports filtered to the true
 	// stream length — batch-identical semantics.
-	subs := len(input) * (8 / d.bits)
-	if rem := subs % d.stride; rem != 0 {
-		for p := rem; p < d.stride; p++ {
-			s = next[int(s)*A]
-		}
-		for _, e := range reports[s] {
+	if rem := p; rem != 0 {
+		r := &d.cyc[d.pad(s, rem)]
+		for _, e := range d.entries[r.Rep:][:r.NRep] {
 			if e.Offset <= rem {
 				count++
 			}
@@ -606,52 +769,75 @@ func (d *DFA) Scan(input []byte) int {
 type Raw struct {
 	Bits, Stride int
 	AnyEven      bool
-	Start        int32
-	Next         []int32
-	Phase        []uint8
-	Parity       []uint8
-	Active       []int32
-	Enabled      []int32
-	Reports      [][]ReportEntry
+	Start        uint16
+	// Tab[p] is phase p's table: 1<<Bits entries per state, each an index
+	// within phase (p+1) mod Stride.
+	Tab     [][]uint16
+	Cycles  []CycleState // one per state of phase 0
+	Entries []ReportEntry
+}
+
+// NumStates returns the state count over all phases.
+func (r *Raw) NumStates() int {
+	n := 0
+	for _, t := range r.Tab {
+		n += len(t) >> r.Bits
+	}
+	return n
 }
 
 // Raw returns the serialization view of the DFA.
 func (d *DFA) Raw() *Raw {
 	return &Raw{
 		Bits: d.bits, Stride: d.stride, AnyEven: d.anyEven, Start: d.start,
-		Next: d.next, Phase: d.phase, Parity: d.parity,
-		Active: d.active, Enabled: d.enabled, Reports: d.reports,
+		Tab: d.tab, Cycles: d.cyc, Entries: d.entries,
 	}
 }
 
 // FromRaw reassembles a DFA from its serialization view, validating
-// structural invariants (table shape, successor range, start in range).
+// structural invariants: table shapes, every successor within the phase it
+// names, start in range, every report range inside the entry array.
 func FromRaw(r *Raw) (*DFA, error) {
 	if r.Bits != 2 && r.Bits != 4 && r.Bits != 8 {
 		return nil, fmt.Errorf("dfa: invalid bits %d", r.Bits)
 	}
-	if r.Stride < 1 {
-		return nil, fmt.Errorf("dfa: invalid stride %d", r.Stride)
+	if r.Stride < 1 || len(r.Tab) != r.Stride {
+		return nil, fmt.Errorf("dfa: %d phase tables for stride %d", len(r.Tab), r.Stride)
 	}
 	A := 1 << r.Bits
-	ns := len(r.Phase)
-	if len(r.Next) != ns*A {
-		return nil, fmt.Errorf("dfa: table length %d != states %d x alphabet %d", len(r.Next), ns, A)
+	for p, t := range r.Tab {
+		if len(t)%A != 0 || len(t)/A > MaxPhaseStates {
+			return nil, fmt.Errorf("dfa: phase %d table length %d is not at most %d rows of %d", p, len(t), MaxPhaseStates, A)
+		}
 	}
-	if len(r.Parity) != ns || len(r.Active) != ns || len(r.Enabled) != ns || len(r.Reports) != ns {
-		return nil, fmt.Errorf("dfa: per-state metadata length mismatch")
+	ns := len(r.Tab[0]) / A
+	if len(r.Cycles) != ns {
+		return nil, fmt.Errorf("dfa: %d cycle-boundary records for %d states", len(r.Cycles), ns)
 	}
-	if ns == 0 || int(r.Start) < 0 || int(r.Start) >= ns {
+	if int(r.Start) >= ns {
 		return nil, fmt.Errorf("dfa: start state %d out of range [0,%d)", r.Start, ns)
 	}
-	for _, t := range r.Next {
-		if int(t) < 0 || int(t) >= ns {
-			return nil, fmt.Errorf("dfa: successor %d out of range [0,%d)", t, ns)
+	for p, t := range r.Tab {
+		// A full phase makes every uint16 a valid successor.
+		if n := len(r.Tab[(p+1)%r.Stride]) / A; n < MaxPhaseStates {
+			for _, s := range t {
+				if int(s) >= n {
+					return nil, fmt.Errorf("dfa: phase %d successor %d out of range [0,%d)", p, s, n)
+				}
+			}
+		}
+	}
+	for i := range r.Cycles {
+		c := &r.Cycles[i]
+		if uint64(c.Rep)+uint64(c.NRep) > uint64(len(r.Entries)) {
+			return nil, fmt.Errorf("dfa: state %d report range [%d,+%d) past %d entries", i, c.Rep, c.NRep, len(r.Entries))
+		}
+		if c.Enabled < 0 || c.Active < 0 || c.Parity > 1 {
+			return nil, fmt.Errorf("dfa: state %d carries invalid counts or parity", i)
 		}
 	}
 	return &DFA{
-		bits: r.Bits, stride: r.Stride, alphabet: A, anyEven: r.AnyEven,
-		next: r.Next, start: r.Start, phase: r.Phase, parity: r.Parity,
-		active: r.Active, enabled: r.Enabled, reports: r.Reports,
+		bits: r.Bits, stride: r.Stride, anyEven: r.AnyEven,
+		tab: r.Tab, start: r.Start, cyc: r.Cycles, entries: r.Entries,
 	}, nil
 }

@@ -171,7 +171,7 @@ func TestDFARejectsInvalid(t *testing.T) {
 
 func TestDFATableBytes(t *testing.T) {
 	d, _ := build(t, regexc.Rule{Pattern: "ab", Code: 1})
-	if d.TableBytes() != d.NumStates()*256*4 {
+	if d.TableBytes() != d.NumStates()*256*2 {
 		t.Fatalf("TableBytes = %d for %d states", d.TableBytes(), d.NumStates())
 	}
 }

@@ -19,5 +19,5 @@ func ExampleBuild() {
 	fmt.Println("table:", d.TableBytes(), "bytes for", d.NumStates(), "states")
 	// Output:
 	// pattern 7 ends at byte 7
-	// table: 5120 bytes for 5 states
+	// table: 2560 bytes for 5 states
 }

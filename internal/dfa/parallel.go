@@ -52,48 +52,30 @@ func (d *DFA) alignBytes() int {
 // starts at global cycle startCycle; totalBits filters the zero-padded
 // final partial cycle). It returns the exit state at the last complete
 // cycle boundary — the entry of the next segment.
-func (d *DFA) scanSegment(entry int32, subs []byte, startCycle, totalBits int, emit func(sim.Report)) int32 {
+func (d *DFA) scanSegment(entry uint16, subs []byte, startCycle, totalBits int, emit sim.ReportSink) uint16 {
 	s := entry
-	S, A := d.stride, d.alphabet
+	S := d.stride
 	cycles := len(subs) / S
 	for cyc := 0; cyc < cycles; cyc++ {
-		chunk := subs[cyc*S : cyc*S+S]
-		for p := 0; p < S; p++ {
-			s = d.next[int(s)*A+int(chunk[p])]
-		}
-		if entries := d.reports[s]; len(entries) > 0 {
-			base := (startCycle + cyc) * S
-			for _, e := range entries {
-				bitPos := (base + e.Offset) * d.bits
-				if bitPos <= totalBits {
-					emit(sim.Report{BitPos: bitPos, Code: e.Code, State: e.State})
-				}
-			}
+		s = d.step(s, subs[cyc*S:][:S])
+		if r := &d.cyc[s]; r.NRep != 0 {
+			d.emit(r, startCycle+cyc, 0, totalBits, emit)
 		}
 	}
-	exit := s
-	if rem := len(subs) % S; rem != 0 {
-		for p := rem; p < S; p++ {
-			s = d.next[int(s)*A]
-		}
-		if entries := d.reports[s]; len(entries) > 0 {
-			base := (startCycle + cycles) * S
-			for _, e := range entries {
-				bitPos := (base + e.Offset) * d.bits
-				if bitPos <= totalBits {
-					emit(sim.Report{BitPos: bitPos, Code: e.Code, State: e.State})
-				}
-			}
+	if tail := subs[cycles*S:]; len(tail) != 0 {
+		if r := &d.cyc[d.pad(d.step(s, tail), len(tail))]; r.NRep != 0 {
+			d.emit(r, startCycle+cycles, 0, totalBits, emit)
 		}
 	}
-	return exit
+	return s
 }
 
 // specPoint is one cycle at which a hypothesis class sat on a reporting
-// DFA state; the state's report entries are expanded during resolution.
+// cycle-boundary state; the state's report entries are expanded during
+// resolution.
 type specPoint struct {
 	cyc   int32
-	state int32
+	state uint16
 }
 
 // specClass is one hypothesis class of a speculative segment scan: the
@@ -102,7 +84,7 @@ type specPoint struct {
 // it was live. Points all predate joinCyc; cycles at or after it are owned
 // by the merge-chain ancestors.
 type specClass struct {
-	cur     int32
+	cur     uint16
 	parent  int32
 	joinCyc int32
 	points  []specPoint
@@ -111,7 +93,7 @@ type specClass struct {
 // specResult is one worker's speculative scan outcome.
 type specResult struct {
 	resolved bool
-	classOf  []int32 // entry hypothesis state -> class index
+	classOf  []int32 // entry hypothesis (cycle-boundary state) -> class index
 	classes  []specClass
 }
 
@@ -121,21 +103,21 @@ type specResult struct {
 // state is excluded because no transition re-enters it) and merge as the
 // transition function collapses them.
 func (d *DFA) speculate(subs []byte, startCycle int) specResult {
-	ns := d.NumStates()
+	ns := len(d.cyc)
 	res := specResult{classOf: make([]int32, ns)}
 	for i := range res.classOf {
 		res.classOf[i] = -1
 	}
 	par := uint8(startCycle & 1)
-	for sid := 0; sid < ns; sid++ {
-		if d.phase[sid] != 0 || int32(sid) == d.start {
+	for sid := range d.cyc {
+		if uint16(sid) == d.start {
 			continue
 		}
-		if d.anyEven && d.parity[sid] != par {
+		if d.anyEven && d.cyc[sid].Parity != par {
 			continue
 		}
 		res.classOf[sid] = int32(len(res.classes))
-		res.classes = append(res.classes, specClass{cur: int32(sid), parent: -1, joinCyc: -1})
+		res.classes = append(res.classes, specClass{cur: uint16(sid), parent: -1, joinCyc: -1})
 	}
 	live := make([]int32, len(res.classes))
 	for i := range live {
@@ -147,17 +129,14 @@ func (d *DFA) speculate(subs []byte, startCycle int) specResult {
 		stamp[i] = -1
 	}
 
-	S, A := d.stride, d.alphabet
+	S := d.stride
 	cycles := len(subs) / S
 	for cyc := 0; cyc < cycles; cyc++ {
-		chunk := subs[cyc*S : cyc*S+S]
+		chunk := subs[cyc*S:][:S]
 		keep := live[:0]
 		for _, li := range live {
 			c := &res.classes[li]
-			s := c.cur
-			for p := 0; p < S; p++ {
-				s = d.next[int(s)*A+int(chunk[p])]
-			}
+			s := d.step(c.cur, chunk)
 			if stamp[s] == int32(cyc) {
 				// Another class reached the same state this cycle: from here
 				// on their futures are identical — merge into the winner.
@@ -168,7 +147,7 @@ func (d *DFA) speculate(subs []byte, startCycle int) specResult {
 			stamp[s] = int32(cyc)
 			landed[s] = li
 			c.cur = s
-			if len(d.reports[s]) > 0 {
+			if d.cyc[s].NRep != 0 {
 				c.points = append(c.points, specPoint{cyc: int32(cyc), state: s})
 			}
 			keep = append(keep, li)
@@ -180,17 +159,10 @@ func (d *DFA) speculate(subs []byte, startCycle int) specResult {
 	}
 	// Zero-padded final partial cycle (stream tail): record reporting
 	// points without advancing the exit states.
-	if rem := len(subs) % S; rem != 0 {
+	if tail := subs[cycles*S:]; len(tail) != 0 {
 		for _, li := range live {
 			c := &res.classes[li]
-			s := c.cur
-			for p := 0; p < rem; p++ {
-				s = d.next[int(s)*A+int(subs[cycles*S+p])]
-			}
-			for p := rem; p < S; p++ {
-				s = d.next[int(s)*A]
-			}
-			if len(d.reports[s]) > 0 {
+			if s := d.pad(d.step(c.cur, tail), len(tail)); d.cyc[s].NRep != 0 {
 				c.points = append(c.points, specPoint{cyc: int32(cycles), state: s})
 			}
 		}
@@ -203,7 +175,7 @@ func (d *DFA) speculate(subs []byte, startCycle int) specResult {
 // it walks the entry hypothesis' merge chain, emitting each node's points
 // from the cycle the previous node joined it, and returns the exit state
 // (the chain root's final state).
-func (r *specResult) collect(entry int32, emit func(cyc, state int32)) (int32, bool) {
+func (r *specResult) collect(entry uint16, emit func(cyc int32, state uint16)) (uint16, bool) {
 	ci := r.classOf[entry]
 	if ci < 0 {
 		return 0, false
@@ -248,7 +220,7 @@ func (d *DFA) RunParallel(input []byte, workers int) []sim.Report {
 		subs       []byte
 		startCycle int
 		reports    []sim.Report // worker 0 only
-		exit       int32        // worker 0 only
+		exit       uint16       // worker 0 only
 		spec       specResult
 	}
 	var jobs []int
@@ -286,14 +258,8 @@ func (d *DFA) RunParallel(input []byte, workers int) []sim.Report {
 	for i := 1; i < len(outs); i++ {
 		o := &outs[i]
 		if o.spec.resolved {
-			exit, ok := o.spec.collect(entry, func(cyc, state int32) {
-				base := (o.startCycle + int(cyc)) * d.stride
-				for _, e := range d.reports[state] {
-					bitPos := (base + e.Offset) * d.bits
-					if bitPos <= totalBits {
-						emit(sim.Report{BitPos: bitPos, Code: e.Code, State: e.State})
-					}
-				}
+			exit, ok := o.spec.collect(entry, func(cyc int32, state uint16) {
+				d.emit(&d.cyc[state], o.startCycle+int(cyc), 0, totalBits, emit)
 			})
 			if ok {
 				entry = exit
@@ -323,7 +289,7 @@ func (t *Tiered) RunParallel(input []byte, workers int) ([]sim.Report, error) {
 	if t.dfa != nil {
 		reps := t.dfa.RunParallel(input, workers)
 		for i := range reps {
-			reps[i].State = t.dfaOrig[reps[i].State]
+			reps[i].State = t.dfaIDs[reps[i].State]
 		}
 		out = append(out, reps...)
 	}
@@ -335,7 +301,7 @@ func (t *Tiered) RunParallel(input []byte, workers int) ([]sim.Report, error) {
 			serialNFA = true
 		}
 		for i := range reps {
-			reps[i].State = t.nfaOrig[reps[i].State]
+			reps[i].State = t.nfaIDs[reps[i].State]
 		}
 		out = append(out, reps...)
 	}

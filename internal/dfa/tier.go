@@ -106,48 +106,64 @@ func (p *Plan) DFACCs() int {
 	return n
 }
 
-// Tiered is the two-engine execution form of a tier plan: at most one
+// Selection is a tier selection before anything executes it: the plan, the
+// union DFA over the states dfaIDs (nil when no DFA tier was selected) and
+// the states nfaIDs left to the bit-parallel engine. Both ID lists are
+// ascending and each is a union of components. BuildTiered and Unseal turn
+// one into a Tiered; the sharded form takes every shard's selection and
+// builds one lane per engine kind over all of them instead.
+type Selection struct {
+	nfa  *automata.NFA
+	plan Plan
+
+	dfa            *DFA
+	dfaIDs, nfaIDs []automata.StateID // tier-local state id -> original id
+
+	planCPU time.Duration
+}
+
+// Tiered is the two-engine execution form of a tier selection: at most one
 // union DFA and one compiled bit-parallel NFA, the (at most two) lanes of
 // one sim.Lockstep. Reports carry original automaton state IDs; merged
 // output is byte-identical to the scalar simulator's. A Tiered value is
 // immutable after construction and safe to share across goroutines.
 type Tiered struct {
-	nfa  *automata.NFA
-	plan Plan
-
-	dfa     *DFA
-	dfaOrig []automata.StateID // union-sub state id -> original id
-
-	nfac    *sim.Compiled
-	nfaOrig []automata.StateID
-
+	*Selection
+	nfac     *sim.Compiled
 	lockstep *sim.Lockstep
-	planCPU  time.Duration
 }
 
-// setTiers installs the execution side of a plan: d over the states dfaIDs
-// (nil when no DFA tier was selected), a freshly compiled bit-parallel form
-// over nfaIDs (none when empty), and the lockstep form over the two. Both ID
-// lists are ascending and each is a union of components.
-func (t *Tiered) setTiers(d *DFA, dfaIDs, nfaIDs []automata.StateID) error {
+// tiered compiles the bit-parallel form over the NFA tier (none when empty)
+// and installs the lockstep form over it and the DFA tier.
+func (s *Selection) tiered() (*Tiered, error) {
+	t := &Tiered{Selection: s}
 	var lanes []sim.Lane
-	if d != nil {
-		t.dfa, t.dfaOrig = d, dfaIDs
-		lanes = append(lanes, sim.Lane{New: func() sim.Core { return d.NewCore() }, Orig: dfaIDs})
+	if s.dfa != nil {
+		lanes = append(lanes, Lane([]*DFA{s.dfa}, [][]automata.StateID{s.dfaIDs}))
 	}
-	if len(nfaIDs) > 0 {
-		c, err := sim.Compile(t.nfa.Induced(nfaIDs))
+	if len(s.nfaIDs) > 0 {
+		c, err := sim.Compile(s.nfa.Induced(s.nfaIDs))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		t.nfac, t.nfaOrig = c, nfaIDs
-		lanes = append(lanes, sim.Lane{New: func() sim.Core { return c.NewEngine() }, Orig: nfaIDs})
+		t.nfac = c
+		lanes = append(lanes, sim.Lane{New: func() sim.Core { return c.NewEngine() }, Orig: s.nfaIDs})
 	}
-	t.lockstep = sim.NewLockstep(t.nfa.Bits, t.nfa.Stride, lanes)
-	return nil
+	t.lockstep = sim.NewLockstep(s.nfa.Bits, s.nfa.Stride, lanes)
+	return t, nil
 }
 
-// BuildTiered plans and constructs the hybrid execution form:
+// BuildTiered selects tiers (Select) and constructs the hybrid execution
+// form over them.
+func BuildTiered(n *automata.NFA, opts TierOptions) (*Tiered, error) {
+	s, err := Select(n, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.tiered()
+}
+
+// Select plans the tiers of an automaton and builds the DFA tier's tables:
 //
 //  1. Partition into weakly connected components.
 //  2. Trial-determinize every component in parallel under CCMaxStates.
@@ -156,10 +172,10 @@ func (t *Tiered) setTiers(d *DFA, dfaIDs, nfaIDs []automata.StateID) error {
 //     search — union subset counts are monotone in the component set).
 //  4. Drop the DFA tier entirely if it covers less than MinStateShare of
 //     the automaton (two engines per cycle must pay for themselves).
-//  5. Compile the remaining components into the bit-parallel NFA engine.
+//  5. Leave the remaining components to the bit-parallel NFA engine.
 //
-// The plan and both tables are byte-identical for any worker count.
-func BuildTiered(n *automata.NFA, opts TierOptions) (*Tiered, error) {
+// The plan and the tables are byte-identical for any worker count.
+func Select(n *automata.NFA, opts TierOptions) (*Selection, error) {
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("dfa: invalid automaton: %w", err)
 	}
@@ -177,7 +193,6 @@ func BuildTiered(n *automata.NFA, opts TierOptions) (*Tiered, error) {
 	}
 	workers := par.Workers(opts.Workers)
 
-	t := &Tiered{nfa: n}
 	ccs := n.ConnectedComponents()
 	plan := Plan{CCs: make([]CCPlan, len(ccs)), CCBudget: ccBudget, UnionBudget: unionBudget}
 
@@ -307,12 +322,7 @@ func BuildTiered(n *automata.NFA, opts TierOptions) (*Tiered, error) {
 		}
 	}
 	sort.Slice(nfaIDs, func(a, b int) bool { return nfaIDs[a] < nfaIDs[b] })
-	if err := t.setTiers(unionDFA, unionSub, nfaIDs); err != nil {
-		return nil, err
-	}
 	plan.NFAStates = len(nfaIDs)
-	t.plan = plan
-	t.planCPU = time.Duration(cpuNS.Load())
 
 	if m := tierMetricsPtr.Load(); m != nil {
 		demoted := 0
@@ -323,29 +333,34 @@ func BuildTiered(n *automata.NFA, opts TierOptions) (*Tiered, error) {
 		}
 		m.fallbacks.Add(int64(demoted))
 	}
-	return t, nil
+	return &Selection{
+		nfa: n, plan: plan, dfa: unionDFA, dfaIDs: unionSub, nfaIDs: nfaIDs,
+		planCPU: time.Duration(cpuNS.Load()),
+	}, nil
 }
 
 // Plan returns the sealed tier-selection record.
-func (t *Tiered) Plan() Plan { return t.plan }
+func (s *Selection) Plan() Plan { return s.plan }
 
 // DFA returns the union DFA (nil when no DFA tier was selected).
-func (t *Tiered) DFA() *DFA { return t.dfa }
+func (s *Selection) DFA() *DFA { return s.dfa }
+
+// DFAStateIDs and NFAStateIDs return the automaton states each tier
+// executes, ascending: a tier's reports and tables number its states by
+// position in its list. Read-only.
+func (s *Selection) DFAStateIDs() []automata.StateID { return s.dfaIDs }
+func (s *Selection) NFAStateIDs() []automata.StateID { return s.nfaIDs }
+
+// NFA returns the original automaton the plan was built for.
+func (s *Selection) NFA() *automata.NFA { return s.nfa }
+
+// PlanCPU returns the total CPU time spent in trial and union
+// determinizations (the tier-select stage's CPU statistic).
+func (s *Selection) PlanCPU() time.Duration { return s.planCPU }
 
 // NFACompiled returns the compiled NFA tier (nil when every component is
 // on the DFA tier).
 func (t *Tiered) NFACompiled() *sim.Compiled { return t.nfac }
-
-// NFA returns the original automaton the plan was built for.
-func (t *Tiered) NFA() *automata.NFA { return t.nfa }
-
-// PlanCPU returns the total CPU time spent in trial and union
-// determinizations (the tier-select stage's CPU statistic).
-func (t *Tiered) PlanCPU() time.Duration { return t.planCPU }
-
-// Lanes returns the tiers as lockstep lanes (DFA first), for composing this
-// form into a larger lockstep form.
-func (t *Tiered) Lanes() []sim.Lane { return t.lockstep.Lanes() }
 
 // NewCore returns a fresh per-stream core over the tiered form; it
 // implements sim.Core.
@@ -389,18 +404,28 @@ type Sealed struct {
 }
 
 // Seal returns the serialization form of the tier selection.
-func (t *Tiered) Seal() *Sealed {
-	s := &Sealed{Plan: t.plan}
-	if t.dfa != nil {
-		s.DFA = t.dfa.Raw()
+func (s *Selection) Seal() *Sealed {
+	out := &Sealed{Plan: s.plan}
+	if s.dfa != nil {
+		out.DFA = s.dfa.Raw()
 	}
-	return s
+	return out
 }
 
 // Unseal reassembles a Tiered execution form from a sealed plan and the
+// automaton it was planned for (UnsealSelection, then the execution form).
+func Unseal(n *automata.NFA, s *Sealed) (*Tiered, error) {
+	sel, err := UnsealSelection(n, s)
+	if err != nil {
+		return nil, err
+	}
+	return sel.tiered()
+}
+
+// UnsealSelection reassembles a tier selection from its sealed form and the
 // automaton it was planned for, revalidating the plan against the
 // automaton's current component structure.
-func Unseal(n *automata.NFA, s *Sealed) (*Tiered, error) {
+func UnsealSelection(n *automata.NFA, s *Sealed) (*Selection, error) {
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("dfa: invalid automaton: %w", err)
 	}
@@ -408,7 +433,6 @@ func Unseal(n *automata.NFA, s *Sealed) (*Tiered, error) {
 	if len(ccs) != len(s.Plan.CCs) {
 		return nil, fmt.Errorf("dfa: sealed plan has %d components, automaton has %d", len(s.Plan.CCs), len(ccs))
 	}
-	t := &Tiered{nfa: n, plan: s.Plan}
 	var dfaIDs, nfaIDs []automata.StateID
 	for i, cc := range ccs {
 		pc := s.Plan.CCs[i]
@@ -436,16 +460,11 @@ func Unseal(n *automata.NFA, s *Sealed) (*Tiered, error) {
 		if d.bits != n.Bits || d.stride != n.Stride {
 			return nil, fmt.Errorf("dfa: sealed DFA geometry %d/%d != automaton %d/%d", d.bits, d.stride, n.Bits, n.Stride)
 		}
-		for _, entries := range d.reports {
-			for _, e := range entries {
-				if int(e.State) < 0 || int(e.State) >= len(dfaIDs) {
-					return nil, fmt.Errorf("dfa: sealed report state %d out of tier range [0,%d)", e.State, len(dfaIDs))
-				}
+		for _, e := range d.entries {
+			if int(e.State) < 0 || int(e.State) >= len(dfaIDs) {
+				return nil, fmt.Errorf("dfa: sealed report state %d out of tier range [0,%d)", e.State, len(dfaIDs))
 			}
 		}
 	}
-	if err := t.setTiers(d, dfaIDs, nfaIDs); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return &Selection{nfa: n, plan: s.Plan, dfa: d, dfaIDs: dfaIDs, nfaIDs: nfaIDs}, nil
 }

@@ -61,8 +61,9 @@ func SoftwareBaseline(o Options) ([]*Table, error) {
 		ce.Run(input, nil)
 		bitparMBs := float64(len(input)) / time.Since(t0).Seconds() / 1e6
 
-		// DFA: construction may blow up — a faithful result.
-		d, err := dfa.Build(n, dfa.Options{MaxStates: 1 << 17})
+		// DFA: construction may blow up — a faithful result. The cap is the
+		// most an 8-bit stride-1 table can hold (dfa.MaxPhaseStates).
+		d, err := dfa.Build(n, dfa.Options{MaxStates: 1 << 16})
 		if err != nil {
 			if errors.Is(err, dfa.ErrStateBlowup) {
 				t.AddRow(name, "BLOWUP", "-", "-", f1(nfaMBs), f1(bitparMBs), "-")

@@ -12,6 +12,7 @@ func FuzzCompile(f *testing.F) {
 	for _, seed := range []string{
 		"abc", "a|b", "(ab)+c?", "[a-z]{2,4}", `\x41\d+`, "^anchor",
 		"a**", "((((", "[^\\n]*x", "{3}", "a{1,2}{3,4}", "[]", "\\",
+		"0{0}*000", "(a{0})+b", "a{0}{0}",
 	} {
 		f.Add(seed)
 	}

@@ -146,30 +146,35 @@ func (p *parser) parseCat() (node, error) {
 	return catNode{parts: parts}, nil
 }
 
+// parseQuantifiers applies the quantifiers that follow atom. A nil atom is
+// the empty expression x{0} leaves behind: quantified again it stays empty.
 func (p *parser) parseQuantifiers(atom node) (node, error) {
 	for {
 		c, ok := p.peek()
 		if !ok {
 			return atom, nil
 		}
+		var q node
 		switch c {
 		case '*':
-			p.pos++
-			atom = starNode{sub: atom}
+			q = starNode{sub: atom}
 		case '+':
-			p.pos++
-			atom = plusNode{sub: atom}
+			q = plusNode{sub: atom}
 		case '?':
-			p.pos++
-			atom = questNode{sub: atom}
+			q = questNode{sub: atom}
 		case '{':
 			rep, err := p.parseRepeat(atom)
 			if err != nil {
 				return nil, err
 			}
 			atom = rep
+			continue
 		default:
 			return atom, nil
+		}
+		p.pos++
+		if atom != nil {
+			atom = q
 		}
 	}
 }
@@ -220,6 +225,9 @@ func (p *parser) parseRepeat(atom node) (node, error) {
 	}
 	if lo > maxRepeat || (!unbounded && hi > maxRepeat) {
 		return nil, p.fail("repeat count too large")
+	}
+	if atom == nil {
+		return nil, nil
 	}
 	var parts []node
 	for i := 0; i < lo; i++ {

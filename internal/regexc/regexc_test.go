@@ -148,6 +148,35 @@ func TestSyntaxErrors(t *testing.T) {
 	}
 }
 
+// x{0} is the empty expression: it drops out of a concatenation, a
+// quantifier applied to it leaves it empty (0{0}* used to panic the
+// compiler), and an alternative or pattern made of nothing else is the
+// syntax error an empty one always was.
+func TestZeroRepeat(t *testing.T) {
+	for _, tc := range []struct{ pattern, same string }{
+		{"0{0}*000", "000"},
+		{"a{0}+b", "b"},
+		{"a{0}?{0,0}{3}bc", "bc"},
+		{"xa{0}{0}y", "xy"},
+		{"(ab){0}*c|d", "c|d"},
+		{"(a{0})+b", ""},
+		{"a{0}{0}", ""},
+		{"a{0}*", ""},
+		{"a|b{0}", ""},
+	} {
+		if tc.same == "" {
+			if _, err := Compile([]Rule{{Pattern: tc.pattern, Code: 1}}); err == nil {
+				t.Errorf("pattern %q accepted", tc.pattern)
+			}
+			continue
+		}
+		input := "000 b abc xy c d 0000"
+		if got, want := matchEnds(t, tc.pattern, input), matchEnds(t, tc.same, input); !sameSet(got, want) || len(got) == 0 {
+			t.Errorf("pattern %q: ends %v, %q has %v", tc.pattern, got, tc.same, want)
+		}
+	}
+}
+
 func TestNullablePatternRejected(t *testing.T) {
 	for _, pattern := range []string{"a*", "(a|b)*", "a?", "a{0,3}"} {
 		if _, err := Compile([]Rule{{Pattern: pattern, Code: 1}}); err == nil {

@@ -18,10 +18,11 @@
 package score
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"impala/internal/automata"
@@ -260,13 +261,7 @@ func (e *Engine) propagate(t int) {
 // convention, so zero-weight scored output lines up with sim output
 // byte-for-byte.
 func SortReports(reports []Report) {
-	sort.Slice(reports, func(i, j int) bool {
-		if reports[i].BitPos != reports[j].BitPos {
-			return reports[i].BitPos < reports[j].BitPos
-		}
-		if reports[i].Code != reports[j].Code {
-			return reports[i].Code < reports[j].Code
-		}
-		return reports[i].State < reports[j].State
+	slices.SortFunc(reports, func(a, b Report) int {
+		return cmp.Or(cmp.Compare(a.BitPos, b.BitPos), cmp.Compare(a.Code, b.Code), cmp.Compare(a.State, b.State))
 	})
 }

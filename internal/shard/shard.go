@@ -11,12 +11,15 @@
 // the budget as one automaton determinize shard by shard, moving states
 // from the bit-parallel NFA fallback onto dense table walks even on one
 // core. Shards are stepped in lockstep on one core, like the paper's
-// independent blocks on one broadcast symbol; concurrency across requests
-// belongs to the caller.
+// independent blocks on one broadcast symbol — and fused by engine kind: one
+// walker over every shard's DFA, one bit-parallel kernel over everything the
+// DFAs do not cover, so the lockstep has at most two lanes at any K;
+// concurrency across requests belongs to the caller.
 package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -33,7 +36,7 @@ type Options struct {
 	// Shards is the shard count K (>= 1).
 	Shards int
 	// Tier, when non-nil, tier-plans every shard independently under these
-	// budgets (dfa.BuildTiered per shard): the CCMaxStates / MaxStates
+	// budgets (dfa.Select per shard): the CCMaxStates / MaxStates
 	// caps model per-engine capacity, so K shards carry K times the
 	// fast-path budget of the unsharded automaton.
 	Tier *dfa.TierOptions
@@ -142,13 +145,13 @@ func planShards(n *automata.NFA, ccs [][]automata.StateID, k int) Plan {
 	return p
 }
 
-// shardEngine is one shard's execution form: a tier-planned hybrid when
-// tiering was requested, the bit-parallel compiled form otherwise. orig
-// remaps shard-local state IDs back to the original automaton's.
+// shardEngine is one live shard: its states (orig remaps shard-local state
+// IDs back to the original automaton's) and, when tiering was requested, its
+// tier selection. A shard with no selection runs whole on the bit-parallel
+// kernel.
 type shardEngine struct {
-	orig   []automata.StateID
-	tiered *dfa.Tiered
-	comp   *sim.Compiled
+	orig  []automata.StateID
+	tiers *dfa.Selection
 }
 
 func (e *shardEngine) empty() bool { return len(e.orig) == 0 }
@@ -160,32 +163,55 @@ type Sharded struct {
 	nfa      *automata.NFA
 	plan     Plan
 	shards   []shardEngine
-	lockstep *sim.Lockstep // every live shard's lanes, flattened
+	lockstep *sim.Lockstep // one DFA walker lane, one kernel lane
 	buildCPU time.Duration
 }
 
-// setShards installs the shard engines and the lockstep form over them. The
-// form is flat: a tiered shard contributes its tiers' lanes with their ID
-// tables composed through the shard's own, an untiered shard its compiled
-// form, so a report is remapped once whatever the nesting.
-func (s *Sharded) setShards(engines []shardEngine) {
-	var lanes []sim.Lane
+// setShards installs the shards and the lockstep form over them: at most two
+// lanes whatever K and the tiering. Every live shard's DFA goes to one
+// walker (dfa.Lane), its ID table composed through the shard's own so a
+// report is remapped once; every state no DFA covers — a tiered shard's NFA
+// tier, an untiered shard's whole block — goes to one kernel compiled over
+// their union: the kernel's cycle costs its live words, so a kernel per
+// shard bought a start-vector pass and a dispatch per shard and cycle and
+// nothing else.
+func (s *Sharded) setShards(engines []shardEngine) error {
+	var ds []*dfa.DFA
+	var dfaOrigs [][]automata.StateID
+	var nfaIDs []automata.StateID
 	for i := range engines {
 		e := &engines[i]
-		if e.tiered != nil {
-			for _, l := range e.tiered.Lanes() {
-				orig := make([]automata.StateID, len(l.Orig))
-				for j, id := range l.Orig {
-					orig[j] = e.orig[id]
-				}
-				lanes = append(lanes, sim.Lane{New: l.New, Orig: orig})
-			}
-		} else if c := e.comp; c != nil {
-			lanes = append(lanes, sim.Lane{New: func() sim.Core { return c.NewEngine() }, Orig: e.orig})
+		if e.tiers == nil {
+			nfaIDs = append(nfaIDs, e.orig...)
+			continue
 		}
+		if d := e.tiers.DFA(); d != nil {
+			ids := e.tiers.DFAStateIDs()
+			orig := make([]automata.StateID, len(ids))
+			for j, id := range ids {
+				orig[j] = e.orig[id]
+			}
+			ds, dfaOrigs = append(ds, d), append(dfaOrigs, orig)
+		}
+		for _, id := range e.tiers.NFAStateIDs() {
+			nfaIDs = append(nfaIDs, e.orig[id])
+		}
+	}
+	var lanes []sim.Lane
+	if len(ds) > 0 {
+		lanes = append(lanes, dfa.Lane(ds, dfaOrigs))
+	}
+	if len(nfaIDs) > 0 {
+		slices.Sort(nfaIDs)
+		c, err := sim.Compile(s.nfa.Induced(nfaIDs))
+		if err != nil {
+			return err
+		}
+		lanes = append(lanes, sim.Lane{New: func() sim.Core { return c.NewEngine() }, Orig: nfaIDs})
 	}
 	s.shards = engines
 	s.lockstep = sim.NewLockstep(s.nfa.Bits, s.nfa.Stride, lanes)
+	return nil
 }
 
 // shardIDs collects each shard's state IDs, sorted ascending, from a plan.
@@ -218,47 +244,36 @@ func Build(n *automata.NFA, opts Options) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.setShards(engines)
-	s.buildCPU = cpu
+	t0 := time.Now()
+	if err := s.setShards(engines); err != nil {
+		return nil, err
+	}
+	s.buildCPU = cpu + time.Since(t0)
 	if m := shardMetricsPtr.Load(); m != nil {
 		m.builds.Add(1)
 	}
 	return s, nil
 }
 
-// buildEngines constructs one engine per shard (empty shards get none).
-// Per-shard tier planning runs serially inside each shard slot — the
-// cross-shard pool is the parallelism — so nested pools never oversubscribe.
+// buildEngines tier-plans every live shard when tiering was requested
+// (empty shards stay empty). Per-shard tier planning runs serially inside
+// each shard slot — the cross-shard pool is the parallelism — so nested
+// pools never oversubscribe.
 func buildEngines(n *automata.NFA, ids [][]automata.StateID, opts Options) ([]shardEngine, time.Duration, error) {
 	engines := make([]shardEngine, len(ids))
 	errs := make([]error, len(ids))
 	var cpuNS atomic.Int64
 	par.TraceFor(opts.Trace, "shard/build", opts.Workers, len(ids), func(k int) {
-		if len(ids[k]) == 0 {
+		engines[k].orig = ids[k]
+		if len(ids[k]) == 0 || opts.Tier == nil {
 			return
 		}
 		t0 := time.Now()
 		defer func() { cpuNS.Add(int64(time.Since(t0))) }()
-		sub := n.Induced(ids[k])
-		engines[k].orig = ids[k]
-		if opts.Tier != nil {
-			topt := *opts.Tier
-			topt.Workers = 1
-			topt.Trace = nil
-			t, err := dfa.BuildTiered(sub, topt)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			engines[k].tiered = t
-			return
-		}
-		c, err := sim.Compile(sub)
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		engines[k].comp = c
+		topt := *opts.Tier
+		topt.Workers = 1
+		topt.Trace = nil
+		engines[k].tiers, errs[k] = dfa.Select(n.Induced(ids[k]), topt)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -286,7 +301,7 @@ func (s *Sharded) TieredShards() int {
 	n := 0
 	for i := range s.shards {
 		e := &s.shards[i]
-		if e.tiered != nil && e.tiered.DFA() != nil {
+		if e.tiers != nil && e.tiers.DFA() != nil {
 			n++
 		}
 	}
@@ -298,7 +313,7 @@ func (s *Sharded) TieredShards() int {
 func (s *Sharded) DFAStates() int {
 	total := 0
 	for i := range s.shards {
-		if t := s.shards[i].tiered; t != nil {
+		if t := s.shards[i].tiers; t != nil {
 			total += t.Plan().DFAStates
 		}
 	}
@@ -312,8 +327,8 @@ func (s *Sharded) NFATierStates() int {
 	total := 0
 	for i := range s.shards {
 		e := &s.shards[i]
-		if e.tiered != nil {
-			total += e.tiered.Plan().NFAStates
+		if e.tiers != nil {
+			total += e.tiers.Plan().NFAStates
 		} else {
 			total += len(e.orig)
 		}
@@ -349,8 +364,8 @@ func (s *Sharded) countRun(inputBytes, reports int) {
 	}
 }
 
-// Lanes returns the flattened lockstep lanes of all live shards, in shard
-// order (a tiered shard's DFA lane before its NFA lane).
+// Lanes returns the lockstep lanes: the DFA walker (when any shard holds a
+// DFA tier) before the kernel (when any state is left to it).
 func (s *Sharded) Lanes() []sim.Lane { return s.lockstep.Lanes() }
 
 // NewCore returns a fresh per-stream lockstep core over all shards; it
@@ -375,7 +390,7 @@ type Sealed struct {
 func (s *Sharded) Seal() *Sealed {
 	out := &Sealed{Plan: s.plan, Tiers: make([]*dfa.Sealed, len(s.shards))}
 	for i := range s.shards {
-		if t := s.shards[i].tiered; t != nil {
+		if t := s.shards[i].tiers; t != nil {
 			out.Tiers[i] = t.Seal()
 		}
 	}
@@ -385,7 +400,7 @@ func (s *Sharded) Seal() *Sealed {
 // Unseal reassembles a Sharded execution form from a sealed plan and the
 // automaton it was planned for, revalidating the plan against the
 // automaton's current component structure. Per-shard tier seals are
-// revalidated by dfa.Unseal against each shard's sub-automaton.
+// revalidated by dfa.UnsealSelection against each shard's sub-automaton.
 func Unseal(n *automata.NFA, s *Sealed) (*Sharded, error) {
 	return UnsealShards(n, s, nil)
 }
@@ -456,22 +471,17 @@ func UnsealShards(n *automata.NFA, s *Sealed, keep []int) (*Sharded, error) {
 		if !kept[i] {
 			continue // hosted by another worker; its engine is never built
 		}
-		sub := n.Induced(ids[i])
 		engines[i].orig = ids[i]
 		if tier != nil {
-			t, err := dfa.Unseal(sub, tier)
+			t, err := dfa.UnsealSelection(n.Induced(ids[i]), tier)
 			if err != nil {
 				return nil, fmt.Errorf("shard: shard %d tier does not unseal: %w", i, err)
 			}
-			engines[i].tiered = t
-			continue
+			engines[i].tiers = t
 		}
-		c, err := sim.Compile(sub)
-		if err != nil {
-			return nil, err
-		}
-		engines[i].comp = c
 	}
-	out.setShards(engines)
+	if err := out.setShards(engines); err != nil {
+		return nil, err
+	}
 	return out, nil
 }

@@ -24,9 +24,9 @@ type Lane struct {
 // their report sets are disjoint, so a session over a lockstep core is
 // byte-identical, reports and statistics both, to one over the whole
 // automaton. The tiered form (a DFA lane beside an NFA lane) and the
-// sharded form (every shard's lanes, flattened) are both built from it. A
-// Lockstep is immutable and safe to share across goroutines; per-stream
-// state lives in the cores it hands out.
+// sharded form (one walker over every shard's DFA beside one kernel over the
+// rest) are both built from it. A Lockstep is immutable and safe to share
+// across goroutines; per-stream state lives in the cores it hands out.
 type Lockstep struct {
 	bits, stride int
 	lanes        []Lane
@@ -116,11 +116,13 @@ func (c *lockstepCore) ResetState() {
 // single lane takes the block whole. Several lanes stay cycle-interleaved —
 // each is handed the block one cycle at a time — because their reports must
 // reach the sink in cycle order (the facade's collision window retires on
-// it), because the per-cycle sum of the lanes' active counts is what
-// PeakActive is the maximum of, and because it is faster: two DFA lanes each
-// walking a whole block on their own lost 20% on snort_shard_cluster to the
-// interleaved walk, whose table misses overlap. The tracer is not passed down
-// — no lane has the whole automaton's state vector.
+// it) and because the per-cycle sum of the lanes' active counts is what
+// PeakActive is the maximum of. The forms built on this never have more than
+// two lanes: every DFA of a tiered or sharded form is walked by one dfa.Core
+// (which overlaps its DFAs' table misses itself and, alone, takes the whole
+// block) and everything else runs on one kernel, so "several" here is a DFA
+// walker beside a kernel. The tracer is not passed down — no lane has the
+// whole automaton's state vector.
 func (c *lockstepCore) StepBlock(subs []byte, t0 int, limitBits int, sink ReportSink, _ Tracer) (enabled, active int64, peak int) {
 	c.sink = sink
 	if len(c.cores) == 1 {

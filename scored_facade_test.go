@@ -5,9 +5,13 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"impala/internal/automata"
+	"impala/internal/score"
+	"impala/internal/sim"
 	"impala/internal/workload"
 )
 
@@ -301,5 +305,49 @@ func TestScoredMachineFromFile(t *testing.T) {
 	sortScored(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("file-loaded scored matches diverge")
+	}
+}
+
+// The run fold of toMatches/toScoredMatches against the map it replaced:
+// same rows, same first-report order, best score kept — on sorted reports
+// whose bytes hold several bit positions, several states per pattern and
+// several patterns.
+func TestMatchFoldEqualsMapFold(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		reports := make([]score.Report, r.Intn(60))
+		for i := range reports {
+			reports[i] = score.Report{
+				Report: sim.Report{BitPos: 4 * r.Intn(24), Code: r.Intn(4), State: automata.StateID(r.Intn(6))},
+				Score:  float64(r.Intn(9)),
+			}
+		}
+		score.SortReports(reports)
+		idx := map[Match]int{}
+		var want []ScoredMatch
+		plain := make([]sim.Report, len(reports))
+		for i, rep := range reports {
+			plain[i] = rep.Report
+			mt := Match{End: rep.BitPos / 8, Pattern: rep.Code}
+			if j, ok := idx[mt]; ok {
+				want[j].Score = max(want[j].Score, rep.Score)
+				continue
+			}
+			idx[mt] = len(want)
+			want = append(want, ScoredMatch{Match: mt, Score: rep.Score})
+		}
+		got := toScoredMatches(reports)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: scored fold\n got %v\nwant %v\nof %v", trial, got, want, reports)
+		}
+		rows := toMatches(plain)
+		for i := range want {
+			if i >= len(rows) || rows[i] != want[i].Match {
+				t.Fatalf("trial %d: fold\n got %v\nwant the matches of %v", trial, rows, want)
+			}
+		}
+		if len(rows) != len(want) {
+			t.Fatalf("trial %d: fold has %d rows, want %d", trial, len(rows), len(want))
+		}
 	}
 }
