@@ -6,22 +6,23 @@ GO ?= go
 # at ~82% — raise the floor as coverage grows, never lower it.
 COVER_MIN ?= 80.0
 
-.PHONY: all check build vet fmt-check test test-short test-race bench-build bench-smoke fuzz-smoke bench bench-check cover cover-check examples experiments artifact serve smoke-serve smoke-cluster smoke-align clean
+.PHONY: all check build vet fmt-check test test-short test-race bench-build bench-smoke fuzz-smoke bench cover cover-check examples experiments artifact serve smoke-serve smoke-cluster smoke-align clean
 
 all: check
 
 # check is the default CI gate: formatting, compile, static analysis, full
-# tests, and a race-detector pass over the concurrent packages: the
-# simulator (compiled form shared across RunParallel workers), the parallel
-# compile pipeline (worker pools sharing the Espresso cover cache, GA
-# fitness evaluation), the capsule-level machine (instrumented StepBlock),
-# the observability layer itself (lock-free counters/histograms), and the
-# serving stack (multi-tenant registry hot-swaps under concurrent streams,
-# bounded match pool, artifact codec), the tiered engine (pooled cores
-# shared across Run callers, parallel simultaneous-DFA build and scan),
-# and the sharded engine (concurrent shard construction, pooled lockstep cores),
-# and the topology placer (deterministic placement under GA worker pools),
-# and the scored engine (pooled scoring engines shared across Run callers).
+# tests (internal/exp's TestBaselines reruns the gated experiments against
+# their committed BENCH_*.json), and a race-detector pass over the concurrent
+# packages: the simulator (compiled form shared across RunParallel workers),
+# the parallel compile pipeline (worker pools sharing the Espresso cover
+# cache, GA fitness evaluation), the capsule-level machine (instrumented
+# StepBlock), the observability layer itself (lock-free counters/histograms),
+# the serving stack (multi-tenant registry hot-swaps under concurrent
+# streams, bounded match pool, artifact codec), the tiered engine (pooled
+# cores shared across Run callers, parallel simultaneous-DFA build), the
+# sharded engine (concurrent shard construction, pooled lockstep cores), the
+# topology placer (deterministic placement under GA worker pools), and the
+# scored engine (pooled scoring engines shared across Run callers).
 check: fmt-check build vet test bench-build bench-smoke fuzz-smoke test-race
 
 build:
@@ -85,38 +86,25 @@ fuzz-smoke:
 test-race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/espresso/... ./internal/place/... ./internal/arch/... ./internal/obs/... ./internal/par/... ./internal/server/... ./internal/artifact/... ./internal/dfa/... ./internal/backend/... ./internal/shard/... ./internal/topo/... ./internal/score/... ./internal/workload/...
 
-# The gated experiments: experiment, committed baseline, extra flags. `bench`
-# rewrites the baselines and `bench-check` gates against them, both from this
-# one list; impala-bench's header and DESIGN.md ("Gated experiments") say what
-# each gate compares. tierspeed runs at 256 KiB inputs and shardspeed and
-# scorespeed at 1 MiB so the big benchmarks' engine walls clear the MinWallMS
-# noise gate and the ratio floors actually arm. shardspeed and scorespeed
-# check at a wider 50% tolerance: serial K-to-K and engine-to-engine ratios
-# swing ~30% under shared-host load.
+# The gated experiments: experiment, committed baseline. `bench` rewrites the
+# baselines at the default scale, seed and input; internal/exp's TestBaselines
+# (part of `test`) reruns each at its baseline's settings and fails on any
+# drifted column. impala-bench's header and DESIGN.md ("Gated experiments")
+# say what each baseline holds.
 define GATED
 compilespeed BENCH_compile.json
-tierspeed    BENCH_sim.json     -input-kb 256
+tierspeed    BENCH_sim.json
 backendcmp   BENCH_backend.json
-servespeed   BENCH_serve.json
-shardspeed   BENCH_shard.json   -input-kb 1024 -tolerance 0.5
+shardspeed   BENCH_shard.json
 clustersweep BENCH_cluster.json
-scorespeed   BENCH_score.json   -input-kb 1024 -tolerance 0.5
+scorespeed   BENCH_score.json
 endef
 export GATED
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
-	@echo "$$GATED" | while read exp base flags; do \
-		$(GO) run ./cmd/impala-bench -exp $$exp $$flags -json $$base || exit 1; done
-
-# bench-check is the perf-regression gate (the CI bench-regression job): rerun
-# every gated experiment against its committed baseline, leaving each fresh
-# report in out/bench/. All seven run even when one fails.
-bench-check:
-	@mkdir -p out/bench
-	@echo "$$GATED" | { fail=0; while read exp base flags; do \
-		$(GO) run ./cmd/impala-bench -exp $$exp $$flags -json out/bench/$$exp.json -check $$base || fail=1; \
-		done; exit $$fail; }
+	@echo "$$GATED" | while read exp base; do \
+		$(GO) run ./cmd/impala-bench -exp $$exp -json $$base || exit 1; done
 
 cover:
 	$(GO) test -cover ./...

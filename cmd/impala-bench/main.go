@@ -11,28 +11,24 @@
 // experiments concurrently (results are identical; per-cell wall times get
 // noisy).
 //
-// Seven experiments are gated: one measurement run renders the table and,
-// with -json FILE, writes the report (cells plus a metrics snapshot) and,
-// with -check FILE, compares it against a stored baseline, exiting nonzero
-// with one line per regression — the CI regression gate. -json and -check
-// take exactly one gated experiment. The comparator's rules are stated once
-// in DESIGN.md ("Gated experiments"); what each experiment puts under them:
+// Six experiments are gated: with -json FILE one measurement run renders
+// the table and writes the report (cells plus a metrics snapshot) — how the
+// committed BENCH_*.json baselines are written (make bench). -json takes
+// exactly one gated experiment. internal/exp's TestBaselines reruns each at
+// its baseline's scale, seed and input and fails on any drifted column; the
+// comparator's rules are stated once in DESIGN.md ("Gated experiments").
+// What each experiment puts under them:
 //
-//	experiment    baseline            exact columns                         gated ratio (guard)
-//	compilespeed  BENCH_compile.json  compiled shape; cache hits/misses     best cache speedup of the worker
-//	                                  on the serial workers=1 row           sweep (uncached compile wall)
-//	tierspeed     BENCH_sim.json      tier-plan shape                       tiered over compiled NFA
-//	                                                                        (compiled scan wall)
-//	backendcmp    BENCH_backend.json  shape, placement grouping,            none
+//	experiment    baseline            exact columns
+//	compilespeed  BENCH_compile.json  compiled shape; cache hits/misses on the
+//	                                  serial workers=1 row
+//	tierspeed     BENCH_sim.json      tier-plan shape
+//	backendcmp    BENCH_backend.json  shape, placement grouping,
 //	                                  capacity/energy/area model
-//	servespeed    BENCH_serve.json    workload shape, served request and    speedup over 1 client (1-client
-//	                                  match counts                          wall; needs cores)
-//	shardspeed    BENCH_shard.json    workload and partition shape per K    speedup over K=1 (K=1 wall; needs
-//	                                                                        cores), plus the 2x-at-K=8 headline
-//	clustersweep  BENCH_cluster.json  placement, domain loads, cut cost,    none (hermetic)
-//	                                  served match/byte counts
-//	scorespeed    BENCH_score.json    mesh shape, threshold, report counts  scored over binary throughput
-//	                                                                        (binary scan wall)
+//	shardspeed    BENCH_shard.json    workload and partition shape per K
+//	clustersweep  BENCH_cluster.json  placement, domain loads, cut cost, served
+//	                                  match/byte counts
+//	scorespeed    BENCH_score.json    mesh shape, threshold, report counts
 package main
 
 import (
@@ -57,8 +53,6 @@ func main() {
 		dumpDir  = flag.String("dump", "", "write each table as CSV into this directory")
 		parallel = flag.Int("parallel", 1, "benchmark × design-point cells to run concurrently (tables identical for any value; >1 perturbs per-cell wall times)")
 		jsonOut  = flag.String("json", "", "write the gated experiment's report as JSON to this file")
-		check    = flag.String("check", "", "compare the gated experiment's report against this baseline JSON and exit nonzero on regression")
-		tol      = flag.Float64("tolerance", 0.25, "allowed fractional drop in a gated ratio for -check")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 	)
 	flag.Parse()
@@ -95,13 +89,13 @@ func main() {
 		}
 	}
 
-	if *jsonOut != "" || *check != "" {
+	if *jsonOut != "" {
 		g, err := soleGate(ids)
 		if err != nil {
 			fatal(err)
 		}
 		t0 := time.Now()
-		if err := runGated(g, o, *jsonOut, *check, exp.CheckOptions{SpeedupTolerance: *tol}); err != nil {
+		if err := runGated(g, o, *jsonOut); err != nil {
 			fatal(fmt.Errorf("%s: %w", g.ID(), err))
 		}
 		fmt.Printf("[%s completed in %s]\n\n", g.ID(), time.Since(t0).Round(time.Millisecond))
@@ -124,8 +118,8 @@ func main() {
 	}
 }
 
-// soleGate returns the gate -json/-check apply to: ids must select exactly
-// one experiment and it must be gated.
+// soleGate returns the gate -json applies to: ids must select exactly one
+// experiment and it must be gated.
 func soleGate(ids []string) (exp.Gate, error) {
 	var gated []string
 	for _, g := range exp.Gates() {
@@ -134,65 +128,34 @@ func soleGate(ids []string) (exp.Gate, error) {
 		}
 		gated = append(gated, g.ID())
 	}
-	return nil, fmt.Errorf("-json/-check take exactly one gated experiment: -exp %s", strings.Join(gated, "|"))
+	return nil, fmt.Errorf("-json takes exactly one gated experiment: -exp %s", strings.Join(gated, "|"))
 }
 
-// runGated runs a gated experiment once, instrumented, and serves up to four
-// outputs from that one measurement: the rendered table, its CSV dump, the
-// JSON report, and the comparison against a stored baseline (read first, so
-// a wrong baseline fails before the run). A regression against the baseline
-// is an error (nonzero exit), with one line per violated bound.
-func runGated(g exp.Gate, o exp.Options, jsonPath, checkPath string, opt exp.CheckOptions) error {
-	var base exp.AnyReport
-	if checkPath != "" {
-		f, err := os.Open(checkPath)
-		if err != nil {
-			return err
-		}
-		base, err = g.Read(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", checkPath, err)
-		}
-	}
+// runGated runs a gated experiment once, instrumented, and serves three
+// outputs from that one measurement: the rendered table, its CSV dump and
+// the JSON report.
+func runGated(g exp.Gate, o exp.Options, jsonPath string) error {
 	rep, err := g.Run(o)
 	if err != nil {
 		return err
 	}
 	table := g.Table(rep)
-	var bad []string
-	if base != nil {
-		var notes []string
-		bad, notes = g.Compare(base, rep, opt)
-		table.Notes = append(table.Notes, notes...)
-	}
 	table.Render(os.Stdout)
 	if err := exp.Dump(o, []*exp.Table{table}); err != nil {
 		return fmt.Errorf("dump: %w", err)
 	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.Write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
+	f, err := os.Create(jsonPath)
+	if err != nil {
+		return err
 	}
-	for _, msg := range bad {
-		fmt.Fprintf(os.Stderr, "regression: %s\n", msg)
+	if err := rep.Write(f); err != nil {
+		f.Close()
+		return err
 	}
-	if len(bad) > 0 {
-		return fmt.Errorf("%d regression(s) vs %s", len(bad), checkPath)
+	if err := f.Close(); err != nil {
+		return err
 	}
-	if base != nil {
-		fmt.Printf("check vs %s: pass\n", checkPath)
-	}
+	fmt.Printf("wrote %s\n", jsonPath)
 	return nil
 }
 

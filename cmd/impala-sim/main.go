@@ -160,9 +160,11 @@ func main() {
 	// always executes its sealed partition, per-shard DFA tables included
 	// (-tier has nothing to add to it); -tier runs the hybrid plan; otherwise
 	// the -engine flag names the graph simulator. newCore opens a stream on
-	// the form, runParallel is its -workers entry.
+	// the form; only the graph simulator has a -workers entry (a shard plan
+	// steps in lockstep and a tier plan walks its tables on one core, so the
+	// flag is advisory there).
 	var newCore func() sim.Core
-	var runParallel func() ([]sim.Report, error)
+	parallel := false
 	switch {
 	case a.Shards != nil:
 		sharded, err := shard.Unseal(nfa, a.Shards)
@@ -172,10 +174,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shard plan: %d shards, %d carrying a DFA fast path (%d DFA states)\n",
 			sharded.Shards(), sharded.TieredShards(), sharded.DFAStates())
 		newCore = sharded.NewCore
-		runParallel = func() ([]sim.Report, error) { // a shard plan runs in lockstep; -workers is advisory
-			reports, _ := sharded.Run(input)
-			return reports, nil
-		}
 	case *tier:
 		var tiered *dfa.Tiered
 		if a.Tier != nil {
@@ -190,9 +188,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tier plan: %d/%d components on the DFA fast path (%d DFA states)\n",
 			p.DFACCs(), len(p.CCs), p.DFAStates)
 		newCore = tiered.NewCore
-		runParallel = func() ([]sim.Report, error) { return tiered.RunParallel(input, *workers) }
 	default:
-		runParallel = func() ([]sim.Report, error) { return sim.RunParallel(nfa, input, *workers, *overlap) }
+		parallel = *workers > 1
 		switch *engine {
 		case "scalar":
 			newCore = func() sim.Core {
@@ -224,8 +221,8 @@ func main() {
 		fmt.Printf("input: %d bytes, %d cycles, %d reports\n", len(input), stats.Cycles, len(reports))
 		return
 	}
-	if *workers > 1 {
-		reports, err := runParallel()
+	if parallel {
+		reports, err := sim.RunParallel(nfa, input, *workers, *overlap)
 		if err != nil {
 			fatal(err)
 		}

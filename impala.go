@@ -412,24 +412,18 @@ func (m *Machine) Run(input []byte) []Match {
 // with workers when hardware capacity allows replication. overlapBytes < 0
 // derives the safe segment overlap from the automaton's maximum match span
 // (an error is returned if spans are unbounded — loops on reporting paths).
-// On a tiered machine the DFA tier scans rescan-free (no overlap at all,
-// and no unbounded-span refusal: the NFA tier degrades to a serial scan
-// where spans are unbounded); overlapBytes then applies only to the NFA
-// tier's overlap-rescan path. A sharded machine has no parallel entry: it
-// steps its shards in lockstep as Match does (workers and overlapBytes are
-// then advisory) — a goroutine per shard lost to lockstep on every measured
-// workload (DESIGN.md, "Sharded execution").
+// workers < 1 is an error on every machine. Only the plain kernel has a
+// parallel entry: a tiered or sharded machine runs its serving form as Match
+// does (workers and overlapBytes are then advisory) — a goroutine per shard
+// lost to lockstep, and speculative segment stitching over the DFA tier to
+// the serial table walk, on every measured workload (DESIGN.md, "Sharded
+// execution" and "Rescan-free parallel scan").
 func (m *Machine) RunParallel(input []byte, workers, overlapBytes int) ([]Match, error) {
-	if m.sharded != nil {
-		reports, _ := m.sharded.Run(input)
-		return toMatches(reports), nil
+	if workers < 1 {
+		return nil, fmt.Errorf("impala: RunParallel needs workers >= 1, got %d", workers)
 	}
-	if m.tiered != nil {
-		reports, err := m.tiered.RunParallel(input, workers)
-		if err != nil {
-			return nil, err
-		}
-		return toMatches(reports), nil
+	if m.sharded != nil || m.tiered != nil {
+		return m.Match(input), nil
 	}
 	reports, err := m.simc.RunParallel(input, workers, overlapBytes)
 	if err != nil {
@@ -453,7 +447,7 @@ func (m *Machine) Simulate(input []byte) ([]Match, error) {
 // fast path handles its components with one table walk per sub-symbol; on
 // a sharded machine the shards step in lockstep. Whatever the form, a call
 // is one core's work on the calling goroutine — RunParallel is the entry
-// that spends idle cores on one input (kernel and tiered forms). Reports
+// that spends idle cores on one input (kernel form only). Reports
 // are identical to Run and Simulate.
 func (m *Machine) Match(input []byte) []Match {
 	reports, _ := m.serving.Run(input)

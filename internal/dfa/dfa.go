@@ -530,15 +530,6 @@ func (b *builder) run(workers int, tr *obs.Trace) error {
 	return nil
 }
 
-// step walks chunk (at most one cycle's sub-symbols, beginning at a cycle
-// boundary) from cycle-boundary state s.
-func (d *DFA) step(s uint16, chunk []byte) uint16 {
-	for p, v := range chunk {
-		s = d.tab[p][int(s)<<d.bits|int(v)]
-	}
-	return s
-}
-
 // pad finishes a cycle on zero sub-symbols from phase p on — the zero-padded
 // final partial cycle.
 func (d *DFA) pad(s uint16, p int) uint16 {

@@ -31,10 +31,7 @@ var tierMetricsPtr atomic.Pointer[tierMetrics]
 //	nfa_tier_bytes_total  input bytes scanned by the bit-parallel NFA tier
 //	tier_reports_total    reports emitted by tiered runs
 //	tier_fallbacks_total  fallback activations: components demoted to the
-//	                      NFA tier at plan time (blowup or eviction) and
-//	                      runtime demotions (speculative segments that
-//	                      failed to converge and were rescanned serially,
-//	                      unbounded-span NFA parts run serially)
+//	                      NFA tier at plan time (blowup or eviction)
 //
 // EnableMetrics(nil) disables publication again (the default).
 func EnableMetrics(reg *obs.Registry) {

@@ -376,21 +376,16 @@ func (t *Tiered) NewSession(sink sim.ReportSink) *sim.Session { return t.lockste
 // concurrent use.
 func (t *Tiered) Run(input []byte) ([]sim.Report, sim.Stats) {
 	out, st := t.lockstep.Run(input)
-	t.countRun(len(input), len(out))
-	return out, st
-}
-
-// countRun publishes one scan of input bytes through every live tier.
-func (t *Tiered) countRun(inputBytes, reports int) {
 	if m := tierMetricsPtr.Load(); m != nil {
 		if t.dfa != nil {
-			m.dfaBytes.Add(int64(inputBytes))
+			m.dfaBytes.Add(int64(len(input)))
 		}
 		if t.nfac != nil {
-			m.nfaBytes.Add(int64(inputBytes))
+			m.nfaBytes.Add(int64(len(input)))
 		}
-		m.reports.Add(int64(reports))
+		m.reports.Add(int64(len(out)))
 	}
+	return out, st
 }
 
 // Sealed is the serialization form of a tier selection: the plan plus the

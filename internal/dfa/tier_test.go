@@ -135,44 +135,6 @@ func TestTieredDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// Rescan-free parallel scan pin: DFA.RunParallel and Tiered.RunParallel are
-// byte-identical to the serial run for every worker geometry, including
-// worker counts exceeding the cycle count.
-func TestTieredRunParallelFuzz(t *testing.T) {
-	rules := []regexc.Rule{
-		{Pattern: "abab", Code: 1},
-		{Pattern: "cd+e", Code: 2},
-		{Pattern: "^init", Code: 3},
-	}
-	r := rand.New(rand.NewSource(11))
-	for name, n := range geometries(t, rules) {
-		tiered, err := dfa.BuildTiered(n, dfa.TierOptions{MinStateShare: -1})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for trial := 0; trial < 6; trial++ {
-			input := make([]byte, 1+r.Intn(4096))
-			for i := range input {
-				input[i] = "abcdeinit "[r.Intn(10)]
-			}
-			want, _ := tiered.Run(input)
-			for _, w := range []int{2, 3, 8, len(input) + 3} {
-				got, err := tiered.RunParallel(input, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(want) == 0 && len(got) == 0 {
-					continue
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s trial %d workers %d: parallel != serial\nserial=%v\nparallel=%v",
-						name, trial, w, want, got)
-				}
-			}
-		}
-	}
-}
-
 // A component whose determinization explodes must land on the NFA tier
 // while literal components take the DFA fast path — and the mixed plan
 // still reproduces scalar reports.
@@ -210,13 +172,6 @@ func TestTierPlanMixed(t *testing.T) {
 	got, _ := tiered.Run(input)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("mixed tier run != scalar\nscalar=%v\n tiered=%v", want, got)
-	}
-	gotP, err := tiered.RunParallel(input, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, gotP) {
-		t.Fatalf("mixed tier parallel != scalar\nscalar=%v\n tiered=%v", want, gotP)
 	}
 }
 

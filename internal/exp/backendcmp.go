@@ -168,7 +168,7 @@ func backendTable(r *Report[BackendCell]) *Table {
 // backendRows projects one row per (benchmark, backend): the compiled
 // shape, the placement grouping and the analytical model are all pure
 // functions of the workload, so every column is exact and any drift is a
-// backend model change. The measured MB/s column is never gated.
+// backend model change.
 func backendRows(r *Report[BackendCell]) []Row {
 	rows := make([]Row, len(r.Cells))
 	for i, c := range r.Cells {

@@ -52,16 +52,12 @@ func TestBackendCmpReportSmall(t *testing.T) {
 	}
 
 	// JSON round trip: the baseline file format.
-	buf.Reset()
-	if err := rep.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := readBack[BackendCell](t, &buf, "backendcmp")
+	got := roundTrip(t, rep, "backendcmp")
 	if len(got.Cells) != len(rep.Cells) || got.Cells[0] != rep.Cells[0] {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", got.Cells, rep.Cells)
 	}
 	// A fresh identical run must pass its own baseline.
-	if bad, _ := gateByID(t, "backendcmp").Compare(got, rep, CheckOptions{}); len(bad) != 0 {
+	if bad := gateByID(t, "backendcmp").Compare(got, rep); len(bad) != 0 {
 		t.Fatalf("self-check flagged: %v", bad)
 	}
 }

@@ -413,10 +413,9 @@ func streamCheck(client *http.Client, url string, input []byte, ref []matchRow) 
 
 // clusterRows projects one row per (benchmark, K, topology) cell with every
 // column exact: the placement is byte-identical across worker counts and the
-// match set is defined by the automaton, so the gate has no wall-clock term
-// and holds on any host. Throughput (MBPerSec) is never gated. The in-run
-// cross-checks (frontend vs single process vs in-process engine) already ran
-// when the report was produced; this catches behavior drift between runs.
+// match set is defined by the automaton. The in-run cross-checks (frontend vs
+// single process vs in-process engine) already ran when the report was
+// produced; this catches behavior drift between runs.
 func clusterRows(r *Report[ClusterCell]) []Row {
 	rows := make([]Row, len(r.Cells))
 	for i, c := range r.Cells {

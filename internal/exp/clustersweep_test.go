@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -56,19 +55,10 @@ func TestClusterSweepReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gateByID(t, "clustersweep")
-	if bad, _ := g.Compare(rep, rep2, CheckOptions{}); len(bad) != 0 {
+	if bad := g.Compare(rep, rep2); len(bad) != 0 {
 		t.Fatalf("repeated sweep drifts: %v", bad)
 	}
-
-	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := g.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad, _ := g.Compare(rep, back, CheckOptions{}); len(bad) != 0 {
+	if bad := g.Compare(rep, roundTrip(t, rep, "clustersweep")); len(bad) != 0 {
 		t.Fatalf("JSON round trip diverges: %v", bad)
 	}
 }

@@ -172,34 +172,16 @@ func compileTable(r *Report[CompileCell]) *Table {
 // definition, so any drift is a compiler behavior change. The workers=1 row
 // also carries the cover-cache counters: it compiles serially, so they are
 // deterministic there, whereas concurrent workers race to the first miss on
-// a key and their counts wobble from run to run. Each benchmark adds a
-// synthetic "best" row for the cache's wall-clock payoff: its best
-// speedup_vs_uncached across the worker sweep, guarded by the uncached
-// compile's wall. Best-of-sweep rather than per-cell keeps one noisy cell
-// from tripping the gate while another still realizes the win.
+// a key and their counts wobble from run to run.
 func compileRows(r *Report[CompileCell]) []Row {
-	var rows []Row
-	best := map[string]*Ratio{}
-	for _, c := range r.Cells {
-		row := Row{
+	rows := make([]Row, len(r.Cells))
+	for i, c := range r.Cells {
+		rows[i] = Row{
 			Key:   fmt.Sprintf("%s workers=%d", c.Benchmark, c.Workers),
 			Exact: []Col{{"states", c.States}, {"transitions", c.Transitions}},
 		}
 		if c.Workers == 1 {
-			row.Exact = append(row.Exact, Col{"cache_hits", c.CacheHits}, Col{"cache_misses", c.CacheMisses})
-		}
-		rows = append(rows, row)
-
-		b := best[c.Benchmark]
-		if b == nil {
-			b = &Ratio{Name: "best speedup_vs_uncached"}
-			best[c.Benchmark] = b
-			rows = append(rows, Row{Key: c.Benchmark + " best", Ratio: b})
-		}
-		if c.Workers == 0 {
-			b.WallMS = c.WallMS
-		} else if c.SpeedupVsUncached > b.V {
-			b.V = c.SpeedupVsUncached
+			rows[i].Exact = append(rows[i].Exact, Col{"cache_hits", c.CacheHits}, Col{"cache_misses", c.CacheMisses})
 		}
 	}
 	return rows

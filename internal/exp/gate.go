@@ -12,21 +12,17 @@ import (
 )
 
 // Report is the one JSON document every gated experiment writes
-// (impala-bench -exp ID -json) and reads back as a baseline (-check): a
-// shared envelope around the experiment's typed cells. An experiment fills
-// only the envelope fields it has; the rest stay out of the file.
+// (impala-bench -exp ID -json) and the baseline test reads back: a shared
+// envelope around the experiment's typed cells. An experiment fills only the
+// envelope fields it has; the rest stay out of the file.
 type Report[C any] struct {
-	// Experiment names the gate that wrote the report, so a baseline cannot
-	// be checked against the wrong experiment. Absent from reports written
-	// before the field existed.
+	// Experiment names the gate that wrote the report (Gate.Run stamps it),
+	// so a baseline cannot be compared under the wrong experiment.
 	Experiment string  `json:"experiment,omitempty"`
 	Design     string  `json:"design,omitempty"`
-	Benchmark  string  `json:"benchmark,omitempty"`
 	Scale      float64 `json:"scale"`
 	Seed       int64   `json:"seed"`
 	InputKB    int     `json:"input_kb,omitempty"`
-	States     int     `json:"states,omitempty"`
-	InputBytes int     `json:"input_bytes,omitempty"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	Cells      []C     `json:"cells"`
 	// Metrics snapshots the run's live instruments (Options.Metrics non-nil).
@@ -42,7 +38,9 @@ func (r *Report[C]) Write(w io.Writer) error {
 
 // Row is one comparable line of a report, projected from the experiment's
 // typed cells: the comparator sees only rows, so every experiment is gated
-// by the same rules.
+// by the same rule. Timings stay in the cells and the rendered table and are
+// never projected: wall clock is compared in benchmark/, in alternating
+// pairs, not here.
 type Row struct {
 	// Key identifies the row across runs.
 	Key string
@@ -51,50 +49,12 @@ type Row struct {
 	// relative (absorbing only JSON round-trip formatting). A row's key
 	// fixes its column layout.
 	Exact []Col
-	// Ratio is the row's one wall-clock claim, nil when it makes none.
-	Ratio *Ratio
 }
 
 // Col is one named exact column.
 type Col struct {
 	Name string
 	V    any
-}
-
-// Ratio is a measured quotient of two timings taken in the same run.
-type Ratio struct {
-	Name string
-	V    float64
-	// WallMS is the wall time of the run the ratio divides by. Below
-	// CheckOptions.MinWallMS on the baseline side the ratio is scheduler
-	// noise and is not gated.
-	WallMS float64
-	// Cores marks a speedup that parallel hardware produces. It is gated only
-	// when the checker has at least the baseline's GOMAXPROCS and the
-	// baseline row claims a win (>= 1): a row where parallelism lost ground
-	// is a negative control whose exact depth is noise.
-	Cores bool
-}
-
-// CheckOptions sets the comparator's wall-clock tolerances. Exact columns
-// have none: they are deterministic, so any drift is a behavior change.
-type CheckOptions struct {
-	// SpeedupTolerance is the allowed fractional drop in a row's gated ratio
-	// relative to the baseline (0.25 = a quarter slower before it counts as
-	// a regression).
-	SpeedupTolerance float64
-	// MinWallMS is the baseline wall time below which a ratio is not gated.
-	MinWallMS float64
-}
-
-func (o CheckOptions) withDefaults() CheckOptions {
-	if o.SpeedupTolerance == 0 {
-		o.SpeedupTolerance = 0.25
-	}
-	if o.MinWallMS == 0 {
-		o.MinWallMS = 20
-	}
-	return o
 }
 
 // AnyReport is a *Report[C] with its cell type erased: what a caller holds
@@ -115,8 +75,8 @@ type Gate interface {
 	// Table renders a report Run or Read returned.
 	Table(rep AnyReport) *Table
 	// Compare checks cur against base, both from Run or Read, and returns
-	// one message per regression (none = pass) plus informational notes.
-	Compare(base, cur AnyReport, opt CheckOptions) (bad, notes []string)
+	// one message per drifted row (none = pass).
+	Compare(base, cur AnyReport) []string
 }
 
 // gate is the Gate of one experiment with cell type C: everything that
@@ -129,10 +89,6 @@ type gate[C any] struct {
 	run     func(Options) (*Report[C], error)
 	rows    func(*Report[C]) []Row
 	table   func(*Report[C]) *Table
-	// headline is a claim over the whole report that no single row carries
-	// (opt has its defaults filled in). It returns a regression, a note, or
-	// neither.
-	headline func(base, cur *Report[C], opt CheckOptions) (bad, note string)
 }
 
 func (g *gate[C]) ID() string { return g.id }
@@ -151,16 +107,15 @@ func (g *gate[C]) Run(o Options) (AnyReport, error) {
 	return rep, nil
 }
 
-// Read parses a report previously written by Write — the baseline side of
-// impala-bench -check. A report that names another experiment is rejected;
-// one that names none (written before the field existed) is accepted.
+// Read parses a report previously written by Write. A report that does not
+// name this experiment is rejected.
 func (g *gate[C]) Read(r io.Reader) (AnyReport, error) {
 	var rep Report[C]
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {
 		return nil, fmt.Errorf("exp: bad %s report: %w", g.id, err)
 	}
-	if rep.Experiment != "" && rep.Experiment != g.id {
-		return nil, fmt.Errorf("exp: report was written by %s, not %s", rep.Experiment, g.id)
+	if rep.Experiment != g.id {
+		return nil, fmt.Errorf("exp: report was written by %q, not %s", rep.Experiment, g.id)
 	}
 	if len(rep.Cells) == 0 {
 		return nil, fmt.Errorf("exp: %s report has no cells", g.id)
@@ -182,22 +137,16 @@ func (g *gate[C]) tables(o Options) ([]*Table, error) {
 
 // Compare is the one baseline comparator. Rows are matched by key; a
 // baseline row missing from cur is flagged, extra rows in cur are fine.
-// Exact columns are compared only when both reports ran the same scale, seed
-// and benchmark — otherwise the workloads legitimately differ — and a
-// different input size is flagged outright, since neither the counts nor the
-// ratios of two different inputs are comparable. A row's ratio may not fall
-// more than SpeedupTolerance below the baseline's, under the guards
-// documented on Ratio.
-func (g *gate[C]) Compare(baseRep, curRep AnyReport, opt CheckOptions) (bad, notes []string) {
+// Exact columns are compared only when both reports ran the same scale and
+// seed — otherwise the workloads legitimately differ — and a different input
+// size is flagged outright, since the counts of two different inputs are not
+// comparable. Nothing else is compared.
+func (g *gate[C]) Compare(baseRep, curRep AnyReport) (bad []string) {
 	base, cur := baseRep.(*Report[C]), curRep.(*Report[C])
-	opt = opt.withDefaults()
-	flag := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
 	if base.InputKB != cur.InputKB {
-		flag("input size %d KB does not match baseline's %d KB; rerun with -input-kb %d",
-			cur.InputKB, base.InputKB, base.InputKB)
-		return bad, nil
+		return []string{fmt.Sprintf("input size %d KB does not match baseline's %d KB", cur.InputKB, base.InputKB)}
 	}
-	sameRun := base.Scale == cur.Scale && base.Seed == cur.Seed && base.Benchmark == cur.Benchmark
+	sameRun := base.Scale == cur.Scale && base.Seed == cur.Seed
 
 	got := make(map[string]Row)
 	for _, r := range g.rows(cur) {
@@ -206,42 +155,23 @@ func (g *gate[C]) Compare(baseRep, curRep AnyReport, opt CheckOptions) (bad, not
 	for _, b := range g.rows(base) {
 		c, ok := got[b.Key]
 		if !ok {
-			flag("%s: missing from report", b.Key)
+			bad = append(bad, b.Key+": missing from report")
 			continue
 		}
-		if sameRun {
-			var drift []string
-			for i, bc := range b.Exact {
-				if cv := c.Exact[i].V; !sameValue(cv, bc.V) {
-					drift = append(drift, fmt.Sprintf("%s %v, baseline %v", bc.Name, cv, bc.V))
-				}
-			}
-			if len(drift) > 0 {
-				flag("%s: changed on a same-scale/seed run: %s", b.Key, strings.Join(drift, "; "))
+		if !sameRun {
+			continue
+		}
+		var drift []string
+		for i, bc := range b.Exact {
+			if cv := c.Exact[i].V; !sameValue(cv, bc.V) {
+				drift = append(drift, fmt.Sprintf("%s %v, baseline %v", bc.Name, cv, bc.V))
 			}
 		}
-		br, cr := b.Ratio, c.Ratio
-		if br == nil || cr == nil || br.WallMS < opt.MinWallMS {
-			continue
-		}
-		if br.Cores && (cur.GOMAXPROCS < base.GOMAXPROCS || br.V < 1) {
-			continue
-		}
-		if floor := br.V * (1 - opt.SpeedupTolerance); cr.V < floor {
-			flag("%s: %s %.2fx below baseline %.2fx (floor %.2fx at %.0f%% tolerance)",
-				b.Key, br.Name, cr.V, br.V, floor, opt.SpeedupTolerance*100)
+		if len(drift) > 0 {
+			bad = append(bad, fmt.Sprintf("%s: changed on a same-scale/seed run: %s", b.Key, strings.Join(drift, "; ")))
 		}
 	}
-	if g.headline != nil {
-		b, note := g.headline(base, cur, opt)
-		if b != "" {
-			bad = append(bad, b)
-		}
-		if note != "" {
-			notes = append(notes, note)
-		}
-	}
-	return bad, notes
+	return bad
 }
 
 func sameValue(a, b any) bool {

@@ -276,9 +276,7 @@ func scoreTable(r *Report[ScoreCell]) *Table {
 
 // scoreRows projects one row per universe: the workload's shape, threshold
 // and both report counts exactly — generation, compilation and threshold
-// filtering are all deterministic — and the scored engine's retained
-// throughput (scored over binary, same process, same input), guarded by the
-// binary scan's wall. Both engines run serially, so the ratio needs no cores.
+// filtering are all deterministic.
 func scoreRows(r *Report[ScoreCell]) []Row {
 	rows := make([]Row, len(r.Cells))
 	for i, c := range r.Cells {
@@ -287,7 +285,6 @@ func scoreRows(r *Report[ScoreCell]) []Row {
 			Exact: []Col{{"patterns", c.Patterns}, {"states", c.States}, {"weighted_edges", c.WeightedEdges},
 				{"scalar_states", c.ScalarStates}, {"threshold", c.Threshold},
 				{"binary_reports", c.BinaryReports}, {"scored_reports", c.ScoredReports}},
-			Ratio: &Ratio{Name: "rel_throughput", V: c.RelThroughput, WallMS: c.BinaryWallMS},
 		}
 	}
 	return rows

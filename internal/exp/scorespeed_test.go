@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -47,11 +46,7 @@ func TestScoreSpeedReport(t *testing.T) {
 		t.Fatalf("Entity-fuzzy cell fell off the fast path: %+v", rep.Cells[1])
 	}
 
-	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back := readBack[ScoreCell](t, &buf, "scorespeed")
+	back := roundTrip(t, rep, "scorespeed")
 	if len(back.Cells) != len(rep.Cells) || back.Cells[0].Universe != rep.Cells[0].Universe {
 		t.Fatalf("JSON round trip diverges: %+v", back)
 	}

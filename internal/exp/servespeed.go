@@ -24,20 +24,27 @@ var serveSpeedClients = []int{1, 8, 64}
 // concurrent HTTP clients driving one-shot /match requests flat-out against
 // a single artifact-backed tenant.
 type ServeCell struct {
-	Clients int `json:"clients"`
+	Clients int
 	// Requests completed across all clients; every response was checked
 	// against the in-process match count (a mismatch fails the run).
-	Requests int `json:"requests"`
+	Requests int
 	// BytesIn is the total payload matched.
-	BytesIn int64 `json:"bytes_in"`
-	// Matches is the total matches returned over HTTP.
-	Matches int64   `json:"matches"`
-	WallMS  float64 `json:"wall_ms"`
+	BytesIn int64
+	WallMS  float64
 	// MBPerSec is end-to-end HTTP match throughput (payload bytes / wall).
-	MBPerSec  float64 `json:"mb_per_sec"`
-	ReqPerSec float64 `json:"req_per_sec"`
+	MBPerSec  float64
+	ReqPerSec float64
 	// SpeedupVs1 is MBPerSec relative to the single-client row.
-	SpeedupVs1 float64 `json:"speedup_vs_1"`
+	SpeedupVs1 float64
+}
+
+// ServeReport is one run of the concurrency sweep: the served automaton and
+// request size, and one cell per concurrency level.
+type ServeReport struct {
+	Benchmark  string
+	States     int
+	InputBytes int
+	Cells      []ServeCell
 }
 
 // ServeSpeedReport measures impala-serve's one-shot match path end to end —
@@ -45,8 +52,9 @@ type ServeCell struct {
 // against a loopback listener hosting one tenant. The tenant machine is
 // compiled once and served through the same Server/Registry/pool stack the
 // daemon uses, so the numbers include admission, pooling and encode costs,
-// not just the engine.
-func ServeSpeedReport(o Options) (*Report[ServeCell], error) {
+// not just the engine. Nothing else measures the many-clients axis yet, so
+// the table is a plain experiment like simspeed: rendered, never compared.
+func ServeSpeedReport(o Options) (*ServeReport, error) {
 	o = o.withDefaults()
 	name := "Bro217"
 	if len(o.Benchmarks) > 0 {
@@ -80,15 +88,7 @@ func ServeSpeedReport(o Options) (*Report[ServeCell], error) {
 	defer httpSrv.Close()
 	url := fmt.Sprintf("http://%s/v1/bench/match", ln.Addr())
 
-	rep := &Report[ServeCell]{
-		Design:     "Impala 4-bit stride-4 (16 bits/cycle)",
-		Benchmark:  name,
-		Scale:      o.Scale,
-		Seed:       o.Seed,
-		States:     n.NumStates(),
-		InputBytes: len(input),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
+	rep := &ServeReport{Benchmark: name, States: n.NumStates(), InputBytes: len(input)}
 
 	// Total request count is fixed across rows so every concurrency level
 	// does the same work; clients split it evenly.
@@ -105,8 +105,16 @@ func ServeSpeedReport(o Options) (*Report[ServeCell], error) {
 		}
 		rep.Cells = append(rep.Cells, cell)
 	}
-	rep.Metrics = o.snapshot()
 	return rep, nil
+}
+
+// ServeSpeed is the servespeed experiment's Registry runner.
+func ServeSpeed(o Options) ([]*Table, error) {
+	rep, err := ServeSpeedReport(o)
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{serveTable(rep)}, nil
 }
 
 // serveSweepCell drives one concurrency level: `clients` goroutines share a
@@ -125,7 +133,6 @@ func serveSweepCell(url string, input []byte, wantMatches, clients, totalRequest
 
 	var remaining atomic.Int64
 	remaining.Store(int64(totalRequests))
-	var matches atomic.Int64
 	errs := make(chan error, clients)
 	var wg sync.WaitGroup
 	t0 := time.Now()
@@ -138,7 +145,6 @@ func serveSweepCell(url string, input []byte, wantMatches, clients, totalRequest
 					errs <- err
 					return
 				}
-				matches.Add(int64(wantMatches))
 			}
 		}()
 	}
@@ -154,7 +160,6 @@ func serveSweepCell(url string, input []byte, wantMatches, clients, totalRequest
 		Clients:   clients,
 		Requests:  totalRequests,
 		BytesIn:   total,
-		Matches:   matches.Load(),
 		WallMS:    float64(wall.Microseconds()) / 1e3,
 		MBPerSec:  float64(total) / wall.Seconds() / 1e6,
 		ReqPerSec: float64(totalRequests) / wall.Seconds(),
@@ -184,7 +189,7 @@ func postOnce(client *http.Client, url string, input []byte, wantMatches int) er
 }
 
 // serveTable renders the report for terminal output.
-func serveTable(r *Report[ServeCell]) *Table {
+func serveTable(r *ServeReport) *Table {
 	t := &Table{
 		Title: fmt.Sprintf("HTTP match serving throughput (%s, %d states, %d KB requests)",
 			r.Benchmark, r.States, r.InputBytes/1024),
@@ -195,29 +200,7 @@ func serveTable(r *Report[ServeCell]) *Table {
 			f1(c.WallMS), f1(c.MBPerSec), f1(c.ReqPerSec),
 			fmt.Sprintf("%.2fx", c.SpeedupVs1))
 	}
-	t.AddNote("end-to-end over loopback HTTP: admission pool, pooled bit-parallel engines, JSON encode included")
+	t.AddNote("GOMAXPROCS=%d; end-to-end over loopback HTTP: admission pool, pooled bit-parallel engines, JSON encode included", runtime.GOMAXPROCS(0))
 	t.AddNote("every response verified against the in-process match count")
 	return t
-}
-
-// serveRows projects a "workload" row for the served automaton and input
-// (exact) and one row per concurrency level: its request and match counts
-// exactly — the workload is deterministic, so a drift means the served
-// results changed, not the clock — and its speedup over the single-client
-// row, guarded by that row's wall. A single-core run projects no ratio: it
-// has no mechanism for concurrency speedup, so its ratios hover around 1.0
-// by noise alone and make no claim.
-func serveRows(r *Report[ServeCell]) []Row {
-	rows := []Row{{Key: "workload", Exact: []Col{{"states", r.States}, {"input_bytes", r.InputBytes}}}}
-	for _, c := range r.Cells {
-		row := Row{
-			Key:   fmt.Sprintf("%d clients", c.Clients),
-			Exact: []Col{{"requests", c.Requests}, {"matches", c.Matches}},
-		}
-		if r.GOMAXPROCS > 1 {
-			row.Ratio = &Ratio{Name: "speedup_vs_1", V: c.SpeedupVs1, WallMS: r.Cells[0].WallMS, Cores: true}
-		}
-		rows = append(rows, row)
-	}
-	return rows
 }

@@ -124,8 +124,7 @@ func ShardSpeedReport(o Options) (*Report[ShardCell], error) {
 		// Build every sweep point first, then time them in interleaved
 		// rounds, keeping each point's best round: a slow system phase then
 		// degrades one round of every K equally instead of one K's whole
-		// measurement, which keeps the K-to-K ratios the gate checks on
-		// stable.
+		// measurement, which keeps the table's K-to-K ratios stable.
 		sharded := make([]*shard.Sharded, len(shardSpeedKs))
 		walls := make([]time.Duration, len(shardSpeedKs))
 		for j, k := range shardSpeedKs {
@@ -205,12 +204,8 @@ func shardTable(r *Report[ShardCell]) *Table {
 }
 
 // shardRows projects one row per benchmark for the workload's shape and one
-// per benchmark x K sweep point: the partition's shape exactly (the planner
-// is deterministic) and the point's speedup over its own K=1 row, guarded by
-// that row's wall. The timed entry is Sharded.Run, the lockstep core, so the
-// speedup is what per-shard DFA budgets buy on one core. The Cores mark is
-// there for its negative-control half: rows where sharding lost ground are
-// not gated on how far.
+// per benchmark x K sweep point for the partition's shape (the planner is
+// deterministic).
 func shardRows(r *Report[ShardCell]) []Row {
 	var rows []Row
 	for _, c := range r.Cells {
@@ -223,40 +218,8 @@ func shardRows(r *Report[ShardCell]) []Row {
 				Key: fmt.Sprintf("%s K=%d", c.Benchmark, k.Shards),
 				Exact: []Col{{"max_shard_states", k.MaxShardStates}, {"min_shard_states", k.MinShardStates},
 					{"tiered_shards", k.TieredShards}, {"dfa_states", k.DFAStates}, {"nfa_tier_states", k.NFATierStates}},
-				Ratio: &Ratio{Name: "speedup_vs_1", V: k.SpeedupVs1, WallMS: c.Ks[0].WallMS, Cores: true},
 			})
 		}
 	}
 	return rows
-}
-
-// shardHeadline is the sweep's headline claim: among benchmarks whose
-// baseline K=1 scan clears MinWallMS, at least two reach a 2x speedup at
-// K=8, per-shard budgets having shrunk the NFA residual. A regression gate
-// cannot fail on a claim its baseline never met, so the claim is enforced
-// only when the baseline's own rows meet it and the checker has at least the
-// baseline's cores; otherwise the count is reported as a note.
-func shardHeadline(base, cur *Report[ShardCell], opt CheckOptions) (bad, note string) {
-	timed := make(map[string]bool, len(base.Cells))
-	for _, b := range base.Cells {
-		timed[b.Benchmark] = len(b.Ks) > 0 && b.Ks[0].WallMS >= opt.MinWallMS
-	}
-	twoX := func(r *Report[ShardCell]) (n int) {
-		for _, c := range r.Cells {
-			for _, k := range c.Ks {
-				if timed[c.Benchmark] && k.Shards == 8 && k.SpeedupVs1 >= 2 {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	got := twoX(cur)
-	if twoX(base) < 2 || cur.GOMAXPROCS < base.GOMAXPROCS {
-		return "", fmt.Sprintf("%d benchmark(s) reach 2x at 8 shards (timed cells); not gated: the baseline does not meet the >= 2 claim, or ran on more cores than this host", got)
-	}
-	if got < 2 {
-		return fmt.Sprintf("only %d benchmark(s) reach 2x at 8 shards (timed cells), want >= 2", got), ""
-	}
-	return "", ""
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -49,11 +48,7 @@ func TestShardSpeedReport(t *testing.T) {
 		t.Fatalf("K=1 speedup %v, want 1", c.Ks[0].SpeedupVs1)
 	}
 
-	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back := readBack[ShardCell](t, &buf, "shardspeed")
+	back := roundTrip(t, rep, "shardspeed")
 	if len(back.Cells) != 1 || back.Cells[0].Benchmark != c.Benchmark || len(back.Cells[0].Ks) != len(c.Ks) {
 		t.Fatalf("JSON round trip diverges: %+v", back)
 	}

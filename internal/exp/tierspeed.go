@@ -14,7 +14,7 @@ import (
 // TierCell is one row of the tier-execution table: one benchmark compiled
 // at the Impala 4-stride design point, tier-planned, and scanned by the
 // scalar reference engine, the bit-parallel compiled NFA engine, and the
-// hybrid tiered engine (serial and rescan-free parallel).
+// hybrid tiered engine.
 type TierCell struct {
 	Benchmark string `json:"benchmark"`
 	Family    string `json:"family"`
@@ -27,14 +27,10 @@ type TierCell struct {
 	DFANFAStates  int `json:"dfa_nfa_states"`
 	NFATierStates int `json:"nfa_tier_states"`
 	TableBytes    int `json:"table_bytes"`
-	// Throughputs, one measured pass each. CompiledWallMS gates the
-	// speedup comparison the same way compilespeed's baseline wall does:
-	// below MinWallMS the ratio is scheduler noise.
+	// Throughputs, one measured pass each.
 	ScalarMBs         float64 `json:"scalar_mbs"`
 	CompiledMBs       float64 `json:"compiled_mbs"`
 	TieredMBs         float64 `json:"tiered_mbs"`
-	TieredParMBs      float64 `json:"tiered_par_mbs"`
-	ParWorkers        int     `json:"par_workers"`
 	CompiledWallMS    float64 `json:"compiled_wall_ms"`
 	SpeedupVsCompiled float64 `json:"speedup_vs_compiled"`
 }
@@ -48,21 +44,14 @@ var tierSpeedBenches = []string{"ExactMatch", "Snort", "Hamming", "RandomForest"
 
 // TierSpeedReport measures the hybrid DFA/NFA tier against the engines it
 // competes with, at the Impala 4-stride design point. Every cell also
-// cross-checks correctness: the tiered engine (serial and parallel) must
-// reproduce the compiled engine's reports byte-for-byte, and the compiled
-// engine the scalar reference's.
+// cross-checks correctness: the tiered engine must reproduce the compiled
+// engine's reports byte-for-byte, and the compiled engine the scalar
+// reference's.
 func TierSpeedReport(o Options) (*Report[TierCell], error) {
 	o = o.withDefaults()
 	names := o.Benchmarks
 	if len(names) == 0 {
 		names = tierSpeedBenches
-	}
-	parWorkers := runtime.GOMAXPROCS(0)
-	if parWorkers > 8 {
-		parWorkers = 8
-	}
-	if parWorkers < 2 {
-		parWorkers = 2
 	}
 	rep := &Report[TierCell]{
 		Design:     "Impala 4-bit stride-4 (16 bits/cycle)",
@@ -122,17 +111,6 @@ func TierSpeedReport(o Options) (*Report[TierCell], error) {
 				names[i], len(tieredReports), len(compiledReports))
 		}
 
-		t0 = time.Now()
-		parReports, err := tiered.RunParallel(input, parWorkers)
-		if err != nil {
-			return err
-		}
-		parMBs := float64(len(input)) / time.Since(t0).Seconds() / 1e6
-		if !sim.SameReports(tieredReports, parReports) {
-			return fmt.Errorf("exp: %s: parallel tiered scan diverges from serial (%d vs %d reports)",
-				names[i], len(parReports), len(tieredReports))
-		}
-
 		p := tiered.Plan()
 		cells[i] = TierCell{
 			Benchmark:         names[i],
@@ -147,8 +125,6 @@ func TierSpeedReport(o Options) (*Report[TierCell], error) {
 			ScalarMBs:         scalarMBs,
 			CompiledMBs:       compiledMBs,
 			TieredMBs:         tieredMBs,
-			TieredParMBs:      parMBs,
-			ParWorkers:        parWorkers,
 			CompiledWallMS:    float64(compiledWall) / float64(time.Millisecond),
 			SpeedupVsCompiled: tieredMBs / compiledMBs,
 		}
@@ -166,30 +142,21 @@ func tierTable(r *Report[TierCell]) *Table {
 	t := &Table{
 		Title: "Tiered execution: DFA fast path vs compiled NFA vs scalar reference",
 		Header: []string{"benchmark", "family", "states", "DFA CCs", "DFA states",
-			"scalar MB/s", "compiled MB/s", "tiered MB/s", "par MB/s", "vs compiled"},
+			"scalar MB/s", "compiled MB/s", "tiered MB/s", "vs compiled"},
 	}
 	for _, c := range r.Cells {
 		t.AddRow(c.Benchmark, c.Family, fmt.Sprint(c.States),
 			fmt.Sprintf("%d/%d", c.DFACCs, c.CCs), fmt.Sprint(c.DFAStates),
-			f1(c.ScalarMBs), f1(c.CompiledMBs), f1(c.TieredMBs), f1(c.TieredParMBs),
+			f1(c.ScalarMBs), f1(c.CompiledMBs), f1(c.TieredMBs),
 			fmt.Sprintf("%.2fx", c.SpeedupVsCompiled))
 	}
 	t.AddNote("DFA CCs = connected components on the dense-table fast path (one table walk per sub-symbol); the rest run the bit-parallel NFA engine")
-	t.AddNote("par MB/s = rescan-free parallel scan at %d workers (simultaneous-DFA segment stitching; NFA tier overlap-rescans)", parWorkersOf(r))
-	t.AddNote("every row cross-checked: tiered serial and parallel reports byte-identical to the compiled engine's, compiled to scalar's")
+	t.AddNote("every row cross-checked: tiered reports byte-identical to the compiled engine's, compiled to scalar's")
 	return t
 }
 
-func parWorkersOf(r *Report[TierCell]) int {
-	if len(r.Cells) > 0 {
-		return r.Cells[0].ParWorkers
-	}
-	return 0
-}
-
-// tierRows projects one row per benchmark: the tier plan's shape exactly
-// (the planner is deterministic) and the tiered-over-compiled speedup,
-// guarded by the compiled pass's wall.
+// tierRows projects one row per benchmark: the tier plan's shape (the
+// planner is deterministic).
 func tierRows(r *Report[TierCell]) []Row {
 	rows := make([]Row, len(r.Cells))
 	for i, c := range r.Cells {
@@ -198,7 +165,6 @@ func tierRows(r *Report[TierCell]) []Row {
 			Exact: []Col{{"states", c.States}, {"ccs", c.CCs}, {"dfa_ccs", c.DFACCs},
 				{"dfa_states", c.DFAStates}, {"dfa_nfa_states", c.DFANFAStates},
 				{"nfa_tier_states", c.NFATierStates}, {"table_bytes", c.TableBytes}},
-			Ratio: &Ratio{Name: "speedup_vs_compiled", V: c.SpeedupVsCompiled, WallMS: c.CompiledWallMS},
 		}
 	}
 	return rows

@@ -8,8 +8,8 @@ import (
 
 // A small but real run: one DFA-heavy benchmark and the ring suite whose
 // components exercise the NFA-tier fallback. The in-experiment
-// cross-checks (tiered == compiled == scalar, serial and parallel) make
-// this a correctness test as much as a harness test.
+// cross-checks (tiered == compiled == scalar) make this a correctness test
+// as much as a harness test.
 func TestTierSpeedReportSmall(t *testing.T) {
 	o := Options{Scale: 0.02, Seed: 1, InputKB: 8,
 		Benchmarks: []string{"ExactMatch", "CoreRings"}}
@@ -24,7 +24,7 @@ func TestTierSpeedReportSmall(t *testing.T) {
 		if c.States <= 0 || c.CCs <= 0 {
 			t.Fatalf("%s: empty shape: %+v", c.Benchmark, c)
 		}
-		if c.ScalarMBs <= 0 || c.CompiledMBs <= 0 || c.TieredMBs <= 0 || c.TieredParMBs <= 0 {
+		if c.ScalarMBs <= 0 || c.CompiledMBs <= 0 || c.TieredMBs <= 0 {
 			t.Fatalf("%s: non-positive throughput: %+v", c.Benchmark, c)
 		}
 		if c.SpeedupVsCompiled <= 0 {
@@ -46,16 +46,12 @@ func TestTierSpeedReportSmall(t *testing.T) {
 	}
 
 	// JSON round trip: the baseline file format.
-	buf.Reset()
-	if err := rep.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := readBack[TierCell](t, &buf, "tierspeed")
+	got := roundTrip(t, rep, "tierspeed")
 	if len(got.Cells) != len(rep.Cells) || got.Cells[0] != rep.Cells[0] {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", got.Cells, rep.Cells)
 	}
 	// A fresh identical-shape run must pass its own baseline.
-	if bad, _ := gateByID(t, "tierspeed").Compare(got, rep, CheckOptions{}); len(bad) != 0 {
+	if bad := gateByID(t, "tierspeed").Compare(got, rep); len(bad) != 0 {
 		t.Fatalf("self-check flagged: %v", bad)
 	}
 }
