@@ -13,7 +13,8 @@ all: check
 # check is the default CI gate: formatting, compile, static analysis, full
 # tests (internal/exp's TestBaselines reruns the gated experiments against
 # their committed BENCH_*.json), and a race-detector pass over the concurrent
-# packages: the simulator (compiled form shared across RunParallel workers),
+# packages: the simulator (one Compiled shared by pooled concurrent Run
+# callers and streams),
 # the parallel compile pipeline (worker pools sharing the Espresso cover
 # cache, GA fitness evaluation), the capsule-level machine (instrumented
 # StepBlock), the observability layer itself (lock-free counters/histograms),

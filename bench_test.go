@@ -207,7 +207,7 @@ func BenchmarkMachineThroughput(b *testing.B) {
 
 // BenchmarkFunctionalSimulator compares the two graph-simulator engines —
 // the scalar reference Engine and the bit-parallel CompiledEngine that
-// sim.Run/sim.RunParallel use by default — on a regex workload (Dotstar06)
+// sim.Run uses by default — on a regex workload (Dotstar06)
 // and a dense-activity mesh workload (Hamming), where the word-level match
 // masks and wired-OR successor rows pay off most.
 func BenchmarkFunctionalSimulator(b *testing.B) {

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -50,8 +51,6 @@ func main() {
 		caMode   = flag.Bool("ca", false, "CA design point for on-the-fly compilation")
 		inFile   = flag.String("in", "", "input stream file")
 		text     = flag.String("text", "", "inline input text (alternative to -in)")
-		workers  = flag.Int("workers", 1, "parallel input-splitting replicas (graph simulator only)")
-		overlap  = flag.Int("overlap", -1, "segment overlap bytes for -workers (-1 = derive from match span)")
 		quiet    = flag.Bool("q", false, "suppress per-match lines, print summary only")
 		trace    = flag.Bool("trace", false, "print per-cycle active-state traces (graph simulator only)")
 		engine   = flag.String("engine", "compiled", "graph simulator engine: compiled (bit-parallel) or scalar (reference)")
@@ -65,7 +64,7 @@ func main() {
 		if *loadFile == "" {
 			fatal(fmt.Errorf("-v requires -load"))
 		}
-		if err := printArtifactInfo(*loadFile); err != nil {
+		if err := printArtifactInfo(os.Stdout, *loadFile); err != nil {
 			fatal(err)
 		}
 		if *inFile == "" && *text == "" {
@@ -150,8 +149,8 @@ func main() {
 	// A scored artifact (SCOR section) runs on the weighted engine: reports
 	// print with their accumulated score, threshold rejects are summarized.
 	if a.Score != nil {
-		if *tier || *workers > 1 || *trace || *engine != "compiled" {
-			fatal(fmt.Errorf("scored artifacts run on the scored engine only (no -tier, -workers, -trace, -engine)"))
+		if *tier || *trace || *engine != "compiled" {
+			fatal(fmt.Errorf("scored artifacts run on the scored engine only (no -tier, -trace, -engine)"))
 		}
 		runScored(nfa, a.Score, input, *chunk, *quiet)
 		return
@@ -160,13 +159,16 @@ func main() {
 	// always executes its sealed partition, per-shard DFA tables included
 	// (-tier has nothing to add to it); -tier runs the hybrid plan; otherwise
 	// the -engine flag names the graph simulator. newCore opens a stream on
-	// the form; only the graph simulator has a -workers entry (a shard plan
-	// steps in lockstep and a tier plan walks its tables on one core, so the
-	// flag is advisory there).
+	// the form. A shard or tier plan steps its lanes in lockstep, and no lane
+	// holds the whole automaton's state vector a -trace line prints, so both
+	// refuse -trace and -engine rather than ignore them.
+	graphOnly := *trace || *engine != "compiled"
 	var newCore func() sim.Core
-	parallel := false
 	switch {
 	case a.Shards != nil:
+		if graphOnly {
+			fatal(fmt.Errorf("sharded artifacts run on their shard plan only (no -trace, -engine)"))
+		}
 		sharded, err := shard.Unseal(nfa, a.Shards)
 		if err != nil {
 			fatal(err)
@@ -175,6 +177,9 @@ func main() {
 			sharded.Shards(), sharded.TieredShards(), sharded.DFAStates())
 		newCore = sharded.NewCore
 	case *tier:
+		if graphOnly {
+			fatal(fmt.Errorf("-tier runs the tier plan only (no -trace, -engine)"))
+		}
 		var tiered *dfa.Tiered
 		if a.Tier != nil {
 			tiered, err = dfa.Unseal(nfa, a.Tier)
@@ -189,7 +194,6 @@ func main() {
 			p.DFACCs(), len(p.CCs), p.DFAStates)
 		newCore = tiered.NewCore
 	default:
-		parallel = *workers > 1
 		switch *engine {
 		case "scalar":
 			newCore = func() sim.Core {
@@ -219,19 +223,6 @@ func main() {
 	if *trace {
 		reports, stats := runOnce(&cycleTracer{})
 		fmt.Printf("input: %d bytes, %d cycles, %d reports\n", len(input), stats.Cycles, len(reports))
-		return
-	}
-	if parallel {
-		reports, err := sim.RunParallel(nfa, input, *workers, *overlap)
-		if err != nil {
-			fatal(err)
-		}
-		if !*quiet {
-			for _, r := range reports {
-				fmt.Printf("match: pattern %d at byte %d\n", r.Code, r.BitPos/8)
-			}
-		}
-		fmt.Printf("input: %d bytes across %d workers, %d reports\n", len(input), *workers, len(reports))
 		return
 	}
 	reports, stats := runOnce(nil)
@@ -302,9 +293,9 @@ func (cycleTracer) OnCycle(cycle int, enabled, active bitvec.Words) {
 	fmt.Printf("cycle %5d: enabled %4d active %4d %v\n", cycle, enabled.Count(), active.Count(), ids)
 }
 
-// printArtifactInfo prints the artifact header without decoding the
+// printArtifactInfo writes the artifact header to w without decoding the
 // automaton body (the whole file is still checksum-verified).
-func printArtifactInfo(path string) error {
+func printArtifactInfo(w io.Writer, path string) error {
 	info, err := artifact.StatFile(path)
 	if err != nil {
 		return err
@@ -314,23 +305,26 @@ func printArtifactInfo(path string) error {
 	if m.CAMode {
 		design += " (CA)"
 	}
-	fmt.Printf("artifact        : %s (v%d, %d bytes)\n", path, info.Version, info.SizeBytes)
-	fmt.Printf("backend         : %s\n", m.BackendName())
-	fmt.Printf("design point    : %s, placement seed %d\n", design, m.Seed)
+	fmt.Fprintf(w, "artifact        : %s (v%d, %d bytes)\n", path, info.Version, info.SizeBytes)
+	fmt.Fprintf(w, "backend         : %s\n", m.BackendName())
+	fmt.Fprintf(w, "design point    : %s, placement seed %d\n", design, m.Seed)
 	if m.CreatedUnix != 0 {
-		fmt.Printf("created         : %s\n", time.Unix(m.CreatedUnix, 0).UTC().Format(time.RFC3339))
+		fmt.Fprintf(w, "created         : %s\n", time.Unix(m.CreatedUnix, 0).UTC().Format(time.RFC3339))
 	}
-	fmt.Printf("input automaton : %d states, %d transitions\n", m.OriginalStates, m.OriginalTransitions)
-	fmt.Printf("compiled        : %d states, %d transitions, %d G4 groups\n", m.States, m.Transitions, m.Groups)
+	fmt.Fprintf(w, "input automaton : %d states, %d transitions\n", m.OriginalStates, m.OriginalTransitions)
+	fmt.Fprintf(w, "compiled        : %d states, %d transitions, %d G4 groups\n", m.States, m.Transitions, m.Groups)
 	if m.TierCCs > 0 {
-		fmt.Printf("tier plan       : %d/%d components on the DFA fast path (%d DFA states)\n",
+		fmt.Fprintf(w, "tier plan       : %d/%d components on the DFA fast path (%d DFA states)\n",
 			m.TierDFACCs, m.TierCCs, m.TierDFAStates)
 	}
+	if m.Shards > 0 {
+		fmt.Fprintf(w, "shard plan      : %d shards\n", m.Shards)
+	}
 	if m.ScoredEdges > 0 {
-		fmt.Printf("score table     : %d weighted edges, threshold %g\n", m.ScoredEdges, m.ScoreThreshold)
+		fmt.Fprintf(w, "score table     : %d weighted edges, threshold %g\n", m.ScoredEdges, m.ScoreThreshold)
 	}
 	for _, st := range info.Stages {
-		fmt.Printf("stage %-16s: %6d states, %7d transitions  (wall %s, cpu %s)\n",
+		fmt.Fprintf(w, "stage %-16s: %6d states, %7d transitions  (wall %s, cpu %s)\n",
 			st.Name, st.States, st.Transitions, st.Duration.Round(0), st.CPUTime.Round(0))
 	}
 	names := make([]string, 0, len(info.Sections))
@@ -339,7 +333,7 @@ func printArtifactInfo(path string) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("section %s    : %d bytes\n", name, info.Sections[name])
+		fmt.Fprintf(w, "section %s    : %d bytes\n", name, info.Sections[name])
 	}
 	return nil
 }

@@ -2,8 +2,7 @@
 // integration section describes: author an automaton, serialize it as ANML
 // (the AP/ANMLZoo interchange format), compile it through V-TeSS, persist
 // the device bitstream, reload the bitstream as a fresh machine (the
-// memory-mapped configuration step), and scan a stream — once sequentially
-// at the capsule level and once with parallel input splitting.
+// memory-mapped configuration step), and scan a stream at the capsule level.
 package main
 
 import (
@@ -57,42 +56,19 @@ func main() {
 	}
 	input := []byte(stream.String())
 
-	// 4. Sequential capsule-level scan.
+	// 4. Capsule-level scan.
 	seq := m.Run(input)
 	counts := map[int]int{}
 	for _, mt := range seq {
 		counts[mt.Pattern]++
 	}
-	fmt.Printf("sequential scan: %d bytes, %d matches (ERROR=%d WARN=%d timeout=%d)\n",
+	fmt.Printf("capsule-level scan: %d bytes, %d matches (ERROR=%d WARN=%d timeout=%d)\n",
 		len(input), len(seq), counts[0], counts[1], counts[2])
 
-	// 5. Parallel scan: split the stream across 4 replicas (the
-	// parallel-automata-processor technique) — identical results. The
-	// `\d+` loop makes match spans unbounded in principle, so we provide
-	// an explicit 64-byte segment overlap (far beyond any real log line).
-	par, err := m.RunParallel(input, 4, 64)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("parallel scan (4 workers): %d matches, identical = %v\n",
-		len(par), matchesEqual(seq, par))
-
-	// 6. Section 6 output-buffer budget check for this workload.
+	// 5. Section 6 output-buffer budget check for this workload.
 	sys := arch.DefaultSystem(arch.Design{Arch: arch.Impala, Bits: 4, Stride: 4})
 	rate := float64(len(seq)) / (float64(len(input)) / 2) // reports per 16-bit cycle
 	rep := sys.Analyze(rate)
 	fmt.Printf("reporting rate %.4f reports/cycle vs OB budget %.4f -> overflow: %v\n",
 		rate, rep.MaxReportsPerCycle, rep.OBOverflow)
-}
-
-func matchesEqual(a, b []impala.Match) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

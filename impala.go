@@ -51,8 +51,8 @@ type Config struct {
 	// Tier enables the hybrid execution plan: connected components of the
 	// compiled automaton whose subset construction stays within budget run
 	// on a dense DFA fast path, the rest on the bit-parallel NFA engine.
-	// Match, NewStream and RunParallel then run on the tiered engine; the
-	// plan travels inside the artifact, so loaded machines keep it.
+	// Match and NewStream then run on the tiered engine; the plan travels
+	// inside the artifact, so loaded machines keep it.
 	Tier bool
 	// TierBudget caps each component's trial determinization in DFA states
 	// (0 = the dfa package default). Components that exceed it fall back to
@@ -60,8 +60,8 @@ type Config struct {
 	TierBudget int
 	// Shards > 1 partitions the compiled automaton's connected components
 	// into that many independent shard engines (size-balanced, whole
-	// components). Match, NewStream and RunParallel then execute all shards
-	// and merge reports — identical output, but with Tier set the DFA
+	// components). Match and NewStream then execute all shards and merge
+	// reports — identical output, but with Tier set the DFA
 	// budgets apply per shard (more states on the fast path). The shards
 	// step in lockstep on the calling goroutine, one core's work like
 	// every other form; concurrency across requests is the caller's. The
@@ -407,31 +407,6 @@ func (m *Machine) Run(input []byte) []Match {
 	return toMatches(reports)
 }
 
-// RunParallel splits the input across `workers` concurrent replicas of the
-// automaton (the parallel-automata-processor technique): throughput scales
-// with workers when hardware capacity allows replication. overlapBytes < 0
-// derives the safe segment overlap from the automaton's maximum match span
-// (an error is returned if spans are unbounded — loops on reporting paths).
-// workers < 1 is an error on every machine. Only the plain kernel has a
-// parallel entry: a tiered or sharded machine runs its serving form as Match
-// does (workers and overlapBytes are then advisory) — a goroutine per shard
-// lost to lockstep, and speculative segment stitching over the DFA tier to
-// the serial table walk, on every measured workload (DESIGN.md, "Sharded
-// execution" and "Rescan-free parallel scan").
-func (m *Machine) RunParallel(input []byte, workers, overlapBytes int) ([]Match, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("impala: RunParallel needs workers >= 1, got %d", workers)
-	}
-	if m.sharded != nil || m.tiered != nil {
-		return m.Match(input), nil
-	}
-	reports, err := m.simc.RunParallel(input, workers, overlapBytes)
-	if err != nil {
-		return nil, err
-	}
-	return toMatches(reports), nil
-}
-
 // Simulate matches the input using the functional graph simulator instead
 // of the capsule-level machine. The two always agree; Simulate exists for
 // cross-checking and for workloads where the graph engine is faster. The
@@ -446,9 +421,8 @@ func (m *Machine) Simulate(input []byte) ([]Match, error) {
 // requests allocate no per-request engine. On a tiered machine the DFA
 // fast path handles its components with one table walk per sub-symbol; on
 // a sharded machine the shards step in lockstep. Whatever the form, a call
-// is one core's work on the calling goroutine — RunParallel is the entry
-// that spends idle cores on one input (kernel form only). Reports
-// are identical to Run and Simulate.
+// is one core's work on the calling goroutine; concurrency across requests
+// is the caller's. Reports are identical to Run and Simulate.
 func (m *Machine) Match(input []byte) []Match {
 	reports, _ := m.serving.Run(input)
 	return toMatches(reports)

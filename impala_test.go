@@ -164,69 +164,6 @@ func TestCompileANMLFacade(t *testing.T) {
 	}
 }
 
-func TestRunParallelFacade(t *testing.T) {
-	m, err := CompileRegex([]string{"needle"}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := bytes.Repeat([]byte("haystack needle "), 50)
-	seq := m.Run(input)
-	par, err := m.RunParallel(input, 4, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != 50 || len(par) != len(seq) {
-		t.Fatalf("seq=%d par=%d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("mismatch at %d: %v vs %v", i, seq[i], par[i])
-		}
-	}
-}
-
-// workers < 1 is refused once, at the facade, whatever form the machine
-// serves on; a valid count reproduces Match on all of them.
-func TestRunParallelRejectsBadWorkers(t *testing.T) {
-	patterns := []string{"GET /", `\d\d`, "needle"}
-	compile := func(edit func(*Config)) *Machine {
-		cfg := DefaultConfig()
-		edit(&cfg)
-		m, err := CompileRegex(patterns, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	text := []byte("GET /x 42 needle GET / needle 77")
-	scored, reads := scoredFixture(t, DefaultConfig())
-	for _, tc := range []struct {
-		name  string
-		m     *Machine
-		input []byte
-	}{
-		{"kernel", compile(func(*Config) {}), text},
-		{"tiered", compile(func(c *Config) { c.Tier = true }), text},
-		{"sharded", compile(func(c *Config) { c.Shards, c.Tier = 2, true }), text},
-		{"scored kernel", scored, reads},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{0, -1} {
-				if got, err := tc.m.RunParallel(tc.input, workers, 64); err == nil {
-					t.Errorf("workers=%d accepted: %d matches", workers, len(got))
-				}
-			}
-			got, err := tc.m.RunParallel(tc.input, 3, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := tc.m.Match(tc.input); len(want) == 0 || !matchesEqual(want, got) {
-				t.Fatalf("RunParallel diverges from Match: %v vs %v", got, want)
-			}
-		})
-	}
-}
-
 // A Stream fed arbitrary chunk partitions must observe exactly the matches
 // of the batch paths, with absolute end offsets, and be reusable after
 // Reset. Several streams share one compiled machine.
@@ -522,13 +459,6 @@ func TestTieredMachineFacade(t *testing.T) {
 	if got := tiered.Match(input); !matchesEqual(want, got) {
 		t.Fatalf("tiered Match diverges: %v vs %v", got, want)
 	}
-	got, err := tiered.RunParallel(input, 4, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matchesEqual(want, got) {
-		t.Fatalf("tiered RunParallel diverges: %v vs %v", got, want)
-	}
 
 	var streamGot []Match
 	s := tiered.NewStream(func(mt Match) { streamGot = append(streamGot, mt) })
@@ -601,13 +531,6 @@ func TestShardedMachineFacade(t *testing.T) {
 	want := plain.Match(input)
 	if got := sharded.Match(input); !matchesEqual(want, got) {
 		t.Fatalf("sharded Match diverges: %v vs %v", got, want)
-	}
-	got, err := sharded.RunParallel(input, 4, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matchesEqual(want, got) {
-		t.Fatalf("sharded RunParallel diverges: %v vs %v", got, want)
 	}
 
 	var streamGot []Match

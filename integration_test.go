@@ -73,32 +73,3 @@ func TestIntegrationBenchmarksEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-// TestIntegrationParallelMatchesMachine ties parallel splitting to the
-// capsule machine across a benchmark.
-func TestIntegrationParallelMatchesMachine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test skipped in -short mode")
-	}
-	b, _ := workload.Get("ExactMatch")
-	n, err := b.Generate(0.004, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Compile(n, core.Config{TargetBits: 4, StrideDims: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := workload.Input(n, 16384, 19)
-	seq, _, err := sim.Run(res.NFA, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := sim.RunParallel(res.NFA, input, 4, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sim.SameReports(seq, par) {
-		t.Fatalf("parallel diverges: %d vs %d reports", len(par), len(seq))
-	}
-}

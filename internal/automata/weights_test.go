@@ -122,21 +122,3 @@ func TestRemoveUnreachableWeighted(t *testing.T) {
 		t.Fatalf("nil-table prune removed %d, want 1", removed)
 	}
 }
-
-func TestMaxMatchSpan(t *testing.T) {
-	n, _ := weightedChain(t)
-	if span, ok := n.MaxMatchSpan(); !ok || span != 3 {
-		t.Fatalf("MaxMatchSpan = (%d, %v), want (3, true)", span, ok)
-	}
-	// A loop on the start->report path makes the span unbounded.
-	n.AddEdge(1, 1)
-	if _, ok := n.MaxMatchSpan(); ok {
-		t.Fatal("MaxMatchSpan reported bounded span despite a self-loop")
-	}
-	// A cycle OFF every start->report path is irrelevant.
-	n2, _ := weightedChain(t)
-	n2.AddEdge(3, 3)
-	if span, ok := n2.MaxMatchSpan(); !ok || span != 3 {
-		t.Fatalf("irrelevant cycle: MaxMatchSpan = (%d, %v), want (3, true)", span, ok)
-	}
-}

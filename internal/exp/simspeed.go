@@ -10,9 +10,9 @@ import (
 )
 
 // SimulatorSpeed measures the functional simulator's two engines — the
-// scalar reference Engine and the bit-parallel CompiledEngine that Run and
-// RunParallel use by default — across the benchmark suite, reporting MB/s
-// and the speedup along with the per-cycle activity that explains it. The
+// scalar reference Engine and the bit-parallel CompiledEngine that Run uses
+// by default — across the benchmark suite, reporting MB/s and the speedup
+// along with the per-cycle activity that explains it. The
 // compiled engine's advantage grows with state count and activity (word-
 // level mask ANDs and wired-OR successor rows amortize over all states),
 // which is why the mesh benchmarks gain the most.

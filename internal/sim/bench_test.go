@@ -220,8 +220,8 @@ func BenchmarkSessionFeed(b *testing.B) {
 	}
 }
 
-// BenchmarkCompile isolates the one-time compilation cost that Run and
-// RunParallel now pay up front (and RunParallel no longer pays per worker).
+// BenchmarkCompile isolates the one-time compilation cost that Run pays up
+// front.
 func BenchmarkCompile(b *testing.B) {
 	for name, n := range benchWorkloads(b) {
 		b.Run(name, func(b *testing.B) {

@@ -22,9 +22,9 @@ import (
 //     state into the enable vector via bitvec.CSR.OrRowsInto — the wired-OR
 //     of successor rows on the interconnect bit-lines, at a cost and a
 //     footprint proportional to the configured switch points.
-//   - the three start-enable vectors a cycle can need (first cycle of an
-//     anchored stream, even cycles, odd cycles), each with the summary of
-//     its non-zero words and its size.
+//   - the three start-enable vectors a cycle can need (first cycle of a
+//     stream, even cycles, odd cycles), each with the summary of its
+//     non-zero words and its size.
 //
 // Everything a cycle touches is indexed by word, and the engine visits only
 // the words a summary names (see CompiledEngine), so a cycle costs its live
@@ -54,17 +54,17 @@ type Compiled struct {
 	succ *bitvec.CSR
 
 	// Start-enable vectors by cycle class: odd cycles enable the all-input
-	// starts, even cycles add the even starts, and cycle 0 of an anchored
-	// stream adds the start-of-data states. A class that adds nothing
-	// aliases the one below it.
+	// starts, even cycles add the even starts, and cycle 0 of a stream adds
+	// the start-of-data states. A class that adds nothing aliases the one
+	// below it.
 	startOdd, startEven, startFirst *startVector
 
 	// reporting gates the report loop: cycles where active ∧ reporting = 0
 	// skip report handling entirely.
 	reporting bitvec.Words
 
-	// pool recycles engines (per-stream buffers) across RunParallel
-	// segments and other short-lived executions of this compiled form.
+	// pool recycles engines (per-stream buffers) across the concurrent
+	// one-shot Run calls on this compiled form.
 	pool sync.Pool
 }
 
@@ -153,18 +153,6 @@ func (v *startVector) with(ns int, states []int) *startVector {
 	return g
 }
 
-// acquireEngine returns a pooled (or fresh) engine for a short-lived
-// execution; releaseEngine returns it. The engine comes with default
-// semantics (anchors enabled); callers adjust per use.
-func (c *Compiled) acquireEngine() *CompiledEngine {
-	return c.pool.Get().(*CompiledEngine)
-}
-
-func (c *Compiled) releaseEngine(e *CompiledEngine) {
-	e.anchors = true
-	c.pool.Put(e)
-}
-
 // decompose returns per-position symbol sets D with m = D[0]×…×D[S-1] when
 // the match set is such a cartesian product (position-decomposable), which
 // is exactly the shape one capsule's per-dimension columns can express. A
@@ -226,11 +214,6 @@ type CompiledEngine struct {
 	// touched shares enabled's bits and has a summary of its own.
 	seeded  *startVector
 	touched bitvec.Frontier
-	// anchors=false demotes start-of-data states to plain states by
-	// skipping their enable OR on cycle 0 — used by RunParallel for
-	// segments that do not begin at the true start of the stream,
-	// replacing the per-worker NFA clone the scalar path once used.
-	anchors bool
 	// lane, when non-nil, runs between the match phase and the report gate.
 	lane func(t int)
 	// batch is the session Run drives, built at the first Run and kept: a
@@ -242,7 +225,7 @@ type CompiledEngine struct {
 // automaton: the vectors and their summaries share one allocation.
 func (c *Compiled) NewEngine() *CompiledEngine {
 	ns := c.nfa.NumStates()
-	e := &CompiledEngine{c: c, anchors: true}
+	e := &CompiledEngine{c: c}
 	buf := make([]uint64, 3*bitvec.FrontierWords(ns)+len(c.startOdd.Sum))
 	e.enabled, buf = bitvec.CarveFrontier(buf, ns)
 	e.act[0], buf = bitvec.CarveFrontier(buf, ns)
@@ -262,9 +245,9 @@ func (c *Compiled) NewSession(sink ReportSink) *Session {
 // the one-shot entry point a server calls per request without paying a
 // fresh engine allocation in steady state.
 func (c *Compiled) Run(input []byte) ([]Report, Stats) {
-	e := c.acquireEngine()
+	e := c.pool.Get().(*CompiledEngine)
 	r, s := e.Run(input, nil)
-	c.releaseEngine(e)
+	c.pool.Put(e)
 	return r, s
 }
 
@@ -295,7 +278,7 @@ func (e *CompiledEngine) startFor(t int) *startVector {
 	switch {
 	case t&1 != 0:
 		return e.c.startOdd
-	case t == 0 && e.anchors:
+	case t == 0:
 		return e.c.startFirst
 	}
 	return e.c.startEven
@@ -334,7 +317,7 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 		start := c.startOdd
 		if t&1 == 0 {
 			start = c.startEven
-			if t == 0 && e.anchors {
+			if t == 0 {
 				start = c.startFirst
 			}
 		}
@@ -487,14 +470,4 @@ func (e *CompiledEngine) Run(input []byte, tracer Tracer) ([]Report, Stats) {
 		e.batch = NewSession(e, nil)
 	}
 	return e.batch.runBatch(input, 0, tracer)
-}
-
-// runSegment is Run with the anchored-start behaviour of a mid-stream
-// RunParallel segment (anchors fire only when the segment begins the true
-// stream). The engine's default anchor semantics are restored afterwards.
-func (e *CompiledEngine) runSegment(input []byte, anchors bool) ([]Report, Stats) {
-	e.anchors = anchors
-	r, s := e.Run(input, nil)
-	e.anchors = true
-	return r, s
 }

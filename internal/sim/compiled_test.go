@@ -135,18 +135,6 @@ func (o *inOrder) OnCycle(cycle int, enabled, active bitvec.Words) {
 // named reports whether the summary names word w.
 func named(sum bitvec.Words, w int) bool { return sum[w>>6]>>(uint(w)&63)&1 != 0 }
 
-// demoteAnchors returns a copy of n whose start-of-data states never start:
-// what a compiled engine with anchors off executes.
-func demoteAnchors(n *automata.NFA) *automata.NFA {
-	d := n.Clone()
-	for i := range d.States {
-		if d.States[i].Start == automata.StartOfData {
-			d.States[i].Start = automata.StartNone
-		}
-	}
-	return d
-}
-
 func sameRun(t *testing.T, what string, gotR, wantR []Report, gotS, wantS Stats) {
 	t.Helper()
 	if len(gotR) != len(wantR) {
@@ -165,7 +153,7 @@ func sameRun(t *testing.T, what string, gotR, wantR []Report, gotS, wantS Stats)
 // Property: CompiledEngine and the scalar Engine produce identical report
 // lists (field-by-field, not just keys) and identical activity statistics
 // on random automata of every geometry — one word of states or several
-// summary words of them, anchors on or off, a lane attached or not — with
+// summary words of them, a lane attached or not — with
 // the kernel's frontier invariant checked after every cycle.
 func TestCompiledMatchesScalarFuzz(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
@@ -194,10 +182,6 @@ func TestCompiledMatchesScalarFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		unanchored, err := NewEngine(demoteAnchors(n))
-		if err != nil {
-			t.Fatal(err)
-		}
 		compiled := c.NewEngine()
 		sawWideSummary = sawWideSummary || len(compiled.enabled.Sum) > 1
 		check := frontierCheck{t, compiled}
@@ -221,12 +205,6 @@ func TestCompiledMatchesScalarFuzz(t *testing.T) {
 			gotR, gotS = compiled.Run(input, check)
 			compiled.SetLane(nil)
 			sameRun(t, "with a lane", gotR, wantR, gotS, wantS)
-
-			wantR, wantS = unanchored.Run(input, nil)
-			compiled.anchors = false
-			gotR, gotS = compiled.Run(input, check)
-			compiled.anchors = true
-			sameRun(t, "anchors off", gotR, wantR, gotS, wantS)
 		}
 		if states == 0 && trial%16 != 0 {
 			continue
@@ -366,29 +344,6 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// RunParallel on an anchored automaton must only fire the anchor on the
-// true start of data, matching single-worker semantics — now via the shared
-// compiled form rather than per-worker NFA clones.
-func TestCompiledParallelAnchored(t *testing.T) {
-	n := automata.New(8, 1)
-	n.AddLiteral("ab", automata.StartOfData, 1)
-	n.AddLiteral("xyz", automata.StartAllInput, 2)
-	input := []byte("ab xyz ab xyz ab xyz ab xyz")
-	want, _, err := Run(n, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 5} {
-		got, err := RunParallel(n, input, workers, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !SameReports(got, want) {
-			t.Fatalf("workers=%d: parallel %v, serial %v", workers, got, want)
-		}
-	}
-}
-
 func snortNFA(t *testing.T, scale float64) *automata.NFA {
 	t.Helper()
 	b, ok := workload.Get("Snort")
@@ -469,8 +424,8 @@ func TestCompiledPaperScale(t *testing.T) {
 }
 
 // A pooled engine that stopped mid-stream — a session abandoned without
-// Flush, a segment run with anchors off — must start its next run exactly as
-// a fresh engine would, and be consistent whenever it is idle.
+// Flush — must start its next run exactly as a fresh engine would, and be
+// consistent whenever it is idle.
 func TestPooledEngineAbortedRuns(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
@@ -488,9 +443,8 @@ func TestPooledEngineAbortedRuns(t *testing.T) {
 			input[i] = byte(r.Intn(256))
 		}
 		wantR, wantS := c.NewEngine().Run(input, nil)
-		wantSegR, wantSegS := c.NewEngine().runSegment(input, false)
 
-		e := c.acquireEngine()
+		e := c.pool.Get().(*CompiledEngine)
 		check := frontierCheck{t, e}
 		for round := 0; round < 3; round++ {
 			// Abandon a stream part-way, mid-cycle where the geometry allows.
@@ -501,11 +455,8 @@ func TestPooledEngineAbortedRuns(t *testing.T) {
 			gotR, gotS := e.Run(input, check)
 			sameRun(t, "after an abandoned stream", gotR, wantR, gotS, wantS)
 
-			gotR, gotS = e.runSegment(input, false)
-			sameRun(t, "anchors off", gotR, wantSegR, gotS, wantSegS)
-
-			c.releaseEngine(e)
-			e = c.acquireEngine()
+			c.pool.Put(e)
+			e = c.pool.Get().(*CompiledEngine)
 			check.e = e
 			check.consistent(-1)
 			gotR, gotS = e.Run(input, check)

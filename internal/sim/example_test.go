@@ -15,12 +15,3 @@ func ExampleRun() {
 		len(reports), reports[0].BitPos/8, stats.Cycles)
 	// Output: 1 report(s) at byte 10 over 14 cycles
 }
-
-func ExampleRunParallel() {
-	n := automata.New(8, 1)
-	n.AddLiteral("abc", automata.StartAllInput, 1)
-	input := []byte("xxabcxxxxabcxx")
-	reports, _ := sim.RunParallel(n, input, 4, -1)
-	fmt.Println(len(reports), "matches")
-	// Output: 2 matches
-}

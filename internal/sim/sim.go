@@ -78,7 +78,7 @@ type Tracer interface {
 // Engine executes one automaton over input streams, dispatching scalar
 // state-by-state. It is the straightforward rendering of the execution
 // semantics and serves as the reference oracle for the bit-parallel
-// CompiledEngine (the default behind Run/RunParallel). It implements the
+// CompiledEngine (the default behind Run). It implements the
 // Core step interface, so it can be driven incrementally by a Session. It
 // is reusable across runs but not safe for concurrent use.
 type Engine struct {
