@@ -64,11 +64,13 @@ bench-smoke:
 
 # Ten seconds of native fuzzing per target: the artifact boundary (Load never
 # panics, stays inside its allocation budget, and saves back what it accepts),
-# the text parsers, and the serving wire codec (the encoders write what
+# the text parsers, the serving wire codec (the encoders write what
 # encoding/json writes; the parsers a frontend reads worker replies with never
 # panic, stay inside their allocation budget, and accept only what an encoder
-# writes). A failure leaves its input under the package's testdata/fuzz,
-# where plain `go test` replays it from then on.
+# writes), and the /match, /stream and /reload handlers (no panic, a
+# documented status, an allocation budget linear in the request). A failure
+# leaves its input under the package's testdata/fuzz, where plain `go test`
+# replays it from then on.
 define FUZZ
 ./internal/artifact FuzzLoad
 ./internal/regexc   FuzzCompile
@@ -77,6 +79,9 @@ define FUZZ
 ./internal/espresso FuzzParsePLA
 ./internal/server   FuzzWireEncode
 ./internal/server   FuzzWireParse
+./internal/server   FuzzMatchHandler
+./internal/server   FuzzStreamHandler
+./internal/server   FuzzReloadHandler
 endef
 export FUZZ
 
@@ -84,8 +89,14 @@ fuzz-smoke:
 	@echo "$$FUZZ" | while read pkg target; do \
 		$(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 1s || exit 1; done
 
+# benchmark/ is a module of its own, so ./... never reaches it: its tests run
+# here too, under -short. TestWorkloads/snort_shard_cluster is skipped: it
+# asserts which layer dominates a request's time, and the race detector slows
+# the instrumented shard engine past the frontend it is timed against (the
+# subtest runs, race-free, in bench-build).
 test-race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/espresso/... ./internal/place/... ./internal/arch/... ./internal/obs/... ./internal/par/... ./internal/server/... ./internal/artifact/... ./internal/dfa/... ./internal/backend/... ./internal/shard/... ./internal/topo/... ./internal/score/... ./internal/workload/...
+	$(GO) -C benchmark test -race -short -skip 'TestWorkloads/snort_shard_cluster' ./...
 
 # The gated experiments: experiment, committed baseline. `bench` rewrites the
 # baselines at the default scale, seed and input; internal/exp's TestBaselines
@@ -107,8 +118,11 @@ bench:
 	@echo "$$GATED" | while read exp base; do \
 		$(GO) run ./cmd/impala-bench -exp $$exp -json $$base || exit 1; done
 
+# cover prints every package's coverage, the benchmark/ module's apart: it is
+# not part of the total cover-check holds to the floor.
 cover:
 	$(GO) test -cover ./...
+	$(GO) -C benchmark test -cover ./...
 
 # cover-check enforces the ratcheted coverage floor and leaves coverage.out
 # behind for upload/inspection.

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math/rand"
 	"regexp"
-	"slices"
 	"strings"
 	"testing"
 
@@ -32,33 +30,6 @@ func TestCompileRegexAndRun(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("GET match missing: %v", matches)
-	}
-}
-
-func TestRunAgreesWithSimulate(t *testing.T) {
-	m, err := CompileRegex([]string{"ab+c", "x[yz]"}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 20; trial++ {
-		input := make([]byte, 1+r.Intn(50))
-		for i := range input {
-			input[i] = "abcxyz"[r.Intn(6)]
-		}
-		hw := m.Run(input)
-		sw, err := m.Simulate(input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(hw) != len(sw) {
-			t.Fatalf("hw=%v sw=%v", hw, sw)
-		}
-		for i := range hw {
-			if hw[i] != sw[i] {
-				t.Fatalf("hw=%v sw=%v", hw, sw)
-			}
-		}
 	}
 }
 
@@ -164,84 +135,6 @@ func TestCompileANMLFacade(t *testing.T) {
 	}
 }
 
-// A Stream fed arbitrary chunk partitions must observe exactly the matches
-// of the batch paths, with absolute end offsets, and be reusable after
-// Reset. Several streams share one compiled machine.
-func TestStreamMatchesRun(t *testing.T) {
-	m, err := CompileRegex([]string{"GET /", "POST /", "needle"}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(21))
-	corpus := []byte(strings.Repeat("GET /a needle POST /b xyzneedle ", 8))
-	want := m.Run(corpus)
-	wantSet := map[Match]bool{}
-	for _, mt := range want {
-		wantSet[mt] = true
-	}
-
-	for trial := 0; trial < 6; trial++ {
-		var got []Match
-		s := m.NewStream(func(mt Match) { got = append(got, mt) })
-		for pass := 0; pass < 2; pass++ {
-			got = nil
-			for pos := 0; pos < len(corpus); {
-				sz := 1 + r.Intn(9)
-				if sz > len(corpus)-pos {
-					sz = len(corpus) - pos
-				}
-				s.Feed(corpus[pos : pos+sz])
-				pos += sz
-			}
-			s.Flush()
-			if len(got) != len(want) {
-				t.Fatalf("trial %d pass %d: stream %d matches, batch %d\nstream: %v\nbatch:  %v",
-					trial, pass, len(got), len(want), got, want)
-			}
-			for _, mt := range got {
-				if !wantSet[mt] {
-					t.Fatalf("trial %d: stream produced %+v not in batch set", trial, mt)
-				}
-			}
-			s.Reset()
-		}
-	}
-
-	// Sessions step their engines 2 KiB of input at a time. The block edge
-	// must not show in the stream: with a "needle" ending on the last cycle
-	// of the first block (so its collision window straddles the edge) every
-	// match is emitted exactly once and in the batch order, on every serving
-	// form, however the stream is cut around the edge.
-	const block = 2048
-	long := []byte(strings.Repeat(string(corpus[:32]), 2*block/32+3))
-	edge := Match{End: block - 1, Pattern: 2}
-	for _, cfg := range []Config{
-		{StrideDims: 4}, {StrideDims: 1}, {StrideDims: 4, Tier: true},
-		{StrideDims: 4, Shards: 3}, {StrideDims: 4, Shards: 3, Tier: true},
-	} {
-		m, err := CompileRegex([]string{"GET /", "POST /", "needle"}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := m.Match(long)
-		if !slices.Contains(want, edge) {
-			t.Fatalf("%+v: no match %+v on the block edge; the fixture pins nothing", cfg, edge)
-		}
-		for _, cut := range []int{1, 3, block - 3, block - 1, block, block + 1, block + 3, len(long)} {
-			var got []Match
-			s := m.NewStream(func(mt Match) { got = append(got, mt) })
-			s.Feed(long[:1])
-			for rest := long[1:]; len(rest) > 0; rest = rest[min(cut, len(rest)):] {
-				s.Feed(rest[:min(cut, len(rest))])
-			}
-			s.Flush()
-			if !slices.Equal(got, want) {
-				t.Fatalf("%+v, %d-byte chunks: stream emitted %d matches, batch %d (or another order)", cfg, cut, len(got), len(want))
-			}
-		}
-	}
-}
-
 // Stream implements io.Writer, so any byte pipeline can terminate in the
 // matcher; matches fire during Copy.
 func TestStreamAsWriter(t *testing.T) {
@@ -342,236 +235,5 @@ func TestFlushClearsStreamDedup(t *testing.T) {
 	}
 	if got[1] != first {
 		t.Fatalf("repeat match diverges: %+v vs %+v", got[1], first)
-	}
-}
-
-// TestArtifactRoundTripFacade is the deployment-model acceptance property
-// at the facade level: a machine saved as an artifact and loaded back in a
-// fresh process state matches byte-identically across every execution path
-// and reports the same model.
-func TestArtifactRoundTripFacade(t *testing.T) {
-	m, err := CompileRegex([]string{"GET /", "ab+a", `\d\d`}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.SaveArtifact(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadMachine(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	input := []byte("GET /abba 42 abbba GET / 7x19")
-	if want, got := m.Run(input), loaded.Run(input); !matchesEqual(want, got) {
-		t.Fatalf("Run diverges: %v vs %v", got, want)
-	}
-	if want, got := m.Match(input), loaded.Match(input); !matchesEqual(want, got) {
-		t.Fatalf("Match diverges: %v vs %v", got, want)
-	}
-	ws, err := m.Simulate(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, err := loaded.Simulate(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matchesEqual(ws, gs) {
-		t.Fatalf("Simulate diverges: %v vs %v", gs, ws)
-	}
-
-	var streamGot []Match
-	s := loaded.NewStream(func(mt Match) { streamGot = append(streamGot, mt) })
-	for i := 0; i < len(input); i += 5 {
-		end := i + 5
-		if end > len(input) {
-			end = len(input)
-		}
-		s.Feed(input[i:end])
-	}
-	s.Flush()
-	if want := m.Match(input); !matchesEqual(want, streamGot) {
-		t.Fatalf("loaded stream diverges: %v vs %v", streamGot, want)
-	}
-
-	wm, lm := m.Model(), loaded.Model()
-	if lm.States != wm.States || lm.OriginalStates != wm.OriginalStates ||
-		lm.G4s != wm.G4s || lm.BitsPerCycle != wm.BitsPerCycle ||
-		lm.ThroughputGbps != wm.ThroughputGbps || lm.BitstreamBytes != wm.BitstreamBytes {
-		t.Fatalf("model diverges:\nloaded %+v\nwant   %+v", lm, wm)
-	}
-	if len(lm.CompileStages) != len(wm.CompileStages) {
-		t.Fatalf("stage trace lost: %d vs %d stages", len(lm.CompileStages), len(wm.CompileStages))
-	}
-	wb, ws2 := m.Geometry()
-	lb, ls2 := loaded.Geometry()
-	if wb != lb || ws2 != ls2 {
-		t.Fatalf("geometry diverges: %d/%d vs %d/%d", lb, ls2, wb, ws2)
-	}
-
-	// A loaded machine re-saves to the identical byte stream.
-	var buf2 bytes.Buffer
-	if err := loaded.SaveArtifact(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatalf("re-saved artifact not byte-identical: %d vs %d bytes", buf2.Len(), buf.Len())
-	}
-}
-
-func matchesEqual(a, b []Match) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestTieredMachineFacade(t *testing.T) {
-	patterns := []string{"GET /", "a.{12}b", `\d\d`, "needle"}
-	cfg := DefaultConfig()
-	plain, err := CompileRegex(patterns, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Tier = true
-	cfg.TierBudget = 1024
-	tiered, err := CompileRegex(patterns, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := tiered.TierInfo()
-	if info == nil || info.DFACCs == 0 {
-		t.Fatalf("tiered machine has no DFA tier: %+v", info)
-	}
-	if plain.TierInfo() != nil {
-		t.Fatal("untiered machine reports a tier plan")
-	}
-
-	input := []byte("GET /x aXXXXXXXXXXXXb 42 needle GET / needle 77")
-	want := plain.Match(input)
-	if got := tiered.Match(input); !matchesEqual(want, got) {
-		t.Fatalf("tiered Match diverges: %v vs %v", got, want)
-	}
-
-	var streamGot []Match
-	s := tiered.NewStream(func(mt Match) { streamGot = append(streamGot, mt) })
-	for i := 0; i < len(input); i += 3 {
-		end := i + 3
-		if end > len(input) {
-			end = len(input)
-		}
-		s.Feed(input[i:end])
-	}
-	s.Flush()
-	if !matchesEqual(want, streamGot) {
-		t.Fatalf("tiered stream diverges: %v vs %v", streamGot, want)
-	}
-
-	// The plan travels inside the artifact: a loaded machine keeps the
-	// fast path and the identical plan.
-	var buf bytes.Buffer
-	if err := tiered.SaveArtifact(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadMachine(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	linfo := loaded.TierInfo()
-	if linfo == nil || *linfo != *info {
-		t.Fatalf("tier plan diverges across artifact: %+v vs %+v", linfo, info)
-	}
-	if got := loaded.Match(input); !matchesEqual(want, got) {
-		t.Fatalf("loaded tiered Match diverges: %v vs %v", got, want)
-	}
-	// And the loaded machine re-saves byte-identically (v2 sections are
-	// deterministic too).
-	var buf2 bytes.Buffer
-	if err := loaded.SaveArtifact(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("tiered artifact save(load(save)) not byte-identical")
-	}
-}
-
-func TestShardedMachineFacade(t *testing.T) {
-	patterns := []string{"GET /", "a.{12}b", `\d\d`, "needle", "zz.?zz"}
-	cfg := DefaultConfig()
-	plain, err := CompileRegex(patterns, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Shards = 4
-	cfg.Tier = true
-	cfg.TierBudget = 1024
-	sharded, err := CompileRegex(patterns, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := sharded.ShardInfo()
-	if info == nil || info.Shards != 4 {
-		t.Fatalf("sharded machine has no shard plan: %+v", info)
-	}
-	if info.TieredShards == 0 || info.DFAStates == 0 {
-		t.Fatalf("per-shard tiering bought no fast path: %+v", info)
-	}
-	if plain.ShardInfo() != nil {
-		t.Fatal("unsharded machine reports a shard plan")
-	}
-
-	input := []byte("GET /x aXXXXXXXXXXXXb 42 needle zzAzz GET / needle 77")
-	want := plain.Match(input)
-	if got := sharded.Match(input); !matchesEqual(want, got) {
-		t.Fatalf("sharded Match diverges: %v vs %v", got, want)
-	}
-
-	var streamGot []Match
-	s := sharded.NewStream(func(mt Match) { streamGot = append(streamGot, mt) })
-	for i := 0; i < len(input); i += 3 {
-		end := i + 3
-		if end > len(input) {
-			end = len(input)
-		}
-		s.Feed(input[i:end])
-	}
-	s.Flush()
-	if !matchesEqual(want, streamGot) {
-		t.Fatalf("sharded stream diverges: %v vs %v", streamGot, want)
-	}
-
-	// The partition travels inside the artifact: a loaded machine keeps
-	// the shard engines, the per-shard fast paths and the identical plan.
-	var buf bytes.Buffer
-	if err := sharded.SaveArtifact(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadMachine(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	linfo := loaded.ShardInfo()
-	if linfo == nil || *linfo != *info {
-		t.Fatalf("shard plan diverges across artifact: %+v vs %+v", linfo, info)
-	}
-	if loaded.Config().Shards != 4 || !loaded.Config().Tier {
-		t.Fatalf("loaded config loses sharding: %+v", loaded.Config())
-	}
-	if got := loaded.Match(input); !matchesEqual(want, got) {
-		t.Fatalf("loaded sharded Match diverges: %v vs %v", got, want)
-	}
-	var buf2 bytes.Buffer
-	if err := loaded.SaveArtifact(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("sharded artifact save(load(save)) not byte-identical")
 	}
 }

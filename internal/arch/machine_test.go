@@ -11,7 +11,6 @@ import (
 	"impala/internal/core"
 	"impala/internal/place"
 	"impala/internal/sim"
-	"impala/internal/sim/simtest"
 )
 
 func compileAndBuild(t *testing.T, n *automata.NFA, cfg core.Config) (*arch.Machine, *automata.NFA) {
@@ -29,49 +28,6 @@ func compileAndBuild(t *testing.T, n *automata.NFA, cfg core.Config) (*arch.Mach
 		t.Fatalf("Build: %v", err)
 	}
 	return m, res.NFA
-}
-
-// The central architectural property: the capsule-level machine executing
-// the bitstream produces exactly the reports of the functional simulator on
-// the transformed automaton, and of the original automaton.
-func TestMachineMatchesSimulator(t *testing.T) {
-	n := automata.New(8, 1)
-	n.AddLiteral("abc", automata.StartAllInput, 1)
-	n.AddLiteral("hi", automata.StartAllInput, 2)
-	n.AddChain([]bitvec.ByteSet{bitvec.ByteRange('0', '9'), bitvec.ByteRange('0', '9')}, automata.StartAllInput, 3)
-
-	for _, cfg := range []core.Config{
-		{TargetBits: 4, StrideDims: 2},
-		{TargetBits: 4, StrideDims: 4},
-		{TargetBits: 8, StrideDims: 1},
-		{TargetBits: 8, StrideDims: 2},
-	} {
-		m, transformed := compileAndBuild(t, n, cfg)
-		r := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 10; trial++ {
-			input := make([]byte, 1+r.Intn(60))
-			for i := range input {
-				input[i] = "abchi0123456789xyz"[r.Intn(18)]
-			}
-			mrep, _ := m.Run(input)
-			srep, _, err := sim.Run(transformed, input)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sim.SameReports(mrep, srep) {
-				t.Fatalf("cfg %+v input %q:\n machine=%v\n sim=%v",
-					cfg, input, sim.ReportKeys(mrep), sim.ReportKeys(srep))
-			}
-			orep, _, err := sim.Run(n, input)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sim.SameReports(mrep, orep) {
-				t.Fatalf("cfg %+v input %q: machine=%v original=%v",
-					cfg, input, sim.ReportKeys(mrep), sim.ReportKeys(orep))
-			}
-		}
-	}
 }
 
 func TestMachineActivityStats(t *testing.T) {
@@ -128,40 +84,6 @@ func TestMachineSquashedDesign(t *testing.T) {
 		}
 		if !sim.SameReports(mrep, srep) {
 			t.Fatalf("input %q: machine=%v sim=%v", in, sim.ReportKeys(mrep), sim.ReportKeys(srep))
-		}
-	}
-}
-
-// Property test at moderate scale: random automata through the full
-// pipeline, machine vs original equivalence.
-func TestMachineEndToEndRandom(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 5; trial++ {
-		n := automata.New(8, 1)
-		npat := 2 + r.Intn(4)
-		for p := 0; p < npat; p++ {
-			length := 1 + r.Intn(6)
-			pat := make([]byte, length)
-			for i := range pat {
-				pat[i] = byte('a' + r.Intn(6))
-			}
-			n.AddLiteral(string(pat), automata.StartAllInput, p+1)
-		}
-		m, _ := compileAndBuild(t, n, core.Config{TargetBits: 4, StrideDims: 4})
-		for k := 0; k < 5; k++ {
-			input := make([]byte, 1+r.Intn(40))
-			for i := range input {
-				input[i] = byte('a' + r.Intn(8))
-			}
-			mrep, _ := m.Run(input)
-			orep, _, err := sim.Run(n, input)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sim.SameReports(mrep, orep) {
-				t.Fatalf("trial %d input %q: machine=%v original=%v",
-					trial, input, sim.ReportKeys(mrep), sim.ReportKeys(orep))
-			}
 		}
 	}
 }
@@ -241,70 +163,5 @@ func TestMachineHierarchicalG16(t *testing.T) {
 		if !sim.SameReports(mrep, srep) {
 			t.Fatalf("trial %d: machine=%v sim=%v", trial, len(mrep), len(srep))
 		}
-	}
-}
-
-// The capsule-level session must be report- and activity-identical to the
-// batch Machine.Run under arbitrary chunk partitions, and fully reusable
-// after Reset — the same streaming contract as the functional engines.
-func TestMachineSessionStreaming(t *testing.T) {
-	n := automata.New(8, 1)
-	n.AddLiteral("abc", automata.StartAllInput, 1)
-	n.AddLiteral("bca", automata.StartAllInput, 2)
-	for _, cfg := range []core.Config{
-		{TargetBits: 4, StrideDims: 4},
-		{TargetBits: 8, StrideDims: 1},
-	} {
-		m, transformed := compileAndBuild(t, n, cfg)
-		r := rand.New(rand.NewSource(11))
-		input := make([]byte, 64)
-		for i := range input {
-			input[i] = "abc"[r.Intn(3)]
-		}
-		wantR, wantA := m.Run(input)
-
-		var got []sim.Report
-		s := m.NewSession(func(r sim.Report) { got = append(got, r) })
-		for pass := 0; pass < 2; pass++ { // second pass exercises Reset
-			got = nil
-			for pos := 0; pos < len(input); {
-				sz := 1 + r.Intn(7)
-				if sz > len(input)-pos {
-					sz = len(input) - pos
-				}
-				s.Feed(input[pos : pos+sz])
-				pos += sz
-			}
-			s.Feed(nil)
-			s.Flush()
-			sim.SortReports(got)
-			if len(got) != len(wantR) {
-				t.Fatalf("cfg %+v pass %d: session %d reports, batch %d", cfg, pass, len(got), len(wantR))
-			}
-			for i := range got {
-				if got[i] != wantR[i] {
-					t.Fatalf("cfg %+v pass %d report %d: session %+v, batch %+v", cfg, pass, i, got[i], wantR[i])
-				}
-			}
-			if a := s.Activity(); a != wantA {
-				t.Fatalf("cfg %+v pass %d: session activity %+v, batch %+v", cfg, pass, a, wantA)
-			}
-			s.Reset()
-		}
-
-		// Stepped in blocks, the machine does not show where they end: cut
-		// around a block edge, a long stream gives the scalar engine's
-		// reports on the transformed automaton in the whole-stream order.
-		long := make([]byte, 2*simtest.FeedBlock()+101)
-		for i := range long {
-			long[i] = "abc"[r.Intn(3)]
-		}
-		scalar, err := sim.NewEngine(transformed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantStats := scalar.Run(long, nil)
-		open := func(sink sim.ReportSink) simtest.Stream { return m.NewSession(sink) }
-		simtest.BlockEdges(t, fmt.Sprintf("machine %+v", cfg), transformed.BitsPerCycle(), open, long, want, wantStats)
 	}
 }

@@ -195,31 +195,6 @@ func RemoveUnreachable(n *NFA) int {
 	return filterStates(n, reach)
 }
 
-// RemoveDead drops states from which no reporting state is reachable —
-// they can never contribute to a report. Returns the number removed.
-func RemoveDead(n *NFA) int {
-	in := n.InEdges()
-	live := make([]bool, len(n.States))
-	var stack []StateID
-	for i := range n.States {
-		if n.States[i].Report {
-			live[i] = true
-			stack = append(stack, StateID(i))
-		}
-	}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range in[cur] {
-			if !live[p] {
-				live[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return filterStates(n, live)
-}
-
 func filterStates(n *NFA, keep []bool) int {
 	newID := make([]StateID, len(n.States))
 	var kept []State

@@ -144,20 +144,6 @@ func TestRemoveUnreachable(t *testing.T) {
 	}
 }
 
-func TestRemoveDead(t *testing.T) {
-	n := New(8, 1)
-	n.AddLiteral("ab", StartAllInput, 1)
-	// A state that leads nowhere reporting.
-	dead := n.AddState(ByteMatchState(bitvec.ByteOf('z'), StartAllInput, false))
-	n.AddEdge(0, dead)
-	if removed := RemoveDead(n); removed != 1 {
-		t.Fatalf("removed = %d, want 1", removed)
-	}
-	if err := n.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMinimizeIdempotent(t *testing.T) {
 	n := New(8, 1)
 	n.AddLiteral("hello", StartAllInput, 1)

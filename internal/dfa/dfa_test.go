@@ -2,7 +2,6 @@ package dfa
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"impala/internal/automata"
@@ -60,37 +59,6 @@ func TestDFAAnchoredMidstream(t *testing.T) {
 	got2 := d.Run([]byte("head"))
 	if len(got2) != 1 || got2[0].Code != 1 {
 		t.Fatalf("anchored at 0: %v", got2)
-	}
-}
-
-// Property: DFA equals NFA simulator on random rule sets and inputs.
-func TestDFAMatchesNFARandom(t *testing.T) {
-	r := rand.New(rand.NewSource(88))
-	patterns := []string{
-		"ab+c", "x[yz]{1,3}", `\d\d`, "(ab|ba)c", "a.b", "^go+al", "q",
-	}
-	for trial := 0; trial < 10; trial++ {
-		k := 1 + r.Intn(len(patterns))
-		var rules []regexc.Rule
-		for i := 0; i < k; i++ {
-			rules = append(rules, regexc.Rule{Pattern: patterns[(trial+i)%len(patterns)], Code: i})
-		}
-		d, n := build(t, rules...)
-		for inTrial := 0; inTrial < 6; inTrial++ {
-			input := make([]byte, 1+r.Intn(120))
-			for i := range input {
-				input[i] = "abcxyz019goq "[r.Intn(13)]
-			}
-			want, _, err := sim.Run(n, input)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := d.Run(input)
-			if !sim.SameReports(want, got) {
-				t.Fatalf("trial %d input %q: dfa=%v nfa=%v",
-					trial, input, sim.ReportKeys(got), sim.ReportKeys(want))
-			}
-		}
 	}
 }
 

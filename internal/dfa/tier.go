@@ -358,10 +358,6 @@ func (s *Selection) NFA() *automata.NFA { return s.nfa }
 // determinizations (the tier-select stage's CPU statistic).
 func (s *Selection) PlanCPU() time.Duration { return s.planCPU }
 
-// NFACompiled returns the compiled NFA tier (nil when every component is
-// on the DFA tier).
-func (t *Tiered) NFACompiled() *sim.Compiled { return t.nfac }
-
 // NewCore returns a fresh per-stream core over the tiered form; it
 // implements sim.Core.
 func (t *Tiered) NewCore() sim.Core { return t.lockstep.NewCore() }

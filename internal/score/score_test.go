@@ -1,7 +1,6 @@
 package score
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -335,126 +334,17 @@ func TestScoredCompilePreservesBestScores(t *testing.T) {
 	}
 }
 
-// Differential pin (the ISSUE's satellite): a scored engine with all-zero
-// weights and threshold 0 must produce byte-identical reports to the binary
-// compiled engine across all (bits, stride) geometries.
-func TestZeroWeightDifferentialPin(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	geoms := []core.Config{
-		{TargetBits: 8, StrideDims: 1},
-		{TargetBits: 4, StrideDims: 1},
-		{TargetBits: 4, StrideDims: 2},
-		{TargetBits: 4, StrideDims: 4},
-		{TargetBits: 2, StrideDims: 4},
-	}
-	for trial := 0; trial < 10; trial++ {
-		n := randNFA8(r, 2+r.Intn(6))
-		input := randInput(r, 12+r.Intn(30))
-		for _, cfg := range geoms {
-			bcfg := cfg
-			bcfg.DisableMinimize = true
-			bin, err := core.Compile(n, bcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wcfg := cfg
-			wcfg.Weights = automata.NewWeights(n) // zero weights, threshold 0
-			sc, err := core.Compile(n, wcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bc, err := sim.Compile(bin.NFA)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cc, err := Compile(sc.NFA, sc.Weights)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binReports, binStats := bc.Run(input)
-			scored, scoredStats := cc.Run(input)
-			if scoredStats != binStats {
-				t.Fatalf("trial %d cfg %d/%d: scored lane stats %+v != kernel's %+v",
-					trial, cfg.TargetBits, cfg.StrideDims, scoredStats, binStats)
-			}
-			var gotBin []sim.Report
-			for _, sr := range scored {
-				if sr.Score != 0 {
-					t.Fatalf("zero-weight score = %g", sr.Score)
-				}
-				gotBin = append(gotBin, sr.Report)
-			}
-			if !reflect.DeepEqual(gotBin, binReports) {
-				t.Fatalf("trial %d cfg %d/%d: zero-weight scored reports diverged\n got: %v\nwant: %v",
-					trial, cfg.TargetBits, cfg.StrideDims, gotBin, binReports)
-			}
-			if trial > 0 {
-				continue
-			}
-			// The lane rides whole blocks: however a long stream is cut around
-			// a block edge, the scored session makes the scalar engine's
-			// reports in the order of its own whole-stream run.
-			scalar, err := sim.NewEngine(bin.NFA)
-			if err != nil {
-				t.Fatal(err)
-			}
-			long := randInput(r, 2*simtest.FeedBlock()+101)
-			want, wantStats := scalar.Run(long, nil)
-			open := func(sink sim.ReportSink) simtest.Stream {
-				return cc.NewSession(func(rep Report) { sink(rep.Report) })
-			}
-			form := fmt.Sprintf("%d-bit x %d kernel + zero-weight lane", cfg.TargetBits, cfg.StrideDims)
-			simtest.BlockEdges(t, form, bin.NFA.BitsPerCycle(), open, long, want, wantStats)
-		}
-	}
-}
-
-// Streaming scored sessions must match one-shot runs for any chunking.
-func TestScoredSessionMatchesRun(t *testing.T) {
+// Steady-state Feed through the scored lane allocates nothing, with the
+// stream and score metrics off and live.
+func TestScoredFeedAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		n := randNFA8(r, 2+r.Intn(6))
-		w := randWeights(r, n)
-		w.Threshold = float64(r.Intn(5) - 2)
-		c, err := Compile(n, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		input := randInput(r, 5+r.Intn(50))
-		want, _ := c.Run(input)
-
-		var got []Report
-		s := c.NewSession(func(rep Report) { got = append(got, rep) })
-		rest := input
-		for len(rest) > 0 {
-			k := 1 + r.Intn(len(rest))
-			s.Feed(rest[:k])
-			rest = rest[k:]
-		}
-		s.Flush()
-		SortReports(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: streaming diverged\n got: %v\nwant: %v", trial, got, want)
-		}
-
-		// Steady-state Feed through the scored lane allocates nothing, with
-		// the stream and score metrics off and live.
-		if trial > 0 {
-			continue
-		}
-		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
-			sim.EnableMetrics(reg)
-			EnableMetrics(reg)
-			s := c.NewSession(func(Report) {})
-			s.Feed(input) // warm the sub-symbol scratch buffer
-			avg := testing.AllocsPerRun(50, func() { s.Feed(input) })
-			sim.EnableMetrics(nil)
-			EnableMetrics(nil)
-			if avg != 0 {
-				t.Errorf("metrics live=%t: steady-state scored Feed allocates %.1f objects/op, want 0", reg != nil, avg)
-			}
-		}
+	n := randNFA8(r, 6)
+	c, err := Compile(n, randWeights(r, n))
+	if err != nil {
+		t.Fatal(err)
 	}
+	open := func(sim.ReportSink) simtest.Stream { return c.NewSession(func(Report) {}) }
+	simtest.AllocFree(t, simtest.Form{Open: open}, randInput(r, 50), nil, EnableMetrics)
 }
 
 // The threshold comparator must suppress reports below it and count them.

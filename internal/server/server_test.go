@@ -32,7 +32,7 @@ func compileMachine(t testing.TB, patterns []string) *impala.Machine {
 	return m
 }
 
-func writeArtifact(t *testing.T, m *impala.Machine, dir, name string) string {
+func writeArtifact(t testing.TB, m *impala.Machine, dir, name string) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
 	if err := m.Artifact().WriteFile(path); err != nil {

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"math/rand"
@@ -8,134 +8,12 @@ import (
 
 	"impala/internal/automata"
 	"impala/internal/bitvec"
+	"impala/internal/sim"
+	"impala/internal/sim/simtest"
 	"impala/internal/workload"
 )
 
-// randomNFAAllGeometries draws automata across every supported (Bits,
-// Stride) geometry, every start kind, and a mix of single-rect,
-// decomposable-union and non-decomposable-union match sets — the latter to
-// exercise the compiled engine's residual scalar path.
-func randomNFAAllGeometries(r *rand.Rand) *automata.NFA { return randomNFASized(r, 0) }
-
-// randomNFASized is randomNFAAllGeometries with the state count given (0
-// draws the usual 3–14, one word): past 4,096 states the summaries of the
-// compiled engine span more than one word and random edges cross them. A
-// large automaton keeps its start states in its first sixteenth, so most
-// words are live only while a successor row reaches them.
-func randomNFASized(r *rand.Rand, states int) *automata.NFA {
-	bits := []int{2, 4, 8}[r.Intn(3)]
-	stride := []int{1, 2, 4, 8}[r.Intn(4)]
-	n := automata.New(bits, stride)
-	dom := automata.DomainSize(bits)
-	if states == 0 {
-		states = 3 + r.Intn(12)
-	}
-	for i := 0; i < states; i++ {
-		ms := automata.MatchSet{}
-		for k := 0; k < 1+r.Intn(3); k++ {
-			rect := make(automata.Rect, stride)
-			for d := range rect {
-				var set bitvec.ByteSet
-				for v := 0; v < 1+r.Intn(3); v++ {
-					set = set.Add(byte(r.Intn(dom)))
-				}
-				if r.Intn(5) == 0 {
-					set = automata.Domain(bits)
-				}
-				rect[d] = set
-			}
-			ms = ms.Add(rect)
-		}
-		kind := automata.StartNone
-		switch r.Intn(6) {
-		case 0:
-			kind = automata.StartAllInput
-		case 1:
-			kind = automata.StartOfData
-		case 2:
-			kind = automata.StartEven
-		}
-		if i == 0 {
-			kind = automata.StartAllInput
-		} else if states > 64 && i > states/16 {
-			kind = automata.StartNone
-		}
-		n.AddState(automata.State{
-			Match:        ms,
-			Start:        kind,
-			Report:       r.Intn(3) == 0,
-			ReportCode:   i,
-			ReportOffset: 1 + r.Intn(stride),
-		})
-	}
-	for k := 0; k < states*2; k++ {
-		n.AddEdge(automata.StateID(r.Intn(states)), automata.StateID(r.Intn(states)))
-	}
-	n.DedupEdges()
-	return n
-}
-
-// frontierCheck is a Tracer pinning what the word-sparse kernel promises
-// after every cycle: each vector is dense-valid under its summary (a word the
-// summary does not name is zero), the vectors the tracer is handed are the
-// engine's own, and outside the words successor rows touched the enable
-// vector is exactly the cycle's start vector.
-type frontierCheck struct {
-	t *testing.T
-	e *CompiledEngine
-}
-
-func (f frontierCheck) OnCycle(cycle int, enabled, active bitvec.Words) {
-	f.t.Helper()
-	e := f.e
-	if &enabled[0] != &e.enabled.Bits[0] || &active[0] != &e.Active()[0] {
-		f.t.Fatalf("cycle %d: tracer was not handed the engine's vectors", cycle)
-	}
-	f.consistent(cycle)
-	start := e.startFor(cycle)
-	for w, x := range enabled {
-		if !named(e.touched.Sum, w) && x != start.Bits[w] {
-			f.t.Fatalf("cycle %d: untouched enable word %d = %#x, start vector %#x", cycle, w, x, start.Bits[w])
-		}
-	}
-}
-
-// consistent fails the test if a vector of the engine holds a non-zero word
-// its summary does not name.
-func (f frontierCheck) consistent(cycle int) {
-	f.t.Helper()
-	for name, v := range map[string]bitvec.Frontier{
-		"enabled": f.e.enabled, "active": f.e.act[f.e.cur&1], "previous active": f.e.act[f.e.cur&1^1],
-	} {
-		for w, x := range v.Bits {
-			if x != 0 && !named(v.Sum, w) {
-				f.t.Fatalf("cycle %d: %s word %d = %#x lies outside its summary", cycle, name, w, x)
-			}
-		}
-	}
-}
-
-// inOrder is a frontierCheck that also pins the tracer's contract under block
-// stepping: every cycle of the stream exactly once, in order, whatever blocks
-// the stream was stepped in.
-type inOrder struct {
-	frontierCheck
-	next int
-}
-
-func (o *inOrder) OnCycle(cycle int, enabled, active bitvec.Words) {
-	o.t.Helper()
-	if cycle != o.next {
-		o.t.Fatalf("tracer shown cycle %d, want cycle %d", cycle, o.next)
-	}
-	o.next++
-	o.frontierCheck.OnCycle(cycle, enabled, active)
-}
-
-// named reports whether the summary names word w.
-func named(sum bitvec.Words, w int) bool { return sum[w>>6]>>(uint(w)&63)&1 != 0 }
-
-func sameRun(t *testing.T, what string, gotR, wantR []Report, gotS, wantS Stats) {
+func sameRun(t *testing.T, what string, gotR, wantR []sim.Report, gotS, wantS sim.Stats) {
 	t.Helper()
 	if len(gotR) != len(wantR) {
 		t.Fatalf("%s: compiled %d reports, scalar %d", what, len(gotR), len(wantR))
@@ -153,8 +31,11 @@ func sameRun(t *testing.T, what string, gotR, wantR []Report, gotS, wantS Stats)
 // Property: CompiledEngine and the scalar Engine produce identical report
 // lists (field-by-field, not just keys) and identical activity statistics
 // on random automata of every geometry — one word of states or several
-// summary words of them, a lane attached or not — with
-// the kernel's frontier invariant checked after every cycle.
+// summary words of them, a lane attached or not — and on the automata the
+// kernel is tuned against (starts in every word, low and high activity;
+// starts clustered in three of 38 words with hub rows; the Snort rule set the
+// serving benchmark runs), with the kernel's frontier invariant checked after
+// every cycle.
 func TestCompiledMatchesScalarFuzz(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	trials := 120
@@ -167,24 +48,24 @@ func TestCompiledMatchesScalarFuzz(t *testing.T) {
 		if trial >= trials { // the last two are past one summary word
 			states = 4200 + r.Intn(400)
 		}
-		n := randomNFASized(r, states)
+		n := simtest.RandomNFA(r, states)
 		if err := n.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		c, err := Compile(n)
+		c, err := sim.Compile(n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c.ResidualStates() > 0 {
 			sawResidual = true
 		}
-		scalar, err := NewEngine(n)
+		scalar, err := sim.NewEngine(n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		compiled := c.NewEngine()
-		sawWideSummary = sawWideSummary || len(compiled.enabled.Sum) > 1
-		check := frontierCheck{t, compiled}
+		sawWideSummary = sawWideSummary || compiled.SummaryWords() > 1
+		check := sim.FrontierCheck{T: t, E: compiled}
 		for k := 0; k < 4; k++ {
 			input := make([]byte, r.Intn(50))
 			for i := range input {
@@ -213,22 +94,22 @@ func TestCompiledMatchesScalarFuzz(t *testing.T) {
 		// then a chunk long enough to be stepped as three blocks, every one
 		// starting mid-cycle on the strided geometries. The tracer sees each
 		// cycle once, in order.
-		input := make([]byte, 3+2*feedBlock+r.Intn(100))
+		input := make([]byte, 3+2*simtest.FeedBlock()+r.Intn(100))
 		for i := range input {
 			input[i] = byte(r.Intn(256))
 		}
 		wantR, wantS := scalar.Run(input, nil)
-		var gotR []Report
-		s := NewSession(compiled, func(r Report) { gotR = append(gotR, r) })
-		order := &inOrder{frontierCheck: check}
+		var gotR []sim.Report
+		s := sim.NewSession(compiled, func(r sim.Report) { gotR = append(gotR, r) })
+		order := &sim.InOrder{FrontierCheck: check}
 		s.SetTracer(order)
 		s.Feed(input[:3])
 		s.Feed(input[3:])
 		s.Flush()
-		SortReports(gotR)
+		sim.SortReports(gotR)
 		sameRun(t, "across block edges", gotR, wantR, s.Stats(), wantS)
-		if order.next != wantS.Cycles {
-			t.Fatalf("trial %d: tracer shown %d cycles of %d", trial, order.next, wantS.Cycles)
+		if order.Next != wantS.Cycles {
+			t.Fatalf("trial %d: tracer shown %d cycles of %d", trial, order.Next, wantS.Cycles)
 		}
 	}
 	if !sawResidual {
@@ -236,6 +117,34 @@ func TestCompiledMatchesScalarFuzz(t *testing.T) {
 	}
 	if !sawWideSummary {
 		t.Fatal("fuzz corpus never spanned more than one summary word")
+	}
+
+	snort := snortNFA(t, 0.02)
+	for _, tc := range []struct {
+		name  string
+		n     *automata.NFA
+		input []byte
+	}{
+		{"low", sim.LowActivityNFA(), sim.BenchInput(8 << 10)},
+		{"high", sim.HighActivityNFA(), sim.BenchInput(8 << 10)},
+		{"sparse", sim.SparseActivityNFA(), sim.BenchInput(8 << 10)},
+		{"snort", snort, workload.Input(snort, 8<<10, 7)},
+	} {
+		scalar, err := sim.NewEngine(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := sim.Compile(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := c.NewEngine()
+		wantR, wantS := scalar.Run(tc.input, nil)
+		gotR, gotS := e.Run(tc.input, sim.FrontierCheck{T: t, E: e})
+		sameRun(t, tc.name, gotR, wantR, gotS, wantS)
+		if wantS.TotalActive == 0 || wantS.TotalEnabled == 0 {
+			t.Fatalf("%s: nothing was ever active (%+v); the fixture pins nothing", tc.name, wantS)
+		}
 	}
 }
 
@@ -254,7 +163,7 @@ func TestCompiledDecomposability(t *testing.T) {
 		Report:     true,
 		ReportCode: 1,
 	})
-	c, err := Compile(dec)
+	c, err := sim.Compile(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +183,7 @@ func TestCompiledDecomposability(t *testing.T) {
 		Report:     true,
 		ReportCode: 1,
 	})
-	c, err = Compile(res)
+	c, err = sim.Compile(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +209,7 @@ func TestCompiledDecomposability(t *testing.T) {
 func TestCompiledEngineReuse(t *testing.T) {
 	n := automata.New(8, 1)
 	n.AddLiteral("ab", automata.StartOfData, 1)
-	c, err := Compile(n)
+	c, err := sim.Compile(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +226,7 @@ func TestCompiledEngineReuse(t *testing.T) {
 func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 	n := automata.New(8, 1)
 	n.AddLiteral("needle", automata.StartAllInput, 7)
-	c, err := Compile(n)
+	c, err := sim.Compile(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,41 +266,6 @@ func snortNFA(t *testing.T, scale float64) *automata.NFA {
 	return n
 }
 
-// The kernel counts enabled and active states from its live words only; the
-// counts — and with them every field of Stats — must still equal the scalar
-// engine's on the automata the kernel is tuned against: starts in every word
-// (low, high), starts clustered in three of 38 words with hub rows (sparse),
-// and the Snort rule set the serving benchmark runs.
-func TestCompiledStatsMatchScalar(t *testing.T) {
-	snort := snortNFA(t, 0.02)
-	for _, tc := range []struct {
-		name  string
-		n     *automata.NFA
-		input []byte
-	}{
-		{"low", lowActivityNFA(), benchInput(8 << 10)},
-		{"high", highActivityNFA(), benchInput(8 << 10)},
-		{"sparse", sparseActivityNFA(), benchInput(8 << 10)},
-		{"snort", snort, workload.Input(snort, 8<<10, 7)},
-	} {
-		scalar, err := NewEngine(tc.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := Compile(tc.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := c.NewEngine()
-		wantR, wantS := scalar.Run(tc.input, nil)
-		gotR, gotS := e.Run(tc.input, frontierCheck{t, e})
-		sameRun(t, tc.name, gotR, wantR, gotS, wantS)
-		if wantS.TotalActive == 0 || wantS.TotalEnabled == 0 {
-			t.Fatalf("%s: nothing was ever active (%+v); the row pins nothing", tc.name, wantS)
-		}
-	}
-}
-
 // Paper scale: the 100,520-state Snort source automaton. The compiled form
 // is linear in states and edges — the dense successor matrix it replaced
 // needed 1.27 GB and seven seconds for this call — and still agrees with the
@@ -404,7 +278,7 @@ func TestCompiledPaperScale(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	c, err := Compile(n)
+	c, err := sim.Compile(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +287,7 @@ func TestCompiledPaperScale(t *testing.T) {
 	if live := int64(after.HeapAlloc) - int64(before.HeapAlloc); live > 32<<20 {
 		t.Fatalf("Compile of %d states keeps %d MB live, want < 32", n.NumStates(), live>>20)
 	}
-	scalar, err := NewEngine(n)
+	scalar, err := sim.NewEngine(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,8 +307,8 @@ func TestPooledEngineAbortedRuns(t *testing.T) {
 		if trial%8 == 7 {
 			states = 300 + r.Intn(200) // several words, starts in the first
 		}
-		n := randomNFASized(r, states)
-		c, err := Compile(n)
+		n := simtest.RandomNFA(r, states)
+		c, err := sim.Compile(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,29 +318,27 @@ func TestPooledEngineAbortedRuns(t *testing.T) {
 		}
 		wantR, wantS := c.NewEngine().Run(input, nil)
 
-		e := c.pool.Get().(*CompiledEngine)
-		check := frontierCheck{t, e}
+		e := c.Pooled()
+		check := sim.FrontierCheck{T: t, E: e}
 		for round := 0; round < 3; round++ {
 			// Abandon a stream part-way, mid-cycle where the geometry allows.
-			s := NewSession(e, nil)
+			s := sim.NewSession(e, nil)
 			s.Feed(input[:1+r.Intn(len(input)-1)])
-			check.consistent(-1)
+			check.Consistent(-1)
 
 			gotR, gotS := e.Run(input, check)
 			sameRun(t, "after an abandoned stream", gotR, wantR, gotS, wantS)
 
-			c.pool.Put(e)
-			e = c.pool.Get().(*CompiledEngine)
-			check.e = e
-			check.consistent(-1)
+			c.Release(e)
+			e = c.Pooled()
+			check.E = e
+			check.Consistent(-1)
 			gotR, gotS = e.Run(input, check)
 			sameRun(t, "after release", gotR, wantR, gotS, wantS)
 		}
 		e.ResetState()
-		for _, v := range []bitvec.Frontier{e.enabled, e.act[0], e.act[1], e.touched} {
-			if v.Bits.Any() || v.Sum.Any() {
-				t.Fatalf("trial %d: ResetState left a vector or a summary non-empty", trial)
-			}
+		if !e.Idle() {
+			t.Fatalf("trial %d: ResetState left a vector or a summary non-empty", trial)
 		}
 	}
 }

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"math/rand"
@@ -6,20 +6,21 @@ import (
 	"testing"
 
 	"impala/internal/automata"
-	"impala/internal/bitvec"
+	"impala/internal/sim"
+	"impala/internal/sim/simtest"
 )
 
 // naiveRun is an independent, deliberately simple reference implementation
 // of the execution semantics (maps and slices, no bitsets, no engine
 // reuse): the redundancy that keeps the optimized engine honest.
-func naiveRun(n *automata.NFA, input []byte) []Report {
-	syms := SubSymbols(n.Bits, input)
+func naiveRun(n *automata.NFA, input []byte) []sim.Report {
+	syms := sim.SubSymbols(n.Bits, input)
 	S := n.Stride
 	totalBits := len(syms) * n.Bits
 	cycles := (len(syms) + S - 1) / S
 
 	active := map[automata.StateID]bool{}
-	var reports []Report
+	var reports []sim.Report
 	for t := 0; t < cycles; t++ {
 		chunk := make([]byte, S)
 		for i := 0; i < S; i++ {
@@ -55,7 +56,7 @@ func naiveRun(n *automata.NFA, input []byte) []Report {
 				if s.Report {
 					bitPos := (t*S + s.ReportOffset) * n.Bits
 					if bitPos <= totalBits {
-						reports = append(reports, Report{BitPos: bitPos, Code: s.ReportCode, State: id})
+						reports = append(reports, sim.Report{BitPos: bitPos, Code: s.ReportCode, State: id})
 					}
 				}
 			}
@@ -74,68 +75,12 @@ func naiveRun(n *automata.NFA, input []byte) []Report {
 	return reports
 }
 
-func randomGeometryNFA(r *rand.Rand) *automata.NFA {
-	bits := 8
-	if r.Intn(2) == 0 {
-		bits = 4
-	}
-	stride := []int{1, 2, 4}[r.Intn(3)]
-	n := automata.New(bits, stride)
-	dom := automata.DomainSize(bits)
-	states := 3 + r.Intn(10)
-	for i := 0; i < states; i++ {
-		ms := automata.MatchSet{}
-		for k := 0; k < 1+r.Intn(2); k++ {
-			rect := make(automata.Rect, stride)
-			for d := range rect {
-				var set bitvec.ByteSet
-				for v := 0; v < 1+r.Intn(3); v++ {
-					set = set.Add(byte(r.Intn(dom)))
-				}
-				if r.Intn(5) == 0 {
-					set = automata.Domain(bits)
-				}
-				rect[d] = set
-			}
-			ms = ms.Add(rect)
-		}
-		kind := automata.StartNone
-		switch r.Intn(6) {
-		case 0:
-			kind = automata.StartAllInput
-		case 1:
-			kind = automata.StartOfData
-		case 2:
-			if bits == 4 && stride == 1 {
-				kind = automata.StartEven
-			} else {
-				kind = automata.StartAllInput
-			}
-		}
-		if i == 0 {
-			kind = automata.StartAllInput
-		}
-		n.AddState(automata.State{
-			Match:        ms,
-			Start:        kind,
-			Report:       r.Intn(3) == 0,
-			ReportCode:   i,
-			ReportOffset: 1 + r.Intn(stride),
-		})
-	}
-	for k := 0; k < states*2; k++ {
-		n.AddEdge(automata.StateID(r.Intn(states)), automata.StateID(r.Intn(states)))
-	}
-	n.DedupEdges()
-	return n
-}
-
 // Property: the optimized engine agrees with the naive reference on random
 // automata of every geometry, start kind and report offset.
 func TestEngineMatchesNaiveReference(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 60; trial++ {
-		n := randomGeometryNFA(r)
+		n := simtest.RandomNFA(r, 0)
 		if err := n.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +89,7 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 			for i := range input {
 				input[i] = byte(r.Intn(256))
 			}
-			got, _, err := Run(n, input)
+			got, _, err := sim.Run(n, input)
 			if err != nil {
 				t.Fatal(err)
 			}

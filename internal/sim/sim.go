@@ -12,6 +12,8 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"impala/internal/automata"
@@ -203,16 +205,10 @@ func (e *Engine) Run(input []byte, tracer Tracer) ([]Report, Stats) {
 }
 
 // SortReports sorts reports by (BitPos, Code, State) — the canonical batch
-// output order.
+// output order — in place, allocating nothing.
 func SortReports(reports []Report) {
-	sort.Slice(reports, func(i, j int) bool {
-		if reports[i].BitPos != reports[j].BitPos {
-			return reports[i].BitPos < reports[j].BitPos
-		}
-		if reports[i].Code != reports[j].Code {
-			return reports[i].Code < reports[j].Code
-		}
-		return reports[i].State < reports[j].State
+	slices.SortFunc(reports, func(a, b Report) int {
+		return cmp.Or(cmp.Compare(a.BitPos, b.BitPos), cmp.Compare(a.Code, b.Code), cmp.Compare(a.State, b.State))
 	})
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"impala/internal/automata"
@@ -220,5 +221,19 @@ func TestEmptyInput(t *testing.T) {
 	reports, stats := mustRun(t, n, "")
 	if len(reports) != 0 || stats.Cycles != 0 {
 		t.Fatalf("empty input: %v %+v", reports, stats)
+	}
+}
+
+// SortReports runs on every kernel and lockstep one-shot Run: it sorts in
+// place and allocates nothing however many reports it is handed.
+func TestSortReportsAllocFree(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	reports := make([]Report, 300)
+	for i := range reports {
+		reports[i] = Report{BitPos: 4 * r.Intn(40), Code: r.Intn(5), State: automata.StateID(r.Intn(8))}
+	}
+	work := make([]Report, len(reports))
+	if avg := testing.AllocsPerRun(20, func() { copy(work, reports); SortReports(work) }); avg != 0 {
+		t.Errorf("SortReports of %d reports allocates %.1f objects, want 0", len(work), avg)
 	}
 }
