@@ -161,8 +161,9 @@ smoke-serve:
 	./scripts/smoke_serve.sh
 
 # End-to-end cluster smoke: compile with a topology → 2 domain workers + a
-# frontend → fan-out match/stream → kill a worker → explicit partial-result
-# degradation → SIGTERM drain (the CI job).
+# frontend → fan-out match/stream, and a scored tenant's rows against a single
+# process → kill a worker → explicit partial-result degradation → SIGTERM
+# drain (the CI job).
 smoke-cluster:
 	./scripts/smoke_cluster.sh
 

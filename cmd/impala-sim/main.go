@@ -293,13 +293,14 @@ func (cycleTracer) OnCycle(cycle int, enabled, active bitvec.Words) {
 	fmt.Printf("cycle %5d: enabled %4d active %4d %v\n", cycle, enabled.Count(), active.Count(), ids)
 }
 
-// printArtifactInfo writes the artifact header to w without decoding the
-// automaton body (the whole file is still checksum-verified).
+// printArtifactInfo writes the artifact header to w, with a line for each
+// plan it carries, read off the plan itself.
 func printArtifactInfo(w io.Writer, path string) error {
-	info, err := artifact.StatFile(path)
+	a, err := artifact.LoadFile(path)
 	if err != nil {
 		return err
 	}
+	info := a.Info()
 	m := info.Meta
 	design := fmt.Sprintf("%d-bit stride-%d", m.Bits, m.Stride)
 	if m.CAMode {
@@ -313,15 +314,15 @@ func printArtifactInfo(w io.Writer, path string) error {
 	}
 	fmt.Fprintf(w, "input automaton : %d states, %d transitions\n", m.OriginalStates, m.OriginalTransitions)
 	fmt.Fprintf(w, "compiled        : %d states, %d transitions, %d G4 groups\n", m.States, m.Transitions, m.Groups)
-	if m.TierCCs > 0 {
+	if t := a.Tier; t != nil {
 		fmt.Fprintf(w, "tier plan       : %d/%d components on the DFA fast path (%d DFA states)\n",
-			m.TierDFACCs, m.TierCCs, m.TierDFAStates)
+			t.Plan.DFACCs(), len(t.Plan.CCs), t.Plan.DFAStates)
 	}
-	if m.Shards > 0 {
-		fmt.Fprintf(w, "shard plan      : %d shards\n", m.Shards)
+	if a.Shards != nil {
+		fmt.Fprintf(w, "shard plan      : %d shards\n", a.Shards.Plan.Shards)
 	}
-	if m.ScoredEdges > 0 {
-		fmt.Fprintf(w, "score table     : %d weighted edges, threshold %g\n", m.ScoredEdges, m.ScoreThreshold)
+	if a.Score != nil {
+		fmt.Fprintf(w, "score table     : %d weighted edges, threshold %g\n", a.Score.NumEdges(), a.Score.Threshold)
 	}
 	for _, st := range info.Stages {
 		fmt.Fprintf(w, "stage %-16s: %6d states, %7d transitions  (wall %s, cpu %s)\n",

@@ -9,6 +9,7 @@
 //	impalac -rules rules.txt [-stride 4] [-ca] [-o out.json] [-seed 1]
 //	impalac -rules rules.txt -o machine.impala   # sealed artifact for impala-serve / impala-sim -load
 //	impalac -rules rules.txt -shards 4 -topo cluster.json -o machine.impala   # + cluster placement
+//	impalac -score lev -patterns ACGTACGT,TTGACCAT -shards 2 -topo cluster.json -o align.impala   # scored, placed
 //	impalac -rules rules.txt -trace trace.json   # Chrome trace of the pipeline
 //	impalac -nfa automaton.json -stride 2
 //	echo 'GET /|POST /' | impalac -patterns 'GET /,POST /'
@@ -245,17 +246,13 @@ func main() {
 				CreatedUnix: time.Now().Unix(),
 			}, stages)
 			if res.Tiers != nil {
-				a.SetTier(res.Tiers.Seal())
+				a.Tier = res.Tiers.Seal()
 			}
 			if res.Shards != nil {
-				a.SetShards(res.Shards.Seal())
+				a.Shards = res.Shards.Seal()
 			}
-			if topoSealed != nil {
-				a.SetTopo(topoSealed)
-			}
-			if res.Weights != nil {
-				a.SetScore(res.Weights)
-			}
+			a.SetTopo(topoSealed)
+			a.Score = res.Weights
 			payload, err := bk.SealSection(res.NFA, pl)
 			if err != nil {
 				fatal(err)

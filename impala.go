@@ -73,8 +73,8 @@ type Config struct {
 	// the scored execution paths (MatchScored, NewScoredStream) with
 	// max-plus accumulation and threshold reporting. The transformed table
 	// travels inside the artifact as the SCOR section, so loaded machines
-	// keep it. Not combinable with Tier or Shards (core.Compile rejects the
-	// combination): scored execution runs on the one bit-parallel kernel.
+	// keep it. Tier and Shards compose with it: they plan Match and
+	// NewStream, and the scored paths run on one bit-parallel kernel.
 	Score *automata.Weights
 }
 
@@ -215,7 +215,10 @@ func CompileAutomaton(nfa *automata.NFA, cfg Config) (*Machine, error) {
 // out of the compile pipeline or out of an artifact: it builds the capsule
 // machine and the bit-parallel engines of the transformed automaton — with a
 // weight table the scored form, whose kernel is also the binary kernel, so
-// the automaton is compiled once either way — and picks the serving form.
+// the automaton is compiled once — and picks the serving form. A sharded
+// form holding a shard subset (a topology worker's) scores that subset only:
+// a score belongs to a state and a shard to whole components, so across the
+// workers every state is scored once.
 func newMachine(cfg Config, n *automata.NFA, pl *place.Placement, w *automata.Weights, tiered *dfa.Tiered, sharded *shard.Sharded) (*Machine, error) {
 	am, err := arch.Build(n, pl)
 	if err != nil {
@@ -225,10 +228,19 @@ func newMachine(cfg Config, n *automata.NFA, pl *place.Placement, w *automata.We
 		cfg: cfg, transformed: n, placement: pl, machine: am,
 		tiered: tiered, sharded: sharded, weights: w,
 	}
-	if w == nil {
+	if w != nil {
+		sn, sw := n, w
+		if sharded != nil {
+			if ids := sharded.States(); len(ids) < n.NumStates() {
+				sn, sw = n.Induced(ids), w.Induced(ids)
+			}
+		}
+		if m.scored, err = score.Compile(sn, sw); err == nil && sn == n {
+			m.simc = m.scored.Kernel()
+		}
+	}
+	if err == nil && m.simc == nil {
 		m.simc, err = sim.Compile(n)
-	} else if m.scored, err = score.Compile(n, w); err == nil {
-		m.simc = m.scored.Kernel()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("impala: automaton does not compile: %w", err)
@@ -245,9 +257,9 @@ func newMachine(cfg Config, n *automata.NFA, pl *place.Placement, w *automata.We
 }
 
 // Artifact packages the machine into its versioned on-disk form: the
-// transformed automaton, the placement, the design point and the compile
-// trace — everything LoadMachine needs to rebuild an identical engine
-// without re-running the pipeline.
+// transformed automaton, the placement, the design point, the compile trace
+// and every plan the machine holds — everything LoadMachine needs to rebuild
+// an identical engine without re-running the pipeline.
 func (m *Machine) Artifact() *artifact.Artifact {
 	meta := artifact.Meta{
 		CAMode:              m.cfg.CAMode,
@@ -256,14 +268,13 @@ func (m *Machine) Artifact() *artifact.Artifact {
 		OriginalTransitions: m.origTransitions,
 	}
 	a := artifact.New(m.transformed, m.placement, nil, meta, m.stages)
-	switch {
-	case m.sharded != nil:
-		a.SetShards(m.sharded.Seal())
-	case m.tiered != nil:
-		a.SetTier(m.tiered.Seal())
-	case m.weights != nil:
-		a.SetScore(m.weights)
+	if m.sharded != nil {
+		a.Shards = m.sharded.Seal()
 	}
+	if m.tiered != nil {
+		a.Tier = m.tiered.Seal()
+	}
+	a.Score = m.weights
 	return a
 }
 
@@ -357,8 +368,9 @@ func machineFromArtifact(a *artifact.Artifact, keep []int) (*Machine, error) {
 		}
 	}
 	var sharded *shard.Sharded
-	shardsTiered := false
+	shardsTiered, shards := false, 0
 	if a.Shards != nil {
+		shards = a.Shards.Plan.Shards
 		sharded, err = shard.UnsealShards(a.NFA, a.Shards, keep)
 		if err != nil {
 			return nil, fmt.Errorf("impala: artifact shard plan does not unseal: %w", err)
@@ -375,7 +387,7 @@ func machineFromArtifact(a *artifact.Artifact, keep []int) (*Machine, error) {
 		CAMode:     a.Meta.CAMode,
 		Seed:       a.Meta.Seed,
 		Tier:       tiered != nil || shardsTiered,
-		Shards:     a.Meta.Shards,
+		Shards:     shards,
 		Score:      a.Score,
 	}
 	m, err := newMachine(cfg, a.NFA, a.Placement, a.Score, tiered, sharded)

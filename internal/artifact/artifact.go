@@ -7,8 +7,9 @@
 // metadata, the per-state match-set tables (the subarray column images),
 // the successor lists (the rows of the dense successor matrix, stored
 // sparsely and re-densified by sim.Compile on load), and the G4/G16
-// placement the bitstream was generated from — plus, for non-default
-// compile targets, a backend tag and the backend's own sealed section.
+// placement the bitstream was generated from — plus whatever execution
+// plans the compile made, and for non-default compile targets a backend tag
+// and the backend's own sealed section.
 //
 // The container is a strict little-endian binary format:
 //
@@ -22,43 +23,32 @@
 //	  length  uint64
 //	  payload [length]byte
 //
-// Sections: "META" (geometry, design point, shape counts — required,
-// first), "STAG" (compile-stage trace), "AUTM" (states: match rects as raw
-// 256-bit masks per dimension, start kinds, report metadata, out-edges),
-// "PLAC" (per-group slot assignments). Version 2 adds two optional
-// sections sealing the tier-selection stage: "TIER" (the per-component
-// DFA/NFA execution plan with its budgets) and "DFAT" (the union DFA's
-// dense transition table and per-state metadata), so a loaded machine gets
-// the DFA fast path without re-determinizing. Version 3 adds the optional
-// "SHRD" section sealing the shard-plan stage: the component-to-shard
-// partition plus each shard's tier seal (plan and DFA tables as nested
-// blobs), so a loaded machine executes sharded — per-shard fast paths
-// included — without re-planning. Version 4 adds the optional
-// "TOPO" section sealing the cluster placement stage: the normalized
-// topology (domains with capacities and bandwidths, the cross-domain cost
-// matrix) and the shard-to-domain assignment, so a worker process can
-// self-select the shard subset its domain was assigned. Version 5 adds the
-// optional "SCOR" section sealing the scored execution layer: the
-// per-transition weight table and report threshold
-// (internal/automata.Weights), so a loaded machine scores matches without
-// recompiling. Version 6 adds nothing and changes DFAT (and the DFAT blobs
-// nested in SHRD): the tables are sealed in the form they execute in — one
-// uint16 table per stride phase, one record per cycle-boundary state, one
-// flat report-entry array (see encodeDFATable). Which optional sections may
-// ride together is stated once, in checkSections. Artifacts sealed for a
-// non-default compile target
-// additionally carry the backend name as a trailing META field and the backend-owned
-// payload in an optional "BKND" section (internal/backend revalidates it
-// on load); default-target artifacts carry neither, staying byte-identical
-// with the pre-backend layout. The encoding is canonical: Save output is
-// deterministic, and Load accepts only what Save writes — sections in Save's
-// order, reserved and padding bytes zero, flags 0 or 1 — so whatever loads
-// saves back byte-identically, which the property tests and FuzzLoad pin.
+// The sections are the rows of one table, sectionTable, listed in the order
+// Save writes them and the only order Load accepts. Every artifact carries
+// "META" (geometry, design point, shape counts), "STAG" (compile-stage
+// trace), "AUTM" (states: match rects as raw 256-bit masks per dimension,
+// start kinds, report metadata, out-edges) and "PLAC" (per-group slot
+// assignments). The rest are optional: "BKND" (a non-default compile
+// target's own sealed section; its name is a trailing META field), "TIER"
+// and "DFAT" (the tier-selection stage: the per-component DFA/NFA plan and
+// the union DFA's tables in the form they execute in — one uint16 table per
+// stride phase, one record per cycle-boundary state, one flat report-entry
+// array), "SHRD" (the shard-plan stage: the component-to-shard partition and
+// each shard's tier seal as nested TIER/DFAT blobs), "TOPO" (the cluster
+// placement: the normalized topology and the shard-to-domain assignment) and
+// "SCOR" (the per-transition weight table and report threshold). A row may
+// name one section it needs and one it refuses; there are three such rules
+// (DFAT needs TIER, TOPO needs SHRD, TIER refuses SHRD), and every other
+// combination composes. Each plan describes itself: META copies none of
+// them. The encoding is canonical: Save output is deterministic, and Load
+// accepts only what Save writes — sections in the table's order, reserved
+// and padding bytes zero, flags 0 or 1 — so whatever loads saves back
+// byte-identically, which the property tests and FuzzLoad pin.
 //
 // Every Load validates the magic, version, CRC and all structural bounds
-// before returning; Stat decodes only META and STAG (still CRC-checking
-// the whole file), so header inspection of a multi-megabyte artifact does
-// not decode the automaton.
+// before returning; Stat decodes only the rows the table marks for it (META
+// and STAG), still CRC-checking the whole file, so header inspection of a
+// multi-megabyte artifact does not decode the automaton.
 package artifact
 
 import (
@@ -85,12 +75,11 @@ import (
 
 // Version is the current container version. Load accepts only this
 // version: the format carries compiled internals, so cross-version
-// compatibility is a recompile, not a migration. Version 2 added the
-// optional TIER/DFAT tier-plan sections; version 3 the optional SHRD
-// shard-plan section and the Meta shard summary; version 4 the optional
-// TOPO cluster-placement section; version 5 the optional SCOR scored-weight
-// section and the Meta score summary; version 6 the phase-split DFAT layout.
-const Version = 6
+// compatibility is a recompile, not a migration. Versions 2 to 5 added
+// TIER/DFAT, SHRD, TOPO and SCOR in turn, 6 the phase-split DFAT layout, and
+// 7 drops META's copies of the tier, shard and score plans and lets SCOR
+// ride beside TIER and SHRD.
+const Version = 7
 
 var magic = [6]byte{'I', 'M', 'P', 'A', 'L', 'A'}
 
@@ -106,9 +95,110 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// sectionOrder is the order Save writes sections in, and so the only order
-// Load accepts.
-var sectionOrder = []string{"META", "STAG", "AUTM", "PLAC", "BKND", "TIER", "DFAT", "SHRD", "TOPO", "SCOR"}
+// section is one row of the section table.
+type section struct {
+	id string
+	// required rows are in every artifact; Stat decodes the stat rows.
+	required, stat bool
+	// encode returns the payload, nil when the artifact has no such section;
+	// decode fills the artifact from one.
+	encode func(a *Artifact) []byte
+	decode func(a *Artifact, payload []byte) error
+	// needs names a section that must ride with this one and refuses one
+	// that must not; why is the reason, for the error.
+	needs, refuses, why string
+}
+
+// sectionTable is the container's one statement of its sections: Save
+// writes them in this order, Load and Stat accept no other. Checks that
+// compare the values of two sections are validate's.
+var sectionTable = []section{
+	{id: "META", required: true, stat: true, encode: (*Artifact).encodeMeta, decode: (*Artifact).decodeMeta},
+	{id: "STAG", required: true, stat: true,
+		encode: func(a *Artifact) []byte { return encodeStages(a.Stages) },
+		decode: func(a *Artifact, p []byte) (err error) { a.Stages, err = decodeStages(p); return err }},
+	{id: "AUTM", required: true,
+		encode: func(a *Artifact) []byte { return encodeNFA(a.NFA) },
+		decode: func(a *Artifact, p []byte) (err error) { a.NFA, err = decodeNFA(p); return err }},
+	{id: "PLAC", required: true,
+		encode: func(a *Artifact) []byte { return encodePlacement(a.Placement) },
+		decode: func(a *Artifact, p []byte) (err error) { a.Placement, err = decodePlacement(p); return err }},
+	{id: "BKND",
+		encode: func(a *Artifact) []byte {
+			if len(a.BackendPayload) == 0 {
+				return nil
+			}
+			return a.BackendPayload
+		},
+		decode: func(a *Artifact, p []byte) error {
+			if len(p) == 0 {
+				return fmt.Errorf("%w: empty BKND section", ErrCorrupt)
+			}
+			a.BackendPayload = append([]byte(nil), p...)
+			return nil
+		}},
+	{id: "TIER", refuses: "SHRD", why: "a sharded artifact tiers per shard",
+		encode: func(a *Artifact) []byte {
+			return opt(a.Tier, func(t *dfa.Sealed) []byte { return encodeTierPlan(&t.Plan) })
+		},
+		decode: func(a *Artifact, p []byte) error {
+			plan, err := decodeTierPlan(p)
+			if err == nil {
+				a.Tier = &dfa.Sealed{Plan: *plan}
+			}
+			return err
+		}},
+	{id: "DFAT", needs: "TIER", why: "the tables are the tier plan's DFA",
+		encode: func(a *Artifact) []byte {
+			return opt(a.Tier, func(t *dfa.Sealed) []byte { return opt(t.DFA, encodeDFATable) })
+		},
+		decode: func(a *Artifact, p []byte) (err error) { a.Tier.DFA, err = decodeDFATable(p); return err }},
+	{id: "SHRD",
+		encode: func(a *Artifact) []byte { return opt(a.Shards, encodeShardPlan) },
+		decode: func(a *Artifact, p []byte) (err error) { a.Shards, err = decodeShardPlan(p); return err }},
+	{id: "TOPO", needs: "SHRD", why: "a placement assigns shards to domains",
+		encode: func(a *Artifact) []byte { return opt(a.Topo, encodeTopo) },
+		decode: func(a *Artifact, p []byte) (err error) { a.Topo, err = decodeTopo(p); return err }},
+	{id: "SCOR",
+		encode: func(a *Artifact) []byte { return opt(a.Score, encodeScore) },
+		decode: func(a *Artifact, p []byte) (err error) { a.Score, err = decodeScore(p); return err }},
+}
+
+// opt is an optional section's encode: nil, for absent, when v is.
+func opt[T any](v *T, encode func(*T) []byte) []byte {
+	if v == nil {
+		return nil
+	}
+	return encode(v)
+}
+
+// rules applies a present row's needs and refuses columns.
+func (s *section) rules(present func(id string) bool) error {
+	switch {
+	case s.needs != "" && !present(s.needs):
+		return fmt.Errorf("%w: %s without %s (%s)", ErrCorrupt, s.id, s.needs, s.why)
+	case s.refuses != "" && present(s.refuses):
+		return fmt.Errorf("%w: %s beside %s (%s)", ErrCorrupt, s.id, s.refuses, s.why)
+	}
+	return nil
+}
+
+// admit applies the table's presence rules to the set of sections present.
+func admit(present func(id string) bool) error {
+	for i := range sectionTable {
+		s := &sectionTable[i]
+		if !present(s.id) {
+			if s.required {
+				return fmt.Errorf("%w: missing section %q", ErrCorrupt, s.id)
+			}
+			continue
+		}
+		if err := s.rules(present); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Meta is the artifact's design-point and shape header.
 type Meta struct {
@@ -127,25 +217,11 @@ type Meta struct {
 	// CreatedUnix is the build time in Unix seconds (0 when the builder
 	// wants deterministic output, e.g. tests).
 	CreatedUnix int64
-	// TierCCs/TierDFACCs/TierDFAStates summarize the sealed tier plan
-	// (all zero when the artifact carries none) — duplicated from the TIER
-	// payload so Stat can show the tier split without decoding it.
-	TierCCs, TierDFACCs, TierDFAStates int
-	// Shards is the sealed shard count (0 when the artifact carries no
-	// shard plan) — duplicated from the SHRD payload for Stat.
-	Shards int
-	// ScoredEdges/ScoreThreshold summarize the sealed weight table (both
-	// zero when the artifact carries none) — duplicated from the SCOR
-	// payload so Stat can show the scoring configuration without decoding
-	// it. Set them with Artifact.SetScore.
-	ScoredEdges    int
-	ScoreThreshold float64
 	// Backend names the compile target the artifact was sealed for. The
 	// empty string means the default Impala target: default-backend
 	// artifacts carry no tag at all (the field is appended to the META
-	// payload only when non-empty), so they stay byte-identical with the
-	// pre-backend format and legacy files load as Backend "". Set it with
-	// Artifact.SetBackend, which normalizes the default name away.
+	// payload only when non-empty). Set it with Artifact.SetBackend, which
+	// normalizes the default name away.
 	Backend string
 }
 
@@ -176,19 +252,16 @@ type Artifact struct {
 	NFA       *automata.NFA
 	Placement *place.Placement
 	// Tier is the sealed hybrid execution plan (nil when the artifact was
-	// built without the tier-selection stage). Set it with SetTier so the
-	// Meta summary fields stay consistent.
+	// built without the tier-selection stage).
 	Tier *dfa.Sealed
-	// Shards is the sealed shard partition (nil when the artifact was
-	// built without the shard-plan stage). Set it with SetShards so the
-	// Meta summary stays consistent.
+	// Shards is the sealed shard partition (nil when the artifact was built
+	// without the shard-plan stage).
 	Shards *shard.Sealed
 	// Topo is the sealed cluster placement (nil when the artifact was
 	// built without a topology stage). Set it with SetTopo.
 	Topo *topo.Sealed
 	// Score is the sealed per-transition weight table and report threshold
-	// (nil when the artifact was built without scoring). Set it with
-	// SetScore so the Meta summary stays consistent.
+	// of NFA (nil when the artifact was built without scoring).
 	Score *automata.Weights
 	// BackendPayload is the backend-owned "BKND" section (nil when the
 	// backend seals nothing — the default Impala target always does). Set it
@@ -202,18 +275,6 @@ type Artifact struct {
 	sections map[string]int64
 }
 
-// SetScore attaches (or, with nil, detaches) a scored-execution weight
-// table, keeping the Meta score summary in sync. The table is cloned so
-// later caller mutations cannot desynchronize the seal.
-func (a *Artifact) SetScore(w *automata.Weights) {
-	a.Score = w.Clone()
-	a.Meta.ScoredEdges, a.Meta.ScoreThreshold = 0, 0
-	if w != nil {
-		a.Meta.ScoredEdges = w.NumEdges()
-		a.Meta.ScoreThreshold = w.Threshold
-	}
-}
-
 // SetBackend stamps the artifact with its compile target and the backend's
 // sealed section payload. The default backend name is normalized to the
 // empty tag so default artifacts keep the legacy byte layout; a payload
@@ -224,28 +285,6 @@ func (a *Artifact) SetBackend(name string, payload []byte) {
 	}
 	a.Meta.Backend = name
 	a.BackendPayload = payload
-}
-
-// SetTier attaches (or, with nil, detaches) a sealed tier plan, keeping
-// the Meta tier summary in sync.
-func (a *Artifact) SetTier(s *dfa.Sealed) {
-	a.Tier = s
-	a.Meta.TierCCs, a.Meta.TierDFACCs, a.Meta.TierDFAStates = 0, 0, 0
-	if s != nil {
-		a.Meta.TierCCs = len(s.Plan.CCs)
-		a.Meta.TierDFACCs = s.Plan.DFACCs()
-		a.Meta.TierDFAStates = s.Plan.DFAStates
-	}
-}
-
-// SetShards attaches (or, with nil, detaches) a sealed shard partition,
-// keeping the Meta shard summary in sync.
-func (a *Artifact) SetShards(s *shard.Sealed) {
-	a.Shards = s
-	a.Meta.Shards = 0
-	if s != nil {
-		a.Meta.Shards = s.Plan.Shards
-	}
 }
 
 // SetTopo attaches (or, with nil, detaches) a sealed cluster placement.
@@ -311,36 +350,25 @@ func (a *Artifact) Save(w io.Writer) error {
 	if len(a.BackendPayload) > 0 && a.Meta.Backend == "" {
 		return fmt.Errorf("%w: backend payload without a backend tag (use SetBackend)", ErrCorrupt)
 	}
-	if err := a.checkSections(); err != nil {
-		return err
-	}
 	if a.Score != nil {
 		if err := a.Score.Validate(a.NFA); err != nil {
 			return fmt.Errorf("artifact: refusing to save invalid weight table: %w", err)
 		}
 	}
-	var body bytes.Buffer
-	writeSection(&body, "META", a.encodeMeta())
-	writeSection(&body, "STAG", encodeStages(a.Stages))
-	writeSection(&body, "AUTM", encodeNFA(a.NFA))
-	writeSection(&body, "PLAC", encodePlacement(a.Placement))
-	if len(a.BackendPayload) > 0 {
-		writeSection(&body, "BKND", a.BackendPayload)
-	}
-	if a.Tier != nil {
-		writeSection(&body, "TIER", encodeTierPlan(&a.Tier.Plan))
-		if a.Tier.DFA != nil {
-			writeSection(&body, "DFAT", encodeDFATable(a.Tier.DFA))
+	payloads := map[string][]byte{}
+	for _, s := range sectionTable {
+		if p := s.encode(a); p != nil {
+			payloads[s.id] = p
 		}
 	}
-	if a.Shards != nil {
-		writeSection(&body, "SHRD", encodeShardPlan(a.Shards))
+	if err := admit(func(id string) bool { _, ok := payloads[id]; return ok }); err != nil {
+		return err
 	}
-	if a.Topo != nil {
-		writeSection(&body, "TOPO", encodeTopo(a.Topo))
-	}
-	if a.Score != nil {
-		writeSection(&body, "SCOR", encodeScore(a.Score))
+	var body bytes.Buffer
+	for _, s := range sectionTable {
+		if p, ok := payloads[s.id]; ok {
+			writeSection(&body, s.id, p)
+		}
 	}
 
 	pre := make([]byte, 16)
@@ -378,77 +406,9 @@ func (a *Artifact) WriteFile(path string) error {
 // Load reads, CRC-validates and fully decodes an artifact. The returned
 // automaton has been Validate()d and the placement covers every state.
 func Load(r io.Reader) (*Artifact, error) {
-	body, err := readBody(r)
+	a, err := read(r, false)
 	if err != nil {
 		return nil, err
-	}
-	seen := map[string]int64{}
-	a := &Artifact{size: int64(len(body)) + 16, sections: seen}
-	var tierPlan *dfa.Plan
-	var tierDFA *dfa.Raw
-	if err := walkSections(body, func(id string, payload []byte) error {
-		seen[id] = int64(len(payload))
-		switch id {
-		case "META":
-			return a.decodeMeta(payload)
-		case "STAG":
-			var err error
-			a.Stages, err = decodeStages(payload)
-			return err
-		case "AUTM":
-			var err error
-			a.NFA, err = decodeNFA(payload)
-			return err
-		case "PLAC":
-			var err error
-			a.Placement, err = decodePlacement(payload)
-			return err
-		case "TIER":
-			var err error
-			tierPlan, err = decodeTierPlan(payload)
-			return err
-		case "DFAT":
-			var err error
-			tierDFA, err = decodeDFATable(payload)
-			return err
-		case "SHRD":
-			var err error
-			a.Shards, err = decodeShardPlan(payload)
-			return err
-		case "TOPO":
-			var err error
-			a.Topo, err = decodeTopo(payload)
-			return err
-		case "SCOR":
-			var err error
-			a.Score, err = decodeScore(payload)
-			return err
-		case "BKND":
-			if len(payload) == 0 {
-				return fmt.Errorf("%w: empty BKND section", ErrCorrupt)
-			}
-			a.BackendPayload = append([]byte(nil), payload...)
-			return nil
-		default:
-			return fmt.Errorf("%w: unknown section %q", ErrCorrupt, id)
-		}
-	}); err != nil {
-		return nil, err
-	}
-	for _, id := range []string{"META", "STAG", "AUTM", "PLAC"} {
-		if _, ok := seen[id]; !ok {
-			return nil, fmt.Errorf("%w: missing section %q", ErrCorrupt, id)
-		}
-	}
-	if tierDFA != nil && tierPlan == nil {
-		return nil, fmt.Errorf("%w: DFAT section without TIER", ErrCorrupt)
-	}
-	if tierPlan != nil {
-		if (tierPlan.DFAStates > 0) != (tierDFA != nil) {
-			return nil, fmt.Errorf("%w: TIER plan claims %d DFA states, DFAT present: %t",
-				ErrCorrupt, tierPlan.DFAStates, tierDFA != nil)
-		}
-		a.Tier = &dfa.Sealed{Plan: *tierPlan, DFA: tierDFA}
 	}
 	if err := a.validate(); err != nil {
 		return nil, err
@@ -466,38 +426,15 @@ func LoadFile(path string) (*Artifact, error) {
 	return Load(f)
 }
 
-// Stat reads and CRC-validates the container but decodes only the META and
-// STAG sections — artifact header inspection without paying for the
-// automaton decode.
+// Stat reads and CRC-validates the container but decodes only the table's
+// stat rows, META and STAG — artifact header inspection without paying for
+// the automaton decode.
 func Stat(r io.Reader) (*Info, error) {
-	body, err := readBody(r)
+	a, err := read(r, true)
 	if err != nil {
 		return nil, err
 	}
-	info := &Info{Version: Version, SizeBytes: int64(len(body)) + 16, Sections: map[string]int64{}}
-	a := &Artifact{}
-	if err := walkSections(body, func(id string, payload []byte) error {
-		info.Sections[id] += int64(len(payload))
-		switch id {
-		case "META":
-			return a.decodeMeta(payload)
-		case "STAG":
-			var err error
-			a.Stages, err = decodeStages(payload)
-			return err
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for _, id := range []string{"META", "STAG", "AUTM", "PLAC"} {
-		if _, ok := info.Sections[id]; !ok {
-			return nil, fmt.Errorf("%w: missing section %q", ErrCorrupt, id)
-		}
-	}
-	info.Meta = a.Meta
-	info.Stages = a.Stages
-	return info, nil
+	return a.Info(), nil
 }
 
 // StatFile is Stat over a file path.
@@ -510,31 +447,56 @@ func StatFile(path string) (*Info, error) {
 	return Stat(f)
 }
 
-// checkSections is the artifact layer's one statement of which optional
-// sections may ride together (core.Compile states the same rule for
-// configurations); Save and Load both go through it. A sharded artifact
-// tiers per shard, inside SHRD, so it carries no TIER of its own; TOPO
-// assigns SHRD's shards to domains; SCOR runs on the one bit-parallel
-// kernel, which neither a tier plan nor a shard plan can split yet.
-func (a *Artifact) checkSections() error {
-	switch {
-	case a.Tier != nil && a.Shards != nil:
-		return fmt.Errorf("%w: TIER and SHRD are mutually exclusive (a sharded artifact tiers per shard)", ErrCorrupt)
-	case a.Topo != nil && a.Shards == nil:
-		return fmt.Errorf("%w: TOPO without SHRD (a placement assigns shards to domains)", ErrCorrupt)
-	case a.Score != nil && (a.Tier != nil || a.Shards != nil):
-		return fmt.Errorf("%w: SCOR is mutually exclusive with TIER and SHRD (the scored engine is single-tier)", ErrCorrupt)
+// read checks the container and decodes its sections as they come: every
+// one, or with statOnly the table's stat rows. The sections must be rows of
+// the table, in its order, each at most once, and present as its rules
+// require; a row's needs come before it, so they are checked on arrival.
+func read(r io.Reader, statOnly bool) (*Artifact, error) {
+	body, err := readBody(r)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	a := &Artifact{size: int64(len(body)) + 16, sections: map[string]int64{}}
+	present := func(id string) bool { _, ok := a.sections[id]; return ok }
+	next := 0 // the first row the next section may be
+	for off := 0; off < len(body); {
+		if len(body)-off < 12 {
+			return nil, fmt.Errorf("%w: section header at offset %d", ErrTruncated, off)
+		}
+		id := string(body[off : off+4])
+		length := binary.LittleEndian.Uint64(body[off+4 : off+12])
+		off += 12
+		if length > uint64(len(body)-off) {
+			return nil, fmt.Errorf("%w: section %q claims %d bytes, %d remain", ErrTruncated, id, length, len(body)-off)
+		}
+		i := slices.IndexFunc(sectionTable, func(s section) bool { return s.id == id })
+		switch {
+		case i < 0:
+			return nil, fmt.Errorf("%w: unknown section %q", ErrCorrupt, id)
+		case i < next:
+			return nil, fmt.Errorf("%w: section %q repeated or out of order", ErrCorrupt, id)
+		}
+		s, payload := &sectionTable[i], body[off:off+int(length)]
+		a.sections[id], next, off = int64(length), i+1, off+int(length)
+		if err := s.rules(present); err != nil {
+			return nil, err
+		}
+		if s.stat || !statOnly {
+			if err := s.decode(a, payload); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := admit(present); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // validate cross-checks the decoded sections against each other and the
-// Meta shape counts.
+// Meta shape counts: what the table's presence rules cannot state.
 func (a *Artifact) validate() error {
 	n, pl := a.NFA, a.Placement
-	if err := a.checkSections(); err != nil {
-		return err
-	}
 	if a.Meta.Bits != n.Bits || a.Meta.Stride != n.Stride {
 		return fmt.Errorf("%w: META geometry (%d,%d) != automaton (%d,%d)",
 			ErrCorrupt, a.Meta.Bits, a.Meta.Stride, n.Bits, n.Stride)
@@ -579,28 +541,20 @@ func (a *Artifact) validate() error {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
-	if a.Tier == nil {
-		if a.Meta.TierCCs != 0 || a.Meta.TierDFACCs != 0 || a.Meta.TierDFAStates != 0 {
-			return fmt.Errorf("%w: META carries tier summary but no TIER section", ErrCorrupt)
-		}
-	} else {
-		p := &a.Tier.Plan
-		sum, dfaCCs := 0, 0
+	if t := a.Tier; t != nil {
+		p := &t.Plan
+		sum := 0
 		for _, cc := range p.CCs {
 			sum += cc.States
-			if cc.Kind == dfa.TierDFA {
-				dfaCCs++
-			}
 		}
 		if sum != n.NumStates() {
 			return fmt.Errorf("%w: tier plan covers %d of %d states", ErrCorrupt, sum, n.NumStates())
 		}
-		if a.Meta.TierCCs != len(p.CCs) || a.Meta.TierDFACCs != dfaCCs || a.Meta.TierDFAStates != p.DFAStates {
-			return fmt.Errorf("%w: META tier summary %d/%d/%d != plan %d/%d/%d", ErrCorrupt,
-				a.Meta.TierCCs, a.Meta.TierDFACCs, a.Meta.TierDFAStates, len(p.CCs), dfaCCs, p.DFAStates)
+		if (p.DFAStates > 0) != (t.DFA != nil) {
+			return fmt.Errorf("%w: TIER plan claims %d DFA states, DFAT present: %t",
+				ErrCorrupt, p.DFAStates, t.DFA != nil)
 		}
-		if a.Tier.DFA != nil {
-			r := a.Tier.DFA // its own bounds were checked when it was decoded
+		if r := t.DFA; r != nil { // its own bounds were checked when it was decoded
 			if r.NumStates() != p.DFAStates {
 				return fmt.Errorf("%w: DFAT has %d states, plan says %d", ErrCorrupt, r.NumStates(), p.DFAStates)
 			}
@@ -613,62 +567,32 @@ func (a *Artifact) validate() error {
 	if err := a.validateShards(); err != nil {
 		return err
 	}
-	if err := a.validateTopo(); err != nil {
-		return err
-	}
-	return a.validateScore()
-}
-
-// validateScore cross-checks the SCOR section against the automaton's
-// out-edge lists (a weight-count lie fails shape validation) and the Meta
-// score summary.
-func (a *Artifact) validateScore() error {
-	if a.Score == nil {
-		if a.Meta.ScoredEdges != 0 || a.Meta.ScoreThreshold != 0 {
-			return fmt.Errorf("%w: META carries score summary (%d edges, threshold %g) but no SCOR section",
-				ErrCorrupt, a.Meta.ScoredEdges, a.Meta.ScoreThreshold)
+	if a.Topo != nil {
+		// The placement must cover the plan's shards with in-range domains.
+		if err := a.Topo.Validate(a.Shards.Plan.Shards); err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		return nil
 	}
-	if err := a.Score.Validate(a.NFA); err != nil {
-		return fmt.Errorf("%w: SCOR: %v", ErrCorrupt, err)
-	}
-	if a.Meta.ScoredEdges != a.Score.NumEdges() || a.Meta.ScoreThreshold != a.Score.Threshold {
-		return fmt.Errorf("%w: META score summary %d edges/threshold %g != SCOR %d/%g", ErrCorrupt,
-			a.Meta.ScoredEdges, a.Meta.ScoreThreshold, a.Score.NumEdges(), a.Score.Threshold)
+	if a.Score != nil {
+		// A weight-count lie fails the shape check against AUTM's out-edges.
+		if err := a.Score.Validate(n); err != nil {
+			return fmt.Errorf("%w: SCOR: %v", ErrCorrupt, err)
+		}
 	}
 	return nil
 }
 
-// validateTopo cross-checks the TOPO section: the sealed placement must
-// cover the plan's shards with in-range domains.
-func (a *Artifact) validateTopo() error {
-	if a.Topo == nil {
-		return nil
-	}
-	if err := a.Topo.Validate(a.Shards.Plan.Shards); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return nil
-}
-
-// validateShards cross-checks the SHRD section against the automaton and
-// the Meta summary. The deep structural check — plan versus the automaton's
-// actual component decomposition, tier seals versus each shard's
-// sub-automaton — happens in shard.Unseal when a machine is assembled; this
-// layer verifies the invariants decidable without recomputing components.
+// validateShards cross-checks the SHRD section against the automaton. The
+// deep structural check — plan versus the automaton's actual component
+// decomposition, tier seals versus each shard's sub-automaton — happens in
+// shard.Unseal when a machine is assembled; this layer verifies the
+// invariants decidable without recomputing components.
 func (a *Artifact) validateShards() error {
 	if a.Shards == nil {
-		if a.Meta.Shards != 0 {
-			return fmt.Errorf("%w: META carries shard summary but no SHRD section", ErrCorrupt)
-		}
 		return nil
 	}
 	n := a.NFA
 	p := &a.Shards.Plan
-	if a.Meta.Shards != p.Shards {
-		return fmt.Errorf("%w: META shard summary %d != plan %d", ErrCorrupt, a.Meta.Shards, p.Shards)
-	}
 	sum := 0
 	for _, s := range p.CCStates {
 		sum += s
@@ -770,34 +694,6 @@ func readRest(r io.Reader) ([]byte, error) {
 		return body[:n], nil
 	}
 	return body, err
-}
-
-// walkSections iterates the body's (fourcc, payload) sections, which must
-// come in sectionOrder, each at most once.
-func walkSections(body []byte, fn func(id string, payload []byte) error) error {
-	last := -1 // sectionOrder index of the latest known section
-	for off := 0; off < len(body); {
-		if len(body)-off < 12 {
-			return fmt.Errorf("%w: section header at offset %d", ErrTruncated, off)
-		}
-		id := string(body[off : off+4])
-		length := binary.LittleEndian.Uint64(body[off+4 : off+12])
-		off += 12
-		if length > uint64(len(body)-off) {
-			return fmt.Errorf("%w: section %q claims %d bytes, %d remain", ErrTruncated, id, length, len(body)-off)
-		}
-		if i := slices.Index(sectionOrder, id); i >= 0 {
-			if i <= last {
-				return fmt.Errorf("%w: section %q repeated or out of order", ErrCorrupt, id)
-			}
-			last = i
-		}
-		if err := fn(id, body[off:off+int(length)]); err != nil {
-			return err
-		}
-		off += int(length)
-	}
-	return nil
 }
 
 func writeSection(w *bytes.Buffer, id string, payload []byte) {
@@ -931,12 +827,6 @@ func (a *Artifact) encodeMeta() []byte {
 	e.u32(uint32(m.Transitions))
 	e.u32(uint32(m.Groups))
 	e.i64(m.CreatedUnix)
-	e.u32(uint32(m.TierCCs))
-	e.u32(uint32(m.TierDFACCs))
-	e.u32(uint32(m.TierDFAStates))
-	e.u32(uint32(m.Shards))
-	e.u32(uint32(m.ScoredEdges))
-	e.u64(math.Float64bits(m.ScoreThreshold))
 	// The backend tag is appended only when a non-default target sealed the
 	// artifact, so default-backend files keep the fixed META layout
 	// byte-for-byte.
@@ -961,12 +851,6 @@ func (a *Artifact) decodeMeta(payload []byte) error {
 	m.Transitions = int(d.u32())
 	m.Groups = int(d.u32())
 	m.CreatedUnix = d.i64()
-	m.TierCCs = int(d.u32())
-	m.TierDFACCs = int(d.u32())
-	m.TierDFAStates = int(d.u32())
-	m.Shards = int(d.u32())
-	m.ScoredEdges = int(d.u32())
-	m.ScoreThreshold = math.Float64frombits(d.u64())
 	// Default-backend artifacts end here (Backend ""); a trailing string is
 	// the non-default backend tag. The container CRC already passed, so a
 	// tail that does not decode as a non-empty string is corruption, not

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 
+	"impala/internal/core"
+	"impala/internal/dfa"
 	"impala/internal/interconnect"
 )
 
@@ -70,14 +72,17 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	tiered, _ := buildTieredArtifact(t)
 	sharded, _ := buildShardedArtifact(t, false)
 	shardTiered, _ := buildShardedArtifact(t, true)
-	scored, _ := buildScoredArtifact(t)
+	scored, _ := buildScoredArtifact(t, core.Config{})
+	tier := &dfa.TierOptions{CCMaxStates: 1024, MinStateShare: -1}
+	scoredTiered, _ := buildScoredArtifact(t, core.Config{Tier: tier})
+	scoredSharded, _ := buildScoredArtifact(t, core.Config{Tier: tier, Shards: 3})
 	cam, _ := buildCamArtifact(t, "Bro217")
 	var seeds [][]byte
 	for _, tc := range containerCases(t, saveBytes(t, plain)) {
 		seeds = append(seeds, tc.mut())
 	}
 	seeds = append(seeds, emptyGroupsSeed(t, saveBytes(t, plain), 200))
-	for _, a := range []*Artifact{plain, tiered, sharded, shardTiered, buildTopoArtifact(t), scored, cam} {
+	for _, a := range []*Artifact{plain, tiered, sharded, shardTiered, buildTopoArtifact(t), scored, scoredTiered, scoredSharded, cam} {
 		raw := saveBytes(t, a)
 		seeds = append(seeds, raw)
 		_, chunks := sections(t, raw)

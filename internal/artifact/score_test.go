@@ -6,26 +6,32 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"impala/internal/automata"
 	"impala/internal/core"
+	"impala/internal/dfa"
 	"impala/internal/place"
 	"impala/internal/score"
+	"impala/internal/shard"
+	"impala/internal/topo"
 	"impala/internal/workload"
 )
 
 // buildScoredArtifact compiles a scored Levenshtein mesh at (4,2) and seals
-// the output weight table, returning the artifact and the match input used
-// by the functional round-trip check.
-func buildScoredArtifact(t testing.TB) (*Artifact, []byte) {
+// the output weight table beside whatever plans cfg asks for (its Tier and
+// Shards; a sharded one is also placed on two domains), returning the
+// artifact and the match input used by the functional round-trip check.
+func buildScoredArtifact(t testing.TB, cfg core.Config) (*Artifact, []byte) {
 	t.Helper()
 	pats := [][]byte{[]byte("ACGTACGT"), []byte("TTGACCAT")}
 	n, w, err := workload.ScoredLevenshtein(pats, 2, workload.DefaultAlignCosts, -6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Compile(n, core.Config{TargetBits: 4, StrideDims: 2, Weights: w})
+	cfg.TargetBits, cfg.StrideDims, cfg.Weights = 4, 2, w
+	res, err := core.Compile(n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +40,18 @@ func buildScoredArtifact(t testing.TB) (*Artifact, []byte) {
 		t.Fatal(err)
 	}
 	a := New(res.NFA, pl, n, Meta{Seed: 3, CreatedUnix: 1700000000}, nil)
-	a.SetScore(res.Weights)
+	a.Score = res.Weights.Clone() // in the shape Load decodes: zero-edge rows nil
+	if res.Tiers != nil {
+		a.Tier = res.Tiers.Seal()
+	}
+	if res.Shards != nil {
+		a.Shards = res.Shards.Seal()
+		domain := make([]int, cfg.Shards)
+		for k := range domain {
+			domain[k] = k % 2
+		}
+		a.SetTopo(&topo.Sealed{Topology: topo.Topology{Domains: []topo.Domain{{Name: "n0"}, {Name: "n1"}}}, ShardDomain: domain})
+	}
 	input := append(append([]byte("GGGG"), pats[0]...), []byte("CCCCTTGAACATGGGG")...)
 	return a, input
 }
@@ -50,12 +67,12 @@ func scoredReports(t *testing.T, n *automata.NFA, w *automata.Weights, input []b
 	return reports
 }
 
-// TestScoreRoundTrip pins the v5 SCOR section: the weight table and
-// threshold survive save/load bit-exactly, re-saving is byte-identical,
-// Stat surfaces the summary without decoding, and the loaded machine
-// produces the same scored reports as the pre-save one.
+// TestScoreRoundTrip pins the SCOR section: the weight table and threshold
+// survive save/load bit-exactly, re-saving is byte-identical, Stat sizes the
+// section without decoding it, and the loaded machine produces the same
+// scored reports as the pre-save one.
 func TestScoreRoundTrip(t *testing.T) {
-	a, input := buildScoredArtifact(t)
+	a, input := buildScoredArtifact(t, core.Config{})
 	raw := saveBytes(t, a)
 
 	got, err := Load(bytes.NewReader(raw))
@@ -65,11 +82,8 @@ func TestScoreRoundTrip(t *testing.T) {
 	if got.Score == nil {
 		t.Fatal("weight table lost in round trip")
 	}
-	if !reflect.DeepEqual(got.Score, a.Score) {
+	if !reflect.DeepEqual(got.Score, a.Score) || got.Score.Threshold != -6 {
 		t.Fatal("sealed weight table diverges after round trip")
-	}
-	if got.Meta.ScoreThreshold != -6 || got.Meta.ScoredEdges != a.Score.NumEdges() {
-		t.Fatalf("META score summary %d/%g, want %d/-6", got.Meta.ScoredEdges, got.Meta.ScoreThreshold, a.Score.NumEdges())
 	}
 	resaved := saveBytes(t, got)
 	if !bytes.Equal(raw, resaved) {
@@ -83,9 +97,6 @@ func TestScoreRoundTrip(t *testing.T) {
 	if info.Sections["SCOR"] <= 0 {
 		t.Fatalf("stat misses SCOR section: %v", info.Sections)
 	}
-	if info.Meta.ScoredEdges != a.Score.NumEdges() || info.Meta.ScoreThreshold != -6 {
-		t.Fatalf("stat score summary %d/%g", info.Meta.ScoredEdges, info.Meta.ScoreThreshold)
-	}
 
 	want := scoredReports(t, a.NFA, a.Score, input)
 	if len(want) == 0 {
@@ -96,59 +107,70 @@ func TestScoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSetScoreNil clears the section and the Meta summary.
+// TestSetScoreNil: with its weight table set to nil a scored artifact saves
+// and loads as an unscored one — nothing in META remembers the table.
 func TestSetScoreNil(t *testing.T) {
-	a, _ := buildScoredArtifact(t)
-	a.SetScore(nil)
-	if a.Score != nil || a.Meta.ScoredEdges != 0 || a.Meta.ScoreThreshold != 0 {
-		t.Fatal("SetScore(nil) left score state behind")
-	}
+	a, _ := buildScoredArtifact(t, core.Config{})
+	a.Score = nil
 	got, err := Load(bytes.NewReader(saveBytes(t, a)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Score != nil {
+	if got.Score != nil || got.Meta != a.Meta {
 		t.Fatal("cleared weight table reappeared after round trip")
 	}
 }
 
-// TestScoreTierShardExclusion: the scored engine is single-tier — SCOR
-// combined with TIER or SHRD is rejected on save and on load.
-func TestScoreTierShardExclusion(t *testing.T) {
-	a, _ := buildScoredArtifact(t)
-	tiered, _ := buildTieredArtifact(t)
-
-	// Save side: graft the tier plan onto the scored artifact.
-	bad := *a
-	bad.Tier = tiered.Tier
-	var buf bytes.Buffer
-	if err := bad.Save(&buf); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Save accepted SCOR+TIER: %v", err)
-	}
-
-	// Load side: splice the scored artifact's SCOR section into a valid
-	// tiered file. The exclusion check fires before any shape comparison.
-	scoredRaw := saveBytes(t, a)
-	_, scoredChunks := sections(t, scoredRaw)
-	var scorChunk []byte
-	for _, c := range scoredChunks {
-		if bytes.HasPrefix(c, []byte("SCOR")) {
-			scorChunk = c
-		}
-	}
-	if scorChunk == nil {
-		t.Fatal("SCOR section not found")
-	}
-	tieredRaw := saveBytes(t, tiered)
-	_, tieredChunks := sections(t, tieredRaw)
-	spliced := append(append([][]byte(nil), tieredChunks...), scorChunk)
-	if _, err := Load(bytes.NewReader(rebuild(tieredRaw, spliced))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("SCOR+TIER loaded: %v", err)
+// TestScoreComposesWithTierAndShards: SCOR rides beside TIER and DFAT, and
+// beside SHRD and TOPO. A score belongs to a state and every plan moves whole
+// components, so nothing is excluded: each form saves back the bytes it was
+// loaded from, its plan unseals, and its weight table scores as before.
+func TestScoreComposesWithTierAndShards(t *testing.T) {
+	tier := &dfa.TierOptions{CCMaxStates: 1024, MinStateShare: -1}
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		want []string
+	}{
+		{"tiered", core.Config{Tier: tier}, []string{"META", "STAG", "AUTM", "PLAC", "TIER", "DFAT", "SCOR"}},
+		{"3 shards, tiered", core.Config{Tier: tier, Shards: 3}, []string{"META", "STAG", "AUTM", "PLAC", "SHRD", "TOPO", "SCOR"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, input := buildScoredArtifact(t, tc.cfg)
+			raw := saveBytes(t, a)
+			if ids, _ := sections(t, raw); !slices.Equal(ids, tc.want) {
+				t.Fatalf("sections %v, want %v", ids, tc.want)
+			}
+			got, err := Load(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			if !bytes.Equal(saveBytes(t, got), raw) {
+				t.Fatal("save(load(save)) not byte-identical")
+			}
+			if got.Tier != nil {
+				if _, err := dfa.Unseal(got.NFA, got.Tier); err != nil {
+					t.Fatalf("tier plan does not unseal: %v", err)
+				}
+			}
+			if got.Shards != nil {
+				if _, err := shard.Unseal(got.NFA, got.Shards); err != nil {
+					t.Fatalf("shard plan does not unseal: %v", err)
+				}
+			}
+			want := scoredReports(t, a.NFA, a.Score, input)
+			if len(want) == 0 {
+				t.Fatal("scored machine found no reports — test input is inert")
+			}
+			if have := scoredReports(t, got.NFA, got.Score, input); !reflect.DeepEqual(have, want) {
+				t.Fatalf("loaded machine reports diverge:\n%v\n%v", have, want)
+			}
+		})
 	}
 }
 
 func TestScoreCorruptionPaths(t *testing.T) {
-	a, _ := buildScoredArtifact(t)
+	a, _ := buildScoredArtifact(t, core.Config{})
 	raw := saveBytes(t, a)
 	ids, chunks := sections(t, raw)
 	find := func(id string) int {
@@ -212,15 +234,6 @@ func TestScoreCorruptionPaths(t *testing.T) {
 			t.Fatalf("NaN threshold accepted: %v", err)
 		}
 	})
-	t.Run("threshold diverges from META summary", func(t *testing.T) {
-		mut := append([][]byte(nil), chunks...)
-		cp := append([]byte(nil), sec...)
-		binary.LittleEndian.PutUint64(cp[len(cp)-8:], math.Float64bits(-7))
-		mut[sc] = cp
-		if err := loadErr(mut); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("threshold/summary mismatch accepted: %v", err)
-		}
-	})
 	t.Run("truncated weight table", func(t *testing.T) {
 		mut := append([][]byte(nil), chunks...)
 		cp := append([]byte(nil), sec[:len(sec)-4]...)
@@ -231,9 +244,8 @@ func TestScoreCorruptionPaths(t *testing.T) {
 		}
 	})
 	t.Run("shape lie caught against AUTM", func(t *testing.T) {
-		// Keep the total edge count (so the META summary matches) but move
-		// one weight between rows: the per-state shape no longer parallels
-		// the automaton's out-edge lists.
+		// Keep the total edge count but move one weight between rows: the
+		// per-state shape no longer parallels the automaton's out-edge lists.
 		lying := a.Score.Clone()
 		from, to := -1, -1
 		for i := range lying.Edge {
@@ -252,12 +264,6 @@ func TestScoreCorruptionPaths(t *testing.T) {
 		mut[sc] = fresh.Bytes()
 		if err := loadErr(mut); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("shape lie accepted: %v", err)
-		}
-	})
-	t.Run("META summary without SCOR section", func(t *testing.T) {
-		cut := append(append([][]byte(nil), chunks[:sc]...), chunks[sc+1:]...)
-		if err := loadErr(cut); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("threshold-without-weights accepted: %v", err)
 		}
 	})
 	t.Run("duplicate SCOR section", func(t *testing.T) {

@@ -41,7 +41,7 @@ func buildShardedArtifact(t testing.TB, tiered bool) (*Artifact, *automata.NFA) 
 		t.Fatal(err)
 	}
 	a := New(res.NFA, pl, n, Meta{Seed: 3, CreatedUnix: 1700000000}, nil)
-	a.SetShards(res.Shards.Seal())
+	a.Shards = res.Shards.Seal()
 	return a, n
 }
 
@@ -57,8 +57,8 @@ func TestShardRoundTrip(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			a, _ := buildShardedArtifact(t, tiered)
-			if a.Meta.Shards != 4 {
-				t.Fatalf("sharded artifact has shard summary %d, want 4", a.Meta.Shards)
+			if a.Shards.Plan.Shards != 4 {
+				t.Fatalf("sharded artifact has %d shards, want 4", a.Shards.Plan.Shards)
 			}
 			raw := saveBytes(t, a)
 
@@ -103,9 +103,6 @@ func TestShardRoundTrip(t *testing.T) {
 			}
 			if info.Sections["SHRD"] <= 0 {
 				t.Fatalf("stat misses SHRD section: %v", info.Sections)
-			}
-			if info.Meta.Shards != 4 {
-				t.Fatalf("stat shard summary diverges: %+v", info.Meta)
 			}
 		})
 	}
@@ -159,17 +156,6 @@ func TestShardCorruptionPaths(t *testing.T) {
 		mut[shrd] = sec[:len(sec)-4]
 		if _, err := Load(bytes.NewReader(rebuild(raw, mut))); err == nil {
 			t.Fatal("truncated SHRD accepted")
-		}
-	})
-	t.Run("META shard summary mismatch", func(t *testing.T) {
-		lying := *a
-		lying.Meta.Shards++
-		var buf bytes.Buffer
-		if err := lying.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("lying shard summary accepted: %v", err)
 		}
 	})
 	t.Run("SHRD and TIER together rejected", func(t *testing.T) {

@@ -38,7 +38,7 @@ func buildTieredArtifact(t testing.TB) (*Artifact, *automata.NFA) {
 		t.Fatal(err)
 	}
 	a := New(res.NFA, pl, n, Meta{Seed: 3, CreatedUnix: 1700000000}, nil)
-	a.SetTier(res.Tiers.Seal())
+	a.Tier = res.Tiers.Seal()
 	return a, n
 }
 
@@ -47,8 +47,8 @@ func buildTieredArtifact(t testing.TB) (*Artifact, *automata.NFA) {
 // unseals into an execution form that reproduces the original reports.
 func TestTierRoundTrip(t *testing.T) {
 	a, _ := buildTieredArtifact(t)
-	if a.Meta.TierCCs == 0 || a.Meta.TierDFAStates == 0 {
-		t.Fatalf("tiered artifact has empty tier summary: %+v", a.Meta)
+	if len(a.Tier.Plan.CCs) == 0 || a.Tier.DFA == nil {
+		t.Fatalf("tiered artifact has an empty tier plan: %+v", a.Tier.Plan)
 	}
 	raw := saveBytes(t, a)
 
@@ -89,16 +89,13 @@ func TestTierRoundTrip(t *testing.T) {
 		t.Fatalf("unsealed run != scalar\nscalar=%v\ntiered=%v", want, have)
 	}
 
-	// Stat surfaces the tier sections and summary without a full decode.
+	// Stat sizes the tier sections without decoding them.
 	info, err := Stat(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Sections["TIER"] <= 0 || info.Sections["DFAT"] <= 0 {
 		t.Fatalf("stat misses tier sections: %v", info.Sections)
-	}
-	if info.Meta.TierCCs != a.Meta.TierCCs || info.Meta.TierDFAStates != a.Meta.TierDFAStates {
-		t.Fatalf("stat tier summary diverges: %+v", info.Meta)
 	}
 }
 
@@ -162,17 +159,6 @@ func TestTierCorruptionPaths(t *testing.T) {
 		mut[i] = sec[:len(sec)-4]
 		if _, err := Load(bytes.NewReader(rebuild(raw, mut))); err == nil {
 			t.Fatal("truncated TIER accepted")
-		}
-	})
-	t.Run("META tier summary mismatch", func(t *testing.T) {
-		lying := *a
-		lying.Meta.TierDFAStates++
-		var buf bytes.Buffer
-		if err := lying.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("lying tier summary accepted: %v", err)
 		}
 	})
 

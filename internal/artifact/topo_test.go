@@ -91,38 +91,22 @@ func TestTopoRequiresShards(t *testing.T) {
 	a := buildTopoArtifact(t)
 	noShards := *a
 	noShards.Shards = nil
-	noShards.Meta.Shards = 0
 	var buf bytes.Buffer
 	if err := noShards.Save(&buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Save accepted TOPO without SHRD: %v", err)
 	}
 
-	// Load side: strip the SHRD section (and the META shard summary) from
-	// a valid file, keeping TOPO.
+	// Load side: strip the SHRD section from a valid file, keeping TOPO.
 	raw := saveBytes(t, a)
 	ids, chunks := sections(t, raw)
 	var kept [][]byte
 	for i, id := range ids {
-		if id == "SHRD" {
-			continue
+		if id != "SHRD" {
+			kept = append(kept, chunks[i])
 		}
-		kept = append(kept, chunks[i])
 	}
 	if len(kept) == len(chunks) {
 		t.Fatal("SHRD section not found")
-	}
-	// The META shard summary would trip first; re-encode META with
-	// Shards = 0 so validateTopo is what rejects the file.
-	lying := *a
-	lying.Shards = nil
-	lying.Meta.Shards = 0
-	var meta bytes.Buffer
-	writeSection(&meta, "META", lying.encodeMeta())
-	for j := range kept {
-		if bytes.HasPrefix(kept[j], []byte("META")) {
-			kept[j] = meta.Bytes()
-			break
-		}
 	}
 	if _, err := Load(bytes.NewReader(rebuild(raw, kept))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("TOPO without SHRD loaded: %v", err)
@@ -220,22 +204,26 @@ func TestTopoCorruptionPaths(t *testing.T) {
 	})
 }
 
-// TestVersionIsSix: the format version moved to 6 with the phase-split DFAT
-// tables; loaders reject anything else by design, so pin it.
-func TestVersionIsSix(t *testing.T) {
-	if Version != 6 {
-		t.Fatalf("artifact version = %d, want 6", Version)
+// TestVersionIsSeven: the format version moved to 7 when META stopped
+// copying the plans; loaders reject anything else by design, so pin it.
+func TestVersionIsSeven(t *testing.T) {
+	if Version != 7 {
+		t.Fatalf("artifact version = %d, want 7", Version)
 	}
 }
 
-// A file the version-5 build sealed (tiered, so it carries the int32 DFAT
-// layout version 6 replaced) is refused by its version, before any section
-// is looked at.
-func TestLoadRefusesVersion5File(t *testing.T) {
-	if _, err := LoadFile("testdata/v5.impala"); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-5 artifact: %v, want ErrVersion", err)
+// Files sealed by older builds are refused by their version, before any
+// section is looked at: v5.impala is tiered, with the int32 DFAT layout
+// version 6 replaced; v6.impala is scored, with the META plan summaries
+// version 7 dropped.
+func TestLoadRefusesVersion5File(t *testing.T) { refusesVersion(t, "testdata/v5.impala", 5) }
+func TestLoadRefusesVersion6File(t *testing.T) { refusesVersion(t, "testdata/v6.impala", 6) }
+
+func refusesVersion(t *testing.T, path string, version int) {
+	if _, err := LoadFile(path); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-%d artifact: %v, want ErrVersion", version, err)
 	}
-	if _, err := StatFile("testdata/v5.impala"); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-5 artifact stat: %v, want ErrVersion", err)
+	if _, err := StatFile(path); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-%d artifact stat: %v, want ErrVersion", version, err)
 	}
 }

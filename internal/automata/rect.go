@@ -166,19 +166,6 @@ func (r Rect) Size() int {
 	return n
 }
 
-// Sample returns the lexicographically smallest tuple in the rect. It panics
-// if the rect is empty.
-func (r Rect) Sample() []byte {
-	if r.Empty() {
-		panic("automata: Sample of empty rect")
-	}
-	out := make([]byte, len(r))
-	for i, d := range r {
-		out[i] = d.Values()[0]
-	}
-	return out
-}
-
 // Key returns a canonical byte-string key for map indexing.
 func (r Rect) Key() string {
 	var b strings.Builder

@@ -103,10 +103,6 @@ func TestRectConcatSample(t *testing.T) {
 	if c.Stride() != 3 || !c.Has([]byte{1, 2, 3}) {
 		t.Fatal("Concat wrong")
 	}
-	s := Rect{nibRange(5, 9), nib(0xC)}.Sample()
-	if s[0] != 5 || s[1] != 0xC {
-		t.Fatalf("Sample = %v", s)
-	}
 }
 
 func TestRectKeyDistinguishes(t *testing.T) {

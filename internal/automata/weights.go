@@ -70,6 +70,16 @@ func (w *Weights) Clone() *Weights {
 	return c
 }
 
+// Induced returns the weight table of n.Induced(ids) for the automaton n
+// this table scores: row i is state ids[i]'s, aliased, not copied.
+func (w *Weights) Induced(ids []StateID) *Weights {
+	sub := &Weights{Edge: make([][]float64, len(ids)), Start: make([]float64, len(ids)), Threshold: w.Threshold}
+	for i, id := range ids {
+		sub.Edge[i], sub.Start[i] = w.Edge[id], w.Start[id]
+	}
+	return sub
+}
+
 // NumEdges returns the total number of weighted transitions.
 func (w *Weights) NumEdges() int {
 	t := 0

@@ -80,8 +80,8 @@ type Config struct {
 	// along, so Result.Weights scores the transformed automaton exactly:
 	// the accumulated weight of any input path is preserved. Weighted
 	// compiles skip the minimize passes (merging states whose entry weights
-	// differ would change scores) and reject Tier/Shards (the scored engine
-	// is single-tier).
+	// differ would change scores). Tier and Shards compose with it: a plan
+	// moves whole components, and the table scores the automaton it plans.
 	Weights *automata.Weights
 }
 
@@ -194,9 +194,6 @@ func Compile(n *automata.NFA, cfg Config) (*Result, error) {
 	if cfg.Weights != nil {
 		if err := cfg.Weights.Validate(n); err != nil {
 			return nil, fmt.Errorf("core: Compile weights invalid: %w", err)
-		}
-		if cfg.Tier != nil || cfg.Shards > 1 {
-			return nil, fmt.Errorf("core: scored compiles do not support tier or shard planning")
 		}
 	}
 	start := time.Now()

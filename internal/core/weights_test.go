@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"impala/internal/automata"
+	"impala/internal/dfa"
 )
 
 // randWeights builds a random integer-valued weight table for n, including
@@ -114,15 +116,34 @@ func TestCompileWeightsShapeValid(t *testing.T) {
 	}
 }
 
-// Scored compiles are single-tier: Tier or Shards combined with Weights is
-// a configuration error.
-func TestCompileWeightsRejectTierShards(t *testing.T) {
-	n := litNFA(false, "ab")
-	w := automata.NewWeights(n)
-	if _, err := Compile(n, Config{TargetBits: 4, StrideDims: 2, Weights: w, Shards: 2}); err == nil {
-		t.Fatal("Weights+Shards accepted")
+// Weights compose with Tier and Shards: the plans run after the transforms,
+// over whole components, so the scored automaton and its table are the same
+// with or without them. A malformed table must be rejected up front.
+func TestCompileWeightsComposeWithPlans(t *testing.T) {
+	n := litNFA(false, "ab", "cd", "efg")
+	w := randWeights(rand.New(rand.NewSource(5)), n)
+	base, err := Compile(n, Config{TargetBits: 4, StrideDims: 2, Weights: w})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A malformed table must be rejected up front.
+	for _, cfg := range []Config{
+		{Tier: &dfa.TierOptions{}},
+		{Shards: 2},
+		{Shards: 2, Tier: &dfa.TierOptions{}},
+	} {
+		cfg.TargetBits, cfg.StrideDims, cfg.Weights = 4, 2, w
+		res, err := Compile(n, cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if (res.Tiers != nil) != (cfg.Shards == 0) || (res.Shards != nil) != (cfg.Shards == 2) {
+			t.Fatalf("%+v: tier plan %v, shard plan %v", cfg, res.Tiers != nil, res.Shards != nil)
+		}
+		if !reflect.DeepEqual(res.NFA, base.NFA) || !reflect.DeepEqual(res.Weights, base.Weights) {
+			t.Fatalf("%+v: the plan changed the scored automaton", cfg)
+		}
+	}
+
 	bad := automata.NewWeights(n)
 	bad.Start[0] = math.NaN()
 	if _, err := Compile(n, Config{TargetBits: 4, StrideDims: 2, Weights: bad}); err == nil {

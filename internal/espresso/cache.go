@@ -57,15 +57,6 @@ func (c *CoverCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// HitRate returns hits / (hits + misses), or 0 before any lookup.
-func (c *CoverCache) HitRate() float64 {
-	h, m := c.Stats()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
 // Len returns the number of cached entries (covers plus decompositions).
 func (c *CoverCache) Len() int {
 	if c == nil {

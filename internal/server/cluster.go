@@ -118,12 +118,8 @@ type Frontend struct {
 	handler http.Handler
 	m       *clusterMetrics
 
-	stop      chan struct{}
-	loopDone  chan struct{}
-	draining  chan struct{}
-	drainOnce sync.Once
-	drainMu   sync.Mutex
-	wg        sync.WaitGroup // in-flight streaming connections
+	loopDone chan struct{}
+	drainBarrier
 }
 
 // NewFrontend builds a frontend over the worker set and starts its health
@@ -134,11 +130,10 @@ func NewFrontend(cfg ClusterConfig) (*Frontend, error) {
 		return nil, fmt.Errorf("server: frontend needs at least one worker")
 	}
 	f := &Frontend{
-		cfg:      cfg,
-		client:   &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}},
-		stop:     make(chan struct{}),
-		loopDone: make(chan struct{}),
-		draining: make(chan struct{}),
+		cfg:          cfg,
+		client:       &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}},
+		loopDone:     make(chan struct{}),
+		drainBarrier: newDrainBarrier(),
 	}
 	seen := map[string]bool{}
 	for _, spec := range cfg.Workers {
@@ -174,37 +169,13 @@ func (f *Frontend) Handler() http.Handler { return f.handler }
 // Drain stops the health loop and new admissions, then waits for in-flight
 // streams. Pair with http.Server.Shutdown for a clean SIGTERM exit.
 func (f *Frontend) Drain() {
-	f.drainOnce.Do(func() {
-		close(f.stop)
-		f.drainMu.Lock()
-		close(f.draining)
-		f.drainMu.Unlock()
-	})
+	f.drain()
 	<-f.loopDone
-	f.wg.Wait()
 	f.client.CloseIdleConnections()
 }
 
-func (f *Frontend) isDraining() bool {
-	select {
-	case <-f.draining:
-		return true
-	default:
-		return false
-	}
-}
-
-func (f *Frontend) enterStream() bool {
-	f.drainMu.Lock()
-	defer f.drainMu.Unlock()
-	if f.isDraining() {
-		return false
-	}
-	f.wg.Add(1)
-	return true
-}
-
-// healthLoop polls every worker's /healthz on the configured cadence.
+// healthLoop polls every worker's /healthz on the configured cadence until
+// the frontend drains.
 func (f *Frontend) healthLoop() {
 	defer close(f.loopDone)
 	f.CheckWorkers()
@@ -212,7 +183,7 @@ func (f *Frontend) healthLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-f.stop:
+		case <-f.draining:
 			return
 		case <-tick.C:
 			f.CheckWorkers()
@@ -272,14 +243,6 @@ func (f *Frontend) healthyCount() int {
 		}
 	}
 	return n
-}
-
-// httpError writes a JSON error body and counts it.
-func (f *Frontend) httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	f.m.errors.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // post builds a body-less POST to the tenant's endpoint ("/match", …) on
@@ -375,7 +338,7 @@ type partialDoc struct {
 // worker leg degrades the response to 502 with the failures named.
 func (f *Frontend) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if f.isDraining() {
-		f.httpError(w, http.StatusServiceUnavailable, "draining")
+		httpError(w, f.m.errors, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	tenant := r.PathValue("tenant")
@@ -383,7 +346,7 @@ func (f *Frontend) handleMatch(w http.ResponseWriter, r *http.Request) {
 	defer sc.release()
 	body, code, err := sc.readBody(r, f.cfg.MaxBodyBytes)
 	if err != nil {
-		f.httpError(w, code, "%v", err)
+		httpError(w, f.m.errors, code, "%v", err)
 		return
 	}
 	f.m.matchRequests.Inc()
@@ -431,7 +394,7 @@ func (f *Frontend) handleMatch(w http.ResponseWriter, r *http.Request) {
 	sc.runs = runs
 	if all404 {
 		// Every worker rejected the tenant: surface the 404, not a partial.
-		f.httpError(w, http.StatusNotFound, "unknown tenant %q on all %d workers", tenant, len(f.workers))
+		httpError(w, f.m.errors, http.StatusNotFound, "unknown tenant %q on all %d workers", tenant, len(f.workers))
 		return
 	}
 	// The workers' runs are each sorted already: one k-way merge writes the
@@ -478,11 +441,11 @@ type workerStream struct {
 // failed leg flags the done line partial with the worker named.
 func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 	if f.isDraining() {
-		f.httpError(w, http.StatusServiceUnavailable, "draining")
+		httpError(w, f.m.errors, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	if !f.enterStream() {
-		f.httpError(w, http.StatusServiceUnavailable, "draining")
+		httpError(w, f.m.errors, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	defer f.wg.Done()

@@ -19,16 +19,18 @@ import (
 	"impala"
 	"impala/internal/obs"
 	"impala/internal/topo"
+	"impala/internal/workload"
 )
 
-// clusterFixture is a two-worker deployment of one sealed artifact: a
-// 2-shard machine placed onto two domains, one worker process (well,
-// httptest server) per domain, a frontend fanning over both, and a
-// single-process server over the full artifact as the reference.
+// clusterFixture is a two-worker deployment of sealed artifacts: a 2-shard
+// machine placed onto two domains, one worker process (well, httptest
+// server) per domain, a frontend fanning over both, and a single-process
+// server over the full artifact as the reference.
 type clusterFixture struct {
-	machine *impala.Machine // full machine, in-process reference
-	path    string          // sealed artifact (workers reload from it)
+	machine *impala.Machine // full machine of tenant "web", in-process reference
+	path    string          // web's sealed artifact (workers reload from it)
 	domains []string
+	servers []*Server // the workers', then the single process's
 	workers []*httptest.Server
 	fe      *Frontend
 	feTS    *httptest.Server
@@ -49,30 +51,11 @@ func newClusterFixtureOf(t *testing.T, patterns []string) *clusterFixture {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	a := m.Artifact()
-	tp := topo.Topology{Domains: []topo.Domain{{Name: "n0"}, {Name: "n1"}}}
-	mw, err := topo.MergeWeights(a.NFA, a.Shards.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := topo.Place(a.Shards.Plan, mw, tp, topo.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetTopo(&topo.Sealed{Topology: tp, ShardDomain: pl.ShardDomain})
-	path := filepath.Join(t.TempDir(), "web.impala")
-	if err := a.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-
-	f := &clusterFixture{machine: m, path: path, domains: []string{"n0", "n1"}}
+	f := &clusterFixture{machine: m, domains: []string{"n0", "n1"}}
 	var specs []WorkerSpec
 	for _, dom := range f.domains {
 		ws, wts := newTestServer(t, Config{})
-		if _, err := ws.Tenants().LoadFileDomain("web", path, dom); err != nil {
-			t.Fatalf("worker %s: %v", dom, err)
-		}
-		f.workers = append(f.workers, wts)
+		f.servers, f.workers = append(f.servers, ws), append(f.workers, wts)
 		specs = append(specs, WorkerSpec{Name: dom, URL: wts.URL})
 	}
 
@@ -93,11 +76,40 @@ func newClusterFixtureOf(t *testing.T, patterns []string) *clusterFixture {
 	})
 
 	ss, sts := newTestServer(t, Config{})
-	if _, err := ss.Tenants().LoadFile("web", path); err != nil {
+	f.servers, f.single = append(f.servers, ss), sts
+	f.path = f.install(t, "web", m)
+	return f
+}
+
+// install seals m's artifact with its shard plan placed onto the two domains
+// and loads it as the tenant name, on each worker its domain's shards and on
+// the single process all of them; it returns the artifact's path.
+func (f *clusterFixture) install(t *testing.T, name string, m *impala.Machine) string {
+	t.Helper()
+	a := m.Artifact()
+	tp := topo.Topology{Domains: []topo.Domain{{Name: f.domains[0]}, {Name: f.domains[1]}}}
+	mw, err := topo.MergeWeights(a.NFA, a.Shards.Plan)
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.single = sts
-	return f
+	pl, err := topo.Place(a.Shards.Plan, mw, tp, topo.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetTopo(&topo.Sealed{Topology: tp, ShardDomain: pl.ShardDomain})
+	path := filepath.Join(t.TempDir(), name+".impala")
+	if err := a.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for i, dom := range f.domains {
+		if _, err := f.servers[i].Tenants().LoadFileDomain(name, path, dom); err != nil {
+			t.Fatalf("worker %s: %v", dom, err)
+		}
+	}
+	if _, err := f.servers[len(f.domains)].Tenants().LoadFile(name, path); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // wantRows is the in-process reference in canonical (end, pattern) order.
@@ -583,7 +595,11 @@ func postRaw(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 // differs. A /stream relays each worker's lines as they come, so there the
 // identity is of the line sets: sorted, with the cross-worker duplicates a
 // relay cannot drop collapsed, the frontend's lines are the single
-// process's, and its done line counts what it relayed.
+// process's, and its done line counts what it relayed. A scored tenant,
+// sharded and placed the same way, holds to the same identities: each worker
+// scores only its own shards, so a stream relays a row from the one worker
+// that holds it, and a row two workers report merges to its best score as
+// the single process folds it.
 func TestClusterBodiesMatchSingleProcess(t *testing.T) {
 	f := newClusterFixtureOf(t, []string{"GET /", "needle|dle", "ab+a|a", "zz.?zz"})
 	input := []byte(strings.Repeat("GET /idx abba zzAzz needle abbbba GET needle / ", 150))
@@ -641,6 +657,52 @@ func TestClusterBodiesMatchSingleProcess(t *testing.T) {
 	frows = slices.CompactFunc(frows, bytes.Equal)
 	if !slices.EqualFunc(frows, srows, bytes.Equal) {
 		t.Fatalf("frontend stream lines diverge from the single process's: %d against %d", len(frows), len(srows))
+	}
+
+	pats := [][]byte{[]byte("GET /idx"), []byte("needle"), []byte("abbbba"), []byte("zzAzz")}
+	n, weights, err := workload.ScoredLevenshtein(pats, 1, workload.DefaultAlignCosts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := impala.DefaultConfig()
+	cfg.Shards, cfg.Score = 2, weights
+	scored, err := impala.CompileAutomaton(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.install(t, "align", scored)
+	legRows = 0
+	for _, w := range f.workers {
+		_, mr := postMatch(t, w, "align", input)
+		legRows += len(mr.Matches)
+	}
+	_, single = postRaw(t, f.single.URL+"/v1/align/match", input)
+	_, merged = postRaw(t, f.feTS.URL+"/v1/align/match", input)
+	if err := json.Unmarshal(single, &doc); err != nil || len(doc.Matches) < 300 || doc.Matches[0].Score == nil || legRows >= 2*len(doc.Matches) {
+		t.Fatalf("scored fixture is vacuous or every worker scores every row: %d rows, %d across the workers (%v)", len(doc.Matches), legRows, err)
+	}
+	if !bytes.Equal(elapsedField(t, merged), elapsedField(t, single)) {
+		t.Fatalf("frontend scored /match body diverges from the single process's:\n%.300q\n%.300q", merged, single)
+	}
+	best := func(lines [][]byte) (rows []matchJSON) {
+		for _, line := range lines {
+			var row matchJSON
+			if err := json.Unmarshal(line, &row); err != nil || row.Score == nil {
+				t.Fatalf("bad scored stream line %q: %v", line, err)
+			}
+			if last := len(rows) - 1; last >= 0 && rows[last].End == row.End && rows[last].Pattern == row.Pattern {
+				*rows[last].Score = max(*rows[last].Score, *row.Score)
+				continue
+			}
+			rows = append(rows, row)
+		}
+		return rows
+	}
+	srows, _ = lines(f.single.URL + "/v1/align/stream")
+	frows, _ = lines(f.feTS.URL + "/v1/align/stream")
+	if got, want := best(frows), best(srows); len(frows) != legRows || len(want) != len(srows) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("frontend relayed %d scored lines, the workers hold %d; folded, %d against the single process's %d",
+			len(frows), legRows, len(got), len(want))
 	}
 
 	// No rows at all is an empty array on both, never a null.

@@ -145,21 +145,72 @@ type Server struct {
 	handler http.Handler
 
 	streamSem chan struct{}
-	draining  chan struct{}
-	drainOnce sync.Once
-	drainMu   sync.Mutex     // serializes stream admission against Drain
-	wg        sync.WaitGroup // in-flight streaming connections
+	drainBarrier
+}
+
+// drainBarrier is the admission state a Server and a Frontend share: once
+// drain closes it no new work is admitted, and the streams admitted before
+// it closed are waited for.
+type drainBarrier struct {
+	draining chan struct{}
+	drainMu  sync.Mutex     // serializes stream admission against drain
+	wg       sync.WaitGroup // in-flight streaming connections
+}
+
+func newDrainBarrier() drainBarrier { return drainBarrier{draining: make(chan struct{})} }
+
+// drain closes the barrier (again is a no-op) and waits for the admitted
+// streams.
+func (d *drainBarrier) drain() {
+	d.drainMu.Lock()
+	if !d.isDraining() {
+		close(d.draining)
+	}
+	d.drainMu.Unlock()
+	d.wg.Wait()
+}
+
+// enterStream registers a streaming connection with the barrier; the
+// handler calls wg.Done when it ends. It is serialized against drain so a
+// connection either registers before the barrier closes (and drain waits for
+// it) or observes draining and is rejected — wg.Add can never race wg.Wait
+// past zero.
+func (d *drainBarrier) enterStream() bool {
+	d.drainMu.Lock()
+	defer d.drainMu.Unlock()
+	if d.isDraining() {
+		return false
+	}
+	d.wg.Add(1)
+	return true
+}
+
+func (d *drainBarrier) isDraining() bool {
+	select {
+	case <-d.draining:
+		return true
+	default:
+		return false
+	}
+}
+
+// httpError writes a JSON error body and counts it on errs.
+func httpError(w http.ResponseWriter, errs *obs.Counter, code int, format string, args ...any) {
+	errs.Inc()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // New builds a server around an empty tenant registry.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		tenants:   NewRegistry(),
-		pool:      par.NewPool(cfg.Workers, cfg.QueueLen),
-		streamSem: make(chan struct{}, cfg.MaxStreams),
-		draining:  make(chan struct{}),
+		cfg:          cfg,
+		tenants:      NewRegistry(),
+		pool:         par.NewPool(cfg.Workers, cfg.QueueLen),
+		streamSem:    make(chan struct{}, cfg.MaxStreams),
+		drainBarrier: newDrainBarrier(),
 	}
 	s.m = bindMetrics(cfg.Metrics, s.pool, s.tenants)
 	mux := http.NewServeMux()
@@ -184,51 +235,15 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // finish on the pool, streaming connections run to completion. Call after
 // (or concurrently with) http.Server.Shutdown for a clean SIGTERM exit.
 func (s *Server) Drain() {
-	s.drainOnce.Do(func() {
-		s.drainMu.Lock()
-		close(s.draining)
-		s.drainMu.Unlock()
-	})
-	s.wg.Wait()
+	s.drain()
 	s.pool.Close()
-}
-
-// enterStream registers a streaming connection with the drain barrier. It
-// is serialized against Drain so a connection either registers before the
-// barrier closes (and Drain waits for it) or observes draining and is
-// rejected — wg.Add can never race wg.Wait past zero.
-func (s *Server) enterStream() bool {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	if s.isDraining() {
-		return false
-	}
-	s.wg.Add(1)
-	return true
-}
-
-func (s *Server) isDraining() bool {
-	select {
-	case <-s.draining:
-		return true
-	default:
-		return false
-	}
-}
-
-// httpError writes a JSON error body and counts it.
-func (s *Server) httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	s.m.errors.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func (s *Server) tenant(w http.ResponseWriter, r *http.Request) (*Tenant, bool) {
 	name := r.PathValue("tenant")
 	t, ok := s.tenants.Get(name)
 	if !ok {
-		s.httpError(w, http.StatusNotFound, "unknown tenant %q", name)
+		httpError(w, s.m.errors, http.StatusNotFound, "unknown tenant %q", name)
 		return nil, false
 	}
 	return t, true
@@ -241,7 +256,7 @@ func (s *Server) tenant(w http.ResponseWriter, r *http.Request) (*Tenant, bool) 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		s.m.rejected.Inc()
-		s.httpError(w, http.StatusServiceUnavailable, "draining")
+		httpError(w, s.m.errors, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	t, ok := s.tenant(w, r)
@@ -252,7 +267,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	defer sc.release()
 	body, code, err := sc.readBody(r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		s.httpError(w, code, "%v", err)
+		httpError(w, s.m.errors, code, "%v", err)
 		return
 	}
 	s.m.matchRequests.Inc()
@@ -267,13 +282,13 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, par.ErrQueueFull), errors.Is(err, par.ErrPoolClosed):
 		s.m.rejected.Inc()
-		s.httpError(w, http.StatusServiceUnavailable, "match queue full")
+		httpError(w, s.m.errors, http.StatusServiceUnavailable, "match queue full")
 		return
 	case errors.Is(err, context.DeadlineExceeded):
-		s.httpError(w, http.StatusGatewayTimeout, "timed out after %s in queue", s.cfg.RequestTimeout)
+		httpError(w, s.m.errors, http.StatusGatewayTimeout, "timed out after %s in queue", s.cfg.RequestTimeout)
 		return
 	case err != nil:
-		s.httpError(w, http.StatusServiceUnavailable, "%v", err)
+		httpError(w, s.m.errors, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	elapsed := time.Since(t0)
@@ -331,7 +346,7 @@ func writeJSON(w http.ResponseWriter, doc []byte) {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		s.m.rejected.Inc()
-		s.httpError(w, http.StatusServiceUnavailable, "draining")
+		httpError(w, s.m.errors, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	t, ok := s.tenant(w, r)
@@ -342,13 +357,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	case s.streamSem <- struct{}{}:
 	default:
 		s.m.rejected.Inc()
-		s.httpError(w, http.StatusServiceUnavailable, "stream limit (%d) reached", s.cfg.MaxStreams)
+		httpError(w, s.m.errors, http.StatusServiceUnavailable, "stream limit (%d) reached", s.cfg.MaxStreams)
 		return
 	}
 	if !s.enterStream() {
 		<-s.streamSem
 		s.m.rejected.Inc()
-		s.httpError(w, http.StatusServiceUnavailable, "draining")
+		httpError(w, s.m.errors, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	defer func() {
@@ -499,7 +514,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
 	t, err := s.tenants.Reload(name)
 	if err != nil {
-		s.httpError(w, http.StatusConflict, "%v", err)
+		httpError(w, s.m.errors, http.StatusConflict, "%v", err)
 		return
 	}
 	s.m.reloads.Inc()
@@ -510,7 +525,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
 	if !s.tenants.Evict(name) {
-		s.httpError(w, http.StatusNotFound, "unknown tenant %q", name)
+		httpError(w, s.m.errors, http.StatusNotFound, "unknown tenant %q", name)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

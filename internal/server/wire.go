@@ -173,9 +173,9 @@ type rowRun struct {
 // in (end, pattern), as parseMatchDoc guarantees — comma-separated in the
 // same canonical order, and returns the number of rows written. Shard
 // subsets are disjoint, so a duplicate appears only when one (end, pattern)
-// fires on patterns split across workers' dedup windows — what the
-// single-process dedup collapses, so the merge collapses it too. The runs
-// are consumed.
+// fires on patterns split across workers — what a single process folds into
+// one row with the best score, so the merge takes the duplicates best score
+// first and keeps that one. The runs are consumed.
 func appendMergedRows(dst []byte, runs []rowRun) ([]byte, int) {
 	n := 0
 	var last wireRow
@@ -185,7 +185,12 @@ func appendMergedRows(dst []byte, runs []rowRun) ([]byte, int) {
 			if len(runs[i].rows) == 0 {
 				continue
 			}
-			if best < 0 || rowLess(runs[i].rows[0], runs[best].rows[0]) {
+			if best < 0 {
+				best = i
+				continue
+			}
+			r, b := runs[i].rows[0], runs[best].rows[0]
+			if rowLess(r, b) || !rowLess(b, r) && r.Score > b.Score {
 				best = i
 			}
 		}
@@ -194,7 +199,7 @@ func appendMergedRows(dst []byte, runs []rowRun) ([]byte, int) {
 		}
 		row := runs[best].rows[0]
 		runs[best].rows = runs[best].rows[1:]
-		if n > 0 && row == last {
+		if n > 0 && !rowLess(last, row) {
 			continue
 		}
 		if n > 0 {

@@ -491,6 +491,31 @@ func TestWireParseRefuses(t *testing.T) {
 	}
 }
 
+// TestMergedRows: the frontend's k-way merge writes one row per (end,
+// pattern) in canonical order. A pair several workers report is one row: the
+// same row on binary runs, and on scored runs the best score, whichever run
+// holds it — what a single process folds the reports into.
+func TestMergedRows(t *testing.T) {
+	for _, tc := range []struct {
+		scored bool
+		runs   [][]wireRow
+		want   string
+	}{
+		{false, [][]wireRow{{{1, 0, 0}, {4, 2, 0}}, {{1, 0, 0}, {3, 1, 0}, {4, 2, 0}}},
+			`{"end":1,"pattern":0},{"end":3,"pattern":1},{"end":4,"pattern":2}`},
+		{true, [][]wireRow{{{1, 0, 2}, {4, 2, -1}}, {{1, 0, 5}, {3, 1, 0}, {4, 2, -3}}, {{4, 2, 7}}},
+			`{"end":1,"pattern":0,"score":5},{"end":3,"pattern":1,"score":0},{"end":4,"pattern":2,"score":7}`},
+	} {
+		runs := make([]rowRun, len(tc.runs))
+		for i, rows := range tc.runs {
+			runs[i] = rowRun{rows: rows, scored: tc.scored}
+		}
+		if got, n := appendMergedRows(nil, runs); string(got) != tc.want || n != 3 {
+			t.Errorf("merged %d rows %s, want 3 rows %s", n, got, tc.want)
+		}
+	}
+}
+
 // FuzzWireParse drives the parsers with arbitrary bytes, from the real
 // replies and their mutations.
 func FuzzWireParse(f *testing.F) {

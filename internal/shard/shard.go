@@ -320,6 +320,17 @@ func (s *Sharded) DFAStates() int {
 	return total
 }
 
+// States returns the original automaton's IDs of the states the live shards
+// hold, ascending: every state, unless the form was unsealed for a subset.
+func (s *Sharded) States() []automata.StateID {
+	var ids []automata.StateID
+	for i := range s.shards {
+		ids = append(ids, s.shards[i].orig...)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // NFATierStates sums the automaton states executing on the bit-parallel
 // NFA tier across all shards (every state of an untiered shard counts) —
 // the slow-path residual the per-shard budgets did not buy out.

@@ -13,7 +13,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"impala/internal/automata"
 )
@@ -143,11 +142,4 @@ func Input(n *automata.NFA, length int, seed int64) []byte {
 		}
 	}
 	return out
-}
-
-// SuiteSorted returns benchmarks sorted by name (for stable table output).
-func SuiteSorted() []Benchmark {
-	s := Suite()
-	sort.Slice(s, func(i, j int) bool { return s[i].Name < s[j].Name })
-	return s
 }

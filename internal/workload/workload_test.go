@@ -34,9 +34,6 @@ func TestGetAndNames(t *testing.T) {
 	if len(Names()) != 21 {
 		t.Fatal("Names() wrong length")
 	}
-	if len(SuiteSorted()) != 21 {
-		t.Fatal("SuiteSorted() wrong length")
-	}
 }
 
 // Every generator must produce a valid automaton whose statistics land in

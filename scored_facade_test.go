@@ -115,18 +115,34 @@ func TestScoredArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScoredConfigExclusions: Score with Tier or Shards is rejected before
-// the pipeline runs, and scored paths on an unscored machine error.
-func TestScoredConfigExclusions(t *testing.T) {
-	n, w, err := workload.ScoredHamming([][]byte{[]byte("ACGTAC")}, 1, workload.DefaultAlignCosts, 0)
+// TestScoredComposesWithPlans: Score with Tier or Shards compiles into a
+// machine that keeps every plan through an artifact round trip and scores as
+// the untiered, unsharded one does; scored paths on an unscored machine
+// error.
+func TestScoredComposesWithPlans(t *testing.T) {
+	m, input := scoredFixture(t, DefaultConfig())
+	want, err := m.MatchScored(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompileAutomaton(n, Config{StrideDims: 2, Score: w, Tier: true}); err == nil {
-		t.Fatal("Score+Tier accepted")
-	}
-	if _, err := CompileAutomaton(n, Config{StrideDims: 2, Score: w, Shards: 2}); err == nil {
-		t.Fatal("Score+Shards accepted")
+	for _, cfg := range []Config{{StrideDims: 4, Tier: true}, {StrideDims: 4, Shards: 3}, {StrideDims: 4, Tier: true, Shards: 3}} {
+		m, _ := scoredFixture(t, cfg)
+		var buf bytes.Buffer
+		if err := m.SaveArtifact(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadMachine(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []*Machine{m, loaded} {
+			if (m.TierInfo() != nil) != (cfg.Shards == 0) || (m.ShardInfo() != nil) != (cfg.Shards == 3) || m.ScoreInfo() == nil {
+				t.Fatalf("%+v: tier plan %+v, shard plan %+v, score table %+v", cfg, m.TierInfo(), m.ShardInfo(), m.ScoreInfo())
+			}
+			if got, err := m.MatchScored(input); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: scores %v (%v), want %v", cfg, got, err, want)
+			}
+		}
 	}
 	plain, err := CompileRegex([]string{"abc"}, DefaultConfig())
 	if err != nil {

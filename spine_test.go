@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"impala"
@@ -19,27 +20,32 @@ import (
 // every form here is a Rows form:
 //   - the scalar engine over the 8-bit source;
 //   - Match and NewStream of the plain, tiered (at the case's split budget),
-//     3-shard and tiered 3-shard machines and of one under random weights and
-//     the open threshold, whose MatchScored and NewScoredStream too, and the
-//     capsule-level Run and the graph-level Simulate of the plain one;
-//   - each of the five saved, loaded and rebuilt by MachineFromArtifact, the
-//     tiered 3-shard one placed on two domains;
+//     3-shard and tiered 3-shard machines and of the plain, tiered and tiered
+//     3-shard ones under random weights and the open threshold, whose
+//     MatchScored and NewScoredStream too, and the capsule-level Run and the
+//     graph-level Simulate of the plain one;
+//   - each of the seven saved, loaded and rebuilt by MachineFromArtifact, the
+//     tiered 3-shard ones placed on two domains;
 //   - the machines MachineFromArtifactDomain builds for those domains, merged
-//     as the cluster frontend merges them.
+//     as the cluster frontend merges them, scored and binary.
 //
 // Each machine must carry the tier, shard and score summaries its
 // configuration calls for (and the tiered ones a DFA on some case); a loaded
 // one must keep its Model, geometry, summaries, design point and scores and
 // save back the bytes it was loaded from; a scored stream must score each row
-// as the one-shot does.
+// as the one-shot does; a domain must score what it matches, and the domains'
+// scores, merged, must be the whole machine's.
 func TestSpine(t *testing.T) {
 	dfas := map[string]bool{}
 	var last *simtest.Case
 	var forms map[string]simtest.Form
 	var rows []simtest.Row
 	for _, name := range []string{"8-bit source, scalar engine", "facade, plain", "facade, tiered", "facade, 3 shards",
-		"facade, 3 shards, tiered", "facade, scored", "facade, scored, binary", "facade, capsule-level Run", "facade, Simulate", "artifact, plain",
-		"artifact, tiered", "artifact, 3 shards", "artifact, 3 shards, tiered", "artifact, scored", "artifact, scored, binary", "per-domain machines, merged"} {
+		"facade, 3 shards, tiered", "facade, scored", "facade, scored, binary", "facade, scored, tiered", "facade, scored, tiered, binary",
+		"facade, scored, 3 shards, tiered", "facade, scored, 3 shards, tiered, binary", "facade, capsule-level Run", "facade, Simulate",
+		"artifact, plain", "artifact, tiered", "artifact, 3 shards", "artifact, 3 shards, tiered", "artifact, scored", "artifact, scored, binary",
+		"artifact, scored, tiered", "artifact, scored, tiered, binary", "artifact, scored, 3 shards, tiered", "artifact, scored, 3 shards, tiered, binary",
+		"per-domain machines, merged", "per-domain scored machines, merged", "per-domain scored machines, binary, merged"} {
 		rows = append(rows, simtest.Row{Name: name, Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
 			if c != last {
 				last, forms = c, facadeForms(t, c, dfas)
@@ -68,17 +74,16 @@ func facadeForms(t testing.TB, c *simtest.Case, dfas map[string]bool) map[string
 		r, _ := src.Run(in, nil)
 		return simtest.Fold(r), sim.Stats{}
 	}, Rows: true}}
-	for _, config := range []string{"plain", "tiered", "3 shards", "3 shards, tiered", "scored"} {
+	for _, config := range []string{"plain", "tiered", "3 shards", "3 shards, tiered", "scored", "scored, tiered", "scored, 3 shards, tiered"} {
 		cfg := impala.Config{StrideDims: c.NFA.Stride, CAMode: c.NFA.Bits == 8}
-		switch config {
-		case "tiered":
+		if strings.Contains(config, "tiered") {
 			cfg.Tier, cfg.TierBudget = true, c.SplitBudget(t)
-		case "3 shards, tiered":
-			cfg.Tier, cfg.TierBudget = true, c.SplitBudget(t)
-			fallthrough
-		case "3 shards":
+		}
+		if strings.Contains(config, "3 shards") {
 			cfg.Shards = 3
-		case "scored":
+		}
+		scored := strings.HasPrefix(config, "scored")
+		if scored {
 			cfg.Score = simtest.RandomWeights(c.Source, 1)
 		}
 		m, err := impala.CompileAutomaton(c.Source, cfg)
@@ -86,23 +91,26 @@ func facadeForms(t testing.TB, c *simtest.Case, dfas map[string]bool) map[string
 			t.Fatalf("%s, %s: %v", c.Name, config, err)
 		}
 		ti, si, sc := m.TierInfo(), m.ShardInfo(), m.ScoreInfo()
-		if (ti != nil) != (config == "tiered") || (si != nil) != (cfg.Shards == 3) || (si != nil && si.Shards != 3) || (sc != nil) != (cfg.Score != nil) {
+		if (ti != nil) != (cfg.Tier && cfg.Shards == 0) || (si != nil) != (cfg.Shards == 3) || (si != nil && si.Shards != 3) || (sc != nil) != scored {
 			t.Fatalf("%s, %s: tier plan %+v, shard plan %+v, score table %+v", c.Name, config, ti, si, sc)
 		}
 		dfas[config] = dfas[config] || (ti != nil && ti.DFACCs > 0) || (si != nil && si.TieredShards > 0)
 
 		a := m.Artifact()
-		if config == "3 shards, tiered" {
+		if strings.HasSuffix(config, "3 shards, tiered") {
 			a.SetTopo(&topo.Sealed{Topology: topo.Topology{Domains: []topo.Domain{{Name: "n0"}, {Name: "n1"}}}, ShardDomain: []int{0, 1, 0}})
 		}
 		loaded, la := reload(t, c.Name+", "+config, m, a)
-		scored := cfg.Score != nil
 		forms["facade, "+config], forms["artifact, "+config] = matches(t, c, m, scored), matches(t, c, loaded, scored)
+		want := map[impala.Match]float64{}
 		if scored {
-			forms["facade, scored, binary"], forms["artifact, scored, binary"] = matches(t, c, m, false), matches(t, c, loaded, false)
-			want, _ := m.MatchScored(c.Input)
-			if got, _ := loaded.MatchScored(c.Input); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: the loaded machine scores %v, the saved one %v", c.Name, got, want)
+			forms["facade, "+config+", binary"], forms["artifact, "+config+", binary"] = matches(t, c, m, false), matches(t, c, loaded, false)
+			sms, _ := m.MatchScored(c.Input)
+			if got, _ := loaded.MatchScored(c.Input); !reflect.DeepEqual(got, sms) {
+				t.Fatalf("%s, %s: the loaded machine scores %v, the saved one %v", c.Name, config, got, sms)
+			}
+			for _, sm := range sms {
+				want[sm.Match] = sm.Score
 			}
 		}
 		if config == "plain" {
@@ -116,15 +124,33 @@ func facadeForms(t testing.TB, c *simtest.Case, dfas map[string]bool) map[string
 			}, Rows: true}
 		}
 		if la.Topo != nil {
-			var workers []simtest.Form
+			var workers, binary []simtest.Form
+			got := map[impala.Match]float64{}
 			for _, domain := range la.Topo.Topology.Names() {
 				w, err := impala.MachineFromArtifactDomain(la, domain)
 				if err != nil {
 					t.Fatal(err)
 				}
-				workers = append(workers, matches(t, c, w, false))
+				workers, binary = append(workers, matches(t, c, w, scored)), append(binary, matches(t, c, w, false))
+				sms, _ := w.MatchScored(c.Input)
+				if scored && len(sms) != len(w.Match(c.Input)) {
+					t.Fatalf("%s, %s: domain %s scores %d rows and matches %d", c.Name, config, domain, len(sms), len(w.Match(c.Input)))
+				}
+				for _, sm := range sms {
+					if s, ok := got[sm.Match]; !ok || sm.Score > s {
+						got[sm.Match] = sm.Score
+					}
+				}
 			}
-			forms["per-domain machines, merged"] = simtest.Merged(workers...)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %s: the domains score %v, the whole machine %v", c.Name, config, got, want)
+			}
+			name := "per-domain machines"
+			if scored {
+				name = "per-domain scored machines"
+				forms[name+", binary, merged"] = simtest.Merged(binary...)
+			}
+			forms[name+", merged"] = simtest.Merged(workers...)
 		}
 	}
 	return forms
