@@ -23,7 +23,8 @@ all: check
 # cores shared across Run callers, parallel simultaneous-DFA build), the
 # sharded engine (concurrent shard construction, pooled lockstep cores), the
 # topology placer (deterministic placement under GA worker pools), and the
-# scored engine (pooled scoring engines shared across Run callers).
+# scored engine (its pooled sessions, one sim.Pool like every form's, shared
+# across Run callers, its metrics published per block).
 check: fmt-check build vet test bench-build bench-smoke fuzz-smoke test-race
 
 build:
@@ -53,7 +54,8 @@ bench-build:
 # sparse engine and session cases, the kernel on the three automata the
 # serving benchmark's NFA workloads run — BenchmarkServedKernels, in
 # internal/core beside the compile benchmarks — the CSR transition primitive,
-# the scoring pass on the DNA mesh, the DFA walker over K = 1, 2, 4 Snort
+# the scored cycle on the DNA mesh — BenchmarkScoredRun, kernel, kernel+lane
+# and scored in ns/B — the DFA walker over K = 1, 2, 4 Snort
 # shards — BenchmarkDFAWalk, ns/B and table KB — the sharded form's Run tiered
 # and untiered at K = 1, 2, 4 — BenchmarkShardedRun — the /match and
 # /stream handlers through a null ResponseWriter — BenchmarkMatchHandler and

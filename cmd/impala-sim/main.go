@@ -145,128 +145,109 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	nfa := a.NFA
-	// A scored artifact (SCOR section) runs on the weighted engine: reports
-	// print with their accumulated score, threshold rejects are summarized.
-	if a.Score != nil {
-		if *tier || *trace || *engine != "compiled" {
-			fatal(fmt.Errorf("scored artifacts run on the scored engine only (no -tier, -trace, -engine)"))
-		}
-		runScored(nfa, a.Score, input, *chunk, *quiet)
+	core, err := pickCore(os.Stderr, a, *tier, *trace, *engine)
+	if err != nil {
+		fatal(err)
+	}
+	// Batch and streaming share the session core; -chunk only changes how
+	// the input reaches Feed.
+	if *trace {
+		reports, stats := sim.RunBatch(core, input, *chunk, &cycleTracer{})
+		fmt.Printf("input: %d bytes, %d cycles, %d reports\n", len(input), stats.Cycles, len(reports))
 		return
 	}
-	// The execution form is picked once: a sharded artifact (SHRD section)
-	// always executes its sealed partition, per-shard DFA tables included
-	// (-tier has nothing to add to it); -tier runs the hybrid plan; otherwise
-	// the -engine flag names the graph simulator. newCore opens a stream on
-	// the form. A shard or tier plan steps its lanes in lockstep, and no lane
-	// holds the whole automaton's state vector a -trace line prints, so both
-	// refuse -trace and -engine rather than ignore them.
-	graphOnly := *trace || *engine != "compiled"
-	var newCore func() sim.Core
+	reports, stats := sim.RunBatch(core, input, *chunk, nil)
+	printRun(os.Stdout, a, len(input), *chunk, *quiet, reports, stats)
+}
+
+// pickCore picks the artifact's execution form, once, and returns a core of
+// it, announcing the plan it runs on log: a scored artifact (SCOR section)
+// runs the scored kernel; a sharded one (SHRD section) always executes its
+// sealed partition, per-shard DFA tables included (-tier has nothing to add
+// to it); tier runs the hybrid plan; otherwise engine names the graph
+// simulator. A scored kernel, a shard plan and a tier plan are lanes beside
+// or in lockstep with a kernel, none holding the whole automaton's state
+// vector a -trace line prints, so they refuse trace and engine (the scored
+// one tier too) rather than ignore them.
+func pickCore(log io.Writer, a *artifact.Artifact, tier, trace bool, engine string) (sim.Core, error) {
+	nfa := a.NFA
+	graphOnly := trace || engine != "compiled"
 	switch {
+	case a.Score != nil:
+		if tier || graphOnly {
+			return nil, fmt.Errorf("scored artifacts run on the scored engine only (no -tier, -trace, -engine)")
+		}
+		c, err := score.Compile(nfa, a.Score)
+		if err != nil {
+			return nil, err
+		}
+		return c.NewEngine(), nil
 	case a.Shards != nil:
 		if graphOnly {
-			fatal(fmt.Errorf("sharded artifacts run on their shard plan only (no -trace, -engine)"))
+			return nil, fmt.Errorf("sharded artifacts run on their shard plan only (no -trace, -engine)")
 		}
 		sharded, err := shard.Unseal(nfa, a.Shards)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "shard plan: %d shards, %d carrying a DFA fast path (%d DFA states)\n",
+		fmt.Fprintf(log, "shard plan: %d shards, %d carrying a DFA fast path (%d DFA states)\n",
 			sharded.Shards(), sharded.TieredShards(), sharded.DFAStates())
-		newCore = sharded.NewCore
-	case *tier:
+		return sharded.NewCore(), nil
+	case tier:
 		if graphOnly {
-			fatal(fmt.Errorf("-tier runs the tier plan only (no -trace, -engine)"))
+			return nil, fmt.Errorf("-tier runs the tier plan only (no -trace, -engine)")
 		}
 		var tiered *dfa.Tiered
+		var err error
 		if a.Tier != nil {
 			tiered, err = dfa.Unseal(nfa, a.Tier)
 		} else {
 			tiered, err = dfa.BuildTiered(nfa, dfa.TierOptions{})
 		}
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		p := tiered.Plan()
-		fmt.Fprintf(os.Stderr, "tier plan: %d/%d components on the DFA fast path (%d DFA states)\n",
+		fmt.Fprintf(log, "tier plan: %d/%d components on the DFA fast path (%d DFA states)\n",
 			p.DFACCs(), len(p.CCs), p.DFAStates)
-		newCore = tiered.NewCore
-	default:
-		switch *engine {
-		case "scalar":
-			newCore = func() sim.Core {
-				e, err := sim.NewEngine(nfa)
-				if err != nil {
-					fatal(err)
-				}
-				return e
-			}
-		case "compiled":
-			newCore = func() sim.Core {
-				c, err := sim.Compile(nfa)
-				if err != nil {
-					fatal(err)
-				}
-				return c.NewEngine()
-			}
-		default:
-			fatal(fmt.Errorf("unknown -engine %q (want compiled or scalar)", *engine))
+		return tiered.NewCore(), nil
+	}
+	switch engine {
+	case "scalar":
+		return sim.NewEngine(nfa)
+	case "compiled":
+		c, err := sim.Compile(nfa)
+		if err != nil {
+			return nil, err
 		}
+		return c.NewEngine(), nil
 	}
-	// Batch and streaming share the session core; -chunk only changes how
-	// the input reaches Feed.
-	runOnce := func(tracer sim.Tracer) ([]sim.Report, sim.Stats) {
-		return sim.RunBatch(newCore(), input, *chunk, tracer)
-	}
-	if *trace {
-		reports, stats := runOnce(&cycleTracer{})
-		fmt.Printf("input: %d bytes, %d cycles, %d reports\n", len(input), stats.Cycles, len(reports))
-		return
-	}
-	reports, stats := runOnce(nil)
-	if !*quiet {
-		for _, r := range reports {
-			fmt.Printf("match: pattern %d at byte %d\n", r.Code, r.BitPos/8)
-		}
-	}
-	if *chunk > 0 {
-		fmt.Printf("input: %d bytes streamed in %d-byte chunks, %d cycles (%d bits/cycle)\n",
-			len(input), *chunk, stats.Cycles, nfa.BitsPerCycle())
-	} else {
-		fmt.Printf("input: %d bytes, %d cycles (%d bits/cycle)\n", len(input), stats.Cycles, nfa.BitsPerCycle())
-	}
-	fmt.Printf("reports: %d   active/cycle avg: %.2f   peak active: %d\n",
-		stats.Reports, stats.ActivePerCycleAvg, stats.PeakActive)
+	return nil, fmt.Errorf("unknown -engine %q (want compiled or scalar)", engine)
 }
 
-// runScored executes the weighted engine over the input, batch or chunked,
-// printing each threshold-clearing report with its max-plus score.
-func runScored(nfa *automata.NFA, w *automata.Weights, input []byte, chunk int, quiet bool) {
-	c, err := score.Compile(nfa, w)
-	if err != nil {
-		fatal(err)
-	}
-	var reports []score.Report
-	var stats sim.Stats
-	if chunk > 0 {
-		s := c.NewSession(func(r score.Report) { reports = append(reports, r) })
-		feedChunks(s.Feed, input, chunk)
-		s.Flush()
-		score.SortReports(reports)
-		stats = s.Stats()
-	} else {
-		reports, stats = c.Run(input)
-	}
+// printRun writes a run over inputLen bytes to w: a match line per report
+// unless quiet — with its score on a scored artifact — then the summary.
+func printRun(w io.Writer, a *artifact.Artifact, inputLen, chunk int, quiet bool, reports []sim.Report, stats sim.Stats) {
 	if !quiet {
 		for _, r := range reports {
-			fmt.Printf("match: pattern %d at byte %d score %g\n", r.Code, r.BitPos/8, r.Score)
+			fmt.Fprintf(w, "match: pattern %d at byte %d", r.Code, r.BitPos/8)
+			if a.Score != nil {
+				fmt.Fprintf(w, " score %g", r.Score)
+			}
+			fmt.Fprintln(w)
 		}
 	}
-	fmt.Printf("input: %d bytes, %d cycles (%d bits/cycle, scored)\n", len(input), stats.Cycles, nfa.BitsPerCycle())
-	fmt.Printf("reports: %d cleared threshold %g   states with mixed in-edge weights: %d\n",
-		len(reports), c.Threshold(), c.ScalarScoredStates())
+	geometry := fmt.Sprintf("%d bits/cycle", a.NFA.BitsPerCycle())
+	if a.Score != nil {
+		geometry += fmt.Sprintf(", scored at threshold %g", a.Score.Threshold)
+	}
+	if chunk > 0 {
+		fmt.Fprintf(w, "input: %d bytes streamed in %d-byte chunks, %d cycles (%s)\n", inputLen, chunk, stats.Cycles, geometry)
+	} else {
+		fmt.Fprintf(w, "input: %d bytes, %d cycles (%s)\n", inputLen, stats.Cycles, geometry)
+	}
+	fmt.Fprintf(w, "reports: %d   active/cycle avg: %.2f   peak active: %d\n",
+		stats.Reports, stats.ActivePerCycleAvg, stats.PeakActive)
 }
 
 // feedChunks drives feed over input in chunks of at most size bytes.

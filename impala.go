@@ -33,6 +33,7 @@ import (
 	"impala/internal/score"
 	"impala/internal/shard"
 	"impala/internal/sim"
+	"impala/internal/topo"
 )
 
 // Config selects a design point of the compiler and machine.
@@ -150,6 +151,10 @@ type Machine struct {
 	// Model as the machine that saved it.
 	origStates, origTransitions int
 	stages                      []artifact.Stage
+	// topo and created are a loaded machine's topology placement and build
+	// time (nil and 0 on a compiled one), which Artifact seals back.
+	topo    *topo.Sealed
+	created int64
 }
 
 // CompileRegex compiles the patterns through the full Impala pipeline:
@@ -259,13 +264,16 @@ func newMachine(cfg Config, n *automata.NFA, pl *place.Placement, w *automata.We
 // Artifact packages the machine into its versioned on-disk form: the
 // transformed automaton, the placement, the design point, the compile trace
 // and every plan the machine holds — everything LoadMachine needs to rebuild
-// an identical engine without re-running the pipeline.
+// an identical engine without re-running the pipeline. A machine built from
+// an artifact seals back that artifact, its build time, topology placement
+// and other domains' shards included.
 func (m *Machine) Artifact() *artifact.Artifact {
 	meta := artifact.Meta{
 		CAMode:              m.cfg.CAMode,
 		Seed:                m.cfg.Seed,
 		OriginalStates:      m.origStates,
 		OriginalTransitions: m.origTransitions,
+		CreatedUnix:         m.created,
 	}
 	a := artifact.New(m.transformed, m.placement, nil, meta, m.stages)
 	if m.sharded != nil {
@@ -274,6 +282,7 @@ func (m *Machine) Artifact() *artifact.Artifact {
 	if m.tiered != nil {
 		a.Tier = m.tiered.Seal()
 	}
+	a.Topo = m.topo
 	a.Score = m.weights
 	return a
 }
@@ -397,6 +406,7 @@ func machineFromArtifact(a *artifact.Artifact, keep []int) (*Machine, error) {
 	m.origStates = a.Meta.OriginalStates
 	m.origTransitions = a.Meta.OriginalTransitions
 	m.stages = a.Stages
+	m.topo, m.created = a.Topo, a.Meta.CreatedUnix
 	return m, nil
 }
 
@@ -523,7 +533,7 @@ func (m *Machine) MatchScored(input []byte) ([]ScoredMatch, error) {
 // Pattern) in first-report order, keeping the best score. Every duplicate of
 // a row lies inside the short run of reports sharing its End, which is the
 // tail of out, so the fold looks no further back than that.
-func toScoredMatches(reports []score.Report) []ScoredMatch {
+func toScoredMatches(reports []sim.Report) []ScoredMatch {
 	out := make([]ScoredMatch, 0, len(reports))
 next:
 	for _, r := range reports {
@@ -583,7 +593,8 @@ type Stream struct{ window }
 type ScoredStream struct{ window }
 
 // window is what the two stream types share: the engine session and the
-// collision window over its reports. Several split states can report the
+// collision window over its reports, scored or not (a binary report's Score
+// is 0). Several split states can report the
 // same (End, Pattern) match in nearby cycles; reports arrive in cycle order,
 // and two can denote the same match only if their bit positions lie in the
 // same byte, which bounds their cycle distance by 8/bitsPerCycle < 8. So a
@@ -592,12 +603,7 @@ type ScoredStream struct{ window }
 // report and drops the duplicates; a scored stream (deferred) max-merges
 // the duplicates' scores and emits the match when it retires.
 type window struct {
-	sess interface {
-		Feed([]byte)
-		Flush()
-		Reset()
-		Stats() sim.Stats
-	}
+	sess         *sim.Session
 	emit         func(ScoredMatch) // nil to count only
 	deferred     bool
 	bitsPerCycle int
@@ -623,7 +629,7 @@ func (m *Machine) NewStream(onMatch func(Match)) *Stream {
 	if onMatch != nil {
 		s.emit = func(sm ScoredMatch) { onMatch(sm.Match) }
 	}
-	s.sess = m.serving.NewSession(func(r sim.Report) { s.report(r, 0) })
+	s.sess = m.serving.NewSession(s.report)
 	return s
 }
 
@@ -637,11 +643,11 @@ func (m *Machine) NewScoredStream(onMatch func(ScoredMatch)) (*ScoredStream, err
 		return nil, fmt.Errorf("impala: machine carries no weight table (compile with Config.Score or load a scored artifact)")
 	}
 	s := &ScoredStream{m.newWindow(true, onMatch)}
-	s.sess = m.scored.NewSession(func(r score.Report) { s.report(r.Report, r.Score) })
+	s.sess = m.scored.NewSession(s.report)
 	return s, nil
 }
 
-func (w *window) report(r sim.Report, score float64) {
+func (w *window) report(r sim.Report) {
 	cyc := (r.BitPos - 1) / w.bitsPerCycle
 	if cyc > w.curCycle {
 		w.curCycle = cyc
@@ -650,13 +656,13 @@ func (w *window) report(r sim.Report, score float64) {
 	mt := Match{End: r.BitPos / 8, Pattern: r.Code}
 	for i := range w.seen {
 		if e := &w.seen[i]; e.m.Match == mt {
-			if score > e.m.Score {
-				e.m.Score = score
+			if r.Score > e.m.Score {
+				e.m.Score = r.Score
 			}
 			return
 		}
 	}
-	e := windowEntry{m: ScoredMatch{Match: mt, Score: score}, cyc: cyc}
+	e := windowEntry{m: ScoredMatch{Match: mt, Score: r.Score}, cyc: cyc}
 	w.seen = append(w.seen, e)
 	if !w.deferred && w.emit != nil {
 		w.emit(e.m)

@@ -15,6 +15,7 @@ import (
 	"impala/internal/place"
 	"impala/internal/score"
 	"impala/internal/shard"
+	"impala/internal/sim"
 	"impala/internal/topo"
 	"impala/internal/workload"
 )
@@ -57,7 +58,7 @@ func buildScoredArtifact(t testing.TB, cfg core.Config) (*Artifact, []byte) {
 }
 
 // scoredReports runs the sealed scored machine over input.
-func scoredReports(t *testing.T, n *automata.NFA, w *automata.Weights, input []byte) []score.Report {
+func scoredReports(t *testing.T, n *automata.NFA, w *automata.Weights, input []byte) []sim.Report {
 	t.Helper()
 	m, err := score.Compile(n, w)
 	if err != nil {

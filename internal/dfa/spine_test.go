@@ -30,7 +30,7 @@ func TestSpine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bothTiers = bothTiers || tf.DFA() != nil && len(tf.NFAStateIDs()) > 0
+			bothTiers = bothTiers || tf.DFA() != nil && tf.Plan().NFAStates > 0
 			return simtest.SessionForm(tf.NewSession, tf.Run), true
 		}})
 	}

@@ -11,6 +11,7 @@ package dfa
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -110,8 +111,8 @@ func (p *Plan) DFACCs() int {
 // union DFA over the states dfaIDs (nil when no DFA tier was selected) and
 // the states nfaIDs left to the bit-parallel engine. Both ID lists are
 // ascending and each is a union of components. BuildTiered and Unseal turn
-// one into a Tiered; the sharded form takes every shard's selection and
-// builds one lane per engine kind over all of them instead.
+// one into a Tiered; the sharded form hands Lockstep every shard's selection
+// as one Part each instead.
 type Selection struct {
 	nfa  *automata.NFA
 	plan Plan
@@ -129,28 +130,76 @@ type Selection struct {
 // immutable after construction and safe to share across goroutines.
 type Tiered struct {
 	*Selection
-	nfac     *sim.Compiled
 	lockstep *sim.Lockstep
 }
 
-// tiered compiles the bit-parallel form over the NFA tier (none when empty)
-// and installs the lockstep form over it and the DFA tier.
+// tiered installs the lockstep form of the selection: the one-part case of
+// Lockstep.
 func (s *Selection) tiered() (*Tiered, error) {
-	t := &Tiered{Selection: s}
-	var lanes []sim.Lane
-	if s.dfa != nil {
-		lanes = append(lanes, Lane([]*DFA{s.dfa}, [][]automata.StateID{s.dfaIDs}))
+	l, err := Lockstep(s.nfa, []Part{{Sel: s}})
+	if err != nil {
+		return nil, err
 	}
-	if len(s.nfaIDs) > 0 {
-		c, err := sim.Compile(s.nfa.Induced(s.nfaIDs))
+	return &Tiered{Selection: s, lockstep: l}, nil
+}
+
+// Part is one block of an automaton for Lockstep: Orig lists its states as
+// the automaton's IDs, ascending, and Sel is the tier selection over the
+// block's sub-automaton — or over the automaton itself when Orig is nil. A
+// part with no selection runs whole on the kernel. A sharded form's shard is
+// a Part.
+type Part struct {
+	Orig []automata.StateID
+	Sel  *Selection
+}
+
+// remap maps the IDs of the part's sub-automaton to the automaton's.
+func (p Part) remap(ids []automata.StateID) []automata.StateID {
+	if p.Orig == nil {
+		return ids
+	}
+	out := make([]automata.StateID, len(ids))
+	for j, id := range ids {
+		out[j] = p.Orig[id]
+	}
+	return out
+}
+
+// Lockstep builds the lockstep form of parts of n, with at most two lanes
+// whatever the parts and their tiering: every part's DFA on one walker
+// (Lane), its ID table composed through the part's own so a report is
+// remapped once, and every state no DFA covers — a selection's NFA tier, an
+// unselected part's whole block — on one kernel compiled over their union.
+// The kernel's cycle costs its live words, so a kernel per part bought a
+// start-vector pass and a dispatch per part and cycle and nothing else. The
+// tiered form is the one-part case.
+func Lockstep(n *automata.NFA, parts []Part) (*sim.Lockstep, error) {
+	var ds []*DFA
+	var dfaOrigs [][]automata.StateID
+	var nfaIDs []automata.StateID
+	for _, p := range parts {
+		if p.Sel == nil {
+			nfaIDs = append(nfaIDs, p.Orig...)
+			continue
+		}
+		if p.Sel.dfa != nil {
+			ds, dfaOrigs = append(ds, p.Sel.dfa), append(dfaOrigs, p.remap(p.Sel.dfaIDs))
+		}
+		nfaIDs = append(nfaIDs, p.remap(p.Sel.nfaIDs)...)
+	}
+	var lanes []sim.Lane
+	if len(ds) > 0 {
+		lanes = append(lanes, Lane(ds, dfaOrigs))
+	}
+	if len(nfaIDs) > 0 {
+		slices.Sort(nfaIDs)
+		c, err := sim.Compile(n.Induced(nfaIDs))
 		if err != nil {
 			return nil, err
 		}
-		t.nfac = c
-		lanes = append(lanes, sim.Lane{New: func() sim.Core { return c.NewEngine() }, Orig: s.nfaIDs})
+		lanes = append(lanes, sim.Lane{New: func() sim.Core { return c.NewEngine() }, Orig: nfaIDs})
 	}
-	t.lockstep = sim.NewLockstep(s.nfa.Bits, s.nfa.Stride, lanes)
-	return t, nil
+	return sim.NewLockstep(n.Bits, n.Stride, lanes), nil
 }
 
 // BuildTiered selects tiers (Select) and constructs the hybrid execution
@@ -345,12 +394,6 @@ func (s *Selection) Plan() Plan { return s.plan }
 // DFA returns the union DFA (nil when no DFA tier was selected).
 func (s *Selection) DFA() *DFA { return s.dfa }
 
-// DFAStateIDs and NFAStateIDs return the automaton states each tier
-// executes, ascending: a tier's reports and tables number its states by
-// position in its list. Read-only.
-func (s *Selection) DFAStateIDs() []automata.StateID { return s.dfaIDs }
-func (s *Selection) NFAStateIDs() []automata.StateID { return s.nfaIDs }
-
 // NFA returns the original automaton the plan was built for.
 func (s *Selection) NFA() *automata.NFA { return s.nfa }
 
@@ -376,7 +419,7 @@ func (t *Tiered) Run(input []byte) ([]sim.Report, sim.Stats) {
 		if t.dfa != nil {
 			m.dfaBytes.Add(int64(len(input)))
 		}
-		if t.nfac != nil {
+		if len(t.nfaIDs) > 0 {
 			m.nfaBytes.Add(int64(len(input)))
 		}
 		m.reports.Add(int64(len(out)))

@@ -61,7 +61,7 @@ func TestTierPlanMixed(t *testing.T) {
 	if nfaCCs == 0 || dfaCCs == 0 {
 		t.Fatalf("want a mixed plan, got %d NFA / %d DFA components", nfaCCs, dfaCCs)
 	}
-	if tiered.DFA() == nil || len(tiered.NFAStateIDs()) == 0 {
+	if tiered.DFA() == nil || tiered.Plan().NFAStates == 0 {
 		t.Fatal("mixed plan must build both engines")
 	}
 }

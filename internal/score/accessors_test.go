@@ -2,6 +2,7 @@ package score
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"impala/internal/sim"
@@ -9,7 +10,7 @@ import (
 
 // TestCompiledAccessors pins the compiled form's introspection surface and
 // the raw engine's sink plumbing: every accessor reflects what Compile was
-// given, SetSink(nil) drops scores without touching binary behavior.
+// given, and a block's sink receives the scored reports.
 func TestCompiledAccessors(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	n := randNFA8(r, 6)
@@ -35,27 +36,25 @@ func TestCompiledAccessors(t *testing.T) {
 	input := randInput(r, 64)
 	want, _ := c.Run(input)
 
-	// A raw engine with an explicit sink sees every thresholded report; with
-	// a nil sink the scores are dropped but the scan still runs.
+	// A raw engine stepped block by block hands the sink of each block the
+	// reports Run returns, scores included, and holds no sink between blocks.
 	e := c.NewEngine()
 	if bits, stride := e.Geometry(); bits != n.Bits || stride != n.Stride {
 		t.Fatalf("Geometry() = (%d, %d), want (%d, %d)", bits, stride, n.Bits, n.Stride)
 	}
-	var got []Report
-	e.SetSink(func(rep Report) { got = append(got, rep) })
-	drop := func(sim.Report) {}
+	var got []sim.Report
+	collect := func(rep sim.Report) { got = append(got, rep) }
 	// One-cycle blocks up to the middle, then the rest as one block.
 	half := len(input) / 2
 	for i := 0; i < half; i++ {
-		e.StepBlock(input[i:i+1], i, -1, drop, nil)
+		e.StepBlock(input[i:i+1], i, -1, collect, nil)
 	}
-	e.StepBlock(input[half:], half, -1, drop, nil)
-	SortReports(got)
-	if len(got) != len(want) {
-		t.Fatalf("sink saw %d reports, Run produced %d", len(got), len(want))
+	e.StepBlock(input[half:], half, -1, collect, nil)
+	sim.SortReports(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the block sinks saw %v, Run produced %v", got, want)
 	}
-	e2 := c.NewEngine()
-	e2.SetSink(nil)
-	e2.ResetState()
-	e2.StepBlock(input, 0, -1, drop, nil)
+	if e.sink != nil {
+		t.Fatal("an idle engine still holds the last block's sink")
+	}
 }

@@ -60,16 +60,34 @@ func (tr *inEdgeTracer) OnCycle(_ int, _, active bitvec.Words) {
 	})
 }
 
-// BenchmarkScoredRun is the loop propagate is tuned against: one-shot scored
-// execution of the dna_scored_match mesh.
+// BenchmarkScoredRun is the loop propagate is tuned against: one-shot
+// execution of the dna_scored_match mesh, split three ways, each in ns/B —
+//   - kernel: the binary kernel alone, reports and all;
+//   - kernel+lane: the kernel with propagate attached, its reports ungated;
+//   - scored: the full Run, threshold gate included.
+//
+// kernel+lane less kernel is the scoring pass. scored differs from
+// kernel+lane by the gate: a compare per structural report, less the
+// collecting and sorting of the reports it rejects.
 func BenchmarkScoredRun(b *testing.B) {
 	c, input := dnaMesh(b)
 	tr := &inEdgeTracer{c: c}
 	sim.RunBatch(c.NewEngine(), input, 0, tr)
-	b.SetBytes(int64(len(input)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Run(input)
+	for _, form := range []struct {
+		name string
+		run  func([]byte) ([]sim.Report, sim.Stats)
+	}{
+		{"kernel", c.kernel.Run},
+		{"kernel+lane", sim.NewPool(func() sim.Core { return c.NewEngine().kernel }).Run},
+		{"scored", c.Run},
+	} {
+		b.Run(form.name, func(b *testing.B) {
+			b.SetBytes(int64(len(input)))
+			for i := 0; i < b.N; i++ {
+				form.run(input)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(input)), "ns/B")
+			b.ReportMetric(float64(tr.edges)/float64(tr.active), "in-edges/active-state")
+		})
 	}
-	b.ReportMetric(float64(tr.edges)/float64(tr.active), "in-edges/active-state")
 }

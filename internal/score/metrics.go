@@ -1,6 +1,6 @@
 // Scored-execution observability, following the streaming layer's pattern:
-// one atomic pointer, nil when disabled, drained at session/run boundaries
-// — never inside the cycle loop.
+// one atomic pointer, nil when disabled, drained at block boundaries — never
+// inside the cycle loop.
 package score
 
 import (
@@ -39,4 +39,28 @@ func EnableMetrics(reg *obs.Registry) {
 		reports: reg.Counter("score_reports_total"),
 		rejects: reg.Counter("score_threshold_rejects_total"),
 	})
+}
+
+// publish accounts a block of subs sub-symbols from cycle t0 and drains the
+// block's report counts. The block's bytes are its whole cycles' or, on the
+// zero-padded final cycle (limitBits >= 0), those up to the stream's true
+// end; a session hands its core whole bytes per block, so a stream's bytes
+// are counted once however it was chunked. One nil-check — the disabled
+// state costs nothing.
+func (e *Engine) publish(t0, subs, limitBits int) {
+	if m := scoreMetricsPtr.Load(); m != nil {
+		bits, stride := e.kernel.Geometry()
+		n := subs * bits
+		if limitBits >= 0 {
+			n = limitBits - t0*stride*bits
+		}
+		m.bytes.Add(int64(n / 8))
+		if e.scored > 0 {
+			m.reports.Add(e.scored)
+		}
+		if e.rejects > 0 {
+			m.rejects.Add(e.rejects)
+		}
+	}
+	e.rejects, e.scored = 0, 0
 }

@@ -15,31 +15,20 @@
 // (predecessor score + edge weight) over the predecessors that were active
 // the cycle before. Its cost tracks the in-edges of the active states — a
 // handful per cycle on the meshes this lane serves — not the state count.
+//
+// A scored report is a sim.Report with its Score set, so the scored form runs
+// on the same session, the same pooled one-shot runner and the same report
+// order as every binary form.
 package score
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
-	"sync"
 
 	"impala/internal/automata"
 	"impala/internal/sim"
 )
-
-// Report is a binary report plus its accumulated max-plus score.
-type Report struct {
-	sim.Report
-	// Score is the best accumulated weight over all paths that produced
-	// this report, saturated to ±automata.ScoreLimit.
-	Score float64
-}
-
-// Sink consumes scored reports as an engine produces them (cycle order,
-// unsorted within a cycle).
-type Sink func(Report)
 
 // Compiled is the immutable scored form of a weighted automaton: the binary
 // kernel (a sim.Compiled, which owns every table the enable, match and
@@ -62,7 +51,7 @@ type Compiled struct {
 	// weight (ScalarScoredStates).
 	mixedStates int
 
-	pool sync.Pool
+	pool *sim.Pool
 }
 
 // Compile builds the scored form: the binary kernel of n and the scoring
@@ -116,8 +105,20 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 			}
 		}
 	}
-	c.pool.New = func() any { return c.NewEngine() }
+	c.pool = sim.NewPool(func() sim.Core { return c.NewEngine() })
 	return c, nil
+}
+
+// Run executes the scored automaton over input on a pooled engine and
+// returns the threshold-clearing reports, each with its score, in
+// sim.SortReports order, plus activity statistics. Safe for concurrent use.
+func (c *Compiled) Run(input []byte) ([]sim.Report, sim.Stats) { return c.pool.Run(input) }
+
+// NewSession returns a streaming scored session: sink receives every
+// threshold-clearing report with its score (nil to run for statistics
+// only). Many sessions may run concurrently over one Compiled.
+func (c *Compiled) NewSession(sink sim.ReportSink) *sim.Session {
+	return sim.NewSession(c.NewEngine(), sink)
 }
 
 // Kernel returns the binary compiled form the scored form runs on: the same
@@ -141,9 +142,8 @@ func (c *Compiled) ScalarScoredStates() int { return c.mixedStates }
 
 // Engine executes a shared Compiled form over one stream: a kernel engine
 // plus the score vectors. It implements sim.Core, so sim.Session drives it
-// with identical chunking/flush semantics; the scored sink receives every
-// report that clears the threshold, while the binary sink passed by the
-// session sees the same reports (for statistics and binary consumers). Not
+// with identical chunking/flush semantics; the sink the session steps it
+// with receives every report that clears the threshold, its Score set. Not
 // safe for concurrent use; engines are cheap — all heavy tables live on the
 // Compiled.
 type Engine struct {
@@ -151,19 +151,14 @@ type Engine struct {
 	kernel           *sim.CompiledEngine
 	score, prevScore []float64
 
-	// onScore, when non-nil, receives each threshold-clearing report with
-	// its score.
-	onScore Sink
 	// gate is the threshold comparator the kernel's report phase emits into,
-	// built once; sink is where it forwards the block in progress's passes.
+	// built once; sink is where it forwards the block in progress's passes
+	// (nil between blocks, so an idle pooled engine pins no request).
 	gate, sink sim.ReportSink
-	// batch is the session Run drives, built at a pooled engine's first Run
-	// and kept.
-	batch *sim.Session
 
-	// rejects counts threshold-suppressed reports since the last drain;
-	// scored counts emitted scored reports. Plain ints — the obs boundary
-	// is the session/run layer, never the cycle loop.
+	// rejects counts the block in progress's threshold-suppressed reports,
+	// scored its forwarded ones. Plain ints — they are published once per
+	// block, never inside the cycle loop.
 	rejects int64
 	scored  int64
 }
@@ -179,22 +174,15 @@ func (c *Compiled) NewEngine() *Engine {
 	}
 	e.kernel.SetLane(e.propagate)
 	e.gate = func(r sim.Report) {
-		sc := e.score[r.State]
-		if sc < c.threshold {
+		if r.Score = e.score[r.State]; r.Score < c.threshold {
 			e.rejects++
 			return
 		}
-		e.sink(r)
 		e.scored++
-		if e.onScore != nil {
-			e.onScore(Report{Report: r, Score: sc})
-		}
+		e.sink(r)
 	}
 	return e
 }
-
-// SetSink attaches the scored report sink (may be nil to drop scores).
-func (e *Engine) SetSink(s Sink) { e.onScore = s }
 
 // Geometry implements sim.Core.
 func (e *Engine) Geometry() (int, int) { return e.kernel.Geometry() }
@@ -219,10 +207,14 @@ func satAdd(a, b float64) float64 {
 // propagate over the states they left active, then reports through the
 // threshold gate. Stale score slots are never read — a previous-cycle score
 // is consulted only under the previous-active mask, and a current score only
-// for states in the active set.
+// for states in the active set. The block's bytes, forwarded reports and
+// rejects are published at its end.
 func (e *Engine) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink, tracer sim.Tracer) (enabled, active int64, peak int) {
 	e.sink = sink
-	return e.kernel.StepBlock(subs, t0, limitBits, e.gate, tracer)
+	enabled, active, peak = e.kernel.StepBlock(subs, t0, limitBits, e.gate, tracer)
+	e.sink = nil
+	e.publish(t0, len(subs), limitBits)
+	return enabled, active, peak
 }
 
 // propagate is the lane the kernel calls (sim.CompiledEngine.SetLane) once
@@ -255,13 +247,4 @@ func (e *Engine) propagate(t int) {
 			score[i] = best
 		}
 	}
-}
-
-// SortReports orders scored reports by (BitPos, Code, State) — the binary
-// convention, so zero-weight scored output lines up with sim output
-// byte-for-byte.
-func SortReports(reports []Report) {
-	slices.SortFunc(reports, func(a, b Report) int {
-		return cmp.Or(cmp.Compare(a.BitPos, b.BitPos), cmp.Compare(a.Code, b.Code), cmp.Compare(a.State, b.State))
-	})
 }

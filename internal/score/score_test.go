@@ -1,6 +1,7 @@
 package score
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -20,7 +21,7 @@ import (
 // scored semantics (every state visited every cycle, per-state scalar
 // max-plus, no bitsets): the redundancy that keeps the optimized engine
 // honest.
-func naiveScoredRun(n *automata.NFA, w *automata.Weights, input []byte) []Report {
+func naiveScoredRun(n *automata.NFA, w *automata.Weights, input []byte) []sim.Report {
 	syms := sim.SubSymbols(n.Bits, input)
 	S := n.Stride
 	totalBits := len(syms) * n.Bits
@@ -40,7 +41,7 @@ func naiveScoredRun(n *automata.NFA, w *automata.Weights, input []byte) []Report
 	// on[q] says state q was active last cycle, score[q] with what score.
 	on, score := make([]bool, len(n.States)), make([]float64, len(n.States))
 	nextOn, nextScore := make([]bool, len(n.States)), make([]float64, len(n.States))
-	var reports []Report
+	var reports []sim.Report
 	for t := 0; t < cycles; t++ {
 		chunk := make([]byte, S)
 		for i := 0; i < S; i++ {
@@ -86,17 +87,14 @@ func naiveScoredRun(n *automata.NFA, w *automata.Weights, input []byte) []Report
 			if s.Report {
 				bitPos := (t*S + s.ReportOffset) * n.Bits
 				if bitPos <= totalBits && best >= w.Threshold {
-					reports = append(reports, Report{
-						Report: sim.Report{BitPos: bitPos, Code: s.ReportCode, State: automata.StateID(i)},
-						Score:  best,
-					})
+					reports = append(reports, sim.Report{BitPos: bitPos, Code: s.ReportCode, State: automata.StateID(i), Score: best})
 				}
 			}
 		}
 		on, nextOn = nextOn, on
 		score, nextScore = nextScore, score
 	}
-	SortReports(reports)
+	sim.SortReports(reports)
 	return reports
 }
 
@@ -253,7 +251,7 @@ func TestScoredMatchesNaive(t *testing.T) {
 		}
 		for i, want := range tc.wantTail {
 			if r := got[len(got)-len(tc.wantTail)+i]; r.Score != want {
-				t.Fatalf("%s: report %+v scores %g, want %g", tc.name, r.Report, r.Score, want)
+				t.Fatalf("%s: report %+v scores %g, want %g", tc.name, r, r.Score, want)
 			}
 		}
 	}
@@ -292,7 +290,7 @@ func TestScoredCompilePreservesBestScores(t *testing.T) {
 	type key struct {
 		pos, code int
 	}
-	bestOf := func(reports []Report) map[key]float64 {
+	bestOf := func(reports []sim.Report) map[key]float64 {
 		m := map[key]float64{}
 		for _, r := range reports {
 			k := key{r.BitPos, r.Code}
@@ -335,7 +333,8 @@ func TestScoredCompilePreservesBestScores(t *testing.T) {
 }
 
 // Steady-state Feed through the scored lane allocates nothing, with the
-// stream and score metrics off and live.
+// stream and score metrics off and live, and neither does a pooled Run of
+// input no state matches (randNFA8 matches bytes 0–8 only).
 func TestScoredFeedAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	n := randNFA8(r, 6)
@@ -343,8 +342,8 @@ func TestScoredFeedAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := func(sim.ReportSink) simtest.Stream { return c.NewSession(func(Report) {}) }
-	simtest.AllocFree(t, simtest.Form{Open: open}, randInput(r, 50), nil, EnableMetrics)
+	quiet := bytes.Repeat([]byte("quiet "), 1000)
+	simtest.AllocFree(t, simtest.SessionForm(c.NewSession, c.Run), randInput(r, 50), quiet, EnableMetrics)
 }
 
 // The threshold comparator must suppress reports below it and count them.

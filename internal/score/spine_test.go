@@ -13,7 +13,8 @@ import (
 // with the score lane riding it, under all-zero weights and threshold 0 —
 // every score 0, every report at the threshold — and under random weights
 // and the open threshold. Either way it reports what the binary kernel
-// reports, and every report carries the score the one-shot Run gives it.
+// reports, and every report carries the score the one-shot Run gives it;
+// the spine compares the reports with their scores zeroed.
 func TestSpine(t *testing.T) {
 	var rows []simtest.Row
 	for _, zero := range []bool{true, false} {
@@ -30,28 +31,33 @@ func TestSpine(t *testing.T) {
 				oneShot, _ := sc.Run(c.Input)
 				scores := make(map[sim.Report]float64, len(oneShot))
 				for _, r := range oneShot {
-					scores[r.Report] = r.Score
+					scores[binary(r)] = r.Score
 				}
-				binary := func(r score.Report) sim.Report {
-					if want, ok := scores[r.Report]; ok && r.Score != want || zero && r.Score != 0 {
-						t.Fatalf("scored on %s: report %+v scores %g, the one-shot Run %g", c.Name, r.Report, r.Score, want)
+				check := func(r sim.Report) sim.Report {
+					if want, ok := scores[binary(r)]; ok && r.Score != want || zero && r.Score != 0 {
+						t.Fatalf("scored on %s: report %+v scores %g, the one-shot Run %g", c.Name, r, r.Score, want)
 					}
-					return r.Report
+					return binary(r)
 				}
 				return simtest.Form{
 					Open: func(sink sim.ReportSink) simtest.Stream {
-						return sc.NewSession(func(r score.Report) { sink(binary(r)) })
+						return sc.NewSession(func(r sim.Report) { sink(check(r)) })
 					},
 					Run: func(input []byte) ([]sim.Report, sim.Stats) {
 						rs, stats := sc.Run(input)
-						out := make([]sim.Report, len(rs))
 						for i, r := range rs {
-							out[i] = binary(r)
+							rs[i] = check(r)
 						}
-						return out, stats
+						return rs, stats
 					},
 				}, true
 			}})
 	}
 	simtest.Spine(t, rows...)
+}
+
+// binary is r with its score zeroed: the report a binary engine makes.
+func binary(r sim.Report) sim.Report {
+	r.Score = 0
+	return r
 }

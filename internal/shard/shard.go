@@ -145,73 +145,29 @@ func planShards(n *automata.NFA, ccs [][]automata.StateID, k int) Plan {
 	return p
 }
 
-// shardEngine is one live shard: its states (orig remaps shard-local state
-// IDs back to the original automaton's) and, when tiering was requested, its
-// tier selection. A shard with no selection runs whole on the bit-parallel
-// kernel.
-type shardEngine struct {
-	orig  []automata.StateID
-	tiers *dfa.Selection
-}
-
-func (e *shardEngine) empty() bool { return len(e.orig) == 0 }
-
 // Sharded is the K-shard execution form. It is immutable after
 // construction and safe to share across goroutines; per-stream state lives
 // in the cores handed out by NewCore/NewSession and pooled by Run.
 type Sharded struct {
-	nfa      *automata.NFA
-	plan     Plan
-	shards   []shardEngine
+	nfa  *automata.NFA
+	plan Plan
+	// shards holds one part per shard: its states and, when tiering was
+	// requested, its tier selection. An empty shard holds no state.
+	shards   []dfa.Part
 	lockstep *sim.Lockstep // one DFA walker lane, one kernel lane
+	// sealed is the sealed form the partition was unsealed from (nil when it
+	// was built), which Seal hands back: a shard subset's form cannot seal
+	// the shards it does not host.
+	sealed   *Sealed
 	buildCPU time.Duration
 }
 
-// setShards installs the shards and the lockstep form over them: at most two
-// lanes whatever K and the tiering. Every live shard's DFA goes to one
-// walker (dfa.Lane), its ID table composed through the shard's own so a
-// report is remapped once; every state no DFA covers — a tiered shard's NFA
-// tier, an untiered shard's whole block — goes to one kernel compiled over
-// their union: the kernel's cycle costs its live words, so a kernel per
-// shard bought a start-vector pass and a dispatch per shard and cycle and
-// nothing else.
-func (s *Sharded) setShards(engines []shardEngine) error {
-	var ds []*dfa.DFA
-	var dfaOrigs [][]automata.StateID
-	var nfaIDs []automata.StateID
-	for i := range engines {
-		e := &engines[i]
-		if e.tiers == nil {
-			nfaIDs = append(nfaIDs, e.orig...)
-			continue
-		}
-		if d := e.tiers.DFA(); d != nil {
-			ids := e.tiers.DFAStateIDs()
-			orig := make([]automata.StateID, len(ids))
-			for j, id := range ids {
-				orig[j] = e.orig[id]
-			}
-			ds, dfaOrigs = append(ds, d), append(dfaOrigs, orig)
-		}
-		for _, id := range e.tiers.NFAStateIDs() {
-			nfaIDs = append(nfaIDs, e.orig[id])
-		}
-	}
-	var lanes []sim.Lane
-	if len(ds) > 0 {
-		lanes = append(lanes, dfa.Lane(ds, dfaOrigs))
-	}
-	if len(nfaIDs) > 0 {
-		slices.Sort(nfaIDs)
-		c, err := sim.Compile(s.nfa.Induced(nfaIDs))
-		if err != nil {
-			return err
-		}
-		lanes = append(lanes, sim.Lane{New: func() sim.Core { return c.NewEngine() }, Orig: nfaIDs})
-	}
-	s.shards = engines
-	s.lockstep = sim.NewLockstep(s.nfa.Bits, s.nfa.Stride, lanes)
-	return nil
+// setShards installs the shards and the lockstep form over them, which has at
+// most two lanes whatever K and the tiering (dfa.Lockstep).
+func (s *Sharded) setShards(shards []dfa.Part) (err error) {
+	s.shards = shards
+	s.lockstep, err = dfa.Lockstep(s.nfa, shards)
+	return err
 }
 
 // shardIDs collects each shard's state IDs, sorted ascending, from a plan.
@@ -259,12 +215,12 @@ func Build(n *automata.NFA, opts Options) (*Sharded, error) {
 // (empty shards stay empty). Per-shard tier planning runs serially inside
 // each shard slot — the cross-shard pool is the parallelism — so nested
 // pools never oversubscribe.
-func buildEngines(n *automata.NFA, ids [][]automata.StateID, opts Options) ([]shardEngine, time.Duration, error) {
-	engines := make([]shardEngine, len(ids))
+func buildEngines(n *automata.NFA, ids [][]automata.StateID, opts Options) ([]dfa.Part, time.Duration, error) {
+	engines := make([]dfa.Part, len(ids))
 	errs := make([]error, len(ids))
 	var cpuNS atomic.Int64
 	par.TraceFor(opts.Trace, "shard/build", opts.Workers, len(ids), func(k int) {
-		engines[k].orig = ids[k]
+		engines[k].Orig = ids[k]
 		if len(ids[k]) == 0 || opts.Tier == nil {
 			return
 		}
@@ -273,7 +229,7 @@ func buildEngines(n *automata.NFA, ids [][]automata.StateID, opts Options) ([]sh
 		topt := *opts.Tier
 		topt.Workers = 1
 		topt.Trace = nil
-		engines[k].tiers, errs[k] = dfa.Select(n.Induced(ids[k]), topt)
+		engines[k].Sel, errs[k] = dfa.Select(n.Induced(ids[k]), topt)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -300,8 +256,7 @@ func (s *Sharded) BuildCPU() time.Duration { return s.buildCPU }
 func (s *Sharded) TieredShards() int {
 	n := 0
 	for i := range s.shards {
-		e := &s.shards[i]
-		if e.tiers != nil && e.tiers.DFA() != nil {
+		if sel := s.shards[i].Sel; sel != nil && sel.DFA() != nil {
 			n++
 		}
 	}
@@ -313,7 +268,7 @@ func (s *Sharded) TieredShards() int {
 func (s *Sharded) DFAStates() int {
 	total := 0
 	for i := range s.shards {
-		if t := s.shards[i].tiers; t != nil {
+		if t := s.shards[i].Sel; t != nil {
 			total += t.Plan().DFAStates
 		}
 	}
@@ -325,7 +280,7 @@ func (s *Sharded) DFAStates() int {
 func (s *Sharded) States() []automata.StateID {
 	var ids []automata.StateID
 	for i := range s.shards {
-		ids = append(ids, s.shards[i].orig...)
+		ids = append(ids, s.shards[i].Orig...)
 	}
 	slices.Sort(ids)
 	return ids
@@ -337,11 +292,10 @@ func (s *Sharded) States() []automata.StateID {
 func (s *Sharded) NFATierStates() int {
 	total := 0
 	for i := range s.shards {
-		e := &s.shards[i]
-		if e.tiers != nil {
-			total += e.tiers.Plan().NFAStates
+		if sel := s.shards[i].Sel; sel != nil {
+			total += sel.Plan().NFAStates
 		} else {
-			total += len(e.orig)
+			total += len(s.shards[i].Orig)
 		}
 	}
 	return total
@@ -365,7 +319,7 @@ func (s *Sharded) countRun(inputBytes, reports int) {
 	if m := shardMetricsPtr.Load(); m != nil {
 		live := 0
 		for i := range s.shards {
-			if !s.shards[i].empty() {
+			if len(s.shards[i].Orig) > 0 {
 				live++
 			}
 		}
@@ -397,11 +351,15 @@ type Sealed struct {
 	Tiers []*dfa.Sealed
 }
 
-// Seal returns the serialization form of the shard partition.
+// Seal returns the serialization form of the shard partition: the one it was
+// unsealed from, if it was.
 func (s *Sharded) Seal() *Sealed {
+	if s.sealed != nil {
+		return s.sealed
+	}
 	out := &Sealed{Plan: s.plan, Tiers: make([]*dfa.Sealed, len(s.shards))}
 	for i := range s.shards {
-		if t := s.shards[i].tiers; t != nil {
+		if t := s.shards[i].Sel; t != nil {
 			out.Tiers[i] = t.Seal()
 		}
 	}
@@ -465,9 +423,9 @@ func UnsealShards(n *automata.NFA, s *Sealed, keep []int) (*Sharded, error) {
 		}
 	}
 
-	out := &Sharded{nfa: n, plan: s.Plan}
+	out := &Sharded{nfa: n, plan: s.Plan, sealed: s}
 	ids := shardIDs(ccs, s.Plan)
-	engines := make([]shardEngine, k)
+	engines := make([]dfa.Part, k)
 	for i := 0; i < k; i++ {
 		var tier *dfa.Sealed
 		if len(s.Tiers) != 0 {
@@ -482,13 +440,13 @@ func UnsealShards(n *automata.NFA, s *Sealed, keep []int) (*Sharded, error) {
 		if !kept[i] {
 			continue // hosted by another worker; its engine is never built
 		}
-		engines[i].orig = ids[i]
+		engines[i].Orig = ids[i]
 		if tier != nil {
 			t, err := dfa.UnsealSelection(n.Induced(ids[i]), tier)
 			if err != nil {
 				return nil, fmt.Errorf("shard: shard %d tier does not unseal: %w", i, err)
 			}
-			engines[i].tiers = t
+			engines[i].Sel = t
 		}
 	}
 	if err := out.setShards(engines); err != nil {

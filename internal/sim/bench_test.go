@@ -159,9 +159,10 @@ func (l *liveWords) OnCycle(_ int, enabled, _ bitvec.Words) {
 	l.cycles++
 }
 
-// perCycle runs input once, untimed, and returns the live words per cycle.
-func (l *liveWords) perCycle(e *CompiledEngine, input []byte) float64 {
-	e.Run(input, l)
+// perCycle runs input once on s, untimed, and returns the live words per
+// cycle.
+func (l *liveWords) perCycle(s *Session, input []byte) float64 {
+	s.runBatch(input, 0, l)
 	return float64(l.words) / float64(l.cycles)
 }
 
@@ -173,12 +174,14 @@ func BenchmarkEngineCompiled(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := c.NewEngine()
-			live := new(liveWords).perCycle(e, input)
+			// A pooled run's session, held here so that no sync.Pool drop
+			// at a GC is timed.
+			s := NewSession(c.NewEngine(), nil)
+			live := new(liveWords).perCycle(s, input)
 			b.SetBytes(int64(len(input)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Run(input, nil)
+				s.runBatch(input, 0, nil)
 			}
 			b.ReportMetric(live, "live-words/cycle")
 		})
@@ -198,7 +201,7 @@ func BenchmarkSessionFeed(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				live := new(liveWords).perCycle(c.NewEngine(), input)
+				live := new(liveWords).perCycle(NewSession(c.NewEngine(), nil), input)
 				matches := 0
 				s := c.NewSession(func(Report) { matches++ })
 				s.Feed(input[:chunkSize]) // warm scratch buffers

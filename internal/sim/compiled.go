@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/bits"
-	"sync"
 
 	"impala/internal/automata"
 	"impala/internal/bitvec"
@@ -63,9 +62,9 @@ type Compiled struct {
 	// skip report handling entirely.
 	reporting bitvec.Words
 
-	// pool recycles engines (per-stream buffers) across the concurrent
-	// one-shot Run calls on this compiled form.
-	pool sync.Pool
+	// pool recycles engines (per-stream buffers) and their sessions across
+	// the concurrent one-shot Run calls on this compiled form.
+	pool *Pool
 }
 
 // Compile precompiles the automaton into its bit-parallel form, in time and
@@ -122,7 +121,7 @@ func Compile(n *automata.NFA) (*Compiled, error) {
 	c.succ = succ.Build()
 	c.startEven = c.startOdd.with(ns, even)
 	c.startFirst = c.startEven.with(ns, anchored)
-	c.pool.New = func() any { return c.NewEngine() }
+	c.pool = NewPool(func() Core { return c.NewEngine() })
 	return c, nil
 }
 
@@ -216,9 +215,6 @@ type CompiledEngine struct {
 	touched bitvec.Frontier
 	// lane, when non-nil, runs between the match phase and the report gate.
 	lane func(t int)
-	// batch is the session Run drives, built at the first Run and kept: a
-	// pooled engine's one-shot runs allocate no session of their own.
-	batch *Session
 }
 
 // NewEngine allocates per-stream state for executing the compiled
@@ -244,12 +240,7 @@ func (c *Compiled) NewSession(sink ReportSink) *Session {
 // returns the sorted reports and stats. It is safe for concurrent use —
 // the one-shot entry point a server calls per request without paying a
 // fresh engine allocation in steady state.
-func (c *Compiled) Run(input []byte) ([]Report, Stats) {
-	e := c.pool.Get().(*CompiledEngine)
-	r, s := e.Run(input, nil)
-	c.pool.Put(e)
-	return r, s
-}
+func (c *Compiled) Run(input []byte) ([]Report, Stats) { return c.pool.Run(input) }
 
 // Geometry implements Core.
 func (e *CompiledEngine) Geometry() (bits, stride int) { return e.c.nfa.Bits, e.c.nfa.Stride }
@@ -466,8 +457,5 @@ func (e *CompiledEngine) StartEnabled(i, t int) bool { return e.startFor(t).Bits
 // sorted by (BitPos, Code, State) plus activity statistics. tracer may be
 // nil. Reports and statistics are identical to the scalar Engine's.
 func (e *CompiledEngine) Run(input []byte, tracer Tracer) ([]Report, Stats) {
-	if e.batch == nil {
-		e.batch = NewSession(e, nil)
-	}
-	return e.batch.runBatch(input, 0, tracer)
+	return RunBatch(e, input, 0, tracer)
 }

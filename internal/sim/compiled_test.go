@@ -318,7 +318,7 @@ func TestPooledEngineAbortedRuns(t *testing.T) {
 		}
 		wantR, wantS := c.NewEngine().Run(input, nil)
 
-		e := c.Pooled()
+		pooled, e := c.Pooled()
 		check := sim.FrontierCheck{T: t, E: e}
 		for round := 0; round < 3; round++ {
 			// Abandon a stream part-way, mid-cycle where the geometry allows.
@@ -326,14 +326,14 @@ func TestPooledEngineAbortedRuns(t *testing.T) {
 			s.Feed(input[:1+r.Intn(len(input)-1)])
 			check.Consistent(-1)
 
-			gotR, gotS := e.Run(input, check)
+			gotR, gotS := pooled.RunPooled(input, check)
 			sameRun(t, "after an abandoned stream", gotR, wantR, gotS, wantS)
 
-			c.Release(e)
-			e = c.Pooled()
+			c.Release(pooled)
+			pooled, e = c.Pooled()
 			check.E = e
 			check.Consistent(-1)
-			gotR, gotS = e.Run(input, check)
+			gotR, gotS = pooled.RunPooled(input, check)
 			sameRun(t, "after release", gotR, wantR, gotS, wantS)
 		}
 		e.ResetState()

@@ -72,10 +72,16 @@ func (o *InOrder) OnCycle(cycle int, enabled, active bitvec.Words) {
 // SummaryWords is how many words the summaries of the engine's vectors span.
 func (e *CompiledEngine) SummaryWords() int { return len(e.enabled.Sum) }
 
-// Pooled takes an engine from the form's pool, as Run does; Release returns
-// one.
-func (c *Compiled) Pooled() *CompiledEngine   { return c.pool.Get().(*CompiledEngine) }
-func (c *Compiled) Release(e *CompiledEngine) { c.pool.Put(e) }
+// Pooled takes a session from the form's pool, as Run does, with its engine;
+// Release returns one, and RunPooled is a run on one, as Run makes it.
+func (c *Compiled) Pooled() (*Session, *CompiledEngine) {
+	s := c.pool.sessions.Get().(*Session)
+	return s, s.core.(*CompiledEngine)
+}
+func (c *Compiled) Release(s *Session) { c.pool.sessions.Put(s) }
+func (s *Session) RunPooled(input []byte, tracer Tracer) ([]Report, Stats) {
+	return s.runBatch(input, 0, tracer)
+}
 
 // Idle reports whether every vector of the engine, and every summary, is
 // empty.

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sync"
-
-	"impala/internal/automata"
-)
+import "impala/internal/automata"
 
 // Lane is one block of a lockstep execution form: a child engine over a
 // sub-automaton closed under edges (a union of connected components), and
@@ -30,18 +26,14 @@ type Lane struct {
 type Lockstep struct {
 	bits, stride int
 	lanes        []Lane
-	pool         sync.Pool // of *lockstepCore, for Run
+	pool         *Pool // over lockstep cores, for Run
 }
 
 // NewLockstep returns the lockstep form of lanes over an automaton of the
 // given geometry. No lanes is valid: the core then steps nothing.
 func NewLockstep(bits, stride int, lanes []Lane) *Lockstep {
 	l := &Lockstep{bits: bits, stride: stride, lanes: lanes}
-	l.pool.New = func() any {
-		c := l.newCore()
-		c.batch = NewSession(c, nil)
-		return c
-	}
+	l.pool = NewPool(l.NewCore)
 	return l
 }
 
@@ -55,8 +47,9 @@ type lockstepCore struct {
 	l     *Lockstep
 	cores []Core
 	sinks []ReportSink
-	sink  ReportSink // the sink of the block in progress
-	batch *Session   // over this core, kept by a pooled core for Run
+	// sink is the sink of the block in progress; nil between blocks, so an
+	// idle pooled core pins no finished request's session or reports.
+	sink ReportSink
 }
 
 func (l *Lockstep) newCore() *lockstepCore {
@@ -87,20 +80,7 @@ func (l *Lockstep) NewSession(sink ReportSink) *Session {
 
 // Run executes the form over input on a pooled core and returns the sorted
 // reports and statistics. It is safe for concurrent use.
-func (l *Lockstep) Run(input []byte) ([]Report, Stats) {
-	c := l.pool.Get().(*lockstepCore)
-	r, st := c.batch.runBatch(input, 0, nil)
-	l.release(c)
-	return r, st
-}
-
-// release returns a core to the pool. An idle pooled core keeps its session
-// for the next run, but nothing of the finished one: runBatch has let go of
-// the report slice, and the sink goes here.
-func (l *Lockstep) release(c *lockstepCore) {
-	c.sink = nil
-	l.pool.Put(c)
-}
+func (l *Lockstep) Run(input []byte) ([]Report, Stats) { return l.pool.Run(input) }
 
 // Geometry implements Core.
 func (c *lockstepCore) Geometry() (bits, stride int) { return c.l.bits, c.l.stride }
@@ -126,18 +106,20 @@ func (c *lockstepCore) ResetState() {
 func (c *lockstepCore) StepBlock(subs []byte, t0 int, limitBits int, sink ReportSink, _ Tracer) (enabled, active int64, peak int) {
 	c.sink = sink
 	if len(c.cores) == 1 {
-		return c.cores[0].StepBlock(subs, t0, limitBits, c.sinks[0], nil)
-	}
-	S := c.l.stride
-	for t := t0; len(subs) >= S; t, subs = t+1, subs[S:] {
-		var na int64
-		for i, core := range c.cores {
-			e, a, _ := core.StepBlock(subs[:S], t, limitBits, c.sinks[i], nil)
-			enabled += e
-			na += a
+		enabled, active, peak = c.cores[0].StepBlock(subs, t0, limitBits, c.sinks[0], nil)
+	} else {
+		S := c.l.stride
+		for t := t0; len(subs) >= S; t, subs = t+1, subs[S:] {
+			var na int64
+			for i, core := range c.cores {
+				e, a, _ := core.StepBlock(subs[:S], t, limitBits, c.sinks[i], nil)
+				enabled += e
+				na += a
+			}
+			active += na
+			peak = max(peak, int(na))
 		}
-		active += na
-		peak = max(peak, int(na))
 	}
+	c.sink = nil
 	return enabled, active, peak
 }

@@ -31,32 +31,14 @@ func TestLockstepNoLanes(t *testing.T) {
 	}
 }
 
-// A core back in the pool must not pin the request that last used it: its
-// sink (the finished session's emit closure, which reaches the session and
-// the caller's report slice) is cleared on release.
-func TestLockstepReleaseClearsSink(t *testing.T) {
-	n := automata.New(8, 1)
-	n.AddLiteral("needle", automata.StartAllInput, 1)
-	l := lockstepOverCCs(t, n)
-	c := l.newCore()
-	if r, _ := RunBatch(c, []byte("a needle"), 0, nil); len(r) != 1 {
-		t.Fatalf("%d reports, want 1", len(r))
-	}
-	if c.sink == nil {
-		t.Fatal("a stepped core holds no sink; the pin below would be vacuous")
-	}
-	l.release(c)
-	if c.sink != nil {
-		t.Fatal("released core still holds the previous run's sink")
-	}
-}
-
-// A pooled core keeps the session its one-shot runs drive, so on a pooled core
-// a Run that reports nothing allocates nothing — kernel and lockstep alike —
-// and the kept session lets go of a finished run's reports as the core lets go
-// of its sink. (The fewest of several runs: under the race detector a
-// sync.Pool drops a quarter of what it is given, and a fresh core is not what
-// is pinned here.)
+// A Pool keeps each core with the session its one-shot runs drive, so a Run
+// that reports nothing allocates nothing — kernel and lockstep alike — and an
+// idle pooled session holds nothing of the run it finished: not its reports,
+// not its tracer, and not, in its core, the sink the core was stepped with
+// (the finished session's emit closure, which reaches the caller's report
+// slice). (The fewest of several runs: under the race detector a sync.Pool
+// drops a quarter of what it is given, and a fresh core is not what is pinned
+// here.)
 func TestPooledRunKeepsItsSession(t *testing.T) {
 	n := automata.New(8, 1)
 	n.AddLiteral("needle in a", automata.StartAllInput, 1)
@@ -82,19 +64,19 @@ func TestPooledRunKeepsItsSession(t *testing.T) {
 			t.Fatalf("%s: %d reports, want 1", name, len(r))
 		}
 	}
-	e := c.NewEngine()
-	if r, _ := e.Run(hit, new(liveWords)); len(r) != 1 {
-		t.Fatalf("%d reports, want 1", len(r))
+	// A report reaching the session at all means the lockstep core held its
+	// sink while it stepped.
+	lc := l.newCore()
+	for name, core := range map[string]Core{"kernel": c.NewEngine(), "lockstep": lc} {
+		s := NewSession(core, nil)
+		if r, _ := s.runBatch(hit, 0, new(liveWords)); len(r) != 1 {
+			t.Fatalf("%s: %d reports, want 1", name, len(r))
+		}
+		if s.batch != nil || s.tracer != nil {
+			t.Fatalf("%s: an idle pooled session still holds the last run's reports or tracer", name)
+		}
 	}
-	if e.batch == nil || e.batch.batch != nil || e.batch.tracer != nil {
-		t.Fatal("an engine's kept session still holds the last run's reports or tracer")
-	}
-	core := l.pool.New().(*lockstepCore)
-	if r, _ := core.batch.runBatch(hit, 0, nil); len(r) != 1 {
-		t.Fatalf("%d reports, want 1", len(r))
-	}
-	l.release(core)
-	if core.batch.batch != nil || core.sink != nil {
-		t.Fatal("a released lockstep core still holds the last run's reports or sink")
+	if lc.sink != nil {
+		t.Fatal("an idle lockstep core still holds the last run's sink")
 	}
 }

@@ -31,6 +31,10 @@ type Report struct {
 	Code int
 	// State is the reporting state's ID (geometry-specific).
 	State automata.StateID
+	// Score is the best accumulated max-plus weight over all paths that
+	// produced the report, saturated to ±automata.ScoreLimit: set by the
+	// score lane (internal/score), 0 from every binary engine.
+	Score float64
 }
 
 // Key returns the geometry-independent identity of the report.
@@ -205,7 +209,7 @@ func (e *Engine) Run(input []byte, tracer Tracer) ([]Report, Stats) {
 }
 
 // SortReports sorts reports by (BitPos, Code, State) — the canonical batch
-// output order — in place, allocating nothing.
+// output order, scored or not — in place, allocating nothing.
 func SortReports(reports []Report) {
 	slices.SortFunc(reports, func(a, b Report) int {
 		return cmp.Or(cmp.Compare(a.BitPos, b.BitPos), cmp.Compare(a.Code, b.Code), cmp.Compare(a.State, b.State))

@@ -10,6 +10,7 @@ import (
 	"impala/internal/automata"
 	"impala/internal/core"
 	"impala/internal/score"
+	"impala/internal/sim"
 )
 
 // The binary generators and the scored builders share one structural
@@ -54,7 +55,7 @@ func TestScoredZeroCostsMatchBinaryGenerators(t *testing.T) {
 
 // bestOf groups threshold-clearing reports by (BitPos, Code) and keeps the
 // maximum score — the quantity the compile pipeline preserves exactly.
-func bestOf(reports []score.Report) map[[2]int]float64 {
+func bestOf(reports []sim.Report) map[[2]int]float64 {
 	best := make(map[[2]int]float64)
 	for _, r := range reports {
 		noteBest(best, r.BitPos, r.Code, r.Score)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"impala/internal/automata"
-	"impala/internal/score"
 	"impala/internal/sim"
 	"impala/internal/workload"
 )
@@ -237,19 +236,14 @@ func TestScoredMachineFromFile(t *testing.T) {
 func TestMatchFoldEqualsMapFold(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
-		reports := make([]score.Report, r.Intn(60))
+		reports := make([]sim.Report, r.Intn(60))
 		for i := range reports {
-			reports[i] = score.Report{
-				Report: sim.Report{BitPos: 4 * r.Intn(24), Code: r.Intn(4), State: automata.StateID(r.Intn(6))},
-				Score:  float64(r.Intn(9)),
-			}
+			reports[i] = sim.Report{BitPos: 4 * r.Intn(24), Code: r.Intn(4), State: automata.StateID(r.Intn(6)), Score: float64(r.Intn(9))}
 		}
-		score.SortReports(reports)
+		sim.SortReports(reports)
 		idx := map[Match]int{}
 		var want []ScoredMatch
-		plain := make([]sim.Report, len(reports))
-		for i, rep := range reports {
-			plain[i] = rep.Report
+		for _, rep := range reports {
 			mt := Match{End: rep.BitPos / 8, Pattern: rep.Code}
 			if j, ok := idx[mt]; ok {
 				want[j].Score = max(want[j].Score, rep.Score)
@@ -262,7 +256,7 @@ func TestMatchFoldEqualsMapFold(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d: scored fold\n got %v\nwant %v\nof %v", trial, got, want, reports)
 		}
-		rows := toMatches(plain)
+		rows := toMatches(reports)
 		for i := range want {
 			if i >= len(rows) || rows[i] != want[i].Match {
 				t.Fatalf("trial %d: fold\n got %v\nwant the matches of %v", trial, rows, want)

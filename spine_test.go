@@ -25,14 +25,16 @@ import (
 //     MatchScored and NewScoredStream too, and the capsule-level Run and the
 //     graph-level Simulate of the plain one;
 //   - each of the seven saved, loaded and rebuilt by MachineFromArtifact, the
-//     tiered 3-shard ones placed on two domains;
+//     plain one stamped with a build time, the tiered 3-shard ones placed on
+//     two domains;
 //   - the machines MachineFromArtifactDomain builds for those domains, merged
 //     as the cluster frontend merges them, scored and binary.
 //
 // Each machine must carry the tier, shard and score summaries its
 // configuration calls for (and the tiered ones a DFA on some case); a loaded
 // one must keep its Model, geometry, summaries, design point and scores and
-// save back the bytes it was loaded from; a scored stream must score each row
+// save back the bytes it was loaded from, as must each domain's; a scored
+// stream must score each row
 // as the one-shot does; a domain must score what it matches, and the domains'
 // scores, merged, must be the whole machine's.
 func TestSpine(t *testing.T) {
@@ -100,7 +102,10 @@ func facadeForms(t testing.TB, c *simtest.Case, dfas map[string]bool) map[string
 		if strings.HasSuffix(config, "3 shards, tiered") {
 			a.SetTopo(&topo.Sealed{Topology: topo.Topology{Domains: []topo.Domain{{Name: "n0"}, {Name: "n1"}}}, ShardDomain: []int{0, 1, 0}})
 		}
-		loaded, la := reload(t, c.Name+", "+config, m, a)
+		if config == "plain" {
+			a.Meta.CreatedUnix = 1700000000 // as impalac stamps it
+		}
+		loaded, la, saved := reload(t, c.Name+", "+config, m, a)
 		forms["facade, "+config], forms["artifact, "+config] = matches(t, c, m, scored), matches(t, c, loaded, scored)
 		want := map[impala.Match]float64{}
 		if scored {
@@ -131,6 +136,9 @@ func facadeForms(t testing.TB, c *simtest.Case, dfas map[string]bool) map[string
 				if err != nil {
 					t.Fatal(err)
 				}
+				if resaved := save(t, w.Artifact()); !bytes.Equal(resaved, saved) {
+					t.Fatalf("%s, %s: domain %s's machine saves %d bytes, not the %d it was loaded from", c.Name, config, domain, len(resaved), len(saved))
+				}
 				workers, binary = append(workers, matches(t, c, w, scored)), append(binary, matches(t, c, w, false))
 				sms, _ := w.MatchScored(c.Input)
 				if scored && len(sms) != len(w.Match(c.Input)) {
@@ -156,14 +164,21 @@ func facadeForms(t testing.TB, c *simtest.Case, dfas map[string]bool) map[string
 	return forms
 }
 
-// reload saves the machine's artifact a, loads it back and rebuilds the
-// machine, which must describe itself as m does and save back the same bytes.
-func reload(t testing.TB, name string, m *impala.Machine, a *artifact.Artifact) (*impala.Machine, *artifact.Artifact) {
-	var saved, resaved bytes.Buffer
-	if err := a.Save(&saved); err != nil {
+// save returns the bytes a saves.
+func save(t testing.TB, a *artifact.Artifact) []byte {
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	la, err := artifact.Load(bytes.NewReader(saved.Bytes()))
+	return buf.Bytes()
+}
+
+// reload saves the machine's artifact a, loads it back and rebuilds the
+// machine, which must describe itself as m does and save back the same bytes;
+// it returns the rebuilt machine, the loaded artifact and the bytes.
+func reload(t testing.TB, name string, m *impala.Machine, a *artifact.Artifact) (*impala.Machine, *artifact.Artifact, []byte) {
+	saved := save(t, a)
+	la, err := artifact.Load(bytes.NewReader(saved))
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -180,15 +195,10 @@ func reload(t testing.TB, name string, m *impala.Machine, a *artifact.Artifact) 
 	if got, want := describe(lm), describe(m); got != want {
 		t.Fatalf("%s: loaded, the machine describes itself as %s; saved, as %s", name, got, want)
 	}
-	again := lm.Artifact()
-	again.SetTopo(la.Topo)
-	if err := again.Save(&resaved); err != nil {
-		t.Fatal(err)
+	if resaved := save(t, lm.Artifact()); !bytes.Equal(resaved, saved) {
+		t.Fatalf("%s: the loaded machine saves %d bytes, not the %d it was loaded from", name, len(resaved), len(saved))
 	}
-	if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
-		t.Fatalf("%s: the loaded machine saves %d bytes, not the %d it was loaded from", name, resaved.Len(), saved.Len())
-	}
-	return lm, la
+	return lm, la, saved
 }
 
 func matchRows(ms []impala.Match) []sim.Report {
