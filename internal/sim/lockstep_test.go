@@ -31,14 +31,29 @@ func TestLockstepNoLanes(t *testing.T) {
 	}
 }
 
+// A lockstep core lets go of the sink it was stepped with at the end of each
+// block, so an idle pooled lockstep core does not hold the finished session's
+// emit closure, which reaches the caller's report slice. A report reaching the
+// run at all means the core held its sink while it stepped.
+func TestLockstepReleaseClearsSink(t *testing.T) {
+	n := automata.New(8, 1)
+	n.AddLiteral("needle", automata.StartAllInput, 1)
+	l := lockstepOverCCs(t, n)
+	c := l.newCore()
+	if r, _ := RunBatch(c, []byte("a needle"), 0, nil); len(r) != 1 {
+		t.Fatalf("%d reports, want 1", len(r))
+	}
+	if c.sink != nil {
+		t.Fatal("an idle lockstep core still holds the last run's sink")
+	}
+}
+
 // A Pool keeps each core with the session its one-shot runs drive, so a Run
 // that reports nothing allocates nothing — kernel and lockstep alike — and an
-// idle pooled session holds nothing of the run it finished: not its reports,
-// not its tracer, and not, in its core, the sink the core was stepped with
-// (the finished session's emit closure, which reaches the caller's report
-// slice). (The fewest of several runs: under the race detector a sync.Pool
-// drops a quarter of what it is given, and a fresh core is not what is pinned
-// here.)
+// idle pooled session holds nothing of the run it finished: not its reports
+// and not its tracer (its core's sink is TestLockstepReleaseClearsSink's).
+// (The fewest of several runs: under the race detector a sync.Pool drops a
+// quarter of what it is given, and a fresh core is not what is pinned here.)
 func TestPooledRunKeepsItsSession(t *testing.T) {
 	n := automata.New(8, 1)
 	n.AddLiteral("needle in a", automata.StartAllInput, 1)
@@ -64,10 +79,7 @@ func TestPooledRunKeepsItsSession(t *testing.T) {
 			t.Fatalf("%s: %d reports, want 1", name, len(r))
 		}
 	}
-	// A report reaching the session at all means the lockstep core held its
-	// sink while it stepped.
-	lc := l.newCore()
-	for name, core := range map[string]Core{"kernel": c.NewEngine(), "lockstep": lc} {
+	for name, core := range map[string]Core{"kernel": c.NewEngine(), "lockstep": l.newCore()} {
 		s := NewSession(core, nil)
 		if r, _ := s.runBatch(hit, 0, new(liveWords)); len(r) != 1 {
 			t.Fatalf("%s: %d reports, want 1", name, len(r))
@@ -75,8 +87,5 @@ func TestPooledRunKeepsItsSession(t *testing.T) {
 		if s.batch != nil || s.tracer != nil {
 			t.Fatalf("%s: an idle pooled session still holds the last run's reports or tracer", name)
 		}
-	}
-	if lc.sink != nil {
-		t.Fatal("an idle lockstep core still holds the last run's sink")
 	}
 }
