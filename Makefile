@@ -69,8 +69,10 @@ bench-smoke:
 # the text parsers, the serving wire codec (the encoders write what
 # encoding/json writes; the parsers a frontend reads worker replies with never
 # panic, stay inside their allocation budget, and accept only what an encoder
-# writes), and the /match, /stream and /reload handlers (no panic, a
-# documented status, an allocation budget linear in the request). A failure
+# writes), the /match, /stream and /reload handlers (no panic, a
+# documented status, an allocation budget linear in the request), and the
+# scored form's threshold pruning (a thresholded form reports the open
+# threshold's reports that clear it, and no pruned state is ever active). A failure
 # leaves its input under the package's testdata/fuzz, where plain `go test`
 # replays it from then on.
 define FUZZ
@@ -84,6 +86,7 @@ define FUZZ
 ./internal/server   FuzzMatchHandler
 ./internal/server   FuzzStreamHandler
 ./internal/server   FuzzReloadHandler
+./internal/score    FuzzThresholdPrune
 endef
 export FUZZ
 

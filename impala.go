@@ -141,8 +141,11 @@ type Machine struct {
 	}
 	// scored is the weighted execution form and weights its transformed
 	// weight table (nil unless Config.Score was set or the loaded artifact
-	// carried a SCOR section). The binary paths ignore it: Match on a
-	// scored machine still reports every structural hit, threshold or not.
+	// carried a SCOR section). The scored form steps its own view of the
+	// kernel, with the states that can never clear the threshold masked out
+	// (score.Compile); simc stays the full kernel, and the binary paths
+	// ignore the table: Match on a scored machine still reports every
+	// structural hit, threshold or not.
 	scored  *score.Compiled
 	weights *automata.Weights
 	// Pre-transformation shape and compile-stage trace, carried as plain
@@ -549,16 +552,18 @@ next:
 	return out
 }
 
-// ScoreInfo summarizes the machine's scoring configuration for display
-// (nil when the machine carries no weight table).
+// ScoreInfo summarizes the machine's sealed weight table for display (nil
+// when the machine carries none) — the whole table, also on a topology
+// worker that scores only its own shards.
 type ScoreInfo struct {
 	// Threshold is the report threshold: hits scoring below it are
 	// suppressed on the scored paths.
 	Threshold float64
 	// Edges is the number of weighted transitions in the sealed table.
 	Edges int
-	// ScalarStates counts states whose in-edge weights are heterogeneous (a
-	// property of the weight table; every state is scored by the same pass).
+	// ScalarStates counts the table's states whose in-edge weights are
+	// heterogeneous (a property of the weight table; every state is scored
+	// by the same pass).
 	ScalarStates int
 }
 
@@ -568,9 +573,9 @@ func (m *Machine) ScoreInfo() *ScoreInfo {
 		return nil
 	}
 	return &ScoreInfo{
-		Threshold:    m.scored.Threshold(),
+		Threshold:    m.weights.Threshold,
 		Edges:        m.weights.NumEdges(),
-		ScalarStates: m.scored.ScalarScoredStates(),
+		ScalarStates: m.weights.MixedStates(m.transformed),
 	}
 }
 

@@ -89,6 +89,29 @@ func (w *Weights) NumEdges() int {
 	return t
 }
 
+// MixedStates returns the number of states of n whose in-edges carry more
+// than one distinct weight in this table — the edit-distance mesh's error
+// states, entered by substitution and insertion edges at different costs.
+func (w *Weights) MixedStates(n *NFA) int {
+	first := make([]float64, len(n.States))
+	// seen[t] is 0 before t's first in-edge, 1 while its in-edges agree, 2
+	// once they differ.
+	seen := make([]uint8, len(n.States))
+	mixed := 0
+	for i := range n.States {
+		for j, t := range n.States[i].Out {
+			switch x := w.Edge[i][j]; {
+			case seen[t] == 0:
+				first[t], seen[t] = x, 1
+			case seen[t] == 1 && x != first[t]:
+				seen[t] = 2
+				mixed++
+			}
+		}
+	}
+	return mixed
+}
+
 // checkWeight rejects NaN, infinities and out-of-range magnitudes — the
 // values that would break max-plus ordering or float exactness. The error
 // is the predicate only; the caller names the weight, and only on failure

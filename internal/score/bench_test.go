@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"impala/internal/automata"
 	"impala/internal/bitvec"
 	"impala/internal/core"
 	"impala/internal/sim"
@@ -17,19 +18,28 @@ import (
 // bytes.
 func dnaMesh(tb testing.TB) (*Compiled, []byte) {
 	tb.Helper()
+	n, w, input := readMesh(tb, workload.ScoredLevenshtein)
+	c, err := Compile(n, w)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, input
+}
+
+// readMesh is dnaMesh's automaton, weight table and body before the scored
+// compile, with the meshes build makes (workload.ScoredLevenshtein or
+// workload.ScoredHamming) of the same reads at the same threshold.
+func readMesh(tb testing.TB, build func([][]byte, int, workload.Costs, float64) (*automata.NFA, *automata.Weights, error)) (*automata.NFA, *automata.Weights, []byte) {
+	tb.Helper()
 	const alphabet = "ACGT"
 	r := rand.New(rand.NewSource(1))
 	pats := workload.RandomPatterns(r, 8, 12, alphabet)
 	costs := workload.DefaultAlignCosts
-	n, w, err := workload.ScoredLevenshtein(pats, 2, costs, 11*costs.Match+costs.Gap)
+	n, w, err := build(pats, 2, costs, 11*costs.Match+costs.Gap)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	res, err := core.Compile(n, core.Config{TargetBits: 4, StrideDims: 4, Weights: w})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	c, err := Compile(res.NFA, res.Weights)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,7 +53,7 @@ func dnaMesh(tb testing.TB) (*Compiled, []byte) {
 			input[off+r.Intn(12)] = alphabet[r.Intn(len(alphabet))]
 		}
 	}
-	return c, input
+	return res.NFA, res.Weights, input
 }
 
 // inEdgeTracer sums, over every cycle, the active states and their in-edges
@@ -61,32 +71,42 @@ func (tr *inEdgeTracer) OnCycle(_ int, _, active bitvec.Words) {
 }
 
 // BenchmarkScoredRun is the loop propagate is tuned against: one-shot
-// execution of the dna_scored_match mesh, split three ways, each in ns/B —
-//   - kernel: the binary kernel alone, reports and all;
-//   - kernel+lane: the kernel with propagate attached, its reports ungated;
+// execution of the dna_scored_match mesh, split four ways, each in ns/B —
+//   - kernel: the full binary kernel alone, reports and all;
+//   - live kernel: the kernel view the scored engine steps, its
+//     threshold-dead states masked out, alone;
+//   - kernel+lane: that view with propagate attached, its reports ungated;
 //   - scored: the full Run, threshold gate included.
 //
-// kernel+lane less kernel is the scoring pass. scored differs from
-// kernel+lane by the gate: a compare per structural report, less the
-// collecting and sorting of the reports it rejects.
+// kernel less live kernel is what pruning the threshold-dead states saves
+// the kernel; kernel+lane less live kernel is the scoring pass. scored
+// differs from kernel+lane by the gate: a compare per structural report,
+// less the collecting and sorting of the reports it rejects. Each reports
+// its own active states per cycle, the states the scored engine can
+// activate (live-states) and its in-edges per active state.
 func BenchmarkScoredRun(b *testing.B) {
 	c, input := dnaMesh(b)
 	tr := &inEdgeTracer{c: c}
 	sim.RunBatch(c.NewEngine(), input, 0, tr)
+	live := c.NFA().NumStates() - c.dead.Count()
 	for _, form := range []struct {
 		name string
 		run  func([]byte) ([]sim.Report, sim.Stats)
 	}{
 		{"kernel", c.kernel.Run},
+		{"live kernel", c.live.Run},
 		{"kernel+lane", sim.NewPool(func() sim.Core { return c.NewEngine().kernel }).Run},
 		{"scored", c.Run},
 	} {
 		b.Run(form.name, func(b *testing.B) {
 			b.SetBytes(int64(len(input)))
+			var st sim.Stats
 			for i := 0; i < b.N; i++ {
-				form.run(input)
+				_, st = form.run(input)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(input)), "ns/B")
+			b.ReportMetric(float64(live), "live-states")
+			b.ReportMetric(st.ActivePerCycleAvg, "active/cycle")
 			b.ReportMetric(float64(tr.edges)/float64(tr.active), "in-edges/active-state")
 		})
 	}

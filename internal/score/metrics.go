@@ -26,7 +26,12 @@ var scoreMetricsPtr atomic.Pointer[scoreMetrics]
 //
 //	score_scored_bytes_total      input bytes executed with scoring
 //	score_reports_total           reports that cleared the threshold
-//	score_threshold_rejects_total reports suppressed by the threshold
+//	score_threshold_rejects_total reports the threshold gate suppressed
+//
+// A threshold-dead state (see Compile) is never active, so its would-be
+// reports are never formed: the gate neither forwards nor counts them, and
+// rejects count only live states' reports that scored below the threshold
+// on the input.
 //
 // EnableMetrics(nil) disables publication again (the default).
 func EnableMetrics(reg *obs.Registry) {

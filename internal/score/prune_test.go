@@ -1,0 +1,317 @@
+package score
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"impala/internal/automata"
+	"impala/internal/bitvec"
+	"impala/internal/sim"
+	"impala/internal/sim/simtest"
+	"impala/internal/workload"
+)
+
+// activeTracer fails the test if a threshold-dead state is ever active —
+// residual states included, which the kernel sets active beside the masks —
+// and ORs every active state into seen, when it is set.
+type activeTracer struct {
+	tb         testing.TB
+	what       string
+	dead, seen bitvec.Words
+}
+
+func (tr activeTracer) OnCycle(t int, _, active bitvec.Words) {
+	for w, x := range active {
+		if tr.dead != nil && x&tr.dead[w] != 0 {
+			tr.tb.Fatalf("%s: cycle %d: threshold-dead states %#x of word %d are active", tr.what, t, x&tr.dead[w], w)
+		}
+		if tr.seen != nil {
+			tr.seen[w] |= x
+		}
+	}
+}
+
+// pruneCase is one weighted automaton and the input it runs over.
+type pruneCase struct {
+	name  string
+	n     *automata.NFA
+	w     *automata.Weights
+	input []byte
+	cuts  []simtest.Chunking
+}
+
+func newPruneCase(name string, n *automata.NFA, w *automata.Weights, input []byte) *pruneCase {
+	return &pruneCase{name: name, n: n, w: w, input: input, cuts: simtest.Chunkings(input)}
+}
+
+// compile compiles the case at threshold th.
+func (pc *pruneCase) compile(tb testing.TB, th float64) *Compiled {
+	tb.Helper()
+	w := pc.w.Clone()
+	w.Threshold = th
+	c, err := Compile(pc.n, w)
+	if err != nil {
+		tb.Fatalf("%s: %v", pc.name, err)
+	}
+	return c
+}
+
+// open runs the case at the open threshold, which must prune nothing, and
+// returns its reports and every state they left active.
+func (pc *pruneCase) open(tb testing.TB) ([]sim.Report, bitvec.Words) {
+	tb.Helper()
+	c := pc.compile(tb, -automata.ScoreLimit)
+	if c.dead != nil {
+		tb.Fatalf("%s: the open threshold prunes %d states", pc.name, c.dead.Count())
+	}
+	seen := bitvec.NewWords(pc.n.NumStates())
+	reports, _ := sim.RunBatch(c.NewEngine(), pc.input, 0, activeTracer{seen: seen})
+	return reports, seen
+}
+
+// check compiles the case at threshold th and fails unless it reports
+// exactly open's reports that score th or more, scores and states included —
+// one-shot, traced, and as a stream over every chunking of the spine (the
+// whole stream after a Reset among them), with one Stats throughout — and no
+// threshold-dead state is ever active. It returns the compiled form.
+func (pc *pruneCase) check(tb testing.TB, open []sim.Report, th float64) *Compiled {
+	tb.Helper()
+	c := pc.compile(tb, th)
+	want := slices.DeleteFunc(slices.Clone(open), func(r sim.Report) bool { return r.Score < th })
+	what := fmt.Sprintf("%s at threshold %g (%d states pruned)", pc.name, th, c.dead.Count())
+	tr := activeTracer{tb: tb, what: what, dead: c.dead}
+	same := func(run string, got []sim.Report, st, wantStats sim.Stats) {
+		tb.Helper()
+		if !slices.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			tb.Fatalf("%s, %s: %d reports, the open threshold's filtered %d; the first difference, at %d: %v, want %v",
+				what, run, len(got), len(want), i, got[i:min(i+1, len(got))], want[i:min(i+1, len(want))])
+		}
+		if st != wantStats {
+			tb.Fatalf("%s, %s: stats %+v, the one-shot Run's %+v", what, run, st, wantStats)
+		}
+	}
+	got, stats := c.Run(pc.input)
+	same("one-shot Run", got, stats, stats)
+	got, st := sim.RunBatch(c.NewEngine(), pc.input, 0, tr)
+	same("traced run", got, st, stats)
+
+	var calls []sim.Report
+	s := c.NewSession(func(r sim.Report) { calls = append(calls, r) })
+	s.SetTracer(tr)
+	for _, cut := range pc.cuts {
+		s.Reset()
+		if cut.Dirty {
+			s.Feed(pc.input[:len(pc.input)/2])
+			s.Reset()
+		}
+		calls = calls[:0]
+		for _, chunk := range cut.Chunks {
+			s.Feed(chunk)
+		}
+		s.Flush()
+		sim.SortReports(calls)
+		same(cut.Name, calls, s.Stats(), stats)
+	}
+	return c
+}
+
+// quantiles returns thresholds at the quartiles of the reports' scores and
+// one above the best, so that a case is checked keeping most, some and none
+// of its reports.
+func quantiles(reports []sim.Report) []float64 {
+	if len(reports) == 0 {
+		return []float64{0, 3}
+	}
+	scores := make([]float64, len(reports))
+	for i, r := range reports {
+		scores[i] = r.Score
+	}
+	slices.Sort(scores)
+	n := len(scores)
+	return slices.Compact([]float64{scores[n/4], scores[n/2], scores[3*n/4], scores[n-1] + 1})
+}
+
+// Pruning the threshold-dead states is exact: at thresholds across the
+// spread of each case's scores, the scored form reports what the open
+// threshold (which prunes nothing) reports less the reports below the
+// threshold, however the input is fed, and no pruned state is ever active.
+// The cases are the spine's under random weights, the dna_scored_match
+// edit-distance mesh and the Hamming mesh of the same reads under their
+// alignment costs and under random weights, and three shapes the bound must
+// treat with care (pruneShapes).
+func TestThresholdPruneExact(t *testing.T) {
+	var cases []*pruneCase
+	for _, c := range simtest.Cases(t) {
+		cases = append(cases, newPruneCase(c.Name, c.NFA, simtest.RandomWeights(c.NFA, 1), c.Input))
+	}
+	meshes := map[string]*pruneCase{}
+	for name, build := range map[string]func([][]byte, int, workload.Costs, float64) (*automata.NFA, *automata.Weights, error){
+		"edit-distance mesh": workload.ScoredLevenshtein, "Hamming mesh": workload.ScoredHamming,
+	} {
+		n, w, input := readMesh(t, build)
+		meshes[name] = newPruneCase(name, n, w, input)
+		cases = append(cases, meshes[name], newPruneCase(name+", random weights", n, simtest.RandomWeights(n, 2), input))
+	}
+
+	var pruned, prunedActive, prunedResidual int
+	for _, pc := range cases {
+		open, seen := pc.open(t)
+		ths := quantiles(open)
+		if m, ok := meshes[pc.name]; ok {
+			ths = append(ths, m.w.Threshold)
+		}
+		for _, th := range ths {
+			c := pc.check(t, open, th)
+			for w, d := range c.dead {
+				pruned += bitvec.Words{d}.Count()
+				prunedActive += bitvec.Words{d & seen[w]}.Count()
+			}
+			prunedResidual += c.kernel.ResidualStates() - c.live.ResidualStates()
+		}
+	}
+	if pruned == 0 || prunedActive == 0 || prunedResidual == 0 {
+		t.Fatalf("the cases pruned %d states, %d of them active at the open threshold, %d residual: the pin bites on nothing",
+			pruned, prunedActive, prunedResidual)
+	}
+	mesh := meshes["edit-distance mesh"]
+	if c := mesh.compile(t, mesh.w.Threshold); 2*c.dead.Count() < mesh.n.NumStates() {
+		t.Errorf("the dna_scored_match mesh prunes %d of its %d states, want most", c.dead.Count(), mesh.n.NumStates())
+	}
+
+	for _, sh := range pruneShapes() {
+		open, _ := sh.open(t)
+		if len(open) == 0 {
+			t.Fatalf("%s reports nothing at the open threshold: the input is inert", sh.name)
+		}
+		c := sh.check(t, open, sh.w.Threshold)
+		var dead []automata.StateID
+		c.dead.ForEach(func(i int) { dead = append(dead, automata.StateID(i)) })
+		if !slices.Equal(dead, sh.dead) {
+			t.Errorf("%s: pruned %v, want %v", sh.name, dead, sh.dead)
+		}
+		got, _ := c.Run(sh.input)
+		if want := naiveScoredRun(sh.n, sh.w, sh.input); !slices.Equal(got, want) {
+			t.Errorf("%s: reports %v, the scalar reference's %v", sh.name, got, want)
+		}
+	}
+}
+
+// pruneShape is a hand-built case at its table's threshold with the states
+// it must prune.
+type pruneShape struct {
+	*pruneCase
+	dead []automata.StateID
+}
+
+// pruneShapes are the shapes random generation rarely reaches:
+//   - a positive-weight cycle between the start and a report: every score it
+//     carries can still grow, so nothing on or past it is pruned — only a
+//     branch off the start that cannot clear the threshold;
+//   - the saturation guard: a chain long enough that its score clamps at
+//     -ScoreLimit and then climbs back over a threshold just above it, which
+//     the path's plain sum never reaches, so nothing may be pruned; and the
+//     same weights on a chain too short to clamp, where the bound is exact
+//     and prunes every state;
+//   - fractional weights, whose sum rounds one way added from the start, as
+//     the engine adds it, and another added from both ends, as the bound
+//     does: at a threshold between the two, nothing may be pruned;
+//   - a start-of-data start, the automaton's only one, whose start weight
+//     decides which of its two reporting successors is dead.
+func pruneShapes() []pruneShape {
+	byteOf := func(b byte, start automata.StartKind, report bool) automata.State {
+		return automata.ByteMatchState(bitvec.ByteOf(b), start, report)
+	}
+	// chain is a start-of-data state and one more state per edge weight, the
+	// last reporting, all matching byte 0.
+	chain := func(name string, edges []float64, threshold float64) *pruneCase {
+		n := automata.New(8, 1)
+		n.AddState(byteOf(0, automata.StartOfData, false))
+		for i := range edges {
+			n.AddState(byteOf(0, automata.StartNone, i == len(edges)-1))
+			n.AddEdge(automata.StateID(i), automata.StateID(i+1))
+		}
+		w := automata.NewWeights(n)
+		for i, x := range edges {
+			w.Edge[i][0] = x
+		}
+		w.Threshold = threshold
+		return newPruneCase(name, n, w, make([]byte, n.NumStates()))
+	}
+	sinking := func(states int) []float64 {
+		edges := make([]float64, states-1)
+		for i := range edges {
+			edges[i] = -automata.WeightLimit
+		}
+		edges[len(edges)-1] = 10
+		return edges
+	}
+	long := automata.ScoreLimit/automata.WeightLimit + 64
+	fractions := []float64{0.1, 0.2, 0.3}
+
+	cyc := automata.New(8, 1)
+	a := cyc.AddState(byteOf(0, automata.StartAllInput, false))
+	b := cyc.AddState(byteOf(1, automata.StartNone, false))
+	c := cyc.AddState(byteOf(1, automata.StartNone, false))
+	r := cyc.AddState(byteOf(2, automata.StartNone, true))
+	off := cyc.AddState(byteOf(3, automata.StartNone, true))
+	cyc.AddEdge(a, b)
+	cyc.AddEdge(a, off)
+	cyc.AddEdge(b, c)
+	cyc.AddEdge(c, b)
+	cyc.AddEdge(c, r)
+	cycW := automata.NewWeights(cyc)
+	cycW.Edge[a][1] = -5 // a -> off
+	cycW.Edge[b][0] = 1  // b -> c
+	cycW.Edge[c][0] = 1  // c -> b
+	cycW.Threshold = 6   // seven trips round the cycle clear it
+	cycIn := []byte{0, 1, 1, 2, 0, 3, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 0, 3}
+
+	sod := automata.New(8, 1)
+	s0 := sod.AddState(byteOf(0, automata.StartOfData, false))
+	hi := sod.AddState(byteOf(1, automata.StartNone, true))
+	lo := sod.AddState(byteOf(1, automata.StartNone, true))
+	sod.AddEdge(s0, hi)
+	sod.AddEdge(s0, lo)
+	sodW := automata.NewWeights(sod)
+	sodW.Start[s0], sodW.Edge[s0][0], sodW.Edge[s0][1] = 3, 1, -10
+	sodW.Threshold = 2
+
+	return []pruneShape{
+		{newPruneCase("a positive-weight cycle", cyc, cycW, cycIn), []automata.StateID{off}},
+		{chain("a chain that clamps at -ScoreLimit, then climbs", sinking(long), -automata.ScoreLimit+5), nil},
+		{chain("a chain too short to clamp", sinking(4), 0), []automata.StateID{0, 1, 2, 3}},
+		{chain("fractional weights", fractions, (fractions[0]+fractions[1])+fractions[2]), nil},
+		{newPruneCase("a start-of-data start", sod, sodW, []byte{0, 1, 0, 1}), []automata.StateID{lo}},
+	}
+}
+
+// FuzzThresholdPrune holds the pruning exact on random automata at every
+// geometry under random weights and a random threshold: the scored form
+// reports what the open threshold reports less the reports below the
+// threshold, and no pruned state is ever active.
+func FuzzThresholdPrune(f *testing.F) {
+	for _, seed := range []struct {
+		seed      int64
+		states    uint8
+		threshold int8
+	}{{1, 0, 0}, {2, 6, -3}, {3, 20, 4}, {4, 40, 9}, {5, 12, -12}} {
+		f.Add(seed.seed, seed.states, seed.threshold)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, states uint8, threshold int8) {
+		r := rand.New(rand.NewSource(seed))
+		n := simtest.RandomNFA(r, int(states%48))
+		input := make([]byte, r.Intn(200))
+		for i := range input {
+			input[i] = byte(r.Intn(256)) & []byte{0x33, 0x11, 0xff}[r.Intn(3)]
+		}
+		pc := newPruneCase(fmt.Sprintf("seed %d", seed), n, simtest.RandomWeights(n, seed), input)
+		open, _ := pc.open(t)
+		pc.check(t, open, float64(threshold))
+	})
+}

@@ -16,6 +16,16 @@
 // the cycle before. Its cost tracks the in-edges of the active states — a
 // handful per cycle on the meshes this lane serves — not the state count.
 //
+// The threshold is applied twice. At Compile it removes the states no path
+// can carry to it: each state's best start-to-state and state-to-report
+// weights bound every score a report reached through it, and a state whose
+// bound falls below the threshold (threshold-dead) is masked out of the
+// kernel the scored engine steps (sim.Compiled.Restrict), so it is never
+// active, never scored and never reports. At run time the gate compares each
+// report's score with it. The reports that clear the threshold, scores
+// included, are exactly those of the unrestricted kernel; Kernel is still
+// the full binary kernel.
+//
 // A scored report is a sim.Report with its Score set, so the scored form runs
 // on the same session, the same pooled one-shot runner and the same report
 // order as every binary form.
@@ -27,16 +37,23 @@ import (
 	"math/bits"
 
 	"impala/internal/automata"
+	"impala/internal/bitvec"
 	"impala/internal/sim"
 )
 
 // Compiled is the immutable scored form of a weighted automaton: the binary
 // kernel (a sim.Compiled, which owns every table the enable, match and
-// report phases read) plus only what scoring adds — the flat in-edge table,
-// start weights and the report threshold, O(states + edges) in all. Safe to
-// share across goroutines; per-stream state lives in Engine.
+// report phases read), the view of it the scored engine steps, and only what
+// scoring adds — the flat in-edge table, start weights and the report
+// threshold, O(states + edges) in all. Safe to share across goroutines;
+// per-stream state lives in Engine.
 type Compiled struct {
 	kernel *sim.Compiled
+	// live is the kernel the scored engine steps: kernel itself, or its
+	// Restrict view with the threshold-dead states masked out.
+	live *sim.Compiled
+	// dead is the set of threshold-dead states, nil when there are none.
+	dead bitvec.Words
 
 	// State i's in-edges are inFrom/inW[inOff[i]:inOff[i+1]]: source state
 	// and edge weight, the weighted transpose of the automaton's out-edge
@@ -54,9 +71,10 @@ type Compiled struct {
 	pool *sim.Pool
 }
 
-// Compile builds the scored form: the binary kernel of n and the scoring
-// tables of w beside it. The weight table must validate against n; neither
-// may be mutated while the compiled form is in use.
+// Compile builds the scored form: the binary kernel of n, the scoring tables
+// of w beside it, and the kernel view without w's threshold-dead states. The
+// weight table must validate against n; neither may be mutated while the
+// compiled form is in use.
 func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 	if w == nil {
 		return nil, fmt.Errorf("score: Compile requires a weight table (use sim.Compile for binary execution)")
@@ -70,10 +88,12 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 	}
 	ns := n.NumStates()
 	c := &Compiled{
-		kernel:    kernel,
-		inOff:     make([]int32, ns+1),
-		startW:    append([]float64(nil), w.Start...),
-		threshold: w.Threshold,
+		kernel:      kernel,
+		live:        kernel,
+		inOff:       make([]int32, ns+1),
+		startW:      append([]float64(nil), w.Start...),
+		threshold:   w.Threshold,
+		mixedStates: w.MixedStates(n),
 	}
 
 	// Transpose by counting sort: in-degrees, prefix sums, then one pass
@@ -96,17 +116,131 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 			next[t]++
 		}
 	}
-	for i := 0; i < ns; i++ {
-		in := c.inW[c.inOff[i]:c.inOff[i+1]]
-		for _, x := range in {
-			if x != in[0] {
-				c.mixedStates++
-				break
-			}
+
+	if c.dead = c.thresholdDead(n, w); c.dead != nil {
+		live := bitvec.NewWords(ns)
+		for i, d := range c.dead {
+			live[i] = ^d
 		}
+		c.live = kernel.Restrict(live)
 	}
 	c.pool = sim.NewPool(func() sim.Core { return c.NewEngine() })
 	return c, nil
+}
+
+// thresholdDead returns the states no report that clears the threshold can
+// pass through, or nil when there are none. For every state i it bounds
+//
+//	h[i]: the best start weight plus path weight from any start to i;
+//	g[i]: the best path weight from i to any reporting state (0 if i reports),
+//
+// and i is dead when both are finite and h[i] + g[i] < threshold. Then every
+// path through i — all it can score and all it can hand a successor — sums
+// to less than the threshold, so masking i out of the kernel removes only
+// paths whose reports the gate would reject, and a report that clears the
+// threshold keeps its best path and so its score.
+//
+// Each bound is one topological pass (Kahn's order: forward over the
+// in-degrees for h, backward over the out-degrees for g), so the cost is
+// linear in states and edges. A state on a cycle, or reachable from one, is
+// never ordered forward and its h is +∞; one on or reaching a cycle is never
+// ordered backward and its g is +∞ — a positive cycle makes its bound
+// unbounded, and no state is priced by its cycles. A state no start reaches
+// (h = −∞) or that reaches no report (g = −∞) is structurally dead and left
+// alone: only the threshold prunes here.
+//
+// Saturation. The engine's score of a path is its sum clamped at
+// ±ScoreLimit after every addition. A clamp at +ScoreLimit only lowers a
+// score; a clamp at −ScoreLimit raises it, to at most −ScoreLimit plus the
+// weight of the rest of the path, which the bounds do not cap (the clamp may
+// fall on a state that also reaches a cycle). So no state is pruned unless no
+// path the bounds cover can clamp at all: a finite-bound state lies on no
+// cycle and neither does any state a path through it visits, so such a path
+// visits each state once and sums at most states × (largest weight
+// magnitude) at every step; when that is within ±ScoreLimit, every such path
+// scores its plain sum. Every weight must also be an integer, so that sums
+// are exact in either order (h adds forward, g backward). Under these
+// conditions the open threshold −ScoreLimit prunes nothing — no sum falls
+// below it — nor do zero weights at threshold 0.
+func (c *Compiled) thresholdDead(n *automata.NFA, w *automata.Weights) bitvec.Words {
+	ns := n.NumStates()
+	largest := 0.0
+	for i := range n.States {
+		for _, x := range w.Edge[i] {
+			if x != math.Trunc(x) {
+				return nil
+			}
+			largest = max(largest, math.Abs(x))
+		}
+		if x := w.Start[i]; n.States[i].Start != automata.StartNone {
+			if x != math.Trunc(x) {
+				return nil
+			}
+			largest = max(largest, math.Abs(x))
+		}
+	}
+	if largest*float64(ns) > automata.ScoreLimit {
+		return nil
+	}
+
+	h, g := make([]float64, ns), make([]float64, ns)
+	pending, order := make([]int32, ns), make([]int32, 0, ns)
+	for i := range n.States {
+		h[i] = math.Inf(-1)
+		if n.States[i].Start != automata.StartNone {
+			h[i] = w.Start[i]
+		}
+		if pending[i] = c.inOff[i+1] - c.inOff[i]; pending[i] == 0 {
+			order = append(order, int32(i))
+		}
+	}
+	for k := 0; k < len(order); k++ {
+		i := order[k]
+		for j, t := range n.States[i].Out {
+			h[t] = max(h[t], h[i]+w.Edge[i][j])
+			if pending[t]--; pending[t] == 0 {
+				order = append(order, int32(t))
+			}
+		}
+	}
+	for i, p := range pending {
+		if p != 0 {
+			h[i] = math.Inf(1)
+		}
+	}
+
+	order = order[:0]
+	for i := range n.States {
+		g[i] = math.Inf(-1)
+		if n.States[i].Report {
+			g[i] = 0
+		}
+		if pending[i] = int32(len(n.States[i].Out)); pending[i] == 0 {
+			order = append(order, int32(i))
+		}
+	}
+	for k := 0; k < len(order); k++ {
+		i := order[k]
+		for p := c.inOff[i]; p < c.inOff[i+1]; p++ {
+			u := c.inFrom[p]
+			g[u] = max(g[u], c.inW[p]+g[i])
+			if pending[u]--; pending[u] == 0 {
+				order = append(order, u)
+			}
+		}
+	}
+
+	var dead bitvec.Words
+	for i, p := range pending {
+		// p != 0: i is on or reaches a cycle, and its g is +∞.
+		if p == 0 && !math.IsInf(h[i], 0) && !math.IsInf(g[i], 0) && h[i]+g[i] < c.threshold {
+			if dead == nil {
+				dead = bitvec.NewWords(ns)
+			}
+			dead.Set(i)
+		}
+	}
+	return dead
 }
 
 // Run executes the scored automaton over input on a pooled engine and
@@ -121,8 +255,9 @@ func (c *Compiled) NewSession(sink sim.ReportSink) *sim.Session {
 	return sim.NewSession(c.NewEngine(), sink)
 }
 
-// Kernel returns the binary compiled form the scored form runs on: the same
-// automaton with the weights ignored.
+// Kernel returns the binary compiled form the scored form is built on: the
+// same automaton with the weights ignored, every state included — not the
+// threshold-restricted view the scored engine steps.
 func (c *Compiled) Kernel() *sim.Compiled { return c.kernel }
 
 // NFA returns the automaton this form was compiled from.
@@ -143,9 +278,10 @@ func (c *Compiled) ScalarScoredStates() int { return c.mixedStates }
 // Engine executes a shared Compiled form over one stream: a kernel engine
 // plus the score vectors. It implements sim.Core, so sim.Session drives it
 // with identical chunking/flush semantics; the sink the session steps it
-// with receives every report that clears the threshold, its Score set. Not
-// safe for concurrent use; engines are cheap — all heavy tables live on the
-// Compiled.
+// with receives every report that clears the threshold, its Score set. Its
+// Stats count the restricted kernel: a threshold-dead state is enabled as
+// usual but never active. Not safe for concurrent use; engines are cheap —
+// all heavy tables live on the Compiled.
 type Engine struct {
 	c                *Compiled
 	kernel           *sim.CompiledEngine
@@ -168,7 +304,7 @@ func (c *Compiled) NewEngine() *Engine {
 	ns := c.kernel.NFA().NumStates()
 	e := &Engine{
 		c:         c,
-		kernel:    c.kernel.NewEngine(),
+		kernel:    c.live.NewEngine(),
 		score:     make([]float64, ns),
 		prevScore: make([]float64, ns),
 	}
@@ -222,29 +358,35 @@ func (e *Engine) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSi
 // of its start weight (if it is a start candidate this cycle, whether or not
 // a predecessor also reaches it) and the max over active predecessors of
 // (predecessor score + edge weight). The scores it wrote last cycle become
-// the previous scores first, so a whole block is one kernel call.
+// the previous scores first, so a whole block is one kernel call. It visits
+// only the words the active set's summary names, and reads each one's start
+// word once.
 func (e *Engine) propagate(t int) {
 	c, k := e.c, e.kernel
-	prev := k.PrevActive()
+	act, prev, starts := k.ActiveSet(), k.PrevActive(), k.Starts(t)
 	e.prevScore, e.score = e.score, e.prevScore
 	score, pw := e.score, e.prevScore
-	for w, word := range k.Active() {
-		for word != 0 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			best := math.Inf(-1)
-			if k.StartEnabled(i, t) {
-				best = c.startW[i]
-			}
-			for p, end := c.inOff[i], c.inOff[i+1]; p < end; p++ {
-				u := c.inFrom[p]
-				if prev.Get(int(u)) {
-					if v := satAdd(pw[u], c.inW[p]); v > best {
-						best = v
+	for sw, s := range act.Sum {
+		for ; s != 0; s &= s - 1 {
+			w := sw<<6 | bits.TrailingZeros64(s)
+			start := starts[w]
+			for word := act.Bits[w]; word != 0; word &= word - 1 {
+				b := bits.TrailingZeros64(word)
+				i := w<<6 | b
+				best := math.Inf(-1)
+				if start>>b&1 != 0 {
+					best = c.startW[i]
+				}
+				for p, end := c.inOff[i], c.inOff[i+1]; p < end; p++ {
+					u := c.inFrom[p]
+					if prev.Get(int(u)) {
+						if v := satAdd(pw[u], c.inW[p]); v > best {
+							best = v
+						}
 					}
 				}
+				score[i] = best
 			}
-			score[i] = best
 		}
 	}
 }

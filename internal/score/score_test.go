@@ -346,57 +346,84 @@ func TestScoredFeedAllocFree(t *testing.T) {
 	simtest.AllocFree(t, simtest.SessionForm(c.NewSession, c.Run), randInput(r, 50), quiet, EnableMetrics)
 }
 
-// The threshold comparator must suppress reports below it and count them.
+// The threshold gate suppresses the reports a live state makes with a score
+// below the threshold, and counts them; a threshold-dead state makes no
+// reports, so the gate has none of its to suppress or count.
 func TestThresholdRejects(t *testing.T) {
 	reg := obs.NewRegistry()
 	EnableMetrics(reg)
 	t.Cleanup(func() { EnableMetrics(nil) })
-
-	n := automata.New(8, 1)
-	n.AddLiteral("ab", automata.StartAllInput, 1)
-	w := automata.NewWeights(n)
-	for i := range w.Edge {
-		for j := range w.Edge[i] {
-			w.Edge[i][j] = 1
+	counters := func(want map[string]int64) {
+		t.Helper()
+		snap := reg.Snapshot()
+		for name, v := range want {
+			if got := snap.Counters[name]; got != v {
+				t.Errorf("%s = %d, want %d", name, got, v)
+			}
 		}
 	}
-	w.Threshold = 100 // unreachable: every report suppressed
-	c, err := Compile(n, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := []byte("abxab")
-	reports, st := c.Run(input)
-	if len(reports) != 0 {
-		t.Fatalf("threshold 100 leaked %d reports", len(reports))
-	}
-	if st.Reports != 0 {
-		t.Fatalf("session counted %d reports through the threshold", st.Reports)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["score_threshold_rejects_total"]; got != 2 {
-		t.Errorf("threshold rejects = %d, want 2", got)
-	}
-	if got := snap.Counters["score_scored_bytes_total"]; got != int64(len(input)) {
-		t.Errorf("scored bytes = %d, want %d", got, len(input))
-	}
 
-	// Lower the threshold: both matches clear it and are scored 1 ("a"
-	// starts at weight 0... every in-edge weighs 1, start weight 0, so "ab"
-	// accumulates 1 on the reporting state).
-	w.Threshold = 1
-	c2, err := Compile(n, w)
+	// "xc" scores 5 after an "a" and -10 as a start of its own: every state
+	// is live (5 clears the threshold 3), and the input's second hit falls
+	// below it.
+	n := automata.New(8, 1)
+	a := n.AddState(automata.ByteMatchState(bitvec.ByteOf('a'), automata.StartAllInput, false))
+	x := n.AddState(automata.ByteMatchState(bitvec.ByteOf('x'), automata.StartAllInput, false))
+	c := n.AddState(automata.ByteMatchState(bitvec.ByteOf('c'), automata.StartNone, true))
+	n.States[c].ReportCode = 1
+	n.AddEdge(a, x)
+	n.AddEdge(x, c)
+	w := automata.NewWeights(n)
+	w.Edge[a][0], w.Start[x], w.Threshold = 5, -10, 3
+	sc, err := Compile(n, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, _ = c2.Run(input)
+	if sc.dead != nil {
+		t.Fatalf("%d live states pruned", sc.dead.Count())
+	}
+	input := []byte("axcxc")
+	reports, st := sc.Run(input)
+	if len(reports) != 1 || reports[0].Score != 5 || st.Reports != 1 {
+		t.Fatalf("threshold 3: reports %v, %d counted, want the one scoring 5", reports, st.Reports)
+	}
+	counters(map[string]int64{"score_threshold_rejects_total": 1, "score_reports_total": 1, "score_scored_bytes_total": int64(len(input))})
+
+	// "ab" scores 1 at best (every edge weighs 1, the start 0): at threshold
+	// 100 both its states are dead, so its hits are never formed — the gate
+	// counts no reject — and at threshold 1 both clear it.
+	lit := automata.New(8, 1)
+	lit.AddLiteral("ab", automata.StartAllInput, 1)
+	lw := automata.NewWeights(lit)
+	for i := range lw.Edge {
+		for j := range lw.Edge[i] {
+			lw.Edge[i][j] = 1
+		}
+	}
+	lw.Threshold = 100
+	dead, err := Compile(lit, lw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dead.dead.Count(); got != lit.NumStates() {
+		t.Fatalf("threshold 100 prunes %d of the literal's %d states", got, lit.NumStates())
+	}
+	input = []byte("abxab")
+	if reports, st = dead.Run(input); len(reports) != 0 || st.Reports != 0 || st.TotalActive != 0 {
+		t.Fatalf("threshold 100: reports %v, stats %+v", reports, st)
+	}
+	counters(map[string]int64{"score_threshold_rejects_total": 1, "score_reports_total": 1})
+
+	lw.Threshold = 1
+	live, err := Compile(lit, lw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, _ = live.Run(input)
 	if len(reports) != 2 || reports[0].Score != 1 || reports[1].Score != 1 {
 		t.Fatalf("threshold 1: got %v", reports)
 	}
-	snap = reg.Snapshot()
-	if got := snap.Counters["score_reports_total"]; got != 2 {
-		t.Errorf("scored reports = %d, want 2", got)
-	}
+	counters(map[string]int64{"score_threshold_rejects_total": 1, "score_reports_total": 3})
 }
 
 // Compile must reject nil and invalid weight tables.

@@ -189,6 +189,29 @@ func (c *Compiled) NFA() *automata.NFA { return c.nfa }
 // fallback path (non-position-decomposable match sets).
 func (c *Compiled) ResidualStates() int { return len(c.residual) }
 
+// Restrict returns a view of c in which only the states live names can become
+// active: its own copy of the symbol-mask table with every other state's bits
+// cleared and the residual list cut to live states, every other table shared
+// with c. A state off live is still enabled — by the start vectors and by its
+// live predecessors' rows, and counted so in Stats — but never matches, so it
+// never drives its successor row and never reports. The cost is one mask
+// table, stride·alphabet·states/64 words.
+func (c *Compiled) Restrict(live bitvec.Words) *Compiled {
+	r := *c
+	r.masks = make([]uint64, len(c.masks))
+	for i, m := range c.masks {
+		r.masks[i] = m & live[i/c.dom%c.words]
+	}
+	r.residual = nil
+	for _, id := range c.residual {
+		if live.Get(int(id)) {
+			r.residual = append(r.residual, id)
+		}
+	}
+	r.pool = NewPool(func() Core { return r.NewEngine() })
+	return &r
+}
+
 // CompiledEngine executes a shared Compiled form over input streams. It
 // owns only per-stream buffers, so creating one per goroutine is cheap; it
 // implements the Core step interface and is reusable across runs but not
@@ -259,7 +282,7 @@ func (e *CompiledEngine) ResetState() {
 
 // SetLane attaches a lane beside the kernel: every cycle, between the
 // state-match phase and the report gate, StepBlock calls lane(t), which may
-// read Active, PrevActive and StartEnabled and decide what the sink it
+// read ActiveSet, PrevActive and Starts and decide what the sink it
 // passed to StepBlock lets through (internal/score's max-plus pass rides
 // here). nil detaches it.
 func (e *CompiledEngine) SetLane(lane func(t int)) { e.lane = lane }
@@ -443,15 +466,17 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 	return enabled, active, peak
 }
 
-// Active returns the active set of the cycle in progress and PrevActive the
-// previous cycle's, for a lane (valid only inside the SetLane callback);
-// both alias the engine's buffers and must not be retained or written.
-func (e *CompiledEngine) Active() bitvec.Words     { return e.act[e.cur&1].Bits }
-func (e *CompiledEngine) PrevActive() bitvec.Words { return e.act[e.cur&1^1].Bits }
+// ActiveSet returns the active set of the cycle in progress, its summary
+// naming every non-zero word, and PrevActive the previous cycle's, for a
+// lane (valid only inside the SetLane callback); both alias the engine's
+// buffers and must not be retained or written.
+func (e *CompiledEngine) ActiveSet() bitvec.Frontier { return e.act[e.cur&1] }
+func (e *CompiledEngine) PrevActive() bitvec.Words   { return e.act[e.cur&1^1].Bits }
 
-// StartEnabled reports whether state i is enabled as a start candidate at
-// cycle t, independent of any predecessor.
-func (e *CompiledEngine) StartEnabled(i, t int) bool { return e.startFor(t).Bits.Get(i) }
+// Starts returns the states enabled as start candidates at cycle t,
+// independent of any predecessor; it aliases the compiled form's tables and
+// must not be written.
+func (e *CompiledEngine) Starts(t int) bitvec.Words { return e.startFor(t).Bits }
 
 // Run executes the compiled automaton over input and returns all reports
 // sorted by (BitPos, Code, State) plus activity statistics. tracer may be

@@ -75,13 +75,15 @@ func TestCompiledMatchesScalarFuzz(t *testing.T) {
 			gotR, gotS := compiled.Run(input, check)
 			sameRun(t, "plain", gotR, wantR, gotS, wantS)
 
-			// A lane sees this cycle's active set and the previous one's.
+			// A lane sees this cycle's active set, its summary naming every
+			// non-zero word, and the previous one's.
 			var last bitvec.Words
 			compiled.SetLane(func(cycle int) {
+				check.Consistent(cycle)
 				if prev := compiled.PrevActive(); cycle > 0 && !slices.Equal(prev, last) {
 					t.Fatalf("trial %d cycle %d: lane's PrevActive is not the last cycle's Active", trial, cycle)
 				}
-				last = append(last[:0], compiled.Active()...)
+				last = append(last[:0], compiled.ActiveSet().Bits...)
 			})
 			gotR, gotS = compiled.Run(input, check)
 			compiled.SetLane(nil)

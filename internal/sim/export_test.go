@@ -25,7 +25,7 @@ type FrontierCheck struct {
 func (f FrontierCheck) OnCycle(cycle int, enabled, active bitvec.Words) {
 	f.T.Helper()
 	e := f.E
-	if &enabled[0] != &e.enabled.Bits[0] || &active[0] != &e.Active()[0] {
+	if &enabled[0] != &e.enabled.Bits[0] || &active[0] != &e.ActiveSet().Bits[0] {
 		f.T.Fatalf("cycle %d: tracer was not handed the engine's vectors", cycle)
 	}
 	f.Consistent(cycle)

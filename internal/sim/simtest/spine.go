@@ -148,23 +148,23 @@ func sumStats(stats []sim.Stats) sim.Stats {
 	return sum
 }
 
-// chunking is one way the sweep cuts a case's input into Feed calls; a dirty
+// Chunking is one way the sweep cuts a case's input into Feed calls; a Dirty
 // one first feeds the stream half the input and Resets it.
-type chunking struct {
-	name   string
-	chunks [][]byte
-	dirty  bool
+type Chunking struct {
+	Name   string
+	Chunks [][]byte
+	Dirty  bool
 }
 
-// chunkings is the sweep: the whole stream after a reset mid-stream, 1-byte
+// Chunkings is the sweep: the whole stream after a reset mid-stream, 1-byte
 // chunks, random chunks (empty ones between) of up to 9 bytes and of up to one
 // and a half blocks, and on an input past two blocks a cut at every offset
 // within 3 bytes of a block's end behind an odd prefix, so that on the strided
 // geometries every block starts mid-cycle.
-func chunkings(input []byte) []chunking {
+func Chunkings(input []byte) []Chunking {
 	r := rand.New(rand.NewSource(int64(len(input))))
 	block := FeedBlock()
-	cuts := []chunking{{name: "the whole stream after a reset mid-stream", chunks: [][]byte{input}, dirty: true}}
+	cuts := []Chunking{{Name: "the whole stream after a reset mid-stream", Chunks: [][]byte{input}, Dirty: true}}
 	for _, most := range []int{1, 9, 3 * block / 2} {
 		var chunks [][]byte
 		for rest := input; len(rest) > 0; {
@@ -178,13 +178,13 @@ func chunkings(input []byte) []chunking {
 		if most == 1 {
 			name = "1-byte chunks"
 		}
-		cuts = append(cuts, chunking{name: name, chunks: chunks})
+		cuts = append(cuts, Chunking{Name: name, Chunks: chunks})
 	}
 	for _, prefix := range []int{1, 3} {
 		for d := -3; d <= 3 && len(input) > 2*block+16; d++ {
 			cut := prefix + block + d
 			name := fmt.Sprintf("a cut at %d+%d%+d", prefix, block, d)
-			cuts = append(cuts, chunking{name: name, chunks: [][]byte{input[:prefix], input[prefix:cut], input[cut:]}})
+			cuts = append(cuts, Chunking{Name: name, Chunks: [][]byte{input[:prefix], input[prefix:cut], input[cut:]}})
 		}
 	}
 	return cuts
@@ -222,7 +222,7 @@ type reference struct {
 	c          *Case
 	want, rows []sim.Report
 	stats      sim.Stats
-	cuts       []chunking
+	cuts       []Chunking
 }
 
 // newReference runs the scalar engine over the case's input without a
@@ -249,7 +249,7 @@ func newReference(t testing.TB, c *Case) *reference {
 	sim.SortReports(want)
 	var stats sim.Stats // Add derives ActivePerCycleAvg
 	stats.Add(sim.Stats{Cycles: cycles, TotalActive: active, TotalEnabled: enabled, PeakActive: peak, Reports: len(want)})
-	return &reference{c: c, want: want, rows: Fold(want), stats: stats, cuts: chunkings(c.Input)}
+	return &reference{c: c, want: want, rows: Fold(want), stats: stats, cuts: Chunkings(c.Input)}
 }
 
 func (ref *reference) check(f Form) error {
@@ -286,19 +286,19 @@ func (ref *reference) check(f Form) error {
 	}
 	for _, cut := range ref.cuts {
 		s.Reset()
-		if cut.dirty {
+		if cut.Dirty {
 			s.Feed(ref.c.Input[:len(ref.c.Input)/2])
 			s.Reset()
 		}
-		got, st := run(cut.chunks)
+		got, st := run(cut.Chunks)
 		var err error
 		switch {
 		case f.merged:
-			err = ref.same(f, cut.name, got, st)
+			err = ref.same(f, cut.Name, got, st)
 		case st != stats:
-			err = fmt.Errorf("%s: stats %+v, the whole stream's %+v", cut.name, st, stats)
+			err = fmt.Errorf("%s: stats %+v, the whole stream's %+v", cut.Name, st, stats)
 		default:
-			err = mismatch(cut.name+": sink calls", got, whole)
+			err = mismatch(cut.Name+": sink calls", got, whole)
 		}
 		if err != nil {
 			return err

@@ -33,10 +33,10 @@ import (
 // Each machine must carry the tier, shard and score summaries its
 // configuration calls for (and the tiered ones a DFA on some case); a loaded
 // one must keep its Model, geometry, summaries, design point and scores and
-// save back the bytes it was loaded from, as must each domain's; a scored
-// stream must score each row
-// as the one-shot does; a domain must score what it matches, and the domains'
-// scores, merged, must be the whole machine's.
+// save back the bytes it was loaded from, as must each domain's, which must
+// also summarize the score table as the whole machine does; a scored stream
+// must score each row as the one-shot does; a domain must score what it
+// matches, and the domains' scores, merged, must be the whole machine's.
 func TestSpine(t *testing.T) {
 	dfas := map[string]bool{}
 	var last *simtest.Case
@@ -138,6 +138,9 @@ func facadeForms(t testing.TB, c *simtest.Case, dfas map[string]bool) map[string
 				}
 				if resaved := save(t, w.Artifact()); !bytes.Equal(resaved, saved) {
 					t.Fatalf("%s, %s: domain %s's machine saves %d bytes, not the %d it was loaded from", c.Name, config, domain, len(resaved), len(saved))
+				}
+				if got := w.ScoreInfo(); !reflect.DeepEqual(got, sc) {
+					t.Fatalf("%s, %s: domain %s's machine summarizes the score table as %+v, the whole machine as %+v", c.Name, config, domain, got, sc)
 				}
 				workers, binary = append(workers, matches(t, c, w, scored)), append(binary, matches(t, c, w, false))
 				sms, _ := w.MatchScored(c.Input)
