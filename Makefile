@@ -72,7 +72,8 @@ bench-smoke:
 # writes), the /match, /stream and /reload handlers (no panic, a
 # documented status, an allocation budget linear in the request), and the
 # scored form's threshold pruning (a thresholded form reports the open
-# threshold's reports that clear it, and no pruned state is ever active). A failure
+# threshold's reports that clear it, and no pruned state is ever active), and
+# the report sort (SortReports orders as slices.SortFunc does). A failure
 # leaves its input under the package's testdata/fuzz, where plain `go test`
 # replays it from then on.
 define FUZZ
@@ -87,6 +88,7 @@ define FUZZ
 ./internal/server   FuzzStreamHandler
 ./internal/server   FuzzReloadHandler
 ./internal/score    FuzzThresholdPrune
+./internal/sim      FuzzSortReports
 endef
 export FUZZ
 

@@ -141,11 +141,12 @@ type Machine struct {
 	}
 	// scored is the weighted execution form and weights its transformed
 	// weight table (nil unless Config.Score was set or the loaded artifact
-	// carried a SCOR section). The scored form steps its own view of the
-	// kernel, with the states that can never clear the threshold masked out
-	// (score.Compile); simc stays the full kernel, and the binary paths
-	// ignore the table: Match on a scored machine still reports every
-	// structural hit, threshold or not.
+	// carried a SCOR section). The scored form steps the kernel of the
+	// sub-automaton without the states that can never clear the threshold
+	// (score.Compile), and its reports carry this automaton's state IDs;
+	// simc stays the full kernel, and the binary paths ignore the table:
+	// Match on a scored machine still reports every structural hit,
+	// threshold or not.
 	scored  *score.Compiled
 	weights *automata.Weights
 	// Pre-transformation shape and compile-stage trace, carried as plain
@@ -223,7 +224,8 @@ func CompileAutomaton(nfa *automata.NFA, cfg Config) (*Machine, error) {
 // out of the compile pipeline or out of an artifact: it builds the capsule
 // machine and the bit-parallel engines of the transformed automaton — with a
 // weight table the scored form, whose kernel is also the binary kernel, so
-// the automaton is compiled once — and picks the serving form. A sharded
+// the automaton is compiled once (and the sub-automaton the scored engine
+// steps, when the threshold prunes) — and picks the serving form. A sharded
 // form holding a shard subset (a topology worker's) scores that subset only:
 // a score belongs to a state and a shard to whole components, so across the
 // workers every state is scored once.
@@ -240,7 +242,7 @@ func newMachine(cfg Config, n *automata.NFA, pl *place.Placement, w *automata.We
 		sn, sw := n, w
 		if sharded != nil {
 			if ids := sharded.States(); len(ids) < n.NumStates() {
-				sn, sw = n.Induced(ids), w.Induced(ids)
+				sn, sw = n.Induced(ids), w.Induced(n, ids)
 			}
 		}
 		if m.scored, err = score.Compile(sn, sw); err == nil && sn == n {

@@ -264,20 +264,40 @@ func (n *NFA) ConnectedComponents() [][]StateID {
 	return out
 }
 
-// Induced returns the sub-automaton induced by ids, which must be closed
-// under edges — true for any union of weakly connected components. State i
-// of the result is state ids[i] of n; match sets are aliased, not copied.
+// Induced returns the sub-automaton induced by ids: state i of the result is
+// state ids[i] of n, and it keeps the edges of n whose both ends are listed,
+// in their out-edge order — an edge that leaves the set is dropped, so a set
+// closed under edges (any union of weakly connected components) keeps every
+// edge of its states. Match sets are aliased, not copied; the out-edge lists
+// share one allocation.
 func (n *NFA) Induced(ids []StateID) *NFA {
 	sub := New(n.Bits, n.Stride)
-	remap := make(map[StateID]StateID, len(ids))
+	sub.States = make([]State, 0, len(ids))
+	// remap[id] is id's state in sub plus one, 0 for a state off the set.
+	remap := make([]StateID, len(n.States))
 	for _, id := range ids {
 		s := n.States[id]
 		s.Out = nil
-		remap[id] = sub.AddState(s)
+		remap[id] = sub.AddState(s) + 1
 	}
+	kept := 0
 	for _, id := range ids {
 		for _, t := range n.States[id].Out {
-			sub.AddEdge(remap[id], remap[t])
+			if remap[t] != 0 {
+				kept++
+			}
+		}
+	}
+	out := make([]StateID, 0, kept)
+	for i, id := range ids {
+		at := len(out)
+		for _, t := range n.States[id].Out {
+			if r := remap[t]; r != 0 {
+				out = append(out, r-1)
+			}
+		}
+		if len(out) > at {
+			sub.States[i].Out = out[at:len(out):len(out)]
 		}
 	}
 	return sub

@@ -71,11 +71,30 @@ func (w *Weights) Clone() *Weights {
 }
 
 // Induced returns the weight table of n.Induced(ids) for the automaton n
-// this table scores: row i is state ids[i]'s, aliased, not copied.
-func (w *Weights) Induced(ids []StateID) *Weights {
+// this table scores: row i is state ids[i]'s less the weights of the edges
+// that leave the set — aliased, not copied, when the state lost none.
+func (w *Weights) Induced(n *NFA, ids []StateID) *Weights {
+	in := make([]bool, len(n.States))
+	for _, id := range ids {
+		in[id] = true
+	}
 	sub := &Weights{Edge: make([][]float64, len(ids)), Start: make([]float64, len(ids)), Threshold: w.Threshold}
 	for i, id := range ids {
-		sub.Edge[i], sub.Start[i] = w.Edge[id], w.Start[id]
+		row := w.Edge[id]
+		for j, t := range n.States[id].Out {
+			if !in[t] {
+				// id lost an edge: its row keeps the weights of the edges it kept.
+				kept := append(make([]float64, 0, len(row)-1), row[:j]...)
+				for k := j + 1; k < len(row); k++ {
+					if in[n.States[id].Out[k]] {
+						kept = append(kept, row[k])
+					}
+				}
+				row = kept
+				break
+			}
+		}
+		sub.Edge[i], sub.Start[i] = row, w.Start[id]
 	}
 	return sub
 }

@@ -2,6 +2,7 @@ package automata
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,6 +74,51 @@ func TestWeightsValidateRejects(t *testing.T) {
 		err := w.Validate(n)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate = %v, want error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// On a set not closed under edges, NFA.Induced drops the edges that leave it
+// and Weights.Induced drops their weights, keeping the rest in out-edge
+// order; a state that lost no edge keeps its weight row aliased.
+func TestInducedDropsLeavingEdges(t *testing.T) {
+	n := New(8, 1)
+	for _, b := range []byte("abcd") {
+		n.AddState(ByteMatchState(bitvec.ByteOf(b), StartNone, b == 'd'))
+	}
+	n.States[0].Start = StartAllInput
+	for _, e := range [][2]StateID{{0, 1}, {0, 2}, {0, 3}, {1, 3}, {1, 2}, {2, 0}, {3, 3}} {
+		n.AddEdge(e[0], e[1])
+	}
+	w := NewWeights(n)
+	w.Edge = [][]float64{{1, 2, 3}, {4, 5}, {6}, {7}}
+	w.Start[0], w.Threshold = 8, 9
+	before, wBefore := n.Clone(), w.Clone()
+
+	// State 2 is left out: the edges 0 -> 2 and 1 -> 2 leave the set, and
+	// 2 -> 0 goes with its source.
+	ids := []StateID{0, 1, 3}
+	sub, sw := n.Induced(ids), w.Induced(n, ids)
+	if err := sw.Validate(sub); err != nil {
+		t.Fatal(err)
+	}
+	wantOut := [][]StateID{{1, 2}, {2}, {2}}
+	wantW := [][]float64{{1, 3}, {4}, {7}}
+	for i := range ids {
+		if !slices.Equal(sub.States[i].Out, wantOut[i]) || !slices.Equal(sw.Edge[i], wantW[i]) {
+			t.Errorf("state %d (orig %d): out-edges %v weighted %v, want %v weighted %v",
+				i, ids[i], sub.States[i].Out, sw.Edge[i], wantOut[i], wantW[i])
+		}
+	}
+	if &sw.Edge[2][0] != &w.Edge[3][0] {
+		t.Error("a state that lost no edge has its weight row copied, want aliased")
+	}
+	if sw.Start[0] != 8 || sw.Threshold != 9 {
+		t.Errorf("start weight %g, threshold %g: want 8, 9", sw.Start[0], sw.Threshold)
+	}
+	for i := range n.States {
+		if !slices.Equal(n.States[i].Out, before.States[i].Out) || !slices.Equal(w.Edge[i], wBefore.Edge[i]) {
+			t.Fatalf("Induced modified its source at state %d", i)
 		}
 	}
 }

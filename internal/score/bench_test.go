@@ -56,16 +56,30 @@ func readMesh(tb testing.TB, build func([][]byte, int, workload.Costs, float64) 
 	return res.NFA, res.Weights, input
 }
 
-// inEdgeTracer sums, over every cycle, the active states and their in-edges
-// — the work propagate does.
-type inEdgeTracer struct {
-	c             *Compiled
-	active, edges int
+// cycleTracer sums, over every cycle, the non-zero words of the enable
+// vector — what a cycle of the word-sparse kernel pays for — and, given the
+// scored form whose live kernel it traces, the active states, the heads among
+// them and their in-edges: the work propagate does and the work it skips.
+type cycleTracer struct {
+	c                                   *Compiled
+	cycles, words, active, heads, edges int
 }
 
-func (tr *inEdgeTracer) OnCycle(_ int, _, active bitvec.Words) {
+func (tr *cycleTracer) OnCycle(_ int, enabled, active bitvec.Words) {
+	tr.cycles++
+	for _, x := range enabled {
+		if x != 0 {
+			tr.words++
+		}
+	}
+	if tr.c == nil {
+		return
+	}
 	active.ForEach(func(i int) {
 		tr.active++
+		if tr.c.heads.Get(i) {
+			tr.heads++
+		}
 		tr.edges += int(tr.c.inOff[i+1] - tr.c.inOff[i])
 	})
 }
@@ -73,30 +87,34 @@ func (tr *inEdgeTracer) OnCycle(_ int, _, active bitvec.Words) {
 // BenchmarkScoredRun is the loop propagate is tuned against: one-shot
 // execution of the dna_scored_match mesh, split four ways, each in ns/B —
 //   - kernel: the full binary kernel alone, reports and all;
-//   - live kernel: the kernel view the scored engine steps, its
-//     threshold-dead states masked out, alone;
-//   - kernel+lane: that view with propagate attached, its reports ungated;
+//   - live kernel: the kernel the scored engine steps, that of the
+//     sub-automaton without the threshold-dead states, alone;
+//   - kernel+lane: that kernel with propagate attached, its reports ungated;
 //   - scored: the full Run, threshold gate included.
 //
 // kernel less live kernel is what pruning the threshold-dead states saves
 // the kernel; kernel+lane less live kernel is the scoring pass. scored
 // differs from kernel+lane by the gate: a compare per structural report,
 // less the collecting and sorting of the reports it rejects. Each reports
-// its own active states per cycle, the states the scored engine can
-// activate (live-states) and its in-edges per active state.
+// its own active and enabled states per cycle and the words its kernel's
+// enable vector holds per cycle (live-words/cycle), beside the states the scored engine
+// can activate (live-states), the in-edges per active state and the share
+// of the active states that are heads, which the pass skips.
 func BenchmarkScoredRun(b *testing.B) {
 	c, input := dnaMesh(b)
-	tr := &inEdgeTracer{c: c}
-	sim.RunBatch(c.NewEngine(), input, 0, tr)
-	live := c.NFA().NumStates() - c.dead.Count()
+	full, tr := &cycleTracer{}, &cycleTracer{c: c}
+	sim.RunBatch(c.kernel.NewEngine(), input, 0, full)
+	sim.RunBatch(c.NewEngine().kernel, input, 0, tr)
+	live := c.live.NFA().NumStates()
 	for _, form := range []struct {
-		name string
-		run  func([]byte) ([]sim.Report, sim.Stats)
+		name  string
+		run   func([]byte) ([]sim.Report, sim.Stats)
+		words *cycleTracer
 	}{
-		{"kernel", c.kernel.Run},
-		{"live kernel", c.live.Run},
-		{"kernel+lane", sim.NewPool(func() sim.Core { return c.NewEngine().kernel }).Run},
-		{"scored", c.Run},
+		{"kernel", c.kernel.Run, full},
+		{"live kernel", c.live.Run, tr},
+		{"kernel+lane", sim.NewPool(func() sim.Core { return c.NewEngine().kernel }).Run, tr},
+		{"scored", c.Run, tr},
 	} {
 		b.Run(form.name, func(b *testing.B) {
 			b.SetBytes(int64(len(input)))
@@ -107,7 +125,10 @@ func BenchmarkScoredRun(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(input)), "ns/B")
 			b.ReportMetric(float64(live), "live-states")
 			b.ReportMetric(st.ActivePerCycleAvg, "active/cycle")
+			b.ReportMetric(float64(st.TotalEnabled)/float64(st.Cycles), "enabled/cycle")
+			b.ReportMetric(float64(form.words.words)/float64(form.words.cycles), "live-words/cycle")
 			b.ReportMetric(float64(tr.edges)/float64(tr.active), "in-edges/active-state")
+			b.ReportMetric(float64(tr.heads)/float64(tr.active), "heads/active")
 		})
 	}
 }

@@ -143,8 +143,8 @@ func quantiles(reports []sim.Report) []float64 {
 // threshold, however the input is fed, and no pruned state is ever active.
 // The cases are the spine's under random weights, the dna_scored_match
 // edit-distance mesh and the Hamming mesh of the same reads under their
-// alignment costs and under random weights, and three shapes the bound must
-// treat with care (pruneShapes).
+// alignment costs and under random weights, and the shapes the bound and the
+// pruned form must treat with care (pruneShapes).
 func TestThresholdPruneExact(t *testing.T) {
 	var cases []*pruneCase
 	for _, c := range simtest.Cases(t) {
@@ -202,6 +202,74 @@ func TestThresholdPruneExact(t *testing.T) {
 	}
 }
 
+// A scored form's Stats count the automaton its engine steps: the binary
+// kernel's Stats whenever nothing is threshold-dead, and otherwise those of
+// the binary kernel of the sub-automaton the live states induce — a dead
+// state is neither enabled nor active. On the dna_scored_match mesh at its
+// threshold that is fewer enabled states than the full kernel's, and the
+// states the pruning leaves without an in-edge are heads.
+func TestScoredStatsCountLiveStates(t *testing.T) {
+	var cases []*pruneCase
+	for _, c := range simtest.Cases(t) {
+		cases = append(cases, newPruneCase(c.Name, c.NFA, simtest.RandomWeights(c.NFA, 1), c.Input))
+	}
+	n, w, input := readMesh(t, workload.ScoredLevenshtein)
+	mesh := newPruneCase("edit-distance mesh", n, w, input)
+	cases = append(cases, mesh)
+	for _, sh := range pruneShapes() {
+		cases = append(cases, sh.pruneCase)
+	}
+
+	var whole, pruned int
+	for _, pc := range cases {
+		open, _ := pc.open(t)
+		for _, th := range append(quantiles(open), pc.w.Threshold) {
+			c := pc.compile(t, th)
+			_, got := c.Run(pc.input)
+			want := c.Kernel()
+			if c.dead != nil {
+				var live []automata.StateID
+				for i := range pc.n.States {
+					if !c.dead.Get(i) {
+						live = append(live, automata.StateID(i))
+					}
+				}
+				var err error
+				if want, err = sim.Compile(pc.n.Induced(live)); err != nil {
+					t.Fatal(err)
+				}
+				pruned++
+			} else {
+				whole++
+			}
+			// Reports counts only what clears the gate.
+			_, st := want.Run(pc.input)
+			if got.Reports, st.Reports = 0, 0; got != st {
+				t.Fatalf("%s at threshold %g (%d states pruned): stats %+v, want %+v", pc.name, th, c.dead.Count(), got, st)
+			}
+		}
+	}
+	if whole == 0 || pruned == 0 {
+		t.Fatalf("%d forms pruned nothing, %d pruned some: the pin bites on one side only", whole, pruned)
+	}
+
+	c := mesh.compile(t, mesh.w.Threshold)
+	_, scored := c.Run(mesh.input)
+	if _, full := c.Kernel().Run(mesh.input); scored.TotalEnabled >= full.TotalEnabled {
+		t.Errorf("the pruned mesh enables %d states over the input, the full kernel %d: want fewer", scored.TotalEnabled, full.TotalEnabled)
+	}
+	// In the last two shapes the first live state — the state fed only by a
+	// dead one, and the start-of-data start — is the one head.
+	shapes := pruneShapes()
+	for _, sh := range shapes[len(shapes)-2:] {
+		var heads []int
+		sh.compile(t, sh.w.Threshold).heads.ForEach(func(i int) { heads = append(heads, i) })
+		if !slices.Equal(heads, []int{0}) {
+			t.Errorf("%s: heads %v, want [0]", sh.name, heads)
+		}
+	}
+}
+
 // pruneShape is a hand-built case at its table's threshold with the states
 // it must prune.
 type pruneShape struct {
@@ -222,7 +290,11 @@ type pruneShape struct {
 //     the engine adds it, and another added from both ends, as the bound
 //     does: at a threshold between the two, nothing may be pruned;
 //   - a start-of-data start, the automaton's only one, whose start weight
-//     decides which of its two reporting successors is dead.
+//     decides which of its two reporting successors is dead;
+//   - a live state whose only in-edge comes from a dead state, which the
+//     pruned form steps as a head: a reporting even start, so that the pass
+//     skips it and the gate reads its fixed score;
+//   - a reporting start-of-data head beside its dead successor.
 func pruneShapes() []pruneShape {
 	byteOf := func(b byte, start automata.StartKind, report bool) automata.State {
 		return automata.ByteMatchState(bitvec.ByteOf(b), start, report)
@@ -282,12 +354,38 @@ func pruneShapes() []pruneShape {
 	sodW.Start[s0], sodW.Edge[s0][0], sodW.Edge[s0][1] = 3, 1, -10
 	sodW.Threshold = 2
 
+	// fed is a reporting even start whose only in-edge comes from a dead
+	// all-input start: pruned of it, fed is a head, enabled on even cycles
+	// only, and the gate reads its score from the slot NewEngine fills. At
+	// the open threshold the dead start also enables it on odd cycles, at a
+	// score no threshold above -10 keeps.
+	fedBy := automata.New(8, 1)
+	feeder := fedBy.AddState(byteOf(0, automata.StartAllInput, false))
+	fed := fedBy.AddState(byteOf(1, automata.StartEven, true))
+	next := fedBy.AddState(byteOf(2, automata.StartNone, true))
+	fedBy.AddEdge(feeder, fed)
+	fedBy.AddEdge(fed, next)
+	fedW := automata.NewWeights(fedBy)
+	fedW.Start[feeder], fedW.Start[fed], fedW.Edge[fed][0] = -10, 4, -1
+	fedW.Threshold = 2
+
+	// A reporting start-of-data head, live, and its dead successor.
+	head := automata.New(8, 1)
+	h0 := head.AddState(byteOf(0, automata.StartOfData, true))
+	h1 := head.AddState(byteOf(0, automata.StartNone, true))
+	head.AddEdge(h0, h1)
+	headW := automata.NewWeights(head)
+	headW.Start[h0], headW.Edge[h0][0] = 3, -5
+	headW.Threshold = 2
+
 	return []pruneShape{
 		{newPruneCase("a positive-weight cycle", cyc, cycW, cycIn), []automata.StateID{off}},
 		{chain("a chain that clamps at -ScoreLimit, then climbs", sinking(long), -automata.ScoreLimit+5), nil},
 		{chain("a chain too short to clamp", sinking(4), 0), []automata.StateID{0, 1, 2, 3}},
 		{chain("fractional weights", fractions, (fractions[0]+fractions[1])+fractions[2]), nil},
 		{newPruneCase("a start-of-data start", sod, sodW, []byte{0, 1, 0, 1}), []automata.StateID{lo}},
+		{newPruneCase("a live start fed only by a dead one", fedBy, fedW, []byte{1, 2, 0, 1, 2, 0, 1, 1, 0, 1, 2, 1}), []automata.StateID{feeder}},
+		{newPruneCase("a reporting start-of-data head", head, headW, []byte{0, 0, 0}), []automata.StateID{h1}},
 	}
 }
 

@@ -14,17 +14,21 @@
 // for every state the kernel left active, walk its in-edges and keep the best
 // (predecessor score + edge weight) over the predecessors that were active
 // the cycle before. Its cost tracks the in-edges of the active states — a
-// handful per cycle on the meshes this lane serves — not the state count.
+// handful per cycle on the meshes this lane serves — not the state count, and
+// it skips the heads, the states with no in-edge, whose score is fixed
+// (Compiled.NewEngine).
 //
 // The threshold is applied twice. At Compile it removes the states no path
 // can carry to it: each state's best start-to-state and state-to-report
-// weights bound every score a report reached through it, and a state whose
-// bound falls below the threshold (threshold-dead) is masked out of the
-// kernel the scored engine steps (sim.Compiled.Restrict), so it is never
-// active, never scored and never reports. At run time the gate compares each
-// report's score with it. The reports that clear the threshold, scores
-// included, are exactly those of the unrestricted kernel; Kernel is still
-// the full binary kernel.
+// weights bound every score a report reached through it, and the states
+// whose bound falls below the threshold (threshold-dead) are taken out of
+// the automaton the scored engine steps — it runs the kernel of the
+// sub-automaton the live states induce, so a dead state holds no bit of any
+// vector and is never enabled, active, scored or reported. At run time the
+// gate compares each report's score with it and gives the report its state's
+// ID in the full automaton. The reports that clear the threshold, scores and
+// states included, are exactly those of the unpruned kernel, in its order;
+// Kernel is still the full binary kernel.
 //
 // A scored report is a sim.Report with its Score set, so the scored form runs
 // on the same session, the same pooled one-shot runner and the same report
@@ -43,17 +47,22 @@ import (
 
 // Compiled is the immutable scored form of a weighted automaton: the binary
 // kernel (a sim.Compiled, which owns every table the enable, match and
-// report phases read), the view of it the scored engine steps, and only what
+// report phases read), the kernel the scored engine steps, and only what
 // scoring adds — the flat in-edge table, start weights and the report
 // threshold, O(states + edges) in all. Safe to share across goroutines;
 // per-stream state lives in Engine.
 type Compiled struct {
 	kernel *sim.Compiled
-	// live is the kernel the scored engine steps: kernel itself, or its
-	// Restrict view with the threshold-dead states masked out.
+	// live is the kernel the scored engine steps: kernel itself, or, when
+	// some states are threshold-dead, the kernel of the sub-automaton the
+	// live states induce. The scoring tables below are indexed by its states.
 	live *sim.Compiled
-	// dead is the set of threshold-dead states, nil when there are none.
+	// dead is the set of threshold-dead states, nil when there are none; orig
+	// then maps live's state i to its ID in kernel (nil when live is kernel).
+	// The live states keep their order, so orig is ascending and a cycle's
+	// reports leave the gate in the order kernel emits them.
 	dead bitvec.Words
+	orig []automata.StateID
 
 	// State i's in-edges are inFrom/inW[inOff[i]:inOff[i+1]]: source state
 	// and edge weight, the weighted transpose of the automaton's out-edge
@@ -61,6 +70,8 @@ type Compiled struct {
 	inOff  []int32
 	inFrom []int32
 	inW    []float64
+	// heads names the states with no in-edge, whose score NewEngine fixes.
+	heads bitvec.Words
 
 	startW    []float64
 	threshold float64
@@ -71,10 +82,10 @@ type Compiled struct {
 	pool *sim.Pool
 }
 
-// Compile builds the scored form: the binary kernel of n, the scoring tables
-// of w beside it, and the kernel view without w's threshold-dead states. The
-// weight table must validate against n; neither may be mutated while the
-// compiled form is in use.
+// Compile builds the scored form: the binary kernel of n, and the kernel of
+// the sub-automaton without w's threshold-dead states with the scoring tables
+// of w beside it. The weight table must validate against n; neither may be
+// mutated while the compiled form is in use.
 func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 	if w == nil {
 		return nil, fmt.Errorf("score: Compile requires a weight table (use sim.Compile for binary execution)")
@@ -86,18 +97,44 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	ns := n.NumStates()
 	c := &Compiled{
 		kernel:      kernel,
 		live:        kernel,
-		inOff:       make([]int32, ns+1),
-		startW:      append([]float64(nil), w.Start...),
 		threshold:   w.Threshold,
 		mixedStates: w.MixedStates(n),
 	}
+	c.transpose(n, w)
+	if c.dead = c.thresholdDead(n, w); c.dead != nil {
+		c.orig = make([]automata.StateID, 0, n.NumStates()-c.dead.Count())
+		for i := range n.States {
+			if !c.dead.Get(i) {
+				c.orig = append(c.orig, automata.StateID(i))
+			}
+		}
+		w = w.Induced(n, c.orig)
+		n = n.Induced(c.orig)
+		if c.live, err = sim.Compile(n); err != nil {
+			return nil, err
+		}
+		c.transpose(n, w)
+	}
+	c.startW = append([]float64(nil), w.Start...)
+	c.heads = bitvec.NewWords(n.NumStates())
+	for i := range n.States {
+		if c.inOff[i] == c.inOff[i+1] {
+			c.heads.Set(i)
+		}
+	}
+	c.pool = sim.NewPool(func() sim.Core { return c.NewEngine() })
+	return c, nil
+}
 
-	// Transpose by counting sort: in-degrees, prefix sums, then one pass
-	// over the out-edges dropping each into its target's next free slot.
+// transpose builds the in-edge tables of n under w by counting sort:
+// in-degrees, prefix sums, then one pass over the out-edges dropping each
+// into its target's next free slot.
+func (c *Compiled) transpose(n *automata.NFA, w *automata.Weights) {
+	ns := n.NumStates()
+	c.inOff = make([]int32, ns+1)
 	for i := range n.States {
 		for _, t := range n.States[i].Out {
 			c.inOff[t+1]++
@@ -116,16 +153,6 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 			next[t]++
 		}
 	}
-
-	if c.dead = c.thresholdDead(n, w); c.dead != nil {
-		live := bitvec.NewWords(ns)
-		for i, d := range c.dead {
-			live[i] = ^d
-		}
-		c.live = kernel.Restrict(live)
-	}
-	c.pool = sim.NewPool(func() sim.Core { return c.NewEngine() })
-	return c, nil
 }
 
 // thresholdDead returns the states no report that clears the threshold can
@@ -136,7 +163,7 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 //
 // and i is dead when both are finite and h[i] + g[i] < threshold. Then every
 // path through i — all it can score and all it can hand a successor — sums
-// to less than the threshold, so masking i out of the kernel removes only
+// to less than the threshold, so taking i out of the automaton removes only
 // paths whose reports the gate would reject, and a report that clears the
 // threshold keeps its best path and so its score.
 //
@@ -257,7 +284,7 @@ func (c *Compiled) NewSession(sink sim.ReportSink) *sim.Session {
 
 // Kernel returns the binary compiled form the scored form is built on: the
 // same automaton with the weights ignored, every state included — not the
-// threshold-restricted view the scored engine steps.
+// live sub-automaton's kernel the scored engine steps.
 func (c *Compiled) Kernel() *sim.Compiled { return c.kernel }
 
 // NFA returns the automaton this form was compiled from.
@@ -276,21 +303,29 @@ func (c *Compiled) ResidualStates() int { return c.kernel.ResidualStates() }
 func (c *Compiled) ScalarScoredStates() int { return c.mixedStates }
 
 // Engine executes a shared Compiled form over one stream: a kernel engine
-// plus the score vectors. It implements sim.Core, so sim.Session drives it
-// with identical chunking/flush semantics; the sink the session steps it
-// with receives every report that clears the threshold, its Score set. Its
-// Stats count the restricted kernel: a threshold-dead state is enabled as
-// usual but never active. Not safe for concurrent use; engines are cheap —
-// all heavy tables live on the Compiled.
+// over the live sub-automaton plus the score vectors. It implements sim.Core,
+// so sim.Session drives it with identical chunking/flush semantics; the sink
+// the session steps it with receives every report that clears the
+// threshold, its Score set and its State the full automaton's. Its Stats
+// count the live sub-automaton: a threshold-dead state is neither enabled
+// nor active. Not safe for concurrent use; engines are cheap — all heavy
+// tables live on the Compiled.
 type Engine struct {
-	c                *Compiled
-	kernel           *sim.CompiledEngine
-	score, prevScore []float64
+	c      *Compiled
+	kernel *sim.CompiledEngine
+	// score[t&1] holds the scores cycle t writes, so the previous cycle's are
+	// in the other buffer and nothing is swapped between cycles; parity is
+	// the cycle in progress's t&1, for the gate.
+	score  [2][]float64
+	parity int
 
 	// gate is the threshold comparator the kernel's report phase emits into,
 	// built once; sink is where it forwards the block in progress's passes
 	// (nil between blocks, so an idle pooled engine pins no request).
 	gate, sink sim.ReportSink
+	// trace shows a tracer stepped with a pruned form's block the full
+	// automaton's numbering (its target nil between blocks).
+	trace origTracer
 
 	// rejects counts the block in progress's threshold-suppressed reports,
 	// scored its forwarded ones. Plain ints — they are published once per
@@ -300,19 +335,30 @@ type Engine struct {
 }
 
 // NewEngine allocates per-stream state for the compiled scored automaton.
+//
+// It also fixes the heads' scores. A head has no in-edge, so only a start
+// vector can enable it, and whenever it is active its score is its start
+// weight — the value the pass would write every cycle it is active. That
+// weight is written here once, into both cycles' buffers, so the pass skips
+// the heads, and the gate and the next cycle's pass read it where they read
+// any score.
 func (c *Compiled) NewEngine() *Engine {
-	ns := c.kernel.NFA().NumStates()
+	ns := c.live.NFA().NumStates()
+	buf := make([]float64, 2*ns)
 	e := &Engine{
-		c:         c,
-		kernel:    c.live.NewEngine(),
-		score:     make([]float64, ns),
-		prevScore: make([]float64, ns),
+		c:      c,
+		kernel: c.live.NewEngine(),
+		score:  [2][]float64{buf[:ns:ns], buf[ns:]},
 	}
+	c.heads.ForEach(func(i int) { e.score[0][i], e.score[1][i] = c.startW[i], c.startW[i] })
 	e.kernel.SetLane(e.propagate)
 	e.gate = func(r sim.Report) {
-		if r.Score = e.score[r.State]; r.Score < c.threshold {
+		if r.Score = e.score[e.parity][r.State]; r.Score < c.threshold {
 			e.rejects++
 			return
+		}
+		if c.orig != nil {
+			r.State = c.orig[r.State]
 		}
 		e.scored++
 		e.sink(r)
@@ -343,34 +389,68 @@ func satAdd(a, b float64) float64 {
 // propagate over the states they left active, then reports through the
 // threshold gate. Stale score slots are never read — a previous-cycle score
 // is consulted only under the previous-active mask, and a current score only
-// for states in the active set. The block's bytes, forwarded reports and
-// rejects are published at its end.
+// for states in the active set, a head's being fixed. A tracer sees the
+// vectors in the full automaton's numbering. The block's bytes, forwarded
+// reports and rejects are published at its end.
 func (e *Engine) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink, tracer sim.Tracer) (enabled, active int64, peak int) {
 	e.sink = sink
+	if tracer != nil && e.c.orig != nil {
+		if e.trace.enabled == nil {
+			ns := e.c.kernel.NFA().NumStates()
+			e.trace = origTracer{orig: e.c.orig, enabled: bitvec.NewWords(ns), active: bitvec.NewWords(ns)}
+		}
+		e.trace.to, tracer = tracer, &e.trace
+	}
 	enabled, active, peak = e.kernel.StepBlock(subs, t0, limitBits, e.gate, tracer)
-	e.sink = nil
+	e.sink, e.trace.to = nil, nil
 	e.publish(t0, len(subs), limitBits)
 	return enabled, active, peak
 }
 
+// origTracer shows a tracer the live kernel's vectors in the numbering of the
+// automaton the form was compiled from: every live state at its ID there,
+// every threshold-dead state clear. It costs a pass over the set bits a
+// cycle, paid only by a pruned form with a tracer attached.
+type origTracer struct {
+	orig            []automata.StateID
+	enabled, active bitvec.Words
+	to              sim.Tracer
+}
+
+func (tr *origTracer) OnCycle(t int, enabled, active bitvec.Words) {
+	tr.scatter(tr.enabled, enabled)
+	tr.scatter(tr.active, active)
+	tr.to.OnCycle(t, tr.enabled, tr.active)
+}
+
+// scatter sets in dst exactly the original IDs of the states src holds.
+func (tr *origTracer) scatter(dst, src bitvec.Words) {
+	dst.ClearAll()
+	for w, x := range src {
+		for ; x != 0; x &= x - 1 {
+			dst.Set(int(tr.orig[w<<6|bits.TrailingZeros64(x)]))
+		}
+	}
+}
+
 // propagate is the lane the kernel calls (sim.CompiledEngine.SetLane) once
-// the cycle's active set is known. It scores every active state: the best
-// of its start weight (if it is a start candidate this cycle, whether or not
-// a predecessor also reaches it) and the max over active predecessors of
-// (predecessor score + edge weight). The scores it wrote last cycle become
-// the previous scores first, so a whole block is one kernel call. It visits
-// only the words the active set's summary names, and reads each one's start
-// word once.
+// the cycle's active set is known. It scores every active state but the
+// heads: the best of its start weight (if it is a start candidate this
+// cycle, whether or not a predecessor also reaches it) and the max over
+// active predecessors of (predecessor score + edge weight), written to cycle
+// t's buffer from the previous cycle's, so a whole block is one kernel call.
+// It visits only the words the active set's summary names, and reads each
+// one's start word once.
 func (e *Engine) propagate(t int) {
 	c, k := e.c, e.kernel
 	act, prev, starts := k.ActiveSet(), k.PrevActive(), k.Starts(t)
-	e.prevScore, e.score = e.score, e.prevScore
-	score, pw := e.score, e.prevScore
+	e.parity = t & 1
+	score, pw := e.score[t&1], e.score[t&1^1]
 	for sw, s := range act.Sum {
 		for ; s != 0; s &= s - 1 {
 			w := sw<<6 | bits.TrailingZeros64(s)
 			start := starts[w]
-			for word := act.Bits[w]; word != 0; word &= word - 1 {
+			for word := act.Bits[w] &^ c.heads[w]; word != 0; word &= word - 1 {
 				b := bits.TrailingZeros64(word)
 				i := w<<6 | b
 				best := math.Inf(-1)

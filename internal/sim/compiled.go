@@ -110,8 +110,11 @@ func Compile(n *automata.NFA) (*Compiled, error) {
 		if dims, ok := decompose(s.Match, S); ok {
 			w, bit := i>>6, uint64(1)<<(uint(i)&63)
 			for p := 0; p < S; p++ {
-				for _, v := range dims[p].Values() {
-					c.masks[(p*nw+w)*dom+int(v)] |= bit
+				at := (p*nw + w) * dom
+				for k, word := range dims[p] {
+					for ; word != 0; word &= word - 1 {
+						c.masks[at+(k<<6|bits.TrailingZeros64(word))] |= bit
+					}
 				}
 			}
 		} else {
@@ -158,14 +161,23 @@ func (v *startVector) with(ns int, states []int) *startVector {
 // single rect is trivially a product; a union of rects is one iff it equals
 // the product of its per-position projections.
 func decompose(m automata.MatchSet, S int) (automata.Rect, bool) {
+	// The common case, one non-empty rect, allocates nothing.
+	var lone automata.Rect
+	count := 0
+	for _, r := range m {
+		if !r.Empty() {
+			lone = r
+			count++
+		}
+	}
+	if count == 1 {
+		return lone, true
+	}
 	nonEmpty := make(automata.MatchSet, 0, len(m))
 	for _, r := range m {
 		if !r.Empty() {
 			nonEmpty = append(nonEmpty, r)
 		}
-	}
-	if len(nonEmpty) == 1 {
-		return nonEmpty[0], true
 	}
 	prod := make(automata.Rect, S)
 	for p := range prod {
@@ -188,29 +200,6 @@ func (c *Compiled) NFA() *automata.NFA { return c.nfa }
 // ResidualStates returns the number of states matched on the scalar
 // fallback path (non-position-decomposable match sets).
 func (c *Compiled) ResidualStates() int { return len(c.residual) }
-
-// Restrict returns a view of c in which only the states live names can become
-// active: its own copy of the symbol-mask table with every other state's bits
-// cleared and the residual list cut to live states, every other table shared
-// with c. A state off live is still enabled — by the start vectors and by its
-// live predecessors' rows, and counted so in Stats — but never matches, so it
-// never drives its successor row and never reports. The cost is one mask
-// table, stride·alphabet·states/64 words.
-func (c *Compiled) Restrict(live bitvec.Words) *Compiled {
-	r := *c
-	r.masks = make([]uint64, len(c.masks))
-	for i, m := range c.masks {
-		r.masks[i] = m & live[i/c.dom%c.words]
-	}
-	r.residual = nil
-	for _, id := range c.residual {
-		if live.Get(int(id)) {
-			r.residual = append(r.residual, id)
-		}
-	}
-	r.pool = NewPool(func() Core { return r.NewEngine() })
-	return &r
-}
 
 // CompiledEngine executes a shared Compiled form over input streams. It
 // owns only per-stream buffers, so creating one per goroutine is cheap; it

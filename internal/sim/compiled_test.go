@@ -206,6 +206,41 @@ func TestCompiledDecomposability(t *testing.T) {
 	}
 }
 
+// Compile allocates per table, not per state: its allocations do not grow
+// with states × stride. Only the lists it builds by append grow, a few
+// allocations per doubling of the states, so 256 times the states at
+// stride 1 and 4 costs fewer than 32 more allocations.
+func TestCompileAllocsFlat(t *testing.T) {
+	chain := func(states, stride int) *automata.NFA {
+		n := automata.New(8, stride)
+		for i := 0; i < states; i++ {
+			rect := make(automata.Rect, stride)
+			for p := range rect {
+				rect[p] = bitvec.ByteOf(byte(i + p)).Add(byte(3 * i))
+			}
+			n.AddState(automata.State{Match: automata.MatchSet{rect}, Start: automata.StartKind(i % 4), Report: i%7 == 0})
+			if i > 0 {
+				n.AddEdge(automata.StateID(i-1), automata.StateID(i))
+			}
+		}
+		return n
+	}
+	allocs := func(n *automata.NFA) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := sim.Compile(n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, stride := range []int{1, 4} {
+		small, large := allocs(chain(64, stride)), allocs(chain(64<<8, stride))
+		if large-small >= 32 {
+			t.Errorf("stride %d: Compile allocates %.0f objects for 64 states, %.0f for %d: it allocates per state",
+				stride, small, large, 64<<8)
+		}
+	}
+}
+
 // The compiled engine must be reusable across runs with no state leaking
 // from one run into the next.
 func TestCompiledEngineReuse(t *testing.T) {

@@ -209,11 +209,34 @@ func (e *Engine) Run(input []byte, tracer Tracer) ([]Report, Stats) {
 }
 
 // SortReports sorts reports by (BitPos, Code, State) — the canonical batch
-// output order, scored or not — in place, allocating nothing.
+// output order, scored or not — in place, allocating nothing. A session emits
+// reports in cycle order, so only the few of one cycle can be out of place
+// among themselves (their ≤ stride report offsets, and codes that do not
+// follow state IDs): an insertion pass moves each a short way back, and one
+// that would move further than sortReach hands the slice to slices.SortFunc,
+// so no input costs more than that pass and a sort.
 func SortReports(reports []Report) {
-	slices.SortFunc(reports, func(a, b Report) int {
-		return cmp.Or(cmp.Compare(a.BitPos, b.BitPos), cmp.Compare(a.Code, b.Code), cmp.Compare(a.State, b.State))
-	})
+	for i := 1; i < len(reports); i++ {
+		r, j := reports[i], i
+		for ; j > 0 && compareReports(r, reports[j-1]) < 0; j-- {
+			if i-j == sortReach {
+				reports[j] = r
+				slices.SortFunc(reports, compareReports)
+				return
+			}
+			reports[j] = reports[j-1]
+		}
+		reports[j] = r
+	}
+}
+
+// sortReach is how far SortReports moves one report back before it falls
+// back to a full sort.
+const sortReach = 32
+
+// compareReports orders reports by (BitPos, Code, State).
+func compareReports(a, b Report) int {
+	return cmp.Or(cmp.Compare(a.BitPos, b.BitPos), cmp.Compare(a.Code, b.Code), cmp.Compare(a.State, b.State))
 }
 
 // Run is a convenience one-shot execution. It uses the bit-parallel

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"impala/internal/automata"
@@ -236,4 +237,61 @@ func TestSortReportsAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, func() { copy(work, reports); SortReports(work) }); avg != 0 {
 		t.Errorf("SortReports of %d reports allocates %.1f objects, want 0", len(work), avg)
 	}
+}
+
+// FuzzSortReports holds SortReports to slices.SortFunc's order: on any input
+// the result is a permutation of it sorted by (BitPos, Code, State), and on
+// distinct keys it is exactly slices.SortFunc's result. Each pair of bytes is
+// a report; with climb set its BitPos is a running sum that falls only now
+// and then, the near-sorted order a session emits, which the insertion pass
+// serves, and otherwise it is the first byte, so the fallback sort is reached.
+func FuzzSortReports(f *testing.F) {
+	reversed := make([]byte, 0, 2*200)
+	for i := 200; i > 0; i-- {
+		reversed = append(reversed, byte(i), byte(i*7))
+	}
+	sameBitPos := make([]byte, 0, 2*100)
+	for i := 0; i < 100; i++ {
+		sameBitPos = append(sameBitPos, 9, byte(255-i))
+	}
+	f.Add(reversed, false)
+	f.Add(sameBitPos, false)
+	f.Add([]byte{3, 0x21, 1, 0x12, 0, 0x11, 2, 0x33, 0, 0x31}, true)
+	f.Add([]byte{}, false)
+	f.Fuzz(func(t *testing.T, data []byte, climb bool) {
+		in := make([]Report, len(data)/2)
+		pos := 0
+		for i := range in {
+			a, b := data[2*i], data[2*i+1]
+			if climb {
+				pos = max(0, pos+int(a%8)-1)
+			} else {
+				pos = int(a)
+			}
+			// Score tags each report with its input index, so got can be
+			// checked against the input one report at a time.
+			in[i] = Report{BitPos: pos, Code: int(b >> 4), State: automata.StateID(b & 15), Score: float64(i)}
+		}
+		got := slices.Clone(in)
+		SortReports(got)
+		seen := make([]bool, len(in))
+		for i, r := range got {
+			if k := int(r.Score); seen[k] || in[k] != r {
+				t.Fatalf("result is not a permutation of the input: %v at %d", r, i)
+			}
+			seen[int(r.Score)] = true
+			if i > 0 && compareReports(got[i-1], r) > 0 {
+				t.Fatalf("reports %d and %d out of order: %v, %v", i-1, i, got[i-1], r)
+			}
+		}
+		want := slices.Clone(in)
+		slices.SortFunc(want, compareReports)
+		distinct := true
+		for i := 1; i < len(want); i++ {
+			distinct = distinct && compareReports(want[i-1], want[i]) != 0
+		}
+		if distinct && !slices.Equal(got, want) {
+			t.Fatalf("distinct keys sort to %v, slices.SortFunc's %v", got, want)
+		}
+	})
 }
