@@ -6,8 +6,8 @@
 // score clears the threshold. With threshold 9, perfect (12) and
 // single-edit reads (9-10) rank; two-edit reads (<= 8) are filtered out.
 //
-// The same machine then scores a chunked stream, showing the scored
-// session path emitting final (window-merged) scores incrementally.
+// The same machine then scores a chunked stream: on a machine with a weight
+// table, NewStream emits final (window-merged) scores incrementally.
 package main
 
 import (
@@ -61,12 +61,8 @@ func main() {
 	}
 	var board []ranked
 	for _, r := range reads {
-		matches, err := m.MatchScored(r.seq)
-		if err != nil {
-			log.Fatal(err)
-		}
 		best := ranked{name: r.name, seq: r.seq}
-		for _, sm := range matches {
+		for _, sm := range m.Match(r.seq) {
 			if !best.hit || sm.Score > best.score {
 				best.score, best.hit = sm.Score, true
 			}
@@ -93,12 +89,9 @@ func main() {
 	// reads, scores emitted as each report's merge window closes.
 	fmt.Println()
 	stream := []byte("TTTTTTTT" + "ACGTTGCAACGT" + "TTTTTTTT" + "ACGTTGCAACGA" + "TTTTTTTT")
-	st, err := m.NewScoredStream(func(sm impala.ScoredMatch) {
-		fmt.Printf("stream: read ending at byte %d, score %g\n", sm.End, sm.Score)
+	st := m.NewStream(func(mt impala.Match) {
+		fmt.Printf("stream: read ending at byte %d, score %g\n", mt.End, mt.Score)
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	for i := 0; i < len(stream); i += 7 {
 		end := i + 7
 		if end > len(stream) {

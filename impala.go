@@ -52,8 +52,8 @@ type Config struct {
 	// Tier enables the hybrid execution plan: connected components of the
 	// compiled automaton whose subset construction stays within budget run
 	// on a dense DFA fast path, the rest on the bit-parallel NFA engine.
-	// Match and NewStream then run on the tiered engine; the plan travels
-	// inside the artifact, so loaded machines keep it.
+	// Match and NewStream then run on the tiered engine (unless Score is
+	// set); the plan travels inside the artifact, so loaded machines keep it.
 	Tier bool
 	// TierBudget caps each component's trial determinization in DFA states
 	// (0 = the dfa package default). Components that exceed it fall back to
@@ -61,8 +61,8 @@ type Config struct {
 	TierBudget int
 	// Shards > 1 partitions the compiled automaton's connected components
 	// into that many independent shard engines (size-balanced, whole
-	// components). Match and NewStream then execute all shards and merge
-	// reports — identical output, but with Tier set the DFA
+	// components). Match and NewStream then execute all shards (unless Score
+	// is set) and merge reports — identical output, but with Tier set the DFA
 	// budgets apply per shard (more states on the fast path). The shards
 	// step in lockstep on the calling goroutine, one core's work like
 	// every other form; concurrency across requests is the caller's. The
@@ -70,12 +70,13 @@ type Config struct {
 	Shards int
 	// Score attaches a per-transition weight table to the automaton passed
 	// to CompileAutomaton (it must validate against that automaton): the
-	// pipeline transforms it alongside the structure and the machine gains
-	// the scored execution paths (MatchScored, NewScoredStream) with
-	// max-plus accumulation and threshold reporting. The transformed table
-	// travels inside the artifact as the SCOR section, so loaded machines
-	// keep it. Tier and Shards compose with it: they plan Match and
-	// NewStream, and the scored paths run on one bit-parallel kernel.
+	// pipeline transforms it alongside the structure, and Match and NewStream
+	// then score — max-plus accumulation, only the hits that clear the
+	// table's threshold reported, each with its Match.Score. The transformed
+	// table travels inside the artifact as the SCOR section, so loaded
+	// machines keep it. Tier and Shards compose with it: their plans are
+	// sealed and summarized, and the scored form runs on one bit-parallel
+	// kernel.
 	Score *automata.Weights
 }
 
@@ -111,6 +112,11 @@ type Match struct {
 	// Pattern is the index of the matching pattern in the CompileRegex
 	// input slice.
 	Pattern int
+	// Score is the hit's accumulated max-plus score on a machine with a
+	// weight table: the best total transition weight over all paths that
+	// completed the match, saturated to ±automata.ScoreLimit. It is 0 on a
+	// binary machine.
+	Score float64
 }
 
 // Machine is a compiled, placed, configured pattern-matching engine. It is
@@ -123,32 +129,21 @@ type Machine struct {
 	transformed *automata.NFA
 	placement   *place.Placement
 	machine     *arch.Machine
-	// simc is the bit-parallel binary kernel; on a scored machine it is the
-	// kernel the scored form runs on, not a second copy.
-	simc *sim.Compiled
-	// tiered is the hybrid DFA/NFA execution form (nil unless Config.Tier
-	// was set or the loaded artifact carried a sealed plan).
+	// tiered is the hybrid DFA/NFA plan (nil unless Config.Tier was set or
+	// the loaded artifact carried a sealed plan).
 	tiered *dfa.Tiered
-	// sharded is the K-shard execution form (nil unless Config.Shards > 1
-	// or the loaded artifact carried a sealed partition).
+	// sharded is the K-shard plan (nil unless Config.Shards > 1 or the
+	// loaded artifact carried a sealed partition).
 	sharded *shard.Sharded
-	// serving is the one binary form Match and NewStream run on, picked when
-	// the machine is assembled: sharded over tiered over the plain kernel.
-	// All three share this method set.
+	// weights is the transformed weight table (nil unless Config.Score was
+	// set or the loaded artifact carried a SCOR section).
+	weights *automata.Weights
+	// serving is the one form Match and NewStream run on, picked when the
+	// machine is assembled (newMachine). Every form shares this method set.
 	serving interface {
 		Run(input []byte) ([]sim.Report, sim.Stats)
 		NewSession(sink sim.ReportSink) *sim.Session
 	}
-	// scored is the weighted execution form and weights its transformed
-	// weight table (nil unless Config.Score was set or the loaded artifact
-	// carried a SCOR section). The scored form steps the kernel of the
-	// sub-automaton without the states that can never clear the threshold
-	// (score.Compile), and its reports carry this automaton's state IDs;
-	// simc stays the full kernel, and the binary paths ignore the table:
-	// Match on a scored machine still reports every structural hit,
-	// threshold or not.
-	scored  *score.Compiled
-	weights *automata.Weights
 	// Pre-transformation shape and compile-stage trace, carried as plain
 	// values so a Machine loaded from an artifact (where the original
 	// automaton and live compile result no longer exist) reports the same
@@ -222,13 +217,12 @@ func CompileAutomaton(nfa *automata.NFA, cfg Config) (*Machine, error) {
 
 // newMachine is the one place a Machine is assembled, whether the plans come
 // out of the compile pipeline or out of an artifact: it builds the capsule
-// machine and the bit-parallel engines of the transformed automaton — with a
-// weight table the scored form, whose kernel is also the binary kernel, so
-// the automaton is compiled once (and the sub-automaton the scored engine
-// steps, when the threshold prunes) — and picks the serving form. A sharded
-// form holding a shard subset (a topology worker's) scores that subset only:
-// a score belongs to a state and a shard to whole components, so across the
-// workers every state is scored once.
+// machine and the one form Match and NewStream run, picked in one switch —
+// scored, sharded, tiered, then the plain bit-parallel kernel. A scored
+// machine keeps its tier and shard plans for Artifact and the summaries, but
+// steps neither. A sharded form holding a shard subset (a topology worker's)
+// scores that subset only: a score belongs to a state and a shard to whole
+// components, so across the workers every state is scored once.
 func newMachine(cfg Config, n *automata.NFA, pl *place.Placement, w *automata.Weights, tiered *dfa.Tiered, sharded *shard.Sharded) (*Machine, error) {
 	am, err := arch.Build(n, pl)
 	if err != nil {
@@ -238,30 +232,23 @@ func newMachine(cfg Config, n *automata.NFA, pl *place.Placement, w *automata.We
 		cfg: cfg, transformed: n, placement: pl, machine: am,
 		tiered: tiered, sharded: sharded, weights: w,
 	}
-	if w != nil {
-		sn, sw := n, w
+	switch {
+	case w != nil:
 		if sharded != nil {
 			if ids := sharded.States(); len(ids) < n.NumStates() {
-				sn, sw = n.Induced(ids), w.Induced(n, ids)
+				n, w = n.Induced(ids), w.Induced(n, ids)
 			}
 		}
-		if m.scored, err = score.Compile(sn, sw); err == nil && sn == n {
-			m.simc = m.scored.Kernel()
-		}
-	}
-	if err == nil && m.simc == nil {
-		m.simc, err = sim.Compile(n)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("impala: automaton does not compile: %w", err)
-	}
-	switch {
+		m.serving, err = score.Compile(n, w)
 	case sharded != nil:
 		m.serving = sharded
 	case tiered != nil:
 		m.serving = tiered
 	default:
-		m.serving = m.simc
+		m.serving, err = sim.Compile(n)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("impala: automaton does not compile: %w", err)
 	}
 	return m, nil
 }
@@ -428,18 +415,21 @@ func (m *Machine) Geometry() (bits, stride int) {
 
 // Run matches the input against all patterns using the capsule-level
 // machine (the hardware execution model) and returns matches sorted by end
-// offset.
+// offset. It is binary on every machine: no Score is set.
 func (m *Machine) Run(input []byte) []Match {
 	reports, _ := m.machine.Run(input)
 	return toMatches(reports)
 }
 
-// Simulate matches the input using the functional graph simulator instead
-// of the capsule-level machine. The two always agree; Simulate exists for
-// cross-checking and for workloads where the graph engine is faster. The
-// bit-parallel compiled form is built once per Machine and shared.
+// Simulate matches the input using the scalar functional graph simulator
+// instead of the capsule-level machine: the binary cross-check of Run, which
+// it always agrees with, on every machine. The error is the simulator's.
 func (m *Machine) Simulate(input []byte) ([]Match, error) {
-	reports, _ := m.simc.NewEngine().Run(input, nil)
+	e, err := sim.NewEngine(m.transformed)
+	if err != nil {
+		return nil, err
+	}
+	reports, _ := e.Run(input, nil)
 	return toMatches(reports), nil
 }
 
@@ -447,9 +437,13 @@ func (m *Machine) Simulate(input []byte) ([]Match, error) {
 // engine, so concurrent callers share the compiled form and steady-state
 // requests allocate no per-request engine. On a tiered machine the DFA
 // fast path handles its components with one table walk per sub-symbol; on
-// a sharded machine the shards step in lockstep. Whatever the form, a call
-// is one core's work on the calling goroutine; concurrency across requests
-// is the caller's. Reports are identical to Run and Simulate.
+// a sharded machine the shards step in lockstep; on a machine with a weight
+// table only the hits that clear its threshold are returned, each scored.
+// Whatever the form, a call is one core's work on the calling goroutine;
+// concurrency across requests is the caller's. Matches come in (End,
+// Pattern) order, one per distinct pair — the best score where several
+// reporting states denote it, the quantity the compile pipeline preserves
+// across geometries. A binary machine's matches are Run's and Simulate's.
 func (m *Machine) Match(input []byte) []Match {
 	reports, _ := m.serving.Run(input)
 	return toMatches(reports)
@@ -511,55 +505,22 @@ func (m *Machine) ShardInfo() *ShardInfo {
 	}
 }
 
-// ScoredMatch is one pattern hit with its accumulated max-plus score: the
-// best total transition weight over all paths that completed the match,
-// saturated to ±automata.ScoreLimit.
-type ScoredMatch struct {
-	Match
-	Score float64
-}
-
-// MatchScored matches input on the weighted engine and returns only the
-// hits whose accumulated score clears the machine's threshold, each with
-// its best score. Several reporting states can denote the same (End,
-// Pattern) hit; the returned score is the maximum over them — the quantity
-// the compile pipeline preserves across geometries. The machine must carry
-// a weight table (Config.Score at compile, or a loaded SCOR artifact).
-// Safe for concurrent use.
-func (m *Machine) MatchScored(input []byte) ([]ScoredMatch, error) {
-	if m.scored == nil {
+// MatchScored is Match on a machine that must carry a weight table.
+//
+// Deprecated: Match scores on a machine with a weight table.
+func (m *Machine) MatchScored(input []byte) ([]Match, error) {
+	if m.weights == nil {
 		return nil, fmt.Errorf("impala: machine carries no weight table (compile with Config.Score or load a scored artifact)")
 	}
-	reports, _ := m.scored.Run(input)
-	return toScoredMatches(reports), nil
-}
-
-// toScoredMatches folds reports, sorted by BitPos, into one row per (End,
-// Pattern) in first-report order, keeping the best score. Every duplicate of
-// a row lies inside the short run of reports sharing its End, which is the
-// tail of out, so the fold looks no further back than that.
-func toScoredMatches(reports []sim.Report) []ScoredMatch {
-	out := make([]ScoredMatch, 0, len(reports))
-next:
-	for _, r := range reports {
-		mt := Match{End: r.BitPos / 8, Pattern: r.Code}
-		for i := len(out) - 1; i >= 0 && out[i].End == mt.End; i-- {
-			if out[i].Pattern == mt.Pattern {
-				out[i].Score = max(out[i].Score, r.Score)
-				continue next
-			}
-		}
-		out = append(out, ScoredMatch{Match: mt, Score: r.Score})
-	}
-	return out
+	return m.Match(input), nil
 }
 
 // ScoreInfo summarizes the machine's sealed weight table for display (nil
 // when the machine carries none) — the whole table, also on a topology
 // worker that scores only its own shards.
 type ScoreInfo struct {
-	// Threshold is the report threshold: hits scoring below it are
-	// suppressed on the scored paths.
+	// Threshold is the report threshold: Match and NewStream suppress the
+	// hits scoring below it.
 	Threshold float64
 	// Edges is the number of weighted transitions in the sealed table.
 	Edges int
@@ -571,7 +532,7 @@ type ScoreInfo struct {
 
 // ScoreInfo returns the scoring summary, or nil for unscored machines.
 func (m *Machine) ScoreInfo() *ScoreInfo {
-	if m.scored == nil {
+	if m.weights == nil {
 		return nil
 	}
 	return &ScoreInfo{
@@ -587,31 +548,20 @@ func (m *Machine) ScoreInfo() *ScoreInfo {
 // steady state. Many streams may run concurrently over one Machine — the
 // compiled form is immutable and shared; each stream owns only its state
 // vectors. A Stream is not safe for concurrent use by itself.
-type Stream struct{ window }
-
-// ScoredStream is the weighted counterpart of Stream: bytes arrive in
-// arbitrary chunks and the callback fires once per distinct
-// threshold-clearing match with its best score. Because several reporting
-// states can denote the same (End, Pattern) hit in nearby cycles with
-// different scores, emission is deferred by the collision window: a match
-// fires only once every report that could still raise its score has
-// arrived (at most 8 cycles later), then carries the max. Flush drains the
-// window. Not safe for concurrent use by itself.
-type ScoredStream struct{ window }
-
-// window is what the two stream types share: the engine session and the
-// collision window over its reports, scored or not (a binary report's Score
-// is 0). Several split states can report the
-// same (End, Pattern) match in nearby cycles; reports arrive in cycle order,
-// and two can denote the same match only if their bit positions lie in the
-// same byte, which bounds their cycle distance by 8/bitsPerCycle < 8. So a
-// match is tracked for 8 cycles after its first report and then retired.
-// The window has two policies: a binary stream emits a match at its first
-// report and drops the duplicates; a scored stream (deferred) max-merges
-// the duplicates' scores and emits the match when it retires.
-type window struct {
+//
+// Several split states can report the same (End, Pattern) match in nearby
+// cycles; reports arrive in cycle order, and two can denote the same match
+// only if their bit positions lie in the same byte, which bounds their cycle
+// distance by 8/bitsPerCycle < 8. So the stream tracks a match for 8 cycles
+// after its first report (the collision window) and then retires it. On a
+// binary machine a match fires at its first report and the duplicates are
+// dropped. On a machine with a weight table the duplicates' scores can
+// differ, so emission is deferred: a match fires when it retires — once
+// every report that could still raise its score has arrived — carrying the
+// max, and Flush drains the window.
+type Stream struct {
 	sess         *sim.Session
-	emit         func(ScoredMatch) // nil to count only
+	emit         func(Match) // nil to count only
 	deferred     bool
 	bitsPerCycle int
 	curCycle     int
@@ -621,123 +571,106 @@ type window struct {
 }
 
 type windowEntry struct {
-	m   ScoredMatch
+	m   Match
 	cyc int
 }
 
-func (m *Machine) newWindow(deferred bool, emit func(ScoredMatch)) window {
-	return window{emit: emit, deferred: deferred, bitsPerCycle: m.transformed.BitsPerCycle(), curCycle: -1}
-}
-
 // NewStream opens an incremental stream over the machine. onMatch is
-// invoked once per distinct match as it completes (nil to count only).
+// invoked once per distinct match as it completes (nil to count only); on a
+// machine with a weight table, once per distinct threshold-clearing match,
+// with the best score over all reports that denote it.
 func (m *Machine) NewStream(onMatch func(Match)) *Stream {
-	s := &Stream{m.newWindow(false, nil)}
-	if onMatch != nil {
-		s.emit = func(sm ScoredMatch) { onMatch(sm.Match) }
-	}
+	s := &Stream{emit: onMatch, deferred: m.weights != nil, bitsPerCycle: m.transformed.BitsPerCycle(), curCycle: -1}
 	s.sess = m.serving.NewSession(s.report)
 	return s
 }
 
-// NewScoredStream opens an incremental scored stream over the machine.
-// onMatch is invoked once per distinct threshold-clearing match, carrying
-// the best score over all reports that denote it (nil to count only). The
-// machine must carry a weight table. Many scored streams may run
-// concurrently over one Machine.
-func (m *Machine) NewScoredStream(onMatch func(ScoredMatch)) (*ScoredStream, error) {
-	if m.scored == nil {
-		return nil, fmt.Errorf("impala: machine carries no weight table (compile with Config.Score or load a scored artifact)")
+func (s *Stream) report(r sim.Report) {
+	cyc := (r.BitPos - 1) / s.bitsPerCycle
+	if cyc > s.curCycle {
+		s.curCycle = cyc
+		s.retire(cyc - 8)
 	}
-	s := &ScoredStream{m.newWindow(true, onMatch)}
-	s.sess = m.scored.NewSession(s.report)
-	return s, nil
-}
-
-func (w *window) report(r sim.Report) {
-	cyc := (r.BitPos - 1) / w.bitsPerCycle
-	if cyc > w.curCycle {
-		w.curCycle = cyc
-		w.retire(cyc - 8)
-	}
-	mt := Match{End: r.BitPos / 8, Pattern: r.Code}
-	for i := range w.seen {
-		if e := &w.seen[i]; e.m.Match == mt {
-			if r.Score > e.m.Score {
-				e.m.Score = r.Score
-			}
+	end := r.BitPos / 8
+	for i := range s.seen {
+		if e := &s.seen[i]; e.m.End == end && e.m.Pattern == r.Code {
+			e.m.Score = max(e.m.Score, r.Score)
 			return
 		}
 	}
-	e := windowEntry{m: ScoredMatch{Match: mt, Score: r.Score}, cyc: cyc}
-	w.seen = append(w.seen, e)
-	if !w.deferred && w.emit != nil {
-		w.emit(e.m)
+	e := windowEntry{m: Match{End: end, Pattern: r.Code, Score: r.Score}, cyc: cyc}
+	s.seen = append(s.seen, e)
+	if !s.deferred && s.emit != nil {
+		s.emit(e.m)
 	}
 }
 
 // retire drops every entry first reported before cyc, emitting it when the
 // policy defers emission to this point.
-func (w *window) retire(cyc int) {
-	keep := w.seen[:0]
-	for _, e := range w.seen {
+func (s *Stream) retire(cyc int) {
+	keep := s.seen[:0]
+	for _, e := range s.seen {
 		if e.cyc >= cyc {
 			keep = append(keep, e)
-		} else if w.deferred && w.emit != nil {
-			w.emit(e.m)
+		} else if s.deferred && s.emit != nil {
+			s.emit(e.m)
 		}
 	}
-	w.seen = keep
+	s.seen = keep
 }
 
 // Feed consumes the next chunk of the stream; matches that complete inside
 // it (or that straddle earlier chunk boundaries) fire the callback — on a
-// scored stream, those whose collision window closes inside it, with their
-// final score. Match end offsets are absolute within the stream.
-func (w *window) Feed(chunk []byte) { w.sess.Feed(chunk) }
+// machine with a weight table, those whose collision window closes inside
+// it, with their final score. Match end offsets are absolute within the
+// stream.
+func (s *Stream) Feed(chunk []byte) { s.sess.Feed(chunk) }
 
 // Write implements io.Writer, so a stream can terminate any byte pipeline.
-func (w *window) Write(p []byte) (int, error) {
-	w.sess.Feed(p)
+func (s *Stream) Write(p []byte) (int, error) {
+	s.sess.Feed(p)
 	return len(p), nil
 }
 
-// Flush ends the stream, completing any final partial cycle; on a scored
-// stream every match still inside the collision window then fires. Feed
-// after Flush panics; Reset starts a new stream. Flush also empties the
-// collision window: the next stream run on this value starts clean, so a
-// legitimate repeat of an earlier match (same end offset and pattern in a
-// fresh stream) is never suppressed by stale entries.
-func (w *window) Flush() {
-	w.sess.Flush()
-	w.curCycle = -1
-	w.retire(int(^uint(0) >> 1))
+// Flush ends the stream, completing any final partial cycle; every match
+// still inside the collision window then fires if its emission was
+// deferred. Feed after Flush panics; Reset starts a new stream. Flush also
+// empties the collision window: the next stream run on this value starts
+// clean, so a legitimate repeat of an earlier match (same end offset and
+// pattern in a fresh stream) is never suppressed by stale entries.
+func (s *Stream) Flush() {
+	s.sess.Flush()
+	s.curCycle = -1
+	s.retire(int(^uint(0) >> 1))
 }
 
 // Reset returns the stream to the start-of-stream state for reuse; matches
-// a scored stream still holds in its window are dropped, not emitted.
-func (w *window) Reset() {
-	w.sess.Reset()
-	w.curCycle = -1
-	w.seen = w.seen[:0]
+// still held in the window for deferred emission are dropped, not emitted.
+func (s *Stream) Reset() {
+	s.sess.Reset()
+	s.curCycle = -1
+	s.seen = s.seen[:0]
 }
 
 // Stats returns the functional activity statistics of the stream so far.
-func (w *window) Stats() sim.Stats { return w.sess.Stats() }
+func (s *Stream) Stats() sim.Stats { return s.sess.Stats() }
 
-// toMatches is toScoredMatches without the scores: one Match per (End,
-// Pattern) of reports sorted by BitPos, in first-report order.
+// toMatches folds reports, sorted by BitPos, into one Match per (End,
+// Pattern) in first-report order, keeping the best score. Every duplicate of
+// a match lies inside the short run of reports sharing its End, which is the
+// tail of out, so the fold looks no further back than that.
 func toMatches(reports []sim.Report) []Match {
 	out := make([]Match, 0, len(reports))
 next:
 	for _, r := range reports {
-		mt := Match{End: r.BitPos / 8, Pattern: r.Code}
-		for i := len(out) - 1; i >= 0 && out[i].End == mt.End; i-- {
-			if out[i] == mt {
+		end := r.BitPos / 8
+		for i := len(out) - 1; i >= 0 && out[i].End == end; i-- {
+			if out[i].Pattern == r.Code {
+				out[i].Score = max(out[i].Score, r.Score)
 				continue next
 			}
 		}
-		out = append(out, mt)
+		out = append(out, Match{End: end, Pattern: r.Code, Score: r.Score})
 	}
 	return out
 }

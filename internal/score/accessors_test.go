@@ -26,9 +26,6 @@ func TestCompiledAccessors(t *testing.T) {
 	if c.Threshold() != -3 {
 		t.Fatalf("Threshold() = %g, want -3", c.Threshold())
 	}
-	if c.ResidualStates() < 0 || c.ResidualStates() > n.NumStates() {
-		t.Fatalf("ResidualStates() = %d out of range", c.ResidualStates())
-	}
 	if k := c.ScalarScoredStates(); k < 0 || k > n.NumStates() {
 		t.Fatalf("ScalarScoredStates() = %d out of range", k)
 	}

@@ -102,8 +102,12 @@ func (tr *cycleTracer) OnCycle(_ int, enabled, active bitvec.Words) {
 // of the active states that are heads, which the pass skips.
 func BenchmarkScoredRun(b *testing.B) {
 	c, input := dnaMesh(b)
+	kernel, err := sim.Compile(c.NFA())
+	if err != nil {
+		b.Fatal(err)
+	}
 	full, tr := &cycleTracer{}, &cycleTracer{c: c}
-	sim.RunBatch(c.kernel.NewEngine(), input, 0, full)
+	sim.RunBatch(kernel.NewEngine(), input, 0, full)
 	sim.RunBatch(c.NewEngine().kernel, input, 0, tr)
 	live := c.live.NFA().NumStates()
 	for _, form := range []struct {
@@ -111,7 +115,7 @@ func BenchmarkScoredRun(b *testing.B) {
 		run   func([]byte) ([]sim.Report, sim.Stats)
 		words *cycleTracer
 	}{
-		{"kernel", c.kernel.Run, full},
+		{"kernel", kernel.Run, full},
 		{"live kernel", c.live.Run, tr},
 		{"kernel+lane", sim.NewPool(func() sim.Core { return c.NewEngine().kernel }).Run, tr},
 		{"scored", c.Run, tr},

@@ -162,6 +162,10 @@ func TestThresholdPruneExact(t *testing.T) {
 	var pruned, prunedActive, prunedResidual int
 	for _, pc := range cases {
 		open, seen := pc.open(t)
+		full, err := sim.Compile(pc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ths := quantiles(open)
 		if m, ok := meshes[pc.name]; ok {
 			ths = append(ths, m.w.Threshold)
@@ -172,7 +176,7 @@ func TestThresholdPruneExact(t *testing.T) {
 				pruned += bitvec.Words{d}.Count()
 				prunedActive += bitvec.Words{d & seen[w]}.Count()
 			}
-			prunedResidual += c.kernel.ResidualStates() - c.live.ResidualStates()
+			prunedResidual += full.ResidualStates() - c.live.ResidualStates()
 		}
 	}
 	if pruned == 0 || prunedActive == 0 || prunedResidual == 0 {
@@ -226,7 +230,7 @@ func TestScoredStatsCountLiveStates(t *testing.T) {
 		for _, th := range append(quantiles(open), pc.w.Threshold) {
 			c := pc.compile(t, th)
 			_, got := c.Run(pc.input)
-			want := c.Kernel()
+			stepped := pc.n
 			if c.dead != nil {
 				var live []automata.StateID
 				for i := range pc.n.States {
@@ -234,13 +238,14 @@ func TestScoredStatsCountLiveStates(t *testing.T) {
 						live = append(live, automata.StateID(i))
 					}
 				}
-				var err error
-				if want, err = sim.Compile(pc.n.Induced(live)); err != nil {
-					t.Fatal(err)
-				}
+				stepped = pc.n.Induced(live)
 				pruned++
 			} else {
 				whole++
+			}
+			want, err := sim.Compile(stepped)
+			if err != nil {
+				t.Fatal(err)
 			}
 			// Reports counts only what clears the gate.
 			_, st := want.Run(pc.input)
@@ -255,7 +260,11 @@ func TestScoredStatsCountLiveStates(t *testing.T) {
 
 	c := mesh.compile(t, mesh.w.Threshold)
 	_, scored := c.Run(mesh.input)
-	if _, full := c.Kernel().Run(mesh.input); scored.TotalEnabled >= full.TotalEnabled {
+	kernel, err := sim.Compile(mesh.n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, full := kernel.Run(mesh.input); scored.TotalEnabled >= full.TotalEnabled {
 		t.Errorf("the pruned mesh enables %d states over the input, the full kernel %d: want fewer", scored.TotalEnabled, full.TotalEnabled)
 	}
 	// In the last two shapes the first live state — the state fed only by a

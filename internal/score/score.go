@@ -27,8 +27,7 @@
 // vector and is never enabled, active, scored or reported. At run time the
 // gate compares each report's score with it and gives the report its state's
 // ID in the full automaton. The reports that clear the threshold, scores and
-// states included, are exactly those of the unpruned kernel, in its order;
-// Kernel is still the full binary kernel.
+// states included, are exactly those of the unpruned kernel, in its order.
 //
 // A scored report is a sim.Report with its Score set, so the scored form runs
 // on the same session, the same pooled one-shot runner and the same report
@@ -45,22 +44,23 @@ import (
 	"impala/internal/sim"
 )
 
-// Compiled is the immutable scored form of a weighted automaton: the binary
-// kernel (a sim.Compiled, which owns every table the enable, match and
-// report phases read), the kernel the scored engine steps, and only what
-// scoring adds — the flat in-edge table, start weights and the report
-// threshold, O(states + edges) in all. Safe to share across goroutines;
-// per-stream state lives in Engine.
+// Compiled is the immutable scored form of a weighted automaton: the kernel
+// the scored engine steps (a sim.Compiled, which owns every table the
+// enable, match and report phases read) and only what scoring adds — the
+// flat in-edge table, start weights and the report threshold, O(states +
+// edges) in all. Safe to share across goroutines; per-stream state lives in
+// Engine.
 type Compiled struct {
-	kernel *sim.Compiled
-	// live is the kernel the scored engine steps: kernel itself, or, when
-	// some states are threshold-dead, the kernel of the sub-automaton the
-	// live states induce. The scoring tables below are indexed by its states.
+	// nfa is the automaton the form was compiled from.
+	nfa *automata.NFA
+	// live is the kernel the scored engine steps: nfa's, or, when some states
+	// are threshold-dead, the kernel of the sub-automaton the live states
+	// induce. The scoring tables below are indexed by its states.
 	live *sim.Compiled
 	// dead is the set of threshold-dead states, nil when there are none; orig
-	// then maps live's state i to its ID in kernel (nil when live is kernel).
+	// then maps live's state i to its ID in nfa (nil when nothing is dead).
 	// The live states keep their order, so orig is ascending and a cycle's
-	// reports leave the gate in the order kernel emits them.
+	// reports leave the gate in the order nfa's kernel would emit them.
 	dead bitvec.Words
 	orig []automata.StateID
 
@@ -82,10 +82,10 @@ type Compiled struct {
 	pool *sim.Pool
 }
 
-// Compile builds the scored form: the binary kernel of n, and the kernel of
-// the sub-automaton without w's threshold-dead states with the scoring tables
-// of w beside it. The weight table must validate against n; neither may be
-// mutated while the compiled form is in use.
+// Compile builds the scored form: the one kernel its engine steps — n's, or
+// that of the sub-automaton without w's threshold-dead states — with the
+// scoring tables of w beside it. The weight table must validate against n;
+// neither may be mutated while the compiled form is in use.
 func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 	if w == nil {
 		return nil, fmt.Errorf("score: Compile requires a weight table (use sim.Compile for binary execution)")
@@ -93,13 +93,11 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 	if err := w.Validate(n); err != nil {
 		return nil, err
 	}
-	kernel, err := sim.Compile(n)
-	if err != nil {
+	if err := n.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Compiled{
-		kernel:      kernel,
-		live:        kernel,
+		nfa:         n,
 		threshold:   w.Threshold,
 		mixedStates: w.MixedStates(n),
 	}
@@ -113,10 +111,11 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 		}
 		w = w.Induced(n, c.orig)
 		n = n.Induced(c.orig)
-		if c.live, err = sim.Compile(n); err != nil {
-			return nil, err
-		}
 		c.transpose(n, w)
+	}
+	var err error
+	if c.live, err = sim.Compile(n); err != nil {
+		return nil, err
 	}
 	c.startW = append([]float64(nil), w.Start...)
 	c.heads = bitvec.NewWords(n.NumStates())
@@ -282,19 +281,11 @@ func (c *Compiled) NewSession(sink sim.ReportSink) *sim.Session {
 	return sim.NewSession(c.NewEngine(), sink)
 }
 
-// Kernel returns the binary compiled form the scored form is built on: the
-// same automaton with the weights ignored, every state included — not the
-// live sub-automaton's kernel the scored engine steps.
-func (c *Compiled) Kernel() *sim.Compiled { return c.kernel }
-
 // NFA returns the automaton this form was compiled from.
-func (c *Compiled) NFA() *automata.NFA { return c.kernel.NFA() }
+func (c *Compiled) NFA() *automata.NFA { return c.nfa }
 
 // Threshold returns the report threshold baked into the compiled form.
 func (c *Compiled) Threshold() float64 { return c.threshold }
-
-// ResidualStates returns the number of states on the scalar match path.
-func (c *Compiled) ResidualStates() int { return c.kernel.ResidualStates() }
 
 // ScalarScoredStates returns the number of states whose in-edges carry
 // heterogeneous weights: a property of the weight table, counted once at
@@ -396,7 +387,7 @@ func (e *Engine) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSi
 	e.sink = sink
 	if tracer != nil && e.c.orig != nil {
 		if e.trace.enabled == nil {
-			ns := e.c.kernel.NFA().NumStates()
+			ns := e.c.nfa.NumStates()
 			e.trace = origTracer{orig: e.c.orig, enabled: bitvec.NewWords(ns), active: bitvec.NewWords(ns)}
 		}
 		e.trace.to, tracer = tracer, &e.trace

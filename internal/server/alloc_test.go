@@ -95,24 +95,43 @@ func TestMatchHandlerZeroRowAllocs(t *testing.T) {
 
 // TestStreamHandlerAllocs: what a /stream costs does not depend on how many
 // rows it reports — rows are appended to a pooled buffer, not boxed and
-// encoded one by one.
+// encoded one by one. A quiet binary stream costs at most 19 objects:
+// net/http's, the session's and the handler's closures. A scored one adds the
+// scored engine's 4 (the engine, its score buffers, its gate and its lane),
+// and its window, which defers each row over several cycles, holds more
+// matches at once, so its slice grows once more under dense traffic.
 func TestStreamHandlerAllocs(t *testing.T) {
 	s := New(Config{})
 	t.Cleanup(s.Drain)
-	s.Tenants().Install("alloc", compileMachine(t, []string{"needle"}))
+	s.Tenants().Install("binary", compileMachine(t, []string{"needle"}))
+	s.Tenants().Install("scored", compileScoredMachine(t))
 	quiet := bytes.Repeat([]byte("x"), 64<<10)
-	dense := bytes.Repeat([]byte("xxxxxxxxxxneedle"), 4096)
-
-	none, w := handlerAllocs(t, s.Handler(), "/v1/alloc/stream", quiet, "")
-	if w.n != len(`{"done":true,"bytes":65536,"matches":0}`+"\n") {
-		t.Fatalf("quiet stream wrote %d bytes", w.n)
-	}
-	many, w := handlerAllocs(t, s.Handler(), "/v1/alloc/stream", dense, "")
-	if w.n < 4096*len(`{"end":0,"pattern":0}`+"\n") {
-		t.Fatalf("dense stream wrote %d bytes: not 4,096 rows", w.n)
-	}
-	t.Logf("/stream: %.0f objects with no rows, %.0f with 4,096", none, many)
-	if many-none > 2 {
-		t.Errorf("4,096 rows cost %.0f objects more than none, want <= 2", many-none)
+	for _, tc := range []struct {
+		tenant      string
+		dense       []byte // 4,096 rows or more
+		row         string // the shortest row dense reports
+		quiet, rows float64
+	}{
+		{"binary", bytes.Repeat([]byte("xxxxxxxxxxneedle"), 4096), `{"end":0,"pattern":0}`, 19, 2},
+		{"scored", bytes.Repeat([]byte("xxxxxxxxACGTACGT"), 4096), `{"end":0,"pattern":0,"score":5}`, 23, 3},
+	} {
+		t.Run(tc.tenant, func(t *testing.T) {
+			path := "/v1/" + tc.tenant + "/stream"
+			none, w := handlerAllocs(t, s.Handler(), path, quiet, "")
+			if w.n != len(`{"done":true,"bytes":65536,"matches":0}`+"\n") {
+				t.Fatalf("quiet stream wrote %d bytes", w.n)
+			}
+			many, w := handlerAllocs(t, s.Handler(), path, tc.dense, "")
+			if w.n < 4096*len(tc.row+"\n") {
+				t.Fatalf("dense stream wrote %d bytes: not 4,096 rows", w.n)
+			}
+			t.Logf("/stream: %.0f objects with no rows, %.0f with 4,096 or more", none, many)
+			if none > tc.quiet {
+				t.Errorf("a quiet stream costs %.0f objects, want <= %.0f", none, tc.quiet)
+			}
+			if many-none > tc.rows {
+				t.Errorf("4,096 rows cost %.0f objects more than none, want <= %.0f", many-none, tc.rows)
+			}
+		})
 	}
 }

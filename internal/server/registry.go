@@ -42,11 +42,21 @@ type Tenant struct {
 	// LoadedAt is the install time.
 	LoadedAt time.Time
 	// scored is whether the machine carries a weight table — whether the
-	// tenant serves scored or binary rows — decided once, at install.
+	// tenant serves scored or binary rows (appendRow) — decided once, at
+	// install.
 	scored bool
 	// nameJSON is Name as a quoted JSON string, escaped once, at install:
 	// what every /match document of the tenant opens with.
 	nameJSON []byte
+}
+
+// appendRow appends mt as one of the tenant's rows, without a separator:
+// with its score on a scored tenant, the binary row's exact bytes otherwise.
+func (t *Tenant) appendRow(dst []byte, mt impala.Match) []byte {
+	if t.scored {
+		return appendScoredRow(dst, mt.End, mt.Pattern, mt.Score)
+	}
+	return appendMatchRow(dst, mt.End, mt.Pattern)
 }
 
 // Registry is the tenant table. Readers (the request path) take an atomic

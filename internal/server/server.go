@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -43,11 +42,10 @@ type scratch struct {
 
 	// The one-shot task. match is runMatch bound once, when the scratch is
 	// made, so handing it to the pool allocates nothing; it runs tenant's
-	// machine over body and leaves the engine's rows in matches or scored.
+	// machine over body and leaves the engine's rows in matches.
 	tenant  *Tenant
 	match   func()
 	matches []impala.Match
-	scored  []impala.ScoredMatch
 
 	name []byte        // frontend: the tenant name, quoted
 	legs []workerMatch // frontend: one leg per worker, each with its scratch
@@ -56,20 +54,12 @@ type scratch struct {
 	out  []byte
 }
 
-func (sc *scratch) runMatch() {
-	// A tenant whose artifact sealed a weight table serves threshold-filtered
-	// scored rows; binary tenants keep the exact pre-scoring response bytes.
-	if sc.tenant.scored {
-		sc.scored, _ = sc.tenant.Machine.MatchScored(sc.body.Bytes())
-	} else {
-		sc.matches = sc.tenant.Machine.Match(sc.body.Bytes())
-	}
-}
+func (sc *scratch) runMatch() { sc.matches = sc.tenant.Machine.Match(sc.body.Bytes()) }
 
 // release returns the scratch to the pool holding buffers only: an idle
 // scratch must not pin a tenant's machine or a request's rows.
 func (sc *scratch) release() {
-	sc.limit.R, sc.tenant, sc.matches, sc.scored = nil, nil, nil, nil
+	sc.limit.R, sc.tenant, sc.matches = nil, nil, nil
 	for i := range sc.legs {
 		sc.legs[i].sc.release()
 	}
@@ -293,40 +283,20 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	elapsed := time.Since(t0)
 	s.m.matchLatency.Observe(elapsed.Nanoseconds())
-	matches, scored := sc.matches, sc.scored
-	s.m.reports.Add(int64(len(matches) + len(scored)))
+	s.m.reports.Add(int64(len(sc.matches)))
 
-	// The engine's own slice is sorted into the canonical order and encoded
-	// from where it lies: no row is copied or boxed on the way out.
+	// The engine's own slice, already in the canonical (end, pattern) order
+	// of the serving boundary (see rowLess), is encoded from where it lies:
+	// no row is copied or boxed on the way out.
 	out := appendMatchHead(sc.out[:0], t.nameJSON, t.Generation, len(body))
-	if t.scored {
-		slices.SortFunc(scored, func(a, b impala.ScoredMatch) int { return cmpMatch(a.Match, b.Match) })
-		for i := range scored {
-			if i > 0 {
-				out = append(out, ',')
-			}
-			out = appendScoredRow(out, scored[i].End, scored[i].Pattern, scored[i].Score)
+	for i, mt := range sc.matches {
+		if i > 0 {
+			out = append(out, ',')
 		}
-	} else {
-		slices.SortFunc(matches, cmpMatch)
-		for i, mt := range matches {
-			if i > 0 {
-				out = append(out, ',')
-			}
-			out = appendMatchRow(out, mt.End, mt.Pattern)
-		}
+		out = t.appendRow(out, mt)
 	}
 	sc.out = appendMatchTail(out, elapsed.Microseconds())
 	writeJSON(w, sc.out)
-}
-
-// cmpMatch orders matches by (end, pattern): the canonical row order of the
-// serving boundary (see rowLess).
-func cmpMatch(a, b impala.Match) int {
-	if a.End != b.End {
-		return a.End - b.End
-	}
-	return a.Pattern - b.Pattern
 }
 
 // writeJSON sends a complete, already encoded JSON response in one Write.
@@ -401,32 +371,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		out = out[:0]
 	}
 	var total, nmatches int64
-	// Scored tenants stream scored rows; the window-deferred emission means
-	// a row appears once its score can no longer change (at most a few
-	// cycles after the match), with the remainder drained at Flush.
-	var stream interface {
-		Feed([]byte)
-		Flush()
-	}
-	row := func(sm impala.ScoredMatch) {
+	// A scored tenant's stream defers a row until its score can no longer
+	// change (at most a few cycles after the match), with the remainder
+	// drained at Flush.
+	stream := t.Machine.NewStream(func(mt impala.Match) {
 		if gone {
 			return
 		}
 		nmatches++
-		if t.scored {
-			out = appendScoredRow(out, sm.End, sm.Pattern, sm.Score)
-		} else {
-			out = appendMatchRow(out, sm.End, sm.Pattern)
-		}
-		if out = append(out, '\n'); len(out) > cap(out)-wireRowMax {
+		if out = append(t.appendRow(out, mt), '\n'); len(out) > cap(out)-wireRowMax {
 			write()
 		}
-	}
-	if t.scored {
-		stream, _ = t.Machine.NewScoredStream(row)
-	} else {
-		stream = t.Machine.NewStream(func(mt impala.Match) { row(impala.ScoredMatch{Match: mt}) })
-	}
+	})
 	// emit sends what the last chunk produced; false once the client is gone.
 	emit := func() bool {
 		if len(out) > 0 && !gone {

@@ -309,8 +309,8 @@ type matchDoc struct {
 
 // parseMatchDoc parses a worker's /match reply for the tenant whose quoted
 // name is tenantJSON, appending the rows to rows[:0]. Rows must be of one
-// kind and strictly ascending in (end, pattern) — the order the handler
-// sorts them into and appendMergedRows relies on. It allocates nothing but
+// kind and strictly ascending in (end, pattern) — the order Machine.Match
+// returns them in, and appendMergedRows relies on. It allocates nothing but
 // the row slice, when rows is too small, sized from the reply.
 func parseMatchDoc(b, tenantJSON []byte, rows []wireRow) (matchDoc, error) {
 	var doc matchDoc

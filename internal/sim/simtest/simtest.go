@@ -130,6 +130,9 @@ func Cases(t testing.TB) []*Case {
 	src := regexc.MustCompile([]regexc.Rule{
 		{Pattern: "impala", Code: 1}, {Pattern: "bl[ao]ck", Code: 2}, {Pattern: "^head", Code: 3},
 		{Pattern: "e+dge", Code: 4}, {Pattern: "x[yz]+w", Code: 5}, {Pattern: "go+al", Code: 6},
+		// Two rules that end where another does, one with a lower code: rows
+		// that tie on End, which the facade orders by pattern.
+		{Pattern: "dge", Code: 7}, {Pattern: "ck", Code: 0},
 	})
 	words := []string{"head ", "impala ", "block ", "black ", "eedge ", "xyzzw ", "goooal ", "gal ", "edge", "bla", "xw "}
 	var text strings.Builder

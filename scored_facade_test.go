@@ -2,14 +2,15 @@ package impala
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"os"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"impala/internal/automata"
+	"impala/internal/score"
 	"impala/internal/sim"
 	"impala/internal/workload"
 )
@@ -43,33 +44,38 @@ func scoredFixture(t *testing.T, cfg Config) (*Machine, []byte) {
 	return m, input
 }
 
-func sortScored(ms []ScoredMatch) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].End != ms[j].End {
-			return ms[i].End < ms[j].End
-		}
-		return ms[i].Pattern < ms[j].Pattern
-	})
+func sortMatches(ms []Match) {
+	slices.SortFunc(ms, func(a, b Match) int { return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Pattern, b.Pattern)) })
 }
 
-// TestMatchScored: the scored one-shot reports only threshold-clearing
-// hits, every hit is also a binary match, and the summary accessors
-// describe the sealed table.
+// key is a match without its score.
+func key(mt Match) [2]int { return [2]int{mt.End, mt.Pattern} }
+
+// TestMatchScored: a scored machine's Match reports only threshold-clearing
+// hits, every hit is also one of the binary Simulate's, the deprecated
+// MatchScored is Match, and the summary accessors describe the sealed table.
 func TestMatchScored(t *testing.T) {
 	m, input := scoredFixture(t, DefaultConfig())
-	if m.scored.Kernel() != m.simc {
-		t.Fatal("scored machine holds two binary compiled forms: the scored form's kernel is not the machine's simc")
+	if _, ok := m.serving.(*score.Compiled); !ok {
+		t.Fatalf("scored machine serves %T, not the scored form", m.serving)
 	}
-	scored, err := m.MatchScored(input)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scored := m.Match(input)
 	if len(scored) == 0 {
 		t.Fatal("no scored matches — fixture input is inert")
 	}
-	binary := make(map[Match]bool)
-	for _, mt := range m.Match(input) {
-		binary[mt] = true
+	if old, err := m.MatchScored(input); err != nil || !reflect.DeepEqual(old, scored) {
+		t.Fatalf("MatchScored = %v (%v), Match %v", old, err, scored)
+	}
+	structural, err := m.Simulate(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary := make(map[[2]int]bool)
+	for _, mt := range structural {
+		if mt.Score != 0 {
+			t.Fatalf("Simulate scores %+v", mt)
+		}
+		binary[key(mt)] = true
 	}
 	if len(scored) >= len(binary) {
 		t.Fatalf("threshold suppressed nothing: %d scored vs %d binary", len(scored), len(binary))
@@ -78,23 +84,23 @@ func TestMatchScored(t *testing.T) {
 	if info == nil || info.Threshold != 5 || info.Edges == 0 {
 		t.Fatalf("score info %+v", info)
 	}
-	seen := make(map[Match]bool)
+	seen := make(map[[2]int]bool)
 	for _, s := range scored {
 		if s.Score < info.Threshold {
 			t.Fatalf("match %+v below threshold", s)
 		}
-		if !binary[s.Match] {
+		if !binary[key(s)] {
 			t.Fatalf("scored match %+v not in binary output", s)
 		}
-		if seen[s.Match] {
+		if seen[key(s)] {
 			t.Fatalf("duplicate scored match %+v", s)
 		}
-		seen[s.Match] = true
+		seen[key(s)] = true
 	}
 }
 
 // TestScoredArtifactRoundTrip: the weight table rides the artifact, and the
-// loaded machine compiles its automaton once. (That it scores as the saved
+// loaded machine serves the scored form. (That it scores as the saved
 // machine does is TestSpine's "artifact, scored".)
 func TestScoredArtifactRoundTrip(t *testing.T) {
 	m, _ := scoredFixture(t, DefaultConfig())
@@ -109,21 +115,18 @@ func TestScoredArtifactRoundTrip(t *testing.T) {
 	if loaded.ScoreInfo() == nil {
 		t.Fatal("weight table lost in artifact round trip")
 	}
-	if loaded.scored.Kernel() != loaded.simc {
-		t.Fatal("loaded scored machine compiled its automaton twice")
+	if _, ok := loaded.serving.(*score.Compiled); !ok {
+		t.Fatalf("loaded scored machine serves %T, not the scored form", loaded.serving)
 	}
 }
 
 // TestScoredComposesWithPlans: Score with Tier or Shards compiles into a
 // machine that keeps every plan through an artifact round trip and scores as
-// the untiered, unsharded one does; scored paths on an unscored machine
-// error.
+// the untiered, unsharded one does; MatchScored on an unscored machine
+// errors.
 func TestScoredComposesWithPlans(t *testing.T) {
 	m, input := scoredFixture(t, DefaultConfig())
-	want, err := m.MatchScored(input)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := m.Match(input)
 	for _, cfg := range []Config{{StrideDims: 4, Tier: true}, {StrideDims: 4, Shards: 3}, {StrideDims: 4, Tier: true, Shards: 3}} {
 		m, _ := scoredFixture(t, cfg)
 		var buf bytes.Buffer
@@ -138,8 +141,8 @@ func TestScoredComposesWithPlans(t *testing.T) {
 			if (m.TierInfo() != nil) != (cfg.Shards == 0) || (m.ShardInfo() != nil) != (cfg.Shards == 3) || m.ScoreInfo() == nil {
 				t.Fatalf("%+v: tier plan %+v, shard plan %+v, score table %+v", cfg, m.TierInfo(), m.ShardInfo(), m.ScoreInfo())
 			}
-			if got, err := m.MatchScored(input); err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%+v: scores %v (%v), want %v", cfg, got, err, want)
+			if got := m.Match(input); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: scores %v, want %v", cfg, got, want)
 			}
 		}
 	}
@@ -150,9 +153,6 @@ func TestScoredComposesWithPlans(t *testing.T) {
 	if _, err := plain.MatchScored([]byte("abc")); err == nil {
 		t.Fatal("MatchScored on unscored machine succeeded")
 	}
-	if _, err := plain.NewScoredStream(nil); err == nil {
-		t.Fatal("NewScoredStream on unscored machine succeeded")
-	}
 	if plain.ScoreInfo() != nil {
 		t.Fatal("ScoreInfo non-nil on unscored machine")
 	}
@@ -162,17 +162,9 @@ func TestScoredComposesWithPlans(t *testing.T) {
 // Stats accounts the fed bytes. (A Reset mid-stream is in TestSpine's sweep.)
 func TestScoredStreamWriteResetStats(t *testing.T) {
 	m, input := scoredFixture(t, DefaultConfig())
-	want, err := m.MatchScored(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortScored(want)
-
-	var got []ScoredMatch
-	st, err := m.NewScoredStream(func(sm ScoredMatch) { got = append(got, sm) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := m.Match(input)
+	var got []Match
+	st := m.NewStream(func(mt Match) { got = append(got, mt) })
 	for i := 0; i < len(input); i += 9 {
 		end := i + 9
 		if end > len(input) {
@@ -184,7 +176,7 @@ func TestScoredStreamWriteResetStats(t *testing.T) {
 		}
 	}
 	st.Flush()
-	sortScored(got)
+	sortMatches(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Write-fed stream diverges from one-shot:\n got: %v\nwant: %v", got, want)
 	}
@@ -214,22 +206,12 @@ func TestScoredMachineFromFile(t *testing.T) {
 	if loaded.ScoreInfo() == nil {
 		t.Fatal("weight table lost through LoadMachineFile")
 	}
-	want, err := m.MatchScored(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.MatchScored(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortScored(want)
-	sortScored(got)
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(loaded.Match(input), m.Match(input)) {
 		t.Fatal("file-loaded scored matches diverge")
 	}
 }
 
-// The run fold of toMatches/toScoredMatches against the map it replaced:
+// The run fold of toMatches against the map it replaced:
 // same rows, same first-report order, best score kept — on sorted reports
 // whose bytes hold several bit positions, several states per pattern and
 // several patterns.
@@ -241,29 +223,19 @@ func TestMatchFoldEqualsMapFold(t *testing.T) {
 			reports[i] = sim.Report{BitPos: 4 * r.Intn(24), Code: r.Intn(4), State: automata.StateID(r.Intn(6)), Score: float64(r.Intn(9))}
 		}
 		sim.SortReports(reports)
-		idx := map[Match]int{}
-		var want []ScoredMatch
+		idx := map[[2]int]int{}
+		var want []Match
 		for _, rep := range reports {
-			mt := Match{End: rep.BitPos / 8, Pattern: rep.Code}
-			if j, ok := idx[mt]; ok {
+			mt := Match{End: rep.BitPos / 8, Pattern: rep.Code, Score: rep.Score}
+			if j, ok := idx[key(mt)]; ok {
 				want[j].Score = max(want[j].Score, rep.Score)
 				continue
 			}
-			idx[mt] = len(want)
-			want = append(want, ScoredMatch{Match: mt, Score: rep.Score})
+			idx[key(mt)] = len(want)
+			want = append(want, mt)
 		}
-		got := toScoredMatches(reports)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: scored fold\n got %v\nwant %v\nof %v", trial, got, want, reports)
-		}
-		rows := toMatches(reports)
-		for i := range want {
-			if i >= len(rows) || rows[i] != want[i].Match {
-				t.Fatalf("trial %d: fold\n got %v\nwant the matches of %v", trial, rows, want)
-			}
-		}
-		if len(rows) != len(want) {
-			t.Fatalf("trial %d: fold has %d rows, want %d", trial, len(rows), len(want))
+		if got := toMatches(reports); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: fold\n got %v\nwant %v\nof %v", trial, got, want, reports)
 		}
 	}
 }

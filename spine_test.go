@@ -21,33 +21,32 @@ import (
 //   - the scalar engine over the 8-bit source;
 //   - Match and NewStream of the plain, tiered (at the case's split budget),
 //     3-shard and tiered 3-shard machines and of the plain, tiered and tiered
-//     3-shard ones under random weights and the open threshold, whose
-//     MatchScored and NewScoredStream too, and the capsule-level Run and the
-//     graph-level Simulate of the plain one;
+//     3-shard ones under random weights and the open threshold, and the
+//     capsule-level Run and the graph-level Simulate of the plain one;
 //   - each of the seven saved, loaded and rebuilt by MachineFromArtifact, the
 //     plain one stamped with a build time, the tiered 3-shard ones placed on
 //     two domains;
 //   - the machines MachineFromArtifactDomain builds for those domains, merged
 //     as the cluster frontend merges them, scored and binary.
 //
-// Each machine must carry the tier, shard and score summaries its
+// Every one-shot must come out in (End, Pattern) order, which /match encodes
+// as it lies. Each machine must carry the tier, shard and score summaries its
 // configuration calls for (and the tiered ones a DFA on some case); a loaded
 // one must keep its Model, geometry, summaries, design point and scores and
 // save back the bytes it was loaded from, as must each domain's, which must
-// also summarize the score table as the whole machine does; a scored stream
-// must score each row as the one-shot does; a domain must score what it
-// matches, and the domains' scores, merged, must be the whole machine's.
+// also summarize the score table as the whole machine does; a stream must
+// score each row as the one-shot does; the domains' scores, merged, must be
+// the whole machine's.
 func TestSpine(t *testing.T) {
 	dfas := map[string]bool{}
 	var last *simtest.Case
 	var forms map[string]simtest.Form
 	var rows []simtest.Row
 	for _, name := range []string{"8-bit source, scalar engine", "facade, plain", "facade, tiered", "facade, 3 shards",
-		"facade, 3 shards, tiered", "facade, scored", "facade, scored, binary", "facade, scored, tiered", "facade, scored, tiered, binary",
-		"facade, scored, 3 shards, tiered", "facade, scored, 3 shards, tiered, binary", "facade, capsule-level Run", "facade, Simulate",
-		"artifact, plain", "artifact, tiered", "artifact, 3 shards", "artifact, 3 shards, tiered", "artifact, scored", "artifact, scored, binary",
-		"artifact, scored, tiered", "artifact, scored, tiered, binary", "artifact, scored, 3 shards, tiered", "artifact, scored, 3 shards, tiered, binary",
-		"per-domain machines, merged", "per-domain scored machines, merged", "per-domain scored machines, binary, merged"} {
+		"facade, 3 shards, tiered", "facade, scored", "facade, scored, tiered", "facade, scored, 3 shards, tiered",
+		"facade, capsule-level Run", "facade, Simulate", "artifact, plain", "artifact, tiered", "artifact, 3 shards",
+		"artifact, 3 shards, tiered", "artifact, scored", "artifact, scored, tiered", "artifact, scored, 3 shards, tiered",
+		"per-domain machines, merged", "per-domain scored machines, merged"} {
 		rows = append(rows, simtest.Row{Name: name, Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
 			if c != last {
 				last, forms = c, facadeForms(t, c, dfas)
@@ -106,31 +105,24 @@ func facadeForms(t testing.TB, c *simtest.Case, dfas map[string]bool) map[string
 			a.Meta.CreatedUnix = 1700000000 // as impalac stamps it
 		}
 		loaded, la, saved := reload(t, c.Name+", "+config, m, a)
-		forms["facade, "+config], forms["artifact, "+config] = matches(t, c, m, scored), matches(t, c, loaded, scored)
-		want := map[impala.Match]float64{}
-		if scored {
-			forms["facade, "+config+", binary"], forms["artifact, "+config+", binary"] = matches(t, c, m, false), matches(t, c, loaded, false)
-			sms, _ := m.MatchScored(c.Input)
-			if got, _ := loaded.MatchScored(c.Input); !reflect.DeepEqual(got, sms) {
-				t.Fatalf("%s, %s: the loaded machine scores %v, the saved one %v", c.Name, config, got, sms)
-			}
-			for _, sm := range sms {
-				want[sm.Match] = sm.Score
-			}
+		forms["facade, "+config], forms["artifact, "+config] = matches(t, c, m), matches(t, c, loaded)
+		want := m.Match(c.Input)
+		if got := loaded.Match(c.Input); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, %s: the loaded machine matches %v, the saved one %v", c.Name, config, got, want)
 		}
 		if config == "plain" {
-			forms["facade, capsule-level Run"] = simtest.Form{Run: func(in []byte) ([]sim.Report, sim.Stats) { return matchRows(m.Run(in)), sim.Stats{} }, Rows: true}
+			forms["facade, capsule-level Run"] = simtest.Form{Run: func(in []byte) ([]sim.Report, sim.Stats) { return matchRows(t, c, m.Run(in)), sim.Stats{} }, Rows: true}
 			forms["facade, Simulate"] = simtest.Form{Run: func(in []byte) ([]sim.Report, sim.Stats) {
 				ms, err := m.Simulate(in)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return matchRows(ms), sim.Stats{}
+				return matchRows(t, c, ms), sim.Stats{}
 			}, Rows: true}
 		}
 		if la.Topo != nil {
-			var workers, binary []simtest.Form
-			got := map[impala.Match]float64{}
+			var workers []simtest.Form
+			got := map[[2]int]float64{}
 			for _, domain := range la.Topo.Topology.Names() {
 				w, err := impala.MachineFromArtifactDomain(la, domain)
 				if err != nil {
@@ -142,26 +134,21 @@ func facadeForms(t testing.TB, c *simtest.Case, dfas map[string]bool) map[string
 				if got := w.ScoreInfo(); !reflect.DeepEqual(got, sc) {
 					t.Fatalf("%s, %s: domain %s's machine summarizes the score table as %+v, the whole machine as %+v", c.Name, config, domain, got, sc)
 				}
-				workers, binary = append(workers, matches(t, c, w, scored)), append(binary, matches(t, c, w, false))
-				sms, _ := w.MatchScored(c.Input)
-				if scored && len(sms) != len(w.Match(c.Input)) {
-					t.Fatalf("%s, %s: domain %s scores %d rows and matches %d", c.Name, config, domain, len(sms), len(w.Match(c.Input)))
-				}
-				for _, sm := range sms {
-					if s, ok := got[sm.Match]; !ok || sm.Score > s {
-						got[sm.Match] = sm.Score
+				workers = append(workers, matches(t, c, w))
+				for _, mt := range w.Match(c.Input) {
+					if s, ok := got[key(mt)]; !ok || mt.Score > s {
+						got[key(mt)] = mt.Score
 					}
 				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, %s: the domains score %v, the whole machine %v", c.Name, config, got, want)
+			if whole := scores(want); !reflect.DeepEqual(got, whole) {
+				t.Fatalf("%s, %s: the domains score %v, the whole machine %v", c.Name, config, got, whole)
 			}
-			name := "per-domain machines"
+			name := "per-domain machines, merged"
 			if scored {
-				name = "per-domain scored machines"
-				forms[name+", binary, merged"] = simtest.Merged(binary...)
+				name = "per-domain scored machines, merged"
 			}
-			forms[name+", merged"] = simtest.Merged(workers...)
+			forms[name] = simtest.Merged(workers...)
 		}
 	}
 	return forms
@@ -204,59 +191,46 @@ func reload(t testing.TB, name string, m *impala.Machine, a *artifact.Artifact) 
 	return lm, la, saved
 }
 
-func matchRows(ms []impala.Match) []sim.Report {
+// matchRows is the facade's matches as rows, which must come in strictly
+// ascending (End, Pattern) order.
+func matchRows(t testing.TB, c *simtest.Case, ms []impala.Match) []sim.Report {
 	out := make([]sim.Report, len(ms))
 	for i, mt := range ms {
+		if i > 0 && (mt.End < ms[i-1].End || mt.End == ms[i-1].End && mt.Pattern <= ms[i-1].Pattern) {
+			t.Fatalf("%s: match %d, %+v, comes after %+v: out of (End, Pattern) order", c.Name, i, mt, ms[i-1])
+		}
 		out[i] = simtest.MatchRow(mt.End, mt.Pattern)
 	}
 	return out
 }
 
-// matches is a machine's facade form: Match and NewStream, or MatchScored
-// and NewScoredStream, whose every row must carry the score the one-shot
-// gives it over the case's input.
-func matches(t testing.TB, c *simtest.Case, m *impala.Machine, scored bool) simtest.Form {
-	if !scored {
-		return simtest.Form{
-			Open: func(sink sim.ReportSink) simtest.Stream {
-				return m.NewStream(func(mt impala.Match) { sink(simtest.MatchRow(mt.End, mt.Pattern)) })
-			},
-			Run:  func(in []byte) ([]sim.Report, sim.Stats) { return matchRows(m.Match(in)), sim.Stats{} },
-			Rows: true,
-		}
+// key is a match without its score.
+func key(mt impala.Match) [2]int { return [2]int{mt.End, mt.Pattern} }
+
+// scores maps each match to its score.
+func scores(ms []impala.Match) map[[2]int]float64 {
+	out := make(map[[2]int]float64, len(ms))
+	for _, mt := range ms {
+		out[key(mt)] = mt.Score
 	}
-	matchScored := func(in []byte) []impala.ScoredMatch {
-		sms, err := m.MatchScored(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sms
-	}
-	scores := map[impala.Match]float64{}
-	for _, sm := range matchScored(c.Input) {
-		scores[sm.Match] = sm.Score
-	}
-	row := func(sm impala.ScoredMatch) sim.Report {
-		if want, ok := scores[sm.Match]; ok && sm.Score != want {
-			t.Fatalf("%s: match %+v scores %g, the one-shot %g", c.Name, sm.Match, sm.Score, want)
-		}
-		return simtest.MatchRow(sm.End, sm.Pattern)
-	}
+	return out
+}
+
+// matches is a machine's facade form, Match and NewStream, whose every
+// stream row must carry the score the one-shot gives it over the case's
+// input (0 on a binary machine).
+func matches(t testing.TB, c *simtest.Case, m *impala.Machine) simtest.Form {
+	want := scores(m.Match(c.Input))
 	return simtest.Form{
 		Open: func(sink sim.ReportSink) simtest.Stream {
-			s, err := m.NewScoredStream(func(sm impala.ScoredMatch) { sink(row(sm)) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+			return m.NewStream(func(mt impala.Match) {
+				if s, ok := want[key(mt)]; ok && mt.Score != s {
+					t.Fatalf("%s: match %+v scores %g, the one-shot %g", c.Name, mt, mt.Score, s)
+				}
+				sink(simtest.MatchRow(mt.End, mt.Pattern))
+			})
 		},
-		Run: func(in []byte) ([]sim.Report, sim.Stats) {
-			var out []sim.Report
-			for _, sm := range matchScored(in) {
-				out = append(out, row(sm))
-			}
-			return out, sim.Stats{}
-		},
+		Run:  func(in []byte) ([]sim.Report, sim.Stats) { return matchRows(t, c, m.Match(in)), sim.Stats{} },
 		Rows: true,
 	}
 }
