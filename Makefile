@@ -22,9 +22,11 @@ all: check
 # streams, bounded match pool, artifact codec), the tiered engine (pooled
 # cores shared across Run callers, parallel simultaneous-DFA build), the
 # sharded engine (concurrent shard construction, pooled lockstep cores), the
-# topology placer (deterministic placement under GA worker pools), and the
+# topology placer (deterministic placement under GA worker pools), the
 # scored engine (its pooled sessions, one sim.Pool like every form's, shared
-# across Run callers, its metrics published per block).
+# across Run callers, its metrics published per block), and the facade (the
+# capsule machine a Machine's first Run builds once, whichever goroutine gets
+# there).
 check: fmt-check build vet test bench-build bench-smoke fuzz-smoke test-race
 
 build:
@@ -70,12 +72,14 @@ bench-smoke:
 # encoding/json writes; the parsers a frontend reads worker replies with never
 # panic, stay inside their allocation budget, and accept only what an encoder
 # writes), the /match, /stream and /reload handlers (no panic, a
-# documented status, an allocation budget linear in the request), and the
+# documented status, an allocation budget linear in the request), the
 # scored form's threshold pruning (a thresholded form reports the open
-# threshold's reports that clear it, and no pruned state is ever active), and
-# the report sort (SortReports orders as slices.SortFunc does). A failure
-# leaves its input under the package's testdata/fuzz, where plain `go test`
-# replays it from then on.
+# threshold's reports that clear it, and no pruned state is ever active), the
+# report sort (SortReports orders as slices.SortFunc does), and the capsule
+# placement check (arch.Check refuses exactly what arch.Build refuses, with
+# its error, and a machine it accepts reports what the simulator does). A
+# failure leaves its input under the package's testdata/fuzz, where plain `go
+# test` replays it from then on.
 define FUZZ
 ./internal/artifact FuzzLoad
 ./internal/regexc   FuzzCompile
@@ -89,6 +93,7 @@ define FUZZ
 ./internal/server   FuzzReloadHandler
 ./internal/score    FuzzThresholdPrune
 ./internal/sim      FuzzSortReports
+./internal/arch     FuzzCheck
 endef
 export FUZZ
 
@@ -102,7 +107,7 @@ fuzz-smoke:
 # the instrumented shard engine past the frontend it is timed against (the
 # subtest runs, race-free, in bench-build).
 test-race:
-	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/espresso/... ./internal/place/... ./internal/arch/... ./internal/obs/... ./internal/par/... ./internal/server/... ./internal/artifact/... ./internal/dfa/... ./internal/backend/... ./internal/shard/... ./internal/topo/... ./internal/score/... ./internal/workload/...
+	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/espresso/... ./internal/place/... ./internal/arch/... ./internal/obs/... ./internal/par/... ./internal/server/... ./internal/artifact/... ./internal/dfa/... ./internal/backend/... ./internal/shard/... ./internal/topo/... ./internal/score/... ./internal/workload/... .
 	$(GO) -C benchmark test -race -short -skip 'TestWorkloads/snort_shard_cluster' ./...
 
 # The gated experiments: experiment, committed baseline. `bench` rewrites the

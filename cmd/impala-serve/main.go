@@ -205,8 +205,9 @@ func loadTenants(srv *server.Server, dir, domain string) {
 		if si := t.Machine.ScoreInfo(); si != nil {
 			suffix += fmt.Sprintf(", scored (threshold %g)", si.Threshold)
 		}
+		md := t.Machine.Model()
 		fmt.Fprintf(os.Stderr, "impala-serve: tenant %q: %d states, %d-bit stride-%d, %d groups (%s)%s\n",
-			name, t.Machine.Model().States, bits, stride, t.Machine.Model().G4s, path, suffix)
+			name, md.States, bits, stride, md.G4s, path, suffix)
 	}
 }
 

@@ -8,10 +8,13 @@
 //
 // The package is a thin facade: give it regex rules and a design point, get
 // back a Machine that matches input streams exactly as the hardware would,
-// along with the performance model for that configuration.
+// along with the performance model for that configuration. Match and
+// NewStream serve on a bit-parallel compiled form; Run executes the
+// capsule-level machine, whose bitstream images the first Run builds from
+// the checked placement.
 //
 //	m, err := impala.CompileRegex([]string{"GET /", "POST /"}, impala.DefaultConfig())
-//	matches := m.Run(packetBytes)
+//	matches := m.Match(packetBytes) // the serving path; m.Run is its hardware twin
 //	model := m.Model() // 80 Gbps, mm², states, ...
 package impala
 
@@ -19,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"impala/internal/anml"
 	"impala/internal/arch"
@@ -128,7 +132,10 @@ type Machine struct {
 	cfg         Config
 	transformed *automata.NFA
 	placement   *place.Placement
-	machine     *arch.Machine
+	// capsule is the capsule-level machine Run executes, built from the
+	// placement on the first Run: nothing on the serving side reads it, so
+	// a tenant that only serves never pays for its fabric images.
+	capsule func() *arch.Machine
 	// tiered is the hybrid DFA/NFA plan (nil unless Config.Tier was set or
 	// the loaded artifact carried a sealed plan).
 	tiered *dfa.Tiered
@@ -215,23 +222,36 @@ func CompileAutomaton(nfa *automata.NFA, cfg Config) (*Machine, error) {
 	return mach, nil
 }
 
+// buildCapsule configures the capsule machine a Machine's first Run
+// executes; tests swap it to count builds.
+var buildCapsule = arch.Build
+
 // newMachine is the one place a Machine is assembled, whether the plans come
-// out of the compile pipeline or out of an artifact: it builds the capsule
-// machine and the one form Match and NewStream run, picked in one switch —
-// scored, sharded, tiered, then the plain bit-parallel kernel. A scored
-// machine keeps its tier and shard plans for Artifact and the summaries, but
-// steps neither. A sharded form holding a shard subset (a topology worker's)
-// scores that subset only: a score belongs to a state and a shard to whole
-// components, so across the workers every state is scored once.
+// out of the compile pipeline or out of an artifact: it checks that the
+// placement builds a capsule machine (arch.Check, which allocates no
+// fabric; Run builds the machine on first use) and builds the one form
+// Match and NewStream run, picked in one switch — scored, sharded, tiered,
+// then the plain bit-parallel kernel. A scored machine keeps its tier and
+// shard plans for Artifact and the summaries, but steps neither. A sharded
+// form holding a shard subset (a topology worker's) scores that subset only:
+// a score belongs to a state and a shard to whole components, so across the
+// workers every state is scored once.
 func newMachine(cfg Config, n *automata.NFA, pl *place.Placement, w *automata.Weights, tiered *dfa.Tiered, sharded *shard.Sharded) (*Machine, error) {
-	am, err := arch.Build(n, pl)
-	if err != nil {
+	if err := arch.Check(n, pl); err != nil {
 		return nil, fmt.Errorf("impala: placement does not build: %w", err)
 	}
 	m := &Machine{
-		cfg: cfg, transformed: n, placement: pl, machine: am,
+		cfg: cfg, transformed: n, placement: pl,
 		tiered: tiered, sharded: sharded, weights: w,
 	}
+	m.capsule = sync.OnceValue(func() *arch.Machine {
+		am, err := buildCapsule(m.transformed, m.placement)
+		if err != nil {
+			panic(fmt.Sprintf("impala: checked placement does not build: %v", err))
+		}
+		return am
+	})
+	var err error
 	switch {
 	case w != nil:
 		if sharded != nil {
@@ -282,11 +302,12 @@ func (m *Machine) Artifact() *artifact.Artifact {
 // SaveArtifact writes the machine's compiled artifact to w.
 func (m *Machine) SaveArtifact(w io.Writer) error { return m.Artifact().Save(w) }
 
-// LoadMachine reconstructs a Machine from a saved artifact: the capsule
-// machine is rebuilt from the stored placement and the bit-parallel
-// compiled form from the stored automaton — no compile-pipeline stage
-// runs. The result matches byte-identically with the machine that was
-// saved.
+// LoadMachine reconstructs a Machine from a saved artifact: the stored
+// placement is checked to build a capsule machine (the same checks, and
+// errors, as at compile time) and the serving form is compiled from the
+// stored automaton and plans — no compile-pipeline stage runs, and the
+// capsule machine itself is built only by the first Run. The result matches
+// byte-identically with the machine that was saved.
 func LoadMachine(r io.Reader) (*Machine, error) {
 	a, err := artifact.Load(r)
 	if err != nil {
@@ -305,11 +326,11 @@ func LoadMachineFile(path string) (*Machine, error) {
 }
 
 // MachineFromArtifact builds the execution engines from an already decoded
-// artifact. The facade executes only the default Impala target (the capsule
-// machine it rebuilds assumes the G4 fabric): artifacts sealed for another
-// backend are rejected with backend.ErrMismatch rather than silently run
-// under the wrong hardware model — impala-serve tenants and impala-sim
-// -load both go through here.
+// artifact. The facade executes only the default Impala target (the
+// placement it checks, and the capsule machine Run builds from it, assume
+// the G4 fabric): artifacts sealed for another backend are rejected with
+// backend.ErrMismatch rather than silently run under the wrong hardware
+// model — impala-serve tenants and impala-sim -load both go through here.
 func MachineFromArtifact(a *artifact.Artifact) (*Machine, error) {
 	return machineFromArtifact(a, nil)
 }
@@ -415,9 +436,12 @@ func (m *Machine) Geometry() (bits, stride int) {
 
 // Run matches the input against all patterns using the capsule-level
 // machine (the hardware execution model) and returns matches sorted by end
-// offset. It is binary on every machine: no Score is set.
+// offset. It is binary on every machine: no Score is set. The first call
+// builds the capsule machine's subarray and switch images from the
+// placement (about 80 KB per G4, once per Machine, whichever goroutine gets
+// there first); the serving path never reads them.
 func (m *Machine) Run(input []byte) []Match {
-	reports, _ := m.machine.Run(input)
+	reports, _ := m.capsule().Run(input)
 	return toMatches(reports)
 }
 
@@ -719,7 +743,7 @@ func (m *Machine) Model() Model {
 		G4s:              len(m.placement.G4s),
 		AreaMM2:          area.TotalMM2(),
 		ThroughputPerMM2: arch.ThroughputPerArea(d, m.transformed.NumStates()),
-		BitstreamBytes:   m.machine.BitstreamBytes(),
+		BitstreamBytes:   arch.BitstreamBytes(m.transformed.Bits, m.transformed.Stride, m.placement),
 	}
 	for _, s := range m.stages {
 		md.CompileStages = append(md.CompileStages, StageInfo{Name: s.Name, States: s.States, Transitions: s.Transitions})

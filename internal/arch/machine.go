@@ -50,35 +50,141 @@ type slotReport struct {
 	offset int
 }
 
-// Build configures a machine from a capsule-legal automaton and a valid
-// placement of it.
-func Build(n *automata.NFA, p *place.Placement) (*Machine, error) {
+// Check reports whether Build would configure a machine from n and p: it
+// makes every check Build makes, in the same order and with the same errors
+// — the automaton validates, the placement routes every transition, covers
+// every state exactly once with each group the size of its fabric, every
+// state is capsule-legal and every edge stays inside its group on a route
+// the fabric covers — but allocates no fabric.
+func Check(n *automata.NFA, p *place.Placement) error {
+	_, err := check(n, p)
+	return err
+}
+
+// loc is a state's switch group and group-local slot.
+type loc struct{ group, slot int32 }
+
+// check is Check, returning every state's location for Build.
+func check(n *automata.NFA, p *place.Placement) ([]loc, error) {
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("arch: Build input invalid: %w", err)
 	}
 	if !p.Valid() {
 		return nil, fmt.Errorf("arch: placement has %d uncovered transitions", p.TotalUncovered)
 	}
-	m := &Machine{Bits: n.Bits, Stride: n.Stride}
-	domain := automata.DomainSize(n.Bits)
-
-	// Map every state to (group, slot).
-	type loc struct {
-		group int
-		slot  int
+	locs := make([]loc, n.NumStates())
+	for i := range locs {
+		locs[i].group = -1
 	}
-	locOf := make(map[automata.StateID]loc, n.NumStates())
+	placed, extra := 0, 0
 	for gi, g := range p.G4s {
 		for slot, id := range g.Slots {
-			if id >= 0 {
-				locOf[id] = loc{group: gi, slot: slot}
+			switch {
+			case id < 0:
+			case int(id) >= len(locs) || locs[id].group >= 0:
+				extra++
+			default:
+				locs[id] = loc{group: int32(gi), slot: int32(slot)}
+				placed++
 			}
 		}
 	}
-	if len(locOf) != n.NumStates() {
-		return nil, fmt.Errorf("arch: placement covers %d of %d states", len(locOf), n.NumStates())
+	if placed != n.NumStates() {
+		return nil, fmt.Errorf("arch: placement covers %d of %d states", placed, n.NumStates())
 	}
+	if extra > 0 {
+		return nil, fmt.Errorf("arch: placement fills %d more slots than its %d states", extra, n.NumStates())
+	}
+	for _, gp := range p.G4s {
+		if slots := fabricSlots(gp.Hierarchical); len(gp.Slots) != slots {
+			return nil, fmt.Errorf("arch: placement group has %d slots, fabric %d", len(gp.Slots), slots)
+		}
+	}
+	for i := range n.States {
+		s := &n.States[i]
+		if _, err := capsuleRect(s.Match, i); err != nil {
+			return nil, err
+		}
+		l, route := locs[i], interconnect.CheckG4
+		if p.G4s[l.group].Hierarchical {
+			route = interconnect.CheckG16
+		}
+		for _, t := range s.Out {
+			tl := locs[t]
+			if tl.group != l.group {
+				return nil, fmt.Errorf("arch: edge %d->%d crosses switch groups", i, t)
+			}
+			if err := route(int(l.slot), int(tl.slot)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return locs, nil
+}
 
+// capsuleRect returns the one rect a capsule-legal match set denotes. A set
+// with exactly one non-empty rect is that rect; only otherwise does it pay
+// for Normalize, which can still fold a set down to one rect.
+func capsuleRect(ms automata.MatchSet, state int) (automata.Rect, error) {
+	var rect automata.Rect
+	for _, r := range ms {
+		if r.Empty() {
+			continue
+		}
+		if rect != nil {
+			rect = nil
+			break
+		}
+		rect = r
+	}
+	if rect != nil {
+		return rect, nil
+	}
+	cover := ms.Normalize()
+	if len(cover) != 1 {
+		return nil, fmt.Errorf("arch: state %d is not capsule-legal (%d rects); run Refine first", state, len(cover))
+	}
+	return cover[0], nil
+}
+
+// fabricSlots is the state capacity of a G4 or, hierarchical, a G16.
+func fabricSlots(hierarchical bool) int {
+	if hierarchical {
+		return interconnect.G16Size
+	}
+	return interconnect.G4Size
+}
+
+// BitstreamBytes returns the configuration payload, in bytes, of the machine
+// Build configures from placement p at the given symbol geometry: per group,
+// one (domain × 256) matching subarray per 256-slot block and dimension plus
+// the switch images of its fabric. It reads only the placement's group
+// kinds, so it costs no fabric.
+func BitstreamBytes(bits, stride int, p *place.Placement) int {
+	total := 0
+	for _, g := range p.G4s {
+		total += groupBytes(bits, stride, g.Hierarchical)
+	}
+	return total
+}
+
+func groupBytes(bits, stride int, hierarchical bool) int {
+	sw := interconnect.G4ConfigBytes
+	if hierarchical {
+		sw = interconnect.G16ConfigBytes
+	}
+	return fabricSlots(hierarchical)*stride*automata.DomainSize(bits)/8 + sw
+}
+
+// Build configures a machine from a capsule-legal automaton and a valid
+// placement of it: Check, then the subarray and switch images.
+func Build(n *automata.NFA, p *place.Placement) (*Machine, error) {
+	locs, err := check(n, p)
+	if err != nil {
+		return nil, err
+	}
+	m := &Machine{Bits: n.Bits, Stride: n.Stride}
+	domain := automata.DomainSize(n.Bits)
 	for _, gp := range p.G4s {
 		var fabric interconnect.Fabric
 		if gp.Hierarchical {
@@ -87,9 +193,6 @@ func Build(n *automata.NFA, p *place.Placement) (*Machine, error) {
 			fabric = interconnect.NewG4()
 		}
 		slots := fabric.Slots()
-		if len(gp.Slots) != slots {
-			return nil, fmt.Errorf("arch: placement group has %d slots, fabric %d", len(gp.Slots), slots)
-		}
 		blocks := slots / interconnect.LocalSwitchSize
 		u := &Group{
 			Switches: fabric,
@@ -115,38 +218,30 @@ func Build(n *automata.NFA, p *place.Placement) (*Machine, error) {
 
 	for i := range n.States {
 		s := &n.States[i]
-		cover := s.Match.Normalize()
-		if len(cover) != 1 {
-			return nil, fmt.Errorf("arch: state %d is not capsule-legal (%d rects); run Refine first", i, len(cover))
-		}
-		rect := cover[0]
-		l := locOf[automata.StateID(i)]
-		u := m.Groups[l.group]
-		block, col := l.slot/interconnect.LocalSwitchSize, l.slot%interconnect.LocalSwitchSize
+		rect, _ := capsuleRect(s.Match, i)
+		l := locs[i]
+		u, slot := m.Groups[l.group], int(l.slot)
+		block, col := slot/interconnect.LocalSwitchSize, slot%interconnect.LocalSwitchSize
 		for d := 0; d < n.Stride; d++ {
 			for _, v := range rect[d].Values() {
 				u.Match[block][d].Set(int(v), col)
 			}
 		}
-		u.occupied.Set(l.slot)
-		u.states[l.slot] = automata.StateID(i)
+		u.occupied.Set(slot)
+		u.states[slot] = automata.StateID(i)
 		switch s.Start {
 		case automata.StartAllInput:
-			u.always.Set(l.slot)
+			u.always.Set(slot)
 		case automata.StartOfData:
-			u.anchored.Set(l.slot)
+			u.anchored.Set(slot)
 		case automata.StartEven:
-			u.even.Set(l.slot)
+			u.even.Set(slot)
 		}
 		if s.Report {
-			u.reports[l.slot] = slotReport{report: true, code: s.ReportCode, offset: s.ReportOffset}
+			u.reports[slot] = slotReport{report: true, code: s.ReportCode, offset: s.ReportOffset}
 		}
 		for _, t := range s.Out {
-			tl := locOf[t]
-			if tl.group != l.group {
-				return nil, fmt.Errorf("arch: edge %d->%d crosses switch groups", i, t)
-			}
-			if err := u.Switches.Connect(l.slot, tl.slot); err != nil {
+			if err := u.Switches.Connect(slot, int(locs[t].slot)); err != nil {
 				return nil, err
 			}
 		}
@@ -319,16 +414,12 @@ func (m *Machine) Run(input []byte) ([]sim.Report, ActivityStats) {
 
 // BitstreamBytes returns the total configuration payload size of the
 // machine in bytes (matching subarrays + switch images), the quantity the
-// host transfers over memory-mapped I/O at configuration time.
+// host transfers over memory-mapped I/O at configuration time: the
+// package-level BitstreamBytes over its groups' fabric kinds.
 func (m *Machine) BitstreamBytes() int {
 	total := 0
 	for _, u := range m.Groups {
-		for b := range u.Match {
-			for _, mat := range u.Match[b] {
-				total += mat.Rows() * mat.Cols() / 8
-			}
-		}
-		total += u.Switches.ConfigBytes()
+		total += groupBytes(m.Bits, m.Stride, u.Switches.Slots() == interconnect.G16Size)
 	}
 	return total
 }

@@ -62,13 +62,67 @@ func TestMachineRejectsNonCapsuleLegal(t *testing.T) {
 func TestMachineBitstreamBytes(t *testing.T) {
 	n := automata.New(8, 1)
 	n.AddLiteral("ab", automata.StartAllInput, 1)
-	m, _ := compileAndBuild(t, n, core.Config{TargetBits: 4, StrideDims: 4})
-	got := m.BitstreamBytes()
-	// One G4: 4 blocks × 4 dims × (16×256)/8 + 4 locals × 256×256/8 + global.
-	want := 4*4*16*256/8 + 4*256*256/8 + 256*256/8
-	if got != want {
-		t.Fatalf("BitstreamBytes = %d, want %d", got, want)
+	res, err := core.Compile(n, core.Config{TargetBits: 4, StrideDims: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
+	ring := hierarchicalRing(1300)
+	for _, tc := range []struct {
+		name string
+		n    *automata.NFA
+		seed int64
+		want int
+	}{
+		// One G4: 4 blocks × 4 dims × (16×256)/8 + 4 locals × 256×256/8 + global.
+		{"G4, 4-bit x 4", res.NFA, 1, 4*4*16*256/8 + 4*256*256/8 + 256*256/8},
+		// One G16: 16 blocks × 1 dim × (256×256)/8 + 4 G4s' switches + hyper.
+		{"G16, 8-bit x 1", ring, 2, 16*256*256/8 + 4*5*256*256/8 + 256*256/8},
+	} {
+		p, err := place.Place(tc.n, place.Options{Seed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := arch.Build(tc.n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := arch.BitstreamBytes(tc.n.Bits, tc.n.Stride, p); got != tc.want {
+			t.Errorf("%s: BitstreamBytes = %d, want %d", tc.name, got, tc.want)
+		}
+		if got := builtBytes(m); got != tc.want {
+			t.Errorf("%s: the built machine's images hold %d bytes, want %d", tc.name, got, tc.want)
+		}
+	}
+	// The placement formula, and Machine.BitstreamBytes with it, is the bytes
+	// of the images Build allocates on every placed spine case and a G16.
+	for _, c := range checkPairs(t) {
+		m, err := arch.Build(c.n, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := builtBytes(m)
+		if got := arch.BitstreamBytes(c.n.Bits, c.n.Stride, c.p); got != want {
+			t.Errorf("%s: BitstreamBytes = %d, the built images %d", c.name, got, want)
+		}
+		if got := m.BitstreamBytes(); got != want {
+			t.Errorf("%s: Machine.BitstreamBytes = %d, the built images %d", c.name, got, want)
+		}
+	}
+}
+
+// builtBytes counts a built machine's subarray matrices and its fabrics'
+// switch payloads.
+func builtBytes(m *arch.Machine) int {
+	total := 0
+	for _, u := range m.Groups {
+		for _, dims := range u.Match {
+			for _, mat := range dims {
+				total += mat.Rows() * mat.Cols() / 8
+			}
+		}
+		total += u.Switches.ConfigBytes()
+	}
+	return total
 }
 
 func TestMachineSquashedDesign(t *testing.T) {
@@ -99,28 +153,7 @@ func ExampleDesign_ThroughputGbps() {
 // capsule machine must agree with the functional simulator across the
 // hyper switch.
 func TestMachineHierarchicalG16(t *testing.T) {
-	n := automata.New(8, 1)
-	const L = 1300
-	prev := automata.StateID(-1)
-	for i := 0; i < L; i++ {
-		kind := automata.StartNone
-		if i == 0 {
-			kind = automata.StartAllInput
-		}
-		id := n.AddState(automata.State{
-			Match:        automata.MatchSet{automata.Rect{bitvec.ByteOf(byte('a' + i%4))}},
-			Start:        kind,
-			Report:       i == L-1,
-			ReportCode:   1,
-			ReportOffset: 1,
-		})
-		if prev >= 0 {
-			n.AddEdge(prev, id)
-		}
-		prev = id
-	}
-	// A long-distance loop so the hyper switch is actually used.
-	n.AddEdge(prev, 0)
+	n := hierarchicalRing(1300)
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
 	}

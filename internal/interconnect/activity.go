@@ -51,13 +51,7 @@ func (g *G4) Activity(active bitvec.Words) (localBlocks, globalReads, crossSigna
 }
 
 // ConfigBytes implements Fabric.
-func (g *G4) ConfigBytes() int {
-	total := 0
-	for _, l := range g.Locals {
-		total += l.Rows() * l.Cols() / 8
-	}
-	return total + g.Global.Rows()*g.Global.Cols()/8
-}
+func (g *G4) ConfigBytes() int { return G4ConfigBytes }
 
 // Slots implements Fabric.
 func (g *G16) Slots() int { return G16Size }
@@ -92,10 +86,4 @@ func (g *G16) Activity(active bitvec.Words) (localBlocks, globalReads, crossSign
 }
 
 // ConfigBytes implements Fabric.
-func (g *G16) ConfigBytes() int {
-	total := g.Hyper.Rows() * g.Hyper.Cols() / 8
-	for _, u := range g.G4s {
-		total += u.ConfigBytes()
-	}
-	return total
-}
+func (g *G16) ConfigBytes() int { return G16ConfigBytes }

@@ -25,6 +25,9 @@ const (
 	G16Size = G4Size * G4sPerG16
 	// HyperSwitchSize is the hyper switch side: 4 G4 × 4 blocks × 16 = 256.
 	HyperSwitchSize = G4sPerG16 * LocalsPerG4 * SuperPortNodes
+	// G16ConfigBytes is one G16's switch-image payload: its four G4s' and
+	// the hyper switch's.
+	G16ConfigBytes = G4sPerG16*G4ConfigBytes + HyperSwitchSize*HyperSwitchSize/8
 )
 
 // CoveredG16 reports whether a transition between two G16-local indices
@@ -38,6 +41,21 @@ func CoveredG16(src, dst int) bool {
 		return Covered(src%G4Size, dst%G4Size)
 	}
 	return src%LocalSwitchSize < SuperPortNodes && dst%LocalSwitchSize < SuperPortNodes
+}
+
+// CheckG16 returns the error G16.Connect returns for src -> dst, or nil when
+// the G16 fabric covers the pair.
+func CheckG16(src, dst int) error {
+	if src < 0 || src >= G16Size || dst < 0 || dst >= G16Size {
+		return fmt.Errorf("interconnect: G16 index out of range (%d,%d)", src, dst)
+	}
+	if src/G4Size == dst/G4Size {
+		return CheckG4(src%G4Size, dst%G4Size)
+	}
+	if !CoveredG16(src, dst) {
+		return fmt.Errorf("interconnect: pair (%d,%d) not covered by G16 fabric", src, dst)
+	}
+	return nil
 }
 
 // hyperIndex maps a G16-local slot to its hyper-switch port, or -1.
@@ -76,17 +94,13 @@ func NewG16() *G16 {
 
 // Connect configures routing for src -> dst (G16-local indices).
 func (g *G16) Connect(src, dst int) error {
-	if src < 0 || src >= G16Size || dst < 0 || dst >= G16Size {
-		return fmt.Errorf("interconnect: G16 index out of range (%d,%d)", src, dst)
+	if err := CheckG16(src, dst); err != nil {
+		return err
 	}
 	if src/G4Size == dst/G4Size {
 		return g.G4s[src/G4Size].Connect(src%G4Size, dst%G4Size)
 	}
-	hs, hd := hyperIndex(src), hyperIndex(dst)
-	if hs < 0 || hd < 0 {
-		return fmt.Errorf("interconnect: pair (%d,%d) not covered by G16 fabric", src, dst)
-	}
-	g.Hyper.Set(hs, hd)
+	g.Hyper.Set(hyperIndex(src), hyperIndex(dst))
 	return nil
 }
 

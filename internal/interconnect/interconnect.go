@@ -5,6 +5,8 @@
 // four" (G4) supporting connected components of up to 1024 states.
 package interconnect
 
+import "fmt"
+
 // Geometry constants of the paper's design.
 const (
 	// LocalSwitchSize is the side of one local full-crossbar switch: 256
@@ -21,6 +23,9 @@ const (
 	// GlobalSwitchSize is the side of the global switch subarray:
 	// 4 × 64 = 256 port nodes.
 	GlobalSwitchSize = PortNodes * LocalsPerG4
+	// G4ConfigBytes is one G4's switch-image payload: four local crossbars
+	// and the global switch, one bit per crosspoint.
+	G4ConfigBytes = (LocalsPerG4*LocalSwitchSize*LocalSwitchSize + GlobalSwitchSize*GlobalSwitchSize) / 8
 )
 
 // Covered reports whether a transition from G4-local index src to G4-local
@@ -40,6 +45,15 @@ func Covered(src, dst int) bool {
 		return true
 	}
 	return src%LocalSwitchSize < PortNodes && dst%LocalSwitchSize < PortNodes
+}
+
+// CheckG4 returns the error G4.Connect returns for src -> dst, or nil when
+// the G4 fabric covers the pair.
+func CheckG4(src, dst int) error {
+	if Covered(src, dst) {
+		return nil
+	}
+	return fmt.Errorf("interconnect: pair (%d,%d) not covered by G4 fabric", src, dst)
 }
 
 // CoveredBy describes which resource routes a covered pair.

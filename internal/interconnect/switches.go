@@ -1,7 +1,6 @@
 package interconnect
 
 import (
-	"fmt"
 	"math/bits"
 
 	"impala/internal/bitvec"
@@ -51,7 +50,7 @@ func (g *G4) Connect(src, dst int) error {
 		g.Global.Set(pnIndex(src), pnIndex(dst))
 		return nil
 	default:
-		return fmt.Errorf("interconnect: pair (%d,%d) not covered by G4 fabric", src, dst)
+		return CheckG4(src, dst)
 	}
 }
 
