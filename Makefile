@@ -68,7 +68,10 @@ bench-smoke:
 
 # Ten seconds of native fuzzing per target: the artifact boundary (Load never
 # panics, stays inside its allocation budget, and saves back what it accepts),
-# the text parsers, the serving wire codec (the encoders write what
+# the facade over it (LoadMachine and every domain's MachineFromArtifactDomain
+# never panic, a machine saves back the bytes it was built from, and a binary
+# one without DFA tables matches what the scalar simulator matches), the text
+# parsers, the serving wire codec (the encoders write what
 # encoding/json writes; the parsers a frontend reads worker replies with never
 # panic, stay inside their allocation budget, and accept only what an encoder
 # writes), the /match, /stream and /reload handlers (no panic, a
@@ -82,6 +85,7 @@ bench-smoke:
 # test` replays it from then on.
 define FUZZ
 ./internal/artifact FuzzLoad
+.                   FuzzLoadMachine
 ./internal/regexc   FuzzCompile
 ./internal/anml     FuzzParse
 ./internal/anml     FuzzParseSymbolSet

@@ -75,8 +75,7 @@ func TestServingNeverBuildsTheCapsule(t *testing.T) {
 	shapes, input := servingShapes(t)
 	for name, m := range shapes {
 		m.Model()
-		m.TierInfo()
-		m.ShardInfo()
+		m.Artifact()
 		m.ScoreInfo()
 		m.Config()
 		m.Geometry()

@@ -141,16 +141,21 @@ func main() {
 	fmt.Printf("state overhead  : %.2fx   transition overhead: %.2fx\n",
 		res.StateOverhead(nfa), res.TransitionOverhead(nfa))
 	fmt.Printf("espresso splits : %d extra states\n", res.SplitStates)
-	if res.Tiers != nil {
-		p := res.Tiers.Plan()
+	if res.Tier != nil {
+		p := res.Tier.Plan
 		fmt.Printf("tier plan       : %d/%d components on the DFA fast path (%d DFA states, %d KiB tables; %d NFA-tier states)\n",
 			p.DFACCs(), len(p.CCs), p.DFAStates, p.DFATableBytes/1024, p.NFAStates)
 	}
 	if res.Shards != nil {
-		p := res.Shards.Plan()
+		p := res.Shards.Plan
+		tiered, dfaStates := 0, 0
+		for _, t := range res.Shards.Tiers {
+			if t != nil && t.DFA != nil {
+				tiered, dfaStates = tiered+1, dfaStates+t.Plan.DFAStates
+			}
+		}
 		fmt.Printf("shard plan      : %d components over %d shards (%d..%d states/shard; %d shard(s) carry a DFA fast path, %d DFA states total)\n",
-			len(p.CCShard), p.Shards, p.MinStates(), p.MaxStates(),
-			res.Shards.TieredShards(), res.Shards.DFAStates())
+			len(p.CCShard), p.Shards, p.MinStates(), p.MaxStates(), tiered, dfaStates)
 	}
 	if res.Weights != nil {
 		sc, err := score.Compile(res.NFA, res.Weights)
@@ -165,18 +170,18 @@ func main() {
 	// and seal the assignment so workers can host their domain's subset.
 	var topoSealed *topo.Sealed
 	if *topoSpec != "" {
-		if res.Shards == nil || res.Shards.Plan().Shards < 2 {
+		if res.Shards == nil || res.Shards.Plan.Shards < 2 {
 			fatal(fmt.Errorf("-topo requires -shards > 1"))
 		}
 		t, err := topo.LoadSpec(*topoSpec)
 		if err != nil {
 			fatal(err)
 		}
-		mw, err := topo.MergeWeights(res.NFA, res.Shards.Plan())
+		mw, err := topo.MergeWeights(res.NFA, res.Shards.Plan)
 		if err != nil {
 			fatal(err)
 		}
-		tp, err := topo.Place(res.Shards.Plan(), mw, t, topo.Options{Seed: *seed, Workers: *workers})
+		tp, err := topo.Place(res.Shards.Plan, mw, t, topo.Options{Seed: *seed, Workers: *workers})
 		if err != nil {
 			fatal(err)
 		}
@@ -233,26 +238,12 @@ func main() {
 
 	if *out != "" {
 		if strings.HasSuffix(*out, ".impala") {
-			stages := make([]artifact.Stage, 0, len(res.Stages))
-			for _, st := range res.Stages {
-				stages = append(stages, artifact.Stage{
-					Name: st.Name, States: st.States, Transitions: st.Transitions,
-					Duration: st.Duration, CPUTime: st.CPUTime,
-				})
-			}
-			a := artifact.New(res.NFA, pl, nfa, artifact.Meta{
+			a := artifact.FromResult(res, pl, nfa, artifact.Meta{
 				CAMode:      *caMode,
 				Seed:        *seed,
 				CreatedUnix: time.Now().Unix(),
-			}, stages)
-			if res.Tiers != nil {
-				a.Tier = res.Tiers.Seal()
-			}
-			if res.Shards != nil {
-				a.Shards = res.Shards.Seal()
-			}
+			})
 			a.SetTopo(topoSealed)
-			a.Score = res.Weights
 			payload, err := bk.SealSection(res.NFA, pl)
 			if err != nil {
 				fatal(err)

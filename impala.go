@@ -37,7 +37,6 @@ import (
 	"impala/internal/score"
 	"impala/internal/shard"
 	"impala/internal/sim"
-	"impala/internal/topo"
 )
 
 // Config selects a design point of the compiler and machine.
@@ -79,8 +78,8 @@ type Config struct {
 	// table's threshold reported, each with its Match.Score. The transformed
 	// table travels inside the artifact as the SCOR section, so loaded
 	// machines keep it. Tier and Shards compose with it: their plans are
-	// sealed and summarized, and the scored form runs on one bit-parallel
-	// kernel.
+	// sealed into the artifact and checked whenever a machine is built from
+	// it, and the scored form runs on one bit-parallel kernel.
 	Score *automata.Weights
 }
 
@@ -126,41 +125,26 @@ type Match struct {
 // Machine is a compiled, placed, configured pattern-matching engine. It is
 // built either by running the compile pipeline (CompileRegex, CompileANML,
 // CompileAutomaton) or by loading a saved artifact (LoadMachine) — the
-// compile-offline/match-online split: a loaded machine executes identically
-// to the freshly compiled one it was saved from, with no pipeline work.
+// compile-offline/match-online split. Either way the machine is its sealed
+// artifact and the one form it serves, built from that artifact by the same
+// constructor, so a loaded machine executes identically to the freshly
+// compiled one it was saved from, with no pipeline work.
 type Machine struct {
-	cfg         Config
-	transformed *automata.NFA
-	placement   *place.Placement
-	// capsule is the capsule-level machine Run executes, built from the
-	// placement on the first Run: nothing on the serving side reads it, so
-	// a tenant that only serves never pays for its fabric images.
-	capsule func() *arch.Machine
-	// tiered is the hybrid DFA/NFA plan (nil unless Config.Tier was set or
-	// the loaded artifact carried a sealed plan).
-	tiered *dfa.Tiered
-	// sharded is the K-shard plan (nil unless Config.Shards > 1 or the
-	// loaded artifact carried a sealed partition).
-	sharded *shard.Sharded
-	// weights is the transformed weight table (nil unless Config.Score was
-	// set or the loaded artifact carried a SCOR section).
-	weights *automata.Weights
+	// a is the sealed artifact: the transformed automaton, the placement,
+	// the design point, the compile trace and every plan. Everything but
+	// Match and NewStream reads it, and Artifact hands out copies of it.
+	a   *artifact.Artifact
+	cfg Config
 	// serving is the one form Match and NewStream run on, picked when the
 	// machine is assembled (newMachine). Every form shares this method set.
 	serving interface {
 		Run(input []byte) ([]sim.Report, sim.Stats)
 		NewSession(sink sim.ReportSink) *sim.Session
 	}
-	// Pre-transformation shape and compile-stage trace, carried as plain
-	// values so a Machine loaded from an artifact (where the original
-	// automaton and live compile result no longer exist) reports the same
-	// Model as the machine that saved it.
-	origStates, origTransitions int
-	stages                      []artifact.Stage
-	// topo and created are a loaded machine's topology placement and build
-	// time (nil and 0 on a compiled one), which Artifact seals back.
-	topo    *topo.Sealed
-	created int64
+	// capsule is the capsule-level machine Run executes, built from the
+	// placement on the first Run: nothing on the serving side reads it, so
+	// a tenant that only serves never pays for its fabric images.
+	capsule func() *arch.Machine
 }
 
 // CompileRegex compiles the patterns through the full Impala pipeline:
@@ -194,7 +178,9 @@ func CompileANML(r io.Reader, cfg Config) (*Machine, error) {
 
 // CompileAutomaton runs the pipeline on an existing homogeneous 8-bit
 // stride-1 automaton (for workloads not expressed as regex). Report codes
-// of the automaton become Match.Pattern values.
+// of the automaton become Match.Pattern values. The compile is sealed into
+// its artifact (artifact.FromResult, as impalac seals it) and the machine is
+// built from that, as LoadMachine builds one.
 func CompileAutomaton(nfa *automata.NFA, cfg Config) (*Machine, error) {
 	res, err := core.Compile(nfa, cfg.coreConfig())
 	if err != nil {
@@ -207,100 +193,97 @@ func CompileAutomaton(nfa *automata.NFA, cfg Config) (*Machine, error) {
 	if !pl.Valid() {
 		return nil, fmt.Errorf("impala: placement left %d transitions unrouted", pl.TotalUncovered)
 	}
-	mach, err := newMachine(cfg, res.NFA, pl, res.Weights, res.Tiers, res.Shards)
-	if err != nil {
-		return nil, err
-	}
-	mach.origStates = nfa.NumStates()
-	mach.origTransitions = nfa.NumTransitions()
-	for _, s := range res.Stages {
-		mach.stages = append(mach.stages, artifact.Stage{
-			Name: s.Name, States: s.States, Transitions: s.Transitions,
-			Duration: s.Duration, CPUTime: s.CPUTime,
-		})
-	}
-	return mach, nil
+	return newMachine(artifact.FromResult(res, pl, nfa, artifact.Meta{CAMode: cfg.CAMode, Seed: cfg.Seed}), nil, cfg)
 }
 
 // buildCapsule configures the capsule machine a Machine's first Run
 // executes; tests swap it to count builds.
 var buildCapsule = arch.Build
 
-// newMachine is the one place a Machine is assembled, whether the plans come
-// out of the compile pipeline or out of an artifact: it checks that the
-// placement builds a capsule machine (arch.Check, which allocates no
-// fabric; Run builds the machine on first use) and builds the one form
-// Match and NewStream run, picked in one switch — scored, sharded, tiered,
-// then the plain bit-parallel kernel. A scored machine keeps its tier and
-// shard plans for Artifact and the summaries, but steps neither. A sharded
-// form holding a shard subset (a topology worker's) scores that subset only:
-// a score belongs to a state and a shard to whole components, so across the
-// workers every state is scored once.
-func newMachine(cfg Config, n *automata.NFA, pl *place.Placement, w *automata.Weights, tiered *dfa.Tiered, sharded *shard.Sharded) (*Machine, error) {
-	if err := arch.Check(n, pl); err != nil {
+// newMachine is the one place a Machine is assembled, from an artifact a
+// compile sealed or one that was loaded; a non-nil keep restricts the
+// artifact's shard plan to that shard subset (the worker side of cluster
+// dispatch; MachineFromArtifactDomain checks there is a plan), and
+// cfg is the design point Config reports. It refuses an artifact sealed for
+// another backend, checks every sealed plan against the automaton, checks
+// that the placement builds a capsule machine (arch.Check, which allocates
+// no fabric; Run builds the machine on first use) and builds the one form
+// Match and NewStream run — scored, sharded, tiered, then the plain
+// bit-parallel kernel. A scored machine checks its tier and shard plans but
+// unseals no form over them: the scored kernel steps every state its shards
+// hold. A shard subset (a topology worker's) is scored alone: a score belongs
+// to a state and a shard to whole components, so across the workers every
+// state is scored once.
+func newMachine(a *artifact.Artifact, keep []int, cfg Config) (*Machine, error) {
+	if got := a.Meta.BackendName(); got != backend.DefaultName {
+		return nil, fmt.Errorf("impala: artifact was sealed for backend %q, this engine runs %q: %w",
+			got, backend.DefaultName, backend.ErrMismatch)
+	}
+	m := &Machine{a: a, cfg: cfg}
+	n, w := a.NFA, a.Score
+	var err error
+	if a.Tier != nil {
+		if w != nil {
+			_, err = dfa.UnsealSelection(n, a.Tier)
+		} else {
+			m.serving, err = dfa.Unseal(n, a.Tier)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("impala: artifact tier plan does not unseal: %w", err)
+		}
+	}
+	if a.Shards != nil {
+		var ids []automata.StateID
+		if w != nil {
+			ids, err = shard.UnsealStates(n, a.Shards, keep)
+		} else {
+			m.serving, err = shard.UnsealShards(n, a.Shards, keep)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("impala: artifact shard plan does not unseal: %w", err)
+		}
+		if w != nil && len(ids) < n.NumStates() {
+			n, w = n.Induced(ids), w.Induced(n, ids)
+		}
+	}
+	if err := arch.Check(a.NFA, a.Placement); err != nil {
 		return nil, fmt.Errorf("impala: placement does not build: %w", err)
 	}
-	m := &Machine{
-		cfg: cfg, transformed: n, placement: pl,
-		tiered: tiered, sharded: sharded, weights: w,
-	}
-	m.capsule = sync.OnceValue(func() *arch.Machine {
-		am, err := buildCapsule(m.transformed, m.placement)
-		if err != nil {
-			panic(fmt.Sprintf("impala: checked placement does not build: %v", err))
-		}
-		return am
-	})
-	var err error
 	switch {
 	case w != nil:
-		if sharded != nil {
-			if ids := sharded.States(); len(ids) < n.NumStates() {
-				n, w = n.Induced(ids), w.Induced(n, ids)
-			}
-		}
 		m.serving, err = score.Compile(n, w)
-	case sharded != nil:
-		m.serving = sharded
-	case tiered != nil:
-		m.serving = tiered
-	default:
+	case m.serving == nil:
 		m.serving, err = sim.Compile(n)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("impala: automaton does not compile: %w", err)
 	}
+	m.capsule = sync.OnceValue(func() *arch.Machine {
+		am, err := buildCapsule(a.NFA, a.Placement)
+		if err != nil {
+			panic(fmt.Sprintf("impala: checked placement does not build: %v", err))
+		}
+		return am
+	})
 	return m, nil
 }
 
-// Artifact packages the machine into its versioned on-disk form: the
-// transformed automaton, the placement, the design point, the compile trace
-// and every plan the machine holds — everything LoadMachine needs to rebuild
-// an identical engine without re-running the pipeline. A machine built from
-// an artifact seals back that artifact, its build time, topology placement
-// and other domains' shards included.
+// Artifact returns the machine's sealed artifact — the transformed
+// automaton, the placement, the design point, the compile trace and every
+// plan, everything LoadMachine needs to rebuild an identical engine without
+// re-running the pipeline. A loaded machine's is the artifact it was loaded
+// from, build time, topology placement and other domains' shards included.
+// The result is a shallow copy: its Meta and its sections may be replaced
+// (SetTopo, SetBackend) without touching the machine, but the automaton,
+// placement, plans and weight table it points to are the machine's own and
+// must not be modified.
 func (m *Machine) Artifact() *artifact.Artifact {
-	meta := artifact.Meta{
-		CAMode:              m.cfg.CAMode,
-		Seed:                m.cfg.Seed,
-		OriginalStates:      m.origStates,
-		OriginalTransitions: m.origTransitions,
-		CreatedUnix:         m.created,
-	}
-	a := artifact.New(m.transformed, m.placement, nil, meta, m.stages)
-	if m.sharded != nil {
-		a.Shards = m.sharded.Seal()
-	}
-	if m.tiered != nil {
-		a.Tier = m.tiered.Seal()
-	}
-	a.Topo = m.topo
-	a.Score = m.weights
-	return a
+	a := *m.a
+	return &a
 }
 
 // SaveArtifact writes the machine's compiled artifact to w.
-func (m *Machine) SaveArtifact(w io.Writer) error { return m.Artifact().Save(w) }
+func (m *Machine) SaveArtifact(w io.Writer) error { return m.a.Save(w) }
 
 // LoadMachine reconstructs a Machine from a saved artifact: the stored
 // placement is checked to build a capsule machine (the same checks, and
@@ -326,13 +309,14 @@ func LoadMachineFile(path string) (*Machine, error) {
 }
 
 // MachineFromArtifact builds the execution engines from an already decoded
-// artifact. The facade executes only the default Impala target (the
-// placement it checks, and the capsule machine Run builds from it, assume
-// the G4 fabric): artifacts sealed for another backend are rejected with
-// backend.ErrMismatch rather than silently run under the wrong hardware
-// model — impala-serve tenants and impala-sim -load both go through here.
+// artifact, which the machine then holds. The facade executes only the
+// default Impala target (the placement it checks, and the capsule machine
+// Run builds from it, assume the G4 fabric): artifacts sealed for another
+// backend are rejected with backend.ErrMismatch rather than silently run
+// under the wrong hardware model — impala-serve tenants and impala-sim -load
+// both go through here.
 func MachineFromArtifact(a *artifact.Artifact) (*Machine, error) {
-	return machineFromArtifact(a, nil)
+	return newMachine(a, nil, loadedConfig(a))
 }
 
 // LoadMachineFileDomain loads an artifact and builds the worker-side
@@ -367,60 +351,26 @@ func MachineFromArtifactDomain(a *artifact.Artifact, domain string) (*Machine, e
 	if keep == nil {
 		keep = []int{} // valid domain, zero shards: an idle worker
 	}
-	return machineFromArtifact(a, keep)
+	return newMachine(a, keep, loadedConfig(a))
 }
 
-// machineFromArtifact builds the execution engines; a non-nil keep
-// restricts the sharded form to that shard subset (the worker side of
-// cluster dispatch).
-func machineFromArtifact(a *artifact.Artifact, keep []int) (*Machine, error) {
-	if got := a.Meta.BackendName(); got != backend.DefaultName {
-		return nil, fmt.Errorf("impala: artifact was sealed for backend %q, this engine runs %q: %w",
-			got, backend.DefaultName, backend.ErrMismatch)
-	}
-	if keep != nil && a.Shards == nil {
-		return nil, fmt.Errorf("impala: shard subset requested but artifact has no shard plan")
-	}
-	var err error
-	var tiered *dfa.Tiered
-	if a.Tier != nil {
-		tiered, err = dfa.Unseal(a.NFA, a.Tier)
-		if err != nil {
-			return nil, fmt.Errorf("impala: artifact tier plan does not unseal: %w", err)
-		}
-	}
-	var sharded *shard.Sharded
-	shardsTiered, shards := false, 0
-	if a.Shards != nil {
-		shards = a.Shards.Plan.Shards
-		sharded, err = shard.UnsealShards(a.NFA, a.Shards, keep)
-		if err != nil {
-			return nil, fmt.Errorf("impala: artifact shard plan does not unseal: %w", err)
-		}
-		for _, t := range a.Shards.Tiers {
-			if t != nil {
-				shardsTiered = true
-				break
-			}
-		}
-	}
+// loadedConfig is the design point an artifact was compiled at, as far as its
+// metadata and plans record it.
+func loadedConfig(a *artifact.Artifact) Config {
 	cfg := Config{
 		StrideDims: a.Meta.Stride,
 		CAMode:     a.Meta.CAMode,
 		Seed:       a.Meta.Seed,
-		Tier:       tiered != nil || shardsTiered,
-		Shards:     shards,
+		Tier:       a.Tier != nil,
 		Score:      a.Score,
 	}
-	m, err := newMachine(cfg, a.NFA, a.Placement, a.Score, tiered, sharded)
-	if err != nil {
-		return nil, err
+	if a.Shards != nil {
+		cfg.Shards = a.Shards.Plan.Shards
+		for _, t := range a.Shards.Tiers {
+			cfg.Tier = cfg.Tier || t != nil
+		}
 	}
-	m.origStates = a.Meta.OriginalStates
-	m.origTransitions = a.Meta.OriginalTransitions
-	m.stages = a.Stages
-	m.topo, m.created = a.Topo, a.Meta.CreatedUnix
-	return m, nil
+	return cfg
 }
 
 // Config returns the design point this machine was compiled at. For a
@@ -431,7 +381,7 @@ func (m *Machine) Config() Config { return m.cfg }
 // Geometry returns the machine's symbol geometry: sub-symbol bit width and
 // sub-symbols consumed per cycle.
 func (m *Machine) Geometry() (bits, stride int) {
-	return m.transformed.Bits, m.transformed.Stride
+	return m.a.NFA.Bits, m.a.NFA.Stride
 }
 
 // Run matches the input against all patterns using the capsule-level
@@ -449,7 +399,7 @@ func (m *Machine) Run(input []byte) []Match {
 // instead of the capsule-level machine: the binary cross-check of Run, which
 // it always agrees with, on every machine. The error is the simulator's.
 func (m *Machine) Simulate(input []byte) ([]Match, error) {
-	e, err := sim.NewEngine(m.transformed)
+	e, err := sim.NewEngine(m.a.NFA)
 	if err != nil {
 		return nil, err
 	}
@@ -473,67 +423,11 @@ func (m *Machine) Match(input []byte) []Match {
 	return toMatches(reports)
 }
 
-// TierInfo summarizes the machine's hybrid execution plan for display
-// (nil when the machine runs purely on the bit-parallel NFA engine).
-type TierInfo struct {
-	// CCs is the automaton's connected-component count; DFACCs of them
-	// execute on the DFA fast path.
-	CCs, DFACCs int
-	// DFAStates and DFATableBytes size the union DFA (zero when every
-	// component fell back to the NFA tier).
-	DFAStates, DFATableBytes int
-	// DFANFAStates / NFAStates count the NFA states executed by each tier.
-	DFANFAStates, NFAStates int
-}
-
-// TierInfo returns the tier-plan summary, or nil for untiered machines.
-func (m *Machine) TierInfo() *TierInfo {
-	if m.tiered == nil {
-		return nil
-	}
-	p := m.tiered.Plan()
-	return &TierInfo{
-		CCs: len(p.CCs), DFACCs: p.DFACCs(),
-		DFAStates: p.DFAStates, DFATableBytes: p.DFATableBytes,
-		DFANFAStates: p.DFANFAStates, NFAStates: p.NFAStates,
-	}
-}
-
-// ShardInfo summarizes the machine's shard partition for display (nil when
-// the machine runs unsharded).
-type ShardInfo struct {
-	// Shards is the partition's shard count K.
-	Shards int
-	// MaxStates and MinStates bound the per-shard state totals (the
-	// balance the planner optimizes; MinStates ignores empty shards).
-	MaxStates, MinStates int
-	// TieredShards counts shards carrying a dense-DFA fast path; DFAStates
-	// sums their DFA state counts — the coverage the per-shard budgets
-	// bought.
-	TieredShards, DFAStates int
-}
-
-// ShardInfo returns the shard-partition summary, or nil for unsharded
-// machines.
-func (m *Machine) ShardInfo() *ShardInfo {
-	if m.sharded == nil {
-		return nil
-	}
-	p := m.sharded.Plan()
-	return &ShardInfo{
-		Shards:       p.Shards,
-		MaxStates:    p.MaxStates(),
-		MinStates:    p.MinStates(),
-		TieredShards: m.sharded.TieredShards(),
-		DFAStates:    m.sharded.DFAStates(),
-	}
-}
-
 // MatchScored is Match on a machine that must carry a weight table.
 //
 // Deprecated: Match scores on a machine with a weight table.
 func (m *Machine) MatchScored(input []byte) ([]Match, error) {
-	if m.weights == nil {
+	if m.a.Score == nil {
 		return nil, fmt.Errorf("impala: machine carries no weight table (compile with Config.Score or load a scored artifact)")
 	}
 	return m.Match(input), nil
@@ -556,13 +450,14 @@ type ScoreInfo struct {
 
 // ScoreInfo returns the scoring summary, or nil for unscored machines.
 func (m *Machine) ScoreInfo() *ScoreInfo {
-	if m.weights == nil {
+	w := m.a.Score
+	if w == nil {
 		return nil
 	}
 	return &ScoreInfo{
-		Threshold:    m.weights.Threshold,
-		Edges:        m.weights.NumEdges(),
-		ScalarStates: m.weights.MixedStates(m.transformed),
+		Threshold:    w.Threshold,
+		Edges:        w.NumEdges(),
+		ScalarStates: w.MixedStates(m.a.NFA),
 	}
 }
 
@@ -604,7 +499,7 @@ type windowEntry struct {
 // machine with a weight table, once per distinct threshold-clearing match,
 // with the best score over all reports that denote it.
 func (m *Machine) NewStream(onMatch func(Match)) *Stream {
-	s := &Stream{emit: onMatch, deferred: m.weights != nil, bitsPerCycle: m.transformed.BitsPerCycle(), curCycle: -1}
+	s := &Stream{emit: onMatch, deferred: m.a.Score != nil, bitsPerCycle: m.a.NFA.BitsPerCycle(), curCycle: -1}
 	s.sess = m.serving.NewSession(s.report)
 	return s
 }
@@ -732,28 +627,25 @@ type StageInfo struct {
 // available for loaded machines too: the pre-transformation shape and
 // compile-stage trace travel inside the artifact.
 func (m *Machine) Model() Model {
-	d := m.design()
-	area := arch.AreaBreakdown(d, m.transformed.NumStates())
+	n, pl := m.a.NFA, m.a.Placement
+	d := arch.Design{Arch: arch.Impala, Bits: 4, Stride: n.Stride}
+	if m.a.Meta.CAMode {
+		d = arch.Design{Arch: arch.CacheAutomaton, Bits: 8, Stride: n.Stride}
+	}
+	area := arch.AreaBreakdown(d, n.NumStates())
 	md := Model{
 		BitsPerCycle:     d.BitsPerCycle(),
 		FreqGHz:          d.FreqGHz(),
 		ThroughputGbps:   d.ThroughputGbps(),
-		States:           m.transformed.NumStates(),
-		OriginalStates:   m.origStates,
-		G4s:              len(m.placement.G4s),
+		States:           n.NumStates(),
+		OriginalStates:   m.a.Meta.OriginalStates,
+		G4s:              len(pl.G4s),
 		AreaMM2:          area.TotalMM2(),
-		ThroughputPerMM2: arch.ThroughputPerArea(d, m.transformed.NumStates()),
-		BitstreamBytes:   arch.BitstreamBytes(m.transformed.Bits, m.transformed.Stride, m.placement),
+		ThroughputPerMM2: arch.ThroughputPerArea(d, n.NumStates()),
+		BitstreamBytes:   arch.BitstreamBytes(n.Bits, n.Stride, pl),
 	}
-	for _, s := range m.stages {
+	for _, s := range m.a.Stages {
 		md.CompileStages = append(md.CompileStages, StageInfo{Name: s.Name, States: s.States, Transitions: s.Transitions})
 	}
 	return md
-}
-
-func (m *Machine) design() arch.Design {
-	if m.cfg.CAMode {
-		return arch.Design{Arch: arch.CacheAutomaton, Bits: 8, Stride: m.cfg.StrideDims}
-	}
-	return arch.Design{Arch: arch.Impala, Bits: 4, Stride: m.cfg.StrideDims}
 }

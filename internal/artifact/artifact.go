@@ -66,6 +66,7 @@ import (
 	"impala/internal/automata"
 	"impala/internal/backend"
 	"impala/internal/bitvec"
+	"impala/internal/core"
 	"impala/internal/dfa"
 	"impala/internal/interconnect"
 	"impala/internal/place"
@@ -233,8 +234,8 @@ func (m Meta) BackendName() string {
 	return m.Backend
 }
 
-// Stage is one compile-pipeline stage recorded in the artifact (mirrors
-// core.StageStats without importing the compiler).
+// Stage is one compile-pipeline stage recorded in the artifact. It mirrors
+// core.StageStats field for field, so FromResult converts one to the other.
 type Stage struct {
 	Name        string
 	States      int
@@ -336,6 +337,21 @@ func New(n *automata.NFA, pl *place.Placement, original *automata.NFA, meta Meta
 		meta.OriginalTransitions = original.NumTransitions()
 	}
 	return &Artifact{Meta: meta, Stages: stages, NFA: n, Placement: pl}
+}
+
+// FromResult assembles the artifact of a compile: New over the transformed
+// automaton, its placement and the compile trace, carrying every plan the
+// compile sealed and its weight table. It is the one hand-off from compiling
+// to serving, whether the artifact is saved (impalac) or served at once
+// (impala.CompileAutomaton).
+func FromResult(res *core.Result, pl *place.Placement, original *automata.NFA, meta Meta) *Artifact {
+	stages := make([]Stage, len(res.Stages))
+	for i, st := range res.Stages {
+		stages[i] = Stage(st)
+	}
+	a := New(res.NFA, pl, original, meta, stages)
+	a.Tier, a.Shards, a.Score = res.Tier, res.Shards, res.Weights
+	return a
 }
 
 // Save writes the artifact. The encoding is deterministic: saving the

@@ -42,11 +42,11 @@ func buildScoredArtifact(t testing.TB, cfg core.Config) (*Artifact, []byte) {
 	}
 	a := New(res.NFA, pl, n, Meta{Seed: 3, CreatedUnix: 1700000000}, nil)
 	a.Score = res.Weights.Clone() // in the shape Load decodes: zero-edge rows nil
-	if res.Tiers != nil {
-		a.Tier = res.Tiers.Seal()
+	if res.Tier != nil {
+		a.Tier = res.Tier
 	}
 	if res.Shards != nil {
-		a.Shards = res.Shards.Seal()
+		a.Shards = res.Shards
 		domain := make([]int, cfg.Shards)
 		for k := range domain {
 			domain[k] = k % 2

@@ -41,7 +41,7 @@ func buildShardedArtifact(t testing.TB, tiered bool) (*Artifact, *automata.NFA) 
 		t.Fatal(err)
 	}
 	a := New(res.NFA, pl, n, Meta{Seed: 3, CreatedUnix: 1700000000}, nil)
-	a.Shards = res.Shards.Seal()
+	a.Shards = res.Shards
 	return a, n
 }
 

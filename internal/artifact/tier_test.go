@@ -38,7 +38,7 @@ func buildTieredArtifact(t testing.TB) (*Artifact, *automata.NFA) {
 		t.Fatal(err)
 	}
 	a := New(res.NFA, pl, n, Meta{Seed: 3, CreatedUnix: 1700000000}, nil)
-	a.Tier = res.Tiers.Seal()
+	a.Tier = res.Tier
 	return a, n
 }
 

@@ -55,17 +55,17 @@ type Config struct {
 	Metrics *obs.Registry
 	// Tier, when non-nil, runs the tier-selection stage after the pipeline:
 	// connected components of the transformed automaton are determinized
-	// under the given budgets into a hybrid DFA/NFA execution plan
-	// (Result.Tiers). Worker count and trace default to this Config's when
+	// under the given budgets into a sealed hybrid DFA/NFA plan
+	// (Result.Tier). Worker count and trace default to this Config's when
 	// unset on the tier options. With Shards > 1 the same options instead
-	// tier-plan every shard independently (Result.Shards); Result.Tiers
+	// tier-plan every shard independently (Result.Shards); Result.Tier
 	// stays nil.
 	Tier *dfa.TierOptions
 	// Shards > 1 runs the shard-plan stage after the pipeline: connected
 	// components of the transformed automaton are packed into that many
-	// shard automata (Result.Shards), each independently compiled — and,
-	// when Tier is set, independently tier-planned, so the DFA fast-path
-	// budgets apply per shard.
+	// shards (Result.Shards) — and, when Tier is set, each shard is
+	// tier-planned independently, so the DFA fast-path budgets apply per
+	// shard.
 	Shards int
 	// Backend names the compile target (internal/backend registry). The
 	// empty string selects the default Impala capsule target. The backend
@@ -133,12 +133,13 @@ type Result struct {
 	// this compile (deltas when a shared cache was supplied via
 	// Config.Espresso.Cache).
 	CacheHits, CacheMisses uint64
-	// Tiers is the hybrid execution plan built by the tier-selection stage
-	// (nil unless Config.Tier was set with Config.Shards <= 1).
-	Tiers *dfa.Tiered
-	// Shards is the partitioned execution form built by the shard-plan
-	// stage (nil unless Config.Shards > 1).
-	Shards *shard.Sharded
+	// Tier is the sealed hybrid execution plan of the tier-selection stage
+	// (nil unless Config.Tier was set with Config.Shards <= 1). Compiling
+	// builds no engine over it: dfa.Unseal does.
+	Tier *dfa.Sealed
+	// Shards is the sealed partition of the shard-plan stage (nil unless
+	// Config.Shards > 1); shard.Unseal builds its engine.
+	Shards *shard.Sealed
 	// Weights scores the transformed automaton (nil unless Config.Weights
 	// was set): Weights.Edge parallels NFA's out-edge lists, and any input
 	// path's accumulated weight is preserved through every transform.
@@ -301,7 +302,7 @@ func Compile(n *automata.NFA, cfg Config) (*Result, error) {
 			topt = &t
 		}
 		t0 = time.Now()
-		res.Shards, err = shard.Build(cur, shard.Options{
+		res.Shards, cpu, err = shard.Partition(cur, shard.Options{
 			Shards:  cfg.Shards,
 			Tier:    topt,
 			Workers: cfg.Workers,
@@ -310,7 +311,7 @@ func Compile(n *automata.NFA, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		record("shard-plan", cur, t0, res.Shards.BuildCPU())
+		record("shard-plan", cur, t0, cpu)
 	case cfg.Tier != nil:
 		topt := *cfg.Tier
 		if topt.Workers == 0 {
@@ -320,11 +321,12 @@ func Compile(n *automata.NFA, cfg Config) (*Result, error) {
 			topt.Trace = cfg.Trace
 		}
 		t0 = time.Now()
-		res.Tiers, err = dfa.BuildTiered(cur, topt)
+		sel, err := dfa.Select(cur, topt)
 		if err != nil {
 			return nil, err
 		}
-		record("tier-select", cur, t0, res.Tiers.PlanCPU())
+		res.Tier = sel.Seal()
+		record("tier-select", cur, t0, sel.PlanCPU())
 	}
 
 	hits1, misses1 := esp.Cache.Stats()

@@ -136,8 +136,8 @@ func TestCompileWeightsComposeWithPlans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
-		if (res.Tiers != nil) != (cfg.Shards == 0) || (res.Shards != nil) != (cfg.Shards == 2) {
-			t.Fatalf("%+v: tier plan %v, shard plan %v", cfg, res.Tiers != nil, res.Shards != nil)
+		if (res.Tier != nil) != (cfg.Shards == 0) || (res.Shards != nil) != (cfg.Shards == 2) {
+			t.Fatalf("%+v: tier plan %v, shard plan %v", cfg, res.Tier != nil, res.Shards != nil)
 		}
 		if !reflect.DeepEqual(res.NFA, base.NFA) || !reflect.DeepEqual(res.Weights, base.Weights) {
 			t.Fatalf("%+v: the plan changed the scored automaton", cfg)

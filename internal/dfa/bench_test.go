@@ -30,14 +30,14 @@ func BenchmarkDFAWalk(b *testing.B) {
 	input := workload.Input(n8, 16<<10, 3)
 	for _, k := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			s, err := shard.Build(res.NFA, shard.Options{Shards: k, Tier: &dfa.TierOptions{}})
+			s, _, err := shard.Partition(res.NFA, shard.Options{Shards: k, Tier: &dfa.TierOptions{}})
 			if err != nil {
 				b.Fatal(err)
 			}
 			var ds []*dfa.DFA
 			var origs [][]automata.StateID
 			tableBytes := 0
-			for _, tier := range s.Seal().Tiers {
+			for _, tier := range s.Tiers {
 				if tier == nil || tier.DFA == nil {
 					continue
 				}

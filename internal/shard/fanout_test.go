@@ -43,12 +43,19 @@ func TestShardedFanoutRun(t *testing.T) {
 }
 
 // Accessor invariants across untiered and tiered builds: the original
-// automaton is retained, build CPU is accounted, and the DFA/NFA state
+// automaton is retained, planning CPU is accounted, and the DFA/NFA state
 // split covers the tier residue exactly.
 func TestShardedAccessors(t *testing.T) {
 	n := multiCC(t)
 
-	plain, err := shard.Build(n, shard.Options{Shards: 3})
+	sealed, cpu, err := shard.Partition(n, shard.Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cpu <= 0 {
+		t.Fatalf("Partition CPU = %v, want > 0", cpu)
+	}
+	plain, err := shard.Unseal(n, sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +64,6 @@ func TestShardedAccessors(t *testing.T) {
 	}
 	if plain.Shards() != 3 {
 		t.Fatalf("Shards() = %d, want 3", plain.Shards())
-	}
-	if plain.BuildCPU() <= 0 {
-		t.Fatalf("BuildCPU() = %v, want > 0", plain.BuildCPU())
 	}
 	if plain.TieredShards() != 0 || plain.DFAStates() != 0 {
 		t.Fatalf("untiered build reports tiers: %d shards, %d DFA states",

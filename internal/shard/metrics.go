@@ -25,7 +25,7 @@ var shardMetricsPtr atomic.Pointer[shardMetrics]
 // EnableMetrics registers the shard layer's instruments in reg and turns
 // live publication on for every sharded execution in the process:
 //
-//	shard_builds_total   shard partitions planned and constructed
+//	shard_builds_total   shard partitions planned (Partition)
 //	shard_scans_total    sharded one-shot runs
 //	shard_bytes_total    input bytes scanned, counted once per live shard
 //	                     (the total engine work of the scans)

@@ -145,9 +145,10 @@ func planShards(n *automata.NFA, ccs [][]automata.StateID, k int) Plan {
 	return p
 }
 
-// Sharded is the K-shard execution form. It is immutable after
-// construction and safe to share across goroutines; per-stream state lives
-// in the cores handed out by NewCore/NewSession and pooled by Run.
+// Sharded is the K-shard execution form, unsealed from a partition (Unseal,
+// UnsealShards). It is immutable after construction and safe to share across
+// goroutines; per-stream state lives in the cores handed out by
+// NewCore/NewSession and pooled by Run.
 type Sharded struct {
 	nfa  *automata.NFA
 	plan Plan
@@ -155,19 +156,6 @@ type Sharded struct {
 	// requested, its tier selection. An empty shard holds no state.
 	shards   []dfa.Part
 	lockstep *sim.Lockstep // one DFA walker lane, one kernel lane
-	// sealed is the sealed form the partition was unsealed from (nil when it
-	// was built), which Seal hands back: a shard subset's form cannot seal
-	// the shards it does not host.
-	sealed   *Sealed
-	buildCPU time.Duration
-}
-
-// setShards installs the shards and the lockstep form over them, which has at
-// most two lanes whatever K and the tiering (dfa.Lockstep).
-func (s *Sharded) setShards(shards []dfa.Part) (err error) {
-	s.shards = shards
-	s.lockstep, err = dfa.Lockstep(s.nfa, shards)
-	return err
 }
 
 // shardIDs collects each shard's state IDs, sorted ascending, from a plan.
@@ -182,45 +170,31 @@ func shardIDs(ccs [][]automata.StateID, p Plan) [][]automata.StateID {
 	return ids
 }
 
-// Build plans a K-way partition of the automaton's components and
-// constructs every shard's engine. Shards are built concurrently on a pool
-// bounded by opts.Workers; the plan and every engine are byte-identical
-// for any worker count.
-func Build(n *automata.NFA, opts Options) (*Sharded, error) {
+// Partition plans a K-way partition of the automaton's components and, when
+// opts.Tier is set, tier-plans every live shard (empty shards stay empty), on
+// a pool bounded by opts.Workers. It returns the sealed partition and the CPU
+// time spent: the serial planning plus every shard's tier selection. No shard
+// engine is built; Unseal builds the execution form. The partition is
+// byte-identical for any worker count.
+func Partition(n *automata.NFA, opts Options) (*Sealed, time.Duration, error) {
 	if opts.Shards < 1 {
-		return nil, fmt.Errorf("shard: shard count must be >= 1, got %d", opts.Shards)
+		return nil, 0, fmt.Errorf("shard: shard count must be >= 1, got %d", opts.Shards)
 	}
 	if err := n.Validate(); err != nil {
-		return nil, fmt.Errorf("shard: invalid automaton: %w", err)
-	}
-	ccs := n.ConnectedComponents()
-	plan := planShards(n, ccs, opts.Shards)
-	s := &Sharded{nfa: n, plan: plan}
-	engines, cpu, err := buildEngines(n, shardIDs(ccs, plan), opts)
-	if err != nil {
-		return nil, err
+		return nil, 0, fmt.Errorf("shard: invalid automaton: %w", err)
 	}
 	t0 := time.Now()
-	if err := s.setShards(engines); err != nil {
-		return nil, err
-	}
-	s.buildCPU = cpu + time.Since(t0)
-	if m := shardMetricsPtr.Load(); m != nil {
-		m.builds.Add(1)
-	}
-	return s, nil
-}
-
-// buildEngines tier-plans every live shard when tiering was requested
-// (empty shards stay empty). Per-shard tier planning runs serially inside
-// each shard slot — the cross-shard pool is the parallelism — so nested
-// pools never oversubscribe.
-func buildEngines(n *automata.NFA, ids [][]automata.StateID, opts Options) ([]dfa.Part, time.Duration, error) {
-	engines := make([]dfa.Part, len(ids))
+	ccs := n.ConnectedComponents()
+	plan := planShards(n, ccs, opts.Shards)
+	ids := shardIDs(ccs, plan)
+	cpu := time.Since(t0)
+	out := &Sealed{Plan: plan, Tiers: make([]*dfa.Sealed, len(ids))}
 	errs := make([]error, len(ids))
 	var cpuNS atomic.Int64
+	// Per-shard tier planning runs serially inside each shard slot — the
+	// cross-shard pool is the parallelism — so nested pools never
+	// oversubscribe.
 	par.TraceFor(opts.Trace, "shard/build", opts.Workers, len(ids), func(k int) {
-		engines[k].Orig = ids[k]
 		if len(ids[k]) == 0 || opts.Tier == nil {
 			return
 		}
@@ -229,14 +203,32 @@ func buildEngines(n *automata.NFA, ids [][]automata.StateID, opts Options) ([]df
 		topt := *opts.Tier
 		topt.Workers = 1
 		topt.Trace = nil
-		engines[k].Sel, errs[k] = dfa.Select(n.Induced(ids[k]), topt)
+		sel, err := dfa.Select(n.Induced(ids[k]), topt)
+		if err != nil {
+			errs[k] = err
+			return
+		}
+		out.Tiers[k] = sel.Seal()
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, 0, err
 		}
 	}
-	return engines, time.Duration(cpuNS.Load()), nil
+	if m := shardMetricsPtr.Load(); m != nil {
+		m.builds.Add(1)
+	}
+	return out, cpu + time.Duration(cpuNS.Load()), nil
+}
+
+// Build plans a partition (Partition) and unseals its execution form, for
+// callers that do not keep the sealed plan.
+func Build(n *automata.NFA, opts Options) (*Sharded, error) {
+	s, _, err := Partition(n, opts)
+	if err != nil {
+		return nil, err
+	}
+	return Unseal(n, s)
 }
 
 // Plan returns the sealed partition record.
@@ -247,10 +239,6 @@ func (s *Sharded) NFA() *automata.NFA { return s.nfa }
 
 // Shards returns the shard count K.
 func (s *Sharded) Shards() int { return s.plan.Shards }
-
-// BuildCPU returns the total CPU time spent constructing shard engines
-// (the shard-plan stage's CPU statistic).
-func (s *Sharded) BuildCPU() time.Duration { return s.buildCPU }
 
 // TieredShards counts shards that carry a DFA fast-path tier.
 func (s *Sharded) TieredShards() int {
@@ -273,17 +261,6 @@ func (s *Sharded) DFAStates() int {
 		}
 	}
 	return total
-}
-
-// States returns the original automaton's IDs of the states the live shards
-// hold, ascending: every state, unless the form was unsealed for a subset.
-func (s *Sharded) States() []automata.StateID {
-	var ids []automata.StateID
-	for i := range s.shards {
-		ids = append(ids, s.shards[i].Orig...)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // NFATierStates sums the automaton states executing on the bit-parallel
@@ -351,21 +328,6 @@ type Sealed struct {
 	Tiers []*dfa.Sealed
 }
 
-// Seal returns the serialization form of the shard partition: the one it was
-// unsealed from, if it was.
-func (s *Sharded) Seal() *Sealed {
-	if s.sealed != nil {
-		return s.sealed
-	}
-	out := &Sealed{Plan: s.plan, Tiers: make([]*dfa.Sealed, len(s.shards))}
-	for i := range s.shards {
-		if t := s.shards[i].Sel; t != nil {
-			out.Tiers[i] = t.Seal()
-		}
-	}
-	return out
-}
-
 // Unseal reassembles a Sharded execution form from a sealed plan and the
 // automaton it was planned for, revalidating the plan against the
 // automaton's current component structure. Per-shard tier seals are
@@ -383,6 +345,38 @@ func Unseal(n *automata.NFA, s *Sealed) (*Sharded, error) {
 // revalidated against the automaton, so a worker rejects an artifact whose
 // plan no longer matches.
 func UnsealShards(n *automata.NFA, s *Sealed, keep []int) (*Sharded, error) {
+	parts, err := unsealParts(n, s, keep)
+	if err != nil {
+		return nil, err
+	}
+	l, err := dfa.Lockstep(n, parts)
+	if err != nil {
+		return nil, err
+	}
+	return &Sharded{nfa: n, plan: s.Plan, shards: parts, lockstep: l}, nil
+}
+
+// UnsealStates makes every check UnsealShards makes, with its errors, and
+// returns the kept shards' states as the automaton's IDs, ascending, building
+// no engine: the partition as a form that steps those states itself (the
+// scored one) needs it.
+func UnsealStates(n *automata.NFA, s *Sealed, keep []int) ([]automata.StateID, error) {
+	parts, err := unsealParts(n, s, keep)
+	if err != nil {
+		return nil, err
+	}
+	var ids []automata.StateID
+	for _, p := range parts {
+		ids = append(ids, p.Orig...)
+	}
+	slices.Sort(ids)
+	return ids, nil
+}
+
+// unsealParts revalidates the sealed partition against the automaton and
+// returns one part per shard, the kept shards' tier selections unsealed and
+// the others left empty.
+func unsealParts(n *automata.NFA, s *Sealed, keep []int) ([]dfa.Part, error) {
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: invalid automaton: %w", err)
 	}
@@ -423,7 +417,6 @@ func UnsealShards(n *automata.NFA, s *Sealed, keep []int) (*Sharded, error) {
 		}
 	}
 
-	out := &Sharded{nfa: n, plan: s.Plan, sealed: s}
 	ids := shardIDs(ccs, s.Plan)
 	engines := make([]dfa.Part, k)
 	for i := 0; i < k; i++ {
@@ -449,8 +442,5 @@ func UnsealShards(n *automata.NFA, s *Sealed, keep []int) (*Sharded, error) {
 			engines[i].Sel = t
 		}
 	}
-	if err := out.setShards(engines); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return engines, nil
 }

@@ -125,22 +125,21 @@ func TestShardedEdgeCases(t *testing.T) {
 	}
 }
 
-// Seal/Unseal round-trips the partition, and tampered seals are rejected.
-// (That the unsealed form runs as the sealed one is TestSpine's, through the
-// artifact.)
+// Partition/Unseal round-trips the partition, and tampered seals are
+// rejected. (That the unsealed form runs as the sealed one is TestSpine's,
+// through the artifact.)
 func TestShardSealUnsealRoundTrip(t *testing.T) {
 	n := multiCC(t)
-	s, err := shard.Build(n, shard.Options{Shards: 3, Tier: &dfa.TierOptions{MinStateShare: -1}})
+	sealed, _, err := shard.Partition(n, shard.Options{Shards: 3, Tier: &dfa.TierOptions{MinStateShare: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed := s.Seal()
 	restored, err := shard.Unseal(n, sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s.Plan(), restored.Plan()) {
-		t.Fatalf("plan changed across seal/unseal:\n%+v\n%+v", s.Plan(), restored.Plan())
+	if !reflect.DeepEqual(sealed.Plan, restored.Plan()) {
+		t.Fatalf("plan changed across seal/unseal:\n%+v\n%+v", sealed.Plan, restored.Plan())
 	}
 
 	corrupt := func(name string, mutate func(*shard.Sealed)) {
@@ -219,11 +218,10 @@ func TestPerShardTierBudget(t *testing.T) {
 // indices out of range are rejected.
 func TestUnsealShardsKeepSubset(t *testing.T) {
 	n := multiCC(t)
-	s, err := shard.Build(n, shard.Options{Shards: 3})
+	sealed, _, err := shard.Partition(n, shard.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed := s.Seal()
 	input := []byte("impala shard head goal merge impala shord goooal")
 	idle, err := shard.UnsealShards(n, sealed, []int{})
 	if err != nil {

@@ -17,12 +17,16 @@ import (
 // of the tiered K = 3 form, merged as a frontend merges them.
 func TestSpine(t *testing.T) {
 	twoTiers := false
-	build := func(t testing.TB, c *simtest.Case, k int, tier bool) *shard.Sharded {
+	build := func(t testing.TB, c *simtest.Case, k int, tier bool) (*shard.Sharded, *shard.Sealed) {
 		opts := shard.Options{Shards: k}
 		if tier {
 			opts.Tier = &dfa.TierOptions{MinStateShare: -1, CCMaxStates: c.SplitBudget(t)}
 		}
-		s, err := shard.Build(c.NFA, opts)
+		sealed, _, err := shard.Partition(c.NFA, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := shard.Unseal(c.NFA, sealed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,22 +39,22 @@ func TestSpine(t *testing.T) {
 		if len(s.Lanes()) != lanes {
 			t.Fatalf("%s, %d shards (tiered %t): %d lanes, the shards' tiers call for %d", c.Name, k, tier, len(s.Lanes()), lanes)
 		}
-		for _, st := range s.Seal().Tiers {
+		for _, st := range sealed.Tiers {
 			twoTiers = twoTiers || st != nil && st.DFA != nil && st.Plan.NFAStates > 0
 		}
-		return s
+		return s, sealed
 	}
 	var rows []simtest.Row
 	for _, k := range []int{1, 2, 3, 8} {
 		for _, tier := range []bool{false, true} {
 			rows = append(rows, simtest.Row{Name: fmt.Sprintf("%d shards, tiered %t", k, tier), Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
-				s := build(t, c, k, tier)
+				s, _ := build(t, c, k, tier)
 				return simtest.SessionForm(s.NewSession, s.Run), true
 			}})
 		}
 	}
 	rows = append(rows, simtest.Row{Name: "3 workers of one shard each, tiered, merged", Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
-		sealed := build(t, c, 3, true).Seal()
+		_, sealed := build(t, c, 3, true)
 		var workers []simtest.Form
 		for i := 0; i < 3; i++ {
 			w, err := shard.UnsealShards(c.NFA, sealed, []int{i})

@@ -138,8 +138,8 @@ func TestScoredComposesWithPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range []*Machine{m, loaded} {
-			if (m.TierInfo() != nil) != (cfg.Shards == 0) || (m.ShardInfo() != nil) != (cfg.Shards == 3) || m.ScoreInfo() == nil {
-				t.Fatalf("%+v: tier plan %+v, shard plan %+v, score table %+v", cfg, m.TierInfo(), m.ShardInfo(), m.ScoreInfo())
+			if a := m.Artifact(); (a.Tier != nil) != (cfg.Shards == 0) || (a.Shards != nil) != (cfg.Shards == 3) || m.ScoreInfo() == nil {
+				t.Fatalf("%+v: tier plan %t, shard plan %t, score table %+v", cfg, a.Tier != nil, a.Shards != nil, m.ScoreInfo())
 			}
 			if got := m.Match(input); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%+v: scores %v, want %v", cfg, got, want)

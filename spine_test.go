@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"impala"
 	"impala/internal/artifact"
+	"impala/internal/dfa"
 	"impala/internal/sim"
 	"impala/internal/sim/simtest"
 	"impala/internal/topo"
@@ -30,10 +32,11 @@ import (
 //     as the cluster frontend merges them, scored and binary.
 //
 // Every one-shot must come out in (End, Pattern) order, which /match encodes
-// as it lies. Each machine must carry the tier, shard and score summaries its
-// configuration calls for (and the tiered ones a DFA on some case); a loaded
-// one must keep its Model, geometry, summaries, design point and scores and
-// save back the bytes it was loaded from, as must each domain's, which must
+// as it lies. Each machine's artifact must carry the tier and shard plans, and
+// the machine the score summary, its configuration calls for (and the tiered
+// ones a DFA on some case); a loaded one must keep its Model, geometry, score
+// summary, design point and scores and save back the bytes it was loaded
+// from, as must each domain's, which must
 // also summarize the score table as the whole machine does; a stream must
 // score each row as the one-shot does; the domains' scores, merged, must be
 // the whole machine's.
@@ -91,13 +94,14 @@ func facadeForms(t testing.TB, c *simtest.Case, dfas map[string]bool) map[string
 		if err != nil {
 			t.Fatalf("%s, %s: %v", c.Name, config, err)
 		}
-		ti, si, sc := m.TierInfo(), m.ShardInfo(), m.ScoreInfo()
-		if (ti != nil) != (cfg.Tier && cfg.Shards == 0) || (si != nil) != (cfg.Shards == 3) || (si != nil && si.Shards != 3) || (sc != nil) != scored {
-			t.Fatalf("%s, %s: tier plan %+v, shard plan %+v, score table %+v", c.Name, config, ti, si, sc)
-		}
-		dfas[config] = dfas[config] || (ti != nil && ti.DFACCs > 0) || (si != nil && si.TieredShards > 0)
-
 		a := m.Artifact()
+		ti, si, sc := a.Tier, a.Shards, m.ScoreInfo()
+		if (ti != nil) != (cfg.Tier && cfg.Shards == 0) || (si != nil) != (cfg.Shards == 3) || (si != nil && si.Plan.Shards != 3) || (sc != nil) != scored {
+			t.Fatalf("%s, %s: tier plan %t, shard plan %t, score table %+v", c.Name, config, ti != nil, si != nil, sc)
+		}
+		dfas[config] = dfas[config] || ti != nil && ti.DFA != nil ||
+			si != nil && slices.ContainsFunc(si.Tiers, func(t *dfa.Sealed) bool { return t != nil && t.DFA != nil })
+
 		if strings.HasSuffix(config, "3 shards, tiered") {
 			a.SetTopo(&topo.Sealed{Topology: topo.Topology{Domains: []topo.Domain{{Name: "n0"}, {Name: "n1"}}}, ShardDomain: []int{0, 1, 0}})
 		}
@@ -179,8 +183,8 @@ func reload(t testing.TB, name string, m *impala.Machine, a *artifact.Artifact) 
 	describe := func(m *impala.Machine) string {
 		bits, stride := m.Geometry()
 		c := m.Config()
-		return fmt.Sprintf("model %+v, geometry %d/%d, tier plan %+v, shard plan %+v, score table %+v, stride %d, CA mode %t, tier %t, shards %d",
-			m.Model(), bits, stride, m.TierInfo(), m.ShardInfo(), m.ScoreInfo(), c.StrideDims, c.CAMode, c.Tier, c.Shards)
+		return fmt.Sprintf("model %+v, geometry %d/%d, score table %+v, stride %d, CA mode %t, tier %t, shards %d",
+			m.Model(), bits, stride, m.ScoreInfo(), c.StrideDims, c.CAMode, c.Tier, c.Shards)
 	}
 	if got, want := describe(lm), describe(m); got != want {
 		t.Fatalf("%s: loaded, the machine describes itself as %s; saved, as %s", name, got, want)
