@@ -77,7 +77,8 @@ bench-smoke:
 # writes), the /match, /stream and /reload handlers (no panic, a
 # documented status, an allocation budget linear in the request), the
 # scored form's threshold pruning (a thresholded form reports the open
-# threshold's reports that clear it, and no pruned state is ever active), the
+# threshold's reports that clear it, no pruned state is ever active, and the
+# pruned automaton validates and prunes to itself), the
 # report sort (SortReports orders as slices.SortFunc does), and the capsule
 # placement check (arch.Check refuses exactly what arch.Build refuses, with
 # its error, and a machine it accepts reports what the simulator does). A

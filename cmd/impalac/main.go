@@ -39,7 +39,6 @@ import (
 	"impala/internal/obs"
 	"impala/internal/place"
 	"impala/internal/regexc"
-	"impala/internal/score"
 	"impala/internal/topo"
 	"impala/internal/workload"
 )
@@ -158,12 +157,8 @@ func main() {
 			len(p.CCShard), p.Shards, p.MinStates(), p.MaxStates(), tiered, dfaStates)
 	}
 	if res.Weights != nil {
-		sc, err := score.Compile(res.NFA, res.Weights)
-		if err != nil {
-			fatal(err)
-		}
 		fmt.Printf("score table     : %d weighted edges, threshold %g (%d state(s) with mixed in-edge weights)\n",
-			res.Weights.NumEdges(), res.Weights.Threshold, sc.ScalarScoredStates())
+			res.Weights.NumEdges(), res.Weights.Threshold, res.Weights.MixedStates(res.NFA))
 	}
 
 	// Cluster placement: map the shard plan onto the named topology domains

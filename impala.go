@@ -75,11 +75,14 @@ type Config struct {
 	// to CompileAutomaton (it must validate against that automaton): the
 	// pipeline transforms it alongside the structure, and Match and NewStream
 	// then score — max-plus accumulation, only the hits that clear the
-	// table's threshold reported, each with its Match.Score. The transformed
-	// table travels inside the artifact as the SCOR section, so loaded
-	// machines keep it. Tier and Shards compose with it: their plans are
-	// sealed into the artifact and checked whenever a machine is built from
-	// it, and the scored form runs on one bit-parallel kernel.
+	// table's threshold reported, each with its Match.Score. The compile
+	// removes the states no path can carry to the threshold, so the sealed
+	// automaton — and with it the placement, Model, and the binary Run and
+	// Simulate — holds only the live states. The transformed table travels
+	// inside the artifact as the SCOR section, so loaded machines keep it.
+	// Tier and Shards compose with it: their plans are sealed into the
+	// artifact and checked whenever a machine is built from it, and the
+	// scored form runs on one bit-parallel kernel.
 	Score *automata.Weights
 }
 

@@ -99,6 +99,170 @@ func (w *Weights) Induced(n *NFA, ids []StateID) *Weights {
 	return sub
 }
 
+// InEdges returns the weighted transpose of n's out-edge lists under this
+// table: state i's in-edges are from/wt[off[i]:off[i+1]], source state and
+// edge weight, in ascending source order. It is a counting sort — in-degrees,
+// prefix sums, then one pass over the out-edges dropping each into its
+// target's next free slot.
+func (w *Weights) InEdges(n *NFA) (off, from []int32, wt []float64) {
+	ns := len(n.States)
+	off = make([]int32, ns+1)
+	for i := range n.States {
+		for _, t := range n.States[i].Out {
+			off[t+1]++
+		}
+	}
+	for i := 0; i < ns; i++ {
+		off[i+1] += off[i]
+	}
+	from, wt = make([]int32, off[ns]), make([]float64, off[ns])
+	next := append([]int32(nil), off[:ns]...)
+	for i := range n.States {
+		for j, t := range n.States[i].Out {
+			from[next[t]], wt[next[t]] = int32(i), w.Edge[i][j]
+			next[t]++
+		}
+	}
+	return off, from, wt
+}
+
+// PruneThreshold removes the threshold-dead states of n under this table's
+// threshold (thresholdDead): it returns the sub-automaton the live states
+// induce, its weight table and live, the ascending IDs in n of its states, so
+// a report the sub-automaton makes at state i is n's at live[i]. The reports
+// that clear the threshold, scores included, are exactly n's, in n's order.
+// When nothing is dead it returns n, w and a nil live; when every state is,
+// an automaton of no states and an empty, non-nil live.
+func PruneThreshold(n *NFA, w *Weights) (*NFA, *Weights, []StateID) {
+	dead := thresholdDead(n, w)
+	if dead == nil {
+		return n, w, nil
+	}
+	live := make([]StateID, 0, len(n.States))
+	for i, d := range dead {
+		if !d {
+			live = append(live, StateID(i))
+		}
+	}
+	return n.Induced(live), w.Induced(n, live), live
+}
+
+// thresholdDead returns the states no report that clears the threshold can
+// pass through, or nil when there are none. For every state i it bounds
+//
+//	h[i]: the best start weight plus path weight from any start to i;
+//	g[i]: the best path weight from i to any reporting state (0 if i reports),
+//
+// and i is dead when both are finite and h[i] + g[i] < threshold. Then every
+// path through i — all it can score and all it can hand a successor — sums
+// to less than the threshold, so taking i out of the automaton removes only
+// paths whose reports the gate would reject, and a report that clears the
+// threshold keeps its best path and so its score.
+//
+// Each bound is one topological pass (Kahn's order: forward over the
+// in-degrees for h, backward over the out-degrees for g), so the cost is
+// linear in states and edges. A state on a cycle, or reachable from one, is
+// never ordered forward and its h is +∞; one on or reaching a cycle is never
+// ordered backward and its g is +∞ — a positive cycle makes its bound
+// unbounded, and no state is priced by its cycles. A state no start reaches
+// (h = −∞) or that reaches no report (g = −∞) is structurally dead and left
+// alone: only the threshold prunes here.
+//
+// Saturation. The scored engine's score of a path is its sum clamped at
+// ±ScoreLimit after every addition. A clamp at +ScoreLimit only lowers a
+// score; a clamp at −ScoreLimit raises it, to at most −ScoreLimit plus the
+// weight of the rest of the path, which the bounds do not cap (the clamp may
+// fall on a state that also reaches a cycle). So no state is pruned unless no
+// path the bounds cover can clamp at all: a finite-bound state lies on no
+// cycle and neither does any state a path through it visits, so such a path
+// visits each state once and sums at most states × (largest weight
+// magnitude) at every step; when that is within ±ScoreLimit, every such path
+// scores its plain sum. Every weight must also be an integer, so that sums
+// are exact in either order (h adds forward, g backward). Under these
+// conditions the open threshold −ScoreLimit prunes nothing — no sum falls
+// below it — nor do zero weights at threshold 0.
+func thresholdDead(n *NFA, w *Weights) []bool {
+	ns := n.NumStates()
+	largest := 0.0
+	for i := range n.States {
+		for _, x := range w.Edge[i] {
+			if x != math.Trunc(x) {
+				return nil
+			}
+			largest = max(largest, math.Abs(x))
+		}
+		if x := w.Start[i]; n.States[i].Start != StartNone {
+			if x != math.Trunc(x) {
+				return nil
+			}
+			largest = max(largest, math.Abs(x))
+		}
+	}
+	if largest*float64(ns) > ScoreLimit {
+		return nil
+	}
+
+	inOff, inFrom, inW := w.InEdges(n)
+	h, g := make([]float64, ns), make([]float64, ns)
+	pending, order := make([]int32, ns), make([]int32, 0, ns)
+	for i := range n.States {
+		h[i] = math.Inf(-1)
+		if n.States[i].Start != StartNone {
+			h[i] = w.Start[i]
+		}
+		if pending[i] = inOff[i+1] - inOff[i]; pending[i] == 0 {
+			order = append(order, int32(i))
+		}
+	}
+	for k := 0; k < len(order); k++ {
+		i := order[k]
+		for j, t := range n.States[i].Out {
+			h[t] = max(h[t], h[i]+w.Edge[i][j])
+			if pending[t]--; pending[t] == 0 {
+				order = append(order, int32(t))
+			}
+		}
+	}
+	for i, p := range pending {
+		if p != 0 {
+			h[i] = math.Inf(1)
+		}
+	}
+
+	order = order[:0]
+	for i := range n.States {
+		g[i] = math.Inf(-1)
+		if n.States[i].Report {
+			g[i] = 0
+		}
+		if pending[i] = int32(len(n.States[i].Out)); pending[i] == 0 {
+			order = append(order, int32(i))
+		}
+	}
+	for k := 0; k < len(order); k++ {
+		i := order[k]
+		for p := inOff[i]; p < inOff[i+1]; p++ {
+			u := inFrom[p]
+			g[u] = max(g[u], inW[p]+g[i])
+			if pending[u]--; pending[u] == 0 {
+				order = append(order, u)
+			}
+		}
+	}
+
+	var dead []bool
+	for i, p := range pending {
+		// p != 0: i is on or reaches a cycle, and its g is +∞.
+		if p == 0 && !math.IsInf(h[i], 0) && !math.IsInf(g[i], 0) && h[i]+g[i] < w.Threshold {
+			if dead == nil {
+				dead = make([]bool, ns)
+			}
+			dead[i] = true
+		}
+	}
+	return dead
+}
+
 // NumEdges returns the total number of weighted transitions.
 func (w *Weights) NumEdges() int {
 	t := 0

@@ -80,8 +80,11 @@ type Config struct {
 	// along, so Result.Weights scores the transformed automaton exactly:
 	// the accumulated weight of any input path is preserved. Weighted
 	// compiles skip the minimize passes (merging states whose entry weights
-	// differ would change scores). Tier and Shards compose with it: a plan
-	// moves whole components, and the table scores the automaton it plans.
+	// differ would change scores). After the last transform the
+	// threshold-prune stage removes the states no path can carry to the
+	// threshold, so Result.NFA reports exactly the input's threshold-clearing
+	// reports. Tier and Shards compose with it: a plan moves whole
+	// components of the pruned automaton, which the table scores.
 	Weights *automata.Weights
 }
 
@@ -142,7 +145,8 @@ type Result struct {
 	Shards *shard.Sealed
 	// Weights scores the transformed automaton (nil unless Config.Weights
 	// was set): Weights.Edge parallels NFA's out-edge lists, and any input
-	// path's accumulated weight is preserved through every transform.
+	// path's accumulated weight is preserved through every transform. Its
+	// threshold-dead states are gone from NFA.
 	Weights *automata.Weights
 }
 
@@ -174,8 +178,9 @@ func (r *Result) TransitionOverhead(original *automata.NFA) float64 {
 
 // Compile runs the full V-TeSS pipeline (Figure 4) on an 8-bit stride-1
 // homogeneous automaton: squash/stride to the configured design point,
-// minimize, Espresso-refine to capsule-legal form, minimize again. The input
-// automaton is not modified.
+// minimize, Espresso-refine to capsule-legal form, minimize again — and, for
+// a scored compile, remove the threshold-dead states
+// (automata.PruneThreshold). The input automaton is not modified.
 //
 // The Espresso-heavy stages run their per-state/per-node work on a worker
 // pool bounded by Config.Workers, sharing one cover cache across the stride
@@ -289,6 +294,14 @@ func Compile(n *automata.NFA, cfg Config) (*Result, error) {
 			automata.Minimize(cur)
 			record("minimize-2", cur, t0, -1)
 		}
+	}
+
+	// The threshold is a compile-time input: the states no report that clears
+	// it can pass through leave before anything is planned, placed or sealed.
+	if res.Weights != nil {
+		t0 = time.Now()
+		cur, res.Weights, _ = automata.PruneThreshold(cur, res.Weights)
+		record("threshold-prune", cur, t0, -1)
 	}
 
 	switch {

@@ -5,10 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"impala/internal/automata"
 	"impala/internal/dfa"
+	"impala/internal/shard"
+	"impala/internal/workload"
 )
 
 // randWeights builds a random integer-valued weight table for n, including
@@ -141,6 +144,69 @@ func TestCompileWeightsComposeWithPlans(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.NFA, base.NFA) || !reflect.DeepEqual(res.Weights, base.Weights) {
 			t.Fatalf("%+v: the plan changed the scored automaton", cfg)
+		}
+	}
+
+	// The dna_scored_match mesh loses its threshold-dead states in the
+	// threshold-prune stage, after the last transform and before any plan,
+	// so its tier and shard plans cover exactly the 672 live states. A binary
+	// compile records no such stage.
+	r := rand.New(rand.NewSource(1))
+	costs := workload.DefaultAlignCosts
+	mesh, mw, err := workload.ScoredLevenshtein(workload.RandomPatterns(r, 8, 12, "ACGT"), 2, costs, 11*costs.Match+costs.Gap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const live = 672
+	for _, cfg := range []Config{{}, {Tier: &dfa.TierOptions{}}, {Shards: 2}, {Shards: 2, Tier: &dfa.TierOptions{}}} {
+		cfg.TargetBits, cfg.StrideDims, cfg.Weights = 4, 4, mw
+		res, err := Compile(mesh, cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		var names []string
+		for _, st := range res.Stages {
+			names = append(names, st.Name)
+		}
+		want := []string{"v-tess", "espresso-refine", "threshold-prune"}
+		switch {
+		case cfg.Shards > 1:
+			want = append(want, "shard-plan")
+		case cfg.Tier != nil:
+			want = append(want, "tier-select")
+		}
+		if !slices.Equal(names, want) || res.Stages[2].States != live || res.NFA.NumStates() != live {
+			t.Fatalf("%+v: stages %v, %d states after threshold-prune, %d compiled: want stages %v and %d states",
+				cfg, names, res.Stages[2].States, res.NFA.NumStates(), want, live)
+		}
+		if res.Tier != nil {
+			if p := res.Tier.Plan; p.NFAStates+p.DFANFAStates != live {
+				t.Fatalf("%+v: the tier plan covers %d NFA and %d DFA states, want %d in all", cfg, p.NFAStates, p.DFANFAStates, live)
+			}
+			if _, err := dfa.UnsealSelection(res.NFA, res.Tier); err != nil {
+				t.Fatalf("%+v: the tier plan does not cover the pruned automaton: %v", cfg, err)
+			}
+		}
+		if res.Shards != nil {
+			got := 0
+			for _, k := range res.Shards.Plan.ShardStates() {
+				got += k
+			}
+			if got != live {
+				t.Fatalf("%+v: the shard plan holds %d states, want %d", cfg, got, live)
+			}
+			if _, err := shard.Unseal(res.NFA, res.Shards); err != nil {
+				t.Fatalf("%+v: the shard plan does not cover the pruned automaton: %v", cfg, err)
+			}
+		}
+	}
+	bin, err := Compile(mesh, Config{TargetBits: 4, StrideDims: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range bin.Stages {
+		if st.Name == "threshold-prune" {
+			t.Fatal("a binary compile records a threshold-prune stage")
 		}
 	}
 

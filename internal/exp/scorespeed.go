@@ -172,7 +172,10 @@ func ScoreSpeedReport(o Options) (*Report[ScoreCell], error) {
 		if err != nil {
 			return err
 		}
-		scored, err := score.Compile(n, w)
+		// The scored form runs what a machine serves: the mesh less its
+		// threshold-dead states, as core.Compile prunes it.
+		sub, sw, live := automata.PruneThreshold(n, w)
+		scored, err := score.Compile(sub, sw)
 		if err != nil {
 			return err
 		}
@@ -199,6 +202,9 @@ func ScoreSpeedReport(o Options) (*Report[ScoreCell], error) {
 		}
 		for _, r := range got {
 			r.Score = 0 // a binary report's
+			if live != nil {
+				r.State = live[r.State]
+			}
 			if !structural[r] {
 				return fmt.Errorf("exp: %s: scored report at bit %d is not a binary report", u.Name, r.BitPos)
 			}
@@ -229,7 +235,7 @@ func ScoreSpeedReport(o Options) (*Report[ScoreCell], error) {
 			Patterns:       len(pats),
 			States:         n.NumStates(),
 			WeightedEdges:  w.NumEdges(),
-			ScalarStates:   scored.ScalarScoredStates(),
+			ScalarStates:   w.MixedStates(n),
 			Threshold:      w.Threshold,
 			BinaryReports:  len(want),
 			ScoredReports:  len(got),

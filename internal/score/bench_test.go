@@ -13,29 +13,34 @@ import (
 
 // dnaMesh is the benchmark's dna_scored_match machine: 8 random DNA 12-mers
 // as edit-distance meshes (distance 2, default alignment costs, threshold
-// admitting single-edit reads) compiled to 4-bit stride 4, and a 16 KiB body
-// of background with a perfect or once-substituted read every few dozen
-// bytes.
-func dnaMesh(tb testing.TB) (*Compiled, []byte) {
+// admitting single-edit reads) compiled to 4-bit stride 4 and pruned of its
+// threshold-dead states, as core.Compile prunes it, and a 16 KiB body of
+// background with a perfect or once-substituted read every few dozen bytes.
+// full is the mesh before pruning.
+func dnaMesh(tb testing.TB) (c *Compiled, full *automata.NFA, input []byte) {
 	tb.Helper()
-	n, w, input := readMesh(tb, workload.ScoredLevenshtein)
-	c, err := Compile(n, w)
+	full, w, input := readMesh(tb, workload.ScoredLevenshtein)
+	sub, sw, _ := automata.PruneThreshold(full, w)
+	c, err := Compile(sub, sw)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return c, input
+	return c, full, input
 }
 
-// readMesh is dnaMesh's automaton, weight table and body before the scored
-// compile, with the meshes build makes (workload.ScoredLevenshtein or
-// workload.ScoredHamming) of the same reads at the same threshold.
+// readMesh is dnaMesh's automaton, weight table and body before pruning,
+// with the meshes build makes (workload.ScoredLevenshtein or
+// workload.ScoredHamming) of the same reads at the same threshold. The mesh
+// is compiled at the open threshold, which prunes nothing, and the table then
+// carries the real one.
 func readMesh(tb testing.TB, build func([][]byte, int, workload.Costs, float64) (*automata.NFA, *automata.Weights, error)) (*automata.NFA, *automata.Weights, []byte) {
 	tb.Helper()
 	const alphabet = "ACGT"
 	r := rand.New(rand.NewSource(1))
 	pats := workload.RandomPatterns(r, 8, 12, alphabet)
 	costs := workload.DefaultAlignCosts
-	n, w, err := build(pats, 2, costs, 11*costs.Match+costs.Gap)
+	threshold := 11*costs.Match + costs.Gap
+	n, w, err := build(pats, 2, costs, -automata.ScoreLimit)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,6 +48,7 @@ func readMesh(tb testing.TB, build func([][]byte, int, workload.Costs, float64) 
 	if err != nil {
 		tb.Fatal(err)
 	}
+	res.Weights.Threshold = threshold
 	input := make([]byte, 16<<10)
 	for i := range input {
 		input[i] = alphabet[r.Intn(len(alphabet))]
@@ -101,22 +107,22 @@ func (tr *cycleTracer) OnCycle(_ int, enabled, active bitvec.Words) {
 // can activate (live-states), the in-edges per active state and the share
 // of the active states that are heads, which the pass skips.
 func BenchmarkScoredRun(b *testing.B) {
-	c, input := dnaMesh(b)
-	kernel, err := sim.Compile(c.NFA())
+	c, mesh, input := dnaMesh(b)
+	kernel, err := sim.Compile(mesh)
 	if err != nil {
 		b.Fatal(err)
 	}
 	full, tr := &cycleTracer{}, &cycleTracer{c: c}
 	sim.RunBatch(kernel.NewEngine(), input, 0, full)
 	sim.RunBatch(c.NewEngine().kernel, input, 0, tr)
-	live := c.live.NFA().NumStates()
+	live := c.NFA().NumStates()
 	for _, form := range []struct {
 		name  string
 		run   func([]byte) ([]sim.Report, sim.Stats)
 		words *cycleTracer
 	}{
 		{"kernel", kernel.Run, full},
-		{"live kernel", c.live.Run, tr},
+		{"live kernel", c.kernel.Run, tr},
 		{"kernel+lane", sim.NewPool(func() sim.Core { return c.NewEngine().kernel }).Run, tr},
 		{"scored", c.Run, tr},
 	} {

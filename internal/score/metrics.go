@@ -28,10 +28,10 @@ var scoreMetricsPtr atomic.Pointer[scoreMetrics]
 //	score_reports_total           reports that cleared the threshold
 //	score_threshold_rejects_total reports the threshold gate suppressed
 //
-// A threshold-dead state (see Compile) is never active, so its would-be
-// reports are never formed: the gate neither forwards nor counts them, and
-// rejects count only live states' reports that scored below the threshold
-// on the input.
+// A threshold-dead state is pruned before Compile (core.Compile's
+// threshold-prune stage), so its would-be reports are never formed: the gate
+// neither forwards nor counts them, and rejects count only live states'
+// reports that scored below the threshold on the input.
 //
 // EnableMetrics(nil) disables publication again (the default).
 func EnableMetrics(reg *obs.Registry) {

@@ -15,22 +15,28 @@ import (
 
 // activeTracer fails the test if a threshold-dead state is ever active —
 // residual states included, which the kernel sets active beside the masks —
-// and ORs every active state into seen, when it is set.
+// and marks every active state in seen, when it is set. It is handed the
+// vectors of a pruned form, whose state i is the case's live[i] (every state
+// its own when live is nil).
 type activeTracer struct {
 	tb         testing.TB
 	what       string
+	live       []automata.StateID
 	dead, seen bitvec.Words
 }
 
 func (tr activeTracer) OnCycle(t int, _, active bitvec.Words) {
-	for w, x := range active {
-		if tr.dead != nil && x&tr.dead[w] != 0 {
-			tr.tb.Fatalf("%s: cycle %d: threshold-dead states %#x of word %d are active", tr.what, t, x&tr.dead[w], w)
+	active.ForEach(func(i int) {
+		if tr.live != nil {
+			i = int(tr.live[i])
+		}
+		if tr.dead != nil && tr.dead.Get(i) {
+			tr.tb.Fatalf("%s: cycle %d: threshold-dead state %d is active", tr.what, t, i)
 		}
 		if tr.seen != nil {
-			tr.seen[w] |= x
+			tr.seen.Set(i)
 		}
-	}
+	})
 }
 
 // pruneCase is one weighted automaton and the input it runs over.
@@ -46,16 +52,65 @@ func newPruneCase(name string, n *automata.NFA, w *automata.Weights, input []byt
 	return &pruneCase{name: name, n: n, w: w, input: input, cuts: simtest.Chunkings(input)}
 }
 
-// compile compiles the case at threshold th.
-func (pc *pruneCase) compile(tb testing.TB, th float64) *Compiled {
+// prunedForm is a case's scored form at one threshold, as core.Compile
+// seals it: the compiled sub-automaton automata.PruneThreshold leaves; live,
+// the case's ID of each of its states (nil when nothing is dead); and dead,
+// the case's states it pruned (nil when none).
+type prunedForm struct {
+	*Compiled
+	live []automata.StateID
+	dead bitvec.Words
+}
+
+// inCase returns r with its State the case's.
+func (p *prunedForm) inCase(r sim.Report) sim.Report {
+	if p.live != nil {
+		r.State = p.live[r.State]
+	}
+	return r
+}
+
+// run is Run with the reports' states the case's.
+func (p *prunedForm) run(input []byte) ([]sim.Report, sim.Stats) {
+	got, st := p.Run(input)
+	for i, r := range got {
+		got[i] = p.inCase(r)
+	}
+	return got, st
+}
+
+// compile prunes the case at threshold th and compiles what is left. The
+// pruned pair must validate, and pruning it again must prune nothing.
+func (pc *pruneCase) compile(tb testing.TB, th float64) *prunedForm {
 	tb.Helper()
 	w := pc.w.Clone()
 	w.Threshold = th
-	c, err := Compile(pc.n, w)
+	sub, sw, live := automata.PruneThreshold(pc.n, w)
+	if err := sub.Validate(); err != nil {
+		tb.Fatalf("%s at threshold %g: the pruned automaton: %v", pc.name, th, err)
+	}
+	if err := sw.Validate(sub); err != nil {
+		tb.Fatalf("%s at threshold %g: the pruned weights: %v", pc.name, th, err)
+	}
+	if again, _, more := automata.PruneThreshold(sub, sw); more != nil || again != sub {
+		tb.Fatalf("%s at threshold %g: pruning the pruned form prunes %d more states", pc.name, th, sub.NumStates()-len(more))
+	}
+	c, err := Compile(sub, sw)
 	if err != nil {
 		tb.Fatalf("%s: %v", pc.name, err)
 	}
-	return c
+	p := &prunedForm{Compiled: c, live: live}
+	if live != nil {
+		p.dead = bitvec.NewWords(pc.n.NumStates())
+		for i, j := 0, 0; i < pc.n.NumStates(); i++ {
+			if j < len(live) && live[j] == automata.StateID(i) {
+				j++
+			} else {
+				p.dead.Set(i)
+			}
+		}
+	}
+	return p
 }
 
 // open runs the case at the open threshold, which must prune nothing, and
@@ -63,7 +118,7 @@ func (pc *pruneCase) compile(tb testing.TB, th float64) *Compiled {
 func (pc *pruneCase) open(tb testing.TB) ([]sim.Report, bitvec.Words) {
 	tb.Helper()
 	c := pc.compile(tb, -automata.ScoreLimit)
-	if c.dead != nil {
+	if c.live != nil {
 		tb.Fatalf("%s: the open threshold prunes %d states", pc.name, c.dead.Count())
 	}
 	seen := bitvec.NewWords(pc.n.NumStates())
@@ -76,12 +131,12 @@ func (pc *pruneCase) open(tb testing.TB) ([]sim.Report, bitvec.Words) {
 // one-shot, traced, and as a stream over every chunking of the spine (the
 // whole stream after a Reset among them), with one Stats throughout — and no
 // threshold-dead state is ever active. It returns the compiled form.
-func (pc *pruneCase) check(tb testing.TB, open []sim.Report, th float64) *Compiled {
+func (pc *pruneCase) check(tb testing.TB, open []sim.Report, th float64) *prunedForm {
 	tb.Helper()
 	c := pc.compile(tb, th)
 	want := slices.DeleteFunc(slices.Clone(open), func(r sim.Report) bool { return r.Score < th })
 	what := fmt.Sprintf("%s at threshold %g (%d states pruned)", pc.name, th, c.dead.Count())
-	tr := activeTracer{tb: tb, what: what, dead: c.dead}
+	tr := activeTracer{tb: tb, what: what, live: c.live, dead: c.dead}
 	same := func(run string, got []sim.Report, st, wantStats sim.Stats) {
 		tb.Helper()
 		if !slices.Equal(got, want) {
@@ -96,13 +151,16 @@ func (pc *pruneCase) check(tb testing.TB, open []sim.Report, th float64) *Compil
 			tb.Fatalf("%s, %s: stats %+v, the one-shot Run's %+v", what, run, st, wantStats)
 		}
 	}
-	got, stats := c.Run(pc.input)
+	got, stats := c.run(pc.input)
 	same("one-shot Run", got, stats, stats)
 	got, st := sim.RunBatch(c.NewEngine(), pc.input, 0, tr)
+	for i, r := range got {
+		got[i] = c.inCase(r)
+	}
 	same("traced run", got, st, stats)
 
 	var calls []sim.Report
-	s := c.NewSession(func(r sim.Report) { calls = append(calls, r) })
+	s := c.NewSession(func(r sim.Report) { calls = append(calls, c.inCase(r)) })
 	s.SetTracer(tr)
 	for _, cut := range pc.cuts {
 		s.Reset()
@@ -176,7 +234,7 @@ func TestThresholdPruneExact(t *testing.T) {
 				pruned += bitvec.Words{d}.Count()
 				prunedActive += bitvec.Words{d & seen[w]}.Count()
 			}
-			prunedResidual += full.ResidualStates() - c.live.ResidualStates()
+			prunedResidual += full.ResidualStates() - c.kernel.ResidualStates()
 		}
 	}
 	if pruned == 0 || prunedActive == 0 || prunedResidual == 0 {
@@ -199,7 +257,7 @@ func TestThresholdPruneExact(t *testing.T) {
 		if !slices.Equal(dead, sh.dead) {
 			t.Errorf("%s: pruned %v, want %v", sh.name, dead, sh.dead)
 		}
-		got, _ := c.Run(sh.input)
+		got, _ := c.run(sh.input)
 		if want := naiveScoredRun(sh.n, sh.w, sh.input); !slices.Equal(got, want) {
 			t.Errorf("%s: reports %v, the scalar reference's %v", sh.name, got, want)
 		}
@@ -231,14 +289,8 @@ func TestScoredStatsCountLiveStates(t *testing.T) {
 			c := pc.compile(t, th)
 			_, got := c.Run(pc.input)
 			stepped := pc.n
-			if c.dead != nil {
-				var live []automata.StateID
-				for i := range pc.n.States {
-					if !c.dead.Get(i) {
-						live = append(live, automata.StateID(i))
-					}
-				}
-				stepped = pc.n.Induced(live)
+			if c.live != nil {
+				stepped = pc.n.Induced(c.live)
 				pruned++
 			} else {
 				whole++
@@ -401,7 +453,8 @@ func pruneShapes() []pruneShape {
 // FuzzThresholdPrune holds the pruning exact on random automata at every
 // geometry under random weights and a random threshold: the scored form
 // reports what the open threshold reports less the reports below the
-// threshold, and no pruned state is ever active.
+// threshold, and no pruned state is ever active. The pruned automaton and
+// table validate, and pruning them again prunes nothing (compile).
 func FuzzThresholdPrune(f *testing.F) {
 	for _, seed := range []struct {
 		seed      int64

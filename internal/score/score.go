@@ -18,16 +18,12 @@
 // it skips the heads, the states with no in-edge, whose score is fixed
 // (Compiled.NewEngine).
 //
-// The threshold is applied twice. At Compile it removes the states no path
-// can carry to it: each state's best start-to-state and state-to-report
-// weights bound every score a report reached through it, and the states
-// whose bound falls below the threshold (threshold-dead) are taken out of
-// the automaton the scored engine steps — it runs the kernel of the
-// sub-automaton the live states induce, so a dead state holds no bit of any
-// vector and is never enabled, active, scored or reported. At run time the
-// gate compares each report's score with it and gives the report its state's
-// ID in the full automaton. The reports that clear the threshold, scores and
-// states included, are exactly those of the unpruned kernel, in its order.
+// The threshold is applied at the report gate: it compares each report's
+// score with the threshold and lets through only the reports that clear it.
+// The states no path can carry to the threshold are removed before this
+// package sees the automaton, by core.Compile's threshold-prune stage
+// (automata.PruneThreshold); Compile steps exactly the automaton it is given,
+// pruned or not, and its reports are that automaton's.
 //
 // A scored report is a sim.Report with its Score set, so the scored form runs
 // on the same session, the same pooled one-shot runner and the same report
@@ -51,18 +47,9 @@ import (
 // edges) in all. Safe to share across goroutines; per-stream state lives in
 // Engine.
 type Compiled struct {
-	// nfa is the automaton the form was compiled from.
-	nfa *automata.NFA
-	// live is the kernel the scored engine steps: nfa's, or, when some states
-	// are threshold-dead, the kernel of the sub-automaton the live states
-	// induce. The scoring tables below are indexed by its states.
-	live *sim.Compiled
-	// dead is the set of threshold-dead states, nil when there are none; orig
-	// then maps live's state i to its ID in nfa (nil when nothing is dead).
-	// The live states keep their order, so orig is ascending and a cycle's
-	// reports leave the gate in the order nfa's kernel would emit them.
-	dead bitvec.Words
-	orig []automata.StateID
+	// kernel is the bit-parallel kernel of the automaton the form was
+	// compiled from; the scoring tables below are indexed by its states.
+	kernel *sim.Compiled
 
 	// State i's in-edges are inFrom/inW[inOff[i]:inOff[i+1]]: source state
 	// and edge weight, the weighted transpose of the automaton's out-edge
@@ -82,10 +69,9 @@ type Compiled struct {
 	pool *sim.Pool
 }
 
-// Compile builds the scored form: the one kernel its engine steps — n's, or
-// that of the sub-automaton without w's threshold-dead states — with the
-// scoring tables of w beside it. The weight table must validate against n;
-// neither may be mutated while the compiled form is in use.
+// Compile builds the scored form: n's kernel with the scoring tables of w
+// beside it. The weight table must validate against n; neither may be
+// mutated while the compiled form is in use.
 func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 	if w == nil {
 		return nil, fmt.Errorf("score: Compile requires a weight table (use sim.Compile for binary execution)")
@@ -93,31 +79,18 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 	if err := w.Validate(n); err != nil {
 		return nil, err
 	}
-	if err := n.Validate(); err != nil {
+	// sim.Compile validates n, which the tables below index by.
+	kernel, err := sim.Compile(n)
+	if err != nil {
 		return nil, err
 	}
 	c := &Compiled{
-		nfa:         n,
+		kernel:      kernel,
+		startW:      append([]float64(nil), w.Start...),
 		threshold:   w.Threshold,
 		mixedStates: w.MixedStates(n),
 	}
-	c.transpose(n, w)
-	if c.dead = c.thresholdDead(n, w); c.dead != nil {
-		c.orig = make([]automata.StateID, 0, n.NumStates()-c.dead.Count())
-		for i := range n.States {
-			if !c.dead.Get(i) {
-				c.orig = append(c.orig, automata.StateID(i))
-			}
-		}
-		w = w.Induced(n, c.orig)
-		n = n.Induced(c.orig)
-		c.transpose(n, w)
-	}
-	var err error
-	if c.live, err = sim.Compile(n); err != nil {
-		return nil, err
-	}
-	c.startW = append([]float64(nil), w.Start...)
+	c.inOff, c.inFrom, c.inW = w.InEdges(n)
 	c.heads = bitvec.NewWords(n.NumStates())
 	for i := range n.States {
 		if c.inOff[i] == c.inOff[i+1] {
@@ -126,147 +99,6 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 	}
 	c.pool = sim.NewPool(func() sim.Core { return c.NewEngine() })
 	return c, nil
-}
-
-// transpose builds the in-edge tables of n under w by counting sort:
-// in-degrees, prefix sums, then one pass over the out-edges dropping each
-// into its target's next free slot.
-func (c *Compiled) transpose(n *automata.NFA, w *automata.Weights) {
-	ns := n.NumStates()
-	c.inOff = make([]int32, ns+1)
-	for i := range n.States {
-		for _, t := range n.States[i].Out {
-			c.inOff[t+1]++
-		}
-	}
-	for i := 0; i < ns; i++ {
-		c.inOff[i+1] += c.inOff[i]
-	}
-	c.inFrom = make([]int32, c.inOff[ns])
-	c.inW = make([]float64, c.inOff[ns])
-	next := append([]int32(nil), c.inOff[:ns]...)
-	for i := range n.States {
-		for j, t := range n.States[i].Out {
-			c.inFrom[next[t]] = int32(i)
-			c.inW[next[t]] = w.Edge[i][j]
-			next[t]++
-		}
-	}
-}
-
-// thresholdDead returns the states no report that clears the threshold can
-// pass through, or nil when there are none. For every state i it bounds
-//
-//	h[i]: the best start weight plus path weight from any start to i;
-//	g[i]: the best path weight from i to any reporting state (0 if i reports),
-//
-// and i is dead when both are finite and h[i] + g[i] < threshold. Then every
-// path through i — all it can score and all it can hand a successor — sums
-// to less than the threshold, so taking i out of the automaton removes only
-// paths whose reports the gate would reject, and a report that clears the
-// threshold keeps its best path and so its score.
-//
-// Each bound is one topological pass (Kahn's order: forward over the
-// in-degrees for h, backward over the out-degrees for g), so the cost is
-// linear in states and edges. A state on a cycle, or reachable from one, is
-// never ordered forward and its h is +∞; one on or reaching a cycle is never
-// ordered backward and its g is +∞ — a positive cycle makes its bound
-// unbounded, and no state is priced by its cycles. A state no start reaches
-// (h = −∞) or that reaches no report (g = −∞) is structurally dead and left
-// alone: only the threshold prunes here.
-//
-// Saturation. The engine's score of a path is its sum clamped at
-// ±ScoreLimit after every addition. A clamp at +ScoreLimit only lowers a
-// score; a clamp at −ScoreLimit raises it, to at most −ScoreLimit plus the
-// weight of the rest of the path, which the bounds do not cap (the clamp may
-// fall on a state that also reaches a cycle). So no state is pruned unless no
-// path the bounds cover can clamp at all: a finite-bound state lies on no
-// cycle and neither does any state a path through it visits, so such a path
-// visits each state once and sums at most states × (largest weight
-// magnitude) at every step; when that is within ±ScoreLimit, every such path
-// scores its plain sum. Every weight must also be an integer, so that sums
-// are exact in either order (h adds forward, g backward). Under these
-// conditions the open threshold −ScoreLimit prunes nothing — no sum falls
-// below it — nor do zero weights at threshold 0.
-func (c *Compiled) thresholdDead(n *automata.NFA, w *automata.Weights) bitvec.Words {
-	ns := n.NumStates()
-	largest := 0.0
-	for i := range n.States {
-		for _, x := range w.Edge[i] {
-			if x != math.Trunc(x) {
-				return nil
-			}
-			largest = max(largest, math.Abs(x))
-		}
-		if x := w.Start[i]; n.States[i].Start != automata.StartNone {
-			if x != math.Trunc(x) {
-				return nil
-			}
-			largest = max(largest, math.Abs(x))
-		}
-	}
-	if largest*float64(ns) > automata.ScoreLimit {
-		return nil
-	}
-
-	h, g := make([]float64, ns), make([]float64, ns)
-	pending, order := make([]int32, ns), make([]int32, 0, ns)
-	for i := range n.States {
-		h[i] = math.Inf(-1)
-		if n.States[i].Start != automata.StartNone {
-			h[i] = w.Start[i]
-		}
-		if pending[i] = c.inOff[i+1] - c.inOff[i]; pending[i] == 0 {
-			order = append(order, int32(i))
-		}
-	}
-	for k := 0; k < len(order); k++ {
-		i := order[k]
-		for j, t := range n.States[i].Out {
-			h[t] = max(h[t], h[i]+w.Edge[i][j])
-			if pending[t]--; pending[t] == 0 {
-				order = append(order, int32(t))
-			}
-		}
-	}
-	for i, p := range pending {
-		if p != 0 {
-			h[i] = math.Inf(1)
-		}
-	}
-
-	order = order[:0]
-	for i := range n.States {
-		g[i] = math.Inf(-1)
-		if n.States[i].Report {
-			g[i] = 0
-		}
-		if pending[i] = int32(len(n.States[i].Out)); pending[i] == 0 {
-			order = append(order, int32(i))
-		}
-	}
-	for k := 0; k < len(order); k++ {
-		i := order[k]
-		for p := c.inOff[i]; p < c.inOff[i+1]; p++ {
-			u := c.inFrom[p]
-			g[u] = max(g[u], c.inW[p]+g[i])
-			if pending[u]--; pending[u] == 0 {
-				order = append(order, u)
-			}
-		}
-	}
-
-	var dead bitvec.Words
-	for i, p := range pending {
-		// p != 0: i is on or reaches a cycle, and its g is +∞.
-		if p == 0 && !math.IsInf(h[i], 0) && !math.IsInf(g[i], 0) && h[i]+g[i] < c.threshold {
-			if dead == nil {
-				dead = bitvec.NewWords(ns)
-			}
-			dead.Set(i)
-		}
-	}
-	return dead
 }
 
 // Run executes the scored automaton over input on a pooled engine and
@@ -282,7 +114,7 @@ func (c *Compiled) NewSession(sink sim.ReportSink) *sim.Session {
 }
 
 // NFA returns the automaton this form was compiled from.
-func (c *Compiled) NFA() *automata.NFA { return c.nfa }
+func (c *Compiled) NFA() *automata.NFA { return c.kernel.NFA() }
 
 // Threshold returns the report threshold baked into the compiled form.
 func (c *Compiled) Threshold() float64 { return c.threshold }
@@ -294,13 +126,11 @@ func (c *Compiled) Threshold() float64 { return c.threshold }
 func (c *Compiled) ScalarScoredStates() int { return c.mixedStates }
 
 // Engine executes a shared Compiled form over one stream: a kernel engine
-// over the live sub-automaton plus the score vectors. It implements sim.Core,
-// so sim.Session drives it with identical chunking/flush semantics; the sink
-// the session steps it with receives every report that clears the
-// threshold, its Score set and its State the full automaton's. Its Stats
-// count the live sub-automaton: a threshold-dead state is neither enabled
-// nor active. Not safe for concurrent use; engines are cheap — all heavy
-// tables live on the Compiled.
+// plus the score vectors. It implements sim.Core, so sim.Session drives it
+// with identical chunking/flush semantics; the sink the session steps it with
+// receives every report that clears the threshold, its Score set. Its Stats
+// are its kernel's. Not safe for concurrent use; engines are cheap — all
+// heavy tables live on the Compiled.
 type Engine struct {
 	c      *Compiled
 	kernel *sim.CompiledEngine
@@ -314,9 +144,6 @@ type Engine struct {
 	// built once; sink is where it forwards the block in progress's passes
 	// (nil between blocks, so an idle pooled engine pins no request).
 	gate, sink sim.ReportSink
-	// trace shows a tracer stepped with a pruned form's block the full
-	// automaton's numbering (its target nil between blocks).
-	trace origTracer
 
 	// rejects counts the block in progress's threshold-suppressed reports,
 	// scored its forwarded ones. Plain ints — they are published once per
@@ -334,11 +161,11 @@ type Engine struct {
 // the heads, and the gate and the next cycle's pass read it where they read
 // any score.
 func (c *Compiled) NewEngine() *Engine {
-	ns := c.live.NFA().NumStates()
+	ns := c.kernel.NFA().NumStates()
 	buf := make([]float64, 2*ns)
 	e := &Engine{
 		c:      c,
-		kernel: c.live.NewEngine(),
+		kernel: c.kernel.NewEngine(),
 		score:  [2][]float64{buf[:ns:ns], buf[ns:]},
 	}
 	c.heads.ForEach(func(i int) { e.score[0][i], e.score[1][i] = c.startW[i], c.startW[i] })
@@ -347,9 +174,6 @@ func (c *Compiled) NewEngine() *Engine {
 		if r.Score = e.score[e.parity][r.State]; r.Score < c.threshold {
 			e.rejects++
 			return
-		}
-		if c.orig != nil {
-			r.State = c.orig[r.State]
 		}
 		e.scored++
 		e.sink(r)
@@ -380,48 +204,14 @@ func satAdd(a, b float64) float64 {
 // propagate over the states they left active, then reports through the
 // threshold gate. Stale score slots are never read — a previous-cycle score
 // is consulted only under the previous-active mask, and a current score only
-// for states in the active set, a head's being fixed. A tracer sees the
-// vectors in the full automaton's numbering. The block's bytes, forwarded
-// reports and rejects are published at its end.
+// for states in the active set, a head's being fixed. The block's bytes,
+// forwarded reports and rejects are published at its end.
 func (e *Engine) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink, tracer sim.Tracer) (enabled, active int64, peak int) {
 	e.sink = sink
-	if tracer != nil && e.c.orig != nil {
-		if e.trace.enabled == nil {
-			ns := e.c.nfa.NumStates()
-			e.trace = origTracer{orig: e.c.orig, enabled: bitvec.NewWords(ns), active: bitvec.NewWords(ns)}
-		}
-		e.trace.to, tracer = tracer, &e.trace
-	}
 	enabled, active, peak = e.kernel.StepBlock(subs, t0, limitBits, e.gate, tracer)
-	e.sink, e.trace.to = nil, nil
+	e.sink = nil
 	e.publish(t0, len(subs), limitBits)
 	return enabled, active, peak
-}
-
-// origTracer shows a tracer the live kernel's vectors in the numbering of the
-// automaton the form was compiled from: every live state at its ID there,
-// every threshold-dead state clear. It costs a pass over the set bits a
-// cycle, paid only by a pruned form with a tracer attached.
-type origTracer struct {
-	orig            []automata.StateID
-	enabled, active bitvec.Words
-	to              sim.Tracer
-}
-
-func (tr *origTracer) OnCycle(t int, enabled, active bitvec.Words) {
-	tr.scatter(tr.enabled, enabled)
-	tr.scatter(tr.active, active)
-	tr.to.OnCycle(t, tr.enabled, tr.active)
-}
-
-// scatter sets in dst exactly the original IDs of the states src holds.
-func (tr *origTracer) scatter(dst, src bitvec.Words) {
-	dst.ClearAll()
-	for w, x := range src {
-		for ; x != 0; x &= x - 1 {
-			dst.Set(int(tr.orig[w<<6|bits.TrailingZeros64(x)]))
-		}
-	}
 }
 
 // propagate is the lane the kernel calls (sim.CompiledEngine.SetLane) once

@@ -347,8 +347,9 @@ func TestScoredFeedAllocFree(t *testing.T) {
 }
 
 // The threshold gate suppresses the reports a live state makes with a score
-// below the threshold, and counts them; a threshold-dead state makes no
-// reports, so the gate has none of its to suppress or count.
+// below the threshold, and counts them; a threshold-dead state is pruned
+// before Compile (automata.PruneThreshold) and makes no reports, so the gate
+// has none of its to suppress or count.
 func TestThresholdRejects(t *testing.T) {
 	reg := obs.NewRegistry()
 	EnableMetrics(reg)
@@ -379,8 +380,8 @@ func TestThresholdRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.dead != nil {
-		t.Fatalf("%d live states pruned", sc.dead.Count())
+	if _, _, live := automata.PruneThreshold(n, w); live != nil {
+		t.Fatalf("%d live states pruned", n.NumStates()-len(live))
 	}
 	input := []byte("axcxc")
 	reports, st := sc.Run(input)
@@ -401,12 +402,13 @@ func TestThresholdRejects(t *testing.T) {
 		}
 	}
 	lw.Threshold = 100
-	dead, err := Compile(lit, lw)
+	sub, sw, kept := automata.PruneThreshold(lit, lw)
+	if kept == nil || len(kept) != 0 {
+		t.Fatalf("threshold 100 keeps %v of the literal's %d states, want none", kept, lit.NumStates())
+	}
+	dead, err := Compile(sub, sw)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := dead.dead.Count(); got != lit.NumStates() {
-		t.Fatalf("threshold 100 prunes %d of the literal's %d states", got, lit.NumStates())
 	}
 	input = []byte("abxab")
 	if reports, st = dead.Run(input); len(reports) != 0 || st.Reports != 0 || st.TotalActive != 0 {

@@ -9,7 +9,10 @@ import (
 	"slices"
 	"testing"
 
+	"impala/internal/artifact"
 	"impala/internal/automata"
+	"impala/internal/core"
+	"impala/internal/place"
 	"impala/internal/score"
 	"impala/internal/sim"
 	"impala/internal/workload"
@@ -237,5 +240,110 @@ func TestMatchFoldEqualsMapFold(t *testing.T) {
 		if got := toMatches(reports); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: fold\n got %v\nwant %v\nof %v", trial, got, want, reports)
 		}
+	}
+}
+
+// A threshold no path reaches prunes every state at compile: a plain, a
+// tiered and a 2-shard scored machine compile to no states, save and load
+// back byte-identical, and match nothing through Match, Run or NewStream.
+func TestScoredAllStatesPruned(t *testing.T) {
+	pats := [][]byte{[]byte("ACGTACGT"), []byte("TTGACCAT")}
+	n, w, err := workload.ScoredLevenshtein(pats, 2, workload.DefaultAlignCosts, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []byte("xxACGTACGTyyTTGACCATzzACGAACGT")
+	for _, cfg := range []Config{DefaultConfig(), {StrideDims: 4, Tier: true}, {StrideDims: 4, Shards: 2}} {
+		cfg.Score = w
+		m, err := CompileAutomaton(n, cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		a := m.Artifact()
+		if a.NFA.NumStates() != 0 || (a.Tier != nil) != cfg.Tier || (a.Shards != nil) != (cfg.Shards == 2) {
+			t.Fatalf("%+v: %d states compiled, tier plan %t, shard plan %t: want 0 states and the plans asked for",
+				cfg, a.NFA.NumStates(), a.Tier != nil, a.Shards != nil)
+		}
+		var saved, again bytes.Buffer
+		if err := m.SaveArtifact(&saved); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		loaded, err := LoadMachine(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if err := loaded.SaveArtifact(&again); err != nil || !bytes.Equal(again.Bytes(), saved.Bytes()) {
+			t.Fatalf("%+v: the loaded artifact saves back %d bytes (%v), want the %d it was loaded from", cfg, again.Len(), err, saved.Len())
+		}
+		for _, m := range []*Machine{m, loaded} {
+			var streamed []Match
+			st := m.NewStream(func(mt Match) { streamed = append(streamed, mt) })
+			st.Feed(input)
+			st.Flush()
+			if got, run := m.Match(input), m.Run(input); len(got)+len(run)+len(streamed) != 0 {
+				t.Fatalf("%+v: Match %v, Run %v, NewStream %v: want nothing", cfg, got, run, streamed)
+			}
+		}
+	}
+}
+
+// An artifact sealed before the compiler pruned threshold-dead states holds
+// them all; it still serves, exactly: on the dna_scored_match mesh its Match
+// is the pruned machine's.
+func TestUnprunedScoredArtifactServes(t *testing.T) {
+	const alphabet = "ACGT"
+	r := rand.New(rand.NewSource(1))
+	pats := workload.RandomPatterns(r, 8, 12, alphabet)
+	costs := workload.DefaultAlignCosts
+	n, w, err := workload.ScoredLevenshtein(pats, 2, costs, 11*costs.Match+costs.Gap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := make([]byte, 16<<10)
+	for i := range input {
+		input[i] = alphabet[r.Intn(len(alphabet))]
+	}
+	for off := 8; off+12 <= len(input); off += 18 + r.Intn(24) {
+		copy(input[off:], pats[r.Intn(len(pats))])
+		if r.Intn(2) == 0 {
+			input[off+r.Intn(12)] = alphabet[r.Intn(len(alphabet))]
+		}
+	}
+	cfg := Config{StrideDims: 4, Score: w}
+	pruned, err := CompileAutomaton(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The open threshold prunes nothing; the sealed table then carries the
+	// real one, as an artifact of the unpruning compiler did.
+	open := w.Clone()
+	open.Threshold = -automata.ScoreLimit
+	res, err := core.Compile(n, core.Config{TargetBits: 4, StrideDims: 4, Weights: open})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Weights.Threshold = w.Threshold
+	pl, err := place.Place(res.NFA, place.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := artifact.FromResult(res, pl, n, artifact.Meta{}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	unpruned, err := LoadMachine(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full, live := unpruned.Model().States, pruned.Model().States; live >= full {
+		t.Fatalf("the pruned machine has %d states, the unpruned %d: want fewer", live, full)
+	}
+	want := pruned.Match(input)
+	if len(want) == 0 {
+		t.Fatal("no scored matches — the input is inert")
+	}
+	if got := unpruned.Match(input); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the unpruned artifact matches %d, the pruned machine %d", len(got), len(want))
 	}
 }
