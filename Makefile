@@ -79,7 +79,9 @@ bench-smoke:
 # scored form's threshold pruning (a thresholded form reports the open
 # threshold's reports that clear it, no pruned state is ever active, and the
 # pruned automaton validates and prunes to itself), the
-# report sort (SortReports orders as slices.SortFunc does), and the capsule
+# report sort (SortReports orders as slices.SortFunc does), the facade's
+# match fold (appendMatches makes the rows a map makes of sorted reports and
+# leaves the prefix it appends to as it was), and the capsule
 # placement check (arch.Check refuses exactly what arch.Build refuses, with
 # its error, and a machine it accepts reports what the simulator does). A
 # failure leaves its input under the package's testdata/fuzz, where plain `go
@@ -98,6 +100,7 @@ define FUZZ
 ./internal/server   FuzzReloadHandler
 ./internal/score    FuzzThresholdPrune
 ./internal/sim      FuzzSortReports
+.                   FuzzAppendMatches
 ./internal/arch     FuzzCheck
 endef
 export FUZZ

@@ -21,6 +21,7 @@ package impala
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -141,7 +142,7 @@ type Machine struct {
 	// serving is the one form Match and NewStream run on, picked when the
 	// machine is assembled (newMachine). Every form shares this method set.
 	serving interface {
-		Run(input []byte) ([]sim.Report, sim.Stats)
+		AppendRun(dst []sim.Report, input []byte) ([]sim.Report, sim.Stats)
 		NewSession(sink sim.ReportSink) *sim.Session
 	}
 	// capsule is the capsule-level machine Run executes, built from the
@@ -395,7 +396,7 @@ func (m *Machine) Geometry() (bits, stride int) {
 // there first); the serving path never reads them.
 func (m *Machine) Run(input []byte) []Match {
 	reports, _ := m.capsule().Run(input)
-	return toMatches(reports)
+	return appendMatches(nil, reports)
 }
 
 // Simulate matches the input using the scalar functional graph simulator
@@ -407,7 +408,7 @@ func (m *Machine) Simulate(input []byte) ([]Match, error) {
 		return nil, err
 	}
 	reports, _ := e.Run(input, nil)
-	return toMatches(reports), nil
+	return appendMatches(nil, reports), nil
 }
 
 // Match is the serving-path one-shot: it matches input on a pooled
@@ -421,9 +422,25 @@ func (m *Machine) Simulate(input []byte) ([]Match, error) {
 // Pattern) order, one per distinct pair — the best score where several
 // reporting states denote it, the quantity the compile pipeline preserves
 // across geometries. A binary machine's matches are Run's and Simulate's.
-func (m *Machine) Match(input []byte) []Match {
-	reports, _ := m.serving.Run(input)
-	return toMatches(reports)
+func (m *Machine) Match(input []byte) []Match { return m.AppendMatch(nil, input) }
+
+// reportBufs holds the report buffers AppendMatch runs into, shared by every
+// machine: a Report holds no pointer, so an idle buffer pins nothing, and
+// there is one buffer per call in flight, not one per machine.
+var reportBufs = sync.Pool{New: func() any { return new([]sim.Report) }}
+
+// AppendMatch is Match appending its matches to dst and returning the
+// extended slice; dst's own rows are left as they are, and none of the new
+// ones is folded into them. The engine's reports go to a pooled buffer, so a
+// steady-state call into a dst with room allocates nothing for its matches,
+// however many it finds.
+func (m *Machine) AppendMatch(dst []Match, input []byte) []Match {
+	buf := reportBufs.Get().(*[]sim.Report)
+	reports, _ := m.serving.AppendRun((*buf)[:0], input)
+	dst = appendMatches(dst, reports)
+	*buf = reports
+	reportBufs.Put(buf)
+	return dst
 }
 
 // MatchScored is Match on a machine that must carry a weight table.
@@ -577,16 +594,18 @@ func (s *Stream) Reset() {
 // Stats returns the functional activity statistics of the stream so far.
 func (s *Stream) Stats() sim.Stats { return s.sess.Stats() }
 
-// toMatches folds reports, sorted by BitPos, into one Match per (End,
-// Pattern) in first-report order, keeping the best score. Every duplicate of
-// a match lies inside the short run of reports sharing its End, which is the
-// tail of out, so the fold looks no further back than that.
-func toMatches(reports []sim.Report) []Match {
-	out := make([]Match, 0, len(reports))
+// appendMatches folds reports, sorted by BitPos, into one Match per (End,
+// Pattern) in first-report order, keeping the best score, and appends them to
+// dst. Every duplicate of a match lies inside the short run of reports
+// sharing its End, which is the tail of what this call appended, so the fold
+// looks no further back than that, and never into dst's own rows.
+func appendMatches(dst []Match, reports []sim.Report) []Match {
+	base := len(dst)
+	out := slices.Grow(dst, len(reports))
 next:
 	for _, r := range reports {
 		end := r.BitPos / 8
-		for i := len(out) - 1; i >= 0 && out[i].End == end; i-- {
+		for i := len(out) - 1; i >= base && out[i].End == end; i-- {
 			if out[i].Pattern == r.Code {
 				out[i].Score = max(out[i].Score, r.Score)
 				continue next

@@ -31,7 +31,7 @@ func TestSpine(t *testing.T) {
 				t.Fatal(err)
 			}
 			bothTiers = bothTiers || tf.DFA() != nil && tf.Plan().NFAStates > 0
-			return simtest.SessionForm(tf.NewSession, tf.Run), true
+			return simtest.SessionForm(tf.NewSession, tf.AppendRun), true
 		}})
 	}
 	for _, k := range []int{1, 2, 3, 5} {
@@ -70,5 +70,5 @@ func walker(t testing.TB, n *automata.NFA, k int) (simtest.Form, bool) {
 		ds[i] = d
 	}
 	l := sim.NewLockstep(n.Bits, n.Stride, []sim.Lane{dfa.Lane(ds, origs)})
-	return simtest.SessionForm(l.NewSession, l.Run), true
+	return simtest.SessionForm(l.NewSession, l.AppendRun), true
 }

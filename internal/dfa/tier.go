@@ -413,8 +413,12 @@ func (t *Tiered) NewSession(sink sim.ReportSink) *sim.Session { return t.lockste
 // sorted reports and stats, byte-identical (reports and statistics both)
 // to the scalar simulator over the original automaton. It is safe for
 // concurrent use.
-func (t *Tiered) Run(input []byte) ([]sim.Report, sim.Stats) {
-	out, st := t.lockstep.Run(input)
+func (t *Tiered) Run(input []byte) ([]sim.Report, sim.Stats) { return t.AppendRun(nil, input) }
+
+// AppendRun is Run appending its reports to dst (sim.Pool.AppendRun); the
+// tier metrics count this run's reports only.
+func (t *Tiered) AppendRun(dst []sim.Report, input []byte) ([]sim.Report, sim.Stats) {
+	out, st := t.lockstep.AppendRun(dst, input)
 	if m := tierMetricsPtr.Load(); m != nil {
 		if t.dfa != nil {
 			m.dfaBytes.Add(int64(len(input)))
@@ -422,7 +426,7 @@ func (t *Tiered) Run(input []byte) ([]sim.Report, sim.Stats) {
 		if len(t.nfaIDs) > 0 {
 			m.nfaBytes.Add(int64(len(input)))
 		}
-		m.reports.Add(int64(len(out)))
+		m.reports.Add(int64(len(out) - len(dst)))
 	}
 	return out, st
 }

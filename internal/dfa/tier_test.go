@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"impala/internal/dfa"
+	"impala/internal/obs"
 	"impala/internal/regexc"
 	"impala/internal/sim"
 	"impala/internal/sim/simtest"
@@ -136,5 +137,22 @@ func TestTieredAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simtest.AllocFree(t, simtest.SessionForm(tiered.NewSession, tiered.Run), []byte("sofstream stream sof stream"), bytes.Repeat([]byte("no match here. "), 300))
+	simtest.AllocFree(t, simtest.SessionForm(tiered.NewSession, tiered.AppendRun), []byte("sofstream stream sof stream"), bytes.Repeat([]byte("no match here. "), 300))
+}
+
+// tier_reports_total counts the reports of each run, not the rows of the
+// buffer an AppendRun appended them to.
+func TestTieredMetricsCountThisRun(t *testing.T) {
+	reg := obs.NewRegistry()
+	dfa.EnableMetrics(reg)
+	defer dfa.EnableMetrics(nil)
+	n := regexc.MustCompile([]regexc.Rule{{Pattern: "stream", Code: 1}, {Pattern: "^sof", Code: 2}})
+	tiered, err := dfa.BuildTiered(n, dfa.TierOptions{MinStateShare: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := tiered.AppendRun(make([]sim.Report, 5), []byte("sofstream stream"))
+	if got, want := reg.Snapshot().Counters["tier_reports_total"], int64(len(out)-5); want != 3 || got != want {
+		t.Fatalf("tier_reports_total = %d after a run of %d reports, want %d and 3", got, want, want)
+	}
 }

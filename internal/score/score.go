@@ -106,6 +106,11 @@ func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 // sim.SortReports order, plus activity statistics. Safe for concurrent use.
 func (c *Compiled) Run(input []byte) ([]sim.Report, sim.Stats) { return c.pool.Run(input) }
 
+// AppendRun is Run appending its reports to dst (sim.Pool.AppendRun).
+func (c *Compiled) AppendRun(dst []sim.Report, input []byte) ([]sim.Report, sim.Stats) {
+	return c.pool.AppendRun(dst, input)
+}
+
 // NewSession returns a streaming scored session: sink receives every
 // threshold-clearing report with its score (nil to run for statistics
 // only). Many sessions may run concurrently over one Compiled.

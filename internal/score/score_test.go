@@ -343,7 +343,7 @@ func TestScoredFeedAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiet := bytes.Repeat([]byte("quiet "), 1000)
-	simtest.AllocFree(t, simtest.SessionForm(c.NewSession, c.Run), randInput(r, 50), quiet, EnableMetrics)
+	simtest.AllocFree(t, simtest.SessionForm(c.NewSession, c.AppendRun), randInput(r, 50), quiet, EnableMetrics)
 }
 
 // The threshold gate suppresses the reports a live state makes with a score

@@ -39,18 +39,16 @@ func TestSpine(t *testing.T) {
 					}
 					return binary(r)
 				}
-				return simtest.Form{
-					Open: func(sink sim.ReportSink) simtest.Stream {
-						return sc.NewSession(func(r sim.Report) { sink(check(r)) })
-					},
-					Run: func(input []byte) ([]sim.Report, sim.Stats) {
-						rs, stats := sc.Run(input)
-						for i, r := range rs {
-							rs[i] = check(r)
-						}
-						return rs, stats
-					},
-				}, true
+				open := func(sink sim.ReportSink) *sim.Session {
+					return sc.NewSession(func(r sim.Report) { sink(check(r)) })
+				}
+				return simtest.SessionForm(open, func(dst []sim.Report, input []byte) ([]sim.Report, sim.Stats) {
+					rs, stats := sc.AppendRun(dst, input)
+					for i := len(dst); i < len(rs); i++ {
+						rs[i] = check(rs[i])
+					}
+					return rs, stats
+				}), true
 			}})
 	}
 	simtest.Spine(t, rows...)

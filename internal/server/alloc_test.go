@@ -70,26 +70,49 @@ func fewestAllocs(run func()) float64 {
 // TestMatchHandlerZeroRowAllocs pins what a /match request costs when there
 // is nothing to report: the deadline context (5 objects), the pool task (2),
 // the mux's path match (1) and the Content-Length header (1). Everything the
-// handler itself needs — body, engine task, response — is in the pooled
-// scratch. A request that arrives without an identifier pays two more for
-// the minted one (the string and its header slice).
+// handler itself needs — body, engine task, rows, response — is in the pooled
+// scratch, and the engine's reports in a pooled buffer, so a dense request,
+// binary or scored, costs at most 2 objects more than a quiet one, however
+// many rows it reports. A request that arrives without an identifier pays two
+// more for the minted one (the string and its header slice).
 func TestMatchHandlerZeroRowAllocs(t *testing.T) {
 	s := New(Config{Workers: 1})
 	t.Cleanup(s.Drain)
-	s.Tenants().Install("alloc", compileMachine(t, []string{"GET /", "needle"}))
-	body := bytes.Repeat([]byte("x"), 1024)
+	s.Tenants().Install("web", compileMachine(t, []string{"GET /", "needle"}))
+	s.Tenants().Install("align", compileScoredMachine(t))
 
-	named, w := handlerAllocs(t, s.Handler(), "/v1/alloc/match", body, "client-7")
+	quiet := bytes.Repeat([]byte("x"), 1024)
+	none, w := handlerAllocs(t, s.Handler(), "/v1/web/match", quiet, "client-7")
 	if w.writes != 1 || w.h.Get("Content-Length") == "" || w.h.Get(requestIDHeader) != "client-7" {
 		t.Fatalf("response: %d writes, headers %v", w.writes, w.h)
 	}
-	minted, _ := handlerAllocs(t, s.Handler(), "/v1/alloc/match", body, "")
-	t.Logf("zero-row /match: %.0f objects with an inbound request ID, %.0f minting one", named, minted)
-	if named > 9 {
-		t.Errorf("zero-row /match allocates %.0f objects, want <= 9", named)
+	minted, _ := handlerAllocs(t, s.Handler(), "/v1/web/match", quiet, "")
+	t.Logf("zero-row /match: %.0f objects with an inbound request ID, %.0f minting one", none, minted)
+	if none > 9 {
+		t.Errorf("zero-row /match allocates %.0f objects, want <= 9", none)
 	}
-	if minted-named > 2 {
-		t.Errorf("minting a request ID costs %.0f objects, want <= 2", minted-named)
+	if minted-none > 2 {
+		t.Errorf("minting a request ID costs %.0f objects, want <= 2", minted-none)
+	}
+	for _, tc := range []struct {
+		name, tenant string
+		body         []byte
+		rows         int
+	}{
+		{"binary, 1,024 rows", "web", bytes.Repeat([]byte("xxxxxxxxxxneedle"), 1024), 1024},
+		{"scored, 640 rows", "align", scoredMatchBody, 640},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := "/v1/" + tc.tenant + "/match"
+			if rows := countRows(t, s.Handler(), path, tc.body); rows != tc.rows {
+				t.Fatalf("body reports %d rows, want %d", rows, tc.rows)
+			}
+			many, _ := handlerAllocs(t, s.Handler(), path, tc.body, "client-7")
+			t.Logf("/match: %.0f objects with no rows, %.0f with %d", none, many, tc.rows)
+			if many-none > 2 {
+				t.Errorf("%d rows cost %.0f objects more than none, want <= 2", tc.rows, many-none)
+			}
+		})
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // pools in sim/compiled.go: scratchPool holds a /match request's working set
 // and chunkPool the 32 KiB buffers a /stream reads its body into and builds
 // its response lines in. Under steady-state traffic the handlers then
-// allocate only what the engine and net/http need (pinned by
-// TestMatchHandlerAllocs and TestStreamHandlerAllocs).
+// allocate only what the engine and net/http need, and a /match nothing per
+// row (pinned by TestMatchHandlerZeroRowAllocs and TestStreamHandlerAllocs).
 var (
 	scratchPool = sync.Pool{New: func() any {
 		sc := new(scratch)
@@ -42,7 +42,8 @@ type scratch struct {
 
 	// The one-shot task. match is runMatch bound once, when the scratch is
 	// made, so handing it to the pool allocates nothing; it runs tenant's
-	// machine over body and leaves the engine's rows in matches.
+	// machine over body and leaves the engine's rows in matches, whose
+	// capacity it reuses.
 	tenant  *Tenant
 	match   func()
 	matches []impala.Match
@@ -54,12 +55,16 @@ type scratch struct {
 	out  []byte
 }
 
-func (sc *scratch) runMatch() { sc.matches = sc.tenant.Machine.Match(sc.body.Bytes()) }
+func (sc *scratch) runMatch() {
+	sc.matches = sc.tenant.Machine.AppendMatch(sc.matches[:0], sc.body.Bytes())
+}
 
 // release returns the scratch to the pool holding buffers only: an idle
-// scratch must not pin a tenant's machine or a request's rows.
+// scratch must not pin a tenant's machine or a request's body reader. The
+// buffers keep their capacity — body, out and matches alike, for a Match
+// holds no pointer.
 func (sc *scratch) release() {
-	sc.limit.R, sc.tenant, sc.matches = nil, nil, nil
+	sc.limit.R, sc.tenant = nil, nil
 	for i := range sc.legs {
 		sc.legs[i].sc.release()
 	}

@@ -87,7 +87,8 @@ func TestShardedAccessors(t *testing.T) {
 }
 
 // NewCore exposes the sharded form as a sim.Core with the automaton's
-// geometry, and EnableMetrics counts builds, scans, bytes and reports.
+// geometry, and EnableMetrics counts builds, scans, bytes and reports — a
+// run's own reports, also where AppendRun appends them to a buffer's rows.
 func TestShardedCoreAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	shard.EnableMetrics(reg)
@@ -116,6 +117,12 @@ func TestShardedCoreAndMetrics(t *testing.T) {
 	}
 	if got := snap.Counters["shard_reports_total"]; got != int64(len(reports)) {
 		t.Fatalf("shard_reports_total = %d, want %d", got, len(reports))
+	}
+	if out, _ := s.AppendRun(make([]sim.Report, 5), input); len(out) != 5+len(reports) {
+		t.Fatalf("AppendRun behind 5 rows returns %d, want %d", len(out), 5+len(reports))
+	}
+	if got := reg.Snapshot().Counters["shard_reports_total"]; got != 2*int64(len(reports)) {
+		t.Fatalf("shard_reports_total = %d after two runs of %d reports, want %d", got, len(reports), 2*len(reports))
 	}
 	// Bytes are counted once per live shard: the total engine work.
 	if got, min := snap.Counters["shard_bytes_total"], int64(len(input)); got < min {

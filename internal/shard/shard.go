@@ -286,9 +286,13 @@ func (s *Sharded) NFATierStates() int {
 // concurrency belongs to the caller (the server's match pool). A goroutine
 // per shard was measured and lost on every committed workload (DESIGN.md,
 // "Sharded execution"). Safe for concurrent use.
-func (s *Sharded) Run(input []byte) ([]sim.Report, sim.Stats) {
-	reports, st := s.lockstep.Run(input)
-	s.countRun(len(input), len(reports))
+func (s *Sharded) Run(input []byte) ([]sim.Report, sim.Stats) { return s.AppendRun(nil, input) }
+
+// AppendRun is Run appending its reports to dst (sim.Pool.AppendRun); the
+// shard metrics count this run's reports only.
+func (s *Sharded) AppendRun(dst []sim.Report, input []byte) ([]sim.Report, sim.Stats) {
+	reports, st := s.lockstep.AppendRun(dst, input)
+	s.countRun(len(input), len(reports)-len(dst))
 	return reports, st
 }
 

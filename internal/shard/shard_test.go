@@ -89,7 +89,7 @@ func TestShardedAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simtest.AllocFree(t, simtest.SessionForm(s.NewSession, s.Run), []byte("headimpala shard goal merge impala head"), bytes.Repeat([]byte("no match here. "), 300))
+	simtest.AllocFree(t, simtest.SessionForm(s.NewSession, s.AppendRun), []byte("headimpala shard goal merge impala head"), bytes.Repeat([]byte("no match here. "), 300))
 }
 
 // Edge cases: a single-component automaton sharded far wider than its

@@ -49,7 +49,7 @@ func TestSpine(t *testing.T) {
 		for _, tier := range []bool{false, true} {
 			rows = append(rows, simtest.Row{Name: fmt.Sprintf("%d shards, tiered %t", k, tier), Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
 				s, _ := build(t, c, k, tier)
-				return simtest.SessionForm(s.NewSession, s.Run), true
+				return simtest.SessionForm(s.NewSession, s.AppendRun), true
 			}})
 		}
 	}
@@ -61,7 +61,7 @@ func TestSpine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			workers = append(workers, simtest.SessionForm(w.NewSession, w.Run))
+			workers = append(workers, simtest.SessionForm(w.NewSession, w.AppendRun))
 		}
 		return simtest.Merged(workers...), true
 	}})

@@ -162,7 +162,7 @@ func (l *liveWords) OnCycle(_ int, enabled, _ bitvec.Words) {
 // perCycle runs input once on s, untimed, and returns the live words per
 // cycle.
 func (l *liveWords) perCycle(s *Session, input []byte) float64 {
-	s.runBatch(input, 0, l)
+	s.runBatch(nil, input, 0, l)
 	return float64(l.words) / float64(l.cycles)
 }
 
@@ -181,7 +181,7 @@ func BenchmarkEngineCompiled(b *testing.B) {
 			b.SetBytes(int64(len(input)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.runBatch(input, 0, nil)
+				s.runBatch(nil, input, 0, nil)
 			}
 			b.ReportMetric(live, "live-words/cycle")
 		})

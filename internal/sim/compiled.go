@@ -254,6 +254,11 @@ func (c *Compiled) NewSession(sink ReportSink) *Session {
 // fresh engine allocation in steady state.
 func (c *Compiled) Run(input []byte) ([]Report, Stats) { return c.pool.Run(input) }
 
+// AppendRun is Run appending its reports to dst (Pool.AppendRun).
+func (c *Compiled) AppendRun(dst []Report, input []byte) ([]Report, Stats) {
+	return c.pool.AppendRun(dst, input)
+}
+
 // Geometry implements Core.
 func (e *CompiledEngine) Geometry() (bits, stride int) { return e.c.nfa.Bits, e.c.nfa.Stride }
 

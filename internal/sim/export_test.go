@@ -80,7 +80,7 @@ func (c *Compiled) Pooled() (*Session, *CompiledEngine) {
 }
 func (c *Compiled) Release(s *Session) { c.pool.sessions.Put(s) }
 func (s *Session) RunPooled(input []byte, tracer Tracer) ([]Report, Stats) {
-	return s.runBatch(input, 0, tracer)
+	return s.runBatch(nil, input, 0, tracer)
 }
 
 // Idle reports whether every vector of the engine, and every summary, is

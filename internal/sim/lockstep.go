@@ -82,6 +82,11 @@ func (l *Lockstep) NewSession(sink ReportSink) *Session {
 // reports and statistics. It is safe for concurrent use.
 func (l *Lockstep) Run(input []byte) ([]Report, Stats) { return l.pool.Run(input) }
 
+// AppendRun is Run appending its reports to dst (Pool.AppendRun).
+func (l *Lockstep) AppendRun(dst []Report, input []byte) ([]Report, Stats) {
+	return l.pool.AppendRun(dst, input)
+}
+
 // Geometry implements Core.
 func (c *lockstepCore) Geometry() (bits, stride int) { return c.l.bits, c.l.stride }
 

@@ -72,8 +72,9 @@ type Session struct {
 	sink   ReportSink
 	tracer Tracer
 	emit   ReportSink // counting wrapper around sink, built once
-	// batch collects the reports of a runBatch in progress; between runs it
-	// is nil, so a pooled session pins no finished run's reports.
+	// batch collects the reports of a runBatch in progress, appended to the
+	// caller's buffer; between runs it is nil, so a pooled session pins no
+	// finished run's reports.
 	batch []Report
 
 	bits, stride int
@@ -259,15 +260,16 @@ func (s *Session) stepBlock(subs []byte, limitBits int) {
 // stream's statistics. chunk > 0 feeds the input in pieces of that many
 // bytes instead of all at once; the result is the same. tracer may be nil.
 func RunBatch(core Core, input []byte, chunk int, tracer Tracer) ([]Report, Stats) {
-	return NewSession(core, nil).runBatch(input, chunk, tracer)
+	return NewSession(core, nil).runBatch(nil, input, chunk, tracer)
 }
 
 // Pool is the pooled one-shot runner behind every form's Run: sessions, each
 // over a core of its own and kept with it, shared by concurrent callers of
-// one immutable form. A pooled run that reports nothing allocates nothing,
-// and an idle pooled session holds nothing of the run it finished — runBatch
-// lets go of the reports and the tracer, and a core lets go of the sink it
-// was stepped with at the end of each block.
+// one immutable form. A pooled run into a buffer that fits allocates nothing,
+// whatever it reports, and an idle pooled session holds nothing of the run it
+// finished — runBatch hands the caller's buffer back and lets go of the
+// tracer, and a core lets go of the sink it was stepped with at the end of
+// each block.
 type Pool struct{ sessions sync.Pool }
 
 // NewPool returns a runner over the cores newCore makes, one per pooled
@@ -278,32 +280,36 @@ func NewPool(newCore func() Core) *Pool {
 	return p
 }
 
-// Run executes input as one whole stream on a pooled session and returns the
-// reports in canonical order with the stream's statistics (RunBatch). It is
-// safe for concurrent use.
-func (p *Pool) Run(input []byte) ([]Report, Stats) {
+// Run is AppendRun(nil, input).
+func (p *Pool) Run(input []byte) ([]Report, Stats) { return p.AppendRun(nil, input) }
+
+// AppendRun executes input as one whole stream on a pooled session, appends
+// its reports to dst in canonical order (RunBatch) and returns the extended
+// slice with the stream's statistics; dst's own rows are left as they are.
+// It is safe for concurrent use.
+func (p *Pool) AppendRun(dst []Report, input []byte) ([]Report, Stats) {
 	s := p.sessions.Get().(*Session)
-	r, st := s.runBatch(input, 0, nil)
+	r, st := s.runBatch(dst, input, 0, nil)
 	p.sessions.Put(s)
 	return r, st
 }
 
 // runBatch is RunBatch on a session made with no sink of its own, whatever
-// it ran before: a Pool keeps one with each core, and an input that reports
-// nothing then allocates nothing.
-func (s *Session) runBatch(input []byte, chunk int, tracer Tracer) ([]Report, Stats) {
+// it ran before, appending to dst: a Pool keeps one with each core, and a run
+// into a dst with room for its reports then allocates nothing.
+func (s *Session) runBatch(dst []Report, input []byte, chunk int, tracer Tracer) ([]Report, Stats) {
 	if s.sink == nil {
 		s.sink = func(r Report) {
 			// Past 1,024 reports the slice doubles where append would grow it
 			// by a factor falling toward 1.25: a 64 KiB run reporting on most
-			// cycles then makes 19 allocations, not 29.
+			// cycles into no buffer then makes 19 allocations, not 29.
 			if n := len(s.batch); n == cap(s.batch) && n >= 1024 {
 				s.batch = append(make([]Report, 0, 2*n), s.batch...)
 			}
 			s.batch = append(s.batch, r)
 		}
 	}
-	s.tracer = tracer
+	s.batch, s.tracer = dst, tracer
 	s.Reset()
 	if chunk <= 0 {
 		chunk = len(input)
@@ -316,7 +322,7 @@ func (s *Session) runBatch(input []byte, chunk int, tracer Tracer) ([]Report, St
 	s.Flush()
 	reports := s.batch
 	s.batch, s.tracer = nil, nil
-	SortReports(reports)
+	SortReports(reports[len(dst):])
 	return reports, s.Stats()
 }
 

@@ -12,29 +12,40 @@ import (
 )
 
 // Form is one execution form built over one case: a stream (Open) and/or a
-// one-shot (Run). A Rows form reports as the facade does, one MatchRow per
-// distinct (End, Pattern); it is compared with the scalar engine's reports
-// folded the same way (Fold), and its statistics, which count its own
-// automaton, only with themselves.
+// one-shot (Run), which Append, when given, is into a caller's buffer. A Rows
+// form reports as the facade does, one MatchRow per distinct (End, Pattern);
+// it is compared with the scalar engine's reports folded the same way (Fold),
+// and its statistics, which count its own automaton, only with themselves.
 type Form struct {
 	Open   func(sink sim.ReportSink) Stream
 	Run    func(input []byte) ([]sim.Report, sim.Stats)
+	Append func(dst []sim.Report, input []byte) ([]sim.Report, sim.Stats)
 	Rows   bool
 	merged bool // see Merged
 }
 
 // SessionForm is the form of an engine with a sim.Session per stream and a
-// one-shot Run.
-func SessionForm(open func(sim.ReportSink) *sim.Session, run func([]byte) ([]sim.Report, sim.Stats)) Form {
-	return Form{Open: func(sink sim.ReportSink) Stream { return open(sink) }, Run: run}
+// one-shot AppendRun, whose Run is AppendRun(nil, input).
+func SessionForm(open func(sim.ReportSink) *sim.Session, appendRun func([]sim.Report, []byte) ([]sim.Report, sim.Stats)) Form {
+	return Form{
+		Open:   func(sink sim.ReportSink) Stream { return open(sink) },
+		Run:    func(input []byte) ([]sim.Report, sim.Stats) { return appendRun(nil, input) },
+		Append: appendRun,
+	}
 }
 
+// prefix is what Append is handed to append to: two reports out of
+// canonical order, which a sort reaching back into them would swap.
+var prefix = []sim.Report{{BitPos: math.MaxInt, Code: -1, Score: 1}, {Code: -2, State: 3}}
+
 // AllocFree pins what a warm form allocates: nothing per Feed of input, with
-// the session metrics (and whatever else enable turns on) off and live, and —
-// when quiet is given — nothing per one-shot Run of an input that reports
-// nothing. Of the one-shot it takes the fewest of 20 runs: a sync.Pool may
-// drop what it was handed (under the race detector it does so at random), and
-// a fresh core is not what is pinned.
+// the session metrics (and whatever else enable turns on) off and live; on a
+// form with an Append, nothing per one-shot Append of input, which must
+// report, into a buffer with room for its reports behind a prefix it leaves
+// as it was; and — when quiet is given — nothing per one-shot Run of an input
+// that reports nothing. Of a one-shot it takes the fewest of 20 runs: a
+// sync.Pool may drop what it was handed (under the race detector it does so
+// at random), and a fresh core is not what is pinned.
 func AllocFree(t *testing.T, f Form, input, quiet []byte, enable ...func(*obs.Registry)) {
 	t.Helper()
 	enable = append(enable, sim.EnableMetrics)
@@ -48,6 +59,24 @@ func AllocFree(t *testing.T, f Form, input, quiet []byte, enable ...func(*obs.Re
 		s := f.Open(func(sim.Report) {})
 		s.Feed(input) // warm the sub-symbol scratch buffer
 		avg := testing.AllocsPerRun(50, func() { s.Feed(input) })
+		if f.Append != nil {
+			want, _ := f.Run(input)
+			if len(want) == 0 {
+				t.Fatal("the input reports nothing")
+			}
+			buf := make([]sim.Report, 0, len(prefix)+len(want))
+			var got []sim.Report
+			if n := fewest(func() { got, _ = f.Append(append(buf, prefix...), input) }); n != 0 {
+				t.Errorf("metrics live=%t: an Append of %d reports into a buffer with room allocates %.0f objects, want 0", reg != nil, len(want), n)
+			}
+			tail, err := behindPrefix(got)
+			if err == nil {
+				err = mismatch("the appended reports", tail, want)
+			}
+			if err != nil {
+				t.Errorf("metrics live=%t: %v", reg != nil, err)
+			}
+		}
 		metrics(nil)
 		if avg != 0 {
 			t.Errorf("metrics live=%t: steady-state Feed allocates %.1f objects/op, want 0", reg != nil, avg)
@@ -59,13 +88,27 @@ func AllocFree(t *testing.T, f Form, input, quiet []byte, enable ...func(*obs.Re
 	if r, _ := f.Run(quiet); len(r) != 0 {
 		t.Fatalf("the quiet input reports %d times", len(r))
 	}
-	fewest := math.Inf(1)
+	if n := fewest(func() { f.Run(quiet) }); n != 0 {
+		t.Errorf("a Run that reports nothing allocates %.0f objects on a pooled core, want 0", n)
+	}
+}
+
+// fewest is the fewest objects of 20 single runs of run.
+func fewest(run func()) float64 {
+	n := math.Inf(1)
 	for i := 0; i < 20; i++ {
-		fewest = min(fewest, testing.AllocsPerRun(1, func() { f.Run(quiet) }))
+		n = min(n, testing.AllocsPerRun(1, run))
 	}
-	if fewest != 0 {
-		t.Errorf("a Run that reports nothing allocates %.0f objects on a pooled core, want 0", fewest)
+	return n
+}
+
+// behindPrefix returns what an Append to prefix appended, or an error if it
+// did not leave prefix as it was.
+func behindPrefix(got []sim.Report) ([]sim.Report, error) {
+	if len(got) < len(prefix) || !slices.Equal(got[:len(prefix)], prefix) {
+		return nil, fmt.Errorf("Append to %+v left %+v of it", prefix, got[:min(len(got), len(prefix))])
 	}
+	return got[len(prefix):], nil
 }
 
 // Row is one line of a package's spine table: a named form, built over each
@@ -198,7 +241,8 @@ func Chunkings(input []byte) []Chunking {
 //   - the same stream, Reset, must make the very same sink calls and Stats
 //     under every chunking of the sweep;
 //   - the one-shot Run, twice (the second on what a pool kept), must return
-//     the reference's reports and Stats.
+//     the reference's reports and Stats, and so must Append behind a prefix,
+//     which it must leave as it was.
 //
 // Rows and merged forms are compared as Form and Merged say. A failure names
 // the form and the case, and ends that form's checks on that case.
@@ -259,6 +303,16 @@ func (ref *reference) check(f Form) error {
 			if err := ref.same(f, run, got, stats); err != nil {
 				return err
 			}
+		}
+	}
+	if f.Append != nil {
+		got, stats := f.Append(slices.Clone(prefix), ref.c.Input)
+		tail, err := behindPrefix(got)
+		if err == nil {
+			err = ref.same(f, "Append behind a prefix", tail, stats)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	if f.Open == nil {

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -27,18 +28,32 @@ func TestSpine(t *testing.T) {
 		}},
 		simtest.Row{Name: "kernel", Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
 			k := compile(t, c.NFA)
-			return simtest.SessionForm(k.NewSession, k.Run), true
+			return simtest.SessionForm(k.NewSession, k.AppendRun), true
 		}},
 		simtest.Row{Name: "lockstep, one lane", Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
 			l := lockstep(t, c.NFA, 1)
-			return simtest.SessionForm(l.NewSession, l.Run), true
+			return simtest.SessionForm(l.NewSession, l.AppendRun), true
 		}},
 		simtest.Row{Name: "lockstep, up to three lanes", Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
 			l := lockstep(t, c.NFA, 3)
 			open := func(sink sim.ReportSink) simtest.Stream { return sim.NewSession(l.NewCore(), sink) }
-			return simtest.Form{Open: open, Run: l.Run}, len(l.Lanes()) > 1
+			return simtest.Form{Open: open, Run: l.Run, Append: l.AppendRun}, len(l.Lanes()) > 1
 		}},
 	)
+}
+
+// The kernel and the lockstep form, each on its pool, allocate nothing once
+// warm (simtest.AllocFree): not per Feed, not per Append of reports into a
+// buffer with room, not per Run of an input that reports nothing.
+func TestPooledFormsAllocFree(t *testing.T) {
+	n := automata.New(8, 1)
+	n.AddLiteral("needle in a", automata.StartAllInput, 1)
+	n.AddLiteral("^haystack", automata.StartOfData, 2)
+	hit, quiet := []byte("haystack: one needle in a stack, a needle in a"), bytes.Repeat([]byte("no match here. "), 300)
+	k, l := compile(t, n), lockstep(t, n, 2)
+	for name, f := range map[string]simtest.Form{"kernel": simtest.SessionForm(k.NewSession, k.AppendRun), "lockstep": simtest.SessionForm(l.NewSession, l.AppendRun)} {
+		t.Run(name, func(t *testing.T) { simtest.AllocFree(t, f, hit, quiet) })
+	}
 }
 
 func compile(t testing.TB, n *automata.NFA) *sim.Compiled {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"impala/internal/artifact"
@@ -214,7 +215,7 @@ func TestScoredMachineFromFile(t *testing.T) {
 	}
 }
 
-// The run fold of toMatches against the map it replaced:
+// The run fold of appendMatches against the map it replaced:
 // same rows, same first-report order, best score kept — on sorted reports
 // whose bytes hold several bit positions, several states per pattern and
 // several patterns.
@@ -237,10 +238,93 @@ func TestMatchFoldEqualsMapFold(t *testing.T) {
 			idx[key(mt)] = len(want)
 			want = append(want, mt)
 		}
-		if got := toMatches(reports); !slices.Equal(got, want) {
+		if got := appendMatches(nil, reports); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: fold\n got %v\nwant %v\nof %v", trial, got, want, reports)
 		}
 	}
+}
+
+// Every machine's AppendMatch runs into report buffers from one pool: a
+// binary and a scored machine matched from many goroutines at once, each
+// appending into the slice it used last, match what each matches alone.
+func TestConcurrentAppendMatch(t *testing.T) {
+	scored, reads := scoredFixture(t, DefaultConfig())
+	binary, err := CompileRegex([]string{"ACGT", "GATTACA"}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines := []*Machine{scored, binary}
+	wants := [][]Match{scored.Match(reads), binary.Match(reads)}
+	if len(wants[0]) == 0 || len(wants[1]) == 0 {
+		t.Fatalf("the reads match %d and %d times, want some of each", len(wants[0]), len(wants[1]))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var rows []Match
+			for k := 0; k < 50; k++ {
+				i := (g + k) % 2
+				if rows = machines[i].AppendMatch(rows[:0], reads); !slices.Equal(rows, wants[i]) {
+					t.Errorf("goroutine %d, call %d: machine %d matches %d rows, alone %d", g, k, i, len(rows), len(wants[i]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// FuzzAppendMatches: appendMatches over sorted reports at byte ends (where
+// every automaton compiled from 8-bit rules reports) appends what a map
+// makes of them — one row per (End, Pattern), the best score, in (End,
+// Pattern) order — and leaves the prefix it appends to as it was, even where
+// the prefix's last row is the first new row's (End, Pattern). The first byte
+// is the prefix's length; every 3 bytes after it are a row of the prefix, then
+// a report: an end, a pattern and state, a score.
+func FuzzAppendMatches(f *testing.F) {
+	f.Add([]byte{1, 3, 1, 7, 3, 1, 2, 3, 5, 9, 3, 1, 4})
+	f.Add([]byte{0, 2, 0, 1, 2, 4, 1, 2, 0, 200, 1, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n, recs := int(data[0]%8), data[1:]
+		var prefix []Match
+		var reports []sim.Report
+		for ; len(recs) >= 3; recs = recs[3:] {
+			end, code, score := int(recs[0]%32), int(recs[1]%4), float64(int8(recs[2]))
+			if len(prefix) < n {
+				prefix = append(prefix, Match{End: end, Pattern: code, Score: score})
+				continue
+			}
+			reports = append(reports, sim.Report{BitPos: 8 * end, Code: code, State: automata.StateID(recs[1] / 4 % 4), Score: score})
+		}
+		sim.SortReports(reports)
+		best := map[[2]int]float64{}
+		for _, r := range reports {
+			k := [2]int{r.BitPos / 8, r.Code}
+			if s, ok := best[k]; !ok || r.Score > s {
+				best[k] = r.Score
+			}
+		}
+		var want []Match
+		for k, s := range best {
+			want = append(want, Match{End: k[0], Pattern: k[1], Score: s})
+		}
+		sortMatches(want)
+		for _, room := range []int{0, len(reports)} {
+			dst := append(make([]Match, 0, len(prefix)+room), prefix...)
+			got := appendMatches(dst, reports)
+			if !slices.Equal(got[:len(prefix)], prefix) {
+				t.Fatalf("room %d: the prefix became %v, want %v", room, got[:len(prefix)], prefix)
+			}
+			if !slices.Equal(got[len(prefix):], want) {
+				t.Fatalf("room %d: fold\n got %v\nwant %v\nof %v", room, got[len(prefix):], want, reports)
+			}
+		}
+	})
 }
 
 // A threshold no path reaches prunes every state at compile: a plain, a

@@ -32,7 +32,8 @@ import (
 //     as the cluster frontend merges them, scored and binary.
 //
 // Every one-shot must come out in (End, Pattern) order, which /match encodes
-// as it lies. Each machine's artifact must carry the tier and shard plans, and
+// as it lies, and every machine's AppendMatch must append Match's rows behind
+// a prefix it leaves as it was. Each machine's artifact must carry the tier and shard plans, and
 // the machine the score summary, its configuration calls for (and the tiered
 // ones a DFA on some case); a loaded one must keep its Model, geometry, score
 // summary, design point and scores and save back the bytes it was loaded
@@ -111,6 +112,7 @@ func facadeForms(t testing.TB, c *simtest.Case, dfas map[string]bool) map[string
 		loaded, la, saved := reload(t, c.Name+", "+config, m, a)
 		forms["facade, "+config], forms["artifact, "+config] = matches(t, c, m), matches(t, c, loaded)
 		want := m.Match(c.Input)
+		appendsBehind(t, c.Name+", "+config, m, c.Input, want)
 		if got := loaded.Match(c.Input); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s, %s: the loaded machine matches %v, the saved one %v", c.Name, config, got, want)
 		}
@@ -156,6 +158,25 @@ func facadeForms(t testing.TB, c *simtest.Case, dfas map[string]bool) map[string
 		}
 	}
 	return forms
+}
+
+// appendsBehind checks that m.AppendMatch appends want, m.Match(in), to a
+// prefix it leaves as it was — with room and without, and also where the
+// prefix's last row is the first new row's (End, Pattern), which the fold must
+// not merge into.
+func appendsBehind(t testing.TB, name string, m *impala.Machine, in []byte, want []impala.Match) {
+	prefixes := [][]impala.Match{{{End: -1, Pattern: 7, Score: 9}}}
+	if len(want) > 0 {
+		prefixes = append(prefixes, []impala.Match{{End: 0, Pattern: 1}, {End: want[0].End, Pattern: want[0].Pattern, Score: want[0].Score - 1}})
+	}
+	for _, prefix := range prefixes {
+		for _, room := range []int{0, len(want)} {
+			dst := append(make([]impala.Match, 0, len(prefix)+room), prefix...)
+			if got := m.AppendMatch(dst, in); !slices.Equal(got, append(slices.Clone(prefix), want...)) {
+				t.Fatalf("%s: AppendMatch behind %v (room for %d more) returns %v, want the prefix and Match's %v", name, prefix, room, got, want)
+			}
+		}
+	}
 }
 
 // save returns the bytes a saves.
