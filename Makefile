@@ -61,8 +61,10 @@ bench-build:
 # shards — BenchmarkDFAWalk, ns/B and table KB — the sharded form's Run tiered
 # and untiered at K = 1, 2, 4 — BenchmarkShardedRun — the /match and
 # /stream handlers through a null ResponseWriter — BenchmarkMatchHandler and
-# BenchmarkStreamHandler, ns/row and allocs/op — the facade's) run only when
-# someone asks for them; one iteration each keeps them compiling and running.
+# BenchmarkStreamHandler, ns/row and allocs/op — and the facade's, LoadMachine
+# on four sealed Snort compositions — BenchmarkLoadMachine, ns/op, B/op,
+# allocs/op and held-KB) run only when someone asks for them; one iteration
+# each keeps them compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/core ./internal/bitvec ./internal/score ./internal/dfa ./internal/shard ./internal/server .
 

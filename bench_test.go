@@ -7,10 +7,13 @@ package impala_test
 // output doubles as a compact experiment log.
 
 import (
+	"bytes"
 	"io"
+	"runtime"
 	"strconv"
 	"testing"
 
+	"impala"
 	"impala/internal/arch"
 	"impala/internal/automata"
 	"impala/internal/core"
@@ -20,6 +23,8 @@ import (
 	"impala/internal/place"
 	"impala/internal/regexc"
 	"impala/internal/sim"
+	"impala/internal/sim/simtest"
+	"impala/internal/topo"
 	"impala/internal/workload"
 )
 
@@ -203,6 +208,72 @@ func BenchmarkMachineThroughput(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLoadMachine measures LoadMachine on the Snort rules at scale 0.01
+// sealed four ways — plain, tiered, tiered in 4 shards on a two-domain
+// topology, and scored — in ns/op, B/op and allocs/op, and reports as held-KB
+// the heap one loaded machine keeps once the load's garbage is collected.
+func BenchmarkLoadMachine(b *testing.B) {
+	bench, _ := workload.Get("Snort")
+	n, err := bench.Generate(0.01, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  impala.Config
+	}{
+		{"plain", impala.Config{StrideDims: 4}},
+		{"tiered", impala.Config{StrideDims: 4, Tier: true}},
+		{"4 shards, tiered, topology", impala.Config{StrideDims: 4, Tier: true, Shards: 4}},
+		{"scored", impala.Config{StrideDims: 4, Score: simtest.RandomWeights(n, 1)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m, err := impala.CompileAutomaton(n, c.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a := m.Artifact()
+			if c.cfg.Shards > 0 {
+				a.SetTopo(&topo.Sealed{
+					Topology:    topo.Topology{Domains: []topo.Domain{{Name: "n0"}, {Name: "n1"}}},
+					ShardDomain: []int{0, 1, 0, 1},
+				})
+			}
+			var buf bytes.Buffer
+			if err := a.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+			sealed := buf.Bytes()
+			before := liveHeap()
+			held, err := impala.LoadMachine(bytes.NewReader(sealed))
+			if err != nil {
+				b.Fatal(err)
+			}
+			heldKB := float64(liveHeap()-before) / 1024
+			runtime.KeepAlive(held)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := impala.LoadMachine(bytes.NewReader(sealed)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(heldKB, "held-KB")
+		})
+	}
+}
+
+// liveHeap is the heap in use once earlier garbage is gone: two collections,
+// as pooled objects take two to be freed.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkFunctionalSimulator compares the two graph-simulator engines —

@@ -121,10 +121,11 @@ func TestServingNeverBuildsTheCapsule(t *testing.T) {
 }
 
 // TestLoadRejectsUnbuildablePlacement is the facade's trust boundary: a
-// sealed artifact whose placement artifact.Load accepts — every slot holds a
-// state of the automaton, as many slots as states — but which configures no
-// capsule machine fails LoadMachine at load, not at the first Run, with the
-// placement's error.
+// sealed artifact whose placement artifact.Load accepts — every state of the
+// automaton in exactly one slot — but which configures no capsule machine
+// fails LoadMachine at load, not at the first Run, with the placement's
+// error. A placement that puts a state in two slots is the artifact's to
+// refuse, and LoadMachine refuses it with the artifact's text.
 func TestLoadRejectsUnbuildablePlacement(t *testing.T) {
 	type edit func(n *automata.NFA, pl *place.Placement)
 	// move places state id on the given group's slot, appending G4s (G16s
@@ -149,15 +150,29 @@ func TestLoadRejectsUnbuildablePlacement(t *testing.T) {
 			pl.G4s[group].Slots[slot] = id
 		}
 	}
+	// seal saves the two-state automaton of "ab", placed and then edited.
+	seal := func(name string, edits []edit) []byte {
+		n := automata.New(8, 1)
+		n.AddLiteral("ab", automata.StartAllInput, 1)
+		pl, err := place.Place(n, place.Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range edits {
+			e(n, pl)
+		}
+		var buf bytes.Buffer
+		if err := artifact.New(n, pl, n, artifact.Meta{}, nil).Save(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return buf.Bytes()
+	}
 	const pn, blk = interconnect.PortNodes, interconnect.LocalSwitchSize
 	for _, tc := range []struct {
 		name  string
 		edits []edit
 		want  string
 	}{
-		{"a state placed twice and another never", []edit{move(1, 1, 0, false), func(_ *automata.NFA, pl *place.Placement) {
-			pl.G4s[1].Slots[0] = 0
-		}}, "impala: placement does not build: arch: placement covers 1 of 2 states"},
 		{"an edge across groups", []edit{move(1, 1, 0, false)},
 			"impala: placement does not build: arch: edge 0->1 crosses switch groups"},
 		{"a route the G4 fabric lacks", []edit{move(0, 0, pn, false), move(1, 0, blk+pn, false)},
@@ -169,25 +184,20 @@ func TestLoadRejectsUnbuildablePlacement(t *testing.T) {
 			n.States[1].Match = append(n.States[1].Match, automata.Rect{bitvec.ByteOf('d')})
 		}}, "impala: placement does not build: arch: state 1 is not capsule-legal (2 rects); run Refine first"},
 	} {
-		n := automata.New(8, 1)
-		n.AddLiteral("ab", automata.StartAllInput, 1)
-		pl, err := place.Place(n, place.Options{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range tc.edits {
-			e(n, pl)
-		}
-		var buf bytes.Buffer
-		if err := artifact.New(n, pl, n, artifact.Meta{}, nil).Save(&buf); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if _, err := artifact.Load(bytes.NewReader(buf.Bytes())); err != nil {
+		sealed := seal(tc.name, tc.edits)
+		if _, err := artifact.Load(bytes.NewReader(sealed)); err != nil {
 			t.Fatalf("%s: artifact.Load refuses it: %v", tc.name, err)
 		}
-		_, err = LoadMachine(bytes.NewReader(buf.Bytes()))
+		_, err := LoadMachine(bytes.NewReader(sealed))
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: LoadMachine error %v, want %q", tc.name, err, tc.want)
 		}
+	}
+	twice := seal("a state placed twice and another never", []edit{move(1, 1, 0, false), func(_ *automata.NFA, pl *place.Placement) {
+		pl.G4s[1].Slots[0] = 0
+	}})
+	_, err := LoadMachine(bytes.NewReader(twice))
+	if want := "artifact: structurally invalid: group 1 state 0 placed twice"; err == nil || err.Error() != want {
+		t.Errorf("a state placed twice and another never: LoadMachine error %v, want %q", err, want)
 	}
 }

@@ -6,7 +6,9 @@ import (
 
 	"impala/internal/arch"
 	"impala/internal/automata"
+	"impala/internal/dfa"
 	"impala/internal/place"
+	"impala/internal/shard"
 )
 
 // countCapsuleBuilds counts the capsule machines Run builds from now until
@@ -20,4 +22,21 @@ func countCapsuleBuilds(t testing.TB) *atomic.Int64 {
 	}
 	t.Cleanup(func() { buildCapsule = build })
 	return &n
+}
+
+// WalkedDFAs returns the DFAs m's serving form walks: a tiered form's union
+// DFA, or a sharded form's walker lane's, in shard order; nil for a form
+// that walks none.
+func (m *Machine) WalkedDFAs() []*dfa.DFA {
+	switch s := m.serving.(type) {
+	case *dfa.Tiered:
+		return []*dfa.DFA{s.DFA()}
+	case *shard.Sharded:
+		for _, l := range s.Lanes() {
+			if c, ok := l.New().(*dfa.Core); ok {
+				return c.DFAs()
+			}
+		}
+	}
+	return nil
 }

@@ -525,6 +525,7 @@ func (a *Artifact) validate() error {
 		return fmt.Errorf("%w: META groups %d != placement %d", ErrCorrupt, a.Meta.Groups, len(pl.G4s))
 	}
 	placed := 0
+	seen := make([]bool, n.NumStates()) // a state sits in one slot of one group
 	for gi, g := range pl.G4s {
 		for slot, id := range g.Slots {
 			if id < 0 {
@@ -534,6 +535,10 @@ func (a *Artifact) validate() error {
 				return fmt.Errorf("%w: group %d slot %d references state %d of %d",
 					ErrCorrupt, gi, slot, id, n.NumStates())
 			}
+			if seen[id] {
+				return fmt.Errorf("%w: group %d state %d placed twice", ErrCorrupt, gi, id)
+			}
+			seen[id] = true
 			placed++
 		}
 	}
@@ -570,13 +575,13 @@ func (a *Artifact) validate() error {
 			return fmt.Errorf("%w: TIER plan claims %d DFA states, DFAT present: %t",
 				ErrCorrupt, p.DFAStates, t.DFA != nil)
 		}
-		if r := t.DFA; r != nil { // its own bounds were checked when it was decoded
-			if r.NumStates() != p.DFAStates {
-				return fmt.Errorf("%w: DFAT has %d states, plan says %d", ErrCorrupt, r.NumStates(), p.DFAStates)
+		if d := t.DFA; d != nil { // its own bounds were checked when it was decoded
+			if d.NumStates() != p.DFAStates {
+				return fmt.Errorf("%w: DFAT has %d states, plan says %d", ErrCorrupt, d.NumStates(), p.DFAStates)
 			}
-			if r.Bits != n.Bits || r.Stride != n.Stride {
+			if d.Bits() != n.Bits || d.Stride() != n.Stride {
 				return fmt.Errorf("%w: DFAT geometry (%d,%d) != automaton (%d,%d)",
-					ErrCorrupt, r.Bits, r.Stride, n.Bits, n.Stride)
+					ErrCorrupt, d.Bits(), d.Stride(), n.Bits, n.Stride)
 			}
 		}
 	}
@@ -641,11 +646,9 @@ func (a *Artifact) validateShards() error {
 			return fmt.Errorf("%w: SHRD shard %d tier plan spans %d components/%d states, shard plan assigns %d/%d",
 				ErrCorrupt, k, len(tier.Plan.CCs), tierStates, ccCount[k], states[k])
 		}
-		if tier.DFA != nil {
-			if tier.DFA.Bits != n.Bits || tier.DFA.Stride != n.Stride {
-				return fmt.Errorf("%w: SHRD shard %d DFA geometry (%d,%d) != automaton (%d,%d)",
-					ErrCorrupt, k, tier.DFA.Bits, tier.DFA.Stride, n.Bits, n.Stride)
-			}
+		if d := tier.DFA; d != nil && (d.Bits() != n.Bits || d.Stride() != n.Stride) {
+			return fmt.Errorf("%w: SHRD shard %d DFA geometry (%d,%d) != automaton (%d,%d)",
+				ErrCorrupt, k, d.Bits(), d.Stride(), n.Bits, n.Stride)
 		}
 	}
 	return nil
@@ -1084,7 +1087,8 @@ const (
 	dfatEntryBytes = 12 // state, code, offset
 )
 
-func encodeDFATable(r *dfa.Raw) []byte {
+func encodeDFATable(d *dfa.DFA) []byte {
+	r := d.Raw()
 	var e enc
 	e.u8(uint8(r.Bits))
 	e.u8(uint8(r.Stride))
@@ -1122,7 +1126,7 @@ func encodeDFATable(r *dfa.Raw) []byte {
 	return e.b
 }
 
-func decodeDFATable(payload []byte) (*dfa.Raw, error) {
+func decodeDFATable(payload []byte) (*dfa.DFA, error) {
 	d := &dec{b: payload}
 	r := &dfa.Raw{
 		Bits:   int(d.u8()),
@@ -1182,10 +1186,11 @@ func decodeDFATable(payload []byte) (*dfa.Raw, error) {
 	if err := d.done("DFAT"); err != nil {
 		return nil, err
 	}
-	if _, err := dfa.FromRaw(r); err != nil {
+	t, err := dfa.FromRaw(r)
+	if err != nil {
 		return nil, fmt.Errorf("%w: DFAT: %v", ErrCorrupt, err)
 	}
-	return r, nil
+	return t, nil
 }
 
 // SHRD layout: the partition plan (shard count, per-component shard
@@ -1272,7 +1277,7 @@ func decodeShardPlan(payload []byte) (*shard.Sealed, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", k, err)
 		}
-		var table *dfa.Raw
+		var table *dfa.DFA
 		hasDFA := d.flag()
 		if hasDFA {
 			table, err = decodeDFATable(d.blob())
@@ -1508,7 +1513,6 @@ func decodePlacement(payload []byte) (*place.Placement, error) {
 		for i := range g.Slots {
 			g.Slots[i] = -1
 		}
-		g.SlotOf = make(map[automata.StateID]int)
 		occupied := int(d.u32())
 		if d.err == nil && uint64(occupied)*8 > uint64(len(payload)-d.off) {
 			return nil, fmt.Errorf("%w: group %d claims %d occupied slots", ErrCorrupt, gi, occupied)
@@ -1530,11 +1534,7 @@ func decodePlacement(payload []byte) (*place.Placement, error) {
 				return nil, fmt.Errorf("%w: group %d slot %d repeats or precedes slot %d", ErrCorrupt, gi, slot, last)
 			}
 			last = slot
-			if _, dup := g.SlotOf[id]; dup {
-				return nil, fmt.Errorf("%w: group %d state %d placed twice", ErrCorrupt, gi, id)
-			}
 			g.Slots[slot] = id
-			g.SlotOf[id] = slot
 		}
 		pl.G4s = append(pl.G4s, g)
 	}

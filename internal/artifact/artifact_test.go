@@ -10,11 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"impala/internal/automata"
 	"impala/internal/core"
+	"impala/internal/interconnect"
 	"impala/internal/place"
 	"impala/internal/sim"
 	"impala/internal/workload"
@@ -355,6 +357,67 @@ func TestLoadRejectsMetaMismatch(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("meta/body mismatch accepted: %v", err)
+	}
+}
+
+// TestPlacementCorruptionPaths pins that a state is placed once across the
+// whole placement: a state in two slots — of one group, or of two groups
+// while another state is placed nowhere, which keeps the slot count equal to
+// the state count — is refused as corrupt, inside FuzzLoad's budget.
+func TestPlacementCorruptionPaths(t *testing.T) {
+	a, _ := buildArtifact(t, "Bro217", 1)
+	raw := saveBytes(t, a)
+	// occupied returns a group's first two occupied slots.
+	occupied := func(g *place.G4Placement) (int, int) {
+		var s []int
+		for slot, id := range g.Slots {
+			if id >= 0 {
+				s = append(s, slot)
+			}
+		}
+		if len(s) < 2 {
+			t.Fatalf("fixture changed: group holds %d states", len(s))
+		}
+		return s[0], s[1]
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(pl *place.Placement) string // returns the error text
+	}{
+		{"PLAC state twice in one group", func(pl *place.Placement) string {
+			g := pl.G4s[0]
+			s1, s2 := occupied(g)
+			g.Slots[s2] = g.Slots[s1]
+			return fmt.Sprintf("group 0 state %d placed twice", g.Slots[s1])
+		}},
+		{"PLAC state in two groups, another in none", func(pl *place.Placement) string {
+			g := pl.G4s[0]
+			s1, s2 := occupied(g)
+			other := &place.G4Placement{Slots: make([]automata.StateID, interconnect.G4Size)}
+			for i := range other.Slots {
+				other.Slots[i] = -1
+			}
+			other.Slots[0], g.Slots[s2] = g.Slots[s1], -1
+			pl.G4s = append(pl.G4s, other)
+			return fmt.Sprintf("group %d state %d placed twice", len(pl.G4s)-1, g.Slots[s1])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := Load(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.edit(b.Placement)
+			b.Meta.Groups = len(b.Placement.G4s)
+			data := saveBytes(t, b)
+			_, got, err := loadAlloc(data)
+			if !errors.Is(err, ErrCorrupt) || !strings.HasSuffix(err.Error(), want) {
+				t.Fatalf("got %v, want %v ending %q", err, ErrCorrupt, want)
+			}
+			if budget := uint64(loadAllocFactor*len(data) + loadAllocSlack + loadAllocGroup*placementGroups(data)); got > budget {
+				t.Fatalf("allocated %d bytes refusing %d, budget %d", got, len(data), budget)
+			}
+		})
 	}
 }
 

@@ -15,19 +15,20 @@ import (
 // loadAllocSlack, plus loadAllocGroup for every placement group the PLAC
 // header can truthfully claim. The factor is the worst seed's, rounded up — a
 // small artifact decodes to about six times its encoding (state structs,
-// out-edge and match-rect slices, the placement's slot map), the 16 KB tiered
-// one to under four, and every corruption row allocates less than the
-// artifact it was cut from. The group term is the one place the format is
-// sparse by design: a 20-byte group record owns a dense slot table (4 KB, or
-// 16 KB with the hierarchical flag) however few slots it fills — sparse
-// placements are valid, the placer splits bins — so a file made of empty
-// groups decodes to 800 times its size and the budget says so instead of
-// hiding it in the slack. What the budget is for: a length field that lies
-// must fail its bounds check before the make it sizes, never after.
+// out-edge and match-rect slices, validate's one-byte-a-state seen-set), the
+// 16 KB tiered one to under four, and every corruption row allocates less
+// than the artifact it was cut from. The group term is the one place the
+// format is sparse by design: a 20-byte group record decodes to nothing but a
+// dense slot table (4 KB, or 16 KB with the hierarchical flag) however few
+// slots it fills — sparse placements are valid, the placer splits bins — so
+// a file made of empty groups decodes to 800 times its size and the budget
+// says so instead of hiding it in the slack. What the budget is for: a length
+// field that lies must fail its bounds check before the make it sizes, never
+// after.
 const (
 	loadAllocFactor = 8
 	loadAllocSlack  = 64 << 10
-	loadAllocGroup  = interconnect.G16Size*4 + 512 // slot table + struct, map header, slice growth
+	loadAllocGroup  = interconnect.G16Size*4 + 256 // slot table + struct, slice growth
 )
 
 // placementGroups returns how many group records the first PLAC section of a

@@ -167,7 +167,7 @@ func TestTierCorruptionPaths(t *testing.T) {
 	// tables (u16), the 16-byte cycle-boundary records and the 12-byte
 	// entries. Every lie must be refused as corrupt before it sizes an
 	// allocation: inside FuzzLoad's budget, and never by a panic.
-	r := a.Tier.DFA
+	r := a.Tier.DFA.Raw()
 	stride, rows0, rows1 := r.Stride, len(r.Tab[0])>>r.Bits, len(r.Tab[1])>>r.Bits
 	if stride != 2 || len(r.Entries) == 0 {
 		t.Fatalf("fixture changed: stride %d, %d report entries", stride, len(r.Entries))

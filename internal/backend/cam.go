@@ -174,7 +174,6 @@ func (camBackend) Place(n *automata.NFA, opts place.Options) (*place.Placement, 
 	for bi, b := range banks {
 		g := &place.G4Placement{
 			Slots:  make([]automata.StateID, interconnect.G4Size),
-			SlotOf: make(map[automata.StateID]int, len(b.states)),
 			States: len(b.states),
 		}
 		for i := range g.Slots {
@@ -182,7 +181,6 @@ func (camBackend) Place(n *automata.NFA, opts place.Options) (*place.Placement, 
 		}
 		for slot, id := range b.states {
 			g.Slots[slot] = id
-			g.SlotOf[id] = slot
 		}
 		for _, id := range b.states {
 			for _, t := range n.States[id].Out {

@@ -41,12 +41,8 @@ func BenchmarkDFAWalk(b *testing.B) {
 				if tier == nil || tier.DFA == nil {
 					continue
 				}
-				d, err := dfa.FromRaw(tier.DFA)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ds, origs = append(ds, d), append(origs, make([]automata.StateID, tier.Plan.DFANFAStates))
-				tableBytes += d.TableBytes()
+				ds, origs = append(ds, tier.DFA), append(origs, make([]automata.StateID, tier.Plan.DFANFAStates))
+				tableBytes += tier.DFA.TableBytes()
 			}
 			sess := sim.NewSession(dfa.Lane(ds, origs).New(), nil)
 			b.ResetTimer()

@@ -599,6 +599,9 @@ func Lane(ds []*DFA, origs [][]automata.StateID) sim.Lane {
 	return sim.Lane{New: func() sim.Core { return newCore(ds, base) }, Orig: orig}
 }
 
+// DFAs returns the DFAs the core walks, in the order Lane was given them.
+func (c *Core) DFAs() []*DFA { return c.ds }
+
 // Geometry implements sim.Core.
 func (c *Core) Geometry() (bits, stride int) { return c.ds[0].bits, c.ds[0].stride }
 
@@ -787,7 +790,9 @@ func (d *DFA) Raw() *Raw {
 
 // FromRaw reassembles a DFA from its serialization view, validating
 // structural invariants: table shapes, every successor within the phase it
-// names, start in range, every report range inside the entry array.
+// names, start in range, every report range inside the entry array. It is
+// the decoder's one check of a sealed table: the result is what Sealed holds
+// and what UnsealSelection walks.
 func FromRaw(r *Raw) (*DFA, error) {
 	if r.Bits != 2 && r.Bits != 4 && r.Bits != 8 {
 		return nil, fmt.Errorf("dfa: invalid bits %d", r.Bits)

@@ -432,23 +432,19 @@ func (t *Tiered) AppendRun(dst []sim.Report, input []byte) ([]sim.Report, sim.St
 }
 
 // Sealed is the serialization form of a tier selection: the plan plus the
-// union DFA's raw tables. The NFA tier is not serialized — it is rebuilt
-// from the automaton and the plan on load (the artifact already carries
-// the automaton; the DFA tables are the part that is expensive to
+// union DFA, already checked — FromRaw's structural bounds hold, whether it
+// was determinized or decoded. The NFA tier is not serialized — it is
+// rebuilt from the automaton and the plan on load (the artifact already
+// carries the automaton; the DFA tables are the part that is expensive to
 // recompute).
 type Sealed struct {
 	Plan Plan
-	DFA  *Raw // nil when no DFA tier
+	DFA  *DFA // nil when no DFA tier
 }
 
-// Seal returns the serialization form of the tier selection.
-func (s *Selection) Seal() *Sealed {
-	out := &Sealed{Plan: s.plan}
-	if s.dfa != nil {
-		out.DFA = s.dfa.Raw()
-	}
-	return out
-}
+// Seal returns the serialization form of the tier selection, which holds
+// the selection's own DFA.
+func (s *Selection) Seal() *Sealed { return &Sealed{Plan: s.plan, DFA: s.dfa} }
 
 // Unseal reassembles a Tiered execution form from a sealed plan and the
 // automaton it was planned for (UnsealSelection, then the execution form).
@@ -462,7 +458,9 @@ func Unseal(n *automata.NFA, s *Sealed) (*Tiered, error) {
 
 // UnsealSelection reassembles a tier selection from its sealed form and the
 // automaton it was planned for, revalidating the plan against the
-// automaton's current component structure.
+// automaton's current component structure and the sealed DFA's geometry and
+// report states against the tier; the selection walks the sealed DFA itself,
+// whose own bounds were checked when it was built.
 func UnsealSelection(n *automata.NFA, s *Sealed) (*Selection, error) {
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("dfa: invalid automaton: %w", err)
@@ -489,12 +487,7 @@ func UnsealSelection(n *automata.NFA, s *Sealed) (*Selection, error) {
 	if (s.DFA == nil) != (len(dfaIDs) == 0) {
 		return nil, fmt.Errorf("dfa: sealed DFA tables inconsistent with plan")
 	}
-	var d *DFA
-	if s.DFA != nil {
-		var err error
-		if d, err = FromRaw(s.DFA); err != nil {
-			return nil, err
-		}
+	if d := s.DFA; d != nil {
 		if d.bits != n.Bits || d.stride != n.Stride {
 			return nil, fmt.Errorf("dfa: sealed DFA geometry %d/%d != automaton %d/%d", d.bits, d.stride, n.Bits, n.Stride)
 		}
@@ -504,5 +497,5 @@ func UnsealSelection(n *automata.NFA, s *Sealed) (*Selection, error) {
 			}
 		}
 	}
-	return &Selection{nfa: n, plan: s.Plan, dfa: d, dfaIDs: dfaIDs, nfaIDs: nfaIDs}, nil
+	return &Selection{nfa: n, plan: s.Plan, dfa: s.DFA, dfaIDs: dfaIDs, nfaIDs: nfaIDs}, nil
 }

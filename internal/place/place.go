@@ -101,8 +101,6 @@ type G4Placement struct {
 	Hierarchical bool
 	// Slots[i] is the state occupying the group-local index i, or -1.
 	Slots []automata.StateID
-	// SlotOf maps a placed state to its G4 index.
-	SlotOf map[automata.StateID]int
 	// Uncovered counts transitions this placement could not route (0 for a
 	// valid placement).
 	Uncovered int
@@ -413,7 +411,6 @@ func placeBin(n *automata.NFA, bin [][]automata.StateID, geo fabricGeom, r *rand
 
 	gp := &G4Placement{
 		Slots:     make([]automata.StateID, geo.slots),
-		SlotOf:    make(map[automata.StateID]int, len(p.states)),
 		Uncovered: best.fitness,
 		Edges:     len(p.edges),
 		States:    len(p.states),
@@ -423,7 +420,6 @@ func placeBin(n *automata.NFA, bin [][]automata.StateID, geo fabricGeom, r *rand
 	}
 	for di, slot := range best.slotOf {
 		gp.Slots[slot] = p.states[di]
-		gp.SlotOf[p.states[di]] = slot
 	}
 	return gp, usedGA
 }

@@ -61,6 +61,17 @@ func bigCC(n int, seed int64) *automata.NFA {
 	return a
 }
 
+// slotOf inverts g.Slots: each placed state's group-local index.
+func slotOf(g *G4Placement) map[automata.StateID]int {
+	m := map[automata.StateID]int{}
+	for slot, id := range g.Slots {
+		if id >= 0 {
+			m[id] = slot
+		}
+	}
+	return m
+}
+
 func checkValid(t *testing.T, n *automata.NFA, p *Placement) {
 	t.Helper()
 	if !p.Valid() {
@@ -69,7 +80,7 @@ func checkValid(t *testing.T, n *automata.NFA, p *Placement) {
 	// Every state placed exactly once across all G4s.
 	seen := map[automata.StateID]bool{}
 	for _, g := range p.G4s {
-		for slot, id := range g.Slots {
+		for _, id := range g.Slots {
 			if id < 0 {
 				continue
 			}
@@ -77,14 +88,12 @@ func checkValid(t *testing.T, n *automata.NFA, p *Placement) {
 				t.Fatalf("state %d placed twice", id)
 			}
 			seen[id] = true
-			if g.SlotOf[id] != slot {
-				t.Fatalf("SlotOf inconsistent for %d", id)
-			}
 		}
 		// Every intra-G4 edge covered.
-		for id, slot := range g.SlotOf {
+		so := slotOf(g)
+		for id, slot := range so {
 			for _, dst := range n.States[id].Out {
-				dslot, ok := g.SlotOf[dst]
+				dslot, ok := so[dst]
 				if !ok {
 					t.Fatalf("edge %d->%d crosses G4s", id, dst)
 				}
@@ -177,10 +186,11 @@ func TestPlaceHierarchicalG16(t *testing.T) {
 		t.Fatalf("G16 slots = %d", len(g16.Slots))
 	}
 	// Every edge covered under the G16 predicate.
-	for id, slot := range g16.SlotOf {
+	so := slotOf(g16)
+	for id, slot := range so {
 		for _, dst := range n.States[id].Out {
-			if !interconnect.CoveredG16(slot, g16.SlotOf[dst]) {
-				t.Fatalf("edge %d->%d uncovered (%d->%d)", id, dst, slot, g16.SlotOf[dst])
+			if dslot, ok := so[dst]; !ok || !interconnect.CoveredG16(slot, dslot) {
+				t.Fatalf("edge %d->%d uncovered (%d->%d)", id, dst, slot, dslot)
 			}
 		}
 	}

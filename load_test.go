@@ -99,6 +99,49 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServingWalksTheSealedDFA pins that a DFA table is checked once, where
+// it is sealed or decoded: the serving form walks the very value the
+// artifact holds — a tiered machine's union DFA and a sharded machine's
+// per-shard DFAs are the artifact's own pointers, compiled or loaded.
+func TestServingWalksTheSealedDFA(t *testing.T) {
+	src := regexc.MustCompile([]regexc.Rule{
+		{Pattern: "impala", Code: 1}, {Pattern: "bl[ao]ck", Code: 2}, {Pattern: "e+dge", Code: 3}, {Pattern: "go+al", Code: 4},
+	})
+	for name, cfg := range map[string]impala.Config{
+		"tiered":           {StrideDims: 4, Tier: true},
+		"3 shards, tiered": {StrideDims: 4, Tier: true, Shards: 3},
+	} {
+		compiled, err := impala.CompileAutomaton(src, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		loaded, err := impala.LoadMachine(bytes.NewReader(saveMachine(t, compiled)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for form, m := range map[string]*impala.Machine{"compiled": compiled, "loaded": loaded} {
+			a := m.Artifact()
+			var sealed []*dfa.DFA
+			if a.Tier != nil {
+				sealed = append(sealed, a.Tier.DFA)
+			}
+			if a.Shards != nil {
+				for _, st := range a.Shards.Tiers {
+					if st != nil && st.DFA != nil {
+						sealed = append(sealed, st.DFA)
+					}
+				}
+			}
+			if len(sealed) == 0 {
+				t.Fatalf("%s, %s: the artifact seals no DFA", name, form)
+			}
+			if got := m.WalkedDFAs(); !slices.Equal(got, sealed) {
+				t.Errorf("%s, %s: serving walks DFAs %p, the artifact seals %p", name, form, got, sealed)
+			}
+		}
+	}
+}
+
 // saveMachine returns the bytes m saves.
 func saveMachine(t testing.TB, m *impala.Machine) []byte {
 	var buf bytes.Buffer
