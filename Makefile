@@ -70,9 +70,12 @@ bench-smoke:
 
 # Ten seconds of native fuzzing per target: the artifact boundary (Load never
 # panics, stays inside its allocation budget, and saves back what it accepts),
-# the facade over it (LoadMachine and every domain's MachineFromArtifactDomain
-# never panic, a machine saves back the bytes it was built from, and a binary
-# one without DFA tables matches what the scalar simulator matches), the text
+# the facade over it (FuzzLoadMachine, the target that covers plan
+# consistency, which Load leaves to the unseal checks: seeded with every
+# TestLoadRefusesBrokenPlans row, LoadMachine and every domain's
+# MachineFromArtifactDomain never panic, a machine saves back the bytes it was
+# built from, and a binary one without DFA tables matches what the scalar
+# simulator matches), the text
 # parsers, the serving wire codec (the encoders write what
 # encoding/json writes; the parsers a frontend reads worker replies with never
 # panic, stay inside their allocation budget, and accept only what an encoder

@@ -420,7 +420,12 @@ func (a *Artifact) WriteFile(path string) error {
 }
 
 // Load reads, CRC-validates and fully decodes an artifact. The returned
-// automaton has been Validate()d and the placement covers every state.
+// automaton has been Validate()d, the placement covers every state, and the
+// container rules hold (section presence, META shape, backend, TOPO against
+// the SHRD shard count, SCOR against AUTM). The tier and shard plans are
+// decoded, not checked against the automaton: their consistency is checked
+// where they are unsealed (dfa.UnsealSelection, shard.UnsealShards), once per
+// machine build, and only for the shards a machine hosts.
 func Load(r io.Reader) (*Artifact, error) {
 	a, err := read(r, false)
 	if err != nil {
@@ -510,7 +515,8 @@ func read(r io.Reader, statOnly bool) (*Artifact, error) {
 }
 
 // validate cross-checks the decoded sections against each other and the
-// Meta shape counts: what the table's presence rules cannot state.
+// Meta shape counts: what the table's presence rules cannot state. The plans
+// are left to the functions that unseal them.
 func (a *Artifact) validate() error {
 	n, pl := a.NFA, a.Placement
 	if a.Meta.Bits != n.Bits || a.Meta.Stride != n.Stride {
@@ -562,32 +568,6 @@ func (a *Artifact) validate() error {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
-	if t := a.Tier; t != nil {
-		p := &t.Plan
-		sum := 0
-		for _, cc := range p.CCs {
-			sum += cc.States
-		}
-		if sum != n.NumStates() {
-			return fmt.Errorf("%w: tier plan covers %d of %d states", ErrCorrupt, sum, n.NumStates())
-		}
-		if (p.DFAStates > 0) != (t.DFA != nil) {
-			return fmt.Errorf("%w: TIER plan claims %d DFA states, DFAT present: %t",
-				ErrCorrupt, p.DFAStates, t.DFA != nil)
-		}
-		if d := t.DFA; d != nil { // its own bounds were checked when it was decoded
-			if d.NumStates() != p.DFAStates {
-				return fmt.Errorf("%w: DFAT has %d states, plan says %d", ErrCorrupt, d.NumStates(), p.DFAStates)
-			}
-			if d.Bits() != n.Bits || d.Stride() != n.Stride {
-				return fmt.Errorf("%w: DFAT geometry (%d,%d) != automaton (%d,%d)",
-					ErrCorrupt, d.Bits(), d.Stride(), n.Bits, n.Stride)
-			}
-		}
-	}
-	if err := a.validateShards(); err != nil {
-		return err
-	}
 	if a.Topo != nil {
 		// The placement must cover the plan's shards with in-range domains.
 		if err := a.Topo.Validate(a.Shards.Plan.Shards); err != nil {
@@ -598,57 +578,6 @@ func (a *Artifact) validate() error {
 		// A weight-count lie fails the shape check against AUTM's out-edges.
 		if err := a.Score.Validate(n); err != nil {
 			return fmt.Errorf("%w: SCOR: %v", ErrCorrupt, err)
-		}
-	}
-	return nil
-}
-
-// validateShards cross-checks the SHRD section against the automaton. The
-// deep structural check — plan versus the automaton's actual component
-// decomposition, tier seals versus each shard's sub-automaton — happens in
-// shard.Unseal when a machine is assembled; this layer verifies the
-// invariants decidable without recomputing components.
-func (a *Artifact) validateShards() error {
-	if a.Shards == nil {
-		return nil
-	}
-	n := a.NFA
-	p := &a.Shards.Plan
-	sum := 0
-	for _, s := range p.CCStates {
-		sum += s
-	}
-	if sum != n.NumStates() {
-		return fmt.Errorf("%w: shard plan covers %d of %d states", ErrCorrupt, sum, n.NumStates())
-	}
-	if len(a.Shards.Tiers) == 0 {
-		return nil
-	}
-	// Each tiered shard's plan must account for exactly the components and
-	// states the shard plan assigned to it; empty shards carry no tier.
-	ccCount := make([]int, p.Shards)
-	states := p.ShardStates()
-	for _, sh := range p.CCShard {
-		ccCount[sh]++
-	}
-	for k, tier := range a.Shards.Tiers {
-		if tier == nil {
-			continue
-		}
-		if states[k] == 0 {
-			return fmt.Errorf("%w: SHRD shard %d is empty but carries a tier plan", ErrCorrupt, k)
-		}
-		tierStates := 0
-		for _, cc := range tier.Plan.CCs {
-			tierStates += cc.States
-		}
-		if len(tier.Plan.CCs) != ccCount[k] || tierStates != states[k] {
-			return fmt.Errorf("%w: SHRD shard %d tier plan spans %d components/%d states, shard plan assigns %d/%d",
-				ErrCorrupt, k, len(tier.Plan.CCs), tierStates, ccCount[k], states[k])
-		}
-		if d := tier.DFA; d != nil && (d.Bits() != n.Bits || d.Stride() != n.Stride) {
-			return fmt.Errorf("%w: SHRD shard %d DFA geometry (%d,%d) != automaton (%d,%d)",
-				ErrCorrupt, k, d.Bits(), d.Stride(), n.Bits, n.Stride)
 		}
 	}
 	return nil
@@ -1250,21 +1179,14 @@ func decodeShardPlan(payload []byte) (*shard.Sealed, error) {
 		return nil, fmt.Errorf("%w: %d shard components in %d-byte section", ErrCorrupt, ncc, len(payload))
 	}
 	for i := 0; i < ncc && d.err == nil; i++ {
-		sh := int(d.u32())
-		st := int(d.u32())
-		if d.err != nil {
-			break
-		}
-		if sh < 0 || sh >= s.Plan.Shards {
-			return nil, fmt.Errorf("%w: SHRD component %d assigned to shard %d of %d", ErrCorrupt, i, sh, s.Plan.Shards)
-		}
-		s.Plan.CCShard = append(s.Plan.CCShard, sh)
-		s.Plan.CCStates = append(s.Plan.CCStates, st)
+		s.Plan.CCShard = append(s.Plan.CCShard, int(d.u32()))
+		s.Plan.CCStates = append(s.Plan.CCStates, int(d.u32()))
 	}
 	ntiers := int(d.u32())
-	if d.err == nil && ntiers != 0 && ntiers != s.Plan.Shards {
-		return nil, fmt.Errorf("%w: SHRD has %d tier entries for %d shards", ErrCorrupt, ntiers, s.Plan.Shards)
+	if d.err == nil && ntiers > len(payload)-d.off { // an entry is at least its presence byte
+		return nil, fmt.Errorf("%w: %d shard tier entries in %d-byte section", ErrCorrupt, ntiers, len(payload))
 	}
+	s.Tiers = slices.Grow(s.Tiers, ntiers)
 	for k := 0; k < ntiers && d.err == nil; k++ {
 		if !d.flag() {
 			s.Tiers = append(s.Tiers, nil)
@@ -1278,8 +1200,7 @@ func decodeShardPlan(payload []byte) (*shard.Sealed, error) {
 			return nil, fmt.Errorf("shard %d: %w", k, err)
 		}
 		var table *dfa.DFA
-		hasDFA := d.flag()
-		if hasDFA {
+		if d.flag() {
 			table, err = decodeDFATable(d.blob())
 			if d.err != nil {
 				break
@@ -1287,10 +1208,6 @@ func decodeShardPlan(payload []byte) (*shard.Sealed, error) {
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: %w", k, err)
 			}
-		}
-		if (plan.DFAStates > 0) != hasDFA {
-			return nil, fmt.Errorf("%w: SHRD shard %d plan claims %d DFA states, table present: %t",
-				ErrCorrupt, k, plan.DFAStates, hasDFA)
 		}
 		s.Tiers = append(s.Tiers, &dfa.Sealed{Plan: *plan, DFA: table})
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -132,21 +133,30 @@ func TestShardCorruptionPaths(t *testing.T) {
 		mut[shrd] = sec
 		return mut
 	}
+	// A plan that lies about its partition decodes: the decoder checks
+	// framing only, and shard.Unseal — which every Machine build runs —
+	// is the one check of the plan against the automaton.
+	refusedAtUnseal := func(t *testing.T, mut [][]byte, want string) {
+		t.Helper()
+		b, err := Load(bytes.NewReader(rebuild(raw, mut)))
+		if err != nil {
+			t.Fatalf("decoder refused a well-framed plan: %v", err)
+		}
+		if _, err := shard.Unseal(b.NFA, b.Shards); err == nil || err.Error() != want {
+			t.Fatalf("unseal error %v, want %q", err, want)
+		}
+	}
 
 	t.Run("shard count lie", func(t *testing.T) {
-		if _, err := Load(bytes.NewReader(rebuild(raw, mutate(0, 5)))); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("shard-count lie accepted: %v", err)
-		}
+		refusedAtUnseal(t, mutate(0, 5), "shard: sealed plan has 5 shards but 4 tier entries")
 	})
 	t.Run("component assigned out of range", func(t *testing.T) {
-		if _, err := Load(bytes.NewReader(rebuild(raw, mutate(8, 99)))); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("out-of-range component assignment accepted: %v", err)
-		}
+		refusedAtUnseal(t, mutate(8, 99), "shard: sealed component 0 assigned to shard 99 of 4")
 	})
 	t.Run("component state-count lie", func(t *testing.T) {
-		if _, err := Load(bytes.NewReader(rebuild(raw, mutate(12, 1<<20)))); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("state-count lie accepted: %v", err)
-		}
+		want := fmt.Sprintf("shard: sealed component 0 has 1048576 states, automaton has %d",
+			len(a.NFA.ConnectedComponents()[0]))
+		refusedAtUnseal(t, mutate(12, 1<<20), want)
 	})
 	t.Run("truncated SHRD payload", func(t *testing.T) {
 		mut := append([][]byte(nil), chunks...)

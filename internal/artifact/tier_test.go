@@ -144,10 +144,17 @@ func TestTierCorruptionPaths(t *testing.T) {
 		}
 	})
 	t.Run("TIER without DFAT", func(t *testing.T) {
+		// The decoder checks framing only; dfa.Unseal, which every
+		// Machine build runs, refuses a plan whose DFA tables are gone.
 		i := find("DFAT")
 		cut := append(append([][]byte(nil), chunks[:i]...), chunks[i+1:]...)
-		if _, err := Load(bytes.NewReader(rebuild(raw, cut))); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("plan claiming a DFA tier loaded without its table: %v", err)
+		b, err := Load(bytes.NewReader(rebuild(raw, cut)))
+		if err != nil {
+			t.Fatalf("decoder refused a well-framed plan: %v", err)
+		}
+		const want = "dfa: sealed DFA tables inconsistent with plan"
+		if _, err := dfa.Unseal(b.NFA, b.Tier); err == nil || err.Error() != want {
+			t.Fatalf("plan claiming a DFA tier unsealed without its table: %v, want %q", err, want)
 		}
 	})
 	t.Run("truncated TIER payload", func(t *testing.T) {

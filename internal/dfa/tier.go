@@ -394,7 +394,9 @@ func (s *Selection) Plan() Plan { return s.plan }
 // DFA returns the union DFA (nil when no DFA tier was selected).
 func (s *Selection) DFA() *DFA { return s.dfa }
 
-// NFA returns the original automaton the plan was built for.
+// NFA returns the automaton the selection was made over or unsealed against
+// (Select, UnsealSelection); nil for a selection UnsealComponents made,
+// which a sharded form steps over its own automaton.
 func (s *Selection) NFA() *automata.NFA { return s.nfa }
 
 // PlanCPU returns the total CPU time spent in trial and union
@@ -457,15 +459,32 @@ func Unseal(n *automata.NFA, s *Sealed) (*Tiered, error) {
 }
 
 // UnsealSelection reassembles a tier selection from its sealed form and the
-// automaton it was planned for, revalidating the plan against the
-// automaton's current component structure and the sealed DFA's geometry and
-// report states against the tier; the selection walks the sealed DFA itself,
-// whose own bounds were checked when it was built.
+// automaton it was planned for: the automaton is validated and its
+// components found, and UnsealComponents checks the plan against them. This
+// is the one check of a sealed tier plan, compiled or loaded; the selection
+// walks the sealed DFA itself, whose own bounds were checked when it was
+// built or decoded.
 func UnsealSelection(n *automata.NFA, s *Sealed) (*Selection, error) {
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("dfa: invalid automaton: %w", err)
 	}
-	ccs := n.ConnectedComponents()
+	sel, err := UnsealComponents(n.ConnectedComponents(), n.Bits, n.Stride, s)
+	if err != nil {
+		return nil, err
+	}
+	sel.nfa = n
+	return sel, nil
+}
+
+// UnsealComponents reassembles a tier selection from its sealed form and the
+// components of the automaton it was planned for, in
+// automata.ConnectedComponents order and numbering, over a bits/stride
+// geometry. It checks every component's size, that the DFA tables are
+// present exactly when a component is on the DFA tier, the tables' geometry
+// and report states, and the plan's derived counts against the tables and
+// the components. The selection holds no automaton (NFA returns nil): the
+// sharded form hands it over as one shard's Part.
+func UnsealComponents(ccs [][]automata.StateID, bits, stride int, s *Sealed) (*Selection, error) {
 	if len(ccs) != len(s.Plan.CCs) {
 		return nil, fmt.Errorf("dfa: sealed plan has %d components, automaton has %d", len(s.Plan.CCs), len(ccs))
 	}
@@ -487,15 +506,30 @@ func UnsealSelection(n *automata.NFA, s *Sealed) (*Selection, error) {
 	if (s.DFA == nil) != (len(dfaIDs) == 0) {
 		return nil, fmt.Errorf("dfa: sealed DFA tables inconsistent with plan")
 	}
+	dfaStates, tableBytes := 0, 0
 	if d := s.DFA; d != nil {
-		if d.bits != n.Bits || d.stride != n.Stride {
-			return nil, fmt.Errorf("dfa: sealed DFA geometry %d/%d != automaton %d/%d", d.bits, d.stride, n.Bits, n.Stride)
+		if d.bits != bits || d.stride != stride {
+			return nil, fmt.Errorf("dfa: sealed DFA geometry %d/%d != automaton %d/%d", d.bits, d.stride, bits, stride)
 		}
 		for _, e := range d.entries {
 			if int(e.State) < 0 || int(e.State) >= len(dfaIDs) {
 				return nil, fmt.Errorf("dfa: sealed report state %d out of tier range [0,%d)", e.State, len(dfaIDs))
 			}
 		}
+		dfaStates, tableBytes = d.NumStates(), d.TableBytes()
 	}
-	return &Selection{nfa: n, plan: s.Plan, dfa: s.DFA, dfaIDs: dfaIDs, nfaIDs: nfaIDs}, nil
+	for _, c := range []struct {
+		what        string
+		sealed, got int
+	}{
+		{"DFA states", s.Plan.DFAStates, dfaStates},
+		{"DFA table bytes", s.Plan.DFATableBytes, tableBytes},
+		{"states on the DFA tier", s.Plan.DFANFAStates, len(dfaIDs)},
+		{"states on the NFA tier", s.Plan.NFAStates, len(nfaIDs)},
+	} {
+		if c.sealed != c.got {
+			return nil, fmt.Errorf("dfa: sealed plan claims %d %s, the tier has %d", c.sealed, c.what, c.got)
+		}
+	}
+	return &Selection{plan: s.Plan, dfa: s.DFA, dfaIDs: dfaIDs, nfaIDs: nfaIDs}, nil
 }

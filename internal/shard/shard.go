@@ -333,9 +333,9 @@ type Sealed struct {
 }
 
 // Unseal reassembles a Sharded execution form from a sealed plan and the
-// automaton it was planned for, revalidating the plan against the
-// automaton's current component structure. Per-shard tier seals are
-// revalidated by dfa.UnsealSelection against each shard's sub-automaton.
+// automaton it was planned for, checking the partition against the
+// automaton's component structure and each shard's tier seal against the
+// shard's components (dfa.UnsealComponents).
 func Unseal(n *automata.NFA, s *Sealed) (*Sharded, error) {
 	return UnsealShards(n, s, nil)
 }
@@ -345,9 +345,10 @@ func Unseal(n *automata.NFA, s *Sealed) (*Sharded, error) {
 // so Run and the lockstep core skip them and the merged report stream
 // covers exactly the kept shards — the worker side of cluster dispatch,
 // where each process hosts the shards its topology domain was assigned
-// and the frontend re-merges the disjoint streams. The full plan is still
-// revalidated against the automaton, so a worker rejects an artifact whose
-// plan no longer matches.
+// and the frontend re-merges the disjoint streams. The whole partition is
+// checked against the automaton, so a worker rejects an artifact whose
+// partition no longer matches; a tier seal is checked only for a kept shard,
+// so a worker does not check the tier plans of shards it does not host.
 func UnsealShards(n *automata.NFA, s *Sealed, keep []int) (*Sharded, error) {
 	parts, err := unsealParts(n, s, keep)
 	if err != nil {
@@ -377,9 +378,12 @@ func UnsealStates(n *automata.NFA, s *Sealed, keep []int) ([]automata.StateID, e
 	return ids, nil
 }
 
-// unsealParts revalidates the sealed partition against the automaton and
-// returns one part per shard, the kept shards' tier selections unsealed and
-// the others left empty.
+// unsealParts checks the sealed partition against the automaton — validated
+// and split into components once — and returns one part per shard, the kept
+// shards' tier selections unsealed against their share of those components
+// and the others left empty. This is the one check of a sealed partition,
+// compiled or loaded; a shard's tier plan is checked only where the shard is
+// kept.
 func unsealParts(n *automata.NFA, s *Sealed, keep []int) ([]dfa.Part, error) {
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: invalid automaton: %w", err)
@@ -422,6 +426,22 @@ func unsealParts(n *automata.NFA, s *Sealed, keep []int) ([]dfa.Part, error) {
 	}
 
 	ids := shardIDs(ccs, s.Plan)
+	// Each shard's components, renumbered in place within the shard: the
+	// components of the shard's sub-automaton, in their order, since no
+	// edge leaves a component and the renumbering keeps the order of IDs.
+	local := make([]automata.StateID, n.NumStates())
+	for _, list := range ids {
+		for j, id := range list {
+			local[id] = automata.StateID(j)
+		}
+	}
+	shardCCs := make([][][]automata.StateID, k)
+	for ci, cc := range ccs {
+		for j, id := range cc {
+			cc[j] = local[id]
+		}
+		shardCCs[s.Plan.CCShard[ci]] = append(shardCCs[s.Plan.CCShard[ci]], cc)
+	}
 	engines := make([]dfa.Part, k)
 	for i := 0; i < k; i++ {
 		var tier *dfa.Sealed
@@ -439,7 +459,7 @@ func unsealParts(n *automata.NFA, s *Sealed, keep []int) ([]dfa.Part, error) {
 		}
 		engines[i].Orig = ids[i]
 		if tier != nil {
-			t, err := dfa.UnsealSelection(n.Induced(ids[i]), tier)
+			t, err := dfa.UnsealComponents(shardCCs[i], n.Bits, n.Stride, tier)
 			if err != nil {
 				return nil, fmt.Errorf("shard: shard %d tier does not unseal: %w", i, err)
 			}

@@ -154,7 +154,11 @@ func saveMachine(t testing.TB, m *impala.Machine) []byte {
 // FuzzLoadMachine drives LoadMachine, and MachineFromArtifactDomain for every
 // domain of an artifact that carries a topology, with arbitrary bytes whose
 // CRC is re-stamped so that mutations reach the section decoders and the plan
-// checks. Neither may panic; every machine they build saves back the very
+// checks; the seeds are every composition and every row of
+// TestLoadRefusesBrokenPlans, an artifact that loads and whose plans the
+// unseal checks refuse. It is the target that covers plan consistency:
+// artifact.Load leaves that to the machine. Neither may panic; every machine
+// they build saves back the very
 // bytes it was built from; and a binary machine whose plans carry no DFA
 // table matches what the scalar simulator matches over its automaton. A sealed
 // DFA table is trusted, not determinized again — that cost is what sealing it
@@ -163,6 +167,9 @@ func saveMachine(t testing.TB, m *impala.Machine) []byte {
 func FuzzLoadMachine(f *testing.F) {
 	for _, sealed := range compositions(f) {
 		f.Add(sealed)
+	}
+	for _, b := range brokenPlans(f) {
+		f.Add(b.sealed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 16 {
