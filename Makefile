@@ -68,8 +68,9 @@ bench-build:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/core ./internal/bitvec ./internal/score ./internal/dfa ./internal/shard ./internal/server .
 
-# Ten seconds of native fuzzing per target: the artifact boundary (Load never
-# panics, stays inside its allocation budget, and saves back what it accepts),
+# Ten seconds of native fuzzing per target: the artifact boundary (Load,
+# walking each section's layout, never panics, stays inside its allocation
+# budget, and saves back what it accepts; seeded with the v7 golden files),
 # the facade over it (FuzzLoadMachine, the target that covers plan
 # consistency, which Load leaves to the unseal checks: seeded with every
 # TestLoadRefusesBrokenPlans row, LoadMachine and every domain's

@@ -26,10 +26,10 @@ import (
 	"strings"
 	"time"
 
+	"impala"
 	"impala/internal/arch"
 	"impala/internal/artifact"
 	"impala/internal/automata"
-	"impala/internal/backend"
 	"impala/internal/bitvec"
 	"impala/internal/core"
 	"impala/internal/dfa"
@@ -329,11 +329,12 @@ func loadAutomaton(loadFile, nfaFile, patterns string, stride int, caMode bool) 
 		if err != nil {
 			return nil, err
 		}
-		// The simulator executes the Impala engines; artifacts sealed for
-		// another backend would run under the wrong hardware model.
-		if got := a.Meta.BackendName(); got != backend.DefaultName {
-			return nil, fmt.Errorf("artifact %s was sealed for backend %q, this simulator runs %q: %w",
-				loadFile, got, backend.DefaultName, backend.ErrMismatch)
+		// The simulator runs what LoadMachine would serve and nothing else:
+		// the default backend (backend.ErrMismatch for another, which would
+		// run under the wrong hardware model), a placement that builds, and
+		// plans that unseal.
+		if _, err := impala.MachineFromArtifact(a); err != nil {
+			return nil, err
 		}
 		return a, nil
 	}

@@ -4,10 +4,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"impala"
+	"impala/internal/artifact"
+	"impala/internal/automata"
+	"impala/internal/interconnect"
+	"impala/internal/place"
 	"impala/internal/sim"
 	"impala/internal/workload"
 )
@@ -102,5 +107,39 @@ func TestScoredArtifactRun(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "scored artifacts run on the scored engine only") {
 			t.Errorf("-tier %t -trace %t -engine %s on a scored artifact: error %v", flags.tier, flags.trace, flags.engine, err)
 		}
+	}
+}
+
+// -load runs only what LoadMachine would build: an artifact whose placement
+// does not build — here the edge of "ab" split across two groups — decodes,
+// and is refused with the facade's error.
+func TestLoadRefusesUnbuildablePlacement(t *testing.T) {
+	n := automata.New(8, 1)
+	n.AddLiteral("ab", automata.StartAllInput, 1)
+	pl, err := place.Place(n, place.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range pl.G4s {
+		if i := slices.Index(g.Slots, 1); i >= 0 {
+			g.Slots[i] = -1
+		}
+	}
+	g := &place.G4Placement{Slots: make([]automata.StateID, interconnect.G4Size)}
+	for i := range g.Slots {
+		g.Slots[i] = -1
+	}
+	g.Slots[0] = 1
+	pl.G4s = append(pl.G4s, g)
+	path := filepath.Join(t.TempDir(), "split.impala")
+	if err := artifact.New(n, pl, n, artifact.Meta{}, nil).WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := artifact.LoadFile(path); err != nil {
+		t.Fatalf("artifact.Load refuses it: %v", err)
+	}
+	_, err = loadAutomaton(path, "", "", 0, false)
+	if want := "impala: placement does not build: arch: edge 0->1 crosses switch groups"; err == nil || err.Error() != want {
+		t.Fatalf("-load error %v, want %q", err, want)
 	}
 }

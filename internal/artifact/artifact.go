@@ -40,10 +40,12 @@
 // name one section it needs and one it refuses; there are three such rules
 // (DFAT needs TIER, TOPO needs SHRD, TIER refuses SHRD), and every other
 // combination composes. Each plan describes itself: META copies none of
-// them. The encoding is canonical: Save output is deterministic, and Load
-// accepts only what Save writes — sections in the table's order, reserved
-// and padding bytes zero, flags 0 or 1 — so whatever loads saves back
-// byte-identically, which the property tests and FuzzLoad pin.
+// them. Each section's layout is written once, as one function that Save
+// walks to encode the section and Load to decode it (codec). The encoding
+// is canonical: Save output is deterministic, and Load accepts only what
+// Save writes — sections in the table's order, reserved and padding bytes
+// zero, flags 0 or 1 — so whatever loads saves back byte-identically, which
+// the property tests, FuzzLoad and the v7 golden files in testdata/v7 pin.
 //
 // Every Load validates the magic, version, CRC and all structural bounds
 // before returning; Stat decodes only the rows the table marks for it (META
@@ -65,7 +67,6 @@ import (
 
 	"impala/internal/automata"
 	"impala/internal/backend"
-	"impala/internal/bitvec"
 	"impala/internal/core"
 	"impala/internal/dfa"
 	"impala/internal/interconnect"
@@ -99,12 +100,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // section is one row of the section table.
 type section struct {
 	id string
-	// required rows are in every artifact; Stat decodes the stat rows.
-	required, stat bool
-	// encode returns the payload, nil when the artifact has no such section;
-	// decode fills the artifact from one.
-	encode func(a *Artifact) []byte
-	decode func(a *Artifact, payload []byte) error
+	// layout is the section's one statement of its payload, walked by Save
+	// to encode it and by Load to decode it (see codec).
+	layout func(c *codec, a *Artifact)
+	// has reports whether an optional row's section is in the artifact;
+	// a row without it is required. Stat decodes the stat rows.
+	has  func(a *Artifact) bool
+	stat bool
 	// needs names a section that must ride with this one and refuses one
 	// that must not; why is the reason, for the error.
 	needs, refuses, why string
@@ -114,63 +116,29 @@ type section struct {
 // writes them in this order, Load and Stat accept no other. Checks that
 // compare the values of two sections are validate's.
 var sectionTable = []section{
-	{id: "META", required: true, stat: true, encode: (*Artifact).encodeMeta, decode: (*Artifact).decodeMeta},
-	{id: "STAG", required: true, stat: true,
-		encode: func(a *Artifact) []byte { return encodeStages(a.Stages) },
-		decode: func(a *Artifact, p []byte) (err error) { a.Stages, err = decodeStages(p); return err }},
-	{id: "AUTM", required: true,
-		encode: func(a *Artifact) []byte { return encodeNFA(a.NFA) },
-		decode: func(a *Artifact, p []byte) (err error) { a.NFA, err = decodeNFA(p); return err }},
-	{id: "PLAC", required: true,
-		encode: func(a *Artifact) []byte { return encodePlacement(a.Placement) },
-		decode: func(a *Artifact, p []byte) (err error) { a.Placement, err = decodePlacement(p); return err }},
-	{id: "BKND",
-		encode: func(a *Artifact) []byte {
-			if len(a.BackendPayload) == 0 {
-				return nil
-			}
-			return a.BackendPayload
-		},
-		decode: func(a *Artifact, p []byte) error {
-			if len(p) == 0 {
-				return fmt.Errorf("%w: empty BKND section", ErrCorrupt)
-			}
-			a.BackendPayload = append([]byte(nil), p...)
-			return nil
-		}},
+	{id: "META", stat: true, layout: layoutMeta},
+	{id: "STAG", stat: true, layout: layoutStages},
+	{id: "AUTM", layout: layoutNFA},
+	{id: "PLAC", layout: layoutPlacement},
+	{id: "BKND", layout: layoutBackend,
+		has: func(a *Artifact) bool { return len(a.BackendPayload) > 0 }},
 	{id: "TIER", refuses: "SHRD", why: "a sharded artifact tiers per shard",
-		encode: func(a *Artifact) []byte {
-			return opt(a.Tier, func(t *dfa.Sealed) []byte { return encodeTierPlan(&t.Plan) })
-		},
-		decode: func(a *Artifact, p []byte) error {
-			plan, err := decodeTierPlan(p)
-			if err == nil {
-				a.Tier = &dfa.Sealed{Plan: *plan}
+		layout: func(c *codec, a *Artifact) {
+			if c.load {
+				a.Tier = &dfa.Sealed{}
 			}
-			return err
-		}},
-	{id: "DFAT", needs: "TIER", why: "the tables are the tier plan's DFA",
-		encode: func(a *Artifact) []byte {
-			return opt(a.Tier, func(t *dfa.Sealed) []byte { return opt(t.DFA, encodeDFATable) })
+			layoutTierPlan(c, &a.Tier.Plan)
 		},
-		decode: func(a *Artifact, p []byte) (err error) { a.Tier.DFA, err = decodeDFATable(p); return err }},
-	{id: "SHRD",
-		encode: func(a *Artifact) []byte { return opt(a.Shards, encodeShardPlan) },
-		decode: func(a *Artifact, p []byte) (err error) { a.Shards, err = decodeShardPlan(p); return err }},
-	{id: "TOPO", needs: "SHRD", why: "a placement assigns shards to domains",
-		encode: func(a *Artifact) []byte { return opt(a.Topo, encodeTopo) },
-		decode: func(a *Artifact, p []byte) (err error) { a.Topo, err = decodeTopo(p); return err }},
-	{id: "SCOR",
-		encode: func(a *Artifact) []byte { return opt(a.Score, encodeScore) },
-		decode: func(a *Artifact, p []byte) (err error) { a.Score, err = decodeScore(p); return err }},
-}
-
-// opt is an optional section's encode: nil, for absent, when v is.
-func opt[T any](v *T, encode func(*T) []byte) []byte {
-	if v == nil {
-		return nil
-	}
-	return encode(v)
+		has: func(a *Artifact) bool { return a.Tier != nil }},
+	{id: "DFAT", needs: "TIER", why: "the tables are the tier plan's DFA",
+		layout: func(c *codec, a *Artifact) { layoutDFATable(c, &a.Tier.DFA) },
+		has:    func(a *Artifact) bool { return a.Tier != nil && a.Tier.DFA != nil }},
+	{id: "SHRD", layout: layoutShardPlan,
+		has: func(a *Artifact) bool { return a.Shards != nil }},
+	{id: "TOPO", needs: "SHRD", why: "a placement assigns shards to domains", layout: layoutTopo,
+		has: func(a *Artifact) bool { return a.Topo != nil }},
+	{id: "SCOR", layout: layoutScore,
+		has: func(a *Artifact) bool { return a.Score != nil }},
 }
 
 // rules applies a present row's needs and refuses columns.
@@ -189,7 +157,7 @@ func admit(present func(id string) bool) error {
 	for i := range sectionTable {
 		s := &sectionTable[i]
 		if !present(s.id) {
-			if s.required {
+			if s.has == nil {
 				return fmt.Errorf("%w: missing section %q", ErrCorrupt, s.id)
 			}
 			continue
@@ -371,10 +339,12 @@ func (a *Artifact) Save(w io.Writer) error {
 			return fmt.Errorf("artifact: refusing to save invalid weight table: %w", err)
 		}
 	}
-	payloads := map[string][]byte{}
+	payloads, c := map[string][]byte{}, &codec{}
 	for _, s := range sectionTable {
-		if p := s.encode(a); p != nil {
-			payloads[s.id] = p
+		if s.has == nil || s.has(a) {
+			*c = codec{}
+			s.layout(c, a)
+			payloads[s.id] = c.b
 		}
 	}
 	if err := admit(func(id string) bool { _, ok := payloads[id]; return ok }); err != nil {
@@ -479,6 +449,7 @@ func read(r io.Reader, statOnly bool) (*Artifact, error) {
 	}
 	a := &Artifact{size: int64(len(body)) + 16, sections: map[string]int64{}}
 	present := func(id string) bool { _, ok := a.sections[id]; return ok }
+	c := &codec{load: true}
 	next := 0 // the first row the next section may be
 	for off := 0; off < len(body); {
 		if len(body)-off < 12 {
@@ -503,8 +474,9 @@ func read(r io.Reader, statOnly bool) (*Artifact, error) {
 			return nil, err
 		}
 		if s.stat || !statOnly {
-			if err := s.decode(a, payload); err != nil {
-				return nil, err
+			*c = codec{load: true, b: payload}
+			if s.layout(c, a); c.end() != nil {
+				return nil, fmt.Errorf("section %s: %w", id, c.err)
 			}
 		}
 	}
@@ -652,357 +624,417 @@ func writeSection(w *bytes.Buffer, id string, payload []byte) {
 	w.Write(payload)
 }
 
-// enc is a little-endian append-only encoder.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *enc) str(s string) {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
-	}
-	e.u16(uint16(len(s)))
-	e.b = append(e.b, s...)
+// codec walks a section's layout in one direction: on Save it appends each
+// field to b, on Load it reads each field from b and refuses what does not
+// bound-check. A layout function is written once, against a codec, and is
+// both the section's encoder and its decoder.
+type codec struct {
+	load bool
+	b    []byte
+	off  int   // the next byte Load reads
+	err  error // Load's first refusal
 }
 
-// dec is the bounds-checked mirror of enc: the first overrun poisons the
-// decoder and the caller surfaces one ErrTruncated.
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
+// next returns the next n bytes Load reads, or nil — refusing the walk as
+// truncated when fewer remain.
+func (c *codec) next(n int) []byte {
+	if n > len(c.b)-c.off {
+		if c.err == nil {
+			c.err = ErrTruncated
+		}
 		return nil
 	}
-	if len(d.b)-d.off < n {
-		d.err = ErrTruncated
-		return nil
-	}
-	p := d.b[d.off : d.off+n]
-	d.off += n
-	return p
+	c.off += n
+	return c.b[c.off-n : c.off]
 }
-func (d *dec) u8() uint8 {
-	p := d.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-func (d *dec) u16() uint16 {
-	p := d.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
-}
-func (d *dec) u32() uint32 {
-	p := d.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-func (d *dec) u64() uint64 {
-	p := d.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-func (d *dec) i64() int64 { return int64(d.u64()) }
 
-// flag reads a boolean byte; pad skips n reserved bytes. The encoding is
-// canonical, so a flag other than 0 or 1 and a non-zero pad byte are
-// corruption.
-func (d *dec) flag() bool {
-	v := d.u8()
-	if v > 1 && d.err == nil {
-		d.err = fmt.Errorf("%w: flag byte %d", ErrCorrupt, v)
+func (c *codec) ok() bool { return c.err == nil }
+
+// fail refuses the section as corrupt, unless it is refused already.
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 	}
-	return v == 1
 }
-func (d *dec) pad(n int) {
-	for _, b := range d.take(n) {
+
+// end returns the walk's refusal; Load consumes exactly the encoding, so
+// bytes left over are one.
+func (c *codec) end() error {
+	if c.err == nil && c.off != len(c.b) {
+		c.fail("%d trailing bytes", len(c.b)-c.off)
+	}
+	return c.err
+}
+
+// The fixed-width fields, little-endian, one binary call each. u32 reads
+// unsigned and i32 sign-extends: a field is read back into the type it was
+// written from.
+func u8[T ~uint8 | ~int](c *codec, v *T) {
+	if !c.load {
+		c.b = append(c.b, uint8(*v))
+	} else if p := c.next(1); p != nil {
+		*v = T(p[0])
+	}
+}
+
+func u16[T ~uint16 | ~int](c *codec, v *T) {
+	if !c.load {
+		c.b = binary.LittleEndian.AppendUint16(c.b, uint16(*v))
+	} else if p := c.next(2); p != nil {
+		*v = T(binary.LittleEndian.Uint16(p))
+	}
+}
+
+func u32[T ~uint32 | ~int32 | ~int](c *codec, v *T) {
+	if !c.load {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(*v))
+	} else if p := c.next(4); p != nil {
+		*v = T(binary.LittleEndian.Uint32(p))
+	}
+}
+
+func i32(c *codec, v *int) {
+	if !c.load {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(int32(*v)))
+	} else if p := c.next(4); p != nil {
+		*v = int(int32(binary.LittleEndian.Uint32(p)))
+	}
+}
+
+func u64[T ~uint64 | ~int64 | ~int](c *codec, v *T) {
+	if !c.load {
+		c.b = binary.LittleEndian.AppendUint64(c.b, uint64(*v))
+	} else if p := c.next(8); p != nil {
+		*v = T(binary.LittleEndian.Uint64(p))
+	}
+}
+
+func (c *codec) f64(v *float64) {
+	bits := math.Float64bits(*v)
+	if u64(c, &bits); c.load {
+		*v = math.Float64frombits(bits)
+	}
+}
+
+// u16s walks a run of uint16 fields — a DFA phase table — in bulk.
+func (c *codec) u16s(v []uint16) {
+	if !c.load {
+		for _, x := range v {
+			c.b = binary.LittleEndian.AppendUint16(c.b, x)
+		}
+	} else if p := c.next(2 * len(v)); p != nil {
+		for i := range v {
+			v[i] = binary.LittleEndian.Uint16(p[2*i:])
+		}
+	}
+}
+
+// rect walks a match rect, each dimension a raw 256-bit mask, in bulk.
+func (c *codec) rect(r automata.Rect) {
+	if !c.load {
+		for _, set := range r {
+			for _, w := range set {
+				c.b = binary.LittleEndian.AppendUint64(c.b, w)
+			}
+		}
+	} else if p := c.next(32 * len(r)); p != nil {
+		for di := range r {
+			for w := range r[di] {
+				r[di][w] = binary.LittleEndian.Uint64(p[32*di+8*w:])
+			}
+		}
+	}
+}
+
+// flag walks a boolean byte and pad n reserved ones. The encoding is
+// canonical, so Load refuses a flag other than 0 or 1 and a non-zero pad
+// byte.
+func (c *codec) flag(v *bool) {
+	b := uint8(0)
+	if *v {
+		b = 1
+	}
+	if u8(c, &b); c.load {
+		if b > 1 {
+			c.fail("flag byte %d", b)
+		}
+		*v = b == 1
+	}
+}
+
+func (c *codec) pad(n int) {
+	if !c.load {
+		c.b = append(c.b, make([]byte, n)...)
+		return
+	}
+	for _, b := range c.next(n) {
 		if b != 0 {
-			d.err = fmt.Errorf("%w: non-zero padding", ErrCorrupt)
+			c.fail("non-zero padding")
 		}
 	}
 }
-func (d *dec) str() string {
-	n := int(d.u16())
-	p := d.take(n)
-	if p == nil {
-		return ""
+
+// str walks a u16 length and that many bytes; Save cuts a longer string.
+func (c *codec) str(s *string) {
+	n := min(len(*s), math.MaxUint16)
+	if u16(c, &n); !c.load {
+		c.b = append(c.b, (*s)[:n]...)
+	} else if p := c.next(n); p != nil {
+		*s = string(p)
 	}
-	return string(p)
 }
 
-// done returns the decoder's error, flagging trailing garbage as corrupt.
-func (d *dec) done(section string) error {
-	if d.err != nil {
-		return fmt.Errorf("%w: section %q", d.err, section)
+// bound refuses, on Load, n elements of at least size bytes each when the
+// rest of the payload cannot hold them — a count that lies fails here,
+// before it sizes anything — and returns n, or 0 once the walk has failed.
+func (c *codec) bound(n, size int, what string) int {
+	if c.load && c.err == nil && uint64(n)*uint64(size) > uint64(len(c.b)-c.off) {
+		c.fail("%d %s overrun the section's %d bytes", n, what, len(c.b)-c.off)
 	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("%w: section %q has %d trailing bytes", ErrCorrupt, section, len(d.b)-d.off)
+	if c.err != nil {
+		return 0
 	}
-	return nil
+	return n
 }
 
-// ---- section codecs ----
-
-func (a *Artifact) encodeMeta() []byte {
-	var e enc
-	m := a.Meta
-	e.u8(uint8(m.Bits))
-	e.u8(uint8(m.Stride))
-	if m.CAMode {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	e.u8(0) // pad
-	e.i64(m.Seed)
-	e.u32(uint32(m.OriginalStates))
-	e.u32(uint32(m.OriginalTransitions))
-	e.u32(uint32(m.States))
-	e.u32(uint32(m.Transitions))
-	e.u32(uint32(m.Groups))
-	e.i64(m.CreatedUnix)
-	// The backend tag is appended only when a non-default target sealed the
-	// artifact, so default-backend files keep the fixed META layout
-	// byte-for-byte.
-	if m.Backend != "" {
-		e.str(m.Backend)
-	}
-	return e.b
+// count walks a u32 element count and bounds it.
+func (c *codec) count(n, size int, what string) int {
+	u32(c, &n)
+	return c.bound(n, size, what)
 }
 
-func (a *Artifact) decodeMeta(payload []byte) error {
-	d := &dec{b: payload}
-	m := Meta{
-		Bits:   int(d.u8()),
-		Stride: int(d.u8()),
-		CAMode: d.flag(),
+// size makes *s, on Load, n zero elements to walk into — nil for none, and
+// once the walk has failed. On Save *s is what the layout walks; Save
+// writes nothing into the artifact it encodes.
+func size[S ~[]E, E any](c *codec, s *S, n int) {
+	if c.load && n > 0 && c.err == nil {
+		*s = make(S, n)
 	}
-	d.pad(1)
-	m.Seed = d.i64()
-	m.OriginalStates = int(d.u32())
-	m.OriginalTransitions = int(d.u32())
-	m.States = int(d.u32())
-	m.Transitions = int(d.u32())
-	m.Groups = int(d.u32())
-	m.CreatedUnix = d.i64()
-	// Default-backend artifacts end here (Backend ""); a trailing string is
-	// the non-default backend tag. The container CRC already passed, so a
-	// tail that does not decode as a non-empty string is corruption, not
-	// truncation.
-	if d.err == nil && d.off < len(d.b) {
-		m.Backend = d.str()
-		if d.err != nil || m.Backend == "" {
-			return fmt.Errorf("%w: META carries a malformed backend tag", ErrCorrupt)
+}
+
+// nest walks a u64 length-prefixed layout: SHRD's per-shard TIER and DFAT.
+func (c *codec) nest(layout func(*codec)) {
+	if !c.load {
+		at := len(c.b)
+		c.b = append(c.b, make([]byte, 8)...)
+		layout(c)
+		binary.LittleEndian.PutUint64(c.b[at:], uint64(len(c.b)-at-8))
+		return
+	}
+	var n uint64
+	if u64(c, &n); c.ok() && n > uint64(len(c.b)-c.off) {
+		c.err = ErrTruncated
+	}
+	if !c.ok() {
+		return
+	}
+	in := &codec{load: true, b: c.next(int(n))}
+	layout(in)
+	c.err = in.end()
+}
+
+// ---- section layouts ----
+
+func layoutMeta(c *codec, a *Artifact) {
+	m := &a.Meta
+	u8(c, &m.Bits)
+	u8(c, &m.Stride)
+	c.flag(&m.CAMode)
+	c.pad(1)
+	u64(c, &m.Seed)
+	u32(c, &m.OriginalStates)
+	u32(c, &m.OriginalTransitions)
+	u32(c, &m.States)
+	u32(c, &m.Transitions)
+	u32(c, &m.Groups)
+	u64(c, &m.CreatedUnix)
+	// The backend tag is a trailing field, present only when a non-default
+	// target sealed the artifact, so default-backend files keep the fixed
+	// layout. The container CRC already passed, so a tail that does not
+	// decode as a non-empty string is corruption, not truncation.
+	tagged := m.Backend != ""
+	if c.load {
+		tagged = c.ok() && c.off < len(c.b)
+	}
+	if tagged {
+		c.str(&m.Backend)
+		if c.load && (!c.ok() || m.Backend == "") {
+			c.err = nil
+			c.fail("malformed backend tag")
 		}
 	}
-	if err := d.done("META"); err != nil {
-		return err
-	}
-	a.Meta = m
-	return nil
 }
 
-func encodeStages(stages []Stage) []byte {
-	var e enc
-	e.u32(uint32(len(stages)))
-	for _, s := range stages {
-		e.str(s.Name)
-		e.u32(uint32(s.States))
-		e.u32(uint32(s.Transitions))
-		e.i64(int64(s.Duration))
-		e.i64(int64(s.CPUTime))
+// BKND layout: the backend's own sealed bytes, whole.
+func layoutBackend(c *codec, a *Artifact) {
+	if !c.load {
+		c.b = append(c.b, a.BackendPayload...)
+		return
 	}
-	return e.b
+	if c.off == len(c.b) {
+		c.fail("empty section")
+	}
+	a.BackendPayload = bytes.Clone(c.next(len(c.b) - c.off))
 }
 
-func decodeStages(payload []byte) ([]Stage, error) {
-	d := &dec{b: payload}
-	n := int(d.u32())
-	if n < 0 || n > 1<<16 {
-		return nil, fmt.Errorf("%w: %d stages", ErrCorrupt, n)
+func layoutStages(c *codec, a *Artifact) {
+	n := len(a.Stages)
+	u32(c, &n)
+	if c.load && n > 1<<16 {
+		c.fail("%d stages", n)
 	}
-	var out []Stage
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, Stage{
-			Name:        d.str(),
-			States:      int(d.u32()),
-			Transitions: int(d.u32()),
-			Duration:    time.Duration(d.i64()),
-			CPUTime:     time.Duration(d.i64()),
-		})
+	for i := 0; i < n && c.ok(); i++ {
+		if c.load {
+			a.Stages = append(a.Stages, Stage{})
+		}
+		s := &a.Stages[i]
+		c.str(&s.Name)
+		u32(c, &s.States)
+		u32(c, &s.Transitions)
+		u64(c, &s.Duration)
+		u64(c, &s.CPUTime)
 	}
-	if err := d.done("STAG"); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
-func encodeNFA(n *automata.NFA) []byte {
-	var e enc
-	e.u8(uint8(n.Bits))
-	e.u8(uint8(n.Stride))
-	e.u16(0) // pad
-	e.u32(uint32(len(n.States)))
-	for i := range n.States {
+// AUTM layout: geometry, then per state its start kind, report metadata,
+// match rects as raw 256-bit masks per dimension and out-edges.
+func layoutNFA(c *codec, a *Artifact) {
+	if c.load {
+		a.NFA = &automata.NFA{}
+	}
+	n := a.NFA
+	u8(c, &n.Bits)
+	u8(c, &n.Stride)
+	c.pad(2)
+	if c.load && c.ok() && n.Bits != 2 && n.Bits != 4 && n.Bits != 8 {
+		c.fail("automaton bits %d", n.Bits)
+	}
+	if c.load && c.ok() && (n.Stride < 1 || n.Stride > 64) {
+		c.fail("automaton stride %d", n.Stride)
+	}
+	// A state costs at least its 16 fixed bytes, a match rect 32 a dimension.
+	size(c, &n.States, c.count(len(n.States), 16, "states"))
+	for i := 0; i < len(n.States) && c.ok(); i++ {
 		s := &n.States[i]
-		e.u8(uint8(s.Start))
-		if s.Report {
-			e.u8(1)
-		} else {
-			e.u8(0)
+		u8(c, &s.Start)
+		if c.load && s.Start > automata.StartEven {
+			c.fail("state %d start kind %d", i, s.Start)
 		}
-		e.u8(uint8(s.ReportOffset))
-		e.u8(0) // pad
-		e.u32(uint32(int32(s.ReportCode)))
-		e.u16(uint16(len(s.Match)))
-		e.u16(0) // pad
-		for _, r := range s.Match {
-			for _, set := range r {
-				for _, w := range set {
-					e.u64(w)
+		c.flag(&s.Report)
+		u8(c, &s.ReportOffset)
+		c.pad(1)
+		i32(c, &s.ReportCode)
+		nr := len(s.Match)
+		u16(c, &nr)
+		c.pad(2)
+		size(c, &s.Match, c.bound(nr, n.Stride*32, "match rects"))
+		for ri := range s.Match {
+			if c.load {
+				s.Match[ri] = make(automata.Rect, n.Stride)
+			}
+			c.rect(s.Match[ri])
+		}
+		size(c, &s.Out, c.count(len(s.Out), 4, "out-edges"))
+		for oi := range s.Out {
+			u32(c, &s.Out[oi])
+		}
+	}
+	if c.load && c.ok() {
+		if err := n.Validate(); err != nil {
+			c.fail("%v", err)
+		}
+	}
+}
+
+// PLAC layout: the group count and placement totals, then per group its
+// shape and its occupied slots as (slot, state) pairs in ascending slot
+// order. A group decodes into a dense slot table.
+func layoutPlacement(c *codec, a *Artifact) {
+	if c.load {
+		a.Placement = &place.Placement{}
+	}
+	pl := a.Placement
+	ng := len(pl.G4s)
+	u32(c, &ng)
+	u32(c, &pl.TotalUncovered)
+	u32(c, &pl.GAInvocations)
+	size(c, &pl.G4s, c.bound(ng, 20, "groups"))
+	for gi := 0; gi < len(pl.G4s) && c.ok(); gi++ {
+		if c.load {
+			pl.G4s[gi] = &place.G4Placement{}
+		}
+		g := pl.G4s[gi]
+		c.flag(&g.Hierarchical)
+		c.pad(3)
+		u32(c, &g.States)
+		u32(c, &g.Edges)
+		u32(c, &g.Uncovered)
+		slots := interconnect.G4Size
+		if g.Hierarchical {
+			slots = interconnect.G16Size
+		}
+		occupied := 0
+		if c.load {
+			g.Slots = make([]automata.StateID, slots)
+			for i := range g.Slots {
+				g.Slots[i] = -1
+			}
+		} else {
+			for _, id := range g.Slots {
+				if id >= 0 {
+					occupied++
 				}
 			}
 		}
-		e.u32(uint32(len(s.Out)))
-		for _, t := range s.Out {
-			e.u32(uint32(int32(t)))
-		}
-	}
-	return e.b
-}
-
-func decodeNFA(payload []byte) (*automata.NFA, error) {
-	d := &dec{b: payload}
-	bits := int(d.u8())
-	stride := int(d.u8())
-	d.pad(2)
-	if d.err == nil && (bits != 2 && bits != 4 && bits != 8) {
-		return nil, fmt.Errorf("%w: automaton bits %d", ErrCorrupt, bits)
-	}
-	if d.err == nil && (stride < 1 || stride > 64) {
-		return nil, fmt.Errorf("%w: automaton stride %d", ErrCorrupt, stride)
-	}
-	ns := int(d.u32())
-	if d.err == nil && uint64(ns)*16 > uint64(len(payload)-d.off) {
-		// Each state costs at least its 16 fixed bytes; a larger count is a
-		// lie, not a big file.
-		return nil, fmt.Errorf("%w: %d states in %d-byte section", ErrCorrupt, ns, len(payload))
-	}
-	n := &automata.NFA{Bits: bits, Stride: stride}
-	n.States = make([]automata.State, 0, ns)
-	for i := 0; i < ns && d.err == nil; i++ {
-		var s automata.State
-		s.Start = automata.StartKind(d.u8())
-		if d.err == nil && s.Start > automata.StartEven {
-			return nil, fmt.Errorf("%w: state %d start kind %d", ErrCorrupt, i, s.Start)
-		}
-		s.Report = d.flag()
-		s.ReportOffset = int(d.u8())
-		d.pad(1)
-		s.ReportCode = int(int32(d.u32()))
-		nr := int(d.u16())
-		if d.err == nil && uint64(nr)*uint64(stride)*32 > uint64(len(payload)-d.off) {
-			return nil, fmt.Errorf("%w: state %d claims %d match rects", ErrCorrupt, i, nr)
-		}
-		d.pad(2)
-		s.Match = make(automata.MatchSet, 0, nr)
-		for ri := 0; ri < nr && d.err == nil; ri++ {
-			r := make(automata.Rect, stride)
-			for di := 0; di < stride; di++ {
-				var set bitvec.ByteSet
-				for w := range set {
-					set[w] = d.u64()
+		occupied = c.count(occupied, 8, "occupied slots")
+		last := -1 // occupied slots are sealed in ascending order
+		for i := 0; i < occupied && c.ok(); i++ {
+			slot, id := last+1, automata.StateID(0)
+			if !c.load {
+				for g.Slots[slot] < 0 {
+					slot++
 				}
-				r[di] = set
+				id = g.Slots[slot]
 			}
-			s.Match = append(s.Match, r)
-		}
-		nOut := int(d.u32())
-		if d.err == nil && uint64(nOut)*4 > uint64(len(payload)-d.off) {
-			return nil, fmt.Errorf("%w: state %d claims %d out-edges", ErrCorrupt, i, nOut)
-		}
-		if nOut > 0 {
-			s.Out = make([]automata.StateID, 0, nOut)
-			for oi := 0; oi < nOut && d.err == nil; oi++ {
-				s.Out = append(s.Out, automata.StateID(int32(d.u32())))
+			u32(c, &slot)
+			u32(c, &id)
+			switch {
+			case !c.load || !c.ok():
+			case slot >= slots:
+				c.fail("group %d slot %d out of %d", gi, slot, slots)
+			case id < 0:
+				c.fail("group %d slot %d holds negative state", gi, slot)
+			case slot <= last:
+				c.fail("group %d slot %d repeats or precedes slot %d", gi, slot, last)
+			default:
+				g.Slots[slot] = id
 			}
+			last = slot
 		}
-		n.States = append(n.States, s)
 	}
-	if err := d.done("AUTM"); err != nil {
-		return nil, err
-	}
-	if err := n.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return n, nil
 }
 
-func encodeTierPlan(p *dfa.Plan) []byte {
-	var e enc
-	e.u32(uint32(len(p.CCs)))
-	for _, cc := range p.CCs {
-		e.u8(uint8(cc.Kind))
-		if cc.Evicted {
-			e.u8(1)
-		} else {
-			e.u8(0)
+// TIER layout: per component its tier, eviction and sizes, then the union
+// DFA's totals and the budgets the plan was made under.
+func layoutTierPlan(c *codec, p *dfa.Plan) {
+	size(c, &p.CCs, c.count(len(p.CCs), 12, "tier components"))
+	for i := 0; i < len(p.CCs) && c.ok(); i++ {
+		cc := &p.CCs[i]
+		u8(c, &cc.Kind)
+		if c.load && cc.Kind > dfa.TierDFA {
+			c.fail("tier component %d has kind %d", i, cc.Kind)
 		}
-		e.u16(0) // pad
-		e.u32(uint32(cc.States))
-		e.u32(uint32(cc.DFAStates))
+		c.flag(&cc.Evicted)
+		c.pad(2)
+		u32(c, &cc.States)
+		u32(c, &cc.DFAStates)
 	}
-	e.u32(uint32(p.DFAStates))
-	e.u64(uint64(p.DFATableBytes))
-	e.u32(uint32(p.NFAStates))
-	e.u32(uint32(p.DFANFAStates))
-	e.u32(uint32(p.CCBudget))
-	e.u32(uint32(p.UnionBudget))
-	return e.b
-}
-
-func decodeTierPlan(payload []byte) (*dfa.Plan, error) {
-	d := &dec{b: payload}
-	ncc := int(d.u32())
-	if d.err == nil && uint64(ncc)*12 > uint64(len(payload)-d.off) {
-		return nil, fmt.Errorf("%w: %d tier components in %d-byte section", ErrCorrupt, ncc, len(payload))
-	}
-	p := &dfa.Plan{}
-	for i := 0; i < ncc && d.err == nil; i++ {
-		cc := dfa.CCPlan{Kind: dfa.TierKind(d.u8())}
-		if d.err == nil && cc.Kind > dfa.TierDFA {
-			return nil, fmt.Errorf("%w: tier component %d has kind %d", ErrCorrupt, i, cc.Kind)
-		}
-		cc.Evicted = d.flag()
-		d.pad(2)
-		cc.States = int(d.u32())
-		cc.DFAStates = int(d.u32())
-		p.CCs = append(p.CCs, cc)
-	}
-	p.DFAStates = int(d.u32())
-	p.DFATableBytes = int(d.u64())
-	p.NFAStates = int(d.u32())
-	p.DFANFAStates = int(d.u32())
-	p.CCBudget = int(d.u32())
-	p.UnionBudget = int(d.u32())
-	if err := d.done("TIER"); err != nil {
-		return nil, err
-	}
-	return p, nil
+	u32(c, &p.DFAStates)
+	u64(c, &p.DFATableBytes)
+	u32(c, &p.NFAStates)
+	u32(c, &p.DFANFAStates)
+	u32(c, &p.CCBudget)
+	u32(c, &p.UnionBudget)
 }
 
 // DFAT layout: geometry and start state; the state count of every stride
@@ -1016,205 +1048,123 @@ const (
 	dfatEntryBytes = 12 // state, code, offset
 )
 
-func encodeDFATable(d *dfa.DFA) []byte {
-	r := d.Raw()
-	var e enc
-	e.u8(uint8(r.Bits))
-	e.u8(uint8(r.Stride))
-	if r.AnyEven {
-		e.u8(1)
-	} else {
-		e.u8(0)
+func layoutDFATable(c *codec, t **dfa.DFA) {
+	r := &dfa.Raw{}
+	if !c.load {
+		r = (*t).Raw()
 	}
-	e.u8(0) // pad
-	e.u16(r.Start)
-	e.u16(0) // pad
-	for _, t := range r.Tab {
-		e.u32(uint32(len(t) >> r.Bits))
+	u8(c, &r.Bits)
+	u8(c, &r.Stride)
+	c.flag(&r.AnyEven)
+	c.pad(1)
+	u16(c, &r.Start)
+	c.pad(2)
+	if c.load && c.ok() && r.Bits != 2 && r.Bits != 4 && r.Bits != 8 {
+		c.fail("DFAT bits %d", r.Bits)
 	}
-	e.u32(uint32(len(r.Entries)))
-	e.b = slices.Grow(e.b, 2*r.NumStates()<<r.Bits+dfatCycleBytes*len(r.Cycles)+dfatEntryBytes*len(r.Entries))
-	for _, t := range r.Tab {
-		for _, v := range t {
-			e.u16(v)
-		}
+	if c.load && c.ok() && (r.Stride < 1 || r.Stride > 64) {
+		c.fail("DFAT stride %d", r.Stride)
 	}
-	for _, c := range r.Cycles {
-		e.u32(uint32(c.Enabled))
-		e.u32(uint32(c.Active))
-		e.u32(c.Rep)
-		e.u16(c.NRep)
-		e.u8(c.Parity)
-		e.u8(0) // pad
+	if !c.ok() {
+		return
 	}
-	for _, en := range r.Entries {
-		e.u32(uint32(int32(en.State)))
-		e.u32(uint32(int32(en.Code)))
-		e.u32(uint32(en.Offset))
-	}
-	return e.b
-}
-
-func decodeDFATable(payload []byte) (*dfa.DFA, error) {
-	d := &dec{b: payload}
-	r := &dfa.Raw{
-		Bits:   int(d.u8()),
-		Stride: int(d.u8()),
-	}
-	r.AnyEven = d.flag()
-	d.pad(1)
-	r.Start = d.u16()
-	d.pad(2)
-	if d.err == nil && (r.Bits != 2 && r.Bits != 4 && r.Bits != 8) {
-		return nil, fmt.Errorf("%w: DFAT bits %d", ErrCorrupt, r.Bits)
-	}
-	if d.err == nil && (r.Stride < 1 || r.Stride > 64) {
-		return nil, fmt.Errorf("%w: DFAT stride %d", ErrCorrupt, r.Stride)
-	}
-	counts := make([]int, r.Stride)
-	states := uint64(0)
+	counts, states := make([]int, r.Stride), 0
 	for p := range counts {
-		counts[p] = int(d.u32())
-		if d.err == nil && counts[p] > dfa.MaxPhaseStates {
-			return nil, fmt.Errorf("%w: DFAT phase %d claims %d states", ErrCorrupt, p, counts[p])
+		if !c.load {
+			counts[p] = len(r.Tab[p]) >> r.Bits
 		}
-		states += uint64(counts[p])
+		u32(c, &counts[p])
+		if c.load && counts[p] > dfa.MaxPhaseStates {
+			c.fail("DFAT phase %d claims %d states", p, counts[p])
+		}
+		states += counts[p]
 	}
-	ne := int(d.u32())
-	if d.err != nil {
-		return nil, d.done("DFAT")
+	ne := len(r.Entries)
+	u32(c, &ne)
+	if !c.ok() {
+		return
 	}
-	if want := states<<r.Bits*2 + uint64(counts[0])*dfatCycleBytes + uint64(ne)*dfatEntryBytes; want != uint64(len(payload)-d.off) {
-		return nil, fmt.Errorf("%w: DFAT counts (%d states, %d entries) need %d bytes, section has %d left",
-			ErrCorrupt, states, ne, want, len(payload)-d.off)
+	if c.load {
+		if want := uint64(states)<<r.Bits*2 + uint64(counts[0])*dfatCycleBytes + uint64(ne)*dfatEntryBytes; want != uint64(len(c.b)-c.off) {
+			c.fail("counts (%d states, %d entries) need %d bytes, section has %d left", states, ne, want, len(c.b)-c.off)
+			return
+		}
+		all := make([]uint16, states<<r.Bits)
+		r.Tab = make([][]uint16, r.Stride)
+		for p, n := range counts {
+			r.Tab[p], all = all[:n<<r.Bits:n<<r.Bits], all[n<<r.Bits:]
+		}
+		r.Cycles = make([]dfa.CycleState, counts[0])
+		r.Entries = make([]dfa.ReportEntry, ne)
 	}
-	all := make([]uint16, states<<r.Bits)
-	for i, b := 0, d.take(2*len(all)); i < len(all); i++ {
-		all[i] = binary.LittleEndian.Uint16(b[2*i:])
+	for _, tab := range r.Tab {
+		c.u16s(tab)
 	}
-	r.Tab = make([][]uint16, r.Stride)
-	for p, c := range counts {
-		r.Tab[p], all = all[:c<<r.Bits:c<<r.Bits], all[c<<r.Bits:]
-	}
-	r.Cycles = make([]dfa.CycleState, counts[0])
 	for i := range r.Cycles {
-		r.Cycles[i] = dfa.CycleState{
-			Enabled: int32(d.u32()), Active: int32(d.u32()),
-			Rep: d.u32(), NRep: d.u16(), Parity: d.u8(),
-		}
-		d.pad(1)
+		cs := &r.Cycles[i]
+		u32(c, &cs.Enabled)
+		u32(c, &cs.Active)
+		u32(c, &cs.Rep)
+		u16(c, &cs.NRep)
+		u8(c, &cs.Parity)
+		c.pad(1)
 	}
-	r.Entries = make([]dfa.ReportEntry, ne)
 	for i := range r.Entries {
-		r.Entries[i] = dfa.ReportEntry{
-			State:  automata.StateID(int32(d.u32())),
-			Code:   int(int32(d.u32())),
-			Offset: int(d.u32()),
+		en := &r.Entries[i]
+		u32(c, &en.State)
+		i32(c, &en.Code)
+		u32(c, &en.Offset)
+	}
+	if c.load && c.ok() {
+		d, err := dfa.FromRaw(r)
+		if err != nil {
+			c.fail("%v", err)
 		}
+		*t = d
 	}
-	if err := d.done("DFAT"); err != nil {
-		return nil, err
-	}
-	t, err := dfa.FromRaw(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: DFAT: %v", ErrCorrupt, err)
-	}
-	return t, nil
 }
 
 // SHRD layout: the partition plan (shard count, per-component shard
 // assignment and state count), then the per-shard tier seals as nested
-// length-prefixed blobs reusing the TIER/DFAT codecs. The tier list is
-// either absent (untiered plan sealed with no entries) or exactly one
-// presence-flagged entry per shard.
-func encodeShardPlan(s *shard.Sealed) []byte {
-	var e enc
-	e.u32(uint32(s.Plan.Shards))
-	e.u32(uint32(len(s.Plan.CCShard)))
-	for i, sh := range s.Plan.CCShard {
-		e.u32(uint32(sh))
-		e.u32(uint32(s.Plan.CCStates[i]))
+// length-prefixed TIER and DFAT layouts. The tier list is either absent
+// (untiered plan sealed with no entries) or exactly one presence-flagged
+// entry per shard.
+func layoutShardPlan(c *codec, a *Artifact) {
+	if c.load {
+		a.Shards = &shard.Sealed{}
 	}
-	e.u32(uint32(len(s.Tiers)))
-	for _, tier := range s.Tiers {
-		if tier == nil {
-			e.u8(0)
+	s := a.Shards
+	u32(c, &s.Plan.Shards)
+	if c.load && c.ok() && (s.Plan.Shards < 1 || s.Plan.Shards > 1<<20) {
+		c.fail("%d shards", s.Plan.Shards)
+	}
+	ncc := c.count(len(s.Plan.CCShard), 8, "shard components")
+	size(c, &s.Plan.CCShard, ncc)
+	size(c, &s.Plan.CCStates, ncc)
+	for i := 0; i < ncc && c.ok(); i++ {
+		u32(c, &s.Plan.CCShard[i])
+		u32(c, &s.Plan.CCStates[i])
+	}
+	// An entry is at least its presence byte.
+	size(c, &s.Tiers, c.count(len(s.Tiers), 1, "shard tier entries"))
+	for k := 0; k < len(s.Tiers) && c.ok(); k++ {
+		present := s.Tiers[k] != nil
+		if c.flag(&present); !present {
 			continue
 		}
-		e.u8(1)
-		plan := encodeTierPlan(&tier.Plan)
-		e.u64(uint64(len(plan)))
-		e.b = append(e.b, plan...)
-		if tier.DFA == nil {
-			e.u8(0)
-			continue
+		if c.load {
+			s.Tiers[k] = &dfa.Sealed{}
 		}
-		e.u8(1)
-		table := encodeDFATable(tier.DFA)
-		e.u64(uint64(len(table)))
-		e.b = append(e.b, table...)
-	}
-	return e.b
-}
-
-// blob takes a length-prefixed nested payload off the decoder.
-func (d *dec) blob() []byte {
-	n := d.u64()
-	if d.err == nil && n > uint64(len(d.b)-d.off) {
-		d.err = ErrTruncated
-		return nil
-	}
-	return d.take(int(n))
-}
-
-func decodeShardPlan(payload []byte) (*shard.Sealed, error) {
-	d := &dec{b: payload}
-	s := &shard.Sealed{}
-	s.Plan.Shards = int(d.u32())
-	if d.err == nil && (s.Plan.Shards < 1 || s.Plan.Shards > 1<<20) {
-		return nil, fmt.Errorf("%w: SHRD claims %d shards", ErrCorrupt, s.Plan.Shards)
-	}
-	ncc := int(d.u32())
-	if d.err == nil && uint64(ncc)*8 > uint64(len(payload)-d.off) {
-		return nil, fmt.Errorf("%w: %d shard components in %d-byte section", ErrCorrupt, ncc, len(payload))
-	}
-	for i := 0; i < ncc && d.err == nil; i++ {
-		s.Plan.CCShard = append(s.Plan.CCShard, int(d.u32()))
-		s.Plan.CCStates = append(s.Plan.CCStates, int(d.u32()))
-	}
-	ntiers := int(d.u32())
-	if d.err == nil && ntiers > len(payload)-d.off { // an entry is at least its presence byte
-		return nil, fmt.Errorf("%w: %d shard tier entries in %d-byte section", ErrCorrupt, ntiers, len(payload))
-	}
-	s.Tiers = slices.Grow(s.Tiers, ntiers)
-	for k := 0; k < ntiers && d.err == nil; k++ {
-		if !d.flag() {
-			s.Tiers = append(s.Tiers, nil)
-			continue
+		tier := s.Tiers[k]
+		c.nest(func(c *codec) { layoutTierPlan(c, &tier.Plan) })
+		table := tier.DFA != nil
+		if c.flag(&table); table {
+			c.nest(func(c *codec) { layoutDFATable(c, &tier.DFA) })
 		}
-		plan, err := decodeTierPlan(d.blob())
-		if d.err != nil {
-			break
+		if !c.ok() {
+			c.err = fmt.Errorf("shard %d: %w", k, c.err)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", k, err)
-		}
-		var table *dfa.DFA
-		if d.flag() {
-			table, err = decodeDFATable(d.blob())
-			if d.err != nil {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", k, err)
-			}
-		}
-		s.Tiers = append(s.Tiers, &dfa.Sealed{Plan: *plan, DFA: table})
 	}
-	if err := d.done("SHRD"); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // TOPO layout: the normalized topology — domain count, then per domain
@@ -1222,241 +1172,92 @@ func decodeShardPlan(payload []byte) (*shard.Sealed, error) {
 // domains×domains cost matrix row-major — followed by the shard count and
 // the per-shard domain assignment. The topology is sealed normalized
 // (explicit bandwidths and cost matrix), so the encoding is deterministic.
-func encodeTopo(s *topo.Sealed) []byte {
-	t := s.Topology.Normalize()
-	var e enc
-	e.u32(uint32(len(t.Domains)))
-	for _, d := range t.Domains {
-		e.str(d.Name)
-		e.u32(uint32(d.StateCapacity))
-		e.u64(math.Float64bits(d.Bandwidth))
+func layoutTopo(c *codec, a *Artifact) {
+	if c.load {
+		a.Topo = &topo.Sealed{}
 	}
-	for _, row := range t.Cost {
-		for _, c := range row {
-			e.u64(math.Float64bits(c))
+	s, t := a.Topo, &a.Topo.Topology
+	if !c.load {
+		norm := t.Normalize()
+		t = &norm
+	}
+	nd := len(t.Domains)
+	u32(c, &nd)
+	if c.load && c.ok() && (nd < 1 || nd > 1<<16) {
+		c.fail("%d domains", nd)
+	}
+	for i := 0; i < nd && c.ok(); i++ {
+		if c.load {
+			t.Domains = append(t.Domains, topo.Domain{})
+		}
+		d := &t.Domains[i]
+		c.str(&d.Name)
+		u32(c, &d.StateCapacity)
+		c.f64(&d.Bandwidth)
+	}
+	c.bound(nd*nd, 8, "cost entries")
+	size(c, &t.Cost, nd)
+	for i := range t.Cost {
+		size(c, &t.Cost[i], nd)
+		for j := range t.Cost[i] {
+			c.f64(&t.Cost[i][j])
 		}
 	}
-	e.u32(uint32(len(s.ShardDomain)))
-	for _, d := range s.ShardDomain {
-		e.u32(uint32(d))
-	}
-	return e.b
-}
-
-func decodeTopo(payload []byte) (*topo.Sealed, error) {
-	d := &dec{b: payload}
-	nd := int(d.u32())
-	if d.err == nil && (nd < 1 || nd > 1<<16) {
-		return nil, fmt.Errorf("%w: TOPO claims %d domains", ErrCorrupt, nd)
-	}
-	s := &topo.Sealed{}
-	for i := 0; i < nd && d.err == nil; i++ {
-		s.Topology.Domains = append(s.Topology.Domains, topo.Domain{
-			Name:          d.str(),
-			StateCapacity: int(d.u32()),
-			Bandwidth:     math.Float64frombits(d.u64()),
-		})
-	}
-	if d.err == nil && uint64(nd)*uint64(nd)*8 > uint64(len(payload)-d.off) {
-		return nil, fmt.Errorf("%w: TOPO cost matrix overruns section", ErrCorrupt)
-	}
-	for i := 0; i < nd && d.err == nil; i++ {
-		row := make([]float64, 0, nd)
-		for j := 0; j < nd && d.err == nil; j++ {
-			row = append(row, math.Float64frombits(d.u64()))
+	size(c, &s.ShardDomain, c.count(len(s.ShardDomain), 4, "placed shards"))
+	for i := 0; i < len(s.ShardDomain) && c.ok(); i++ {
+		u32(c, &s.ShardDomain[i])
+		if c.load && s.ShardDomain[i] >= nd {
+			c.fail("shard %d placed on domain %d of %d", i, s.ShardDomain[i], nd)
 		}
-		s.Topology.Cost = append(s.Topology.Cost, row)
 	}
-	ns := int(d.u32())
-	if d.err == nil && uint64(ns)*4 > uint64(len(payload)-d.off) {
-		return nil, fmt.Errorf("%w: %d placed shards in %d-byte section", ErrCorrupt, ns, len(payload))
+	if !c.load || !c.ok() {
+		return
 	}
-	for i := 0; i < ns && d.err == nil; i++ {
-		dom := int(d.u32())
-		if d.err != nil {
-			break
-		}
-		if dom < 0 || dom >= nd {
-			return nil, fmt.Errorf("%w: TOPO shard %d placed on domain %d of %d", ErrCorrupt, i, dom, nd)
-		}
-		s.ShardDomain = append(s.ShardDomain, dom)
-	}
-	if err := d.done("TOPO"); err != nil {
-		return nil, err
-	}
-	for _, dom := range s.Topology.Domains {
+	for _, dom := range t.Domains {
 		if dom.Bandwidth == 0 {
 			// Sealed topologies are normalized: the default is written out.
-			return nil, fmt.Errorf("%w: TOPO domain %q has no explicit bandwidth", ErrCorrupt, dom.Name)
+			c.fail("domain %q has no explicit bandwidth", dom.Name)
 		}
 	}
-	if err := s.Topology.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if err := t.Validate(); err != nil {
+		c.fail("%v", err)
 	}
-	return s, nil
 }
 
 // SCOR layout: u32 state count, then per state the start weight (f64 bits)
 // and its u32 out-edge count followed by that many edge weights (f64 bits),
-// then the report threshold (f64 bits). Weight values are range-checked on
-// decode — NaN, infinities and magnitudes beyond the saturation limits
-// cannot enter a loaded machine even with a valid CRC.
-func encodeScore(w *automata.Weights) []byte {
-	var e enc
-	e.u32(uint32(len(w.Start)))
-	for i, sw := range w.Start {
-		e.u64(math.Float64bits(sw))
-		e.u32(uint32(len(w.Edge[i])))
-		for _, ew := range w.Edge[i] {
-			e.u64(math.Float64bits(ew))
+// then the report threshold (f64 bits). Load range-checks every value —
+// NaN, infinities and magnitudes beyond the saturation limits cannot enter
+// a loaded machine even with a valid CRC: NaN propagates through max-plus,
+// an oversized weight breaks the saturation bound.
+func layoutScore(c *codec, a *Artifact) {
+	if c.load {
+		a.Score = &automata.Weights{}
+	}
+	w := a.Score
+	// A state costs at least its start weight and edge count.
+	ns := c.count(len(w.Start), 12, "states")
+	size(c, &w.Start, ns)
+	size(c, &w.Edge, ns)
+	for i := 0; i < ns && c.ok(); i++ {
+		c.weight(&w.Start[i], "state %d start weight", i)
+		// Zero-edge rows stay nil, Weights.Clone's shape.
+		size(c, &w.Edge[i], c.count(len(w.Edge[i]), 8, "edge weights"))
+		for j := range w.Edge[i] {
+			c.weight(&w.Edge[i][j], "state %d edge weight", i)
 		}
 	}
-	e.u64(math.Float64bits(w.Threshold))
-	return e.b
+	c.f64(&w.Threshold)
+	if c.load && (math.IsNaN(w.Threshold) || math.Abs(w.Threshold) > automata.ScoreLimit) {
+		c.fail("threshold %g", w.Threshold)
+	}
 }
 
-// badWeight reports values automata.Weights.Validate would reject, so a
-// corrupted SCOR payload fails decode rather than poisoning score
-// arithmetic (NaN propagates through max-plus; an oversized weight breaks
-// the saturation bound).
-func badWeight(v float64) bool {
-	return math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > automata.WeightLimit
-}
-
-func decodeScore(payload []byte) (*automata.Weights, error) {
-	d := &dec{b: payload}
-	ns := int(d.u32())
-	// Each state costs at least 12 bytes (start weight + edge count).
-	if d.err == nil && uint64(ns)*12 > uint64(len(payload)-d.off) {
-		return nil, fmt.Errorf("%w: SCOR claims %d states in %d-byte section", ErrCorrupt, ns, len(payload))
+// weight walks one f64 weight, refusing on Load what Weights.Validate
+// would.
+func (c *codec) weight(v *float64, what string, i int) {
+	c.f64(v)
+	if c.load && (math.IsNaN(*v) || math.IsInf(*v, 0) || math.Abs(*v) > automata.WeightLimit) {
+		c.fail(what+" %g", i, *v)
 	}
-	w := &automata.Weights{
-		Start: make([]float64, 0, ns),
-		Edge:  make([][]float64, 0, ns),
-	}
-	for i := 0; i < ns && d.err == nil; i++ {
-		sw := math.Float64frombits(d.u64())
-		if d.err == nil && badWeight(sw) {
-			return nil, fmt.Errorf("%w: SCOR state %d start weight %g", ErrCorrupt, i, sw)
-		}
-		ne := int(d.u32())
-		if d.err == nil && uint64(ne)*8 > uint64(len(payload)-d.off) {
-			return nil, fmt.Errorf("%w: SCOR state %d claims %d edge weights", ErrCorrupt, i, ne)
-		}
-		// Zero-edge rows stay nil, matching Weights.Clone's shape so round
-		// tripping is DeepEqual-exact.
-		var row []float64
-		if ne > 0 {
-			row = make([]float64, 0, ne)
-		}
-		for j := 0; j < ne && d.err == nil; j++ {
-			ew := math.Float64frombits(d.u64())
-			if d.err == nil && badWeight(ew) {
-				return nil, fmt.Errorf("%w: SCOR state %d edge %d weight %g", ErrCorrupt, i, j, ew)
-			}
-			row = append(row, ew)
-		}
-		w.Start = append(w.Start, sw)
-		w.Edge = append(w.Edge, row)
-	}
-	w.Threshold = math.Float64frombits(d.u64())
-	if d.err == nil && (math.IsNaN(w.Threshold) || math.Abs(w.Threshold) > automata.ScoreLimit) {
-		return nil, fmt.Errorf("%w: SCOR threshold %g", ErrCorrupt, w.Threshold)
-	}
-	if err := d.done("SCOR"); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-func encodePlacement(pl *place.Placement) []byte {
-	var e enc
-	e.u32(uint32(len(pl.G4s)))
-	e.u32(uint32(pl.TotalUncovered))
-	e.u32(uint32(pl.GAInvocations))
-	for _, g := range pl.G4s {
-		if g.Hierarchical {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
-		e.u8(0)
-		e.u16(0) // pad
-		e.u32(uint32(g.States))
-		e.u32(uint32(g.Edges))
-		e.u32(uint32(g.Uncovered))
-		occupied := 0
-		for _, id := range g.Slots {
-			if id >= 0 {
-				occupied++
-			}
-		}
-		e.u32(uint32(occupied))
-		for slot, id := range g.Slots {
-			if id >= 0 {
-				e.u32(uint32(slot))
-				e.u32(uint32(int32(id)))
-			}
-		}
-	}
-	return e.b
-}
-
-func decodePlacement(payload []byte) (*place.Placement, error) {
-	d := &dec{b: payload}
-	ng := int(d.u32())
-	pl := &place.Placement{
-		TotalUncovered: int(d.u32()),
-		GAInvocations:  int(d.u32()),
-	}
-	if d.err == nil && uint64(ng)*20 > uint64(len(payload)-d.off) {
-		// Each group costs at least its 20 fixed bytes (and decodes into a
-		// dense slot table), so a larger count is a lie, not a big file.
-		return nil, fmt.Errorf("%w: %d groups in %d-byte section", ErrCorrupt, ng, len(payload))
-	}
-	for gi := 0; gi < ng && d.err == nil; gi++ {
-		g := &place.G4Placement{
-			Hierarchical: d.flag(),
-		}
-		d.pad(3)
-		g.States = int(d.u32())
-		g.Edges = int(d.u32())
-		g.Uncovered = int(d.u32())
-		slots := interconnect.G4Size
-		if g.Hierarchical {
-			slots = interconnect.G16Size
-		}
-		g.Slots = make([]automata.StateID, slots)
-		for i := range g.Slots {
-			g.Slots[i] = -1
-		}
-		occupied := int(d.u32())
-		if d.err == nil && uint64(occupied)*8 > uint64(len(payload)-d.off) {
-			return nil, fmt.Errorf("%w: group %d claims %d occupied slots", ErrCorrupt, gi, occupied)
-		}
-		last := -1 // occupied slots are sealed in ascending order
-		for i := 0; i < occupied && d.err == nil; i++ {
-			slot := int(d.u32())
-			id := automata.StateID(int32(d.u32()))
-			if d.err != nil {
-				break
-			}
-			if slot >= slots {
-				return nil, fmt.Errorf("%w: group %d slot %d out of %d", ErrCorrupt, gi, slot, slots)
-			}
-			if id < 0 {
-				return nil, fmt.Errorf("%w: group %d slot %d holds negative state", ErrCorrupt, gi, slot)
-			}
-			if slot <= last {
-				return nil, fmt.Errorf("%w: group %d slot %d repeats or precedes slot %d", ErrCorrupt, gi, slot, last)
-			}
-			last = slot
-			g.Slots[slot] = id
-		}
-		pl.G4s = append(pl.G4s, g)
-	}
-	if err := d.done("PLAC"); err != nil {
-		return nil, err
-	}
-	return pl, nil
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -326,22 +327,28 @@ func TestLoadRejectsDuplicateSection(t *testing.T) {
 }
 
 func TestLoadRejectsTrailingGarbageInSection(t *testing.T) {
-	// A section payload longer than its content must be flagged: decoders
-	// consume exactly their encoding and anything left is corruption.
+	// A section payload longer than its content must be flagged: a layout
+	// consumes exactly its encoding and anything left is corruption.
 	a, _ := buildArtifact(t, "Bro217", 1)
-	var body bytes.Buffer
-	writeSection(&body, "META", append(a.encodeMeta(), 0xEE))
-	writeSection(&body, "STAG", encodeStages(a.Stages))
-	writeSection(&body, "AUTM", encodeNFA(a.NFA))
-	writeSection(&body, "PLAC", encodePlacement(a.Placement))
-	pre := make([]byte, 16)
-	copy(pre, magic[:])
-	binary.LittleEndian.PutUint16(pre[6:], Version)
-	binary.LittleEndian.PutUint32(pre[12:], crc32.Checksum(body.Bytes(), castagnoli))
-	raw := append(pre, body.Bytes()...)
-	if _, err := Load(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("trailing garbage accepted: %v", err)
+	raw := saveBytes(t, a)
+	ids, chunks := sections(t, raw)
+	for i, id := range ids {
+		mut := append([][]byte(nil), chunks...)
+		sec := append(append([]byte(nil), chunks[i]...), 0xEE)
+		binary.LittleEndian.PutUint64(sec[4:], uint64(len(sec)-12))
+		mut[i] = sec
+		if _, err := Load(bytes.NewReader(rebuild(raw, mut))); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), id) {
+			t.Fatalf("trailing garbage in %s: %v", id, err)
+		}
 	}
+}
+
+// encodeSection is one row's payload for a: its layout walked to encode,
+// without Save's checks of the whole artifact.
+func encodeSection(id string, a *Artifact) []byte {
+	c := &codec{}
+	sectionTable[slices.IndexFunc(sectionTable, func(s section) bool { return s.id == id })].layout(c, a)
+	return c.b
 }
 
 func TestLoadRejectsMetaMismatch(t *testing.T) {

@@ -33,7 +33,7 @@ const (
 
 // placementGroups returns how many group records the first PLAC section of a
 // container can hold and claims to (the lesser of its count field and its
-// payload over the 20-byte record floor decodePlacement enforces); 0 when the
+// payload over the 20-byte record floor the PLAC layout enforces); 0 when the
 // walk breaks down before reaching one.
 func placementGroups(data []byte) int {
 	for off := 16; len(data)-off >= 12; {
@@ -64,10 +64,10 @@ func loadAlloc(data []byte) (*Artifact, uint64, error) {
 }
 
 // fuzzSeeds is the corpus FuzzLoad starts from: one sealed artifact per
-// optional section, the container-level corruption matrix, and for every
-// section of every artifact the mutations the per-section matrices are made
-// of — payload cut short, leading count field lying, a bit flipped inside,
-// the section dropped.
+// optional section, the v7 goldens, the container-level corruption matrix,
+// and for every section of every artifact the mutations the per-section
+// matrices are made of — payload cut short, leading count field lying, a bit
+// flipped inside, the section dropped.
 func fuzzSeeds(t testing.TB) [][]byte {
 	plain, _ := buildArtifact(t, "Bro217", 1)
 	tiered, _ := buildTieredArtifact(t)
@@ -83,6 +83,8 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		seeds = append(seeds, tc.mut())
 	}
 	seeds = append(seeds, emptyGroupsSeed(t, saveBytes(t, plain), 200))
+	_, goldens := goldenFiles(t)
+	seeds = append(seeds, goldens...)
 	for _, a := range []*Artifact{plain, tiered, sharded, shardTiered, buildTopoArtifact(t), scored, scoredTiered, scoredSharded, cam} {
 		raw := saveBytes(t, a)
 		seeds = append(seeds, raw)

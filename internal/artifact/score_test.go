@@ -260,7 +260,7 @@ func TestScoreCorruptionPaths(t *testing.T) {
 		lying.Edge[from] = lying.Edge[from][:len(lying.Edge[from])-1]
 		lying.Edge[to] = append(lying.Edge[to], 0)
 		var fresh bytes.Buffer
-		writeSection(&fresh, "SCOR", encodeScore(lying))
+		writeSection(&fresh, "SCOR", encodeSection("SCOR", &Artifact{Score: lying}))
 		mut := append([][]byte(nil), chunks...)
 		mut[sc] = fresh.Bytes()
 		if err := loadErr(mut); !errors.Is(err, ErrCorrupt) {

@@ -170,10 +170,10 @@ func applyMerges(n *NFA, groups map[string][]StateID) int {
 	return merged
 }
 
-// RemoveUnreachable drops states not reachable from any start state
-// (forward) — dead configuration that would waste hardware columns. It
-// returns the number of states removed.
-func RemoveUnreachable(n *NFA) int {
+// Reachable returns, in ascending order, the states reachable from a start
+// state. The rest are dead configuration that would waste hardware columns:
+// n.Induced(Reachable(n)) drops them, and Weights.Induced their weight rows.
+func Reachable(n *NFA) []StateID {
 	reach := make([]bool, len(n.States))
 	var stack []StateID
 	for i := range n.States {
@@ -192,34 +192,11 @@ func RemoveUnreachable(n *NFA) int {
 			}
 		}
 	}
-	return filterStates(n, reach)
-}
-
-func filterStates(n *NFA, keep []bool) int {
-	newID := make([]StateID, len(n.States))
-	var kept []State
-	for i := range n.States {
-		if keep[i] {
-			newID[i] = StateID(len(kept))
-			kept = append(kept, n.States[i])
-		} else {
-			newID[i] = -1
+	var ids []StateID
+	for i, r := range reach {
+		if r {
+			ids = append(ids, StateID(i))
 		}
 	}
-	removed := len(n.States) - len(kept)
-	if removed == 0 {
-		return 0
-	}
-	for i := range kept {
-		out := kept[i].Out
-		dst := out[:0]
-		for _, t := range out {
-			if keep[t] {
-				dst = append(dst, newID[t])
-			}
-		}
-		kept[i].Out = dst
-	}
-	n.States = kept
-	return removed
+	return ids
 }

@@ -136,10 +136,11 @@ func TestRemoveUnreachable(t *testing.T) {
 	n.AddLiteral("ab", StartAllInput, 1)
 	// Orphan state with no start and no parents.
 	n.AddState(ByteMatchState(bitvec.ByteOf('z'), StartNone, true))
-	if removed := RemoveUnreachable(n); removed != 1 {
+	live := Reachable(n)
+	if removed := n.NumStates() - len(live); removed != 1 {
 		t.Fatalf("removed = %d, want 1", removed)
 	}
-	if n.NumStates() != 2 {
+	if n = n.Induced(live); n.NumStates() != 2 {
 		t.Fatalf("states = %d", n.NumStates())
 	}
 }

@@ -339,68 +339,3 @@ func (w *Weights) Validate(n *NFA) error {
 	}
 	return nil
 }
-
-// RemoveUnreachableWeighted is RemoveUnreachable keeping a weight table
-// in sync with the renumbering: kept states' weight rows follow their
-// states, dropped states' rows disappear. With a nil table it is exactly
-// RemoveUnreachable.
-func RemoveUnreachableWeighted(n *NFA, w *Weights) int {
-	if w == nil {
-		return RemoveUnreachable(n)
-	}
-	reach := make([]bool, len(n.States))
-	var stack []StateID
-	for i := range n.States {
-		if n.States[i].Start != StartNone {
-			reach[i] = true
-			stack = append(stack, StateID(i))
-		}
-	}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range n.States[cur].Out {
-			if !reach[t] {
-				reach[t] = true
-				stack = append(stack, t)
-			}
-		}
-	}
-
-	newID := make([]StateID, len(n.States))
-	var kept []State
-	var keptEdge [][]float64
-	var keptStart []float64
-	for i := range n.States {
-		if reach[i] {
-			newID[i] = StateID(len(kept))
-			kept = append(kept, n.States[i])
-			keptEdge = append(keptEdge, w.Edge[i])
-			keptStart = append(keptStart, w.Start[i])
-		} else {
-			newID[i] = -1
-		}
-	}
-	removed := len(n.States) - len(kept)
-	if removed == 0 {
-		return 0
-	}
-	for i := range kept {
-		out := kept[i].Out
-		ew := keptEdge[i]
-		dst := out[:0]
-		dw := ew[:0]
-		for j, t := range out {
-			if reach[t] {
-				dst = append(dst, newID[t])
-				dw = append(dw, ew[j])
-			}
-		}
-		kept[i].Out = dst
-		keptEdge[i] = dw
-	}
-	n.States = kept
-	w.Edge = keptEdge
-	w.Start = keptStart
-	return removed
-}

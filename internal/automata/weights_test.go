@@ -123,13 +123,25 @@ func TestInducedDropsLeavingEdges(t *testing.T) {
 	}
 }
 
+// prune drops n's unreachable states and, with a table, their weight rows —
+// Reachable, then the two Induced methods, as homogenize does — returning
+// the pruned pair and how many states went.
+func prune(n *NFA, w *Weights) (*NFA, *Weights, int) {
+	live := Reachable(n)
+	if w != nil {
+		w = w.Induced(n, live)
+	}
+	return n.Induced(live), w, n.NumStates() - len(live)
+}
+
 func TestRemoveUnreachableWeighted(t *testing.T) {
 	n, w := weightedChain(t)
 	// Give the doomed orphan an edge into the live chain: the survivors'
 	// weight rows must shed nothing, only the orphan's row disappears.
 	n.AddEdge(3, 1)
 	w.Edge[3] = []float64{7}
-	if removed := RemoveUnreachableWeighted(n, w); removed != 1 {
+	n, w, removed := prune(n, w)
+	if removed != 1 {
 		t.Fatalf("removed %d states, want 1", removed)
 	}
 	if n.NumStates() != 3 || len(w.Edge) != 3 || len(w.Start) != 3 {
@@ -143,7 +155,7 @@ func TestRemoveUnreachableWeighted(t *testing.T) {
 	}
 
 	// Already-pruned automata are a no-op.
-	if removed := RemoveUnreachableWeighted(n, w); removed != 0 {
+	if _, _, removed := prune(n, w); removed != 0 {
 		t.Fatalf("second prune removed %d states", removed)
 	}
 
@@ -155,16 +167,17 @@ func TestRemoveUnreachableWeighted(t *testing.T) {
 	w2.Edge[1] = append(w2.Edge[1], 5)
 	n2.States[0].Out = nil
 	w2.Edge[0] = nil
-	if removed := RemoveUnreachableWeighted(n2, w2); removed != 3 {
+	n2, w2, removed = prune(n2, w2)
+	if removed != 3 {
 		t.Fatalf("removed %d states, want 3", removed)
 	}
 	if n2.NumStates() != 1 || w2.NumEdges() != 0 {
 		t.Fatalf("expected lone start state with no edges, got %d states, %d edges", n2.NumStates(), w2.NumEdges())
 	}
 
-	// Nil table delegates to the plain pruner.
+	// Without a table only the automaton is pruned.
 	n3, _ := weightedChain(t)
-	if removed := RemoveUnreachableWeighted(n3, nil); removed != 1 {
+	if _, _, removed := prune(n3, nil); removed != 1 {
 		t.Fatalf("nil-table prune removed %d, want 1", removed)
 	}
 }

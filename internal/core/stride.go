@@ -481,7 +481,12 @@ func (g *lgraph) homogenize() (*automata.NFA, *automata.Weights, error) {
 			}
 		}
 	}
-	automata.RemoveUnreachableWeighted(out, w)
+	if live := automata.Reachable(out); len(live) < out.NumStates() {
+		if w != nil {
+			w = w.Induced(out, live)
+		}
+		out = out.Induced(live)
+	}
 	if err := out.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("core: homogenize produced invalid automaton: %w", err)
 	}
