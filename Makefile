@@ -57,8 +57,9 @@ bench-build:
 # serving benchmark's NFA workloads run — BenchmarkServedKernels, in
 # internal/core beside the compile benchmarks — the CSR transition primitive,
 # the scored cycle on the DNA mesh — BenchmarkScoredRun, kernel, kernel+lane
-# and scored in ns/B — the DFA walker over K = 1, 2, 4 Snort
-# shards — BenchmarkDFAWalk, ns/B and table KB — the sharded form's Run tiered
+# and scored in ns/B — the DFA walker over K = 1, 2, 4 Snort shards and over
+# the hamming_tier_match union DFA — BenchmarkDFAWalk, ns/B, table KB and the
+# share of cycles walked again after a seam miss — the sharded form's Run tiered
 # and untiered at K = 1, 2, 4 — BenchmarkShardedRun — the /match and
 # /stream handlers through a null ResponseWriter — BenchmarkMatchHandler and
 # BenchmarkStreamHandler, ns/row and allocs/op — and the facade's, LoadMachine
@@ -85,7 +86,10 @@ bench-smoke:
 # scored form's threshold pruning (a thresholded form reports the open
 # threshold's reports that clear it, no pruned state is ever active, and the
 # pruned automaton validates and prunes to itself), the
-# report sort (SortReports orders as slices.SortFunc does), the facade's
+# report sort (SortReports orders as slices.SortFunc does), the DFA walker
+# (FuzzDFAWalk: a tier DFA with dot-star, anchored and StartEven states over
+# at least one session block, chunked, reports and statistics the scalar
+# engine's whatever the walker guessed at a seam), the facade's
 # match fold (appendMatches makes the rows a map makes of sorted reports and
 # leaves the prefix it appends to as it was), and the capsule
 # placement check (arch.Check refuses exactly what arch.Build refuses, with
@@ -106,6 +110,7 @@ define FUZZ
 ./internal/server   FuzzReloadHandler
 ./internal/score    FuzzThresholdPrune
 ./internal/sim      FuzzSortReports
+./internal/dfa      FuzzDFAWalk
 .                   FuzzAppendMatches
 ./internal/arch     FuzzCheck
 endef

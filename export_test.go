@@ -25,14 +25,14 @@ func countCapsuleBuilds(t testing.TB) *atomic.Int64 {
 }
 
 // WalkedDFAs returns the DFAs m's serving form walks: a tiered form's union
-// DFA, or a sharded form's walker lane's, in shard order; nil for a form
+// DFA, or a sharded form's walker's, in shard order; nil for a form
 // that walks none.
 func (m *Machine) WalkedDFAs() []*dfa.DFA {
 	switch s := m.serving.(type) {
 	case *dfa.Tiered:
 		return []*dfa.DFA{s.DFA()}
 	case *shard.Sharded:
-		for _, l := range s.Lanes() {
+		if l := s.Lane(); l.New != nil {
 			if c, ok := l.New().(*dfa.Core); ok {
 				return c.DFAs()
 			}

@@ -7,6 +7,7 @@ import (
 	"impala/internal/automata"
 	"impala/internal/core"
 	"impala/internal/dfa"
+	"impala/internal/obs"
 	"impala/internal/shard"
 	"impala/internal/sim"
 	"impala/internal/workload"
@@ -15,19 +16,51 @@ import (
 // BenchmarkDFAWalk is the loop the DFA walker is tuned against, alone: the
 // DFA tiers of Snort at scale 0.01 (4-bit stride 4) cut into K shards under
 // the default budgets — K = 4 is the benchmark's snort_shard_cluster machine
-// without its (empty) kernel lane — walked as one lane over 16 KiB bodies in
-// whole blocks. It reports ns per input byte and the tables' size.
+// without its (empty) kernel — walked as one lane over 16 KiB bodies,
+// and the benchmark's hamming_tier_match machine — Hamming at scale 0.03 on
+// one union DFA, 64 KiB bodies — each in whole blocks. It reports ns per
+// input byte, the tables' size and the share of cycles walked again after a
+// speculative segment missed at its seam.
 func BenchmarkDFAWalk(b *testing.B) {
-	snort, _ := workload.Get("Snort")
-	n8, err := snort.Generate(0.01, 1)
-	if err != nil {
-		b.Fatal(err)
+	compile := func(suite string, scale float64, cfg core.Config) (*automata.NFA, *core.Result) {
+		s, _ := workload.Get(suite)
+		n8, err := s.Generate(scale, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.Compile(n8, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return n8, res
 	}
-	res, err := core.Compile(n8, core.Config{TargetBits: 4, StrideDims: 4})
-	if err != nil {
-		b.Fatal(err)
+	walk := func(b *testing.B, ds []*dfa.DFA, origs [][]automata.StateID, input []byte) {
+		tableBytes := 0
+		for _, d := range ds {
+			tableBytes += d.TableBytes()
+		}
+		sess := sim.NewSession(dfa.Lane(ds, origs).New(), nil)
+		run := func() {
+			sess.Reset()
+			sess.Feed(input)
+			sess.Flush()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(input)), "ns/B")
+		b.ReportMetric(float64(tableBytes)/1024, "table-KB")
+		b.StopTimer()
+		reg := obs.NewRegistry()
+		dfa.EnableMetrics(reg)
+		run()
+		dfa.EnableMetrics(nil)
+		b.ReportMetric(float64(reg.Snapshot().Counters["dfa_rewalk_cycles_total"])/float64(sess.Cycles()), "rewalk-share")
 	}
-	input := workload.Input(n8, 16<<10, 3)
+
+	snort, res := compile("Snort", 0.01, core.Config{TargetBits: 4, StrideDims: 4})
+	input := workload.Input(snort, 16<<10, 3)
 	for _, k := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			s, _, err := shard.Partition(res.NFA, shard.Options{Shards: k, Tier: &dfa.TierOptions{}})
@@ -36,23 +69,20 @@ func BenchmarkDFAWalk(b *testing.B) {
 			}
 			var ds []*dfa.DFA
 			var origs [][]automata.StateID
-			tableBytes := 0
 			for _, tier := range s.Tiers {
 				if tier == nil || tier.DFA == nil {
 					continue
 				}
 				ds, origs = append(ds, tier.DFA), append(origs, make([]automata.StateID, tier.Plan.DFANFAStates))
-				tableBytes += tier.DFA.TableBytes()
 			}
-			sess := sim.NewSession(dfa.Lane(ds, origs).New(), nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sess.Reset()
-				sess.Feed(input)
-				sess.Flush()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(input)), "ns/B")
-			b.ReportMetric(float64(tableBytes)/1024, "table-KB")
+			walk(b, ds, origs, input)
 		})
 	}
+	b.Run("hamming_tier_match", func(b *testing.B) {
+		hamming, res := compile("Hamming", 0.03, core.Config{TargetBits: 4, StrideDims: 4, Tier: &dfa.TierOptions{}})
+		if res.Tier.DFA == nil || res.Tier.Plan.NFAStates != 0 {
+			b.Fatalf("Hamming 0.03 tiers to %d DFA and %d NFA states, want all on one DFA", res.Tier.Plan.DFANFAStates, res.Tier.Plan.NFAStates)
+		}
+		walk(b, []*dfa.DFA{res.Tier.DFA}, [][]automata.StateID{make([]automata.StateID, res.Tier.Plan.DFANFAStates)}, workload.Input(hamming, 64<<10, 3))
+	})
 }

@@ -555,30 +555,66 @@ func (d *DFA) emit(r *CycleState, t int, base automata.StateID, limitBits int, s
 // sim.Core — the DFA side of a lockstep is one lane however many tables it
 // holds — so DFA tiers stream through the same Session machinery (chunked
 // Feed, sub-symbol carry, padded Flush) as every other engine. Between blocks
-// it carries only the current state of each DFA (the rest is scratch, 64
-// bytes a DFA), so cores are cheap to create per stream; a Core is not safe
-// for concurrent use, but any number may share immutable DFAs.
+// it carries only the current state of each DFA; the rest is scratch sized by
+// the longest block it has walked — chiefly the state each DFA entered at
+// every cycle of the block, two bytes a cycle and DFA — so cores are cheap to
+// create per stream. A Core is not safe for concurrent use, but any number
+// may share immutable DFAs.
 type Core struct {
 	ds   []*DFA
 	tabs [][]uint16         // ds[k].tab[p] at k*stride+p: one load from a lookup's table
 	base []automata.StateID // added to the state IDs of DFA k's reports
 	cur  []uint16
-	// hist[k*span+i] is the state DFA k entered at the end of cycle i of the
-	// span in progress, act[i] the cycle's active count summed over the DFAs.
+	// hist[k*n+i] is the state DFA k entered at the end of cycle i of the
+	// n-cycle block in progress. act and rep are the settle pass's scratch,
+	// zero between blocks.
 	hist []uint16
-	act  [span]int32
+	act  []int32
+	rep  []uint64
+	// group is the group of chains being walked, pt[p][l] the phase-p table
+	// of its lane l's DFA, and seam its chains' states on the cycle before
+	// their seams.
+	group group
+	pt    [][width][]uint16
+	seam  [width]uint16
+	// kernel, when the core has one, steps the states no DFA covers beside
+	// the walker, a cycle at a time over the settled block (Lockstep): the
+	// per-cycle sum PeakActive is the maximum of is then the DFAs' plus the
+	// kernel's. Its reports' state IDs are offset by kbase, and ksink
+	// forwards them to sink, the sink of the block in progress (nil between
+	// blocks).
+	kernel sim.Core
+	kbase  automata.StateID
+	ksink  sim.ReportSink
+	sink   sim.ReportSink
 }
 
-// span is how many cycles the walker takes a pair of DFAs through before it
-// turns to the next pair: long enough to spread a pair's set-up thin, short
-// enough for a uint32 of reporting cycles and a session-sized Core.
-const span = 32
+// width is how many chains the walker steps in lockstep: each chain's state
+// stays in a register from cycle to cycle, so the table misses of the chains
+// overlap instead of queueing behind one another.
+const width = 4
+
+// warm is how many cycles a speculative chain walks, at the least, before its
+// seam: a DFA that resynchronises has forgotten the state it started from by
+// then, so the chain meets the seam in the state the previous segment ends in
+// and the check costs one compare. It is even, as is every chain's first
+// cycle, so a chain started from the block's entry state starts on a cycle of
+// that state's parity (StartEven).
+const warm = 32
+
+// group is the chains one walk steps, one a lane: lane l's chain reads the
+// block's sub-symbols from sub[l] and writes its states to the history from
+// hist[l] (its first cycle's, in its DFA's row) on, and is in state s[l].
+type group struct {
+	sub, hist [width]int
+	s         [width]uint16
+}
 
 // NewCore returns a fresh per-stream core over the DFA.
 func (d *DFA) NewCore() *Core { return newCore([]*DFA{d}, []automata.StateID{0}) }
 
 func newCore(ds []*DFA, base []automata.StateID) *Core {
-	c := &Core{ds: ds, base: base, cur: make([]uint16, len(ds)), hist: make([]uint16, len(ds)*span)}
+	c := &Core{ds: ds, base: base, cur: make([]uint16, len(ds)), pt: make([][width][]uint16, len(ds[0].tab))}
 	for _, d := range ds {
 		c.tabs = append(c.tabs, d.tab...)
 	}
@@ -589,18 +625,38 @@ func newCore(ds []*DFA, base []automata.StateID) *Core {
 // Lane returns the lockstep lane that walks every DFA of ds, which must be
 // non-empty and of one geometry; origs[k] maps the state IDs of DFA k's
 // reports to the IDs the lane's reports carry.
-func Lane(ds []*DFA, origs [][]automata.StateID) sim.Lane {
+func Lane(ds []*DFA, origs [][]automata.StateID) sim.Lane { return lane(ds, origs, nil, nil) }
+
+// lane is Lane with, when kernel is not nil, a kernel over the states no DFA
+// covers stepped beside the walker; kernelOrig maps its reports' state IDs.
+func lane(ds []*DFA, origs [][]automata.StateID, kernel *sim.Compiled, kernelOrig []automata.StateID) sim.Lane {
 	base := make([]automata.StateID, len(ds))
 	var orig []automata.StateID
 	for k, o := range origs {
 		base[k] = automata.StateID(len(orig))
 		orig = append(orig, o...)
 	}
-	return sim.Lane{New: func() sim.Core { return newCore(ds, base) }, Orig: orig}
+	kbase := automata.StateID(len(orig))
+	orig = append(orig, kernelOrig...)
+	return sim.Lane{New: func() sim.Core {
+		c := newCore(ds, base)
+		if kernel != nil {
+			c.kernel, c.kbase = kernel.NewEngine(), kbase
+			c.ksink = func(r sim.Report) {
+				r.State += c.kbase
+				c.sink(r)
+			}
+		}
+		return c
+	}, Orig: orig}
 }
 
 // DFAs returns the DFAs the core walks, in the order Lane was given them.
 func (c *Core) DFAs() []*DFA { return c.ds }
+
+// HasKernel reports whether the core steps a kernel beside its walk: whether
+// a state of its lockstep form is left to no DFA.
+func (c *Core) HasKernel() bool { return c.kernel != nil }
 
 // Geometry implements sim.Core.
 func (c *Core) Geometry() (bits, stride int) { return c.ds[0].bits, c.ds[0].stride }
@@ -610,109 +666,175 @@ func (c *Core) ResetState() {
 	for k, d := range c.ds {
 		c.cur[k] = d.start
 	}
+	if c.kernel != nil {
+		c.kernel.ResetState()
+	}
 }
 
-// StepBlock implements sim.Core. One DFA is walked here, cycle by cycle with
-// its state in a register across the block: it is the lane a tiered form
-// steps one cycle at a time beside its kernel, where any set-up costs more
-// than the cycle. Several go to stepSpans. The returned counts are the exact
-// enabled/active counts of the NFA frontiers the DFA states encode, summed
-// over the DFAs, so Session statistics match the functional simulator's.
+// StepBlock implements sim.Core. Each DFA's walk of the block is cut into
+// segments, and every (DFA, segment) pair is a chain — DFA k's segment j is
+// chain k*g+j — walked width chains at a time in lockstep (walk), a short
+// last group filled up with its last chain again. Every segment starts from
+// the DFA's state at the block's entry: the true state for the first, a
+// guess for a later one, which starts at least warm cycles before its seam.
+// At the seam a later segment's state is checked against the state the
+// previous segment reached there; on a mismatch the segment is walked again
+// from the true state until it meets its own history. One pass over the
+// settled history then sums the enabled/active counts of the NFA frontiers
+// the states encode — over the DFAs, so Session statistics match the
+// functional simulator's and the peak is the per-cycle sum's — and emits
+// reports in (cycle, DFA) order; a core with a kernel steps it beside the
+// settled block a cycle at a time, its counts added into each cycle's and
+// its reports after the cycle's DFA reports. The output is the serial walk's
+// whatever the guesses.
 func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink, _ sim.Tracer) (enabled, active int64, peak int) {
-	if len(c.ds) > 1 {
-		return c.stepSpans(subs, t0, limitBits, sink)
+	ds, S, sh := c.ds, c.ds[0].stride, uint(c.ds[0].bits)&15
+	n, K := len(subs)/S, len(ds)
+	if n == 0 {
+		return 0, 0, 0
 	}
-	d := c.ds[0]
-	tab, cyc, S, sh := c.tabs, d.cyc, d.stride, uint(d.bits)&15
-	s := c.cur[0]
-	for t := t0; len(subs) >= S; t, subs = t+1, subs[S:] {
-		enabled += int64(cyc[s].Enabled)
-		for p, v := range subs[:S] {
-			s = tab[p][int(s)<<sh|int(v)]
-		}
-		r := &cyc[s]
-		if r.NRep != 0 {
-			d.emit(r, t, c.base[0], limitBits, sink)
-		}
-		active += int64(r.Active)
-		peak = max(peak, int(r.Active))
+	// Segment j walks cycles [j*step, j*step+L): the last ends on the
+	// block's last cycle, and each overlaps the next by at least warm
+	// cycles. Segment j's seam, where its predecessor's walk ends and its
+	// own authority begins, is at (j-1)*step + L.
+	g := max(1, min(width/K, (n-warm)/warm))
+	step := 0
+	if g > 1 {
+		step = (n - warm) / g &^ 1
 	}
-	c.cur[0] = s
+	L := n - (g-1)*step
+	if cap(c.hist) < K*n {
+		c.hist, c.act, c.rep = make([]uint16, K*n), make([]int32, n), make([]uint64, (n+63)/64)
+	}
+	hist := c.hist[:K*n]
+	for q := 0; q < K*g; q += width {
+		for l := range width {
+			ch := min(q+l, K*g-1)
+			k, j := ch/g, ch%g
+			c.group.sub[l], c.group.hist[l], c.group.s[l] = j*step*S, k*n+j*step, c.cur[k]
+			for p := range c.pt {
+				c.pt[p][l] = c.tabs[k*S+p]
+			}
+		}
+		walk(&c.group, c.pt, subs, hist, 0, L-step, sh)
+		if g > 1 {
+			c.seam = c.group.s
+			walk(&c.group, c.pt, subs, hist, L-step, L, sh)
+		}
+	}
+
+	// A cycle's history is written last by the chain whose segment holds it
+	// (a chain walks its successor's warm-up step cycles after the successor
+	// does), so at a seam hist holds the state the predecessor ended in —
+	// the true one once the seams before it are settled, left to right. A
+	// block cut into segments is one group, so chain k*g+j is lane k*g+j.
+	rewalked := 0
+	for k := 0; k < K && g > 1; k++ {
+		h, tab := hist[k*n:][:n], c.tabs[k*S:][:S]
+		for j := 1; j < g; j++ {
+			seam, end := (j-1)*step+L, j*step+L
+			x := h[seam-1]
+			if x == c.seam[k*g+j] {
+				continue
+			}
+			for i := seam; i < end; i++ {
+				for p, v := range subs[i*S:][:S] {
+					x = tab[p][int(x)<<sh|int(v)]
+				}
+				rewalked++
+				if x == h[i] {
+					break
+				}
+				h[i] = x
+			}
+		}
+	}
+	if rewalked > 0 {
+		if m := tierMetricsPtr.Load(); m != nil {
+			m.rewalked.Add(int64(rewalked))
+		}
+	}
+
+	// Settle: cycle i is enabled from the state entered at the end of cycle
+	// i-1 (the entry state for the first), so a DFA's sum over the states it
+	// entered is off by the entry state and the last one; act[i] sums cycle
+	// i's active counts over the DFAs, and rep marks the cycles some DFA
+	// reports on. Both are left zero.
+	act, rep := c.act[:n], c.rep[:(n+63)/64]
+	for k, d := range ds {
+		h, cyc := hist[k*n:][:n], d.cyc
+		enabled += int64(cyc[c.cur[k]].Enabled) - int64(cyc[h[n-1]].Enabled)
+		for i, s := range h {
+			r := &cyc[s]
+			enabled += int64(r.Enabled)
+			act[i] += r.Active
+			if r.NRep != 0 {
+				rep[i>>6] |= 1 << (i & 63)
+			}
+		}
+		c.cur[k] = h[n-1]
+	}
+	if c.kernel != nil {
+		c.sink = sink
+		for i := range act {
+			if rep[i>>6]&(1<<(i&63)) != 0 {
+				c.report(hist, n, i, t0, limitBits, sink)
+			}
+			e, a, _ := c.kernel.StepBlock(subs[i*S:][:S], t0+i, limitBits, c.ksink, nil)
+			enabled += e
+			act[i] += int32(a)
+		}
+		clear(rep)
+		c.sink = nil
+	}
+	for i, na := range act {
+		active += int64(na)
+		peak = max(peak, int(na))
+		act[i] = 0
+	}
+	for w, m := range rep {
+		for ; m != 0; m &= m - 1 {
+			c.report(hist, n, w<<6|bits.TrailingZeros64(m), t0, limitBits, sink)
+		}
+		rep[w] = 0
+	}
 	return enabled, active, peak
 }
 
-// stepSpans is StepBlock over two or more DFAs. The block is walked a span
-// of cycles at a time and, within a span, the DFAs two at a time — both
-// states in registers from cycle to cycle and through the Stride lookups, so
-// the two walks' table misses overlap and no lookup waits on a store — with
-// the last of an odd count alone. What the cycles of a span need across DFAs
-// — the per-cycle active count the peak is the maximum of, reports in
-// (cycle, DFA) order — is settled at the end of the span from the entered
-// states kept in c.hist.
-func (c *Core) stepSpans(subs []byte, t0 int, limitBits int, sink sim.ReportSink) (enabled, active int64, peak int) {
-	ds, cur, tabs := c.ds, c.cur, c.tabs
-	S, sh := ds[0].stride, uint(ds[0].bits)&15
-	for t := t0; len(subs) >= S; {
-		n := span
-		if len(subs) < span*S {
-			n = len(subs) / S
+// report emits the reports of cycle i of the n-cycle block, DFA by DFA.
+func (c *Core) report(hist []uint16, n, i, t0, limitBits int, sink sim.ReportSink) {
+	for k, d := range c.ds {
+		if r := &d.cyc[hist[k*n+i]]; r.NRep != 0 {
+			d.emit(r, t0+i, c.base[k], limitBits, sink)
 		}
-		act := c.act[:n]
-		clear(act)
-		ne, reporting := 0, uint32(0)
-		k := 0
-		for ; k+1 < len(ds); k += 2 {
-			ca, cb := ds[k].cyc, ds[k+1].cyc
-			ta, tb := tabs[k*S:][:S], tabs[k*S+S:][:S]
-			ha, hb := c.hist[k*span:][:n], c.hist[k*span+span:][:n]
-			a, b := cur[k], cur[k+1]
-			for i := range act {
-				ne += int(ca[a].Enabled) + int(cb[b].Enabled)
-				for p, v := range subs[i*S:][:S] {
-					a = ta[p][int(a)<<sh|int(v)]
-					b = tb[p][int(b)<<sh|int(v)]
-				}
-				ha[i], hb[i] = a, b
-				ra, rb := &ca[a], &cb[b]
-				act[i] += ra.Active + rb.Active
-				if ra.NRep|rb.NRep != 0 {
-					reporting |= 1 << uint(i)
-				}
-			}
-			cur[k], cur[k+1] = a, b
-		}
-		if k < len(ds) {
-			cl, tl, hl, l := ds[k].cyc, tabs[k*S:][:S], c.hist[k*span:][:n], cur[k]
-			for i := range act {
-				ne += int(cl[l].Enabled)
-				for p, v := range subs[i*S:][:S] {
-					l = tl[p][int(l)<<sh|int(v)]
-				}
-				hl[i] = l
-				r := &cl[l]
-				act[i] += r.Active
-				if r.NRep != 0 {
-					reporting |= 1 << uint(i)
-				}
-			}
-			cur[k] = l
-		}
-		enabled += int64(ne)
-		for _, na := range act {
-			active += int64(na)
-			peak = max(peak, int(na))
-		}
-		for ; reporting != 0; reporting &= reporting - 1 {
-			i := bits.TrailingZeros32(reporting)
-			for k, d := range ds {
-				if r := &d.cyc[c.hist[k*span+i]]; r.NRep != 0 {
-					d.emit(r, t+i, c.base[k], limitBits, sink)
-				}
-			}
-		}
-		t, subs = t+n, subs[n*S:]
 	}
-	return enabled, active, peak
+}
+
+// walk steps the group's chains through cycles [i0, i1) of their own, in
+// lockstep: every state lives in a register from cycle to cycle and through
+// the Stride lookups, so the chains' table misses overlap and no lookup waits
+// on a store. pt[p][l] is lane l's table of phase p.
+func walk(ln *group, pt [][width][]uint16, subs []byte, hist []uint16, i0, i1 int, sh uint) {
+	S := len(pt)
+	sh &= 15 // a bound the compiler can see: no shift-count check in the loop
+	xa := subs[ln.sub[0]+i0*S : ln.sub[0]+i1*S]
+	xb, xc, xd := subs[ln.sub[1]+i0*S:][:len(xa)], subs[ln.sub[2]+i0*S:][:len(xa)], subs[ln.sub[3]+i0*S:][:len(xa)]
+	ha := hist[ln.hist[0]+i0 : ln.hist[0]+i1]
+	hb, hc, hd := hist[ln.hist[1]+i0:][:len(ha)], hist[ln.hist[2]+i0:][:len(ha)], hist[ln.hist[3]+i0:][:len(ha)]
+	a, b, c, d := ln.s[0], ln.s[1], ln.s[2], ln.s[3]
+	i, p := 0, 0
+	for j, v := range xa {
+		r := &pt[p]
+		a = r[0][int(a)<<sh|int(v)]
+		b = r[1][int(b)<<sh|int(xb[j])]
+		c = r[2][int(c)<<sh|int(xc[j])]
+		d = r[3][int(d)<<sh|int(xd[j])]
+		if p++; p == S {
+			ha[i], hb[i], hc[i], hd[i] = a, b, c, d
+			i, p = i+1, 0
+		}
+	}
+	ln.s = [width]uint16{a, b, c, d}
 }
 
 // Run matches input through the streaming session (sink-based reporting —

@@ -18,6 +18,7 @@ type tierMetrics struct {
 	nfaBytes  *obs.Counter // nfa_tier_bytes_total
 	reports   *obs.Counter // tier_reports_total
 	fallbacks *obs.Counter // tier_fallbacks_total
+	rewalked  *obs.Counter // dfa_rewalk_cycles_total
 }
 
 // tierMetricsPtr is nil when disabled; swapped atomically so runs already
@@ -27,11 +28,14 @@ var tierMetricsPtr atomic.Pointer[tierMetrics]
 // EnableMetrics registers the tier layer's instruments in reg and turns
 // live publication on for every tiered execution in the process:
 //
-//	dfa_tier_bytes_total  input bytes scanned by the DFA fast-path tier
-//	nfa_tier_bytes_total  input bytes scanned by the bit-parallel NFA tier
-//	tier_reports_total    reports emitted by tiered runs
-//	tier_fallbacks_total  fallback activations: components demoted to the
-//	                      NFA tier at plan time (blowup or eviction)
+//	dfa_tier_bytes_total     input bytes scanned by the DFA fast-path tier
+//	nfa_tier_bytes_total     input bytes scanned by the bit-parallel NFA tier
+//	tier_reports_total       reports emitted by tiered runs
+//	tier_fallbacks_total     fallback activations: components demoted to the
+//	                         NFA tier at plan time (blowup or eviction)
+//	dfa_rewalk_cycles_total  cycles the DFA walker walked again after a
+//	                         guessed segment missed at its seam, added once
+//	                         per block, never inside the walk
 //
 // EnableMetrics(nil) disables publication again (the default).
 func EnableMetrics(reg *obs.Registry) {
@@ -44,5 +48,6 @@ func EnableMetrics(reg *obs.Registry) {
 		nfaBytes:  reg.Counter("nfa_tier_bytes_total"),
 		reports:   reg.Counter("tier_reports_total"),
 		fallbacks: reg.Counter("tier_fallbacks_total"),
+		rewalked:  reg.Counter("dfa_rewalk_cycles_total"),
 	})
 }

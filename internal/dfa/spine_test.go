@@ -8,6 +8,7 @@ import (
 
 	"impala/internal/automata"
 	"impala/internal/dfa"
+	"impala/internal/obs"
 	"impala/internal/sim"
 	"impala/internal/sim/simtest"
 )
@@ -31,6 +32,7 @@ func TestSpine(t *testing.T) {
 				t.Fatal(err)
 			}
 			bothTiers = bothTiers || tf.DFA() != nil && tf.Plan().NFAStates > 0
+			checkLane(t, tf)
 			return simtest.SessionForm(tf.NewSession, tf.AppendRun), true
 		}})
 	}
@@ -41,7 +43,64 @@ func TestSpine(t *testing.T) {
 	}
 	simtest.Spine(t, rows...)
 	if !bothTiers {
-		t.Error("no tiered form kept both tiers; the two-lane tiered form went unexercised")
+		t.Error("no tiered form kept both tiers; the walker with a kernel beside it went unexercised")
+	}
+}
+
+// checkLane fails unless tf's one lane is a walker iff tf has a DFA tier and
+// steps a kernel, beside the walker or alone, iff a state is left to one.
+func checkLane(t testing.TB, tf *dfa.Tiered) {
+	t.Helper()
+	kernel, ln := tf.Plan().NFAStates > 0, tf.Lane()
+	var w *dfa.Core
+	if ln.New != nil {
+		w, _ = ln.New().(*dfa.Core)
+	}
+	switch {
+	case (w != nil) != (tf.DFA() != nil):
+		t.Fatalf("the lane walks DFAs %t, the form has a DFA tier %t", w != nil, tf.DFA() != nil)
+	case w != nil && w.HasKernel() != kernel:
+		t.Fatalf("the walker steps a kernel %t, %d states are left to one", w.HasKernel(), tf.Plan().NFAStates)
+	case w == nil && (ln.New != nil) != kernel:
+		t.Fatalf("a kernel lane %t, %d states are left to one", ln.New != nil, tf.Plan().NFAStates)
+	}
+}
+
+// Within a cycle the walker emits its DFAs' reports before the kernel's, as
+// the lockstep did when the walker and the kernel were two lanes in that
+// order: a stream retires its collision window in first-report order, so
+// the order within a cycle reaches a /stream client.
+func TestTieredSinkOrder(t *testing.T) {
+	checked := false
+	for _, c := range simtest.Cases(t) {
+		tf, err := dfa.BuildTiered(c.NFA, dfa.TierOptions{MinStateShare: -1, CCMaxStates: c.SplitBudget(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tf.DFA() == nil || tf.Plan().NFAStates == 0 {
+			continue
+		}
+		orig := tf.Lane().Orig
+		onKernel := map[automata.StateID]bool{}
+		for _, id := range orig[len(orig)-tf.Plan().NFAStates:] {
+			onKernel[id] = true
+		}
+		var got []sim.Report
+		s := tf.NewSession(func(r sim.Report) { got = append(got, r) })
+		s.Feed(c.Input)
+		s.Flush()
+		cycle := func(r sim.Report) int { return (r.BitPos - 1) / (c.NFA.Bits * c.NFA.Stride) }
+		for i := 1; i < len(got); i++ {
+			prev, r := got[i-1], got[i]
+			same := cycle(prev) == cycle(r)
+			if same && onKernel[prev.State] && !onKernel[r.State] {
+				t.Fatalf("%s: in cycle %d the DFA tier's report of state %d follows the kernel's of state %d", c.Name, cycle(r), r.State, prev.State)
+			}
+			checked = checked || same && onKernel[prev.State] != onKernel[r.State]
+		}
+	}
+	if !checked {
+		t.Error("no case reported on both tiers in one cycle; the order went unchecked")
 	}
 }
 
@@ -69,6 +128,35 @@ func walker(t testing.TB, n *automata.NFA, k int) (simtest.Form, bool) {
 		}
 		ds[i] = d
 	}
-	l := sim.NewLockstep(n.Bits, n.Stride, []sim.Lane{dfa.Lane(ds, origs)})
+	l := sim.NewLockstep(n.Bits, n.Stride, dfa.Lane(ds, origs))
 	return simtest.SessionForm(l.NewSession, l.AppendRun), true
+}
+
+// The spine's dot-star case is the one whose speculation misses: its rule is
+// armed early in the first block, so a later segment guessed from the
+// block's entry state reaches its seam in the wrong state and is walked
+// again. It keeps pinning the re-walk whatever warm-up or segmenting the
+// walker uses.
+func TestSpineCaseRewalks(t *testing.T) {
+	for _, c := range simtest.Cases(t) {
+		if c.Name != "dot-star regex 8-bit x 1" {
+			continue
+		}
+		tf, err := dfa.BuildTiered(c.NFA, dfa.TierOptions{MinStateShare: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tf.DFA() == nil || tf.Plan().NFAStates != 0 {
+			t.Fatalf("the case tiers to %d DFA and %d NFA states, want all on the DFA", tf.Plan().DFANFAStates, tf.Plan().NFAStates)
+		}
+		reg := obs.NewRegistry()
+		dfa.EnableMetrics(reg)
+		defer dfa.EnableMetrics(nil)
+		tf.Run(c.Input)
+		if n := reg.Snapshot().Counters["dfa_rewalk_cycles_total"]; n == 0 {
+			t.Fatal("the walker re-walked no cycle of the dot-star case")
+		}
+		return
+	}
+	t.Fatal("no dot-star case among the spine's")
 }

@@ -124,9 +124,10 @@ type Selection struct {
 }
 
 // Tiered is the two-engine execution form of a tier selection: at most one
-// union DFA and one compiled bit-parallel NFA, the (at most two) lanes of
-// one sim.Lockstep. Reports carry original automaton state IDs; merged
-// output is byte-identical to the scalar simulator's. A Tiered value is
+// union DFA and one compiled bit-parallel NFA, the one lane of one
+// sim.Lockstep (the NFA stepped beside the DFA's walker when both exist).
+// Reports carry original automaton state IDs; merged output is
+// byte-identical to the scalar simulator's. A Tiered value is
 // immutable after construction and safe to share across goroutines.
 type Tiered struct {
 	*Selection
@@ -165,14 +166,16 @@ func (p Part) remap(ids []automata.StateID) []automata.StateID {
 	return out
 }
 
-// Lockstep builds the lockstep form of parts of n, with at most two lanes
-// whatever the parts and their tiering: every part's DFA on one walker
-// (Lane), its ID table composed through the part's own so a report is
-// remapped once, and every state no DFA covers — a selection's NFA tier, an
-// unselected part's whole block — on one kernel compiled over their union.
-// The kernel's cycle costs its live words, so a kernel per part bought a
-// start-vector pass and a dispatch per part and cycle and nothing else. The
-// tiered form is the one-part case.
+// Lockstep builds the lockstep form of parts of n, with one lane whatever
+// the parts and their tiering: every part's DFA on one walker (Lane), its ID
+// table composed through the part's own so a report is remapped once, and
+// every state no DFA covers — a selection's NFA tier, an unselected part's
+// whole block — on one kernel compiled over their union, which the walker
+// steps beside itself (or which is the lane, when no part has a DFA). The
+// kernel's cycle costs its live words, so a kernel per part bought a
+// start-vector pass and a dispatch per part and cycle and nothing else; a
+// kernel in a lane of its own made the lockstep hand the walker one cycle a
+// call. The tiered form is the one-part case.
 func Lockstep(n *automata.NFA, parts []Part) (*sim.Lockstep, error) {
 	var ds []*DFA
 	var dfaOrigs [][]automata.StateID
@@ -187,19 +190,22 @@ func Lockstep(n *automata.NFA, parts []Part) (*sim.Lockstep, error) {
 		}
 		nfaIDs = append(nfaIDs, p.remap(p.Sel.nfaIDs)...)
 	}
-	var lanes []sim.Lane
-	if len(ds) > 0 {
-		lanes = append(lanes, Lane(ds, dfaOrigs))
-	}
+	var kernel *sim.Compiled
 	if len(nfaIDs) > 0 {
 		slices.Sort(nfaIDs)
-		c, err := sim.Compile(n.Induced(nfaIDs))
-		if err != nil {
+		var err error
+		if kernel, err = sim.Compile(n.Induced(nfaIDs)); err != nil {
 			return nil, err
 		}
-		lanes = append(lanes, sim.Lane{New: func() sim.Core { return c.NewEngine() }, Orig: nfaIDs})
 	}
-	return sim.NewLockstep(n.Bits, n.Stride, lanes), nil
+	var ln sim.Lane
+	switch {
+	case len(ds) > 0:
+		ln = lane(ds, dfaOrigs, kernel, nfaIDs)
+	case kernel != nil:
+		ln = sim.Lane{New: func() sim.Core { return kernel.NewEngine() }, Orig: nfaIDs}
+	}
+	return sim.NewLockstep(n.Bits, n.Stride, ln), nil
 }
 
 // BuildTiered selects tiers (Select) and constructs the hybrid execution

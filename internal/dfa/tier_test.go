@@ -2,9 +2,11 @@ package dfa_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"impala/internal/automata"
 	"impala/internal/dfa"
 	"impala/internal/obs"
 	"impala/internal/regexc"
@@ -127,17 +129,27 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 }
 
 // Steady-state Feed through the tiered lockstep core, and a pooled Run of an
-// input that reports nothing, allocate nothing.
+// input that reports nothing, allocate nothing, with the stream and tier
+// metrics off and live: the DFA alone and, with a component that blows the
+// budget, the walker stepping the kernel beside it. The fed input is long
+// enough for the walker to cut it into segments.
 func TestTieredAllocFree(t *testing.T) {
-	n := regexc.MustCompile([]regexc.Rule{
-		{Pattern: "stream", Code: 1},
-		{Pattern: "^sof", Code: 2},
-	})
-	tiered, err := dfa.BuildTiered(n, dfa.TierOptions{MinStateShare: -1})
-	if err != nil {
-		t.Fatal(err)
+	rules := []regexc.Rule{{Pattern: "stream", Code: 1}, {Pattern: "^sof", Code: 2}}
+	for _, n := range []*automata.NFA{
+		regexc.MustCompile(rules),
+		regexc.MustCompile(append(rules, regexc.Rule{Pattern: "a.{12}b", Code: 3})),
+	} {
+		tiered, err := dfa.BuildTiered(n, dfa.TierOptions{CCMaxStates: 1024, MinStateShare: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tiered.DFA() == nil {
+			t.Fatal("no DFA tier")
+		}
+		t.Run(fmt.Sprintf("%d NFA-tier states", tiered.Plan().NFAStates), func(t *testing.T) {
+			simtest.AllocFree(t, simtest.SessionForm(tiered.NewSession, tiered.AppendRun), bytes.Repeat([]byte("sofstream stream sof stream "), 40), bytes.Repeat([]byte("no match here. "), 300), dfa.EnableMetrics)
+		})
 	}
-	simtest.AllocFree(t, simtest.SessionForm(tiered.NewSession, tiered.AppendRun), []byte("sofstream stream sof stream"), bytes.Repeat([]byte("no match here. "), 300))
 }
 
 // tier_reports_total counts the reports of each run, not the rows of the

@@ -13,7 +13,8 @@
 // core. Shards are stepped in lockstep on one core, like the paper's
 // independent blocks on one broadcast symbol — and fused by engine kind: one
 // walker over every shard's DFA, one bit-parallel kernel over everything the
-// DFAs do not cover, so the lockstep has at most two lanes at any K;
+// DFAs do not cover, stepped beside the walker, so the lockstep has one lane
+// at any K;
 // concurrency across requests belongs to the caller.
 package shard
 
@@ -155,7 +156,7 @@ type Sharded struct {
 	// shards holds one part per shard: its states and, when tiering was
 	// requested, its tier selection. An empty shard holds no state.
 	shards   []dfa.Part
-	lockstep *sim.Lockstep // one DFA walker lane, one kernel lane
+	lockstep *sim.Lockstep // one lane: the DFA walker, the kernel beside it
 }
 
 // shardIDs collects each shard's state IDs, sorted ascending, from a plan.
@@ -310,9 +311,10 @@ func (s *Sharded) countRun(inputBytes, reports int) {
 	}
 }
 
-// Lanes returns the lockstep lanes: the DFA walker (when any shard holds a
-// DFA tier) before the kernel (when any state is left to it).
-func (s *Sharded) Lanes() []sim.Lane { return s.lockstep.Lanes() }
+// Lane returns the lockstep's one lane: the DFA walker, with the kernel
+// beside it when a state is left to one, when any shard holds a DFA tier;
+// the kernel alone otherwise.
+func (s *Sharded) Lane() sim.Lane { return s.lockstep.Lane() }
 
 // NewCore returns a fresh per-stream lockstep core over all shards; it
 // implements sim.Core.

@@ -11,10 +11,11 @@ import (
 
 // This package's rows of the differential spine (simtest.Spine): the sharded
 // form at K = 1, 2, 3 and 8, untiered and tiered per shard at the case's
-// split budget — its lockstep holding one walker lane iff a shard kept a DFA
-// and one kernel lane iff a state is left to a kernel, and some shard, on
-// some case, holding both tiers — and three workers each unsealing one shard
-// of the tiered K = 3 form, merged as a frontend merges them.
+// split budget — its lockstep's one lane a DFA walker iff a shard kept a
+// DFA, a kernel stepped (beside the walker or alone) iff a state is left to
+// one, and some shard, on some case, holding both tiers — and three workers
+// each unsealing one shard of the tiered K = 3 form, merged as a frontend
+// merges them.
 func TestSpine(t *testing.T) {
 	twoTiers := false
 	build := func(t testing.TB, c *simtest.Case, k int, tier bool) (*shard.Sharded, *shard.Sealed) {
@@ -30,14 +31,18 @@ func TestSpine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lanes := 0
-		for _, on := range []bool{s.TieredShards() > 0, s.NFATierStates() > 0} {
-			if on {
-				lanes++
-			}
+		kernel, ln := s.NFATierStates() > 0, s.Lane()
+		var w *dfa.Core
+		if ln.New != nil {
+			w, _ = ln.New().(*dfa.Core)
 		}
-		if len(s.Lanes()) != lanes {
-			t.Fatalf("%s, %d shards (tiered %t): %d lanes, the shards' tiers call for %d", c.Name, k, tier, len(s.Lanes()), lanes)
+		switch {
+		case (w != nil) != (s.TieredShards() > 0):
+			t.Fatalf("%s, %d shards (tiered %t): the lane walks DFAs %t, with %d shards holding one", c.Name, k, tier, w != nil, s.TieredShards())
+		case w != nil && w.HasKernel() != kernel:
+			t.Fatalf("%s, %d shards (tiered %t): the walker steps a kernel %t, with %d states left to one", c.Name, k, tier, w.HasKernel(), s.NFATierStates())
+		case w == nil && (ln.New != nil) != kernel:
+			t.Fatalf("%s, %d shards (tiered %t): a kernel lane %t, with %d states left to one", c.Name, k, tier, ln.New != nil, s.NFATierStates())
 		}
 		for _, st := range sealed.Tiers {
 			twoTiers = twoTiers || st != nil && st.DFA != nil && st.Plan.NFAStates > 0
@@ -67,6 +72,6 @@ func TestSpine(t *testing.T) {
 	}})
 	simtest.Spine(t, rows...)
 	if !twoTiers {
-		t.Error("no shard held both a DFA and a kernel tier; the two-lane sharded form went unexercised")
+		t.Error("no shard held both a DFA and a kernel tier; the walker with a kernel beside it went unexercised")
 	}
 }

@@ -6,26 +6,26 @@ import (
 	"impala/internal/automata"
 )
 
-// lockstepOverCCs builds the lockstep form with one compiled lane per
-// connected component of n.
-func lockstepOverCCs(t *testing.T, n *automata.NFA) *Lockstep {
+// lockstepOf builds the lockstep form of n on one compiled lane.
+func lockstepOf(t *testing.T, n *automata.NFA) *Lockstep {
 	t.Helper()
-	var lanes []Lane
-	for _, cc := range n.ConnectedComponents() {
-		c, err := Compile(n.Induced(cc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lanes = append(lanes, Lane{New: func() Core { return c.NewEngine() }, Orig: cc})
+	c, err := Compile(n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return NewLockstep(n.Bits, n.Stride, lanes)
+	orig := make([]automata.StateID, n.NumStates())
+	for i := range orig {
+		orig[i] = automata.StateID(i)
+	}
+	return NewLockstep(n.Bits, n.Stride, Lane{New: func() Core { return c.NewEngine() }, Orig: orig})
 }
 
-// A lockstep form with no lanes steps nothing: every cycle runs, nothing is
-// enabled, nothing reports. (Forms with lanes are rows of TestSpine.)
+// A lockstep form over a lane of no state steps nothing: every cycle runs,
+// nothing is enabled, nothing reports. (A form over a kernel is a row of
+// TestSpine.)
 func TestLockstepNoLanes(t *testing.T) {
 	input := []byte("^hay needle haystack needlestack")
-	if r, st := NewLockstep(8, 1, nil).Run(input); len(r) != 0 || st.Cycles != len(input) || st.TotalEnabled != 0 {
+	if r, st := NewLockstep(8, 1, Lane{}).Run(input); len(r) != 0 || st.Cycles != len(input) || st.TotalEnabled != 0 {
 		t.Fatalf("empty lockstep: %d reports, stats %+v", len(r), st)
 	}
 }
@@ -37,7 +37,7 @@ func TestLockstepNoLanes(t *testing.T) {
 func TestLockstepReleaseClearsSink(t *testing.T) {
 	n := automata.New(8, 1)
 	n.AddLiteral("needle", automata.StartAllInput, 1)
-	l := lockstepOverCCs(t, n)
+	l := lockstepOf(t, n)
 	c := l.newCore()
 	if r, _ := RunBatch(c, []byte("a needle"), 0, nil); len(r) != 1 {
 		t.Fatalf("%d reports, want 1", len(r))
@@ -59,7 +59,7 @@ func TestPooledRunKeepsItsSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := lockstepOverCCs(t, n)
+	l := lockstepOf(t, n)
 	hit := []byte("one needle in a stack")
 	for name, core := range map[string]Core{"kernel": c.NewEngine(), "lockstep": l.newCore()} {
 		s := NewSession(core, nil)

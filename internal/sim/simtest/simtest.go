@@ -87,6 +87,8 @@ func (c *Case) SplitBudget(t testing.TB) int {
 //     under -short) one over a short input;
 //   - six rules — six components, one anchored — at every geometry the
 //     compiler emits, over text of their words;
+//   - one dot-star rule as compiled (8-bit × 1, one component), over text
+//     that arms it once, early in its first block;
 //   - workload families at scale 0.005 compiled at the design point (4-bit ×
 //     4), over their own input generator's bytes (three under -short).
 //
@@ -145,6 +147,20 @@ func Cases(t testing.TB) []*Case {
 	for _, geo := range [][2]int{{8, 2}, {4, 1}, {4, 2}, {4, 4}, {4, 8}, {2, 4}} {
 		cases = append(cases, &Case{Name: fmt.Sprintf("regex %d-bit x %d", geo[0], geo[1]), NFA: compile(src, geo[0], geo[1]), Source: src, Input: input})
 	}
+
+	// A dot-star rule armed once, early in the first block: a DFA walker that
+	// guesses a later segment's entry state from the block's (unarmed) one
+	// misses at its seam and walks the segment again. As compiled, the rule
+	// is the automaton's one component, so every tiered form, whatever its
+	// budget, walks it on a DFA alone, in whole blocks.
+	armed := regexc.MustCompile([]regexc.Rule{{Pattern: "q.*z", Code: 1}})
+	words = []string{"zebra ", "fizz ", "maze ", "topaz ", "jazz ", "haze "}
+	text.Reset()
+	text.WriteString("head quiet ")
+	for text.Len() < long {
+		text.WriteString(words[r.Intn(len(words))])
+	}
+	cases = append(cases, &Case{Name: "dot-star regex 8-bit x 1", NFA: armed, Source: armed, Input: []byte(text.String()[:long])})
 
 	families := []string{"ExactMatch", "Hamming", "RandomForest", "CoreRings", "Snort", "Bro217", "Fermi"}
 	if testing.Short() {

@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"impala/internal/automata"
@@ -11,9 +10,8 @@ import (
 )
 
 // This package's rows of the differential spine (simtest.Spine): the scalar
-// engine itself behind a session, the kernel, and the lockstep combinator
-// handing its one lane whole blocks and stepping up to three lanes (the
-// components dealt round-robin) cycle by cycle.
+// engine itself behind a session, the kernel, and the lockstep shell handing
+// its lane whole blocks.
 func TestSpine(t *testing.T) {
 	if got := simtest.FeedBlock(); got != 2048 {
 		t.Fatalf("a session hands its core %d-byte blocks, want 2048", got)
@@ -30,14 +28,9 @@ func TestSpine(t *testing.T) {
 			k := compile(t, c.NFA)
 			return simtest.SessionForm(k.NewSession, k.AppendRun), true
 		}},
-		simtest.Row{Name: "lockstep, one lane", Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
-			l := lockstep(t, c.NFA, 1)
+		simtest.Row{Name: "lockstep", Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
+			l := lockstep(t, c.NFA)
 			return simtest.SessionForm(l.NewSession, l.AppendRun), true
-		}},
-		simtest.Row{Name: "lockstep, up to three lanes", Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
-			l := lockstep(t, c.NFA, 3)
-			open := func(sink sim.ReportSink) simtest.Stream { return sim.NewSession(l.NewCore(), sink) }
-			return simtest.Form{Open: open, Run: l.Run, Append: l.AppendRun}, len(l.Lanes()) > 1
 		}},
 	)
 }
@@ -50,7 +43,7 @@ func TestPooledFormsAllocFree(t *testing.T) {
 	n.AddLiteral("needle in a", automata.StartAllInput, 1)
 	n.AddLiteral("^haystack", automata.StartOfData, 2)
 	hit, quiet := []byte("haystack: one needle in a stack, a needle in a"), bytes.Repeat([]byte("no match here. "), 300)
-	k, l := compile(t, n), lockstep(t, n, 2)
+	k, l := compile(t, n), lockstep(t, n)
 	for name, f := range map[string]simtest.Form{"kernel": simtest.SessionForm(k.NewSession, k.AppendRun), "lockstep": simtest.SessionForm(l.NewSession, l.AppendRun)} {
 		t.Run(name, func(t *testing.T) { simtest.AllocFree(t, f, hit, quiet) })
 	}
@@ -64,19 +57,12 @@ func compile(t testing.TB, n *automata.NFA) *sim.Compiled {
 	return c
 }
 
-// lockstep is the lockstep form of n's components dealt onto up to k
-// kernels.
-func lockstep(t testing.TB, n *automata.NFA, k int) *sim.Lockstep {
-	ccs := n.ConnectedComponents()
-	blocks := make([][]automata.StateID, min(k, len(ccs)))
-	for i, cc := range ccs {
-		blocks[i%len(blocks)] = append(blocks[i%len(blocks)], cc...)
+// lockstep is the lockstep form of n on one kernel lane.
+func lockstep(t testing.TB, n *automata.NFA) *sim.Lockstep {
+	kernel := compile(t, n)
+	orig := make([]automata.StateID, n.NumStates())
+	for i := range orig {
+		orig[i] = automata.StateID(i)
 	}
-	var lanes []sim.Lane
-	for _, ids := range blocks {
-		slices.Sort(ids)
-		kernel := compile(t, n.Induced(ids))
-		lanes = append(lanes, sim.Lane{New: func() sim.Core { return kernel.NewEngine() }, Orig: ids})
-	}
-	return sim.NewLockstep(n.Bits, n.Stride, lanes)
+	return sim.NewLockstep(n.Bits, n.Stride, sim.Lane{New: func() sim.Core { return kernel.NewEngine() }, Orig: orig})
 }
