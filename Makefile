@@ -11,8 +11,8 @@ COVER_MIN ?= 80.0
 all: check
 
 # check is the default CI gate: formatting, compile, static analysis, full
-# tests (internal/exp's TestBaselines reruns the gated experiments against
-# their committed BENCH_*.json), and a race-detector pass over the concurrent
+# tests (internal/exp's TestPlans recomputes the plan table against the
+# committed BENCH_plans.json), and a race-detector pass over the concurrent
 # packages: the simulator (one Compiled shared by pooled concurrent Run
 # callers and streams),
 # the parallel compile pipeline (worker pools sharing the Espresso cover
@@ -91,9 +91,13 @@ bench-smoke:
 # at least one session block, chunked, reports and statistics the scalar
 # engine's whatever the walker guessed at a seam), the facade's
 # match fold (appendMatches makes the rows a map makes of sorted reports and
-# leaves the prefix it appends to as it was), and the capsule
+# leaves the prefix it appends to as it was), the capsule
 # placement check (arch.Check refuses exactly what arch.Build refuses, with
-# its error, and a machine it accepts reports what the simulator does). A
+# its error, and a machine it accepts reports what the simulator does), and
+# the whole pipeline (FuzzPipeline: two short regexes at stride 1, 2 or 4,
+# tiered or not, in one shard or two; Match, the capsule Run and a saved and
+# reloaded machine's Match each match what the scalar simulator matches over
+# the regexes' 8-bit automaton). A
 # failure leaves its input under the package's testdata/fuzz, where plain `go
 # test` replays it from then on.
 define FUZZ
@@ -113,6 +117,7 @@ define FUZZ
 ./internal/dfa      FuzzDFAWalk
 .                   FuzzAppendMatches
 ./internal/arch     FuzzCheck
+.                   FuzzPipeline
 endef
 export FUZZ
 
@@ -129,25 +134,13 @@ test-race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/espresso/... ./internal/place/... ./internal/arch/... ./internal/obs/... ./internal/par/... ./internal/server/... ./internal/artifact/... ./internal/dfa/... ./internal/backend/... ./internal/shard/... ./internal/topo/... ./internal/score/... ./internal/workload/... .
 	$(GO) -C benchmark test -race -short -skip 'TestWorkloads/snort_shard_cluster' ./...
 
-# The gated experiments: experiment, committed baseline. `bench` rewrites the
-# baselines at the default scale, seed and input; internal/exp's TestBaselines
-# (part of `test`) reruns each at its baseline's settings and fails on any
-# drifted column. impala-bench's header and DESIGN.md ("Gated experiments")
-# say what each baseline holds.
-define GATED
-compilespeed BENCH_compile.json
-tierspeed    BENCH_sim.json
-backendcmp   BENCH_backend.json
-shardspeed   BENCH_shard.json
-clustersweep BENCH_cluster.json
-scorespeed   BENCH_score.json
-endef
-export GATED
-
+# bench runs every Go benchmark once through, then rewrites the plan table
+# at the default scale, seed and input; internal/exp's TestPlans (part of
+# `test`) recomputes it and fails on any row or column that differs.
+# DESIGN.md ("The plan table") says what its rows hold.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
-	@echo "$$GATED" | while read exp base; do \
-		$(GO) run ./cmd/impala-bench -exp $$exp -json $$base || exit 1; done
+	$(GO) run ./cmd/impala-bench -exp plans -json BENCH_plans.json
 
 # cover prints every package's coverage, the benchmark/ module's apart: it is
 # not part of the total cover-check holds to the floor.

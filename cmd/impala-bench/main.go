@@ -11,24 +11,14 @@
 // experiments concurrently (results are identical; per-cell wall times get
 // noisy).
 //
-// Six experiments are gated: with -json FILE one measurement run renders
-// the table and writes the report (cells plus a metrics snapshot) — how the
-// committed BENCH_*.json baselines are written (make bench). -json takes
-// exactly one gated experiment. internal/exp's TestBaselines reruns each at
-// its baseline's scale, seed and input and fails on any drifted column; the
-// comparator's rules are stated once in DESIGN.md ("Gated experiments").
-// What each experiment puts under them:
-//
-//	experiment    baseline            exact columns
-//	compilespeed  BENCH_compile.json  compiled shape; cache hits/misses on the
-//	                                  serial workers=1 row
-//	tierspeed     BENCH_sim.json      tier-plan shape
-//	backendcmp    BENCH_backend.json  shape, placement grouping,
-//	                                  capacity/energy/area model
-//	shardspeed    BENCH_shard.json    workload and partition shape per K
-//	clustersweep  BENCH_cluster.json  placement, domain loads, cut cost, served
-//	                                  match/byte counts
-//	scorespeed    BENCH_score.json    mesh shape, threshold, report counts
+// -exp plans is the plan table: one row per benchmark × design point of
+// plan quantities — compiled shape, tier, shard and topology plans, the
+// backends' capacity/area/energy model, report counts of one in-process run
+// — and no timing. With -json FILE it also writes the table as JSON; that is
+// how the committed BENCH_plans.json is written (make bench), and
+// internal/exp's TestPlans recomputes the table and fails on any row or
+// column that differs from it. DESIGN.md ("The plan table") says what each
+// design point's rows hold.
 package main
 
 import (
@@ -52,7 +42,7 @@ func main() {
 		strides  = flag.String("strides", "", "comma-separated stride list for table4 (default 1,2,4,8)")
 		dumpDir  = flag.String("dump", "", "write each table as CSV into this directory")
 		parallel = flag.Int("parallel", 1, "benchmark × design-point cells to run concurrently (tables identical for any value; >1 perturbs per-cell wall times)")
-		jsonOut  = flag.String("json", "", "write the gated experiment's report as JSON to this file")
+		jsonOut  = flag.String("json", "", "with -exp plans, also write the plan table as JSON to this file")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 	)
 	flag.Parse()
@@ -90,15 +80,14 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		g, err := soleGate(ids)
-		if err != nil {
-			fatal(err)
+		if *expID != "plans" {
+			fatal(fmt.Errorf("-json writes the plan table: use it with -exp plans"))
 		}
 		t0 := time.Now()
-		if err := runGated(g, o, *jsonOut); err != nil {
-			fatal(fmt.Errorf("%s: %w", g.ID(), err))
+		if err := writePlans(o, *jsonOut); err != nil {
+			fatal(fmt.Errorf("plans: %w", err))
 		}
-		fmt.Printf("[%s completed in %s]\n\n", g.ID(), time.Since(t0).Round(time.Millisecond))
+		fmt.Printf("[plans completed in %s]\n\n", time.Since(t0).Round(time.Millisecond))
 		return
 	}
 
@@ -118,44 +107,31 @@ func main() {
 	}
 }
 
-// soleGate returns the gate -json applies to: ids must select exactly one
-// experiment and it must be gated.
-func soleGate(ids []string) (exp.Gate, error) {
-	var gated []string
-	for _, g := range exp.Gates() {
-		if len(ids) == 1 && g.ID() == ids[0] {
-			return g, nil
-		}
-		gated = append(gated, g.ID())
-	}
-	return nil, fmt.Errorf("-json takes exactly one gated experiment: -exp %s", strings.Join(gated, "|"))
-}
-
-// runGated runs a gated experiment once, instrumented, and serves three
-// outputs from that one measurement: the rendered table, its CSV dump and
-// the JSON report.
-func runGated(g exp.Gate, o exp.Options, jsonPath string) error {
-	rep, err := g.Run(o)
+// writePlans computes the plan table once and serves three outputs from
+// it: the rendered tables, their CSV dump and the JSON document.
+func writePlans(o exp.Options, path string) error {
+	p, err := exp.Plans(o)
 	if err != nil {
 		return err
 	}
-	table := g.Table(rep)
-	table.Render(os.Stdout)
-	if err := exp.Dump(o, []*exp.Table{table}); err != nil {
+	for _, t := range p.Tables() {
+		t.Render(os.Stdout)
+	}
+	if err := exp.Dump(o, p.Tables()); err != nil {
 		return fmt.Errorf("dump: %w", err)
 	}
-	f, err := os.Create(jsonPath)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rep.Write(f); err != nil {
+	if err := p.Write(f); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", jsonPath)
+	fmt.Printf("wrote %s\n", path)
 	return nil
 }
 

@@ -66,7 +66,7 @@ func main() {
 		stream.WriteString("; ")
 	}
 
-	matches := m.Run([]byte(stream.String()))
+	matches := m.Match([]byte(stream.String()))
 	perRecord := map[int]int{}
 	for _, mt := range matches {
 		perRecord[mt.Pattern]++

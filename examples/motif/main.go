@@ -1,7 +1,7 @@
 // motif is a bioinformatics example: approximate motif search over a DNA
 // sequence using a Hamming-distance mesh automaton (the Hamming family of
-// ANMLZoo), compiled through the full Impala pipeline and executed at the
-// capsule level. It demonstrates CompileAutomaton — feeding the toolchain a
+// ANMLZoo), compiled through the full Impala pipeline and matched with
+// Match. It demonstrates CompileAutomaton — feeding the toolchain a
 // hand-built automaton instead of regexes.
 package main
 
@@ -95,7 +95,7 @@ func main() {
 	}
 
 	hits := map[int]int{}
-	for _, match := range m.Run([]byte(genome.String())) {
+	for _, match := range m.Match([]byte(genome.String())) {
 		hits[match.Pattern]++
 	}
 	for code, motif := range motifs {

@@ -63,7 +63,7 @@ func main() {
 
 	input := []byte(stream.String())
 	alerts := map[int]int{}
-	for _, match := range m.Run(input) {
+	for _, match := range m.Match(input) {
 		alerts[match.Pattern]++
 	}
 	fmt.Printf("scanned %d bytes (%.1f µs at line rate)\n\n",

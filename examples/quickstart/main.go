@@ -1,6 +1,6 @@
 // Quickstart: compile a handful of regexes onto the Impala 4-stride design
-// point, scan a byte stream at the capsule level, and print the hardware
-// model the configuration implies.
+// point, match a byte stream, and print the hardware model the
+// configuration implies.
 package main
 
 import (
@@ -26,7 +26,7 @@ func main() {
 	}
 
 	input := []byte("GET /index.html HTTP/1.1\r\nHost: 10.0.42.7\r\nUser-Agent: curl\r\n\r\nPOST /login HTTP/1.1\r\n")
-	for _, match := range m.Run(input) {
+	for _, match := range m.Match(input) {
 		fmt.Printf("pattern %d (%q) matched, ending at byte %d\n",
 			match.Pattern, patterns[match.Pattern], match.End)
 	}

@@ -3,6 +3,9 @@
 // (the AP/ANMLZoo interchange format), compile it through V-TeSS, persist
 // the device bitstream, reload the bitstream as a fresh machine (the
 // memory-mapped configuration step), and scan a stream at the capsule level.
+// It calls Run, the capsule-level machine built from the reloaded placement,
+// because that machine is what it demonstrates; the other examples call
+// Match, the serving path.
 package main
 
 import (

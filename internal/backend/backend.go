@@ -59,7 +59,7 @@ const DefaultName = "impala"
 // automaton — the arch-style analytical numbers every target must produce
 // so impala-bench can tabulate them side by side. All fields are pure
 // functions of the automaton shape and the backend's parameter tables
-// (deterministic, so the backendcmp regression gate compares them exactly).
+// (deterministic, so the plan table holds them exactly).
 type Model struct {
 	// Design labels the design point like the paper's figures
 	// ("Impala (16-bit)", "CAM (16-bit)").

@@ -34,7 +34,7 @@ import (
 //   - The search access (match-line precharge + compare + priority encode)
 //     is slower than Impala's 16-row column read, and every occupied bank
 //     burns search energy every cycle — the energy/throughput trade the
-//     backendcmp tables surface.
+//     plan table's backend rows surface.
 type camBackend struct{}
 
 // CAM bank parameter table at the paper's 14nm/0.8V node, mirroring the

@@ -35,8 +35,8 @@ type Config struct {
 	// except timings are byte-identical for every worker count.
 	Workers int
 	// DisableCache runs every Espresso instance uncached (ablation; the
-	// compilespeed experiment's baseline). Results are identical — the
-	// cache is exactly transparent — only slower.
+	// baseline BenchmarkCompile measures the cache against). Results are
+	// identical — the cache is exactly transparent — only slower.
 	DisableCache bool
 	// Espresso tunes the logic minimizer. When Espresso.Cache is nil,
 	// Compile installs a fresh cover cache shared by all stages of this

@@ -93,10 +93,12 @@ func TestCompileTraceIsTransparent(t *testing.T) {
 }
 
 // Config.Metrics must expose the compile's cover cache live: after a
-// compile the hit/miss gauges agree with the Result's own counters.
+// compile the hit/miss gauges agree with the Result's own counters. The
+// compile is serial: concurrent workers race to the first miss on a key, so
+// on an input this small they can miss every lookup and hit none.
 func TestCompileMetricsExposeCacheCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	res, err := Compile(traceInput(t), Config{TargetBits: 4, StrideDims: 4, Metrics: reg})
+	res, err := Compile(traceInput(t), Config{TargetBits: 4, StrideDims: 4, Workers: 1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ type Plan struct {
 	DFATableBytes int
 	NFAStates     int
 	DFANFAStates  int
-	// Budget echo, for artifact inspection and the regression gate.
+	// Budget echo, for artifact inspection.
 	CCBudget    int
 	UnionBudget int
 }

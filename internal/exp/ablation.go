@@ -6,7 +6,6 @@ import (
 	"impala/internal/arch"
 	"impala/internal/core"
 	"impala/internal/place"
-	"impala/internal/workload"
 )
 
 // Ablation quantifies the design choices DESIGN.md calls out, on a
@@ -15,9 +14,9 @@ import (
 // that makes 4-stride the throughput-per-area peak.
 func Ablation(o Options) ([]*Table, error) {
 	o = o.withDefaults()
-	names := o.Benchmarks
-	if len(names) == 0 {
-		names = []string{"Bro217", "Dotstar06", "Hamming", "SPM"}
+	suite, err := o.suite("Bro217", "Dotstar06", "Hamming", "SPM")
+	if err != nil {
+		return nil, err
 	}
 
 	comp := &Table{
@@ -34,11 +33,7 @@ func Ablation(o Options) ([]*Table, error) {
 		Header: []string{"benchmark", "stride 1", "stride 2", "stride 4", "stride 8", "peak"},
 	}
 
-	for _, name := range names {
-		b, ok := workload.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown benchmark %q", name)
-		}
+	for _, b := range suite {
 		n, err := o.generate(b)
 		if err != nil {
 			return nil, err
@@ -56,7 +51,7 @@ func Ablation(o Options) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		comp.AddRow(name,
+		comp.AddRow(b.Name,
 			fmt.Sprint(full.NFA.NumStates()),
 			fmt.Sprint(noRefine.NFA.NumStates()),
 			f2(float64(full.NFA.NumStates())/float64(noRefine.NFA.NumStates())),
@@ -69,7 +64,7 @@ func Ablation(o Options) ([]*Table, error) {
 			{Seed: o.Seed, DisableGA: true},
 			{Seed: o.Seed},
 		}
-		row := []string{name}
+		row := []string{b.Name}
 		for _, po := range variants {
 			pl, err := place.Place(full.NFA, po)
 			if err != nil {
@@ -79,7 +74,7 @@ func Ablation(o Options) ([]*Table, error) {
 		}
 		placeT.AddRow(row...)
 
-		srow := []string{name}
+		srow := []string{b.Name}
 		best, bestStride := 0.0, 0
 		for _, s := range []int{1, 2, 4, 8} {
 			res, err := core.Compile(n, core.Config{TargetBits: 4, StrideDims: s})

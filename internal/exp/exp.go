@@ -14,11 +14,7 @@ import (
 	"strings"
 
 	"impala/internal/automata"
-	"impala/internal/dfa"
-	"impala/internal/obs"
 	"impala/internal/par"
-	"impala/internal/score"
-	"impala/internal/shard"
 	"impala/internal/workload"
 )
 
@@ -29,7 +25,8 @@ type Options struct {
 	Scale float64
 	// Seed drives all generators and search heuristics.
 	Seed int64
-	// Benchmarks restricts the suite (nil = all 21).
+	// Benchmarks replaces the benchmarks an experiment runs (nil = its
+	// own list, or all 21). An unknown name fails the experiment.
 	Benchmarks []string
 	// InputKB is the input stream size for activity-driven experiments
 	// (the paper uses 10 MB; default here 64 KB).
@@ -45,21 +42,6 @@ type Options struct {
 	// identical for any value). The default 1 keeps per-cell wall-clock
 	// measurements faithful; raise it to sweep the suite faster.
 	Parallel int
-	// Metrics, when non-nil, instruments the run: compiles bind their cover
-	// cache into the registry and the gated experiments snapshot it into
-	// their JSON report. Measurements are unchanged; only the report gains a
-	// metrics section.
-	Metrics *obs.Registry
-}
-
-// snapshot captures the run's instruments for a report's metrics section
-// (nil when the run is not instrumented).
-func (o Options) snapshot() *obs.Snapshot {
-	if o.Metrics == nil {
-		return nil
-	}
-	snap := o.Metrics.Snapshot()
-	return &snap
 }
 
 func (o Options) withDefaults() Options {
@@ -85,17 +67,27 @@ func (o Options) forEachCell(n int, fn func(i int) error) error {
 	return par.ForErr(o.Parallel, n, fn)
 }
 
-func (o Options) suite() []workload.Benchmark {
-	if len(o.Benchmarks) == 0 {
-		return workload.Suite()
+// suite resolves the benchmarks an experiment runs: o.Benchmarks when set,
+// else the experiment's defaults, else the whole suite. It is the one place
+// a benchmark name is resolved, and it refuses a name workload.Get does not
+// know.
+func (o Options) suite(defaults ...string) ([]workload.Benchmark, error) {
+	names := o.Benchmarks
+	if len(names) == 0 {
+		names = defaults
 	}
-	var out []workload.Benchmark
-	for _, name := range o.Benchmarks {
-		if b, ok := workload.Get(name); ok {
-			out = append(out, b)
+	if len(names) == 0 {
+		return workload.Suite(), nil
+	}
+	out := make([]workload.Benchmark, len(names))
+	for i, name := range names {
+		b, ok := workload.Get(name)
+		if !ok {
+			return nil, fmt.Errorf("exp: unknown benchmark %q", name)
 		}
+		out[i] = b
 	}
-	return out
+	return out, nil
 }
 
 func (o Options) generate(b workload.Benchmark) (*automata.NFA, error) {
@@ -246,15 +238,12 @@ type Runner func(o Options) ([]*Table, error)
 
 // experiment is one impala-bench -exp ID.
 type experiment struct {
-	id   string
-	run  Runner
-	gate Gate // non-nil when the experiment writes a JSON report the baseline test compares
+	id  string
+	run Runner
 }
 
-func gated[C any](g *gate[C]) experiment { return experiment{g.id, g.tables, g} }
-
 // experiments is the one ordered list of everything impala-bench can run;
-// Registry, IDs and Gates are views of it.
+// Registry and IDs are views of it.
 var experiments = []experiment{
 	{id: "fig2", run: Figure2},
 	{id: "table1", run: Table1CompileTime},
@@ -276,18 +265,13 @@ var experiments = []experiment{
 	{id: "software", run: SoftwareBaseline},
 	{id: "simspeed", run: SimulatorSpeed},
 	{id: "servespeed", run: ServeSpeed},
-	gated(&gate[CompileCell]{id: "compilespeed", metrics: par.EnableMetrics,
-		run: CompileSpeedReport, rows: compileRows, table: compileTable}),
-	gated(&gate[TierCell]{id: "tierspeed", metrics: dfa.EnableMetrics,
-		run: TierSpeedReport, rows: tierRows, table: tierTable}),
-	gated(&gate[ShardCell]{id: "shardspeed", metrics: shard.EnableMetrics,
-		run: ShardSpeedReport, rows: shardRows, table: shardTable}),
-	gated(&gate[ClusterCell]{id: "clustersweep",
-		run: ClusterSweepReport, rows: clusterRows, table: clusterTable}),
-	gated(&gate[BackendCell]{id: "backendcmp",
-		run: BackendCmpReport, rows: backendRows, table: backendTable}),
-	gated(&gate[ScoreCell]{id: "scorespeed", metrics: score.EnableMetrics,
-		run: ScoreSpeedReport, rows: scoreRows, table: scoreTable}),
+	{id: "plans", run: func(o Options) ([]*Table, error) {
+		p, err := Plans(o)
+		if err != nil {
+			return nil, err
+		}
+		return p.Tables(), nil
+	}},
 }
 
 // Registry maps experiment IDs (as used by impala-bench -exp) to runners.
@@ -306,15 +290,4 @@ func IDs() []string {
 		ids[i] = e.id
 	}
 	return ids
-}
-
-// Gates returns the gated experiments in presentation order.
-func Gates() []Gate {
-	var gates []Gate
-	for _, e := range experiments {
-		if e.gate != nil {
-			gates = append(gates, e.gate)
-		}
-	}
-	return gates
 }

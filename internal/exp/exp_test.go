@@ -237,12 +237,26 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Scale != 0.02 || o.InputKB != 64 || len(o.Strides) != 4 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	if len(o.suite()) != 21 {
-		t.Fatal("default suite wrong")
+	if suite, err := o.suite(); err != nil || len(suite) != 21 {
+		t.Fatalf("default suite: %d benchmarks, %v", len(suite), err)
 	}
+	if suite, err := o.suite("Snort", "Hamming"); err != nil || len(suite) != 2 || suite[1].Name != "Hamming" {
+		t.Fatalf("an experiment's defaults: %v, %v", suite, err)
+	}
+	o.Benchmarks = []string{"Snort"}
+	if suite, err := o.suite("Hamming"); err != nil || len(suite) != 1 || suite[0].Name != "Snort" {
+		t.Fatalf("subset selection: %v, %v", suite, err)
+	}
+	// An unknown name is refused, not dropped: a paper table and the plan
+	// table alike fail rather than render an empty table.
 	o.Benchmarks = []string{"Snort", "NoSuch"}
-	if len(o.suite()) != 1 {
-		t.Fatal("subset selection wrong")
+	if _, err := o.suite(); err == nil || !strings.Contains(err.Error(), `unknown benchmark "NoSuch"`) {
+		t.Fatalf("unknown benchmark: %v", err)
+	}
+	for _, id := range []string{"fig2", "plans"} {
+		if _, err := Registry()[id](o); err == nil {
+			t.Fatalf("%s accepted an unknown benchmark", id)
+		}
 	}
 }
 
@@ -361,37 +375,6 @@ func TestSoftwareBaseline(t *testing.T) {
 	out := render(t, tables)
 	if !strings.Contains(out, "DFA MB/s") || !strings.Contains(out, "Bro217") {
 		t.Fatalf("bad output:\n%s", out)
-	}
-}
-
-func TestCompileSpeed(t *testing.T) {
-	o := tiny()
-	o.Benchmarks = []string{"Bro217"}
-	rep, err := CompileSpeedReport(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One uncached baseline row plus the worker sweep, all with identical
-	// compiled shapes (the determinism invariant CompileSpeedReport itself
-	// re-checks per row).
-	if len(rep.Cells) != 1+len(compileSpeedWorkers) {
-		t.Fatalf("cells = %d", len(rep.Cells))
-	}
-	for _, c := range rep.Cells[1:] {
-		if c.CacheHits+c.CacheMisses == 0 {
-			t.Errorf("workers=%d: no cache activity recorded", c.Workers)
-		}
-	}
-	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"cache_hit_rate"`) {
-		t.Fatalf("json missing fields:\n%s", buf.String())
-	}
-	out := render(t, []*Table{compileTable(rep)})
-	if !strings.Contains(out, "uncached") || !strings.Contains(out, "vs serial") {
-		t.Fatalf("bad table:\n%s", out)
 	}
 }
 

@@ -20,7 +20,10 @@ func Figure2(o Options) ([]*Table, error) {
 		Header: []string{"benchmark", "states", "=1", "2-8", "9-32", "33-128", ">128"},
 	}
 	// One cell per benchmark: generate + stats concurrently, fold in order.
-	suite := o.suite()
+	suite, err := o.suite()
+	if err != nil {
+		return nil, err
+	}
 	stats := make([]automata.Stats, len(suite))
 	if err := o.forEachCell(len(suite), func(i int) error {
 		n, err := o.generate(suite[i])
@@ -67,7 +70,10 @@ func Table1CompileTime(o Options) ([]*Table, error) {
 	}
 	// One cell per benchmark; each cell runs both toolchains end to end so
 	// the CA/Impala ratio within a row stays apples-to-apples.
-	suite := o.suite()
+	suite, err := o.suite()
+	if err != nil {
+		return nil, err
+	}
 	type cell struct {
 		states          int
 		caTime, impTime time.Duration
@@ -134,7 +140,10 @@ func Table4VTeSS(o Options) ([]*Table, error) {
 
 	// The cell grid is benchmark × stride: every compile is independent, so
 	// all of them go through the cell semaphore at once.
-	suite := o.suite()
+	suite, err := o.suite()
+	if err != nil {
+		return nil, err
+	}
 	type overhead struct{ so, to float64 }
 	cells := make([]overhead, len(suite)*len(o.Strides))
 	if err := o.forEachCell(len(cells), func(i int) error {

@@ -39,7 +39,11 @@ func Figure11ThroughputPerArea(o Options) ([]*Table, error) {
 	var logSum float64
 	var count int
 	var best float64
-	for _, b := range o.suite() {
+	suite, err := o.suite()
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range suite {
 		n, err := o.generate(b)
 		if err != nil {
 			return nil, err
@@ -89,7 +93,11 @@ func Figure12EnergyPower(o Options) ([]*Table, error) {
 	inputBytes := o.InputKB * 1024
 	var eSum, pSum float64
 	var count int
-	for _, b := range o.suite() {
+	suite, err := o.suite()
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range suite {
 		n, err := o.generate(b)
 		if err != nil {
 			return nil, err
@@ -145,7 +153,11 @@ func Figure8Utilization(o Options) ([]*Table, error) {
 		Title:  "Figure 8: local-switch row utilization under CA-style greedy packing",
 		Header: []string{"benchmark", "largest CC", "switches", "rows used (avg)", "stranded rows (avg)", "util"},
 	}
-	for _, b := range o.suite() {
+	suite, err := o.suite()
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range suite {
 		n, err := o.generate(b)
 		if err != nil {
 			return nil, err
@@ -257,15 +269,11 @@ func Figure10G4(o Options) ([]*Table, error) {
 		Title:  "Figure 10: G4 placement — BFS labelling vs GA placement (uncovered transitions)",
 		Header: []string{"benchmark", "stride-4 states", "G4s", "BFS uncovered", "GA uncovered", "GA runs"},
 	}
-	names := o.Benchmarks
-	if len(names) == 0 {
-		names = []string{"Dotstar06", "TCP", "EntityResolution", "Levenshtein"}
+	suite, err := o.suite("Dotstar06", "TCP", "EntityResolution", "Levenshtein")
+	if err != nil {
+		return nil, err
 	}
-	for _, name := range names {
-		b, ok := workload.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown benchmark %q", name)
-		}
+	for _, b := range suite {
 		n, err := o.generate(b)
 		if err != nil {
 			return nil, err
@@ -282,7 +290,7 @@ func Figure10G4(o Options) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(name, fmt.Sprint(res.NFA.NumStates()), fmt.Sprint(len(full.G4s)),
+		t.AddRow(b.Name, fmt.Sprint(res.NFA.NumStates()), fmt.Sprint(len(full.G4s)),
 			fmt.Sprint(bfs.TotalUncovered), fmt.Sprint(full.TotalUncovered),
 			fmt.Sprint(full.GAInvocations))
 	}

@@ -40,7 +40,11 @@ func SystemIntegration(o Options) ([]*Table, error) {
 	sys := arch.DefaultSystem(imp)
 	under := 0
 	total := 0
-	for _, b := range o.suite() {
+	suite, err := o.suite()
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range suite {
 		n, err := o.generate(b)
 		if err != nil {
 			return nil, err

@@ -50,7 +50,11 @@ func Reconfiguration(o Options) ([]*Table, error) {
 		Title:  "Reconfiguration rounds per benchmark (full-size projection, 4-stride)",
 		Header: []string{"benchmark", "orig states", "Impala16 states", "rounds", "eff Gbps", "CA8 rounds", "CA8 eff Gbps"},
 	}
-	for _, b := range o.suite() {
+	suite, err := o.suite()
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range suite {
 		n, err := o.generate(b)
 		if err != nil {
 			return nil, err

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"impala"
+	"impala/internal/obs"
 	"impala/internal/server"
 	"impala/internal/workload"
 )
@@ -56,14 +57,11 @@ type ServeReport struct {
 // the table is a plain experiment like simspeed: rendered, never compared.
 func ServeSpeedReport(o Options) (*ServeReport, error) {
 	o = o.withDefaults()
-	name := "Bro217"
-	if len(o.Benchmarks) > 0 {
-		name = o.Benchmarks[0]
+	suite, err := o.suite("Bro217")
+	if err != nil {
+		return nil, err
 	}
-	b, ok := workload.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown benchmark %q", name)
-	}
+	b := suite[0]
 	n, err := o.generate(b)
 	if err != nil {
 		return nil, err
@@ -75,7 +73,8 @@ func ServeSpeedReport(o Options) (*ServeReport, error) {
 	input := workload.Input(n, o.InputKB*1024, o.Seed+3)
 	wantMatches := len(m.Match(input))
 
-	srv := server.New(server.Config{Metrics: o.Metrics})
+	reg := obs.NewRegistry()
+	srv := server.New(server.Config{Metrics: reg})
 	defer srv.Drain()
 	srv.Tenants().Install("bench", m)
 
@@ -88,7 +87,7 @@ func ServeSpeedReport(o Options) (*ServeReport, error) {
 	defer httpSrv.Close()
 	url := fmt.Sprintf("http://%s/v1/bench/match", ln.Addr())
 
-	rep := &ServeReport{Benchmark: name, States: n.NumStates(), InputBytes: len(input)}
+	rep := &ServeReport{Benchmark: b.Name, States: n.NumStates(), InputBytes: len(input)}
 
 	// Total request count is fixed across rows so every concurrency level
 	// does the same work; clients split it evenly.
@@ -104,6 +103,12 @@ func ServeSpeedReport(o Options) (*ServeReport, error) {
 			cell.SpeedupVs1 = 1
 		}
 		rep.Cells = append(rep.Cells, cell)
+	}
+	// Every request went through the serving stack: its match counter holds
+	// each cell's warm-up and measured budget.
+	want := int64(len(rep.Cells) * (totalRequests + 1))
+	if got := reg.Snapshot().Counters["serve_match_requests_total"]; got != want {
+		return nil, fmt.Errorf("exp: the server counted %d match requests, the sweep sent %d", got, want)
 	}
 	return rep, nil
 }

@@ -3,8 +3,6 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"impala/internal/obs"
 )
 
 // serveTiny keeps the HTTP sweep sub-second: one small benchmark, small
@@ -14,10 +12,7 @@ func serveTiny() Options {
 }
 
 func TestServeSpeedReport(t *testing.T) {
-	reg := obs.NewRegistry()
-	o := serveTiny()
-	o.Metrics = reg
-	rep, err := ServeSpeedReport(o)
+	rep, err := ServeSpeedReport(serveTiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,16 +35,6 @@ func TestServeSpeedReport(t *testing.T) {
 	}
 	if rep.Cells[0].SpeedupVs1 != 1 {
 		t.Fatalf("first cell speedup %v, want 1", rep.Cells[0].SpeedupVs1)
-	}
-	// Every request went through the serving stack: the match counter must
-	// account for warm-ups plus the measured budget in each cell.
-	total := reg.Snapshot().Counters["serve_match_requests_total"]
-	var want int64
-	for _, c := range rep.Cells {
-		want += int64(c.Requests) + 1 // +1 warm-up per cell
-	}
-	if total != want {
-		t.Fatalf("serve_match_requests_total %d, want %d", total, want)
 	}
 }
 

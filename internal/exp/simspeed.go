@@ -18,9 +18,9 @@ import (
 // which is why the mesh benchmarks gain the most.
 func SimulatorSpeed(o Options) ([]*Table, error) {
 	o = o.withDefaults()
-	names := o.Benchmarks
-	if len(names) == 0 {
-		names = []string{"Bro217", "ExactMatch", "Dotstar06", "Ranges05", "Hamming", "Levenshtein", "Snort"}
+	suite, err := o.suite("Bro217", "ExactMatch", "Dotstar06", "Ranges05", "Hamming", "Levenshtein", "Snort")
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		Title: "Functional simulator engines: scalar reference vs bit-parallel compiled (one core)",
@@ -29,11 +29,7 @@ func SimulatorSpeed(o Options) ([]*Table, error) {
 	}
 	inputBytes := o.InputKB * 1024
 
-	for _, name := range names {
-		b, ok := workload.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown benchmark %q", name)
-		}
+	for _, b := range suite {
 		n, err := o.generate(b)
 		if err != nil {
 			return nil, err
@@ -57,7 +53,7 @@ func SimulatorSpeed(o Options) ([]*Table, error) {
 		ce.Run(input, nil)
 		compiledMBs := float64(len(input)) / time.Since(t0).Seconds() / 1e6
 
-		t.AddRow(name,
+		t.AddRow(b.Name,
 			fmt.Sprint(n.NumStates()),
 			fmt.Sprint(c.ResidualStates()),
 			f1(stats.ActivePerCycleAvg),
@@ -67,7 +63,7 @@ func SimulatorSpeed(o Options) ([]*Table, error) {
 	t.AddNote("compiled = per-position symbol mask tables (word-AND match phase) + dense successor matrix (wired-OR transition phase)")
 	t.AddNote("residual = states whose multi-rect match set is not position-decomposable, matched on the scalar fallback path")
 
-	sweep, err := streamingSweep(o, names[0])
+	sweep, err := streamingSweep(o, suite[0])
 	if err != nil {
 		return nil, err
 	}
@@ -79,11 +75,7 @@ func SimulatorSpeed(o Options) ([]*Table, error) {
 // matcher — reporting throughput and the allocation cost per Feed call
 // (which must be zero in steady state: all scratch buffers are
 // session-owned and reports go through the sink in place).
-func streamingSweep(o Options, name string) (*Table, error) {
-	b, ok := workload.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown benchmark %q", name)
-	}
+func streamingSweep(o Options, b workload.Benchmark) (*Table, error) {
 	n, err := o.generate(b)
 	if err != nil {
 		return nil, err
@@ -95,7 +87,7 @@ func streamingSweep(o Options, name string) (*Table, error) {
 	}
 
 	t := &Table{
-		Title:  fmt.Sprintf("Streaming session chunk-size sweep (%s, compiled engine)", name),
+		Title:  fmt.Sprintf("Streaming session chunk-size sweep (%s, compiled engine)", b.Name),
 		Header: []string{"chunk bytes", "MB/s", "allocs/op", "B/op"},
 	}
 	reports := 0

@@ -19,9 +19,9 @@ import (
 // mode) are reported as such.
 func SoftwareBaseline(o Options) ([]*Table, error) {
 	o = o.withDefaults()
-	names := o.Benchmarks
-	if len(names) == 0 {
-		names = []string{"Bro217", "ExactMatch", "Ranges05", "Hamming", "CoreRings", "Snort"}
+	suite, err := o.suite("Bro217", "ExactMatch", "Ranges05", "Hamming", "CoreRings", "Snort")
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		Title: "Software baselines vs Impala line rate (this host CPU, one core)",
@@ -31,11 +31,7 @@ func SoftwareBaseline(o Options) ([]*Table, error) {
 	inputBytes := o.InputKB * 1024
 	impalaGBs := arch.Design{Arch: arch.Impala, Bits: 4, Stride: 4}.ThroughputGbps() / 8
 
-	for _, name := range names {
-		b, ok := workload.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown benchmark %q", name)
-		}
+	for _, b := range suite {
 		n, err := o.generate(b)
 		if err != nil {
 			return nil, err
@@ -66,7 +62,7 @@ func SoftwareBaseline(o Options) ([]*Table, error) {
 		d, err := dfa.Build(n, dfa.Options{MaxStates: 1 << 16})
 		if err != nil {
 			if errors.Is(err, dfa.ErrStateBlowup) {
-				t.AddRow(name, "BLOWUP", "-", "-", f1(nfaMBs), f1(bitparMBs), "-")
+				t.AddRow(b.Name, "BLOWUP", "-", "-", f1(nfaMBs), f1(bitparMBs), "-")
 				continue
 			}
 			return nil, err
@@ -75,7 +71,7 @@ func SoftwareBaseline(o Options) ([]*Table, error) {
 		d.Scan(input)
 		dfaMBs := float64(len(input)) / time.Since(t0).Seconds() / 1e6
 
-		t.AddRow(name,
+		t.AddRow(b.Name,
 			fmt.Sprint(d.NumStates()),
 			fmt.Sprintf("%.1f MB", float64(d.TableBytes())/1e6),
 			f1(dfaMBs), f1(nfaMBs), f1(bitparMBs),

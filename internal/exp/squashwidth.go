@@ -1,11 +1,6 @@
 package exp
 
-import (
-	"fmt"
-
-	"impala/internal/core"
-	"impala/internal/workload"
-)
+import "impala/internal/core"
 
 // SquashWidth reproduces the §4.2 claim that 4-bit is the squashing sweet
 // spot: at a fixed 16-bit processing rate, compare 2-bit (8 sub-symbols per
@@ -14,9 +9,9 @@ import (
 // memory cells per original state.
 func SquashWidth(o Options) ([]*Table, error) {
 	o = o.withDefaults()
-	names := o.Benchmarks
-	if len(names) == 0 {
-		names = []string{"Bro217", "ExactMatch", "Dotstar06", "Ranges05", "Hamming", "CoreRings"}
+	suite, err := o.suite("Bro217", "ExactMatch", "Dotstar06", "Ranges05", "Hamming", "CoreRings")
+	if err != nil {
+		return nil, err
 	}
 
 	type width struct {
@@ -38,16 +33,12 @@ func SquashWidth(o Options) ([]*Table, error) {
 	}
 	sums := make([]float64, 9)
 	count := 0
-	for _, name := range names {
-		b, ok := workload.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown benchmark %q", name)
-		}
+	for _, b := range suite {
 		n, err := o.generate(b)
 		if err != nil {
 			return nil, err
 		}
-		row := []string{name}
+		row := []string{b.Name}
 		for wi, w := range widths {
 			res, err := core.Compile(n, core.Config{TargetBits: w.bits, StrideDims: w.dims})
 			if err != nil {

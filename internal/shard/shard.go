@@ -50,8 +50,8 @@ type Options struct {
 
 // Plan is the sealed record of a shard partition: which shard each
 // connected component executes on. It is deterministic for a fixed
-// automaton and shard count, so artifacts carry it and the regression gate
-// compares it exactly.
+// automaton and shard count, so artifacts carry it and the plan table holds
+// it exactly.
 type Plan struct {
 	// Shards is the shard count K.
 	Shards int
