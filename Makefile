@@ -63,15 +63,18 @@ bench-build:
 # and untiered at K = 1, 2, 4 — BenchmarkShardedRun — the /match and
 # /stream handlers through a null ResponseWriter — BenchmarkMatchHandler and
 # BenchmarkStreamHandler, ns/row and allocs/op — and the facade's, LoadMachine
-# on four sealed Snort compositions — BenchmarkLoadMachine, ns/op, B/op,
-# allocs/op and held-KB) run only when someone asks for them; one iteration
-# each keeps them compiling and running.
+# on four sealed Snort compositions and on the tiered Hamming meshes of
+# hamming_tier_match, whose artifact is almost all DFA tables —
+# BenchmarkLoadMachine, ns/op, B/op, allocs/op and held-KB) run only when
+# someone asks for them; one iteration each keeps them compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/core ./internal/bitvec ./internal/score ./internal/dfa ./internal/shard ./internal/server .
 
 # Ten seconds of native fuzzing per target: the artifact boundary (Load,
 # walking each section's layout, never panics, stays inside its allocation
-# budget, and saves back what it accepts; seeded with the v7 golden files),
+# budget, and saves back what it accepts; seeded with the v7 golden files and
+# with tiered artifacts at 2-, 4- and 8-bit geometry, so the DFAT decode's
+# four-entry reads meet 4-, 16- and 256-entry rows),
 # the facade over it (FuzzLoadMachine, the target that covers plan
 # consistency, which Load leaves to the unseal checks: seeded with every
 # TestLoadRefusesBrokenPlans row, LoadMachine and every domain's

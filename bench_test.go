@@ -212,25 +212,33 @@ func BenchmarkMachineThroughput(b *testing.B) {
 
 // BenchmarkLoadMachine measures LoadMachine on the Snort rules at scale 0.01
 // sealed four ways — plain, tiered, tiered in 4 shards on a two-domain
-// topology, and scored — in ns/op, B/op and allocs/op, and reports as held-KB
-// the heap one loaded machine keeps once the load's garbage is collected.
+// topology, and scored — and on the Hamming meshes at scale 0.03 tiered,
+// whose artifact is almost all union-DFA tables, in ns/op, B/op and
+// allocs/op, and reports as held-KB the heap one loaded machine keeps once
+// the load's garbage is collected.
 func BenchmarkLoadMachine(b *testing.B) {
-	bench, _ := workload.Get("Snort")
-	n, err := bench.Generate(0.01, 1)
-	if err != nil {
-		b.Fatal(err)
+	generate := func(name string, scale float64) *automata.NFA {
+		bench, _ := workload.Get(name)
+		n, err := bench.Generate(scale, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return n
 	}
+	snort, hamming := generate("Snort", 0.01), generate("Hamming", 0.03)
 	for _, c := range []struct {
 		name string
+		n    *automata.NFA
 		cfg  impala.Config
 	}{
-		{"plain", impala.Config{StrideDims: 4}},
-		{"tiered", impala.Config{StrideDims: 4, Tier: true}},
-		{"4 shards, tiered, topology", impala.Config{StrideDims: 4, Tier: true, Shards: 4}},
-		{"scored", impala.Config{StrideDims: 4, Score: simtest.RandomWeights(n, 1)}},
+		{"plain", snort, impala.Config{StrideDims: 4}},
+		{"tiered", snort, impala.Config{StrideDims: 4, Tier: true}},
+		{"4 shards, tiered, topology", snort, impala.Config{StrideDims: 4, Tier: true, Shards: 4}},
+		{"scored", snort, impala.Config{StrideDims: 4, Score: simtest.RandomWeights(snort, 1)}},
+		{"Hamming, tiered", hamming, impala.Config{StrideDims: 4, Tier: true}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			m, err := impala.CompileAutomaton(n, c.cfg)
+			m, err := impala.CompileAutomaton(c.n, c.cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -48,9 +48,11 @@
 // the property tests, FuzzLoad and the v7 golden files in testdata/v7 pin.
 //
 // Every Load validates the magic, version, CRC and all structural bounds
-// before returning; Stat decodes only the rows the table marks for it (META
-// and STAG), still CRC-checking the whole file, so header inspection of a
-// multi-megabyte artifact does not decode the automaton.
+// before returning. A DFA phase table is read once: the loop that decodes it,
+// four entries a read, also finds its largest successor, and the DFAT layout
+// refuses the table on that maximum. Stat decodes only the rows the table
+// marks for it (META and STAG), still CRC-checking the whole file, so header
+// inspection of a multi-megabyte artifact does not decode the automaton.
 package artifact
 
 import (
@@ -716,17 +718,33 @@ func (c *codec) f64(v *float64) {
 	}
 }
 
-// u16s walks a run of uint16 fields — a DFA phase table — in bulk.
-func (c *codec) u16s(v []uint16) {
+// table walks a DFA phase table — whole rows of 1<<Bits ≥ 4 uint16
+// successors — in bulk: Save grows the buffer once for it, Load reads it four
+// entries (8 bytes) at a time and returns its largest entry, with which the
+// layout range-checks every successor without a second pass.
+func (c *codec) table(v []uint16) uint16 {
 	if !c.load {
-		for _, x := range v {
-			c.b = binary.LittleEndian.AppendUint16(c.b, x)
+		at := len(c.b)
+		c.b = slices.Grow(c.b, 2*len(v))[:at+2*len(v)]
+		for i, x := range v {
+			binary.LittleEndian.PutUint16(c.b[at+2*i:], x)
 		}
-	} else if p := c.next(2 * len(v)); p != nil {
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint16(p[2*i:])
-		}
+		return 0
 	}
+	p := c.next(2 * len(v))
+	if p == nil {
+		return 0
+	}
+	// One running maximum per lane keeps the four compares independent.
+	var m0, m1, m2, m3 uint16
+	for len(v) >= 4 && len(p) >= 8 {
+		w := binary.LittleEndian.Uint64(p)
+		a, b, d, e := uint16(w), uint16(w>>16), uint16(w>>32), uint16(w>>48)
+		v[0], v[1], v[2], v[3] = a, b, d, e
+		m0, m1, m2, m3 = max(m0, a), max(m1, b), max(m2, d), max(m3, e)
+		v, p = v[4:], p[8:]
+	}
+	return max(m0, m1, m2, m3)
 }
 
 // rect walks a match rect, each dimension a raw 256-bit mask, in bulk.
@@ -1040,7 +1058,8 @@ func layoutTierPlan(c *codec, p *dfa.Plan) {
 // DFAT layout: geometry and start state; the state count of every stride
 // phase and the report-entry count — with which the section's length is
 // fixed, and checked before anything is allocated —; then the phase tables
-// (uint16 successors, an index within the next phase), one 16-byte record
+// (uint16 successors, an index within the next phase, each table's largest
+// checked against that phase's count as it is read), one 16-byte record
 // per cycle-boundary state, and the flat report entries. The tables are the
 // resident form byte for byte.
 const (
@@ -1097,8 +1116,12 @@ func layoutDFATable(c *codec, t **dfa.DFA) {
 		r.Cycles = make([]dfa.CycleState, counts[0])
 		r.Entries = make([]dfa.ReportEntry, ne)
 	}
-	for _, tab := range r.Tab {
-		c.u16s(tab)
+	for p, tab := range r.Tab {
+		top := c.table(tab)
+		// A full phase makes every uint16 a valid successor.
+		if n := counts[(p+1)%r.Stride]; c.load && len(tab) > 0 && n < dfa.MaxPhaseStates && int(top) >= n {
+			c.fail("DFAT phase %d successor %d out of range [0,%d)", p, top, n)
+		}
 	}
 	for i := range r.Cycles {
 		cs := &r.Cycles[i]

@@ -78,6 +78,10 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	scoredTiered, _ := buildScoredArtifact(t, core.Config{Tier: tier})
 	scoredSharded, _ := buildScoredArtifact(t, core.Config{Tier: tier, Shards: 3})
 	cam, _ := buildCamArtifact(t, "Bro217")
+	// The DFAT decode reads a phase table four entries at a time: 2-bit
+	// tables are rows of exactly one such read, 8-bit ones of 64.
+	tiered2, _ := buildTieredArtifactAt(t, 2, 4)
+	tiered8, _ := buildTieredArtifactAt(t, 8, 1)
 	var seeds [][]byte
 	for _, tc := range containerCases(t, saveBytes(t, plain)) {
 		seeds = append(seeds, tc.mut())
@@ -85,7 +89,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	seeds = append(seeds, emptyGroupsSeed(t, saveBytes(t, plain), 200))
 	_, goldens := goldenFiles(t)
 	seeds = append(seeds, goldens...)
-	for _, a := range []*Artifact{plain, tiered, sharded, shardTiered, buildTopoArtifact(t), scored, scoredTiered, scoredSharded, cam} {
+	for _, a := range []*Artifact{plain, tiered, sharded, shardTiered, buildTopoArtifact(t), scored, scoredTiered, scoredSharded, cam, tiered2, tiered8} {
 		raw := saveBytes(t, a)
 		seeds = append(seeds, raw)
 		_, chunks := sections(t, raw)

@@ -18,8 +18,15 @@ import (
 
 // buildTieredArtifact compiles a rule set whose tier plan is mixed (one
 // component blows the CC budget, the literals determinize) and seals the
-// plan into the artifact.
+// plan into the artifact: 4-bit sub-symbols, two a cycle.
 func buildTieredArtifact(t testing.TB) (*Artifact, *automata.NFA) {
+	return buildTieredArtifactAt(t, 4, 2)
+}
+
+// buildTieredArtifactAt is buildTieredArtifact at another geometry: bits per
+// sub-symbol (the DFA tables' rows hold 1<<bits entries) and sub-symbols a
+// cycle.
+func buildTieredArtifactAt(t testing.TB, bits, dims int) (*Artifact, *automata.NFA) {
 	t.Helper()
 	n := regexc.MustCompile([]regexc.Rule{
 		{Pattern: "a.{12}b", Code: 1},
@@ -27,7 +34,7 @@ func buildTieredArtifact(t testing.TB) (*Artifact, *automata.NFA) {
 		{Pattern: "keyword", Code: 3},
 	})
 	res, err := core.Compile(n, core.Config{
-		TargetBits: 4, StrideDims: 2,
+		TargetBits: bits, StrideDims: dims,
 		Tier: &dfa.TierOptions{CCMaxStates: 1024, MinStateShare: -1},
 	})
 	if err != nil {
@@ -183,13 +190,24 @@ func TestTierCorruptionPaths(t *testing.T) {
 	tables := hdr + 4*stride + 4
 	cycles := tables + 2*r.NumStates()<<r.Bits
 	reporting := slices.IndexFunc(r.Cycles, func(c dfa.CycleState) bool { return c.NRep > 0 })
+	last := tables + 2*len(r.Tab[0]) // the last phase's table
 	for name, edit := range map[string]func(p []byte){
-		// A successor equal to its target phase's count.
+		// A successor equal to its target phase's count. The decode reads a
+		// table four entries at a time, so the rows put one in each lane.
 		"DFAT successor out of range": func(p []byte) {
 			binary.LittleEndian.PutUint16(p[tables:], uint16(rows1))
 		},
+		"DFAT successor out of range at index 1 of phase 0": func(p []byte) {
+			binary.LittleEndian.PutUint16(p[tables+2:], uint16(rows1))
+		},
+		"DFAT successor out of range in phase 0's last entry": func(p []byte) {
+			binary.LittleEndian.PutUint16(p[last-2:], uint16(rows1))
+		},
 		"DFAT last-phase successor past the cycle-boundary states": func(p []byte) {
-			binary.LittleEndian.PutUint16(p[tables+2*len(r.Tab[0]):], uint16(rows0))
+			binary.LittleEndian.PutUint16(p[last:], uint16(rows0))
+		},
+		"DFAT last-phase successor out of range at index 2 mod 4": func(p []byte) {
+			binary.LittleEndian.PutUint16(p[last+2*(len(r.Tab[1])-2):], uint16(rows0))
 		},
 		"DFAT phase count above 65,536": func(p []byte) {
 			binary.LittleEndian.PutUint32(p[hdr:], dfa.MaxPhaseStates+1)

@@ -440,11 +440,11 @@ func (t *Tiered) AppendRun(dst []sim.Report, input []byte) ([]sim.Report, sim.St
 }
 
 // Sealed is the serialization form of a tier selection: the plan plus the
-// union DFA, already checked — FromRaw's structural bounds hold, whether it
-// was determinized or decoded. The NFA tier is not serialized — it is
-// rebuilt from the automaton and the plan on load (the artifact already
-// carries the automaton; the DFA tables are the part that is expensive to
-// recompute).
+// union DFA, already checked, whether it was determinized or decoded — a
+// decoded one's successors by the DFAT decode loop, the rest of its bounds
+// by FromRaw. The NFA tier is not serialized — it is rebuilt from the
+// automaton and the plan on load (the artifact already carries the
+// automaton; the DFA tables are the part that is expensive to recompute).
 type Sealed struct {
 	Plan Plan
 	DFA  *DFA // nil when no DFA tier
@@ -506,8 +506,8 @@ func UnsealComponents(ccs [][]automata.StateID, bits, stride int, s *Sealed) (*S
 			nfaIDs = append(nfaIDs, cc...)
 		}
 	}
-	sort.Slice(dfaIDs, func(a, b int) bool { return dfaIDs[a] < dfaIDs[b] })
-	sort.Slice(nfaIDs, func(a, b int) bool { return nfaIDs[a] < nfaIDs[b] })
+	slices.Sort(dfaIDs)
+	slices.Sort(nfaIDs)
 
 	if (s.DFA == nil) != (len(dfaIDs) == 0) {
 		return nil, fmt.Errorf("dfa: sealed DFA tables inconsistent with plan")

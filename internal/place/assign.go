@@ -100,7 +100,7 @@ func EvolveAssign(spec AssignSpec, seed []int, opts Options) []int {
 			broods[i] = brood{a: tournament(), b: tournament(), seed: r.Int63()}
 		}
 		par.TraceFor(nil, "place/assign-generation", opts.Workers, len(broods), func(i int) {
-			cr := rand.New(rand.NewSource(broods[i].seed))
+			cr := childRand(broods[i].seed)
 			child := cloneAssign(broods[i].a.assign)
 			for g := range child {
 				if cr.Intn(2) == 1 {

@@ -653,7 +653,8 @@ func repair(p *problem, ind *individual, r *rand.Rand, sweeps int) *individual {
 // bounded worker pool. Determinism is preserved by splitting the randomness:
 // parent selection and one child seed per slot are drawn serially from the
 // master stream, then each child runs crossover/mutation/repair on its own
-// RNG — the resulting population is byte-identical for every worker count.
+// RNG (a childRand) — the resulting population is byte-identical for every
+// worker count.
 func evolve(p *problem, seedInd *individual, r *rand.Rand, opts Options) *individual {
 	pop := make([]*individual, opts.Population)
 	pop[0] = seedInd.clone()
@@ -699,7 +700,7 @@ func evolve(p *problem, seedInd *individual, r *rand.Rand, opts Options) *indivi
 		// document) while still feeding the pool-utilization counters when
 		// par.EnableMetrics is on.
 		par.TraceFor(nil, "place/ga-generation", opts.Workers, len(broods), func(i int) {
-			cr := rand.New(rand.NewSource(broods[i].seed))
+			cr := childRand(broods[i].seed)
 			child := orderedCrossover(broods[i].a, broods[i].b, cr)
 			mutate(p, child, cr)
 			child.eval(p)
@@ -718,6 +719,29 @@ func evolve(p *problem, seedInd *individual, r *rand.Rand, opts Options) *indivi
 	}
 	return best
 }
+
+// childRand is the generator one GA child draws from, seeded from the
+// master stream. Its source is SplitMix64, one word of state: math/rand's
+// default source fills a 607-word table on every seeding, which cost more
+// than building and scoring a small placement's child.
+func childRand(seed int64) *rand.Rand {
+	s := splitMix64(seed)
+	return rand.New(&s)
+}
+
+// splitMix64 is the SplitMix64 generator as a rand.Source64.
+type splitMix64 uint64
+
+func (s *splitMix64) Uint64() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+func (s *splitMix64) Int63() int64    { return int64(s.Uint64() >> 1) }
+func (s *splitMix64) Seed(seed int64) { *s = splitMix64(seed) }
 
 // orderedCrossover swaps a random interval of the slot sequence between two
 // parents while keeping every state placed exactly once (OX on the
