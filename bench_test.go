@@ -451,7 +451,7 @@ func BenchmarkSoftwareDFA(b *testing.B) {
 	b.SetBytes(int64(len(input)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Scan(input)
+		d.Run(input)
 	}
 	b.ReportMetric(float64(d.NumStates()), "dfa_states")
 }

@@ -32,9 +32,12 @@
 // target's own sealed section; its name is a trailing META field), "TIER"
 // and "DFAT" (the tier-selection stage: the per-component DFA/NFA plan and
 // the union DFA's tables in the form they execute in — one uint16 table per
-// stride phase, one record per cycle-boundary state, one flat report-entry
-// array), "SHRD" (the shard-plan stage: the component-to-shard partition and
-// each shard's tier seal as nested TIER/DFAT blobs), "TOPO" (the cluster
+// stride phase, or per byte of the cycle for a DFA that steps bytes, one
+// record per cycle-boundary state, one flat report-entry array; the step is a
+// header byte, which Load holds to the step the class map of AUTM's rects
+// takes, a map it derives rather than reads), "SHRD" (the shard-plan stage:
+// the component-to-shard partition and each shard's tier seal as nested
+// TIER/DFAT blobs), "TOPO" (the cluster
 // placement: the normalized topology and the shard-to-domain assignment) and
 // "SCOR" (the per-transition weight table and report threshold). A row may
 // name one section it needs and one it refuses; there are three such rules
@@ -45,14 +48,15 @@
 // is canonical: Save output is deterministic, and Load accepts only what
 // Save writes — sections in the table's order, reserved and padding bytes
 // zero, flags 0 or 1 — so whatever loads saves back byte-identically, which
-// the property tests, FuzzLoad and the v7 golden files in testdata/v7 pin.
+// the property tests, FuzzLoad and the v8 golden files in testdata/v8 pin.
 //
 // Every Load validates the magic, version, CRC and all structural bounds
-// before returning. A DFA phase table is read once: the loop that decodes it,
-// four entries a read, also finds its largest successor, and the DFAT layout
-// refuses the table on that maximum. Stat decodes only the rows the table
-// marks for it (META and STAG), still CRC-checking the whole file, so header
-// inspection of a multi-megabyte artifact does not decode the automaton.
+// before returning. A DFA table is read once: the loop that decodes it, four
+// entries a read, also finds its largest successor, and the DFAT layout
+// refuses the table on that maximum; its fixed-size records are walked in
+// bulk (codec.records). Stat decodes only the rows the table marks for it
+// (META and STAG), still CRC-checking the whole file, so header inspection of
+// a multi-megabyte artifact does not decode the automaton.
 package artifact
 
 import (
@@ -80,10 +84,11 @@ import (
 // Version is the current container version. Load accepts only this
 // version: the format carries compiled internals, so cross-version
 // compatibility is a recompile, not a migration. Versions 2 to 5 added
-// TIER/DFAT, SHRD, TOPO and SCOR in turn, 6 the phase-split DFAT layout, and
-// 7 drops META's copies of the tier, shard and score plans and lets SCOR
-// ride beside TIER and SHRD.
-const Version = 7
+// TIER/DFAT, SHRD, TOPO and SCOR in turn, 6 the phase-split DFAT layout, 7
+// drops META's copies of the tier, shard and score plans and lets SCOR ride
+// beside TIER and SHRD, and 8 seals a DFA that steps bytes with one table per
+// byte of the cycle, its step in DFAT's header.
+const Version = 8
 
 var magic = [6]byte{'I', 'M', 'P', 'A', 'L', 'A'}
 
@@ -133,7 +138,7 @@ var sectionTable = []section{
 		},
 		has: func(a *Artifact) bool { return a.Tier != nil }},
 	{id: "DFAT", needs: "TIER", why: "the tables are the tier plan's DFA",
-		layout: func(c *codec, a *Artifact) { layoutDFATable(c, &a.Tier.DFA) },
+		layout: func(c *codec, a *Artifact) { layoutDFATable(c, a, &a.Tier.DFA) },
 		has:    func(a *Artifact) bool { return a.Tier != nil && a.Tier.DFA != nil }},
 	{id: "SHRD", layout: layoutShardPlan,
 		has: func(a *Artifact) bool { return a.Shards != nil }},
@@ -244,6 +249,9 @@ type Artifact struct {
 	// memory.
 	size     int64
 	sections map[string]int64
+	// classes is NFA's class map, derived when the first DFAT decodes: every
+	// sealed DFA, a shard's included, steps by it.
+	classes *dfa.Classes
 }
 
 // SetBackend stamps the artifact with its compile target and the backend's
@@ -747,6 +755,80 @@ func (c *codec) table(v []uint16) uint16 {
 	return max(m0, m1, m2, m3)
 }
 
+// records walks n records of size bytes each in bulk — Save grows the buffer
+// once for them, Load takes their bytes in one read — and hands each to walk,
+// which states the record's fields at their offsets once for both
+// directions (record). n must be bounded already (count, bound).
+func (c *codec) records(n, size int, walk func(r *record, i int)) {
+	r := &record{load: c.load}
+	var b []byte
+	if !c.load {
+		at := len(c.b)
+		c.b = slices.Grow(c.b, n*size)[:at+n*size]
+		b = c.b[at:]
+	} else if b = c.next(n * size); b == nil {
+		return
+	}
+	for i := 0; i < n; i++ {
+		r.b = b[i*size:][:size]
+		walk(r, i)
+	}
+	if r.bad {
+		c.fail("non-zero record padding")
+	}
+}
+
+// record is one fixed-size record of a records walk: its field functions
+// write a field into b on Save and read it from b on Load, at the field's
+// offset, with no bounds to check beyond the record's own.
+type record struct {
+	load, bad bool
+	b         []byte
+}
+
+func rec32[T ~uint32 | ~int32 | ~int](r *record, off int, v *T) {
+	if r.load {
+		*v = T(binary.LittleEndian.Uint32(r.b[off:]))
+	} else {
+		binary.LittleEndian.PutUint32(r.b[off:], uint32(*v))
+	}
+}
+
+// reci32 is rec32 for an int written from an int32: Load sign-extends it.
+func reci32(r *record, off int, v *int) {
+	if r.load {
+		*v = int(int32(binary.LittleEndian.Uint32(r.b[off:])))
+	} else {
+		binary.LittleEndian.PutUint32(r.b[off:], uint32(int32(*v)))
+	}
+}
+
+func rec16[T ~uint16](r *record, off int, v *T) {
+	if r.load {
+		*v = T(binary.LittleEndian.Uint16(r.b[off:]))
+	} else {
+		binary.LittleEndian.PutUint16(r.b[off:], uint16(*v))
+	}
+}
+
+func rec8[T ~uint8](r *record, off int, v *T) {
+	if r.load {
+		*v = T(r.b[off])
+	} else {
+		r.b[off] = uint8(*v)
+	}
+}
+
+// pad is a reserved byte: zero on Save, and Load refuses the walk when it is
+// not.
+func (r *record) pad(off int) {
+	if r.load {
+		r.bad = r.bad || r.b[off] != 0
+	} else {
+		r.b[off] = 0
+	}
+}
+
 // rect walks a match rect, each dimension a raw 256-bit mask, in bulk.
 func (c *codec) rect(r automata.Rect) {
 	if !c.load {
@@ -1055,19 +1137,22 @@ func layoutTierPlan(c *codec, p *dfa.Plan) {
 	u32(c, &p.UnionBudget)
 }
 
-// DFAT layout: geometry and start state; the state count of every stride
-// phase and the report-entry count — with which the section's length is
-// fixed, and checked before anything is allocated —; then the phase tables
-// (uint16 successors, an index within the next phase, each table's largest
-// checked against that phase's count as it is read), one 16-byte record
-// per cycle-boundary state, and the flat report entries. The tables are the
-// resident form byte for byte.
+// DFAT layout: geometry, step and start state; the state count of every
+// table — one per Step sub-symbols of the cycle — and the report-entry count,
+// with which the section's length is fixed, and checked before anything is
+// allocated; then the tables (uint16 successors, an index within the next
+// table's phase, each table's largest checked against that phase's count as
+// it is read), one 16-byte record per cycle-boundary state, and the flat
+// 12-byte report entries. The tables are the resident form byte for byte. The
+// step is not the DFAT's to choose: it is the one the automaton's class map
+// takes (dfa.ClassesOf over AUTM), which Load derives and holds the section
+// to.
 const (
 	dfatCycleBytes = 16 // enabled, active, rep (4 each), nrep (2), parity, pad
 	dfatEntryBytes = 12 // state, code, offset
 )
 
-func layoutDFATable(c *codec, t **dfa.DFA) {
+func layoutDFATable(c *codec, a *Artifact, t **dfa.DFA) {
 	r := &dfa.Raw{}
 	if !c.load {
 		r = (*t).Raw()
@@ -1075,28 +1160,35 @@ func layoutDFATable(c *codec, t **dfa.DFA) {
 	u8(c, &r.Bits)
 	u8(c, &r.Stride)
 	c.flag(&r.AnyEven)
-	c.pad(1)
+	u8(c, &r.Step)
 	u16(c, &r.Start)
 	c.pad(2)
-	if c.load && c.ok() && r.Bits != 2 && r.Bits != 4 && r.Bits != 8 {
-		c.fail("DFAT bits %d", r.Bits)
-	}
-	if c.load && c.ok() && (r.Stride < 1 || r.Stride > 64) {
-		c.fail("DFAT stride %d", r.Stride)
+	if c.load && c.ok() {
+		if a.classes == nil && a.NFA != nil {
+			a.classes = dfa.ClassesOf(a.NFA)
+		}
+		switch r.Classes = a.classes; {
+		case r.Classes == nil:
+			c.fail("DFAT before AUTM")
+		case r.Bits != a.NFA.Bits || r.Stride != a.NFA.Stride:
+			c.fail("DFAT geometry %d/%d, the automaton's %d/%d", r.Bits, r.Stride, a.NFA.Bits, a.NFA.Stride)
+		case r.Step != r.Classes.Step():
+			c.fail("DFAT steps %d sub-symbols a lookup, the automaton's classes %d", r.Step, r.Classes.Step())
+		}
 	}
 	if !c.ok() {
 		return
 	}
-	counts, states := make([]int, r.Stride), 0
-	for p := range counts {
+	counts, states := make([]int, r.Stride/r.Step), 0
+	for q := range counts {
 		if !c.load {
-			counts[p] = len(r.Tab[p]) >> r.Bits
+			counts[q] = len(r.Tab[q]) >> r.Bits
 		}
-		u32(c, &counts[p])
-		if c.load && counts[p] > dfa.MaxPhaseStates {
-			c.fail("DFAT phase %d claims %d states", p, counts[p])
+		u32(c, &counts[q])
+		if c.load && counts[q] > dfa.MaxPhaseStates {
+			c.fail("DFAT table %d claims %d states", q, counts[q])
 		}
-		states += counts[p]
+		states += counts[q]
 	}
 	ne := len(r.Entries)
 	u32(c, &ne)
@@ -1109,35 +1201,35 @@ func layoutDFATable(c *codec, t **dfa.DFA) {
 			return
 		}
 		all := make([]uint16, states<<r.Bits)
-		r.Tab = make([][]uint16, r.Stride)
-		for p, n := range counts {
-			r.Tab[p], all = all[:n<<r.Bits:n<<r.Bits], all[n<<r.Bits:]
+		r.Tab = make([][]uint16, len(counts))
+		for q, n := range counts {
+			r.Tab[q], all = all[:n<<r.Bits:n<<r.Bits], all[n<<r.Bits:]
 		}
 		r.Cycles = make([]dfa.CycleState, counts[0])
 		r.Entries = make([]dfa.ReportEntry, ne)
 	}
-	for p, tab := range r.Tab {
+	for q, tab := range r.Tab {
 		top := c.table(tab)
 		// A full phase makes every uint16 a valid successor.
-		if n := counts[(p+1)%r.Stride]; c.load && len(tab) > 0 && n < dfa.MaxPhaseStates && int(top) >= n {
-			c.fail("DFAT phase %d successor %d out of range [0,%d)", p, top, n)
+		if n := counts[(q+1)%len(counts)]; c.load && len(tab) > 0 && n < dfa.MaxPhaseStates && int(top) >= n {
+			c.fail("DFAT table %d successor %d out of range [0,%d)", q, top, n)
 		}
 	}
-	for i := range r.Cycles {
+	c.records(len(r.Cycles), dfatCycleBytes, func(rc *record, i int) {
 		cs := &r.Cycles[i]
-		u32(c, &cs.Enabled)
-		u32(c, &cs.Active)
-		u32(c, &cs.Rep)
-		u16(c, &cs.NRep)
-		u8(c, &cs.Parity)
-		c.pad(1)
-	}
-	for i := range r.Entries {
+		rec32(rc, 0, &cs.Enabled)
+		rec32(rc, 4, &cs.Active)
+		rec32(rc, 8, &cs.Rep)
+		rec16(rc, 12, &cs.NRep)
+		rec8(rc, 14, &cs.Parity)
+		rc.pad(15)
+	})
+	c.records(len(r.Entries), dfatEntryBytes, func(rc *record, i int) {
 		en := &r.Entries[i]
-		u32(c, &en.State)
-		i32(c, &en.Code)
-		u32(c, &en.Offset)
-	}
+		rec32(rc, 0, &en.State)
+		reci32(rc, 4, &en.Code)
+		rec32(rc, 8, &en.Offset)
+	})
 	if c.load && c.ok() {
 		d, err := dfa.FromRaw(r)
 		if err != nil {
@@ -1182,7 +1274,7 @@ func layoutShardPlan(c *codec, a *Artifact) {
 		c.nest(func(c *codec) { layoutTierPlan(c, &tier.Plan) })
 		table := tier.DFA != nil
 		if c.flag(&table); table {
-			c.nest(func(c *codec) { layoutDFATable(c, &tier.DFA) })
+			c.nest(func(c *codec) { layoutDFATable(c, a, &tier.DFA) })
 		}
 		if !c.ok() {
 			c.err = fmt.Errorf("shard %d: %w", k, c.err)

@@ -64,7 +64,7 @@ func loadAlloc(data []byte) (*Artifact, uint64, error) {
 }
 
 // fuzzSeeds is the corpus FuzzLoad starts from: one sealed artifact per
-// optional section, the v7 goldens, the container-level corruption matrix,
+// optional section, the v8 goldens, the container-level corruption matrix,
 // and for every section of every artifact the mutations the per-section
 // matrices are made of — payload cut short, leading count field lying, a bit
 // flipped inside, the section dropped.
@@ -82,14 +82,16 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	// tables are rows of exactly one such read, 8-bit ones of 64.
 	tiered2, _ := buildTieredArtifactAt(t, 2, 4)
 	tiered8, _ := buildTieredArtifactAt(t, 8, 1)
+	// A DFA that steps bytes: one table per byte of the cycle.
+	byteTiered, _ := buildByteTieredArtifact(t)
 	var seeds [][]byte
 	for _, tc := range containerCases(t, saveBytes(t, plain)) {
 		seeds = append(seeds, tc.mut())
 	}
 	seeds = append(seeds, emptyGroupsSeed(t, saveBytes(t, plain), 200))
-	_, goldens := goldenFiles(t)
+	_, goldens := goldenFiles(t, 8)
 	seeds = append(seeds, goldens...)
-	for _, a := range []*Artifact{plain, tiered, sharded, shardTiered, buildTopoArtifact(t), scored, scoredTiered, scoredSharded, cam, tiered2, tiered8} {
+	for _, a := range []*Artifact{plain, tiered, sharded, shardTiered, buildTopoArtifact(t), scored, scoredTiered, scoredSharded, cam, tiered2, tiered8, byteTiered} {
 		raw := saveBytes(t, a)
 		seeds = append(seeds, raw)
 		_, chunks := sections(t, raw)

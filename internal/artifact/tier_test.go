@@ -27,12 +27,32 @@ func buildTieredArtifact(t testing.TB) (*Artifact, *automata.NFA) {
 // sub-symbol (the DFA tables' rows hold 1<<bits entries) and sub-symbols a
 // cycle.
 func buildTieredArtifactAt(t testing.TB, bits, dims int) (*Artifact, *automata.NFA) {
-	t.Helper()
-	n := regexc.MustCompile([]regexc.Rule{
+	return buildTieredRules(t, bits, dims, []regexc.Rule{
 		{Pattern: "a.{12}b", Code: 1},
 		{Pattern: "literal", Code: 2},
 		{Pattern: "keyword", Code: 3},
 	})
+}
+
+// buildByteTieredArtifact is a tiered artifact whose DFA steps bytes: rules
+// over the letters a to d, 4-bit sub-symbols four a cycle, so each of the
+// cycle's two bytes has 2 × 5 classes.
+func buildByteTieredArtifact(t testing.TB) (*Artifact, *automata.NFA) {
+	a, n := buildTieredRules(t, 4, 4, []regexc.Rule{
+		{Pattern: "ab+c", Code: 1},
+		{Pattern: "^dab", Code: 2},
+		{Pattern: "c.*dd", Code: 3},
+	})
+	if d := a.Tier.DFA; d == nil || d.Step() != 2 {
+		t.Fatalf("fixture changed: the DFA tier is %v", d)
+	}
+	return a, n
+}
+
+// buildTieredRules is buildTieredArtifactAt over rules of its own.
+func buildTieredRules(t testing.TB, bits, dims int, rules []regexc.Rule) (*Artifact, *automata.NFA) {
+	t.Helper()
+	n := regexc.MustCompile(rules)
 	res, err := core.Compile(n, core.Config{
 		TargetBits: bits, StrideDims: dims,
 		Tier: &dfa.TierOptions{CCMaxStates: 1024, MinStateShare: -1},
@@ -232,20 +252,40 @@ func TestTierCorruptionPaths(t *testing.T) {
 		},
 		"DFAT parity of 2":         func(p []byte) { p[cycles+14] = 2 },
 		"DFAT non-zero record pad": func(p []byte) { p[cycles+15] = 1 },
+		// The step byte is the automaton's to set: its sub-symbols here have
+		// too many classes for a byte a lookup.
+		"DFAT step of a byte on an automaton that steps sub-symbols": func(p []byte) { p[3] = 2 },
+		"DFAT step of 0": func(p []byte) { p[3] = 0 },
 	} {
-		t.Run(name, func(t *testing.T) {
-			i := find("DFAT")
-			mut := append([][]byte(nil), chunks...)
-			mut[i] = append([]byte(nil), chunks[i]...)
-			edit(mut[i][12:])
-			data := rebuild(raw, mut)
-			_, got, err := loadAlloc(data)
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("accepted: %v", err)
-			}
-			if budget := uint64(loadAllocFactor*len(data) + loadAllocSlack + loadAllocGroup*placementGroups(data)); got > budget {
-				t.Fatalf("allocated %d bytes refusing %d, budget %d", got, len(data), budget)
-			}
-		})
+		t.Run(name, func(t *testing.T) { refusesDFATEdit(t, raw, edit) })
+	}
+
+	// A DFA that steps bytes: 4-bit sub-symbols four a cycle, two tables.
+	b, _ := buildByteTieredArtifact(t)
+	braw := saveBytes(t, b)
+	for name, edit := range map[string]func(p []byte){
+		"DFAT step of a sub-symbol on an automaton that steps bytes":    func(p []byte) { p[3] = 1 },
+		"DFAT step of four sub-symbols, one table for a two-byte cycle": func(p []byte) { p[3] = 4 },
+	} {
+		t.Run(name, func(t *testing.T) { refusesDFATEdit(t, braw, edit) })
+	}
+}
+
+// refusesDFATEdit fails unless raw with its DFAT payload edited is refused as
+// corrupt by Load within its allocation budget.
+func refusesDFATEdit(t *testing.T, raw []byte, edit func(p []byte)) {
+	t.Helper()
+	ids, chunks := sections(t, raw)
+	i := slices.Index(ids, "DFAT")
+	mut := append([][]byte(nil), chunks...)
+	mut[i] = append([]byte(nil), chunks[i]...)
+	edit(mut[i][12:])
+	data := rebuild(raw, mut)
+	_, got, err := loadAlloc(data)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("accepted: %v", err)
+	}
+	if budget := uint64(loadAllocFactor*len(data) + loadAllocSlack + loadAllocGroup*placementGroups(data)); got > budget {
+		t.Fatalf("allocated %d bytes refusing %d, budget %d", got, len(data), budget)
 	}
 }

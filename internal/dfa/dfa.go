@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"impala/internal/automata"
 	"impala/internal/bitvec"
@@ -86,23 +87,33 @@ type CycleState struct {
 }
 
 // DFA is a dense table-driven matcher over sub-symbols. One transition is
-// taken per sub-symbol (Stride transitions per cycle); states reached at
-// cycle boundaries carry the report entries and the exact enabled/active
-// counts of the NFA frontier they encode, so a DFA run reproduces the
-// functional simulator's reports and statistics byte for byte.
+// taken per sub-symbol — or per byte, when the DFA steps bytes — a cycle's
+// worth per cycle; states reached at cycle boundaries carry the report
+// entries and the exact enabled/active counts of the NFA frontier they
+// encode, so a DFA run reproduces the functional simulator's reports and
+// statistics byte for byte.
 //
 // States are numbered per stride phase (the sub-symbol position within the
 // cycle, 0 = cycle boundary) and each phase has its own table: the walk reads
 // one short column per stride dimension a cycle, as the capsule reads one
 // column per dimension, and a successor only has to name a state of the next
-// phase — 16 bits.
+// phase — 16 bits. A DFA that steps bytes (Classes) keeps the phases a byte
+// starts at only: its table of such a phase maps a state and the class of
+// the next byte to the state two (or four) sub-symbols on, and the phases
+// inside a byte have no states at all.
 type DFA struct {
 	bits    int // sub-symbol width: a row holds 1<<bits entries
 	stride  int
+	step    int // sub-symbols a lookup takes: 1, or 8/bits for a DFA that steps bytes
 	anyEven bool
+	// cl is the partition of the automaton the DFA was built from, or of
+	// the automaton it is a sub-automaton of: its byte classes index the
+	// rows of a DFA that steps bytes.
+	cl *Classes
 
-	// tab[p][i<<bits|v] is the successor of phase p's state i on sub-symbol
-	// v: an index within phase (p+1) mod stride.
+	// tab[q][i<<bits|v] is the successor of state i of phase q*step on
+	// sub-symbol v (step 1) or on a byte of class v: an index within phase
+	// (q+1)*step mod stride.
 	tab [][]uint16
 	// start is the initial state, of phase 0 (anchored states enabled for
 	// cycle 0).
@@ -115,7 +126,8 @@ type DFA struct {
 }
 
 // NumStates returns the number of DFA states (including mid-cycle phase
-// states on strided automata).
+// states on strided automata, but none inside a byte on a DFA that steps
+// bytes).
 func (d *DFA) NumStates() int { return d.Raw().NumStates() }
 
 // Bits returns the sub-symbol width.
@@ -123,6 +135,10 @@ func (d *DFA) Bits() int { return d.bits }
 
 // Stride returns the sub-symbols consumed per cycle.
 func (d *DFA) Stride() int { return d.stride }
+
+// Step returns the sub-symbols one lookup takes: 8/bits when the DFA steps
+// bytes, 1 when it steps sub-symbols.
+func (d *DFA) Step() int { return d.step }
 
 // TableBytes returns the transition-table footprint — the quantity that
 // blows caches and makes DFA matching memory-bound (the paper's opening
@@ -153,10 +169,12 @@ type builder struct {
 
 	// Tracks decompose each state's match set into its rects: track t is
 	// the pair (trackState[t], rect), laid out grouped by state so state
-	// i's tracks are trackStart[i]..trackStart[i+1]. maskTrack[p][v] is
-	// the set of tracks whose rect accepts sub-symbol v at position p.
+	// i's tracks are trackStart[i]..trackStart[i+1]. cl is the automaton's
+	// sub-symbol partition, and maskTrack[p][c] the set of tracks whose rect
+	// accepts the sub-symbols of class c at position p.
 	trackState []int32
 	trackStart []int32
+	cl         *Classes
 	maskTrack  [][]bitvec.Words
 
 	// Interned subset states. byFP maps a Rabin-style fingerprint to the
@@ -234,8 +252,19 @@ func fingerprint(k stateKey) uint64 {
 // sub-symbol: strided automata determinize through Stride phase levels per
 // cycle, tracking which (state, rect) pairs remain satisfiable — the
 // sub-symbol decoding the capsule hardware performs with one column read
-// per dimension.
+// per dimension. The DFA steps bytes when the automaton's classes allow it
+// (ClassesOf).
 func Build(n *automata.NFA, opts Options) (*DFA, error) {
+	b, err := determinize(n, opts)
+	if err != nil {
+		return nil, err
+	}
+	return b.seal(b.cl), nil
+}
+
+// determinize runs the subset construction of n: the construction's states,
+// all phases, are b.keys.
+func determinize(n *automata.NFA, opts Options) (*builder, error) {
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("dfa: invalid automaton: %w", err)
 	}
@@ -243,31 +272,53 @@ func Build(n *automata.NFA, opts Options) (*DFA, error) {
 	if maxStates == 0 {
 		maxStates = 1 << 16
 	}
-	workers := par.Workers(opts.Workers)
-
 	b := newBuilder(n, maxStates)
-	if err := b.run(workers, opts.Trace); err != nil {
+	if err := b.run(par.Workers(opts.Workers), opts.Trace); err != nil {
 		return nil, err
 	}
-	return b.seal(), nil
+	return b, nil
 }
 
 // seal renumbers the working table into the DFA's form: one uint16 table per
-// phase, carved from a single allocation, successors as indices within the
-// next phase. The start state was interned first, so it is phase 0's state 0.
-func (b *builder) seal() *DFA {
+// phase a lookup starts at, carved from a single allocation, successors as
+// indices within the next such phase. The start state was interned first, so
+// it is phase 0's state 0. Under classes that step bytes a row entry is
+// composed of the sub-symbol rows it spans, read at its byte class's smallest
+// byte; entries past the last class stay 0.
+func (b *builder) seal(cl *Classes) *DFA {
+	step := cl.step
 	d := &DFA{
-		bits: b.n.Bits, stride: b.S, anyEven: b.anyEven,
-		tab: make([][]uint16, b.S), cyc: b.cyc, entries: b.entries,
+		bits: b.n.Bits, stride: b.S, step: step, anyEven: b.anyEven, cl: cl,
+		tab: make([][]uint16, b.S/step), cyc: b.cyc, entries: b.entries,
 	}
-	all := make([]uint16, len(b.next))
-	for p, c := range b.counts {
-		d.tab[p], all = all[:c*b.A:c*b.A], all[c*b.A:]
+	rows := 0
+	for q := range d.tab {
+		rows += b.counts[q*step]
 	}
+	all := make([]uint16, rows*b.A)
+	for q := range d.tab {
+		c := b.counts[q*step] * b.A
+		d.tab[q], all = all[:c:c], all[c:]
+	}
+	mask := b.A - 1
 	for id, k := range b.keys {
-		row := d.tab[k.phase][int(b.idx[id])*b.A:][:b.A]
-		for v, t := range b.next[id*b.A:][:b.A] {
-			row[v] = b.idx[t]
+		if int(k.phase)%step != 0 {
+			continue
+		}
+		q := int(k.phase) / step
+		row := d.tab[q][int(b.idx[id])*b.A:][:b.A]
+		if step == 1 {
+			for v, t := range b.next[id*b.A:][:b.A] {
+				row[v] = b.idx[t]
+			}
+			continue
+		}
+		for c, x := range cl.byteRep[q] {
+			t := int32(id)
+			for sh := 8 - b.n.Bits; sh >= 0; sh -= b.n.Bits {
+				t = b.next[int(t)*b.A+int(x)>>sh&mask]
+			}
+			row[c] = b.idx[t]
 		}
 	}
 	return d
@@ -316,18 +367,19 @@ func newBuilder(n *automata.NFA, maxStates int) *builder {
 	T := len(b.trackState)
 	b.tWords = (T + 63) / 64
 
+	b.cl = ClassesOf(n)
 	b.maskTrack = make([][]bitvec.Words, b.S)
-	for p := 0; p < b.S; p++ {
-		b.maskTrack[p] = make([]bitvec.Words, b.A)
-		for v := 0; v < b.A; v++ {
-			b.maskTrack[p][v] = bitvec.NewWords(T)
+	for p, rep := range b.cl.rep {
+		b.maskTrack[p] = make([]bitvec.Words, len(rep))
+		for c := range rep {
+			b.maskTrack[p][c] = bitvec.NewWords(T)
 		}
 	}
 	for t, r := range rects {
-		for p := 0; p < b.S; p++ {
-			for v := 0; v < b.A; v++ {
-				if r[p].Has(byte(v)) {
-					b.maskTrack[p][v].Set(t)
+		for p, rep := range b.cl.rep {
+			for c, v := range rep {
+				if r[p].Has(v) {
+					b.maskTrack[p][c].Set(t)
 				}
 			}
 		}
@@ -371,6 +423,7 @@ type rowScratch struct {
 	initTracks bitvec.Words // tracks alive at phase 0
 	stepBuf    bitvec.Words // tracks alive after one sub-symbol
 	projBuf    bitvec.Words // projected NFA frontier at cycle end
+	local      []int32      // per class, its successor's index in distinct
 }
 
 // rowResult holds one expanded state's transition row: the distinct
@@ -383,10 +436,12 @@ type rowResult struct {
 }
 
 // computeRow expands state id: it derives the enabled set (phase-0 states)
-// or resumes the live-track set (mid-cycle states), then applies every
-// sub-symbol value, deduplicating successors row-locally by fingerprint.
-// It is pure per state, so rows may be computed in any order by any number
-// of workers.
+// or resumes the live-track set (mid-cycle states), then applies one
+// sub-symbol of every class, deduplicating successors row-locally by
+// fingerprint, and expands the row to every value. Classes are taken in
+// order of their smallest member, so the successors are discovered in the
+// order a pass over every value would discover them. It is pure per state,
+// so rows may be computed in any order by any number of workers.
 func (b *builder) computeRow(id int32, sc *rowScratch) rowResult {
 	k := b.keys[id]
 	res := rowResult{sym: make([]int32, b.A)}
@@ -423,8 +478,8 @@ func (b *builder) computeRow(id int32, sc *rowScratch) rowResult {
 	if b.anyEven && curPhase+1 == b.S {
 		nextParity = 1 - k.parity
 	}
-	for v := 0; v < b.A; v++ {
-		src.AndInto(b.maskTrack[curPhase][v], sc.stepBuf)
+	for c, m := range b.maskTrack[curPhase] {
+		src.AndInto(m, sc.stepBuf)
 		var succ stateKey
 		var w bitvec.Words
 		if curPhase+1 == b.S {
@@ -456,7 +511,10 @@ func (b *builder) computeRow(id int32, sc *rowScratch) rowResult {
 			res.distinct = append(res.distinct, succ)
 			res.fps = append(res.fps, fp)
 		}
-		res.sym[v] = local
+		sc.local[c] = local
+	}
+	for v, c := range b.cl.of[curPhase] {
+		res.sym[v] = sc.local[c]
 	}
 	return res
 }
@@ -478,6 +536,7 @@ func (b *builder) run(workers int, tr *obs.Trace) error {
 			initTracks: bitvec.NewWords(T),
 			stepBuf:    bitvec.NewWords(T),
 			projBuf:    make(bitvec.Words, b.nWords),
+			local:      make([]int32, b.A),
 		})
 		scratchFree = append(scratchFree, int32(w))
 	}
@@ -530,15 +589,6 @@ func (b *builder) run(workers int, tr *obs.Trace) error {
 	return nil
 }
 
-// pad finishes a cycle on zero sub-symbols from phase p on — the zero-padded
-// final partial cycle.
-func (d *DFA) pad(s uint16, p int) uint16 {
-	for ; p < d.stride; p++ {
-		s = d.tab[p][int(s)<<d.bits]
-	}
-	return s
-}
-
 // emit sends the report entries of r, the state entered at the end of cycle
 // t, into sink with base added to their state IDs; limitBits >= 0 suppresses
 // those past it.
@@ -551,20 +601,24 @@ func (d *DFA) emit(r *CycleState, t int, base automata.StateID, limitBits int, s
 	}
 }
 
-// Core walks one or more DFAs over the same sub-symbol stream as one
-// sim.Core — the DFA side of a lockstep is one lane however many tables it
-// holds — so DFA tiers stream through the same Session machinery (chunked
-// Feed, sub-symbol carry, padded Flush) as every other engine. Between blocks
-// it carries only the current state of each DFA; the rest is scratch sized by
-// the longest block it has walked — chiefly the state each DFA entered at
-// every cycle of the block, two bytes a cycle and DFA — so cores are cheap to
-// create per stream. A Core is not safe for concurrent use, but any number
-// may share immutable DFAs.
+// Core walks one or more DFAs over the same input as one sim.Core — the DFA
+// side of a lockstep is one lane however many tables it holds — so DFA tiers
+// stream through the same Session machinery (chunked Feed, sub-symbol carry,
+// padded Flush) as every other engine. Its symbols are the automaton's
+// sub-symbols, or bytes when its DFAs step bytes (Geometry), and it takes
+// them a lookup each. Between blocks it carries only the current state of
+// each DFA; the rest is scratch sized by the longest block it has walked —
+// chiefly the state each DFA entered at every cycle of the block, two bytes a
+// cycle and DFA — so cores are cheap to create per stream. A Core is not safe
+// for concurrent use, but any number may share immutable DFAs.
 type Core struct {
 	ds   []*DFA
-	tabs [][]uint16         // ds[k].tab[p] at k*stride+p: one load from a lookup's table
+	tabs [][]uint16         // ds[k].tab[p] at k*S+p, S lookups a cycle: one load from a lookup's table
 	base []automata.StateID // added to the state IDs of DFA k's reports
-	cur  []uint16
+	// cm[p] maps the cycle's p-th byte to its class when the DFAs step
+	// bytes; nil when they step sub-symbols.
+	cm  [][256]uint8
+	cur []uint16
 	// hist[k*n+i] is the state DFA k entered at the end of cycle i of the
 	// n-cycle block in progress. act and rep are the settle pass's scratch,
 	// zero between blocks.
@@ -582,11 +636,13 @@ type Core struct {
 	// per-cycle sum PeakActive is the maximum of is then the DFAs' plus the
 	// kernel's. Its reports' state IDs are offset by kbase, and ksink
 	// forwards them to sink, the sink of the block in progress (nil between
-	// blocks).
+	// blocks). Beside a walker that takes bytes the kernel steps the block's
+	// sub-symbols, unpacked into ksubs.
 	kernel sim.Core
 	kbase  automata.StateID
 	ksink  sim.ReportSink
 	sink   sim.ReportSink
+	ksubs  []byte
 }
 
 // width is how many chains the walker steps in lockstep: each chain's state
@@ -616,15 +672,23 @@ func (d *DFA) NewCore() *Core { return newCore([]*DFA{d}, []automata.StateID{0})
 func newCore(ds []*DFA, base []automata.StateID) *Core {
 	c := &Core{ds: ds, base: base, cur: make([]uint16, len(ds)), pt: make([][width][]uint16, len(ds[0].tab))}
 	for _, d := range ds {
+		if d.step != ds[0].step || d.step > 1 && !slices.Equal(d.cl.byteOf, ds[0].cl.byteOf) {
+			panic("dfa: one lane over DFAs stepped by different class maps")
+		}
 		c.tabs = append(c.tabs, d.tab...)
+	}
+	if ds[0].step > 1 {
+		c.cm = ds[0].cl.byteOf
 	}
 	c.ResetState()
 	return c
 }
 
 // Lane returns the lockstep lane that walks every DFA of ds, which must be
-// non-empty and of one geometry; origs[k] maps the state IDs of DFA k's
-// reports to the IDs the lane's reports carry.
+// non-empty, of one geometry and, when they step bytes, stepped by one class
+// map — selected over one automaton and its parts (Select, SelectIn) or
+// loaded from one artifact; origs[k] maps the state IDs of DFA k's reports to
+// the IDs the lane's reports carry.
 func Lane(ds []*DFA, origs [][]automata.StateID) sim.Lane { return lane(ds, origs, nil, nil) }
 
 // lane is Lane with, when kernel is not nil, a kernel over the states no DFA
@@ -658,8 +722,14 @@ func (c *Core) DFAs() []*DFA { return c.ds }
 // a state of its lockstep form is left to no DFA.
 func (c *Core) HasKernel() bool { return c.kernel != nil }
 
-// Geometry implements sim.Core.
-func (c *Core) Geometry() (bits, stride int) { return c.ds[0].bits, c.ds[0].stride }
+// Geometry implements sim.Core: the width and count of the symbols StepBlock
+// takes a cycle — bytes, when the DFAs step bytes.
+func (c *Core) Geometry() (bits, stride int) {
+	if c.cm != nil {
+		return 8, len(c.pt)
+	}
+	return c.ds[0].bits, c.ds[0].stride
+}
 
 // ResetState implements sim.Core.
 func (c *Core) ResetState() {
@@ -673,10 +743,11 @@ func (c *Core) ResetState() {
 
 // StepBlock implements sim.Core. Each DFA's walk of the block is cut into
 // segments, and every (DFA, segment) pair is a chain — DFA k's segment j is
-// chain k*g+j — walked width chains at a time in lockstep (walk), a short
-// last group filled up with its last chain again. Every segment starts from
-// the DFA's state at the block's entry: the true state for the first, a
-// guess for a later one, which starts at least warm cycles before its seam.
+// chain k*g+j — walked width chains at a time in lockstep (walk, or walkBytes
+// over bytes), a short last group filled up with its last chain again. Every
+// segment starts from the DFA's state at the block's entry: the true state
+// for the first, a guess for a later one, which starts at least warm cycles
+// before its seam.
 // At the seam a later segment's state is checked against the state the
 // previous segment reached there; on a mismatch the segment is walked again
 // from the true state until it meets its own history. One pass over the
@@ -688,7 +759,7 @@ func (c *Core) ResetState() {
 // its reports after the cycle's DFA reports. The output is the serial walk's
 // whatever the guesses.
 func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink, _ sim.Tracer) (enabled, active int64, peak int) {
-	ds, S, sh := c.ds, c.ds[0].stride, uint(c.ds[0].bits)&15
+	ds, S, sh := c.ds, len(c.pt), uint(c.ds[0].bits)&15
 	n, K := len(subs)/S, len(ds)
 	if n == 0 {
 		return 0, 0, 0
@@ -716,10 +787,10 @@ func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink
 				c.pt[p][l] = c.tabs[k*S+p]
 			}
 		}
-		walk(&c.group, c.pt, subs, hist, 0, L-step, sh)
+		c.walk(subs, hist, 0, L-step, sh)
 		if g > 1 {
 			c.seam = c.group.s
-			walk(&c.group, c.pt, subs, hist, L-step, L, sh)
+			c.walk(subs, hist, L-step, L, sh)
 		}
 	}
 
@@ -739,6 +810,9 @@ func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink
 			}
 			for i := seam; i < end; i++ {
 				for p, v := range subs[i*S:][:S] {
+					if c.cm != nil {
+						v = c.cm[p][v]
+					}
 					x = tab[p][int(x)<<sh|int(v)]
 				}
 				rewalked++
@@ -775,12 +849,17 @@ func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink
 		c.cur[k] = h[n-1]
 	}
 	if c.kernel != nil {
+		ks, kS := subs, S
+		if c.cm != nil {
+			c.ksubs = sim.AppendSubSymbols(c.ksubs[:0], int(sh), subs)
+			ks, kS = c.ksubs, ds[0].stride
+		}
 		c.sink = sink
 		for i := range act {
 			if rep[i>>6]&(1<<(i&63)) != 0 {
 				c.report(hist, n, i, t0, limitBits, sink)
 			}
-			e, a, _ := c.kernel.StepBlock(subs[i*S:][:S], t0+i, limitBits, c.ksink, nil)
+			e, a, _ := c.kernel.StepBlock(ks[i*kS:][:kS], t0+i, limitBits, c.ksink, nil)
 			enabled += e
 			act[i] += int32(a)
 		}
@@ -807,6 +886,16 @@ func (c *Core) report(hist []uint16, n, i, t0, limitBits int, sink sim.ReportSin
 		if r := &d.cyc[hist[k*n+i]]; r.NRep != 0 {
 			d.emit(r, t0+i, c.base[k], limitBits, sink)
 		}
+	}
+}
+
+// walk steps the group's chains through cycles [i0, i1) of their own, over
+// sub-symbols or bytes as the core's DFAs step.
+func (c *Core) walk(subs []byte, hist []uint16, i0, i1 int, sh uint) {
+	if c.cm != nil {
+		walkBytes(&c.group, c.pt, c.cm, subs, hist, i0, i1, sh)
+	} else {
+		walk(&c.group, c.pt, subs, hist, i0, i1, sh)
 	}
 }
 
@@ -837,6 +926,32 @@ func walk(ln *group, pt [][width][]uint16, subs []byte, hist []uint16, i0, i1 in
 	ln.s = [width]uint16{a, b, c, d}
 }
 
+// walkBytes is walk over bytes, one lookup a byte: each byte is mapped to its
+// class by cm[p], the map of the cycle's p-th byte, a load no state waits on.
+func walkBytes(ln *group, pt [][width][]uint16, cm [][256]uint8, subs []byte, hist []uint16, i0, i1 int, sh uint) {
+	S := len(pt)
+	cm = cm[:S]
+	sh &= 15
+	xa := subs[ln.sub[0]+i0*S : ln.sub[0]+i1*S]
+	xb, xc, xd := subs[ln.sub[1]+i0*S:][:len(xa)], subs[ln.sub[2]+i0*S:][:len(xa)], subs[ln.sub[3]+i0*S:][:len(xa)]
+	ha := hist[ln.hist[0]+i0 : ln.hist[0]+i1]
+	hb, hc, hd := hist[ln.hist[1]+i0:][:len(ha)], hist[ln.hist[2]+i0:][:len(ha)], hist[ln.hist[3]+i0:][:len(ha)]
+	a, b, c, d := ln.s[0], ln.s[1], ln.s[2], ln.s[3]
+	i, p := 0, 0
+	for j, v := range xa {
+		r, m := &pt[p], &cm[p]
+		a = r[0][int(a)<<sh|int(m[v])]
+		b = r[1][int(b)<<sh|int(m[xb[j]])]
+		c = r[2][int(c)<<sh|int(m[xc[j]])]
+		d = r[3][int(d)<<sh|int(m[xd[j]])]
+		if p++; p == S {
+			ha[i], hb[i], hc[i], hd[i] = a, b, c, d
+			i, p = i+1, 0
+		}
+	}
+	ln.s = [width]uint16{a, b, c, d}
+}
+
 // Run matches input through the streaming session (sink-based reporting —
 // no per-match slice allocation beyond the result itself) and returns
 // reports sorted by (BitPos, Code, State), byte-identical to the
@@ -848,46 +963,20 @@ func (d *DFA) Run(input []byte) []sim.Report {
 	return out
 }
 
-// Scan matches input counting matches only — the throughput-benchmark
-// loop, free of allocation. The count equals len(Run(input)), including
-// the zero-padded final partial cycle's offset filtering.
-func (d *DFA) Scan(input []byte) int {
-	count := 0
-	s := d.start
-	sh, mask := uint(d.bits), byte(1<<d.bits-1)
-	p := 0
-	for _, c := range input {
-		for lo := 8 - d.bits; lo >= 0; lo -= d.bits {
-			s = d.tab[p][int(s)<<sh|int(c>>uint(lo)&mask)]
-			if p++; p == d.stride {
-				p = 0
-				count += int(d.cyc[s].NRep)
-			}
-		}
-	}
-	// Zero-padded final partial cycle, with reports filtered to the true
-	// stream length — batch-identical semantics.
-	if rem := p; rem != 0 {
-		r := &d.cyc[d.pad(s, rem)]
-		for _, e := range d.entries[r.Rep:][:r.NRep] {
-			if e.Offset <= rem {
-				count++
-			}
-		}
-	}
-	return count
-}
-
 // Raw is the serialization view of a DFA: every slice aliases the DFA's
 // storage (callers must treat it as read-only). It exists so the artifact
 // codec can seal and restore DFA tiers without the dfa package knowing the
 // wire format.
 type Raw struct {
 	Bits, Stride int
-	AnyEven      bool
-	Start        uint16
-	// Tab[p] is phase p's table: 1<<Bits entries per state, each an index
-	// within phase (p+1) mod Stride.
+	// Step is the sub-symbols a lookup takes (DFA.Step), and Classes the
+	// class map of the automaton, whose step it must be.
+	Step    int
+	Classes *Classes
+	AnyEven bool
+	Start   uint16
+	// Tab[q] is the table of phase q*Step: 1<<Bits entries per state, each
+	// an index within phase (q+1)*Step mod Stride.
 	Tab     [][]uint16
 	Cycles  []CycleState // one per state of phase 0
 	Entries []ReportEntry
@@ -905,25 +994,31 @@ func (r *Raw) NumStates() int {
 // Raw returns the serialization view of the DFA.
 func (d *DFA) Raw() *Raw {
 	return &Raw{
-		Bits: d.bits, Stride: d.stride, AnyEven: d.anyEven, Start: d.start,
+		Bits: d.bits, Stride: d.stride, Step: d.step, Classes: d.cl, AnyEven: d.anyEven, Start: d.start,
 		Tab: d.tab, Cycles: d.cyc, Entries: d.entries,
 	}
 }
 
 // FromRaw reassembles a DFA from its serialization view, validating
-// structural invariants: table shapes, start in range, every report range
-// inside the entry array and every cycle record's counts. Every successor
-// must lie within the phase it names, which FromRaw does not re-check: its
-// caller, the artifact's DFAT decode, checks each phase table's largest
-// entry in the loop that reads it. Together they are the one check of a
-// sealed table: the result is what Sealed holds and what UnsealSelection
-// walks.
+// structural invariants: the step the class map takes, table shapes, start in
+// range, every report range inside the entry array and every cycle record's
+// counts. Every successor must lie within the phase it names, which FromRaw
+// does not re-check: its caller, the artifact's DFAT decode, checks each
+// table's largest entry in the loop that reads it. Together they are the one
+// check of a sealed table: the result is what Sealed holds and what
+// UnsealSelection walks.
 func FromRaw(r *Raw) (*DFA, error) {
 	if r.Bits != 2 && r.Bits != 4 && r.Bits != 8 {
 		return nil, fmt.Errorf("dfa: invalid bits %d", r.Bits)
 	}
-	if r.Stride < 1 || len(r.Tab) != r.Stride {
-		return nil, fmt.Errorf("dfa: %d phase tables for stride %d", len(r.Tab), r.Stride)
+	if cl := r.Classes; cl == nil || cl.bits != r.Bits || cl.stride != r.Stride {
+		return nil, fmt.Errorf("dfa: no class map of a %d-bit stride-%d automaton", r.Bits, r.Stride)
+	}
+	if r.Step != r.Classes.step {
+		return nil, fmt.Errorf("dfa: %d sub-symbols a lookup, the automaton's classes take %d", r.Step, r.Classes.step)
+	}
+	if r.Stride < 1 || len(r.Tab) != r.Stride/r.Step {
+		return nil, fmt.Errorf("dfa: %d phase tables for stride %d, %d sub-symbols a lookup", len(r.Tab), r.Stride, r.Step)
 	}
 	A := 1 << r.Bits
 	for p, t := range r.Tab {
@@ -948,7 +1043,7 @@ func FromRaw(r *Raw) (*DFA, error) {
 		}
 	}
 	return &DFA{
-		bits: r.Bits, stride: r.Stride, anyEven: r.AnyEven,
+		bits: r.Bits, stride: r.Stride, step: r.Step, anyEven: r.AnyEven, cl: r.Classes,
 		tab: r.Tab, start: r.Start, cyc: r.Cycles, entries: r.Entries,
 	}, nil
 }

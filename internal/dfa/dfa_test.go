@@ -2,6 +2,7 @@ package dfa
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"impala/internal/automata"
@@ -30,9 +31,6 @@ func TestDFALiteral(t *testing.T) {
 	got := d.Run(input)
 	if !sim.SameReports(want, got) {
 		t.Fatalf("dfa=%v nfa=%v", sim.ReportKeys(got), sim.ReportKeys(want))
-	}
-	if d.Scan(input) != len(got) {
-		t.Fatal("Scan count disagrees with Run")
 	}
 }
 
@@ -99,9 +97,6 @@ func TestDFAGeneralGeometries(t *testing.T) {
 	if !sim.SameReports(want, got) {
 		t.Fatalf("4-bit: dfa=%v nfa=%v", sim.ReportKeys(got), sim.ReportKeys(want))
 	}
-	if d4.Scan(input) != len(got) {
-		t.Fatal("4-bit Scan count disagrees with Run")
-	}
 
 	even := automata.New(8, 1)
 	even.AddState(automata.State{
@@ -141,5 +136,52 @@ func TestDFATableBytes(t *testing.T) {
 	d, _ := build(t, regexc.Rule{Pattern: "ab", Code: 1})
 	if d.TableBytes() != d.NumStates()*256*2 {
 		t.Fatalf("TableBytes = %d for %d states", d.TableBytes(), d.NumStates())
+	}
+}
+
+// ClassesOf numbers each position's classes in order of their smallest
+// member, a byte's class is its high sub-symbol's class times the low
+// position's class count plus its low sub-symbol's, and a DFA over the
+// automaton steps bytes, its tables those of phases 0 only, with the rows of
+// the nibble-stepped phases composed.
+func TestClassesOf(t *testing.T) {
+	n := automata.New(4, 2)
+	hi := n.AddState(automata.State{
+		Match: automata.MatchSet{{bitvec.ByteRange(5, 15), bitvec.ByteOf(0)}},
+		Start: automata.StartAllInput,
+	})
+	lo := n.AddState(automata.State{
+		Match:  automata.MatchSet{{automata.Domain(4), bitvec.ByteRange(3, 4)}},
+		Report: true, ReportCode: 1, ReportOffset: 2,
+	})
+	n.AddEdge(hi, lo)
+	cl := ClassesOf(n)
+	if got := cl.Counts(); !slices.Equal(got, []int{2, 3}) || cl.Step() != 2 {
+		t.Fatalf("classes %v, step %d; want [2 3], step 2", got, cl.Step())
+	}
+	for _, c := range []struct {
+		p, v, class int
+	}{{0, 0, 0}, {0, 4, 0}, {0, 5, 1}, {0, 15, 1}, {1, 0, 0}, {1, 1, 1}, {1, 3, 2}, {1, 4, 2}, {1, 5, 1}} {
+		if got := int(cl.of[c.p][c.v]); got != c.class {
+			t.Errorf("position %d value %d: class %d, want %d", c.p, c.v, got, c.class)
+		}
+	}
+	if got, want := cl.byteOf[0][0x53], 1*3+2; int(got) != want || cl.byteRep[0][want] != 0x53 {
+		t.Errorf("byte 0x53: class %d (smallest byte %#x), want %d and 0x53", got, cl.byteRep[0][want], want)
+	}
+	d, err := Build(n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Step() != 2 || len(d.tab) != 1 {
+		t.Fatalf("the DFA steps %d sub-symbols a lookup over %d tables, want 2 over 1", d.Step(), len(d.tab))
+	}
+	input := []byte{0x50, 0x53, 0x60, 0x24, 0xf0, 0xf4}
+	want, _, err := sim.Run(n, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Run(input); !sim.SameReports(want, got) || len(got) != 3 {
+		t.Fatalf("dfa=%v nfa=%v", sim.ReportKeys(got), sim.ReportKeys(want))
 	}
 }

@@ -15,11 +15,12 @@ import (
 
 // This package's rows of the differential spine (simtest.Spine): the tiered
 // form at the default budget and at the case's split budget — under which,
-// on some case, the DFA tier and the kernel both hold components — and the
-// walker over K DFAs as one lane, the components dealt round-robin onto K
+// on some case, the DFA tier and the kernel both hold components, and on
+// some the DFA, stepping bytes, has a kernel beside it — and the walker over
+// K DFAs as one lane, the components dealt round-robin onto K
 // determinizations, K odd and even.
 func TestSpine(t *testing.T) {
-	bothTiers := false
+	bothTiers, bytesBesideKernel := false, false
 	var rows []simtest.Row
 	for _, name := range []string{"tiered", "tiered, split budget"} {
 		rows = append(rows, simtest.Row{Name: name, Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
@@ -32,7 +33,10 @@ func TestSpine(t *testing.T) {
 				t.Fatal(err)
 			}
 			bothTiers = bothTiers || tf.DFA() != nil && tf.Plan().NFAStates > 0
-			checkLane(t, tf)
+			if w := checkLane(t, tf); w != nil && w.HasKernel() {
+				bits, _ := w.Geometry()
+				bytesBesideKernel = bytesBesideKernel || bits == 8 && c.NFA.Bits < 8
+			}
 			return simtest.SessionForm(tf.NewSession, tf.AppendRun), true
 		}})
 	}
@@ -45,11 +49,16 @@ func TestSpine(t *testing.T) {
 	if !bothTiers {
 		t.Error("no tiered form kept both tiers; the walker with a kernel beside it went unexercised")
 	}
+	if !bytesBesideKernel {
+		t.Error("no walker that steps bytes had a kernel beside it; the kernel's unpacked sub-symbols went unexercised")
+	}
 }
 
 // checkLane fails unless tf's one lane is a walker iff tf has a DFA tier and
-// steps a kernel, beside the walker or alone, iff a state is left to one.
-func checkLane(t testing.TB, tf *dfa.Tiered) {
+// steps a kernel, beside the walker or alone, iff a state is left to one, and
+// unless the walker takes bytes iff its DFA steps them; it returns the
+// walker, nil when the lane is none.
+func checkLane(t testing.TB, tf *dfa.Tiered) *dfa.Core {
 	t.Helper()
 	kernel, ln := tf.Plan().NFAStates > 0, tf.Lane()
 	var w *dfa.Core
@@ -64,6 +73,12 @@ func checkLane(t testing.TB, tf *dfa.Tiered) {
 	case w == nil && (ln.New != nil) != kernel:
 		t.Fatalf("a kernel lane %t, %d states are left to one", ln.New != nil, tf.Plan().NFAStates)
 	}
+	if w != nil {
+		if bits, _ := w.Geometry(); (bits == 8 && tf.DFA().Bits() < 8) != (tf.DFA().Step() > 1) {
+			t.Fatalf("the walker takes %d-bit symbols, its DFA steps %d sub-symbols a lookup", bits, tf.DFA().Step())
+		}
+	}
+	return w
 }
 
 // Within a cycle the walker emits its DFAs' reports before the kernel's, as
@@ -119,7 +134,7 @@ func walker(t testing.TB, n *automata.NFA, k int) (simtest.Form, bool) {
 	ds := make([]*dfa.DFA, k)
 	for i, ids := range origs {
 		slices.Sort(ids)
-		d, err := dfa.Build(n.Induced(ids), dfa.Options{MaxStates: 1024, Workers: 1})
+		d, err := dfa.BuildIn(n, ids, dfa.Options{MaxStates: 1024, Workers: 1})
 		if errors.Is(err, dfa.ErrStateBlowup) {
 			return simtest.Form{}, false
 		}
@@ -159,4 +174,33 @@ func TestSpineCaseRewalks(t *testing.T) {
 		return
 	}
 	t.Fatal("no dot-star case among the spine's")
+}
+
+// The class table of the benchmark's two DFA-tier families at the design
+// point (4-bit × 4), on the spine's cases of them: Hamming's sub-symbols
+// have 3 and 5 classes a byte, 15 ≤ 16, and its DFAs step bytes; Snort's
+// 7 and 16, 112, and its DFAs step sub-symbols.
+func TestWorkloadClasses(t *testing.T) {
+	want := map[string]struct {
+		counts []int
+		step   int
+	}{
+		"Hamming 4-bit x 4": {[]int{3, 5, 3, 5}, 2},
+		"Snort 4-bit x 4":   {[]int{7, 16, 7, 16}, 1},
+	}
+	seen := 0
+	for _, c := range simtest.Cases(t) {
+		w, ok := want[c.Name]
+		if !ok {
+			continue
+		}
+		seen++
+		cl := dfa.ClassesOf(c.NFA)
+		if !slices.Equal(cl.Counts(), w.counts) || cl.Step() != w.step {
+			t.Errorf("%s: classes %v, step %d; want %v, step %d", c.Name, cl.Counts(), cl.Step(), w.counts, w.step)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no Hamming or Snort case among the spine's")
+	}
 }

@@ -229,8 +229,21 @@ func BuildTiered(n *automata.NFA, opts TierOptions) (*Tiered, error) {
 //     the automaton (two engines per cycle must pay for themselves).
 //  5. Leave the remaining components to the bit-parallel NFA engine.
 //
-// The plan and the tables are byte-identical for any worker count.
-func Select(n *automata.NFA, opts TierOptions) (*Selection, error) {
+// The plan and the tables are byte-identical for any worker count. The union
+// DFA steps bytes when n's classes allow it (ClassesOf); the trial sizes, and
+// so every admission decision, count the construction's states, sub-symbol
+// phases and all.
+func Select(n *automata.NFA, opts TierOptions) (*Selection, error) { return selectTiers(n, n, opts) }
+
+// SelectIn is Select over the sub-automaton of n on ids (ascending), its DFA
+// stepped by n's classes: the shard planner's selection of one shard, whose
+// DFA then shares a lane with the other shards'.
+func SelectIn(n *automata.NFA, ids []automata.StateID, opts TierOptions) (*Selection, error) {
+	return selectTiers(n.Induced(ids), n, opts)
+}
+
+// selectTiers is Select over n, a sub-automaton of whole or whole itself.
+func selectTiers(n, whole *automata.NFA, opts TierOptions) (*Selection, error) {
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("dfa: invalid automaton: %w", err)
 	}
@@ -257,15 +270,14 @@ func Select(n *automata.NFA, opts TierOptions) (*Selection, error) {
 	trialErrs := make([]error, len(ccs))
 	par.TraceFor(opts.Trace, "tier/trial", workers, len(ccs), func(i int) {
 		t0 := time.Now()
-		sub := n.Induced(ccs[i])
-		d, err := Build(sub, Options{MaxStates: ccBudget, Workers: 1})
+		b, err := determinize(n.Induced(ccs[i]), Options{MaxStates: ccBudget, Workers: 1})
 		cpuNS.Add(int64(time.Since(t0)))
 		pc := &plan.CCs[i]
 		pc.States = len(ccs[i])
 		switch {
 		case err == nil:
 			pc.Kind = TierDFA
-			pc.DFAStates = d.NumStates()
+			pc.DFAStates = len(b.keys)
 		case errors.Is(err, ErrStateBlowup):
 			pc.Kind = TierNFA
 		default:
@@ -303,13 +315,14 @@ func Select(n *automata.NFA, opts TierOptions) (*Selection, error) {
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 		return ids
 	}
+	cl := ClassesOf(whole)
 	tryUnion := func(k int) (*DFA, []automata.StateID, error) {
 		if k == 0 {
 			return nil, nil, nil
 		}
 		ids := unionIDs(k)
 		t0 := time.Now()
-		d, err := Build(n.Induced(ids), Options{MaxStates: unionBudget, Workers: workers, Trace: opts.Trace})
+		b, err := determinize(n.Induced(ids), Options{MaxStates: unionBudget, Workers: workers, Trace: opts.Trace})
 		cpuNS.Add(int64(time.Since(t0)))
 		if err != nil {
 			if errors.Is(err, ErrStateBlowup) {
@@ -317,7 +330,7 @@ func Select(n *automata.NFA, opts TierOptions) (*Selection, error) {
 			}
 			return nil, nil, err
 		}
-		return d, ids, nil
+		return b.seal(cl), ids, nil
 	}
 
 	// Largest admissible prefix. The all-in attempt is the common case;

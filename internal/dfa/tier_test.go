@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"impala/internal/automata"
+	"impala/internal/core"
 	"impala/internal/dfa"
 	"impala/internal/obs"
 	"impala/internal/regexc"
@@ -131,23 +132,46 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 // Steady-state Feed through the tiered lockstep core, and a pooled Run of an
 // input that reports nothing, allocate nothing, with the stream and tier
 // metrics off and live: the DFA alone and, with a component that blows the
-// budget, the walker stepping the kernel beside it. The fed input is long
+// budget, the walker stepping the kernel beside it, each over sub-symbols and
+// over bytes (rules over the letters a to d at 4-bit × 4, whose DFA steps
+// bytes and hands the kernel its sub-symbols unpacked). The fed input is long
 // enough for the walker to cut it into segments.
 func TestTieredAllocFree(t *testing.T) {
 	rules := []regexc.Rule{{Pattern: "stream", Code: 1}, {Pattern: "^sof", Code: 2}}
-	for _, n := range []*automata.NFA{
-		regexc.MustCompile(rules),
-		regexc.MustCompile(append(rules, regexc.Rule{Pattern: "a.{12}b", Code: 3})),
+	abcd := []regexc.Rule{{Pattern: "ab+c", Code: 1}, {Pattern: "^dab", Code: 2}}
+	blows := regexc.Rule{Pattern: "a.{12}b", Code: 3}
+	byBytes := func(rules []regexc.Rule) *automata.NFA {
+		res, err := core.Compile(regexc.MustCompile(rules), core.Config{TargetBits: 4, StrideDims: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.NFA
+	}
+	for _, tc := range []struct {
+		n           *automata.NFA
+		feed, quiet string
+	}{
+		{regexc.MustCompile(rules), "sofstream stream sof stream ", "no match here. "},
+		{regexc.MustCompile(append(rules, blows)), "sofstream stream sof stream ", "no match here. "},
+		{byBytes(abcd), "dababbc abc dab abbbbc ", "no match here. "},
+		{byBytes(append(abcd, blows)), "dababbc abc dab abbbbc ", "no match here. "},
 	} {
-		tiered, err := dfa.BuildTiered(n, dfa.TierOptions{CCMaxStates: 1024, MinStateShare: -1})
+		tiered, err := dfa.BuildTiered(tc.n, dfa.TierOptions{CCMaxStates: 1024, MinStateShare: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tiered.DFA() == nil {
 			t.Fatal("no DFA tier")
 		}
-		t.Run(fmt.Sprintf("%d NFA-tier states", tiered.Plan().NFAStates), func(t *testing.T) {
-			simtest.AllocFree(t, simtest.SessionForm(tiered.NewSession, tiered.AppendRun), bytes.Repeat([]byte("sofstream stream sof stream "), 40), bytes.Repeat([]byte("no match here. "), 300), dfa.EnableMetrics)
+		if bits, _ := tiered.Lane().New().Geometry(); bits != 8 {
+			t.Fatalf("%d-bit automaton: the walker takes %d-bit symbols, its DFA steps %d sub-symbols a lookup", tc.n.Bits, bits, tiered.DFA().Step())
+		}
+		name := fmt.Sprintf("%d NFA-tier states", tiered.Plan().NFAStates)
+		if tiered.DFA().Step() > 1 {
+			name = "bytes, " + name
+		}
+		t.Run(name, func(t *testing.T) {
+			simtest.AllocFree(t, simtest.SessionForm(tiered.NewSession, tiered.AppendRun), bytes.Repeat([]byte(tc.feed), 40), bytes.Repeat([]byte(tc.quiet), 300), dfa.EnableMetrics)
 		})
 	}
 }

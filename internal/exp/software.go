@@ -68,7 +68,7 @@ func SoftwareBaseline(o Options) ([]*Table, error) {
 			return nil, err
 		}
 		t0 = time.Now()
-		d.Scan(input)
+		d.Run(input)
 		dfaMBs := float64(len(input)) / time.Since(t0).Seconds() / 1e6
 
 		t.AddRow(b.Name,

@@ -37,7 +37,8 @@ type Options struct {
 	// Shards is the shard count K (>= 1).
 	Shards int
 	// Tier, when non-nil, tier-plans every shard independently under these
-	// budgets (dfa.Select per shard): the CCMaxStates / MaxStates
+	// budgets (dfa.SelectIn per shard, every shard's DFA stepped by the
+	// automaton's one class map): the CCMaxStates / MaxStates
 	// caps model per-engine capacity, so K shards carry K times the
 	// fast-path budget of the unsharded automaton.
 	Tier *dfa.TierOptions
@@ -204,7 +205,7 @@ func Partition(n *automata.NFA, opts Options) (*Sealed, time.Duration, error) {
 		topt := *opts.Tier
 		topt.Workers = 1
 		topt.Trace = nil
-		sel, err := dfa.Select(n.Induced(ids[k]), topt)
+		sel, err := dfa.SelectIn(n, ids[k], topt)
 		if err != nil {
 			errs[k] = err
 			return

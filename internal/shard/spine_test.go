@@ -13,11 +13,12 @@ import (
 // form at K = 1, 2, 3 and 8, untiered and tiered per shard at the case's
 // split budget — its lockstep's one lane a DFA walker iff a shard kept a
 // DFA, a kernel stepped (beside the walker or alone) iff a state is left to
-// one, and some shard, on some case, holding both tiers — and three workers
+// one, some shard, on some case, holding both tiers, and on some case a
+// walker over several shards' DFAs stepping bytes — and three workers
 // each unsealing one shard of the tiered K = 3 form, merged as a frontend
 // merges them.
 func TestSpine(t *testing.T) {
-	twoTiers := false
+	twoTiers, bytesSharded := false, false
 	build := func(t testing.TB, c *simtest.Case, k int, tier bool) (*shard.Sharded, *shard.Sealed) {
 		opts := shard.Options{Shards: k}
 		if tier {
@@ -47,6 +48,10 @@ func TestSpine(t *testing.T) {
 		for _, st := range sealed.Tiers {
 			twoTiers = twoTiers || st != nil && st.DFA != nil && st.Plan.NFAStates > 0
 		}
+		if w != nil && k > 1 && s.TieredShards() > 1 {
+			bits, _ := w.Geometry()
+			bytesSharded = bytesSharded || bits == 8 && c.NFA.Bits < 8
+		}
 		return s, sealed
 	}
 	var rows []simtest.Row
@@ -73,5 +78,8 @@ func TestSpine(t *testing.T) {
 	simtest.Spine(t, rows...)
 	if !twoTiers {
 		t.Error("no shard held both a DFA and a kernel tier; the walker with a kernel beside it went unexercised")
+	}
+	if !bytesSharded {
+		t.Error("no walker over two shards' DFAs stepped bytes; one class map across shards went unexercised")
 	}
 }

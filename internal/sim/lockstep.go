@@ -84,8 +84,15 @@ func (l *Lockstep) AppendRun(dst []Report, input []byte) ([]Report, Stats) {
 	return l.pool.AppendRun(dst, input)
 }
 
-// Geometry implements Core.
-func (c *lockstepCore) Geometry() (bits, stride int) { return c.l.bits, c.l.stride }
+// Geometry implements Core: the lane core's, whose symbols the shell hands
+// it as they come (a DFA walker's may be bytes), or the automaton's for a
+// lane over no state.
+func (c *lockstepCore) Geometry() (bits, stride int) {
+	if c.core != nil {
+		return c.core.Geometry()
+	}
+	return c.l.bits, c.l.stride
+}
 
 // ResetState implements Core.
 func (c *lockstepCore) ResetState() {

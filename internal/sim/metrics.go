@@ -37,7 +37,9 @@ var streamMetricsPtr atomic.Pointer[streamMetrics]
 //
 //	sim_feed_calls_total      Feed invocations
 //	sim_bytes_fed_total       whole input bytes received
-//	sim_subsymbols_total      sub-symbols after alphabet expansion
+//	sim_subsymbols_total      symbols handed to the cores: sub-symbols after
+//	                          alphabet expansion, bytes for a core that takes
+//	                          bytes (Core.Geometry)
 //	sim_cycles_total          automaton cycles executed
 //	sim_reports_total         reports emitted (the paper's match count)
 //	sim_flushes_total         streams ended

@@ -82,8 +82,9 @@ func TestSessionMetricsCounters(t *testing.T) {
 	}
 }
 
-// Sub-symbol accounting: a 4-bit automaton expands each byte into two
-// nibbles; the symbol counter must reflect the expanded stream.
+// Symbol accounting: a 4-bit automaton's core expands each byte into two
+// nibbles, and the symbol counter reflects the expanded stream; a core that
+// takes bytes is counted in bytes.
 func TestSessionMetricsSubSymbols(t *testing.T) {
 	reg := withMetrics(t)
 	// Hand-built 4-bit automaton matching byte 0xAB (hi state A, lo state B)
@@ -112,6 +113,30 @@ func TestSessionMetricsSubSymbols(t *testing.T) {
 	if got := snap.Counters["sim_bytes_fed_total"]; got != 4 {
 		t.Errorf("bytes = %d, want 4", got)
 	}
+
+	// The counter counts the symbols the core takes: a core that takes bytes
+	// — a DFA walker whose DFAs step bytes, two a cycle here — takes the
+	// input as it comes, whatever the automaton's sub-symbols.
+	reg = withMetrics(t)
+	s = NewSession(bytesCore{}, nil)
+	s.Feed([]byte("abcde"))
+	s.Flush()
+	snap = reg.Snapshot()
+	if got := snap.Counters["sim_subsymbols_total"]; got != 5 {
+		t.Errorf("byte core: subsymbols = %d, want 5 (the bytes)", got)
+	}
+	if got := snap.Counters["sim_cycles_total"]; got != 3 {
+		t.Errorf("byte core: cycles = %d, want 3 (two bytes a cycle, the last padded)", got)
+	}
+}
+
+// bytesCore takes bytes, two a cycle, and steps no state.
+type bytesCore struct{}
+
+func (bytesCore) Geometry() (bits, stride int) { return 8, 2 }
+func (bytesCore) ResetState()                  {}
+func (bytesCore) StepBlock([]byte, int, int, ReportSink, Tracer) (int64, int64, int) {
+	return 0, 0, 0
 }
 
 // The PR 2 guarantee must survive instrumentation: steady-state Feed stays

@@ -11,8 +11,9 @@
 //
 // Semantics are identical to the batch path: Feed executes every complete
 // stride chunk of the data seen so far and carries the remainder (up to
-// Stride-1 sub-symbols — e.g. the odd nibble of an odd-length chunk on a
-// 4-bit automaton) into the next Feed; Flush runs the final zero-padded
+// Stride-1 of the core's symbols — e.g. the odd nibble of an odd-length chunk
+// on a 4-bit automaton, or the odd byte on a core that takes two bytes a
+// cycle) into the next Feed; Flush runs the final zero-padded
 // partial cycle, filtering reports whose consumed position would exceed the
 // true stream length, exactly as the batch engines pad and filter their
 // last cycle. The batch Run of every engine that returns ([]Report, Stats)
@@ -20,10 +21,11 @@
 // pooled session (Pool) for the one-shot entry points.
 //
 // The session talks to its core in blocks, not cycles: Feed unpacks at most
-// feedBlock bytes into sub-symbols and hands every whole cycle of them to the
-// core in one StepBlock call, so the dispatch, the sink and the statistics
-// cost one call per 2 KiB of input and the core's cycle loop keeps its
-// bookkeeping in registers from one cycle to the next.
+// feedBlock bytes into the core's symbols and hands every whole cycle of them
+// to the core in one StepBlock call, so the dispatch, the sink and the
+// statistics cost one call per 2 KiB of input and the core's cycle loop keeps
+// its bookkeeping in registers from one cycle to the next. For a core whose
+// symbols are bytes (Core.Geometry) the unpack is a copy.
 package sim
 
 import (
@@ -45,13 +47,16 @@ type ReportSink func(Report)
 // the capsule-level arch.Machine session all implement it; Session drives
 // any of them incrementally.
 type Core interface {
-	// Geometry returns the automaton's (bits, stride).
+	// Geometry returns the width and count of the symbols StepBlock consumes
+	// per cycle: the automaton's (bits, stride), or (8, stride·bits/8) for a
+	// core that takes its cycles' sub-symbols as whole bytes (a DFA walker
+	// whose DFAs step bytes). The session hands it symbols of that width.
 	Geometry() (bits, stride int)
 	// ResetState clears all inter-cycle state (the previous-active set),
 	// returning the core to the start-of-stream condition.
 	ResetState()
 	// StepBlock executes the len(subs)/stride consecutive cycles t0, t0+1, …
-	// over subs — whole cycles only, stride sub-symbols each — emitting
+	// over subs — whole cycles only, stride symbols each — emitting
 	// reports into sink in cycle order. limitBits >= 0 suppresses reports
 	// whose BitPos exceeds it (the zero-padded final cycle, a block of one);
 	// limitBits < 0 means no limit (a complete cycle: offsets in [1,Stride]
@@ -79,9 +84,9 @@ type Session struct {
 
 	bits, stride int
 
-	// pending carries 0..stride-1 sub-symbols whose cycle cannot run until
-	// more data (or Flush) arrives — the odd-nibble parity of chunk
-	// boundaries. subBuf is the reusable sub-symbol expansion scratch: it
+	// pending carries 0..stride-1 symbols whose cycle cannot run until
+	// more data (or Flush) arrives — the odd-nibble (or odd-byte) parity of
+	// chunk boundaries. subBuf is the reusable sub-symbol expansion scratch: it
 	// holds pending plus one feedBlock of input at a time.
 	pending []byte
 	subBuf  []byte

@@ -89,6 +89,8 @@ func (c *Case) SplitBudget(t testing.TB) int {
 //     compiler emits, over text of their words;
 //   - one dot-star rule as compiled (8-bit × 1, one component), over text
 //     that arms it once, early in its first block;
+//   - five rules over the letters a to d at 4-bit × 2 and × 4, whose DFAs
+//     step bytes, over text of their words;
 //   - workload families at scale 0.005 compiled at the design point (4-bit ×
 //     4), over their own input generator's bytes (three under -short).
 //
@@ -161,6 +163,24 @@ func Cases(t testing.TB) []*Case {
 		text.WriteString(words[r.Intn(len(words))])
 	}
 	cases = append(cases, &Case{Name: "dot-star regex 8-bit x 1", NFA: armed, Source: armed, Input: []byte(text.String()[:long])})
+
+	// Rules over the letters a to d: their sub-symbols have so few classes
+	// (2 at a byte's high nibble, 5 at its low one) that a DFA over them at
+	// 4-bit × 2 and × 4 steps bytes, one and two a cycle; a.{9}d is the
+	// component the split budget leaves to the kernel.
+	abcd := regexc.MustCompile([]regexc.Rule{
+		{Pattern: "ab+c", Code: 1}, {Pattern: "^dab", Code: 2}, {Pattern: "c.*dd", Code: 3},
+		{Pattern: "a.{9}d", Code: 4}, {Pattern: "b[ad]a", Code: 5},
+	})
+	words = []string{"abc ", "dab ", "cdd ", "abbbc ", "bda ", "baa ", "acbdacbdad "}
+	text.Reset()
+	text.WriteString("dab ")
+	for text.Len() < long {
+		text.WriteString(words[r.Intn(len(words))])
+	}
+	for _, dims := range []int{2, 4} {
+		cases = append(cases, &Case{Name: fmt.Sprintf("a-to-d regex 4-bit x %d", dims), NFA: compile(abcd, 4, dims), Source: abcd, Input: []byte(text.String()[:long])})
+	}
 
 	families := []string{"ExactMatch", "Hamming", "RandomForest", "CoreRings", "Snort", "Bro217", "Fermi"}
 	if testing.Short() {
