@@ -72,7 +72,7 @@ bench-smoke:
 
 # Ten seconds of native fuzzing per target: the artifact boundary (Load,
 # walking each section's layout, never panics, stays inside its allocation
-# budget, and saves back what it accepts; seeded with the v7 golden files and
+# budget, and saves back what it accepts; seeded with the v8 golden files and
 # with tiered artifacts at 2-, 4- and 8-bit geometry, so the DFAT decode's
 # four-entry reads meet 4-, 16- and 256-entry rows),
 # the facade over it (FuzzLoadMachine, the target that covers plan

@@ -22,18 +22,6 @@ import (
 // input byte, the tables' size and the share of cycles walked again after a
 // speculative segment missed at its seam.
 func BenchmarkDFAWalk(b *testing.B) {
-	compile := func(suite string, scale float64, cfg core.Config) (*automata.NFA, *core.Result) {
-		s, _ := workload.Get(suite)
-		n8, err := s.Generate(scale, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := core.Compile(n8, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return n8, res
-	}
 	walk := func(b *testing.B, ds []*dfa.DFA, origs [][]automata.StateID, input []byte) {
 		tableBytes := 0
 		for _, d := range ds {
@@ -59,7 +47,7 @@ func BenchmarkDFAWalk(b *testing.B) {
 		b.ReportMetric(float64(reg.Snapshot().Counters["dfa_rewalk_cycles_total"])/float64(sess.Cycles()), "rewalk-share")
 	}
 
-	snort, res := compile("Snort", 0.01, core.Config{TargetBits: 4, StrideDims: 4})
+	snort, res := compileSuite(b, "Snort", 0.01, core.Config{TargetBits: 4, StrideDims: 4})
 	input := workload.Input(snort, 16<<10, 3)
 	for _, k := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
@@ -79,10 +67,47 @@ func BenchmarkDFAWalk(b *testing.B) {
 		})
 	}
 	b.Run("hamming_tier_match", func(b *testing.B) {
-		hamming, res := compile("Hamming", 0.03, core.Config{TargetBits: 4, StrideDims: 4, Tier: &dfa.TierOptions{}})
+		hamming, res := compileSuite(b, "Hamming", 0.03, core.Config{TargetBits: 4, StrideDims: 4, Tier: &dfa.TierOptions{}})
 		if res.Tier.DFA == nil || res.Tier.Plan.NFAStates != 0 {
 			b.Fatalf("Hamming 0.03 tiers to %d DFA and %d NFA states, want all on one DFA", res.Tier.Plan.DFANFAStates, res.Tier.Plan.NFAStates)
 		}
 		walk(b, []*dfa.DFA{res.Tier.DFA}, [][]automata.StateID{make([]automata.StateID, res.Tier.Plan.DFANFAStates)}, workload.Input(hamming, 64<<10, 3))
 	})
+}
+
+// BenchmarkSelect is the tier selection of the benchmark's two DFA-tier
+// automata at the design point (4-bit × 4): Hamming at scale 0.03, all on
+// one union DFA, and Snort at scale 0.01, whose trials and union
+// construction are most of its compile — the subset construction's time
+// and its allocations, on GOMAXPROCS workers.
+func BenchmarkSelect(b *testing.B) {
+	for _, w := range []struct {
+		suite string
+		scale float64
+	}{{"Hamming", 0.03}, {"Snort", 0.01}} {
+		_, res := compileSuite(b, w.suite, w.scale, core.Config{TargetBits: 4, StrideDims: 4})
+		b.Run(w.suite, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dfa.Select(res.NFA, dfa.TierOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// compileSuite compiles suite at scale under cfg, returning its 8-bit
+// automaton and the compile.
+func compileSuite(b *testing.B, suite string, scale float64, cfg core.Config) (*automata.NFA, *core.Result) {
+	s, _ := workload.Get(suite)
+	n8, err := s.Generate(scale, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Compile(n8, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return n8, res
 }

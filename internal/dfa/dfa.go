@@ -178,10 +178,12 @@ type builder struct {
 	maskTrack  [][]bitvec.Words
 
 	// Interned subset states. byFP maps a Rabin-style fingerprint to the
-	// candidate ids bearing it; equality is always confirmed on the full
-	// key, so fingerprint collisions cost a compare, never correctness.
-	keys []stateKey
-	byFP map[uint64][]int32
+	// last id interned bearing it, and fpPrev[id] to the one before id
+	// (-1 ends the chain); equality is always confirmed on the full key, so
+	// fingerprint collisions cost a compare, never correctness.
+	keys   []stateKey
+	byFP   map[uint64]int32
+	fpPrev []int32
 	// next is the working table over construction ids: next[id*A+v]. seal
 	// renumbers it into the per-phase tables.
 	next []int32
@@ -335,7 +337,7 @@ func newBuilder(n *automata.NFA, maxStates int) *builder {
 		always:    bitvec.NewWords(N),
 		anchored:  bitvec.NewWords(N),
 		even:      bitvec.NewWords(N),
-		byFP:      make(map[uint64][]int32),
+		byFP:      make(map[uint64]int32),
 		counts:    make([]int, n.Stride),
 	}
 	for i := range n.States {
@@ -387,19 +389,35 @@ func newBuilder(n *automata.NFA, maxStates int) *builder {
 	return b
 }
 
+// lookup returns the id of the interned key equal to k, whose fingerprint
+// is fp, or -1.
+func (b *builder) lookup(k stateKey, fp uint64) int32 {
+	id, ok := b.byFP[fp]
+	for ok && id >= 0 {
+		if b.keyEqual(b.keys[id], k) {
+			return id
+		}
+		id = b.fpPrev[id]
+	}
+	return -1
+}
+
 // intern returns the id of the subset key, creating it if new. New keys
 // must already own their bit-vector storage. Creation also derives the
 // cycle-boundary record (report entries and the active count; computeRow
 // fills in the enabled count).
 func (b *builder) intern(k stateKey, fp uint64) (int32, bool) {
-	for _, id := range b.byFP[fp] {
-		if b.keyEqual(b.keys[id], k) {
-			return id, false
-		}
+	if id := b.lookup(k, fp); id >= 0 {
+		return id, false
 	}
 	id := int32(len(b.keys))
 	b.keys = append(b.keys, k)
-	b.byFP[fp] = append(b.byFP[fp], id)
+	prev, ok := b.byFP[fp]
+	if !ok {
+		prev = -1
+	}
+	b.fpPrev = append(b.fpPrev, prev)
+	b.byFP[fp] = id
 	b.idx = append(b.idx, uint16(b.counts[k.phase]))
 	b.counts[k.phase]++
 	if k.phase == 0 {
@@ -427,11 +445,14 @@ type rowScratch struct {
 }
 
 // rowResult holds one expanded state's transition row: the distinct
-// successor keys discovered (storage owned by the result) and, per
-// sub-symbol value, the index of its successor within distinct.
+// successor keys discovered, their fingerprints and ids (an interned key's
+// id, whose storage the result shares, or -1 for a key the result owns)
+// and, per sub-symbol value, the index of its successor within distinct.
+// A batch's results are reused by the next batch.
 type rowResult struct {
 	distinct []stateKey
 	fps      []uint64
+	ids      []int32
 	sym      []int32
 }
 
@@ -440,11 +461,13 @@ type rowResult struct {
 // sub-symbol of every class, deduplicating successors row-locally by
 // fingerprint, and expands the row to every value. Classes are taken in
 // order of their smallest member, so the successors are discovered in the
-// order a pass over every value would discover them. It is pure per state,
-// so rows may be computed in any order by any number of workers.
-func (b *builder) computeRow(id int32, sc *rowScratch) rowResult {
+// order a pass over every value would discover them. A successor already
+// interned is taken as its id, and only a new one copies its words: the
+// interned keys are read, never written, while rows are computed. It is pure
+// per state, so rows may be computed in any order by any number of workers.
+func (b *builder) computeRow(id int32, sc *rowScratch, res *rowResult) {
 	k := b.keys[id]
-	res := rowResult{sym: make([]int32, b.A)}
+	res.distinct, res.fps, res.ids = res.distinct[:0], res.fps[:0], res.ids[:0]
 	var src bitvec.Words
 	curPhase := int(k.phase)
 	if curPhase == 0 {
@@ -504,19 +527,22 @@ func (b *builder) computeRow(id int32, sc *rowScratch) rowResult {
 			}
 		}
 		if local < 0 {
-			cp := make(bitvec.Words, len(w))
-			copy(cp, w)
-			succ.w = cp
+			sid := b.lookup(succ, fp)
+			if sid >= 0 {
+				succ = b.keys[sid]
+			} else {
+				succ.w = slices.Clone(w)
+			}
 			local = int32(len(res.distinct))
 			res.distinct = append(res.distinct, succ)
 			res.fps = append(res.fps, fp)
+			res.ids = append(res.ids, sid)
 		}
 		sc.local[c] = local
 	}
 	for v, c := range b.cl.of[curPhase] {
 		res.sym[v] = sc.local[c]
 	}
-	return res
 }
 
 // run performs the level-synchronous construction: each round expands a
@@ -546,23 +572,36 @@ func (b *builder) run(workers int, tr *obs.Trace) error {
 		scratchMu <- i
 	}
 
+	var batch []rowResult // every batch's results, grown to the largest batch
 	for done := 0; done < len(b.keys); {
 		hi := len(b.keys)
 		if hi-done > maxBatch {
 			hi = done + maxBatch
 		}
-		results := make([]rowResult, hi-done)
+		for len(batch) < hi-done {
+			batch = append(batch, rowResult{sym: make([]int32, b.A)})
+		}
+		results := batch[:hi-done]
 		par.TraceFor(tr, "dfa/determinize", workers, hi-done, func(i int) {
 			si := <-scratchMu
-			results[i] = b.computeRow(int32(done+i), &scratch[si])
+			b.computeRow(int32(done+i), &scratch[si], &results[i])
 			scratchMu <- si
 		})
+		// Grow the tables once a batch: by a row each, and by every
+		// successor no interned key matched, an upper bound on the new keys.
+		owned := 0
+		for i := range results {
+			for _, id := range results[i].ids {
+				if id < 0 {
+					owned++
+				}
+			}
+		}
+		b.next = slices.Grow(b.next, len(results)*b.A)
+		b.keys, b.idx, b.fpPrev = slices.Grow(b.keys, owned), slices.Grow(b.idx, owned), slices.Grow(b.fpPrev, owned)
 		for i := range results {
 			res := &results[i]
-			ids := make([]int32, len(res.distinct))
-			for li := range ids {
-				ids[li] = -1
-			}
+			ids := res.ids
 			rowBase := len(b.next)
 			b.next = append(b.next, res.sym...)
 			for v := 0; v < b.A; v++ {
@@ -620,8 +659,11 @@ type Core struct {
 	cm  [][256]uint8
 	cur []uint16
 	// hist[k*n+i] is the state DFA k entered at the end of cycle i of the
-	// n-cycle block in progress. act and rep are the settle pass's scratch,
-	// zero between blocks.
+	// n-cycle block in progress. act and rep are the scratch of settle, which
+	// settles the blocks of a core of several DFAs or with a kernel: act[i]
+	// sums cycle i's active counts over the DFAs and rep marks the cycles a
+	// DFA reports on. Both are zero between blocks, and a core of one DFA
+	// and no kernel, which settles in its walk, never grows them.
 	hist []uint16
 	act  []int32
 	rep  []uint64
@@ -632,7 +674,7 @@ type Core struct {
 	pt    [][width][]uint16
 	seam  [width]uint16
 	// kernel, when the core has one, steps the states no DFA covers beside
-	// the walker, a cycle at a time over the settled block (Lockstep): the
+	// the walker, a cycle at a time over the walked block (Lockstep): the
 	// per-cycle sum PeakActive is the maximum of is then the DFAs' plus the
 	// kernel's. Its reports' state IDs are offset by kbase, and ksink
 	// forwards them to sink, the sink of the block in progress (nil between
@@ -750,14 +792,21 @@ func (c *Core) ResetState() {
 // before its seam.
 // At the seam a later segment's state is checked against the state the
 // previous segment reached there; on a mismatch the segment is walked again
-// from the true state until it meets its own history. One pass over the
-// settled history then sums the enabled/active counts of the NFA frontiers
-// the states encode — over the DFAs, so Session statistics match the
-// functional simulator's and the peak is the per-cycle sum's — and emits
-// reports in (cycle, DFA) order; a core with a kernel steps it beside the
-// settled block a cycle at a time, its counts added into each cycle's and
-// its reports after the cycle's DFA reports. The output is the serial walk's
-// whatever the guesses.
+// from the true state until it meets its own history.
+//
+// A core of one DFA and no kernel settles the block as it walks it: the walk
+// over the cycles each chain is authoritative for tallies the records of the
+// states it enters (the enabled and active sums, the peak, and whether some
+// state reports) in registers, and the cycles it does not cover (chain 0's
+// up to the seam values), a filler lane's duplicate and a re-walked cycle's
+// guessed record go through the same tally in a short loop. Only a block
+// some entered state reports on then pays a pass over its history, for its
+// reports. A core of several DFAs or with a kernel settles the walked block
+// DFA by DFA: the per-cycle sum over its DFAs, which PeakActive is the
+// maximum of, and the cycles they report on; a kernel is stepped beside the
+// settled block a cycle at a time, its counts added into the cycle's and its
+// reports after the cycle's DFA reports. Reports go out in (cycle, DFA)
+// order, and the output is the serial walk's whatever the guesses.
 func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink, _ sim.Tracer) (enabled, active int64, peak int) {
 	ds, S, sh := c.ds, len(c.pt), uint(c.ds[0].bits)&15
 	n, K := len(subs)/S, len(ds)
@@ -775,9 +824,17 @@ func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink
 	}
 	L := n - (g-1)*step
 	if cap(c.hist) < K*n {
-		c.hist, c.act, c.rep = make([]uint16, K*n), make([]int32, n), make([]uint64, (n+63)/64)
+		c.hist = make([]uint16, K*n)
 	}
 	hist := c.hist[:K*n]
+	// cyc is the records the walk tallies, nil when the block is settled
+	// after it: a cycle's active count is one record's only when the core
+	// walks one DFA and steps no kernel.
+	var cyc []CycleState
+	if K == 1 && c.kernel == nil {
+		cyc = ds[0].cyc
+	}
+	var s tally
 	for q := 0; q < K*g; q += width {
 		for l := range width {
 			ch := min(q+l, K*g-1)
@@ -787,11 +844,25 @@ func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink
 				c.pt[p][l] = c.tabs[k*S+p]
 			}
 		}
-		c.walk(subs, hist, 0, L-step, sh)
+		// A chain is authoritative for the last step cycles of its walk,
+		// chain 0 for all L: the walk up to the seam tallies nothing.
+		i0 := 0
 		if g > 1 {
+			i0 = L - step
+			c.walk(subs, hist, 0, i0, sh, nil, nil)
 			c.seam = c.group.s
-			c.walk(subs, hist, L-step, L, sh)
 		}
+		c.walk(subs, hist, i0, L, sh, cyc, &s)
+		// A filler lane walked the last chain again: its tally is that
+		// chain's, taken back out.
+		if f := q + width - K*g; f > 0 && cyc != nil {
+			h := c.group.hist[width-1]
+			s.add(hist[h+i0:h+L], cyc, -int32(f))
+		}
+	}
+	// Chain 0's cycles up to the seam values, which no tallying walk covers.
+	if cyc != nil && g > 1 {
+		s.add(hist[:L-step], cyc, 1)
 	}
 
 	// A cycle's history is written last by the chain whose segment holds it
@@ -799,6 +870,7 @@ func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink
 	// does), so at a seam hist holds the state the predecessor ended in —
 	// the true one once the seams before it are settled, left to right. A
 	// block cut into segments is one group, so chain k*g+j is lane k*g+j.
+	// A re-walked cycle's guessed record is tallied out and its true one in.
 	rewalked := 0
 	for k := 0; k < K && g > 1; k++ {
 		h, tab := hist[k*n:][:n], c.tabs[k*S:][:S]
@@ -819,7 +891,12 @@ func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink
 				if x == h[i] {
 					break
 				}
-				h[i] = x
+				if cyc != nil {
+					s.add(h[i:i+1], cyc, -1)
+				}
+				if h[i] = x; cyc != nil {
+					s.add(h[i:i+1], cyc, 1)
+				}
 			}
 		}
 	}
@@ -827,32 +904,64 @@ func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink
 		if m := tierMetricsPtr.Load(); m != nil {
 			m.rewalked.Add(int64(rewalked))
 		}
+		// The peak may have been a guessed record's: it is taken again over
+		// the settled history by a tally of weight 0, which moves nothing
+		// else.
+		if cyc != nil {
+			s.peak = 0
+			s.add(hist, cyc, 0)
+		}
 	}
 
-	// Settle: cycle i is enabled from the state entered at the end of cycle
-	// i-1 (the entry state for the first), so a DFA's sum over the states it
-	// entered is off by the entry state and the last one; act[i] sums cycle
-	// i's active counts over the DFAs, and rep marks the cycles some DFA
-	// reports on. Both are left zero.
-	act, rep := c.act[:n], c.rep[:(n+63)/64]
+	// Cycle i is enabled from the state entered at the end of cycle i-1 (the
+	// entry state for the first), so a DFA's sum over the states it entered
+	// is off by the entry state and the last one.
 	for k, d := range ds {
-		h, cyc := hist[k*n:][:n], d.cyc
-		enabled += int64(cyc[c.cur[k]].Enabled) - int64(cyc[h[n-1]].Enabled)
-		for i, s := range h {
-			r := &cyc[s]
+		last := hist[k*n+n-1]
+		enabled += int64(d.cyc[c.cur[k]].Enabled) - int64(d.cyc[last].Enabled)
+		c.cur[k] = last
+	}
+	if cyc != nil {
+		if s.rep != 0 {
+			for i, x := range hist {
+				if r := &cyc[x]; r.NRep != 0 {
+					ds[0].emit(r, t0+i, c.base[0], limitBits, sink)
+				}
+			}
+		}
+		return enabled + s.enabled, s.active, int(s.peak)
+	}
+	return c.settle(subs, hist, n, t0, limitBits, sink, enabled)
+}
+
+// settle settles the walked n-cycle block of a core of several DFAs or with
+// a kernel, DFA by DFA (hist, act and rep as StepBlock leaves them), adding
+// to enabled: one pass over each DFA's history sums its enabled and active
+// counts into act and marks the cycles it reports on; the kernel, when the
+// core has one, is stepped beside the block a cycle at a time, the cycle's
+// DFA reports emitted before its own; a last pass takes the active sum and
+// the peak, and zeroes act and rep.
+func (c *Core) settle(subs []byte, hist []uint16, n, t0, limitBits int, sink sim.ReportSink, enabled int64) (_, active int64, peak int) {
+	if cap(c.act) < n {
+		c.act, c.rep = make([]int32, n), make([]uint64, (n+63)/64)
+	}
+	act, rep := c.act[:n], c.rep[:(n+63)/64]
+	for k, d := range c.ds {
+		cyc := d.cyc
+		for i, x := range hist[k*n:][:n] {
+			r := &cyc[x]
 			enabled += int64(r.Enabled)
 			act[i] += r.Active
 			if r.NRep != 0 {
 				rep[i>>6] |= 1 << (i & 63)
 			}
 		}
-		c.cur[k] = h[n-1]
 	}
 	if c.kernel != nil {
-		ks, kS := subs, S
+		ks, kS := subs, len(c.pt)
 		if c.cm != nil {
-			c.ksubs = sim.AppendSubSymbols(c.ksubs[:0], int(sh), subs)
-			ks, kS = c.ksubs, ds[0].stride
+			c.ksubs = sim.AppendSubSymbols(c.ksubs[:0], c.ds[0].bits, subs)
+			ks, kS = c.ksubs, c.ds[0].stride
 		}
 		c.sink = sink
 		for i := range act {
@@ -880,6 +989,29 @@ func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink
 	return enabled, active, peak
 }
 
+// tally is what settling a block gathers of the records of the states its
+// DFA entered: the enabled and active sums, the largest active count, and
+// every record's NRep ORed together, nonzero when some entered state
+// reports.
+type tally struct {
+	enabled, active int64
+	peak            int32
+	rep             uint16
+}
+
+// add tallies w times the records of the states h holds. The peak and the
+// report flag take every record in whatever w is, so a negative w takes back
+// out what a tally of the same states put in, and a w of 0 takes the peak.
+func (s *tally) add(h []uint16, cyc []CycleState, w int32) {
+	for _, x := range h {
+		r := &cyc[x]
+		s.enabled += int64(w) * int64(r.Enabled)
+		s.active += int64(w) * int64(r.Active)
+		s.peak = max(s.peak, r.Active)
+		s.rep |= r.NRep
+	}
+}
+
 // report emits the reports of cycle i of the n-cycle block, DFA by DFA.
 func (c *Core) report(hist []uint16, n, i, t0, limitBits int, sink sim.ReportSink) {
 	for k, d := range c.ds {
@@ -890,12 +1022,20 @@ func (c *Core) report(hist []uint16, n, i, t0, limitBits int, sink sim.ReportSin
 }
 
 // walk steps the group's chains through cycles [i0, i1) of their own, over
-// sub-symbols or bytes as the core's DFAs step.
-func (c *Core) walk(subs []byte, hist []uint16, i0, i1 int, sh uint) {
-	if c.cm != nil {
+// sub-symbols or bytes as the core's DFAs step, and tallies into t the
+// records cyc of the states they enter when cyc is not nil. The walks that
+// tally are separate functions: tally code in the same loop, even skipped,
+// slowed the walk of a core of several DFAs.
+func (c *Core) walk(subs []byte, hist []uint16, i0, i1 int, sh uint, cyc []CycleState, t *tally) {
+	switch {
+	case cyc == nil && c.cm != nil:
 		walkBytes(&c.group, c.pt, c.cm, subs, hist, i0, i1, sh)
-	} else {
+	case cyc == nil:
 		walk(&c.group, c.pt, subs, hist, i0, i1, sh)
+	case c.cm != nil:
+		walkBytesTally(&c.group, c.pt, c.cm, subs, hist, i0, i1, sh, cyc, t)
+	default:
+		walkTally(&c.group, c.pt, subs, hist, i0, i1, sh, cyc, t)
 	}
 }
 
@@ -946,6 +1086,82 @@ func walkBytes(ln *group, pt [][width][]uint16, cm [][256]uint8, subs []byte, hi
 		d = r[3][int(d)<<sh|int(m[xd[j]])]
 		if p++; p == S {
 			ha[i], hb[i], hc[i], hd[i] = a, b, c, d
+			i, p = i+1, 0
+		}
+	}
+	ln.s = [width]uint16{a, b, c, d}
+}
+
+// walkTally is walk over the chains of one DFA that also tallies each
+// cycle's four records into t as it writes the history: loads off the state
+// chain, which overlap its misses instead of running in a second loop after
+// it.
+func walkTally(ln *group, pt [][width][]uint16, subs []byte, hist []uint16, i0, i1 int, sh uint, cyc []CycleState, t *tally) {
+	S := len(pt)
+	sh &= 15 // a bound the compiler can see: no shift-count check in the loop
+	xa := subs[ln.sub[0]+i0*S : ln.sub[0]+i1*S]
+	xb, xc, xd := subs[ln.sub[1]+i0*S:][:len(xa)], subs[ln.sub[2]+i0*S:][:len(xa)], subs[ln.sub[3]+i0*S:][:len(xa)]
+	ha := hist[ln.hist[0]+i0 : ln.hist[0]+i1]
+	hb, hc, hd := hist[ln.hist[1]+i0:][:len(ha)], hist[ln.hist[2]+i0:][:len(ha)], hist[ln.hist[3]+i0:][:len(ha)]
+	a, b, c, d := ln.s[0], ln.s[1], ln.s[2], ln.s[3]
+	i, p := 0, 0
+	for j, v := range xa {
+		r := &pt[p]
+		a = r[0][int(a)<<sh|int(v)]
+		b = r[1][int(b)<<sh|int(xb[j])]
+		c = r[2][int(c)<<sh|int(xc[j])]
+		d = r[3][int(d)<<sh|int(xd[j])]
+		if p++; p == S {
+			ha[i], hb[i], hc[i], hd[i] = a, b, c, d
+			r := &cyc[a]
+			en, ac, pk, nr := int64(r.Enabled), int64(r.Active), r.Active, r.NRep
+			r = &cyc[b]
+			en, ac, pk, nr = en+int64(r.Enabled), ac+int64(r.Active), max(pk, r.Active), nr|r.NRep
+			r = &cyc[c]
+			en, ac, pk, nr = en+int64(r.Enabled), ac+int64(r.Active), max(pk, r.Active), nr|r.NRep
+			r = &cyc[d]
+			en, ac, pk, nr = en+int64(r.Enabled), ac+int64(r.Active), max(pk, r.Active), nr|r.NRep
+			t.enabled += en
+			t.active += ac
+			t.peak = max(t.peak, pk)
+			t.rep |= nr
+			i, p = i+1, 0
+		}
+	}
+	ln.s = [width]uint16{a, b, c, d}
+}
+
+// walkBytesTally is walkBytes with walkTally's tally.
+func walkBytesTally(ln *group, pt [][width][]uint16, cm [][256]uint8, subs []byte, hist []uint16, i0, i1 int, sh uint, cyc []CycleState, t *tally) {
+	S := len(pt)
+	cm = cm[:S]
+	sh &= 15
+	xa := subs[ln.sub[0]+i0*S : ln.sub[0]+i1*S]
+	xb, xc, xd := subs[ln.sub[1]+i0*S:][:len(xa)], subs[ln.sub[2]+i0*S:][:len(xa)], subs[ln.sub[3]+i0*S:][:len(xa)]
+	ha := hist[ln.hist[0]+i0 : ln.hist[0]+i1]
+	hb, hc, hd := hist[ln.hist[1]+i0:][:len(ha)], hist[ln.hist[2]+i0:][:len(ha)], hist[ln.hist[3]+i0:][:len(ha)]
+	a, b, c, d := ln.s[0], ln.s[1], ln.s[2], ln.s[3]
+	i, p := 0, 0
+	for j, v := range xa {
+		r, m := &pt[p], &cm[p]
+		a = r[0][int(a)<<sh|int(m[v])]
+		b = r[1][int(b)<<sh|int(m[xb[j]])]
+		c = r[2][int(c)<<sh|int(m[xc[j]])]
+		d = r[3][int(d)<<sh|int(m[xd[j]])]
+		if p++; p == S {
+			ha[i], hb[i], hc[i], hd[i] = a, b, c, d
+			r := &cyc[a]
+			en, ac, pk, nr := int64(r.Enabled), int64(r.Active), r.Active, r.NRep
+			r = &cyc[b]
+			en, ac, pk, nr = en+int64(r.Enabled), ac+int64(r.Active), max(pk, r.Active), nr|r.NRep
+			r = &cyc[c]
+			en, ac, pk, nr = en+int64(r.Enabled), ac+int64(r.Active), max(pk, r.Active), nr|r.NRep
+			r = &cyc[d]
+			en, ac, pk, nr = en+int64(r.Enabled), ac+int64(r.Active), max(pk, r.Active), nr|r.NRep
+			t.enabled += en
+			t.active += ac
+			t.peak = max(t.peak, pk)
+			t.rep |= nr
 			i, p = i+1, 0
 		}
 	}

@@ -3,6 +3,7 @@ package dfa_test
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 
 	"impala/internal/automata"
@@ -22,7 +23,10 @@ import (
 // (bytes) one over the letters a to d at 4 bits × 4, which steps bytes, two
 // a cycle, so that an odd chunk leaves a byte pending. The input is data
 // repeated to 2,048 bytes and up to 4,095 more; chunk > 0 feeds it in pieces
-// of chunk%4,096 bytes.
+// of chunk%4,096 bytes. The seeds reach every way the walker settles a
+// block: blocks of one segment (short chunks), of two and three segments
+// with filler lanes, of four, and blocks whose guessed segments miss at
+// their seams.
 func FuzzDFAWalk(f *testing.F) {
 	nibbles := compileTier(f, regexc.MustCompile([]regexc.Rule{
 		{Pattern: "q.*z", Code: 1}, {Pattern: "^head", Code: 2}, {Pattern: "ab[cd]", Code: 3}, {Pattern: "e+dge", Code: 4},
@@ -56,6 +60,16 @@ func FuzzDFAWalk(f *testing.F) {
 	f.Add([]byte("dab abc cad bacb a dd"), uint16(0), uint16(0), true)
 	f.Add(append([]byte("a"), bytes.Repeat([]byte("bcb cab "), 100)...), uint16(2000), uint16(999), true)
 	f.Add([]byte("babac"), uint16(3), uint16(1), true)
+	// A dot-star rule armed at the start of a short last block, and nowhere
+	// before it: 140 nibble cycles or 150 and 100 byte cycles, so the block
+	// is cut into three segments (and a filler lane) or two (and two), and
+	// the later segments, guessed unarmed, miss at their seams.
+	armed := func(filler, arm, rest string) []byte {
+		return []byte(strings.Repeat(filler, block/len(filler)) + arm + strings.Repeat(rest, 200))
+	}
+	f.Add(armed("x", "q", "y"), uint16(70), uint16(0), false)
+	f.Add(armed("bc", "a", "bc"), uint16(301), uint16(0), true)
+	f.Add(armed("bc", "a", "bc"), uint16(200), uint16(0), true)
 	f.Fuzz(func(t *testing.T, data []byte, extra, chunk uint16, bytes bool) {
 		tf := nibbles
 		if bytes {
