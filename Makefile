@@ -89,7 +89,11 @@ bench-smoke:
 # scored form's threshold pruning (a thresholded form reports the open
 # threshold's reports that clear it, no pruned state is ever active, and the
 # pruned automaton validates and prunes to itself), the
-# report sort (SortReports orders as slices.SortFunc does), the DFA walker
+# report sort (SortReports orders as slices.SortFunc does), the bit-parallel
+# kernel (FuzzKernel: a small random automaton at 4-bit × 4, × 2 and × 1 and
+# 8-bit × 2, fed in random chunks over a quiescent run longer than a session
+# block and a match across the seam after it, reports and statistics the
+# scalar engine's), the DFA walker
 # (FuzzDFAWalk: a tier DFA with dot-star, anchored and StartEven states over
 # at least one session block, chunked, reports and statistics the scalar
 # engine's whatever the walker guessed at a seam), the facade's
@@ -117,6 +121,7 @@ define FUZZ
 ./internal/server   FuzzReloadHandler
 ./internal/score    FuzzThresholdPrune
 ./internal/sim      FuzzSortReports
+./internal/sim      FuzzKernel
 ./internal/dfa      FuzzDFAWalk
 .                   FuzzAppendMatches
 ./internal/arch     FuzzCheck

@@ -257,7 +257,8 @@ func newMachine(a *artifact.Artifact, keep []int, cfg Config) (*Machine, error) 
 	case w != nil:
 		m.serving, err = score.Compile(n, w)
 	case m.serving == nil:
-		m.serving, err = sim.Compile(n)
+		// arch.Check has just validated the automaton.
+		m.serving = sim.CompileValidated(n)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("impala: automaton does not compile: %w", err)

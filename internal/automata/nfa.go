@@ -181,17 +181,23 @@ func (n *NFA) Validate() error {
 				return fmt.Errorf("automata: state %d has out-of-range edge to %d", i, t)
 			}
 		}
+		// One pass over the rects checks the domain and finds a non-empty
+		// rect (one with no empty dimension): it runs on every load.
+		matches := false
 		for _, r := range s.Match {
 			if r.Stride() != n.Stride {
 				return fmt.Errorf("automata: state %d rect stride %d != NFA stride %d", i, r.Stride(), n.Stride)
 			}
+			full := true
 			for d, ds := range r {
 				if !dom.Contains(ds) {
 					return fmt.Errorf("automata: state %d dim %d uses symbols outside the %d-bit domain", i, d, n.Bits)
 				}
+				full = full && !ds.Empty()
 			}
+			matches = matches || full
 		}
-		if s.Match.Empty() {
+		if !matches {
 			return fmt.Errorf("automata: state %d has an empty match set", i)
 		}
 		if s.ReportOffset < 1 || s.ReportOffset > n.Stride {

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"impala/internal/automata"
 	"impala/internal/bitvec"
 	"impala/internal/espresso"
 	"impala/internal/sim"
@@ -57,17 +59,77 @@ func BenchmarkRefine(b *testing.B) {
 	}
 }
 
-// liveWords is a sim.Tracer counting cycles and the non-zero words of the
-// enable vector: what a cycle of the word-sparse kernel pays for.
-type liveWords struct{ words, cycles int }
+// liveWords is a sim.Tracer counting cycles, the non-zero words of the
+// enable vector — what a cycle of the word-sparse kernel pays for — and the
+// quiescent cycles, which the kernel skips: past the first, after a cycle
+// that left nothing active, and leaving nothing active themselves (no start
+// state matched their class tuple).
+type liveWords struct {
+	words, cycles, quiescent int
+	was                      bool // the previous cycle left a state active
+}
 
-func (l *liveWords) OnCycle(_ int, enabled, _ bitvec.Words) {
+func (l *liveWords) OnCycle(t int, enabled, active bitvec.Words) {
 	for _, x := range enabled {
 		if x != 0 {
 			l.words++
 		}
 	}
+	is := active.Any()
+	if t > 0 && !l.was && !is {
+		l.quiescent++
+	}
+	l.was = is
 	l.cycles++
+}
+
+// witnesses returns up to 64 byte strings that each drive n, an 8-bit
+// automaton, from an all-input start to a report — the shortest paths, each
+// state rendered to the first byte it matches — as the serving benchmark
+// plants them.
+func witnesses(n *automata.NFA) [][]byte {
+	parent := make([]int, len(n.States))
+	var queue []int
+	for i := range n.States {
+		parent[i] = -2
+		if n.States[i].Start == automata.StartAllInput {
+			parent[i] = -1
+			queue = append(queue, i)
+		}
+	}
+	var out [][]byte
+	for ; len(queue) > 0 && len(out) < 64; queue = queue[1:] {
+		id := queue[0]
+		if n.States[id].Report {
+			var w []byte
+			for at := id; at >= 0; at = parent[at] {
+				w = append(w, n.States[at].Match[0][0].Values()[0])
+			}
+			slices.Reverse(w)
+			out = append(out, w)
+		}
+		for _, next := range n.States[id].Out {
+			if parent[next] == -2 {
+				parent[next] = id
+				queue = append(queue, int(next))
+			}
+		}
+	}
+	return out
+}
+
+// plant overwrites input with one witness every spacing bytes, dealt
+// round-robin, each placed at random within the first half of its slot.
+func plant(input []byte, wit [][]byte, spacing int, r *rand.Rand) {
+	for slot, next := 0, 0; slot < len(input); next++ {
+		w := wit[next%len(wit)]
+		off := slot + r.Intn(spacing/2)
+		if off+len(w) > len(input) {
+			return
+		}
+		copy(input[off:], w)
+		slot += (off + len(w) - slot + spacing - 1) / spacing * spacing
+	}
 }
 
 // BenchmarkServedKernels times the bit-parallel kernel alone on the three
@@ -75,17 +137,27 @@ func (l *liveWords) OnCycle(_ int, enabled, _ bitvec.Words) {
 // bro_small_match, exact_dense_stream: each suite at scale 0.02, compiled at
 // the 4-bit × 4-stride design point) over one request body's worth of input —
 // the kernel number behind a served scan_ns_per_byte, without the HTTP
-// harness around it.
+// harness around it. The "+witnesses" rows plant a matching string every
+// spacing bytes, as the served bodies carry them (ExactMatch every 64 B,
+// Snort every 16 KiB): without them the generated input leaves ExactMatch's
+// kernel almost idle. Beside ns/cycle each row reports the share of cycles
+// the kernel skips as quiescent.
 func BenchmarkServedKernels(b *testing.B) {
 	for _, tc := range []struct {
-		suite string
-		bytes int
+		suite          string
+		bytes, spacing int
 	}{
-		{"Snort", 64 << 10},
-		{"Bro217", 1 << 10},
-		{"ExactMatch", 64 << 10},
+		{"Snort", 64 << 10, 0},
+		{"Bro217", 1 << 10, 0},
+		{"ExactMatch", 64 << 10, 0},
+		{"Snort", 64 << 10, 16 << 10},
+		{"ExactMatch", 64 << 10, 64},
 	} {
-		b.Run(tc.suite, func(b *testing.B) {
+		name := tc.suite
+		if tc.spacing > 0 {
+			name += "+witnesses"
+		}
+		b.Run(name, func(b *testing.B) {
 			bench, ok := workload.Get(tc.suite)
 			if !ok {
 				b.Fatalf("no %s generator in the workload suite", tc.suite)
@@ -103,6 +175,9 @@ func BenchmarkServedKernels(b *testing.B) {
 				b.Fatal(err)
 			}
 			input := workload.Input(src, tc.bytes, 1)
+			if tc.spacing > 0 {
+				plant(input, witnesses(src), tc.spacing, rand.New(rand.NewSource(1)))
+			}
 			var live liveWords
 			c.NewEngine().Run(input, &live)
 			c.Run(input) // a pooled engine with its session, as a served request finds it
@@ -114,6 +189,7 @@ func BenchmarkServedKernels(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*live.cycles), "ns/cycle")
 			b.ReportMetric(float64(live.words)/float64(live.cycles), "live-words/cycle")
+			b.ReportMetric(float64(live.quiescent)/float64(live.cycles), "skipped-share")
 		})
 	}
 }

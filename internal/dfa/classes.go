@@ -1,9 +1,6 @@
 package dfa
 
-import (
-	"impala/internal/automata"
-	"impala/internal/bitvec"
-)
+import "impala/internal/automata"
 
 // Classes is the sub-symbol partition of an automaton: at every stride
 // position, the values no match-set rect tells apart, which every DFA over
@@ -28,68 +25,14 @@ type Classes struct {
 	byteRep [][]uint8
 }
 
-// ClassesOf returns the partition of the sub-symbols of n, a valid automaton,
-// and the step a DFA over n takes: a byte a lookup when n's sub-symbols are
-// narrower than a byte, a cycle is whole bytes and no byte of the cycle has
-// more than 1<<bits classes.
+// ClassesOf returns the partition of the sub-symbols of n, a valid automaton
+// (automata.ClassesOf, which the kernel's byte classes refine from the same
+// rects), and the step a DFA over n takes: a byte a lookup when n's
+// sub-symbols are narrower than a byte, a cycle is whole bytes and no byte of
+// the cycle has more than 1<<bits classes.
 func ClassesOf(n *automata.NFA) *Classes {
-	A := automata.DomainSize(n.Bits)
-	cl := &Classes{bits: n.Bits, stride: n.Stride, of: make([][]uint8, n.Stride), rep: make([][]uint8, n.Stride), step: 1}
-	var seen []uint64 // the masks refined by already, when they fit 16 bits
-	if A <= 16 {
-		seen = make([]uint64, 1<<16/64)
-	}
-	var id [2 * 256]int16
-	for p := range cl.of {
-		of, k := make([]uint8, A), 1
-		clear(seen)
-		var wide map[bitvec.ByteSet]bool
-		if A > 16 {
-			wide = map[bitvec.ByteSet]bool{}
-		}
-		for i := range n.States {
-			for _, r := range n.States[i].Match {
-				if k == A {
-					break
-				}
-				m := r[p]
-				if A <= 16 {
-					key := uint16(m[0])
-					if seen[key>>6]&(1<<(key&63)) != 0 {
-						continue
-					}
-					seen[key>>6] |= 1 << (key & 63)
-				} else {
-					if wide[m] {
-						continue
-					}
-					wide[m] = true
-				}
-				// Split every class by membership in m, renumbering in order
-				// of smallest member.
-				for j := range id[:2*k] {
-					id[j] = -1
-				}
-				k = 0
-				for v := range of {
-					key := int(of[v]) * 2
-					if m.Has(byte(v)) {
-						key++
-					}
-					if id[key] < 0 {
-						id[key] = int16(k)
-						k++
-					}
-					of[v] = uint8(id[key])
-				}
-			}
-		}
-		rep := make([]uint8, k)
-		for v := A - 1; v >= 0; v-- {
-			rep[of[v]] = uint8(v)
-		}
-		cl.of[p], cl.rep[p] = of, rep
-	}
+	sc := automata.ClassesOf(n)
+	cl := &Classes{bits: n.Bits, stride: n.Stride, of: sc.Of, rep: sc.Rep, step: 1}
 	if n.Bits < 8 && n.Bits*n.Stride%8 == 0 {
 		cl.stepBytes()
 	}

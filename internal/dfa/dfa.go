@@ -678,13 +678,15 @@ type Core struct {
 	// per-cycle sum PeakActive is the maximum of is then the DFAs' plus the
 	// kernel's. Its reports' state IDs are offset by kbase, and ksink
 	// forwards them to sink, the sink of the block in progress (nil between
-	// blocks). Beside a walker that takes bytes the kernel steps the block's
-	// sub-symbols, unpacked into ksubs.
+	// blocks). The kernel steps the block's symbols as the core takes them
+	// (Geometry): bytes when its cycle is whole bytes, so a walker over DFAs
+	// that step sub-symbols beside it walks the block unpacked into wsubs.
 	kernel sim.Core
 	kbase  automata.StateID
 	ksink  sim.ReportSink
 	sink   sim.ReportSink
-	ksubs  []byte
+	unpack bool
+	wsubs  []byte
 }
 
 // width is how many chains the walker steps in lockstep: each chain's state
@@ -748,6 +750,8 @@ func lane(ds []*DFA, origs [][]automata.StateID, kernel *sim.Compiled, kernelOri
 		c := newCore(ds, base)
 		if kernel != nil {
 			c.kernel, c.kbase = kernel.NewEngine(), kbase
+			kb, _ := c.kernel.Geometry()
+			c.unpack = c.cm == nil && kb != ds[0].bits
 			c.ksink = func(r sim.Report) {
 				r.State += c.kbase
 				c.sink(r)
@@ -765,10 +769,14 @@ func (c *Core) DFAs() []*DFA { return c.ds }
 func (c *Core) HasKernel() bool { return c.kernel != nil }
 
 // Geometry implements sim.Core: the width and count of the symbols StepBlock
-// takes a cycle — bytes, when the DFAs step bytes.
+// takes a cycle — bytes, when the DFAs step bytes or the kernel beside them
+// does.
 func (c *Core) Geometry() (bits, stride int) {
-	if c.cm != nil {
+	switch {
+	case c.cm != nil:
 		return 8, len(c.pt)
+	case c.kernel != nil:
+		return c.kernel.Geometry()
 	}
 	return c.ds[0].bits, c.ds[0].stride
 }
@@ -808,6 +816,11 @@ func (c *Core) ResetState() {
 // reports after the cycle's DFA reports. Reports go out in (cycle, DFA)
 // order, and the output is the serial walk's whatever the guesses.
 func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink, _ sim.Tracer) (enabled, active int64, peak int) {
+	ksubs := subs
+	if c.unpack {
+		c.wsubs = sim.AppendSubSymbols(c.wsubs[:0], c.ds[0].bits, subs)
+		subs = c.wsubs
+	}
 	ds, S, sh := c.ds, len(c.pt), uint(c.ds[0].bits)&15
 	n, K := len(subs)/S, len(ds)
 	if n == 0 {
@@ -931,17 +944,17 @@ func (c *Core) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink
 		}
 		return enabled + s.enabled, s.active, int(s.peak)
 	}
-	return c.settle(subs, hist, n, t0, limitBits, sink, enabled)
+	return c.settle(ksubs, hist, n, t0, limitBits, sink, enabled)
 }
 
 // settle settles the walked n-cycle block of a core of several DFAs or with
 // a kernel, DFA by DFA (hist, act and rep as StepBlock leaves them), adding
 // to enabled: one pass over each DFA's history sums its enabled and active
 // counts into act and marks the cycles it reports on; the kernel, when the
-// core has one, is stepped beside the block a cycle at a time, the cycle's
-// DFA reports emitted before its own; a last pass takes the active sum and
-// the peak, and zeroes act and rep.
-func (c *Core) settle(subs []byte, hist []uint16, n, t0, limitBits int, sink sim.ReportSink, enabled int64) (_, active int64, peak int) {
+// core has one, is stepped beside the block a cycle at a time over ksubs, the
+// block as the core took it, the cycle's DFA reports emitted before its own;
+// a last pass takes the active sum and the peak, and zeroes act and rep.
+func (c *Core) settle(ksubs []byte, hist []uint16, n, t0, limitBits int, sink sim.ReportSink, enabled int64) (_, active int64, peak int) {
 	if cap(c.act) < n {
 		c.act, c.rep = make([]int32, n), make([]uint64, (n+63)/64)
 	}
@@ -958,17 +971,13 @@ func (c *Core) settle(subs []byte, hist []uint16, n, t0, limitBits int, sink sim
 		}
 	}
 	if c.kernel != nil {
-		ks, kS := subs, len(c.pt)
-		if c.cm != nil {
-			c.ksubs = sim.AppendSubSymbols(c.ksubs[:0], c.ds[0].bits, subs)
-			ks, kS = c.ksubs, c.ds[0].stride
-		}
+		kS := len(ksubs) / n
 		c.sink = sink
 		for i := range act {
 			if rep[i>>6]&(1<<(i&63)) != 0 {
 				c.report(hist, n, i, t0, limitBits, sink)
 			}
-			e, a, _ := c.kernel.StepBlock(ks[i*kS:][:kS], t0+i, limitBits, c.ksink, nil)
+			e, a, _ := c.kernel.StepBlock(ksubs[i*kS:][:kS], t0+i, limitBits, c.ksink, nil)
 			enabled += e
 			act[i] += int32(a)
 		}

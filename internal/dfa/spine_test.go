@@ -20,7 +20,7 @@ import (
 // K DFAs as one lane, the components dealt round-robin onto K
 // determinizations, K odd and even.
 func TestSpine(t *testing.T) {
-	bothTiers, bytesBesideKernel := false, false
+	bothTiers, bytesBesideKernel, unpackedBesideKernel := false, false, false
 	var rows []simtest.Row
 	for _, name := range []string{"tiered", "tiered, split budget"} {
 		rows = append(rows, simtest.Row{Name: name, Build: func(t testing.TB, c *simtest.Case) (simtest.Form, bool) {
@@ -33,9 +33,10 @@ func TestSpine(t *testing.T) {
 				t.Fatal(err)
 			}
 			bothTiers = bothTiers || tf.DFA() != nil && tf.Plan().NFAStates > 0
-			if w := checkLane(t, tf); w != nil && w.HasKernel() {
+			if w := checkLane(t, tf); w != nil && w.HasKernel() && c.NFA.Bits < 8 {
 				bits, _ := w.Geometry()
-				bytesBesideKernel = bytesBesideKernel || bits == 8 && c.NFA.Bits < 8
+				bytesBesideKernel = bytesBesideKernel || bits == 8 && tf.DFA().Step() > 1
+				unpackedBesideKernel = unpackedBesideKernel || bits == 8 && tf.DFA().Step() == 1
 			}
 			return simtest.SessionForm(tf.NewSession, tf.AppendRun), true
 		}})
@@ -50,14 +51,18 @@ func TestSpine(t *testing.T) {
 		t.Error("no tiered form kept both tiers; the walker with a kernel beside it went unexercised")
 	}
 	if !bytesBesideKernel {
-		t.Error("no walker that steps bytes had a kernel beside it; the kernel's unpacked sub-symbols went unexercised")
+		t.Error("no walker that steps bytes had a kernel beside it; the kernel's bytes from the walker's block went unexercised")
+	}
+	if !unpackedBesideKernel {
+		t.Error("no walker that steps sub-symbols had a kernel that takes bytes beside it; the walker's unpacked sub-symbols went unexercised")
 	}
 }
 
 // checkLane fails unless tf's one lane is a walker iff tf has a DFA tier and
 // steps a kernel, beside the walker or alone, iff a state is left to one, and
-// unless the walker takes bytes iff its DFA steps them; it returns the
-// walker, nil when the lane is none.
+// unless the walker takes bytes iff its DFA steps them or a kernel beside it
+// does (a cycle of whole bytes); it returns the walker, nil when the lane is
+// none.
 func checkLane(t testing.TB, tf *dfa.Tiered) *dfa.Core {
 	t.Helper()
 	kernel, ln := tf.Plan().NFAStates > 0, tf.Lane()
@@ -74,8 +79,10 @@ func checkLane(t testing.TB, tf *dfa.Tiered) *dfa.Core {
 		t.Fatalf("a kernel lane %t, %d states are left to one", ln.New != nil, tf.Plan().NFAStates)
 	}
 	if w != nil {
-		if bits, _ := w.Geometry(); (bits == 8 && tf.DFA().Bits() < 8) != (tf.DFA().Step() > 1) {
-			t.Fatalf("the walker takes %d-bit symbols, its DFA steps %d sub-symbols a lookup", bits, tf.DFA().Step())
+		d := tf.DFA()
+		wholeBytes := d.Bits()*d.Stride()%8 == 0
+		if bits, _ := w.Geometry(); (bits == 8 && d.Bits() < 8) != (d.Bits() < 8 && (d.Step() > 1 || w.HasKernel() && wholeBytes)) {
+			t.Fatalf("the walker takes %d-bit symbols, its DFA steps %d sub-symbols a lookup, a kernel beside it %t", bits, d.Step(), w.HasKernel())
 		}
 	}
 	return w

@@ -1,9 +1,11 @@
 package score_test
 
 import (
+	"slices"
 	"testing"
 
 	"impala/internal/automata"
+	"impala/internal/bitvec"
 	"impala/internal/score"
 	"impala/internal/sim"
 	"impala/internal/sim/simtest"
@@ -29,6 +31,13 @@ func TestSpine(t *testing.T) {
 					t.Fatal(err)
 				}
 				oneShot, _ := sc.Run(c.Input)
+				// A tracer turns the kernel's skip of quiescent cycles off:
+				// the lane that rides a skipping kernel scores as one that
+				// sees every cycle.
+				traced, _ := sim.RunBatch(sc.NewEngine(), c.Input, 0, everyCycle{})
+				if !slices.Equal(traced, oneShot) {
+					t.Fatalf("scored on %s: with every cycle stepped %v, skipping %v", c.Name, traced, oneShot)
+				}
 				scores := make(map[sim.Report]float64, len(oneShot))
 				for _, r := range oneShot {
 					scores[binary(r)] = r.Score
@@ -53,6 +62,12 @@ func TestSpine(t *testing.T) {
 	}
 	simtest.Spine(t, rows...)
 }
+
+// everyCycle is a Tracer that looks at nothing: attached, the kernel steps
+// every cycle.
+type everyCycle struct{}
+
+func (everyCycle) OnCycle(int, bitvec.Words, bitvec.Words) {}
 
 // binary is r with its score zeroed: the report a binary engine makes.
 func binary(r sim.Report) sim.Report {

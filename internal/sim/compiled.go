@@ -11,11 +11,15 @@ import (
 // rendering of the paper's two-phase in-memory datapath. Where the scalar
 // Engine dispatches per enabled state, Compiled precomputes:
 //
-//   - per-position symbol mask tables: for stride position p and sub-symbol
-//     v, the bit-vector of states whose match rule accepts v at p. The
-//     state-match phase is then S word-wise ANDs — exactly the hardware's
-//     one-column-read-per-dimension followed by the capsule AND gate,
-//     evaluated for 64 states at once.
+//   - per-position symbol mask tables: for the q-th symbol of a cycle and
+//     its class c, the bit-vector of states whose match rule accepts the
+//     symbols of class c there. A cycle that is whole bytes takes bytes, one
+//     table per byte indexed by the byte's joint class
+//     (automata.ByteClassesOf), so the state-match phase is bits·S/8
+//     word-wise ANDs — two at 4-bit × 4, where the paper's capsule reads
+//     four nibble columns; any other cycle takes its S sub-symbols, each its
+//     own class. Either is the hardware's one-column-read-per-dimension
+//     followed by the capsule AND gate, evaluated for 64 states at once.
 //   - successor rows in CSR form (per state, the non-zero words of its
 //     enable mask): the state-transition phase ORs the row of each active
 //     state into the enable vector via bitvec.CSR.OrRowsInto — the wired-OR
@@ -23,7 +27,10 @@ import (
 //     footprint proportional to the configured switch points.
 //   - the three start-enable vectors a cycle can need (first cycle of a
 //     stream, even cycles, odd cycles), each with the summary of its
-//     non-zero words and its size.
+//     non-zero words and its size, and for the even and odd ones the class
+//     tuples some start state matches: a cycle that follows a cycle with
+//     nothing active, on a tuple no start state matches, enables the start
+//     vector and activates nothing, so the engine skips it.
 //
 // Everything a cycle touches is indexed by word, and the engine visits only
 // the words a summary names (see CompiledEngine), so a cycle costs its live
@@ -40,12 +47,20 @@ import (
 type Compiled struct {
 	nfa *automata.NFA
 
-	// masks is the flat symbol-mask table: masks[(p*words+w)*dom+v] holds,
-	// for the 64 states of word w, which accept sub-symbol v at stride
-	// position p — the dom entries a live word can need at one position sit
-	// side by side. Residual states have zero bits in every mask.
-	masks      []uint64
-	dom, words int
+	// A cycle is units symbols of unitBits each: bytes when it is whole
+	// bytes, its sub-symbols otherwise.
+	unitBits, units int
+	// classOf[q][x] is the class of symbol x at the cycle's q-th symbol:
+	// a byte's joint class, or the sub-symbol itself.
+	classOf [][256]uint8
+	// masks[q][c*words+w] holds, for the 64 states of word w, which accept
+	// the symbols of class c at the cycle's q-th symbol: a class's row of
+	// words is one run, which a cycle reads at its live words. Residual
+	// states have zero bits in every mask. classes is the most classes of
+	// any symbol rounded up to whole words: the radix of a cycle's class
+	// tuple (startVector.admits), so a first class's tuples are whole words.
+	masks          [][]uint64
+	classes, words int
 	// residual lists non-decomposable states, ascending.
 	residual []automata.StateID
 
@@ -75,6 +90,13 @@ func Compile(n *automata.NFA) (*Compiled, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
+	return CompileValidated(n), nil
+}
+
+// CompileValidated is Compile for an automaton the caller has validated and
+// not changed since, so that a machine's load path, which arch.Check has
+// validated it on, does not walk every state's rects once more.
+func CompileValidated(n *automata.NFA) *Compiled {
 	ns := n.NumStates()
 	S := n.Stride
 	dom := automata.DomainSize(n.Bits)
@@ -82,12 +104,16 @@ func Compile(n *automata.NFA) (*Compiled, error) {
 
 	c := &Compiled{
 		nfa:       n,
-		masks:     make([]uint64, S*dom*nw),
-		dom:       dom,
+		unitBits:  n.Bits,
+		units:     S,
 		words:     nw,
 		startOdd:  &startVector{Frontier: bitvec.NewFrontier(ns)},
 		reporting: bitvec.NewWords(ns),
 	}
+	// val[(p*dom+v)*nw+w] holds which states of word w accept sub-symbol v
+	// at stride position p: the masks themselves when a cycle takes
+	// sub-symbols, what a byte's class is found from otherwise.
+	val := make([]uint64, S*dom*nw)
 	succ := bitvec.NewCSRBuilder(ns, ns)
 	var even, anchored []int
 	for i := range n.States {
@@ -110,10 +136,10 @@ func Compile(n *automata.NFA) (*Compiled, error) {
 		if dims, ok := decompose(s.Match, S); ok {
 			w, bit := i>>6, uint64(1)<<(uint(i)&63)
 			for p := 0; p < S; p++ {
-				at := (p*nw + w) * dom
 				for k, word := range dims[p] {
 					for ; word != 0; word &= word - 1 {
-						c.masks[at+(k<<6|bits.TrailingZeros64(word))] |= bit
+						v := k<<6 | bits.TrailingZeros64(word)
+						val[(p*dom+v)*nw+w] |= bit
 					}
 				}
 			}
@@ -121,11 +147,96 @@ func Compile(n *automata.NFA) (*Compiled, error) {
 			c.residual = append(c.residual, automata.StateID(i))
 		}
 	}
+	if n.Bits*S%8 == 0 {
+		bc := automata.ByteClassesOf(n.Bits, S, nw, val)
+		c.unitBits, c.units, c.classOf, c.masks = 8, len(bc.Of), bc.Of, bc.Cols
+		for _, r := range bc.Rep {
+			c.classes = max(c.classes, len(r))
+		}
+		c.classes = (c.classes + 63) &^ 63
+	} else {
+		c.classOf, c.classes, c.masks = make([][256]uint8, S), (dom+63)&^63, make([][]uint64, S)
+		for p := range S {
+			copy(c.classOf[p][:], identity[:])
+			c.masks[p] = val[p*dom*nw:][:dom*nw]
+		}
+	}
 	c.succ = succ.Build()
 	c.startEven = c.startOdd.with(ns, even)
 	c.startFirst = c.startEven.with(ns, anchored)
+	c.admit(c.startOdd)
+	if c.startEven != c.startOdd {
+		c.admit(c.startEven)
+	}
 	c.pool = NewPool(func() Core { return c.NewEngine() })
-	return c, nil
+	return c
+}
+
+// identity maps every symbol to itself: the classes of a cycle that takes
+// sub-symbols.
+var identity = func() (id [256]uint8) {
+	for v := range id {
+		id[v] = uint8(v)
+	}
+	return id
+}()
+
+// maxTuples bounds the class tuples a start vector keeps a bit for: a cycle
+// whose tuples are more is never skipped. As the radix is whole words, that
+// is every cycle of three symbols or more (4-bit × 8, 8-bit × 4).
+const maxTuples = 1 << 16
+
+// admit sets v.admits: a bit per class tuple of a cycle of one or two
+// symbols, the first symbol's class times c.classes plus the second's, set
+// when some state of v matches the tuple's symbols. A first class's
+// admitted second classes are a run of words, the same for every first
+// class that leaves a start word the same states. A vector that holds a
+// residual state, which no mask names, keeps none.
+func (c *Compiled) admit(v *startVector) {
+	tuples := c.classes
+	if c.units == 2 {
+		tuples *= c.classes
+	}
+	if c.units > 2 || tuples > maxTuples {
+		return
+	}
+	for _, id := range c.residual {
+		if v.Bits.Get(int(id)) {
+			return
+		}
+	}
+	v.admits = bitvec.NewWords(tuples)
+	first, last, rw := c.masks[0], c.masks[c.units-1], c.classes/64
+	for sw, s := range v.Sum {
+		for ; s != 0; s &= s - 1 {
+			w := sw<<6 | bits.TrailingZeros64(s)
+			var seen uint64
+			var row [4]uint64 // the last symbol's classes the states seen match
+			for k0 := 0; k0*c.words < len(first); k0++ {
+				x := v.Bits[w]
+				if c.units == 2 {
+					x &= first[k0*c.words+w]
+				}
+				if x == 0 {
+					continue
+				}
+				if x != seen {
+					seen, row = x, [4]uint64{}
+					for k1 := 0; k1*c.words < len(last); k1++ {
+						if x&last[k1*c.words+w] != 0 {
+							row[k1>>6] |= 1 << (k1 & 63)
+						}
+					}
+				}
+				for i, a := range row[:rw] {
+					v.admits[k0*rw+i] |= a
+				}
+				if c.units == 1 {
+					break
+				}
+			}
+		}
+	}
 }
 
 // startVector is the set of states enabled on a class of cycles whatever
@@ -133,6 +244,10 @@ func Compile(n *automata.NFA) (*Compiled, error) {
 type startVector struct {
 	bitvec.Frontier
 	count int
+	// admits has a bit per class tuple of a cycle, set when some state of
+	// the vector matches the tuple (Compiled.admit); nil when the tuples are
+	// too many to keep, or on the first cycle's vector, which no cycle skips.
+	admits bitvec.Words
 }
 
 func (v *startVector) add(i int) {
@@ -227,6 +342,10 @@ type CompiledEngine struct {
 	touched bitvec.Frontier
 	// lane, when non-nil, runs between the match phase and the report gate.
 	lane func(t int)
+	// off holds a cycle's mask offsets when it takes more than two symbols,
+	// and sym a residual state's sub-symbols when it takes bytes.
+	off []int
+	sym []byte
 }
 
 // NewEngine allocates per-stream state for executing the compiled
@@ -239,6 +358,12 @@ func (c *Compiled) NewEngine() *CompiledEngine {
 	e.act[0], buf = bitvec.CarveFrontier(buf, ns)
 	e.act[1], buf = bitvec.CarveFrontier(buf, ns)
 	e.touched = bitvec.Frontier{Bits: e.enabled.Bits, Sum: buf}
+	if c.units > 2 {
+		e.off = make([]int, c.units)
+	}
+	if len(c.residual) != 0 && c.unitBits != c.nfa.Bits {
+		e.sym = make([]byte, 0, c.nfa.Stride)
+	}
 	return e
 }
 
@@ -259,8 +384,9 @@ func (c *Compiled) AppendRun(dst []Report, input []byte) ([]Report, Stats) {
 	return c.pool.AppendRun(dst, input)
 }
 
-// Geometry implements Core.
-func (e *CompiledEngine) Geometry() (bits, stride int) { return e.c.nfa.Bits, e.c.nfa.Stride }
+// Geometry implements Core: bytes, bits·stride/8 a cycle, when a cycle of
+// the automaton is whole bytes, its sub-symbols otherwise.
+func (e *CompiledEngine) Geometry() (bits, stride int) { return e.c.unitBits, e.c.units }
 
 // ResetState implements Core: it clears the inter-cycle active set. The
 // other two vectors are cleared with it, so an engine that stopped
@@ -300,12 +426,24 @@ func (e *CompiledEngine) startFor(t int) *startVector {
 // once per block (which flip is current also on the cycles a lane or a tracer
 // looks). The phases stay in one body — split into a method per phase the same
 // loops measured 8–10% slower per byte on the Snort automaton — and every
-// stride, summary length, lane, residual list and tracer takes this one body.
+// geometry, summary length, lane, residual list and tracer takes this one body.
+//
+// A quiescent cycle — the one before it left nothing active, and no state of
+// its start vector matches its class tuple (startVector.admits) — enables
+// its start vector and activates nothing, so the loop steps over a run of
+// them adding only their start counts, and touches no vector: the next cycle
+// it runs finds the enable vector seeded and both active vectors as the last
+// cycle it ran left them, the previous one empty. The first cycle of a
+// stream, with its own start vector, is never skipped, and no cycle is when
+// a tracer watches every cycle; a lane is not called on a skipped cycle, on
+// which no state is active.
 func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink ReportSink, tracer Tracer) (enabled, active int64, peak int) {
 	c := e.c
 	n := c.nfa
-	S := n.Stride
-	masks, dom, posStep := c.masks, c.dom, c.dom*c.words
+	U, C := c.units, c.classes
+	cm := c.classOf[:U]
+	masks, nw := c.masks, c.words
+	m0, m1 := masks[0], masks[U-1]
 	reporting := c.reporting
 	en, enSum := e.enabled.Bits, e.enabled.Sum
 	touched := e.touched.Sum
@@ -319,12 +457,33 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 	}
 
 	extras := len(c.residual) != 0 || e.lane != nil || tracer != nil
+	odd, even := c.startOdd, c.startEven
+	skips := odd.admits != nil && even.admits != nil && tracer == nil
 
-	for t := t0; len(subs) >= S; t, subs = t+1, subs[S:] {
-		chunk := subs[:S]
-		start := c.startOdd
+	for t := t0; len(subs) >= U; t, subs = t+1, subs[U:] {
+		if prevCount == 0 && skips && t != 0 {
+			for ; len(subs) >= U; t, subs = t+1, subs[U:] {
+				tuple := int(cm[0][subs[0]]) // a skipping cycle has one or two symbols
+				if U == 2 {
+					tuple = tuple*C + int(cm[1][subs[1]])
+				}
+				v := odd
+				if t&1 == 0 {
+					v = even
+				}
+				if v.admits[tuple>>6]&(1<<(tuple&63)) != 0 {
+					break
+				}
+				enabled += int64(v.count)
+			}
+			if len(subs) < U {
+				break
+			}
+		}
+		chunk := subs[:U]
+		start := odd
 		if t&1 == 0 {
-			start = c.startEven
+			start = even
 			if t == 0 {
 				start = c.startFirst
 			}
@@ -350,19 +509,23 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 		}
 
 		// State-match phase, one pass per summary word over the live words
-		// (start ∪ touched): active = enabled ∧ mask[0][chunk[0]] ∧ … ∧
-		// mask[S-1][chunk[S-1]] and its summary, then over the words that came
-		// out non-zero — few of the live ones — their popcount and whether a
-		// reporting state is in them. The words the active vector still names
-		// from two cycles ago are walked as well: off the live set the enable
-		// vector is zero, so they come out zero here instead of in a sweep of
-		// their own.
+		// (start ∪ touched): active = enabled ∧ mask[0][class of chunk[0]] ∧
+		// … and its summary, then over the words that came out non-zero — few
+		// of the live ones — their popcount and whether a reporting state is
+		// in them. The words the active vector still names from two cycles ago
+		// are walked as well: off the live set the enable vector is zero, so
+		// they come out zero here instead of in a sweep of their own. A cycle
+		// of one symbol ANDs its mask twice rather than take a branch.
 		na := 0
 		var hits uint64
-		o0 := int(chunk[0])
-		var o1, o2, o3 int
-		if S == 4 {
-			o1, o2, o3 = posStep+int(chunk[1]), 2*posStep+int(chunk[2]), 3*posStep+int(chunk[3])
+		o0 := int(cm[0][chunk[0]]) * nw
+		o1 := o0
+		if U == 2 {
+			o1 = int(cm[1][chunk[1]]) * nw
+		} else if U > 2 {
+			for q, v := range chunk {
+				e.off[q] = int(cm[q][v]) * nw
+			}
 		}
 		for sw, rowed := range touched {
 			s := sSum[sw] | rowed
@@ -373,14 +536,11 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 				b := bits.TrailingZeros64(s)
 				w := sw<<6 | b
 				x := en[w]
-				at := w * dom
-				if S == 4 {
-					x &= masks[at+o0] & masks[at+o1] & masks[at+o2] & masks[at+o3]
+				if U <= 2 {
+					x &= m0[o0+w] & m1[o1+w]
 				} else {
-					x &= masks[at+o0]
-					for _, v := range chunk[1:] {
-						at += posStep
-						x &= masks[at+int(v)]
+					for q, o := range e.off {
+						x &= masks[q][o+w]
 					}
 				}
 				act[w] = x
@@ -399,12 +559,19 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 			e.cur = cur // what Active and PrevActive read
 
 			// Residual scalar path: non-decomposable match sets (no mask
-			// names them, so none is active yet).
-			for _, id := range c.residual {
-				if en.Get(int(id)) && n.States[id].Match.Has(chunk) {
-					e.act[cur].Set(int(id))
-					na++
-					hits |= reporting[id>>6] & (1 << (uint(id) & 63))
+			// names them, so none is active yet), matched on the cycle's
+			// sub-symbols.
+			if len(c.residual) != 0 {
+				sym := chunk
+				if e.sym != nil {
+					sym = AppendSubSymbols(e.sym[:0], n.Bits, chunk)
+				}
+				for _, id := range c.residual {
+					if en.Get(int(id)) && n.States[id].Match.Has(sym) {
+						e.act[cur].Set(int(id))
+						na++
+						hits |= reporting[id>>6] & (1 << (uint(id) & 63))
+					}
 				}
 			}
 
@@ -415,7 +582,7 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 			// Reporting, on the cycles that have a reporting state active:
 			// gate the active words on the reporting mask, then per bit.
 			if hits != 0 {
-				base := t * S
+				base := t * n.Stride
 				for sw, s := range actSum {
 					for ; s != 0; s &= s - 1 {
 						w := sw<<6 | bits.TrailingZeros64(s)

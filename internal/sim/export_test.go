@@ -12,6 +12,10 @@ import (
 // The automata the kernel is tuned against, and the benchmarks' input.
 var LowActivityNFA, HighActivityNFA, SparseActivityNFA, BenchInput = lowActivityNFA, highActivityNFA, sparseActivityNFA, benchInput
 
+// Skips reports whether the kernel skips quiescent cycles: whether both
+// stable start vectors keep their admitted class tuples.
+func (c *Compiled) Skips() bool { return c.startOdd.admits != nil && c.startEven.admits != nil }
+
 // FrontierCheck is a Tracer pinning what the word-sparse kernel promises
 // after every cycle: each vector is dense-valid under its summary (a word the
 // summary does not name is zero), the vectors the tracer is handed are the

@@ -39,7 +39,9 @@ var streamMetricsPtr atomic.Pointer[streamMetrics]
 //	sim_bytes_fed_total       whole input bytes received
 //	sim_subsymbols_total      symbols handed to the cores: sub-symbols after
 //	                          alphabet expansion, bytes for a core that takes
-//	                          bytes (Core.Geometry)
+//	                          bytes (Core.Geometry) — the kernel whenever its
+//	                          cycle is whole bytes, a DFA walker whose DFAs
+//	                          step bytes or that steps such a kernel
 //	sim_cycles_total          automaton cycles executed
 //	sim_reports_total         reports emitted (the paper's match count)
 //	sim_flushes_total         streams ended

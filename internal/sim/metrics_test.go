@@ -128,6 +128,33 @@ func TestSessionMetricsSubSymbols(t *testing.T) {
 	if got := snap.Counters["sim_cycles_total"]; got != 3 {
 		t.Errorf("byte core: cycles = %d, want 3 (two bytes a cycle, the last padded)", got)
 	}
+
+	// The kernel over a 4-bit automaton whose cycle is whole bytes — two
+	// nibbles here, one byte — takes bytes too: a byte a cycle, not two
+	// sub-symbols.
+	n2 := automata.New(4, 2)
+	n2.AddState(automata.State{
+		Match: automata.MatchSet{automata.Rect{bitvec.ByteOf(0x6), bitvec.ByteOf(0x1)}},
+		Start: automata.StartAllInput, Report: true,
+	})
+	c2, err := Compile(n2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg = withMetrics(t)
+	s = NewSession(c2.NewEngine(), nil)
+	s.Feed([]byte("abcd"))
+	s.Flush()
+	snap = reg.Snapshot()
+	if got := snap.Counters["sim_subsymbols_total"]; got != 4 {
+		t.Errorf("byte-stepped kernel: subsymbols = %d, want 4 (the bytes)", got)
+	}
+	if got := snap.Counters["sim_cycles_total"]; got != 4 {
+		t.Errorf("byte-stepped kernel: cycles = %d, want 4 (a byte a cycle)", got)
+	}
+	if got := snap.Counters["sim_reports_total"]; got != 1 {
+		t.Errorf("byte-stepped kernel: reports = %d, want 1 (the 'a')", got)
+	}
 }
 
 // bytesCore takes bytes, two a cycle, and steps no state.

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"impala/internal/automata"
+	"impala/internal/bitvec"
 	"impala/internal/core"
 	"impala/internal/dfa"
 	"impala/internal/regexc"
@@ -182,6 +183,26 @@ func Cases(t testing.TB) []*Case {
 		cases = append(cases, &Case{Name: fmt.Sprintf("a-to-d regex 4-bit x %d", dims), NFA: compile(abcd, 4, dims), Source: abcd, Input: []byte(text.String()[:long])})
 	}
 
+	// Rules at 4-bit × 4 with an anchored start and, added by hand, a
+	// StartEven state on "ba", over long runs of dots no start state
+	// matches: the kernel skips those cycles on both parities, from the one
+	// after the first on, and "ba" reports only where it starts an even
+	// cycle.
+	quiet := compile(regexc.MustCompile([]regexc.Rule{
+		{Pattern: "^he", Code: 1}, {Pattern: "impala", Code: 2}, {Pattern: "e+dge", Code: 3},
+	}), 4, 4)
+	quiet.AddState(automata.State{
+		Match: automata.MatchSet{{bitvec.ByteOf(6), bitvec.ByteOf(2), bitvec.ByteOf(6), bitvec.ByteOf(1)}},
+		Start: automata.StartEven, Report: true, ReportCode: 4, ReportOffset: 4,
+	})
+	words = []string{"....", "........", "ba", ".ba.", "..ba", "impala", "eedge", ".", strings.Repeat(".", 300)}
+	text.Reset()
+	text.WriteString("he")
+	for text.Len() < long {
+		text.WriteString(words[r.Intn(len(words))])
+	}
+	cases = append(cases, &Case{Name: QuietCase, NFA: quiet, Input: []byte(text.String()[:long])})
+
 	families := []string{"ExactMatch", "Hamming", "RandomForest", "CoreRings", "Snort", "Bro217", "Fermi"}
 	if testing.Short() {
 		families = families[:3]
@@ -196,6 +217,10 @@ func Cases(t testing.TB) []*Case {
 	}
 	return cases
 }
+
+// QuietCase names the case whose long runs of cycles no start state matches
+// the kernel skips.
+const QuietCase = "quiescent runs 4-bit x 4"
 
 // RandomWeights returns a weight table for n drawn from seed: integer
 // weights in [-5, 5] on every edge and [-3, 3] on every start, and the open

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"impala/internal/automata"
+	"impala/internal/bitvec"
 	"impala/internal/sim"
 	"impala/internal/sim/simtest"
 )
@@ -33,6 +34,43 @@ func TestSpine(t *testing.T) {
 			return simtest.SessionForm(l.NewSession, l.AppendRun), true
 		}},
 	)
+}
+
+// The spine's quiescent case runs the kernel's skip: it keeps its admitted
+// tuples, and its input holds cycles the kernel skips (counted by a tracer,
+// which itself turns the skip off), after the first and on both parities.
+func TestSpineSkips(t *testing.T) {
+	for _, c := range simtest.Cases(t) {
+		if c.Name != simtest.QuietCase {
+			continue
+		}
+		k := compile(t, c.NFA)
+		if !k.Skips() {
+			t.Fatalf("%s: the kernel keeps no admitted tuples", c.Name)
+		}
+		var q quiescent
+		k.NewEngine().Run(c.Input, &q)
+		if q.parity[0] == 0 || q.parity[1] == 0 {
+			t.Fatalf("%s: quiescent cycles by parity %v, want some of each", c.Name, q.parity)
+		}
+		return
+	}
+	t.Fatalf("no spine case %q", simtest.QuietCase)
+}
+
+// quiescent counts by parity the cycles the kernel skips: past the first,
+// after a cycle that left nothing active, leaving nothing active.
+type quiescent struct {
+	parity [2]int
+	was    bool
+}
+
+func (q *quiescent) OnCycle(t int, _, active bitvec.Words) {
+	is := active.Any()
+	if t > 0 && !q.was && !is {
+		q.parity[t&1]++
+	}
+	q.was = is
 }
 
 // The kernel and the lockstep form, each on its pool, allocate nothing once
