@@ -91,7 +91,7 @@ bench-smoke:
 # pruned automaton validates and prunes to itself), the
 # report sort (SortReports orders as slices.SortFunc does), the bit-parallel
 # kernel (FuzzKernel: a small random automaton at 4-bit × 4, × 2 and × 1 and
-# 8-bit × 2, fed in random chunks over a quiescent run longer than a session
+# 8-bit × 2 and × 1, fed in random chunks over a quiescent run longer than a session
 # block and a match across the seam after it, reports and statistics the
 # scalar engine's), the DFA walker
 # (FuzzDFAWalk: a tier DFA with dot-star, anchored and StartEven states over

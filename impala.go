@@ -225,6 +225,14 @@ func newMachine(a *artifact.Artifact, keep []int, cfg Config) (*Machine, error) 
 	}
 	m := &Machine{a: a, cfg: cfg}
 	n, w := a.NFA, a.Score
+	// The automaton is validated once, by artifact.Load on a loaded artifact
+	// and here on any other, and every check and form below takes it as
+	// validated: a sub-automaton of a valid one is valid.
+	if !a.Validated() {
+		if err := n.Validate(); err != nil {
+			return nil, fmt.Errorf("impala: invalid automaton: %w", err)
+		}
+	}
 	var err error
 	if a.Tier != nil {
 		if w != nil {
@@ -250,14 +258,13 @@ func newMachine(a *artifact.Artifact, keep []int, cfg Config) (*Machine, error) 
 			n, w = n.Induced(ids), w.Induced(n, ids)
 		}
 	}
-	if err := arch.Check(a.NFA, a.Placement); err != nil {
+	if err := arch.CheckValidated(a.NFA, a.Placement); err != nil {
 		return nil, fmt.Errorf("impala: placement does not build: %w", err)
 	}
 	switch {
 	case w != nil:
-		m.serving, err = score.Compile(n, w)
+		m.serving, err = score.CompileValidated(n, w)
 	case m.serving == nil:
-		// arch.Check has just validated the automaton.
 		m.serving = sim.CompileValidated(n)
 	}
 	if err != nil {

@@ -61,6 +61,14 @@ func Check(n *automata.NFA, p *place.Placement) error {
 	return err
 }
 
+// CheckValidated is Check for an automaton the caller has validated and not
+// changed since: a machine's load path, whose automaton artifact.Load or the
+// machine itself validated, walks every state's rects once.
+func CheckValidated(n *automata.NFA, p *place.Placement) error {
+	_, err := locate(n, p)
+	return err
+}
+
 // loc is a state's switch group and group-local slot.
 type loc struct{ group, slot int32 }
 
@@ -69,6 +77,11 @@ func check(n *automata.NFA, p *place.Placement) ([]loc, error) {
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("arch: Build input invalid: %w", err)
 	}
+	return locate(n, p)
+}
+
+// locate is check past the automaton's validation.
+func locate(n *automata.NFA, p *place.Placement) ([]loc, error) {
 	if !p.Valid() {
 		return nil, fmt.Errorf("arch: placement has %d uncovered transitions", p.TotalUncovered)
 	}

@@ -252,7 +252,14 @@ type Artifact struct {
 	// classes is NFA's class map, derived when the first DFAT decodes: every
 	// sealed DFA, a shard's included, steps by it.
 	classes *dfa.Classes
+	// validated is the automaton Load decoded and validated (Validated).
+	validated *automata.NFA
 }
+
+// Validated reports whether NFA is the automaton Load decoded and validated,
+// so that a machine built from the artifact need not walk it again. An
+// artifact assembled in memory, or one whose NFA was replaced, reports false.
+func (a *Artifact) Validated() bool { return a.NFA != nil && a.NFA == a.validated }
 
 // SetBackend stamps the artifact with its compile target and the backend's
 // sealed section payload. The default backend name is normalized to the
@@ -414,6 +421,7 @@ func Load(r io.Reader) (*Artifact, error) {
 	if err := a.validate(); err != nil {
 		return nil, err
 	}
+	a.validated = a.NFA // the AUTM layout validated it
 	return a, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -63,10 +64,34 @@ func BenchmarkRefine(b *testing.B) {
 // enable vector — what a cycle of the word-sparse kernel pays for — and the
 // quiescent cycles, which the kernel skips: past the first, after a cycle
 // that left nothing active, and leaving nothing active themselves (no start
-// state matched their class tuple).
+// state matched their class tuple). It also counts the active states the
+// start vector activated, and the cycles whose successor OR the kernel skips
+// when it looks its start vector up (sim.Compiled): past the second, after
+// a cycle whose active states were all start states and have successors,
+// none of which accepts the cycle's byte at some position.
 type liveWords struct {
 	words, cycles, quiescent int
 	was                      bool // the previous cycle left a state active
+
+	n       *automata.NFA
+	starts  func(t int) bitvec.Words
+	subs    []byte // the input's sub-symbols, zero-padded to whole cycles
+	bytes   int    // bytes a cycle
+	prev    bitvec.Words
+	started bool // every state the previous cycle left active was a start state
+
+	active, hit, succSkipped int
+}
+
+// newLiveWords returns a liveWords for a run over input of e, an engine of
+// n, whose cycles are whole bytes.
+func newLiveWords(n *automata.NFA, e *sim.CompiledEngine, input []byte) *liveWords {
+	l := &liveWords{n: n, starts: e.Starts, bytes: n.Stride * n.Bits / 8}
+	l.subs = sim.AppendSubSymbols(nil, n.Bits, input)
+	for len(l.subs)%n.Stride != 0 {
+		l.subs = append(l.subs, 0)
+	}
+	return l
 }
 
 func (l *liveWords) OnCycle(t int, enabled, active bitvec.Words) {
@@ -81,6 +106,56 @@ func (l *liveWords) OnCycle(t int, enabled, active bitvec.Words) {
 	}
 	l.was = is
 	l.cycles++
+
+	starts := l.starts(t)
+	if t >= 2 && l.started && l.prev.Any() && !l.successorsAccept(t) {
+		l.succSkipped++
+	}
+	l.started = true
+	for w, x := range active {
+		l.active += bits.OnesCount64(x)
+		l.hit += bits.OnesCount64(x & starts[w])
+		l.started = l.started && x&^starts[w] == 0
+	}
+	l.prev = append(l.prev[:0], active...)
+}
+
+// successorsAccept reports whether the previous cycle's active states have
+// successors and, at every byte of cycle t, one of them accepts it.
+func (l *liveWords) successorsAccept(t int) bool {
+	S := l.n.Stride
+	syms := l.subs[t*S:][:S]
+	per := S / l.bytes // sub-symbols a byte
+	any := false
+	for q := 0; q < l.bytes; q++ {
+		ok := false
+		l.prev.ForEach(func(i int) {
+			for _, s := range l.n.States[i].Out {
+				any = true
+				ok = ok || l.accepts(int(s), syms, q*per, (q+1)*per)
+			}
+		})
+		if !ok {
+			return false
+		}
+	}
+	return any
+}
+
+// accepts reports whether state i accepts syms at positions [lo, hi), each
+// against its match set's projection there (the served automata have no
+// residual state, whose projection would be too wide).
+func (l *liveWords) accepts(i int, syms []byte, lo, hi int) bool {
+	for p := lo; p < hi; p++ {
+		ok := false
+		for _, r := range l.n.States[i].Match {
+			ok = ok || !r.Empty() && r[p].Has(syms[p])
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // witnesses returns up to 64 byte strings that each drive n, an 8-bit
@@ -141,7 +216,9 @@ func plant(input []byte, wit [][]byte, spacing int, r *rand.Rand) {
 // spacing bytes, as the served bodies carry them (ExactMatch every 64 B,
 // Snort every 16 KiB): without them the generated input leaves ExactMatch's
 // kernel almost idle. Beside ns/cycle each row reports the share of cycles
-// the kernel skips as quiescent.
+// the kernel skips as quiescent, the share of active states the start vector
+// activated (started-share: what its images hold) and the share of cycles
+// whose successor OR it skips (succ-skipped-share).
 func BenchmarkServedKernels(b *testing.B) {
 	for _, tc := range []struct {
 		suite          string
@@ -178,8 +255,12 @@ func BenchmarkServedKernels(b *testing.B) {
 			if tc.spacing > 0 {
 				plant(input, witnesses(src), tc.spacing, rand.New(rand.NewSource(1)))
 			}
-			var live liveWords
-			c.NewEngine().Run(input, &live)
+			if c.ResidualStates() != 0 {
+				b.Fatalf("%s has %d residual states", tc.suite, c.ResidualStates())
+			}
+			e := c.NewEngine()
+			live := newLiveWords(res.NFA, e, input)
+			e.Run(input, live)
 			c.Run(input) // a pooled engine with its session, as a served request finds it
 			b.SetBytes(int64(len(input)))
 			b.ReportAllocs()
@@ -190,6 +271,8 @@ func BenchmarkServedKernels(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*live.cycles), "ns/cycle")
 			b.ReportMetric(float64(live.words)/float64(live.cycles), "live-words/cycle")
 			b.ReportMetric(float64(live.quiescent)/float64(live.cycles), "skipped-share")
+			b.ReportMetric(float64(live.hit)/float64(max(live.active, 1)), "started-share")
+			b.ReportMetric(float64(live.succSkipped)/float64(live.cycles), "succ-skipped-share")
 		})
 	}
 }

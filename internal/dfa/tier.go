@@ -193,10 +193,8 @@ func Lockstep(n *automata.NFA, parts []Part) (*sim.Lockstep, error) {
 	var kernel *sim.Compiled
 	if len(nfaIDs) > 0 {
 		slices.Sort(nfaIDs)
-		var err error
-		if kernel, err = sim.Compile(n.Induced(nfaIDs)); err != nil {
-			return nil, err
-		}
+		// A sub-automaton of a valid one is valid: every check is per state.
+		kernel = sim.CompileValidated(n.Induced(nfaIDs))
 	}
 	var ln sim.Lane
 	switch {
@@ -478,15 +476,13 @@ func Unseal(n *automata.NFA, s *Sealed) (*Tiered, error) {
 }
 
 // UnsealSelection reassembles a tier selection from its sealed form and the
-// automaton it was planned for: the automaton is validated and its
-// components found, and UnsealComponents checks the plan against them. This
-// is the one check of a sealed tier plan, compiled or loaded; the selection
-// walks the sealed DFA itself, whose own bounds were checked when it was
-// built or decoded.
+// automaton it was planned for, which must validate (artifact.Load validates
+// a loaded one, impala's machine constructor any other): the automaton's
+// components are found, and UnsealComponents checks the plan against them.
+// This is the one check of a sealed tier plan, compiled or loaded; the
+// selection walks the sealed DFA itself, whose own bounds were checked when
+// it was built or decoded.
 func UnsealSelection(n *automata.NFA, s *Sealed) (*Selection, error) {
-	if err := n.Validate(); err != nil {
-		return nil, fmt.Errorf("dfa: invalid automaton: %w", err)
-	}
 	sel, err := UnsealComponents(n.ConnectedComponents(), n.Bits, n.Stride, s)
 	if err != nil {
 		return nil, err

@@ -73,17 +73,23 @@ type Compiled struct {
 // beside it. The weight table must validate against n; neither may be
 // mutated while the compiled form is in use.
 func Compile(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
+	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	return CompileValidated(n, w)
+}
+
+// CompileValidated is Compile for an automaton the caller has validated and
+// not changed since (sim.CompileValidated): a machine's load path walks
+// every state's rects once.
+func CompileValidated(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 	if w == nil {
 		return nil, fmt.Errorf("score: Compile requires a weight table (use sim.Compile for binary execution)")
 	}
 	if err := w.Validate(n); err != nil {
 		return nil, err
 	}
-	// sim.Compile validates n, which the tables below index by.
-	kernel, err := sim.Compile(n)
-	if err != nil {
-		return nil, err
-	}
+	kernel := sim.CompileValidated(n)
 	c := &Compiled{
 		kernel:      kernel,
 		startW:      append([]float64(nil), w.Start...),

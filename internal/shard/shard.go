@@ -336,9 +336,9 @@ type Sealed struct {
 }
 
 // Unseal reassembles a Sharded execution form from a sealed plan and the
-// automaton it was planned for, checking the partition against the
-// automaton's component structure and each shard's tier seal against the
-// shard's components (dfa.UnsealComponents).
+// automaton it was planned for, which must validate (unsealParts), checking
+// the partition against the automaton's component structure and each
+// shard's tier seal against the shard's components (dfa.UnsealComponents).
 func Unseal(n *automata.NFA, s *Sealed) (*Sharded, error) {
 	return UnsealShards(n, s, nil)
 }
@@ -381,16 +381,14 @@ func UnsealStates(n *automata.NFA, s *Sealed, keep []int) ([]automata.StateID, e
 	return ids, nil
 }
 
-// unsealParts checks the sealed partition against the automaton — validated
-// and split into components once — and returns one part per shard, the kept
-// shards' tier selections unsealed against their share of those components
-// and the others left empty. This is the one check of a sealed partition,
-// compiled or loaded; a shard's tier plan is checked only where the shard is
-// kept.
+// unsealParts checks the sealed partition against the automaton, which must
+// validate (artifact.Load validates a loaded one, impala's machine
+// constructor any other), split into components once, and returns one part
+// per shard, the kept shards' tier selections unsealed against their share
+// of those components and the others left empty. This is the one check of a
+// sealed partition, compiled or loaded; a shard's tier plan is checked only
+// where the shard is kept.
 func unsealParts(n *automata.NFA, s *Sealed, keep []int) ([]dfa.Part, error) {
-	if err := n.Validate(); err != nil {
-		return nil, fmt.Errorf("shard: invalid automaton: %w", err)
-	}
 	k := s.Plan.Shards
 	if k < 1 {
 		return nil, fmt.Errorf("shard: sealed plan has %d shards", k)

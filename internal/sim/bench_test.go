@@ -222,17 +222,3 @@ func BenchmarkSessionFeed(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCompile isolates the one-time compilation cost that Run pays up
-// front.
-func BenchmarkCompile(b *testing.B) {
-	for name, n := range benchWorkloads(b) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Compile(n); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

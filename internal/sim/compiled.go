@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/bits"
+	"slices"
 
 	"impala/internal/automata"
 	"impala/internal/bitvec"
@@ -27,15 +28,18 @@ import (
 //     footprint proportional to the configured switch points.
 //   - the three start-enable vectors a cycle can need (first cycle of a
 //     stream, even cycles, odd cycles), each with the summary of its
-//     non-zero words and its size, and for the even and odd ones the class
-//     tuples some start state matches: a cycle that follows a cycle with
-//     nothing active, on a tuple no start state matches, enables the start
-//     vector and activates nothing, so the engine skips it.
+//     non-zero words and its size, and for the even and odd ones, when a
+//     cycle is one or two symbols, what the vector does on each class tuple
+//     (its images, see image): the start states the tuple activates, their
+//     successor rows ORed, and the classes those successors accept. A cycle
+//     looks its start vector up by its tuple instead of sweeping the start
+//     words — the paper's always-enabled STEs cost its subarray one column
+//     read, not one per start word.
 //
 // Everything a cycle touches is indexed by word, and the engine visits only
-// the words a summary names (see CompiledEngine), so a cycle costs its live
-// words, not the automaton's size — as only the blocks of the switch
-// hierarchy that hold an active state drive their rows.
+// the words a summary or an image names (see CompiledEngine), so a cycle
+// costs its live words, not the automaton's size — as only the blocks of the
+// switch hierarchy that hold an active state drive their rows.
 //
 // States whose MatchSet is not position-decomposable (a union of rects that
 // is not itself a cartesian product) cannot be expressed as one column per
@@ -56,11 +60,11 @@ type Compiled struct {
 	// masks[q][c*words+w] holds, for the 64 states of word w, which accept
 	// the symbols of class c at the cycle's q-th symbol: a class's row of
 	// words is one run, which a cycle reads at its live words. Residual
-	// states have zero bits in every mask. classes is the most classes of
-	// any symbol rounded up to whole words: the radix of a cycle's class
-	// tuple (startVector.admits), so a first class's tuples are whole words.
-	masks          [][]uint64
-	classes, words int
+	// states have zero bits in every mask. nclass[q] is the classes of the
+	// q-th symbol.
+	masks  [][]uint64
+	nclass []int
+	words  int
 	// residual lists non-decomposable states, ascending.
 	residual []automata.StateID
 
@@ -72,6 +76,17 @@ type Compiled struct {
 	// the start-of-data states. A class that adds nothing aliases the one
 	// below it.
 	startOdd, startEven, startFirst *startVector
+	// images holds what the odd and the even vector do on each class tuple
+	// (startVector.pair indexes it), image 0 the empty one; imageWords holds
+	// the words their spans name, and acceptWords their accepted classes,
+	// acceptStride words a symbol of the cycle (image 0's are zero).
+	images       []image
+	imageWords   []wordBits
+	acceptWords  []uint64
+	acceptStride int
+	// none is the empty vector: what a swept cycle drops of its enable
+	// vector, and the start words a looked-up cycle's match pass walks.
+	none bitvec.Frontier
 
 	// reporting gates the report loop: cycles where active ∧ reporting = 0
 	// skip report handling entirely.
@@ -108,6 +123,7 @@ func CompileValidated(n *automata.NFA) *Compiled {
 		units:     S,
 		words:     nw,
 		startOdd:  &startVector{Frontier: bitvec.NewFrontier(ns)},
+		none:      bitvec.NewFrontier(ns),
 		reporting: bitvec.NewWords(ns),
 	}
 	// val[(p*dom+v)*nw+w] holds which states of word w accept sub-symbol v
@@ -150,24 +166,22 @@ func CompileValidated(n *automata.NFA) *Compiled {
 	if n.Bits*S%8 == 0 {
 		bc := automata.ByteClassesOf(n.Bits, S, nw, val)
 		c.unitBits, c.units, c.classOf, c.masks = 8, len(bc.Of), bc.Of, bc.Cols
-		for _, r := range bc.Rep {
-			c.classes = max(c.classes, len(r))
+		c.nclass = make([]int, c.units)
+		for q, r := range bc.Rep {
+			c.nclass[q] = len(r)
 		}
-		c.classes = (c.classes + 63) &^ 63
 	} else {
-		c.classOf, c.classes, c.masks = make([][256]uint8, S), (dom+63)&^63, make([][]uint64, S)
+		c.classOf, c.masks, c.nclass = make([][256]uint8, S), make([][]uint64, S), make([]int, S)
 		for p := range S {
 			copy(c.classOf[p][:], identity[:])
-			c.masks[p] = val[p*dom*nw:][:dom*nw]
+			c.masks[p], c.nclass[p] = val[p*dom*nw:][:dom*nw], dom
 		}
 	}
 	c.succ = succ.Build()
 	c.startEven = c.startOdd.with(ns, even)
 	c.startFirst = c.startEven.with(ns, anchored)
-	c.admit(c.startOdd)
-	if c.startEven != c.startOdd {
-		c.admit(c.startEven)
-	}
+	c.images = make([]image, 1)
+	c.lookUp()
 	c.pool = NewPool(func() Core { return c.NewEngine() })
 	return c
 }
@@ -181,62 +195,432 @@ var identity = func() (id [256]uint8) {
 	return id
 }()
 
-// maxTuples bounds the class tuples a start vector keeps a bit for: a cycle
-// whose tuples are more is never skipped. As the radix is whole words, that
-// is every cycle of three symbols or more (4-bit × 8, 8-bit × 4).
-const maxTuples = 1 << 16
+// image is what a stable start vector does on a class tuple of a cycle,
+// whatever the cycle before left active: the start states the tuple
+// activates, and for the cycle after, the OR of their successor rows and
+// what of it can matter there. A cycle that looks its tuple's image up reads
+// a word or two where a sweep ANDs every start word (CompiledEngine.StepBlock).
+type image struct {
+	// hit and succ are spans of Compiled.imageWords: the words of the start
+	// states the tuple activates, and of the OR of their successor rows.
+	hit, succ span
+	// count is the states hit names; beyond the states of succ outside the
+	// start vector of the cycle after, the other parity's.
+	count, beyond int32
+	// reports is non-zero when a state of hit reports.
+	reports uint64
+	// accepts is where the image's accepted classes start in
+	// Compiled.acceptWords: per symbol of the cycle, acceptStride words with
+	// a bit per class that some state of succ accepts there — every bit when
+	// succ holds a residual state, which no mask names. A cycle whose class
+	// at some position is not among them activates none of succ. A cycle of
+	// one symbol checks its class against a second copy of the first's.
+	accepts int32
+}
 
-// admit sets v.admits: a bit per class tuple of a cycle of one or two
-// symbols, the first symbol's class times c.classes plus the second's, set
-// when some state of v matches the tuple's symbols. A first class's
-// admitted second classes are a run of words, the same for every first
-// class that leaves a start word the same states. A vector that holds a
-// residual state, which no mask names, keeps none.
-func (c *Compiled) admit(v *startVector) {
-	tuples := c.classes
-	if c.units == 2 {
-		tuples *= c.classes
-	}
-	if c.units > 2 || tuples > maxTuples {
+// span is the words [lo, hi) of Compiled.imageWords.
+type span struct{ lo, hi int32 }
+
+// wordBits is one non-zero word of an image's vector: bits at word w.
+type wordBits struct {
+	bits uint64
+	w    int32
+}
+
+// imageAcceptWords is the most accepted-class words an image holds, and
+// minImageBudget the budget of an automaton whose mask tables are smaller.
+const imageAcceptWords, minImageBudget = 8, 1 << 10
+
+// lookUp builds the images of the odd and the even start vector, when a
+// cycle is one or two symbols and neither vector holds a residual state.
+// Their hit and successor words are held to the mask tables' words, and
+// their accepted classes too, so that an automaton whose start states are
+// many and wide falls back to sweeping its start words instead of growing
+// tables past the masks'. Snort at 4-bit × 4 keeps 151 images of 752 words
+// at scale 0.02 (5,148 mask words), 538 of 10,395 at 0.1 (25,080) and 1,194
+// of 56k at 0.25 (62,304), and falls back at 1.0. A budget of
+// minImageBudget words at least keeps a small automaton's images, which
+// outweigh its masks. The build is flat: its tables double from an eighth
+// of the budget, and it keeps a copy of what it filled, a bounded number of
+// allocations whatever the automaton.
+func (c *Compiled) lookUp() {
+	if c.units > 2 {
 		return
 	}
+	odd, even := c.startOdd, c.startEven
 	for _, id := range c.residual {
-		if v.Bits.Get(int(id)) {
+		if even.Bits.Get(int(id)) { // the even vector holds the odd one
 			return
 		}
 	}
-	v.admits = bitvec.NewWords(tuples)
-	first, last, rw := c.masks[0], c.masks[c.units-1], c.classes/64
+	b := newImageBuilder(c)
+	if b.build(odd, even) && (even == odd || b.build(even, odd)) {
+		c.images, c.imageWords, c.acceptWords = trim(c.images), trim(c.imageWords), trim(c.acceptWords)
+		return
+	}
+	for _, v := range [...]*startVector{odd, even} {
+		v.rowAt, v.colOf, v.pair = nil, nil, nil
+	}
+	c.images, c.imageWords, c.acceptWords = make([]image, 1), nil, nil
+}
+
+// imageBuilder interns the images of Compiled.lookUp, by a hash of their hit
+// words, in flat tables it owns for the build.
+type imageBuilder struct {
+	c *Compiled
+	// budget bounds the images' words and their accepted classes' words,
+	// most the images.
+	budget, most int
+	// sw lists the words the vector's summary names.
+	sw []int32
+	// A tuple's hit is its first class's row ANDed with its last class's
+	// column: the vector's start words after that class alone. rowOf and
+	// colOf number each class's among the distinct ones, -1 when it is all
+	// zero; rows holds the distinct rows side by side, a word per start word,
+	// and cols the distinct columns' non-zero words (w the start word's
+	// index in sw), column k's from colAt[k] to colAt[k+1].
+	rowOf, colOf []int32
+	rows         []uint64
+	cols         []wordBits
+	colAt        []int32
+	// hit holds a tuple's non-zero hit words while it is interned.
+	hit []wordBits
+	// slots holds image numbers by a hash of their hit words, 0 when free.
+	slots []int32
+	// hits and succ are an image's hit states and their successors, while it
+	// is built.
+	hits, succ bitvec.Frontier
+	// acceptOf[i] is the index in accepted of the classes state i accepts,
+	// plus one; 0 until an image's successors first hold i.
+	acceptOf []int32
+	accepted [][2][4]uint64
+}
+
+func newImageBuilder(c *Compiled) *imageBuilder {
+	ns := c.nfa.NumStates()
+	b := &imageBuilder{c: c, budget: minImageBudget}
+	words := 0
+	for _, m := range c.masks {
+		words += len(m)
+	}
+	b.budget = max(b.budget, words)
+	// No more images than the budget holds, and no more than tuples: a table
+	// of twice that many slots stays half empty.
+	b.most = min(b.budget/imageAcceptWords, 1<<16-1)
+	starts := c.startEven.Sum.Count() // the even vector holds the odd one
+	first, last := c.nclass[0], c.nclass[c.units-1]
+	size := 16
+	for size < 2*min(first*last, b.most) {
+		size <<= 1
+	}
+	// The scratch is three allocations, one per element type.
+	u64 := make([]uint64, 2*bitvec.FrontierWords(ns)+first*starts)
+	b.hits, u64 = bitvec.CarveFrontier(u64, ns)
+	b.succ, u64 = bitvec.CarveFrontier(u64, ns)
+	b.rows = u64[:0]
+	i32 := make([]int32, starts+first+2*last+1+size+ns)
+	b.sw, i32 = i32[:0:starts], i32[starts:]
+	b.rowOf, b.colOf, i32 = i32[:first], i32[first:first+last], i32[first+last:]
+	b.colAt, i32 = i32[:1:last+1], i32[last+1:]
+	b.slots, b.acceptOf = i32[:size], i32[size:]
+	wb := make([]wordBits, starts+last*starts)
+	b.hit, b.cols = wb[:0:starts], wb[starts:starts]
+	b.accepted = make([][2][4]uint64, 0, b.most/8+1)
+	// The tables start at an eighth of what the budget allows and double, so
+	// that a small set of images costs a small build.
+	c.acceptStride = (max(first, last) + 63) / 64
+	c.images = make([]image, 1, b.budget/imageAcceptWords/8+1)
+	c.imageWords = make([]wordBits, 0, b.budget/8)
+	c.acceptWords = make([]uint64, 2*c.acceptStride, b.budget/8)
+	return b
+}
+
+// accepts sets acc[q] to the classes of the cycle's q-th symbol that state
+// i accepts there — every class when i is a residual state, which no mask
+// names. A decomposable state's match set is the product of its projections,
+// so the classes are those of the values their product makes on the
+// symbol's sub-symbols: a literal byte's state takes one step a symbol,
+// where reading the mask tables would take a load per class.
+func (b *imageBuilder) accepts(i int, acc *[2][4]uint64) {
+	c := b.c
+	if slices.Contains(c.residual, automata.StateID(i)) {
+		*acc = [2][4]uint64{{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}, {^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}}
+		return
+	}
+	var proj [8]bitvec.ByteSet // a cycle of one or two symbols has at most 8 sub-symbols
+	for _, r := range c.nfa.States[i].Match {
+		if !r.Empty() {
+			for p, d := range r {
+				proj[p] = proj[p].Union(d)
+			}
+		}
+	}
+	per := c.nfa.Stride / c.units // sub-symbols a symbol
+	for q := range c.units {
+		ps, values := proj[q*per:][:per], 1
+		for _, d := range ps {
+			values *= d.Count()
+		}
+		if values <= c.nclass[q] {
+			b.classes(q, ps, 0, &acc[q])
+			continue
+		}
+		// A wide state (a mesh's any-symbol state) names more values than
+		// there are classes: its bit in each class's mask word is cheaper.
+		m, w, bit := c.masks[q], i>>6, uint64(1)<<(i&63)
+		for k := range c.nclass[q] {
+			if m[k*c.words+w]&bit != 0 {
+				acc[q][k>>6] |= 1 << (k & 63)
+			}
+		}
+	}
+}
+
+// classes ORs into acc the classes at the cycle's q-th symbol of the values
+// whose sub-symbols lie in proj, u holding the sub-symbols before them.
+func (b *imageBuilder) classes(q int, proj []bitvec.ByteSet, u int, acc *[4]uint64) {
+	if len(proj) == 0 {
+		k := b.c.classOf[q][u]
+		acc[k>>6] |= 1 << (k & 63)
+		return
+	}
+	for w, word := range proj[0] {
+		for ; word != 0; word &= word - 1 {
+			b.classes(q, proj[1:], u<<b.c.nfa.Bits|w<<6|bits.TrailingZeros64(word), acc)
+		}
+	}
+}
+
+// trim returns s, or a copy of it without the room past its length when
+// that is more than an eighth of its length: the tables stay resident.
+func trim[T any](s []T) []T {
+	if cap(s)-len(s) > len(s)/8 {
+		return slices.Clone(s)
+	}
+	return s
+}
+
+// room returns s with room for n more elements, its capacity doubled as
+// often as that takes: a table grows in a few steps, whatever its size.
+func room[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	c := max(cap(s), 1)
+	for c < len(s)+n {
+		c *= 2
+	}
+	return append(make([]T, 0, c), s...)
+}
+
+// build fills v's image table, the images of its class tuples, each counting its
+// successors beyond next, the vector of the cycle after; false when the
+// images outgrow the budget.
+func (b *imageBuilder) build(v, next *startVector) bool {
+	c := b.c
+	b.sw = b.sw[:0]
 	for sw, s := range v.Sum {
 		for ; s != 0; s &= s - 1 {
+			b.sw = append(b.sw, int32(sw<<6|bits.TrailingZeros64(s)))
+		}
+	}
+	n := len(b.sw)
+	// A cycle of one symbol has one row, the vector itself, for its one
+	// class (which the kernel looks up as the tuple's first and second).
+	rowOf, rows := b.rowOf, b.rows[:0]
+	if c.units == 2 {
+		rows = b.distinctRows(v)
+	} else {
+		for _, w := range b.sw {
+			rows = append(rows, v.Bits[w])
+		}
+		for k := range rowOf {
+			rowOf[k] = int32(min(n, 1) - 1)
+		}
+	}
+	b.distinctCols(v)
+	nr, nc := len(rows)/max(n, 1), len(b.colAt)-1
+	// pair holds the image of each distinct (row, column) behind an all-zero
+	// row and column, which the classes that hit no start state share.
+	at := make([]int32, len(rowOf)+len(b.colOf))
+	rowAt, colOf := at[:len(rowOf)], at[len(rowOf):]
+	pair := make([]uint16, (nr+1)*(nc+1))
+	clear(b.slots)
+	for r := range nr {
+		row := rows[r*n:][:n]
+		id := uint16(0)
+		for k := range nc {
+			b.hit = b.hit[:0]
+			for _, x := range b.cols[b.colAt[k]:b.colAt[k+1]] {
+				if h := row[x.w] & x.bits; h != 0 {
+					b.hit = append(b.hit, wordBits{h, b.sw[x.w]})
+				}
+			}
+			// A row's neighbouring columns mostly hit the same states: no
+			// hash, no probe.
+			switch {
+			case len(b.hit) == 0:
+				id = 0
+			case id == 0 || !slices.Equal(b.c.imageWords[b.c.images[id].hit.lo:b.c.images[id].hit.hi], b.hit):
+				if id = b.intern(next); id == 0 {
+					return false
+				}
+			}
+			pair[(r+1)*(nc+1)+k+1] = id
+		}
+	}
+	for k, r := range rowOf {
+		rowAt[k] = (r + 1) * int32(nc+1)
+	}
+	for k, j := range b.colOf {
+		colOf[k] = j + 1
+	}
+	v.rowAt, v.colOf, v.pair = rowAt, colOf, pair
+	return true
+}
+
+// distinctRows numbers in rowOf the distinct non-zero start words of v after
+// each class of the cycle's first symbol, in order of first sight, and
+// returns them side by side.
+func (b *imageBuilder) distinctRows(v *startVector) []uint64 {
+	n, m, rows := len(b.sw), b.c.masks[0], b.rows[:0]
+	for k := range b.rowOf {
+		at := len(rows)
+		var any uint64
+		for _, w := range b.sw {
+			x := v.Bits[w] & m[k*b.c.words+int(w)]
+			rows = append(rows, x)
+			any |= x
+		}
+		b.rowOf[k] = -1
+		if any == 0 {
+			rows = rows[:at]
+			continue
+		}
+		for j := 0; j < at; j += n {
+			if slices.Equal(rows[j:j+n], rows[at:]) {
+				b.rowOf[k], rows = int32(j/n), rows[:at]
+				break
+			}
+		}
+		if b.rowOf[k] < 0 {
+			b.rowOf[k] = int32(at / n)
+		}
+	}
+	return rows
+}
+
+// distinctCols numbers in colOf the distinct non-zero start words of v after
+// each class of the cycle's last symbol, in order of first sight, and keeps
+// their non-zero words in cols.
+func (b *imageBuilder) distinctCols(v *startVector) {
+	m := b.c.masks[b.c.units-1]
+	b.cols, b.colAt = b.cols[:0], b.colAt[:1]
+	for k := range b.colOf {
+		at := len(b.cols)
+		for i, w := range b.sw {
+			if x := v.Bits[w] & m[k*b.c.words+int(w)]; x != 0 {
+				b.cols = append(b.cols, wordBits{x, int32(i)})
+			}
+		}
+		b.colOf[k] = -1
+		if len(b.cols) == at {
+			continue
+		}
+		for j := range len(b.colAt) - 1 {
+			if slices.Equal(b.cols[b.colAt[j]:b.colAt[j+1]], b.cols[at:]) {
+				b.colOf[k], b.cols = int32(j), b.cols[:at]
+				break
+			}
+		}
+		if b.colOf[k] < 0 {
+			b.colOf[k] = int32(len(b.colAt) - 1)
+			b.colAt = append(b.colAt, int32(len(b.cols)))
+		}
+	}
+}
+
+// intern returns the number of the image of b.hit, adding it if it is new;
+// 0 when adding it outgrows the budget.
+func (b *imageBuilder) intern(next *startVector) uint16 {
+	h := uint64(0x9E3779B97F4A7C15)
+	for _, x := range b.hit {
+		h = (h ^ x.bits ^ uint64(x.w)<<40) * 0x9E3779B97F4A7C15
+	}
+	c, mask := b.c, len(b.slots)-1
+	i := int(h>>40) & mask
+	for ; b.slots[i] != 0; i = (i + 1) & mask {
+		if id := b.slots[i]; slices.Equal(c.imageWords[c.images[id].hit.lo:c.images[id].hit.hi], b.hit) {
+			return uint16(id)
+		}
+	}
+	img := b.add(next)
+	if len(c.imageWords) > b.budget || len(c.images) >= b.most {
+		return 0
+	}
+	b.slots[i] = int32(len(c.images))
+	c.images = append(room(c.images, 1), img)
+	return uint16(len(c.images) - 1)
+}
+
+// add appends the words of the image of b.hit, whose successors are
+// counted beyond next, and returns it.
+func (b *imageBuilder) add(next *startVector) image {
+	c := b.c
+	c.imageWords = room(c.imageWords, len(b.hit))
+	img := image{hit: span{lo: int32(len(c.imageWords))}}
+	var accepts [2][4]uint64
+	for _, x := range b.hit {
+		c.imageWords = append(c.imageWords, x)
+		img.count += int32(bits.OnesCount64(x.bits))
+		img.reports |= x.bits & c.reporting[x.w]
+		b.hits.Bits[x.w] = x.bits
+		b.hits.Sum[x.w>>6] |= 1 << (uint(x.w) & 63)
+	}
+	img.hit.hi = int32(len(c.imageWords))
+	c.succ.OrRowsInto(&b.hits, &b.succ)
+	img.succ.lo = img.hit.hi
+	succ := 0
+	for _, s := range b.succ.Sum {
+		succ += bits.OnesCount64(s)
+	}
+	c.imageWords = room(c.imageWords, succ)
+	for sw, s := range b.succ.Sum {
+		for ; s != 0; s &= s - 1 {
 			w := sw<<6 | bits.TrailingZeros64(s)
-			var seen uint64
-			var row [4]uint64 // the last symbol's classes the states seen match
-			for k0 := 0; k0*c.words < len(first); k0++ {
-				x := v.Bits[w]
-				if c.units == 2 {
-					x &= first[k0*c.words+w]
-				}
-				if x == 0 {
-					continue
-				}
-				if x != seen {
-					seen, row = x, [4]uint64{}
-					for k1 := 0; k1*c.words < len(last); k1++ {
-						if x&last[k1*c.words+w] != 0 {
-							row[k1>>6] |= 1 << (k1 & 63)
-						}
-					}
-				}
-				for i, a := range row[:rw] {
-					v.admits[k0*rw+i] |= a
-				}
-				if c.units == 1 {
-					break
+			x := b.succ.Bits[w]
+			c.imageWords = append(c.imageWords, wordBits{x, int32(w)})
+			img.beyond += int32(bits.OnesCount64(x &^ next.Bits[w]))
+		}
+	}
+	img.succ.hi = int32(len(c.imageWords))
+	for _, x := range c.imageWords[img.succ.lo:img.succ.hi] {
+		for word := x.bits; word != 0; word &= word - 1 {
+			i := int(x.w)<<6 | bits.TrailingZeros64(word)
+			if b.acceptOf[i] == 0 {
+				var acc [2][4]uint64
+				b.accepts(i, &acc)
+				b.accepted = append(room(b.accepted, 1), acc)
+				b.acceptOf[i] = int32(len(b.accepted))
+			}
+			for q, acc := range &b.accepted[b.acceptOf[i]-1] {
+				for j, a := range acc {
+					accepts[q][j] |= a
 				}
 			}
 		}
 	}
+	if c.units == 1 {
+		accepts[1] = accepts[0]
+	}
+	img.accepts = int32(len(c.acceptWords))
+	c.acceptWords = room(c.acceptWords, 2*c.acceptStride)
+	for q := range accepts {
+		c.acceptWords = append(c.acceptWords, accepts[q][:c.acceptStride]...)
+	}
+	b.hits.Clear()
+	b.succ.Clear()
+	return img
 }
 
 // startVector is the set of states enabled on a class of cycles whatever
@@ -244,10 +628,14 @@ func (c *Compiled) admit(v *startVector) {
 type startVector struct {
 	bitvec.Frontier
 	count int
-	// admits has a bit per class tuple of a cycle, set when some state of
-	// the vector matches the tuple (Compiled.admit); nil when the tuples are
-	// too many to keep, or on the first cycle's vector, which no cycle skips.
-	admits bitvec.Words
+	// pair[rowAt[first]+colOf[second]] is the index in Compiled.images of
+	// what the vector does on a tuple of a cycle's first and second classes
+	// (a cycle of one symbol: its class twice), 0 when it activates nothing.
+	// pair is nil on the first cycle's vector, on a cycle of more than two
+	// symbols, on a vector that holds a residual state (no mask names it) and
+	// past the images' budget (Compiled.lookUp).
+	rowAt, colOf []int32
+	pair         []uint16
 }
 
 func (v *startVector) add(i int) {
@@ -334,12 +722,16 @@ type CompiledEngine struct {
 	cur     int
 	// prevCount is the number of states the previous cycle left active.
 	prevCount int
-	// Between cycles enabled holds exactly the start vector seeded. Within a
-	// cycle touched names the words successor rows ORed into, and the cycle
-	// ends by putting those few words back — so no cycle rebuilds the vector.
-	// touched shares enabled's bits and has a summary of its own.
+	// Between cycles enabled holds exactly the start vector seeded, nothing
+	// when seeded is nil — after a cycle that looked its start vector up.
+	// Within a cycle touched names the words successor rows ORed into, and
+	// the cycle ends by putting those few words back — so no cycle rebuilds
+	// the vector. touched shares enabled's bits and has a summary of its own.
 	seeded  *startVector
 	touched bitvec.Frontier
+	// prevImage is the image the previous cycle looked up (Compiled.images),
+	// 0 after a cycle that swept its start vector.
+	prevImage uint16
 	// lane, when non-nil, runs between the match phase and the report gate.
 	lane func(t int)
 	// off holds a cycle's mask offsets when it takes more than two symbols,
@@ -397,7 +789,7 @@ func (e *CompiledEngine) ResetState() {
 	e.act[1].Clear()
 	e.touched.Sum.ClearAll()
 	e.seeded = nil
-	e.prevCount = 0
+	e.prevCount, e.prevImage = 0, 0
 }
 
 // SetLane attaches a lane beside the kernel: every cycle, between the
@@ -419,28 +811,41 @@ func (e *CompiledEngine) startFor(t int) *startVector {
 }
 
 // StepBlock implements Core: the bit-parallel datapath over the whole cycles
-// of subs, visiting only the words a summary names. The cycle loop is this
-// function, so what one cycle hands the next — which vector is active, how
-// many states the last cycle left active, the seeded start vector with its
-// words, summary and popcount — rides in locals and goes back to the engine
-// once per block (which flip is current also on the cycles a lane or a tracer
+// of subs, visiting only the words a summary or an image names. The cycle
+// loop is this function, so what one cycle hands the next — which vector is
+// active, how many states the last cycle left active, the image it looked up,
+// the seeded start vector — rides in locals and goes back to the engine once
+// per block (which flip is current also on the cycles a lane or a tracer
 // looks). The phases stay in one body — split into a method per phase the same
 // loops measured 8–10% slower per byte on the Snort automaton — and every
 // geometry, summary length, lane, residual list and tracer takes this one body.
 //
-// A quiescent cycle — the one before it left nothing active, and no state of
-// its start vector matches its class tuple (startVector.admits) — enables
-// its start vector and activates nothing, so the loop steps over a run of
-// them adding only their start counts, and touches no vector: the next cycle
-// it runs finds the enable vector seeded and both active vectors as the last
-// cycle it ran left them, the previous one empty. The first cycle of a
-// stream, with its own start vector, is never skipped, and no cycle is when
-// a tracer watches every cycle; a lane is not called on a skipped cycle, on
+// A cycle past the first whose start vector keeps images looks its class
+// tuple's image up (image): its active set is the image's hit words ORed
+// with the states the previous cycle's successor rows enable outside the
+// start vector and the cycle's masks accept — the carried states — so no
+// start word is swept. Those rows are the previous image's successor words,
+// read from the table, when every state the previous cycle left active was a
+// start state it hit; else the rows of the whole previous active set. And
+// when the previous image's successors accept none of the cycle's class at
+// some position, no successor can be active: the OR is skipped and the cycle
+// adds the image's count of them beyond the start vector to its enabled
+// states, so Stats stays exact. On such a cycle the enable vector holds only
+// the successor words ORed into it, nothing between cycles. The first cycle
+// of a stream, with its own start vector, a cycle of more than two symbols, a
+// start vector holding a residual state and any cycle a tracer watches seed
+// the enable vector with the start vector and sweep its words.
+//
+// A quiescent cycle — the one before it left nothing active, and its tuple's
+// image is empty — enables its start vector and activates nothing, so the
+// loop steps over it adding only its start count, and touches no vector: the
+// next cycle it runs finds both active vectors as the last cycle it ran left
+// them, the previous one empty. A lane is not called on a skipped cycle, on
 // which no state is active.
 func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink ReportSink, tracer Tracer) (enabled, active int64, peak int) {
 	c := e.c
 	n := c.nfa
-	U, C := c.units, c.classes
+	U, A := c.units, c.acceptStride
 	cm := c.classOf[:U]
 	masks, nw := c.masks, c.words
 	m0, m1 := masks[0], masks[U-1]
@@ -450,28 +855,21 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 	cur, prevCount := e.cur&1, e.prevCount
 	act, actSum := e.act[cur].Bits, e.act[cur].Sum
 	seeded := e.seeded
-	var sBits, sSum bitvec.Words
-	var sCount int
-	if seeded != nil {
-		sBits, sSum, sCount = seeded.Bits, seeded.Sum, seeded.count
-	}
 
 	extras := len(c.residual) != 0 || e.lane != nil || tracer != nil
 	odd, even := c.startOdd, c.startEven
-	skips := odd.admits != nil && even.admits != nil && tracer == nil
+	looks := odd.pair != nil && even.pair != nil && tracer == nil
+	images, iw, aw := c.images, c.imageWords, c.acceptWords
+	prev := e.prevImage
 
 	for t := t0; len(subs) >= U; t, subs = t+1, subs[U:] {
-		if prevCount == 0 && skips && t != 0 {
+		if prevCount == 0 && looks && t != 0 {
 			for ; len(subs) >= U; t, subs = t+1, subs[U:] {
-				tuple := int(cm[0][subs[0]]) // a skipping cycle has one or two symbols
-				if U == 2 {
-					tuple = tuple*C + int(cm[1][subs[1]])
-				}
 				v := odd
 				if t&1 == 0 {
 					v = even
 				}
-				if v.admits[tuple>>6]&(1<<(tuple&63)) != 0 {
+				if v.pair[v.rowAt[cm[0][subs[0]]]+v.colOf[cm[U-1][subs[U-1]]]] != 0 {
 					break
 				}
 				enabled += int64(v.count)
@@ -488,54 +886,98 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 				start = c.startFirst
 			}
 		}
-
-		// State-transition phase (from previous cycle): the enable vector is
-		// the start-enable vector of this cycle ORed with the successor rows of
-		// every previously active state. Between cycles the vector holds the
-		// seeded start vector exactly, so there is nothing to rebuild unless
-		// the start vector itself changes.
-		if start != seeded {
-			for sw, s := range start.Sum {
-				for s |= enSum[sw]; s != 0; s &= s - 1 {
-					w := sw<<6 | bits.TrailingZeros64(s)
-					en[w] = start.Bits[w]
-				}
-			}
-			seeded = start
-			sBits, sSum, sCount = start.Bits, start.Sum, start.count
-		}
-		if prevCount != 0 {
-			c.succ.OrRowsInto(&e.act[cur^1], &e.touched)
-		}
-
-		// State-match phase, one pass per summary word over the live words
-		// (start ∪ touched): active = enabled ∧ mask[0][class of chunk[0]] ∧
-		// … and its summary, then over the words that came out non-zero — few
-		// of the live ones — their popcount and whether a reporting state is
-		// in them. The words the active vector still names from two cycles ago
-		// are walked as well: off the live set the enable vector is zero, so
-		// they come out zero here instead of in a sweep of their own. A cycle
-		// of one symbol ANDs its mask twice rather than take a branch.
-		na := 0
-		var hits uint64
-		o0 := int(cm[0][chunk[0]]) * nw
-		o1 := o0
-		if U == 2 {
-			o1 = int(cm[1][chunk[1]]) * nw
-		} else if U > 2 {
+		// A cycle of one symbol takes its class as the tuple's second too,
+		// and ANDs its mask twice rather than take a branch.
+		k0, k1 := int(cm[0][chunk[0]]), int(cm[U-1][chunk[U-1]])
+		o0, o1 := k0*nw, k1*nw
+		if U > 2 {
 			for q, v := range chunk {
 				e.off[q] = int(cm[q][v]) * nw
 			}
 		}
-		for sw, rowed := range touched {
-			s := sSum[sw] | rowed
+
+		// State-transition phase. A swept cycle: the enable vector is the
+		// start-enable vector of this cycle ORed with the successor rows of
+		// every previously active state; between swept cycles it holds the
+		// seeded start vector exactly, so there is nothing to rebuild unless
+		// the start vector itself changes. A looked-up cycle: the successor
+		// rows alone, unless none of them can be active this cycle. keep is
+		// what of the start vector the enable vector holds between cycles,
+		// seed the start words the match pass walks and drop the enabled
+		// start states it leaves to the image.
+		var img *image
+		keep, seed, drop := ^uint64(0), start.Sum, c.none.Bits
+		rowed := true
+		if looks && t != 0 {
+			if seeded != nil {
+				for sw, s := range seeded.Sum {
+					for ; s != 0; s &= s - 1 {
+						en[sw<<6|bits.TrailingZeros64(s)] = 0
+					}
+				}
+				seeded = nil
+			}
+			keep, seed, drop = 0, c.none.Sum, start.Bits
+			p := &images[prev]
+			switch a := aw[p.accepts:]; {
+			case prevCount != int(p.count): // a carried state: all the rows
+				c.succ.OrRowsInto(&e.act[cur^1], &e.touched)
+			case a[k0>>6]>>(k0&63)&(a[A+k1>>6]>>(k1&63))&1 != 0:
+				for _, x := range iw[p.succ.lo:p.succ.hi] {
+					en[x.w] |= x.bits
+					touched[x.w>>6] |= 1 << (uint(x.w) & 63)
+				}
+			default:
+				enabled += int64(p.beyond)
+				rowed = false
+			}
+			prev = start.pair[start.rowAt[k0]+start.colOf[k1]]
+			img = &images[prev]
+		} else {
+			if start != seeded {
+				for sw, s := range start.Sum {
+					for s |= enSum[sw]; s != 0; s &= s - 1 {
+						w := sw<<6 | bits.TrailingZeros64(s)
+						en[w] = start.Bits[w]
+					}
+				}
+				seeded = start
+			}
+			if prevCount != 0 {
+				c.succ.OrRowsInto(&e.act[cur^1], &e.touched)
+			}
+			prev = 0
+		}
+
+		na := 0
+		var hits uint64
+
+		// State-match phase, one pass per summary word over the live words
+		// (the seeded start words and the touched ones): active = enabled ∧¬
+		// drop ∧ mask[0][class of chunk[0]] ∧ … and its summary, then over
+		// the words that came out non-zero — few of the live ones — their
+		// popcount and whether a reporting state is in them. The words the
+		// active vector still names from two cycles ago are walked as well:
+		// off the live set the enable vector is zero, so they come out zero
+		// here instead of in a sweep of their own — or, on a looked-up cycle
+		// that ORed no rows and so has no live word, in a clearing sweep. A
+		// looked-up cycle then ORs in its image's hit words.
+		for sw, rw := range touched {
+			if !rowed {
+				for s := actSum[sw]; s != 0; s &= s - 1 {
+					act[sw<<6|bits.TrailingZeros64(s)] = 0
+				}
+				actSum[sw] = 0
+				continue
+			}
+			s := seed[sw] | rw
 			enSum[sw] = s
 			s |= actSum[sw]
 			var live uint64
 			for ; s != 0; s &= s - 1 {
 				b := bits.TrailingZeros64(s)
 				w := sw<<6 | b
-				x := en[w]
+				x := en[w] &^ drop[w]
 				if U <= 2 {
 					x &= m0[o0+w] & m1[o1+w]
 				} else {
@@ -553,6 +995,15 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 				hits |= act[w] & reporting[w]
 			}
 		}
+		if img != nil {
+			for _, x := range iw[img.hit.lo:img.hit.hi] {
+				act[x.w] |= x.bits
+				actSum[x.w>>6] |= 1 << (uint(x.w) & 63)
+			}
+			na += int(img.count)
+			hits |= img.reports
+		}
+
 		// Everything else a cycle can hold happens on few cycles or on few
 		// engines, so the common cycle passes it all on one branch.
 		if hits != 0 || extras {
@@ -603,16 +1054,17 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 			}
 		}
 
-		// Commit: the words the rows touched go back to the start vector, and
-		// the bits the rows had added to them are what the cycle enabled
-		// beyond it (enabled = start popcount + added bits: Stats stays exact
-		// without a popcount of the vector).
-		ne := sCount
+		// Commit: the words the rows touched go back to what the enable
+		// vector holds between cycles, and the bits the rows had added to
+		// them beyond the start vector are what the cycle enabled beyond it
+		// (enabled = start popcount + added bits: Stats stays exact without
+		// a popcount of the vector).
+		ne := start.count
 		for sw, s := range touched {
 			for ; s != 0; s &= s - 1 {
 				w := sw<<6 | bits.TrailingZeros64(s)
-				ne += bits.OnesCount64(en[w] &^ sBits[w])
-				en[w] = sBits[w]
+				ne += bits.OnesCount64(en[w] &^ start.Bits[w])
+				en[w] = start.Bits[w] & keep
 			}
 			touched[sw] = 0
 		}
@@ -623,7 +1075,7 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 		act, actSum = e.act[cur].Bits, e.act[cur].Sum
 		prevCount = na
 	}
-	e.cur, e.prevCount, e.seeded = cur, prevCount, seeded
+	e.cur, e.prevCount, e.seeded, e.prevImage = cur, prevCount, seeded, prev
 	return enabled, active, peak
 }
 

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
+	"impala/internal/automata"
 	"impala/internal/bitvec"
 )
 
@@ -12,9 +14,19 @@ import (
 // The automata the kernel is tuned against, and the benchmarks' input.
 var LowActivityNFA, HighActivityNFA, SparseActivityNFA, BenchInput = lowActivityNFA, highActivityNFA, sparseActivityNFA, benchInput
 
-// Skips reports whether the kernel skips quiescent cycles: whether both
-// stable start vectors keep their admitted class tuples.
-func (c *Compiled) Skips() bool { return c.startOdd.admits != nil && c.startEven.admits != nil }
+// LooksUp reports whether the kernel looks its start vectors up (and skips
+// quiescent cycles): whether both stable start vectors keep their images.
+func (c *Compiled) LooksUp() bool { return c.startOdd.pair != nil && c.startEven.pair != nil }
+
+// StartsDiffer reports whether the odd and the even start vector differ.
+func (c *Compiled) StartsDiffer() bool { return c.startOdd != c.startEven }
+
+// Residual reports whether state id is matched on the residual path.
+func (c *Compiled) Residual(id int) bool { return slices.Contains(c.residual, automata.StateID(id)) }
+
+// Rowed reports whether the cycle in progress has ORed successor rows into
+// the enable vector (valid inside a lane).
+func (e *CompiledEngine) Rowed() bool { return e.touched.Sum.Any() }
 
 // FrontierCheck is a Tracer pinning what the word-sparse kernel promises
 // after every cycle: each vector is dense-valid under its summary (a word the

@@ -9,9 +9,9 @@ import (
 	"impala/internal/sim"
 )
 
-// FuzzKernel builds a small random automaton at one of four geometries —
+// FuzzKernel builds a small random automaton at one of five geometries —
 // 4-bit × 4, × 2 and × 1, whose cycles the kernel takes as two bytes, one
-// byte and one nibble, and 8-bit × 2 — and holds the compiled kernel's reports
+// byte and one nibble, 8-bit × 2 and × 1 — and holds the compiled kernel's reports
 // and Stats, fed in random chunks, to the scalar engine's. Its states mix
 // every start kind, report offsets and the odd match set that is no product
 // (a residual state). No state accepts the zero sub-symbol, so the run of
@@ -24,7 +24,18 @@ func FuzzKernel(f *testing.F) {
 	f.Add(uint64(3), uint8(2), []byte{0xff, 0x12, 0x34}, uint16(1))
 	f.Add(uint64(4), uint8(3), []byte("zz"), uint16(4099))
 	f.Add(uint64(5), uint8(0), []byte("\x01\x02\x03\x04\x05"), uint16(3))
-	geometries := [][2]int{{4, 4}, {4, 2}, {4, 1}, {8, 2}}
+	// The kernel's start images: even starts, so that the odd and the even
+	// vector differ, at 4-bit × 4, × 2 and 8-bit × 1; plain ones at 8-bit ×
+	// 1; and residual start states, which no image holds, at 4-bit × 4, × 2
+	// and 8-bit × 2 (the start vector is swept).
+	f.Add(uint64(3), uint8(0), []byte("\x21\x43\x65\x87\xa9\xcb"), uint16(5))
+	f.Add(uint64(1), uint8(1), []byte("abcdabcdab"), uint16(11))
+	f.Add(uint64(1), uint8(4), []byte("the quick brown fox"), uint16(9))
+	f.Add(uint64(4), uint8(4), []byte("\x12\x34\x12\x34\x12"), uint16(2))
+	f.Add(uint64(2), uint8(0), []byte("\x33\x33\x13\x31"), uint16(6))
+	f.Add(uint64(9), uint8(1), []byte("\x11\x22\x33\x11"), uint16(4))
+	f.Add(uint64(5), uint8(3), []byte("residual start"), uint16(13))
+	geometries := [][2]int{{4, 4}, {4, 2}, {4, 1}, {8, 2}, {8, 1}}
 	f.Fuzz(func(t *testing.T, seed uint64, geo uint8, data []byte, cut uint16) {
 		if len(data) == 0 || len(data) > 256 {
 			return

@@ -92,6 +92,10 @@ func (c *Case) SplitBudget(t testing.TB) int {
 //     that arms it once, early in its first block;
 //   - five rules over the letters a to d at 4-bit × 2 and × 4, whose DFAs
 //     step bytes, over text of their words;
+//   - rules at 4-bit × 4 with an even start over runs of dots they skip;
+//   - literals whose states share a word at 8-bit × 1 (with an even start),
+//     4-bit × 2 and × 4, and at 8-bit × 2 rules with a residual start, over
+//     text of their words;
 //   - workload families at scale 0.005 compiled at the design point (4-bit ×
 //     4), over their own input generator's bytes (three under -short).
 //
@@ -203,6 +207,50 @@ func Cases(t testing.TB) []*Case {
 	}
 	cases = append(cases, &Case{Name: QuietCase, NFA: quiet, Input: []byte(text.String()[:long])})
 
+	// Literals whose states share a word, for the kernel's start images: on
+	// "abc" the image successor of the hit "a" and the start hit "b" land on
+	// one word, and on the cycle after the carried "ab", the successor of the
+	// hit "b" and the start hit "c" do. At 8-bit × 1 an even start "cab"
+	// makes the odd and the even vector differ; the all-input rules compile
+	// to 4-bit × 2 and × 4 as well. At 8-bit × 2 a start state no product of
+	// per-byte sets expresses (a residual state) keeps both vectors from
+	// images, so that kernel sweeps its start words.
+	lits := automata.New(8, 1)
+	for code, w := range []string{"abc", "bc", "c", "cab"} {
+		lits.AddLiteral(w, automata.StartAllInput, code+1)
+	}
+	even := automata.New(8, 1)
+	for code, w := range []string{"abc", "bc", "c"} {
+		even.AddLiteral(w, automata.StartAllInput, code+1)
+	}
+	even.AddLiteral("cab", automata.StartEven, 4)
+	resid := automata.New(8, 2)
+	head := resid.AddState(automata.State{
+		Match: automata.MatchSet{{bitvec.ByteOf('a'), bitvec.ByteOf('b')}, {bitvec.ByteOf('c'), bitvec.ByteOf('a')}},
+		Start: automata.StartAllInput,
+	})
+	tail := resid.AddState(automata.State{
+		Match:  automata.MatchSet{{bitvec.ByteRange('a', 'c'), bitvec.ByteOf('c')}},
+		Report: true, ReportCode: 1, ReportOffset: 1,
+	})
+	resid.AddEdge(head, tail)
+	resid.AddState(automata.State{
+		Match: automata.MatchSet{{bitvec.ByteOf('b'), bitvec.ByteOf('c')}}, Start: automata.StartAllInput,
+		Report: true, ReportCode: 2,
+	})
+	words = []string{"abc", "abcab", "cab", "bc", "c", "ab", "ca", "xabcx", "zz", strings.Repeat(".", 40)}
+	text.Reset()
+	for text.Len() < long {
+		text.WriteString(words[r.Intn(len(words))])
+	}
+	input = []byte(text.String()[:long])
+	cases = append(cases,
+		&Case{Name: ImageCase + " 8-bit x 1", NFA: even, Input: input},
+		&Case{Name: ImageCase + " 4-bit x 2", NFA: compile(lits, 4, 2), Source: lits, Input: input},
+		&Case{Name: ImageCase + " 4-bit x 4", NFA: compile(lits, 4, 4), Source: lits, Input: input},
+		&Case{Name: ResidualStartCase, NFA: resid, Input: input},
+	)
+
 	families := []string{"ExactMatch", "Hamming", "RandomForest", "CoreRings", "Snort", "Bro217", "Fermi"}
 	if testing.Short() {
 		families = families[:3]
@@ -219,8 +267,14 @@ func Cases(t testing.TB) []*Case {
 }
 
 // QuietCase names the case whose long runs of cycles no start state matches
-// the kernel skips.
-const QuietCase = "quiescent runs 4-bit x 4"
+// the kernel skips; ImageCase prefixes the literal cases whose states share
+// a word, ResidualStartCase names the one whose start vector holds a
+// residual state.
+const (
+	QuietCase         = "quiescent runs 4-bit x 4"
+	ImageCase         = "shared-word literals"
+	ResidualStartCase = "residual start 8-bit x 2"
+)
 
 // RandomWeights returns a weight table for n drawn from seed: integer
 // weights in [-5, 5] on every edge and [-3, 3] on every start, and the open

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"impala/internal/automata"
@@ -36,26 +37,113 @@ func TestSpine(t *testing.T) {
 	)
 }
 
-// The spine's quiescent case runs the kernel's skip: it keeps its admitted
-// tuples, and its input holds cycles the kernel skips (counted by a tracer,
-// which itself turns the skip off), after the first and on both parities.
+// The kernel's successor OR does what its start images promise, on every
+// spine case: on each cycle a lane watches, it ORed rows exactly when the
+// states the previous cycle left active have a successor and either that
+// cycle did not look its start vector up, or some of them were carried (not
+// hit by the start vector), or some successor accepts the cycle's symbols at
+// every position of the cycle. The kernel must look its start vectors up on
+// the quiescent and the shared-word cases, at 4-bit × 4 and at 8-bit × 1
+// with an even start vector, and not on the residual start; on the
+// shared-word cases the image path must have run — skipped the OR of a cycle
+// whose previous one had successors. The quiescent case also skips
+// cycles (counted by a tracer, which itself turns the lookup off), after the
+// first and on both parities.
 func TestSpineSkips(t *testing.T) {
+	seen := 0
 	for _, c := range simtest.Cases(t) {
+		k := compile(t, c.NFA)
+		skipped := successorSkips(t, c, k)
+		image := c.Name == simtest.QuietCase || strings.HasPrefix(c.Name, simtest.ImageCase)
+		switch {
+		case c.Name == simtest.ResidualStartCase && k.LooksUp():
+			t.Fatalf("%s: the kernel looks up a start vector that holds a residual state", c.Name)
+		case image && !k.LooksUp():
+			t.Fatalf("%s: the kernel sweeps its start vectors", c.Name)
+		case strings.HasPrefix(c.Name, simtest.ImageCase) && skipped == 0:
+			t.Fatalf("%s: the kernel skipped no successor OR", c.Name)
+		case (c.Name == simtest.QuietCase || c.Name == simtest.ImageCase+" 8-bit x 1") && !k.StartsDiffer():
+			t.Fatalf("%s: the odd and the even start vector are one", c.Name)
+		}
+		if image || c.Name == simtest.ResidualStartCase {
+			seen++
+		}
 		if c.Name != simtest.QuietCase {
 			continue
-		}
-		k := compile(t, c.NFA)
-		if !k.Skips() {
-			t.Fatalf("%s: the kernel keeps no admitted tuples", c.Name)
 		}
 		var q quiescent
 		k.NewEngine().Run(c.Input, &q)
 		if q.parity[0] == 0 || q.parity[1] == 0 {
 			t.Fatalf("%s: quiescent cycles by parity %v, want some of each", c.Name, q.parity)
 		}
-		return
 	}
-	t.Fatalf("no spine case %q", simtest.QuietCase)
+	if seen != 5 {
+		t.Fatalf("%d of the quiescent, shared-word and residual-start cases, want 5", seen)
+	}
+}
+
+// successorSkips runs c on k's kernel with a lane that holds every cycle's
+// successor OR to the rule TestSpineSkips states, and returns how many
+// cycles skipped it although the previous cycle's states had successors.
+func successorSkips(t *testing.T, c *simtest.Case, k *sim.Compiled) int {
+	n, e := c.NFA, k.NewEngine()
+	_, units := e.Geometry()
+	S := n.Stride
+	subs := sim.AppendSubSymbols(nil, n.Bits, c.Input)
+	for len(subs)%S != 0 {
+		subs = append(subs, 0)
+	}
+	// accepts reports whether state i accepts the cycle's sub-symbols at
+	// kernel position q: a residual state at any.
+	accepts := func(i, q int, syms []byte) bool {
+		if k.Residual(i) {
+			return true
+		}
+		for p := q * S / units; p < (q+1)*S/units; p++ {
+			ok := false
+			for _, r := range n.States[i].Match {
+				ok = ok || !r.Empty() && r[p].Has(syms[p])
+			}
+			if !ok {
+				return false
+			}
+		}
+		return true
+	}
+	skipped := 0
+	e.SetLane(func(cycle int) {
+		var succ []int
+		allHit := true
+		starts := e.Starts(cycle - 1)
+		e.PrevActive().ForEach(func(i int) {
+			allHit = allHit && starts.Get(i)
+			for _, s := range n.States[i].Out {
+				succ = append(succ, int(s))
+			}
+		})
+		syms := subs[cycle*S:][:S]
+		accepted := true
+		for q := range units {
+			any := false
+			for _, s := range succ {
+				any = any || accepts(s, q, syms)
+			}
+			accepted = accepted && any
+		}
+		looked := k.LooksUp() && cycle > 1
+		want := len(succ) > 0 && (!looked || !allHit || accepted)
+		if got := e.Rowed(); got != want {
+			t.Fatalf("%s: cycle %d ORed successor rows: %v, want %v (%d successors, all hit %v, accepted %v)",
+				c.Name, cycle, got, want, len(succ), allHit, accepted)
+		}
+		if len(succ) > 0 && !want {
+			skipped++
+		}
+	})
+	s := sim.NewSession(e, nil)
+	s.Feed(c.Input)
+	s.Flush()
+	return skipped
 }
 
 // quiescent counts by parity the cycles the kernel skips: past the first,
