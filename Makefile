@@ -88,7 +88,10 @@ bench-smoke:
 # documented status, an allocation budget linear in the request), the
 # scored form's threshold pruning (a thresholded form reports the open
 # threshold's reports that clear it, no pruned state is ever active, and the
-# pruned automaton validates and prunes to itself), the
+# pruned automaton validates and prunes to itself), the scored engine
+# (FuzzScored: Run and a session fed in random chunks against the scalar
+# reference, scores included, under weights of two or three values, so that
+# settled and unsettled states and ties all occur), the
 # report sort (SortReports orders as slices.SortFunc does), the bit-parallel
 # kernel (FuzzKernel: a small random automaton at 4-bit × 4, × 2 and × 1 and
 # 8-bit × 2 and × 1, fed in random chunks over a quiescent run longer than a session
@@ -120,6 +123,7 @@ define FUZZ
 ./internal/server   FuzzStreamHandler
 ./internal/server   FuzzReloadHandler
 ./internal/score    FuzzThresholdPrune
+./internal/score    FuzzScored
 ./internal/sim      FuzzSortReports
 ./internal/sim      FuzzKernel
 ./internal/dfa      FuzzDFAWalk

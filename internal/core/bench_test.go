@@ -61,7 +61,9 @@ func BenchmarkRefine(b *testing.B) {
 }
 
 // liveWords is a sim.Tracer counting cycles, the non-zero words of the
-// enable vector — what a cycle of the word-sparse kernel pays for — and the
+// enable vector — what a cycle of the word-sparse kernel pays for when it
+// sweeps its start words: a tracer turns the start lookup off, so the count
+// is the swept cycle's (swept-words/cycle), not the looked-up one's — and the
 // quiescent cycles, which the kernel skips: past the first, after a cycle
 // that left nothing active, and leaving nothing active themselves (no start
 // state matched their class tuple). It also counts the active states the
@@ -269,7 +271,7 @@ func BenchmarkServedKernels(b *testing.B) {
 				c.Run(input)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*live.cycles), "ns/cycle")
-			b.ReportMetric(float64(live.words)/float64(live.cycles), "live-words/cycle")
+			b.ReportMetric(float64(live.words)/float64(live.cycles), "swept-words/cycle")
 			b.ReportMetric(float64(live.quiescent)/float64(live.cycles), "skipped-share")
 			b.ReportMetric(float64(live.hit)/float64(max(live.active, 1)), "started-share")
 			b.ReportMetric(float64(live.succSkipped)/float64(live.cycles), "succ-skipped-share")

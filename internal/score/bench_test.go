@@ -63,12 +63,13 @@ func readMesh(tb testing.TB, build func([][]byte, int, workload.Costs, float64) 
 }
 
 // cycleTracer sums, over every cycle, the non-zero words of the enable
-// vector — what a cycle of the word-sparse kernel pays for — and, given the
-// scored form whose live kernel it traces, the active states, the heads among
-// them and their in-edges: the work propagate does and the work it skips.
+// vector — what a cycle of the word-sparse kernel pays for when it sweeps its
+// start words, as a traced kernel does — and, given the scored form whose
+// live kernel it traces, the active states, the settled ones among them and
+// their in-edges: the work propagate does and the work it skips.
 type cycleTracer struct {
-	c                                   *Compiled
-	cycles, words, active, heads, edges int
+	c                                     *Compiled
+	cycles, words, active, settled, edges int
 }
 
 func (tr *cycleTracer) OnCycle(_ int, enabled, active bitvec.Words) {
@@ -83,8 +84,8 @@ func (tr *cycleTracer) OnCycle(_ int, enabled, active bitvec.Words) {
 	}
 	active.ForEach(func(i int) {
 		tr.active++
-		if tr.c.heads.Get(i) {
-			tr.heads++
+		if tr.c.settled.Get(i) {
+			tr.settled++
 		}
 		tr.edges += int(tr.c.inOff[i+1] - tr.c.inOff[i])
 	})
@@ -103,9 +104,12 @@ func (tr *cycleTracer) OnCycle(_ int, enabled, active bitvec.Words) {
 // differs from kernel+lane by the gate: a compare per structural report,
 // less the collecting and sorting of the reports it rejects. Each reports
 // its own active and enabled states per cycle and the words its kernel's
-// enable vector holds per cycle (live-words/cycle), beside the states the scored engine
-// can activate (live-states), the in-edges per active state and the share
-// of the active states that are heads, which the pass skips.
+// enable vector holds per cycle when swept (swept-words/cycle), beside the
+// states the scored engine can activate (live-states), the in-edges per
+// active state, the share of the active states that are settled, which the
+// pass skips, the unsettled states active per cycle, which it scores, and
+// lane-share, the share of cycles on which the kernel called the pass: those
+// with an unsettled state active or a report.
 func BenchmarkScoredRun(b *testing.B) {
 	c, mesh, input := dnaMesh(b)
 	kernel, err := sim.Compile(mesh)
@@ -116,6 +120,10 @@ func BenchmarkScoredRun(b *testing.B) {
 	sim.RunBatch(kernel.NewEngine(), input, 0, full)
 	sim.RunBatch(c.NewEngine().kernel, input, 0, tr)
 	live := c.NFA().NumStates()
+	e, calls := c.NewEngine(), 0
+	e.kernel.SetLane(func(t int) { calls++; e.propagate(t) })
+	_, st := sim.RunBatch(e, input, 0, nil)
+	laneShare := float64(calls) / float64(st.Cycles)
 	for _, form := range []struct {
 		name  string
 		run   func([]byte) ([]sim.Report, sim.Stats)
@@ -136,9 +144,11 @@ func BenchmarkScoredRun(b *testing.B) {
 			b.ReportMetric(float64(live), "live-states")
 			b.ReportMetric(st.ActivePerCycleAvg, "active/cycle")
 			b.ReportMetric(float64(st.TotalEnabled)/float64(st.Cycles), "enabled/cycle")
-			b.ReportMetric(float64(form.words.words)/float64(form.words.cycles), "live-words/cycle")
+			b.ReportMetric(float64(form.words.words)/float64(form.words.cycles), "swept-words/cycle")
 			b.ReportMetric(float64(tr.edges)/float64(tr.active), "in-edges/active-state")
-			b.ReportMetric(float64(tr.heads)/float64(tr.active), "heads/active")
+			b.ReportMetric(float64(tr.settled)/float64(tr.active), "settled/active")
+			b.ReportMetric(float64(tr.active-tr.settled)/float64(tr.cycles), "unsettled/cycle")
+			b.ReportMetric(laneShare, "lane-share")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package score
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -269,7 +270,7 @@ func TestThresholdPruneExact(t *testing.T) {
 // the binary kernel of the sub-automaton the live states induce — a dead
 // state is neither enabled nor active. On the dna_scored_match mesh at its
 // threshold that is fewer enabled states than the full kernel's, and the
-// states the pruning leaves without an in-edge are heads.
+// states the pruning leaves without an in-edge are heads, which settle.
 func TestScoredStatsCountLiveStates(t *testing.T) {
 	var cases []*pruneCase
 	for _, c := range simtest.Cases(t) {
@@ -320,13 +321,14 @@ func TestScoredStatsCountLiveStates(t *testing.T) {
 		t.Errorf("the pruned mesh enables %d states over the input, the full kernel %d: want fewer", scored.TotalEnabled, full.TotalEnabled)
 	}
 	// In the last two shapes the first live state — the state fed only by a
-	// dead one, and the start-of-data start — is the one head.
+	// dead one, and the start-of-data start — is the one head, settled at its
+	// start weight; the state fed only by it settles too, at that weight
+	// plus its edge's.
 	shapes := pruneShapes()
-	for _, sh := range shapes[len(shapes)-2:] {
-		var heads []int
-		sh.compile(t, sh.w.Threshold).heads.ForEach(func(i int) { heads = append(heads, i) })
-		if !slices.Equal(heads, []int{0}) {
-			t.Errorf("%s: heads %v, want [0]", sh.name, heads)
+	for k, want := range []map[int]float64{{0: 4, 1: 3}, {0: 3}} {
+		sh := shapes[len(shapes)-2+k]
+		if got := settledScores(sh.compile(t, sh.w.Threshold).Compiled); !maps.Equal(got, want) {
+			t.Errorf("%s: settled scores %v, want %v", sh.name, got, want)
 		}
 	}
 }

@@ -15,8 +15,10 @@
 // (predecessor score + edge weight) over the predecessors that were active
 // the cycle before. Its cost tracks the in-edges of the active states — a
 // handful per cycle on the meshes this lane serves — not the state count, and
-// it skips the heads, the states with no in-edge, whose score is fixed
-// (Compiled.NewEngine).
+// it skips the settled states, whose score is the same on every path that
+// reaches them and is fixed at load (settle, Compiled.NewEngine). The kernel
+// calls the pass only on the cycles on which an unsettled state is active or
+// a report fires (sim.CompileWatching).
 //
 // The threshold is applied at the report gate: it compares each report's
 // score with the threshold and lets through only the reports that clear it.
@@ -43,9 +45,9 @@ import (
 // Compiled is the immutable scored form of a weighted automaton: the kernel
 // the scored engine steps (a sim.Compiled, which owns every table the
 // enable, match and report phases read) and only what scoring adds — the
-// flat in-edge table, start weights and the report threshold, O(states +
-// edges) in all. Safe to share across goroutines; per-stream state lives in
-// Engine.
+// flat in-edge table, the settled states with one score or start weight a
+// state, and the report threshold, O(states + edges) in all. Safe to share
+// across goroutines; per-stream state lives in Engine.
 type Compiled struct {
 	// kernel is the bit-parallel kernel of the automaton the form was
 	// compiled from; the scoring tables below are indexed by its states.
@@ -57,10 +59,12 @@ type Compiled struct {
 	inOff  []int32
 	inFrom []int32
 	inW    []float64
-	// heads names the states with no in-edge, whose score NewEngine fixes.
-	heads bitvec.Words
+	// settled names the states whose score is the same whenever they are
+	// active (settle); NewEngine fixes it, and the kernel watches the others.
+	settled bitvec.Words
 
-	startW    []float64
+	// val[i] is settled state i's score, and any other state's start weight.
+	val       []float64
 	threshold float64
 	// mixedStates counts states whose in-edges carry more than one distinct
 	// weight (ScalarScoredStates).
@@ -89,22 +93,69 @@ func CompileValidated(n *automata.NFA, w *automata.Weights) (*Compiled, error) {
 	if err := w.Validate(n); err != nil {
 		return nil, err
 	}
-	kernel := sim.CompileValidated(n)
 	c := &Compiled{
-		kernel:      kernel,
-		startW:      append([]float64(nil), w.Start...),
+		val:         append([]float64(nil), w.Start...),
 		threshold:   w.Threshold,
 		mixedStates: w.MixedStates(n),
 	}
 	c.inOff, c.inFrom, c.inW = w.InEdges(n)
-	c.heads = bitvec.NewWords(n.NumStates())
+	c.settle(n)
+	watch := bitvec.NewWords(n.NumStates())
 	for i := range n.States {
-		if c.inOff[i] == c.inOff[i+1] {
-			c.heads.Set(i)
+		if !c.settled.Get(i) {
+			watch.Set(i)
 		}
 	}
+	c.kernel = sim.CompileWatching(n, watch)
 	c.pool = sim.NewPool(func() sim.Core { return c.NewEngine() })
 	return c, nil
+}
+
+// settle finds the settled states and their scores, in one worklist pass
+// over the states and edges:
+//   - a head, a state with no in-edge, is settled at its start weight;
+//   - any other state is settled at v when every predecessor is settled,
+//     satAdd(predecessor's score, edge weight) is v on each of its in-edges
+//     and, if it is a start state, its start weight is v too.
+//
+// A state on a cycle, or past one, or whose in-edges disagree stays
+// unsettled. The rule is exact: a head is enabled by a start vector only,
+// and an active non-start state has an active predecessor, whose enable it
+// came from, so a settled state's score is v on every cycle it is active —
+// the value the pass would write. Values are compared bit for bit, as the
+// pass's max keeps the first of equal candidates.
+func (c *Compiled) settle(n *automata.NFA) {
+	ns := n.NumStates()
+	c.settled = bitvec.NewWords(ns)
+	// pending[i] counts i's in-edges from states not yet settled; a state
+	// is queued once it has none.
+	buf := make([]int32, 2*ns)
+	pending, queue := buf[:ns], buf[ns:ns]
+	for i := range ns {
+		if pending[i] = c.inOff[i+1] - c.inOff[i]; pending[i] == 0 {
+			queue = append(queue, int32(i))
+		}
+	}
+	for k := 0; k < len(queue); k++ {
+		i := queue[k]
+		if lo, hi := c.inOff[i], c.inOff[i+1]; lo < hi {
+			v := satAdd(c.val[c.inFrom[lo]], c.inW[lo])
+			agree := n.States[i].Start == automata.StartNone || math.Float64bits(c.val[i]) == math.Float64bits(v)
+			for p := lo + 1; p < hi && agree; p++ {
+				agree = math.Float64bits(satAdd(c.val[c.inFrom[p]], c.inW[p])) == math.Float64bits(v)
+			}
+			if !agree {
+				continue
+			}
+			c.val[i] = v
+		}
+		c.settled.Set(int(i))
+		for _, t := range n.States[i].Out {
+			if pending[t]--; pending[t] == 0 {
+				queue = append(queue, int32(t))
+			}
+		}
+	}
 }
 
 // Run executes the scored automaton over input on a pooled engine and
@@ -165,12 +216,10 @@ type Engine struct {
 
 // NewEngine allocates per-stream state for the compiled scored automaton.
 //
-// It also fixes the heads' scores. A head has no in-edge, so only a start
-// vector can enable it, and whenever it is active its score is its start
-// weight — the value the pass would write every cycle it is active. That
-// weight is written here once, into both cycles' buffers, so the pass skips
-// the heads, and the gate and the next cycle's pass read it where they read
-// any score.
+// It also fixes the settled states' scores: each is the value the pass would
+// write on every cycle the state is active (settle), written here once, into
+// both cycles' buffers, so the pass skips the settled states, and the gate
+// and the next cycle's pass read it where they read any score.
 func (c *Compiled) NewEngine() *Engine {
 	ns := c.kernel.NFA().NumStates()
 	buf := make([]float64, 2*ns)
@@ -179,7 +228,7 @@ func (c *Compiled) NewEngine() *Engine {
 		kernel: c.kernel.NewEngine(),
 		score:  [2][]float64{buf[:ns:ns], buf[ns:]},
 	}
-	c.heads.ForEach(func(i int) { e.score[0][i], e.score[1][i] = c.startW[i], c.startW[i] })
+	c.settled.ForEach(func(i int) { e.score[0][i], e.score[1][i] = c.val[i], c.val[i] })
 	e.kernel.SetLane(e.propagate)
 	e.gate = func(r sim.Report) {
 		if r.Score = e.score[e.parity][r.State]; r.Score < c.threshold {
@@ -212,11 +261,13 @@ func satAdd(a, b float64) float64 {
 
 // StepBlock implements sim.Core: one kernel block with the score lane riding
 // it — every cycle the kernel runs its enable and match phases, calls
-// propagate over the states they left active, then reports through the
-// threshold gate. Stale score slots are never read — a previous-cycle score
-// is consulted only under the previous-active mask, and a current score only
-// for states in the active set, a head's being fixed. The block's bytes,
-// forwarded reports and rejects are published at its end.
+// propagate over the states they left active when one of them is unsettled
+// or reports, then reports through the threshold gate. Stale score slots are
+// never read — a previous-cycle score is consulted only under the
+// previous-active mask, and a current score only for states in the active
+// set, a settled state's being fixed; an unsettled state active on a cycle
+// had the pass called on it. The block's bytes, forwarded reports and
+// rejects are published at its end.
 func (e *Engine) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSink, tracer sim.Tracer) (enabled, active int64, peak int) {
 	e.sink = sink
 	enabled, active, peak = e.kernel.StepBlock(subs, t0, limitBits, e.gate, tracer)
@@ -226,8 +277,8 @@ func (e *Engine) StepBlock(subs []byte, t0 int, limitBits int, sink sim.ReportSi
 }
 
 // propagate is the lane the kernel calls (sim.CompiledEngine.SetLane) once
-// the cycle's active set is known. It scores every active state but the
-// heads: the best of its start weight (if it is a start candidate this
+// the cycle's active set is known. It scores every active unsettled state:
+// the best of its start weight (if it is a start candidate this
 // cycle, whether or not a predecessor also reaches it) and the max over
 // active predecessors of (predecessor score + edge weight), written to cycle
 // t's buffer from the previous cycle's, so a whole block is one kernel call.
@@ -242,12 +293,12 @@ func (e *Engine) propagate(t int) {
 		for ; s != 0; s &= s - 1 {
 			w := sw<<6 | bits.TrailingZeros64(s)
 			start := starts[w]
-			for word := act.Bits[w] &^ c.heads[w]; word != 0; word &= word - 1 {
+			for word := act.Bits[w] &^ c.settled[w]; word != 0; word &= word - 1 {
 				b := bits.TrailingZeros64(word)
 				i := w<<6 | b
 				best := math.Inf(-1)
 				if start>>b&1 != 0 {
-					best = c.startW[i]
+					best = c.val[i]
 				}
 				for p, end := c.inOff[i], c.inOff[i+1]; p < end; p++ {
 					u := c.inFrom[p]

@@ -146,11 +146,13 @@ func BenchmarkEngineScalar(b *testing.B) {
 	}
 }
 
-// liveWords is a Tracer counting the non-zero words of the enable vector:
-// what a cycle of the word-sparse kernel pays for.
-type liveWords struct{ words, cycles int }
+// sweptWords is a Tracer counting the non-zero words of the enable vector:
+// what a cycle of the word-sparse kernel pays for when it sweeps its start
+// words. A tracer turns the start lookup off, so the count is that of the
+// swept cycle, not of the one an untraced kernel looks up.
+type sweptWords struct{ words, cycles int }
 
-func (l *liveWords) OnCycle(_ int, enabled, _ bitvec.Words) {
+func (l *sweptWords) OnCycle(_ int, enabled, _ bitvec.Words) {
 	for _, x := range enabled {
 		if x != 0 {
 			l.words++
@@ -159,9 +161,9 @@ func (l *liveWords) OnCycle(_ int, enabled, _ bitvec.Words) {
 	l.cycles++
 }
 
-// perCycle runs input once on s, untimed, and returns the live words per
+// perCycle runs input once on s, untimed, and returns the swept words per
 // cycle.
-func (l *liveWords) perCycle(s *Session, input []byte) float64 {
+func (l *sweptWords) perCycle(s *Session, input []byte) float64 {
 	s.runBatch(nil, input, 0, l)
 	return float64(l.words) / float64(l.cycles)
 }
@@ -177,13 +179,13 @@ func BenchmarkEngineCompiled(b *testing.B) {
 			// A pooled run's session, held here so that no sync.Pool drop
 			// at a GC is timed.
 			s := NewSession(c.NewEngine(), nil)
-			live := new(liveWords).perCycle(s, input)
+			swept := new(sweptWords).perCycle(s, input)
 			b.SetBytes(int64(len(input)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.runBatch(nil, input, 0, nil)
 			}
-			b.ReportMetric(live, "live-words/cycle")
+			b.ReportMetric(swept, "swept-words/cycle")
 		})
 	}
 }
@@ -201,7 +203,7 @@ func BenchmarkSessionFeed(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				live := new(liveWords).perCycle(NewSession(c.NewEngine(), nil), input)
+				swept := new(sweptWords).perCycle(NewSession(c.NewEngine(), nil), input)
 				matches := 0
 				s := c.NewSession(func(Report) { matches++ })
 				s.Feed(input[:chunkSize]) // warm scratch buffers
@@ -217,7 +219,7 @@ func BenchmarkSessionFeed(b *testing.B) {
 						s.Feed(input[off:end])
 					}
 				}
-				b.ReportMetric(live, "live-words/cycle")
+				b.ReportMetric(swept, "swept-words/cycle")
 			})
 		}
 	}

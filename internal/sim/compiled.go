@@ -88,9 +88,16 @@ type Compiled struct {
 	// vector, and the start words a looked-up cycle's match pass walks.
 	none bitvec.Frontier
 
-	// reporting gates the report loop: cycles where active ∧ reporting = 0
-	// skip report handling entirely.
-	reporting bitvec.Words
+	// reporting holds the reporting states, which the report loop walks.
+	// gate is reporting ∪ the watched states (CompileWatching): a cycle on
+	// which none of its states is active skips the report loop and, on a
+	// watching kernel, the lane. A kernel that watches nothing has gate alias
+	// reporting.
+	reporting, gate bitvec.Words
+	// watching is set on a kernel compiled with a watch set, whose lane runs
+	// only on the cycles gate sends past the common path; another kernel's
+	// lane runs on every cycle it steps.
+	watching bool
 
 	// pool recycles engines (per-stream buffers) and their sessions across
 	// the concurrent one-shot Run calls on this compiled form.
@@ -111,7 +118,18 @@ func Compile(n *automata.NFA) (*Compiled, error) {
 // CompileValidated is Compile for an automaton the caller has validated and
 // not changed since, so that a machine's load path, which arch.Check has
 // validated it on, does not walk every state's rects once more.
-func CompileValidated(n *automata.NFA) *Compiled {
+func CompileValidated(n *automata.NFA) *Compiled { return compile(n, nil) }
+
+// CompileWatching is CompileValidated for a kernel whose lane (SetLane) needs
+// only the cycles on which a state of watch, a non-nil vector of a bit per
+// state, is active or a report fires: the kernel calls it on those alone,
+// where another kernel calls its lane on every cycle it steps.
+// internal/score watches the states whose score depends on the path that
+// reached them.
+func CompileWatching(n *automata.NFA, watch bitvec.Words) *Compiled { return compile(n, watch) }
+
+// compile builds the kernel; a nil watch compiles one that watches nothing.
+func compile(n *automata.NFA, watch bitvec.Words) *Compiled {
 	ns := n.NumStates()
 	S := n.Stride
 	dom := automata.DomainSize(n.Bits)
@@ -125,6 +143,7 @@ func CompileValidated(n *automata.NFA) *Compiled {
 		startOdd:  &startVector{Frontier: bitvec.NewFrontier(ns)},
 		none:      bitvec.NewFrontier(ns),
 		reporting: bitvec.NewWords(ns),
+		watching:  watch != nil,
 	}
 	// val[(p*dom+v)*nw+w] holds which states of word w accept sub-symbol v
 	// at stride position p: the masks themselves when a cycle takes
@@ -177,6 +196,13 @@ func CompileValidated(n *automata.NFA) *Compiled {
 			c.masks[p], c.nclass[p] = val[p*dom*nw:][:dom*nw], dom
 		}
 	}
+	c.gate = c.reporting
+	if watch.Any() {
+		c.gate = bitvec.NewWords(ns)
+		for w := range c.gate {
+			c.gate[w] = c.reporting[w] | watch[w]
+		}
+	}
 	c.succ = succ.Build()
 	c.startEven = c.startOdd.with(ns, even)
 	c.startFirst = c.startEven.with(ns, anchored)
@@ -207,7 +233,8 @@ type image struct {
 	// count is the states hit names; beyond the states of succ outside the
 	// start vector of the cycle after, the other parity's.
 	count, beyond int32
-	// reports is non-zero when a state of hit reports.
+	// reports is non-zero when a state of hit is in Compiled.gate: it reports
+	// or is watched.
 	reports uint64
 	// accepts is where the image's accepted classes start in
 	// Compiled.acceptWords: per symbol of the cycle, acceptStride words with
@@ -242,7 +269,9 @@ const imageAcceptWords, minImageBudget = 8, 1 << 10
 // minImageBudget words at least keeps a small automaton's images, which
 // outweigh its masks. The build is flat: its tables double from an eighth
 // of the budget, and it keeps a copy of what it filled, a bounded number of
-// allocations whatever the automaton.
+// allocations whatever the automaton. It refuses before it ORs any successor
+// row when the hit words and a floor on the successor words already pass the
+// budget (imageBuilder.build), as Snort at 1.0 does.
 func (c *Compiled) lookUp() {
 	if c.units > 2 {
 		return
@@ -290,6 +319,13 @@ type imageBuilder struct {
 	// hits and succ are an image's hit states and their successors, while it
 	// is built.
 	hits, succ bitvec.Frontier
+	// floor is the words the images hold at least: their hit words, and for
+	// each, a successor word per distinct word its hit states' first
+	// successors lie in. firstSucc[i] is that word for start state i, plus
+	// one, 0 when i has no successor; seen[w] is the image that last counted
+	// word w, 0 for none.
+	floor           int
+	firstSucc, seen []int32
 	// acceptOf[i] is the index in accepted of the classes state i accepts,
 	// plus one; 0 until an image's successors first hold i.
 	acceptOf []int32
@@ -318,11 +354,17 @@ func newImageBuilder(c *Compiled) *imageBuilder {
 	b.hits, u64 = bitvec.CarveFrontier(u64, ns)
 	b.succ, u64 = bitvec.CarveFrontier(u64, ns)
 	b.rows = u64[:0]
-	i32 := make([]int32, starts+first+2*last+1+size+ns)
+	i32 := make([]int32, starts+first+2*last+1+size+3*ns+c.words)
 	b.sw, i32 = i32[:0:starts], i32[starts:]
 	b.rowOf, b.colOf, i32 = i32[:first], i32[first:first+last], i32[first+last:]
 	b.colAt, i32 = i32[:1:last+1], i32[last+1:]
-	b.slots, b.acceptOf = i32[:size], i32[size:]
+	b.slots, i32 = i32[:size], i32[size:]
+	b.acceptOf, b.firstSucc, b.seen = i32[:ns], i32[ns:2*ns], i32[2*ns:]
+	c.startEven.Bits.ForEach(func(i int) {
+		if out := c.nfa.States[i].Out; len(out) != 0 {
+			b.firstSucc[i] = int32(slices.Min(out))>>6 + 1
+		}
+	})
 	wb := make([]wordBits, starts+last*starts)
 	b.hit, b.cols = wb[:0:starts], wb[starts:starts]
 	b.accepted = make([][2][4]uint64, 0, b.most/8+1)
@@ -415,7 +457,10 @@ func room[T any](s []T, n int) []T {
 
 // build fills v's image table, the images of its class tuples, each counting its
 // successors beyond next, the vector of the cycle after; false when the
-// images outgrow the budget.
+// images outgrow the budget. It interns every tuple's hit words first, with
+// the floor on the words the images will hold, and refuses as soon as that
+// passes the budget; only then does it OR each image's successor rows, the
+// bulk of the build.
 func (b *imageBuilder) build(v, next *startVector) bool {
 	c := b.c
 	b.sw = b.sw[:0]
@@ -446,6 +491,7 @@ func (b *imageBuilder) build(v, next *startVector) bool {
 	rowAt, colOf := at[:len(rowOf)], at[len(rowOf):]
 	pair := make([]uint16, (nr+1)*(nc+1))
 	clear(b.slots)
+	fresh := len(c.images)
 	for r := range nr {
 		row := rows[r*n:][:n]
 		id := uint16(0)
@@ -462,11 +508,16 @@ func (b *imageBuilder) build(v, next *startVector) bool {
 			case len(b.hit) == 0:
 				id = 0
 			case id == 0 || !slices.Equal(b.c.imageWords[b.c.images[id].hit.lo:b.c.images[id].hit.hi], b.hit):
-				if id = b.intern(next); id == 0 {
+				if id = b.intern(); id == 0 {
 					return false
 				}
 			}
 			pair[(r+1)*(nc+1)+k+1] = id
+		}
+	}
+	for id := fresh; id < len(c.images); id++ {
+		if b.add(&c.images[id], next); len(c.imageWords) > b.budget {
+			return false
 		}
 	}
 	for k, r := range rowOf {
@@ -540,9 +591,10 @@ func (b *imageBuilder) distinctCols(v *startVector) {
 	}
 }
 
-// intern returns the number of the image of b.hit, adding it if it is new;
-// 0 when adding it outgrows the budget.
-func (b *imageBuilder) intern(next *startVector) uint16 {
+// intern returns the number of the image of b.hit, adding it with its hit
+// words if it is new; 0 when adding it takes the images or their floor past
+// the budget.
+func (b *imageBuilder) intern() uint16 {
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, x := range b.hit {
 		h = (h ^ x.bits ^ uint64(x.w)<<40) * 0x9E3779B97F4A7C15
@@ -554,32 +606,43 @@ func (b *imageBuilder) intern(next *startVector) uint16 {
 			return uint16(id)
 		}
 	}
-	img := b.add(next)
-	if len(c.imageWords) > b.budget || len(c.images) >= b.most {
+	if len(c.images) >= b.most {
 		return 0
 	}
-	b.slots[i] = int32(len(c.images))
+	id := int32(len(c.images))
+	img := image{hit: span{lo: int32(len(c.imageWords))}}
+	c.imageWords = append(room(c.imageWords, len(b.hit)), b.hit...)
+	img.hit.hi = int32(len(c.imageWords))
+	b.floor += len(b.hit)
+	for _, x := range b.hit {
+		img.count += int32(bits.OnesCount64(x.bits))
+		img.reports |= x.bits & c.gate[x.w]
+		for word := x.bits; word != 0; word &= word - 1 {
+			if w := b.firstSucc[int(x.w)<<6|bits.TrailingZeros64(word)] - 1; w >= 0 && b.seen[w] != id {
+				b.seen[w] = id
+				b.floor++
+			}
+		}
+	}
+	if b.floor > b.budget {
+		return 0
+	}
+	b.slots[i] = id
 	c.images = append(room(c.images, 1), img)
-	return uint16(len(c.images) - 1)
+	return uint16(id)
 }
 
-// add appends the words of the image of b.hit, whose successors are
-// counted beyond next, and returns it.
-func (b *imageBuilder) add(next *startVector) image {
+// add appends the successor words of img, counted beyond next, and its
+// accepted classes.
+func (b *imageBuilder) add(img *image, next *startVector) {
 	c := b.c
-	c.imageWords = room(c.imageWords, len(b.hit))
-	img := image{hit: span{lo: int32(len(c.imageWords))}}
 	var accepts [2][4]uint64
-	for _, x := range b.hit {
-		c.imageWords = append(c.imageWords, x)
-		img.count += int32(bits.OnesCount64(x.bits))
-		img.reports |= x.bits & c.reporting[x.w]
+	for _, x := range c.imageWords[img.hit.lo:img.hit.hi] {
 		b.hits.Bits[x.w] = x.bits
 		b.hits.Sum[x.w>>6] |= 1 << (uint(x.w) & 63)
 	}
-	img.hit.hi = int32(len(c.imageWords))
 	c.succ.OrRowsInto(&b.hits, &b.succ)
-	img.succ.lo = img.hit.hi
+	img.succ.lo = int32(len(c.imageWords))
 	succ := 0
 	for _, s := range b.succ.Sum {
 		succ += bits.OnesCount64(s)
@@ -620,7 +683,6 @@ func (b *imageBuilder) add(next *startVector) image {
 	}
 	b.hits.Clear()
 	b.succ.Clear()
-	return img
 }
 
 // startVector is the set of states enabled on a class of cycles whatever
@@ -792,11 +854,13 @@ func (e *CompiledEngine) ResetState() {
 	e.prevCount, e.prevImage = 0, 0
 }
 
-// SetLane attaches a lane beside the kernel: every cycle, between the
-// state-match phase and the report gate, StepBlock calls lane(t), which may
-// read ActiveSet, PrevActive and Starts and decide what the sink it
-// passed to StepBlock lets through (internal/score's max-plus pass rides
-// here). nil detaches it.
+// SetLane attaches a lane beside the kernel: between the state-match phase
+// and the report gate StepBlock calls lane(t), which may read ActiveSet,
+// PrevActive and Starts and decide what the sink it passed to StepBlock lets
+// through (internal/score's max-plus pass rides here). A kernel compiled
+// with a watch set (CompileWatching) calls it only on the cycles on which a
+// watched state is active or a report fires, and on every cycle a tracer
+// watches; another kernel on every cycle it steps. nil detaches it.
 func (e *CompiledEngine) SetLane(lane func(t int)) { e.lane = lane }
 
 // startFor returns the start-enable vector of cycle t.
@@ -841,7 +905,8 @@ func (e *CompiledEngine) startFor(t int) *startVector {
 // loop steps over it adding only its start count, and touches no vector: the
 // next cycle it runs finds both active vectors as the last cycle it ran left
 // them, the previous one empty. A lane is not called on a skipped cycle, on
-// which no state is active.
+// which no state is active, nor, on a watching kernel, on a cycle on which
+// no state of the gate is.
 func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink ReportSink, tracer Tracer) (enabled, active int64, peak int) {
 	c := e.c
 	n := c.nfa
@@ -849,14 +914,14 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 	cm := c.classOf[:U]
 	masks, nw := c.masks, c.words
 	m0, m1 := masks[0], masks[U-1]
-	reporting := c.reporting
+	reporting, gate := c.reporting, c.gate
 	en, enSum := e.enabled.Bits, e.enabled.Sum
 	touched := e.touched.Sum
 	cur, prevCount := e.cur&1, e.prevCount
 	act, actSum := e.act[cur].Bits, e.act[cur].Sum
 	seeded := e.seeded
 
-	extras := len(c.residual) != 0 || e.lane != nil || tracer != nil
+	extras := len(c.residual) != 0 || e.lane != nil && !c.watching || tracer != nil
 	odd, even := c.startOdd, c.startEven
 	looks := odd.pair != nil && even.pair != nil && tracer == nil
 	images, iw, aw := c.images, c.imageWords, c.acceptWords
@@ -956,7 +1021,7 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 		// (the seeded start words and the touched ones): active = enabled ∧¬
 		// drop ∧ mask[0][class of chunk[0]] ∧ … and its summary, then over
 		// the words that came out non-zero — few of the live ones — their
-		// popcount and whether a reporting state is in them. The words the
+		// popcount and whether a state of the gate is in them. The words the
 		// active vector still names from two cycles ago are walked as well:
 		// off the live set the enable vector is zero, so they come out zero
 		// here instead of in a sweep of their own — or, on a looked-up cycle
@@ -992,7 +1057,7 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 			for ; live != 0; live &= live - 1 {
 				w := sw<<6 | bits.TrailingZeros64(live)
 				na += bits.OnesCount64(act[w])
-				hits |= act[w] & reporting[w]
+				hits |= act[w] & gate[w]
 			}
 		}
 		if img != nil {
@@ -1030,8 +1095,8 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 				e.lane(t)
 			}
 
-			// Reporting, on the cycles that have a reporting state active:
-			// gate the active words on the reporting mask, then per bit.
+			// Reporting, on the cycles that have a state of the gate active:
+			// the active words on the reporting mask, then per bit.
 			if hits != 0 {
 				base := t * n.Stride
 				for sw, s := range actSum {

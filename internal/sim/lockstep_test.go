@@ -63,7 +63,7 @@ func TestPooledRunKeepsItsSession(t *testing.T) {
 	hit := []byte("one needle in a stack")
 	for name, core := range map[string]Core{"kernel": c.NewEngine(), "lockstep": l.newCore()} {
 		s := NewSession(core, nil)
-		if r, _ := s.runBatch(make([]Report, 1, 4), hit, 0, new(liveWords)); len(r) != 2 {
+		if r, _ := s.runBatch(make([]Report, 1, 4), hit, 0, new(sweptWords)); len(r) != 2 {
 			t.Fatalf("%s: %d rows, want the prefix's and 1 report", name, len(r))
 		}
 		if s.batch != nil || s.tracer != nil {
