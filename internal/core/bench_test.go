@@ -64,31 +64,41 @@ func BenchmarkRefine(b *testing.B) {
 // enable vector — what a cycle of the word-sparse kernel pays for when it
 // sweeps its start words: a tracer turns the start lookup off, so the count
 // is the swept cycle's (swept-words/cycle), not the looked-up one's — and the
-// quiescent cycles, which the kernel skips: past the first, after a cycle
-// that left nothing active, and leaving nothing active themselves (no start
-// state matched their class tuple). It also counts the active states the
+// quiescent cycles, the image-0 steps of the kernel's runs: past the first,
+// after a cycle that left nothing active, and leaving nothing active
+// themselves (no start state matched their class tuple). It also counts the active states the
 // start vector activated, and the cycles whose successor OR the kernel skips
 // when it looks its start vector up (sim.Compiled): past the second, after
 // a cycle whose active states were all start states and have successors,
-// none of which accepts the cycle's byte at some position.
+// none of which accepts the cycle's byte at some position. And it recounts
+// the cycles the kernel steps by image number (image-run-share): past the
+// first, after a cycle whose active states were all start states (none, when
+// it was the first), whose successors, if any, reject the cycle's bytes at
+// some position, and activating only start states, none of which reports.
 type liveWords struct {
 	words, cycles, quiescent int
 	was                      bool // the previous cycle left a state active
 
-	n       *automata.NFA
-	starts  func(t int) bitvec.Words
-	subs    []byte // the input's sub-symbols, zero-padded to whole cycles
-	bytes   int    // bytes a cycle
-	prev    bitvec.Words
-	started bool // every state the previous cycle left active was a start state
+	n         *automata.NFA
+	starts    func(t int) bitvec.Words
+	subs      []byte // the input's sub-symbols, zero-padded to whole cycles
+	bytes     int    // bytes a cycle
+	prev      bitvec.Words
+	started   bool // every state the previous cycle left active was a start state
+	reporting bitvec.Words
 
-	active, hit, succSkipped int
+	active, hit, succSkipped, imageRuns int
 }
 
 // newLiveWords returns a liveWords for a run over input of e, an engine of
 // n, whose cycles are whole bytes.
 func newLiveWords(n *automata.NFA, e *sim.CompiledEngine, input []byte) *liveWords {
-	l := &liveWords{n: n, starts: e.Starts, bytes: n.Stride * n.Bits / 8}
+	l := &liveWords{n: n, starts: e.Starts, bytes: n.Stride * n.Bits / 8, reporting: bitvec.NewWords(n.NumStates())}
+	for i := range n.States {
+		if n.States[i].Report {
+			l.reporting.Set(i)
+		}
+	}
 	l.subs = sim.AppendSubSymbols(nil, n.Bits, input)
 	for len(l.subs)%n.Stride != 0 {
 		l.subs = append(l.subs, 0)
@@ -110,15 +120,21 @@ func (l *liveWords) OnCycle(t int, enabled, active bitvec.Words) {
 	l.cycles++
 
 	starts := l.starts(t)
-	if t >= 2 && l.started && l.prev.Any() && !l.successorsAccept(t) {
+	rejected := t > 0 && l.started && !l.successorsAccept(t)
+	if t >= 2 && rejected && l.prev.Any() {
 		l.succSkipped++
 	}
-	l.started = true
+	only, reports := true, false
 	for w, x := range active {
 		l.active += bits.OnesCount64(x)
 		l.hit += bits.OnesCount64(x & starts[w])
-		l.started = l.started && x&^starts[w] == 0
+		only = only && x&^starts[w] == 0
+		reports = reports || x&l.reporting[w] != 0
 	}
+	if rejected && (t > 1 || !l.prev.Any()) && only && !reports {
+		l.imageRuns++
+	}
+	l.started = only
 	l.prev = append(l.prev[:0], active...)
 }
 
@@ -218,9 +234,10 @@ func plant(input []byte, wit [][]byte, spacing int, r *rand.Rand) {
 // spacing bytes, as the served bodies carry them (ExactMatch every 64 B,
 // Snort every 16 KiB): without them the generated input leaves ExactMatch's
 // kernel almost idle. Beside ns/cycle each row reports the share of cycles
-// the kernel skips as quiescent, the share of active states the start vector
-// activated (started-share: what its images hold) and the share of cycles
-// whose successor OR it skips (succ-skipped-share).
+// that are quiescent (skipped-share), the share of active states the start vector
+// activated (started-share: what its images hold), the share of cycles
+// whose successor OR it skips (succ-skipped-share) and the share it steps by
+// image number, touching no state vector (image-run-share).
 func BenchmarkServedKernels(b *testing.B) {
 	for _, tc := range []struct {
 		suite          string
@@ -275,6 +292,7 @@ func BenchmarkServedKernels(b *testing.B) {
 			b.ReportMetric(float64(live.quiescent)/float64(live.cycles), "skipped-share")
 			b.ReportMetric(float64(live.hit)/float64(max(live.active, 1)), "started-share")
 			b.ReportMetric(float64(live.succSkipped)/float64(live.cycles), "succ-skipped-share")
+			b.ReportMetric(float64(live.imageRuns)/float64(live.cycles), "image-run-share")
 		})
 	}
 }

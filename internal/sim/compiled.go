@@ -96,7 +96,7 @@ type Compiled struct {
 	reporting, gate bitvec.Words
 	// watching is set on a kernel compiled with a watch set, whose lane runs
 	// only on the cycles gate sends past the common path; another kernel's
-	// lane runs on every cycle it steps.
+	// lane runs on every cycle it steps whole.
 	watching bool
 
 	// pool recycles engines (per-stream buffers) and their sessions across
@@ -123,7 +123,7 @@ func CompileValidated(n *automata.NFA) *Compiled { return compile(n, nil) }
 // CompileWatching is CompileValidated for a kernel whose lane (SetLane) needs
 // only the cycles on which a state of watch, a non-nil vector of a bit per
 // state, is active or a report fires: the kernel calls it on those alone,
-// where another kernel calls its lane on every cycle it steps.
+// where another kernel calls its lane on every cycle it steps whole.
 // internal/score watches the states whose score depends on the path that
 // reached them.
 func CompileWatching(n *automata.NFA, watch bitvec.Words) *Compiled { return compile(n, watch) }
@@ -860,7 +860,8 @@ func (e *CompiledEngine) ResetState() {
 // through (internal/score's max-plus pass rides here). A kernel compiled
 // with a watch set (CompileWatching) calls it only on the cycles on which a
 // watched state is active or a report fires, and on every cycle a tracer
-// watches; another kernel on every cycle it steps. nil detaches it.
+// watches; another kernel on every cycle it steps whole — not on a run of
+// start-only cycles it steps by image number (StepBlock). nil detaches it.
 func (e *CompiledEngine) SetLane(lane func(t int)) { e.lane = lane }
 
 // startFor returns the start-enable vector of cycle t.
@@ -900,13 +901,21 @@ func (e *CompiledEngine) startFor(t int) *startVector {
 // start vector holding a residual state and any cycle a tracer watches seed
 // the enable vector with the start vector and sweep its words.
 //
-// A quiescent cycle — the one before it left nothing active, and its tuple's
-// image is empty — enables its start vector and activates nothing, so the
-// loop steps over it adding only its start count, and touches no vector: the
-// next cycle it runs finds both active vectors as the last cycle it ran left
-// them, the previous one empty. A lane is not called on a skipped cycle, on
-// which no state is active, nor, on a watching kernel, on a cycle on which
-// no state of the gate is.
+// A cycle after one whose active states were exactly its image's hit states
+// (or nothing) is a function of that image and its own tuple whenever the
+// image's successors reject the tuple at some position: its active states
+// are its tuple's image, and it enables its start vector and the image's
+// successors beyond it. Such cycles are stepped in a run by image number
+// alone, touching no vector and adding only their counts to Stats, until a
+// cycle whose previous image's successors accept its tuple, or whose image
+// holds a state of the gate, is stepped whole. A quiescent cycle, image 0
+// after image 0, is the run's cheapest step. When a run ends, at such a
+// cycle or at the block's end, the previous active vector is rebuilt as the
+// run's last image, so that PrevActive, the dense-valid invariant, the
+// successor rows and the next block see the last active set; the current one
+// needs nothing, as the next match pass clears the words its summary names.
+// A lane is not called on a run's cycles, on which no state of the gate is
+// active.
 func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink ReportSink, tracer Tracer) (enabled, active int64, peak int) {
 	c := e.c
 	n := c.nfa
@@ -928,16 +937,48 @@ func (e *CompiledEngine) StepBlock(subs []byte, t0 int, limitBits int, sink Repo
 	prev := e.prevImage
 
 	for t := t0; len(subs) >= U; t, subs = t+1, subs[U:] {
-		if prevCount == 0 && looks && t != 0 {
+		if looks && t != 0 && prevCount == int(images[prev].count) {
+			from := prev
 			for ; len(subs) >= U; t, subs = t+1, subs[U:] {
 				v := odd
 				if t&1 == 0 {
 					v = even
 				}
-				if v.pair[v.rowAt[cm[0][subs[0]]]+v.colOf[cm[U-1][subs[U-1]]]] != 0 {
-					break
+				k0, k1 := cm[0][subs[0]], cm[U-1][subs[U-1]]
+				ne := v.count
+				if prev != 0 {
+					p := &images[prev]
+					if a := aw[p.accepts:]; a[k0>>6]>>(k0&63)&(a[A+int(k1>>6)]>>(k1&63))&1 != 0 {
+						break
+					}
+					ne += int(p.beyond)
 				}
-				enabled += int64(v.count)
+				nx, na := v.pair[v.rowAt[k0]+v.colOf[k1]], 0
+				if nx != 0 {
+					x := &images[nx]
+					if x.reports != 0 {
+						break
+					}
+					na = int(x.count)
+					peak = max(peak, na)
+				}
+				enabled += int64(ne)
+				active += int64(na)
+				prev, prevCount = nx, na
+			}
+			if prev != from {
+				// The previous active vector becomes the run's last image.
+				pa, paSum := e.act[cur^1].Bits, e.act[cur^1].Sum
+				for sw, s := range paSum {
+					for ; s != 0; s &= s - 1 {
+						pa[sw<<6|bits.TrailingZeros64(s)] = 0
+					}
+					paSum[sw] = 0
+				}
+				for _, x := range iw[images[prev].hit.lo:images[prev].hit.hi] {
+					pa[x.w] = x.bits
+					paSum[x.w>>6] |= 1 << (uint(x.w) & 63)
+				}
 			}
 			if len(subs) < U {
 				break

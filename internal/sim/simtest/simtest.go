@@ -96,6 +96,8 @@ func (c *Case) SplitBudget(t testing.TB) int {
 //   - literals whose states share a word at 8-bit × 1 (with an even start),
 //     4-bit × 2 and × 4, and at 8-bit × 2 rules with a residual start, over
 //     text of their words;
+//   - literals at 8-bit × 1 and 4-bit × 4 over filler that hits only their
+//     start states, with a reporting byte just past each block seam;
 //   - workload families at scale 0.005 compiled at the design point (4-bit ×
 //     4), over their own input generator's bytes (three under -short).
 //
@@ -251,6 +253,33 @@ func Cases(t testing.TB) []*Case {
 		&Case{Name: ResidualStartCase, NFA: resid, Input: input},
 	)
 
+	// Literals whose start states the filler hits cycle after cycle while
+	// their successors reject it: the kernel steps the filler by image number,
+	// in runs across the seams at one and two blocks, each ending in a "q"
+	// that reports from a start image a few cycles past the seam. The filler
+	// is whole 2-byte cycles, so that at 4-bit × 4 a seam falls between two.
+	seam := automata.New(8, 1)
+	for code, w := range []string{"xyz", "yq", "q"} {
+		seam.AddLiteral(w, automata.StartAllInput, code+1)
+	}
+	filler := "xxx.yyy."
+	text.Reset()
+	for _, end := range []int{FeedBlock() + 8, 2*FeedBlock() + 8} {
+		for text.Len() < end {
+			text.WriteString(filler)
+		}
+		text.WriteString("q.")
+	}
+	text.WriteString("xyz")
+	for text.Len() < long {
+		text.WriteString(filler)
+	}
+	input = []byte(text.String()[:long])
+	cases = append(cases,
+		&Case{Name: SeamRunCase + " 8-bit x 1", NFA: seam, Input: input},
+		&Case{Name: SeamRunCase + " 4-bit x 4", NFA: compile(seam, 4, 4), Source: seam, Input: input},
+	)
+
 	families := []string{"ExactMatch", "Hamming", "RandomForest", "CoreRings", "Snort", "Bro217", "Fermi"}
 	if testing.Short() {
 		families = families[:3]
@@ -269,11 +298,13 @@ func Cases(t testing.TB) []*Case {
 // QuietCase names the case whose long runs of cycles no start state matches
 // the kernel skips; ImageCase prefixes the literal cases whose states share
 // a word, ResidualStartCase names the one whose start vector holds a
-// residual state.
+// residual state, and SeamRunCase prefixes the cases whose runs of
+// start-only cycles cross a block seam and end in a report.
 const (
 	QuietCase         = "quiescent runs 4-bit x 4"
 	ImageCase         = "shared-word literals"
 	ResidualStartCase = "residual start 8-bit x 2"
+	SeamRunCase       = "image runs across a seam"
 )
 
 // RandomWeights returns a weight table for n drawn from seed: integer

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -43,18 +44,24 @@ func TestSpine(t *testing.T) {
 // cycle did not look its start vector up, or some of them were carried (not
 // hit by the start vector), or some successor accepts the cycle's symbols at
 // every position of the cycle. The kernel must look its start vectors up on
-// the quiescent and the shared-word cases, at 4-bit × 4 and at 8-bit × 1
-// with an even start vector, and not on the residual start; on the
+// the quiescent, the shared-word and the seam cases, at 4-bit × 4 and at
+// 8-bit × 1 with an even start vector, and not on the residual start; on the
 // shared-word cases the image path must have run — skipped the OR of a cycle
-// whose previous one had successors. The quiescent case also skips
-// cycles (counted by a tracer, which itself turns the lookup off), after the
-// first and on both parities.
+// whose previous one had successors. Each of those cases must also have
+// cycles the kernel steps by image number (imageRuns), and on the seam cases
+// a run must span each block seam and end at a cycle that reports. The
+// quiescent case also has cycles that leave nothing active after a cycle
+// that left nothing (counted by a tracer, which itself turns the lookup
+// off), after the first and on both parities.
 func TestSpineSkips(t *testing.T) {
 	seen := 0
 	for _, c := range simtest.Cases(t) {
 		k := compile(t, c.NFA)
 		skipped := successorSkips(t, c, k)
-		image := c.Name == simtest.QuietCase || strings.HasPrefix(c.Name, simtest.ImageCase)
+		seamed := strings.HasPrefix(c.Name, simtest.SeamRunCase)
+		image := c.Name == simtest.QuietCase || strings.HasPrefix(c.Name, simtest.ImageCase) || seamed
+		runs := newImageRuns(c, k)
+		k.NewEngine().Run(c.Input, runs)
 		switch {
 		case c.Name == simtest.ResidualStartCase && k.LooksUp():
 			t.Fatalf("%s: the kernel looks up a start vector that holds a residual state", c.Name)
@@ -64,6 +71,12 @@ func TestSpineSkips(t *testing.T) {
 			t.Fatalf("%s: the kernel skipped no successor OR", c.Name)
 		case (c.Name == simtest.QuietCase || c.Name == simtest.ImageCase+" 8-bit x 1") && !k.StartsDiffer():
 			t.Fatalf("%s: the odd and the even start vector are one", c.Name)
+		case image && runs.count == 0:
+			t.Fatalf("%s: no cycle is stepped by image number", c.Name)
+		case seamed && runs.seams == 0:
+			t.Fatalf("%s: no run spans a block seam", c.Name)
+		case seamed && runs.seams != runs.reported:
+			t.Fatalf("%s: %d runs span a block seam, %d of them end at a cycle that reports", c.Name, runs.seams, runs.reported)
 		}
 		if image || c.Name == simtest.ResidualStartCase {
 			seen++
@@ -77,59 +90,80 @@ func TestSpineSkips(t *testing.T) {
 			t.Fatalf("%s: quiescent cycles by parity %v, want some of each", c.Name, q.parity)
 		}
 	}
-	if seen != 5 {
-		t.Fatalf("%d of the quiescent, shared-word and residual-start cases, want 5", seen)
+	if seen != 7 {
+		t.Fatalf("%d of the quiescent, shared-word, seam and residual-start cases, want 7", seen)
 	}
+}
+
+// cycleRule is what the automaton of a case does on each of its cycles, as
+// k's kernel takes them: their sub-symbols, and which states accept them.
+type cycleRule struct {
+	n     *automata.NFA
+	k     *sim.Compiled
+	subs  []byte // the input's sub-symbols, zero-padded to whole cycles
+	units int    // symbols a kernel cycle
+}
+
+func newCycleRule(c *simtest.Case, k *sim.Compiled) *cycleRule {
+	_, units := k.NewEngine().Geometry()
+	r := &cycleRule{n: c.NFA, k: k, units: units, subs: sim.AppendSubSymbols(nil, c.NFA.Bits, c.Input)}
+	for len(r.subs)%c.NFA.Stride != 0 {
+		r.subs = append(r.subs, 0)
+	}
+	return r
+}
+
+// accepts reports whether state i accepts the sub-symbols of cycle at kernel
+// position q: a residual state at any.
+func (r *cycleRule) accepts(i, q, cycle int) bool {
+	if r.k.Residual(i) {
+		return true
+	}
+	S := r.n.Stride
+	syms := r.subs[cycle*S:][:S]
+	for p := q * S / r.units; p < (q+1)*S/r.units; p++ {
+		ok := false
+		for _, rt := range r.n.States[i].Match {
+			ok = ok || !rt.Empty() && rt[p].Has(syms[p])
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// successors returns the successors of the states of prev, and whether at
+// every position of cycle one of them accepts its symbols.
+func (r *cycleRule) successors(prev bitvec.Words, cycle int) (succ []int, accepted bool) {
+	prev.ForEach(func(i int) {
+		for _, s := range r.n.States[i].Out {
+			succ = append(succ, int(s))
+		}
+	})
+	accepted = true
+	for q := range r.units {
+		any := false
+		for _, s := range succ {
+			any = any || r.accepts(s, q, cycle)
+		}
+		accepted = accepted && any
+	}
+	return succ, accepted
 }
 
 // successorSkips runs c on k's kernel with a lane that holds every cycle's
 // successor OR to the rule TestSpineSkips states, and returns how many
 // cycles skipped it although the previous cycle's states had successors.
 func successorSkips(t *testing.T, c *simtest.Case, k *sim.Compiled) int {
-	n, e := c.NFA, k.NewEngine()
-	_, units := e.Geometry()
-	S := n.Stride
-	subs := sim.AppendSubSymbols(nil, n.Bits, c.Input)
-	for len(subs)%S != 0 {
-		subs = append(subs, 0)
-	}
-	// accepts reports whether state i accepts the cycle's sub-symbols at
-	// kernel position q: a residual state at any.
-	accepts := func(i, q int, syms []byte) bool {
-		if k.Residual(i) {
-			return true
-		}
-		for p := q * S / units; p < (q+1)*S/units; p++ {
-			ok := false
-			for _, r := range n.States[i].Match {
-				ok = ok || !r.Empty() && r[p].Has(syms[p])
-			}
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
+	r, e := newCycleRule(c, k), k.NewEngine()
 	skipped := 0
 	e.SetLane(func(cycle int) {
-		var succ []int
 		allHit := true
 		starts := e.Starts(cycle - 1)
-		e.PrevActive().ForEach(func(i int) {
-			allHit = allHit && starts.Get(i)
-			for _, s := range n.States[i].Out {
-				succ = append(succ, int(s))
-			}
-		})
-		syms := subs[cycle*S:][:S]
-		accepted := true
-		for q := range units {
-			any := false
-			for _, s := range succ {
-				any = any || accepts(s, q, syms)
-			}
-			accepted = accepted && any
-		}
+		prev := e.PrevActive()
+		prev.ForEach(func(i int) { allHit = allHit && starts.Get(i) })
+		succ, accepted := r.successors(prev, cycle)
 		looked := k.LooksUp() && cycle > 1
 		want := len(succ) > 0 && (!looked || !allHit || accepted)
 		if got := e.Rowed(); got != want {
@@ -144,6 +178,62 @@ func successorSkips(t *testing.T, c *simtest.Case, k *sim.Compiled) int {
 	s.Feed(c.Input)
 	s.Flush()
 	return skipped
+}
+
+// imageRuns is a tracer that recounts, from what the automaton does and with
+// nothing added to the kernel, the cycles a kernel that looks its start
+// vectors up steps by image number: past the first, after a cycle whose
+// active states were all start states (none, when it was the first), whose
+// successors, if any, reject the cycle's symbols at some position, and
+// activating only start states, none of which reports. It also counts the
+// runs of such cycles that span a block seam — the last cycle of a session
+// block and the first of the next — and of those, the ones whose first
+// cycle past the run reports.
+type imageRuns struct {
+	*cycleRule
+	starts       func(t int) bitvec.Words
+	block        int // cycles a session block
+	prev         bitvec.Words
+	started, was bool // the previous cycle activated only start states; it was a run cycle
+	spanning     bool // the run in progress spans a seam
+	count        int
+	seams        int
+	reported     int
+}
+
+func newImageRuns(c *simtest.Case, k *sim.Compiled) *imageRuns {
+	e := k.NewEngine()
+	bits, units := e.Geometry()
+	return &imageRuns{cycleRule: newCycleRule(c, k), starts: e.Starts, block: simtest.FeedBlock() * 8 / (bits * units)}
+}
+
+func (r *imageRuns) OnCycle(t int, _, active bitvec.Words) {
+	starts := r.starts(t)
+	only, reports := true, false
+	for w, x := range active {
+		only = only && x&^starts[w] == 0
+		for ; x != 0; x &= x - 1 {
+			reports = reports || r.n.States[w<<6|bits.TrailingZeros64(x)].Report
+		}
+	}
+	run := false
+	if t > 0 && r.started && (t > 1 || !r.prev.Any()) {
+		succ, accepted := r.successors(r.prev, t)
+		run = (len(succ) == 0 || !accepted) && only && !reports
+	}
+	switch {
+	case run:
+		r.count++
+		r.spanning = r.spanning || r.was && t%r.block == 0
+	case r.spanning:
+		r.seams++
+		if reports {
+			r.reported++
+		}
+		r.spanning = false
+	}
+	r.was, r.started = run, only
+	r.prev = append(r.prev[:0], active...)
 }
 
 // quiescent counts by parity the cycles the kernel skips: past the first,
